@@ -26,7 +26,7 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Measured-execution bench: real wall-clock speedups of the vectorized
+# Measured-execution bench: real wall-clock speedups of the fused
 # kernels and the thread/process backends (docs/execution.md).
 bench-exec:
 	$(PYTHON) -m repro bench-exec --out BENCH_execution.json

@@ -235,7 +235,7 @@ FUSE_NO_SLICE_FORM = register_rule(
 FUSE_NON_POSITIVE_STRIDE = register_rule(
     "RPA063", "fuse-non-positive-stride", W,
     "NumPy basic slices require positive strides; reversed accesses run "
-    "through the interpreter or vectorized gather path")
+    "through the compiled interpreter loop")
 FUSE_DIAGONAL_ACCESS = register_rule(
     "RPA064", "fuse-diagonal-access", W,
     "one loop variable driving two dimensions of an access selects a "
@@ -247,8 +247,7 @@ FUSE_NON_INJECTIVE_WRITE = register_rule(
 FUSE_FLOW_SELF_DEPENDENCE = register_rule(
     "RPA066", "fuse-flow-self-dependence", W,
     "a recurrence must observe values written earlier in the same "
-    "block; gather-before-scatter whole-block execution would not "
-    "(shared Presburger check with the vectorization gate)")
+    "block; gather-before-scatter whole-block execution would not")
 FUSE_NON_ELEMENTWISE_CALL = register_rule(
     "RPA067", "fuse-non-elementwise-call", W,
     "an opaque function not marked elementwise cannot be assumed to map "

@@ -4,7 +4,7 @@ Everything else in :mod:`repro.bench` *simulates* schedules on abstract
 cost units; this module actually runs the generated task programs and
 times them.  Three questions are answered per kernel:
 
-1. how much faster is the vectorized sequential execution than the
+1. how much faster is the fused sequential execution than the
    compiled-loop interpreter (whole-block NumPy kernels vs per-iteration
    Python)?
 2. does the thread backend overlap anything (it can only overlap NumPy
@@ -18,7 +18,7 @@ host the honest answer is "no".  The bench therefore includes a
 *latency-bound* workload — the statement bodies call an opaque function
 that blocks (modelling the paper's expensive prime-search kernel, or any
 I/O / external-library call).  Such a call is not elementwise, so the
-vectorizer correctly refuses it and the sequential paths pay the full
+fuser correctly refuses it and the sequential paths pay the full
 latency serially, while the pipeline backends overlap blocked tasks even
 on one core.  Host CPU count is recorded in the report so the numbers
 can be read in context.
@@ -49,7 +49,7 @@ LATENCY_S = 0.002
 def blocking_compute(*args: float) -> float:
     """Opaque statement body that *blocks* per call.
 
-    Deliberately not marked elementwise: the vectorizer must refuse it
+    Deliberately not marked elementwise: the fuser must refuse it
     (calling it once per block would change semantics from once per
     iteration), so every sequential path pays the latency serially.
     Module-level, hence picklable for the process backend.
@@ -70,17 +70,14 @@ def _measure(
     source: str,
     params: Mapping[str, int],
     backend: str,
-    vectorize: str,
+    fuse: str,
     workers: int,
     coarsen: int,
     funcs: Mapping[str, Callable] | None = None,
     repeats: int = 3,
-    fuse: str = "off",
 ) -> tuple[dict, "np.ndarray | None", object]:
     """Best-of-``repeats`` measured execution; returns (record, _, store)."""
-    interp = Interpreter.from_source(
-        source, params, funcs, vectorize=vectorize, fuse=fuse
-    )
+    interp = Interpreter.from_source(source, params, funcs, fuse=fuse)
     info = detect_pipeline(interp.scop, coarsen=coarsen)
     best = None
     store = None
@@ -106,28 +103,24 @@ def run_workload(
 ) -> dict:
     """Run one kernel on every execution configuration.
 
-    The first four pin the pre-fusion trajectory (``fuse='off'`` keeps
-    their meaning across recordings); the fused rows run the closure
-    dispatch path — chain merging included — on all three backends.
+    ``scalar-serial`` is the compiled-loop baseline; the fused rows run
+    the closure dispatch path — chain merging included — on all three
+    backends.
     """
     configs = (
-        ("scalar-serial", "serial", "off", "off"),
-        ("vector-serial", "serial", "auto", "off"),
-        ("threads", "threads", "auto", "off"),
-        ("processes", "processes", "auto", "off"),
-        ("fused-serial", "serial", "off", "auto"),
-        ("fused-threads", "threads", "off", "auto"),
-        ("fused-processes", "processes", "off", "auto"),
+        ("scalar-serial", "serial", "off"),
+        ("fused-serial", "serial", "auto"),
+        ("fused-threads", "threads", "auto"),
+        ("fused-processes", "processes", "auto"),
     )
     oracle = Interpreter.from_source(source, params, funcs)
     reference = oracle.run_sequential(oracle.new_store())
 
     runs: dict[str, dict] = {}
     identical = True
-    for label, backend, mode, fuse in configs:
+    for label, backend, fuse in configs:
         record, stats, store = _measure(
-            source, params, backend, mode, workers, coarsen, funcs,
-            repeats, fuse=fuse,
+            source, params, backend, fuse, workers, coarsen, funcs, repeats
         )
         same = reference.equal(store)
         record["identical_to_sequential"] = same
@@ -142,12 +135,12 @@ def run_workload(
         "repeats": repeats,
         "runs": runs,
         "identical": identical,
-        "speedup_vectorized": t["scalar-serial"] / t["vector-serial"],
-        "speedup_threads": t["scalar-serial"] / t["threads"],
-        "speedup_processes": t["scalar-serial"] / t["processes"],
-        "processes_vs_vector_serial": t["vector-serial"] / t["processes"],
         "speedup_fused": t["scalar-serial"] / t["fused-serial"],
-        "fused_vs_vector_serial": t["vector-serial"] / t["fused-serial"],
+        "speedup_threads": t["scalar-serial"] / t["fused-threads"],
+        "speedup_processes": t["scalar-serial"] / t["fused-processes"],
+        "processes_vs_fused_serial": (
+            t["fused-serial"] / t["fused-processes"]
+        ),
     }
 
 
@@ -188,7 +181,7 @@ def run_privatized_workload(
     """Privatized execution of one reduction kernel on every backend.
 
     The sequential baseline is the compiled-loop interpreter (reduction
-    statements don't vectorize: their accumulator writes overlap), so
+    statements with overlapping accumulator writes don't fuse), so
     the privatized speed-up is the real end-to-end win of executing the
     proof.  Alongside the per-backend match against sequential (group-
     aware tolerance) the record asserts *bit*-identity across the
@@ -199,7 +192,7 @@ def run_privatized_workload(
     from ..interp import execute_privatized, privatized_matches
     from ..schedule import plan_privatization
 
-    oracle = Interpreter.from_source(source, params, funcs, vectorize="off")
+    oracle = Interpreter.from_source(source, params, funcs, fuse="off")
     seq_wall = None
     reference = None
     for _ in range(max(1, repeats)):
@@ -217,9 +210,7 @@ def run_privatized_workload(
     stores: dict[str, object] = {}
     identical = True
     for backend in backends:
-        interp = Interpreter.from_source(
-            source, params, funcs, vectorize="auto"
-        )
+        interp = Interpreter.from_source(source, params, funcs)
         info, _sched, _ast, _graph, _joins = prepare_privatized(
             interp.scop, plan, parts=parts
         )
@@ -270,7 +261,7 @@ def measured_speedup(
     funcs: Mapping[str, Callable] | None = None,
     repeats: int = 3,
 ) -> float:
-    """Wall-clock speed-up of the vectorized threaded pipeline over the
+    """Wall-clock speed-up of the fused threaded pipeline over the
     compiled-loop serial baseline (the figure runners' ``--measured``)."""
     if coarsen is None:
         probe = Interpreter.from_source(source, params, funcs)
@@ -295,7 +286,7 @@ def run_execution_bench(
     n_small = 16 if quick else 32
     n_p5 = 24 if quick else 64
     # Blocks must tile the N*N/2-point nests evenly: ragged blocks
-    # decompose into many small rectangles and hide the vectorization win.
+    # decompose into many small rectangles and hide the block-kernel win.
     coarsen_p5 = 288 if quick else 1024
     n_latency = 6 if quick else 8
 
@@ -360,8 +351,6 @@ def run_execution_bench(
     )
     criteria = {
         "all_paths_bit_identical": all(w["identical"] for w in workloads),
-        "vectorized_speedup_on_P5": round(p5["speedup_vectorized"], 2),
-        "vectorized_10x_on_P5": p5["speedup_vectorized"] >= 10.0,
         "fused_speedup_on_P5": round(p5["speedup_fused"], 2),
         "fused_beats_interpreter_on_P5": p5["speedup_fused"] > 1.0,
         "fused_rows_bit_identical": all(
@@ -370,8 +359,8 @@ def run_execution_bench(
             for label in w["runs"]
             if label.startswith("fused-")
         ),
-        "processes_beat_vector_serial_somewhere": any(
-            w["processes_vs_vector_serial"] > 1.0 for w in workloads
+        "processes_beat_fused_serial_somewhere": any(
+            w["processes_vs_fused_serial"] > 1.0 for w in workloads
         ),
         "privatized_matches_sequential": all(
             w["identical"] for w in privatized
@@ -416,29 +405,23 @@ def format_execution_bench(report: dict) -> str:
         f"{report['workers']} workers, numpy {host['numpy']}",
         "",
         f"{'workload':>12}  {'config':>15}  {'wall ms':>9}  "
-        f"{'vec cov':>7}  {'dispatch':>10}  {'identical':>9}",
+        f"{'fused':>7}  {'dispatch':>10}  {'identical':>9}",
     ]
     for w in report["workloads"]:
         for label, run in w["runs"].items():
             lines.append(
                 f"{w['name']:>12}  {label:>15}  "
                 f"{run['wall_time_s'] * 1e3:9.2f}  "
-                f"{run['iteration_coverage'] * 100:6.0f}%  "
+                f"{run['fused_iteration_coverage'] * 100:6.0f}%  "
                 f"{run.get('dispatch_mode', 'interp'):>10}  "
                 f"{str(run['identical_to_sequential']):>9}"
             )
-        speedups = (
-            f"{'':>12}  speedups: vectorized {w['speedup_vectorized']:.2f}x, "
+        lines.append(
+            f"{'':>12}  speedups: fused {w['speedup_fused']:.2f}x, "
             f"threads {w['speedup_threads']:.2f}x, "
             f"processes {w['speedup_processes']:.2f}x "
-            f"({w['processes_vs_vector_serial']:.2f}x vs vector-serial)"
+            f"({w['processes_vs_fused_serial']:.2f}x vs fused-serial)"
         )
-        if "speedup_fused" in w:
-            speedups += (
-                f", fused {w['speedup_fused']:.2f}x "
-                f"({w['fused_vs_vector_serial']:.2f}x vs vector-serial)"
-            )
-        lines.append(speedups)
     for w in report.get("privatized", ()):
         lines.append(
             f"{w['name']:>12}  {'sequential':>14}  "
@@ -449,7 +432,7 @@ def format_execution_bench(report: dict) -> str:
             lines.append(
                 f"{w['name']:>12}  {label:>14}  "
                 f"{run['wall_time_s'] * 1e3:9.2f}  "
-                f"{run['iteration_coverage'] * 100:6.0f}%  "
+                f"{run['fused_iteration_coverage'] * 100:6.0f}%  "
                 f"{str(run['matches_sequential']):>9}"
             )
         lines.append(

@@ -40,7 +40,7 @@ def run_cell(
     measured: bool = False,
 ) -> Figure10Cell:
     if measured:
-        # Real wall clock: vectorized threaded pipeline vs compiled-loop
+        # Real wall clock: fused threaded pipeline vs compiled-loop
         # serial baseline (the SIZE axis only weights the simulator's
         # cost model, so measured cells carry size 0).
         from .execution import measured_speedup

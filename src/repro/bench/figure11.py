@@ -56,7 +56,7 @@ def run_kernel(
     cost = kernel.cost_model(size)
     if measured:
         # The pipeline column becomes a real wall-clock speed-up
-        # (vectorized threaded execution vs compiled-loop serial); the
+        # (fused threaded execution vs compiled-loop serial); the
         # Polly baselines stay simulated — there is no Polly executor.
         from .execution import measured_speedup
 

@@ -102,7 +102,7 @@ def latency_workload(
     """Tuned coarsening vs the PR 3 baseline on the latency workload.
 
     The statement bodies block for :data:`LATENCY_S` per call (opaque to
-    the vectorizer), so wall time is pure overlap + dispatch overhead —
+    the fuser), so wall time is pure overlap + dispatch overhead —
     exactly what granularity controls.  Three configurations run on the
     thread backend: the untuned finest blocking, the PR 3 hand-picked
     factor ``max(2, n // 2)``, and the auto-tuned plan (with reduced
@@ -174,15 +174,15 @@ def latency_workload(
 def fused_dispatch_workload(
     n: int = 24, coarsen: int = 48, repeats: int = 3
 ) -> dict:
-    """The per-task dispatch floor: interpreter vs vectorized vs fused.
+    """The per-task dispatch floor: interpreter vs fused.
 
     A dispatch-bound P5 (many small blocks, serial backend so the walls
     are pure per-task cost, no overlap): the interpreter pays a Python
-    loop per iteration, the vectorized path one slice kernel per block,
-    and the fused path one closure call per *merged chain task* over
-    pre-sliced rectangles.  ``per_block_us`` divides each wall by the
-    shared member-block count (same work denominator for every row);
-    ``tasks`` shows the chain planner's dispatch collapse on top.
+    loop per iteration, the fused path one closure call per *merged
+    chain task* over pre-sliced rectangles.  ``per_block_us`` divides
+    each wall by the shared member-block count (same work denominator
+    for every row); ``tasks`` shows the chain planner's dispatch
+    collapse on top.
     """
     source = TABLE9["P5"].source(n)
     probe = Interpreter.from_source(source, {})
@@ -190,14 +190,8 @@ def fused_dispatch_workload(
     reference = probe.run_sequential(probe.new_store())
 
     runs: dict[str, dict] = {}
-    for label, vectorize, fuse in (
-        ("interp", "off", "off"),
-        ("vectorized", "auto", "off"),
-        ("fused", "off", "auto"),
-    ):
-        interp = Interpreter.from_source(
-            source, {}, vectorize=vectorize, fuse=fuse
-        )
+    for label, fuse in (("interp", "off"), ("fused", "auto")):
+        interp = Interpreter.from_source(source, {}, fuse=fuse)
         wall, store, stats = _measure(interp, info, "serial", 1, repeats)
         # executed task count: chain merging collapses member blocks
         # (chain members share one blocking, a merge precondition)
@@ -225,9 +219,6 @@ def fused_dispatch_workload(
         "runs": runs,
         "fused_speedup_vs_interp": (
             runs["interp"]["wall_time_s"] / runs["fused"]["wall_time_s"]
-        ),
-        "fused_speedup_vs_vectorized": (
-            runs["vectorized"]["wall_time_s"] / runs["fused"]["wall_time_s"]
         ),
         "per_block_floor_drop": (
             runs["interp"]["per_block_us"] / runs["fused"]["per_block_us"]
@@ -349,8 +340,7 @@ def format_overhead_bench(report: dict) -> str:
             )
         lines.append(
             f"{'':>16}  fused vs interp "
-            f"{fused['fused_speedup_vs_interp']:.2f}x, vs vectorized "
-            f"{fused['fused_speedup_vs_vectorized']:.2f}x "
+            f"{fused['fused_speedup_vs_interp']:.2f}x "
             f"(per-block floor drop {fused['per_block_floor_drop']:.2f}x)"
         )
     lines.append("")

@@ -46,10 +46,7 @@ from repro.interp import Interpreter
 from repro.service import cached_analysis, options_from_dict
 from repro.store import ArtifactStore
 opts = options_from_dict(cfg["options"])
-interp = Interpreter.from_source(
-    cfg["source"], cfg["params"],
-    vectorize=opts.vectorize, fuse=opts.fuse,
-)
+interp = Interpreter.from_source(cfg["source"], cfg["params"], fuse=opts.fuse)
 store = ArtifactStore(cfg["cache_dir"])
 t0 = time.perf_counter()
 analysis, status = cached_analysis(
@@ -174,9 +171,7 @@ def _identity_round(
     store = ArtifactStore(cache_dir)
 
     def compile_once():
-        interp = Interpreter.from_source(
-            source, params, vectorize=opts.vectorize, fuse=opts.fuse
-        )
+        interp = Interpreter.from_source(source, params, fuse=opts.fuse)
         analysis, status = cached_analysis(
             interp, source, params, opts, store
         )

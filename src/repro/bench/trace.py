@@ -110,8 +110,9 @@ def trace_json(
 
     ``execution`` attaches the measured-execution record of a real run
     (an :class:`~repro.interp.executor.ExecutionStats` or its dict form):
-    backend, workers, wall time, vectorization coverage and per-statement
-    fallback reasons — alongside the simulated schedule they contextualize.
+    backend, workers, wall time, fused coverage and per-statement
+    ``fused_fallback`` refusals — alongside the simulated schedule they
+    contextualize.
     ``overhead`` attaches the task-overhead optimizer record (reduction
     stats, tuning plan, or a dict combining both — anything exposing
     ``as_dict``).

@@ -11,14 +11,15 @@ Commands
 ``lint <kernel.c> [--deep] [--format text|json|sarif]``
     Run the AST-level lint rules (``--deep`` adds SCoP validation and the
     pipelinability/task-graph checks); exit 1 on error diagnostics.
-``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--vectorize auto|on|off] [--fuse auto|on|off] [--tune model|search] [--reduce-deps] [--trace PATH] [--metrics PATH]``
+``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--tune model|search] [--reduce-deps] [--trace PATH] [--metrics PATH]``
     Execute the kernel sequentially and pipelined (threaded runtime) and
     report whether the results match, plus the simulated speed-up.
     ``--exec-backend`` additionally runs a *measured* wall-clock execution
     of the generated task program on the chosen backend;
-    ``--vectorize`` controls the whole-block NumPy kernels;
-    ``--fuse`` controls fused-closure dispatch (one NumPy call per task,
-    with chain fusion of proven-legal statement sequences);
+    ``--fuse`` controls the block kernels (fused closures: one NumPy
+    call per task, with chain fusion of proven-legal statement
+    sequences; ``off`` runs compiled loops; ``--vectorize`` is its
+    deprecated spelling);
     ``--tune`` auto-picks task granularity from a calibrated cost model
     (or a measured search); ``--reduce-deps`` transitively reduces the
     depend-in slot lists; ``--privatize`` executes the pattern
@@ -33,7 +34,7 @@ Commands
     profile: measured critical path, per-statement self time,
     simulated-vs-measured makespan divergence and top slack blocks.
 ``bench-exec [--out BENCH_execution.json]``
-    Measured-execution benchmark: compiled-loop vs vectorized sequential
+    Measured-execution benchmark: compiled-loop vs fused sequential
     vs thread/process backends, including a latency-bound workload.
 ``bench-overhead [--out BENCH_overhead.json]``
     Task-overhead optimizer benchmark: depend-in slot reduction per
@@ -85,19 +86,12 @@ def _parse_params(items: list[str]) -> dict[str, int]:
     return params
 
 
-def _load(
-    path: str,
-    params: dict[str, int],
-    vectorize: str = "auto",
-    fuse: str | None = None,
-):
+def _load(path: str, params: dict[str, int]):
     from .interp import Interpreter
 
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
-    return Interpreter.from_source(
-        source, params, vectorize=vectorize, fuse=fuse
-    )
+    return Interpreter.from_source(source, params)
 
 
 def _read_source(path: str) -> str:
@@ -138,7 +132,6 @@ def _cached_compile(interp, source: str, args, hybrid: bool = False):
         hybrid=hybrid,
         check=False,
         verify=False,
-        vectorize=getattr(args, "vectorize", "auto"),
         fuse=getattr(args, "fuse", None) or "auto",
         workers=getattr(args, "workers", 4),
     )
@@ -406,8 +399,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         source = _read_source(args.kernel)
         interp = Interpreter.from_source(
-            source, _parse_params(args.param),
-            vectorize=args.vectorize, fuse=args.fuse,
+            source, _parse_params(args.param), fuse=args.fuse
         )
 
         priv_plan = None
@@ -558,8 +550,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     source = _read_source(args.kernel)
     interp = Interpreter.from_source(
-        source, _parse_params(args.param),
-        vectorize=args.vectorize, fuse=args.fuse,
+        source, _parse_params(args.param), fuse=args.fuse
     )
     cached = _cached_compile(interp, source, args)
     if cached is not None:
@@ -783,6 +774,19 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+class _VectorizeAlias(argparse.Action):
+    """``--vectorize X``: deprecated spelling of ``--fuse X`` (an
+    explicit ``--fuse`` wins)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(
+            "note: --vectorize is deprecated and now means --fuse",
+            file=sys.stderr,
+        )
+        if namespace.fuse is None:
+            namespace.fuse = values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -799,6 +803,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coarsen", type=int, default=1)
         p.set_defaults(fn=fn)
         return p
+
+    def fuse_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--fuse",
+            choices=("auto", "on", "off"),
+            default=None,
+            help="block kernels: compile statements (and proven "
+            "fusion-legal chains) to single NumPy closures executed as "
+            "one call per task; auto (default) falls back per statement "
+            "to compiled loops, on fails on fallback, off runs compiled "
+            "loops only",
+        )
+        p.add_argument(
+            "--vectorize",
+            choices=("auto", "on", "off"),
+            action=_VectorizeAlias,
+            help=argparse.SUPPRESS,
+        )
 
     def cache_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -886,22 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the metrics-registry JSON export (cache, simulation, "
         "task-overhead and measured-execution series)",
     )
-    p_run.add_argument(
-        "--vectorize",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="whole-block NumPy kernels: auto (legal statements), "
-        "on (fail on fallback), off (compiled loops)",
-    )
-    p_run.add_argument(
-        "--fuse",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="fused-closure dispatch: compile statements (and proven "
-        "fusion-legal chains) to single NumPy closures executed as one "
-        "call per task; auto falls back per statement to the "
-        "vectorized/interpreter paths, on fails on fallback",
-    )
+    fuse_args(p_run)
     p_run.add_argument(
         "--tune",
         choices=("model", "search"),
@@ -945,12 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="fifo",
         help="simulator scheduling policy for the prediction",
     )
-    p_profile.add_argument(
-        "--vectorize", choices=("auto", "on", "off"), default="auto"
-    )
-    p_profile.add_argument(
-        "--fuse", choices=("auto", "on", "off"), default="auto"
-    )
+    fuse_args(p_profile)
     p_profile.add_argument(
         "--top", type=int, default=5,
         help="rows of critical path / slack to print",

@@ -78,12 +78,9 @@ class TransformOptions:
     presburger_cache: bool | None = None
     #: LRU capacity override for the Presburger op cache (None keeps it)
     presburger_cache_size: int | None = None
-    #: vectorized block kernels: "auto" (vectorize what's legal), "on"
-    #: (fail if any statement can't vectorize), "off" (compiled loops)
-    vectorize: str = "auto"
-    #: fused closure kernels: "auto" (default — fuse what's legal, per-
-    #: statement fallback to the vectorized/interpreter ladder), "on"
-    #: (fail if any statement can't fuse), "off" (no fused dispatch)
+    #: fused block kernels: "auto" (default — fuse what's legal, per-
+    #: statement fallback to compiled loops), "on" (fail if any
+    #: statement can't fuse), "off" (compiled loops only)
     fuse: str = "auto"
     #: run a real measured execution on this backend ("serial", "threads"
     #: or "processes"); None skips the measured run
@@ -112,6 +109,12 @@ class TransformOptions:
     privatize: bool = False
     #: chunks per privatized statement (None: max(2, workers))
     privatize_parts: int | None = None
+
+    @property
+    def vectorize(self) -> str:
+        """Deprecated read-only alias of :attr:`fuse` (not a field: it
+        is neither constructible nor part of the store key)."""
+        return self.fuse
 
 
 @dataclass(frozen=True)
@@ -280,8 +283,7 @@ def _transform(
     _validate_options(options)
 
     interp = Interpreter.from_source(
-        source_or_program, dict(params or {}), funcs,
-        vectorize=options.vectorize, fuse=options.fuse,
+        source_or_program, dict(params or {}), funcs, fuse=options.fuse
     )
 
     if cache_dir is not None and isinstance(source_or_program, str):

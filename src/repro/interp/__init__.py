@@ -6,7 +6,9 @@ from .compile import (
     StatementFn,
     compile_scop,
     compile_statement,
+    elementwise,
     emit_closure_spec,
+    is_elementwise,
 )
 from .executor import BACKENDS, ExecutionStats, execute_measured
 from .fused import (
@@ -20,6 +22,7 @@ from .fused import (
     closure_source,
     fuse_scop,
     fusion_legal_pair,
+    rectangles,
 )
 from .interp import DEFAULT_FUNCS, Interpreter
 from .privexec import (
@@ -29,17 +32,6 @@ from .privexec import (
     privatized_matches,
 )
 from .store import ArrayStore, ArrayView, SharedArrayStore
-from .vectorize import (
-    NotVectorizable,
-    VectorEntry,
-    VectorProgram,
-    VectorizedStatement,
-    elementwise,
-    is_elementwise,
-    rectangles,
-    vectorize_scop,
-    vectorize_statement,
-)
 
 __all__ = [
     "ArrayStore",
@@ -56,7 +48,6 @@ __all__ = [
     "privatized_matches",
     "Interpreter",
     "NotFusable",
-    "NotVectorizable",
     "REDUCTION_IDENTITY",
     "ClosureSpec",
     "FusedKernel",
@@ -69,14 +60,9 @@ __all__ = [
     "fusion_legal_pair",
     "SharedArrayStore",
     "StatementFn",
-    "VectorEntry",
-    "VectorProgram",
-    "VectorizedStatement",
     "compile_scop",
     "compile_statement",
     "elementwise",
     "is_elementwise",
     "rectangles",
-    "vectorize_scop",
-    "vectorize_statement",
 ]

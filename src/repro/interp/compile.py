@@ -4,7 +4,9 @@ Each labelled assignment is translated once into a Python function that
 executes a *batch* of iterations against an :class:`ArrayStore` — the same
 compiled body is used by the sequential interpreter, the task runtime, and
 the emitted task programs, so all execution paths share identical
-semantics.
+semantics.  The second half of the module is the legality gate that
+decides which statements may instead run a whole block as one NumPy
+closure (:mod:`repro.interp.fused`), and lowers those to closure specs.
 """
 
 from __future__ import annotations
@@ -12,9 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from ..lang.ast import ArrayAccess, BinOp, Call, Expr, IntLit, VarRef
 from ..lang.errors import SemanticError
 from ..scop import Scop, ScopStatement
+from ..scop.deps import DepKind, dependence_relation
+from .fused import REDUCTION_IDENTITY, NotFusable, StatementSpec
 from .store import ArrayStore
 
 #: A compiled statement body: (store, funcs, iterations) -> None
@@ -140,31 +146,94 @@ def compile_scop(scop: Scop) -> dict[str, CompiledStatement]:
 
 
 # ----------------------------------------------------------------------
-# declarative closure specs (megakernel fusion front end)
+# block-kernel legality gate and closure-spec lowering
 # ----------------------------------------------------------------------
+def elementwise(fn: Callable) -> Callable:
+    """Mark ``fn`` as safe to call with (broadcastable) array arguments."""
+    fn.elementwise = True  # type: ignore[attr-defined]
+    return fn
+
+
+def is_elementwise(fn: object) -> bool:
+    return isinstance(fn, np.ufunc) or bool(getattr(fn, "elementwise", False))
+
+
+def has_flow_self_dependence(scop: Scop, stmt: ScopStatement) -> bool:
+    """Presburger check: does any iteration read a value a *different*
+    iteration of the same statement wrote?  Such a recurrence forbids
+    whole-block execution — the block would observe pre-block values
+    under gather-before-scatter (anti self-dependences are fine for the
+    same reason: every read is gathered before the write scatters)."""
+    return not dependence_relation(scop, stmt, stmt, DepKind.FLOW).is_empty()
+
+
+def linear_form(
+    expr: Expr, loop_vars: tuple[str, ...], params: Mapping[str, int]
+) -> tuple[dict[str, int], int]:
+    """``expr`` as ``sum(coeffs[v] * v) + const`` or raise NotFusable."""
+    if isinstance(expr, IntLit):
+        return {}, expr.value
+    if isinstance(expr, VarRef):
+        if expr.name in loop_vars:
+            return {expr.name: 1}, 0
+        if expr.name in params:
+            return {}, params[expr.name]
+        raise NotFusable(
+            f"unknown variable {expr.name!r} in subscript", "RPA062"
+        )
+    if isinstance(expr, BinOp):
+        lc, lk = linear_form(expr.lhs, loop_vars, params)
+        rc, rk = linear_form(expr.rhs, loop_vars, params)
+        if expr.op in ("+", "-"):
+            sign = 1 if expr.op == "+" else -1
+            out = dict(lc)
+            for v, c in rc.items():
+                out[v] = out.get(v, 0) + sign * c
+            return {v: c for v, c in out.items() if c}, lk + sign * rk
+        if expr.op == "*":
+            if not lc:
+                return {v: lk * c for v, c in rc.items() if lk * c}, lk * rk
+            if not rc:
+                return {v: rk * c for v, c in lc.items() if rk * c}, lk * rk
+            raise NotFusable(
+                "product of two loop variables in subscript", "RPA062"
+            )
+        if expr.op in ("/", "%"):
+            if lc or rc:
+                raise NotFusable(
+                    f"loop variable under {expr.op!r} in subscript", "RPA062"
+                )
+            if rk == 0:
+                raise NotFusable("division by zero in subscript", "RPA062")
+            return {}, lk // rk if expr.op == "/" else lk % rk
+        raise NotFusable(f"operator {expr.op!r} in subscript", "RPA062")
+    raise NotFusable(f"non-affine subscript {expr!r}", "RPA062")
+
+
 def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
     """Lower one statement into a declarative fused-closure spec.
 
-    Applies the PR3 vectorization legality gate — affine slice-form
-    subscripts, positive strides, injective write, the shared Presburger
-    flow self-dependence check, elementwise-only calls — but reports each
-    refusal as :class:`~repro.interp.fused.NotFusable` with a stable
-    RPA06x code so coverage reports can aggregate by cause.  Returns a
-    :class:`~repro.interp.fused.StatementSpec` (pure data: building the
-    closure from it is :func:`~repro.interp.fused.build_closure`'s job).
-    """
-    from .fused import (
-        REDUCTION_IDENTITY,
-        NotFusable,
-        StatementSpec,
-    )
-    from .vectorize import (
-        NotVectorizable,
-        has_flow_self_dependence,
-        is_elementwise,
-        linear_form,
-    )
+    The one legality gate of whole-block execution (conservative, per
+    statement), each refusal a :class:`~repro.interp.fused.NotFusable`
+    with a stable RPA06x code so coverage reports aggregate by cause:
 
+    * every subscript is affine with **at most one loop variable per
+      array dimension** (RPA062 — ``A[2*i+1][j]`` has a slice form,
+      ``A[2*i+j][j]`` does not) and a **positive stride** (RPA063);
+    * no loop variable appears in two dimensions of one access (RPA064 —
+      ``A[i][i]`` diagonals have no slice form);
+    * the **write** uses every loop variable, so distinct iterations
+      write distinct cells (RPA065 — no scatter collisions);
+    * the statement carries **no flow self-dependence** (RPA066, see
+      :func:`has_flow_self_dependence`);
+    * every opaque ``Call`` resolves to an *elementwise* function
+      (RPA067 — ``fn.elementwise = True`` or a ``numpy.ufunc``; an
+      arbitrary Python function cannot be assumed to map over arrays).
+
+    Returns a :class:`~repro.interp.fused.StatementSpec` (pure data:
+    building the closure from it is
+    :func:`~repro.interp.fused.build_closure`'s job).
+    """
     loop_vars = tuple(stmt.space.dims)
     if not loop_vars:
         raise NotFusable("statement has no loop dimensions", "RPA060")
@@ -183,12 +252,7 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
         dims: list[tuple] = []
         seen: set[str] = set()
         for k, idx in enumerate(acc.indices):
-            try:
-                coeffs, const = linear_form(idx, loop_vars, params)
-            except NotVectorizable as exc:
-                raise NotFusable(
-                    f"{exc.reason} ({acc.array!r})", "RPA062"
-                ) from None
+            coeffs, const = linear_form(idx, loop_vars, params)
             if len(coeffs) > 1:
                 raise NotFusable(
                     f"coupled subscript {idx} of {acc.array!r} "

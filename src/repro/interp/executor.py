@@ -5,7 +5,7 @@ generated task program actually runs against real arrays, timed, on one
 of three backends:
 
 * ``serial`` — blocks execute immediately at creation order (the
-  tasking-disabled baseline, but still vectorization-aware);
+  tasking-disabled baseline, same block kernels);
 * ``threads`` — :class:`~repro.tasking.backends.FuturesBackend` thread
   pool (shared address space, GIL-limited for scalar bodies, overlaps
   NumPy kernels and blocking calls);
@@ -14,10 +14,11 @@ of three backends:
   (true multi-core execution).
 
 :func:`execute_measured` returns the mutated store plus an
-:class:`ExecutionStats` record carrying wall time and the vectorization
-coverage of the plan — blocks whose statement has no vector kernel ran
-on the compiled-loop path, and the per-statement fallback reasons say
-why.  Bench traces embed this record (see ``repro.bench.trace``).
+:class:`ExecutionStats` record carrying wall time and the fused
+coverage of the plan — blocks whose statement has no fused kernel ran
+on the compiled-loop path, and the per-statement ``fused_fallback``
+records say why.  Bench traces embed this record (see
+``repro.bench.trace``).
 """
 
 from __future__ import annotations
@@ -54,13 +55,9 @@ class ExecutionStats:
 
     backend: str
     workers: int
-    vectorize: str
     wall_time: float
     blocks_total: int
-    blocks_vectorized: int
     iterations_total: int
-    iterations_vectorized: int
-    fallback_reasons: dict[str, str] = field(default_factory=dict)
     scheduler: dict | None = None  # backend dispatch statistics
     #: live runtime events of the run (None unless collect_events);
     #: per-task timestamps are on the parent's monotonic clock — worker
@@ -77,7 +74,7 @@ class ExecutionStats:
     blocks_fused: int = 0
     iterations_fused: int = 0
     #: per-statement dispatch path actually planned for this run:
-    #: "fused" / "vectorized" / "interp"
+    #: "fused" / "interp"
     dispatch_modes: dict[str, str] = field(default_factory=dict)
     #: per-statement fusion refusals: {stmt: {"reason": ..., "code": RPA06x}}
     fused_fallback: dict[str, dict] = field(default_factory=dict)
@@ -87,20 +84,6 @@ class ExecutionStats:
     #: no chains were merged, i.e. ids already align); lets collected
     #: events be expanded back onto the unfused task graph
     task_members: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def block_coverage(self) -> float:
-        """Fraction of blocks that ran on the vectorized path."""
-        return self.blocks_vectorized / self.blocks_total if (
-            self.blocks_total
-        ) else 0.0
-
-    @property
-    def iteration_coverage(self) -> float:
-        """Fraction of statement instances that ran vectorized."""
-        return self.iterations_vectorized / self.iterations_total if (
-            self.iterations_total
-        ) else 0.0
 
     @property
     def fused_block_coverage(self) -> float:
@@ -121,17 +104,12 @@ class ExecutionStats:
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "vectorize": self.vectorize,
             "fuse": self.fuse,
             "wall_time_s": self.wall_time,
             "blocks_total": self.blocks_total,
-            "blocks_vectorized": self.blocks_vectorized,
             "blocks_fused": self.blocks_fused,
             "iterations_total": self.iterations_total,
-            "iterations_vectorized": self.iterations_vectorized,
             "iterations_fused": self.iterations_fused,
-            "block_coverage": round(self.block_coverage, 4),
-            "iteration_coverage": round(self.iteration_coverage, 4),
             "fused_block_coverage": round(self.fused_block_coverage, 4),
             "fused_iteration_coverage": round(
                 self.fused_iteration_coverage, 4
@@ -140,7 +118,6 @@ class ExecutionStats:
             "fused_fallback": dict(self.fused_fallback),
             "fused_chains": [list(c) for c in self.fused_chains],
             "task_members": [list(m) for m in self.task_members],
-            "fallback_reasons": dict(self.fallback_reasons),
             "scheduler": self.scheduler,
             "runtime": (
                 self.events.summary_dict() if self.events is not None else None
@@ -149,15 +126,37 @@ class ExecutionStats:
         }
 
     def summary(self) -> str:
-        cov = 100.0 * self.iteration_coverage
         fused = 100.0 * self.fused_iteration_coverage
         return (
-            f"{self.backend} ({self.workers} workers, vectorize="
-            f"{self.vectorize}, fuse={self.fuse}): "
+            f"{self.backend} ({self.workers} workers, fuse={self.fuse}): "
             f"{self.wall_time * 1e3:.1f} ms, "
-            f"{self.blocks_total} blocks, {cov:.0f}% iterations vectorized, "
-            f"{fused:.0f}% fused"
+            f"{self.blocks_total} blocks, {fused:.0f}% iterations fused"
         )
+
+
+def plan_coverage(ast, fprog) -> dict:
+    """The coverage fields of :class:`ExecutionStats` for running ``ast``
+    under fusion plan ``fprog`` (None: fusion off)."""
+    blocks_total = iters_total = blocks_fused = iters_fused = 0
+    dispatch_modes: dict[str, str] = {}
+    for nest in ast.nests:
+        fused = fprog is not None and fprog.get(nest.statement) is not None
+        dispatch_modes[nest.statement] = "fused" if fused else "interp"
+        for block in nest.blocks:
+            size = len(block.iterations)
+            blocks_total += 1
+            iters_total += size
+            if fused:
+                blocks_fused += 1
+                iters_fused += size
+    return {
+        "blocks_total": blocks_total,
+        "iterations_total": iters_total,
+        "blocks_fused": blocks_fused,
+        "iterations_fused": iters_fused,
+        "dispatch_modes": dispatch_modes,
+        "fused_fallback": fprog.fallbacks() if fprog is not None else {},
+    }
 
 
 def execute_measured(
@@ -191,8 +190,7 @@ def execute_measured(
         raise ValueError(
             f"unknown execution backend {backend!r}; choose from {BACKENDS}"
         )
-    from .fused import plan_chain_groups
-    from .vectorize import rectangles
+    from .fused import plan_chain_groups, rectangles
 
     ast = generate_task_ast(info)
     columns = statement_columns(ast)
@@ -202,7 +200,6 @@ def execute_measured(
     if store is None:
         store = interp.new_store()
 
-    plan = interp.vector_program if interp.vectorize != "off" else None
     fprog = interp.fused_program if interp.fuse != "off" else None
 
     # Fused dispatch plan: one entry per task stream.  Singleton groups
@@ -215,29 +212,6 @@ def execute_measured(
     else:
         groups = [[nest] for nest in ast.nests]
 
-    blocks_total = blocks_vec = blocks_fused = 0
-    iters_total = iters_vec = iters_fused = 0
-    dispatch_modes: dict[str, str] = {}
-    for nest in ast.nests:
-        stmt_vec = plan is not None and plan.get(nest.statement) is not None
-        stmt_fused = (
-            fprog is not None and fprog.get(nest.statement) is not None
-        )
-        dispatch_modes[nest.statement] = (
-            "fused" if stmt_fused else "vectorized" if stmt_vec else "interp"
-        )
-        for block in nest.blocks:
-            size = len(block.iterations)
-            blocks_total += 1
-            iters_total += size
-            if stmt_vec:
-                blocks_vec += 1
-                iters_vec += size
-            if stmt_fused:
-                blocks_fused += 1
-                iters_fused += size
-    fallback = plan.fallback_reasons() if plan is not None else {}
-    fused_fallback = fprog.fallbacks() if fprog is not None else {}
     fused_chains = tuple(
         tuple(n.statement for n in g) for g in groups if len(g) > 1
     )
@@ -364,46 +338,12 @@ def execute_measured(
     stats = ExecutionStats(
         backend=backend,
         workers=workers if backend != "serial" else 1,
-        vectorize=interp.vectorize,
         wall_time=wall,
-        blocks_total=blocks_total,
-        blocks_vectorized=blocks_vec,
-        iterations_total=iters_total,
-        iterations_vectorized=iters_vec,
-        fallback_reasons=fallback,
         scheduler=scheduler,
         events=runtime_trace,
         fuse=interp.fuse,
-        blocks_fused=blocks_fused,
-        iterations_fused=iters_fused,
-        dispatch_modes=dispatch_modes,
-        fused_fallback=fused_fallback,
         fused_chains=fused_chains,
         task_members=task_members,
+        **plan_coverage(ast, fprog),
     )
     return store, stats
-
-
-def run_all_backends(
-    interp_factory: Callable[[str], Interpreter],
-    info_of: Callable[[Interpreter], object],
-    workers: int = 4,
-) -> dict[str, tuple[ArrayStore, ExecutionStats]]:
-    """Run one kernel on every (backend, vectorize) combination.
-
-    ``interp_factory(vectorize_mode)`` builds a fresh interpreter;
-    ``info_of(interp)`` yields its pipeline info.  Used by the
-    differential tests and the execution bench.
-    """
-    out: dict[str, tuple[ArrayStore, ExecutionStats]] = {}
-    for label, backend, mode in (
-        ("scalar-serial", "serial", "off"),
-        ("vector-serial", "serial", "auto"),
-        ("threads", "threads", "auto"),
-        ("processes", "processes", "auto"),
-    ):
-        interp = interp_factory(mode)
-        out[label] = execute_measured(
-            interp, info_of(interp), backend=backend, workers=workers
-        )
-    return out

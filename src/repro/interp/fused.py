@@ -1,33 +1,40 @@
 """Fused NumPy closures: one function call per task, zero interpretation.
 
-The vectorized path of :mod:`repro.interp.vectorize` already executes a
-block as strided array operations, but every task still walks through
-``Interpreter.run_block`` — plan lookup, ``np.asarray``, rectangle
-decomposition — before the first NumPy call.  On latency-bound pipelines
-(BENCH_overhead.json) that per-task dispatch is the wall-clock floor.
+The compiled-loop path of :mod:`repro.interp.compile` executes one Python
+iteration per statement instance — correct, but the per-iteration
+interpreter overhead dwarfs the arithmetic, and on latency-bound
+pipelines (BENCH_overhead.json) per-task dispatch is the wall-clock
+floor.
 
-This module collapses the floor: at compile time each fusable statement
-is lowered to a :class:`FusedKernel`, a *declarative* :class:`ClosureSpec`
-(array refs, affine index maps per dimension, assignment op, reduction
-identity if any) plus a generated NumPy slicing closure that executes an
-arbitrary block by substituting block bounds.  The spec is the source of
-truth: :func:`build_closure` reconstructs the closure deterministically
-from the spec alone, and ``FusedKernel`` pickles as its spec (via
-``__reduce__``), so the ProcessBackend ships data, not code objects.
+This module is the block-kernel tier: at compile time each fusable
+statement is lowered to a :class:`FusedKernel`, a *declarative*
+:class:`ClosureSpec` (array refs, affine index maps per dimension,
+assignment op, reduction identity if any) plus a generated NumPy slicing
+closure that executes an arbitrary block by substituting block bounds.
+The spec is the source of truth: :func:`build_closure` reconstructs the
+closure deterministically from the spec alone, and ``FusedKernel``
+pickles as its spec (via ``__reduce__``), so the ProcessBackend ships
+data, not code objects.
 
-Legality is the PR3 vectorization gate re-applied — including the same
-Presburger flow self-dependence check — but every refusal carries a
-stable ``RPA06x`` diagnostic code so ``repro analyze --stats`` can
-explain coverage.  On top of single statements, consecutive nests that
-the PR1 explainer proves fusion-legal (:func:`fusion_legal_pair`, built
-on ``analysis.explain._fusion_violations``) and that share one blocking
-are merged into a single chain closure: one task executes a block of
-*both* statements back to back.
+Legality is decided by :func:`repro.interp.compile.emit_closure_spec`;
+every refusal carries a stable ``RPA06x`` diagnostic code so
+``repro analyze --stats`` can explain coverage.  A block's iteration set
+is usually *not* a rectangle (pipeline blocks are lexicographic
+intervals), so :func:`rectangles` decomposes it into axis-aligned
+rectangles executed in lexicographic order — each rectangle is a
+contiguous range of the lex-sorted iterations, which preserves
+anti-dependence ordering across rectangles, while gather-before-scatter
+NumPy evaluation preserves it within one rectangle.  On top of single
+statements, consecutive nests that the PR1 explainer proves
+fusion-legal (:func:`fusion_legal_pair`, built on
+``analysis.explain._fusion_violations``) and that share one blocking are
+merged into a single chain closure: one task executes a block of *both*
+statements back to back.
 
-Fallback ladder (per statement): fused closure → vectorized rectangle
-kernel → compiled interpreter loop.  All three are bit-identical by
-construction; the three-path battery in ``tests/interp/test_fused.py``
-enforces it across serial/threads/processes.
+Fallback ladder (per statement): fused closure → compiled interpreter
+loop.  Both are bit-identical by construction; the battery in
+``tests/interp/test_fused.py`` enforces it across
+serial/threads/processes.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ import numpy as np
 
 from ..lang.errors import SemanticError
 from .store import ArrayStore
-from .vectorize import rectangles
 
 __all__ = [
     "REDUCTION_IDENTITY",
@@ -55,6 +61,7 @@ __all__ = [
     "fuse_scop",
     "fusion_legal_pair",
     "plan_chain_groups",
+    "rectangles",
 ]
 
 #: Identity element of the reduction a compound assignment performs, when
@@ -194,14 +201,11 @@ def chain_label(names: tuple[str, ...]) -> str:
 # ----------------------------------------------------------------------
 # deterministic closure generation (spec -> source -> callable)
 # ----------------------------------------------------------------------
-def _access_slice(
+def _slice_text(
     dims: tuple, loop_vars: tuple[str, ...], array: str
-) -> str:
-    """Slice text of an access aligned onto the canonical loop grid.
-
-    Generates the same indexing as ``vectorize._slice_text`` so fused and
-    vectorized kernels execute identical NumPy operations.
-    """
+) -> tuple[str, list[str]]:
+    """``__arr_A[...]`` strided over the block bounds, plus the loop
+    variable driving each sliced axis (in array-axis order)."""
     parts: list[str] = []
     axis_vars: list[str] = []
     for var, coeff, const in dims:
@@ -216,8 +220,15 @@ def _access_slice(
         hi = f"{coeff}*__hi[{p}]{const + 1:+d}"
         step = f":{coeff}" if coeff != 1 else ""
         parts.append(f"{lo}:{hi}{step}")
-    code = f"__arr_{array}[{', '.join(parts)}]"
+    return f"__arr_{array}[{', '.join(parts)}]", axis_vars
 
+
+def _access_slice(
+    dims: tuple, loop_vars: tuple[str, ...], array: str
+) -> str:
+    """Slice text of a read aligned onto the canonical loop grid
+    (absent loop variables broadcast via ``None`` axes)."""
+    code, axis_vars = _slice_text(dims, loop_vars, array)
     present = tuple(v for v in loop_vars if v in axis_vars)
     perm = tuple(axis_vars.index(v) for v in present)
     if perm != tuple(range(len(perm))):
@@ -226,29 +237,6 @@ def _access_slice(
         sub = ", ".join(":" if v in present else "None" for v in loop_vars)
         code = f"{code}[{sub}]"
     return code
-
-
-def _write_target(
-    dims: tuple, loop_vars: tuple[str, ...], array: str
-) -> tuple[str, tuple[int, ...]]:
-    """Scatter target text and the axis permutation of the write."""
-    parts: list[str] = []
-    axis_vars: list[str] = []
-    for var, coeff, const in dims:
-        if var is None:
-            parts.append(str(const))
-            continue
-        axis_vars.append(var)
-        p = loop_vars.index(var)
-        lo = f"{coeff}*__lo[{p}]{const:+d}" if const else (
-            f"{coeff}*__lo[{p}]" if coeff != 1 else f"__lo[{p}]"
-        )
-        hi = f"{coeff}*__hi[{p}]{const + 1:+d}"
-        step = f":{coeff}" if coeff != 1 else ""
-        parts.append(f"{lo}:{hi}{step}")
-    target = f"__arr_{array}[{', '.join(parts)}]"
-    store_perm = tuple(loop_vars.index(v) for v in axis_vars)
-    return target, store_perm
 
 
 def _node_text(
@@ -349,9 +337,13 @@ def closure_source(spec: ClosureSpec) -> str:
                 f"__np.arange(__lo[{p}], __hi[{p}] + 1)[{sub}]"
             )
         lines.append(f"    __rhs{si} = {rhs}")
-        target, store_perm = _write_target(write_dims, loop_vars, write_array)
+        # scatter: transpose the canonical grid into the write's axis order
+        target, write_vars = _slice_text(write_dims, loop_vars, write_array)
+        store_perm = tuple(loop_vars.index(v) for v in write_vars)
         rhs_out = f"__rhs{si}"
         if store_perm != tuple(range(len(store_perm))):
+            # a permuted write needs the full grid materialized before
+            # the transpose (a scalar or broadcast RHS has too few axes)
             lines.append(
                 f"    __rhs{si} = __np.broadcast_to(__rhs{si}, "
                 "tuple(h - l + 1 for l, h in zip(__lo, __hi)))"
@@ -359,6 +351,66 @@ def closure_source(spec: ClosureSpec) -> str:
             rhs_out = f"__np.transpose(__rhs{si}, {store_perm})"
         lines.append(f"    {target} = {rhs_out}")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# rectangle decomposition
+# ----------------------------------------------------------------------
+def rectangles(
+    iters: np.ndarray,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Partition an iteration set into axis-aligned rectangles.
+
+    Returns inclusive ``(lo, hi)`` bounds covering ``iters`` exactly, in
+    lexicographic order; every rectangle is a contiguous range of the
+    lex-sorted iterations (so executing them in order preserves every
+    anti-dependence between rectangles).
+    """
+    iters = np.asarray(iters, dtype=np.int64)
+    if iters.ndim != 2:
+        raise ValueError("iterations must be a (count, depth) array")
+    n, d = iters.shape
+    if n == 0:
+        return []
+    lo, hi = iters.min(axis=0), iters.max(axis=0)
+    if n == int(np.prod(hi - lo + 1)):  # dense bounding box
+        return [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))]
+
+    order = np.lexsort(iters.T[::-1])
+    iters = iters[order]
+    # Runs along the innermost dimension: break where the outer prefix
+    # changes or the inner coordinate jumps.
+    if d > 1:
+        prefix_change = np.any(np.diff(iters[:, :-1], axis=0) != 0, axis=1)
+    else:
+        prefix_change = np.zeros(n - 1, dtype=bool)
+    inner_jump = np.diff(iters[:, -1]) != 1
+    breaks = np.flatnonzero(prefix_change | inner_jump) + 1
+    starts = np.concatenate([[0], breaks])
+    stops = np.concatenate([breaks, [n]])
+
+    rects: list[tuple[np.ndarray, np.ndarray]] = []
+    for s, e in zip(starts, stops):
+        r_lo, r_hi = iters[s].copy(), iters[e - 1].copy()
+        # Merge with the previous rectangle when only the second-innermost
+        # coordinate advanced by one and the inner run is identical — turns
+        # the interior of a lex interval into a single 2-d rectangle.
+        if rects and d >= 2:
+            p_lo, p_hi = rects[-1]
+            if (
+                r_lo[d - 2] == r_hi[d - 2] == p_hi[d - 2] + 1
+                and np.array_equal(p_lo[: d - 2], r_lo[: d - 2])
+                and np.array_equal(p_lo[: d - 2], p_hi[: d - 2])
+                and p_lo[d - 1] == r_lo[d - 1]
+                and p_hi[d - 1] == r_hi[d - 1]
+            ):
+                p_hi[d - 2] = r_lo[d - 2]
+                continue
+        rects.append((r_lo, r_hi))
+    return [
+        (tuple(int(v) for v in lo), tuple(int(v) for v in hi))
+        for lo, hi in rects
+    ]
 
 
 @dataclass(eq=False)
@@ -378,15 +430,6 @@ class FusedKernel:
     @property
     def label(self) -> str:
         return self.spec.label
-
-    def run_rect(
-        self,
-        store: ArrayStore,
-        funcs: Mapping[str, Callable],
-        lo: tuple[int, ...],
-        hi: tuple[int, ...],
-    ) -> None:
-        self.fn(store, funcs, lo, hi)
 
     def run_rects(
         self,
@@ -466,13 +509,6 @@ class FusedProgram:
         if not self.entries:
             return 0.0
         return self.statements_fused / len(self.entries)
-
-    def fallback_reasons(self) -> dict[str, str]:
-        return {
-            name: e.reason
-            for name, e in self.entries.items()
-            if e.reason is not None
-        }
 
     def fallbacks(self) -> dict[str, dict[str, str]]:
         """``{statement: {"reason": ..., "code": RPA06x}}`` for refusals."""

@@ -14,10 +14,9 @@ import numpy as np
 
 from ..lang.ast import Assign, Loop, Program
 from ..scop import Scop, extract_scop
-from .compile import CompiledStatement, compile_scop
+from .compile import CompiledStatement, compile_scop, elementwise
 from .fused import FusedProgram, fuse_scop
 from .store import ArrayStore
-from .vectorize import VectorProgram, elementwise, vectorize_scop
 
 #: Default opaque functions for kernels written with f/g/h-style calls.
 #: Deterministic, order-sensitive (non-commutative beyond the first
@@ -28,7 +27,7 @@ DEFAULT_FUNCS: dict[str, Callable] = {}
 @elementwise
 def _mix(*args: float) -> float:
     # Pure float64 arithmetic — maps over NumPy arrays with bit-identical
-    # results, so the vectorized block path may call it on whole slices.
+    # results, so fused block kernels may call it on whole slices.
     acc = 1.0
     for k, a in enumerate(args):
         acc = (acc * 31.0 + (k + 1) * a) % 65521.0
@@ -53,22 +52,17 @@ class Interpreter:
         program: Program,
         scop: Scop,
         funcs: Mapping[str, Callable] | None = None,
-        vectorize: str = "auto",
+        vectorize: str | None = None,
         fuse: str | None = None,
     ):
-        if vectorize not in ("auto", "on", "off"):
-            raise ValueError(
-                f"vectorize must be 'auto', 'on' or 'off', got {vectorize!r}"
-            )
-        # The library default keeps the interpreter's dispatch ladder as it
-        # always was (vectorized -> scalar); fused dispatch is opt-in here
-        # and switched on by the driver/CLI layer, which defaults to
-        # ``auto`` (ISSUE 8's default-on with per-statement fallback).
+        # ``vectorize`` is the deprecated spelling of ``fuse`` (the tier it
+        # selected is gone); this is the one place the alias resolves.
         if fuse is None:
-            fuse = "off"
+            fuse = "auto" if vectorize is None else vectorize
         if fuse not in ("auto", "on", "off"):
             raise ValueError(
-                f"fuse must be 'auto', 'on' or 'off', got {fuse!r}"
+                "fuse must be 'auto', 'on' or 'off' (vectorize is its "
+                f"deprecated alias), got {fuse!r}"
             )
         self.program = program
         self.scop = scop
@@ -76,17 +70,13 @@ class Interpreter:
         if funcs:
             self.funcs.update(funcs)
         self.compiled: dict[str, CompiledStatement] = compile_scop(scop)
-        self.vectorize = vectorize
         self.fuse = fuse
-        self._vector_program: VectorProgram | None = None
         self._fused_program: FusedProgram | None = None
         #: Per-path execution counters, filled by :meth:`run_block`.
         self.block_counters = {
             "fused_blocks": 0,
-            "vectorized_blocks": 0,
             "scalar_blocks": 0,
             "fused_iterations": 0,
-            "vectorized_iterations": 0,
             "scalar_iterations": 0,
         }
         missing = {
@@ -97,12 +87,10 @@ class Interpreter:
         }
         if missing:
             raise KeyError(f"no implementation for functions: {sorted(missing)}")
-        if vectorize == "on":
+        if fuse == "on":
             # Fail at construction, not mid-execution: ``on`` asserts full
             # coverage, so build the plan (and its SemanticError naming
-            # every non-vectorizable statement) eagerly.
-            self.vector_program
-        if fuse == "on":
+            # every non-fusable statement) eagerly.
             self.fused_program
 
     # ------------------------------------------------------------------
@@ -111,7 +99,7 @@ class Interpreter:
         source_or_program: str | Program,
         params: Mapping[str, int],
         funcs: Mapping[str, Callable] | None = None,
-        vectorize: str = "auto",
+        vectorize: str | None = None,
         fuse: str | None = None,
     ) -> "Interpreter":
         from ..lang import parse
@@ -124,17 +112,6 @@ class Interpreter:
             program = source_or_program
         scop = extract_scop(program, dict(params))
         return Interpreter(program, scop, funcs, vectorize=vectorize, fuse=fuse)
-
-    @property
-    def vector_program(self) -> VectorProgram:
-        """Lazily built vectorization plan (``--vectorize on`` asserts it
-        covers every statement)."""
-        if self._vector_program is None:
-            plan = vectorize_scop(self.scop, self.funcs)
-            if self.vectorize == "on":
-                plan.require_full()
-            self._vector_program = plan
-        return self._vector_program
 
     @property
     def fused_program(self) -> FusedProgram:
@@ -202,8 +179,7 @@ class Interpreter:
         """Execute one pipeline block (a batch of iterations of a statement).
 
         Fallback ladder: fused closure (when ``fuse`` is not ``'off'``) →
-        vectorized rectangle kernel (when ``vectorize`` is not ``'off'``) →
-        compiled-loop body.  All paths are bit-identical by construction.
+        compiled-loop body.  Both paths are bit-identical by construction.
         """
         iters = np.asarray(iterations, dtype=np.int64)
         if self.fuse != "off":
@@ -212,13 +188,6 @@ class Interpreter:
                 fused(store, self.funcs, iters)
                 self.block_counters["fused_blocks"] += 1
                 self.block_counters["fused_iterations"] += len(iters)
-                return
-        if self.vectorize != "off":
-            vec = self.vector_program.get(statement)
-            if vec is not None:
-                vec(store, self.funcs, iters)
-                self.block_counters["vectorized_blocks"] += 1
-                self.block_counters["vectorized_iterations"] += len(iters)
                 return
         self.compiled[statement](store, self.funcs, iters.tolist())
         self.block_counters["scalar_blocks"] += 1

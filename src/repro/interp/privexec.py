@@ -15,7 +15,7 @@ one generated *join task per reduction group*:
 * member blocks are created ``chain=False`` (their mutual order is
   exactly what the verified proof relaxed) and execute against a *proxy*
   store that aliases the accumulator name onto the block's private — the
-  compiled loop bodies and vectorized kernels read
+  compiled loop bodies and fused kernels read
   ``store.arrays[name]`` and run unchanged;
 * the join task folds the privates into the base accumulator in one
   fixed, ascending creation order inside a single task, so all
@@ -40,7 +40,12 @@ import numpy as np
 
 from ..obs import runtime as obs_runtime
 from ..obs.spans import span
-from .executor import BACKEND_ALIASES, BACKENDS, ExecutionStats
+from .executor import (
+    BACKEND_ALIASES,
+    BACKENDS,
+    ExecutionStats,
+    plan_coverage,
+)
 from .interp import Interpreter
 from .store import ArrayStore, ArrayView
 
@@ -131,29 +136,8 @@ def execute_privatized(
     if store is None:
         store = interp.new_store()
 
-    plan_vec = interp.vector_program if interp.vectorize != "off" else None
+    # forced here so the lazy plan build stays outside the timed run
     fprog = interp.fused_program if interp.fuse != "off" else None
-    blocks_total = blocks_vec = iters_total = iters_vec = 0
-    blocks_fused = iters_fused = 0
-    dispatch_modes: dict[str, str] = {}
-    for nest in ast.nests:
-        stmt_vec = plan_vec is not None and plan_vec.get(nest.statement) is not None
-        stmt_fused = fprog is not None and fprog.get(nest.statement) is not None
-        dispatch_modes[nest.statement] = (
-            "fused" if stmt_fused else "vectorized" if stmt_vec else "interp"
-        )
-        for block in nest.blocks:
-            size = len(block.iterations)
-            blocks_total += 1
-            iters_total += size
-            if stmt_vec:
-                blocks_vec += 1
-                iters_vec += size
-            if stmt_fused:
-                blocks_fused += 1
-                iters_fused += size
-    fallback = plan_vec.fallback_reasons() if plan_vec is not None else {}
-    fused_fallback = fprog.fallbacks() if fprog is not None else {}
 
     # ------------------------------------------------------------------
     # allocate + identity-initialize one private per member block
@@ -297,20 +281,11 @@ def execute_privatized(
     stats = ExecutionStats(
         backend=backend,
         workers=workers if backend != "serial" else 1,
-        vectorize=interp.vectorize,
         wall_time=wall,
-        blocks_total=blocks_total,
-        blocks_vectorized=blocks_vec,
-        iterations_total=iters_total,
-        iterations_vectorized=iters_vec,
-        fallback_reasons=fallback,
         scheduler=scheduler,
         events=runtime_trace,
         fuse=interp.fuse,
-        blocks_fused=blocks_fused,
-        iterations_fused=iters_fused,
-        dispatch_modes=dispatch_modes,
-        fused_fallback=fused_fallback,
+        **plan_coverage(ast, fprog),
         privatization={
             "arrays": list(privates),
             "groups": {g.array: g.group for g in plan.groups},

@@ -427,31 +427,28 @@ def absorb_execution(reg: MetricsRegistry, stats) -> None:
     """Absorb an :class:`repro.interp.executor.ExecutionStats` record."""
     labels = {"backend": stats.backend}
     reg.gauge("execution.workers", stats.workers, **labels)
-    reg.gauge("execution.vectorize", stats.vectorize, **labels)
+    reg.gauge("execution.fuse", stats.fuse, **labels)
     reg.gauge("execution.wall_time_s", stats.wall_time, **labels)
     reg.gauge("execution.blocks_total", stats.blocks_total, **labels)
-    reg.gauge(
-        "execution.blocks_vectorized", stats.blocks_vectorized, **labels
-    )
+    reg.gauge("execution.blocks_fused", stats.blocks_fused, **labels)
     reg.gauge(
         "execution.iterations_total", stats.iterations_total, **labels
     )
     reg.gauge(
-        "execution.iterations_vectorized",
-        stats.iterations_vectorized,
-        **labels,
+        "execution.iterations_fused", stats.iterations_fused, **labels
     )
     reg.gauge(
-        "execution.block_coverage", round(stats.block_coverage, 4), **labels
-    )
-    reg.gauge(
-        "execution.iteration_coverage",
-        round(stats.iteration_coverage, 4),
+        "execution.fused_iteration_coverage",
+        round(stats.fused_iteration_coverage, 4),
         **labels,
     )
-    for stmt, reason in sorted(stats.fallback_reasons.items()):
+    for stmt, refusal in sorted(stats.fused_fallback.items()):
         reg.gauge(
-            "execution.fallback_reason", reason, statement=stmt, **labels
+            "execution.fused_fallback",
+            refusal["reason"],
+            statement=stmt,
+            code=refusal["code"],
+            **labels,
         )
     if stats.scheduler:
         for key, value in sorted(stats.scheduler.items()):

@@ -41,7 +41,7 @@ class ProfileReport:
     critical_path: list[tuple[int, str, int, float]]
     critical_path_s: float
     #: statement -> {"tasks": n, "self_s": s, "share": fraction,
-    #: "mode": fused|vectorized|interp}
+    #: "mode": fused|interp}
     statements: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: (tid, statement, block, slack_ms), most slack first
     top_slack: list[tuple[int, str, int, float]] = field(default_factory=list)
@@ -237,7 +237,7 @@ def profile_run(graph, sim, stats, top: int = 10) -> ProfileReport:
 
     total_busy_ns = sum(dur_ns)
     # Attribute each statement's time to its dispatch path (fused vs
-    # vectorized vs interp) so floor drops are measured, not asserted.
+    # interp) so floor drops are measured, not asserted.
     modes = dict(getattr(stats, "dispatch_modes", {}) or {})
     statements: dict[str, dict[str, float]] = {}
     for tid in range(n):

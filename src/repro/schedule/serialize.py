@@ -13,26 +13,26 @@ Algorithm 1.  Two containers share one packed layout:
   *without* the zip container (``np.load`` drags in ``zipfile`` +
   ``pathlib``, ~10ms of import cost in a fresh warm-serving process).
 
-The packed layout (format version 2) differs from version 1 in two ways
-that matter at thousands of blocks:
+The packed layout (format version 2) is built for thousands of blocks:
 
 * every block's iteration array lives in ONE flat ``int64`` array plus
-  a ``(n_blocks, 2)`` shape table — version 1 stored one npz member per
-  block, and the per-member zip open/decompress overhead dominated warm
-  artifact-store loads;
+  a ``(n_blocks, 2)`` shape table — one npz member per block would make
+  per-member zip open/decompress overhead dominate warm artifact-store
+  loads;
 * ``in_tokens`` are stored as integer indices into the global block
   list (a consumed token is some producer block's ``out_token``), not
   as literal ``[statement, end]`` pairs — smaller header, shared tuple
   objects on load.  Tokens produced by no block (defensive case) are
   kept literally in ``"in_extra"``.
 
-Loaded iteration arrays view into the flat array (no copy).  Version-1
-``.npz`` files and blobs are still read.
+Loaded iteration arrays view into the flat array (no copy).  A file of
+any other version, or a blob without :data:`BLOB_MAGIC` (which names
+the version), raises ``ValueError`` — the artifact store demotes that
+to a recompile.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import pickle
 import zlib
@@ -159,43 +159,13 @@ def save_task_ast(path: str, ast: TaskAst) -> None:
 
 
 def load_task_ast(path: str) -> TaskAst:
-    """Read a task AST written by :func:`save_task_ast` (version 1 or 2)."""
+    """Read a task AST written by :func:`save_task_ast`."""
     with np.load(path) as data:
         header = json.loads(bytes(data["__header__"]).decode("utf-8"))
         version = header.get("version")
-        if version == 1:
-            return _load_v1(header, data)
-        if version == FORMAT_VERSION:
-            return _unpack(header, data["flat"], data["shapes"])
-        raise ValueError(f"unsupported task-AST format version {version}")
-
-
-def _load_v1(header: dict, data) -> TaskAst:
-    """Version-1 layout: one npz member per block (slow, kept readable)."""
-    nests: list[TaskLoopNest] = []
-    for nest_rec in header["nests"]:
-        statement = nest_rec["statement"]
-        blocks: list[TaskBlock] = []
-        for rec in nest_rec["blocks"]:
-            iters = np.asarray(data[rec["iters"]], dtype=np.int64)
-            end = tuple(int(v) for v in rec["end"])
-            blocks.append(
-                TaskBlock(
-                    statement=statement,
-                    block_id=int(rec["block_id"]),
-                    end=end,
-                    iterations=iters,
-                    in_tokens=tuple(
-                        (stmt, tuple(int(v) for v in e))
-                        for stmt, e in rec["in_tokens"]
-                    ),
-                    out_token=(statement, end),
-                )
-            )
-        nests.append(
-            TaskLoopNest(statement, int(nest_rec["depth"]), tuple(blocks))
-        )
-    return TaskAst(tuple(nests))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported task-AST format version {version}")
+        return _unpack(header, data["flat"], data["shapes"])
 
 
 # ----------------------------------------------------------------------
@@ -211,9 +181,8 @@ def dumps_task_ast(ast: TaskAst) -> bytes:
 
 
 def loads_task_ast(blob: bytes) -> TaskAst:
-    """Inverse of :func:`dumps_task_ast`; also reads v1 ``.npz`` blobs."""
-    if blob.startswith(BLOB_MAGIC):
-        doc = pickle.loads(zlib.decompress(blob[len(BLOB_MAGIC) :]))
-        return _unpack(doc["header"], doc["flat"], doc["shapes"])
-    # historical blobs were whole .npz files (zip container)
-    return load_task_ast(io.BytesIO(blob))  # type: ignore[arg-type]
+    """Inverse of :func:`dumps_task_ast`."""
+    if not blob.startswith(BLOB_MAGIC):
+        raise ValueError("not a task-AST blob (bad magic)")
+    doc = pickle.loads(zlib.decompress(blob[len(BLOB_MAGIC) :]))
+    return _unpack(doc["header"], doc["flat"], doc["shapes"])

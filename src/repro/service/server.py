@@ -113,8 +113,7 @@ class ReproServer:
         t_start = time.perf_counter()
         with obs_spans.parented(root_id):
             interp = Interpreter.from_source(
-                source, params,
-                vectorize=options.vectorize, fuse=options.fuse,
+                source, params, fuse=options.fuse
             )
             if self.store is not None:
                 analysis, status = cached_analysis(

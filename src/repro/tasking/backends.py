@@ -321,12 +321,11 @@ _WORKER_INTERP = None
 _WORKER_STORE = None
 
 
-def _process_worker_init(
-    program, params, funcs, store_spec, vectorize, fuse="off", fused=None
-):
+def _process_worker_init(program, params, funcs, store_spec, fuse, fused):
     """Build this worker's interpreter and attach the shared store.
 
-    ``fused`` carries the parent's fusion plan; its kernels pickle as
+    ``fused`` carries the parent's fusion plan (None when ``fuse`` is
+    ``"off"``); its kernels pickle as
     declarative specs (``FusedKernel.__reduce__``) and the closures were
     regenerated during unpickling, so adopting the plan skips the
     per-worker Presburger legality analysis — and ships chain kernels,
@@ -338,9 +337,7 @@ def _process_worker_init(
     from ..scop import extract_scop
 
     scop = extract_scop(program, dict(params))
-    _WORKER_INTERP = Interpreter(
-        program, scop, funcs, vectorize=vectorize, fuse=fuse
-    )
+    _WORKER_INTERP = Interpreter(program, scop, funcs, fuse=fuse)
     if fused is not None:
         _WORKER_INTERP.adopt_fused(fused)
     _WORKER_STORE = SharedArrayStore.attach(store_spec)
@@ -452,7 +449,7 @@ class ProcessBackend(SlotAddressing):
     statements against the one shared segment.
 
     ``interpreter`` supplies the program, funcs (which must be picklable,
-    i.e. module-level) and vectorize mode; ``store`` is the caller's
+    i.e. module-level) and fuse mode; ``store`` is the caller's
     in-process store — it is copied into shared memory before execution
     and the results are copied back in place afterwards, so the backend
     mutates ``store`` exactly like the in-process backends do.
@@ -552,13 +549,8 @@ class ProcessBackend(SlotAddressing):
                 interp.scop.params,
                 interp.funcs,
                 store_spec,
-                interp.vectorize,
-                getattr(interp, "fuse", "off"),
-                (
-                    interp.fused_program
-                    if getattr(interp, "fuse", "off") != "off"
-                    else None
-                ),
+                interp.fuse,
+                interp.fused_program if interp.fuse != "off" else None,
             ),
         )
 

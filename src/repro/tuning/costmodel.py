@@ -72,16 +72,16 @@ class OverheadModel:
 
 @dataclass(frozen=True)
 class DispatchCostModel:
-    """Separate overhead pairs for the two dispatch ladders.
+    """Separate overhead pairs for the two dispatch paths.
 
-    A fused closure pays a *higher* per-task cost than the interpreter
-    ladder (closure entry, operand gather, one NumPy call) but a much
+    A fused closure pays a *higher* per-task cost than the compiled
+    loop (closure entry, operand gather, one NumPy call) but a much
     lower per-iteration cost — so at 1-iteration blocks fused dispatch
     *loses*, and the granularity tuner must know where the lines cross
     instead of assuming one overhead pair fits both.
     """
 
-    #: the interpreter/vectorized ladder (``fuse="off"``)
+    #: compiled-loop dispatch (``fuse="off"``)
     interp: OverheadModel
     #: fused-closure dispatch (``fuse="auto"``/``"on"``)
     fused: OverheadModel
@@ -108,7 +108,7 @@ class DispatchCostModel:
         return max(1, math.ceil(extra_task / iter_gain))
 
     def active(self, fuse: str | None) -> OverheadModel:
-        """The overhead pair the executor's ladder will actually pay."""
+        """The overhead pair the executor will actually pay."""
         return self.interp if (fuse or "off") == "off" else self.fused
 
     def as_dict(self) -> dict:
@@ -137,23 +137,21 @@ def calibrate_dispatch(
     info: "PipelineInfo",
     repeats: int = 2,
 ) -> DispatchCostModel:
-    """Calibrate both dispatch ladders on the same kernel and blocking.
+    """Calibrate both dispatch paths on the same kernel and blocking.
 
     Builds two sibling interpreters over the caller's program/SCoP —
-    one with ``fuse="off"``, one with fused dispatch — and runs
-    :func:`calibrate_overhead` on each, so every parameter is a real
-    measurement of the ladder that would pay it.
+    one with ``fuse="off"`` (compiled loops), one with fused dispatch —
+    and runs :func:`calibrate_overhead` on each, so every parameter is a
+    real measurement of the path that would pay it.
     """
     from ..interp import Interpreter
 
     base = Interpreter(
-        interp.program, interp.scop, interp.funcs,
-        vectorize=interp.vectorize, fuse="off",
+        interp.program, interp.scop, interp.funcs, fuse="off"
     )
-    fused_mode = interp.fuse if interp.fuse not in (None, "off") else "auto"
+    fused_mode = interp.fuse if interp.fuse != "off" else "auto"
     fused = Interpreter(
-        interp.program, interp.scop, interp.funcs,
-        vectorize=interp.vectorize, fuse=fused_mode,
+        interp.program, interp.scop, interp.funcs, fuse=fused_mode
     )
     return DispatchCostModel(
         interp=calibrate_overhead(base, info, repeats=repeats),

@@ -27,9 +27,6 @@ class TestRunWorkload:
     def test_all_configs_present(self, small_workload):
         assert set(small_workload["runs"]) == {
             "scalar-serial",
-            "vector-serial",
-            "threads",
-            "processes",
             "fused-serial",
             "fused-threads",
             "fused-processes",
@@ -41,7 +38,6 @@ class TestRunWorkload:
             for name, run in small_workload["runs"].items()
         }
         assert modes["scalar-serial"] == "interp"
-        assert modes["vector-serial"] == "vectorized"
         # P1 fuses fully, so every fused row dispatches fused closures
         assert modes["fused-serial"] == "fused"
         assert modes["fused-processes"] == "fused"
@@ -53,24 +49,22 @@ class TestRunWorkload:
 
     def test_speedups_computed(self, small_workload):
         for key in (
-            "speedup_vectorized",
+            "speedup_fused",
             "speedup_threads",
             "speedup_processes",
-            "processes_vs_vector_serial",
-            "speedup_fused",
-            "fused_vs_vector_serial",
+            "processes_vs_fused_serial",
         ):
             assert small_workload[key] > 0.0
 
     def test_records_are_json_ready(self, small_workload):
         json.dumps(small_workload)
 
-    def test_vector_serial_covers_p1(self, small_workload):
-        assert small_workload["runs"]["vector-serial"][
-            "iteration_coverage"
+    def test_fused_serial_covers_p1(self, small_workload):
+        assert small_workload["runs"]["fused-serial"][
+            "fused_iteration_coverage"
         ] == 1.0
         assert small_workload["runs"]["scalar-serial"][
-            "iteration_coverage"
+            "fused_iteration_coverage"
         ] == 0.0
 
 

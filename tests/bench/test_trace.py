@@ -88,7 +88,7 @@ class TestTraceDocument:
         write_trace(str(path), graph, sim, execution=stats)
         section = json.loads(path.read_text())["otherData"]["execution"]
         assert section["backend"] == "serial"
-        assert section["iteration_coverage"] == 1.0
+        assert section["fused_iteration_coverage"] == 1.0
 
     def test_overhead_section_embedded(self, sim_setup):
         """Reduction stats (anything with as_dict) land in otherData."""

@@ -24,6 +24,12 @@ from repro.workloads import TABLE9, CostModel
 from tests.conftest import LISTING1
 
 REQUIRED_KEYS = ("name", "ph", "pid", "tid")
+#: coverage keys of the ``otherData.execution`` section
+EXECUTION_KEYS = {
+    "fuse", "blocks_total", "blocks_fused", "iterations_total",
+    "iterations_fused", "fused_block_coverage", "fused_iteration_coverage",
+    "dispatch_modes", "fused_fallback",
+}
 
 
 def assert_valid(doc):
@@ -104,6 +110,9 @@ class TestMergedDocuments:
         assert pids == {0, 1, 2}
         assert "runtime" in doc["otherData"]
         assert "phases" in doc["otherData"]
+        execution = doc["otherData"]["execution"]
+        assert EXECUTION_KEYS <= set(execution)
+        assert not any("vectoriz" in key for key in execution)
 
     def test_process_merged(self):
         doc = self._measured(LISTING1, {"N": 12}, "processes", coarsen=3)

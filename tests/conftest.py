@@ -20,13 +20,6 @@ def pytest_addoption(parser):
         "(raise to 200+ for a thorough run)",
     )
     parser.addoption(
-        "--fuzz-vectorize",
-        action="store_true",
-        default=False,
-        help="run the 200-sample vectorized/process execution "
-        "differential campaign (tests/fuzz)",
-    )
-    parser.addoption(
         "--fuzz-reduce",
         action="store_true",
         default=False,
@@ -44,7 +37,7 @@ def pytest_addoption(parser):
         "--fuzz-fuse",
         action="store_true",
         default=False,
-        help="run the 200-sample fused-closure vs interpreter "
+        help="run the 2x200-sample fused-closure vs interpreter "
         "bit-equality differential campaign (tests/fuzz)",
     )
     parser.addoption(
@@ -93,6 +86,54 @@ for(i=0; i<N; i++)
   for(j=0; j<N; j++)
     T: B[i][j] = g(A[i][j], B[i][j]);
 """
+
+
+#: (label, backend, fuse) — fused closures on all three backends plus
+#: the compiled-loop baseline; the one execution battery of the suite.
+EXEC_CONFIGS = (
+    ("interp-serial", "serial", "off"),
+    ("fused-serial", "serial", "auto"),
+    ("fused-threads", "threads", "auto"),
+    ("fused-processes", "processes", "auto"),
+)
+
+
+def run_measured(source, backend, fuse, params=None, workers=2, coarsen=16):
+    """``execute_measured`` of ``source`` on a fresh interpreter."""
+    from repro.interp import execute_measured
+    from repro.pipeline import UncoveredDependenceError, detect_pipeline
+    from repro.scop import DepKind
+
+    interp = Interpreter.from_source(source, params or {}, fuse=fuse)
+    try:
+        info = detect_pipeline(interp.scop, coarsen=coarsen)
+    except UncoveredDependenceError:
+        info = detect_pipeline(
+            interp.scop, kinds=tuple(DepKind), coarsen=coarsen
+        )
+    return execute_measured(interp, info, backend=backend, workers=workers)
+
+
+def run_whole_blocks(interp):
+    """Execute every statement as one whole block (program order) through
+    ``run_block`` — the dispatch the pipeline executor uses, unlike
+    ``run_sequential``, which never touches the block kernels."""
+    store = interp.new_store()
+    for stmt in interp.scop.statements:
+        interp.run_block(store, stmt.name, stmt.points.points)
+    return store
+
+
+def assert_all_configs_match_sequential(source, params=None, coarsen=16):
+    """Every ``EXEC_CONFIGS`` run is bit-identical to ``run_sequential``."""
+    oracle = Interpreter.from_source(source, params or {})
+    seq = oracle.run_sequential(oracle.new_store())
+    for label, backend, fuse in EXEC_CONFIGS:
+        store, stats = run_measured(
+            source, backend, fuse, params, coarsen=coarsen
+        )
+        assert seq.equal(store), f"{label} diverged"
+        assert (stats.backend, stats.fuse) == (backend, fuse)
 
 
 @pytest.fixture

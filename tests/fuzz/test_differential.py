@@ -26,6 +26,7 @@ from repro.pipeline import detect_pipeline
 from repro.presburger import cache
 from repro.schedule import generate_task_ast
 from repro.tasking import TaskGraph
+from tests.conftest import run_whole_blocks
 
 from .generator import generate_samples, random_topological_order
 
@@ -121,32 +122,6 @@ def test_long_fuzz_campaign(pytestconfig):
         assert seq.equal(par), sample.describe()
 
 
-def _run_vectorized_blocks(sample, mode):
-    """Block execution of the sample with the given vectorize mode."""
-    interp = Interpreter.from_source(sample.source, {}, vectorize=mode)
-    store = interp.new_store()
-    for stmt in interp.scop.statements:
-        interp.run_block(store, stmt.name, stmt.points.points)
-    return store, interp
-
-
-def test_vectorized_execution_matches_scalar(samples):
-    """Whole-block NumPy kernels are bit-identical to the compiled loop."""
-    vectorized_any = False
-    for sample in samples:
-        scalar, _ = _run_vectorized_blocks(sample, "off")
-        vec, interp = _run_vectorized_blocks(sample, "auto")
-        assert scalar.equal(vec), (
-            f"{sample.describe()}: vectorized execution diverged "
-            f"(max abs diff {scalar.max_abs_diff(vec):g})\n{sample.source}"
-        )
-        vectorized_any = (
-            vectorized_any or interp.block_counters["vectorized_blocks"] > 0
-        )
-    # the sample family must actually exercise the vectorized path
-    assert vectorized_any
-
-
 def test_process_backend_matches_serial(samples):
     """A few samples through the full process-backend execution path."""
     from repro.interp import execute_measured
@@ -162,42 +137,10 @@ def test_process_backend_matches_serial(samples):
         assert stats.scheduler["tasks"] > 0
 
 
-def test_vectorize_fuzz_campaign(pytestconfig):
-    """Opt-in: a 200-sample vectorized-vs-scalar differential sweep.
-
-    Enable with ``pytest tests/fuzz --fuzz-vectorize``; each sample also
-    goes through the process backend every 25th draw.
-    """
-    if not pytestconfig.getoption("--fuzz-vectorize"):
-        pytest.skip("enable with --fuzz-vectorize")
-    from repro.interp import execute_measured
-
-    seed = pytestconfig.getoption("--fuzz-seed")
-    for sample in generate_samples(seed + 2, 200):
-        scalar, _ = _run_vectorized_blocks(sample, "off")
-        vec, _ = _run_vectorized_blocks(sample, "auto")
-        assert scalar.equal(vec), sample.describe()
-        if sample.index % 25 == 0:
-            interp = Interpreter.from_source(sample.source, {})
-            store, _stats = execute_measured(
-                interp, detect_pipeline(interp.scop, coarsen=8),
-                backend="processes", workers=2,
-            )
-            assert interp.run_sequential(interp.new_store()).equal(
-                store
-            ), sample.describe()
-
-
 def _run_fused_blocks(sample, fuse):
-    """Block execution with fused-closure dispatch (vectorizer off, so a
-    divergence is attributable to the fused path alone)."""
-    interp = Interpreter.from_source(
-        sample.source, {}, vectorize="off", fuse=fuse
-    )
-    store = interp.new_store()
-    for stmt in interp.scop.statements:
-        interp.run_block(store, stmt.name, stmt.points.points)
-    return store, interp
+    """Whole-statement block execution with the given fuse mode."""
+    interp = Interpreter.from_source(sample.source, {}, fuse=fuse)
+    return run_whole_blocks(interp), interp
 
 
 def test_fused_execution_matches_interpreter(samples):
@@ -218,34 +161,35 @@ def test_fused_execution_matches_interpreter(samples):
 
 
 def test_fuse_fuzz_campaign(pytestconfig):
-    """Opt-in: a 200-sample fused-vs-interpreter bit-equality sweep.
+    """Opt-in: a 2x200-sample fused-vs-interpreter bit-equality sweep.
 
     Enable with ``pytest tests/fuzz --fuzz-fuse``; every 25th sample
     additionally runs the full fused task program (chain merging
     included) on the serial executor and, every 50th, on the process
-    backend.
+    backend.  Two seed offsets: ``+4`` is this campaign's own, ``+2`` the
+    retired vectorized campaign's, so the sampled kernel set did not
+    shrink when the tiers collapsed.
     """
     if not pytestconfig.getoption("--fuzz-fuse"):
         pytest.skip("enable with --fuzz-fuse")
     from repro.interp import execute_measured
 
     seed = pytestconfig.getoption("--fuzz-seed")
-    for sample in generate_samples(seed + 4, 200):
-        scalar, _ = _run_fused_blocks(sample, "off")
-        fused, _ = _run_fused_blocks(sample, "auto")
-        assert scalar.equal(fused), sample.describe()
-        if sample.index % 25 == 0:
-            backend = "processes" if sample.index % 50 == 0 else "serial"
-            interp = Interpreter.from_source(
-                sample.source, {}, vectorize="off", fuse="auto"
-            )
-            store, _stats = execute_measured(
-                interp, detect_pipeline(interp.scop, coarsen=8),
-                backend=backend, workers=2,
-            )
-            assert interp.run_sequential(interp.new_store()).equal(
-                store
-            ), sample.describe()
+    for offset in (2, 4):
+        for sample in generate_samples(seed + offset, 200):
+            scalar, _ = _run_fused_blocks(sample, "off")
+            fused, _ = _run_fused_blocks(sample, "auto")
+            assert scalar.equal(fused), sample.describe()
+            if sample.index % 25 == 0:
+                backend = "processes" if sample.index % 50 == 0 else "serial"
+                interp = Interpreter.from_source(sample.source, {})
+                store, _stats = execute_measured(
+                    interp, detect_pipeline(interp.scop, coarsen=8),
+                    backend=backend, workers=2,
+                )
+                assert interp.run_sequential(interp.new_store()).equal(
+                    store
+                ), sample.describe()
 
 
 def _closure_preserved(interp, info):

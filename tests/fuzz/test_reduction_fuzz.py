@@ -147,8 +147,8 @@ def _relaxed_execution(interp, report, rng):
 
 
 def _check_sample(sample, rng):
-    # vectorize off: run_block must honor the permuted iteration order
-    interp = Interpreter.from_source(sample.source, {}, vectorize="off")
+    # fuse off: run_block must honor the permuted iteration order
+    interp = Interpreter.from_source(sample.source, {}, fuse="off")
     report = run_portfolio(interp.scop)
 
     if not sample.commuting:
@@ -203,7 +203,7 @@ def _check_privatized_sample(sample, rng):
     from repro.schedule import plan_privatization, privatize_info
     from repro.scop import DepKind
 
-    interp = Interpreter.from_source(sample.source, {}, vectorize="off")
+    interp = Interpreter.from_source(sample.source, {}, fuse="off")
     plan = plan_privatization(interp.scop)
 
     if not sample.commuting:

@@ -1,8 +1,8 @@
 """Measured execution: every backend must be bit-identical to sequential.
 
 The acceptance property of the execution layer — P1–P10 run through the
-compiled-loop serial path, the vectorized path, the thread backend and
-the process backend, and every store matches ``run_sequential`` exactly.
+compiled-loop serial path, the fused path, the thread backend and the
+process backend, and every store matches ``run_sequential`` exactly.
 """
 
 import pytest
@@ -15,47 +15,22 @@ from repro.interp import (
 )
 from repro.pipeline import detect_pipeline
 from repro.workloads import TABLE9
-from tests.conftest import LISTING1
-
-PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
-
-#: (label, backend, vectorize) — the three execution paths plus the
-#: scalar serial baseline they are all compared against.
-CONFIGS = (
-    ("scalar-serial", "serial", "off"),
-    ("vector-serial", "serial", "auto"),
-    ("threads", "threads", "auto"),
-    ("processes", "processes", "auto"),
+from tests.conftest import (
+    LISTING1,
+    assert_all_configs_match_sequential,
+    run_measured,
 )
 
-
-def measured(source, backend, mode, workers=2, coarsen=16):
-    interp = Interpreter.from_source(source, {}, vectorize=mode)
-    info = detect_pipeline(interp.scop, coarsen=coarsen)
-    return execute_measured(interp, info, backend=backend, workers=workers)
+PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
 
 
 class TestThreePathBitIdentity:
     @pytest.mark.parametrize("name", PKERNELS)
     def test_pkernel_all_paths(self, name):
-        src = TABLE9[name].source(8)
-        oracle = Interpreter.from_source(src, {})
-        seq = oracle.run_sequential(oracle.new_store())
-        for label, backend, mode in CONFIGS:
-            store, stats = measured(src, backend, mode)
-            assert seq.equal(store), f"{name}/{label} diverged"
-            assert stats.backend == backend
+        assert_all_configs_match_sequential(TABLE9[name].source(8))
 
     def test_listing1_all_paths(self):
-        interp = Interpreter.from_source(LISTING1, {"N": 12})
-        seq = interp.run_sequential(interp.new_store())
-        for label, backend, mode in CONFIGS:
-            fresh = Interpreter.from_source(LISTING1, {"N": 12}, vectorize=mode)
-            info = detect_pipeline(fresh.scop, coarsen=8)
-            store, _ = execute_measured(
-                fresh, info, backend=backend, workers=2
-            )
-            assert seq.equal(store), f"LISTING1/{label} diverged"
+        assert_all_configs_match_sequential(LISTING1, {"N": 12}, coarsen=8)
 
 
 class TestExecutionStats:
@@ -67,7 +42,7 @@ class TestExecutionStats:
         assert "serial" in BACKENDS
 
     def test_serial_reports_one_worker(self):
-        _, stats = measured(TABLE9["P1"].source(8), "serial", "off")
+        _, stats = run_measured(TABLE9["P1"].source(8), "serial", "off")
         assert stats.workers == 1
         assert stats.wall_time > 0.0
 
@@ -75,56 +50,63 @@ class TestExecutionStats:
         src = (
             "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = f(A[i][j]);"
         )
-        _, stats = measured(src, "serial", "auto")
+        _, stats = run_measured(src, "serial", "auto")
         assert stats.blocks_total > 0
-        assert stats.iteration_coverage == 1.0
-        assert stats.block_coverage == 1.0
-        assert stats.fallback_reasons == {}
+        assert stats.fused_iteration_coverage == 1.0
+        assert stats.fused_block_coverage == 1.0
+        assert stats.fused_fallback == {}
 
     def test_coverage_zero_when_vectorization_off(self):
-        _, stats = measured(TABLE9["P1"].source(8), "serial", "off")
-        assert stats.blocks_vectorized == 0
-        assert stats.iteration_coverage == 0.0
+        # the deprecated spelling alone selects compiled loops
+        interp = Interpreter.from_source(
+            TABLE9["P1"].source(8), {}, vectorize="off"
+        )
+        _, stats = execute_measured(interp, detect_pipeline(interp.scop))
+        assert stats.fuse == "off"
+        assert stats.blocks_fused == 0
+        assert stats.fused_iteration_coverage == 0.0
 
     def test_fallback_reasons_recorded(self):
         src = (
             "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);\n"
             "for(i=1; i<8; i++) R: C[i][0] = g(C[i-1][0], A[i][0]);"
         )
-        _, stats = measured(src, "serial", "auto")
-        assert 0.0 < stats.iteration_coverage < 1.0
-        assert "recurrence" in stats.fallback_reasons["R"]
+        _, stats = run_measured(src, "serial", "auto")
+        assert 0.0 < stats.fused_iteration_coverage < 1.0
+        assert "recurrence" in stats.fused_fallback["R"]["reason"]
+        # one coverage figure, counted once
+        assert stats.summary().count("%") == 1
 
     def test_as_dict_is_json_ready(self):
         import json
 
-        _, stats = measured(TABLE9["P2"].source(8), "serial", "auto")
+        _, stats = run_measured(TABLE9["P2"].source(8), "serial", "auto")
         record = stats.as_dict()
         json.dumps(record)
         for key in (
             "backend",
             "workers",
-            "vectorize",
+            "fuse",
             "wall_time_s",
             "blocks_total",
-            "iteration_coverage",
-            "fallback_reasons",
+            "fused_iteration_coverage",
+            "fused_fallback",
         ):
             assert key in record
 
     def test_summary_readable(self):
-        _, stats = measured(TABLE9["P1"].source(8), "threads", "auto")
+        _, stats = run_measured(TABLE9["P1"].source(8), "threads", "auto")
         text = stats.summary()
         assert "threads" in text and "ms" in text
 
     def test_process_scheduler_stats_attached(self):
-        _, stats = measured(TABLE9["P3"].source(8), "processes", "auto")
+        _, stats = run_measured(TABLE9["P3"].source(8), "processes", "off")
         assert stats.scheduler is not None
         assert stats.scheduler["tasks"] == stats.blocks_total
         assert stats.scheduler["workers"] == 2
 
     def test_stats_is_frozen(self):
-        _, stats = measured(TABLE9["P1"].source(8), "serial", "off")
+        _, stats = run_measured(TABLE9["P1"].source(8), "serial", "off")
         with pytest.raises(AttributeError):
             stats.backend = "threads"
         assert isinstance(stats, ExecutionStats)

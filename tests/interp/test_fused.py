@@ -1,12 +1,13 @@
 """Fused-closure execution: specs, codegen, chains and the bit-identity
 battery.
 
-The acceptance property of the megakernel-fusion layer: every kernel of
-the portfolio runs fused / unfused / mixed on all three backends and
-every store matches ``run_sequential`` bit-exactly.  On top of that the
-suite pins the spec grammar (round-trip + pickling), the legality gate's
-RPA06x refusal codes, the chain planner's merge decisions and the
-coverage accounting the profiler and benches consume.
+The acceptance property of the block-kernel tier: every kernel of the
+portfolio runs fused (mixed where a statement is refused) and unfused on
+all three backends and every store matches ``run_sequential``
+bit-exactly.  On top of that the suite pins the spec grammar (round-trip
++ pickling), the legality gate's RPA06x refusal codes, the chain
+planner's merge decisions and the coverage accounting the profiler and
+benches consume.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from repro.interp import (
 )
 from repro.pipeline import detect_pipeline
 from repro.workloads import TABLE9
-from tests.conftest import LISTING1, LISTING3, TWO_NEST_COPY
+from tests.conftest import (
+    LISTING1,
+    LISTING3,
+    TWO_NEST_COPY,
+    assert_all_configs_match_sequential,
+    run_measured,
+)
 
 PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
 
@@ -48,48 +55,13 @@ for(i=0; i<N; i++)
     R: H[N-1-i][N-1-j] += B[i][j];
 """
 
-#: (label, backend, vectorize, fuse) — fused against both fallback tiers
-#: plus the pure interpreter baseline, across all three backends.
-CONFIGS = (
-    ("interp-serial", "serial", "off", "off"),
-    ("fused-serial", "serial", "off", "auto"),
-    ("fused-threads", "threads", "off", "auto"),
-    ("fused-processes", "processes", "off", "auto"),
-    ("mixed-serial", "serial", "auto", "auto"),
-    ("mixed-threads", "threads", "auto", "auto"),
-)
-
-
-def measured(source, backend, vectorize, fuse, params=None, workers=2,
-             coarsen=16):
-    from repro.pipeline import UncoveredDependenceError
-    from repro.scop import DepKind
-
-    interp = Interpreter.from_source(
-        source, params or {}, vectorize=vectorize, fuse=fuse
-    )
-    try:
-        info = detect_pipeline(interp.scop, coarsen=coarsen)
-    except UncoveredDependenceError:
-        info = detect_pipeline(
-            interp.scop, kinds=tuple(DepKind), coarsen=coarsen
-        )
-    return execute_measured(interp, info, backend=backend, workers=workers)
-
-
 # ----------------------------------------------------------------------
-# the three-path battery
+# the fused / compiled-loop battery
 # ----------------------------------------------------------------------
 class TestFusedBitIdentity:
     @pytest.mark.parametrize("name", PKERNELS)
     def test_pkernel_all_configs(self, name):
-        src = TABLE9[name].source(8)
-        oracle = Interpreter.from_source(src, {})
-        seq = oracle.run_sequential(oracle.new_store())
-        for label, backend, vec, fuse in CONFIGS:
-            store, stats = measured(src, backend, vec, fuse)
-            assert seq.equal(store), f"{name}/{label} diverged"
-            assert stats.fuse == fuse
+        assert_all_configs_match_sequential(TABLE9[name].source(8))
 
     @pytest.mark.parametrize(
         "source,params",
@@ -101,17 +73,11 @@ class TestFusedBitIdentity:
         ],
     )
     def test_example_all_configs(self, source, params):
-        oracle = Interpreter.from_source(source, params)
-        seq = oracle.run_sequential(oracle.new_store())
-        for label, backend, vec, fuse in CONFIGS:
-            store, _ = measured(
-                source, backend, vec, fuse, params=params, coarsen=8
-            )
-            assert seq.equal(store), f"{label} diverged"
+        assert_all_configs_match_sequential(source, params, coarsen=8)
 
     def test_fused_counters_and_coverage(self):
-        store, stats = measured(TWO_NEST_COPY, "serial", "off", "auto",
-                                params={"N": 8}, coarsen=4)
+        store, stats = run_measured(TWO_NEST_COPY, "serial", "auto",
+                                    params={"N": 8}, coarsen=4)
         assert stats.blocks_fused == stats.blocks_total
         assert stats.fused_block_coverage == 1.0
         assert stats.fused_iteration_coverage == 1.0
@@ -123,17 +89,15 @@ class TestFusedBitIdentity:
         assert d["fused_block_coverage"] == 1.0
 
     def test_mixed_program_reports_fallback(self):
-        _, stats = measured(HISTOGRAM, "serial", "off", "auto",
-                            params={"N": 8}, coarsen=8)
+        _, stats = run_measured(HISTOGRAM, "serial", "auto",
+                                params={"N": 8}, coarsen=8)
         assert stats.dispatch_modes["S"] == "fused"
         assert stats.dispatch_modes["R"] == "interp"
         assert stats.fused_fallback["R"]["code"] == "RPA063"
         assert 0.0 < stats.fused_block_coverage < 1.0
 
     def test_run_block_counters(self):
-        interp = Interpreter.from_source(
-            TWO_NEST_COPY, {"N": 6}, vectorize="off", fuse="auto"
-        )
+        interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 6})
         store = interp.new_store()
         iters = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int64)
         interp.run_block(store, "S", iters)
@@ -148,26 +112,26 @@ class TestFusedBitIdentity:
 class TestChainFusion:
     def test_p5_merges_the_whole_chain(self):
         src = TABLE9["P5"].source(8)
-        _, stats = measured(src, "serial", "off", "auto")
+        _, stats = run_measured(src, "serial", "auto")
         assert ("S1", "S2", "S3", "S4") in stats.fused_chains
 
     def test_copy_kernel_merges(self):
-        _, stats = measured(TWO_NEST_COPY, "serial", "off", "auto",
-                            params={"N": 8}, coarsen=4)
+        _, stats = run_measured(TWO_NEST_COPY, "serial", "auto",
+                                params={"N": 8}, coarsen=4)
         assert ("S", "T") in stats.fused_chains
 
     def test_listing1_does_not_merge(self):
         # S and R block different domains (N vs N/2) — chain refused.
-        _, stats = measured(LISTING1, "serial", "off", "auto",
-                            params={"N": 12}, coarsen=8)
+        _, stats = run_measured(LISTING1, "serial", "auto",
+                                params={"N": 12}, coarsen=8)
         assert stats.fused_chains == ()
 
     def test_chains_match_interpreter_on_all_backends(self):
         oracle = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
         seq = oracle.run_sequential(oracle.new_store())
         for backend in ("serial", "threads", "processes"):
-            store, stats = measured(TWO_NEST_COPY, backend, "off", "auto",
-                                    params={"N": 8}, coarsen=4)
+            store, stats = run_measured(TWO_NEST_COPY, backend, "auto",
+                                        params={"N": 8}, coarsen=4)
             assert ("S", "T") in stats.fused_chains
             assert seq.equal(store), f"chained {backend} diverged"
 
@@ -180,11 +144,9 @@ class TestChainFusion:
         # Profiled runs merge too; stats.task_members maps each merged
         # executor id back to its unfused member tasks so traces can be
         # re-expanded (RuntimeTrace.expand_members).
-        _, stats = measured(TWO_NEST_COPY, "serial", "off", "auto",
-                            params={"N": 8}, coarsen=4)
-        interp = Interpreter.from_source(
-            TWO_NEST_COPY, {"N": 8}, vectorize="off", fuse="auto"
-        )
+        _, stats = run_measured(TWO_NEST_COPY, "serial", "auto",
+                                params={"N": 8}, coarsen=4)
+        interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
         info = detect_pipeline(interp.scop, coarsen=4)
         _, profiled = execute_measured(
             interp, info, backend="serial", collect_events=True
@@ -360,9 +322,7 @@ class TestFusedPrivatized:
         from repro.schedule import plan_privatization, privatize_info
         from repro.scop import DepKind
 
-        interp = Interpreter.from_source(
-            HISTOGRAM, {"N": 8}, vectorize="off", fuse="auto"
-        )
+        interp = Interpreter.from_source(HISTOGRAM, {"N": 8})
         plan = plan_privatization(interp.scop)
         assert plan.groups, "histogram must yield a privatization proof"
         info = detect_pipeline(

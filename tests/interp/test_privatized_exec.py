@@ -66,8 +66,8 @@ KERNELS = {
 }
 
 
-def privatized_setup(source, n, parts, vectorize="auto"):
-    interp = Interpreter.from_source(source, {"N": n}, vectorize=vectorize)
+def privatized_setup(source, n, parts):
+    interp = Interpreter.from_source(source, {"N": n})
     plan = plan_privatization(interp.scop)
     assert plan.groups, "battery kernels must privatize"
     info = detect_pipeline(

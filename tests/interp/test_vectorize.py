@@ -1,53 +1,45 @@
-"""Tests for whole-block NumPy vectorization.
+"""Tests for whole-block NumPy execution of single statements.
 
 Legality (which statements may become slice kernels and why the others
 fall back), rectangle decomposition of lexicographic blocks, and — the
-property everything rests on — bit-identity of the vectorized path
-against the compiled-loop interpreter.
+property everything rests on — bit-identity of the block-kernel path
+against the compiled-loop interpreter.  (The file keeps the name of the
+retired ``vectorize`` tier so test ids stay stable; it drives the one
+remaining tier, fused closures, and the ``vectorize=`` alias.)
 """
 
 import numpy as np
 import pytest
 
 from repro.interp import (
+    ClosureSpec,
     Interpreter,
-    NotVectorizable,
+    NotFusable,
+    closure_source,
     elementwise,
+    emit_closure_spec,
+    fuse_scop,
     is_elementwise,
     rectangles,
-    vectorize_scop,
-    vectorize_statement,
 )
 from repro.lang import parse
 from repro.lang.errors import SemanticError
 from repro.scop import extract_scop
+from tests.conftest import run_whole_blocks
 
 
 def scop_of(src, **params):
     return extract_scop(parse(src), params or None)
 
 
-def run_blocks(interp):
-    """Execute every statement as one whole block (program order).
-
-    ``run_sequential`` interprets the loop nests point by point and never
-    touches the vectorizer; ``run_block`` is the dispatch the pipeline
-    executor uses, so that is what the differentials must drive.
-    """
-    store = interp.new_store()
-    for stmt in interp.scop.statements:
-        interp.run_block(store, stmt.name, stmt.points.points)
-    return store
-
-
 def run_both(src, funcs=None, params=None):
-    """(scalar store, vectorized store, vectorized interp) for ``src``."""
-    scalar = Interpreter.from_source(src, params or {}, funcs, vectorize="off")
-    vec = Interpreter.from_source(src, params or {}, funcs, vectorize="auto")
-    s = run_blocks(scalar)
-    v = run_blocks(vec)
+    """(scalar store, fused store, fused interp) for ``src``."""
+    scalar = Interpreter.from_source(src, params or {}, funcs, fuse="off")
+    fused = Interpreter.from_source(src, params or {}, funcs, fuse="auto")
+    s = run_whole_blocks(scalar)
+    v = run_whole_blocks(fused)
     assert s.equal(scalar.run_sequential(scalar.new_store()))
-    return s, v, vec
+    return s, v, fused
 
 
 class TestElementwiseMarking:
@@ -105,50 +97,59 @@ class TestRectangles:
 
 
 class TestLegality:
-    def vec(self, src, stmt="S", funcs=None, **params):
+    def spec(self, src, stmt="S", funcs=None, **params):
         scop = scop_of(src, **params)
-        return vectorize_statement(scop, scop.statement(stmt), funcs)
+        return emit_closure_spec(scop, scop.statement(stmt), funcs)
+
+    def refused(self, code, match, src, funcs=None):
+        with pytest.raises(NotFusable, match=match) as err:
+            self.spec(src, funcs=funcs)
+        assert err.value.code == code
 
     def test_simple_copy_vectorizes(self):
-        v = self.vec("for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);")
-        assert "__vec_S" in v.source
+        spec = self.spec("for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);")
+        assert "__fused_S" in closure_source(ClosureSpec((spec,)))
 
     def test_recurrence_falls_back(self):
-        with pytest.raises(NotVectorizable, match="recurrence"):
-            self.vec("for(i=0; i<8; i++) S: A[i][0] = f(A[i-1][0]);")
+        self.refused(
+            "RPA066", "recurrence",
+            "for(i=0; i<8; i++) S: A[i][0] = f(A[i-1][0]);",
+        )
 
     def test_coupled_subscript_falls_back(self):
-        with pytest.raises(NotVectorizable, match="coupled"):
-            self.vec(
-                "for(i=0; i<4; i++) for(j=0; j<4; j++)"
-                " S: B[i][j] = f(A[2*i+j][0]);"
-            )
+        self.refused(
+            "RPA062", "coupled",
+            "for(i=0; i<4; i++) for(j=0; j<4; j++)"
+            " S: B[i][j] = f(A[2*i+j][0]);",
+        )
 
     def test_non_injective_write_falls_back(self):
-        with pytest.raises(NotVectorizable, match="non-injective"):
-            self.vec(
-                "for(i=0; i<4; i++) for(j=0; j<4; j++)"
-                " S: A[i][0] = f(A[i][0], B[i][j]);"
-            )
+        self.refused(
+            "RPA065", "non-injective",
+            "for(i=0; i<4; i++) for(j=0; j<4; j++)"
+            " S: A[i][0] = f(A[i][0], B[i][j]);",
+        )
 
     def test_non_elementwise_function_falls_back(self):
-        src = "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);"
-        with pytest.raises(NotVectorizable, match="non-elementwise"):
-            self.vec(src, funcs={"f": lambda x: x})
+        self.refused(
+            "RPA067", "non-elementwise",
+            "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);",
+            funcs={"f": lambda x: x},
+        )
 
     def test_elementwise_function_accepted(self):
         src = "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);"
-        v = self.vec(src, funcs={"f": elementwise(lambda x: x * 2)})
-        assert "f" in v.func_names
+        spec = self.spec(src, funcs={"f": elementwise(lambda x: x * 2)})
+        assert spec.rhs[:2] == ("call", "f")
 
     def test_anti_only_dependence_vectorizes(self):
         # Reads of *later* iterations are safe under gather-before-scatter.
-        v = self.vec("for(i=0; i<8; i++) S: A[i][0] = f(A[i+1][0]);")
-        assert "__vec_S" in v.source
+        spec = self.spec("for(i=0; i<8; i++) S: A[i][0] = f(A[i+1][0]);")
+        assert spec.name == "S"
 
     def test_compound_assign_vectorizes(self):
-        v = self.vec("for(i=0; i<8; i++) S: A[i][0] += B[i][0];")
-        assert "+" in v.source
+        spec = self.spec("for(i=0; i<8; i++) S: A[i][0] += B[i][0];")
+        assert spec.op == "+" and spec.reduction_identity == 0.0
 
 
 class TestBitIdentity:
@@ -197,8 +198,8 @@ class TestBitIdentity:
         src = self.SOURCES[name]
         s, v, interp = run_both(src, params={"N": 12})
         assert s.equal(v), f"{name}: max diff {s.max_abs_diff(v):g}"
-        # each of these kernels must actually take the vectorized path
-        assert interp.block_counters["vectorized_blocks"] > 0, name
+        # each of these kernels must actually take the block-kernel path
+        assert interp.block_counters["fused_blocks"] > 0, name
         assert interp.block_counters["scalar_blocks"] == 0, name
 
     def test_fallback_statement_runs_scalar_and_matches(self):
@@ -208,7 +209,7 @@ class TestBitIdentity:
         )
         s, v, interp = run_both(src)
         assert s.equal(v)
-        assert interp.block_counters["vectorized_blocks"] > 0
+        assert interp.block_counters["fused_blocks"] > 0
         assert interp.block_counters["scalar_blocks"] > 0
 
     def test_custom_elementwise_funcs_match(self):
@@ -219,30 +220,34 @@ class TestBitIdentity:
 
 
 class TestVectorProgram:
+    """The fusion plan's coverage record, and ``Interpreter(...,
+    vectorize=X)`` meaning ``fuse=X`` unless ``fuse`` is given."""
+
     MIXED = (
         "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);\n"
         "for(i=1; i<8; i++) R: C[i][0] = g(C[i-1][0], A[i][0]);"
     )
 
     def test_coverage_and_reasons(self):
-        scop = scop_of(self.MIXED)
-        program = vectorize_scop(scop)
+        program = fuse_scop(scop_of(self.MIXED))
         assert program.get("S") is not None
         assert program.get("R") is None
         assert program.coverage == pytest.approx(0.5)
-        assert "recurrence" in program.fallback_reasons()["R"]
+        refusal = program.fallbacks()["R"]
+        assert refusal["code"] == "RPA066"
+        assert "recurrence" in refusal["reason"]
 
     def test_mode_on_rejects_partial_programs(self):
         # ``on`` asserts full coverage eagerly, at construction.
-        with pytest.raises(SemanticError, match="vectorize"):
+        with pytest.raises(SemanticError, match="RPA066"):
             Interpreter.from_source(self.MIXED, {}, vectorize="on")
 
     def test_mode_on_accepts_full_programs(self):
         src = "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);"
         interp = Interpreter.from_source(src, {}, vectorize="on")
-        store = run_blocks(interp)
+        store = run_whole_blocks(interp)
         ref = Interpreter.from_source(src, {}, vectorize="off")
-        assert store.equal(run_blocks(ref))
+        assert store.equal(run_whole_blocks(ref))
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="vectorize"):
@@ -251,3 +256,10 @@ class TestVectorProgram:
                 {},
                 vectorize="sometimes",
             )
+
+    def test_explicit_fuse_wins_over_vectorize(self):
+        interp = Interpreter.from_source(
+            self.MIXED, {}, vectorize="off", fuse="auto"
+        )
+        assert interp.fuse == "auto"
+        assert Interpreter.from_source(self.MIXED, {}).fuse == "auto"

@@ -160,9 +160,7 @@ def test_expand_preserves_steal_and_pid():
 # events, and profiling still attributes per original statement
 # ----------------------------------------------------------------------
 def test_chain_merging_stays_enabled_under_event_collection():
-    interp = Interpreter.from_source(
-        TWO_NEST_COPY, {"N": 8}, vectorize="auto", fuse="auto"
-    )
+    interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
     info = detect_pipeline(interp.scop)
     graph = TaskGraph.from_task_ast(generate_task_ast(info))
     seq, stats = execute_measured(
@@ -182,9 +180,7 @@ def test_chain_merging_stays_enabled_under_event_collection():
 
 
 def test_profile_run_attributes_merged_chains_per_statement():
-    interp = Interpreter.from_source(
-        TWO_NEST_COPY, {"N": 8}, vectorize="auto", fuse="auto"
-    )
+    interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
     info = detect_pipeline(interp.scop)
     graph = TaskGraph.from_task_ast(generate_task_ast(info))
     sim = simulate(graph, workers=2)

@@ -252,9 +252,30 @@ class TestAbsorbers:
         assert reg.value("execution.blocks_total", **labels) == (
             stats.blocks_total
         )
-        assert reg.value("execution.iteration_coverage", **labels) == (
-            pytest.approx(stats.iteration_coverage, abs=1e-4)
+        assert reg.value("execution.fuse", **labels) == "auto"
+        assert reg.value("execution.blocks_fused", **labels) == (
+            stats.blocks_fused
         )
+        assert reg.value("execution.iterations_fused", **labels) == (
+            stats.iterations_fused
+        )
+        assert reg.value(
+            "execution.fused_iteration_coverage", **labels
+        ) == pytest.approx(stats.fused_iteration_coverage, abs=1e-4)
+
+        # a refused statement exports one series labelled by RPA06x code
+        mixed = Interpreter.from_source(
+            "for(i=0; i<8; i++) S: A[i] = f(B[i]);\n"
+            "for(i=1; i<8; i++) R: C[i] = g(C[i-1], A[i]);",
+            {},
+        )
+        _, stats = execute_measured(mixed, detect_pipeline(mixed.scop))
+        absorb_execution(reg, stats)
+        assert "recurrence" in reg.value(
+            "execution.fused_fallback",
+            statement="R", code="RPA066", **labels,
+        )
+        assert reg.value("execution.vectorize", **labels) is None
 
     def test_task_overhead_numbers_unchanged(self):
         from repro.interp import Interpreter

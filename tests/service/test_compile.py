@@ -32,9 +32,7 @@ def _options(**kw) -> TransformOptions:
 
 
 def _compile(source, params, options, store):
-    interp = Interpreter.from_source(
-        source, params, vectorize=options.vectorize, fuse=options.fuse
-    )
+    interp = Interpreter.from_source(source, params, fuse=options.fuse)
     analysis, status = cached_analysis(
         interp, source, params, options, store
     )
@@ -53,6 +51,9 @@ def test_options_round_trip_through_json():
 def test_options_dict_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown"):
         options_from_dict({"coarsen": 2, "turbo": True})
+    # the retired option is a read-only property now, not a wire field
+    with pytest.raises(ValueError, match="vectorize"):
+        options_from_dict({"vectorize": "off"})
 
 
 def test_options_round_trip_preserves_the_cache_key():
@@ -120,6 +121,59 @@ def test_corrupted_artifact_recompiles_not_crashes(tmp_path):
     # the recompile healed the store
     _, _, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
     assert status == "warm"
+
+
+def test_task_ast_blob_without_magic_is_a_replay_failure(tmp_path):
+    """Only the magic-prefixed v2 blob is read back; anything else in an
+    otherwise intact artifact demotes to a recompile."""
+    import dataclasses
+    import io
+
+    from repro.schedule import loads_task_ast, save_task_ast
+
+    store = ArtifactStore(str(tmp_path))
+    opts = _options()
+    _, cold, _ = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    key = artifact_key(TWO_NEST_COPY, {"N": 8}, opts)
+    zipped = io.BytesIO()
+    save_task_ast(zipped, cold.task_ast)  # a whole .npz, as v1 stored it
+    with pytest.raises(ValueError, match="magic"):
+        loads_task_ast(zipped.getvalue())
+    bad = dataclasses.replace(store.get(key), task_ast_blob=zipped.getvalue())
+    store.put(key, bad)
+    before = session_counters().get("replay_failures", 0)
+    _, _, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    assert status == "cold"
+    assert session_counters().get("replay_failures", 0) == before + 1
+
+
+def test_self_dependence_analysis_runs_once_cold_never_warm(
+    tmp_path, monkeypatch
+):
+    """The Presburger recurrence check belongs to the compile: one call
+    per statement when the fusion plan is built, none once a stored plan
+    was adopted — not on the warm run path either."""
+    from repro.interp import compile as interp_compile
+
+    calls = []
+    real = interp_compile.has_flow_self_dependence
+    monkeypatch.setattr(
+        interp_compile,
+        "has_flow_self_dependence",
+        lambda scop, stmt: calls.append(stmt.name) or real(scop, stmt),
+    )
+    store = ArtifactStore(str(tmp_path))
+    opts = _options()
+    interp, cold, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    assert status == "cold"
+    execute_measured(interp, cold.info)
+    assert sorted(calls) == ["S", "T"]
+
+    calls.clear()
+    interp, warm, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    assert status == "warm"
+    execute_measured(interp, warm.info)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,6 @@ _FLIPS = {
     "cost_model": CostModel(per_iteration={"S": 7.0}, default=2.0),
     "presburger_cache": True,
     "presburger_cache_size": 123,
-    "vectorize": "off",
     "fuse": "off",
     "exec_backend": "serial",
     "reduce_deps": True,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.lang.errors import SemanticError
 
 KERNEL = """
 for(i=0; i<N-1; i++)
@@ -132,16 +133,35 @@ class TestRun:
             "run", kernel_file, "--param", "N=12",
             "--exec-backend", "threads", "--vectorize", "on",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "vectorize=on" in out
-        assert "100% iterations vectorized" in out
+        # the deprecated spelling still selects the (one) block-kernel tier
+        captured = capsys.readouterr()
+        assert "fuse=on" in captured.out
+        assert "100% iterations fused" in captured.out
+        assert "--vectorize is deprecated" in captured.err
 
     def test_vectorize_off(self, kernel_file, capsys):
         assert main([
             "run", kernel_file, "--param", "N=12",
             "--exec-backend", "serial", "--vectorize", "off",
         ]) == 0
-        assert "0% iterations vectorized" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "0% iterations fused" in captured.out
+        assert captured.err.count("--vectorize is deprecated") == 1
+        # an explicit --fuse wins over the alias
+        main([
+            "run", kernel_file, "--param", "N=12", "--exec-backend",
+            "serial", "--fuse", "auto", "--vectorize", "off",
+        ])
+        assert "fuse=auto" in capsys.readouterr().out
+
+    def test_vectorize_on_still_fails_on_a_non_fusable_statement(
+        self, tmp_path, capsys
+    ):
+        kernel = tmp_path / "recurrence.c"
+        kernel.write_text("for(i=1; i<N; i++)\n  S: A[i] = f(A[i-1]);\n")
+        with pytest.raises(SemanticError, match="RPA066"):
+            main(["run", str(kernel), "--param", "N=8", "--vectorize", "on"])
+        assert "--vectorize is deprecated" in capsys.readouterr().err
 
     def test_bad_exec_backend_rejected(self, kernel_file):
         with pytest.raises(SystemExit):

@@ -119,10 +119,18 @@ class TestOptions:
         result = transform(
             LISTING1,
             {"N": 10},
-            TransformOptions(exec_backend="threads", vectorize="on"),
+            TransformOptions(exec_backend="threads", fuse="on"),
         )
         assert result.verified is True
-        assert result.execution.iteration_coverage == 1.0
+        assert result.execution.fused_iteration_coverage == 1.0
+
+    def test_vectorize_is_a_read_only_alias_of_fuse(self):
+        import dataclasses
+
+        assert TransformOptions(fuse="off").vectorize == "off"
+        assert "vectorize" not in {
+            f.name for f in dataclasses.fields(TransformOptions)
+        }
 
     def test_custom_funcs(self):
         result = transform(

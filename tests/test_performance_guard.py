@@ -46,42 +46,6 @@ def test_cache_is_effective_on_p5_analysis():
     assert st.hit_rate > 0.25, cache.format_stats()
 
 
-def test_vectorized_execution_beats_compiled_loop():
-    """Whole-block NumPy kernels must stay far ahead of the per-iteration
-    compiled loop on a large coarse-blocked kernel.  The full bench shows
-    ~14x on P5/N=64; guard loosely at 3x so only a real regression (a
-    silent fall-back to the scalar path, slice kernels re-parsing
-    iterations, ...) trips it."""
-    src = TABLE9["P5"].source(48)
-    probe = Interpreter.from_source(src, {})
-    # coarsen must tile the per-statement point count evenly: ragged
-    # blocks decompose into many small rectangles and cut the speedup
-    # (48*24=1152 points per nest -> dense 1152-iteration blocks).
-    info = detect_pipeline(probe.scop, coarsen=1152)
-
-    def best_wall(mode, repeats=2):
-        interp = Interpreter.from_source(src, {}, vectorize=mode)
-        best = None
-        for _ in range(repeats):
-            _, stats = execute_measured(interp, info, backend="serial")
-            best = stats if best is None or (
-                stats.wall_time < best.wall_time
-            ) else best
-        return best
-
-    scalar = best_wall("off")
-    vector = best_wall("auto")
-    assert vector.iteration_coverage == 1.0, vector.fallback_reasons
-    speedup = scalar.wall_time / vector.wall_time
-    assert speedup > 3.0, (
-        f"vectorized execution only {speedup:.2f}x faster "
-        f"({scalar.wall_time:.3f}s vs {vector.wall_time:.3f}s)"
-    )
-    # absolute budget: the vectorized run is ~30ms on the reference
-    # machine; a pathological slowdown, not noise, is needed to hit 2s.
-    assert vector.wall_time < 2.0
-
-
 def test_fused_dispatch_beats_interpreter_on_p5():
     """Megakernel fusion must collapse the per-task interpreter floor.
 
@@ -97,10 +61,8 @@ def test_fused_dispatch_beats_interpreter_on_p5():
     probe = Interpreter.from_source(src, {})
     info = detect_pipeline(probe.scop, coarsen=48)
 
-    def best_wall(vectorize, fuse, repeats=3):
-        interp = Interpreter.from_source(
-            src, {}, vectorize=vectorize, fuse=fuse
-        )
+    def best_wall(fuse, repeats=3):
+        interp = Interpreter.from_source(src, {}, fuse=fuse)
         best = None
         for _ in range(repeats):
             _, stats = execute_measured(interp, info, backend="serial")
@@ -109,8 +71,8 @@ def test_fused_dispatch_beats_interpreter_on_p5():
             ) else best
         return best
 
-    scalar = best_wall("off", "off")
-    fused = best_wall("off", "auto")
+    scalar = best_wall("off")
+    fused = best_wall("auto")
     assert fused.fused_block_coverage == 1.0, fused.fused_fallback
     assert ("S1", "S2", "S3", "S4") in fused.fused_chains
     speedup = scalar.wall_time / fused.wall_time
@@ -206,7 +168,7 @@ def test_privatized_histogram_beats_sequential_on_latency():
         histogram_latency_source(n),
         {"N": n},
         funcs={"compute": blocking_compute},
-        vectorize="off",
+        fuse="off",
     )
     plan = plan_privatization(interp.scop)
     assert plan.groups, "latency histogram must privatize"
@@ -320,8 +282,7 @@ def test_enabled_request_telemetry_overhead_under_5_percent(tmp_path):
 
     def warm_request():
         interp = _Interp.from_source(
-            TWO_NEST_COPY, params,
-            vectorize=options.vectorize, fuse=options.fuse,
+            TWO_NEST_COPY, params, fuse=options.fuse
         )
         return cached_analysis(
             interp, TWO_NEST_COPY, params, options, store

@@ -67,9 +67,7 @@ def test_one_iteration_blocks_lose_under_fused_dispatch():
 
 @pytest.fixture(scope="module")
 def fused_setup():
-    interp = Interpreter.from_source(
-        TWO_NEST_COPY, {"N": 10}, vectorize="auto", fuse="auto"
-    )
+    interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 10})
     return interp, detect_pipeline(interp.scop)
 
 

@@ -6,7 +6,7 @@ extracts one headline metric per bench (the number the bench exists to
 defend), and appends a row to ``BENCH_history.jsonl``::
 
     {"date": "...", "commit": "abc1234", "bench": "execution",
-     "quick": false, "metrics": {"vectorized_speedup_on_P5": 13.13, ...}}
+     "quick": false, "metrics": {"fused_speedup_on_P5": 22.7, ...}}
 
 then compares each fresh row against the *previous* row of the same
 bench **in the same quick mode** (CI runs ``--quick``; quick numbers
@@ -40,7 +40,6 @@ HEADLINES: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
     "execution": (
         "BENCH_execution.json",
         {
-            "vectorized_speedup_on_P5": ("criteria", "vectorized_speedup_on_P5"),
             "fused_speedup_on_P5": ("criteria", "fused_speedup_on_P5"),
             "privatized_speedup_on_latency": (
                 "criteria", "privatized_speedup_on_latency",
