@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-exec bench-overhead bench-serve bench-history report examples lint analyze-examples analyze-portfolio profile-examples clean
+.PHONY: install test bench bench-exec bench-overhead bench-serve bench-history ledger-pair report examples lint analyze-examples analyze-portfolio profile-examples clean
 
 # Kernel sources checked by `make lint` / `make analyze-examples`; every
 # parameter any of them references must appear in LINT_PARAMS.
@@ -45,6 +45,15 @@ bench-serve:
 # a >20% regression vs the previous same-mode row (docs/observability.md).
 bench-history:
 	$(PYTHON) tools/bench_history.py
+
+# Paired parent/change runs of the ledger (docs/performance.md): PARENT is
+# a checkout of the parent commit (git clone, then git checkout <sha>).
+# Prints medians, quartiles and pairs won per end-to-end metric; fails
+# when any metric loses beyond its BENCHMARK.json bound.
+WORKLOAD ?= fine_p
+PAIRS ?= 10
+ledger-pair:
+	$(PYTHON) tools/ledger_pair.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Regeneration tests (print the paper's tables/figures and assert shapes)
 regen:

@@ -327,7 +327,7 @@ def _run_privatized(args, interp, priv_plan, observing: bool):
     from .tasking import simulate
 
     parts = args.privatize_parts or max(2, args.workers)
-    info, _schedule, _ast, graph, joins = prepare_privatized(
+    info, _schedule, ast, graph, joins = prepare_privatized(
         interp.scop, priv_plan, parts=parts, coarsen=args.coarsen
     )
     check_legality(
@@ -337,7 +337,8 @@ def _run_privatized(args, interp, priv_plan, observing: bool):
 
     seq_store = interp.run_sequential(interp.new_store())
     out_store, _ = execute_privatized(
-        interp, info, priv_plan, backend="serial", workers=args.workers
+        interp, info, priv_plan, backend="serial", workers=args.workers,
+        task_ast=ast,
     )
     match, detail = privatized_matches(priv_plan, seq_store, out_store)
 
@@ -360,6 +361,7 @@ def _run_privatized(args, interp, priv_plan, observing: bool):
             backend=args.exec_backend,
             workers=args.workers,
             collect_events=observing,
+            task_ast=ast,
         )
         ex_match, ex_detail = privatized_matches(
             priv_plan, seq_store, ex_store
@@ -431,7 +433,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     interp, source, args, hybrid=args.hybrid
                 )
             if cached is not None:
-                info, graph = cached.info, cached.graph
+                info, ast, graph = cached.info, cached.task_ast, cached.graph
             else:
                 info = detect_pipeline(interp.scop, coarsen=args.coarsen)
                 if args.tune:
@@ -482,6 +484,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     backend=args.exec_backend,
                     workers=args.workers,
                     collect_events=observing,
+                    task_ast=ast,
                 )
                 ex_match = seq_store.equal(ex_store)
                 print("measured execution: " + stats.summary())
@@ -554,9 +557,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     cached = _cached_compile(interp, source, args)
     if cached is not None:
-        info = cached.info
+        info, ast = cached.info, cached.task_ast
     else:
-        info = detect_pipeline(interp.scop, coarsen=args.coarsen)
+        info, ast = detect_pipeline(interp.scop, coarsen=args.coarsen), None
     report = profile_kernel(
         interp,
         info,
@@ -564,6 +567,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         workers=args.workers,
         policy=args.policy,
         top=args.top,
+        task_ast=ast,
     )
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))

@@ -435,6 +435,7 @@ def _finish(
             workers=options.workers,
             cost_of_block=options.cost_model.block_cost,
             collect_events=options.collect_events,
+            task_ast=a.task_ast,
         )
         if seq is not None and not seq.equal(ex_store):
             raise VerificationFailedError(
@@ -558,7 +559,7 @@ def _finish_privatized(
             seq = interp.run_sequential(interp.new_store())
             out, _ = execute_privatized(
                 interp, a.info, plan, backend="serial",
-                workers=options.workers,
+                workers=options.workers, task_ast=a.task_ast,
             )
             verified, detail = privatized_matches(plan, seq, out)
         if not verified:
@@ -576,6 +577,7 @@ def _finish_privatized(
             workers=options.workers,
             cost_of_block=options.cost_model.block_cost,
             collect_events=options.collect_events,
+            task_ast=a.task_ast,
         )
         if seq is not None:
             ok, detail = privatized_matches(plan, seq, ex_store)

@@ -25,12 +25,8 @@ from .fused import (
     rectangles,
 )
 from .interp import DEFAULT_FUNCS, Interpreter
-from .privexec import (
-    GROUP_UFUNCS,
-    apply_combine,
-    execute_privatized,
-    privatized_matches,
-)
+from .plan import GROUP_UFUNCS, apply_combine
+from .privexec import execute_privatized, privatized_matches
 from .store import ArrayStore, ArrayView, SharedArrayStore
 
 __all__ = [

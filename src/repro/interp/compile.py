@@ -89,13 +89,23 @@ def _expr_to_py(
     raise SemanticError(f"cannot compile expression {expr!r}")
 
 
-def compile_statement(scop: Scop, stmt: ScopStatement) -> CompiledStatement:
-    """Compile one statement into a batch executor over iteration rows."""
-    loop_vars = set(stmt.space.dims)
-    offsets = {
+def array_offsets(scop: Scop) -> dict[str, tuple[int, ...]]:
+    """Per-array index offsets (the low corner of each array's extent)."""
+    return {
         name: tuple(lo for lo, _ in scop.array_extent(name))
         for name in scop.arrays
     }
+
+
+def compile_statement(
+    scop: Scop,
+    stmt: ScopStatement,
+    offsets: Mapping[str, tuple[int, ...]] | None = None,
+) -> CompiledStatement:
+    """Compile one statement into a batch executor over iteration rows."""
+    loop_vars = set(stmt.space.dims)
+    if offsets is None:
+        offsets = array_offsets(scop)
     func_names: set[str] = set()
 
     lhs = _expr_to_py(
@@ -142,7 +152,10 @@ def compile_statement(scop: Scop, stmt: ScopStatement) -> CompiledStatement:
 
 def compile_scop(scop: Scop) -> dict[str, CompiledStatement]:
     """Compile every statement of a SCoP."""
-    return {s.name: compile_statement(scop, s) for s in scop.statements}
+    offsets = array_offsets(scop)
+    return {
+        s.name: compile_statement(scop, s, offsets) for s in scop.statements
+    }
 
 
 # ----------------------------------------------------------------------
@@ -238,10 +251,7 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
     if not loop_vars:
         raise NotFusable("statement has no loop dimensions", "RPA060")
     params = scop.params
-    offsets = {
-        name: tuple(lo for lo, _ in scop.array_extent(name))
-        for name in scop.arrays
-    }
+    offsets = array_offsets(scop)
 
     if stmt.assign.op != "=" and stmt.assign.op not in COMPOUND_OPS:
         raise NotFusable(

@@ -8,6 +8,8 @@ order of the task graph) must produce bit-identical arrays.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Callable, Mapping
 
 import numpy as np
@@ -22,6 +24,11 @@ from .store import ArrayStore
 #: Deterministic, order-sensitive (non-commutative beyond the first
 #: argument) so reordering bugs change the result.
 DEFAULT_FUNCS: dict[str, Callable] = {}
+
+#: Lowered task programs kept per interpreter (LRU).  Tuner scans and
+#: dispatch calibration push many pipeline infos through one interpreter;
+#: a served or benchmarked kernel replays one or two.
+EXEC_PLAN_CACHE_SIZE = 8
 
 
 @elementwise
@@ -72,6 +79,11 @@ class Interpreter:
         self.compiled: dict[str, CompiledStatement] = compile_scop(scop)
         self.fuse = fuse
         self._fused_program: FusedProgram | None = None
+        self._exec_plans: OrderedDict = OrderedDict()
+        #: guards the two lazily built, shared structures: the fusion
+        #: plan and the execution-plan cache (re-entrant: lowering reads
+        #: ``fused_program``)
+        self._lock = threading.RLock()
         #: Per-path execution counters, filled by :meth:`run_block`.
         self.block_counters = {
             "fused_blocks": 0,
@@ -117,10 +129,12 @@ class Interpreter:
     def fused_program(self) -> FusedProgram:
         """Lazily built fusion plan (``--fuse on`` asserts full coverage)."""
         if self._fused_program is None:
-            plan = fuse_scop(self.scop, self.funcs)
-            if self.fuse == "on":
-                plan.require_full()
-            self._fused_program = plan
+            with self._lock:  # racing first readers must agree on one plan
+                if self._fused_program is None:
+                    plan = fuse_scop(self.scop, self.funcs)
+                    if self.fuse == "on":
+                        plan.require_full()
+                    self._fused_program = plan
         return self._fused_program
 
     def adopt_fused(self, program: FusedProgram) -> None:
@@ -135,6 +149,31 @@ class Interpreter:
         if self.fuse == "off":
             return None
         return self.fused_program.get(statement)
+
+    def exec_plan(self, info, task_ast=None, privatization=None):
+        """The lowered task program for ``info`` (see
+        :mod:`repro.interp.plan`): lowered on first use, then replayed.
+
+        Keyed by identity of ``info``, of the fused program in force
+        (none when ``fuse == "off"``) and of the privatization plan —
+        each cached plan holds its referents, so an id cannot be
+        recycled while its entry lives.  Lowering happens under the
+        lock: concurrent first runs of one analysis pay for it once.
+        """
+        from .plan import lower_exec_plan
+
+        fused = self.fused_program if self.fuse != "off" else None
+        key = (id(info), id(fused), id(privatization))
+        with self._lock:
+            plan = self._exec_plans.get(key)
+            if plan is not None:
+                self._exec_plans.move_to_end(key)
+                return plan
+            plan = lower_exec_plan(self, info, task_ast, privatization)
+            self._exec_plans[key] = plan
+            if len(self._exec_plans) > EXEC_PLAN_CACHE_SIZE:
+                self._exec_plans.popitem(last=False)
+            return plan
 
     # ------------------------------------------------------------------
     def new_store(self, init: str = "index") -> ArrayStore:

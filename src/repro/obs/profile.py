@@ -281,13 +281,17 @@ def profile_kernel(
     workers: int = 4,
     policy: str = "fifo",
     top: int = 10,
+    task_ast=None,
 ) -> ProfileReport:
-    """Measure one kernel with event collection and profile the run."""
+    """Measure one kernel with event collection and profile the run
+    (``task_ast``: the AST of ``info`` when the caller already has it)."""
     from ..interp import execute_measured
     from ..schedule import generate_task_ast
     from ..tasking import TaskGraph, simulate
 
-    graph = TaskGraph.from_task_ast(generate_task_ast(info))
+    if task_ast is None:
+        task_ast = generate_task_ast(info)
+    graph = TaskGraph.from_task_ast(task_ast)
     sim = simulate(graph, workers=workers, policy=policy)
     _, stats = execute_measured(
         interp,
@@ -295,5 +299,6 @@ def profile_kernel(
         backend=backend,
         workers=workers,
         collect_events=True,
+        task_ast=task_ast,
     )
     return profile_run(graph, sim, stats, top=top)

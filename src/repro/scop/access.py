@@ -63,6 +63,15 @@ class Access:
         exprs.extend(AffineExpr.constant(0) for _ in range(mem_rank - self.rank))
         return BasicMap.from_affine(domain, mem_space, exprs)
 
+    def index_map(self, space: Space) -> tuple[np.ndarray, np.ndarray]:
+        """The index expressions as ``(matrix, const)`` over ``space``:
+        iteration ``x`` touches cell ``matrix @ x + const``."""
+        matrix = np.zeros((self.rank, space.ndim), dtype=np.int64)
+        const = np.zeros(self.rank, dtype=np.int64)
+        for k, expr in enumerate(self.indices):
+            matrix[k], const[k] = expr.vector(space)
+        return matrix, const
+
     def explicit_relation(
         self, points: PointSet, space: Space, array_id: int, mem_rank: int
     ) -> PointRelation:
@@ -75,10 +84,8 @@ class Access:
         matrix = np.zeros((mem_rank + 1, n_in), dtype=np.int64)
         const = np.zeros(mem_rank + 1, dtype=np.int64)
         const[0] = array_id
-        for k, expr in enumerate(self.indices):
-            vec, c = expr.vector(space)
-            matrix[1 + k, :] = vec
-            const[1 + k] = c
+        rows = slice(1, 1 + self.rank)
+        matrix[rows], const[rows] = self.index_map(space)
         return PointRelation.from_affine(points, matrix, const)
 
     def __str__(self) -> str:

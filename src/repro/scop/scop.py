@@ -156,25 +156,32 @@ class Scop:
         """Conservative per-dimension (min, max) touched by any access.
 
         Used by the interpreter and runtime to size backing NumPy arrays.
+        Memoized per SCoP like :meth:`_cached_relation` — statement
+        compilation, closure lowering and every ``new_store()`` ask again.
         """
+        cache: dict = self.__dict__.setdefault("_extent_cache", {})
+        if name not in cache:
+            cache[name] = self._access_extent(name)
+        return cache[name]
+
+    def _access_extent(self, name: str) -> tuple[tuple[int, int], ...]:
+        # min/max of the affine image of the domain points; no relation
+        # is tabulated (and none deduplicated) just to take its bounds
         rank = self.arrays[name]
         lo = np.full(rank, np.iinfo(np.int64).max, dtype=np.int64)
         hi = np.full(rank, np.iinfo(np.int64).min, dtype=np.int64)
-        seen = False
         for stmt in self.statements:
+            points = stmt.points.points
+            if points.shape[0] == 0:
+                continue
             for acc in stmt.accesses:
                 if acc.array != name:
                     continue
-                rel = acc.explicit_relation(
-                    stmt.points, stmt.space, 0, self.arrays[name]
-                )
-                cells = rel.out_part[:, 1 : 1 + rank]
-                if cells.shape[0] == 0:
-                    continue
-                seen = True
+                matrix, const = acc.index_map(stmt.space)
+                cells = points @ matrix.T + const
                 np.minimum(lo, cells.min(axis=0), out=lo)
                 np.maximum(hi, cells.max(axis=0), out=hi)
-        if not seen:
+        if (lo > hi).any():
             return tuple((0, 0) for _ in range(rank))
         return tuple((int(a), int(b)) for a, b in zip(lo, hi))
 

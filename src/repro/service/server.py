@@ -289,7 +289,7 @@ class ReproServer:
                     out, stats = execute_privatized(
                         interp, analysis.info, analysis.plan,
                         backend=backend, workers=workers,
-                        collect_events=collect,
+                        collect_events=collect, task_ast=analysis.task_ast,
                     )
                     match, _detail = privatized_matches(
                         analysis.plan, seq, out
@@ -301,6 +301,7 @@ class ReproServer:
                     out, stats = execute_measured(
                         interp, analysis.info, backend=backend,
                         workers=workers, collect_events=collect,
+                        task_ast=analysis.task_ast,
                     )
                     match = seq.equal(out)
         run_ms = (time.perf_counter() - t0) * 1e3

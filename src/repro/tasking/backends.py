@@ -362,7 +362,7 @@ def _process_worker_run(
     import numpy as np
 
     if combine is not None:
-        from ..interp.privexec import apply_combine
+        from ..interp.plan import apply_combine
 
         apply_combine(_WORKER_STORE, combine)
         return

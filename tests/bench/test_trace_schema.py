@@ -139,6 +139,7 @@ class TestMergedDocuments:
         ]
         names = {e["name"] for e in compile_events}
         assert "pipeline.detect" in names
+        assert "exec.lower" in names  # first run of the plan: a miss
         assert "exec.measured" in names
         # child spans sit inside their parent's [ts, ts+dur] window
         detect = next(

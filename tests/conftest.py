@@ -98,9 +98,8 @@ EXEC_CONFIGS = (
 )
 
 
-def run_measured(source, backend, fuse, params=None, workers=2, coarsen=16):
-    """``execute_measured`` of ``source`` on a fresh interpreter."""
-    from repro.interp import execute_measured
+def compile_for_exec(source, fuse, params=None, coarsen=16):
+    """``(interp, info)`` of ``source``: what ``execute_measured`` takes."""
     from repro.pipeline import UncoveredDependenceError, detect_pipeline
     from repro.scop import DepKind
 
@@ -111,6 +110,14 @@ def run_measured(source, backend, fuse, params=None, workers=2, coarsen=16):
         info = detect_pipeline(
             interp.scop, kinds=tuple(DepKind), coarsen=coarsen
         )
+    return interp, info
+
+
+def run_measured(source, backend, fuse, params=None, workers=2, coarsen=16):
+    """``execute_measured`` of ``source`` on a fresh interpreter."""
+    from repro.interp import execute_measured
+
+    interp, info = compile_for_exec(source, fuse, params, coarsen)
     return execute_measured(interp, info, backend=backend, workers=workers)
 
 
@@ -124,16 +131,23 @@ def run_whole_blocks(interp):
     return store
 
 
-def assert_all_configs_match_sequential(source, params=None, coarsen=16):
-    """Every ``EXEC_CONFIGS`` run is bit-identical to ``run_sequential``."""
+def assert_all_configs_match_sequential(
+    source, params=None, coarsen=16, replays=1
+):
+    """Every ``EXEC_CONFIGS`` run is bit-identical to ``run_sequential``
+    — each of ``replays`` runs of the one lowered plan per config."""
+    from repro.interp import execute_measured
+
     oracle = Interpreter.from_source(source, params or {})
     seq = oracle.run_sequential(oracle.new_store())
     for label, backend, fuse in EXEC_CONFIGS:
-        store, stats = run_measured(
-            source, backend, fuse, params, coarsen=coarsen
-        )
-        assert seq.equal(store), f"{label} diverged"
-        assert (stats.backend, stats.fuse) == (backend, fuse)
+        interp, info = compile_for_exec(source, fuse, params, coarsen)
+        for k in range(replays):
+            store, stats = execute_measured(
+                interp, info, backend=backend, workers=2
+            )
+            assert seq.equal(store), f"{label} run {k + 1} diverged"
+            assert (stats.backend, stats.fuse) == (backend, fuse)
 
 
 @pytest.fixture

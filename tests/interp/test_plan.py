@@ -1,0 +1,364 @@
+"""The cached execution plan: lower once, replay many.
+
+Count-based (no wall-clock) checks that lowering work happens for
+exactly one run per ``(interpreter, info)``, that the cache invalidates
+on the events that change the lowered program and stays bounded, and a
+replay battery: every run of one plan — on every backend, and from two
+threads at once — is bit-identical to the sequential oracle.
+"""
+
+from __future__ import annotations
+
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.interp.plan as plan_mod
+import repro.schedule
+from repro.interp import (
+    Interpreter,
+    execute_measured,
+    execute_privatized,
+    privatized_matches,
+)
+from repro.interp.interp import EXEC_PLAN_CACHE_SIZE
+from repro.pipeline import detect_pipeline
+from repro.scop import Scop
+from repro.workloads import TABLE9
+from tests.conftest import (
+    LISTING1,
+    TWO_NEST_COPY,
+    assert_all_configs_match_sequential,
+    compile_for_exec,
+)
+from tests.interp.test_privatized_exec import KERNELS as REDUCTIONS
+from tests.interp.test_privatized_exec import privatized_setup
+
+PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
+EXAMPLES = Path(__file__).parents[2] / "examples" / "kernels"
+BACKENDS = ("serial", "threads", "processes")
+
+
+# ----------------------------------------------------------------------
+# counting: lowering happens for exactly one run
+# ----------------------------------------------------------------------
+class Counter:
+    """Wrap ``owner.name`` so calls are counted (and still happen)."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture
+def lowering_calls(monkeypatch):
+    return {
+        "astgen": Counter(monkeypatch, repro.schedule, "generate_task_ast"),
+        "chains": Counter(monkeypatch, plan_mod, "plan_chain_groups"),
+        "rectangles": Counter(monkeypatch, plan_mod, "rectangles"),
+        "lower": Counter(monkeypatch, plan_mod, "lower_exec_plan"),
+    }
+
+
+def snapshot(counters):
+    return {name: c.calls for name, c in counters.items()}
+
+
+def test_ten_measured_runs_lower_once(lowering_calls):
+    interp, info = compile_for_exec(TWO_NEST_COPY, "auto", {"N": 8}, 4)
+    _, first = execute_measured(interp, info)
+    after_one = snapshot(lowering_calls)
+    assert after_one["astgen"] == after_one["chains"] == 1
+    assert after_one["lower"] == 1
+    # one decomposition per fused task of the merged S+T stream
+    assert after_one["rectangles"] == len(first.task_members) > 0
+    for backend in 3 * BACKENDS:
+        _, stats = execute_measured(interp, info, backend=backend, workers=2)
+        assert stats.task_members == first.task_members
+    assert snapshot(lowering_calls) == after_one
+
+
+def test_task_ast_from_the_analysis_is_not_regenerated(lowering_calls):
+    from repro.schedule import generate_task_ast
+
+    interp, info = compile_for_exec(LISTING1, "auto", {"N": 12}, 8)
+    ast = generate_task_ast(info)
+    before = lowering_calls["astgen"].calls
+    execute_measured(interp, info, task_ast=ast)
+    assert lowering_calls["astgen"].calls == before
+    assert lowering_calls["lower"].calls == 1
+
+
+def test_ten_privatized_runs_lower_once(lowering_calls):
+    interp, plan, pinfo = privatized_setup(REDUCTIONS["histogram"], 8, 3)
+    execute_privatized(interp, pinfo, plan)
+    after_one = snapshot(lowering_calls)
+    assert after_one["astgen"] == after_one["lower"] == 1
+    for backend in 3 * BACKENDS:
+        out, stats = execute_privatized(
+            interp, pinfo, plan, backend=backend, workers=2
+        )
+        assert stats.privatization["privates"] == 6
+        assert not any(a.startswith("__priv_") for a in out.arrays)
+    assert snapshot(lowering_calls) == after_one
+
+
+def test_privatized_run_validates_the_plan_every_time(monkeypatch):
+    interp, plan, pinfo = privatized_setup(REDUCTIONS["dotprod"], 8, 2)
+    validations = Counter(monkeypatch, type(plan), "validate")
+    for _ in range(3):
+        execute_privatized(interp, pinfo, plan)
+    assert validations.calls == 3
+
+
+def test_private_name_collision_is_refused_per_run():
+    """The refusal looks at the *caller's* store, so it must survive the
+    name table moving into the (cached) plan."""
+    from repro.interp import ArrayView
+
+    interp, plan, pinfo = privatized_setup(REDUCTIONS["dotprod"], 8, 2)
+    execute_privatized(interp, pinfo, plan)  # plan now cached
+    store = interp.new_store()
+    store.arrays["__priv_s_1"] = ArrayView("__priv_s_1", np.zeros(1), (0,))
+    with pytest.raises(ValueError, match="collides with a program array"):
+        execute_privatized(interp, pinfo, plan, store=store)
+    # privates injected before the refusal are gone, the caller's array stays
+    assert sorted(a for a in store.arrays if a.startswith("__priv_")) == [
+        "__priv_s_1"
+    ]
+
+
+def test_array_extents_are_computed_once_per_scop(monkeypatch):
+    extents = Counter(monkeypatch, Scop, "_access_extent")
+    interp = Interpreter.from_source(LISTING1, {"N": 12})
+    for _ in range(3):
+        interp.new_store()
+    interp.fused_program  # closure lowering asks for every offset again
+    assert extents.calls == len(interp.scop.arrays)
+
+
+def test_second_info_adopt_fused_and_fuse_off_each_lower_once(lowering_calls):
+    from repro.interp import fuse_scop
+
+    interp, info = compile_for_exec(TWO_NEST_COPY, "auto", {"N": 8}, 4)
+    lower = lowering_calls["lower"]
+
+    def runs_lowering_once():
+        before = lower.calls
+        outs = [execute_measured(interp, info)[0] for _ in range(3)]
+        assert outs[0].equal(outs[1]) and outs[0].equal(outs[2])
+        return lower.calls - before
+
+    assert runs_lowering_once() == 1
+    assert runs_lowering_once() == 0
+
+    other = detect_pipeline(interp.scop, coarsen=2)
+    before = lower.calls
+    execute_measured(interp, other)
+    execute_measured(interp, other)
+    assert lower.calls - before == 1
+    assert runs_lowering_once() == 0  # the first info is still cached
+
+    interp.adopt_fused(fuse_scop(interp.scop, interp.funcs))
+    assert runs_lowering_once() == 1
+
+    interp.fuse = "off"
+    assert runs_lowering_once() == 1
+    _, stats = execute_measured(interp, info)
+    assert stats.fuse == "off" and stats.fused_chains == ()
+    interp.fuse = "auto"
+    assert runs_lowering_once() == 0  # the fused plan was kept
+
+
+def test_plan_cache_stays_bounded_across_a_search_scan(monkeypatch):
+    from repro.tuning import auto_tune
+
+    src = (
+        "for(i=0; i<600; i++) S: A[i] = f(A[i]);\n"
+        "for(i=0; i<600; i++) R: B[i] = g(A[i], B[i]);"
+    )
+    interp = Interpreter.from_source(src, {})
+    info = detect_pipeline(interp.scop)
+    sizes = []
+    real = plan_mod.lower_exec_plan
+
+    def recording(*args, **kwargs):
+        sizes.append(len(interp._exec_plans))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(plan_mod, "lower_exec_plan", recording)
+    tuned = auto_tune(
+        interp, info, workers=2, mode="search", backend="serial", repeats=2
+    )
+    assert len(tuned.scores) > EXEC_PLAN_CACHE_SIZE  # the scan overflows it
+    assert len(sizes) == len(tuned.scores)  # one lowering per candidate
+    assert max(sizes) <= EXEC_PLAN_CACHE_SIZE
+    assert len(interp._exec_plans) == EXEC_PLAN_CACHE_SIZE
+
+
+def test_lower_span_is_emitted_only_on_a_miss():
+    from repro.obs import spans as obs_spans
+
+    interp, info = compile_for_exec(TWO_NEST_COPY, "auto", {"N": 8}, 4)
+    with obs_spans.recording() as rec:
+        for _ in range(3):
+            _, stats = execute_measured(interp, info)
+    lowers = [s for s in rec.spans if s.name == "exec.lower"]
+    assert len(lowers) == 1
+    assert lowers[0].attrs == {
+        "tasks": len(stats.task_members), "chains": 1
+    }
+    assert sum(s.name == "exec.measured" for s in rec.spans) == 3
+
+
+def test_interpreter_is_freed_without_the_cycle_collector():
+    """A plan must not point back at the interpreter that caches it."""
+    import gc
+    import weakref
+
+    interp, info = compile_for_exec(LISTING1, "auto", {"N": 12}, 8)
+    execute_measured(interp, info)
+    ref = weakref.ref(interp)
+    gc.disable()
+    try:
+        del interp
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------------------
+# replay battery
+# ----------------------------------------------------------------------
+class TestReplayBitIdentity:
+    @pytest.mark.parametrize("name", PKERNELS)
+    def test_pkernel_three_runs_all_configs(self, name):
+        assert_all_configs_match_sequential(
+            TABLE9[name].source(8), replays=3
+        )
+
+    @pytest.mark.parametrize("name", ["listing1", "listing3", "reversed"])
+    def test_example_three_runs_all_configs(self, name):
+        source = (EXAMPLES / f"{name}.c").read_text()
+        assert_all_configs_match_sequential(
+            source, {"N": 12}, coarsen=8, replays=3
+        )
+
+    @pytest.mark.parametrize("name", ["histogram", "sumstencil", "dotprod"])
+    def test_reduction_example_three_runs_all_backends(self, name):
+        source = (EXAMPLES / f"{name}.c").read_text()
+        interp, plan, pinfo = privatized_setup(source, 12, parts=3)
+        seq = interp.run_sequential(interp.new_store())
+        first = None
+        for backend in BACKENDS:
+            for k in range(3):
+                out, _ = execute_privatized(
+                    interp, pinfo, plan, backend=backend, workers=2
+                )
+                ok, detail = privatized_matches(plan, seq, out)
+                assert ok, f"{backend} run {k + 1}: {detail}"
+                first = first or out
+                assert first.equal(out), f"{backend} run {k + 1} drifted"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_event_collection_on_a_replayed_plan(self, backend):
+        interp, info = compile_for_exec(TWO_NEST_COPY, "auto", {"N": 8}, 4)
+        _, first = execute_measured(
+            interp, info, backend=backend, workers=2, collect_events=True
+        )
+        execute_measured(interp, info, backend=backend, workers=2)
+        _, again = execute_measured(
+            interp, info, backend=backend, workers=2, collect_events=True
+        )
+        assert first.task_members == again.task_members != ()
+        assert len(first.events.events) == len(again.events.events) > 0
+
+    def test_two_threads_replay_one_plan_concurrently(self, monkeypatch):
+        """The server's shape: one (interp, analysis), several in-flight
+        runs on executor threads — the first of them lowering."""
+        import sys
+
+        source = TABLE9["P5"].source(8)
+        interp, info = compile_for_exec(source, "auto", coarsen=2)
+        seq = interp.run_sequential(interp.new_store())
+        lowered = Counter(monkeypatch, plan_mod, "lower_exec_plan")
+        outs, errors = [], []
+        start = threading.Barrier(4)
+
+        def client(backend):
+            try:
+                start.wait(timeout=30)
+                for _ in range(5):
+                    out, _ = execute_measured(
+                        interp, info, backend=backend, workers=2
+                    )
+                    outs.append(out)
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(backend,))
+            for backend in ("serial", "threads", "serial", "threads")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert len(outs) == 20 and all(seq.equal(out) for out in outs)
+        assert lowered.calls == 1
+
+
+# ----------------------------------------------------------------------
+# array extents: the direct min/max equals the relation-based one
+# ----------------------------------------------------------------------
+def relation_extent(scop, name):
+    """The pre-memo implementation: tabulate every access relation of
+    ``name`` and take the bounds of its image."""
+    rank = scop.arrays[name]
+    cells = [
+        acc.explicit_relation(stmt.points, stmt.space, 0, rank).out_part[
+            :, 1 : 1 + rank
+        ]
+        for stmt in scop.statements
+        for acc in stmt.accesses
+        if acc.array == name
+    ]
+    cells = np.concatenate([c for c in cells if c.shape[0]] or [None])
+    return tuple(
+        (int(lo), int(hi)) for lo, hi in zip(cells.min(0), cells.max(0))
+    )
+
+
+@pytest.mark.parametrize("name", PKERNELS)
+def test_extent_equals_relation_bounds_on_pkernels(name):
+    scop = Interpreter.from_source(TABLE9[name].source(8), {}).scop
+    for array in scop.arrays:
+        assert scop.array_extent(array) == relation_extent(scop, array)
+
+
+def test_extent_of_strided_and_negative_offset_accesses():
+    src = (
+        "for(i=0; i<6; i++) for(j=1; j<5; j++)"
+        " S: A[2*i-3][7-j] = f(B[i-4][3*j+1], A[2*i-3][7-j]);\n"
+        "for(i=0; i<4; i++) R: B[5-2*i][0] = g(A[i][i]);"
+    )
+    scop = Interpreter.from_source(src, {}).scop
+    assert scop.array_extent("A") == ((-3, 7), (0, 6))
+    assert scop.array_extent("B") == ((-4, 5), (0, 13))
+    for array in scop.arrays:
+        assert scop.array_extent(array) == relation_extent(scop, array)

@@ -176,6 +176,39 @@ def test_self_dependence_analysis_runs_once_cold_never_warm(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "source,privatize",
+    [
+        pytest.param(TWO_NEST_COPY, False, id="standard"),
+        pytest.param(DOTPROD, True, id="privatized"),
+    ],
+)
+def test_transform_generates_and_lowers_the_task_ast_once(
+    tmp_path, source, privatize
+):
+    """The run path lowers from the AST the analysis produced (cold) or
+    the store deserialized (warm) — it never regenerates it, and the
+    verification run and the measured run share one lowered plan."""
+    from repro.driver import transform
+    from repro.obs import spans as obs_spans
+
+    opts = TransformOptions(
+        exec_backend="serial", workers=2, privatize=privatize
+    )
+
+    def span_counts():
+        with obs_spans.recording() as rec:
+            result = transform(
+                source, {"N": 8}, opts, cache_dir=str(tmp_path)
+            )
+        assert result.verified and result.execution is not None
+        names = [s.name for s in rec.spans]
+        return names.count("schedule.astgen"), names.count("exec.lower")
+
+    assert span_counts() == (1, 1)  # cold
+    assert span_counts() == (0, 1)  # warm
+
+
 # ----------------------------------------------------------------------
 # privatization proofs: durable, never trusted
 # ----------------------------------------------------------------------
