@@ -18,8 +18,10 @@ from repro.presburger import (
     cache,
     enumerate_basic_set,
     ilp_minimize,
+    joint_ranks,
     lexmax,
     solve_lp,
+    unique_rows,
 )
 
 SP = Space(("i", "j"))
@@ -70,12 +72,45 @@ class TestEnumeration:
         assert pts.shape[0] == n * (n + 1) // 2
 
 
+@pytest.fixture(scope="module")
+def big_relation():
+    rng = np.random.default_rng(7)
+    pairs = rng.integers(0, 200, size=(20_000, 4))
+    return PointRelation(pairs, 2)
+
+
+@pytest.fixture(scope="module")
+def medium_relation():
+    rng = np.random.default_rng(11)
+    pairs = rng.integers(0, 120, size=(8_000, 4))
+    return PointRelation(pairs, 2)
+
+
+#: coordinate scale: 1 keeps the bounding box packable (int64 row keys),
+#: 2**40 pushes its volume past 2**62 (the np.unique(axis=0) rank fallback)
+SPREADS = pytest.mark.parametrize(
+    "spread", [1, 2**40], ids=["narrow", "wide"]
+)
+
+
 class TestExplicitKernels:
-    @pytest.fixture(scope="class")
-    def big_relation(self):
-        rng = np.random.default_rng(7)
-        pairs = rng.integers(0, 200, size=(20_000, 4))
-        return PointRelation(pairs, 2)
+    @SPREADS
+    def test_unique_rows(self, benchmark, big_relation, spread):
+        # unsorted, every row twice: the sort + dedup path, not the
+        # "already canonical" check
+        rows = np.concatenate([big_relation.pairs[::-1], big_relation.pairs])
+
+        result = benchmark(unique_rows, rows * spread)
+        assert np.array_equal(result, big_relation.pairs * spread)
+
+    @SPREADS
+    def test_joint_ranks(self, benchmark, medium_relation, spread):
+        left = medium_relation.out_part * spread
+        right = medium_relation.in_part * spread
+
+        kl, kr = benchmark(joint_ranks, left, right)
+        assert kl.shape == kr.shape == (len(medium_relation),)
+        assert np.all(kr[1:] >= kr[:-1])
 
     def test_compose(self, benchmark, big_relation):
         result = benchmark(big_relation.inverse().after, big_relation)
@@ -125,12 +160,6 @@ class TestOpCache:
     def _explicit_workload(rel):
         flow = rel.inverse().after(rel)
         return flow.lexmax_per_domain().domain().difference(rel.domain())
-
-    @pytest.fixture(scope="class")
-    def medium_relation(self):
-        rng = np.random.default_rng(11)
-        pairs = rng.integers(0, 120, size=(8_000, 4))
-        return PointRelation(pairs, 2)
 
     def test_explicit_workload_cache_on(self, benchmark, medium_relation):
         with cache.overridden(enabled=True):

@@ -25,8 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
+from ...presburger import unique_rows
 from ...scop import Scop, ScopStatement
 from ...scop.deps import parallel_levels
 from .partition import DependencePartition, PairKey
@@ -172,7 +171,7 @@ def _uniform_distances(
         # residual maps target iterations to source iterations; the
         # distance is target - source (how far ahead the consumer sits)
         deltas = part.residual.in_part - part.residual.out_part
-        for row in np.unique(deltas, axis=0):
+        for row in unique_rows(deltas):
             seen.add(tuple(int(v) for v in row))
     if not seen or len(seen) > GEOMETRIC_MAX_DISTANCES:
         return None

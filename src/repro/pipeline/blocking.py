@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..presburger import PointRelation, PointSet
+from ..presburger import PointRelation, PointSet, joint_ranks, lex_ranks
 from .pipeline_map import PipelineMap
 
 
@@ -60,8 +60,6 @@ class Blocking:
         Vectorized: rank-join the iterations against the (sorted) blocking
         map, then rank the resulting ends against the end table.
         """
-        from ..presburger import joint_ranks
-
         iters = np.asarray(iters, dtype=np.int64)
         if iters.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
@@ -98,9 +96,9 @@ class Blocking:
     def block_sizes(self) -> np.ndarray:
         """Number of iterations in each block, in execution order."""
         _, ranks = np.unique(
-            self.mapping.out_part, axis=0, return_inverse=True
+            lex_ranks(self.mapping.out_part), return_inverse=True
         )
-        return np.bincount(ranks.ravel(), minlength=self.num_blocks)
+        return np.bincount(ranks, minlength=self.num_blocks)
 
     def coarsened(self, factor: int) -> "Blocking":
         """Merge every ``factor`` consecutive blocks into one.

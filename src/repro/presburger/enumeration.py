@@ -16,6 +16,7 @@ import numpy as np
 from . import cache
 from .basic_set import BasicSet
 from .constraint import Constraint, Kind
+from .explicit import lexsorted_rows, unique_rows
 from .iset import Set
 
 
@@ -156,9 +157,9 @@ def _enumerate_basic_set(bs: BasicSet) -> np.ndarray:
 
     pts = prefixes[:, : bs.ndim]
     if bs.n_div:
-        pts = np.unique(pts, axis=0)
+        pts = unique_rows(pts)
     else:
-        pts = _lexsorted(pts)
+        pts = lexsorted_rows(pts)
     return np.ascontiguousarray(pts)
 
 
@@ -168,11 +169,4 @@ def enumerate_set(s: Set) -> np.ndarray:
     chunks = [c for c in chunks if c.shape[0]]
     if not chunks:
         return np.zeros((0, s.ndim), dtype=np.int64)
-    return np.unique(np.concatenate(chunks, axis=0), axis=0)
-
-
-def _lexsorted(arr: np.ndarray) -> np.ndarray:
-    if arr.shape[0] <= 1:
-        return arr
-    order = np.lexsort(arr.T[::-1])
-    return arr[order]
+    return unique_rows(np.concatenate(chunks, axis=0))

@@ -3,13 +3,24 @@
 For instantiated SCoPs the pipeline algebra of the paper is computed on
 *explicit* point sets: every set is an ``(n, d)`` ``int64`` array of points,
 every relation an ``(n, d_in + d_out)`` array of pairs.  All operations are
-vectorized (lexsort / unique / searchsorted); nothing loops over points in
+vectorized (sort / unique / searchsorted); nothing loops over points in
 Python, per the HPC guides.
 
-Lexicographic machinery is built on *joint ranks*: rows of the participating
-arrays are ranked together with :func:`joint_ranks`, giving scalar keys whose
-order is exactly lexicographic row order — robust against overflow, unlike
-fixed-radix packing.
+Lexicographic machinery is built on *row keys*: :func:`joint_ranks` maps the
+rows of the participating arrays to scalar ``int64`` keys whose order is
+exactly lexicographic row order and whose equality is row equality across
+all of them.  Keys are the paper's §5.4 mixed-radix code, ``(a - lo) @
+weights`` over the arrays' joint bounding box, so every canonicalisation
+and join sorts machine integers.  The box volume (the product of the
+per-column ranges) is computed in Python integers; rows are packed only when
+it is below ``2**62``.  Otherwise — and for zero-column or non-``int64``
+arrays — the same functions rank the rows with ``np.unique(axis=0)``, so wide
+coordinates cost speed, never correctness.  Which branch runs depends only
+on the input's bounding box.
+
+:func:`unique_rows` always returns an owned C-contiguous array, also when
+its input is already canonical: a :class:`PointSet` / :class:`PointRelation`
+never aliases (or pins) the buffer it was built from.
 """
 
 from __future__ import annotations
@@ -50,19 +61,54 @@ def lexsorted_rows(arr: np.ndarray) -> np.ndarray:
     return arr[np.lexsort(arr.T[::-1])]
 
 
+#: packed keys stay below this, so ``a - lo`` and the weighted sum cannot wrap
+_KEY_CAPACITY = 2**62
+
+
+def _row_keys(arrays: tuple[np.ndarray, ...]) -> list[np.ndarray] | None:
+    """Mixed-radix keys over the joint bounding box; ``None`` = does not fit."""
+    if any(a.dtype != np.int64 for a in arrays):
+        return None
+    # (d, n) copies: per-column min/max and the weighted sum run along
+    # contiguous memory, several times faster than axis 0 of (n, d)
+    cols = [np.ascontiguousarray(a.T) for a in arrays]
+    nonempty = [c for c in cols if c.shape[1]]
+    if not nonempty:
+        return None
+    lo = np.minimum.reduce([c.min(axis=1) for c in nonempty])
+    hi = np.maximum.reduce([c.max(axis=1) for c in nonempty])
+    weights, volume = [], 1
+    for low, high in zip(reversed(lo.tolist()), reversed(hi.tolist())):
+        weights.append(volume)
+        volume *= high - low + 1  # Python ints: exact, never wraps
+    if not weights or volume >= _KEY_CAPACITY:
+        return None
+    w = np.array(weights[::-1], dtype=np.int64)
+    return [w @ (c - lo[:, None]) for c in cols]
+
+
 def unique_rows(arr: np.ndarray) -> np.ndarray:
-    """Lexicographically sorted rows with duplicates removed."""
-    if arr.shape[0] == 0:
-        return arr
-    return np.unique(arr, axis=0)
+    """Lexicographically sorted rows with duplicates removed (a fresh array)."""
+    if arr.shape[0] > 1:
+        keys = _row_keys((arr,))
+        if keys is None:
+            return np.unique(arr, axis=0)
+        (key,) = keys
+        if not np.all(key[1:] > key[:-1]):
+            _, first = np.unique(key, return_index=True)
+            return arr[first]
+    return np.array(arr, order="C")  # already canonical: copy, never alias
 
 
 def joint_ranks(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Rank rows of several arrays under one shared lexicographic order.
+    """Key rows of several arrays under one shared lexicographic order.
 
-    Equal rows (across arrays) get equal ranks; ``rank(a) < rank(b)`` iff row
-    ``a`` is lexicographically smaller than row ``b``.
+    Equal rows (across arrays) get equal keys; ``key(a) < key(b)`` iff row
+    ``a`` is lexicographically smaller than row ``b``.  Keys are not dense.
     """
+    keys = _row_keys(arrays)
+    if keys is not None:
+        return keys
     nonempty = [a for a in arrays if a.shape[0]]
     if not nonempty:
         return [np.zeros(0, dtype=np.int64) for _ in arrays]
@@ -73,16 +119,13 @@ def joint_ranks(*arrays: np.ndarray) -> list[np.ndarray]:
     offset = 0
     for a in arrays:
         n = a.shape[0]
-        if n == 0:
-            out.append(np.zeros(0, dtype=np.int64))
-        else:
-            out.append(inverse[offset : offset + n])
-            offset += n
+        out.append(inverse[offset : offset + n])
+        offset += n
     return out
 
 
 def lex_ranks(arr: np.ndarray) -> np.ndarray:
-    """Dense lexicographic ranks of the rows of one array."""
+    """Lexicographic order keys of the rows of one array."""
     return joint_ranks(arr)[0]
 
 
@@ -442,17 +485,17 @@ class PointRelation:
     def _after(self, other: "PointRelation") -> "PointRelation":
         left = other  # A -> B
         right = self  # B -> C
+        # kr needs no sort: canonical pairs are ordered by (in, out)
         kl, kr = joint_ranks(left.out_part, right.in_part)
         ol = np.argsort(kl, kind="stable")
-        orr = np.argsort(kr, kind="stable")
-        kl_s, kr_s = kl[ol], kr[orr]
-        common = np.intersect1d(kl_s, kr_s)
+        kl_s = kl[ol]
+        common = np.intersect1d(kl_s, kr)
         if common.size == 0:
             return PointRelation.empty(left.n_in, right.n_out)
         l_lo = np.searchsorted(kl_s, common, side="left")
         l_hi = np.searchsorted(kl_s, common, side="right")
-        r_lo = np.searchsorted(kr_s, common, side="left")
-        r_hi = np.searchsorted(kr_s, common, side="right")
+        r_lo = np.searchsorted(kr, common, side="left")
+        r_hi = np.searchsorted(kr, common, side="right")
         l_cnt = l_hi - l_lo
         r_cnt = r_hi - r_lo
         pair_cnt = l_cnt * r_cnt
@@ -461,7 +504,7 @@ class PointRelation:
             np.concatenate(([0], np.cumsum(pair_cnt)[:-1])), pair_cnt
         )
         li = ol[np.repeat(l_lo, pair_cnt) + within // np.repeat(r_cnt, pair_cnt)]
-        ri = orr[np.repeat(r_lo, pair_cnt) + within % np.repeat(r_cnt, pair_cnt)]
+        ri = np.repeat(r_lo, pair_cnt) + within % np.repeat(r_cnt, pair_cnt)
         pairs = np.concatenate(
             [left.in_part[li], right.out_part[ri]], axis=1
         )

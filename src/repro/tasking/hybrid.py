@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from ..pipeline import PipelineInfo
+from ..presburger import unique_rows
 from ..schedule import TaskAst, TaskBlock, generate_task_ast
 from ..scop import DepKind, dependence_relation
 from .task import TaskGraph
@@ -51,9 +52,7 @@ def intra_block_edges(
             continue
         src_blocks = blocking.block_of_rows(rel.out_part)
         tgt_blocks = blocking.block_of_rows(rel.in_part)
-        pairs = np.unique(
-            np.stack([src_blocks, tgt_blocks], axis=1), axis=0
-        )
+        pairs = unique_rows(np.stack([src_blocks, tgt_blocks], axis=1))
         for a, b in pairs.tolist():
             if a != b:
                 edges.add((min(a, b), max(a, b)))

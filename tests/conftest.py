@@ -178,3 +178,20 @@ def listing3_interp():
 @pytest.fixture
 def copy_scop():
     return extract_scop(parse(TWO_NEST_COPY), {"N": 8})
+
+
+@pytest.fixture
+def unique_axis0_calls(monkeypatch):
+    """The ``numpy.unique(..., axis=0)`` calls made while the test runs —
+    the generic row sort the packed row keys replace (one entry each)."""
+    import numpy as np
+
+    real, calls = np.unique, []
+
+    def counting(*args, **kwargs):
+        if kwargs.get("axis") == 0:
+            calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    return calls

@@ -7,6 +7,8 @@ once caught), not on machine noise.
 
 import time
 
+import pytest
+
 from repro.bench import build_scop, pipeline_task_graph
 from repro.interp import Interpreter, execute_measured
 from repro.pipeline import detect_pipeline
@@ -44,6 +46,56 @@ def test_cache_is_effective_on_p5_analysis():
     assert st.hits > 0, cache.format_stats()
     # on this path roughly 3 of 4 memoized calls hit; guard loosely
     assert st.hit_rate > 0.25, cache.format_stats()
+
+
+#: memoized Presburger calls of one cold ``analyze`` (detection + the
+#: legality re-derivation) at N=20, coarsen=60, as (calls, hits, misses)
+#: per op (374 / 374 / 343 calls in all), recorded at the commit *before*
+#: row keys were packed — that commit made 277 / 297 / 318 ``np.unique(axis=0)`` calls
+#: for the same work.  The kernel under the algebra changed, not the algebra.
+_OPS = (
+    "PointRelation.after", "PointRelation.domain", "PointRelation.inverse",
+    "PointRelation.lexmax_per_domain", "PointRelation.range",
+    "PointRelation.restrict_domain", "PointRelation.union",
+    "PointSet.difference", "PointSet.intersect", "PointSet.union",
+    "enumeration.basic_set", "pipeline.prefix_lexmax",
+)
+COLD_ANALYZE_OPS = {
+    "P5": (
+        (66, 18, 48), (72, 66, 6), (88, 79, 9), (36, 34, 2), (38, 36, 2),
+        (6, 5, 1), (14, 0, 14), (4, 3, 1), (26, 24, 2), (8, 7, 1),
+        (4, 0, 4), (12, 11, 1),
+    ),
+    "P6": (
+        (66, 18, 48), (72, 62, 10), (88, 77, 11), (36, 31, 5), (38, 33, 5),
+        (6, 5, 1), (14, 0, 14), (4, 2, 2), (26, 22, 4), (8, 6, 2),
+        (4, 0, 4), (12, 10, 2),
+    ),
+    "P9": (
+        (66, 18, 48), (64, 46, 18), (85, 72, 13), (30, 22, 8), (33, 21, 12),
+        (5, 3, 2), (13, 0, 13), (4, 1, 3), (23, 13, 10), (6, 2, 4),
+        (4, 0, 4), (10, 7, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_ANALYZE_OPS))
+def test_cold_analysis_sorts_no_rows_generically(name, unique_axis0_calls):
+    """Count-based, no wall clock: the whole cold compile of a Table 9
+    kernel runs on packed row keys (zero ``np.unique(axis=0)`` calls)
+    while doing exactly the Presburger work it did before."""
+    from repro.driver import TransformOptions, analyze
+
+    with cache.overridden(enabled=True):
+        cache.cache_clear()
+        interp = Interpreter.from_source(TABLE9[name].source(20), {})
+        analysis = analyze(interp, TransformOptions(coarsen=60))
+        st = cache.stats()
+    assert analysis.legality is not None and analysis.legality.ok
+    assert unique_axis0_calls == []
+    assert {
+        op: (s.calls, s.hits, s.misses) for op, s in st.ops.items()
+    } == dict(zip(_OPS, COLD_ANALYZE_OPS[name]))
 
 
 def test_fused_dispatch_beats_interpreter_on_p5():
