@@ -1,6 +1,6 @@
 """Compile-as-a-service benchmark: cold vs warm vs concurrent dedupe.
 
-Three claims the artifact store + ``repro serve`` make, measured for
+Four claims the artifact store + ``repro serve`` make, measured for
 real and written to ``BENCH_serve.json``:
 
 1. **Warm ≥ 10x cold** — a fresh process answering an identical compile
@@ -11,7 +11,11 @@ real and written to ``BENCH_serve.json``:
 2. **N identical concurrent requests, one compile** — eight simultaneous
    identical ``compile`` requests against a live ``repro serve`` pay
    exactly one compile; the other seven await the in-flight future.
-3. **Bit identity** — executing a store-served analysis yields arrays
+3. **A repeat reads nothing** — repeat ``compile`` and ``run`` requests
+   against that same live server are answered from the resident kernel:
+   the store sees zero further reads (a count, not a ratio; the p50s are
+   reported beside the fresh-process warm row for scale).
+4. **Bit identity** — executing a store-served analysis yields arrays
    byte-identical to the cold compile's on all three backends.
 
 ``python -m repro bench-serve --out BENCH_serve.json`` runs it.
@@ -23,6 +27,7 @@ import asyncio
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -38,6 +43,9 @@ WARM_SPEEDUP_MIN_QUICK = 5.0
 
 #: simultaneous identical requests in the dedupe round
 DEDUPE_REQUESTS = 8
+
+#: repeat requests per verb in the resident round
+RESIDENT_REPEATS = 5
 
 _CHILD = r"""
 import json, sys, time
@@ -102,7 +110,8 @@ def _fresh_process_compile(
 async def _dedupe_round(
     source: str, params: dict, options: dict, cache_dir: str
 ) -> dict:
-    """Fire N identical concurrent compile requests at a live server."""
+    """Fire N identical concurrent compile requests at a live server,
+    then repeat the key against it: ``(dedupe row, resident row)``."""
     from ..service.server import serve
 
     loop = asyncio.get_running_loop()
@@ -139,8 +148,33 @@ async def _dedupe_round(
     )
     wall = time.perf_counter() - t0
     stats = await request({"op": "stats"})
+
+    def store_reads(st: dict) -> int:
+        c = st["store"]["counters"]
+        return c.get("hits", 0) + c.get("misses", 0)
+
+    repeat_ms: dict[str, list[float]] = {"compile": [], "run": []}
+    repeats = []
+    for verb in ("compile", "run"):
+        payload = dict(compile_req, op=verb, backend="serial", workers=2)
+        for _ in range(RESIDENT_REPEATS):
+            t1 = time.perf_counter()
+            repeats.append(await request(payload))
+            repeat_ms[verb].append((time.perf_counter() - t1) * 1e3)
+    after = await request({"op": "stats"})
     await request({"op": "shutdown"})
     await asyncio.wait_for(task, 60)
+    resident = {
+        "requests": len(repeats),
+        "ok": all(
+            r.get("ok") and r.get("status") == "warm"
+            and r.get("match", True) for r in repeats
+        ),
+        "compile_p50_ms": statistics.median(repeat_ms["compile"]),
+        "run_p50_ms": statistics.median(repeat_ms["run"]),
+        "resident_hits": after["counters"]["resident_hits"],
+        "store_reads": store_reads(after) - store_reads(stats),
+    }
 
     statuses: dict[str, int] = {}
     for r in results:
@@ -155,7 +189,7 @@ async def _dedupe_round(
         "compiles": stats["counters"]["compiles"],
         "inflight_hits": stats["counters"]["inflight_hits"],
         "store_hits": stats["counters"]["store_hits"],
-    }
+    }, resident
 
 
 def _identity_round(
@@ -218,7 +252,7 @@ def run_serve_bench(quick: bool = False, out_path: str | None = None) -> dict:
         speedup = cold["wall_s"] / max(warm["wall_s"], 1e-9)
 
         dedupe_dir = os.path.join(tmp, "dedupe")
-        dedupe = asyncio.run(
+        dedupe, resident = asyncio.run(
             _dedupe_round(source, params, options, dedupe_dir)
         )
 
@@ -235,6 +269,7 @@ def run_serve_bench(quick: bool = False, out_path: str | None = None) -> dict:
             "cold": cold,
             "warm": dict(warm, speedup_vs_cold=speedup),
             "dedupe": dedupe,
+            "resident": resident,
         },
         "identity": identity,
         "criteria": {
@@ -244,6 +279,11 @@ def run_serve_bench(quick: bool = False, out_path: str | None = None) -> dict:
             "meets_warm_speedup": speedup
             >= (WARM_SPEEDUP_MIN_QUICK if quick else WARM_SPEEDUP_MIN),
             "dedupe_single_compile": dedupe["compiles"] == 1,
+            "resident_reads_nothing": (
+                resident["ok"]
+                and resident["store_reads"] == 0
+                and resident["resident_hits"] == resident["requests"]
+            ),
             "bit_identical": identity["identical"],
         },
         "env": {
@@ -261,7 +301,7 @@ def run_serve_bench(quick: bool = False, out_path: str | None = None) -> dict:
 def format_serve_bench(report: dict) -> str:
     rows = report["rows"]
     crit = report["criteria"]
-    ded = rows["dedupe"]
+    ded, res = rows["dedupe"], rows["resident"]
     mark = lambda ok: "PASS" if ok else "FAIL"  # noqa: E731
     lines = [
         f"serve bench: {report['kernel']} n={report['n']}"
@@ -276,6 +316,10 @@ def format_serve_bench(report: dict) -> str:
         f"{ded['compiles']} compile(s), {ded['inflight_hits']} in-flight "
         f"hit(s) in {ded['wall_s'] * 1e3:.1f} ms",
         f"  dedupe pays exactly one compile  {mark(crit['dedupe_single_compile'])}",
+        f"  resident repeat (same server)  compile {res['compile_p50_ms']:7.2f} ms"
+        f"  run {res['run_p50_ms']:7.2f} ms  (p50 of {RESIDENT_REPEATS} each)",
+        f"  {res['requests']} repeats -> {res['resident_hits']} resident hit(s), "
+        f"{res['store_reads']} store read(s)  {mark(crit['resident_reads_nothing'])}",
         "  store-served run bit-identical to fresh compile: "
         + ", ".join(
             f"{b}={mark(report['identity'][b])}"

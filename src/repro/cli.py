@@ -755,6 +755,7 @@ def cmd_store(args: argparse.Namespace) -> int:
             print(f"  requests    {counters.get('requests', 0)}")
             print(f"  compiles    {counters.get('compiles', 0)}")
             print(f"  store hits  {counters.get('store_hits', 0)}")
+            print(f"  resident    {counters.get('resident_hits', 0)}")
             print(f"  errors      {counters.get('errors', 0)}")
     elif args.action == "gc":
         evicted = store.gc(

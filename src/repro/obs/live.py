@@ -9,9 +9,11 @@ renders:
   rate,
 * latency p50/p95/p99 per verb and per cache status (estimated from the
   server's bounded-bucket histograms),
-* cache effectiveness (warm/cold/inflight/direct request mix, store
-  hit rate),
-* the last N requests (id, verb, status, wall, outcome).
+* cache effectiveness (warm/cold/inflight/direct request mix, how many
+  of the warm answers were resident hits, hit rate),
+* the last N requests (id, verb, status, tier, wall, outcome; tier
+  ``memory`` marks a warm answer served from the resident kernel
+  rather than from disk).
 
 Everything below the polling loop is pure: :func:`render_top` maps two
 snapshots to a string, which is what the tests (and ``--once``) drive.
@@ -114,10 +116,11 @@ def render_top(
     answered = sum(counts.values())
     warmish = counts["warm"] + counts["inflight"]
     hit_rate = warmish / answered if answered else 0.0
+    resident = health.get("counters", {}).get("resident_hits", 0)
     lines.append(
         "cache    "
         + "  ".join(f"{s} {int(counts[s])}" for s in _STATUSES)
-        + f"   hit-rate {100.0 * hit_rate:5.1f}%"
+        + f"  resident {resident}   hit-rate {100.0 * hit_rate:5.1f}%"
     )
 
     lat = cur.latency_rows()
@@ -138,15 +141,17 @@ def render_top(
     if recent:
         lines.append("")
         lines.append(
-            f"{'request':<22}{'verb':<9}{'status':<9}{'wall ms':>9}  outcome"
+            f"{'request':<22}{'verb':<9}{'status':<9}{'tier':<7}"
+            f"{'wall ms':>9}  outcome"
         )
         for r in reversed(recent):
             outcome = "ok" if r.get("ok") else (
-                r.get("error", "error")[: width - 50]
+                r.get("error", "error")[: width - 57]
             )
             lines.append(
                 f"{r.get('rid', '?'):<22}{r.get('op', '?'):<9}"
                 f"{r.get('status', '-') or '-':<9}"
+                f"{r.get('tier', '-'):<7}"
                 f"{r.get('wall_ms', 0.0):>9.2f}  {outcome}"
             )
     return "\n".join(lines)

@@ -17,17 +17,28 @@ Every response is one JSON object with ``"ok"`` and, on failure,
 ``"error"``.  ``compile`` answers carry ``"status"``:
 
 * ``"cold"``    — this request ran Algorithm 1/2 (and stored the result);
-* ``"warm"``    — answered from the artifact store;
+* ``"warm"``    — answered without compiling: from the kernel this
+  process already holds (a *resident* hit, ``tier: "memory"`` in the
+  request log), else from the artifact store;
 * ``"inflight"`` — an identical compile was already running; this
   request awaited its future (N simultaneous identical requests pay
   exactly one compile);
 * ``"direct"``  — caching disabled (``--no-cache``), compiled in place.
 
 Compiles run on a thread pool so the event loop keeps accepting
-requests; the in-flight dedupe map is only touched on the loop, so it
-needs no lock.  ``run`` executes the compiled kernel and returns a
-SHA-256 checksum per output array — the bit-identity handshake the
-store-equivalence tests build on.
+requests.  Their futures live in one bounded LRU map, key → future of
+``(interpreter, analysis)``, that *keeps* its entries once they resolve:
+a repeat of a key this process has answered is served from that object
+on the event loop — no parse, no store read, no deserialization, and a
+``run`` replays the ``ExecPlan`` already lowered on the resident
+interpreter.  The map is only touched on the loop, so it needs no lock.
+``run`` executes the compiled kernel against a fresh sequential oracle
+and returns a SHA-256 checksum per output array — the bit-identity
+handshake the store-equivalence tests build on — on every request,
+resident or not.  A malformed request is refused with
+``bad request: <what>`` before any work; a request line over
+``REQUEST_LIMIT`` bytes with ``request too large: …`` (and the
+connection is closed).
 
 Telemetry (on by default, ``telemetry=False`` to disable): every
 request gets an id (client-proposed via ``"rid"`` or server-assigned)
@@ -51,6 +62,7 @@ import asyncio
 import hashlib
 import json
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -60,6 +72,47 @@ from ..obs.service import RequestTelemetry
 from ..store import ArtifactStore
 from ..store.disk import save_metrics_snapshot
 from .compile import cached_analysis, options_from_dict
+
+#: Compiled kernels one serving process keeps (LRU over resolved entries;
+#: a pending compile is never evicted).
+RESIDENT_KERNELS = 64
+
+#: Longest request line accepted, in bytes — sized for real kernel
+#: sources (asyncio's 64 KiB default is not).
+REQUEST_LIMIT = 8 << 20
+
+
+class BadRequest(ValueError):
+    """A request refused before any work; ``str()`` is the reply's error."""
+
+
+def _validate(req) -> None:
+    """The protocol's shape check, in one place (raises BadRequest)."""
+
+    def refuse(what: str):
+        raise BadRequest(f"bad request: {what}")
+
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    if not isinstance(req, dict):
+        refuse("the request must be a JSON object")
+    if not isinstance(req.get("op"), str):
+        refuse("'op' must be a string")
+    if req["op"] not in ("compile", "run"):
+        return
+    if not isinstance(req.get("source"), str):
+        refuse("'source' must be a string")
+    params, options = req.get("params"), req.get("options")
+    if params is not None and not (
+        isinstance(params, dict) and all(map(is_int, params.values()))
+    ):
+        refuse("'params' must be an object of integers")
+    if options is not None and not isinstance(options, dict):
+        refuse("'options' must be an object")
+    workers = req.get("workers")
+    if workers is not None and not (is_int(workers) and workers >= 1):
+        refuse("'workers' must be a positive integer")
 
 
 def _checksums(store) -> dict[str, str]:
@@ -73,7 +126,7 @@ def _checksums(store) -> dict[str, str]:
 
 
 class ReproServer:
-    """One serving process: a store, a thread pool, an in-flight map."""
+    """One serving process: a store, a thread pool, the resident kernels."""
 
     def __init__(
         self,
@@ -83,12 +136,15 @@ class ReproServer:
     ):
         self.store = store
         self.executor = ThreadPoolExecutor(max_workers=max(1, workers))
-        #: key -> future of (interp, analysis, status); loop-only state
-        self.inflight: dict[str, asyncio.Future] = {}
+        #: key -> future of (interp, analysis), least recently used
+        #: first; resolved entries stay (bounded by RESIDENT_KERNELS),
+        #: failed ones are dropped; loop-only state
+        self.resident: OrderedDict[str, asyncio.Future] = OrderedDict()
         self.counters: dict[str, int] = {
             "requests": 0,
             "compiles": 0,
             "store_hits": 0,
+            "resident_hits": 0,
             "inflight_hits": 0,
             "errors": 0,
         }
@@ -129,28 +185,49 @@ class ReproServer:
         }
         return interp, analysis, status, timings
 
+    def _pending(self) -> int:
+        """Compiles still running (unresolved futures of the map)."""
+        return sum(not f.done() for f in self.resident.values())
+
+    def _evict(self) -> None:
+        """Drop least-recently-used *resolved* kernels down to the bound."""
+        excess = len(self.resident) - RESIDENT_KERNELS
+        if excess > 0:
+            done = [k for k, f in self.resident.items() if f.done()]
+            for key in done[:excess]:
+                del self.resident[key]
+
     async def _compiled(self, req: dict, rtel=None):
-        """(interp, analysis, status) with store + in-flight dedupe."""
+        """(key, interp, analysis, status) through the resident map."""
         from ..store import artifact_key
 
         source = req["source"]
-        params = {k: int(v) for k, v in (req.get("params") or {}).items()}
-        options = options_from_dict(req.get("options") or {})
+        params = dict(req.get("params") or {})
+        try:
+            options = options_from_dict(req.get("options") or {})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadRequest(f"bad request: 'options': {exc}") from exc
         key = artifact_key(source, params, options)
 
-        existing = self.inflight.get(key)
+        existing = self.resident.get(key)
         if existing is not None:
-            self.counters["inflight_hits"] += 1
-            interp, analysis, _, _ = await asyncio.shield(existing)
+            self.resident.move_to_end(key)
+            if existing.done():
+                status, tier, counter = "warm", "memory", "resident_hits"
+            else:
+                status, tier, counter = "inflight", None, "inflight_hits"
+            self.counters[counter] += 1
+            interp, analysis = await asyncio.shield(existing)
             if rtel is not None:
-                rtel.set(key=key, status="inflight")
-            return key, interp, analysis, "inflight"
+                rtel.set(key=key, status=status, tier=tier)
+            return key, interp, analysis, status
 
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self.inflight[key] = future
+        self.resident[key] = future
+        self._evict()
         try:
-            result = await loop.run_in_executor(
+            interp, analysis, status, timings = await loop.run_in_executor(
                 self.executor,
                 self._compile_sync,
                 source,
@@ -159,16 +236,16 @@ class ReproServer:
                 rtel.root_id if rtel is not None else 0,
                 time.perf_counter(),
             )
-            future.set_result(result)
         except BaseException as exc:
+            # A failed compile is not retained: the next request retries.
+            del self.resident[key]
             future.set_exception(exc)
             # Don't let "exception never retrieved" warnings fire when
             # nobody else awaited this future.
             future.exception()
             raise
-        finally:
-            self.inflight.pop(key, None)
-        interp, analysis, status, timings = result
+        future.set_result((interp, analysis))
+        self._evict()
         if status in ("cold", "direct"):
             self.counters["compiles"] += 1
         elif status == "warm":
@@ -179,15 +256,17 @@ class ReproServer:
 
     # ------------------------------------------------------------------
     async def _handle_request(self, req: dict, rtel=None) -> dict[str, Any]:
-        op = req.get("op")
         self.counters["requests"] += 1
+        _validate(req)
+        op = req["op"]
         if op == "ping":
             return {"ok": True, "pong": True}
         if op == "stats":
             out: dict[str, Any] = {
                 "ok": True,
                 "counters": dict(self.counters),
-                "inflight": len(self.inflight),
+                "inflight": self._pending(),
+                "resident": len(self.resident),
             }
             if self.store is not None:
                 out["store"] = self.store.stats().as_dict()
@@ -210,7 +289,7 @@ class ReproServer:
                 else {"ok": True}
             )
             out["counters"] = dict(self.counters)
-            out["inflight_compiles"] = len(self.inflight)
+            out["inflight_compiles"] = self._pending()
             return out
         if op == "requests":
             if self.telemetry is None:
@@ -231,7 +310,7 @@ class ReproServer:
                 "ok": True,
                 "key": key,
                 "status": status,
-                "cache_status": analysis.cache_status,
+                "cache_status": status,
                 "tasks": len(analysis.graph),
                 "privatized": analysis.privatized,
                 "summary": analysis.info.summary(),
@@ -265,13 +344,14 @@ class ReproServer:
                 )
         for name, value in self.counters.items():
             reg.gauge(f"serve.counter.{name}", value)
-        reg.gauge("serve.queue_depth", len(self.inflight))
+        reg.gauge("serve.queue_depth", self._pending())
+        reg.gauge("serve.resident_kernels", len(self.resident))
         return reg
 
     def _run_sync(self, interp, analysis, req: dict, rtel=None) -> dict[str, Any]:
         """Execute a compiled analysis; returns checksums + match."""
         backend = req.get("backend", "serial")
-        workers = int(req.get("workers", 4))
+        workers = req.get("workers") or 4
         root_id = rtel.root_id if rtel is not None else 0
         collect = bool(root_id) and obs_spans.enabled()
         t0 = time.perf_counter()
@@ -321,28 +401,58 @@ class ReproServer:
         }
 
     # ------------------------------------------------------------------
+    @staticmethod
+    async def _read_line(reader) -> bytes | None:
+        """The next request line (``b""`` at EOF), or ``None`` for one
+        over ``REQUEST_LIMIT`` — discarded through its newline, so the
+        refusal is written to a client that has finished sending."""
+        oversized = False
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial
+            except asyncio.LimitOverrunError as exc:
+                await reader.readexactly(exc.consumed)
+                oversized = True
+                continue
+            return None if oversized else line
+
     async def handle_connection(self, reader, writer):
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await self._read_line(reader)
+                if line == b"":
                     break
+                req, error = None, None
+                if line is None:
+                    error = (
+                        "request too large: one request line may not "
+                        f"exceed {REQUEST_LIMIT} bytes"
+                    )
+                else:
+                    try:
+                        req = json.loads(line)
+                    except ValueError as exc:
+                        error = f"{type(exc).__name__}: {exc}"
+                fields = req if isinstance(req, dict) else {}
                 rtel = None
-                try:
-                    req = json.loads(line)
-                    if self.telemetry is not None and isinstance(req, dict):
-                        rtel = self.telemetry.begin(
-                            str(req.get("op", "?")), rid=req.get("rid")
-                        )
-                        rtel.set(bytes_in=len(line))
-                    resp = await self._handle_request(req, rtel)
-                except Exception as exc:
+                if self.telemetry is not None:
+                    rtel = self.telemetry.begin(
+                        str(fields.get("op", "?")), rid=fields.get("rid")
+                    )
+                    rtel.set(bytes_in=len(line) if line else None)
+                if error is None:
+                    try:
+                        resp = await self._handle_request(req, rtel)
+                    except BadRequest as exc:
+                        error = str(exc)
+                    except Exception as exc:
+                        error = f"{type(exc).__name__}: {exc}"
+                if error is not None:
                     self.counters["errors"] += 1
-                    resp = {
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                if rtel is not None and "rid" in req:
+                    resp = {"ok": False, "error": error}
+                if rtel is not None and "rid" in fields:
                     resp.setdefault("rid", rtel.rid)
                 payload = json.dumps(resp).encode() + b"\n"
                 if rtel is not None:
@@ -352,7 +462,7 @@ class ReproServer:
                     )
                 writer.write(payload)
                 await writer.drain()
-                if self._shutdown.is_set():
+                if line is None or self._shutdown.is_set():
                     break
         finally:
             writer.close()
@@ -485,14 +595,15 @@ async def serve(
         obs_spans.enable()
     server = ReproServer(store, workers=workers, telemetry=rtel)
     tcp = await asyncio.start_server(
-        server.handle_connection, host=host, port=port
+        server.handle_connection, host=host, port=port, limit=REQUEST_LIMIT
     )
     bound = tcp.sockets[0].getsockname()
     http = None
     server._http_bound = None
     if http_port is not None and rtel is not None:
         http = await asyncio.start_server(
-            server.handle_http, host=host, port=http_port
+            server.handle_http, host=host, port=http_port,
+            limit=REQUEST_LIMIT,
         )
         hbound = http.sockets[0].getsockname()
         server._http_bound = (hbound[0], hbound[1])

@@ -94,6 +94,23 @@ class TestRender:
         frame = render_top(None, _snapshot(cold=1, warm=2, inflight=1))
         assert "hit-rate  75.0%" in frame
 
+    def test_resident_hits_and_tier_are_shown(self):
+        snap = _snapshot(
+            cold=1, warm=3,
+            requests=[
+                {"rid": "r-disk", "op": "compile", "status": "warm",
+                 "wall_ms": 30.0, "ok": True},
+                {"rid": "r-mem", "op": "compile", "status": "warm",
+                 "tier": "memory", "wall_ms": 0.2, "ok": True},
+            ],
+        )
+        snap.health["counters"] = {"resident_hits": 2}
+        lines = render_top(None, snap).splitlines()
+        cache = next(ln for ln in lines if ln.startswith("cache"))
+        assert "warm 3" in cache and "resident 2" in cache
+        assert "memory" in next(ln for ln in lines if "r-mem" in ln)
+        assert "memory" not in next(ln for ln in lines if "r-disk" in ln)
+
     def test_empty_snapshot_renders(self):
         frame = render_top(None, TopSnapshot(t=0.0))
         assert "repro top" in frame

@@ -1,13 +1,19 @@
-"""``repro serve``: protocol, store reuse, and in-flight dedupe."""
+"""``repro serve``: protocol, resident kernels, store reuse, dedupe."""
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sys
 
+import pytest
+
+from repro.service import server as server_mod
 from repro.service.server import serve
 
 from ..conftest import TWO_NEST_COPY
+from ..test_cli import HISTOGRAM_KERNEL
+from .test_compile import DOTPROD, _tampered
 
 DISTINCT = TWO_NEST_COPY + "\n// distinct kernel\n"
 
@@ -71,8 +77,8 @@ def test_ping_and_unknown_op(tmp_path):
 
 
 def test_two_identical_plus_one_distinct_pay_two_compiles(tmp_path):
-    """The tier-1 smoke contract: repeats come from the store, only
-    genuinely new keys compile."""
+    """The tier-1 smoke contract: a repeat is answered from the kernel
+    the process holds, only genuinely new keys compile."""
 
     async def body(host, port, server):
         first = await _request(host, port, _compile_req(TWO_NEST_COPY))
@@ -84,9 +90,12 @@ def test_two_identical_plus_one_distinct_pay_two_compiles(tmp_path):
         assert other["status"] == "cold"
         assert first["key"] == again["key"] != other["key"]
         stats = await _request(host, port, {"op": "stats"})
+        assert again["cache_status"] == "warm"  # this request's, not the first's
         assert stats["counters"]["compiles"] == 2
-        assert stats["counters"]["store_hits"] == 1
+        assert stats["counters"]["resident_hits"] == 1
+        assert stats["counters"]["store_hits"] == 0
         assert stats["store"]["entries"] == 2
+        assert stats["resident"] == 2
 
     asyncio.run(_with_server(str(tmp_path), body))
 
@@ -107,7 +116,8 @@ def test_eight_concurrent_identical_requests_one_compile(tmp_path):
         stats = await _request(host, port, {"op": "stats"})
         assert stats["counters"]["compiles"] == 1
         assert stats["counters"]["inflight_hits"] == 7
-        assert stats["inflight"] == 0
+        assert stats["inflight"] == 0  # pending compiles, not map size
+        assert stats["resident"] == 1
 
     asyncio.run(_with_server(str(tmp_path), body))
 
@@ -119,7 +129,7 @@ def test_run_op_executes_and_checksums(tmp_path):
         first = await _request(host, port, req)
         assert first["ok"] and first["match"] is True
         assert set(first["checksums"]) == {"A", "B"}
-        # the second run compiles warm and must be bit-identical
+        # the second run replays the resident kernel, bit-identically
         again = await _request(host, port, req)
         assert again["status"] == "warm"
         assert again["checksums"] == first["checksums"]
@@ -132,9 +142,11 @@ def test_no_cache_serves_direct(tmp_path):
         first = await _request(host, port, _compile_req(TWO_NEST_COPY))
         again = await _request(host, port, _compile_req(TWO_NEST_COPY))
         assert first["status"] == "direct"
-        assert again["status"] == "direct"
+        # residency lives in the server, not in the store
+        assert again["status"] == "warm"
         stats = await _request(host, port, {"op": "stats"})
-        assert stats["counters"]["compiles"] == 2
+        assert stats["counters"]["compiles"] == 1
+        assert stats["counters"]["resident_hits"] == 1
         assert "store" not in stats
 
     asyncio.run(_with_server(None, body))
@@ -148,8 +160,299 @@ def test_malformed_request_reports_error_and_keeps_serving(tmp_path):
         resp = json.loads(await reader.readline())
         assert not resp["ok"]
         writer.close()
+        # shape errors are diagnostics, never interpreter internals
+        good = _compile_req(TWO_NEST_COPY)
+        run = dict(good, op="run", backend="serial")
+        for bad, what in (
+            ([1, 2], "JSON object"),
+            ({"source": TWO_NEST_COPY}, "'op'"),
+            ({"op": 7}, "'op'"),
+            ({"op": "compile"}, "'source'"),
+            (dict(good, source=["x"]), "'source'"),
+            (dict(good, params={"N": "x"}), "'params'"),
+            (dict(good, params={"N": True}), "'params'"),
+            (dict(good, params=[8]), "'params'"),
+            (dict(good, options="fast"), "'options'"),
+            (dict(good, options={"turbo": 1}), "'options'"),
+            (dict(run, workers=0), "'workers'"),
+            (dict(run, workers=0, backend="threads"), "'workers'"),
+            (dict(run, workers="4"), "'workers'"),
+        ):
+            resp = await _request(host, port, bad)
+            assert not resp["ok"], bad
+            assert resp["error"].startswith("bad request: "), resp
+            assert what in resp["error"], resp
+        stats = await _request(host, port, {"op": "stats"})
+        assert stats["counters"]["errors"] == 14
+        assert stats["counters"]["compiles"] == 0  # refused before any work
         pong = await _request(host, port, {"op": "ping"})
         assert pong["ok"]
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+def test_request_line_limit(tmp_path):
+    """A kernel source beyond asyncio's 64 KiB default is served; a line
+    over REQUEST_LIMIT is refused, counted and logged, and only that
+    connection is closed."""
+
+    async def body(host, port, server):
+        padded = TWO_NEST_COPY + "// " + "x" * (100 << 10) + "\n"
+        big = await _request(host, port, _compile_req(padded))
+        assert big["ok"] and big["status"] == "cold"
+
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"x" * (server_mod.REQUEST_LIMIT + 1) + b"\n")
+        await writer.drain()
+        resp = json.loads(await reader.readline())
+        assert not resp["ok"]
+        assert resp["error"].startswith("request too large: ")
+        assert await reader.read() == b""  # the server hung up
+        writer.close()
+
+        stats = await _request(host, port, {"op": "stats"})
+        assert stats["counters"]["errors"] == 1
+        r = await _request(host, port, {"op": "requests"})
+        assert any(
+            "request too large" in row.get("error", "")
+            for row in r["requests"]
+        )
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+# ----------------------------------------------------------------------
+# resident kernels: count-based, no wall clocks
+# ----------------------------------------------------------------------
+def _variant(k: int) -> str:
+    return TWO_NEST_COPY + f"\n// variant {k}\n"
+
+
+def _reduction_req(op: str = "compile", **extra) -> dict:
+    return {
+        "op": op,
+        "source": DOTPROD,
+        "params": {"N": 32},
+        "options": dict(OPTIONS, privatize=True),
+        **extra,
+    }
+
+
+def test_resident_repeat_skips_parse_store_and_lowering(tmp_path):
+    """After one compile of a key, further compile/run requests for it
+    construct nothing: no parse, no store read, no compile tier, and
+    after the first run no lowering."""
+    verbs = ("compile", "run", "compile", "run", "run", "compile")
+
+    async def body(host, port, server, log_path, trace_dir):
+        first = await _request(host, port, _compile_req(TWO_NEST_COPY))
+        assert first["status"] == "cold"
+        for n, verb in enumerate(verbs):
+            req = dict(_compile_req(TWO_NEST_COPY), op=verb, rid=f"rep-{n}")
+            resp = await _request(host, port, req)
+            assert resp["ok"] and resp["status"] == "warm", resp
+            assert resp.get("match", True) is True
+        r = await _request(host, port, {"op": "requests"})
+        rows = {row["rid"]: row for row in r["requests"]}
+        lowered = 0
+        for n, verb in enumerate(verbs):
+            row = rows[f"rep-{n}"]
+            assert row["tier"] == "memory"
+            names = set(row["span_names"])
+            assert not names & {
+                "frontend.parse", "scop.extract", "store.get",
+                "store.put", "service.compile",
+            }, (n, names)
+            lowered += "exec.lower" in names
+            if verb == "run":
+                assert "serve.run" in names
+        assert "exec.lower" in rows["rep-1"]["span_names"]  # the first run
+        assert lowered == 1
+        stats = await _request(host, port, {"op": "stats"})
+        assert stats["counters"]["compiles"] == 1
+        assert stats["counters"]["resident_hits"] == len(verbs)
+        assert stats["counters"]["store_hits"] == 0
+        m = await _request(host, port, {"op": "metrics"})
+        gauges = m["metrics"]["gauges"]
+        assert gauges["serve.counter.resident_hits"] == len(verbs)
+        assert gauges["serve.queue_depth"] == 0
+
+    asyncio.run(_with_telemetry_server(tmp_path, body))
+
+
+def _battery_kernels():
+    from repro.workloads import TABLE9
+
+    return {
+        "P5": dict(_compile_req(TABLE9["P5"].source(8)), params={}),
+        "histogram": {
+            "op": "compile",
+            "source": HISTOGRAM_KERNEL,
+            "params": {"N": 8},
+            "options": dict(OPTIONS, privatize=True),
+        },
+    }
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+@pytest.mark.parametrize("kernel", ["P5", "histogram"])
+def test_concurrent_runs_of_one_resident_kernel(tmp_path, kernel, backend):
+    """Simultaneous runs share one interpreter and one lowered plan and
+    must each answer what a fresh server answers once."""
+    req = dict(
+        _battery_kernels()[kernel], op="run", backend=backend, workers=2
+    )
+
+    async def fresh(host, port, server):
+        return await _request(host, port, req)
+
+    async def body(host, port, server):
+        assert (await _request(host, port, dict(req, op="compile")))["ok"]
+        return await asyncio.wait_for(
+            asyncio.gather(*(_request(host, port, req) for _ in range(8))),
+            120,
+        ), await _request(host, port, {"op": "stats"})
+
+    reference = asyncio.run(_with_server(str(tmp_path / "fresh"), fresh))
+    assert reference["ok"] and reference["match"] is True
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results, stats = asyncio.run(
+            _with_server(str(tmp_path / "resident"), body)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    for resp in results:
+        assert resp["ok"] and resp["status"] == "warm", resp
+        assert resp["match"] is True
+        assert resp["checksums"] == reference["checksums"]
+    assert stats["counters"]["compiles"] == 1
+    assert stats["counters"]["resident_hits"] == 8
+
+
+def test_failed_compile_is_not_retained(tmp_path):
+    async def body(host, port, server):
+        real, calls = server._compile_sync, []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("compile blew up")
+            return real(*args)
+
+        server._compile_sync = flaky
+        failed = await _request(host, port, _compile_req(TWO_NEST_COPY))
+        assert not failed["ok"] and "compile blew up" in failed["error"]
+        assert len(server.resident) == 0
+        again = await _request(host, port, _compile_req(TWO_NEST_COPY))
+        assert again["ok"] and again["status"] == "cold"  # re-attempted
+        assert len(calls) == 2 and len(server.resident) == 1
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+def test_resident_bound_evicts_to_the_verified_disk_path(
+    tmp_path, monkeypatch
+):
+    """RESIDENT_KERNELS + 1 keys: the oldest is dropped and its next
+    request is a load from disk again — store read and proof
+    re-verification included."""
+    from repro.schedule import legality
+
+    monkeypatch.setattr(server_mod, "RESIDENT_KERNELS", 3)
+    verified = []
+    real_verify = legality.verify_privatization
+
+    def counting(scop, proof):
+        verified.append(proof)
+        return real_verify(scop, proof)
+
+    monkeypatch.setattr(legality, "verify_privatization", counting)
+
+    async def body(host, port, server, log_path, trace_dir):
+        assert (await _request(host, port, _reduction_req()))["status"] == "cold"
+        at_cold = len(verified)  # the cold compile checks its own proof
+        hit = await _request(host, port, _reduction_req(rid="resident"))
+        assert hit["status"] == "warm" and hit["privatized"]
+        assert len(verified) == at_cold  # built here, not read back
+        for k in range(3):
+            resp = await _request(host, port, _compile_req(_variant(k)))
+            assert resp["status"] == "cold"
+            assert len(server.resident) <= 3
+        back = await _request(host, port, _reduction_req(rid="evicted"))
+        assert back["status"] == "warm" and back["privatized"]
+        assert len(verified) > at_cold  # off the disk: verified again
+        assert len(server.resident) == 3
+        r = await _request(host, port, {"op": "requests"})
+        rows = {row["rid"]: row for row in r["requests"]}
+        assert "store.get" not in rows["resident"]["span_names"]
+        assert rows["resident"]["tier"] == "memory"
+        assert {"store.get", "service.compile", "frontend.parse"} <= set(
+            rows["evicted"]["span_names"]
+        )
+        assert "tier" not in rows["evicted"]
+        stats = await _request(host, port, {"op": "stats"})
+        assert stats["counters"]["compiles"] == 4
+        assert stats["counters"]["store_hits"] == 1
+        assert stats["counters"]["resident_hits"] == 1
+
+    asyncio.run(_with_telemetry_server(tmp_path, body))
+
+
+def test_pending_compile_is_never_evicted(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_mod, "RESIDENT_KERNELS", 2)
+
+    async def body(host, port, server):
+        pending = asyncio.get_running_loop().create_future()
+        server.resident["still-compiling"] = pending  # the LRU position
+        try:
+            for k in range(4):
+                resp = await _request(host, port, _compile_req(_variant(k)))
+                assert resp["status"] == "cold"
+                assert "still-compiling" in server.resident
+                assert len(server.resident) <= 2
+            stats = await _request(host, port, {"op": "stats"})
+            assert stats["inflight"] == 1 and stats["resident"] == 2
+            health = await _request(host, port, {"op": "health"})
+            assert health["inflight_compiles"] == 1
+        finally:
+            del server.resident["still-compiling"]
+            pending.cancel()
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+def test_disk_is_the_trust_boundary_not_the_resident_object(tmp_path):
+    """Tampering with the stored proof of a resident reduction kernel
+    cannot reach the object this process verified; a process that must
+    load it from disk re-verifies, refuses it and recompiles."""
+    from repro.service import options_from_dict
+    from repro.store import ArtifactStore, artifact_key
+    from repro.store.disk import session_counters
+
+    run = _reduction_req("run", backend="threads", workers=2)
+
+    async def second_server(host, port, server):
+        before = session_counters().get("replay_failures", 0)
+        resp = await _request(host, port, _reduction_req())
+        assert resp["ok"] and resp["status"] == "cold" and resp["privatized"]
+        assert session_counters().get("replay_failures", 0) == before + 1
+
+    async def body(host, port, server):
+        first = await _request(host, port, run)
+        assert first["status"] == "cold" and first["match"] is True
+        store = ArtifactStore(str(tmp_path))
+        key = artifact_key(
+            DOTPROD, {"N": 32}, options_from_dict(run["options"])
+        )
+        assert key == first["key"]
+        store.put(key, _tampered(store.get(key)))
+        for _ in range(2):
+            resp = await _request(host, port, run)
+            assert resp["status"] == "warm" and resp["match"] is True
+            assert resp["checksums"] == first["checksums"]
+        await _with_server(str(tmp_path), second_server)
 
     asyncio.run(_with_server(str(tmp_path), body))
 
@@ -230,8 +533,8 @@ def test_error_requests_land_in_log_and_metrics(tmp_path):
     async def body(host, port, server):
         bad = await _request(
             host, port, {"op": "compile", "rid": "bad-1"}
-        )  # no source -> KeyError
-        assert not bad["ok"]
+        )  # no source
+        assert not bad["ok"] and bad["error"].startswith("bad request")
         r = await _request(host, port, {"op": "requests"})
         row = next(x for x in r["requests"] if x["rid"] == "bad-1")
         assert row["ok"] is False and "error" in row
@@ -276,16 +579,26 @@ def test_request_trace_nests_store_and_compile_tiers(tmp_path):
     service/store/compile span tree, exported per request."""
     import os
 
+    async def disk_warm(host, port, server, log_path, trace_dir):
+        warm = await _request(
+            host, port, dict(_compile_req(TWO_NEST_COPY), rid="t-warm")
+        )
+        assert warm["status"] == "warm"
+        r = await _request(host, port, {"op": "requests"})
+        return r["requests"], trace_dir
+
     async def body(host, port, server, log_path, trace_dir):
         cold = await _request(
             host, port, dict(_compile_req(TWO_NEST_COPY), rid="t-cold")
         )
-        warm = await _request(
-            host, port, dict(_compile_req(TWO_NEST_COPY), rid="t-warm")
-        )
-        assert cold["status"] == "cold" and warm["status"] == "warm"
+        assert cold["status"] == "cold"
         r = await _request(host, port, {"op": "requests"})
-        rows = {row["rid"]: row for row in r["requests"]}
+        # the disk-warm leg: a second server process on the same cache
+        # dir (this one would answer from its resident kernel)
+        warm_rows, warm_traces = await _with_telemetry_server(
+            tmp_path, disk_warm
+        )
+        rows = {row["rid"]: row for row in r["requests"] + warm_rows}
         cold_names = set(rows["t-cold"]["span_names"])
         # serve tier, service tier and store tier all present
         assert {"serve.request", "service.compile", "store.put"} <= cold_names

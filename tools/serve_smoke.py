@@ -1,7 +1,11 @@
 #!/usr/bin/env python
 """CI smoke for ``repro serve``: start the real CLI server, send two
 identical compile requests plus one distinct, and assert the server paid
-exactly two compiles (the repeat was answered from the artifact store).
+exactly two compiles — the repeat was answered from the kernel the
+process keeps resident (no store read).  Then restart the server on the
+same cache directory and assert the disk-warm contract there: the first
+request of the key in the new process is a store read, answered
+``warm``.
 
 With telemetry (the default), additionally asserts the service-grade
 observability contract end to end:
@@ -9,7 +13,8 @@ observability contract end to end:
 * every request produced a complete span tree — the ``serve.request``
   root parents the service tier (``service.compile``), the store tier
   (``store.get``/``store.put``) and, for a cold compile, the driver's
-  compile phases — exported as a per-request Perfetto trace;
+  compile phases — exported as a per-request Perfetto trace; a resident
+  hit's tree is the root alone;
 * the ``metrics`` verb answers Prometheus text with per-verb and
   per-cache-status latency quantile series;
 * a ``repro top`` snapshot renders from live polls.
@@ -60,9 +65,29 @@ def wait_for_announce(proc: subprocess.Popen, timeout: float = 60.0):
     raise SystemExit("timed out waiting for the serve announcement")
 
 
-def check_span_tree(trace_dir: str, rid: str, required: set[str]) -> None:
+def start_server(env: dict, store_dir: str, log_path: str, trace_dir: str):
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0",
+            "--cache-dir", store_dir,
+            "--workers", "2",
+            "--request-log", log_path,
+            "--trace-dir", trace_dir,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def check_span_tree(
+    trace_dir: str, rid: str, required: set[str],
+    forbidden: frozenset[str] = frozenset(),
+) -> None:
     """One request's trace must exist, nest under its root span, and
-    contain every required tier."""
+    contain every required tier (and none of the forbidden ones)."""
     from repro.bench.trace import validate_trace_document
 
     path = os.path.join(trace_dir, f"request-{rid}.json")
@@ -75,6 +100,9 @@ def check_span_tree(trace_dir: str, rid: str, required: set[str]) -> None:
     names = {e["name"] for e in events}
     missing = required - names
     assert not missing, f"{rid}: span tree missing tiers {missing}"
+    assert not forbidden & names, (
+        f"{rid}: span tree has {forbidden & names}"
+    )
     roots = [e for e in events if e["name"] == "serve.request"]
     assert len(roots) == 1, f"{rid}: expected one root span, got {roots}"
     lo = roots[0]["ts"]
@@ -102,20 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         log_path = os.path.join(tmp, "requests.jsonl")
         trace_dir = os.path.join(tmp, "traces")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0",
-                "--cache-dir", os.path.join(tmp, "store"),
-                "--workers", "2",
-                "--request-log", log_path,
-                "--trace-dir", trace_dir,
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        store_dir = os.path.join(tmp, "store")
+        proc = start_server(env, store_dir, log_path, trace_dir)
         prom_text = ""
         try:
             host, port = wait_for_announce(proc)
@@ -134,13 +150,15 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"statuses: {first['status']}, {again['status']}, "
                 f"{other['status']}; compiles={stats['compiles']} "
+                f"resident_hits={stats['resident_hits']} "
                 f"store_hits={stats['store_hits']}"
             )
             assert first["status"] == "cold", first
             assert again["status"] == "warm", again
             assert other["status"] == "cold", other
             assert stats["compiles"] == 2, stats
-            assert stats["store_hits"] == 1, stats
+            assert stats["resident_hits"] == 1, stats
+            assert stats["store_hits"] == 0, stats
             assert first.get("rid") == cold_rid, first
 
             # -- per-request span trees: all three tiers present -------
@@ -149,10 +167,12 @@ def main(argv: list[str] | None = None) -> int:
                 {"serve.request", "service.compile", "store.put"},
             )
             check_span_tree(
-                trace_dir, warm_rid,
-                {"serve.request", "service.compile", "store.get"},
+                trace_dir, warm_rid, {"serve.request"},
+                forbidden=frozenset(
+                    {"frontend.parse", "service.compile", "store.get"}
+                ),
             )
-            print(f"span trees OK: {cold_rid} (cold), {warm_rid} (warm)")
+            print(f"span trees OK: {cold_rid} (cold), {warm_rid} (resident)")
 
             # -- Prometheus export: latency quantiles per verb/status --
             metrics = client.metrics()
@@ -194,9 +214,29 @@ def main(argv: list[str] | None = None) -> int:
             assert cold_rid in by_rid and warm_rid in by_rid, by_rid
             assert by_rid[cold_rid]["status"] == "cold"
             assert by_rid[warm_rid]["status"] == "warm"
+            assert by_rid[warm_rid]["tier"] == "memory"
             assert by_rid[cold_rid]["compile_ms"] > 0
             assert "queue_wait_ms" in by_rid[cold_rid]
             print(f"request log OK: {len(entries)} entries")
+
+            # -- restart on the same cache dir: the disk-warm contract --
+            proc = start_server(env, store_dir, log_path, trace_dir)
+            host, port = wait_for_announce(proc)
+            client = ServeClient(host, port)
+            disk = client.compile(source, options=dict(OPTIONS))
+            disk_rid = client.last_rid
+            stats = client.stats()["counters"]
+            assert disk.get("ok") and disk["status"] == "warm", disk
+            assert stats["store_hits"] == 1, stats
+            assert stats["compiles"] == 0, stats
+            assert stats["resident_hits"] == 0, stats
+            check_span_tree(
+                trace_dir, disk_rid,
+                {"serve.request", "service.compile", "store.get"},
+            )
+            client.shutdown()
+            proc.wait(timeout=30)
+            print(f"restart OK: {disk_rid} answered warm from disk")
 
             if args.artifacts:
                 os.makedirs(args.artifacts, exist_ok=True)
@@ -216,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
                 proc.kill()
                 proc.wait()
     print(
-        "serve smoke OK: 3 requests, exactly 2 compiles, telemetry "
-        "contract verified"
+        "serve smoke OK: 3 requests, exactly 2 compiles, resident and "
+        "disk-warm tiers and telemetry contract verified"
     )
     return 0
 
