@@ -85,6 +85,8 @@ def check_packing(
     slot_owner: dict[int, tuple[str, int]] = {}
     reported = 0
     for nest in ast.nests:
+        if not nest.blocks:
+            continue  # empty domain: no task, no slot, no packer
         name = nest.statement
         packer = packers.get(name)
         col = columns.get(name)

@@ -2,8 +2,8 @@
 
 :func:`transform` runs frontend → SCoP → Algorithm 1 → Algorithm 2 →
 task graph, optionally verifies the transformation (legality check and/or
-a real threaded execution compared against the sequential interpreter),
-and simulates performance — returning everything in one
+one replay of the lowered task program compared against the sequential
+interpreter), and simulates performance — returning everything in one
 :class:`TransformResult`.
 
     from repro import transform
@@ -16,6 +16,7 @@ and simulates performance — returning everything in one
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -39,15 +40,13 @@ from .schedule import (
     generate_task_ast,
 )
 from .scop import DepKind, Scop
-from .tasking import (
-    SimResult,
-    TaskGraph,
-    bind_interpreter_actions,
-    execute,
-    hybrid_task_graph,
-    simulate,
-)
+from .tasking import SimResult, TaskGraph, hybrid_task_graph, simulate
 from .workloads import CostModel
+
+
+#: Backend of the verification replay when no ``exec_backend`` asks for
+#: a measured one: threads, so an unordered pair can still race.
+VERIFY_BACKEND = "threads"
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,10 @@ class TransformOptions:
     #: run the static-analysis subsystem (packing / token-coverage / race
     #: checks, rule codes RPA04x) and fail on error diagnostics
     static_checks: bool = False
-    #: execute pipelined on threads and compare with sequential output
+    #: replay the lowered task program (on ``exec_backend``; on threads
+    #: when none is set) and compare with sequential output
     verify: bool = True
-    #: worker threads for verification and simulation
+    #: workers for the replay and the simulation
     workers: int = 4
     #: per-task overhead charged by the simulator
     overhead: float = 0.0
@@ -165,10 +165,12 @@ class TransformResult:
                 + f" ({len(self.diagnostics)} finding(s))"
             )
         if self.verified is not None:
-            lines.append(
-                "threaded execution matches sequential: "
-                f"{self.verified}"
-            )
+            if self.options.hybrid:
+                replayed = "hybrid graph execution"
+            else:
+                backend = self.options.exec_backend or VERIFY_BACKEND
+                replayed = f"{backend} replay"
+            lines.append(f"{replayed} matches sequential: {self.verified}")
         if self.tuning is not None:
             lines.append(self.tuning.summary())
         if self.portfolio is not None:
@@ -207,8 +209,8 @@ class Analysis:
     hands out: :func:`analyze` builds one from scratch, the warm path in
     :mod:`repro.service.compile` rebuilds an equivalent one from a
     stored artifact, and :func:`_finish` turns either into a
-    :class:`TransformResult` by running verification / measured
-    execution / simulation on top.
+    :class:`TransformResult` by running the oracle, the one (verified,
+    measured) plan replay and the simulation on top.
     """
 
     info: PipelineInfo
@@ -235,6 +237,10 @@ def transform(
     cache_dir: str | None = None,
 ) -> TransformResult:
     """Detect, schedule, verify and simulate the cross-loop pipeline.
+
+    With ``verify`` the program executes exactly twice — the sequential
+    oracle and one replay of the lowered plan, whose arrays must be
+    bit-identical (see :func:`_finish`; ``hybrid`` adds its graph run).
 
     ``cache_dir`` points at a content-addressed artifact store
     (:mod:`repro.store`): identical ``(source, params, options)``
@@ -404,57 +410,91 @@ def _finish(
     options: TransformOptions,
     a: Analysis,
 ) -> TransformResult:
-    """Verification, measured execution and simulation over an analysis."""
+    """One oracle run, one plan replay, one compare; then simulation.
+
+    "Verified" means what ``repro serve`` means by it for ``run``: the
+    arrays of the plan replay that is returned are bit-identical to a
+    fresh sequential oracle (``privatized_matches`` for reductions).
+    The replay is the lowered :class:`~repro.interp.plan.ExecPlan` on
+    ``options.exec_backend`` — or, when only ``verify`` asks for one, on
+    :data:`VERIFY_BACKEND` at ``options.workers``; ``execution`` is
+    filled only for a requested backend.
+
+    ``hybrid`` is the exception, stated here once: its relaxed graph is
+    not what ``ExecPlan`` lowers, so verifying it means running that
+    graph on the graph-action executor (:func:`repro.tasking.execute`),
+    the option's only engine; a requested ``exec_backend`` still replays
+    the standard plan after it.
+    """
     from .obs.spans import span
 
-    if a.privatized:
-        return _finish_privatized(interp, options, a)
+    def require_match(out: ArrayStore, what: str) -> None:
+        if a.privatized:
+            from .interp import privatized_matches
 
-    scop = interp.scop
-    verified: bool | None = None
+            ok, detail = privatized_matches(a.plan, seq, out)
+        else:
+            ok = seq.equal(out)
+            detail = "" if ok else f"max abs diff {seq.max_abs_diff(out):g}"
+        if not ok:
+            raise VerificationFailedError(
+                f"{what} diverged from the sequential execution ({detail})"
+            )
+
+    backend = options.exec_backend
+    if backend is None and options.verify and not options.hybrid:
+        backend = VERIFY_BACKEND
     seq: ArrayStore | None = None
-    if options.verify:
-        with span("driver.verify"):
-            seq = interp.run_sequential(interp.new_store())
-            par = interp.new_store()
-            bind_interpreter_actions(a.graph, interp, par)
-            execute(a.graph, workers=options.workers)
-            verified = seq.equal(par)
-        if not verified:
-            raise VerificationFailedError(
-                "pipelined arrays differ from the sequential execution "
-                f"(max abs diff {seq.max_abs_diff(par):g})"
-            )
-
     execution: ExecutionStats | None = None
-    if options.exec_backend is not None:
-        ex_store, execution = execute_measured(
-            interp,
-            a.info,
-            backend=options.exec_backend,
-            workers=options.workers,
-            cost_of_block=options.cost_model.block_cost,
-            collect_events=options.collect_events,
-            task_ast=a.task_ast,
-        )
-        if seq is not None and not seq.equal(ex_store):
-            raise VerificationFailedError(
-                f"measured {options.exec_backend} execution diverged from "
-                f"sequential (max abs diff {seq.max_abs_diff(ex_store):g})"
+    verifying = (
+        span("driver.verify", backend="graph" if options.hybrid else backend)
+        if options.verify
+        else nullcontext()
+    )
+    with verifying:
+        if options.verify:
+            seq = interp.run_sequential(interp.new_store())
+            if options.hybrid:
+                from .tasking import bind_interpreter_actions, execute
+
+                par = interp.new_store()
+                bind_interpreter_actions(a.graph, interp, par)
+                execute(a.graph, workers=options.workers)
+                require_match(par, "hybrid graph execution")
+        if backend is not None:
+            measured = options.exec_backend is not None
+            replay = dict(
+                backend=backend,
+                workers=options.workers,
+                cost_of_block=options.cost_model.block_cost,
+                collect_events=measured and options.collect_events,
+                task_ast=a.task_ast,
             )
+            if a.privatized:
+                from .interp import execute_privatized
+
+                out, stats = execute_privatized(
+                    interp, a.info, a.plan, **replay
+                )
+            else:
+                out, stats = execute_measured(interp, a.info, **replay)
+            if measured:
+                execution = stats
+            if seq is not None:
+                require_match(out, f"{backend} plan replay")
 
     sim = simulate(
         a.graph, workers=options.workers, overhead=options.overhead
     )
     return TransformResult(
-        scop=scop,
+        scop=interp.scop,
         info=a.info,
         schedule=a.schedule,
         task_ast=a.task_ast,
         graph=a.graph,
         options=options,
         legality=a.legality,
-        verified=verified,
+        verified=None if seq is None else True,
         simulation=sim,
         diagnostics=a.diagnostics,
         execution=execution,
@@ -539,68 +579,4 @@ def _analyze_privatized(
         plan=plan,
         joins=tuple(joins),
         privatized=True,
-    )
-
-
-def _finish_privatized(
-    interp: Interpreter,
-    options: TransformOptions,
-    a: Analysis,
-) -> TransformResult:
-    from .interp import execute_privatized, privatized_matches
-    from .obs.spans import span
-
-    scop = interp.scop
-    plan = a.plan
-    verified: bool | None = None
-    seq: ArrayStore | None = None
-    if options.verify:
-        with span("driver.verify", privatize=True):
-            seq = interp.run_sequential(interp.new_store())
-            out, _ = execute_privatized(
-                interp, a.info, plan, backend="serial",
-                workers=options.workers, task_ast=a.task_ast,
-            )
-            verified, detail = privatized_matches(plan, seq, out)
-        if not verified:
-            raise VerificationFailedError(
-                "privatized execution diverged from sequential: " + detail
-            )
-
-    execution: ExecutionStats | None = None
-    if options.exec_backend is not None:
-        ex_store, execution = execute_privatized(
-            interp,
-            a.info,
-            plan,
-            backend=options.exec_backend,
-            workers=options.workers,
-            cost_of_block=options.cost_model.block_cost,
-            collect_events=options.collect_events,
-            task_ast=a.task_ast,
-        )
-        if seq is not None:
-            ok, detail = privatized_matches(plan, seq, ex_store)
-            if not ok:
-                raise VerificationFailedError(
-                    f"measured {options.exec_backend} privatized execution "
-                    "diverged from sequential: " + detail
-                )
-
-    sim = simulate(
-        a.graph, workers=options.workers, overhead=options.overhead
-    )
-    return TransformResult(
-        scop=scop,
-        info=a.info,
-        schedule=a.schedule,
-        task_ast=a.task_ast,
-        graph=a.graph,
-        options=options,
-        legality=a.legality,
-        verified=verified,
-        simulation=sim,
-        execution=execution,
-        portfolio=a.portfolio,
-        privatization=plan,
     )

@@ -485,6 +485,21 @@ class FusedProgram:
 
     entries: dict[str, FuseEntry]
     chains: dict[str, FusedKernel] = field(default_factory=dict)
+    #: :func:`fusion_legal_pair` verdicts by ``(src, tgt)`` statement
+    #: names.  A verdict is a function of the SCoP alone, so it is
+    #: decided once, travels with the plan (:meth:`to_dict`) and a warm
+    #: process asks no Presburger question when it plans its chains.
+    legal_pairs: dict[tuple[str, str], bool] = field(default_factory=dict)
+
+    def fusion_legal(self, scop, src, tgt) -> bool:
+        """Memoized :func:`fusion_legal_pair` of two statements."""
+        key = (src.name, tgt.name)
+        verdict = self.legal_pairs.get(key)
+        if verdict is None:
+            verdict = self.legal_pairs[key] = fusion_legal_pair(
+                scop, src, tgt
+            )
+        return verdict
 
     def get(self, statement: str) -> FusedKernel | None:
         entry = self.entries.get(statement)
@@ -542,6 +557,10 @@ class FusedProgram:
                 label: kernel.spec.to_dict()
                 for label, kernel in sorted(self.chains.items())
             },
+            "legal_pairs": [
+                [src, tgt, verdict]
+                for (src, tgt), verdict in sorted(self.legal_pairs.items())
+            ],
         }
 
     @classmethod
@@ -561,7 +580,13 @@ class FusedProgram:
             label: build_closure(ClosureSpec.from_dict(spec))
             for label, spec in d.get("chains", {}).items()
         }
-        return cls(entries, chains)
+        # absent in artifacts written before the table existed: the
+        # verdicts are then recomputed on first use
+        legal_pairs = {
+            (src, tgt): bool(verdict)
+            for src, tgt, verdict in d.get("legal_pairs", ())
+        }
+        return cls(entries, chains, legal_pairs)
 
     def require_full(self) -> None:
         """Raise SemanticError unless every statement fused (mode=on)."""
@@ -627,7 +652,11 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
     ``program`` so worker processes can look them up by label).
 
     A nest joins the current group only when every condition that makes
-    the merge observationally equivalent holds:
+    the merge observationally equivalent holds.  The structural ones are
+    evaluated against ``ast`` on every call; the ``fusion_legal_pair``
+    verdict depends on the SCoP only and is memoized on ``program``
+    (:meth:`FusedProgram.fusion_legal`), so a plan loaded from the store
+    answers it from its table:
 
     * all members have fused single-statement kernels;
     * identical blocking — same block count and bit-identical iteration
@@ -671,18 +700,20 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
                 np.asarray(a.iterations), np.asarray(b.iterations)
             ):
                 return False
-        for n in group:
-            if not fusion_legal_pair(
-                scop, stmt_of[n.statement], stmt_of[nxt.statement]
-            ):
-                return False
         members = {n.statement for n in group}
         ends = {n.statement: [blk.end for blk in n.blocks] for n in group}
         for b, blk in enumerate(nxt.blocks):
             for s, end in blk.in_tokens:
                 if s in members and tuple(end) > tuple(ends[s][b]):
                     return False
-        return True
+        # the one Presburger question, asked last and answered from the
+        # plan's verdict table when it has been decided before
+        return all(
+            program.fusion_legal(
+                scop, stmt_of[n.statement], stmt_of[nxt.statement]
+            )
+            for n in group
+        )
 
     def build(run: list) -> list[list]:
         groups: list[list] = []
@@ -722,7 +753,9 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
         spec = ClosureSpec(
             tuple(member_specs[n.statement] for n in group)
         )
-        kernel = build_closure(spec)
-        program.add_chain(label, kernel)
+        kernel = program.chains.get(label)
+        if kernel is None or kernel.spec != spec:
+            kernel = build_closure(spec)
+            program.add_chain(label, kernel)
         chain_kernels[label] = kernel
     return groups, chain_kernels

@@ -173,7 +173,7 @@ def lower_exec_plan(
         for group in groups:
             label = chain_label(tuple(n.statement for n in group))
             last = group[-1]
-            col, packer = columns[last.statement], packers[last.statement]
+            col = columns[last.statement]
             members = {n.statement for n in group}
             pgroup = group_of.get(label)
             # A fused stream's hot path is one closure call over the
@@ -186,7 +186,7 @@ def lower_exec_plan(
             for b, block in enumerate(last.blocks):
                 blocks = tuple(n.blocks[b] for n in group)
                 in_tok = _external_tokens(blocks, members)
-                out = packer.pack(block.end)
+                out = packers[last.statement].pack(block.end)
                 payload = {"statement": label, "iters": blocks[0].iterations}
                 if kernel is not None:
                     payload["rects"] = rectangles(blocks[0].iterations)

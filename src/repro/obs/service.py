@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from collections import deque
@@ -59,6 +60,12 @@ _PRUNE_AGE_NS = 60 * 1_000_000_000
 
 #: Cap of runtime task events replayed into a single request trace.
 _MAX_EVENT_SPANS = 512
+
+
+#: A client-proposed request id is adopted only in this shape: it names
+#: a trace file (``request-<rid>.json``), so it must not carry path
+#: separators, and it is echoed into logs and metrics.
+_CLIENT_RID = re.compile(r"[A-Za-z0-9_-]{1,64}")
 
 
 def make_request_id(counter: int) -> str:
@@ -226,11 +233,15 @@ class RequestTelemetry:
         self._finished = 0
 
     # ------------------------------------------------------------------
-    def begin(self, op: str, rid: str | None = None) -> _Request:
+    def begin(self, op: str, rid: object = None) -> _Request:
+        """Open a request; ``rid`` is whatever the client sent and is
+        replaced by a server-assigned id unless it is well-formed."""
         with self._lock:
             self._seq += 1
             seq = self._seq
-        req = _Request(self, rid or make_request_id(seq), op)
+        if not (isinstance(rid, str) and _CLIENT_RID.fullmatch(rid)):
+            rid = make_request_id(seq)
+        req = _Request(self, rid, op)
         with self._lock:
             if req.root_id:
                 self._inflight[req.root_id] = req.rid

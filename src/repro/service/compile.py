@@ -7,7 +7,9 @@ kernel source text and the options, it either
   rebuilds the :class:`~repro.driver.Analysis` against a freshly
   extracted SCoP, and — mandatorily — re-verifies every privatization
   proof through :func:`repro.schedule.legality.verify_privatization`
-  (via ``plan_from_proofs``); or
+  (via ``plan_from_proofs``); the fused program (closure specs and
+  chain-fusion verdicts) is adopted as stored — what it plans is
+  checked where every execution is, by the oracle compare; or
 * **cold** — runs :func:`repro.driver.analyze` and persists its outputs
   as one checksummed artifact.
 
@@ -89,8 +91,16 @@ def build_artifact(
     fused = None
     if options.fuse != "off":
         # Force the (lazy) fusion plan now: serving means a warm process
-        # must never pay the per-statement Presburger legality analysis.
-        fused = interp.fused_program.to_dict()
+        # must never pay a Presburger legality analysis — neither the
+        # per-statement one nor, for the standard spine (the privatized
+        # one merges no chains), the per-pair chain-fusion verdicts that
+        # planning the chain groups here leaves in the plan's table.
+        program = interp.fused_program
+        if not analysis.privatized:
+            from ..interp.fused import plan_chain_groups
+
+            plan_chain_groups(interp.scop, analysis.task_ast, program)
+        fused = program.to_dict()
 
     proofs: list[dict] = []
     plan = analysis.plan

@@ -41,8 +41,9 @@ resident or not.  A malformed request is refused with
 connection is closed).
 
 Telemetry (on by default, ``telemetry=False`` to disable): every
-request gets an id (client-proposed via ``"rid"`` or server-assigned)
-whose root span parents the whole service span tree — ``service.compile``
+request gets an id (a client's ``"rid"`` when it is a string matching
+``[A-Za-z0-9_-]{1,64}``, else server-assigned — the reply echoes the one
+in force) whose root span parents the whole service span tree — ``service.compile``
 → ``store.get``/``put`` → driver compile phases, and for ``run``
 requests the measured runtime task events — exported per request as a
 Perfetto trace (``trace_dir``) and as one structured JSONL line

@@ -210,6 +210,148 @@ def test_transform_generates_and_lowers_the_task_ast_once(
 
 
 # ----------------------------------------------------------------------
+# chain-fusion verdicts: decided at compile, carried in the fusion plan
+# ----------------------------------------------------------------------
+#: Every T instance reads A[1][0].  S and T get the identical blocking
+#: whose first block is row 0 plus (1,0) — two rectangles — and every
+#: token resolves at its own block index, so the chain S+T passes each
+#: structural condition; a chain closure would run T over row 0 before
+#: S writes A[1][0].  Only the ``fusion_legal_pair`` verdict stops it.
+BACKWARD_IN_BLOCK = """
+for(i=0; i<N; i++)
+  for(j=0; j<N; j++)
+    S: A[i][j] = f(A[i][j]);
+for(i=0; i<N; i++)
+  for(j=0; j<N; j++)
+    T: B[i][j] = g(A[i][j], A[1][0]);
+"""
+
+
+def _forged_verdicts(artifact):
+    """Flip every illegal chain-fusion verdict to legal."""
+    import dataclasses
+
+    table = artifact.fused["legal_pairs"]
+    assert [v for *_, v in table].count(False) >= 1
+    fused = dict(artifact.fused, legal_pairs=[[s, t, True] for s, t, _ in table])
+    return dataclasses.replace(artifact, fused=fused)
+
+
+@pytest.fixture
+def fusion_verdict_calls(monkeypatch):
+    """The ``(src, tgt)`` pairs ``fusion_legal_pair`` is asked about."""
+    from repro.interp import fused
+
+    calls = []
+    real = fused.fusion_legal_pair
+    monkeypatch.setattr(
+        fused,
+        "fusion_legal_pair",
+        lambda scop, src, tgt: calls.append((src.name, tgt.name))
+        or real(scop, src, tgt),
+    )
+    return calls
+
+
+def test_warm_transform_derives_no_verdict_and_executes_once(
+    tmp_path, monkeypatch, fusion_verdict_calls
+):
+    """Warm one-shot = parse + load + one oracle + one replay + compare:
+    the Presburger question is answered from the stored table, while
+    the structural chain conditions are still evaluated at lowering."""
+    from repro.driver import transform
+    from repro.interp import plan as plan_mod
+    from repro.obs import spans as obs_spans
+
+    oracle_runs, chain_plans = [], []
+    real_seq = Interpreter.run_sequential
+    monkeypatch.setattr(
+        Interpreter,
+        "run_sequential",
+        lambda self, store: oracle_runs.append(1) or real_seq(self, store),
+    )
+    real_plan = plan_mod.plan_chain_groups
+    monkeypatch.setattr(
+        plan_mod,
+        "plan_chain_groups",
+        lambda *a: chain_plans.append(1) or real_plan(*a),
+    )
+    opts = TransformOptions(exec_backend="serial", workers=2)
+
+    def one_shot():
+        del fusion_verdict_calls[:], oracle_runs[:], chain_plans[:]
+        with obs_spans.recording() as rec:
+            result = transform(
+                TWO_NEST_COPY, {"N": 8}, opts, cache_dir=str(tmp_path)
+            )
+        assert result.verified is True
+        assert result.execution.fused_chains == (("S", "T"),)
+        names = [s.name for s in rec.spans]
+        return (
+            list(fusion_verdict_calls),
+            len(oracle_runs),
+            names.count("exec.measured"),
+            len(chain_plans),
+        )
+
+    assert one_shot() == ([("S", "T")], 1, 1, 1)  # cold: asked once
+    assert one_shot() == ([], 1, 1, 1)  # warm: from the table
+
+
+def test_verdict_table_round_trips_and_is_optional(
+    tmp_path, fusion_verdict_calls
+):
+    import dataclasses
+
+    from repro.interp.fused import FusedProgram
+
+    store = ArtifactStore(str(tmp_path))
+    opts = _options()
+    key = artifact_key(TWO_NEST_COPY, {"N": 8}, opts)
+    _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    artifact = store.get(key)
+    assert artifact.fused["legal_pairs"] == [["S", "T", True]]
+    wire = json.loads(json.dumps(artifact.fused))
+    program = FusedProgram.from_dict(wire)
+    assert program.legal_pairs == {("S", "T"): True}
+    assert program.to_dict() == artifact.fused
+
+    # an artifact written before the table existed still loads warm;
+    # its verdicts are recomputed when the chains are planned
+    legacy = {k: v for k, v in artifact.fused.items() if k != "legal_pairs"}
+    store.put(key, dataclasses.replace(artifact, fused=legacy))
+    del fusion_verdict_calls[:]
+    interp, warm, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    assert status == "warm" and fusion_verdict_calls == []
+    _, stats = execute_measured(interp, warm.info, task_ast=warm.task_ast)
+    assert fusion_verdict_calls == [("S", "T")]
+    assert stats.fused_chains == (("S", "T"),)
+
+
+def test_forged_verdict_ends_in_verification_failure(tmp_path):
+    """The stored table has the standing of the stored ClosureSpecs: it
+    is trusted to plan, and what it planned is caught by the oracle
+    compare — a forged "legal" never reaches a returned result."""
+    from repro.driver import VerificationFailedError, transform
+
+    opts = TransformOptions(exec_backend="serial", workers=2)
+    params = {"N": 4}
+    honest = transform(
+        BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path)
+    )
+    assert honest.verified is True
+    assert honest.execution.fused_chains == ()
+
+    store = ArtifactStore(str(tmp_path))
+    key = artifact_key(BACKWARD_IN_BLOCK, params, opts)
+    artifact = store.get(key)
+    assert artifact.fused["legal_pairs"] == [["S", "T", False]]
+    store.put(key, _forged_verdicts(artifact))
+    with pytest.raises(VerificationFailedError, match="serial plan replay"):
+        transform(BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path))
+
+
+# ----------------------------------------------------------------------
 # privatization proofs: durable, never trusted
 # ----------------------------------------------------------------------
 def _tampered(artifact):

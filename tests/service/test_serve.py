@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import sys
 
 import pytest
@@ -13,7 +14,12 @@ from repro.service.server import serve
 
 from ..conftest import TWO_NEST_COPY
 from ..test_cli import HISTOGRAM_KERNEL
-from .test_compile import DOTPROD, _tampered
+from .test_compile import (
+    BACKWARD_IN_BLOCK,
+    DOTPROD,
+    _forged_verdicts,
+    _tampered,
+)
 
 DISTINCT = TWO_NEST_COPY + "\n// distinct kernel\n"
 
@@ -457,6 +463,37 @@ def test_disk_is_the_trust_boundary_not_the_resident_object(tmp_path):
     asyncio.run(_with_server(str(tmp_path), body))
 
 
+def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
+    """A forged "legal" verdict in a stored fusion plan merges a chain
+    that reorders a dependence; the run's oracle compare reports it."""
+    from repro.driver import transform
+    from repro.service import options_from_dict
+    from repro.store import ArtifactStore, artifact_key
+
+    options = {"workers": 2}
+    opts, params = options_from_dict(options), {"N": 4}
+    transform(BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path))
+    store = ArtifactStore(str(tmp_path))
+    key = artifact_key(BACKWARD_IN_BLOCK, params, opts)
+    req = {
+        "op": "run", "source": BACKWARD_IN_BLOCK, "params": params,
+        "options": options, "backend": "serial",
+    }
+
+    async def honest(host, port, server):
+        resp = await _request(host, port, req)
+        assert resp["status"] == "warm" and resp["match"] is True
+
+    async def forged(host, port, server):
+        resp = await _request(host, port, req)
+        assert resp["ok"] and resp["key"] == key
+        assert resp["status"] == "warm" and resp["match"] is False
+
+    asyncio.run(_with_server(str(tmp_path), honest))
+    store.put(key, _forged_verdicts(store.get(key)))
+    asyncio.run(_with_server(str(tmp_path), forged))
+
+
 # ----------------------------------------------------------------------
 # service-grade telemetry: new verbs, rid propagation, request traces
 # ----------------------------------------------------------------------
@@ -512,6 +549,40 @@ def test_client_rid_echoed_only_when_sent(tmp_path):
         assert tagged["rid"] == "my-rid"
 
     asyncio.run(_with_server(str(tmp_path), body))
+
+
+@pytest.mark.parametrize(
+    "rid", ["../../x", "a/b", "", "x" * 65, 7, ["../x"], {"a": 1}]
+)
+def test_malformed_rid_is_replaced_and_writes_nothing_outside_trace_dir(
+    tmp_path, rid
+):
+    """A client ``rid`` names the trace file: anything but
+    ``[A-Za-z0-9_-]{1,64}`` is dropped for a server-assigned id."""
+    import os
+
+    def files():
+        return sorted(
+            os.path.relpath(os.path.join(d, f), tmp_path)
+            for d, _, fs in os.walk(tmp_path)
+            for f in fs
+        )
+
+    async def body(host, port, server, log_path, trace_dir):
+        before = files()
+        resp = await _request(host, port, {"op": "ping", "rid": rid})
+        assert resp["ok"]
+        assigned = resp["rid"]
+        assert assigned != rid
+        assert re.fullmatch(r"[A-Za-z0-9_-]{1,64}", assigned)
+        # the one new file is this request's trace, inside trace_dir
+        assert set(files()) - set(before) - {"requests.jsonl"} == {
+            os.path.join("traces", f"request-{assigned}.json")
+        }
+        rows = await _request(host, port, {"op": "requests"})
+        assert assigned in [row["rid"] for row in rows["requests"]]
+
+    asyncio.run(_with_telemetry_server(tmp_path, body))
 
 
 def test_serve_client_generates_rids(tmp_path):

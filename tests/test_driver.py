@@ -139,3 +139,123 @@ class TestOptions:
             funcs={"myfn": lambda x: x + 1.0},
         )
         assert result.verified
+
+
+HISTOGRAM = """
+for(i=0; i<N; i++)
+  for(j=0; j<N; j++)
+    S: H[i][j] += A[i][j];
+for(i=0; i<N; i++)
+  for(j=0; j<N; j++)
+    R: H[N-1-i][N-1-j] += B[i][j];
+"""
+
+
+class TestOneVerificationReplay:
+    """``verify`` = one oracle run + one replay of the plan that is
+    returned; only ``hybrid`` adds its own graph run."""
+
+    @pytest.fixture
+    def executions(self, monkeypatch):
+        """Counts of every way ``transform`` can execute the program."""
+        import repro.tasking
+        from repro.interp import Interpreter
+        from repro.interp import plan as plan_mod
+        from repro.interp import privexec
+
+        seen = {"oracle": 0, "graph": 0, "replay": []}
+
+        def counted(owner, name, note):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                note(*args, **kwargs)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def bump(key):
+            return lambda *a, **k: seen.__setitem__(key, seen[key] + 1)
+
+        counted(Interpreter, "run_sequential", bump("oracle"))
+        counted(repro.tasking, "execute", bump("graph"))
+        for owner in (plan_mod, privexec):  # privexec binds it at import
+            counted(
+                owner, "run_plan",
+                lambda interp, plan, backend, *a, **k: seen["replay"].append(
+                    backend
+                ),
+            )
+        return seen
+
+    @pytest.mark.parametrize(
+        "source,options,replayed",
+        [
+            pytest.param(LISTING1, {}, "threads", id="default"),
+            pytest.param(
+                LISTING1, {"exec_backend": "serial"}, "serial", id="serial"
+            ),
+            pytest.param(
+                LISTING1,
+                {"exec_backend": "threads", "reduce_deps": True, "coarsen": 2},
+                "threads",
+                id="threads-reduced",
+            ),
+            pytest.param(
+                LISTING3,
+                {"fuse": "off", "static_checks": True},
+                "threads",
+                id="loops-static-checks",
+            ),
+            pytest.param(
+                HISTOGRAM, {"privatize": True}, "threads", id="privatized"
+            ),
+            pytest.param(
+                HISTOGRAM,
+                {"privatize": True, "exec_backend": "serial"},
+                "serial",
+                id="privatized-serial",
+            ),
+        ],
+    )
+    def test_two_executions_per_verified_transform(
+        self, executions, source, options, replayed
+    ):
+        result = transform(source, {"N": 8}, TransformOptions(**options))
+        assert result.verified is True
+        assert executions == {"oracle": 1, "graph": 0, "replay": [replayed]}
+        # statistics are surfaced only for a backend that was asked for
+        assert (result.execution is not None) == ("exec_backend" in options)
+        assert f"{replayed} replay matches sequential: True" in result.report()
+
+    def test_unverified_measured_run_executes_once(self, executions):
+        result = transform(
+            LISTING1, {"N": 8},
+            TransformOptions(verify=False, exec_backend="serial"),
+        )
+        assert result.verified is None and result.execution is not None
+        assert executions == {"oracle": 0, "graph": 0, "replay": ["serial"]}
+
+    def test_hybrid_still_executes_its_own_graph(self, executions):
+        """The hybrid graph is not what an ExecPlan lowers: it is
+        verified by running it, and no plan is replayed for it."""
+        from repro.workloads import MatmulKernel
+
+        result = transform(
+            MatmulKernel(2, "mm").source(6),
+            options=TransformOptions(hybrid=True),
+        )
+        assert result.verified is True
+        assert executions == {"oracle": 1, "graph": 1, "replay": []}
+        assert "hybrid graph execution matches sequential" in result.report()
+
+    def test_verify_span_names_the_backend(self):
+        from repro.obs import spans as obs_spans
+
+        with obs_spans.recording() as rec:
+            transform(LISTING1, {"N": 8})
+        verify = [s for s in rec.spans if s.name == "driver.verify"]
+        measured = [s for s in rec.spans if s.name == "exec.measured"]
+        assert len(verify) == len(measured) == 1
+        assert verify[0].attrs["backend"] == "threads"
+        assert measured[0].parent_id == verify[0].span_id

@@ -10,25 +10,51 @@ from repro.tasking import TaskGraph
 
 
 class TestEmptyDomains:
+    EMPTY_SECOND = (
+        "for(i=0; i<4; i++) S: A[i][0] = f(A[i][0]);\n"
+        "for(i=0; i<0; i++) T: B[i][0] = g(A[i][0]);"
+    )
+    ALL_EMPTY = "for(i=0; i<0; i++) S: A[i][0] = f(A[i][0]);"
+    EMPTY_SOURCE = (
+        "for(i=0; i<0; i++) S: A[i][0] = f(A[i][0]);\n"
+        "for(i=0; i<4; i++) T: B[i][0] = g(C[i][0]);"
+    )
+
     def test_empty_second_nest(self):
-        result = transform(
-            "for(i=0; i<4; i++) S: A[i][0] = f(A[i][0]);\n"
-            "for(i=0; i<0; i++) T: B[i][0] = g(A[i][0]);"
-        )
+        result = transform(self.EMPTY_SECOND)
         assert result.verified
         assert result.num_tasks == 1  # only S produces a block
 
     def test_all_nests_empty(self):
-        result = transform("for(i=0; i<0; i++) S: A[i][0] = f(A[i][0]);")
+        result = transform(self.ALL_EMPTY)
         assert result.num_tasks == 0
         assert result.simulation.makespan == 0.0
 
     def test_empty_source_nest(self):
+        result = transform(self.EMPTY_SOURCE)
+        assert result.verified
+
+    # The three tests above are the ``exec_backend=None`` point (their
+    # ids are pinned by the test floor, so they stay unparametrized);
+    # this is the measured rest: a nest without blocks must lower to no
+    # task rows, not crash in the packer.
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize(
+        "source,tasks",
+        [
+            pytest.param(EMPTY_SECOND, 1, id="empty_second_nest"),
+            pytest.param(ALL_EMPTY, 0, id="all_nests_empty"),
+            pytest.param(EMPTY_SOURCE, 1, id="empty_source_nest"),
+        ],
+    )
+    def test_measured_backends(self, source, tasks, backend):
         result = transform(
-            "for(i=0; i<0; i++) S: A[i][0] = f(A[i][0]);\n"
-            "for(i=0; i<4; i++) T: B[i][0] = g(C[i][0]);"
+            source, options=TransformOptions(exec_backend=backend)
         )
         assert result.verified
+        assert result.num_tasks == tasks
+        assert result.execution.backend == backend
+        assert result.execution.blocks_total == tasks
 
 
 class TestSingleIteration:
