@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-exec bench-overhead bench-serve bench-history ledger-pair report examples lint analyze-examples analyze-portfolio profile-examples clean
+.PHONY: install test bench bench-exec bench-overhead bench-serve bench-history ledger-pair crossover report examples lint analyze-examples analyze-portfolio profile-examples clean
 
 # Kernel sources checked by `make lint` / `make analyze-examples`; every
 # parameter any of them references must appear in LINT_PARAMS.
@@ -54,6 +54,12 @@ WORKLOAD ?= fine_p
 PAIRS ?= 10
 ledger-pair:
 	$(PYTHON) tools/ledger_pair.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS)
+
+# Slice form vs loop form of the fused block kernels, us per call at
+# 1..16 points: where repro.interp.fused.LOOP_FORM_POINTS comes from
+# (docs/performance.md, "Grain-aware block kernels").  Asserts nothing.
+crossover:
+	$(PYTHON) tools/kernel_crossover.py
 
 # Regeneration tests (print the paper's tables/figures and assert shapes)
 regen:

@@ -22,6 +22,7 @@ from .fused import (
     closure_source,
     fuse_scop,
     fusion_legal_pair,
+    loop_source,
     rectangles,
 )
 from .interp import DEFAULT_FUNCS, Interpreter
@@ -54,6 +55,7 @@ __all__ = [
     "emit_closure_spec",
     "fuse_scop",
     "fusion_legal_pair",
+    "loop_source",
     "SharedArrayStore",
     "StatementFn",
     "compile_scop",

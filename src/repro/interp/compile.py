@@ -2,11 +2,13 @@
 
 Each labelled assignment is translated once into a Python function that
 executes a *batch* of iterations against an :class:`ArrayStore` — the same
-compiled body is used by the sequential interpreter, the task runtime, and
-the emitted task programs, so all execution paths share identical
-semantics.  The second half of the module is the legality gate that
-decides which statements may instead run a whole block as one NumPy
-closure (:mod:`repro.interp.fused`), and lowers those to closure specs.
+compiled body is used by the task runtime and the emitted task programs,
+and the sequential interpreter runs the same assignment text inside one
+generated function per program (:func:`compile_program`), so all scalar
+execution paths share identical semantics.  The second half of the
+module is the legality gate that decides which statements may instead
+run a whole block as one fused kernel (:mod:`repro.interp.fused`), and
+lowers those to closure specs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..lang.ast import ArrayAccess, BinOp, Call, Expr, IntLit, VarRef
+from ..lang.ast import (
+    ArrayAccess,
+    BinOp,
+    Call,
+    Expr,
+    IntLit,
+    Loop,
+    Program,
+    VarRef,
+)
 from ..lang.errors import SemanticError
 from ..scop import Scop, ScopStatement
 from ..scop.deps import DepKind, dependence_relation
@@ -97,17 +108,26 @@ def array_offsets(scop: Scop) -> dict[str, tuple[int, ...]]:
     }
 
 
-def compile_statement(
+def _bindings(arrays, func_names) -> list[str]:
+    """Array and function locals a generated body starts with."""
+    return [
+        f"    __arr_{arr} = __store.arrays[{arr!r}].data"
+        for arr in sorted(arrays)
+    ] + [
+        f"    __fn_{fname} = __funcs[{fname!r}]"
+        for fname in sorted(func_names)
+    ]
+
+
+def _assignment_text(
     scop: Scop,
     stmt: ScopStatement,
-    offsets: Mapping[str, tuple[int, ...]] | None = None,
-) -> CompiledStatement:
-    """Compile one statement into a batch executor over iteration rows."""
+    offsets: Mapping[str, tuple[int, ...]],
+    func_names: set[str],
+) -> str:
+    """``lhs = rhs`` of one statement instance as Python source over its
+    loop variables (functions called are added to ``func_names``)."""
     loop_vars = set(stmt.space.dims)
-    if offsets is None:
-        offsets = array_offsets(scop)
-    func_names: set[str] = set()
-
     lhs = _expr_to_py(
         stmt.assign.target, loop_vars, scop.params, offsets, func_names
     )
@@ -125,10 +145,20 @@ def compile_statement(
                 stmt.assign.location,
             ) from None
         rhs = f"{lhs} {binop} ({rhs})"
+    return f"{lhs} = {rhs}"
 
-    arrays_used = sorted(
-        {a.array for a in stmt.accesses}
-    )
+
+def compile_statement(
+    scop: Scop,
+    stmt: ScopStatement,
+    offsets: Mapping[str, tuple[int, ...]] | None = None,
+) -> CompiledStatement:
+    """Compile one statement into a batch executor over iteration rows."""
+    if offsets is None:
+        offsets = array_offsets(scop)
+    func_names: set[str] = set()
+    assignment = _assignment_text(scop, stmt, offsets, func_names)
+
     ivs = ", ".join(stmt.space.dims)
     unpack = f"for {ivs} in __iters:" if stmt.depth > 1 else (
         f"for ({ivs},) in __iters:"
@@ -136,12 +166,9 @@ def compile_statement(
     lines = [
         f"def __stmt_{stmt.name}(__store, __funcs, __iters):",
     ]
-    for arr in arrays_used:
-        lines.append(f"    __arr_{arr} = __store.arrays[{arr!r}].data")
-    for fname in sorted(func_names):
-        lines.append(f"    __fn_{fname} = __funcs[{fname!r}]")
+    lines += _bindings({a.array for a in stmt.accesses}, func_names)
     lines.append(f"    {unpack}")
-    lines.append(f"        {lhs} = {rhs}")
+    lines.append(f"        {assignment}")
     source = "\n".join(lines)
 
     namespace: dict[str, object] = {}
@@ -156,6 +183,52 @@ def compile_scop(scop: Scop) -> dict[str, CompiledStatement]:
     return {
         s.name: compile_statement(scop, s, offsets) for s in scop.statements
     }
+
+
+def compile_program(program: Program, scop: Scop) -> Callable:
+    """The whole program as one Python function ``(store, funcs) ->
+    store``: the sequential oracle.
+
+    Mirrors ``program.nests`` loop for loop — imperfect nests keep their
+    interleaving, inner bounds may use outer loop variables, ``<=``
+    bounds run one further — with bounds and bodies through
+    :func:`_expr_to_py`, the AST translator of the compiled-loop rung.
+    Deliberately not built from closure specs: the oracle shares no code
+    generator with the fused kernels it is compared against.
+    """
+    offsets = array_offsets(scop)
+    func_names: set[str] = set()
+    body: list[str] = []
+
+    def bound(expr: Expr, enclosing: set[str]) -> str:
+        return _expr_to_py(expr, enclosing, scop.params, offsets, func_names)
+
+    def emit(loop: Loop, enclosing: set[str], indent: str) -> None:
+        lower = bound(loop.lower, enclosing)
+        upper = bound(loop.upper, enclosing)
+        if not loop.upper_strict:
+            upper = f"{upper} + 1"
+        body.append(f"{indent}for {loop.var} in __range({lower}, {upper}):")
+        indent += "    "
+        for item in loop.body:
+            if isinstance(item, Loop):
+                emit(item, enclosing | {loop.var}, indent)
+            else:
+                body.append(indent + _assignment_text(
+                    scop, scop.statement(item.label), offsets, func_names
+                ))
+        if not loop.body:
+            body.append(f"{indent}pass")
+
+    for nest in program.nests:
+        emit(nest, set(), "    ")
+    lines = ["def __program(__store, __funcs):"]
+    lines += _bindings(scop.arrays, func_names)
+    lines += body
+    lines.append("    return __store")
+    namespace: dict[str, object] = {"__range": range}
+    exec("\n".join(lines), namespace)  # noqa: S102 - compiling our own AST
+    return namespace["__program"]
 
 
 # ----------------------------------------------------------------------

@@ -35,11 +35,21 @@ Fallback ladder (per statement): fused closure → compiled interpreter
 loop.  Both are bit-identical by construction; the battery in
 ``tests/interp/test_fused.py`` enforces it across
 serial/threads/processes.
+
+The fused rung itself has two forms generated from the one spec: the
+slice form (:func:`closure_source`) and a loop form
+(:func:`loop_source`, a scalar loop nest over the rectangle).  NumPy's
+per-call machinery only pays off beyond a handful of points, so
+:meth:`FusedKernel.run_rects` runs each rectangle of at most
+:data:`LOOP_FORM_POINTS` points in loop form.  Which statements fuse —
+coverage, ``fuse=auto|on|off`` — is a statement of legality and does
+not depend on the form a rectangle takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -48,6 +58,7 @@ from ..lang.errors import SemanticError
 from .store import ArrayStore
 
 __all__ = [
+    "LOOP_FORM_POINTS",
     "REDUCTION_IDENTITY",
     "ClosureSpec",
     "FuseEntry",
@@ -60,8 +71,10 @@ __all__ = [
     "closure_source",
     "fuse_scop",
     "fusion_legal_pair",
+    "loop_source",
     "plan_chain_groups",
     "rectangles",
+    "takes_loop_form",
 ]
 
 #: Identity element of the reduction a compound assignment performs, when
@@ -303,6 +316,23 @@ def spec_funcs(spec: ClosureSpec) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
+def _kernel_name(spec: ClosureSpec, prefix: str) -> str:
+    return prefix + "__".join(s.name for s in spec.statements)
+
+
+def _prologue(spec: ClosureSpec, prefix: str) -> list[str]:
+    """``def`` line plus the array and function bindings both kernel
+    forms start with (bound once per call, not per point)."""
+    lines = [
+        f"def {_kernel_name(spec, prefix)}(__store, __funcs, __lo, __hi):"
+    ]
+    for arr in spec_arrays(spec):
+        lines.append(f"    __arr_{arr} = __store.arrays[{arr!r}].data")
+    for fname in spec_funcs(spec):
+        lines.append(f"    __fn_{fname} = __funcs[{fname!r}]")
+    return lines
+
+
 def closure_source(spec: ClosureSpec) -> str:
     """Deterministic Python source of the fused closure for ``spec``.
 
@@ -310,12 +340,7 @@ def closure_source(spec: ClosureSpec) -> str:
     spec → source → closure reconstruction is reproducible anywhere the
     spec can travel — the ProcessBackend pickling contract.
     """
-    fn_name = "__fused_" + "__".join(s.name for s in spec.statements)
-    lines = [f"def {fn_name}(__store, __funcs, __lo, __hi):"]
-    for arr in spec_arrays(spec):
-        lines.append(f"    __arr_{arr} = __store.arrays[{arr!r}].data")
-    for fname in spec_funcs(spec):
-        lines.append(f"    __fn_{fname} = __funcs[{fname!r}]")
+    lines = _prologue(spec, "__fused_")
     for si, stmt in enumerate(spec.statements):
         loop_vars = stmt.loop_vars
         ivs_used: set[str] = set()
@@ -350,6 +375,65 @@ def closure_source(spec: ClosureSpec) -> str:
             )
             rhs_out = f"__np.transpose(__rhs{si}, {store_perm})"
         lines.append(f"    {target} = {rhs_out}")
+    return "\n".join(lines)
+
+
+def _scalar_access(node: Node) -> str:
+    """``__arr_A[2*i+1, 3]``: one cell, subscripts from the spec's dims."""
+    parts: list[str] = []
+    for var, coeff, const in node[2]:
+        if var is None:
+            parts.append(str(const))
+            continue
+        term = var if coeff == 1 else f"{coeff}*{var}"
+        parts.append(f"{term}{const:+d}" if const else term)
+    return f"__arr_{node[1]}[{', '.join(parts)}]"
+
+
+def _scalar_text(node: Node) -> str:
+    kind = node[0]
+    if kind == "int":
+        return str(node[1])
+    if kind == "iv":
+        return node[1]
+    if kind == "bin":
+        return f"({_scalar_text(node[2])} {node[1]} {_scalar_text(node[3])})"
+    if kind == "access":
+        return _scalar_access(node)
+    if kind == "call":
+        args = ", ".join(_scalar_text(a) for a in node[2])
+        return f"__fn_{node[1]}({args})"
+    raise ValueError(f"unknown spec node {node!r}")
+
+
+def loop_source(spec: ClosureSpec) -> str:
+    """Deterministic Python source of the *loop form* of ``spec``.
+
+    Same signature and the same effect on the store as
+    :func:`closure_source`, computed one point at a time: per statement
+    — statement-major, the order the slice form runs a chain in — one
+    ``for`` per loop variable over the rectangle's inclusive bounds
+    around a single scalar assignment.  The legality gate that admits a
+    statement to the slice form (injective write, no flow
+    self-dependence, elementwise calls) is what makes
+    gather-before-scatter equal to this lexicographic scalar execution,
+    so the two forms are interchangeable per rectangle.  Like the slice
+    form it is a function of the spec alone.
+    """
+    lines = _prologue(spec, "__loop_")
+    for stmt in spec.statements:
+        indent = "    "
+        for p, var in enumerate(stmt.loop_vars):
+            lines.append(
+                f"{indent}for {var} in __range(__lo[{p}], __hi[{p}] + 1):"
+            )
+            indent += "    "
+        target = _scalar_access(stmt.write)
+        rhs = _scalar_text(stmt.rhs)
+        if stmt.op != "=":
+            # compound op was normalized to its binary form at emit time
+            rhs = f"{target} {stmt.op} ({rhs})"
+        lines.append(f"{indent}{target} = {rhs}")
     return "\n".join(lines)
 
 
@@ -413,6 +497,27 @@ def rectangles(
     ]
 
 
+#: Largest rectangle, in points, that runs the loop form of a kernel:
+#: the largest count at which the loop form wins on every body of the
+#: crossover table ``tools/kernel_crossover.py`` prints (``make
+#: crossover``; table in docs/performance.md, "Grain-aware block
+#: kernels").  Taken on the 2-core Intel Xeon @ 2.10GHz sandbox, CPython
+#: 3.11.7, NumPy 2.4.6: a slice-form statement costs 1.4-13 us whatever
+#: the size, a loop-form point 0.25-2.2 us; the cheapest bodies (``B+C``,
+#: ``H += A``) cross first, between 3 and 4 points, the ``_mix`` bodies
+#: at 6-8.
+LOOP_FORM_POINTS = 3
+
+
+def takes_loop_form(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
+    """True when the inclusive rectangle ``(lo, hi)`` holds at most
+    :data:`LOOP_FORM_POINTS` points."""
+    points = 1
+    for l, h in zip(lo, hi):
+        points *= h - l + 1
+    return points <= LOOP_FORM_POINTS
+
+
 @dataclass(eq=False)
 class FusedKernel:
     """A compiled fused closure plus the spec it was built from.
@@ -425,11 +530,20 @@ class FusedKernel:
 
     spec: ClosureSpec
     source: str
-    fn: Callable
+    fn: Callable  # slice form
 
     @property
     def label(self) -> str:
         return self.spec.label
+
+    @cached_property
+    def loop_fn(self) -> Callable:
+        """Loop form of the same spec, compiled on first use.  Racing
+        first users may each compile it; the callables are equivalent
+        and the last one stored wins."""
+        return _compile(
+            loop_source(self.spec), _kernel_name(self.spec, "__loop_")
+        )
 
     def run_rects(
         self,
@@ -438,10 +552,17 @@ class FusedKernel:
         rects,
     ) -> None:
         """Execute precomputed ``(lo, hi)`` rectangles — the one-call-per-
-        task hot path (rectangle decomposition already paid at compile)."""
-        fn = self.fn
+        task hot path (rectangle decomposition already paid at compile).
+
+        The one place a kernel form is chosen: a rectangle of at most
+        :data:`LOOP_FORM_POINTS` points runs the loop form, a larger one
+        the slice form.
+        """
         for lo, hi in rects:
-            fn(store, funcs, lo, hi)
+            if takes_loop_form(lo, hi):
+                self.loop_fn(store, funcs, lo, hi)
+            else:
+                self.fn(store, funcs, lo, hi)
 
     def __call__(self, store, funcs, iterations) -> None:
         iters = np.asarray(iterations, dtype=np.int64)
@@ -453,13 +574,18 @@ class FusedKernel:
         return (build_closure, (self.spec,))
 
 
+def _compile(source: str, fn_name: str) -> Callable:
+    namespace: dict[str, object] = {"__np": np, "__range": range}
+    exec(source, namespace)  # noqa: S102 - compiling our own spec
+    return namespace[fn_name]
+
+
 def build_closure(spec: ClosureSpec) -> FusedKernel:
     """Reconstruct the executable closure from a declarative spec."""
     source = closure_source(spec)
-    namespace: dict[str, object] = {"__np": np}
-    exec(source, namespace)  # noqa: S102 - compiling our own spec
-    fn_name = "__fused_" + "__".join(s.name for s in spec.statements)
-    return FusedKernel(spec, source, namespace[fn_name])
+    return FusedKernel(
+        spec, source, _compile(source, _kernel_name(spec, "__fused_"))
+    )
 
 
 # ----------------------------------------------------------------------

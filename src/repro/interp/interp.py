@@ -14,9 +14,14 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..lang.ast import Assign, Loop, Program
+from ..lang.ast import Program
 from ..scop import Scop, extract_scop
-from .compile import CompiledStatement, compile_scop, elementwise
+from .compile import (
+    CompiledStatement,
+    compile_program,
+    compile_scop,
+    elementwise,
+)
 from .fused import FusedProgram, fuse_scop
 from .store import ArrayStore
 
@@ -80,9 +85,10 @@ class Interpreter:
         self.fuse = fuse
         self._fused_program: FusedProgram | None = None
         self._exec_plans: OrderedDict = OrderedDict()
-        #: guards the two lazily built, shared structures: the fusion
-        #: plan and the execution-plan cache (re-entrant: lowering reads
-        #: ``fused_program``)
+        self._sequential: Callable | None = None
+        #: guards the lazily built, shared structures: the fusion plan,
+        #: the execution-plan cache and the sequential oracle
+        #: (re-entrant: lowering reads ``fused_program``)
         self._lock = threading.RLock()
         #: Per-path execution counters, filled by :meth:`run_block`.
         self.block_counters = {
@@ -180,36 +186,17 @@ class Interpreter:
         return ArrayStore.for_scop(self.scop, init)
 
     def run_sequential(self, store: ArrayStore) -> ArrayStore:
-        """Execute the program in original order (handles imperfect nests)."""
-        for nest in self.program.nests:
-            self._run_loop(nest, {}, store)
-        return store
-
-    def _run_loop(
-        self, loop: Loop, env: dict[str, int], store: ArrayStore
-    ) -> None:
-        from ..scop.extract import to_affine
-
-        bound_vars = set(env)
-        lb = to_affine(loop.lower, bound_vars, self.scop.params).evaluate(env)
-        ub = to_affine(loop.upper, bound_vars, self.scop.params).evaluate(env)
-        hi = ub if loop.upper_strict else ub + 1
-        for value in range(lb, hi):
-            env[loop.var] = value
-            for item in loop.body:
-                if isinstance(item, Loop):
-                    self._run_loop(item, env, store)
-                else:
-                    self._run_statement(item, env, store)
-        env.pop(loop.var, None)
-
-    def _run_statement(
-        self, stmt: Assign, env: dict[str, int], store: ArrayStore
-    ) -> None:
-        compiled = self.compiled[stmt.label]
-        sstmt = self.scop.statement(stmt.label)
-        point = tuple(env[v] for v in sstmt.space.dims)
-        compiled(store, self.funcs, [point])
+        """Execute the program in original order (handles imperfect nests):
+        a full sequential scalar execution, as one generated function
+        (:func:`~repro.interp.compile.compile_program`) built on first
+        use."""
+        if self._sequential is None:
+            with self._lock:
+                if self._sequential is None:
+                    self._sequential = compile_program(
+                        self.program, self.scop
+                    )
+        return self._sequential(store, self.funcs)
 
     # ------------------------------------------------------------------
     def run_block(

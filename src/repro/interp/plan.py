@@ -44,7 +44,13 @@ import numpy as np
 from ..obs import runtime as obs_runtime
 from ..obs.spans import span
 from .executor import BACKEND_ALIASES, BACKENDS, ExecutionStats, plan_coverage
-from .fused import FusedKernel, chain_label, plan_chain_groups, rectangles
+from .fused import (
+    FusedKernel,
+    chain_label,
+    plan_chain_groups,
+    rectangles,
+    takes_loop_form,
+)
 from .store import ArrayStore, ArrayView
 
 if TYPE_CHECKING:
@@ -170,6 +176,9 @@ def lower_exec_plan(
         member_slots: dict[str, list] = {g.array: [] for g in pgroups}
         streams: dict[str, FusedKernel | None] = {}
         rows: list[TaskRow] = []
+        # rectangles of directly dispatched kernels, and how many of
+        # them are small enough for ``run_rects`` to pick the loop form
+        n_rects = n_loop_rects = 0
         for group in groups:
             label = chain_label(tuple(n.statement for n in group))
             last = group[-1]
@@ -189,7 +198,13 @@ def lower_exec_plan(
                 out = packers[last.statement].pack(block.end)
                 payload = {"statement": label, "iters": blocks[0].iterations}
                 if kernel is not None:
-                    payload["rects"] = rectangles(blocks[0].iterations)
+                    rects = payload["rects"] = rectangles(
+                        blocks[0].iterations
+                    )
+                    n_rects += len(rects)
+                    n_loop_rects += sum(
+                        takes_loop_form(lo, hi) for lo, hi in rects
+                    )
                 if pgroup is not None:
                     private = private_name(
                         pgroup.array, len(names[pgroup.array])
@@ -262,7 +277,10 @@ def lower_exec_plan(
                 "privates": sum(len(v) for v in names.values()),
                 "joins": [join_label(g.array) for g in pgroups],
             }
-        sp.set(tasks=len(rows), chains=len(chains))
+        sp.set(
+            tasks=len(rows), chains=len(chains),
+            rects=n_rects, loop_rects=n_loop_rects,
+        )
     return ExecPlan(
         info=info,
         fused=fprog,

@@ -20,7 +20,7 @@ import numpy as np
 from .executor import ExecutionStats
 from .interp import Interpreter
 from .plan import run_plan
-from .store import ArrayStore
+from .store import ArrayStore, same_bits
 
 if TYPE_CHECKING:
     from ..pipeline import PipelineInfo
@@ -83,11 +83,11 @@ def privatized_matches(
         a = sequential.arrays[name].data
         b = privatized.arrays[name].data
         if name in approx:
-            if not np.allclose(a, b, rtol=rtol, atol=atol):
+            if not np.allclose(a, b, rtol=rtol, atol=atol, equal_nan=True):
                 err = float(np.max(np.abs(a - b)))
                 return False, f"{name}: max abs error {err:g} beyond tolerance"
-            if not np.array_equal(a, b):
+            if not same_bits(a, b):
                 worst = f"{name}: within tolerance (reassociated sum/product)"
-        elif not np.array_equal(a, b):
+        elif not same_bits(a, b):
             return False, f"{name}: exact comparison failed"
     return True, worst or "bit-exact"

@@ -22,6 +22,18 @@ import numpy as np
 from ..scop import Scop
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit identity of two arrays: equal shape, dtype and bytes.  Unlike
+    ``np.array_equal`` a NaN equals the same NaN and ``0.0`` does not
+    equal ``-0.0`` — what "bit-identical to the sequential oracle"
+    means everywhere a run is verified."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.tobytes() == b.tobytes()
+    )
+
+
 @dataclass
 class ArrayView:
     """One kernel array: a buffer plus per-dimension index offsets."""
@@ -86,19 +98,29 @@ class ArrayStore:
         )
 
     def equal(self, other: "ArrayStore") -> bool:
+        """Bit identity: same arrays, each :func:`same_bits`."""
         if set(self.arrays) != set(other.arrays):
             return False
         return all(
-            np.array_equal(self.arrays[n].data, other.arrays[n].data)
+            same_bits(self.arrays[n].data, other.arrays[n].data)
             for n in self.arrays
         )
 
     def max_abs_diff(self, other: "ArrayStore") -> float:
+        """Largest ``|a - b|`` over all cells.  Cells holding the same
+        value — the same infinity, NaN on both sides — differ by 0; a
+        NaN on one side only makes the result NaN."""
         worst = 0.0
         for n in self.arrays:
-            diff = np.abs(self.arrays[n].data - other.arrays[n].data)
+            a, b = self.arrays[n].data, other.arrays[n].data
+            with np.errstate(invalid="ignore"):  # inf - inf
+                diff = np.abs(a - b)
+            diff[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
             if diff.size:
-                worst = max(worst, float(diff.max()))
+                top = float(diff.max())
+                if np.isnan(top):
+                    return top
+                worst = max(worst, top)
         return worst
 
 

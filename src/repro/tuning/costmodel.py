@@ -74,11 +74,19 @@ class OverheadModel:
 class DispatchCostModel:
     """Separate overhead pairs for the two dispatch paths.
 
-    A fused closure pays a *higher* per-task cost than the compiled
-    loop (closure entry, operand gather, one NumPy call) but a much
-    lower per-iteration cost — so at 1-iteration blocks fused dispatch
-    *loses*, and the granularity tuner must know where the lines cross
-    instead of assuming one overhead pair fits both.
+    A fused closure in *slice form* pays a higher per-task cost than
+    the compiled loop (closure entry, operand gather, one NumPy call
+    per operand) but a much lower per-iteration cost.  The executor no
+    longer loses below that crossover: ``FusedKernel.run_rects`` runs
+    rectangles of at most ``LOOP_FORM_POINTS`` points in the kernel's
+    loop form, which costs what a compiled-loop point costs, so the
+    tuner need not re-block around 1-iteration blocks.  What the two
+    ladders still measure is each path's *linear fit* between the given
+    blocking and one block per statement: the fused pair now runs from
+    a fine sample that may be all loop form to a coarse one that is all
+    slices, so its ``per_task_s`` is dispatch plus the small-rectangle
+    floor and :meth:`crossover_iters` says from which block size the
+    slice form's per-iteration advantage has paid for it.
     """
 
     #: compiled-loop dispatch (``fuse="off"``)

@@ -98,6 +98,24 @@ EXEC_CONFIGS = (
 )
 
 
+#: ``repro.interp.fused.LOOP_FORM_POINTS`` values that force one kernel
+#: form on every rectangle, whatever its size.
+KERNEL_FORMS = {"slices": 0, "loops": 1 << 62}
+
+
+@pytest.fixture(params=sorted(KERNEL_FORMS))
+def kernel_form(request, monkeypatch):
+    """Run the test once with every fused rectangle in slice form and
+    once with every one in loop form (forked process workers inherit
+    the patched constant)."""
+    from repro.interp import fused
+
+    monkeypatch.setattr(
+        fused, "LOOP_FORM_POINTS", KERNEL_FORMS[request.param]
+    )
+    return request.param
+
+
 def compile_for_exec(source, fuse, params=None, coarsen=16):
     """``(interp, info)`` of ``source``: what ``execute_measured`` takes."""
     from repro.pipeline import UncoveredDependenceError, detect_pipeline

@@ -26,7 +26,7 @@ from repro.pipeline import detect_pipeline
 from repro.presburger import cache
 from repro.schedule import generate_task_ast
 from repro.tasking import TaskGraph
-from tests.conftest import run_whole_blocks
+from tests.conftest import KERNEL_FORMS, run_whole_blocks
 
 from .generator import generate_samples, random_topological_order
 
@@ -143,25 +143,40 @@ def _run_fused_blocks(sample, fuse):
     return run_whole_blocks(interp), interp
 
 
-def test_fused_execution_matches_interpreter(samples):
-    """Fused closures are bit-identical to the compiled loop per sample."""
+def _assert_both_forms_match_compiled_loop(sample, monkeypatch):
+    """Compiled loop vs all-slices vs all-loops on one sample (the
+    hand-written shape family — permuted writes, ``iv`` values, compound
+    ops, ``.copy()`` bodies — is ``tests/interp/test_vectorize.py``).
+    Returns whether any block ran fused."""
+    from repro.interp import fused
+
+    scalar, _ = _run_fused_blocks(sample, "off")
+    for form, points in KERNEL_FORMS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(fused, "LOOP_FORM_POINTS", points)
+            out, interp = _run_fused_blocks(sample, "auto")
+        assert scalar.equal(out), (
+            f"{sample.describe()}: fused execution ({form}) diverged "
+            f"(max abs diff {scalar.max_abs_diff(out):g})\n{sample.source}"
+        )
+    return interp.block_counters["fused_blocks"] > 0
+
+
+def test_fused_execution_matches_interpreter(samples, monkeypatch):
+    """Both forms of the fused closures are bit-identical to the compiled
+    loop per sample."""
     fused_any = False
     for sample in samples:
-        scalar, _ = _run_fused_blocks(sample, "off")
-        fused, interp = _run_fused_blocks(sample, "auto")
-        assert scalar.equal(fused), (
-            f"{sample.describe()}: fused execution diverged "
-            f"(max abs diff {scalar.max_abs_diff(fused):g})\n{sample.source}"
-        )
-        fused_any = (
-            fused_any or interp.block_counters["fused_blocks"] > 0
+        fused_any |= _assert_both_forms_match_compiled_loop(
+            sample, monkeypatch
         )
     # the sample family must actually exercise the fused path
     assert fused_any
 
 
-def test_fuse_fuzz_campaign(pytestconfig):
-    """Opt-in: a 2x200-sample fused-vs-interpreter bit-equality sweep.
+def test_fuse_fuzz_campaign(pytestconfig, monkeypatch):
+    """Opt-in: a 2x200-sample fused-vs-interpreter bit-equality sweep
+    (compiled loop vs all-slices vs all-loops).
 
     Enable with ``pytest tests/fuzz --fuzz-fuse``; every 25th sample
     additionally runs the full fused task program (chain merging
@@ -177,9 +192,7 @@ def test_fuse_fuzz_campaign(pytestconfig):
     seed = pytestconfig.getoption("--fuzz-seed")
     for offset in (2, 4):
         for sample in generate_samples(seed + offset, 200):
-            scalar, _ = _run_fused_blocks(sample, "off")
-            fused, _ = _run_fused_blocks(sample, "auto")
-            assert scalar.equal(fused), sample.describe()
+            _assert_both_forms_match_compiled_loop(sample, monkeypatch)
             if sample.index % 25 == 0:
                 backend = "processes" if sample.index % 50 == 0 else "serial"
                 interp = Interpreter.from_source(sample.source, {})

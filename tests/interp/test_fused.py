@@ -29,7 +29,9 @@ from repro.interp import (
     execute_measured,
     fuse_scop,
     fusion_legal_pair,
+    loop_source,
 )
+from repro.interp import fused as fused_mod
 from repro.pipeline import detect_pipeline
 from repro.workloads import TABLE9
 from tests.conftest import (
@@ -37,6 +39,7 @@ from tests.conftest import (
     LISTING3,
     TWO_NEST_COPY,
     assert_all_configs_match_sequential,
+    compile_for_exec,
     run_measured,
 )
 
@@ -55,6 +58,24 @@ for(i=0; i<N; i++)
     R: H[N-1-i][N-1-j] += B[i][j];
 """
 
+EXAMPLES = [
+    pytest.param(LISTING1, {"N": 12}, id="listing1"),
+    pytest.param(LISTING3, {"N": 12}, id="listing3"),
+    pytest.param(TWO_NEST_COPY, {"N": 8}, id="copy"),
+    pytest.param(HISTOGRAM, {"N": 8}, id="histogram"),
+]
+
+
+def assert_chains_match_interpreter_on_all_backends():
+    oracle = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
+    seq = oracle.run_sequential(oracle.new_store())
+    for backend in ("serial", "threads", "processes"):
+        store, stats = run_measured(TWO_NEST_COPY, backend, "auto",
+                                    params={"N": 8}, coarsen=4)
+        assert ("S", "T") in stats.fused_chains
+        assert seq.equal(store), f"chained {backend} diverged"
+
+
 # ----------------------------------------------------------------------
 # the fused / compiled-loop battery
 # ----------------------------------------------------------------------
@@ -63,15 +84,7 @@ class TestFusedBitIdentity:
     def test_pkernel_all_configs(self, name):
         assert_all_configs_match_sequential(TABLE9[name].source(8))
 
-    @pytest.mark.parametrize(
-        "source,params",
-        [
-            pytest.param(LISTING1, {"N": 12}, id="listing1"),
-            pytest.param(LISTING3, {"N": 12}, id="listing3"),
-            pytest.param(TWO_NEST_COPY, {"N": 8}, id="copy"),
-            pytest.param(HISTOGRAM, {"N": 8}, id="histogram"),
-        ],
-    )
+    @pytest.mark.parametrize("source,params", EXAMPLES)
     def test_example_all_configs(self, source, params):
         assert_all_configs_match_sequential(source, params, coarsen=8)
 
@@ -107,6 +120,108 @@ class TestFusedBitIdentity:
 
 
 # ----------------------------------------------------------------------
+# the two forms of a fused kernel: slices and loops from one spec
+# ----------------------------------------------------------------------
+class TestKernelForms:
+    """The battery again with every rectangle forced into one form
+    (``kernel_form``: ``LOOP_FORM_POINTS`` 0 = all slices, huge = all
+    loops), and at block sizes around the real constant, where one run
+    mixes both."""
+
+    @pytest.mark.parametrize("name", PKERNELS)
+    def test_pkernel_all_configs(self, name, kernel_form):
+        assert_all_configs_match_sequential(TABLE9[name].source(8))
+
+    @pytest.mark.parametrize("source,params", EXAMPLES)
+    def test_example_all_configs(self, source, params, kernel_form):
+        assert_all_configs_match_sequential(source, params, coarsen=8)
+
+    def test_chains_match_interpreter_on_all_backends(self, kernel_form):
+        assert_chains_match_interpreter_on_all_backends()
+
+    @pytest.mark.parametrize("coarsen", [1, 3, 5])
+    @pytest.mark.parametrize("name", ["P1", "P5", "P8"])
+    def test_blocks_around_the_constant(self, name, coarsen):
+        assert_all_configs_match_sequential(
+            TABLE9[name].source(8), coarsen=coarsen
+        )
+
+    @pytest.mark.parametrize("coarsen", [1, 60])
+    def test_form_follows_rectangle_size(self, coarsen):
+        """Count-based: replaying P5@14, one-point blocks never call the
+        slice form and 60-point blocks never call the loop form on a
+        rectangle above the constant (small edge rectangles may)."""
+        from repro.obs import spans as obs_spans
+
+        interp, info = compile_for_exec(
+            TABLE9["P5"].source(14), "auto", coarsen=coarsen
+        )
+        with obs_spans.recording() as rec:
+            plan = interp.exec_plan(info)
+        calls = {"slice": [], "loop": []}
+
+        def counting(form, fn):
+            def wrapper(store, funcs, lo, hi):
+                calls[form].append(
+                    int(np.prod(np.subtract(hi, lo) + 1))
+                )
+                return fn(store, funcs, lo, hi)
+            return wrapper
+
+        for kernel in filter(None, plan.streams.values()):
+            kernel.fn = counting("slice", kernel.fn)
+            kernel.loop_fn = counting("loop", kernel.loop_fn)
+        oracle = interp.run_sequential(interp.new_store())
+        store, _ = execute_measured(interp, info)
+        assert oracle.equal(store)
+
+        limit = fused_mod.LOOP_FORM_POINTS
+        assert all(n <= limit for n in calls["loop"])
+        assert all(n > limit for n in calls["slice"])
+        total = len(calls["loop"]) + len(calls["slice"])
+        if coarsen == 1:
+            assert calls["slice"] == [] and total == len(plan.rows)
+        else:
+            assert calls["slice"] and max(calls["slice"]) > 3 * limit
+        # the lowering span counted the same rectangles the run executed
+        (lower,) = [s for s in rec.spans if s.name == "exec.lower"]
+        assert lower.attrs["rects"] == total
+        assert lower.attrs["loop_rects"] == len(calls["loop"])
+
+    def test_run_block_selects_per_rectangle(self):
+        """``run_block`` (hybrid graphs, privatized members) goes through
+        the same selection site."""
+        interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 6})
+        kernel = interp.fused_kernel("S")
+        seen = []
+        kernel.fn = lambda *a, fn=kernel.fn: seen.append("slice") or fn(*a)
+        kernel.loop_fn = (
+            lambda *a, fn=kernel.loop_fn: seen.append("loop") or fn(*a)
+        )
+        store = interp.new_store()
+        # lex interval (0,4)..(2,1): a 2-point head, a full row, a 2-point tail
+        iters = np.array(
+            [[0, 4], [0, 5]] + [[1, j] for j in range(6)] + [[2, 0], [2, 1]]
+        )
+        interp.run_block(store, "S", iters)
+        assert seen == ["loop", "slice", "loop"]
+
+
+def _kernel_in_worker(blob: bytes):
+    """Spawned-process half of ``test_pickled_kernel_rebuilds_both_forms``:
+    unpickle a kernel, report both sources and one loop-form result."""
+    kernel = pickle.loads(blob)
+    interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 6})
+    store = interp.new_store()
+    kernel.loop_fn(store, interp.funcs, (0, 0), (5, 5))
+    return (
+        kernel.source,
+        loop_source(kernel.spec),
+        {n: v.data.tobytes() for n, v in store.arrays.items()},
+    )
+
+
+# ----------------------------------------------------------------------
 # chain fusion
 # ----------------------------------------------------------------------
 class TestChainFusion:
@@ -127,13 +242,7 @@ class TestChainFusion:
         assert stats.fused_chains == ()
 
     def test_chains_match_interpreter_on_all_backends(self):
-        oracle = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
-        seq = oracle.run_sequential(oracle.new_store())
-        for backend in ("serial", "threads", "processes"):
-            store, stats = run_measured(TWO_NEST_COPY, backend, "auto",
-                                        params={"N": 8}, coarsen=4)
-            assert ("S", "T") in stats.fused_chains
-            assert seq.equal(store), f"chained {backend} diverged"
+        assert_chains_match_interpreter_on_all_backends()
 
     def test_fusion_legal_pair_on_copy(self):
         interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
@@ -196,6 +305,33 @@ class TestSpecRoundTrip:
         assert closure_source(spec) == closure_source(
             ClosureSpec.from_dict(spec.to_dict())
         )
+
+    def test_loop_source_is_deterministic(self):
+        stmts, _ = self._specs(LISTING1, {"N": 10})
+        spec = ClosureSpec(tuple(stmts))
+        routed = ClosureSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert loop_source(spec) == loop_source(routed)
+        assert loop_source(spec) != closure_source(spec)
+
+    def test_pickled_kernel_rebuilds_both_forms(self):
+        """Only the spec travels: a fresh (spawned) process regenerates
+        the same slice and loop sources and computes the same bytes."""
+        import multiprocessing
+
+        stmts, interp = self._specs(TWO_NEST_COPY, {"N": 6})
+        kernel = build_closure(ClosureSpec(tuple(stmts)))
+        kernel.loop_fn  # built here; must not be what crosses the wire
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            source, loops, arrays = pool.apply(
+                _kernel_in_worker, (pickle.dumps(kernel),)
+            )
+        assert source == kernel.source
+        assert loops == loop_source(kernel.spec)
+        store = interp.new_store()
+        kernel.fn(store, interp.funcs, (0, 0), (5, 5))
+        assert arrays == {
+            n: v.data.tobytes() for n, v in store.arrays.items()
+        }
 
     def test_kernel_pickles_via_spec(self):
         stmts, interp = self._specs(TWO_NEST_COPY, {"N": 6})
@@ -297,6 +433,44 @@ def test_closure_spec_matches_golden(case, pytestconfig):
     )
     assert corpus == golden_path.read_text(encoding="utf-8"), (
         f"ClosureSpec corpus for {case} differs from {golden_path.name}; "
+        "if the change is intended, rerun with --update-goldens"
+    )
+
+
+def _source_corpus(case: str, generate) -> str:
+    """Generated source of every fused statement of ``case`` and — when
+    several fuse — of their chain, in one text."""
+    source, params = GOLDEN_CASES[case]()
+    interp = Interpreter.from_source(source, params)
+    program = fuse_scop(interp.scop, interp.funcs)
+    specs = [
+        program.spec(s.name) for s in interp.scop.statements
+        if program.spec(s.name) is not None
+    ]
+    if len(specs) > 1:
+        specs.append(
+            ClosureSpec(tuple(s.statements[0] for s in specs))
+        )
+    return "\n\n".join(generate(spec) for spec in specs) + "\n"
+
+
+@pytest.mark.parametrize(
+    "form,generate",
+    [("slice", closure_source), ("loop", loop_source)],
+    ids=["slice", "loop"],
+)
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_kernel_source_matches_golden(case, form, generate, pytestconfig):
+    """Both generated forms are pinned: the slice goldens were written by
+    the commit before the loop form existed (``closure_source`` did not
+    move), the loop goldens by the one that added it."""
+    corpus = _source_corpus(case, generate)
+    golden_path = GOLDEN_DIR / f"{case}.{form}.txt"
+    if pytestconfig.getoption("--update-goldens"):
+        golden_path.write_text(corpus, encoding="utf-8")
+        pytest.skip(f"updated {golden_path.name}")
+    assert corpus == golden_path.read_text(encoding="utf-8"), (
+        f"{form}-form source for {case} differs from {golden_path.name}; "
         "if the change is intended, rerun with --update-goldens"
     )
 

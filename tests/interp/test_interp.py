@@ -1,5 +1,6 @@
 """Tests for the sequential reference interpreter."""
 
+import numpy as np
 import pytest
 
 from repro.interp import DEFAULT_FUNCS, Interpreter
@@ -72,6 +73,71 @@ class TestSequentialSemantics:
             funcs={"f": lambda x: pytest.fail("should not run")},
         )
         interp.run_sequential(interp.new_store())
+
+
+class TestCompiledOracle:
+    """``run_sequential`` is one generated function per program
+    (``compile_program``); ``TestSequentialSemantics`` above pins what
+    it computes, these pin how it is built."""
+
+    def test_inclusive_and_parametric_inner_bounds(self):
+        hits = []
+        interp = Interpreter.from_source(
+            "for(i=1; i<=N/2; i++) for(j=i; j<=N-i; j++)"
+            " S: A[i][j] = f(A[i][j]);",
+            {"N": 6},
+            funcs={"f": lambda x: hits.append(1) or 0.0},
+        )
+        interp.run_sequential(interp.new_store())
+        # j runs i..6-i inclusive for i = 1, 2, 3
+        assert len(hits) == 5 + 3 + 1
+        assert len(hits) == len(interp.scop.statement("S").points.points)
+
+    def test_empty_body_and_builtin_named_loop_variable(self):
+        interp = Interpreter.from_source(
+            "for(k=0; k<3; k++) { }\n"
+            "for(range=0; range<3; range++) S: A[range] = f(A[range]);",
+            {},
+            funcs={"f": lambda x: 7.0},
+        )
+        store = interp.run_sequential(interp.new_store())
+        assert store["A"].data.tolist() == [7.0, 7.0, 7.0]
+
+    def test_built_once_and_from_the_ast_alone(self, monkeypatch):
+        """The oracle shares no generator with the fused kernels it is
+        compared against, and repeat runs reuse one function."""
+        from repro.interp import compile as compile_mod
+        from repro.interp import fused as fused_mod
+
+        def refuse(*_a, **_k):
+            raise AssertionError("the oracle must not use closure specs")
+
+        for name in ("loop_source", "closure_source", "build_closure"):
+            monkeypatch.setattr(fused_mod, name, refuse)
+        monkeypatch.setattr(compile_mod, "emit_closure_spec", refuse)
+        built = []
+        real = compile_mod.compile_program
+        monkeypatch.setattr(
+            "repro.interp.interp.compile_program",
+            lambda *a: built.append(1) or real(*a),
+        )
+        interp = Interpreter.from_source(
+            "for(i=0; i<4; i++) S: A[i] = f(A[i]);", {}
+        )
+        first = interp.run_sequential(interp.new_store())
+        again = interp.run_sequential(interp.new_store())
+        assert first.equal(again) and built == [1]
+
+    def test_nan_run_equals_its_own_second_run(self):
+        interp = Interpreter.from_source(
+            "for(i=0; i<4; i++) S: A[i] = (A[i] - A[i]) / (A[i] - A[i]);",
+            {},
+        )
+        with np.errstate(invalid="ignore"):
+            first = interp.run_sequential(interp.new_store())
+            again = interp.run_sequential(interp.new_store())
+        assert np.isnan(first["A"].data).all()
+        assert first.equal(again)
 
 
 class TestDefaultFuncs:

@@ -213,8 +213,11 @@ def test_lower_span_is_emitted_only_on_a_miss():
             _, stats = execute_measured(interp, info)
     lowers = [s for s in rec.spans if s.name == "exec.lower"]
     assert len(lowers) == 1
+    # 16 four-point row segments: one rectangle per task, all above
+    # LOOP_FORM_POINTS — counts that repeat exactly
     assert lowers[0].attrs == {
-        "tasks": len(stats.task_members), "chains": 1
+        "tasks": len(stats.task_members), "chains": 1,
+        "rects": 16, "loop_rects": 0,
     }
     assert sum(s.name == "exec.measured" for s in rec.spans) == 3
 

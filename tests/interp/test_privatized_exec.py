@@ -154,6 +154,23 @@ def test_fp_sum_reassociation_stays_within_tolerance():
     assert outs[0].equal(outs[1]) and outs[0].equal(outs[2])
 
 
+def test_privatized_matches_compares_bits():
+    """Both branches treat the same NaN as equal; the exact branch (a
+    non-accumulator array) tells ``0.0`` from ``-0.0``."""
+    interp = Interpreter.from_source(HISTOGRAM, {"N": 6})
+    plan = plan_privatization(interp.scop)
+    assert [g.array for g in plan.groups] == ["H"]  # sum: tolerance branch
+    seq = interp.run_sequential(interp.new_store())
+    seq["H"].data[0, 0] = np.nan
+    seq["A"].data[0, 0] = np.nan
+    assert privatized_matches(plan, seq, seq.copy()) == (True, "bit-exact")
+    flipped = seq.copy()
+    flipped["A"].data[1, 1] = 0.0
+    seq["A"].data[1, 1] = -0.0
+    ok, detail = privatized_matches(plan, seq, flipped)
+    assert not ok and detail == "A: exact comparison failed"
+
+
 def test_part_count_does_not_change_the_result():
     interp = Interpreter.from_source(HISTOGRAM, {"N": 10})
     plan = plan_privatization(interp.scop)

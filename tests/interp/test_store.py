@@ -68,3 +68,30 @@ class TestComparison:
         a = ArrayStore.for_scop(listing1_scop_small)
         c = ArrayStore.for_scop(copy_scop)
         assert not a.equal(c)
+
+    def test_equal_is_bit_identity(self, listing1_scop_small):
+        """A NaN equals the same NaN; 0.0 does not equal -0.0; dtype and
+        shape are part of the comparison."""
+        a = ArrayStore.for_scop(listing1_scop_small, init="zeros")
+        a["A"].data[1, 1] = np.nan
+        assert a.equal(a.copy())  # np.array_equal says False
+        negzero = a.copy()
+        negzero["B"].data[0, 0] = -0.0
+        assert not a.equal(negzero)  # np.array_equal says True
+        assert a.max_abs_diff(negzero) == 0.0
+        narrow = a.copy()
+        narrow["B"].data = narrow["B"].data.astype(np.float32)
+        assert not a.equal(narrow)
+        flat = a.copy()
+        flat["B"].data = flat["B"].data.reshape(-1)
+        assert not a.equal(flat)
+
+    def test_max_abs_diff_is_nan_honest(self, listing1_scop_small):
+        a = ArrayStore.for_scop(listing1_scop_small, init="zeros")
+        a["A"].data[0, 0] = np.nan
+        a["A"].data[0, 1] = np.inf
+        b = a.copy()
+        b["A"].data[2, 2] = 3.0
+        assert a.max_abs_diff(b) == 3.0  # same NaN, same inf: no difference
+        b["A"].data[0, 0] = 1.0  # NaN on one side only
+        assert np.isnan(a.max_abs_diff(b))

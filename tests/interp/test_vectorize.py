@@ -186,6 +186,25 @@ class TestBitIdentity:
         "bounds-division": (
             "for(i=0; i<N/2; i++) S: A[i][0] = f(B[2*i][0]);"
         ),
+        "constant-and-broadcast-dims": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++)"
+            " S: A[i][j] = f(B[3][j], C[i][0]);"
+        ),
+        "permuted-read-ufunc": (
+            "for(i=0; i<6; i++) for(j=0; j<6; j++)"
+            " S: A[i][j] = min(A[i][j], B[j][i]);"
+        ),
+        "compound-sub-float-div-mod": (
+            "for(i=0; i<8; i++) S: A[i][0] -= B[i][0] / 2 + B[i][0] % 3;"
+        ),
+        "integer-body": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++)"
+            " S: A[j][i] = (i + 2*j) / 3 + i % 2;"
+        ),
+        "three-deep-negative-offset": (
+            "for(i=0; i<4; i++) for(j=0; j<4; j++) for(k=0; k<4; k++)"
+            " S: A[i][j][k] = f(A[i][j][k], B[k-2][2*i+1]);"
+        ),
         "two-statement-chain": (
             "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = f(A[i][j]);\n"
             "for(i=0; i<4; i++) for(j=0; j<4; j++)"
@@ -200,6 +219,14 @@ class TestBitIdentity:
         assert s.equal(v), f"{name}: max diff {s.max_abs_diff(v):g}"
         # each of these kernels must actually take the block-kernel path
         assert interp.block_counters["fused_blocks"] > 0, name
+        assert interp.block_counters["scalar_blocks"] == 0, name
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_both_kernel_forms_equal_scalar(self, name, kernel_form):
+        # the same family with every rectangle forced into the slice
+        # form, then into the loop form
+        s, v, interp = run_both(self.SOURCES[name], params={"N": 12})
+        assert s.equal(v), f"{name} ({kernel_form})"
         assert interp.block_counters["scalar_blocks"] == 0, name
 
     def test_fallback_statement_runs_scalar_and_matches(self):

@@ -143,6 +143,27 @@ def test_run_op_executes_and_checksums(tmp_path):
     asyncio.run(_with_server(str(tmp_path), body))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_run_of_a_nan_kernel_matches(tmp_path):
+    """``match`` is bit identity with the oracle: values that are NaN
+    (``0/0`` per cell) match themselves, on every backend."""
+    nan_kernel = (
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " S: A[i][j] = (A[i][j] - A[i][j]) / (A[i][j] - A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " T: B[i][j] = g(A[i][j], B[i][j]);"
+    )
+
+    async def body(host, port, server):
+        for backend in ("serial", "threads"):
+            req = dict(_compile_req(nan_kernel))
+            req.update({"op": "run", "backend": backend, "workers": 2})
+            reply = await _request(host, port, req)
+            assert reply["ok"] and reply["match"] is True, backend
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
 def test_no_cache_serves_direct(tmp_path):
     async def body(host, port, server):
         first = await _request(host, port, _compile_req(TWO_NEST_COPY))

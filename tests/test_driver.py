@@ -132,6 +132,29 @@ class TestOptions:
             f.name for f in dataclasses.fields(TransformOptions)
         }
 
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_nan_results_verify(self, backend):
+        """Bit identity, not ``==``: a kernel whose values are NaN is
+        equal to its own sequential execution."""
+        import numpy as np
+
+        from repro.interp import elementwise
+
+        @elementwise
+        def zero_over_zero(x):
+            with np.errstate(invalid="ignore"):
+                return (x - x) / (x - x)
+
+        result = transform(
+            "for(i=0; i<6; i++) for(j=0; j<6; j++)"
+            " S: A[i][j] = f(A[i][j]);\n"
+            "for(i=0; i<6; i++) for(j=0; j<6; j++)"
+            " T: B[i][j] = g(A[i][j], B[i][j]);",
+            funcs={"f": zero_over_zero},
+            options=TransformOptions(exec_backend=backend),
+        )
+        assert result.verified is True
+
     def test_custom_funcs(self):
         result = transform(
             "for(i=0; i<4; i++) S: A[i][0] = myfn(A[i][0]);\n"
