@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-exec bench-overhead bench-serve bench-history ledger-pair crossover report examples lint analyze-examples analyze-portfolio profile-examples clean
+.PHONY: install test bench bench-exec bench-overhead bench-serve bench-history ledger-pair crossover sched-overhead report examples lint analyze-examples analyze-portfolio profile-examples clean
 
 # Kernel sources checked by `make lint` / `make analyze-examples`; every
 # parameter any of them references must appear in LINT_PARAMS.
@@ -60,6 +60,13 @@ ledger-pair:
 # (docs/performance.md, "Grain-aware block kernels").  Asserts nothing.
 crossover:
 	$(PYTHON) tools/kernel_crossover.py
+
+# What a replay costs beyond its block kernels: full replay vs the bare
+# stream-function loop on serial and threads, us per task and threads
+# minus serial per run, on the fine_p / coarse_p kernel shapes
+# (docs/performance.md, "Compiled schedule").  Asserts nothing.
+sched-overhead:
+	$(PYTHON) tools/sched_overhead.py
 
 # Regeneration tests (print the paper's tables/figures and assert shapes)
 regen:

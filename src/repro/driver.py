@@ -466,7 +466,6 @@ def _finish(
             replay = dict(
                 backend=backend,
                 workers=options.workers,
-                cost_of_block=options.cost_model.block_cost,
                 collect_events=measured and options.collect_events,
                 task_ast=a.task_ast,
             )

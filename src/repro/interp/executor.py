@@ -174,10 +174,11 @@ def execute_measured(
     with timing/coverage statistics.  Every backend executes the
     identical task program, so results are bit-comparable across
     backends and against :meth:`Interpreter.run_sequential`.
+    ``cost_of_block`` is accepted and unused: no execution backend reads
+    task costs (only the simulator's graph carries them).
     """
     from .plan import run_plan
 
+    del cost_of_block
     plan = interp.exec_plan(info, task_ast)
-    return run_plan(
-        interp, plan, backend, workers, store, cost_of_block, collect_events
-    )
+    return run_plan(interp, plan, backend, workers, store, collect_events)

@@ -456,6 +456,9 @@ def rectangles(
     n, d = iters.shape
     if n == 0:
         return []
+    if n == 1:  # a single iteration is its own rectangle
+        row = tuple(iters[0].tolist())
+        return [(row, row)]
     lo, hi = iters.min(axis=0), iters.max(axis=0)
     if n == int(np.prod(hi - lo + 1)):  # dense bounding box
         return [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))]

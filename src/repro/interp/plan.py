@@ -6,12 +6,16 @@ into an :class:`ExecPlan`: task AST, fusion-legal chain groups, and one
 flat :class:`TaskRow` per task with its rectangle decomposition and
 packed ``dependArr`` slots already computed (the addressing of
 :mod:`repro.codegen.emit`; payloads keep NumPy iteration arrays instead
-of round-tripping through Python literals).  :func:`run_plan` replays
-the rows on a backend.  Everything that depends on the *run* — store,
-stream closures, private accumulator buffers, event collector, backend —
-is created there; the plan itself is shared between runs and threads and
-is never mutated (``repro serve`` replays one plan from several executor
-threads at once).
+of round-tripping through Python literals), and those slots resolved
+to a compiled :class:`~repro.tasking.dispatch.Schedule`.
+:func:`run_plan` replays it — serial is a loop over the rows, threads
+and processes hand the schedule to the schedulers of
+:mod:`repro.tasking` — without calling ``create_task`` or resolving a
+slot.  Everything that depends on the *run* — store, stream closures,
+private buffers, event collector, the copied join counters — is created
+there; the plan itself is shared between runs and threads and is never
+mutated (``repro serve`` replays one plan from several executor threads
+at once).
 
 Plans are cached on the interpreter (:meth:`Interpreter.exec_plan`), so
 ``ExecutionStats.wall_time`` measures task submission + run, not
@@ -37,6 +41,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -55,6 +60,7 @@ from .store import ArrayStore, ArrayView
 
 if TYPE_CHECKING:
     from ..schedule import TaskAst
+    from ..tasking import Schedule
     from .interp import Interpreter
 
 #: The join's combining ufunc per operator group (``sum`` is ``+`` even
@@ -96,8 +102,6 @@ class TaskRow(NamedTuple):
     out_idx: int
     in_depend: tuple[int, ...]
     in_idx: tuple[int, ...]
-    blocks: tuple  # member TaskBlocks — what ``cost_of_block`` is applied to
-    cost: float  # default cost (instance count; 1.0 for a join)
     chain: bool  # funcCount self chain (off for privatized members)
 
 
@@ -121,10 +125,19 @@ class ExecPlan:
     #: combine / remap / run_block ladder, as in the worker processes)
     streams: dict[str, FusedKernel | None]
     rows: tuple[TaskRow, ...]
+    schedule: "Schedule"  # the rows' slots, resolved (row index = task id)
     #: per reduction group: (accumulator, identity, private buffer names)
     privates: tuple[tuple[str, float, tuple[str, ...]], ...]
     #: the run-independent fields of :class:`ExecutionStats`
     stats: dict
+
+    @cached_property
+    def wire(self) -> tuple[tuple, ...]:
+        """What the process backend ships per row, built on the first
+        ``processes`` replay (never by serial/threads ones)."""
+        from ..tasking.backends import wire_task
+
+        return tuple(wire_task(row.stream, row.payload) for row in self.rows)
 
 
 def _external_tokens(blocks, members) -> list:
@@ -153,6 +166,7 @@ def lower_exec_plan(
     from ..codegen.emit import statement_columns, statement_packers
     from ..schedule import generate_task_ast
     from ..schedule.privatize import join_label
+    from ..tasking import SlotResolver
 
     pgroups = privatization.groups if privatization is not None else ()
     fprog = interp.fused_program if interp.fuse != "off" else None
@@ -216,7 +230,6 @@ def lower_exec_plan(
                     label, payload, out, col,
                     tuple(packers[s].pack(end) for s, end in in_tok),
                     tuple(columns[s] for s, _ in in_tok),
-                    blocks, float(sum(blk.size for blk in blocks)),
                     chain=pgroup is None,
                 ))
         # one extra out column per reduction group for its join task
@@ -236,8 +249,15 @@ def lower_exec_plan(
             rows.append(TaskRow(
                 label, payload, 0, len(columns) + k,
                 tuple(d for d, _ in slots), tuple(ix for _, ix in slots),
-                (), 1.0, chain=True,
+                chain=True,
             ))
+        write_num = len(columns) + len(pgroups)
+        resolver = SlotResolver(write_num)
+        for row in rows:
+            resolver.add(
+                row.out_depend, row.out_idx, row.in_depend, row.in_idx,
+                row.stream if row.chain else None,
+            )
 
         # Backend task ids are assigned in creation order (groups ×
         # blocks), the *unfused* graph's ids in AST order (nests ×
@@ -286,9 +306,10 @@ def lower_exec_plan(
         fused=fprog,
         privatization=privatization,
         ast=ast,
-        write_num=len(columns) + len(pgroups),
+        write_num=write_num,
         streams=streams,
         rows=tuple(rows),
+        schedule=resolver.schedule(),
         privates=tuple(
             (g.array, g.identity, tuple(names[g.array])) for g in pgroups
         ),
@@ -296,28 +317,59 @@ def lower_exec_plan(
     )
 
 
-def _stream_func(interp, store, kernel) -> Callable:
-    """The body of one task stream, bound to this run's store.  One
-    function object per stream: backends key their funcCount self chain
-    (serializing same-stream blocks) on func identity."""
-    funcs = interp.funcs
-    if kernel is not None:
-        return lambda payload: kernel.run_rects(store, funcs, payload["rects"])
-
-    def run(payload) -> None:
-        if "combine" in payload:
-            return apply_combine(store, payload["combine"])
-        st = store
-        remap = payload.get("remap")
-        if remap:
-            st = ArrayStore(
-                {**store.arrays, **{
-                    acc: store.arrays[priv] for acc, priv in remap.items()
-                }}
+def run_task(
+    interp, store, statement, iters, remap=None, combine=None, rects=None
+) -> None:
+    """Execute one task off the fused fast path — in-process and in the
+    worker processes alike (the arguments are a ``wire_task`` tuple).
+    ``combine`` marks a join task (no statement instance runs), ``remap``
+    a privatized block (run against the proxy store of the module
+    docstring), ``rects`` the precomputed decomposition of a fused block
+    (``statement`` may then be a chain label such as ``"S+T"``)."""
+    if combine is not None:
+        return apply_combine(store, combine)
+    if remap:
+        store = ArrayStore(
+            {**store.arrays, **{
+                acc: store.arrays[priv] for acc, priv in remap.items()
+            }}
+        )
+    if rects is not None:
+        kernel = interp.fused_kernel(statement)
+        if kernel is not None:
+            return kernel.run_rects(store, interp.funcs, rects)
+        if "+" in statement:
+            raise RuntimeError(
+                f"no fused kernel for chain {statement!r} "
+                "(fusion plan not shipped to the pool?)"
             )
-        interp.run_block(st, payload["statement"], payload["iters"])
+    interp.run_block(store, statement, np.asarray(iters, dtype=np.int64))
 
-    return run
+
+def bind_rows(interp, plan: ExecPlan, store) -> Callable[[int], None]:
+    """``call(tid)``: the body of row ``tid``, bound to this run's store
+    — what every scheduler (and a bare loop over ``range(len(rows))``)
+    executes."""
+    funcs = interp.funcs
+
+    def body(kernel) -> Callable:  # of one task stream
+        if kernel is not None:
+            return lambda payload: kernel.run_rects(
+                store, funcs, payload["rects"]
+            )
+        return lambda payload: run_task(
+            interp, store, payload["statement"], payload["iters"],
+            payload.get("remap"), payload.get("combine"),
+        )
+
+    bodies = {label: body(kernel) for label, kernel in plan.streams.items()}
+    rows = plan.rows
+
+    def call(tid: int) -> None:
+        row = rows[tid]
+        bodies[row.stream](row.payload)
+
+    return call
 
 
 def run_plan(
@@ -326,13 +378,13 @@ def run_plan(
     backend: str = "serial",
     workers: int = 4,
     store: ArrayStore | None = None,
-    cost_of_block: Callable | None = None,
     collect_events: bool = False,
 ) -> tuple[ArrayStore, ExecutionStats]:
     """Replay ``plan`` (lowered by ``interp``) on ``backend`` against
     ``store`` — a fresh deterministic one unless given — which is
     mutated in place and returned with timing/coverage statistics."""
-    from ..tasking import FuturesBackend, ProcessBackend, SerialBackend
+    from ..tasking.backends import run_processes
+    from ..tasking.dispatch import run_serial, run_threads
 
     backend = BACKEND_ALIASES.get(backend, backend)
     if backend not in BACKENDS:
@@ -356,25 +408,12 @@ def run_plan(
                 store.arrays[name] = ArrayView(name, data, base.offsets)
                 scratch.append(name)
 
-        if backend == "serial":
-            system = SerialBackend(plan.write_num)
-        elif backend == "threads":
-            system = FuturesBackend(plan.write_num, workers=workers)
-        else:  # processes
-            system = ProcessBackend(
-                plan.write_num, interp, store, workers=workers
-            )
-        funcs = {
-            label: _stream_func(interp, store, kernel)
-            for label, kernel in plan.streams.items()
-        }
-        create = system.create_task
+        rows = plan.rows
+        call = bind_rows(interp, plan, store)
         name, attrs = "exec.measured", {}
         if plan.privates:
             name = "exec.privatized"
             attrs = {"groups": len(plan.privates), "privates": len(scratch)}
-        # The serial backend executes inside create_task, so the
-        # collector must span task creation as well as the run.
         collecting = (
             obs_runtime.collecting(backend, workers)
             if collect_events
@@ -383,17 +422,15 @@ def run_plan(
         with span(name, backend=backend, workers=workers, **attrs):
             with collecting as collector:
                 start = time.perf_counter()
-                for row in plan.rows:
-                    (label, payload, out, col, in_dep, in_idx, blocks, cost,
-                     chain) = row
-                    if cost_of_block is not None and blocks:
-                        cost = sum(cost_of_block(blk) for blk in blocks)
-                    # positional: the CreateTask signature every backend shares
-                    create(
-                        funcs[label], payload, out, col, in_dep, in_idx,
-                        cost, label, chain,
+                label = lambda tid: rows[tid].stream  # noqa: E731
+                if backend == "serial":  # no statistics: returns None
+                    result = run_serial(range(len(rows)), call, label)
+                elif backend == "threads":
+                    result = run_threads(plan.schedule, call, workers, label)
+                else:  # processes
+                    result = run_processes(
+                        interp, store, plan.schedule, plan.wire, workers
                     )
-                result = system.run(workers=workers)
                 wall = time.perf_counter() - start
             events = collector.trace() if collector is not None else None
     finally:
@@ -405,9 +442,9 @@ def run_plan(
         backend=backend,
         workers=workers if backend != "serial" else 1,
         wall_time=wall,
-        # Both parallel backends report dispatch statistics (work-stealing
-        # steals / ready-batch counts); the serial backend returns None.
-        scheduler=result if isinstance(result, dict) else None,
+        # Both parallel schedulers report dispatch statistics
+        # (work-stealing steals / ready-batch counts); serial has none.
+        scheduler=result,
         events=events,
         **plan.stats,
     )

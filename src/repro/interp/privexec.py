@@ -49,15 +49,15 @@ def execute_privatized(
     statements re-blocked into chunks.  The plan is re-validated on every
     call — a tampered group (wrong identity, unverified proof) stops
     execution — and a plan without groups runs the standard program.
+    ``cost_of_block`` is accepted and unused (see
+    :func:`~repro.interp.executor.execute_measured`).
     """
+    del cost_of_block
     plan.validate()  # tamper guard on the execution path
     lowered = interp.exec_plan(
         info, task_ast, plan if plan.groups else None
     )
-    return run_plan(
-        interp, lowered, backend, workers, store, cost_of_block,
-        collect_events,
-    )
+    return run_plan(interp, lowered, backend, workers, store, collect_events)
 
 
 def privatized_matches(

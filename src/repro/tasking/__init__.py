@@ -1,12 +1,8 @@
 """Tasking layer: task graphs, OpenMP-style depend semantics, runtime, simulator."""
 
 from .api import OmpTaskSystem
-from .backends import (
-    FuturesBackend,
-    ProcessBackend,
-    SerialBackend,
-    SlotAddressing,
-)
+from .backends import FuturesBackend, ProcessBackend, SerialBackend
+from .dispatch import Schedule, SlotAddressing, SlotResolver
 from .dot import to_dot, write_dot
 from .hybrid import hybrid_task_graph, intra_block_edges
 from .runtime import (
@@ -22,8 +18,10 @@ __all__ = [
     "CyclicTaskGraphError",
     "FuturesBackend",
     "ProcessBackend",
+    "Schedule",
     "SerialBackend",
     "SlotAddressing",
+    "SlotResolver",
     "OmpTaskSystem",
     "RunResult",
     "SimResult",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .backends import SlotAddressing
+from .dispatch import SlotAddressing
 from .runtime import RunResult, execute
 from .task import TaskGraph
 
@@ -37,7 +37,7 @@ class OmpTaskSystem(SlotAddressing):
     """A task-graph-backed implementation of the CreateTask layer.
 
     Slot addressing (``dependArr[write_num * depend + idx]``) comes from
-    the shared :class:`~repro.tasking.backends.SlotAddressing` mixin, so
+    the shared :class:`~repro.tasking.dispatch.SlotAddressing` mixin, so
     this reference system and the execution backends can never disagree
     on Figure 8's packing.
     """
@@ -108,7 +108,6 @@ class OmpTaskSystem(SlotAddressing):
         out_state.readers_since = []
         return tid
 
-    # ------------------------------------------------------------------
     def run(self, workers: int = 4) -> RunResult:
         """Launch the created tasks (the ``omp parallel`` + ``single`` part)."""
         return execute(self.graph, workers)

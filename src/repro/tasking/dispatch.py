@@ -1,0 +1,286 @@
+"""Compiled schedules and the in-process schedulers that run them.
+
+Which task waits on which ``dependArr`` slot is decided when a task
+program is *built* (Algorithm 1, Figures 7/8), not when it runs.  A
+:class:`Schedule` is that decision compiled to what a scheduler needs —
+one join counter per task, successor lists, roots (Pipeflow's fixed
+array of join counters) — and :class:`SlotResolver` is the one place
+slots are resolved to producing tasks.  ``lower_exec_plan`` feeds it a
+plan's rows once, the recording backends one row per ``create_task``;
+:func:`repro.tasking.execute` derives a schedule from a task graph's own
+edges.  A run (:func:`run_serial`, :func:`run_threads`, the process pool
+of :mod:`repro.tasking.backends`) copies the counters and never writes
+to the schedule, so one schedule is shared between runs and threads.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from ..obs import runtime as obs_runtime
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Join counters, successor lists and roots of a task program."""
+
+    counts: tuple[int, ...]  # distinct predecessors per task
+    succs: tuple[tuple[int, ...], ...]  # ascending task ids
+    roots: tuple[int, ...]  # tasks whose counter starts at zero
+
+    @staticmethod
+    def from_preds(preds: Sequence[set[int]]) -> "Schedule":
+        succs: list[list[int]] = [[] for _ in preds]
+        for tid, ps in enumerate(preds):  # ascending: so is every list
+            for p in ps:
+                succs[p].append(tid)
+        return Schedule(
+            counts=tuple(len(ps) for ps in preds),
+            succs=tuple(tuple(s) for s in succs),
+            roots=tuple(tid for tid, ps in enumerate(preds) if not ps),
+        )
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def preds(self) -> list[set[int]]:
+        """Per task, the tasks it waits on (derived from ``succs``)."""
+        preds: list[set[int]] = [set() for _ in self.counts]
+        for tid, ss in enumerate(self.succs):
+            for s in ss:
+                preds[s].add(tid)
+        return preds
+
+
+class SlotAddressing:
+    """The shared ``dependArr`` slot packing of Figure 8.
+
+    Every backend addresses a dependency token as
+    ``write_num * depend + idx`` where ``depend`` is the packed block end
+    and ``idx`` the statement column — the exact layout
+    :mod:`repro.codegen.emit` bakes into generated programs.  Hoisted
+    here so the backends (and :class:`~repro.tasking.api.OmpTaskSystem`)
+    cannot drift apart; ``tests/tasking`` cross-checks the arithmetic
+    against :mod:`repro.codegen.packing`.
+    """
+
+    write_num: int
+
+    def _init_slots(self, write_num: int) -> None:
+        if write_num < 1:
+            raise ValueError("write_num must be positive")
+        self.write_num = write_num
+
+    def slot(self, depend: int, idx: int) -> int:
+        """The ``dependArr`` address of a dependency token (Figure 8)."""
+        if not 0 <= idx < self.write_num:
+            raise ValueError(
+                f"idx {idx} out of range for write_num {self.write_num}"
+            )
+        return self.write_num * depend + idx
+
+
+class SlotResolver(SlotAddressing):
+    """Resolves ``create_task`` rows, in creation order, to the tasks
+    each one waits on, duplicates collapsed: an *in* slot waits for the
+    slot's last writer, and tasks sharing a chain key run in creation
+    order (the ``funcCount`` trick of Figure 8)."""
+
+    def __init__(self, write_num: int):
+        self._init_slots(write_num)
+        self._slot_writer: dict[int, int] = {}
+        self._chain_last: dict[object, int] = {}
+        self._preds: list[set[int]] = []
+
+    def add(
+        self,
+        out_depend: int,
+        out_idx: int,
+        in_depend: Sequence[int] = (),
+        in_idx: Sequence[int] = (),
+        chain_key: object = None,
+    ) -> int:
+        """Record the next task; returns its id.  ``chain_key`` (``None``:
+        unchained) orders it after the previous task with an equal key."""
+        if len(in_depend) != len(in_idx):
+            raise ValueError("in_depend and in_idx must have equal length")
+        tid = len(self._preds)
+        preds = set()
+        for d, ix in zip(in_depend, in_idx):
+            writer = self._slot_writer.get(self.slot(d, ix))
+            if writer is not None:
+                preds.add(writer)
+        if chain_key is not None:
+            prev_same = self._chain_last.get(chain_key)
+            if prev_same is not None:
+                preds.add(prev_same)
+            self._chain_last[chain_key] = tid
+        self._slot_writer[self.slot(out_depend, out_idx)] = tid
+        self._preds.append(preds)
+        return tid
+
+    def __len__(self) -> int:
+        return len(self._preds)
+
+    def schedule(self) -> Schedule:
+        """The compiled schedule of the rows added so far.  Producers are
+        created before their consumers: creation order is a topological
+        order, which :func:`run_serial` relies on."""
+        if any(ps and max(ps) >= t for t, ps in enumerate(self._preds)):
+            raise RuntimeError("a task waits on one created after it")
+        return Schedule.from_preds(self._preds)
+
+
+def run_serial(
+    tids: Sequence[int], call: Callable[[int], None], name_of
+) -> None:
+    """Run ``tids`` in the given order on the calling thread — for
+    ``range(n)``, the tasking-disabled schedule of a program whose
+    creation order is topological."""
+    collector = obs_runtime.current()
+    if collector is None:
+        for tid in tids:
+            call(tid)
+        return
+    for tid in tids:
+        t0 = collector.now_ns()
+        call(tid)
+        collector.record(
+            tid, name_of(tid), worker=0, start_ns=t0,
+            end_ns=collector.now_ns(),
+        )
+    collector.count("tasks", len(tids))
+
+
+def run_threads(
+    sched: Schedule, call: Callable[[int], None], workers: int, name_of
+) -> dict:
+    """Work-stealing run of ``sched`` on up to ``workers`` threads;
+    ``call(tid)`` is a task's body, ``name_of(tid)`` its event label.
+    Returns scheduling statistics.
+
+    Each worker owns a deque, pushes newly ready successors locally
+    (LIFO — the freshest task's data is hot) and steals oldest-first
+    from siblings when drained.  The calling thread is worker 0 and
+    starts with the roots; helpers start at the first *surplus* — a
+    worker holding more ready tasks than the one it takes next — so a
+    width-1 program never starts a thread.
+
+    A task failure stops dispatch, leaves every transitive dependent
+    unexecuted and is re-raised once every helper is joined.  Any other
+    exception reaching the caller (``KeyboardInterrupt``, a signal-raised
+    deadline) stops the helpers from taking further tasks and is
+    re-raised *without* joining them: one may be inside a stage that
+    never returns, and a deadline must not become a hang.
+    """
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    n = len(sched)
+    nworkers = max(1, min(workers, n))
+    counts = list(sched.counts)
+    succs = sched.succs
+    queues = [deque() for _ in range(nworkers)]
+    queues[0].extend(sched.roots)
+    lock = threading.Lock()
+    cv = threading.Condition(lock)
+    pending = n  # tasks not yet finished
+    idle = 0  # workers parked in cv.wait()
+    steals = 0
+    failure: BaseException | None = None
+    helpers: list[threading.Thread] = []
+    collector = obs_runtime.current()
+
+    def steal(me: int) -> int | None:
+        nonlocal steals
+        for k in range(1, nworkers):
+            victim = queues[(me + k) % nworkers]
+            if victim:
+                steals += 1
+                return victim.popleft()  # oldest first
+        return None
+
+    def work(me: int) -> None:
+        nonlocal pending, idle, failure
+        mine = queues[me]
+        done: int | None = None
+        while True:
+            with lock:
+                if done is not None:
+                    pending -= 1
+                    for s in succs[done]:
+                        counts[s] -= 1
+                        if not counts[s]:
+                            mine.append(s)
+                    done = None
+                if not pending:
+                    cv.notify_all()
+                elif len(mine) > 1:  # surplus: more than I take next
+                    if idle:
+                        cv.notify_all()
+                    elif not helpers:  # only worker 0 exists: start them
+                        for k in range(1, nworkers):
+                            helpers.append(threading.Thread(
+                                target=work, args=(k,), daemon=True,
+                                name=f"repro-ws-{k}",
+                            ))
+                            helpers[-1].start()
+                while True:
+                    if failure is not None or not pending:
+                        return
+                    stolen = not mine
+                    tid = steal(me) if stolen else mine.pop()  # own: LIFO
+                    if tid is not None:
+                        break
+                    if idle == len(helpers):  # nobody left to ready a task
+                        failure = RuntimeError(
+                            f"scheduler stalled: {n - pending}/{n} tasks ran "
+                            "(dependency cycle in the schedule?)"
+                        )
+                        cv.notify_all()
+                        return
+                    idle += 1
+                    cv.wait()
+                    idle -= 1
+                if collector is not None:
+                    collector.queue_sample(me, len(mine))
+            t0 = collector.now_ns() if collector is not None else 0
+            try:
+                call(tid)
+            except BaseException as exc:  # noqa: BLE001 — caller re-raises
+                with lock:
+                    if failure is None:
+                        failure = exc
+                    cv.notify_all()
+                return
+            if collector is not None:
+                collector.record(
+                    tid, name_of(tid), worker=me, start_ns=t0,
+                    end_ns=collector.now_ns(), stolen=stolen,
+                )
+            done = tid
+
+    try:
+        work(0)
+        for th in helpers:
+            th.join()
+    except BaseException as exc:  # not from a task body: ``work`` keeps those
+        with lock:
+            if failure is None:
+                failure = exc
+            cv.notify_all()
+        raise
+    if failure is not None:
+        raise failure
+    if collector is not None:
+        collector.count("tasks", n)
+        collector.count("steals", steals)
+    return {
+        "policy": "work-stealing",
+        "tasks": n,
+        "workers": nworkers,
+        "helpers": len(helpers),
+        "steals": steals,
+    }

@@ -1,21 +1,24 @@
 """Threaded task runtime (the OpenMP-task execution substitute).
 
 Executes a :class:`~repro.tasking.task.TaskGraph` whose tasks carry
-``action`` callables on a pool of worker threads, honouring every
-precedence edge — functionally what ``omp task depend(...)`` provides.
-Python threads don't give the paper's wall-clock speed-ups (GIL), so this
-runtime exists for *correctness*: it really runs the computation
-concurrently and the tests compare its arrays against the sequential
-interpreter bit-for-bit.  Performance numbers come from
+``action`` callables on worker threads, honouring every precedence edge
+— functionally what ``omp task depend(...)`` provides.  :func:`execute`
+is an adapter: the schedule comes from the graph's own ``preds``, the
+calls from ``task.action``, and the run is the one work-stealing
+scheduler every thread execution shares
+(:func:`repro.tasking.dispatch.run_threads`).  Python threads don't give
+the paper's wall-clock speed-ups (GIL), so this runtime exists for
+*correctness*: it really runs the computation concurrently and the
+tests compare its arrays against the sequential interpreter
+bit-for-bit.  Performance numbers come from
 :mod:`repro.tasking.simulator`.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 
+from .dispatch import Schedule, run_threads
 from .task import TaskGraph
 
 
@@ -41,71 +44,23 @@ class TaskRuntimeError(RuntimeError):
 
 def execute(graph: TaskGraph, workers: int = 4) -> RunResult:
     """Run every task's action on ``workers`` threads, respecting edges."""
-    if workers < 1:
-        raise ValueError("need at least one worker")
     graph.validate()
-
-    n = len(graph.tasks)
-    indeg = [len(p) for p in graph.preds]
-    lock = threading.Lock()
-    ready: queue.SimpleQueue[int | None] = queue.SimpleQueue()
+    tasks = graph.tasks
     completion: list[int] = []
-    errors: list[BaseException] = []
-    remaining = n
-    stop = threading.Event()
 
-    for tid in range(n):
-        if indeg[tid] == 0:
-            ready.put(tid)
-    if n == 0:
-        return RunResult((), ())
+    def call(tid: int) -> None:
+        action = tasks[tid].action
+        try:
+            if action is not None:
+                action()
+        except BaseException as exc:  # noqa: BLE001 - reported to caller
+            raise TaskRuntimeError((exc,)) from exc
+        completion.append(tid)
 
-    def worker() -> None:
-        nonlocal remaining
-        while not stop.is_set():
-            tid = ready.get()
-            if tid is None:
-                return
-            task = graph.tasks[tid]
-            try:
-                if task.action is not None:
-                    task.action()
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                with lock:
-                    errors.append(exc)
-                stop.set()
-                _drain_and_poison()
-                return
-            with lock:
-                completion.append(tid)
-                remaining -= 1
-                finished = remaining == 0
-                newly_ready = []
-                for s in graph.succs[tid]:
-                    indeg[s] -= 1
-                    if indeg[s] == 0:
-                        newly_ready.append(s)
-            for s in newly_ready:
-                ready.put(s)
-            if finished:
-                _drain_and_poison()
-                return
-
-    def _drain_and_poison() -> None:
-        for _ in range(workers):
-            ready.put(None)
-
-    threads = [
-        threading.Thread(target=worker, name=f"task-worker-{k}", daemon=True)
-        for k in range(workers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    if errors:
-        raise TaskRuntimeError(tuple(errors))
+    run_threads(
+        Schedule.from_preds(graph.preds), call, workers,
+        lambda tid: tasks[tid].statement,
+    )
     return RunResult(tuple(completion), ())
 
 

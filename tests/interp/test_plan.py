@@ -239,6 +239,153 @@ def test_interpreter_is_freed_without_the_cycle_collector():
 
 
 # ----------------------------------------------------------------------
+# the compiled schedule: resolved once at lowering, equal to what the
+# public create_task of every backend resolves for the same rows
+# ----------------------------------------------------------------------
+def assert_schedule_matches_create_task(interp, plan):
+    from repro.tasking import FuturesBackend, OmpTaskSystem, ProcessBackend
+
+    sched = plan.schedule
+    preds = sched.preds()
+    assert len(sched) == len(plan.rows) > 0
+    assert sched.counts == tuple(len(p) for p in preds)
+    assert sched.roots == tuple(t for t, p in enumerate(preds) if not p)
+    assert all(p < t for t, ps in enumerate(preds) for p in ps)
+
+    # one function object per stream, as a generated program has
+    funcs = {label: (lambda payload: None) for label in plan.streams}
+    backends = (
+        FuturesBackend(plan.write_num, workers=2),
+        ProcessBackend(plan.write_num, interp, interp.new_store(), workers=2),
+        OmpTaskSystem(plan.write_num),
+    )
+    for system in backends:
+        for row in plan.rows:
+            system.create_task(
+                funcs[row.stream], row.payload, row.out_depend, row.out_idx,
+                row.in_depend, row.in_idx, 1.0, row.stream, row.chain,
+            )
+    threads, processes, omp = backends
+    assert threads.schedule() == processes.schedule() == sched
+    assert threads.schedule().preds() == preds
+    # full OpenMP depend semantics add WAR/WAW edges, never drop one
+    assert all(ps <= omp.graph.preds[t] for t, ps in enumerate(preds))
+
+
+@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize("name", PKERNELS)
+def test_schedule_equals_create_task_on_pkernels(name, n):
+    interp, info = compile_for_exec(TABLE9[name].source(n), "auto", coarsen=2)
+    assert_schedule_matches_create_task(interp, interp.exec_plan(info))
+
+
+@pytest.mark.parametrize("name", ["listing1", "listing3", "reversed"])
+def test_schedule_equals_create_task_on_examples(name):
+    source = (EXAMPLES / f"{name}.c").read_text()
+    for fuse in ("auto", "off"):
+        interp, info = compile_for_exec(source, fuse, {"N": 12}, coarsen=4)
+        assert_schedule_matches_create_task(interp, interp.exec_plan(info))
+
+
+@pytest.mark.parametrize("name", ["histogram", "sumstencil"])
+def test_schedule_equals_create_task_on_privatized_plans(name):
+    interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 8, parts=3)
+    lowered = interp.exec_plan(pinfo, None, plan)
+    assert any(not row.chain for row in lowered.rows)
+    assert_schedule_matches_create_task(interp, lowered)
+
+
+def test_schedule_equals_create_task_on_a_fuzz_batch():
+    from tests.fuzz.generator import generate_samples
+
+    for sample in generate_samples(seed=1807, count=8, n_min=6, n_max=9):
+        interp, info = compile_for_exec(sample.source, "auto", coarsen=3)
+        assert_schedule_matches_create_task(interp, interp.exec_plan(info))
+
+
+def test_replays_resolve_no_slot_and_create_no_task(monkeypatch):
+    from repro import tasking
+
+    interp, info = compile_for_exec(TWO_NEST_COPY, "auto", {"N": 8}, 4)
+    resolved = Counter(monkeypatch, tasking.SlotResolver, "add")
+    created = [
+        Counter(monkeypatch, cls, "create_task")
+        for cls in (
+            tasking.SerialBackend, tasking.FuturesBackend,
+            tasking.ProcessBackend, tasking.OmpTaskSystem,
+        )
+    ]
+    plan = interp.exec_plan(info)
+    assert resolved.calls == len(plan.rows) > 0  # once, at lowering
+    seq = interp.run_sequential(interp.new_store())
+    for backend in 10 * ("threads", "processes") + ("serial",):
+        out, stats = execute_measured(interp, info, backend=backend, workers=2)
+        assert seq.equal(out)
+        if backend != "serial":
+            assert stats.scheduler["tasks"] == len(plan.rows)
+    assert resolved.calls == len(plan.rows)
+    assert [c.calls for c in created] == [0, 0, 0, 0]
+
+
+def test_width_one_plan_runs_on_the_calling_thread(monkeypatch):
+    """P5's four nests fuse into one chain stream: every task waits on
+    its predecessor only, so ``threads`` never starts a helper."""
+    interp, info = compile_for_exec(TABLE9["P5"].source(8), "auto", coarsen=1)
+    plan = interp.exec_plan(info)
+    assert len(plan.streams) == 1 and max(plan.schedule.counts) == 1
+    started = Counter(monkeypatch, threading.Thread, "start")
+    out, stats = execute_measured(
+        interp, info, backend="threads", workers=2, collect_events=True
+    )
+    assert started.calls == 0
+    assert stats.scheduler["helpers"] == stats.scheduler["steals"] == 0
+    assert {e.worker for e in stats.events.events} == {0}
+    assert len(stats.events.events) == len(plan.rows)
+    assert interp.run_sequential(interp.new_store()).equal(out)
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_failed_replay_leaves_the_shared_plan_reusable(backend):
+    """A block that raises mid-plan is re-raised, its dependents never
+    run, no thread outlives the call — and the next replay of the same
+    plan is bit-identical to the oracle: per-run counters never leak
+    into the plan."""
+    interp, info = compile_for_exec(TABLE9["P10"].source(8), "off", coarsen=2)
+    plan = interp.exec_plan(info)
+    tid_of = {id(row.payload["iters"]): t for t, row in enumerate(plan.rows)}
+    victim = len(plan.rows) // 3
+    descendants, frontier = set(), [victim]
+    while frontier:
+        for s in plan.schedule.succs[frontier.pop()]:
+            if s not in descendants:
+                descendants.add(s)
+                frontier.append(s)
+    assert descendants
+    ran = []
+
+    def failing_run_block(store, statement, iterations):
+        tid = tid_of[id(iterations)]
+        if tid == victim:
+            raise RuntimeError("stage failed")
+        type(interp).run_block(interp, store, statement, iterations)
+        ran.append(tid)
+
+    interp.run_block = failing_run_block
+    before = threading.active_count()
+    try:
+        with pytest.raises(RuntimeError, match="stage failed"):
+            execute_measured(interp, info, backend=backend, workers=2)
+    finally:
+        del interp.run_block
+    assert threading.active_count() == before
+    assert ran and victim not in ran and not descendants & set(ran)
+
+    assert interp.exec_plan(info) is plan
+    out, _ = execute_measured(interp, info, backend=backend, workers=2)
+    assert interp.run_sequential(interp.new_store()).equal(out)
+
+
+# ----------------------------------------------------------------------
 # replay battery
 # ----------------------------------------------------------------------
 class TestReplayBitIdentity:

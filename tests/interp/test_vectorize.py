@@ -67,6 +67,28 @@ class TestRectangles:
     def test_single_point(self):
         assert rectangles(np.array([[5, 7]])) == [((5, 7), (5, 7))]
 
+    @pytest.mark.parametrize(
+        "row", [(4,), (-3,), (5, 7), (0, -2), (-1, -1, -9), (2, 0, 11), (1, 2, 3, 4)]
+    )
+    def test_one_row_fast_path_equals_the_general_path(self, row):
+        """A one-iteration block is its own rectangle: the early return
+        yields what the bounding-box machinery computes for it."""
+        iters = np.array([row], dtype=np.int64)
+        lo, hi = iters.min(axis=0), iters.max(axis=0)  # the general path
+        assert int(np.prod(hi - lo + 1)) == 1
+        general = [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))]
+        got = rectangles(iters)
+        assert got == general == [(row, row)]
+        assert all(type(v) is int for bound in got[0] for v in bound)
+        assert rectangles([list(row)]) == general  # array-likes too
+        # and it agrees with the decomposition of any block containing it
+        two = np.array([row, row[:-1] + (row[-1] + 1,)], dtype=np.int64)
+        assert rectangles(two)[0][0] == got[0][0]
+
+    def test_one_element_flat_input_is_still_rejected(self):
+        with pytest.raises(ValueError):
+            rectangles(np.array([7]))
+
     def test_one_dimensional_run_split(self):
         pts = np.array([[0], [1], [2], [5], [6]])
         assert rectangles(pts) == [((0,), (2,)), ((5,), (6,))]

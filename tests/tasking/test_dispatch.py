@@ -1,0 +1,245 @@
+"""The compiled schedule and the one thread scheduler behind every
+in-process run: caller is worker 0, helpers start at the first surplus
+ready task, failures and interrupts stop dispatch."""
+
+from __future__ import annotations
+
+import signal
+import threading
+import time
+
+import pytest
+
+from repro.tasking import FuturesBackend, Schedule, SlotResolver
+from repro.tasking.dispatch import run_serial, run_threads
+
+
+def chain(n):
+    return Schedule.from_preds([set()] + [{k} for k in range(n - 1)])
+
+
+def name_of(tid):
+    return f"t{tid}"
+
+
+class TestSchedule:
+    def test_from_preds_counts_successors_and_roots(self):
+        sched = Schedule.from_preds([set(), set(), {0, 1}, {2}, {0}])
+        assert sched.counts == (0, 0, 2, 1, 1)
+        assert sched.succs == ((2, 4), (2,), (3,), (), ())
+        assert sched.roots == (0, 1)
+        assert sched.preds() == [set(), set(), {0, 1}, {2}, {0}]
+        assert len(sched) == 5
+
+    def test_resolver_last_writer_chain_key_and_duplicates(self):
+        r = SlotResolver(write_num=2)
+        a = r.add(0, 0, chain_key="S")
+        b = r.add(1, 0, chain_key="S")  # chained behind a
+        c = r.add(0, 1, [0, 0, 1], [0, 0, 0], chain_key="T")  # a twice, b
+        d = r.add(0, 0)  # rewrites a's slot, unchained
+        e = r.add(1, 1, [0], [0], chain_key="T")  # sees the *last* writer
+        assert (a, b, c, d, e) == (0, 1, 2, 3, 4)
+        sched = r.schedule()
+        assert sched.preds() == [set(), {a}, {a, b}, set(), {c, d}]
+        assert sched.counts == (0, 1, 2, 0, 2)
+
+    def test_resolver_argument_checks(self):
+        r = SlotResolver(2)
+        with pytest.raises(ValueError, match="equal length"):
+            r.add(0, 0, [1], [])
+        with pytest.raises(ValueError, match="out of range"):
+            r.add(0, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            r.add(0, 0, [1], [5])
+        assert len(r) == 0  # a refused row is not recorded
+
+
+class TestCallerIsWorkerZero:
+    def test_width_one_schedule_starts_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start",
+            lambda self: (started.append(self.name), real_start(self))[1],
+        )
+        ran = []
+        stats = run_threads(
+            chain(50),
+            lambda tid: ran.append((tid, threading.get_ident())),
+            4, name_of,
+        )
+        assert [tid for tid, _ in ran] == list(range(50))
+        assert {ident for _, ident in ran} == {threading.get_ident()}
+        assert started == []
+        assert stats == {
+            "policy": "work-stealing", "tasks": 50, "workers": 4,
+            "helpers": 0, "steals": 0,
+        }
+
+    def test_two_sleeping_roots_overlap_on_two_workers(self):
+        span = {}
+
+        def sleeper(tid):
+            start = time.monotonic()
+            time.sleep(0.05)
+            span[tid] = (start, time.monotonic(), threading.get_ident())
+
+        stats = run_threads(
+            Schedule.from_preds([set(), set()]), sleeper, 2, name_of
+        )
+        (s0, f0, t0), (s1, f1, t1) = span[0], span[1]
+        assert s0 < f1 and s1 < f0  # overlapping intervals
+        assert t0 != t1 and threading.get_ident() in (t0, t1)
+        assert stats["helpers"] == 1
+
+    def test_helpers_start_at_the_first_surplus(self):
+        """A chain that fans out at its end: no helper while the front is
+        one task wide, one as soon as a task readies two."""
+        alive_at = {}
+        preds = [set(), {0}, {1}, {2}, {2}]  # 3 and 4 both wait on 2
+
+        def body(tid):
+            alive_at[tid] = threading.active_count()
+            if tid >= 3:
+                time.sleep(0.02)
+
+        before = threading.active_count()
+        stats = run_threads(Schedule.from_preds(preds), body, 2, name_of)
+        assert alive_at[0] == alive_at[1] == alive_at[2] == before
+        assert stats["helpers"] == 1
+        assert threading.active_count() == before  # joined before returning
+
+    def test_precedence_under_contention(self):
+        """More workers than cores, a shortened switch interval: every
+        task runs exactly once, after all of its predecessors."""
+        import random
+        import sys
+
+        rng = random.Random(7)
+        n = 400
+        preds = [
+            set(rng.sample(range(t), min(t, rng.randint(0, 3))))
+            for t in range(n)
+        ]
+        sched = Schedule.from_preds(preds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                order = []
+                run_threads(sched, order.append, 8, name_of)
+                pos = {tid: k for k, tid in enumerate(order)}
+                assert sorted(order) == list(range(n))
+                assert all(pos[p] < pos[t] for t in range(n) for p in preds[t])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_serial_runs_in_index_order(self):
+        ran = []
+        run_serial(range(5), ran.append, name_of)
+        assert ran == [0, 1, 2, 3, 4]
+
+    def test_empty_schedule(self):
+        stats = run_threads(Schedule.from_preds([]), None, 3, name_of)
+        assert stats["tasks"] == 0 and stats["helpers"] == 0
+
+    def test_bad_worker_count(self):
+        with pytest.raises(ValueError):
+            run_threads(chain(2), lambda tid: None, 0, name_of)
+
+
+class TestFailures:
+    def test_task_failure_is_reraised_after_helpers_joined(self):
+        ran = []
+        preds = [set(), set(), {0}, {1}, {2, 3}]
+
+        def body(tid):
+            if tid == 1:
+                raise RuntimeError("stage failed")
+            time.sleep(0.01)
+            ran.append(tid)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="stage failed"):
+            run_threads(Schedule.from_preds(preds), body, 2, name_of)
+        assert threading.active_count() == before
+        assert not {3, 4} & set(ran)  # transitive dependents never ran
+
+    def test_cycle_is_reported_as_a_stall_not_a_hang(self):
+        # 1 and 2 wait on each other; only the root can ever run
+        sched = Schedule(
+            counts=(0, 1, 1), succs=((), (2,), (1,)), roots=(0,)
+        )
+        with pytest.raises(RuntimeError, match="stalled: 1/3"):
+            run_threads(sched, lambda tid: None, 2, name_of)
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "setitimer"), reason="needs POSIX interval timers"
+    )
+    def test_interrupt_in_the_caller_stops_helpers(self):
+        """A signal-raised exception reaches the caller while it waits
+        for work: it is re-raised at once — without waiting for the
+        helper's running task — and the helper takes no further task."""
+
+        class Deadline(Exception):
+            pass
+
+        def on_alarm(signum, frame):
+            raise Deadline()
+
+        helper_busy = threading.Event()
+        finished, ran = threading.Event(), []
+        caller = threading.get_ident()
+
+        def body(tid):
+            ran.append(tid)
+            if threading.get_ident() == caller:
+                assert tid < 2 and helper_busy.wait(5)  # let it steal first
+            else:
+                helper_busy.set()
+                time.sleep(0.4)  # still busy when the alarm fires
+                finished.set()
+
+        # two roots, one per thread; 2 .. 9 wait on both of them
+        preds = [set(), set()] + [{0, 1}] * 8
+        old = signal.signal(signal.SIGALRM, on_alarm)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            with pytest.raises(Deadline):
+                run_threads(Schedule.from_preds(preds), body, 2, name_of)
+            raised_after = time.monotonic() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert raised_after < 0.3  # did not wait out the helper's stage
+        assert finished.wait(5)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(
+            th.name.startswith("repro-ws-") for th in threading.enumerate()
+        ):
+            time.sleep(0.01)
+        assert not any(
+            th.name.startswith("repro-ws-") for th in threading.enumerate()
+        )
+        assert sorted(ran) == [0, 1]
+
+
+class TestCreateTaskSharesTheScheduler:
+    def test_futures_backend_reports_the_scheduler_stats(self):
+        backend = FuturesBackend(write_num=1, workers=3)
+        log = []
+        for k in range(4):
+            backend.create_task(log.append, k, out_depend=k, out_idx=0)
+        stats = backend.run()
+        assert log == [0, 1, 2, 3]  # same func: one chain, width 1
+        assert stats["helpers"] == 0 and stats["tasks"] == 4
+        assert backend.schedule().preds()[3] == {2}
+
+    def test_unchained_tasks_of_one_function_are_independent(self):
+        backend = FuturesBackend(write_num=1, workers=2)
+        for k in range(3):
+            backend.create_task(
+                lambda p: None, k, out_depend=k, out_idx=0, chain=False
+            )
+        assert backend.schedule().roots == (0, 1, 2)

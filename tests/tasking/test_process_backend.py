@@ -112,7 +112,7 @@ class TestProcessBackendChecks:
         t1 = backend.create_task(
             lambda p: None, {"iters": [(1,)]}, 1, 0, statement="S1"
         )
-        assert t0 in backend._tasks[t1].deps
+        assert t0 in backend.schedule().preds()[t1]
 
 
 class TestFuturesBackendHardening:

@@ -1,7 +1,7 @@
 """The shared slot-addressing mixin: one packing, every backend.
 
 Satellite guard: ``slot()`` used to be duplicated per backend; it now
-lives once in :class:`repro.tasking.backends.SlotAddressing`.  These
+lives once in :class:`repro.tasking.dispatch.SlotAddressing`.  These
 tests pin that every backend (and the OpenMP-like reference system)
 resolves identical addresses, and that the arithmetic composes with
 :class:`repro.codegen.packing.VectorPacker` exactly as the generated
