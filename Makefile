@@ -2,16 +2,17 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-exec bench-overhead bench-serve bench-history ledger-pair crossover sched-overhead report examples lint analyze-examples analyze-portfolio profile-examples clean
+.PHONY: install test bench bench-exec bench-overhead bench-serve ledger-pair crossover sched-overhead report examples lint analyze-examples analyze-portfolio profile-examples clean
 
 # Kernel sources checked by `make lint` / `make analyze-examples`; every
 # parameter any of them references must appear in LINT_PARAMS.
 LINT_KERNELS ?= $(wildcard examples/kernels/*.c)
 LINT_PARAMS ?= --param N=12
 
-# The reduction kernels carry cross-nest anti/output dependences (and
-# dotprod a non-injective accumulator write) that the strict pipeline
-# profiler rejects; they are covered by `make analyze-portfolio` instead.
+# The reduction kernels carry cross-nest anti/output dependences: under
+# the all-kinds fallback they profile as two barrier tasks, which says
+# nothing (and dotprod's non-injective accumulator write is rejected
+# outright); they are covered by `make analyze-portfolio` instead.
 REDUCTION_KERNELS := examples/kernels/dotprod.c examples/kernels/histogram.c \
 	examples/kernels/sumstencil.c examples/kernels/subswap.c
 PROFILE_KERNELS ?= $(filter-out $(REDUCTION_KERNELS),$(LINT_KERNELS))
@@ -40,11 +41,6 @@ bench-overhead:
 # compiles and concurrent in-flight dedupe (docs/serving.md).
 bench-serve:
 	$(PYTHON) -m repro bench-serve --out BENCH_serve.json
-
-# Append this run's headline metrics to BENCH_history.jsonl and fail on
-# a >20% regression vs the previous same-mode row (docs/observability.md).
-bench-history:
-	$(PYTHON) tools/bench_history.py
 
 # Paired parent/change runs of the ledger (docs/performance.md): PARENT is
 # a checkout of the parent commit (git clone, then git checkout <sha>).

@@ -132,9 +132,18 @@ def analyze_kernel(
             portfolio_to_diagnostics(result.scop, result.portfolio, file)
         )
 
-    # 5. pipeline detection + task-graph checks, only on a valid SCoP
+    # 5. pipeline detection + task-graph checks, only on a valid SCoP.
+    # A flow-only refusal becomes the note (the explainer has already
+    # emitted its diagnostics) and detection moves to every class.
     if validation.ok and result.scop.statements:
-        result.info, result.detect_error = _detect(result.scop)
+        from ..pipeline import detect_pipeline, flow_then_all_kinds
+
+        try:
+            result.info, result.detect_error = flow_then_all_kinds(
+                lambda kinds: detect_pipeline(result.scop, kinds=kinds)
+            )
+        except Exception as exc:
+            result.detect_error = str(exc)
         if result.info is not None:
             from .taskcheck import check_task_graph
 
@@ -144,25 +153,3 @@ def analyze_kernel(
 
     result.report = report.sorted()
     return result
-
-
-def _detect(scop):
-    """Algorithm 1, falling back to the all-kinds extension when needed.
-
-    Returns ``(info or None, note or None)``.  The note explains why the
-    flow-only detection did not apply; the explainer has already emitted
-    the corresponding diagnostics.
-    """
-    from ..pipeline import UncoveredDependenceError, detect_pipeline
-    from ..scop import DepKind
-
-    try:
-        return detect_pipeline(scop), None
-    except UncoveredDependenceError as exc:
-        note = str(exc)
-        try:
-            return detect_pipeline(scop, kinds=tuple(DepKind)), note
-        except Exception as exc2:  # pragma: no cover - defensive
-            return None, f"{note}; extension also failed: {exc2}"
-    except Exception as exc:
-        return None, str(exc)

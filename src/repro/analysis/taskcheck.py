@@ -31,7 +31,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..pipeline import PipelineInfo
-from ..scop import DepKind, Scop, dependence_relation
+from ..schedule.legality import iter_dependences, tasks_by_block
+from ..scop import DepKind, Scop
 from . import diagnostics as D
 from .diagnostics import Collector, DiagnosticReport
 
@@ -165,6 +166,7 @@ def check_token_coverage(
     file: str | None = None,
     kinds: Sequence[DepKind] = tuple(DepKind),
     max_reports: int = 5,
+    relaxed=None,
 ) -> DiagnosticReport:
     """Every dependence must be covered by a self-chain*/in-token chain.
 
@@ -205,44 +207,38 @@ def check_token_coverage(
         cover[nest.statement] = per_src
 
     reported = 0
-    for source in scop.statements:
-        sb = info.blockings[source.name]
-        for target in scop.statements:
-            tb = info.blockings[target.name]
-            for kind in kinds:
-                rel = dependence_relation(scop, source, target, kind)
-                if rel.is_empty():
-                    continue
-                src_blocks = sb.block_of_rows(rel.out_part)
-                tgt_blocks = tb.block_of_rows(rel.in_part)
-                if source.name == target.name:
-                    # the self-chain orders blocks; within a block the
-                    # execution is lexicographic, matching the dependence
-                    bad = src_blocks > tgt_blocks
-                else:
-                    row = cover[target.name].get(source.name)
-                    if row is None:
-                        bad = np.ones(len(src_blocks), dtype=bool)
-                    else:
-                        bad = row[tgt_blocks] < src_blocks
-                for idx in np.nonzero(bad)[0]:
-                    if reported >= max_reports:
-                        break
-                    reported += 1
-                    out.add(
-                        D.UNCOVERED_DEPENDENCE,
-                        f"{kind.value} dependence "
-                        f"{source.name}{list(rel.out_part[idx])} -> "
-                        f"{target.name}{list(rel.in_part[idx])} is not "
-                        "covered by any in/out token chain "
-                        f"(source block {int(src_blocks[idx])}, target "
-                        f"block {int(tgt_blocks[idx])})",
-                        hints=(
-                            "the depend clauses under-approximate Q_S; "
-                            "re-run detect_pipeline with the dependence's "
-                            "kind included",
-                        ),
-                    )
+    for source, target, kind, rel in iter_dependences(scop, kinds, relaxed):
+        sb, tb = info.blockings[source.name], info.blockings[target.name]
+        src_blocks = sb.block_of_rows(rel.out_part)
+        tgt_blocks = tb.block_of_rows(rel.in_part)
+        if source.name == target.name:
+            # the self-chain orders blocks; within a block the
+            # execution is lexicographic, matching the dependence
+            bad = src_blocks > tgt_blocks
+        else:
+            row = cover[target.name].get(source.name)
+            if row is None:
+                bad = np.ones(len(src_blocks), dtype=bool)
+            else:
+                bad = row[tgt_blocks] < src_blocks
+        for idx in np.nonzero(bad)[0]:
+            if reported >= max_reports:
+                break
+            reported += 1
+            out.add(
+                D.UNCOVERED_DEPENDENCE,
+                f"{kind.value} dependence "
+                f"{source.name}{list(rel.out_part[idx])} -> "
+                f"{target.name}{list(rel.in_part[idx])} is not "
+                "covered by any in/out token chain "
+                f"(source block {int(src_blocks[idx])}, target "
+                f"block {int(tgt_blocks[idx])})",
+                hints=(
+                    "the depend clauses under-approximate Q_S; "
+                    "re-run detect_pipeline with the dependence's "
+                    "kind included",
+                ),
+            )
     return out.report()
 
 
@@ -257,12 +253,13 @@ def check_races(
     workers: Sequence[int] = (2, 4),
     policies: Sequence[str] = ("fifo", "lifo", "cp"),
     max_reports: int = 5,
+    relaxed=None,
 ) -> DiagnosticReport:
     """Hunt for dependence-reordering interleavings of the task graph."""
     from ..tasking.simulator import simulate
 
     out = Collector(file)
-    pairs = _dependence_task_pairs(scop, info, graph)
+    pairs = _dependence_task_pairs(scop, info, graph, relaxed)
     cross = [p for p in pairs if p[1] != p[2]]
     if not cross:
         return out.report()
@@ -338,38 +335,24 @@ def check_races(
     return out.report()
 
 
-def _dependence_task_pairs(scop: Scop, info: PipelineInfo, graph):
+def _dependence_task_pairs(scop: Scop, info: PipelineInfo, graph, relaxed):
     """(kind, source task, target task, source instance, target instance)."""
-    from ..schedule.legality import _tasks_by_block
-
-    token_to_task = {
-        task.block.out_token: task.task_id
-        for task in graph.tasks
-        if task.block is not None
-    }
+    task_of_block = tasks_by_block(info, graph)
     pairs = []
-    for source in scop.statements:
-        sb = info.blockings[source.name]
-        s_tasks = _tasks_by_block(token_to_task, sb, source.name)
-        for target in scop.statements:
-            tb = info.blockings[target.name]
-            t_tasks = _tasks_by_block(token_to_task, tb, target.name)
-            for kind in DepKind:
-                rel = dependence_relation(scop, source, target, kind)
-                if rel.is_empty():
-                    continue
-                s_tids = s_tasks[sb.block_of_rows(rel.out_part)]
-                t_tids = t_tasks[tb.block_of_rows(rel.in_part)]
-                for k in range(len(rel)):
-                    pairs.append(
-                        (
-                            kind,
-                            int(s_tids[k]),
-                            int(t_tids[k]),
-                            tuple(int(v) for v in rel.out_part[k]),
-                            tuple(int(v) for v in rel.in_part[k]),
-                        )
-                    )
+    for source, target, kind, rel in iter_dependences(scop, relaxed=relaxed):
+        sb, tb = info.blockings[source.name], info.blockings[target.name]
+        s_tids = task_of_block[source.name][sb.block_of_rows(rel.out_part)]
+        t_tids = task_of_block[target.name][tb.block_of_rows(rel.in_part)]
+        for k in range(len(rel)):
+            pairs.append(
+                (
+                    kind,
+                    int(s_tids[k]),
+                    int(t_tids[k]),
+                    tuple(int(v) for v in rel.out_part[k]),
+                    tuple(int(v) for v in rel.in_part[k]),
+                )
+            )
     return pairs
 
 
@@ -381,8 +364,13 @@ def check_task_graph(
     graph=None,
     file: str | None = None,
     max_reports: int = 5,
+    relaxed=None,
 ) -> DiagnosticReport:
-    """Run packing, token-coverage and race checks; merge the reports."""
+    """Run packing, token-coverage and race checks; merge the reports.
+
+    ``relaxed`` is a verified privatization proof's removed set (the
+    ``relaxed=`` of :func:`~repro.schedule.check_legality`): pairs the
+    schedule may reorder are no dependence to cover or to race on."""
     from ..schedule import generate_task_ast
     from ..tasking import TaskGraph
 
@@ -393,9 +381,10 @@ def check_task_graph(
     report = check_packing(ast, file=file, max_reports=max_reports)
     report = report.merged(
         check_token_coverage(scop, info, ast, file=file,
-                             max_reports=max_reports)
+                             max_reports=max_reports, relaxed=relaxed)
     )
     report = report.merged(
-        check_races(scop, info, graph, file=file, max_reports=max_reports)
+        check_races(scop, info, graph, file=file, max_reports=max_reports,
+                    relaxed=relaxed)
     )
     return report

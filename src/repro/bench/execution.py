@@ -188,9 +188,8 @@ def run_privatized_workload(
     privatized backends themselves — they all combine the same privates
     in the same fixed join order.
     """
-    from ..driver import prepare_privatized
+    from ..driver import TransformOptions, analyze
     from ..interp import execute_privatized, privatized_matches
-    from ..schedule import plan_privatization
 
     oracle = Interpreter.from_source(source, params, funcs, fuse="off")
     seq_wall = None
@@ -202,18 +201,20 @@ def run_privatized_workload(
         elapsed = time.perf_counter() - t0
         seq_wall = elapsed if seq_wall is None else min(seq_wall, elapsed)
 
-    plan = plan_privatization(oracle.scop)
-    if not plan.groups:
-        raise ValueError(f"workload {name!r} has no privatizable reduction")
-
+    options = TransformOptions(
+        privatize=True, privatize_parts=parts, check=False
+    )
     runs: dict[str, dict] = {}
     stores: dict[str, object] = {}
     identical = True
     for backend in backends:
         interp = Interpreter.from_source(source, params, funcs)
-        info, _sched, _ast, _graph, _joins = prepare_privatized(
-            interp.scop, plan, parts=parts
-        )
+        analysis = analyze(interp, options)
+        if not analysis.privatized:
+            raise ValueError(
+                f"workload {name!r} has no privatizable reduction"
+            )
+        info, plan = analysis.info, analysis.plan
         best = None
         best_store = None
         for _ in range(max(1, repeats)):

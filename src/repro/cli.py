@@ -12,10 +12,12 @@ Commands
     Run the AST-level lint rules (``--deep`` adds SCoP validation and the
     pipelinability/task-graph checks); exit 1 on error diagnostics.
 ``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--tune model|search] [--reduce-deps] [--trace PATH] [--metrics PATH]``
-    Execute the kernel sequentially and pipelined (threaded runtime) and
-    report whether the results match, plus the simulated speed-up.
-    ``--exec-backend`` additionally runs a *measured* wall-clock execution
-    of the generated task program on the chosen backend;
+    ``repro.driver.transform`` from the command line: compile, then
+    execute the kernel sequentially and replay the lowered task program
+    once — on ``--exec-backend`` (a *measured* wall-clock run, reported
+    with its statistics), else on the threaded runtime — and report
+    whether the replayed arrays match, plus the simulated speed-up
+    (``--hybrid`` verifies its relaxed graph by running it instead);
     ``--fuse`` controls the block kernels (fused closures: one NumPy
     call per task, with chain fusion of proven-legal statement
     sequences; ``off`` runs compiled loops; ``--vectorize`` is its
@@ -30,9 +32,10 @@ Commands
     schedule and live runtime task events; ``--metrics`` writes the
     metrics-registry JSON export.
 ``profile <kernel.c> --param N=32 [--backend threads] [--workers 4]``
-    Measure a run with event collection and print the critical-path
-    profile: measured critical path, per-statement self time,
-    simulated-vs-measured makespan divergence and top slack blocks.
+    The same ``transform`` with event collection on ``--backend``; prints
+    the critical-path profile of that one (verified) replay: measured
+    critical path, per-statement self time, simulated-vs-measured
+    makespan divergence and top slack blocks.
 ``bench-exec [--out BENCH_execution.json]``
     Measured-execution benchmark: compiled-loop vs fused sequential
     vs thread/process backends, including a latency-bound workload.
@@ -86,68 +89,85 @@ def _parse_params(items: list[str]) -> dict[str, int]:
     return params
 
 
-def _load(path: str, params: dict[str, int]):
-    from .interp import Interpreter
-
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    return Interpreter.from_source(source, params)
-
-
 def _read_source(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
+def _load(path: str, params: dict[str, int]):
+    from .interp import Interpreter
+
+    return Interpreter.from_source(_read_source(path), params)
+
+
 def _cache_dir_of(args) -> str | None:
     """Resolve the artifact-store root: --cache-dir, then
-    $REPRO_CACHE_DIR; --no-cache wins over both.  None = caching off."""
+    $REPRO_CACHE_DIR; --no-cache wins over both, and so do --tune and
+    --reduce-deps — their summaries (and the trace's ``overhead``
+    section) are not in an artifact, so they are answered by a direct
+    compile.  None = caching off."""
     import os
 
-    if getattr(args, "no_cache", False):
+    if (
+        getattr(args, "no_cache", False)
+        or getattr(args, "tune", None)
+        or getattr(args, "reduce_deps", False)
+    ):
         return None
     explicit = getattr(args, "cache_dir", None)
-    if explicit:
-        return explicit
-    return os.environ.get("REPRO_CACHE_DIR") or None
+    return explicit or os.environ.get("REPRO_CACHE_DIR") or None
 
 
-def _cached_compile(interp, source: str, args, hybrid: bool = False):
-    """The compile phase through the artifact store (or None: caching
-    off).  Prints the cold/warm verdict so cache behaviour is visible in
-    every command that takes ``--cache-dir``."""
-    cache_dir = _cache_dir_of(args)
-    if cache_dir is None:
-        return None
-    import dataclasses as _dc
+#: Flags that set the ``TransformOptions`` field of the same name.
+_OPTION_FLAGS = (
+    "coarsen", "workers", "hybrid", "reduce_deps", "tune", "privatize",
+    "privatize_parts",
+)
 
-    from .driver import TransformOptions
-    from .pipeline import UncoveredDependenceError
-    from .scop import DepKind
-    from .service.compile import cached_analysis
-    from .store import ArtifactStore
 
-    opts = TransformOptions(
-        coarsen=getattr(args, "coarsen", 1),
-        hybrid=hybrid,
-        check=False,
-        verify=False,
-        fuse=getattr(args, "fuse", None) or "auto",
-        workers=getattr(args, "workers", 4),
+def _transform(args, source: str, **run_with):
+    """``repro.driver.transform`` for ``run``, ``profile`` and ``analyze
+    --stats``: the one place flags become ``TransformOptions``
+    (``run_with`` adds what is not a flag of the same name).  Detection
+    is flow-first with the all-kinds fallback, the compile goes through
+    the artifact store when one is configured (its cold/warm verdict is
+    printed), an illegal option pair exits with the driver's reason and
+    a failed verification with its verdict and status 1."""
+    import dataclasses
+
+    from .driver import (
+        TransformOptions,
+        VerificationFailedError,
+        transform,
+        validate_options,
     )
-    store = ArtifactStore(cache_dir)
-    params = _parse_params(args.param)
+    from .pipeline import flow_then_all_kinds
+
+    options = TransformOptions(
+        fuse=getattr(args, "fuse", None) or "auto",
+        **{f: getattr(args, f) for f in _OPTION_FLAGS if hasattr(args, f)},
+        **run_with,
+    )
     try:
-        analysis, status = cached_analysis(
-            interp, source, params, opts, store
+        validate_options(options)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    params, cache_dir = _parse_params(args.param), _cache_dir_of(args)
+    try:
+        result, _ = flow_then_all_kinds(
+            lambda kinds: transform(
+                source,
+                params,
+                dataclasses.replace(options, kinds=kinds),
+                cache_dir=cache_dir,
+            )
         )
-    except UncoveredDependenceError:
-        opts = _dc.replace(opts, kinds=tuple(DepKind))
-        analysis, status = cached_analysis(
-            interp, source, params, opts, store
-        )
-    print(f"compile cache: {status} ({cache_dir})")
-    return analysis
+    except VerificationFailedError as exc:
+        print(f"result matches sequential: False ({exc})")
+        raise SystemExit(1)
+    if result.cache_status is not None:
+        print(f"compile cache: {result.cache_status} ({cache_dir})")
+    return result
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -194,22 +214,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     from .pipeline import (
         NoPatternError,
-        UncoveredDependenceError,
         describe_pipeline_map,
         detect_pipeline,
+        flow_then_all_kinds,
     )
     from .schedule import build_schedule, generate_task_ast
 
     info = result.info
     if args.coarsen != 1:
-        from .scop import DepKind
-
-        try:
-            info = detect_pipeline(result.scop, coarsen=args.coarsen)
-        except UncoveredDependenceError:
-            info = detect_pipeline(
-                result.scop, kinds=tuple(DepKind), coarsen=args.coarsen
+        info, _ = flow_then_all_kinds(
+            lambda kinds: detect_pipeline(
+                result.scop, kinds=kinds, coarsen=args.coarsen
             )
+        )
     print()
     print(info.summary())
     for pm in info.pipeline_maps.values():
@@ -222,82 +239,69 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print()
     print(generate_task_ast(info).pretty())
     if args.stats:
-        from .interp import Interpreter, execute_measured
-        from .obs.metrics import (
-            MetricsRegistry,
-            absorb_execution,
-            absorb_presburger_cache,
-            absorb_simulation,
-            absorb_task_overhead,
-        )
-        from .pipeline import task_graph_stats
-        from .presburger import cache as presburger_cache
-        from .schedule import generate_task_ast as gen_ast
-        from .tasking import TaskGraph, simulate
-
-        tg = task_graph_stats(info)
-        print()
-        print(
-            f"task graph: {tg['tasks']} tasks, {tg['edges']} edges, "
-            f"{tg['depend_in_slots']} depend-in slots "
-            f"({tg['depend_in_slots_reduced']} after reduction, "
-            f"{100.0 * tg['reduction_ratio']:.0f}% cut), "
-            f"critical path {tg['critical_path_tasks']} tasks"
-        )
-        print()
-        print(presburger_cache.format_stats())
-
-        # All four legacy stat families, through the metrics registry:
-        # Presburger cache, task-overhead, simulation, measured execution.
-        reg = MetricsRegistry()
-        graph = TaskGraph.from_task_ast(gen_ast(info))
-        sim = simulate(graph, workers=4)
-        interp = Interpreter.from_source(
-            source, _parse_params(args.param), fuse="auto"
-        )
-        _cached_compile(interp, source, args)
-        _, ex_stats = execute_measured(interp, info, backend="serial")
-
-        fprog = interp.fused_program
-        total = len(interp.scop.statements)
-        print()
-        print(
-            f"fusion coverage: {fprog.statements_fused}/{total} "
-            f"statements compiled to fused closures"
-        )
-        if fprog.chains:
-            for label in sorted(fprog.chains):
-                print(f"  chain: {label}")
-        fallbacks = fprog.fallbacks()
-        if fallbacks:
-            print("  fallbacks:")
-            for name in sorted(fallbacks):
-                fb = fallbacks[name]
-                print(f"    {name}: [{fb['code']}] {fb['reason']}")
-        absorb_presburger_cache(reg)
-        absorb_task_overhead(reg, task_graph=tg)
-        absorb_simulation(reg, sim, graph)
-        absorb_execution(reg, ex_stats)
-
-        from .obs.metrics import absorb_artifact_store
-        from .store import session_counters
-
-        absorb_artifact_store(reg)
-        sc = session_counters()
-        if sc:
-            print()
-            print(
-                "artifact store: "
-                f"{sc.get('hits', 0)} hit(s), "
-                f"{sc.get('misses', 0)} miss(es), "
-                f"{sc.get('puts', 0)} put(s), "
-                f"{sc.get('corrupt', 0)} corrupt, "
-                f"{sc.get('replay_failures', 0)} replay failure(s)"
-            )
-        print()
-        print("metrics registry:")
-        print(reg.format())
+        _print_stats(args, source)
     return 0
+
+
+def _print_stats(args, source: str) -> None:
+    """``analyze --stats``: one verified serial ``transform``, its four
+    stat families folded through the metrics registry."""
+    from .interp.fused import chain_label
+    from .obs.metrics import (
+        MetricsRegistry,
+        absorb_artifact_store,
+        absorb_transform,
+    )
+    from .presburger import cache as presburger_cache
+    from .store import session_counters
+
+    result = _transform(args, source, exec_backend="serial")
+    reg = MetricsRegistry()
+    absorb_transform(reg, result)
+
+    def tg(key: str):
+        return reg.value(f"task_graph.{key}")
+
+    print()
+    print(
+        f"task graph: {tg('tasks')} tasks, {tg('edges')} edges, "
+        f"{tg('depend_in_slots')} depend-in slots "
+        f"({tg('depend_in_slots_reduced')} after reduction, "
+        f"{100.0 * tg('reduction_ratio'):.0f}% cut), "
+        f"critical path {tg('critical_path_tasks')} tasks"
+    )
+    print()
+    print(presburger_cache.format_stats())
+
+    stats = result.execution
+    modes = stats.dispatch_modes.values()
+    print()
+    print(
+        f"fusion coverage: {sum(m == 'fused' for m in modes)}/{len(modes)} "
+        f"statements compiled to fused closures"
+    )
+    for chain in sorted(stats.fused_chains):
+        print(f"  chain: {chain_label(chain)}")
+    if stats.fused_fallback:
+        print("  fallbacks:")
+        for name, fb in sorted(stats.fused_fallback.items()):
+            print(f"    {name}: [{fb['code']}] {fb['reason']}")
+
+    absorb_artifact_store(reg)
+    sc = session_counters()
+    if sc:
+        print()
+        print(
+            "artifact store: "
+            f"{sc.get('hits', 0)} hit(s), "
+            f"{sc.get('misses', 0)} miss(es), "
+            f"{sc.get('puts', 0)} put(s), "
+            f"{sc.get('corrupt', 0)} corrupt, "
+            f"{sc.get('replay_failures', 0)} replay failure(s)"
+        )
+    print()
+    print("metrics registry:")
+    print(reg.format())
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -319,260 +323,117 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code()
 
 
-def _run_privatized(args, interp, priv_plan, observing: bool):
-    """The ``run --privatize`` arm: execute a verified plan end to end."""
-    from .driver import prepare_privatized
-    from .interp import execute_privatized, privatized_matches
-    from .schedule import check_legality, verify_privatized_graph
-    from .tasking import simulate
-
-    parts = args.privatize_parts or max(2, args.workers)
-    info, _schedule, ast, graph, joins = prepare_privatized(
-        interp.scop, priv_plan, parts=parts, coarsen=args.coarsen
-    )
-    check_legality(
-        interp.scop, info, graph, relaxed=priv_plan.relaxed()
-    ).raise_if_illegal()
-    verify_privatized_graph(interp.scop, priv_plan, graph).raise_if_invalid()
-
-    seq_store = interp.run_sequential(interp.new_store())
-    out_store, _ = execute_privatized(
-        interp, info, priv_plan, backend="serial", workers=args.workers,
-        task_ast=ast,
-    )
-    match, detail = privatized_matches(priv_plan, seq_store, out_store)
-
-    sim = simulate(graph, workers=args.workers)
-    print(
-        f"tasks: {len(graph)}, edges: {graph.num_edges} "
-        f"(incl. {len(joins)} join task(s), {parts} part(s)/statement)"
-    )
-    print(f"privatized result matches sequential: {match} ({detail})")
-    print(
-        f"simulated speed-up on {args.workers} workers: "
-        f"{graph.total_cost() / sim.makespan:.2f}x"
-    )
-    stats = None
-    if args.exec_backend:
-        ex_store, stats = execute_privatized(
-            interp,
-            info,
-            priv_plan,
-            backend=args.exec_backend,
-            workers=args.workers,
-            collect_events=observing,
-            task_ast=ast,
-        )
-        ex_match, ex_detail = privatized_matches(
-            priv_plan, seq_store, ex_store
-        )
-        print("measured execution: " + stats.summary())
-        print(
-            f"measured privatized result matches sequential: "
-            f"{ex_match} ({ex_detail})"
-        )
-        match = match and ex_match
-    return info, graph, sim, stats, match
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    from .bench import ascii_timeline
+    from contextlib import nullcontext
+
     from .obs import spans as obs_spans
-    from .pipeline import detect_pipeline
-    from .schedule import generate_task_ast
-    from .tasking import (
-        TaskGraph,
-        bind_interpreter_actions,
-        execute,
-        hybrid_task_graph,
-        simulate,
-    )
 
     observing = bool(args.trace or args.metrics)
-    rec = obs_spans.recording() if observing else None
-    if rec is not None:
-        rec.__enter__()
-
-    reduction = None
-    plan = None
-    stats = None
-    try:
-        from .interp import Interpreter
-
-        source = _read_source(args.kernel)
-        interp = Interpreter.from_source(
-            source, _parse_params(args.param), fuse=args.fuse
+    with obs_spans.recording() if observing else nullcontext() as rec:
+        result = _transform(
+            args,
+            _read_source(args.kernel),
+            exec_backend=args.exec_backend,
+            collect_events=observing and args.exec_backend is not None,
         )
 
-        priv_plan = None
-        if args.privatize:
-            if args.hybrid or args.tune:
-                raise SystemExit(
-                    "--privatize is incompatible with --hybrid/--tune"
-                )
-            from .schedule import plan_privatization
-
-            priv_plan = plan_privatization(interp.scop)
-            print(priv_plan.describe())
-            if not priv_plan.groups:
-                print(
-                    "no verified privatization proofs; "
-                    "running the standard pipeline"
-                )
-                priv_plan = None
-        if priv_plan is not None:
-            info, graph, sim, stats, match = _run_privatized(
-                args, interp, priv_plan, observing
-            )
-        else:
-            cached = None
-            if not (args.tune or args.reduce_deps):
-                # tune re-measures and reduce-deps rewrites the info —
-                # both are answered by a direct compile, not the store
-                cached = _cached_compile(
-                    interp, source, args, hybrid=args.hybrid
-                )
-            if cached is not None:
-                info, ast, graph = cached.info, cached.task_ast, cached.graph
-            else:
-                info = detect_pipeline(interp.scop, coarsen=args.coarsen)
-                if args.tune:
-                    from .tuning import auto_tune
-
-                    plan = auto_tune(
-                        interp, info, workers=args.workers, mode=args.tune
-                    )
-                    info = plan.info
-                    print(plan.summary())
-                if args.reduce_deps:
-                    if args.hybrid:
-                        raise SystemExit(
-                            "--reduce-deps is incompatible with --hybrid "
-                            "(hybrid relaxes the self chains the reduction "
-                            "relies on)"
-                        )
-                    from .pipeline import reduce_dependencies
-
-                    info, reduction = reduce_dependencies(info)
-                    print(reduction.summary())
-                ast = generate_task_ast(info)
-                if args.hybrid:
-                    graph = hybrid_task_graph(interp.scop, info, ast)
-                else:
-                    graph = TaskGraph.from_task_ast(ast)
-
-            seq_store = interp.run_sequential(interp.new_store())
-            par_store = interp.new_store()
-            bind_interpreter_actions(graph, interp, par_store)
-            execute(graph, workers=args.workers)
-            match = seq_store.equal(par_store)
-
-            sim = simulate(graph, workers=args.workers)
-            mode = "hybrid" if args.hybrid else "pipelined"
-            print(f"tasks: {len(graph)}, edges: {graph.num_edges}")
-            print(f"{mode} result matches sequential: {match}")
+    plan, graph = result.privatization, result.graph
+    if plan is not None:
+        print(plan.describe())
+        if not plan.groups:
             print(
-                f"simulated speed-up on {args.workers} workers: "
-                f"{graph.total_cost() / sim.makespan:.2f}x"
+                "no verified privatization proofs; "
+                "running the standard pipeline"
             )
-            if args.exec_backend:
-                from .interp import execute_measured
+    for summary in (result.tuning, result.reduction):
+        if summary is not None:
+            print(summary.summary())
+    shape = f"tasks: {len(graph)}, edges: {graph.num_edges}"
+    if result.joins:
+        parts = max(
+            result.info.blockings[s].num_blocks for s in plan.statements
+        )
+        shape += (
+            f" (incl. {len(result.joins)} join task(s), "
+            f"{parts} part(s)/statement)"
+        )
+    print(shape)
+    # one verdict per execution that happened: the hybrid graph run, and
+    # the one plan replay — measured when a backend was asked for
+    privatized = "privatized " if result.joins else ""
+    verdict = f"result matches sequential: {result.verified}"
+    if result.match_detail:
+        verdict += f" ({result.match_detail})"
+    if args.hybrid:
+        print(f"hybrid result matches sequential: {result.verified}")
+    elif result.execution is None:
+        print(f"{privatized or 'pipelined '}{verdict}")
+    print(
+        f"simulated speed-up on {args.workers} workers: "
+        f"{result.speedup:.2f}x"
+    )
+    if result.execution is not None:
+        print("measured execution: " + result.execution.summary())
+        print(f"measured {privatized}{verdict}")
+    if args.timeline:
+        from .bench import ascii_timeline
 
-                ex_store, stats = execute_measured(
-                    interp,
-                    info,
-                    backend=args.exec_backend,
-                    workers=args.workers,
-                    collect_events=observing,
-                    task_ast=ast,
-                )
-                ex_match = seq_store.equal(ex_store)
-                print("measured execution: " + stats.summary())
-                print(f"measured result matches sequential: {ex_match}")
-                match = match and ex_match
-        if args.timeline:
-            print()
-            print(ascii_timeline(graph, sim))
-    finally:
-        if rec is not None:
-            rec.__exit__(None, None, None)
+        print()
+        print(ascii_timeline(graph, result.simulation))
 
-    overhead = None
-    if reduction is not None or plan is not None:
-        overhead = {}
-        if reduction is not None:
-            overhead["reduction"] = reduction.as_dict()
-        if plan is not None:
-            overhead["tuning"] = plan.as_dict()
     if args.trace:
         from .bench import write_trace
 
+        overhead = {
+            name: part.as_dict()
+            for name, part in (
+                ("reduction", result.reduction),
+                ("tuning", result.tuning),
+            )
+            if part is not None
+        }
         write_trace(
             args.trace,
             graph,
-            sim,
-            execution=stats,
-            overhead=overhead,
-            spans=rec.spans if rec is not None else None,
+            result.simulation,
+            execution=result.execution,
+            overhead=overhead or None,
+            spans=rec.spans,
         )
         print(f"wrote {args.trace}")
     if args.metrics:
-        from .obs.metrics import (
-            MetricsRegistry,
-            absorb_execution,
-            absorb_presburger_cache,
-            absorb_simulation,
-            absorb_task_overhead,
-        )
-        from .pipeline import task_graph_stats
+        from .obs.metrics import MetricsRegistry, absorb_transform
 
         reg = MetricsRegistry()
-        absorb_presburger_cache(reg)
-        absorb_simulation(reg, sim, graph)
-        absorb_task_overhead(
-            reg,
-            task_graph=task_graph_stats(info),
-            reduction=reduction,
-            tuning=plan,
-        )
-        if stats is not None:
-            absorb_execution(reg, stats)
+        absorb_transform(reg, result)
         with open(args.metrics, "w", encoding="utf-8") as fh:
             fh.write(reg.to_json() + "\n")
         print(f"wrote {args.metrics}")
-    return 0 if match else 1
+    return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .obs.profile import profile_kernel
-    from .pipeline import detect_pipeline
+    from .obs.profile import profile_run
 
-    from .interp import Interpreter
+    result = _transform(
+        args,
+        _read_source(args.kernel),
+        exec_backend=args.backend,
+        collect_events=True,
+    )
+    sim = result.simulation
+    if args.policy != sim.policy:
+        from .tasking import simulate
 
-    source = _read_source(args.kernel)
-    interp = Interpreter.from_source(
-        source, _parse_params(args.param), fuse=args.fuse
-    )
-    cached = _cached_compile(interp, source, args)
-    if cached is not None:
-        info, ast = cached.info, cached.task_ast
-    else:
-        info, ast = detect_pipeline(interp.scop, coarsen=args.coarsen), None
-    report = profile_kernel(
-        interp,
-        info,
-        backend=args.backend,
-        workers=args.workers,
-        policy=args.policy,
-        top=args.top,
-        task_ast=ast,
-    )
+        sim = simulate(result.graph, workers=args.workers, policy=args.policy)
+    report = profile_run(result.graph, sim, result.execution, top=args.top)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.format(top=args.top))
+        print(f"measured result matches sequential: {result.verified}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2)

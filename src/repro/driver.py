@@ -53,7 +53,8 @@ VERIFY_BACKEND = "threads"
 class TransformOptions:
     """Knobs of the transformation and its evaluation."""
 
-    #: dependence classes to pipeline (paper default: flow only)
+    #: dependence classes to pipeline (paper default: flow only); a
+    #: compile that executes privatization proofs pipelines every class
     kinds: tuple[DepKind, ...] = (DepKind.FLOW,)
     #: merge every ``coarsen`` consecutive blocks into one task
     coarsen: int = 1
@@ -86,9 +87,7 @@ class TransformOptions:
     #: or "processes"); None skips the measured run
     exec_backend: str | None = None
     #: transitively reduce the block dependency relations before
-    #: scheduling (fewer depend-in slots, same enforced partial order);
-    #: incompatible with ``hybrid``, which relaxes the self chains the
-    #: reduction relies on
+    #: scheduling (fewer depend-in slots, same enforced partial order)
     reduce_deps: bool = False
     #: granularity auto-tuning: "model" (calibrated cost model + simulated
     #: scan), "search" (measured scan), None (keep ``coarsen`` as given)
@@ -104,8 +103,10 @@ class TransformOptions:
     #: execute the portfolio's verified privatization proofs: re-block
     #: reduction statements into parallel chunks over per-block private
     #: accumulators joined by a generated combine task.  Implies the
-    #: portfolio run; a kernel with no verified proofs falls through to
-    #: the standard pipeline unchanged (a no-op, not an error)
+    #: portfolio run and, with verified proofs, ``kinds`` = every class
+    #: (what the relaxed legality check covers); a kernel with no
+    #: verified proofs falls through to the standard pipeline unchanged
+    #: (a no-op, not an error)
     privatize: bool = False
     #: chunks per privatized statement (None: max(2, workers))
     privatize_parts: int | None = None
@@ -145,6 +146,13 @@ class TransformResult:
     #: options.privatize); a repro.schedule.PrivatizationPlan — empty
     #: ``groups`` means the run fell through to the standard pipeline
     privatization: object | None = None
+    #: accumulator arrays combined by a generated join task (one each)
+    joins: tuple = ()
+    #: how a privatized replay matched: "bit-exact", or which accumulator
+    #: agreed only within the reassociation tolerance ("" otherwise)
+    match_detail: str = ""
+    #: None for a direct compile; "cold" / "warm" when ``cache_dir`` was used
+    cache_status: str | None = None
 
     @property
     def speedup(self) -> float:
@@ -250,66 +258,105 @@ def transform(
     ``Program`` object has no canonical byte form to hash).
     """
     options = options or TransformOptions()
+    validate_options(options)
+    params = dict(params or {})
     from .presburger import cache as presburger_cache
 
     with presburger_cache.overridden(
         enabled=options.presburger_cache,
         maxsize=options.presburger_cache_size,
     ):
-        return _transform(
-            source_or_program, params, options, funcs, cache_dir
+        interp = Interpreter.from_source(
+            source_or_program, params, funcs, fuse=options.fuse
         )
+        if cache_dir is not None and isinstance(source_or_program, str):
+            from .service.compile import cached_analysis
+            from .store import ArtifactStore
+
+            analysis, _ = cached_analysis(
+                interp, source_or_program, params, options,
+                ArtifactStore(cache_dir),
+            )
+        else:
+            analysis = analyze(interp, options)
+        return _finish(interp, options, analysis)
 
 
-def _validate_options(options: TransformOptions) -> None:
-    if options.reduce_deps and options.hybrid:
-        raise ValueError(
-            "reduce_deps is incompatible with hybrid: the hybrid graph "
-            "relaxes the per-statement chains the reduction relies on"
-        )
-    if options.privatize and options.hybrid:
-        raise ValueError(
-            "privatize is incompatible with hybrid: privatized "
-            "statements already drop their self chains under a proof"
-        )
-    if options.privatize and options.tune is not None:
-        raise ValueError(
-            "privatize is incompatible with tune: chunking of "
-            "privatized statements is set by privatize_parts"
-        )
+#: Option pairs that do not compose, as ``(option, option, reason)`` —
+#: every option named here is off (``False`` / ``None``) by default, so
+#: "set" is truthiness.  Consulted by :func:`validate_options` and
+#: nowhere else; every other pair either composes on the one spine of
+#: :func:`analyze` or is not a pair at all.
+INCOMPATIBLE_OPTIONS = (
+    (
+        "reduce_deps",
+        "hybrid",
+        "the hybrid graph relaxes the per-statement chains the reduction "
+        "relies on",
+    ),
+    (
+        "privatize",
+        "hybrid",
+        "privatized statements already drop their self chains under a proof",
+    ),
+    (
+        "privatize",
+        "tune",
+        "chunking of privatized statements is set by privatize_parts",
+    ),
+)
 
 
-def _transform(
-    source_or_program: str | Program,
-    params: Mapping[str, int] | None,
+def validate_options(options: TransformOptions) -> None:
+    """Refuse a row of :data:`INCOMPATIBLE_OPTIONS` (``ValueError``)."""
+    for first, second, reason in INCOMPATIBLE_OPTIONS:
+        if getattr(options, first) and getattr(options, second):
+            raise ValueError(
+                f"{first} is incompatible with {second}: {reason}"
+            )
+
+
+def build_task_graph(
+    scop: Scop,
+    info: PipelineInfo,
+    task_ast: TaskAst,
     options: TransformOptions,
-    funcs: Mapping | None,
-    cache_dir: str | None = None,
-) -> TransformResult:
-    _validate_options(options)
+    plan=None,
+) -> tuple[TaskGraph, tuple]:
+    """The task graph this AST gets under ``options``: ``(graph, joins)``.
 
-    interp = Interpreter.from_source(
-        source_or_program, dict(params or {}), funcs, fuse=options.fuse
-    )
+    The one place that chooses between the privatized graph (``plan``
+    has verified groups: unchained members plus one join task per
+    accumulator, named in ``joins``), the ``hybrid`` graph and the
+    standard per-statement chains — for a fresh compile and for one
+    rebuilt from a stored artifact alike.
+    """
+    cost_of_block = options.cost_model.block_cost
+    if plan is not None and plan.groups:
+        from .schedule import build_privatized_graph
 
-    if cache_dir is not None and isinstance(source_or_program, str):
-        from .service.compile import cached_analysis
-        from .store import ArtifactStore
-
-        analysis, _ = cached_analysis(
-            interp,
-            source_or_program,
-            dict(params or {}),
-            options,
-            ArtifactStore(cache_dir),
+        graph, joins = build_privatized_graph(
+            task_ast, plan, cost_of_block=cost_of_block
+        )
+        return graph, tuple(joins)
+    if options.hybrid:
+        graph = hybrid_task_graph(
+            scop, info, task_ast, cost_of_block=cost_of_block
         )
     else:
-        analysis = analyze(interp, options)
-    return _finish(interp, options, analysis)
+        graph = TaskGraph.from_task_ast(task_ast, cost_of_block=cost_of_block)
+    return graph, ()
 
 
 def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     """The compile phase: SCoP analysis through checked task graph.
+
+    One spine for every option.  Privatization is a step on it, not a
+    second pipeline: a plan with verified groups relaxes the same
+    dependence and scheduling problem (its statements are re-blocked
+    into unordered chunks before scheduling, its proofs' removed pairs
+    are subtracted in the legality and static checks after), and a plan
+    without groups leaves every step the standard one.
 
     Pure with respect to array contents — nothing here executes the
     kernel (granularity *tuning* may run calibration executions, but
@@ -333,16 +380,34 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
         with span("driver.privatize"):
             plan = plan_privatization(scop, portfolio_report)
-        if plan.groups:
-            return _analyze_privatized(
-                interp, options, plan, portfolio_report
-            )
-        # no verified proofs: fall through to the standard pipeline
-        # unchanged (result.privatization records the empty plan)
+    # no verified proofs: the standard pipeline, unchanged (a no-op, not
+    # an error — result.privatization records the empty plan)
+    privatized = plan is not None and bool(plan.groups)
+    relaxed = plan.relaxed() if privatized else None
 
-    info = detect_pipeline(
-        scop, kinds=options.kinds, coarsen=options.coarsen
-    )
+    if privatized:
+        from .schedule import privatize_info
+        from .scop.validate import validate_scop
+
+        # The plan's statements write their accumulator non-injectively
+        # by design (hence the waivers), and the relaxed legality check
+        # needs every dependence class pipelined: ``kinds`` is widened
+        # to all of them here.
+        validate_scop(
+            scop, reduction_waivers=plan.statements
+        ).raise_if_invalid()
+        info = detect_pipeline(
+            scop, kinds=tuple(DepKind), validate=False,
+            coarsen=options.coarsen,
+        )
+        info = privatize_info(
+            info, plan,
+            parts=options.privatize_parts or max(2, options.workers),
+        )
+    else:
+        info = detect_pipeline(
+            scop, kinds=options.kinds, coarsen=options.coarsen
+        )
 
     tuning = None
     if options.tune is not None:
@@ -360,21 +425,21 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
     schedule = build_schedule(info)
     task_ast = generate_task_ast(info, schedule)
-    with span("driver.task_graph", hybrid=options.hybrid):
-        if options.hybrid:
-            graph = hybrid_task_graph(
-                scop, info, task_ast,
-                cost_of_block=options.cost_model.block_cost,
-            )
-        else:
-            graph = TaskGraph.from_task_ast(
-                task_ast, cost_of_block=options.cost_model.block_cost
-            )
+    with span(
+        "driver.task_graph", hybrid=options.hybrid, privatize=privatized
+    ):
+        graph, joins = build_task_graph(scop, info, task_ast, options, plan)
 
     legality: LegalityReport | None = None
     if options.check:
-        legality = check_legality(scop, info, graph)
+        legality = check_legality(scop, info, graph, relaxed=relaxed)
         legality.raise_if_illegal()
+        if privatized:
+            # join tasks execute no instances, so check_legality alone
+            # cannot see an omitted join: re-check the join structure
+            from .schedule import verify_privatized_graph
+
+            verify_privatized_graph(scop, plan, graph).raise_if_invalid()
 
     diagnostics = None
     if options.static_checks:
@@ -382,7 +447,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
         with span("driver.static_checks"):
             diagnostics = check_task_graph(
-                scop, info, ast=task_ast, graph=graph
+                scop, info, ast=task_ast, graph=graph, relaxed=relaxed
             )
         if not diagnostics.ok:
             raise IllegalTaskGraphError(
@@ -401,8 +466,51 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
         tuning=tuning,
         portfolio=portfolio_report,
         plan=plan,
-        privatized=False,
+        joins=joins,
+        privatized=privatized,
     )
+
+
+def _identical(oracle: ArrayStore, out: ArrayStore) -> tuple[bool, str]:
+    ok = oracle.equal(out)
+    return ok, "" if ok else f"max abs diff {oracle.max_abs_diff(out):g}"
+
+
+def replay(
+    interp: Interpreter,
+    a: Analysis,
+    backend: str,
+    workers: int,
+    collect_events: bool = False,
+    oracle: ArrayStore | None = None,
+) -> tuple[ArrayStore, ExecutionStats, tuple[bool, str] | None]:
+    """One replay of the lowered plan of ``a``: ``(arrays, stats, verdict)``.
+
+    The one place that knows a privatized analysis replays and compares
+    differently — ``transform`` and ``repro serve`` both come here.
+    ``verdict`` is ``None`` without an ``oracle`` (the arrays of a
+    sequential run), else ``(ok, detail)``: bit identity, with the
+    reassociation tolerance confined to
+    :func:`~repro.interp.privatized_matches`.
+    """
+    run = dict(
+        backend=backend,
+        workers=workers,
+        collect_events=collect_events,
+        task_ast=a.task_ast,
+    )
+    verdict = None
+    if a.privatized:
+        from .interp import execute_privatized, privatized_matches
+
+        out, stats = execute_privatized(interp, a.info, a.plan, **run)
+        if oracle is not None:
+            verdict = privatized_matches(a.plan, oracle, out)
+    else:
+        out, stats = execute_measured(interp, a.info, **run)
+        if oracle is not None:
+            verdict = _identical(oracle, out)
+    return out, stats, verdict
 
 
 def _finish(
@@ -413,12 +521,12 @@ def _finish(
     """One oracle run, one plan replay, one compare; then simulation.
 
     "Verified" means what ``repro serve`` means by it for ``run``: the
-    arrays of the plan replay that is returned are bit-identical to a
-    fresh sequential oracle (``privatized_matches`` for reductions).
-    The replay is the lowered :class:`~repro.interp.plan.ExecPlan` on
-    ``options.exec_backend`` — or, when only ``verify`` asks for one, on
-    :data:`VERIFY_BACKEND` at ``options.workers``; ``execution`` is
-    filled only for a requested backend.
+    arrays of the plan replay that is returned match a fresh sequential
+    oracle (:func:`replay`).  The replay is the lowered
+    :class:`~repro.interp.plan.ExecPlan` on ``options.exec_backend`` —
+    or, when only ``verify`` asks for one, on :data:`VERIFY_BACKEND` at
+    ``options.workers``; ``execution`` is filled only for a requested
+    backend.
 
     ``hybrid`` is the exception, stated here once: its relaxed graph is
     not what ``ExecPlan`` lowers, so verifying it means running that
@@ -428,17 +536,11 @@ def _finish(
     """
     from .obs.spans import span
 
-    def require_match(out: ArrayStore, what: str) -> None:
-        if a.privatized:
-            from .interp import privatized_matches
-
-            ok, detail = privatized_matches(a.plan, seq, out)
-        else:
-            ok = seq.equal(out)
-            detail = "" if ok else f"max abs diff {seq.max_abs_diff(out):g}"
-        if not ok:
+    def require(verdict: tuple[bool, str] | None, what: str) -> None:
+        if verdict is not None and not verdict[0]:
             raise VerificationFailedError(
-                f"{what} diverged from the sequential execution ({detail})"
+                f"{what} diverged from the sequential execution "
+                f"({verdict[1]})"
             )
 
     backend = options.exec_backend
@@ -446,6 +548,7 @@ def _finish(
         backend = VERIFY_BACKEND
     seq: ArrayStore | None = None
     execution: ExecutionStats | None = None
+    verdict = None
     verifying = (
         span("driver.verify", backend="graph" if options.hybrid else backend)
         if options.verify
@@ -460,27 +563,17 @@ def _finish(
                 par = interp.new_store()
                 bind_interpreter_actions(a.graph, interp, par)
                 execute(a.graph, workers=options.workers)
-                require_match(par, "hybrid graph execution")
+                require(_identical(seq, par), "hybrid graph execution")
         if backend is not None:
             measured = options.exec_backend is not None
-            replay = dict(
-                backend=backend,
-                workers=options.workers,
+            _, stats, verdict = replay(
+                interp, a, backend, options.workers,
                 collect_events=measured and options.collect_events,
-                task_ast=a.task_ast,
+                oracle=seq,
             )
-            if a.privatized:
-                from .interp import execute_privatized
-
-                out, stats = execute_privatized(
-                    interp, a.info, a.plan, **replay
-                )
-            else:
-                out, stats = execute_measured(interp, a.info, **replay)
             if measured:
                 execution = stats
-            if seq is not None:
-                require_match(out, f"{backend} plan replay")
+            require(verdict, f"{backend} plan replay")
 
     sim = simulate(
         a.graph, workers=options.workers, overhead=options.overhead
@@ -501,81 +594,7 @@ def _finish(
         tuning=a.tuning,
         portfolio=a.portfolio,
         privatization=a.plan,
-    )
-
-
-def prepare_privatized(
-    scop: Scop,
-    plan,
-    parts: int,
-    coarsen: int = 1,
-    cost_of_block=None,
-):
-    """Schedule + task graph of a verified privatization plan.
-
-    Shared by the driver, the CLI and the bench: validates the SCoP with
-    reduction waivers for the plan's statements (their accumulator
-    writes are non-injective by design), detects pipelines over *all*
-    dependence kinds (the relaxed legality check needs every class), and
-    re-blocks/joins per :mod:`repro.schedule.privatize`.  Returns
-    ``(info, schedule, task_ast, graph, joins)``.
-    """
-    from .schedule import build_privatized_graph, privatize_info
-    from .scop.validate import validate_scop
-
-    validate_scop(
-        scop, reduction_waivers=plan.statements
-    ).raise_if_invalid()
-    base_info = detect_pipeline(
-        scop, kinds=tuple(DepKind), validate=False, coarsen=coarsen
-    )
-    info = privatize_info(base_info, plan, parts=parts)
-    schedule = build_schedule(info)
-    task_ast = generate_task_ast(info, schedule)
-    graph, joins = build_privatized_graph(
-        task_ast, plan, cost_of_block=cost_of_block
-    )
-    return info, schedule, task_ast, graph, joins
-
-
-def _analyze_privatized(
-    interp: Interpreter,
-    options: TransformOptions,
-    plan,
-    portfolio_report,
-) -> Analysis:
-    """The privatized arm of :func:`analyze` (plan has groups)."""
-    from .obs.spans import span
-    from .schedule import verify_privatized_graph
-
-    scop = interp.scop
-    parts = options.privatize_parts or max(2, options.workers)
-    with span("driver.task_graph", privatize=True, parts=parts):
-        info, schedule, task_ast, graph, joins = prepare_privatized(
-            scop,
-            plan,
-            parts=parts,
-            coarsen=options.coarsen,
-            cost_of_block=options.cost_model.block_cost,
-        )
-
-    legality: LegalityReport | None = None
-    if options.check:
-        # instance-exact legality under the proof's relaxed set, plus
-        # the structural join-coverage re-check (join tasks execute no
-        # instances, so check_legality alone cannot see an omitted join)
-        legality = check_legality(scop, info, graph, relaxed=plan.relaxed())
-        legality.raise_if_illegal()
-        verify_privatized_graph(scop, plan, graph).raise_if_invalid()
-
-    return Analysis(
-        info=info,
-        schedule=schedule,
-        task_ast=task_ast,
-        graph=graph,
-        legality=legality,
-        portfolio=portfolio_report,
-        plan=plan,
-        joins=tuple(joins),
-        privatized=True,
+        joins=a.joins,
+        match_detail=verdict[1] if verdict is not None else "",
+        cache_status=a.cache_status,
     )

@@ -30,6 +30,7 @@ from .metrics import (
     absorb_presburger_cache,
     absorb_simulation,
     absorb_task_overhead,
+    absorb_transform,
     default_registry,
     parse_series_key,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "absorb_presburger_cache",
     "absorb_simulation",
     "absorb_task_overhead",
+    "absorb_transform",
     "collecting",
     "default_registry",
     "parse_series_key",

@@ -39,6 +39,7 @@ __all__ = [
     "absorb_presburger_cache",
     "absorb_simulation",
     "absorb_task_overhead",
+    "absorb_transform",
     "default_registry",
     "parse_series_key",
     "series_key",
@@ -515,3 +516,23 @@ def absorb_simulation(reg: MetricsRegistry, sim, graph=None) -> None:
                 round(total / sim.makespan, 4),
                 **labels,
             )
+
+
+def absorb_transform(reg: MetricsRegistry, result) -> None:
+    """Absorb everything one :class:`repro.driver.TransformResult`
+    measured: the Presburger cache, simulation and task-overhead
+    families, plus measured execution when a backend was asked for."""
+    from ..pipeline import task_graph_stats
+
+    # before the cache snapshot: it asks Presburger questions of its own
+    task_graph = task_graph_stats(result.info)
+    absorb_presburger_cache(reg)
+    absorb_simulation(reg, result.simulation, result.graph)
+    absorb_task_overhead(
+        reg,
+        task_graph=task_graph,
+        reduction=result.reduction,
+        tuning=result.tuning,
+    )
+    if result.execution is not None:
+        absorb_execution(reg, result.execution)

@@ -16,7 +16,9 @@ simulator's prediction — into one report:
   furthest short of the makespan — the safest candidates for coarsening
   or for soaking up stolen work.
 
-``repro profile <kernel>`` is the CLI entry (see :mod:`repro.cli`).
+``repro profile <kernel>`` is the CLI entry (see :mod:`repro.cli`): a
+``transform`` with ``exec_backend`` and ``collect_events`` set, whose
+graph, simulation and execution statistics :func:`profile_run` joins.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["ProfileReport", "profile_kernel", "profile_run"]
+__all__ = ["ProfileReport", "profile_run"]
 
 
 @dataclass(frozen=True)
@@ -272,33 +274,3 @@ def profile_run(graph, sim, stats, top: int = 10) -> ProfileReport:
             for pid, clock in sorted(trace.clocks.items())
         },
     )
-
-
-def profile_kernel(
-    interp,
-    info,
-    backend: str = "threads",
-    workers: int = 4,
-    policy: str = "fifo",
-    top: int = 10,
-    task_ast=None,
-) -> ProfileReport:
-    """Measure one kernel with event collection and profile the run
-    (``task_ast``: the AST of ``info`` when the caller already has it)."""
-    from ..interp import execute_measured
-    from ..schedule import generate_task_ast
-    from ..tasking import TaskGraph, simulate
-
-    if task_ast is None:
-        task_ast = generate_task_ast(info)
-    graph = TaskGraph.from_task_ast(task_ast)
-    sim = simulate(graph, workers=workers, policy=policy)
-    _, stats = execute_measured(
-        interp,
-        info,
-        backend=backend,
-        workers=workers,
-        collect_events=True,
-        task_ast=task_ast,
-    )
-    return profile_run(graph, sim, stats, top=top)

@@ -22,6 +22,7 @@ from .detect import (
     UncoveredDependenceError,
     derive_dependencies,
     detect_pipeline,
+    flow_then_all_kinds,
 )
 from .reduce import (
     ReductionStats,
@@ -68,6 +69,7 @@ __all__ = [
     "derive_dependencies",
     "describe_pipeline_map",
     "detect_pipeline",
+    "flow_then_all_kinds",
     "reduce_dependencies",
     "infer_quasi_affine",
     "infer_relation_pattern",

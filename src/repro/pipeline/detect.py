@@ -232,6 +232,24 @@ class UncoveredDependenceError(ValueError):
     """A cross-nest dependence class is not covered by the pipeline maps."""
 
 
+def flow_then_all_kinds(attempt):
+    """``attempt(kinds)`` the way the tools do it: the paper's flow-only
+    detection first and, when that is refused with an
+    :class:`UncoveredDependenceError`, over every :class:`DepKind` (the
+    future-work extension: safe, coarser blocks).
+
+    Returns ``(result, note)``; ``note`` is the refusal's message when
+    the fallback ran, else ``None``.  ``repro analyze`` / ``run`` /
+    ``profile`` and the analysis engine detect through this; a library
+    call (``detect_pipeline``, ``transform``) takes ``kinds`` as given
+    and raises.
+    """
+    try:
+        return attempt((DepKind.FLOW,)), None
+    except UncoveredDependenceError as exc:
+        return attempt(tuple(DepKind)), str(exc)
+
+
 def _check_dependence_coverage(
     scop: Scop, kinds: tuple[DepKind, ...]
 ) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..pipeline import PipelineInfo
 from ..presburger import PointRelation
@@ -105,6 +105,26 @@ def check_legality(
         )
 
 
+def iter_dependences(
+    scop: Scop,
+    kinds: Sequence[DepKind] = tuple(DepKind),
+    relaxed: RelaxedMap | None = None,
+):
+    """Every non-empty instance-level dependence relation of ``scop`` as
+    ``(source, target, kind, relation)``, minus the pairs ``relaxed``
+    allows the schedule to reorder."""
+    for source in scop.statements:
+        for target in scop.statements:
+            for kind in kinds:
+                rel = dependence_relation(scop, source, target, kind)
+                if relaxed:
+                    cut = relaxed.get((source.name, target.name, kind))
+                    if cut is not None and not cut.is_empty():
+                        rel = rel.difference(cut)
+                if not rel.is_empty():
+                    yield source, target, kind, rel
+
+
 def _check_legality(
     scop: Scop,
     info: PipelineInfo,
@@ -114,65 +134,51 @@ def _check_legality(
     relaxed: RelaxedMap | None = None,
 ) -> LegalityReport:
     reach = graph.reachability()
+    task_of_block = tasks_by_block(info, graph)
+
+    checked = 0
+    violations: list[Violation] = []
+    for source, target, kind, rel in iter_dependences(scop, kinds, relaxed):
+        checked += len(rel)
+        sb, tb = info.blockings[source.name], info.blockings[target.name]
+        s_tids = task_of_block[source.name][sb.block_of_rows(rel.out_part)]
+        t_tids = task_of_block[target.name][tb.block_of_rows(rel.in_part)]
+        ok = reach[s_tids, t_tids]
+        if source.name == target.name:
+            # same task: intra-task execution is lexicographic, so the
+            # dependence holds iff src precedes tgt there — guaranteed
+            # because dependence pairs satisfy src <lex tgt within one
+            # statement.  (Different statements never share a task.)
+            ok = ok | (s_tids == t_tids)
+        for idx in np.nonzero(~ok)[0]:
+            if len(violations) >= max_violations:
+                break
+            violations.append(
+                Violation(
+                    kind,
+                    source.name,
+                    tuple(int(v) for v in rel.out_part[idx]),
+                    target.name,
+                    tuple(int(v) for v in rel.in_part[idx]),
+                )
+            )
+    return LegalityReport(checked, tuple(violations))
+
+
+def tasks_by_block(info: PipelineInfo, graph: "TaskGraph") -> dict:
+    """Per statement: the task id of each of its blocks, by block id."""
     token_to_task = {
         task.block.out_token: task.task_id
         for task in graph.tasks
         if task.block is not None
     }
-
-    checked = 0
-    violations: list[Violation] = []
-    for source in scop.statements:
-        sb = info.blockings[source.name]
-        s_task_of_block = _tasks_by_block(token_to_task, sb, source.name)
-        for target in scop.statements:
-            tb = info.blockings[target.name]
-            t_task_of_block = _tasks_by_block(token_to_task, tb, target.name)
-            for kind in kinds:
-                rel = dependence_relation(scop, source, target, kind)
-                if relaxed:
-                    cut = relaxed.get((source.name, target.name, kind))
-                    if cut is not None and not cut.is_empty():
-                        rel = rel.difference(cut)
-                if rel.is_empty():
-                    continue
-                checked += len(rel)
-                src_blocks = sb.block_of_rows(rel.out_part)
-                tgt_blocks = tb.block_of_rows(rel.in_part)
-                s_tids = s_task_of_block[src_blocks]
-                t_tids = t_task_of_block[tgt_blocks]
-                ordered = reach[s_tids, t_tids]
-                same = s_tids == t_tids
-                if source.name == target.name:
-                    # same task: intra-task execution is lexicographic, so
-                    # the dependence holds iff src precedes tgt there —
-                    # guaranteed because dependence pairs satisfy src <lex
-                    # tgt within one statement.
-                    ok = ordered | same
-                else:
-                    # different statements never share a task
-                    ok = ordered
-                for idx in np.nonzero(~ok)[0]:
-                    if len(violations) >= max_violations:
-                        break
-                    violations.append(
-                        Violation(
-                            kind,
-                            source.name,
-                            tuple(int(v) for v in rel.out_part[idx]),
-                            target.name,
-                            tuple(int(v) for v in rel.in_part[idx]),
-                        )
-                    )
-    return LegalityReport(checked, tuple(violations))
-
-
-def _tasks_by_block(token_to_task, blocking, statement: str) -> np.ndarray:
-    """Task id per block id of one statement."""
-    out = np.empty(blocking.num_blocks, dtype=np.int64)
-    for block_id in range(blocking.num_blocks):
-        end = tuple(int(v) for v in blocking.ends.points[block_id])
-        out[block_id] = token_to_task[(statement, end)]
+    out = {}
+    for name, blocking in info.blockings.items():
+        ids = np.empty(blocking.num_blocks, dtype=np.int64)
+        for block_id in range(blocking.num_blocks):
+            end = tuple(int(v) for v in blocking.ends.points[block_id])
+            ids[block_id] = token_to_task[(name, end)]
+        out[name] = ids
     return out
 
 

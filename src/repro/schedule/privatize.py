@@ -345,6 +345,8 @@ def plan_from_proofs(
     """
     from .legality import verify_privatization
 
+    if not proofs:  # nothing claimed: the empty plan, no portfolio run
+        return PrivatizationPlan(())
     claimed: list[str] = []
     for proof in proofs:
         check = verify_privatization(scop, proof)

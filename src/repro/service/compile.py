@@ -24,7 +24,7 @@ import dataclasses
 import time
 from typing import Mapping
 
-from ..driver import Analysis, TransformOptions, analyze
+from ..driver import Analysis, TransformOptions, analyze, build_task_graph
 from ..scop import DepKind
 from ..store import ArtifactStore, CompileArtifact, artifact_key, kernel_sha
 from ..store.disk import bump_session
@@ -156,7 +156,6 @@ def load_analysis(
     from ..pipeline.detect import PipelineInfo
     from ..schedule import build_schedule
     from ..schedule.serialize import loads_task_ast
-    from ..tasking import TaskGraph, hybrid_task_graph
 
     scop = interp.scop
     info = PipelineInfo.from_dict(scop, artifact.info)
@@ -174,44 +173,27 @@ def load_analysis(
 
         portfolio_report = run_portfolio(scop)
 
-    cost_of_block = options.cost_model.block_cost
-    if artifact.privatized:
+    plan = None
+    if options.privatize:
         from ..analysis.portfolio.privatize import PrivatizationProof
-        from ..schedule import build_privatized_graph
         from ..schedule.privatize import plan_from_proofs
 
-        proofs = [PrivatizationProof.from_dict(p) for p in artifact.proofs]
-        plan = plan_from_proofs(scop, proofs)  # mandatory re-verification
-        graph, joins = build_privatized_graph(
-            task_ast, plan, cost_of_block=cost_of_block
-        )
-        return Analysis(
-            info=info,
-            schedule=schedule,
-            task_ast=task_ast,
-            graph=graph,
-            portfolio=portfolio_report,
-            plan=plan,
-            joins=tuple(joins),
-            privatized=True,
-            cache_status="warm",
+        # mandatory re-verification; no stored proofs is the empty plan
+        # a cold compile records when it falls through
+        plan = plan_from_proofs(
+            scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )
 
-    if options.hybrid:
-        graph = hybrid_task_graph(
-            scop, info, task_ast, cost_of_block=cost_of_block
-        )
-    else:
-        graph = TaskGraph.from_task_ast(
-            task_ast, cost_of_block=cost_of_block
-        )
+    graph, joins = build_task_graph(scop, info, task_ast, options, plan)
     return Analysis(
         info=info,
         schedule=schedule,
         task_ast=task_ast,
         graph=graph,
         portfolio=portfolio_report,
-        privatized=False,
+        plan=plan,
+        joins=joins,
+        privatized=plan is not None and bool(plan.groups),
         cache_status="warm",
     )
 

@@ -67,6 +67,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+from ..driver import analyze, replay
 from ..obs import spans as obs_spans
 from ..obs.metrics import absorb_artifact_store
 from ..obs.service import RequestTelemetry
@@ -164,7 +165,6 @@ class ReproServer:
         phase spans under the request.  ``t_submit`` (perf_counter at
         executor submission) yields the queue wait.
         """
-        from ..driver import analyze
         from ..interp import Interpreter
 
         t_start = time.perf_counter()
@@ -360,31 +360,11 @@ class ReproServer:
             with obs_spans.span(
                 "serve.run", backend=backend, workers=workers
             ):
-                if analysis.privatized:
-                    from ..interp import (
-                        execute_privatized,
-                        privatized_matches,
-                    )
-
-                    seq = interp.run_sequential(interp.new_store())
-                    out, stats = execute_privatized(
-                        interp, analysis.info, analysis.plan,
-                        backend=backend, workers=workers,
-                        collect_events=collect, task_ast=analysis.task_ast,
-                    )
-                    match, _detail = privatized_matches(
-                        analysis.plan, seq, out
-                    )
-                else:
-                    from ..interp import execute_measured
-
-                    seq = interp.run_sequential(interp.new_store())
-                    out, stats = execute_measured(
-                        interp, analysis.info, backend=backend,
-                        workers=workers, collect_events=collect,
-                        task_ast=analysis.task_ast,
-                    )
-                    match = seq.equal(out)
+                seq = interp.run_sequential(interp.new_store())
+                out, stats, (match, _detail) = replay(
+                    interp, analysis, backend, workers,
+                    collect_events=collect, oracle=seq,
+                )
         run_ms = (time.perf_counter() - t0) * 1e3
         if rtel is not None:
             rtel.set(

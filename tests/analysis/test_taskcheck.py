@@ -166,3 +166,20 @@ class TestCombined:
     def test_defaults_built_when_omitted(self, pipeline):
         scop, info, _, _ = pipeline
         assert check_task_graph(scop, info).ok
+
+    def test_relaxed_pairs_are_no_dependence_to_cover_or_race_on(self):
+        """A privatized graph is clean exactly under its proofs' removed
+        set; without it the unchained reduction chunks look like races."""
+        from repro.driver import TransformOptions, analyze
+        from repro.interp import Interpreter
+        from tests.test_driver import HISTOGRAM
+
+        interp = Interpreter.from_source(HISTOGRAM, {"N": 8})
+        a = analyze(interp, TransformOptions(privatize=True))
+        checked = dict(ast=a.task_ast, graph=a.graph)
+        strict = check_task_graph(interp.scop, a.info, **checked)
+        assert {d.code for d in strict.errors} >= {"RPA042"}
+        relaxed = check_task_graph(
+            interp.scop, a.info, relaxed=a.plan.relaxed(), **checked
+        )
+        assert relaxed.ok, "\n".join(d.render() for d in relaxed.errors)

@@ -118,16 +118,14 @@ def kernel_form(request, monkeypatch):
 
 def compile_for_exec(source, fuse, params=None, coarsen=16):
     """``(interp, info)`` of ``source``: what ``execute_measured`` takes."""
-    from repro.pipeline import UncoveredDependenceError, detect_pipeline
-    from repro.scop import DepKind
+    from repro.pipeline import detect_pipeline, flow_then_all_kinds
 
     interp = Interpreter.from_source(source, params or {}, fuse=fuse)
-    try:
-        info = detect_pipeline(interp.scop, coarsen=coarsen)
-    except UncoveredDependenceError:
-        info = detect_pipeline(
-            interp.scop, kinds=tuple(DepKind), coarsen=coarsen
+    info, _ = flow_then_all_kinds(
+        lambda kinds: detect_pipeline(
+            interp.scop, kinds=kinds, coarsen=coarsen
         )
+    )
     return interp, info
 
 
@@ -213,3 +211,37 @@ def unique_axis0_calls(monkeypatch):
 
     monkeypatch.setattr(np, "unique", counting)
     return calls
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Counts of every way ``transform`` — called directly or behind
+    ``repro.cli.main`` — can execute the program."""
+    import repro.tasking
+    from repro.interp import plan as plan_mod
+    from repro.interp import privexec
+
+    seen = {"oracle": 0, "graph": 0, "replay": []}
+
+    def counted(owner, name, note):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            note(*args, **kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def bump(key):
+        return lambda *a, **k: seen.__setitem__(key, seen[key] + 1)
+
+    counted(Interpreter, "run_sequential", bump("oracle"))
+    counted(repro.tasking, "execute", bump("graph"))
+    for owner in (plan_mod, privexec):  # privexec binds it at import
+        counted(
+            owner, "run_plan",
+            lambda interp, plan, backend, *a, **k: seen["replay"].append(
+                backend
+            ),
+        )
+    return seen

@@ -4,18 +4,29 @@ import json
 
 import pytest
 
-from repro.obs.profile import ProfileReport, profile_kernel, profile_run
+from repro.obs.profile import ProfileReport, profile_run
+
+
+def profile_listing1(backend, workers):
+    """What ``repro profile`` does: one measured ``transform`` with
+    event collection, joined by ``profile_run``."""
+    from repro.driver import TransformOptions, transform
+    from tests.conftest import LISTING1
+
+    result = transform(
+        LISTING1,
+        {"N": 12},
+        TransformOptions(
+            coarsen=3, exec_backend=backend, workers=workers,
+            collect_events=True,
+        ),
+    )
+    return profile_run(result.graph, result.simulation, result.execution)
 
 
 @pytest.fixture(scope="module")
 def profiled():
-    from repro.interp import Interpreter
-    from repro.pipeline import detect_pipeline
-    from tests.conftest import LISTING1
-
-    interp = Interpreter.from_source(LISTING1, {"N": 12})
-    info = detect_pipeline(interp.scop, coarsen=3)
-    return profile_kernel(interp, info, backend="serial", workers=1)
+    return profile_listing1("serial", 1)
 
 
 class TestProfileKernel:
@@ -90,13 +101,7 @@ class TestProfileRun:
             profile_run(graph, sim, stats)
 
     def test_threads_profile_has_calibrationless_clocks(self):
-        from repro.interp import Interpreter
-        from repro.pipeline import detect_pipeline
-        from tests.conftest import LISTING1
-
-        interp = Interpreter.from_source(LISTING1, {"N": 12})
-        info = detect_pipeline(interp.scop, coarsen=3)
-        report = profile_kernel(interp, info, backend="threads", workers=2)
+        report = profile_listing1("threads", 2)
         assert report.clock_calibration == {}
         assert report.events == report.tasks
 

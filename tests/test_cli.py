@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.driver import INCOMPATIBLE_OPTIONS
 from repro.lang.errors import SemanticError
 
 KERNEL = """
@@ -425,3 +426,183 @@ class TestRunPrivatize:
         assert not validate_trace_document(doc)
         names = {e.get("name") for e in doc["traceEvents"]}
         assert "join(H)" in names
+
+
+@pytest.fixture
+def write_kernel(tmp_path):
+    def write(name, source):
+        path = tmp_path / f"{name}.c"
+        path.write_text(source)
+        return str(path)
+
+    return write
+
+
+class TestAllKindsFallback:
+    """Flow first, every dependence class on UncoveredDependenceError —
+    the same for ``run`` and ``profile``, with and without a store."""
+
+    @pytest.mark.parametrize("store", [False, True], ids=["direct", "store"])
+    @pytest.mark.parametrize("kernel", ["ANTI_KERNEL", "OUTPUT_KERNEL"])
+    @pytest.mark.parametrize(
+        "command", [["run"], ["profile", "--backend", "serial"]],
+        ids=["run", "profile"],
+    )
+    def test_nonflow_kernel_runs_and_verifies(
+        self, command, kernel, store, write_kernel, tmp_path, capsys
+    ):
+        from tests.pipeline import test_nonflow
+
+        argv = [*command, write_kernel(kernel, getattr(test_nonflow, kernel))]
+        if store:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        assert "result matches sequential: True" in capsys.readouterr().out
+
+
+class TestRunExecutes:
+    """``repro run`` executes what ``transform`` does with the same
+    options — one oracle, one replay — and its verdict is about that
+    replay."""
+
+    @pytest.mark.parametrize(
+        "kernel,flags,expected",
+        [
+            pytest.param(
+                KERNEL, [],
+                {"oracle": 1, "graph": 0, "replay": ["threads"]},
+                id="plain",
+            ),
+            pytest.param(
+                KERNEL, ["--exec-backend", "serial"],
+                {"oracle": 1, "graph": 0, "replay": ["serial"]},
+                id="serial",
+            ),
+            pytest.param(
+                HISTOGRAM_KERNEL,
+                ["--privatize", "--exec-backend", "threads"],
+                {"oracle": 1, "graph": 0, "replay": ["threads"]},
+                id="privatized-threads",
+            ),
+            pytest.param(
+                KERNEL, ["--hybrid"],
+                {"oracle": 1, "graph": 1, "replay": []},
+                id="hybrid",
+            ),
+        ],
+    )
+    def test_execution_counts(
+        self, executions, kernel, flags, expected, write_kernel, capsys
+    ):
+        path = write_kernel("kernel", kernel)
+        assert main(["run", path, "--param", "N=8", *flags]) == 0
+        assert executions == expected
+        out = capsys.readouterr().out
+        # one printed verdict per execution that happened
+        assert out.count("matches sequential: True") == 1
+
+    def test_failed_verification_exits_one_without_traceback(
+        self, kernel_file, monkeypatch, capsys
+    ):
+        from repro.interp import ArrayStore
+
+        monkeypatch.setattr(ArrayStore, "equal", lambda self, other: False)
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", kernel_file, "--param", "N=8"])
+        assert exit_.value.code == 1
+        captured = capsys.readouterr()
+        assert "matches sequential: False" in captured.out
+        assert "threads plan replay diverged" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "first,second,reason",
+        INCOMPATIBLE_OPTIONS,
+        ids=[f"{a}-{b}" for a, b, _ in INCOMPATIBLE_OPTIONS],
+    )
+    def test_illegal_option_pair_exits_with_the_drivers_reason(
+        self, first, second, reason, kernel_file
+    ):
+        flags = {
+            "hybrid": ["--hybrid"],
+            "privatize": ["--privatize"],
+            "reduce_deps": ["--reduce-deps"],
+            "tune": ["--tune", "model"],
+        }
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", kernel_file, "--param", "N=8",
+                  *flags[first], *flags[second]])
+        assert str(exit_.value) == (
+            f"{first} is incompatible with {second}: {reason}"
+        )
+
+
+def _store_delta(before):
+    from repro.store import session_counters
+
+    after = session_counters()
+    return {
+        k: after.get(k, 0) - before.get(k, 0) for k in ("hits", "puts")
+    }
+
+
+class TestRunStore:
+    """``run --cache-dir`` is ``transform(..., cache_dir=)``: keyed by
+    the options the command really runs with."""
+
+    @pytest.mark.parametrize(
+        "kernel,flags",
+        [
+            pytest.param(KERNEL, [], id="plain"),
+            pytest.param(KERNEL, ["--privatize"], id="privatize-no-proofs"),
+            pytest.param(HISTOGRAM_KERNEL, ["--privatize"], id="privatized"),
+        ],
+    )
+    def test_cold_then_warm_with_identical_output(
+        self, kernel, flags, write_kernel, tmp_path, capsys
+    ):
+        from repro.store import session_counters
+
+        cache = str(tmp_path / "cache")
+        argv = ["run", write_kernel("kernel", kernel), "--param", "N=8",
+                *flags, "--cache-dir", cache]
+        outputs, deltas = [], []
+        for _ in range(2):
+            before = session_counters()
+            assert main(argv) == 0
+            deltas.append(_store_delta(before))
+            outputs.append(capsys.readouterr().out.splitlines())
+        assert deltas == [{"hits": 0, "puts": 1}, {"hits": 1, "puts": 0}]
+        assert outputs[0][0] == f"compile cache: cold ({cache})"
+        assert outputs[1][0] == f"compile cache: warm ({cache})"
+        assert outputs[0][1:] == outputs[1][1:]
+
+    def test_key_is_transforms_key_over_the_options_run(
+        self, kernel_file, tmp_path, capsys
+    ):
+        from repro.driver import TransformOptions, transform
+
+        cache = str(tmp_path / "cache")
+        argv = ["run", kernel_file, "--param", "N=8", "--cache-dir", cache]
+        assert main(argv) == 0
+        # a library call with equal options shares the artifact ...
+        shared = transform(KERNEL, {"N": 8}, TransformOptions(), cache_dir=cache)
+        assert shared.cache_status == "warm"
+        # ... a command line that differs in a run-only flag does not
+        assert main([*argv, "--exec-backend", "serial"]) == 0
+        assert "compile cache: cold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [["--tune", "model"], ["--reduce-deps"]],
+        ids=["tune", "reduce-deps"],
+    )
+    def test_tune_and_reduce_deps_compile_directly(
+        self, flags, kernel_file, tmp_path, capsys
+    ):
+        from repro.store import session_counters
+
+        before = session_counters()
+        assert main(["run", kernel_file, "--param", "N=8", *flags,
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert _store_delta(before) == {"hits": 0, "puts": 0}
+        assert "compile cache:" not in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Tests for the high-level transform driver."""
 
+import itertools
+
 import pytest
 
 from repro import (
@@ -8,6 +10,7 @@ from repro import (
     VerificationFailedError,
     transform,
 )
+from repro.driver import INCOMPATIBLE_OPTIONS
 from repro.scop import DepKind
 from repro.workloads import CostModel
 from tests.conftest import LISTING1, LISTING3
@@ -178,39 +181,6 @@ class TestOneVerificationReplay:
     """``verify`` = one oracle run + one replay of the plan that is
     returned; only ``hybrid`` adds its own graph run."""
 
-    @pytest.fixture
-    def executions(self, monkeypatch):
-        """Counts of every way ``transform`` can execute the program."""
-        import repro.tasking
-        from repro.interp import Interpreter
-        from repro.interp import plan as plan_mod
-        from repro.interp import privexec
-
-        seen = {"oracle": 0, "graph": 0, "replay": []}
-
-        def counted(owner, name, note):
-            real = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                note(*args, **kwargs)
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        def bump(key):
-            return lambda *a, **k: seen.__setitem__(key, seen[key] + 1)
-
-        counted(Interpreter, "run_sequential", bump("oracle"))
-        counted(repro.tasking, "execute", bump("graph"))
-        for owner in (plan_mod, privexec):  # privexec binds it at import
-            counted(
-                owner, "run_plan",
-                lambda interp, plan, backend, *a, **k: seen["replay"].append(
-                    backend
-                ),
-            )
-        return seen
-
     @pytest.mark.parametrize(
         "source,options,replayed",
         [
@@ -282,3 +252,90 @@ class TestOneVerificationReplay:
         assert len(verify) == len(measured) == 1
         assert verify[0].attrs["backend"] == "threads"
         assert measured[0].parent_id == verify[0].span_id
+
+
+#: a non-default value per option whose pairs compose (or are refused)
+PAIRABLE = {
+    "privatize": True,
+    "reduce_deps": True,
+    "static_checks": True,
+    "hybrid": True,
+    "coarsen": 2,
+    "portfolio": True,
+}
+#: the TransformResult field an option promises to fill
+PROMISES = {
+    "privatize": "privatization",
+    "reduce_deps": "reduction",
+    "static_checks": "diagnostics",
+    "portfolio": "portfolio",
+}
+
+
+def _option_pairs():
+    """All 15 pairs on Listing 1; the 5 with ``privatize`` again on the
+    histogram, where the plan has groups (without ``privatize`` that
+    kernel is an UncoveredDependenceError under flow-only ``kinds``)."""
+    for first, second in itertools.combinations(PAIRABLE, 2):
+        yield pytest.param(LISTING1, first, second, id=f"{first}-{second}")
+        if "privatize" in (first, second):
+            yield pytest.param(
+                HISTOGRAM, first, second, id=f"{first}-{second}-histogram"
+            )
+
+
+class TestOptionPairs:
+    """Every option pair is refused up front, by the table, or runs on
+    the one spine with nothing it promised dropped."""
+
+    @pytest.mark.parametrize(
+        "first,second,reason",
+        INCOMPATIBLE_OPTIONS,
+        ids=[f"{a}-{b}" for a, b, _ in INCOMPATIBLE_OPTIONS],
+    )
+    def test_table_row_is_refused_before_any_analysis(
+        self, first, second, reason
+    ):
+        values = {**PAIRABLE, "tune": "model"}
+        options = TransformOptions(
+            **{first: values[first], second: values[second]}
+        )
+        # not even parsed: the source is no kernel at all
+        with pytest.raises(ValueError) as refusal:
+            transform("this is not a kernel", {}, options)
+        assert str(refusal.value) == (
+            f"{first} is incompatible with {second}: {reason}"
+        )
+
+    @pytest.mark.parametrize("source,first,second", _option_pairs())
+    def test_pair_is_refused_or_keeps_every_promise(
+        self, source, first, second
+    ):
+        options = TransformOptions(
+            **{first: PAIRABLE[first], second: PAIRABLE[second]}
+        )
+        if any({first, second} == {a, b} for a, b, _ in INCOMPATIBLE_OPTIONS):
+            with pytest.raises(ValueError, match="is incompatible with"):
+                transform(source, {"N": 8}, options)
+            return
+        result = transform(source, {"N": 8}, options)
+        assert result.verified is True
+        for option in {first, second} & set(PROMISES):
+            assert getattr(result, PROMISES[option]) is not None, option
+        if source is HISTOGRAM:
+            assert result.joins == ("H",)  # the proofs really executed
+
+    def test_privatized_step_widens_kinds_to_every_class(self):
+        """``kinds`` is not dropped on the privatized step: it is
+        subsumed — every class is pipelined there, whatever was asked."""
+        asked = transform(
+            HISTOGRAM, {"N": 8},
+            TransformOptions(
+                privatize=True, kinds=(DepKind.FLOW, DepKind.ANTI)
+            ),
+        )
+        default = transform(
+            HISTOGRAM, {"N": 8}, TransformOptions(privatize=True)
+        )
+        assert asked.verified is True and asked.legality.ok
+        assert asked.info.to_dict() == default.info.to_dict()
