@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-exec bench-overhead bench-serve ledger-pair crossover sched-overhead report examples lint analyze-examples analyze-portfolio profile-examples clean
+.PHONY: install test bench ledger ledger-pair crossover sched-overhead report examples lint analyze-examples analyze-portfolio profile-examples clean
 
 # Kernel sources checked by `make lint` / `make analyze-examples`; every
 # parameter any of them references must appear in LINT_PARAMS.
@@ -27,20 +27,11 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Measured-execution bench: real wall-clock speedups of the fused
-# kernels and the thread/process backends (docs/execution.md).
-bench-exec:
-	$(PYTHON) -m repro bench-exec --out BENCH_execution.json
-
-# Task-overhead bench: dependency transitive reduction + granularity
-# auto-tuning vs the hand-picked baseline (docs/performance.md).
-bench-overhead:
-	$(PYTHON) -m repro bench-overhead --out BENCH_overhead.json
-
-# Compile-as-a-service bench: cold vs warm (fresh process) artifact-store
-# compiles and concurrent in-flight dedupe (docs/serving.md).
-bench-serve:
-	$(PYTHON) -m repro bench-serve --out BENCH_serve.json
+# The wall-clock benchmark (ledger/README.md, BENCHMARK.json): four
+# workloads, end-to-end + per-layer metrics, every answer checked
+# against an independent NumPy reference (~4 min).
+ledger:
+	$(PYTHON) ledger/run.py
 
 # Paired parent/change runs of the ledger (docs/performance.md): PARENT is
 # a checkout of the parent commit (git clone, then git checkout <sha>).

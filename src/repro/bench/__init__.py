@@ -5,12 +5,7 @@ from .calibration import (
     format_sensitivity,
     overhead_sensitivity,
 )
-from .execution import (
-    format_execution_bench,
-    measured_speedup,
-    run_execution_bench,
-    run_workload,
-)
+from .execution import measured_speedup, run_workload
 from .figure2 import Figure2Result, format_figure2, run_figure2
 from .figure5 import Figure5Result, format_figure5, run_figure5
 from .figure10 import (
@@ -39,7 +34,6 @@ from .harness import (
     run_sequential,
 )
 from .report import ascii_timeline, strategy_table, worker_timeline
-from .serve import format_serve_bench, run_serve_bench
 from .table9 import format_table9, kernel_structure
 from .trace import (
     trace_events,
@@ -62,15 +56,12 @@ __all__ = [
     "SensitivityRow",
     "ascii_timeline",
     "build_scop",
-    "format_execution_bench",
     "format_figure2",
     "format_figure5",
     "format_figure10",
     "format_figure11",
     "format_sensitivity",
-    "format_serve_bench",
     "measured_speedup",
-    "run_execution_bench",
     "run_workload",
     "format_table9",
     "kernel_structure",
@@ -85,7 +76,6 @@ __all__ = [
     "run_pipeline",
     "run_polly",
     "run_sequential",
-    "run_serve_bench",
     "strategy_table",
     "trace_events",
     "trace_json",

@@ -40,9 +40,9 @@ def run_cell(
     measured: bool = False,
 ) -> Figure10Cell:
     if measured:
-        # Real wall clock: fused threaded pipeline vs compiled-loop
-        # serial baseline (the SIZE axis only weights the simulator's
-        # cost model, so measured cells carry size 0).
+        # Real wall clock: best serial replay over pipelined threads
+        # replay of the same lowered plan (the SIZE axis only weights
+        # the simulator's cost model, so measured cells carry size 0).
         from .execution import measured_speedup
 
         sp = measured_speedup(kernel.source(n), {}, workers=workers)

@@ -55,9 +55,10 @@ def run_kernel(
     scop = build_scop(kernel.source(size))
     cost = kernel.cost_model(size)
     if measured:
-        # The pipeline column becomes a real wall-clock speed-up
-        # (fused threaded execution vs compiled-loop serial); the
-        # Polly baselines stay simulated — there is no Polly executor.
+        # The pipeline column becomes a real wall-clock speed-up (best
+        # serial replay over pipelined threads replay of the same
+        # lowered plan); the Polly baselines stay simulated — there is
+        # no Polly executor.
         from .execution import measured_speedup
 
         pipe_speedup = measured_speedup(

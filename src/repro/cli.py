@@ -36,12 +36,6 @@ Commands
     the critical-path profile of that one (verified) replay: measured
     critical path, per-statement self time, simulated-vs-measured
     makespan divergence and top slack blocks.
-``bench-exec [--out BENCH_execution.json]``
-    Measured-execution benchmark: compiled-loop vs fused sequential
-    vs thread/process backends, including a latency-bound workload.
-``bench-overhead [--out BENCH_overhead.json]``
-    Task-overhead optimizer benchmark: depend-in slot reduction per
-    kernel plus tuned-vs-baseline wall times on the latency workload.
 ``codegen <kernel.c> --param N=32``
     Emit the generated task program source to stdout.
 ``deps <kernel.c> --param N=32``
@@ -64,10 +58,10 @@ Commands
     and ``profile`` accept ``--cache-dir DIR`` / ``--no-cache`` (and
     honour ``$REPRO_CACHE_DIR``) to answer their compile phase from the
     same store.
-``bench-serve [--out BENCH_serve.json]``
-    Cold vs warm (fresh process) vs concurrent-dedupe serving benchmark.
 ``table9`` / ``figure10`` / ``figure11``
-    Regenerate the paper's evaluation artifacts.
+    Regenerate the paper's evaluation artifacts (simulated schedules;
+    ``figure10/11 --measured`` time real replays instead: best serial
+    replay over pipelined threads replay of one lowered plan).
 ``report --out DIR``
     Write every artifact (Table 9, Figures 2/10/11, overhead sensitivity)
     into a directory.
@@ -442,30 +436,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_exec(args: argparse.Namespace) -> int:
-    from .bench.execution import format_execution_bench, run_execution_bench
-
-    report = run_execution_bench(
-        workers=args.workers, quick=args.quick, out_path=args.out
-    )
-    print(format_execution_bench(report))
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_bench_overhead(args: argparse.Namespace) -> int:
-    from .bench.overhead import format_overhead_bench, run_overhead_bench
-
-    report = run_overhead_bench(
-        workers=args.workers, quick=args.quick, out_path=args.out
-    )
-    print(format_overhead_bench(report))
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_codegen(args: argparse.Namespace) -> int:
     from .codegen import emit_task_program
     from .pipeline import detect_pipeline
@@ -538,21 +508,27 @@ def cmd_table9(args: argparse.Namespace) -> int:
 
 def cmd_figure10(args: argparse.Namespace) -> int:
     from .bench import format_figure10, run_figure10
+    from .bench.execution import MEASURED_BASE
 
     cells = run_figure10(
         ns=tuple(args.sizes), workers=args.workers, measured=args.measured
     )
     print(format_figure10(cells))
+    if args.measured:
+        print(MEASURED_BASE)
     return 0
 
 
 def cmd_figure11(args: argparse.Namespace) -> int:
     from .bench import format_figure11, run_figure11
+    from .bench.execution import MEASURED_BASE
 
     rows = run_figure11(
         size=args.matrix_size, workers=args.workers, measured=args.measured
     )
     print(format_figure11(rows))
+    if args.measured:
+        print(MEASURED_BASE + "; Polly columns stay simulated")
     return 0
 
 
@@ -627,16 +603,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     elif args.action == "clear":
         removed = store.clear()
         print(f"removed {removed} artifact(s) from {store.root}")
-    return 0
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .bench.serve import format_serve_bench, run_serve_bench
-
-    report = run_serve_bench(quick=args.quick, out_path=args.out)
-    print(format_serve_bench(report))
-    if args.out:
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -852,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--measured",
         action="store_true",
-        help="measure real wall-clock execution instead of simulating",
+        help="time real replays instead of simulating (prints its base)",
     )
     p.set_defaults(fn=cmd_figure10)
 
@@ -862,31 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--measured",
         action="store_true",
-        help="measure real wall-clock execution instead of simulating",
+        help="time real replays instead of simulating (prints its base)",
     )
     p.set_defaults(fn=cmd_figure11)
-
-    p = sub.add_parser(
-        "bench-exec",
-        help="measured-execution benchmark (writes BENCH_execution.json)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument(
-        "--quick", action="store_true", help="small sizes, no repeats"
-    )
-    p.set_defaults(fn=cmd_bench_exec)
-
-    p = sub.add_parser(
-        "bench-overhead",
-        help="task-overhead optimizer benchmark (writes BENCH_overhead.json)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument(
-        "--quick", action="store_true", help="small sizes, no repeats"
-    )
-    p.set_defaults(fn=cmd_bench_overhead)
 
     p = sub.add_parser(
         "serve",
@@ -976,17 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="gc: evict LRU artifacts beyond this entry ceiling",
     )
     p.set_defaults(fn=cmd_store)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="cold vs warm vs concurrent-dedupe compile benchmark "
-        "(writes BENCH_serve.json)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument(
-        "--quick", action="store_true", help="small sizes, no repeats"
-    )
-    p.set_defaults(fn=cmd_bench_serve)
     return parser
 
 

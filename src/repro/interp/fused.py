@@ -2,9 +2,9 @@
 
 The compiled-loop path of :mod:`repro.interp.compile` executes one Python
 iteration per statement instance — correct, but the per-iteration
-interpreter overhead dwarfs the arithmetic, and on latency-bound
-pipelines (BENCH_overhead.json) per-task dispatch is the wall-clock
-floor.
+interpreter overhead dwarfs the arithmetic, and on fine-grained
+pipelines per-task dispatch is the wall-clock floor
+(``tools/sched_overhead.py``).
 
 This module is the block-kernel tier: at compile time each fusable
 statement is lowered to a :class:`FusedKernel`, a *declarative*

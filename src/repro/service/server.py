@@ -38,7 +38,8 @@ handshake the store-equivalence tests build on — on every request,
 resident or not.  A malformed request is refused with
 ``bad request: <what>`` before any work; a request line over
 ``REQUEST_LIMIT`` bytes with ``request too large: …`` (and the
-connection is closed).
+connection is closed — after ``OVERSIZE_DRAIN_S`` at the latest when
+the client stops sending mid-line).
 
 Telemetry (on by default, ``telemetry=False`` to disable): every
 request gets an id (a client's ``"rid"`` when it is a string matching
@@ -82,6 +83,11 @@ RESIDENT_KERNELS = 64
 #: Longest request line accepted, in bytes — sized for real kernel
 #: sources (asyncio's 64 KiB default is not).
 REQUEST_LIMIT = 8 << 20
+
+#: Seconds an over-limit line gets to reach its newline once the limit
+#: has tripped; a client that stalls mid-line is refused and hung up on
+#: rather than holding its connection coroutine for ever.
+OVERSIZE_DRAIN_S = 10.0
 
 
 class BadRequest(ValueError):
@@ -386,18 +392,29 @@ class ReproServer:
     async def _read_line(reader) -> bytes | None:
         """The next request line (``b""`` at EOF), or ``None`` for one
         over ``REQUEST_LIMIT`` — discarded through its newline, so the
-        refusal is written to a client that has finished sending."""
-        oversized = False
-        while True:
-            try:
-                line = await reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as exc:
-                line = exc.partial
-            except asyncio.LimitOverrunError as exc:
-                await reader.readexactly(exc.consumed)
-                oversized = True
-                continue
-            return None if oversized else line
+        refusal is written to a client that has finished sending, but for
+        at most ``OVERSIZE_DRAIN_S``: a client that stalls mid-line is
+        refused then.  A normal read has no deadline."""
+        try:
+            return await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return exc.partial
+        except asyncio.LimitOverrunError:
+            pass
+
+        async def drain() -> None:
+            # the connection closes after the refusal, so whatever
+            # follows the newline in a chunk is dropped with it
+            while True:
+                chunk = await reader.read(1 << 16)
+                if not chunk or b"\n" in chunk:
+                    return
+
+        try:
+            await asyncio.wait_for(drain(), OVERSIZE_DRAIN_S)
+        except asyncio.TimeoutError:
+            pass
+        return None
 
     async def handle_connection(self, reader, writer):
         try:

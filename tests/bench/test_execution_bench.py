@@ -1,15 +1,10 @@
-"""Tests for the measured-execution benchmark (BENCH_execution.json)."""
+"""Tests for ``repro.bench.execution``: the evaluation's measured runs."""
 
 import json
 
 import pytest
 
-from repro.bench import (
-    format_execution_bench,
-    measured_speedup,
-    run_execution_bench,
-    run_workload,
-)
+from repro.bench import measured_speedup, run_workload
 from repro.bench.execution import LATENCY_S, blocking_compute
 from repro.bench.figure10 import run_cell
 from repro.bench.figure11 import run_kernel
@@ -75,6 +70,25 @@ class TestMeasuredSpeedup:
         )
         assert 0.0 < sp < 1e6
 
+    def test_base_is_the_serial_replay_of_the_same_plan(self, monkeypatch):
+        """Threads over best-serial of ONE interpreter and ONE lowered
+        plan: the ratio must not credit block-kernel fusion to
+        pipelining."""
+        from repro.bench import execution
+
+        calls = []
+
+        def spy(interp, info, backend, workers):
+            calls.append((id(interp), id(info), interp.fuse, backend))
+            return real(interp, info, backend=backend, workers=workers)
+
+        real = execution.execute_measured
+        monkeypatch.setattr(execution, "execute_measured", spy)
+        measured_speedup(TABLE9["P1"].source(10), {}, workers=2, repeats=2)
+        assert [c[3] for c in calls] == ["serial"] * 2 + ["threads"] * 2
+        assert len({c[:3] for c in calls}) == 1
+        assert calls[0][2] == "auto"
+
     def test_figure10_measured_cell(self):
         cell = run_cell(TABLE9["P1"], 8, 4, workers=2, measured=True)
         assert cell.size == 0  # wall-clock mode has no SIZE axis
@@ -100,20 +114,3 @@ class TestBlockingCompute:
         t0 = time.perf_counter()
         blocking_compute(1.0, 2.0)
         assert time.perf_counter() - t0 >= LATENCY_S
-
-
-@pytest.mark.tier2
-class TestFullBench:
-    def test_quick_bench_writes_report(self, tmp_path):
-        out = tmp_path / "BENCH_execution.json"
-        report = run_execution_bench(workers=2, quick=True, out_path=str(out))
-        on_disk = json.loads(out.read_text())
-        assert on_disk["criteria"] == report["criteria"]
-        assert report["criteria"]["all_paths_bit_identical"] is True
-        assert {w["name"] for w in report["workloads"]} == {
-            "P1",
-            "P5",
-            "P5-latency",
-        }
-        text = format_execution_bench(report)
-        assert "P5-latency" in text and "speedups" in text

@@ -116,11 +116,11 @@ def kernel_form(request, monkeypatch):
     return request.param
 
 
-def compile_for_exec(source, fuse, params=None, coarsen=16):
+def compile_for_exec(source, fuse, params=None, coarsen=16, funcs=None):
     """``(interp, info)`` of ``source``: what ``execute_measured`` takes."""
     from repro.pipeline import detect_pipeline, flow_then_all_kinds
 
-    interp = Interpreter.from_source(source, params or {}, fuse=fuse)
+    interp = Interpreter.from_source(source, params or {}, funcs, fuse=fuse)
     info, _ = flow_then_all_kinds(
         lambda kinds: detect_pipeline(
             interp.scop, kinds=kinds, coarsen=coarsen
@@ -148,16 +148,16 @@ def run_whole_blocks(interp):
 
 
 def assert_all_configs_match_sequential(
-    source, params=None, coarsen=16, replays=1
+    source, params=None, coarsen=16, replays=1, funcs=None
 ):
     """Every ``EXEC_CONFIGS`` run is bit-identical to ``run_sequential``
     — each of ``replays`` runs of the one lowered plan per config."""
     from repro.interp import execute_measured
 
-    oracle = Interpreter.from_source(source, params or {})
+    oracle = Interpreter.from_source(source, params or {}, funcs)
     seq = oracle.run_sequential(oracle.new_store())
     for label, backend, fuse in EXEC_CONFIGS:
-        interp, info = compile_for_exec(source, fuse, params, coarsen)
+        interp, info = compile_for_exec(source, fuse, params, coarsen, funcs)
         for k in range(replays):
             store, stats = execute_measured(
                 interp, info, backend=backend, workers=2

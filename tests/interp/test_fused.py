@@ -7,7 +7,7 @@ all three backends and every store matches ``run_sequential``
 bit-exactly.  On top of that the suite pins the spec grammar (round-trip
 + pickling), the legality gate's RPA06x refusal codes, the chain
 planner's merge decisions and the coverage accounting the profiler and
-benches consume.
+the ledger consume.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench.execution import blocking_compute
 from repro.interp import (
     ClosureSpec,
     Interpreter,
@@ -58,11 +59,20 @@ for(i=0; i<N; i++)
     R: H[N-1-i][N-1-j] += B[i][j];
 """
 
+#: ``(source, params, funcs)``.  ``opaque-stage`` is the latency-bound
+#: workload: a picklable blocking function the fuser must refuse, so all
+#: four configs run it per iteration — on worker processes too.
 EXAMPLES = [
-    pytest.param(LISTING1, {"N": 12}, id="listing1"),
-    pytest.param(LISTING3, {"N": 12}, id="listing3"),
-    pytest.param(TWO_NEST_COPY, {"N": 8}, id="copy"),
-    pytest.param(HISTOGRAM, {"N": 8}, id="histogram"),
+    pytest.param(LISTING1, {"N": 12}, None, id="listing1"),
+    pytest.param(LISTING3, {"N": 12}, None, id="listing3"),
+    pytest.param(TWO_NEST_COPY, {"N": 8}, None, id="copy"),
+    pytest.param(HISTOGRAM, {"N": 8}, None, id="histogram"),
+    pytest.param(
+        TABLE9["P5"].source(4),
+        {},
+        {"compute": blocking_compute},
+        id="opaque-stage",
+    ),
 ]
 
 
@@ -84,9 +94,11 @@ class TestFusedBitIdentity:
     def test_pkernel_all_configs(self, name):
         assert_all_configs_match_sequential(TABLE9[name].source(8))
 
-    @pytest.mark.parametrize("source,params", EXAMPLES)
-    def test_example_all_configs(self, source, params):
-        assert_all_configs_match_sequential(source, params, coarsen=8)
+    @pytest.mark.parametrize("source,params,funcs", EXAMPLES)
+    def test_example_all_configs(self, source, params, funcs):
+        assert_all_configs_match_sequential(
+            source, params, coarsen=8, funcs=funcs
+        )
 
     def test_fused_counters_and_coverage(self):
         store, stats = run_measured(TWO_NEST_COPY, "serial", "auto",
@@ -132,9 +144,11 @@ class TestKernelForms:
     def test_pkernel_all_configs(self, name, kernel_form):
         assert_all_configs_match_sequential(TABLE9[name].source(8))
 
-    @pytest.mark.parametrize("source,params", EXAMPLES)
-    def test_example_all_configs(self, source, params, kernel_form):
-        assert_all_configs_match_sequential(source, params, coarsen=8)
+    @pytest.mark.parametrize("source,params,funcs", EXAMPLES)
+    def test_example_all_configs(self, source, params, funcs, kernel_form):
+        assert_all_configs_match_sequential(
+            source, params, coarsen=8, funcs=funcs
+        )
 
     def test_chains_match_interpreter_on_all_backends(self, kernel_form):
         assert_chains_match_interpreter_on_all_backends()

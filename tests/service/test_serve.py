@@ -248,6 +248,32 @@ def test_request_line_limit(tmp_path):
     asyncio.run(_with_server(str(tmp_path), body))
 
 
+def test_stalled_oversized_line_is_refused_after_the_drain_deadline(
+    tmp_path, monkeypatch
+):
+    """A client that sends more than REQUEST_LIMIT bytes and then stalls
+    without a newline is answered, counted and hung up on once
+    OVERSIZE_DRAIN_S has passed — it does not hold the connection."""
+    monkeypatch.setattr(server_mod, "OVERSIZE_DRAIN_S", 0.2, raising=False)
+
+    async def body(host, port, server):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(b"x" * (server_mod.REQUEST_LIMIT + 1))  # no newline
+            await writer.drain()
+            resp = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            assert not resp["ok"]
+            assert resp["error"].startswith("request too large: ")
+            assert await asyncio.wait_for(reader.read(), 10) == b""
+        finally:
+            writer.close()
+
+        stats = await _request(host, port, {"op": "stats"})
+        assert stats["counters"]["errors"] == 1
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
 # ----------------------------------------------------------------------
 # resident kernels: count-based, no wall clocks
 # ----------------------------------------------------------------------

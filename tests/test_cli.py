@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.driver import INCOMPATIBLE_OPTIONS
 from repro.lang.errors import SemanticError
 
@@ -209,6 +209,17 @@ class TestEvaluationCommands:
         out = capsys.readouterr().out
         assert "4gmmt" in out
 
+    def test_measured_figures_name_their_base(self, capsys):
+        assert main(
+            ["figure10", "--measured", "--sizes", "8", "--workers", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "N8/S0" in out
+        assert "best serial replay wall / pipelined threads" in out
+        # the simulated figure has no base line to print
+        assert main(["figure10", "--sizes", "8"]) == 0
+        assert "measured:" not in capsys.readouterr().out
+
 
 class TestReport:
     def test_writes_all_artifacts(self, tmp_path, capsys):
@@ -238,6 +249,31 @@ class TestErrors:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestCommandSet:
+    def test_subcommands_are_exactly_these(self):
+        """Adding or dropping a subcommand is a visible decision."""
+        import argparse
+
+        (sub,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {
+            "analyze", "lint", "run", "profile", "codegen", "deps",
+            "table9", "figure10", "figure11", "report",
+            "serve", "top", "store",
+        }
+
+    @pytest.mark.parametrize("name", ["exec", "overhead", "serve"])
+    def test_retired_bench_commands_are_unknown(self, name, capsys):
+        """Wall-clock benchmarking is ``ledger/run.py``, not a subcommand."""
+        with pytest.raises(SystemExit) as exc:
+            main([f"bench-{name}"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestObservability:

@@ -156,8 +156,7 @@ def test_analysis_roughly_quadratic_not_cubic():
 def test_reduction_never_adds_slots_on_any_kernel():
     """Transitive reduction is a pure win: on every Table 9 kernel the
     reduced depend-in slot count is <= the original, the exact and index
-    paths agree, and at least three kernels cut >= 25% (the overhead
-    bench's headline numbers)."""
+    paths agree, and at least three kernels cut >= 25%."""
     from repro.pipeline import reduce_dependencies
 
     ratios = {}
@@ -203,9 +202,9 @@ def test_privatized_histogram_beats_sequential_on_latency():
     work dominates.  ``blocking_compute`` sleeps 2ms per call, making
     the kernel latency-bound and the comparison machine-independent:
     sequential pays 2*N*2ms serially while the privatized thread pool
-    overlaps member blocks.  The full bench shows ~2x with 2 workers;
-    guard very loosely at 1.3x so only a scheduling regression (members
-    re-chained, join serializing the whole graph) trips it."""
+    overlaps member blocks (~2x with 2 workers); guard very loosely at
+    1.3x so only a scheduling regression (members re-chained, join
+    serializing the whole graph) trips it."""
     from repro.bench.execution import (
         blocking_compute,
         histogram_latency_source,
