@@ -10,18 +10,18 @@ Walks the full stack on the motivating example of the paper:
 4. block the iteration domains (Section 4.2) and derive the block
    dependencies (Section 4.3),
 5. build the schedule tree (Algorithm 2) and the task AST (Figure 6),
-6. execute the pipelined task graph on real threads and check the result
+6. replay the lowered task program on real threads and check the result
    against sequential execution,
 7. simulate the execution on a quad-core and report the speed-up.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.interp import Interpreter
+from repro.interp import Interpreter, execute_measured
 from repro.pipeline import compute_pipeline_map, detect_pipeline
 from repro.schedule import build_schedule, generate_task_ast
 from repro.scop import parallel_levels
-from repro.tasking import TaskGraph, bind_interpreter_actions, execute, simulate
+from repro.tasking import TaskGraph, simulate
 
 LISTING1 = """
 for(i=0; i<N-1; i++)
@@ -71,14 +71,14 @@ def main() -> None:
     print(ast.pretty())
 
     print("\n=== Execute pipelined on 4 threads and verify ===")
-    graph = TaskGraph.from_task_ast(ast)
     seq = interp.run_sequential(interp.new_store())
-    par = interp.new_store()
-    bind_interpreter_actions(graph, interp, par)
-    execute(graph, workers=4)
+    par, _ = execute_measured(
+        interp, info, backend="threads", workers=4, task_ast=ast
+    )
     print(f"arrays identical to sequential execution: {seq.equal(par)}")
 
     print("\n=== Simulated quad-core performance ===")
+    graph = TaskGraph.from_task_ast(ast)
     sim = simulate(graph, workers=8)
     print(f"tasks: {len(graph)}, critical path: "
           f"{graph.critical_path()[0]:.0f} units")

@@ -17,10 +17,10 @@ from repro.bench import (
     pipeline_task_graph,
     write_trace,
 )
-from repro.interp import Interpreter
+from repro.interp import Interpreter, execute_measured
 from repro.pipeline import detect_pipeline
 from repro.schedule import check_legality, generate_task_ast
-from repro.tasking import TaskGraph, bind_interpreter_actions, execute, simulate
+from repro.tasking import TaskGraph, simulate
 from repro.workloads import CostModel
 
 N = 24
@@ -56,9 +56,9 @@ def main() -> None:
 
     print("\n=== Correctness (threaded run vs sequential) ===")
     seq = interp.run_sequential(interp.new_store())
-    par = interp.new_store()
-    bind_interpreter_actions(graph, interp, par)
-    execute(graph, workers=4)
+    par, _ = execute_measured(
+        interp, info, backend="threads", workers=4, task_ast=ast
+    )
     print(f"identical arrays: {seq.equal(par)}")
 
     print("\n=== Simulated schedule (8 workers) ===")

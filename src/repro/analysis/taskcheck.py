@@ -176,51 +176,59 @@ def check_token_coverage(
     self-chain*.  Computed with running maxima over the in-tokens, never
     touching the task graph's edges, so it certifies the declared depend
     clauses rather than incidental reachability.
+
+    A nest that is not ``chained`` has no self-chain to run a maximum
+    along: as a target only ``bt``'s own tokens count, as a source only
+    a token naming ``bs`` itself (its self dependences included).
     """
     out = Collector(file)
 
-    end_to_block: dict[str, dict[tuple[int, ...], int]] = {}
-    for nest in ast.nests:
-        end_to_block[nest.statement] = {
-            b.end: k for k, b in enumerate(nest.blocks)
-        }
+    nests = {nest.statement: nest for nest in ast.nests}
+    block_of = {
+        name: {b.end: k for k, b in enumerate(nest.blocks)}
+        for name, nest in nests.items()
+    }
+    # (target block, source block) per in-token, by (target, source)
+    tokens: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for tgt, nest in nests.items():
+        for k, block in enumerate(nest.blocks):
+            for src, end in block.in_tokens:
+                ref = block_of.get(src, {}).get(end)
+                if ref is not None:
+                    tokens.setdefault((tgt, src), []).append((k, ref))
 
-    # cover[tgt][src][k] = highest src block index any in-token of target
-    # blocks 0..k refers to (running max along the target self-chain)
-    cover: dict[str, dict[str, np.ndarray]] = {}
-    for nest in ast.nests:
-        per_src: dict[str, np.ndarray] = {}
-        for src in end_to_block:
-            if src == nest.statement:
-                continue
-            best = -1
-            row = np.empty(len(nest.blocks), dtype=np.int64)
-            for k, block in enumerate(nest.blocks):
-                for token_src, token_end in block.in_tokens:
-                    if token_src != src:
-                        continue
-                    ref = end_to_block[src].get(token_end)
-                    if ref is not None and ref > best:
-                        best = ref
-                row[k] = best
-            per_src[src] = row
-        cover[nest.statement] = per_src
+    def uncovered(src: str, tgt: str, sb, tb) -> np.ndarray:
+        """Per dependence (source block, target block): no token chain."""
+        s_chained, t_chained = nests[src].chained, nests[tgt].chained
+        if src == tgt and s_chained:
+            # the self-chain orders blocks; within a block the
+            # execution is lexicographic, matching the dependence
+            return sb > tb
+        n_src, n_tgt = len(nests[src].blocks), len(nests[tgt].blocks)
+        ks, refs = np.asarray(
+            tokens.get((tgt, src), ()), dtype=np.int64
+        ).reshape(-1, 2).T
+        if s_chained:
+            # highest source block the tokens of target block k refer to
+            best = np.full(n_tgt, -1, dtype=np.int64)
+            np.maximum.at(best, ks, refs)
+            if t_chained:
+                best = np.maximum.accumulate(best)
+            return best[tb] < sb
+        if t_chained:
+            # first target block holding a token on exactly that block
+            first = np.full(n_src, n_tgt, dtype=np.int64)
+            np.minimum.at(first, refs, ks)
+            return first[sb] > tb
+        missing = ~np.isin(tb * n_src + sb, ks * n_src + refs)
+        return missing & (sb != tb) if src == tgt else missing
 
     reported = 0
     for source, target, kind, rel in iter_dependences(scop, kinds, relaxed):
         sb, tb = info.blockings[source.name], info.blockings[target.name]
         src_blocks = sb.block_of_rows(rel.out_part)
         tgt_blocks = tb.block_of_rows(rel.in_part)
-        if source.name == target.name:
-            # the self-chain orders blocks; within a block the
-            # execution is lexicographic, matching the dependence
-            bad = src_blocks > tgt_blocks
-        else:
-            row = cover[target.name].get(source.name)
-            if row is None:
-                bad = np.ones(len(src_blocks), dtype=bool)
-            else:
-                bad = row[tgt_blocks] < src_blocks
+        bad = uncovered(source.name, target.name, src_blocks, tgt_blocks)
         for idx in np.nonzero(bad)[0]:
             if reported >= max_reports:
                 break

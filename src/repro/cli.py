@@ -16,8 +16,7 @@ Commands
     execute the kernel sequentially and replay the lowered task program
     once — on ``--exec-backend`` (a *measured* wall-clock run, reported
     with its statistics), else on the threaded runtime — and report
-    whether the replayed arrays match, plus the simulated speed-up
-    (``--hybrid`` verifies its relaxed graph by running it instead);
+    whether the replayed arrays match, plus the simulated speed-up;
     ``--fuse`` controls the block kernels (fused closures: one NumPy
     call per task, with chain fusion of proven-legal statement
     sequences; ``off`` runs compiled loops; ``--vectorize`` is its
@@ -352,15 +351,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{parts} part(s)/statement)"
         )
     print(shape)
-    # one verdict per execution that happened: the hybrid graph run, and
-    # the one plan replay — measured when a backend was asked for
+    # one verdict for the one plan replay — measured when a backend
+    # was asked for
     privatized = "privatized " if result.joins else ""
     verdict = f"result matches sequential: {result.verified}"
     if result.match_detail:
         verdict += f" ({result.match_detail})"
-    if args.hybrid:
-        print(f"hybrid result matches sequential: {result.verified}")
-    elif result.execution is None:
+    if result.execution is None:
         print(f"{privatized or 'pipelined '}{verdict}")
     print(
         f"simulated speed-up on {args.workers} workers: "

@@ -40,7 +40,7 @@ from .schedule import (
     generate_task_ast,
 )
 from .scop import DepKind, Scop
-from .tasking import SimResult, TaskGraph, hybrid_task_graph, simulate
+from .tasking import SimResult, TaskGraph, relax_self_chains, simulate
 from .workloads import CostModel
 
 
@@ -173,12 +173,10 @@ class TransformResult:
                 + f" ({len(self.diagnostics)} finding(s))"
             )
         if self.verified is not None:
-            if self.options.hybrid:
-                replayed = "hybrid graph execution"
-            else:
-                backend = self.options.exec_backend or VERIFY_BACKEND
-                replayed = f"{backend} replay"
-            lines.append(f"{replayed} matches sequential: {self.verified}")
+            backend = self.options.exec_backend or VERIFY_BACKEND
+            lines.append(
+                f"{backend} replay matches sequential: {self.verified}"
+            )
         if self.tuning is not None:
             lines.append(self.tuning.summary())
         if self.portfolio is not None:
@@ -248,7 +246,7 @@ def transform(
 
     With ``verify`` the program executes exactly twice — the sequential
     oracle and one replay of the lowered plan, whose arrays must be
-    bit-identical (see :func:`_finish`; ``hybrid`` adds its graph run).
+    bit-identical (see :func:`_finish`).
 
     ``cache_dir`` points at a content-addressed artifact store
     (:mod:`repro.store`): identical ``(source, params, options)``
@@ -291,13 +289,7 @@ INCOMPATIBLE_OPTIONS = (
     (
         "reduce_deps",
         "hybrid",
-        "the hybrid graph relaxes the per-statement chains the reduction "
-        "relies on",
-    ),
-    (
-        "privatize",
-        "hybrid",
-        "privatized statements already drop their self chains under a proof",
+        "hybrid relaxes the per-statement chains the reduction relies on",
     ),
     (
         "privatize",
@@ -317,19 +309,17 @@ def validate_options(options: TransformOptions) -> None:
 
 
 def build_task_graph(
-    scop: Scop,
-    info: PipelineInfo,
     task_ast: TaskAst,
     options: TransformOptions,
     plan=None,
 ) -> tuple[TaskGraph, tuple]:
-    """The task graph this AST gets under ``options``: ``(graph, joins)``.
+    """The task graph of this AST: ``(graph, joins)``.
 
-    The one place that chooses between the privatized graph (``plan``
-    has verified groups: unchained members plus one join task per
-    accumulator, named in ``joins``), the ``hybrid`` graph and the
-    standard per-statement chains — for a fresh compile and for one
-    rebuilt from a stored artifact alike.
+    Which nests are chained is the AST's own data; the one choice left
+    here is the join tasks of a privatized compile (``plan`` has
+    verified groups: one join per accumulator, named in ``joins``) —
+    for a fresh compile and for one rebuilt from a stored artifact
+    alike.
     """
     cost_of_block = options.cost_model.block_cost
     if plan is not None and plan.groups:
@@ -339,13 +329,7 @@ def build_task_graph(
             task_ast, plan, cost_of_block=cost_of_block
         )
         return graph, tuple(joins)
-    if options.hybrid:
-        graph = hybrid_task_graph(
-            scop, info, task_ast, cost_of_block=cost_of_block
-        )
-    else:
-        graph = TaskGraph.from_task_ast(task_ast, cost_of_block=cost_of_block)
-    return graph, ()
+    return TaskGraph.from_task_ast(task_ast, cost_of_block=cost_of_block), ()
 
 
 def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
@@ -425,10 +409,13 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
     schedule = build_schedule(info)
     task_ast = generate_task_ast(info, schedule)
-    with span(
-        "driver.task_graph", hybrid=options.hybrid, privatize=privatized
-    ):
-        graph, joins = build_task_graph(scop, info, task_ast, options, plan)
+    if privatized:
+        task_ast = task_ast.unchained(plan.statements)
+    if options.hybrid:
+        with span("driver.relax_self_chains"):
+            task_ast = relax_self_chains(scop, info, task_ast)
+    with span("driver.task_graph", privatize=privatized):
+        graph, joins = build_task_graph(task_ast, options, plan)
 
     legality: LegalityReport | None = None
     if options.check:
@@ -527,43 +514,23 @@ def _finish(
     or, when only ``verify`` asks for one, on :data:`VERIFY_BACKEND` at
     ``options.workers``; ``execution`` is filled only for a requested
     backend.
-
-    ``hybrid`` is the exception, stated here once: its relaxed graph is
-    not what ``ExecPlan`` lowers, so verifying it means running that
-    graph on the graph-action executor (:func:`repro.tasking.execute`),
-    the option's only engine; a requested ``exec_backend`` still replays
-    the standard plan after it.
     """
     from .obs.spans import span
 
-    def require(verdict: tuple[bool, str] | None, what: str) -> None:
-        if verdict is not None and not verdict[0]:
-            raise VerificationFailedError(
-                f"{what} diverged from the sequential execution "
-                f"({verdict[1]})"
-            )
-
     backend = options.exec_backend
-    if backend is None and options.verify and not options.hybrid:
+    if backend is None and options.verify:
         backend = VERIFY_BACKEND
     seq: ArrayStore | None = None
     execution: ExecutionStats | None = None
     verdict = None
     verifying = (
-        span("driver.verify", backend="graph" if options.hybrid else backend)
+        span("driver.verify", backend=backend)
         if options.verify
         else nullcontext()
     )
     with verifying:
         if options.verify:
             seq = interp.run_sequential(interp.new_store())
-            if options.hybrid:
-                from .tasking import bind_interpreter_actions, execute
-
-                par = interp.new_store()
-                bind_interpreter_actions(a.graph, interp, par)
-                execute(a.graph, workers=options.workers)
-                require(_identical(seq, par), "hybrid graph execution")
         if backend is not None:
             measured = options.exec_backend is not None
             _, stats, verdict = replay(
@@ -573,7 +540,11 @@ def _finish(
             )
             if measured:
                 execution = stats
-            require(verdict, f"{backend} plan replay")
+            if verdict is not None and not verdict[0]:
+                raise VerificationFailedError(
+                    f"{backend} plan replay diverged from the sequential "
+                    f"execution ({verdict[1]})"
+                )
 
     sim = simulate(
         a.graph, workers=options.workers, overhead=options.overhead

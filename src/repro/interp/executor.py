@@ -1,24 +1,25 @@
 """Measured execution of pipelined task programs.
 
 Everything upstream of this module *analyzes* or *simulates*; here the
-generated task program actually runs against real arrays, timed, on one
-of three backends:
+task program actually runs against real arrays, timed.
+:func:`execute_measured` replays the program's lowered
+:class:`~repro.interp.plan.ExecPlan` (cached on the interpreter) on one
+of three backends, each of which runs the identical rows:
 
-* ``serial`` — blocks execute immediately at creation order (the
-  tasking-disabled baseline, same block kernels);
-* ``threads`` — :class:`~repro.tasking.backends.FuturesBackend` thread
-  pool (shared address space, GIL-limited for scalar bodies, overlaps
-  NumPy kernels and blocking calls);
-* ``processes`` — :class:`~repro.tasking.backends.ProcessBackend`
-  worker processes over a :class:`~repro.interp.store.SharedArrayStore`
-  (true multi-core execution).
+* ``serial`` — a loop over the rows in creation order, a topological
+  order of the schedule (:func:`~repro.tasking.dispatch.run_serial`);
+* ``threads`` — work stealing over the compiled schedule, the caller as
+  worker 0 (:func:`~repro.tasking.dispatch.run_threads`; GIL-limited
+  for scalar bodies, overlaps NumPy kernels and blocking calls);
+* ``processes`` — ready batches on a worker-process pool over a
+  :class:`~repro.interp.store.SharedArrayStore`
+  (:func:`~repro.tasking.backends.run_processes`; true multi-core).
 
-:func:`execute_measured` returns the mutated store plus an
-:class:`ExecutionStats` record carrying wall time and the fused
-coverage of the plan — blocks whose statement has no fused kernel ran
-on the compiled-loop path, and the per-statement ``fused_fallback``
-records say why.  Bench traces embed this record (see
-``repro.bench.trace``).
+It returns the mutated store plus an :class:`ExecutionStats` record
+carrying wall time and the fused coverage of the plan — blocks whose
+statement has no fused kernel ran on the compiled-loop path, and the
+per-statement ``fused_fallback`` records say why.  Bench traces embed
+this record (see ``repro.bench.trace``).
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def execute_measured(
 ) -> tuple[ArrayStore, ExecutionStats]:
     """Run the pipelined task program for ``info`` and time it.
 
-    The program is lowered once per ``(interp, info)`` — from
-    ``task_ast`` when the caller's analysis already holds the AST — and
+    The program is lowered once per ``(interp, task_ast)`` — or per
+    ``(interp, info)`` when the lowering generates the AST itself — and
     cached on the interpreter (:meth:`Interpreter.exec_plan`); every call
     replays it (:func:`repro.interp.plan.run_plan`).  The store (a fresh
     deterministic one unless given) is mutated in place and returned

@@ -787,7 +787,8 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
     (:meth:`FusedProgram.fusion_legal`), so a plan loaded from the store
     answers it from its table:
 
-    * all members have fused single-statement kernels;
+    * all members are ``chained`` (the merged stream is one self chain)
+      and have fused single-statement kernels;
     * identical blocking — same block count and bit-identical iteration
       arrays per block index, so one rectangle decomposition serves all
       members and chain tasks stay lex-contiguous;
@@ -817,6 +818,8 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
     stmt_of = {s.name: s for s in scop.statements}
 
     def mergeable(group, nxt) -> bool:
+        if not (group[0].chained and nxt.chained):
+            return False
         if nxt.statement not in member_specs:
             return False
         if any(n.statement not in member_specs for n in group):

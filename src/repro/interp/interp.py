@@ -160,16 +160,18 @@ class Interpreter:
         """The lowered task program for ``info`` (see
         :mod:`repro.interp.plan`): lowered on first use, then replayed.
 
-        Keyed by identity of ``info``, of the fused program in force
-        (none when ``fuse == "off"``) and of the privatization plan —
-        each cached plan holds its referents, so an id cannot be
-        recycled while its entry lives.  Lowering happens under the
-        lock: concurrent first runs of one analysis pay for it once.
+        Keyed by identity of what is lowered (``task_ast`` — one
+        ``info`` has a raw and a relaxed one — else ``info``), of the
+        fused program in force (none when ``fuse == "off"``) and of the
+        privatization plan — each cached plan holds its referents, so
+        an id cannot be recycled while its entry lives.  Lowering is
+        under the lock: concurrent first runs of one analysis pay once.
         """
         from .plan import lower_exec_plan
 
         fused = self.fused_program if self.fuse != "off" else None
-        key = (id(info), id(fused), id(privatization))
+        lowered = task_ast if task_ast is not None else info
+        key = (id(lowered), id(fused), id(privatization))
         with self._lock:
             plan = self._exec_plans.get(key)
             if plan is not None:

@@ -102,15 +102,15 @@ class TaskRow(NamedTuple):
     out_idx: int
     in_depend: tuple[int, ...]
     in_idx: tuple[int, ...]
-    chain: bool  # funcCount self chain (off for privatized members)
+    chain: bool  # funcCount self chain (off for an unchained nest)
 
 
 @dataclass(frozen=True)
 class ExecPlan:
     """The lowered task program of one ``(interpreter, info)`` pair.
 
-    ``info``, ``fused`` and ``privatization`` are the cache key's
-    referents — holding them keeps their ids from being recycled.  The
+    ``info``, ``ast``, ``fused`` and ``privatization`` are the cache
+    key's referents — holding them keeps their ids from being recycled.  The
     interpreter is *not* held: it owns the plan cache, and a back
     reference would leave every interpreter (AST, rows and all) to the
     cycle collector instead of freeing it with its last reference.
@@ -230,7 +230,7 @@ def lower_exec_plan(
                     label, payload, out, col,
                     tuple(packers[s].pack(end) for s, end in in_tok),
                     tuple(columns[s] for s, _ in in_tok),
-                    chain=pgroup is None,
+                    chain=last.chained and pgroup is None,
                 ))
         # one extra out column per reduction group for its join task
         for k, g in enumerate(pgroups):

@@ -15,7 +15,7 @@ offset) and each process re-views the same pages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import parent_process, resource_tracker, shared_memory
 
 import numpy as np
 
@@ -207,13 +207,19 @@ class SharedArrayStore(ArrayStore):
     def attach(cls, spec: SharedStoreSpec) -> "SharedArrayStore":
         """Map an existing segment in a worker process."""
         shm = shared_memory.SharedMemory(name=spec.segment)
-        # CPython registers every attach with the resource tracker and the
-        # tracker then unlinks the segment when the *worker* exits — before
-        # the owner is done with it (bpo-38119).  Only the owner unlinks.
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
+        # CPython registers every attach with the resource tracker
+        # (bpo-38119).  A process of its own has a tracker of its own,
+        # which would unlink the segment when that process exits, before
+        # the owner is done with it: take the entry back out.  A
+        # multiprocessing child writes to its ancestor's tracker — the
+        # owner's, for a pool worker — where the register was a set-add
+        # no-op and an unregister would drop the *owner's* entry (and,
+        # from two workers at once, raise KeyError in the tracker).
+        if parent_process() is None:
+            try:
+                resource_tracker.unregister(shm._name, "shared_memory")
+            except Exception:
+                pass
         arrays = {
             name: ArrayView(
                 name,
@@ -251,10 +257,10 @@ class SharedArrayStore(ArrayStore):
         if self._owner and not self._unlinked:
             self._unlinked = True
             try:
-                # Re-register first: under a fork-shared tracker a worker's
-                # attach/unregister pair already removed the entry, and
-                # unlink's internal unregister would hit a KeyError in the
-                # tracker process.  Registration is idempotent (set add).
+                # Re-register first: an attach in this very process (see
+                # ``attach``) took the entry out, and unlink's internal
+                # unregister would hit a KeyError in the tracker
+                # process.  Registration is idempotent (set add).
                 resource_tracker.register(self._shm._name, "shared_memory")
                 self._shm.unlink()
             except FileNotFoundError:

@@ -11,7 +11,7 @@ the ``Q_S`` / ``Q_S^O`` relations evaluated at one block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,6 +52,11 @@ class TaskLoopNest:
     statement: str
     depth: int
     blocks: tuple[TaskBlock, ...]
+    #: blocks run in order (the ``funcCount`` self chain of Figure 8);
+    #: ``False`` leaves their order to the blocks' own self-tokens
+    #: (:func:`repro.tasking.relax_self_chains`) or to a privatization
+    #: proof (:meth:`TaskAst.unchained`)
+    chained: bool = True
 
     @property
     def num_blocks(self) -> int:
@@ -76,6 +81,13 @@ class TaskAst:
     def all_blocks(self) -> list[TaskBlock]:
         return [b for n in self.nests for b in n.blocks]
 
+    def unchained(self, statements) -> "TaskAst":
+        """This AST with the nests of ``statements`` marked unchained."""
+        return TaskAst(tuple(
+            replace(n, chained=False) if n.statement in statements else n
+            for n in self.nests
+        ))
+
     def pretty(self) -> str:
         """Figure-6 style rendering of the task AST."""
         lines: list[str] = []
@@ -83,6 +95,7 @@ class TaskAst:
             lines.append(
                 f"// statement {nest.statement}: {nest.num_blocks} tasks, "
                 f"pipeline loop over {nest.depth}-d blocks"
+                + ("" if nest.chained else ", unchained")
             )
             lines.append(f"for (b = 0; b < {nest.num_blocks}; b += 1) {{")
             example = nest.blocks[0] if nest.blocks else None

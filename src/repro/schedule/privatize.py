@@ -451,7 +451,7 @@ def build_privatized_graph(
     from ..tasking.task import TaskGraph
 
     graph = TaskGraph.from_task_ast(
-        ast, cost_of_block=cost_of_block, unchained=plan.statements
+        ast.unchained(plan.statements), cost_of_block=cost_of_block
     )
     joins: dict[str, int] = {}
     for group in plan.groups:

@@ -23,7 +23,9 @@ The packed layout (format version 2) is built for thousands of blocks:
   list (a consumed token is some producer block's ``out_token``), not
   as literal ``[statement, end]`` pairs — smaller header, shared tuple
   objects on load.  Tokens produced by no block (defensive case) are
-  kept literally in ``"in_extra"``.
+  kept literally in ``"in_extra"``;
+* a nest record carries ``"chained": false`` for a relaxed or privatized
+  nest; the key is absent otherwise.
 
 Loaded iteration arrays view into the flat array (no copy).  A file of
 any other version, or a blob without :data:`BLOB_MAGIC` (which names
@@ -67,6 +69,8 @@ def _pack(ast: TaskAst) -> tuple[dict, np.ndarray, np.ndarray]:
             "depth": nest.depth,
             "blocks": [],
         }
+        if not nest.chained:  # absent means chained: most nests are
+            nest_rec["chained"] = False
         for block in nest.blocks:
             iters = np.ascontiguousarray(block.iterations, dtype=np.int64)
             chunks.append(iters.ravel())
@@ -136,9 +140,10 @@ def _unpack(header: dict, flat: np.ndarray, shapes: np.ndarray) -> TaskAst:
                 )
             )
             b_idx += 1
-        nests.append(
-            TaskLoopNest(statement, int(nest_rec["depth"]), tuple(blocks))
-        )
+        nests.append(TaskLoopNest(
+            statement, int(nest_rec["depth"]), tuple(blocks),
+            chained=nest_rec.get("chained", True),
+        ))
     return TaskAst(tuple(nests))
 
 

@@ -184,7 +184,7 @@ def load_analysis(
             scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )
 
-    graph, joins = build_task_graph(scop, info, task_ast, options, plan)
+    graph, joins = build_task_graph(task_ast, options, plan)
     return Analysis(
         info=info,
         schedule=schedule,

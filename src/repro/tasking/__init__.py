@@ -4,7 +4,7 @@ from .api import OmpTaskSystem
 from .backends import FuturesBackend, ProcessBackend, SerialBackend
 from .dispatch import Schedule, SlotAddressing, SlotResolver
 from .dot import to_dot, write_dot
-from .hybrid import hybrid_task_graph, intra_block_edges
+from .hybrid import hybrid_task_graph, intra_block_edges, relax_self_chains
 from .runtime import (
     RunResult,
     TaskRuntimeError,
@@ -32,6 +32,7 @@ __all__ = [
     "hybrid_task_graph",
     "intra_block_edges",
     "execute",
+    "relax_self_chains",
     "scaling_curve",
     "sequential_time",
     "simulate",

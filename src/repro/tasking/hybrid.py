@@ -1,28 +1,31 @@
 """Hybrid parallelism: cross-loop pipelining + intra-nest parallelism.
 
 Section 7 of the paper lists, as future work, combining cross-loop tasking
-with "other parallelization opportunities".  The standard pipeline task
-graph (:meth:`TaskGraph.from_task_ast`) serializes the blocks of every
-statement — correct, but it forgoes the per-loop parallelism Polly exploits
-on kernels like the matmul chains.
+with "other parallelization opportunities".  The standard task AST
+serializes the blocks of every statement (``TaskLoopNest.chained``) —
+correct, but it forgoes the per-loop parallelism Polly exploits on
+kernels like the matmul chains.
 
-:func:`hybrid_task_graph` relaxes that chain using the *actual*
+:func:`relax_self_chains` rewrites the AST using the *actual*
 intra-statement dependences:
 
-* blocks of a statement are chained only where a (flow/anti/output)
-  self-dependence connects them — independent blocks may run concurrently;
+* a statement whose consecutive blocks are not all directly dependent
+  loses its chain and each block instead carries one self-token per
+  (flow/anti/output) self-dependence reaching it — independent blocks
+  may run concurrently;
 * because "block ``e`` finished" then no longer implies "all earlier blocks
-  finished", a cross-statement in-dependency on source end ``e`` becomes
-  edges from **every** source block up to ``e`` (prefix edges), unless the
-  source's own chain is complete, in which case the single edge suffices.
+  finished", an in-token on such a source's end ``e`` becomes tokens on
+  **every** source block up to ``e`` (prefix tokens).
 
-On the plain matmul chains this recovers Polly's per-nest parallelism *and*
-removes Polly's inter-nest barriers, strictly dominating both strategies in
-the simulator (see ``benchmarks/bench_hybrid.py``).
+The relaxation is data on the AST — every consumer reads the one flag and
+the tokens — and reorders no dependent pair, so every backend stays
+bit-identical.  On the plain matmul chains it recovers Polly's per-nest
+parallelism *and* removes its barriers (``benchmarks/bench_hybrid.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -59,9 +62,44 @@ def intra_block_edges(
     return edges
 
 
-def has_complete_chain(num_blocks: int, edges: set[tuple[int, int]]) -> bool:
-    """True when consecutive blocks are all directly dependent."""
-    return all((k, k + 1) in edges for k in range(num_blocks - 1))
+def relax_self_chains(scop, info: PipelineInfo, ast: TaskAst) -> TaskAst:
+    """``ast`` with every incomplete self chain replaced by self-tokens;
+    nests already unchained (privatized members) are left alone."""
+    ends: dict[str, list] = {}  # relaxed statement -> its block ends
+    self_tokens: dict[tuple, list] = {}  # by the waiting block's out_token
+    for nest in ast.nests:
+        if not nest.chained:
+            continue
+        edges = intra_block_edges(scop, info, nest.statement)
+        if all((k, k + 1) in edges for k in range(nest.num_blocks - 1)):
+            continue  # consecutive blocks all directly dependent
+        ends[nest.statement] = [b.end for b in nest.blocks]
+        for a, b in sorted(edges):
+            self_tokens.setdefault(nest.blocks[b].out_token, []).append(
+                nest.blocks[a].out_token
+            )
+    if not ends:
+        return ast
+
+    def tokens_of(block) -> tuple:
+        tokens: list = []
+        for src, end in block.in_tokens:
+            prefix = ends.get(src, [end])
+            # "source ran up to end" is every block at or before it
+            tokens += [(src, e) for e in prefix[: prefix.index(end) + 1]]
+        tokens += self_tokens.get(block.out_token, ())
+        return tuple(dict.fromkeys(tokens))
+
+    return TaskAst(tuple(
+        replace(
+            nest,
+            chained=nest.chained and nest.statement not in ends,
+            blocks=tuple(
+                replace(b, in_tokens=tokens_of(b)) for b in nest.blocks
+            ),
+        )
+        for nest in ast.nests
+    ))
 
 
 def hybrid_task_graph(
@@ -72,44 +110,6 @@ def hybrid_task_graph(
 ) -> TaskGraph:
     """Task graph combining pipeline dependencies with relaxed self-chains."""
     ast = ast if ast is not None else generate_task_ast(info)
-    graph = TaskGraph()
-    token_to_task: dict[tuple[str, tuple[int, ...]], int] = {}
-    stmt_tasks: dict[str, list[int]] = {}
-    stmt_chain_complete: dict[str, bool] = {}
-
-    for nest in ast.nests:
-        tids: list[int] = []
-        for block in nest.blocks:
-            cost = cost_of_block(block) if cost_of_block else float(block.size)
-            tid = graph.add_task(nest.statement, block.block_id, cost, block)
-            token_to_task[block.out_token] = tid
-            tids.append(tid)
-        stmt_tasks[nest.statement] = tids
-
-        edges = intra_block_edges(scop, info, nest.statement)
-        stmt_chain_complete[nest.statement] = has_complete_chain(
-            len(tids), edges
-        )
-        if stmt_chain_complete[nest.statement]:
-            for prev, nxt in zip(tids, tids[1:]):
-                graph.add_edge(prev, nxt)
-        else:
-            for a, b in edges:
-                graph.add_edge(tids[a], tids[b])
-
-    for nest in ast.nests:
-        for block in nest.blocks:
-            tid = token_to_task[block.out_token]
-            for src_name, end in block.in_tokens:
-                src_tid = token_to_task[(src_name, end)]
-                if stmt_chain_complete[src_name]:
-                    graph.add_edge(src_tid, tid)
-                else:
-                    # prefix edges: the requirement is "source ran up to
-                    # end", which without a complete chain means every
-                    # source block at or before it.
-                    src_block = graph.tasks[src_tid].block_id
-                    for k in range(src_block + 1):
-                        graph.add_edge(stmt_tasks[src_name][k], tid)
-    graph.validate()
-    return graph
+    return TaskGraph.from_task_ast(
+        relax_self_chains(scop, info, ast), cost_of_block=cost_of_block
+    )

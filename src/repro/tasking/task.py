@@ -8,9 +8,9 @@ paper's runtime (Section 5.5):
 
 * *cross-statement* edges from the ``Q_S`` in-dependencies (the
   ``depend(in:…)`` clauses), and
-* *self* edges chaining the blocks of each statement in lexicographic
-  order (the ``funcCount`` trick of Figure 8 — blocks of one loop nest run
-  sequentially).
+* *self* edges chaining the blocks of each ``chained`` statement in
+  lexicographic order (the ``funcCount`` trick of Figure 8 — blocks of
+  one loop nest run sequentially).
 """
 
 from __future__ import annotations
@@ -143,22 +143,18 @@ class TaskGraph:
     def from_task_ast(
         ast: TaskAst,
         cost_of_block: Callable[[TaskBlock], float] | None = None,
-        self_chain: bool = True,
-        unchained: frozenset[str] = frozenset(),
     ) -> "TaskGraph":
         """Build the pipeline task graph from a task-annotated AST.
 
-        ``unchained`` names statements whose blocks run *without* the
-        self chain — privatized reductions, whose block order the
-        verified proof made irrelevant (each block updates its own
-        private accumulator).
+        Blocks of a ``chained`` nest run in order; an unchained one (a
+        relaxed self chain, or a reduction privatized under a verified
+        proof) is ordered by nothing but the tokens its blocks carry.
         """
         graph = TaskGraph()
         token_to_task: dict[tuple[str, tuple[int, ...]], int] = {}
 
         for nest in ast.nests:
             prev: int | None = None
-            chained = self_chain and nest.statement not in unchained
             for block in nest.blocks:
                 cost = (
                     cost_of_block(block) if cost_of_block else float(block.size)
@@ -167,7 +163,7 @@ class TaskGraph:
                     nest.statement, block.block_id, cost, block
                 )
                 token_to_task[block.out_token] = tid
-                if chained and prev is not None:
+                if nest.chained and prev is not None:
                     graph.add_edge(prev, tid)
                 prev = tid
 

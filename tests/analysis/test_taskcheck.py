@@ -1,5 +1,7 @@
 """Tests for the task-graph checker: packing, token coverage, races."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from repro.codegen.emit import statement_columns, statement_packers
 from repro.lang import parse
 from repro.pipeline import detect_pipeline
 from repro.schedule import generate_task_ast
+from repro.schedule.astgen import TaskAst
 from repro.scop import extract_scop
-from repro.tasking import TaskGraph
+from repro.tasking import TaskGraph, relax_self_chains
 from repro.workloads import TABLE9
 
 LISTING1 = """
@@ -129,6 +132,99 @@ class TestTokenCoverage:
         uncovered = [d for d in report if d.code == "RPA042"]
         assert uncovered
         assert "S" in uncovered[0].message and "R" in uncovered[0].message
+
+
+class TestUnchainedTokenCoverage:
+    """An unchained nest has no chain to run a maximum along: every
+    token it relied on must be spelled out, and is checked one by one."""
+
+    @pytest.fixture(scope="class")
+    def relaxed(self):
+        scop = build_scop(TABLE9["P2"].source(8))
+        info = detect_pipeline(scop)
+        ast = relax_self_chains(scop, info, generate_task_ast(info))
+        assert [n.chained for n in ast.nests] == [True, False]
+        return scop, info, ast
+
+    @staticmethod
+    def without_token(ast, statement, block_id, token):
+        def drop(block):
+            if block.block_id != block_id:
+                return block
+            assert token in block.in_tokens
+            kept = tuple(t for t in block.in_tokens if t != token)
+            return replace(block, in_tokens=kept)
+
+        return TaskAst(tuple(
+            replace(n, blocks=tuple(map(drop, n.blocks)))
+            if n.statement == statement else n
+            for n in ast.nests
+        ))
+
+    def test_relaxed_tokens_cover_all_dependences(self, relaxed):
+        scop, info, ast = relaxed
+        assert check_token_coverage(scop, info, ast).ok
+        assert check_task_graph(
+            scop, info, ast=ast, graph=TaskGraph.from_task_ast(ast)
+        ).ok
+
+    def test_every_dropped_self_token_is_caught(self, relaxed):
+        scop, info, ast = relaxed
+        dropped = 0
+        for block in ast.nest("S2").blocks:
+            for token in block.in_tokens:
+                if token[0] != "S2":
+                    continue
+                mutant = self.without_token(ast, "S2", block.block_id, token)
+                report = check_token_coverage(scop, info, mutant)
+                assert [d.code for d in report] == ["RPA042"] * len(report)
+                assert not report.ok, (block.block_id, token)
+                assert "S2" in report.errors[0].message
+                dropped += 1
+        assert dropped > 0
+
+    def test_a_chain_would_have_hidden_the_dropped_self_token(self, relaxed):
+        """The same mutant on a chained nest is covered by the chain —
+        what the check must not assume of an unchained one."""
+        scop, info, ast = relaxed
+        block = next(
+            b for b in ast.nest("S2").blocks
+            if any(s == "S2" for s, _ in b.in_tokens)
+        )
+        token = next(t for t in block.in_tokens if t[0] == "S2")
+        mutant = self.without_token(ast, "S2", block.block_id, token)
+        rechained = TaskAst(tuple(
+            replace(n, chained=True) for n in mutant.nests
+        ))
+        assert check_token_coverage(scop, info, rechained).ok
+
+    @pytest.mark.parametrize("target_chained", [False, True])
+    def test_dropped_prefix_token_on_an_unchained_source_is_caught(
+        self, target_chained
+    ):
+        """A consumer of an unchained source names every source block it
+        needs; a token on another one does not stand in for it.  (Row
+        ``i`` of 2mm's second product reads row ``i`` of the first: the
+        earlier prefix tokens carry no dependence of their own.)"""
+        from repro.workloads import MatmulKernel
+
+        scop = build_scop(MatmulKernel(2, "mm").source(6))
+        info = detect_pipeline(scop)
+        ast = relax_self_chains(scop, info, generate_task_ast(info))
+        if target_chained:  # a chain on the consumer does not help either
+            ast = TaskAst(tuple(
+                replace(n, chained=n.statement == "M2") for n in ast.nests
+            ))
+        last = ast.nest("M2").blocks[-1]
+        assert {s for s, _ in last.in_tokens} == {"M1"}
+        assert len(last.in_tokens) == len(ast.nest("M1").blocks)
+        spare, needed = last.in_tokens[0], last.in_tokens[-1]
+        harmless = self.without_token(ast, "M2", last.block_id, spare)
+        assert check_token_coverage(scop, info, harmless).ok
+        mutant = self.without_token(ast, "M2", last.block_id, needed)
+        report = check_token_coverage(scop, info, mutant)
+        assert not report.ok
+        assert {d.code for d in report} == {"RPA042"}
 
 
 class TestRaces:

@@ -89,3 +89,37 @@ class TestGeneratedExecution:
             run_generated(info, interp, store, workers=4)
             stores.append(store)
         assert stores[0].equal(stores[1])
+
+    def test_relaxed_ast_emits_unchained_tasks_that_still_verify(self):
+        """An unchained nest's ``create_task`` calls opt out of the
+        ``funcCount`` chain; its self-tokens are ordinary depend slots."""
+        from repro.tasking import TaskGraph, relax_self_chains
+        from repro.workloads import TABLE9
+
+        interp = Interpreter.from_source(TABLE9["P2"].source(6), {})
+        info = detect_pipeline(interp.scop)
+        raw = generate_task_ast(info)
+        relaxed = relax_self_chains(interp.scop, info, raw)
+        assert "chain=False" not in emit_task_program(info, raw)
+        source = emit_task_program(info, relaxed)
+        # S1 keeps its chain, every S2 task drops it
+        assert source.count("chain=False") == relaxed.nest("S2").num_blocks
+
+        module = load_task_program(source)
+        system = OmpTaskSystem(write_num=module.WRITE_NUM)
+        store = interp.new_store()
+        module.build_tasks(
+            system,
+            lambda stmt, iters: interp.compiled[stmt](
+                store, interp.funcs, iters
+            ),
+        )
+        # full OpenMP depend semantics add WAR/WAW edges, never drop one
+        wanted = TaskGraph.from_task_ast(relaxed).preds
+        assert all(ps <= system.graph.preds[t] for t, ps in enumerate(wanted))
+        s2 = [t.task_id for t in system.graph.tasks if t.statement == "S2"]
+        assert any(  # and S2's blocks are no chain any more
+            a not in system.graph.preds[b] for a, b in zip(s2, s2[1:])
+        )
+        assert system.run(workers=4).ok
+        assert interp.run_sequential(interp.new_store()).equal(store)

@@ -97,6 +97,30 @@ def test_task_ast_from_the_analysis_is_not_regenerated(lowering_calls):
     assert lowering_calls["lower"].calls == 1
 
 
+def test_raw_and_relaxed_ast_of_one_info_get_their_own_plans(lowering_calls):
+    """The plan cache is keyed on the AST that is lowered: one ``info``
+    handed a raw and then a relaxed AST must not replay the first one's
+    schedule under the second one's name."""
+    from repro.schedule import generate_task_ast
+    from repro.tasking import relax_self_chains
+    from repro.workloads import MatmulKernel
+
+    interp, info = compile_for_exec(
+        MatmulKernel(2, "mm").source(6), "auto", coarsen=1
+    )
+    raw = generate_task_ast(info)
+    relaxed = relax_self_chains(interp.scop, info, raw)
+    seq = interp.run_sequential(interp.new_store())
+    counts = {}
+    for name, ast in (("raw", raw), ("relaxed", relaxed), ("raw again", raw)):
+        out, _ = execute_measured(interp, info, task_ast=ast)
+        assert seq.equal(out), name
+        counts[name] = interp.exec_plan(info, ast).schedule.counts
+    assert counts["raw"] != counts["relaxed"]
+    assert counts["raw again"] == counts["raw"]
+    assert lowering_calls["lower"].calls == 2
+
+
 def test_ten_privatized_runs_lower_once(lowering_calls):
     interp, plan, pinfo = privatized_setup(REDUCTIONS["histogram"], 8, 3)
     execute_privatized(interp, pinfo, plan)
@@ -293,6 +317,29 @@ def test_schedule_equals_create_task_on_privatized_plans(name):
     lowered = interp.exec_plan(pinfo, None, plan)
     assert any(not row.chain for row in lowered.rows)
     assert_schedule_matches_create_task(interp, lowered)
+
+
+@pytest.mark.parametrize("name", ["2mm", "3gmm", "P1", "P7"])
+def test_schedule_equals_create_task_on_relaxed_plans(name):
+    """Self-tokens go through the same packers and resolver as every
+    other token, and an unchained nest's rows are ``chain=False``."""
+    from repro.schedule import generate_task_ast
+    from repro.tasking import TaskGraph, relax_self_chains
+    from repro.workloads import figure11_kernels
+
+    kernels = {k.name: k for k in figure11_kernels()} | TABLE9
+    interp, info = compile_for_exec(
+        kernels[name].source(6), "auto", coarsen=1
+    )
+    relaxed = relax_self_chains(interp.scop, info, generate_task_ast(info))
+    lowered = interp.exec_plan(info, relaxed)
+    unchained = {n.statement for n in relaxed.nests if not n.chained}
+    assert {r.stream for r in lowered.rows if not r.chain} == unchained
+    assert_schedule_matches_create_task(interp, lowered)
+    if not lowered.stats["fused_chains"]:
+        assert (
+            lowered.schedule.preds() == TaskGraph.from_task_ast(relaxed).preds
+        )
 
 
 def test_schedule_equals_create_task_on_a_fuzz_batch():

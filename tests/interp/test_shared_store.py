@@ -107,3 +107,40 @@ class TestAttach:
             shared.close()
             shared.unlink()
         assert (local_store["B"].data == np.pi).all()
+
+
+class TestResourceTracker:
+    def test_process_replays_leave_the_tracker_quiet(self):
+        """Pool workers share the owner's resource tracker: an attach
+        that unregistered there dropped the owner's entry, and two
+        workers interleaving REGISTER, REGISTER, UNREGISTER, UNREGISTER
+        made the tracker print a ``KeyError`` traceback (about one
+        ``processes`` replay in twelve at 4 workers)."""
+        import subprocess
+        import sys
+
+        code = (
+            "import glob\n"
+            "from repro.interp import Interpreter, execute_measured\n"
+            "from repro.pipeline import detect_pipeline\n"
+            "from repro.workloads import MatmulKernel\n"
+            "before = set(glob.glob('/dev/shm/psm_*'))\n"
+            "interp = Interpreter.from_source("
+            "MatmulKernel(2, 'mm').source(8), {})\n"
+            "info = detect_pipeline(interp.scop)\n"
+            "seq = interp.run_sequential(interp.new_store())\n"
+            "for _ in range(20):\n"
+            "    out, _ = execute_measured("
+            "interp, info, backend='processes', workers=4)\n"
+            "    assert seq.equal(out)\n"
+            "left = set(glob.glob('/dev/shm/psm_*')) - before\n"
+            "assert not left, left\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "resource_tracker" not in result.stderr, result.stderr

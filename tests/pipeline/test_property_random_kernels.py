@@ -180,9 +180,13 @@ def _random_topological_order(graph: TaskGraph, rng: random.Random):
 @settings(max_examples=15, deadline=None)
 @given(kernels())
 def test_hybrid_graphs_legal_and_correct(src):
-    """Hybrid task graphs pass the legality checker and execute correctly."""
-    from repro.schedule import check_legality
-    from repro.tasking import hybrid_task_graph
+    """Relaxed ASTs give the reference hybrid graph, pass the legality
+    checker, and execute correctly — in a topological order of the graph
+    and as a threads replay of the lowered plan."""
+    from repro.interp import execute_measured
+    from repro.schedule import check_legality, generate_task_ast
+    from repro.tasking import TaskGraph, relax_self_chains
+    from tests.tasking.test_hybrid import reference_hybrid_graph
 
     program = parse(src)
     scop = extract_scop(program)
@@ -190,7 +194,10 @@ def test_hybrid_graphs_legal_and_correct(src):
         return
     interp = Interpreter(program, scop)
     info = detect_pipeline(scop)
-    graph = hybrid_task_graph(scop, info)
+    raw = generate_task_ast(info)
+    relaxed = relax_self_chains(scop, info, raw)
+    graph = TaskGraph.from_task_ast(relaxed)
+    assert graph.preds == reference_hybrid_graph(scop, info, raw).preds, src
     assert check_legality(scop, info, graph).ok, src
 
     seq = interp.run_sequential(interp.new_store())
@@ -199,6 +206,10 @@ def test_hybrid_graphs_legal_and_correct(src):
         block = graph.tasks[tid].block
         interp.run_block(store, block.statement, block.iterations)
     assert seq.equal(store), src
+    out, _ = execute_measured(
+        interp, info, backend="threads", workers=4, task_ast=relaxed
+    )
+    assert seq.equal(out), src
 
 
 @settings(max_examples=15, deadline=None)

@@ -51,10 +51,15 @@ class TestLegalGraphs:
         assert check_legality(scop, info, graph).ok
 
 
+def unchained_graph(ast):
+    """Every self chain dropped, no self-token in its place."""
+    return TaskGraph.from_task_ast(ast.unchained({"S", "R"}))
+
+
 class TestIllegalGraphs:
     def test_missing_self_chain_detected(self):
         scop, info, ast = setup(LISTING1, {"N": 10})
-        broken = TaskGraph.from_task_ast(ast, self_chain=False)
+        broken = unchained_graph(ast)
         report = check_legality(scop, info, broken)
         assert not report.ok
         v = report.violations[0]
@@ -64,13 +69,13 @@ class TestIllegalGraphs:
 
     def test_violation_cap_respected(self):
         scop, info, ast = setup(LISTING1, {"N": 12})
-        broken = TaskGraph.from_task_ast(ast, self_chain=False)
+        broken = unchained_graph(ast)
         report = check_legality(scop, info, broken, max_violations=5)
         assert len(report.violations) == 5
 
     def test_kind_filter(self):
         scop, info, ast = setup(LISTING1, {"N": 10})
-        broken = TaskGraph.from_task_ast(ast, self_chain=False)
+        broken = unchained_graph(ast)
         # Listing 1's intra-statement deps are anti only; checking flow
         # alone must stay silent about them.
         flow_only = check_legality(scop, info, broken, kinds=(DepKind.FLOW,))

@@ -143,7 +143,7 @@ def test_join_omitted_schedule_fails_the_structural_recheck(hist_interp):
     pinfo = privatize_info(info, plan, parts=4)
     ast = generate_task_ast(pinfo)
     # build the member tasks but "forget" the join
-    joinless = TaskGraph.from_task_ast(ast, unchained=plan.statements)
+    joinless = TaskGraph.from_task_ast(ast.unchained(plan.statements))
     report = check_legality(scop, pinfo, joinless, relaxed=plan.relaxed())
     assert report.ok, "instance-level legality is blind to the missing join"
     check = verify_privatized_graph(scop, plan, joinless)

@@ -298,6 +298,84 @@ def test_warm_transform_derives_no_verdict_and_executes_once(
     assert one_shot() == ([], 1, 1, 1)  # warm: from the table
 
 
+def test_warm_hybrid_load_asks_no_presburger_question(tmp_path, monkeypatch):
+    """The relaxation travels in the stored AST (``chained`` and the
+    self-tokens): a warm load plus replay re-derives no intra-statement
+    dependence and runs exactly the Presburger operations the same load
+    runs without ``hybrid`` (rebuilding the schedule tree)."""
+    from repro.presburger import cache as presburger_cache
+    from repro.service import load_analysis
+    from repro.tasking import hybrid
+    from repro.workloads import MatmulKernel
+
+    source = MatmulKernel(2, "mm").source(6)
+    store = ArtifactStore(str(tmp_path))
+    calls = []
+    real = hybrid.dependence_relation
+    monkeypatch.setattr(
+        hybrid,
+        "dependence_relation",
+        lambda *a, **k: calls.append(a) or real(*a, **k),
+    )
+
+    def warm_ops(opts):
+        _, cold, status = _compile(source, {}, opts, store)
+        assert status == "cold"
+        del calls[:]
+        interp = Interpreter.from_source(source, {}, fuse=opts.fuse)
+        artifact = store.get(artifact_key(source, {}, opts))
+        before = presburger_cache.op_call_counts()
+        warm = load_analysis(interp, opts, artifact)
+        out, _ = execute_measured(
+            interp, warm.info, backend="threads", workers=2,
+            task_ast=warm.task_ast,
+        )
+        after = presburger_cache.op_call_counts()
+        assert interp.run_sequential(interp.new_store()).equal(out)
+        assert warm.graph.preds == cold.graph.preds
+        return warm, {
+            op: n - before.get(op, 0)
+            for op, n in after.items()
+            if n != before.get(op, 0)
+        }
+
+    _, plain_ops = warm_ops(_options())
+    warm, hybrid_ops = warm_ops(_options(hybrid=True))
+    assert [n.chained for n in warm.task_ast.nests] == [False, False]
+    assert calls == [] and hybrid_ops == plain_ops
+
+
+def test_parent_schema_hybrid_artifact_is_a_miss(tmp_path, monkeypatch):
+    """Schema 1 had no ``chained`` flag: a hybrid artifact written then
+    must not load as a plain chain.  Its key is another key, and its
+    payload is refused even at this one."""
+    import dataclasses
+
+    from repro.schedule import generate_task_ast
+    from repro.schedule.serialize import dumps_task_ast
+    from repro.store import keys
+    from repro.workloads import MatmulKernel
+
+    source = MatmulKernel(2, "mm").source(6)
+    store = ArtifactStore(str(tmp_path))
+    opts = _options(hybrid=True)
+    key = artifact_key(source, {}, opts)
+    _, cold, _ = _compile(source, {}, opts, store)
+    with monkeypatch.context() as m:
+        m.setattr(keys, "SCHEMA_VERSION", 1)
+        assert artifact_key(source, {}, opts) != key
+    stale = dataclasses.replace(
+        store.get(key),
+        schema_version=1,
+        task_ast_blob=dumps_task_ast(generate_task_ast(cold.info)),
+    )
+    store.put(key, stale)
+    assert store.get(key) is None
+    _, again, status = _compile(source, {}, opts, store)
+    assert status == "cold"
+    assert not any(n.chained for n in again.task_ast.nests)
+
+
 def test_verdict_table_round_trips_and_is_optional(
     tmp_path, fusion_verdict_calls
 ):

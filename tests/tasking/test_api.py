@@ -106,6 +106,13 @@ class TestExecution:
         sys_ = OmpTaskSystem(write_num=1)
         sys_.create_task(noop, None, 0, 0)
         assert len(sys_) == 1
+        # the 200-task no-op chain the retired bench_runtime_overhead.py
+        # timed: one function, so one self chain
+        for k in range(1, 200):
+            sys_.create_task(noop, None, out_depend=k, out_idx=0)
+        result = sys_.run(workers=4)
+        assert result.ok and len(sys_) == 200
+        assert result.completion_order == tuple(range(200))
 
 
 class TestEquivalenceWithDirectGraph:

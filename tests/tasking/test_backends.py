@@ -119,10 +119,12 @@ class TestFuturesBackend:
         def f(p):
             log.append(p)
 
-        for k in range(5):
+        # 200 tasks of one function: the no-op chain the retired
+        # bench_runtime_overhead.py timed
+        for k in range(200):
             backend.create_task(f, k, out_depend=k, out_idx=0)
         backend.run()
-        assert log == [0, 1, 2, 3, 4]
+        assert len(backend) == 200 and log == list(range(200))
 
     def test_failure_propagates(self):
         backend = FuturesBackend(write_num=1, workers=2)

@@ -3,18 +3,80 @@
 import pytest
 
 from repro.bench import build_scop
-from repro.interp import Interpreter
+from repro.interp import Interpreter, execute_measured
 from repro.pipeline import detect_pipeline
 from repro.schedule import generate_task_ast
 from repro.tasking import (
     TaskGraph,
-    bind_interpreter_actions,
-    execute,
     hybrid_task_graph,
     intra_block_edges,
+    relax_self_chains,
     simulate,
 )
-from repro.workloads import TABLE9, MatmulKernel
+from repro.workloads import TABLE9, MatmulKernel, figure11_kernels
+
+
+def reference_hybrid_graph(scop, info, ast) -> TaskGraph:
+    """The graph builder ``relax_self_chains`` replaced, kept as the
+    reference the relaxed AST's graph must equal edge for edge."""
+    graph = TaskGraph()
+    token_to_task = {}
+    stmt_tasks = {}
+    chain_complete = {}
+    for nest in ast.nests:
+        tids = []
+        for block in nest.blocks:
+            tid = graph.add_task(
+                nest.statement, block.block_id, float(block.size), block
+            )
+            token_to_task[block.out_token] = tid
+            tids.append(tid)
+        stmt_tasks[nest.statement] = tids
+        edges = intra_block_edges(scop, info, nest.statement)
+        chain_complete[nest.statement] = all(
+            (k, k + 1) in edges for k in range(len(tids) - 1)
+        )
+        if chain_complete[nest.statement]:
+            for prev, nxt in zip(tids, tids[1:]):
+                graph.add_edge(prev, nxt)
+        else:
+            for a, b in edges:
+                graph.add_edge(tids[a], tids[b])
+    for nest in ast.nests:
+        for block in nest.blocks:
+            tid = token_to_task[block.out_token]
+            for src_name, end in block.in_tokens:
+                src_tid = token_to_task[(src_name, end)]
+                if chain_complete[src_name]:
+                    graph.add_edge(src_tid, tid)
+                else:
+                    # prefix edges: "source ran up to end" without a
+                    # complete chain means every block at or before it
+                    for k in range(graph.tasks[src_tid].block_id + 1):
+                        graph.add_edge(stmt_tasks[src_name][k], tid)
+    graph.validate()
+    return graph
+
+
+def assert_relaxed_plan_correct(source: str, params=None) -> None:
+    """The relaxed AST's graph is the reference graph, the lowered plan
+    schedules exactly that graph, and it replays bit-identically."""
+    interp = Interpreter.from_source(source, params or {})
+    info = detect_pipeline(interp.scop)
+    raw = generate_task_ast(info)
+    relaxed = relax_self_chains(interp.scop, info, raw)
+    graph = hybrid_task_graph(interp.scop, info, raw)
+    assert graph.preds == TaskGraph.from_task_ast(relaxed).preds
+    assert graph.preds == reference_hybrid_graph(interp.scop, info, raw).preds
+    plan = interp.exec_plan(info, relaxed)
+    if not plan.stats["fused_chains"]:  # a merged stream renumbers tasks
+        assert plan.schedule.preds() == graph.preds
+    seq = interp.run_sequential(interp.new_store())
+    for backend in ("serial", "threads"):
+        out, _ = execute_measured(
+            interp, info, backend=backend, workers=4, task_ast=relaxed
+        )
+        assert seq.equal(out), backend
 
 
 class TestIntraBlockEdges:
@@ -43,25 +105,20 @@ class TestCorrectness:
         ids=lambda k: k.name,
     )
     def test_threaded_execution_matches_sequential(self, kernel):
-        interp = Interpreter.from_source(kernel.source(8), {})
-        info = detect_pipeline(interp.scop)
-        graph = hybrid_task_graph(interp.scop, info)
-        seq = interp.run_sequential(interp.new_store())
-        par = interp.new_store()
-        bind_interpreter_actions(graph, interp, par)
-        execute(graph, workers=4)
-        assert seq.equal(par)
+        assert_relaxed_plan_correct(kernel.source(8))
 
     @pytest.mark.parametrize("name", ["P1", "P5"])
     def test_pkernels_still_correct(self, name):
-        interp = Interpreter.from_source(TABLE9[name].source(8), {})
-        info = detect_pipeline(interp.scop)
-        graph = hybrid_task_graph(interp.scop, info)
-        seq = interp.run_sequential(interp.new_store())
-        par = interp.new_store()
-        bind_interpreter_actions(graph, interp, par)
-        execute(graph, workers=4)
-        assert seq.equal(par)
+        assert_relaxed_plan_correct(TABLE9[name].source(8))
+
+    @pytest.mark.parametrize(
+        "source",
+        [k.source(8) for k in figure11_kernels()]
+        + [TABLE9[name].source(8) for name in sorted(TABLE9)],
+        ids=[k.name for k in figure11_kernels()] + sorted(TABLE9),
+    )
+    def test_relaxed_ast_graph_equals_the_reference_builder(self, source):
+        assert_relaxed_plan_correct(source)
 
     def test_hybrid_with_coarsening(self):
         from repro import TransformOptions, transform

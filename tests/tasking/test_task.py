@@ -91,8 +91,8 @@ class TestFromTaskAst:
     def test_self_chain_disabled(self, listing1_scop):
         info = detect_pipeline(listing1_scop)
         ast = generate_task_ast(info)
-        with_chain = TaskGraph.from_task_ast(ast, self_chain=True)
-        without = TaskGraph.from_task_ast(ast, self_chain=False)
+        with_chain = TaskGraph.from_task_ast(ast)
+        without = TaskGraph.from_task_ast(ast.unchained({"S", "R"}))
         assert without.num_edges < with_chain.num_edges
 
     def test_default_cost_is_block_size(self, listing1_scop):

@@ -113,7 +113,8 @@ class TestRun:
 
     def test_hybrid_flag(self, kernel_file, capsys):
         assert main(["run", kernel_file, "--param", "N=12", "--hybrid"]) == 0
-        assert "hybrid result matches sequential: True" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "pipelined result matches sequential: True" in out
 
     def test_timeline_flag(self, kernel_file, capsys):
         main(["run", kernel_file, "--param", "N=12", "--timeline"])
@@ -435,12 +436,16 @@ class TestRunPrivatize:
         assert "no verified privatization proofs" in out
         assert "pipelined result matches sequential: True" in out
 
-    def test_privatize_rejects_hybrid_and_tune(self, histogram_file):
-        with pytest.raises(SystemExit):
-            main([
-                "run", histogram_file, "--param", "N=8",
-                "--privatize", "--hybrid",
-            ])
+    def test_privatize_rejects_hybrid_and_tune(self, histogram_file, capsys):
+        """Of the two flags this once refused, ``--hybrid`` now composes
+        (the relaxation skips privatized members); ``--tune`` is still a
+        row of the driver's table."""
+        assert main([
+            "run", histogram_file, "--param", "N=8",
+            "--privatize", "--hybrid",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "privatized result matches sequential: True" in out
         with pytest.raises(SystemExit):
             main([
                 "run", histogram_file, "--param", "N=8",
@@ -522,8 +527,13 @@ class TestRunExecutes:
             ),
             pytest.param(
                 KERNEL, ["--hybrid"],
-                {"oracle": 1, "graph": 1, "replay": []},
+                {"oracle": 1, "graph": 0, "replay": ["threads"]},
                 id="hybrid",
+            ),
+            pytest.param(
+                KERNEL, ["--hybrid", "--exec-backend", "processes"],
+                {"oracle": 1, "graph": 0, "replay": ["processes"]},
+                id="hybrid-processes",
             ),
         ],
     )

@@ -12,7 +12,7 @@ from repro import (
 )
 from repro.driver import INCOMPATIBLE_OPTIONS
 from repro.scop import DepKind
-from repro.workloads import CostModel
+from repro.workloads import CostModel, MatmulKernel
 from tests.conftest import LISTING1, LISTING3
 
 
@@ -55,8 +55,6 @@ class TestOptions:
         assert coarse.num_tasks < fine.num_tasks
 
     def test_hybrid(self):
-        from repro.workloads import MatmulKernel
-
         kern = MatmulKernel(2, "mm")
         plain = transform(kern.source(8), options=TransformOptions())
         hybrid = transform(
@@ -177,9 +175,12 @@ for(i=0; i<N; i++)
 """
 
 
+TWO_MM = MatmulKernel(2, "mm").source(6)
+
+
 class TestOneVerificationReplay:
     """``verify`` = one oracle run + one replay of the plan that is
-    returned; only ``hybrid`` adds its own graph run."""
+    returned, whatever the options."""
 
     @pytest.mark.parametrize(
         "source,options,replayed",
@@ -209,6 +210,7 @@ class TestOneVerificationReplay:
                 "serial",
                 id="privatized-serial",
             ),
+            pytest.param(TWO_MM, {"hybrid": True}, "threads", id="hybrid"),
         ],
     )
     def test_two_executions_per_verified_transform(
@@ -229,29 +231,20 @@ class TestOneVerificationReplay:
         assert result.verified is None and result.execution is not None
         assert executions == {"oracle": 0, "graph": 0, "replay": ["serial"]}
 
-    def test_hybrid_still_executes_its_own_graph(self, executions):
-        """The hybrid graph is not what an ExecPlan lowers: it is
-        verified by running it, and no plan is replayed for it."""
-        from repro.workloads import MatmulKernel
-
-        result = transform(
-            MatmulKernel(2, "mm").source(6),
-            options=TransformOptions(hybrid=True),
-        )
-        assert result.verified is True
-        assert executions == {"oracle": 1, "graph": 1, "replay": []}
-        assert "hybrid graph execution matches sequential" in result.report()
-
     def test_verify_span_names_the_backend(self):
         from repro.obs import spans as obs_spans
 
-        with obs_spans.recording() as rec:
-            transform(LISTING1, {"N": 8})
-        verify = [s for s in rec.spans if s.name == "driver.verify"]
-        measured = [s for s in rec.spans if s.name == "exec.measured"]
-        assert len(verify) == len(measured) == 1
-        assert verify[0].attrs["backend"] == "threads"
-        assert measured[0].parent_id == verify[0].span_id
+        for source, options in (
+            (LISTING1, TransformOptions()),
+            (TWO_MM, TransformOptions(hybrid=True)),
+        ):
+            with obs_spans.recording() as rec:
+                transform(source, {"N": 8}, options)
+            verify = [s for s in rec.spans if s.name == "driver.verify"]
+            measured = [s for s in rec.spans if s.name == "exec.measured"]
+            assert len(verify) == len(measured) == 1
+            assert verify[0].attrs["backend"] == "threads"
+            assert measured[0].parent_id == verify[0].span_id
 
 
 #: a non-default value per option whose pairs compose (or are refused)
@@ -339,3 +332,155 @@ class TestOptionPairs:
         )
         assert asked.verified is True and asked.legality.ok
         assert asked.info.to_dict() == default.info.to_dict()
+
+    # -- the table's survivors, each with its failing composition -------
+    def test_reduce_deps_leans_on_the_chain_hybrid_removes(self):
+        """Why ``reduce_deps``×``hybrid`` stays a row: T's block for
+        ``i`` holds its token on R only on the first ``j`` — the second
+        is ordered behind it by T's self chain, which is the chain
+        ``relax_self_chains`` takes away."""
+        from repro.bench import build_scop
+        from repro.pipeline import detect_pipeline, reduce_dependencies
+        from repro.schedule import check_legality, generate_task_ast
+        from repro.tasking import TaskGraph, relax_self_chains
+
+        scop = build_scop(
+            "for(i=0; i<8; i++) S: A[i] = f(A[i]);\n"
+            "for(i=0; i<4; i++) R: B[i] = g(B[i]);\n"
+            "for(i=0; i<4; i++) for(j=0; j<2; j++)"
+            " T: C[i][j] = h(A[2*i+j], B[i], C[i][j]);"
+        )
+
+        def relaxed_legality(info):
+            ast = relax_self_chains(scop, info, generate_task_ast(info))
+            assert not ast.nest("T").chained
+            return check_legality(scop, info, TaskGraph.from_task_ast(ast))
+
+        full = detect_pipeline(scop)
+        reduced, stats = reduce_dependencies(full)
+        assert stats.removed > 0
+        assert check_legality(
+            scop, reduced, TaskGraph.from_task_ast(generate_task_ast(reduced))
+        ).ok
+        assert relaxed_legality(full).ok
+        refused = relaxed_legality(reduced)
+        assert not refused.ok
+        assert {(v.source, v.target) for v in refused.violations} == {
+            ("R", "T")
+        }
+
+    def test_tune_merges_privatized_chunks_back_into_one_block(self):
+        """Why ``privatize``×``tune`` stays a row: the tuner scores a
+        blocking as per-statement chains, so the chunks
+        ``privatize_parts`` made are, to it, tasks with no parallelism
+        to pay for them — whatever the overhead, it undoes them."""
+        from repro.driver import analyze
+        from repro.interp import Interpreter
+        from repro.tuning import OverheadModel, auto_tune
+
+        interp = Interpreter.from_source(HISTOGRAM, {"N": 8})
+        chunked = analyze(
+            interp, TransformOptions(privatize=True, privatize_parts=4)
+        ).info
+        assert {b.num_blocks for b in chunked.blockings.values()} == {4}
+        tuned = auto_tune(
+            interp, chunked, workers=4,
+            model=OverheadModel(per_task_s=1e-9, per_iter_s=1e-6),
+        )
+        assert {b.num_blocks for b in tuned.info.blockings.values()} == {1}
+
+    # -- what the table no longer refuses -------------------------------
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize(
+        "kernel", ["histogram", "sumstencil", "histogram+doall"]
+    )
+    def test_privatize_composes_with_hybrid(self, kernel, backend):
+        """The relaxation skips privatized members (the proof already
+        relaxed them) and relaxes the nests beside them."""
+        from repro.driver import Analysis, analyze, replay
+        from repro.interp import Interpreter
+        from repro.schedule import check_legality, verify_privatized_graph
+        from tests.interp.test_privatized_exec import KERNELS
+
+        doall = (
+            "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+            " P: C[i][j] = f(D[i][j]);\n"
+            "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+            " Q: E[i][j] = g(C[i][j], E[i][j]);"
+        )
+        source = {**KERNELS, "histogram+doall": HISTOGRAM + doall}[kernel]
+        interp = Interpreter.from_source(source, {"N": 8})
+        a: Analysis = analyze(
+            interp,
+            TransformOptions(privatize=True, hybrid=True, static_checks=True),
+        )
+        assert a.privatized and a.diagnostics.ok
+        assert not any(n.chained for n in a.task_ast.nests)
+        for member in a.plan.statements:  # untouched by the relaxation
+            assert not any(
+                b.in_tokens for b in a.task_ast.nest(member).blocks
+            )
+        assert check_legality(
+            interp.scop, a.info, a.graph, relaxed=a.plan.relaxed()
+        ).ok
+        assert verify_privatized_graph(interp.scop, a.plan, a.graph).ok
+        seq = interp.run_sequential(interp.new_store())
+        _, _, verdict = replay(interp, a, backend, 3, oracle=seq)
+        assert verdict == (True, "bit-exact")
+
+    @pytest.mark.parametrize(
+        "partner",
+        [
+            pytest.param({"exec_backend": "serial"}, id="serial"),
+            pytest.param({"exec_backend": "threads"}, id="threads"),
+            pytest.param({"exec_backend": "processes"}, id="processes"),
+            pytest.param({"static_checks": True}, id="static_checks"),
+            pytest.param({"coarsen": 2}, id="coarsen"),
+            pytest.param({"tune": "model"}, id="tune"),
+            pytest.param(
+                {"exec_backend": "threads", "collect_events": True},
+                id="collect_events",
+            ),
+        ],
+    )
+    def test_hybrid_pair_is_bit_identical_cold_warm_and_served(
+        self, partner, tmp_path
+    ):
+        """The relaxed plan is the plan: one replay of it verifies on
+        the partner's backend from a fresh compile, from the store and
+        behind ``repro serve``."""
+        import asyncio
+
+        from repro.interp import Interpreter
+        from repro.service import options_to_dict
+        from repro.service.server import _checksums
+        from tests.service.test_serve import _request, _with_server
+
+        options = TransformOptions(hybrid=True, workers=2, **partner)
+        for status in ("cold", "warm"):
+            result = transform(TWO_MM, {}, options, cache_dir=str(tmp_path))
+            assert result.cache_status == status
+            assert result.verified is True
+            if "tune" not in partner:  # the tuner may leave one block
+                assert not any(n.chained for n in result.task_ast.nests)
+            if "exec_backend" in partner:
+                assert result.execution.backend == partner["exec_backend"]
+
+        request = {
+            "op": "run",
+            "source": TWO_MM,
+            "params": {},
+            "options": options_to_dict(options),
+            "backend": partner.get("exec_backend", "threads"),
+            "workers": 2,
+        }
+
+        async def served(host, port, server):
+            return await _request(host, port, request)
+
+        reply = asyncio.run(_with_server(str(tmp_path), served))
+        assert reply["ok"] and reply["match"] is True, reply
+        interp = Interpreter.from_source(TWO_MM, {})
+        assert reply["checksums"] == _checksums(
+            interp.run_sequential(interp.new_store())
+        )

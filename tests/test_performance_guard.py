@@ -25,6 +25,7 @@ def timed(fn, *args):
 def test_analysis_scales_to_n64_within_budget():
     kern = TABLE9["P5"]
     scop = build_scop(kern.source(64))
+    assert len(scop) == 4
     for stmt in scop.statements:
         stmt.points  # warm enumeration
     graph, elapsed = timed(pipeline_task_graph, scop, kern.cost_model(1))
