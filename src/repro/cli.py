@@ -72,13 +72,20 @@ import argparse
 import sys
 
 
+class BadParamError(ValueError):
+    """A ``--param`` value that is not ``NAME=INT``."""
+
+
 def _parse_params(items: list[str]) -> dict[str, int]:
     params: dict[str, int] = {}
     for item in items or []:
         name, _, value = item.partition("=")
-        if not value:
-            raise SystemExit(f"bad --param {item!r}; expected NAME=INT")
-        params[name] = int(value)
+        try:
+            params[name] = int(value)
+        except ValueError:
+            raise BadParamError(
+                f"bad --param {item!r}; expected NAME=INT"
+            ) from None
     return params
 
 
@@ -435,10 +442,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_codegen(args: argparse.Namespace) -> int:
     from .codegen import emit_task_program
-    from .pipeline import detect_pipeline
+    from .pipeline import detect_pipeline, flow_then_all_kinds
 
     interp = _load(args.kernel, _parse_params(args.param))
-    info = detect_pipeline(interp.scop, coarsen=args.coarsen)
+    info, _ = flow_then_all_kinds(
+        lambda kinds: detect_pipeline(
+            interp.scop, kinds=kinds, coarsen=args.coarsen
+        )
+    )
     print(emit_task_program(info))
     return 0
 
@@ -921,8 +932,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  What is wrong with the *input* — an
+    unreadable kernel, a frontend or SCoP diagnostic, a dependence the
+    detector refuses, a malformed ``--param`` — prints as ``repro:
+    <the diagnostic's own rendering>`` on stderr with status 2 (argparse's
+    status for usage errors); anything else is a bug and keeps its
+    traceback."""
+    from .lang.errors import FrontendError
+    from .pipeline import UncoveredDependenceError
+    from .scop import InvalidScopError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (
+        FrontendError, InvalidScopError, UncoveredDependenceError,
+        OSError, BadParamError,
+    ) as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

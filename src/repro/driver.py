@@ -74,11 +74,6 @@ class TransformOptions:
     overhead: float = 0.0
     #: cost model for the simulator (uniform unit cost by default)
     cost_model: CostModel = field(default_factory=CostModel.uniform)
-    #: Presburger op cache for this call: True/False forces it on/off,
-    #: None keeps the process setting (``REPRO_PRESBURGER_CACHE`` env var)
-    presburger_cache: bool | None = None
-    #: LRU capacity override for the Presburger op cache (None keeps it)
-    presburger_cache_size: int | None = None
     #: fused block kernels: "auto" (default — fuse what's legal, per-
     #: statement fallback to compiled loops), "on" (fail if any
     #: statement can't fuse), "off" (compiled loops only)
@@ -258,26 +253,20 @@ def transform(
     options = options or TransformOptions()
     validate_options(options)
     params = dict(params or {})
-    from .presburger import cache as presburger_cache
+    interp = Interpreter.from_source(
+        source_or_program, params, funcs, fuse=options.fuse
+    )
+    if cache_dir is not None and isinstance(source_or_program, str):
+        from .service.compile import cached_analysis
+        from .store import ArtifactStore
 
-    with presburger_cache.overridden(
-        enabled=options.presburger_cache,
-        maxsize=options.presburger_cache_size,
-    ):
-        interp = Interpreter.from_source(
-            source_or_program, params, funcs, fuse=options.fuse
+        analysis, _ = cached_analysis(
+            interp, source_or_program, params, options,
+            ArtifactStore(cache_dir),
         )
-        if cache_dir is not None and isinstance(source_or_program, str):
-            from .service.compile import cached_analysis
-            from .store import ArtifactStore
-
-            analysis, _ = cached_analysis(
-                interp, source_or_program, params, options,
-                ArtifactStore(cache_dir),
-            )
-        else:
-            analysis = analyze(interp, options)
-        return _finish(interp, options, analysis)
+    else:
+        analysis = analyze(interp, options)
+    return _finish(interp, options, analysis)
 
 
 #: Option pairs that do not compose, as ``(option, option, reason)`` —

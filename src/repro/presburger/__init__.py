@@ -1,17 +1,17 @@
-"""A miniature integer-set library (ISL substitute).
+"""The explicit relation layer (the reproduction's ISL substitute).
 
-This package provides the polyhedral substrate of the reproduction:
+The paper's Section 4 algebra — ``P = Wr⁻¹ ∘ Rd``, the running
+``lexmax``, blocking, the ``Q_S`` relations — runs on tabulated, bounded
+sets and relations; this package is that substrate and nothing else:
 
-* **Symbolic layer** — :class:`Space`/:class:`MapSpace`,
-  :class:`AffineExpr`, :class:`Constraint`, :class:`BasicSet`/:class:`Set`,
-  :class:`BasicMap`/:class:`Map`, with exact LP/ILP solvers underneath
-  (:mod:`~repro.presburger.lp`, :mod:`~repro.presburger.ilp`) and
-  lexicographic-order map builders (:mod:`~repro.presburger.ops`).
+* **Iteration domains** — :class:`Space`, :class:`AffineExpr`,
+  :class:`Constraint` and :class:`BasicSet` (a conjunction of affine
+  constraints, as the frontend extracts it from loop bounds), enumerated
+  once by :func:`enumerate_basic_set` / :func:`to_point_set`
+  (Fourier–Motzkin scan, :class:`UnboundedSetError` on an unbounded one).
 * **Explicit layer** — :class:`PointSet` and :class:`PointRelation`,
   vectorized NumPy tabulations of bounded sets and relations, where the
-  heavy per-point lexmin/lexmax algebra of the paper runs.
-* **Bridge** — :func:`to_point_set` / :func:`to_point_relation` enumerate
-  bounded symbolic objects into explicit ones.
+  per-point lexmin/lexmax algebra of the paper runs.
 * **Performance layer** — :mod:`~repro.presburger.cache` hash-conses the
   value classes and memoizes the hot operations in a bounded LRU
   (``REPRO_PRESBURGER_CACHE`` env var, :func:`cache_configure`,
@@ -20,6 +20,7 @@ This package provides the polyhedral substrate of the reproduction:
 
 from . import cache
 from .affine import AffineExpr
+from .basic_set import BasicSet
 from .cache import (
     CacheStats,
     cache_clear,
@@ -29,22 +30,9 @@ from .cache import (
     reset_stats as cache_reset_stats,
     stats as cache_stats,
 )
-from .algebra import (
-    QuantifiedSetError,
-    complement,
-    is_subset,
-    maps_equal,
-    sets_equal,
-    simplify,
-    simplify_basic_set,
-    subtract,
-)
-from .basic_map import BasicMap
-from .basic_set import BasicSet
 from .constraint import Constraint, Kind
-from .coalesce import coalesce_set
-from .convert import to_point_relation, to_point_set
-from .enumeration import UnboundedSetError, enumerate_basic_set, enumerate_set
+from .convert import to_point_set
+from .enumeration import UnboundedSetError, enumerate_basic_set
 from .explicit import (
     PointRelation,
     PointSet,
@@ -55,26 +43,10 @@ from .explicit import (
     rowwise_lex_lt,
     unique_rows,
 )
-from .ilp import (
-    ILPResult,
-    ILPStatus,
-    column_bounds,
-    ilp_minimize,
-    integer_feasible_point,
-    is_empty,
-    lexmax,
-    lexmin,
-)
-from .imap import Map
-from .iset import Set
-from .lp import LPResult, LPStatus, solve_lp
-from .notation import NotationError, parse_map, parse_set
-from .ops import lex_ge_map, lex_gt_map, lex_le_map, lex_lt_map
-from .space import MapSpace, Space, anonymous
+from .space import Space, anonymous
 
 __all__ = [
     "AffineExpr",
-    "BasicMap",
     "BasicSet",
     "CacheStats",
     "cache",
@@ -86,49 +58,17 @@ __all__ = [
     "cache_stats",
     "Constraint",
     "Kind",
-    "ILPResult",
-    "ILPStatus",
-    "LPResult",
-    "LPStatus",
-    "Map",
-    "MapSpace",
-    "NotationError",
     "PointRelation",
     "PointSet",
-    "QuantifiedSetError",
-    "Set",
     "Space",
     "UnboundedSetError",
     "anonymous",
-    "coalesce_set",
-    "column_bounds",
-    "complement",
     "enumerate_basic_set",
-    "enumerate_set",
-    "ilp_minimize",
-    "integer_feasible_point",
-    "is_empty",
-    "is_subset",
     "joint_ranks",
-    "lex_ge_map",
-    "lex_gt_map",
-    "lex_le_map",
-    "lex_lt_map",
     "lex_ranks",
-    "lexmax",
-    "lexmin",
-    "maps_equal",
     "lexsorted_rows",
-    "parse_map",
-    "parse_set",
-    "sets_equal",
-    "simplify",
-    "simplify_basic_set",
-    "subtract",
     "rowwise_lex_le",
     "rowwise_lex_lt",
-    "solve_lp",
-    "to_point_relation",
     "to_point_set",
     "unique_rows",
 ]

@@ -5,21 +5,19 @@ equalities and inequalities over its space's dimensions plus ``n_div``
 existentially quantified columns, mirroring ``isl_basic_set``.  Column
 layout is ``[set dims | divs]``.
 
-The symbolic layer deliberately supports the operations the pipeline
-algebra of the paper needs — intersection, dimension fixing, emptiness,
-lexicographic optimization, bounds, sampling, enumeration — and leaves
-complementation/subtraction to the explicit NumPy backend
-(:mod:`repro.presburger.explicit`), where they are cheap and exact for the
-instantiated problems this library targets.
+It is a constraint *container*: the frontend builds one per statement
+from the loop bounds, :func:`~repro.presburger.enumeration.enumerate_basic_set`
+tabulates it once, and every set/relation operation of the pipeline
+algebra runs on the tabulation (:mod:`repro.presburger.explicit`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from . import cache, ilp
-from .constraint import Constraint, Kind
+from . import cache
+from .constraint import Constraint
 from .space import Space
 
 
@@ -58,10 +56,6 @@ class BasicSet:
             and self.space == other.space
             and self.constraints == other.constraints
         )
-
-    def is_universe(self) -> bool:
-        """True for the unconstrained (whole-space) conjunction."""
-        return not self.constraints and not self.n_div
 
     # ------------------------------------------------------------------
     # construction
@@ -106,142 +100,20 @@ class BasicSet:
         extra = tuple(c.padded(self.ncols) for c in extra)
         return BasicSet(self.space, self.constraints + extra, self.n_div)
 
-    def renamed(self, name: str | None) -> "BasicSet":
-        return BasicSet(self.space.renamed(name), self.constraints, self.n_div)
-
-    def with_space(self, space: Space) -> "BasicSet":
-        if space.ndim != self.ndim:
-            raise ValueError("space dimensionality mismatch")
-        return BasicSet(space, self.constraints, self.n_div)
-
-    # ------------------------------------------------------------------
-    # column juggling (shared with maps)
-    # ------------------------------------------------------------------
-    def _aligned_with(self, other: "BasicSet") -> tuple[
-        tuple[Constraint, ...], tuple[Constraint, ...], int
-    ]:
-        """Pad both constraint systems to a shared div block.
-
-        Our divs occupy ``[ndim, ndim + n_div)``; the other set's divs are
-        appended after ours.  Returns both padded systems and the total
-        number of divs.
-        """
-        if other.ndim != self.ndim:
-            raise ValueError("cannot align sets of different dimensionality")
-        total_div = self.n_div + other.n_div
-        ncols = self.ndim + total_div
-        mine = tuple(c.padded(ncols) for c in self.constraints)
-        perm = list(range(self.ndim)) + [
-            self.ndim + self.n_div + k for k in range(other.n_div)
-        ]
-        theirs = tuple(c.permuted(perm, ncols) for c in other.constraints)
-        return mine, theirs, total_div
-
-    def intersect(self, other: "BasicSet") -> "BasicSet":
-        if other.is_universe() and other.ndim == self.ndim:
-            cache.count_trivial("BasicSet.intersect")
-            return self
-        if self.is_universe() and other.ndim == self.ndim:
-            cache.count_trivial("BasicSet.intersect")
-            return other.with_space(self.space)
-        return cache.memoized(
-            "BasicSet.intersect",
-            lambda: self._intersect(other),
-            self,
-            other,
-        )
-
-    def _intersect(self, other: "BasicSet") -> "BasicSet":
-        mine, theirs, total_div = self._aligned_with(other)
-        return BasicSet(self.space, mine + theirs, total_div)
-
-    def project_onto(self, keep: Sequence[int]) -> "BasicSet":
-        """Keep the listed set dimensions; the rest become divs.
-
-        ``keep`` is an ordered list of current dimension indices; the result's
-        dimension ``k`` is the old dimension ``keep[k]``.
-        """
-        return cache.memoized(
-            "BasicSet.project_onto",
-            lambda: self._project_onto(tuple(keep)),
-            self,
-            tuple(keep),
-        )
-
-    def _project_onto(self, keep: tuple[int, ...]) -> "BasicSet":
-        dropped = [k for k in range(self.ndim) if k not in keep]
-        perm = [0] * self.ncols
-        for new, old in enumerate(keep):
-            perm[old] = new
-        for pos, old in enumerate(dropped):
-            perm[old] = len(keep) + pos
-        for d in range(self.n_div):
-            perm[self.ndim + d] = len(keep) + len(dropped) + d
-        cons = tuple(c.permuted(perm) for c in self.constraints)
-        dims = tuple(self.space.dims[k] for k in keep)
-        return BasicSet(
-            Space(dims, self.space.name), cons, self.n_div + len(dropped)
-        )
-
-    def fix(self, values: Mapping[int, int]) -> "BasicSet":
-        """Intersect with ``x_k == v`` for each ``(k, v)`` item."""
-        extra = []
-        for col, val in values.items():
-            unit = [0] * self.ncols
-            unit[col] = 1
-            extra.append(Constraint.eq(tuple(unit), -int(val)))
-        return BasicSet(self.space, self.constraints + tuple(extra), self.n_div)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def is_empty(self) -> bool:
-        if self.is_universe():
-            cache.count_trivial("ilp.is_empty")
-            return False
-        return ilp.is_empty(self.constraints, self.ncols)
-
-    def sample(self) -> tuple[int, ...] | None:
-        """Some point of the set (dims only), or None when empty."""
-        pt = ilp.integer_feasible_point(self.constraints, self.ncols)
-        return None if pt is None else pt[: self.ndim]
-
     def contains(self, point: Sequence[int]) -> bool:
-        """Membership test; uses ILP only when divs are present."""
+        """Membership test by evaluating the constraints; with divs, by
+        scanning the (bounded) div columns under ``dims == point``."""
         if len(point) != self.ndim:
             raise ValueError("point arity mismatch")
         if self.n_div == 0:
             return all(c.satisfied(point) for c in self.constraints)
-        fixed = self.fix({k: v for k, v in enumerate(point)})
-        return not fixed.is_empty()
+        from .enumeration import enumerate_basic_set
 
-    def lexmin(self) -> tuple[int, ...] | None:
-        """Lexicographically smallest point, or None when empty."""
-        return cache.memoized(
-            "BasicSet.lexmin",
-            lambda: ilp.lexmin(self.constraints, self.ncols, self.ndim),
-            self,
-        )
-
-    def lexmax(self) -> tuple[int, ...] | None:
-        return cache.memoized(
-            "BasicSet.lexmax",
-            lambda: ilp.lexmax(self.constraints, self.ncols, self.ndim),
-            self,
-        )
-
-    def dim_bounds(self, col: int) -> tuple[int | None, int | None]:
-        """Integer (min, max) of a set dimension over the whole set."""
-        return ilp.column_bounds(self.constraints, self.ncols, col)
-
-    def is_bounded(self) -> bool:
-        if self.is_empty():
-            return True
-        for k in range(self.ndim):
-            lo, hi = self.dim_bounds(k)
-            if lo is None or hi is None:
-                return False
-        return True
+        pinned = [
+            Constraint.eq([int(k == col) for k in range(self.ndim)], -int(val))
+            for col, val in enumerate(point)
+        ]
+        return len(enumerate_basic_set(self.with_constraints(pinned))) > 0
 
     def __str__(self) -> str:
         body = " and ".join(str(c) for c in self.constraints) or "true"

@@ -2,21 +2,21 @@
 
 Every stage of the pipeline algebra — ``P = Wr⁻¹ ∘ Rd``, the running
 ``lexmax`` of Section 4.1, the blocking refinement of Section 4.2, the
-``Q_S`` construction of Section 4.3 — bottoms out in repeated Presburger
-set/map operations.  This module keeps that substrate from recomputing
-identical results:
+``Q_S`` construction of Section 4.3 — bottoms out in repeated point-set
+and point-relation operations.  This module keeps that substrate from
+recomputing identical results:
 
 * **Interning (hash-consing).**  :func:`intern` maps every structurally
-  equal :class:`~repro.presburger.basic_set.BasicSet`, ``BasicMap``,
-  ``Space``, ``Set``, ``Map``, ``PointSet`` or ``PointRelation`` to one
-  canonical representative, so repeated operands compare by identity and
-  hash once (the value classes cache their structural hash on first use).
-  The intern table is LRU-bounded; eviction only forgets canonical status,
+  equal :class:`~repro.presburger.basic_set.BasicSet`, ``Constraint``,
+  ``Space``, ``PointSet`` or ``PointRelation`` to one canonical
+  representative, so repeated operands compare by identity and hash once
+  (the value classes cache their structural hash on first use).  The
+  intern table is LRU-bounded; eviction only forgets canonical status,
   never changes semantics.
 
 * **Memoized operation cache.**  :func:`memoized` wraps the hot operations
-  (``intersect``, ``union``, ``after``/compose, ``apply``, ``lexmin`` /
-  ``lexmax``, ``coalesce``, domain/range projection, ILP queries,
+  (``intersect``, ``union``, ``difference``, ``after``/compose, ``apply``,
+  per-domain ``lexmin`` / ``lexmax``, domain/range projection,
   enumeration) in a bounded LRU keyed on the *canonicalized* operands.
   Hit, miss, eviction and trivial-fast-path counters are kept per
   operation and surfaced through :func:`stats` / ``repro analyze --stats``
@@ -24,9 +24,8 @@ identical results:
 
 Configuration: the ``REPRO_PRESBURGER_CACHE`` environment variable
 (``0``/``off`` disables, ``1``/``on`` enables, an integer sets the LRU
-capacity) sets the process default;
-:class:`~repro.driver.TransformOptions` and :func:`overridden` adjust it
-per call.  Correctness never depends on the cache: every memoized
+capacity) sets the process default; :func:`configure` changes it and
+:func:`overridden` scopes a change to a ``with`` block.  Correctness never depends on the cache: every memoized
 operation is a pure function of immutable operands, and the differential
 fuzz harness (``tests/fuzz/``) asserts bit-identical results with the
 cache on and off.

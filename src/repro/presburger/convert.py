@@ -1,31 +1,12 @@
-"""Bridging symbolic sets/maps to explicit point sets/relations."""
+"""Bridging constraint systems to explicit point sets."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .basic_map import BasicMap
 from .basic_set import BasicSet
-from .enumeration import enumerate_basic_set, enumerate_set
-from .explicit import PointRelation, PointSet
-from .imap import Map
-from .iset import Set
+from .enumeration import enumerate_basic_set
+from .explicit import PointSet
 
 
-def to_point_set(s: Set | BasicSet) -> PointSet:
-    """Enumerate a bounded symbolic set into an explicit point set."""
-    if isinstance(s, BasicSet):
-        return PointSet(enumerate_basic_set(s))
-    return PointSet(enumerate_set(s))
-
-
-def to_point_relation(m: Map | BasicMap) -> PointRelation:
-    """Enumerate a bounded symbolic map into an explicit relation."""
-    if isinstance(m, BasicMap):
-        return PointRelation(enumerate_basic_set(m.wrap()), m.n_in)
-    n_in = m.n_in
-    chunks = [enumerate_basic_set(p.wrap()) for p in m.pieces]
-    chunks = [c for c in chunks if c.shape[0]]
-    if not chunks:
-        return PointRelation.empty(n_in, m.n_out)
-    return PointRelation(np.concatenate(chunks, axis=0), n_in)
+def to_point_set(s: BasicSet) -> PointSet:
+    """Enumerate a bounded basic set into an explicit point set."""
+    return PointSet(enumerate_basic_set(s))

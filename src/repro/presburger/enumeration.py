@@ -1,6 +1,6 @@
 """Enumeration of bounded integer sets into NumPy point arrays.
 
-This bridges the symbolic layer (constraint systems) and the explicit layer
+This bridges constraint systems and the explicit layer
 (:mod:`repro.presburger.explicit`): a bounded :class:`BasicSet` is scanned
 level by level, with per-level rational bounds obtained by Fourier–Motzkin
 elimination, and the resulting candidate points filtered exactly against the
@@ -17,7 +17,6 @@ from . import cache
 from .basic_set import BasicSet
 from .constraint import Constraint, Kind
 from .explicit import lexsorted_rows, unique_rows
-from .iset import Set
 
 
 class UnboundedSetError(ValueError):
@@ -162,11 +161,3 @@ def _enumerate_basic_set(bs: BasicSet) -> np.ndarray:
         pts = lexsorted_rows(pts)
     return np.ascontiguousarray(pts)
 
-
-def enumerate_set(s: Set) -> np.ndarray:
-    """All integer points of a bounded set union, sorted and deduplicated."""
-    chunks = [enumerate_basic_set(bs) for bs in s.pieces]
-    chunks = [c for c in chunks if c.shape[0]]
-    if not chunks:
-        return np.zeros((0, s.ndim), dtype=np.int64)
-    return unique_rows(np.concatenate(chunks, axis=0))

@@ -1,19 +1,16 @@
-"""Dimension spaces for integer sets and maps.
+"""Dimension spaces for integer sets.
 
 A :class:`Space` names the dimensions of a set of integer tuples, mirroring
-``isl_space``.  Set spaces carry one tuple of dimension names; map spaces are
-represented by :class:`MapSpace`, a pair of set spaces (domain and range).
+``isl_space``: one tuple of dimension names, optionally labelled with the
+statement it belongs to.
 
 Spaces are immutable value objects: two spaces compare equal when their tuple
-names and dimension names match.  Most algebraic operations in this package
-require operand spaces to be *compatible*, meaning they have the same number
-of dimensions (names are kept for printing and debugging but do not affect
-semantics).
+names and dimension names match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import cache
@@ -75,77 +72,6 @@ class Space:
     def __str__(self) -> str:
         label = self.name or ""
         return f"{label}[{', '.join(self.dims)}]"
-
-
-@cache.register_internable
-@dataclass(frozen=True)
-class MapSpace:
-    """The space of a binary relation: a domain space and a range space."""
-
-    domain: Space
-    range: Space = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.range is None:
-            raise ValueError("MapSpace requires both domain and range spaces")
-
-    def __hash__(self) -> int:  # structural hash, computed once
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.domain, self.range))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not MapSpace:
-            return NotImplemented
-        return self.domain == other.domain and self.range == other.range
-
-    @property
-    def n_in(self) -> int:
-        return self.domain.ndim
-
-    @property
-    def n_out(self) -> int:
-        return self.range.ndim
-
-    @property
-    def ndim(self) -> int:
-        return self.n_in + self.n_out
-
-    def reversed(self) -> "MapSpace":
-        """Space of the inverse relation."""
-        return MapSpace(self.range, self.domain)
-
-    def flat_dims(self) -> tuple[str, ...]:
-        """Domain and range dimension names flattened into one tuple.
-
-        Name collisions between domain and range are disambiguated with a
-        prime suffix so the flattened (wrapped) space stays well formed.
-        """
-        out = list(self.domain.dims)
-        for d in self.range.dims:
-            cand = d
-            while cand in out:
-                cand += "'"
-            out.append(cand)
-        return tuple(out)
-
-    def wrapped(self) -> Space:
-        """The set space obtained by wrapping the relation into tuples."""
-        dn = self.domain.name or ""
-        rn = self.range.name or ""
-        label = f"{dn}->{rn}" if (dn or rn) else None
-        return Space(self.flat_dims(), label)
-
-    def compatible(self, other: "MapSpace") -> bool:
-        return self.n_in == other.n_in and self.n_out == other.n_out
-
-    def __str__(self) -> str:
-        return f"{self.domain} -> {self.range}"
 
 
 def anonymous(ndim: int, prefix: str = "d", name: str | None = None) -> Space:

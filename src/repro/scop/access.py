@@ -14,14 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..presburger import (
-    AffineExpr,
-    BasicMap,
-    BasicSet,
-    PointRelation,
-    PointSet,
-    Space,
-)
+from ..presburger import AffineExpr, PointRelation, PointSet, Space
 
 
 class AccessKind(Enum):
@@ -51,17 +44,6 @@ class Access:
     @property
     def rank(self) -> int:
         return len(self.indices)
-
-    def symbolic_relation(
-        self, domain: BasicSet, array_id: int, mem_rank: int
-    ) -> BasicMap:
-        """Iteration → encoded-cell relation as a symbolic map."""
-        dims = ("arr",) + tuple(f"m{k}" for k in range(mem_rank))
-        mem_space = Space(dims, "Mem")
-        exprs: list[AffineExpr] = [AffineExpr.constant(array_id)]
-        exprs.extend(self.indices)
-        exprs.extend(AffineExpr.constant(0) for _ in range(mem_rank - self.rank))
-        return BasicMap.from_affine(domain, mem_space, exprs)
 
     def index_map(self, space: Space) -> tuple[np.ndarray, np.ndarray]:
         """The index expressions as ``(matrix, const)`` over ``space``:

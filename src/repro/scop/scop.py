@@ -2,9 +2,9 @@
 
 A :class:`Scop` is the polyhedral abstraction of a kernel program: one
 :class:`ScopStatement` per labelled assignment, each carrying its iteration
-domain (symbolic and explicit), its read/write access relations, and enough
-of the original AST to execute the statement.  This mirrors what Polly's
-analysis passes hand to the paper's pipeline detection.
+domain (constraints and enumerated points), its read/write access
+relations, and enough of the original AST to execute the statement.  This
+mirrors what Polly's analysis passes hand to the paper's pipeline detection.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from ..lang.ast import Assign
 from ..presburger import (
-    BasicMap,
     BasicSet,
     PointRelation,
     PointSet,
@@ -134,22 +133,6 @@ class Scop:
         for r in rels[1:]:
             out = out.union(r)
         return out
-
-    def symbolic_write_relation(self, stmt: ScopStatement) -> list[BasicMap]:
-        rank = self.mem_rank
-        return [
-            acc.symbolic_relation(stmt.domain, self.array_ids[acc.array], rank)
-            for acc in stmt.accesses
-            if acc.kind is AccessKind.WRITE
-        ]
-
-    def symbolic_read_relation(self, stmt: ScopStatement) -> list[BasicMap]:
-        rank = self.mem_rank
-        return [
-            acc.symbolic_relation(stmt.domain, self.array_ids[acc.array], rank)
-            for acc in stmt.accesses
-            if acc.kind is AccessKind.READ
-        ]
 
     # ------------------------------------------------------------------
     def array_extent(self, name: str) -> tuple[tuple[int, int], ...]:

@@ -1,24 +1,8 @@
-"""Symbolic → explicit conversion equivalence tests."""
+"""Constraint system → explicit point set."""
 
-import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.presburger import (
-    AffineExpr,
-    BasicMap,
-    BasicSet,
-    Map,
-    MapSpace,
-    Set,
-    Space,
-    to_point_relation,
-    to_point_set,
-)
+from repro.presburger import BasicSet, Space, to_point_set
 
 SP = Space(("i", "j"))
-OUT = Space(("a", "b"))
-i, j = AffineExpr.var("i"), AffineExpr.var("j")
 
 
 def test_point_set_from_basic():
@@ -26,57 +10,3 @@ def test_point_set_from_basic():
     ps = to_point_set(bs)
     assert len(ps) == 6
     assert ps.contains((2, 1))
-
-
-def test_point_set_from_union():
-    a = BasicSet.from_box(SP, [(0, 0), (0, 0)])
-    b = BasicSet.from_box(SP, [(0, 1), (0, 0)])
-    ps = to_point_set(Set(SP, (a, b)))
-    assert len(ps) == 2  # deduplicated
-
-
-def test_point_relation_from_basic_map():
-    m = BasicMap.from_affine(BasicSet.from_box(SP, [(0, 1), (0, 1)]), OUT, [i, j])
-    rel = to_point_relation(m)
-    assert rel.n_in == 2 and len(rel) == 4
-
-
-def test_point_relation_from_empty_map():
-    rel = to_point_relation(Map.empty(MapSpace(SP, OUT)))
-    assert rel.is_empty()
-    assert rel.n_in == 2 and rel.n_out == 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(-2, 2),
-    st.integers(-2, 2),
-    st.integers(-3, 3),
-)
-def test_affine_map_conversion_matches_manual(w, h, ci, cj, c0):
-    """Enumerated graph equals manual evaluation over the box."""
-    dom = BasicSet.from_box(SP, [(0, w - 1), (0, h - 1)])
-    expr = ci * i + cj * j + c0
-    m = BasicMap.from_affine(dom, Space(("a",)), [expr])
-    rel = to_point_relation(m)
-    expected = sorted(
-        [x, y, ci * x + cj * y + c0] for x in range(w) for y in range(h)
-    )
-    assert rel.pairs.tolist() == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5))
-def test_symbolic_vs_explicit_compose(w, h):
-    """Composing symbolically then enumerating == enumerating then composing."""
-    dom = BasicSet.from_box(SP, [(0, w - 1), (0, h - 1)])
-    g = BasicMap.from_affine(dom, OUT, [i + 1, j])
-    dom2 = BasicSet.from_box(OUT, [(0, w), (0, h)])
-    f = BasicMap.from_affine(
-        dom2, Space(("z",)), [AffineExpr.var("a") + AffineExpr.var("b")]
-    )
-    sym = to_point_relation(f.after(g))
-    exp = to_point_relation(f).after(to_point_relation(g))
-    assert sym == exp

@@ -1,6 +1,7 @@
 """Tests for bounded-set enumeration (Fourier–Motzkin scan)."""
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,9 @@ from hypothesis import strategies as st
 from repro.presburger import (
     BasicSet,
     Constraint,
-    Set,
     Space,
     UnboundedSetError,
     enumerate_basic_set,
-    enumerate_set,
 )
 
 SP = Space(("i", "j"))
@@ -20,8 +19,6 @@ SP = Space(("i", "j"))
 
 def brute(cons, lo=-8, hi=8, ncols=2):
     pts = []
-    import itertools
-
     for p in itertools.product(range(lo, hi + 1), repeat=ncols):
         if all(c.satisfied(p) for c in cons):
             pts.append(list(p))
@@ -124,17 +121,6 @@ class TestUnbounded:
             enumerate_basic_set(bs)
 
 
-class TestSetUnion:
-    def test_enumerate_set(self):
-        a = BasicSet.from_box(SP, [(0, 1), (0, 1)])
-        b = BasicSet.from_box(SP, [(1, 2), (1, 2)])
-        pts = enumerate_set(Set(SP, (a, b)))
-        assert len(pts) == 7  # 4 + 4 - 1 shared
-
-    def test_enumerate_empty_union(self):
-        assert enumerate_set(Set.empty(SP)).shape == (0, 2)
-
-
 class TestAgainstBruteForce:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -164,3 +150,88 @@ class TestAgainstBruteForce:
     def test_counts(self, w, h):
         bs = BasicSet.from_box(SP, [(0, w - 1), (0, h - 1)])
         assert enumerate_basic_set(bs).shape[0] == w * h
+
+
+#: a random row ``a*i + b*j + c (>=|==) 0``
+ROWS = st.lists(
+    st.tuples(
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6),
+        st.booleans(),
+    ),
+    max_size=4,
+)
+
+
+def rows(extra):
+    return [
+        (Constraint.eq if is_eq else Constraint.ge)((a, b), c)
+        for a, b, c, is_eq in extra
+    ]
+
+
+BOX = [
+    Constraint.ge((1, 0), 4),
+    Constraint.ge((-1, 0), 4),
+    Constraint.ge((0, 1), 4),
+    Constraint.ge((0, -1), 4),
+]
+
+
+class TestGridOracle:
+    """``enumerate_basic_set`` and ``BasicSet.contains`` against grid
+    brute force: equalities, empty systems, unbounded systems."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROWS)
+    def test_equalities_and_empties(self, extra):
+        cons = tuple(BOX + rows(extra))
+        bs = BasicSet(SP, cons)
+        got = enumerate_basic_set(bs).tolist()
+        assert got == brute(cons, -4, 4)
+        for p in itertools.product(range(-5, 6), repeat=2):
+            assert bs.contains(p) == (list(p) in got)
+
+    def test_integrally_empty_equality(self):
+        # rationally feasible (i = 1/2), no integer point
+        bs = BasicSet(SP, tuple(BOX + [Constraint.eq((2, 0), -1)]))
+        assert enumerate_basic_set(bs).shape == (0, 2)
+        assert not any(
+            bs.contains(p) for p in itertools.product(range(-4, 5), repeat=2)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROWS, st.integers(0, 3))
+    def test_one_open_side(self, extra, dropped):
+        """A box side removed: the scan either refuses the system as
+        unbounded — and it is (or is empty) — or the random rows closed
+        it again, within |x| <= (3*4 + 6)/1 = 18."""
+        cons = tuple(BOX[:dropped] + BOX[dropped + 1:] + rows(extra))
+        expected = brute(cons, -20, 20)
+        try:
+            got = enumerate_basic_set(BasicSet(SP, cons)).tolist()
+        except UnboundedSetError:
+            edge = -20 if dropped % 2 == 0 else 20
+            assert not expected or any(
+                p[dropped // 2] == edge for p in expected
+            )
+        else:
+            assert got == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-6, 0), st.integers(0, 9), st.integers(1, 4),
+           st.integers(0, 3))
+    def test_div_membership(self, lo, hi, k, r):
+        # { i : lo <= i <= hi, exists e: i = k*e + r }
+        bs = BasicSet(
+            Space(("i",)),
+            (
+                Constraint.ge((1, 0), -lo),
+                Constraint.ge((-1, 0), hi),
+                Constraint.eq((1, -k), -r),
+            ),
+            n_div=1,
+        )
+        want = [i for i in range(lo, hi + 1) if (i - r) % k == 0]
+        assert enumerate_basic_set(bs).ravel().tolist() == want
+        for i in range(lo - 1, hi + 2):
+            assert bs.contains((i,)) == (i in want)

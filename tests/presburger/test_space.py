@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.presburger import MapSpace, Space, anonymous
+from repro.presburger import Space, anonymous
 
 
 class TestSpace:
@@ -38,38 +38,3 @@ class TestSpace:
         sp = anonymous(3, name="T")
         assert sp.dims == ("d0", "d1", "d2")
         assert sp.name == "T"
-
-
-class TestMapSpace:
-    def test_shape(self):
-        ms = MapSpace(Space(("i", "j"), "S"), Space(("a",), "A"))
-        assert ms.n_in == 2
-        assert ms.n_out == 1
-        assert ms.ndim == 3
-
-    def test_reversed(self):
-        ms = MapSpace(Space(("i",), "S"), Space(("a",), "A")).reversed()
-        assert ms.domain.name == "A"
-        assert ms.range.name == "S"
-
-    def test_flat_dims_disambiguates_collisions(self):
-        ms = MapSpace(Space(("i", "j")), Space(("i", "k")))
-        flat = ms.flat_dims()
-        assert len(set(flat)) == 4
-        assert flat[:2] == ("i", "j")
-
-    def test_wrapped_space(self):
-        ms = MapSpace(Space(("i",), "S"), Space(("a",), "A"))
-        wrapped = ms.wrapped()
-        assert wrapped.ndim == 2
-        assert "S" in (wrapped.name or "")
-
-    def test_requires_range(self):
-        with pytest.raises(ValueError):
-            MapSpace(Space(("i",)))
-
-    def test_compatible(self):
-        a = MapSpace(Space(("i",)), Space(("a", "b")))
-        b = MapSpace(Space(("x",)), Space(("y", "z")))
-        assert a.compatible(b)
-        assert not a.compatible(b.reversed())

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.driver import INCOMPATIBLE_OPTIONS
-from repro.lang.errors import SemanticError
 
 KERNEL = """
 for(i=0; i<N-1; i++)
@@ -161,9 +160,12 @@ class TestRun:
     ):
         kernel = tmp_path / "recurrence.c"
         kernel.write_text("for(i=1; i<N; i++)\n  S: A[i] = f(A[i-1]);\n")
-        with pytest.raises(SemanticError, match="RPA066"):
-            main(["run", str(kernel), "--param", "N=8", "--vectorize", "on"])
-        assert "--vectorize is deprecated" in capsys.readouterr().err
+        assert main(
+            ["run", str(kernel), "--param", "N=8", "--vectorize", "on"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--vectorize is deprecated" in err
+        assert "repro: " in err and "RPA066" in err
 
     def test_bad_exec_backend_rejected(self, kernel_file):
         with pytest.raises(SystemExit):
@@ -179,6 +181,17 @@ class TestCodegen:
         out = capsys.readouterr().out
         assert "def build_tasks(system, run_block):" in out
         assert "WRITE_NUM = 2" in out
+
+    @pytest.mark.parametrize("name", ["subswap", "histogram", "sumstencil"])
+    def test_nonflow_example_emits_a_loadable_program(self, name, capsys):
+        """Cross-nest anti dependences: flow-only detection is refused,
+        the all-kinds fallback emits (as ``run`` compiles them)."""
+        from repro.codegen import load_task_program
+
+        kernel = f"examples/kernels/{name}.c"
+        assert main(["codegen", kernel, "--param", "N=8"]) == 0
+        module = load_task_program(capsys.readouterr().out)
+        assert callable(module.build_tasks)
 
 
 class TestDeps:
@@ -243,9 +256,30 @@ class TestReport:
 
 
 class TestErrors:
-    def test_bad_param_format(self, kernel_file):
-        with pytest.raises(SystemExit):
-            main(["analyze", kernel_file, "--param", "N"])
+    def test_bad_param_format(self, kernel_file, capsys):
+        assert main(["analyze", kernel_file, "--param", "N"]) == 2
+        assert "repro: bad --param 'N'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (["run", "examples/kernels/dotprod.c", "--param", "N=8"], "RPA013"),
+            (["run", "{tmp}/syntax.c"], "expected ')'"),
+            (["run", "{tmp}/missing.c"], "No such file"),
+            (["run", "examples/kernels/listing1.c", "--param", "N=x"],
+             "expected NAME=INT"),
+        ],
+        ids=["invalid-scop", "parse-error", "missing-file", "bad-param"],
+    )
+    def test_input_errors_are_diagnostics_not_tracebacks(
+        self, argv, says, tmp_path, capsys
+    ):
+        (tmp_path / "syntax.c").write_text("for(i=0;i<8;i++ S: A[i] = f(A[i]);\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ") and says in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

@@ -43,8 +43,8 @@ def test_all_is_sorted_unique(name):
 DOCUMENTED_ENTRY_POINTS = [
     ("repro", "transform"),
     ("repro", "TransformOptions"),
-    ("repro.presburger", "parse_set"),
-    ("repro.presburger", "coalesce_set"),
+    ("repro.presburger", "enumerate_basic_set"),
+    ("repro.presburger", "PointRelation"),
     ("repro.lang", "parse"),
     ("repro.scop", "extract_scop"),
     ("repro.scop", "analyze_dataflow"),
