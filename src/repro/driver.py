@@ -494,12 +494,13 @@ def _finish(
     options: TransformOptions,
     a: Analysis,
 ) -> TransformResult:
-    """One oracle run, one plan replay, one compare; then simulation.
+    """One oracle, one plan replay, one compare; then simulation.
 
     "Verified" means what ``repro serve`` means by it for ``run``: the
-    arrays of the plan replay that is returned match a fresh sequential
-    oracle (:func:`replay`).  The replay is the lowered
-    :class:`~repro.interp.plan.ExecPlan` on ``options.exec_backend`` —
+    arrays of the plan replay that is returned match the interpreter's
+    sequential oracle (:meth:`Interpreter.oracle` — computed here for a
+    fresh interpreter, compared in :func:`replay`).  The replay is the
+    lowered :class:`~repro.interp.plan.ExecPlan` on ``options.exec_backend`` —
     or, when only ``verify`` asks for one, on :data:`VERIFY_BACKEND` at
     ``options.workers``; ``execution`` is filled only for a requested
     backend.
@@ -519,7 +520,7 @@ def _finish(
     )
     with verifying:
         if options.verify:
-            seq = interp.run_sequential(interp.new_store())
+            seq = interp.oracle("driver.oracle")
         if backend is not None:
             measured = options.exec_backend is not None
             _, stats, verdict = replay(

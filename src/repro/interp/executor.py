@@ -54,6 +54,9 @@ class ExecutionStats:
     wall_time: float
     blocks_total: int
     iterations_total: int
+    #: tasks the backend dispatched (rows of the plan: a merged chain is
+    #: one task per block index, a reduction adds its join tasks)
+    tasks: int = 0
     scheduler: dict | None = None  # backend dispatch statistics
     #: live runtime events of the run (None unless collect_events);
     #: per-task timestamps are on the parent's monotonic clock — worker

@@ -35,6 +35,12 @@ DEFAULT_FUNCS: dict[str, Callable] = {}
 #: a served or benchmarked kernel replays one or two.
 EXEC_PLAN_CACHE_SIZE = 8
 
+#: Most bytes of sequential-oracle arrays an interpreter retains
+#: (:meth:`Interpreter.oracle`).  A kernel whose arrays are larger keeps
+#: none of them and recomputes on every call; the Table 9 and reduction
+#: kernels the ledger serves are under 100 KiB each.
+ORACLE_KEEP_BYTES = 1 << 20
+
 
 @elementwise
 def _mix(*args: float) -> float:
@@ -86,9 +92,11 @@ class Interpreter:
         self._fused_program: FusedProgram | None = None
         self._exec_plans: OrderedDict = OrderedDict()
         self._sequential: Callable | None = None
+        self._oracle: ArrayStore | None = None
         #: guards the lazily built, shared structures: the fusion plan,
-        #: the execution-plan cache and the sequential oracle
-        #: (re-entrant: lowering reads ``fused_program``)
+        #: the execution-plan cache, the sequential oracle function and
+        #: its retained arrays (re-entrant: lowering reads
+        #: ``fused_program``)
         self._lock = threading.RLock()
         #: Per-path execution counters, filled by :meth:`run_block`.
         self.block_counters = {
@@ -199,6 +207,47 @@ class Interpreter:
                         self.program, self.scop
                     )
         return self._sequential(store, self.funcs)
+
+    def oracle(self, span_name: str = "interp.oracle") -> ArrayStore:
+        """The arrays of ``run_sequential(new_store())``, read-only.
+
+        They are a pure function of the interpreter (program, params,
+        ``funcs`` and the deterministic ``init``), so they are computed
+        once, under the lock — concurrent first callers pay once — and
+        retained while they fit :data:`ORACLE_KEEP_BYTES`; a larger
+        kernel retains nothing and recomputes on every call.  Every
+        array is frozen: a replay that aliased one fails loudly instead
+        of corrupting the reference.  The computation, and only it, runs
+        under a span named by the caller (``driver.oracle`` /
+        ``serve.oracle``).  :meth:`run_sequential` stays the uncached
+        primitive for callers with inputs of their own.
+        """
+        from ..obs.spans import span
+
+        def compute(store: ArrayStore, kept: bool) -> ArrayStore:
+            with span(span_name, bytes=store.nbytes, kept=kept):
+                self.run_sequential(store)
+                for view in store.arrays.values():
+                    view.data.setflags(write=False)
+            return store
+
+        if self._oracle is not None:
+            return self._oracle
+        with self._lock:
+            if self._oracle is not None:
+                return self._oracle
+            store = self.new_store()
+            if store.nbytes <= ORACLE_KEEP_BYTES:
+                self._oracle = compute(store, kept=True)
+                return self._oracle
+        # over the bound nothing is shared, so nothing needs the lock
+        return compute(store, kept=False)
+
+    @property
+    def oracle_bytes(self) -> int:
+        """Bytes of oracle arrays this interpreter retains (0: none)."""
+        kept = self._oracle
+        return kept.nbytes if kept is not None else 0
 
     # ------------------------------------------------------------------
     def run_block(

@@ -280,6 +280,7 @@ def lower_exec_plan(
                 for b in range(len(group[-1].blocks))
             )
         stats = dict(
+            tasks=len(rows),
             fuse=interp.fuse,
             fused_chains=chains,
             task_members=task_members,

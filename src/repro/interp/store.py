@@ -89,6 +89,11 @@ class ArrayStore:
     def __getitem__(self, name: str) -> ArrayView:
         return self.arrays[name]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of array data held."""
+        return sum(view.data.nbytes for view in self.arrays.values())
+
     def copy(self) -> "ArrayStore":
         return ArrayStore(
             {

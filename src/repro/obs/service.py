@@ -8,8 +8,10 @@ things the batch layer lacks:
 * **request identity** — every request gets an id (client-proposed or
   server-assigned) that a per-request *root span* carries, so the
   existing span tree (``service.compile`` → ``store.get``/``put`` →
-  compile phases → runtime task events) nests under one request and can
-  be exported as a standalone Perfetto trace;
+  compile phases → ``serve.run`` → ``exec.*``) nests under one request
+  and can be exported as a standalone Perfetto trace — which, being
+  their only consumer, is also what turns a run's task events into
+  ``task.<stmt>`` spans (:attr:`_Request.traced`);
 * **steady-state metrics** — per-verb and per-cache-status latency
   histograms (bounded buckets, so memory is constant for any uptime),
   an in-flight gauge, hit-rate and error counters, all exportable as
@@ -192,9 +194,16 @@ class _Request:
         )
         return self
 
+    @property
+    def traced(self) -> bool:
+        """Whether this request's span tree is written out as a trace
+        document — the one consumer of per-task spans; the request row
+        only needs their count."""
+        return bool(self.root_id and self.telemetry.trace_dir)
+
     def attach_runtime(self, trace, parent_id: int | None = None) -> None:
         """Replay a RuntimeTrace's task events into this request's tree."""
-        if self.root_id and trace is not None and trace.events:
+        if self.traced and trace is not None and trace.events:
             self.extra_spans.extend(
                 runtime_events_to_spans(
                     trace,

@@ -32,10 +32,13 @@ a repeat of a key this process has answered is served from that object
 on the event loop — no parse, no store read, no deserialization, and a
 ``run`` replays the ``ExecPlan`` already lowered on the resident
 interpreter.  The map is only touched on the loop, so it needs no lock.
-``run`` executes the compiled kernel against a fresh sequential oracle
-and returns a SHA-256 checksum per output array — the bit-identity
-handshake the store-equivalence tests build on — on every request,
-resident or not.  A malformed request is refused with
+``run`` replays the compiled kernel, compares that replay's arrays with
+the interpreter's sequential oracle (computed on the first ``run`` of a
+resident kernel and kept read-only with it, see
+:meth:`~repro.interp.Interpreter.oracle`) and returns a SHA-256 checksum
+per output array — the bit-identity handshake the store-equivalence
+tests build on — on every request, resident or not.  A malformed
+request is refused with
 ``bad request: <what>`` before any work; a request line over
 ``REQUEST_LIMIT`` bytes with ``request too large: …`` (and the
 connection is closed — after ``OVERSIZE_DRAIN_S`` at the latest when
@@ -46,9 +49,11 @@ request gets an id (a client's ``"rid"`` when it is a string matching
 ``[A-Za-z0-9_-]{1,64}``, else server-assigned — the reply echoes the one
 in force) whose root span parents the whole service span tree — ``service.compile``
 → ``store.get``/``put`` → driver compile phases, and for ``run``
-requests the measured runtime task events — exported per request as a
-Perfetto trace (``trace_dir``) and as one structured JSONL line
-(``log_path``).  The ``metrics``/``health``/``requests`` verbs expose
+requests ``serve.run`` → ``serve.oracle`` (first run of a key only) and
+``exec.*`` — exported per request as a Perfetto trace (``trace_dir``,
+which is also what makes a ``run`` collect its per-task ``task.<stmt>``
+spans) and as one structured JSONL line (``log_path``).  The
+``metrics``/``health``/``requests`` verbs expose
 the live registry (latency p50/p95/p99 per verb and cache status,
 in-flight gauge, error counters, store hit rate) over the same
 protocol; an optional plain-HTTP listener (``http_port``) additionally
@@ -68,7 +73,8 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from ..driver import analyze, replay
+from ..driver import analyze, replay, validate_options
+from ..interp.executor import BACKEND_ALIASES
 from ..obs import spans as obs_spans
 from ..obs.metrics import absorb_artifact_store
 from ..obs.service import RequestTelemetry
@@ -121,6 +127,11 @@ def _validate(req) -> None:
     workers = req.get("workers")
     if workers is not None and not (is_int(workers) and workers >= 1):
         refuse("'workers' must be a positive integer")
+    backend = req.get("backend")
+    if backend is not None and not (
+        isinstance(backend, str) and backend in BACKEND_ALIASES
+    ):
+        refuse("'backend' must be one of " + ", ".join(BACKEND_ALIASES))
 
 
 def _checksums(store) -> dict[str, str]:
@@ -212,6 +223,7 @@ class ReproServer:
         params = dict(req.get("params") or {})
         try:
             options = options_from_dict(req.get("options") or {})
+            validate_options(options)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadRequest(f"bad request: 'options': {exc}") from exc
         key = artifact_key(source, params, options)
@@ -353,23 +365,37 @@ class ReproServer:
             reg.gauge(f"serve.counter.{name}", value)
         reg.gauge("serve.queue_depth", self._pending())
         reg.gauge("serve.resident_kernels", len(self.resident))
+        reg.gauge(
+            "serve.resident_oracle_bytes",
+            sum(
+                f.result()[0].oracle_bytes
+                for f in self.resident.values()
+                if f.done()
+            ),
+        )
         return reg
 
     def _run_sync(self, interp, analysis, req: dict, rtel=None) -> dict[str, Any]:
-        """Execute a compiled analysis; returns checksums + match."""
+        """One replay of a compiled analysis, compared with the
+        interpreter's oracle; returns this replay's checksums + match.
+
+        Per-task runtime events are collected only for a request whose
+        trace is written (``rtel.traced``): they are a trace product,
+        and the request row carries the task count either way.
+        """
         backend = req.get("backend", "serial")
         workers = req.get("workers") or 4
         root_id = rtel.root_id if rtel is not None else 0
-        collect = bool(root_id) and obs_spans.enabled()
+        traced = rtel is not None and rtel.traced
         t0 = time.perf_counter()
         with obs_spans.parented(root_id):
             with obs_spans.span(
                 "serve.run", backend=backend, workers=workers
             ):
-                seq = interp.run_sequential(interp.new_store())
                 out, stats, (match, _detail) = replay(
                     interp, analysis, backend, workers,
-                    collect_events=collect, oracle=seq,
+                    collect_events=traced,
+                    oracle=interp.oracle("serve.oracle"),
                 )
         run_ms = (time.perf_counter() - t0) * 1e3
         if rtel is not None:
@@ -377,10 +403,9 @@ class ReproServer:
                 run_ms=round(run_ms, 3),
                 backend=backend,
                 match=bool(match),
+                tasks=stats.tasks,
             )
-            events = getattr(stats, "events", None)
-            if collect and events is not None:
-                rtel.attach_runtime(events)
+            rtel.attach_runtime(stats.events)  # None unless traced
         return {
             "match": bool(match),
             "wall_s": run_ms / 1e3,

@@ -140,6 +140,73 @@ class TestCompiledOracle:
         assert first.equal(again)
 
 
+class TestRetainedOracle:
+    """``Interpreter.oracle()``: the arrays of ``run_sequential`` on a
+    fresh store, computed once, read-only, retained up to a byte bound."""
+
+    SOURCE = "for(i=0; i<N; i++) S: A[i] = f(A[i], B[i]);"
+
+    def _counting(self, n=8):
+        calls = []
+        interp = Interpreter.from_source(
+            self.SOURCE, {"N": n},
+            funcs={"f": lambda a, b: calls.append(1) or a + b},
+        )
+        return interp, calls
+
+    def test_equals_a_sequential_run_and_is_computed_once(self):
+        interp, calls = self._counting()
+        first = interp.oracle()
+        assert len(calls) == 8
+        assert interp.oracle() is first and len(calls) == 8
+        assert first.equal(interp.run_sequential(interp.new_store()))
+        assert interp.oracle_bytes == first.nbytes == 2 * 8 * 8
+
+    def test_arrays_are_read_only(self):
+        interp, _ = self._counting()
+        kept = interp.oracle()
+        with pytest.raises(ValueError, match="read-only"):
+            kept["A"][(0,)] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            interp.run_sequential(kept)  # an aliasing replay fails loudly
+        assert kept.copy()["A"].data.flags.writeable  # copies are private
+
+    def test_over_the_bound_nothing_is_retained(self, monkeypatch):
+        from repro.interp import interp as interp_mod
+
+        monkeypatch.setattr(interp_mod, "ORACLE_KEEP_BYTES", 2 * 8 * 8 - 1)
+        interp, calls = self._counting()
+        first, again = interp.oracle(), interp.oracle()
+        assert len(calls) == 16 and first is not again
+        assert first.equal(again) and interp.oracle_bytes == 0
+        assert not first["A"].data.flags.writeable
+
+    def test_concurrent_first_callers_pay_once(self):
+        import threading
+
+        interp, calls = self._counting(64)
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(interp.oracle()))
+            for _ in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(calls) == 64 and len({id(s) for s in got}) == 1
+
+    def test_computation_runs_under_the_callers_span(self):
+        from repro.obs import spans as obs_spans
+
+        interp, _ = self._counting()
+        with obs_spans.recording() as rec:
+            interp.oracle("driver.oracle")
+            interp.oracle("driver.oracle")
+        (span,) = [s for s in rec.spans if s.name == "driver.oracle"]
+        assert span.attrs == {"bytes": 128, "kept": True}
+
+
 class TestDefaultFuncs:
     def test_mix_is_deterministic(self):
         f = DEFAULT_FUNCS["f"]

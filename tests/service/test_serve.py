@@ -204,16 +204,44 @@ def test_malformed_request_reports_error_and_keeps_serving(tmp_path):
             (dict(run, workers=0), "'workers'"),
             (dict(run, workers=0, backend="threads"), "'workers'"),
             (dict(run, workers="4"), "'workers'"),
+            (dict(run, backend="bogus"), "'backend'"),
+            (dict(run, backend=7), "'backend'"),
         ):
             resp = await _request(host, port, bad)
             assert not resp["ok"], bad
             assert resp["error"].startswith("bad request: "), resp
             assert what in resp["error"], resp
         stats = await _request(host, port, {"op": "stats"})
-        assert stats["counters"]["errors"] == 14
+        assert stats["counters"]["errors"] == 16
         assert stats["counters"]["compiles"] == 0  # refused before any work
+        assert stats["resident"] == 0
         pong = await _request(host, port, {"op": "ping"})
         assert pong["ok"]
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+def test_incompatible_options_are_refused_before_any_key(tmp_path):
+    """The server refuses what ``transform`` refuses, with its words."""
+    from repro.driver import INCOMPATIBLE_OPTIONS
+
+    async def body(host, port, server):
+        for first, second, reason in INCOMPATIBLE_OPTIONS:
+            options = dict(OPTIONS)
+            options[first] = True
+            options[second] = "model" if second == "tune" else True
+            for op in ("compile", "run"):
+                req = dict(_compile_req(TWO_NEST_COPY), op=op, options=options)
+                resp = await _request(host, port, req)
+                assert not resp["ok"], (first, second, op)
+                assert resp["error"] == (
+                    f"bad request: 'options': {first} is incompatible "
+                    f"with {second}: {reason}"
+                )
+        stats = await _request(host, port, {"op": "stats"})
+        assert stats["counters"]["errors"] == 2 * len(INCOMPATIBLE_OPTIONS)
+        assert stats["counters"]["compiles"] == 0
+        assert stats["resident"] == 0
 
     asyncio.run(_with_server(str(tmp_path), body))
 
@@ -294,7 +322,7 @@ def _reduction_req(op: str = "compile", **extra) -> dict:
 def test_resident_repeat_skips_parse_store_and_lowering(tmp_path):
     """After one compile of a key, further compile/run requests for it
     construct nothing: no parse, no store read, no compile tier, and
-    after the first run no lowering."""
+    after the first run no lowering and no oracle computation."""
     verbs = ("compile", "run", "compile", "run", "run", "compile")
 
     async def body(host, port, server, log_path, trace_dir):
@@ -307,7 +335,7 @@ def test_resident_repeat_skips_parse_store_and_lowering(tmp_path):
             assert resp.get("match", True) is True
         r = await _request(host, port, {"op": "requests"})
         rows = {row["rid"]: row for row in r["requests"]}
-        lowered = 0
+        lowered = oracles = 0
         for n, verb in enumerate(verbs):
             row = rows[f"rep-{n}"]
             assert row["tier"] == "memory"
@@ -317,10 +345,12 @@ def test_resident_repeat_skips_parse_store_and_lowering(tmp_path):
                 "store.put", "service.compile",
             }, (n, names)
             lowered += "exec.lower" in names
+            oracles += "serve.oracle" in names
             if verb == "run":
                 assert "serve.run" in names
-        assert "exec.lower" in rows["rep-1"]["span_names"]  # the first run
-        assert lowered == 1
+        # the first run
+        assert {"exec.lower", "serve.oracle"} <= set(rows["rep-1"]["span_names"])
+        assert lowered == 1 and oracles == 1
         stats = await _request(host, port, {"op": "stats"})
         assert stats["counters"]["compiles"] == 1
         assert stats["counters"]["resident_hits"] == len(verbs)
@@ -349,9 +379,22 @@ def _battery_kernels():
 
 @pytest.mark.parametrize("backend", ["serial", "threads"])
 @pytest.mark.parametrize("kernel", ["P5", "histogram"])
-def test_concurrent_runs_of_one_resident_kernel(tmp_path, kernel, backend):
-    """Simultaneous runs share one interpreter and one lowered plan and
-    must each answer what a fresh server answers once."""
+def test_concurrent_runs_of_one_resident_kernel(
+    tmp_path, monkeypatch, kernel, backend
+):
+    """Simultaneous first runs share one interpreter, one lowered plan
+    and one oracle computation, and must each answer what a fresh server
+    answers once — each from a compare of its own replay."""
+    import repro.interp
+
+    compared = []
+    real_matches = repro.interp.privatized_matches
+
+    def counting(plan, sequential, privatized):
+        compared.append(privatized)
+        return real_matches(plan, sequential, privatized)
+
+    monkeypatch.setattr(repro.interp, "privatized_matches", counting)
     req = dict(
         _battery_kernels()[kernel], op="run", backend=backend, workers=2
     )
@@ -361,17 +404,21 @@ def test_concurrent_runs_of_one_resident_kernel(tmp_path, kernel, backend):
 
     async def body(host, port, server):
         assert (await _request(host, port, dict(req, op="compile")))["ok"]
-        return await asyncio.wait_for(
-            asyncio.gather(*(_request(host, port, req) for _ in range(8))),
-            120,
-        ), await _request(host, port, {"op": "stats"})
+        return (
+            await asyncio.wait_for(
+                asyncio.gather(*(_request(host, port, req) for _ in range(8))),
+                120,
+            ),
+            await _request(host, port, {"op": "stats"}),
+            await _request(host, port, {"op": "requests"}),
+        )
 
     reference = asyncio.run(_with_server(str(tmp_path / "fresh"), fresh))
     assert reference["ok"] and reference["match"] is True
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        results, stats = asyncio.run(
+        results, stats, ring = asyncio.run(
             _with_server(str(tmp_path / "resident"), body)
         )
     finally:
@@ -382,6 +429,12 @@ def test_concurrent_runs_of_one_resident_kernel(tmp_path, kernel, backend):
         assert resp["checksums"] == reference["checksums"]
     assert stats["counters"]["compiles"] == 1
     assert stats["counters"]["resident_hits"] == 8
+    runs = [row for row in ring["requests"] if row["op"] == "run"]
+    assert len(runs) == 8
+    assert sum("serve.oracle" in row["span_names"] for row in runs) == 1
+    # the reduction compares group-aware, once per request (+ the fresh one)
+    assert len(compared) == (9 if kernel == "histogram" else 0)
+    assert len({id(out) for out in compared}) == len(compared)
 
 
 def test_failed_compile_is_not_retained(tmp_path):
@@ -539,6 +592,124 @@ def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
     asyncio.run(_with_server(str(tmp_path), honest))
     store.put(key, _forged_verdicts(store.get(key)))
     asyncio.run(_with_server(str(tmp_path), forged))
+
+
+# ----------------------------------------------------------------------
+# the resident oracle: computed once, compared on every request
+# ----------------------------------------------------------------------
+def _run_req(source: str = TWO_NEST_COPY, **extra) -> dict:
+    return dict(_compile_req(source), op="run", backend="serial", **extra)
+
+
+def _resident_interp(server, key: str):
+    return server.resident[key].result()[0]
+
+
+async def _oracle_gauge(host, port) -> int:
+    m = await _request(host, port, {"op": "metrics"})
+    return m["metrics"]["gauges"]["serve.resident_oracle_bytes"]
+
+
+def test_match_and_checksums_come_from_each_requests_replay(tmp_path):
+    """Only the reference is kept: a resident plan that starts writing
+    wrong cells is reported by the very next run."""
+
+    async def body(host, port, server):
+        good = await _request(host, port, _run_req())
+        assert good["match"] is True
+        interp = _resident_interp(server, good["key"])
+        (plan,) = interp._exec_plans.values()
+        payload = plan.rows[-1].payload  # its block no longer executes
+        payload["iters"] = payload["iters"][:0]
+        if "rects" in payload:
+            payload["rects"] = ()
+        bad = await _request(host, port, _run_req())
+        assert bad["ok"] and bad["status"] == "warm"
+        assert bad["match"] is False
+        assert bad["checksums"] != good["checksums"]
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_oracle_is_computed_once_per_resident_kernel_within_the_bound(
+    tmp_path, monkeypatch, keep
+):
+    """K runs of a resident key: one oracle computation while its arrays
+    fit ``ORACLE_KEEP_BYTES``, K (and nothing retained) above it."""
+    from repro.interp import interp as interp_mod
+
+    if not keep:
+        monkeypatch.setattr(interp_mod, "ORACLE_KEEP_BYTES", 0)
+    runs = 5
+
+    async def body(host, port, server):
+        compiled = await _request(host, port, _compile_req(TWO_NEST_COPY))
+        interp = _resident_interp(server, compiled["key"])
+        interp.run_sequential(interp.new_store())  # builds the function
+        real, calls = interp._sequential, []
+
+        def counting(store, funcs):
+            calls.append(store)
+            return real(store, funcs)
+
+        interp._sequential = counting
+        assert await _oracle_gauge(host, port) == 0
+        replies = [
+            await _request(host, port, _run_req(rid=f"k-{n}"))
+            for n in range(runs)
+        ]
+        assert all(r["match"] is True for r in replies)
+        assert len({json.dumps(r["checksums"]) for r in replies}) == 1
+        assert len(calls) == (1 if keep else runs)
+        ring = await _request(host, port, {"op": "requests"})
+        rows = {row["rid"]: row for row in ring["requests"]}
+        paid = ["serve.oracle" in rows[f"k-{n}"]["span_names"] for n in range(runs)]
+        assert paid == ([True] + [False] * (runs - 1) if keep else [True] * runs)
+        nbytes = interp.new_store().nbytes
+        assert interp.oracle_bytes == (nbytes if keep else 0)
+        assert await _oracle_gauge(host, port) == (nbytes if keep else 0)
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+def test_evicting_a_kernel_drops_its_oracle(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_mod, "RESIDENT_KERNELS", 1)
+
+    async def body(host, port, server):
+        assert (await _request(host, port, _run_req()))["match"] is True
+        assert await _oracle_gauge(host, port) > 0
+        other = await _request(host, port, _compile_req(DISTINCT))
+        assert list(server.resident) == [other["key"]]
+        assert await _oracle_gauge(host, port) == 0
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
+def test_run_row_without_trace_dir_counts_tasks_instead_of_spanning_them(
+    tmp_path,
+):
+    """Per-task spans are a trace product: with no trace dir the request
+    tree of a resident run is the same size for any task count."""
+
+    async def body(host, port, server):
+        for n in (4, 16):
+            for rep in range(2):  # the second run lowers and computes nothing
+                req = dict(_run_req(rid=f"n{n}-{rep}"), params={"N": n})
+                req.update(backend="threads", workers=2)
+                assert (await _request(host, port, req))["match"] is True
+        ring = await _request(host, port, {"op": "requests"})
+        rows = {row["rid"]: row for row in ring["requests"]}
+        small, large = rows["n4-1"], rows["n16-1"]
+        for row in (small, large):
+            assert not [n for n in row["span_names"] if n.startswith("task.")]
+            assert set(row["span_names"]) == {
+                "serve.request", "serve.run", "exec.measured",
+            }
+        assert small["tasks"] < large["tasks"]
+        assert small["spans"] == large["spans"] == 3
+
+    asyncio.run(_with_server(str(tmp_path), body))
 
 
 # ----------------------------------------------------------------------
@@ -760,6 +931,9 @@ def test_run_request_trace_contains_runtime_task_spans(tmp_path):
         }
         assert "serve.run" in names
         assert any(n.startswith("task.") for n in names)
+        ring = await _request(host, port, {"op": "requests"})
+        row = next(r for r in ring["requests"] if r["rid"] == "t-run")
+        assert row["tasks"] > 0 and row["spans"] > row["tasks"]
 
     asyncio.run(_with_telemetry_server(tmp_path, body))
 

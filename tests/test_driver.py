@@ -242,9 +242,11 @@ class TestOneVerificationReplay:
                 transform(source, {"N": 8}, options)
             verify = [s for s in rec.spans if s.name == "driver.verify"]
             measured = [s for s in rec.spans if s.name == "exec.measured"]
-            assert len(verify) == len(measured) == 1
+            oracle = [s for s in rec.spans if s.name == "driver.oracle"]
+            assert len(verify) == len(measured) == len(oracle) == 1
             assert verify[0].attrs["backend"] == "threads"
             assert measured[0].parent_id == verify[0].span_id
+            assert oracle[0].parent_id == verify[0].span_id
 
 
 #: a non-default value per option whose pairs compose (or are refused)

@@ -14,7 +14,10 @@ observability contract end to end:
   root parents the service tier (``service.compile``), the store tier
   (``store.get``/``store.put``) and, for a cold compile, the driver's
   compile phases — exported as a per-request Perfetto trace; a resident
-  hit's tree is the root alone;
+  hit's tree is the root alone; three ``run``s of the resident key each
+  answer ``match: true`` with per-task ``task.*`` spans in their trace
+  (the server runs with a trace dir), and exactly one of them — the
+  first — computed the sequential oracle (``serve.oracle``);
 * the ``metrics`` verb answers Prometheus text with per-verb and
   per-cache-status latency quantile series;
 * a ``repro top`` snapshot renders from live polls.
@@ -85,9 +88,10 @@ def start_server(env: dict, store_dir: str, log_path: str, trace_dir: str):
 def check_span_tree(
     trace_dir: str, rid: str, required: set[str],
     forbidden: frozenset[str] = frozenset(),
-) -> None:
+) -> set[str]:
     """One request's trace must exist, nest under its root span, and
-    contain every required tier (and none of the forbidden ones)."""
+    contain every required tier (and none of the forbidden ones);
+    returns its span names."""
     from repro.bench.trace import validate_trace_document
 
     path = os.path.join(trace_dir, f"request-{rid}.json")
@@ -111,6 +115,7 @@ def check_span_tree(
         assert lo <= e["ts"] and e["ts"] + e["dur"] <= hi, (
             f"{rid}: span {e['name']} escapes the request root"
         )
+    return names
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -204,6 +209,23 @@ def main(argv: list[str] | None = None) -> int:
                 "\n".join("  | " + ln for ln in frame.splitlines()[:6])
             )
 
+            # -- run: one oracle per resident key, a compare per request
+            names = []
+            for _ in range(3):
+                ran = client.run(source, options=dict(OPTIONS), workers=2)
+                assert ran.get("ok") and ran["status"] == "warm", ran
+                assert ran["match"] is True, ran
+                names.append(check_span_tree(
+                    trace_dir, client.last_rid,
+                    {"serve.request", "serve.run"},
+                ))
+            assert all(
+                any(n.startswith("task.") for n in ns) for ns in names
+            ), "a traced run must carry its per-task spans"
+            paid = ["serve.oracle" in ns for ns in names]
+            assert paid == [True, False, False], paid
+            print("run OK: 3 matching runs, the first computed the oracle")
+
             client.shutdown()
             proc.wait(timeout=30)
 
@@ -256,8 +278,9 @@ def main(argv: list[str] | None = None) -> int:
                 proc.kill()
                 proc.wait()
     print(
-        "serve smoke OK: 3 requests, exactly 2 compiles, resident and "
-        "disk-warm tiers and telemetry contract verified"
+        "serve smoke OK: 3 compile requests, exactly 2 compiles, 3 runs on "
+        "1 oracle, resident and disk-warm tiers and telemetry contract "
+        "verified"
     )
     return 0
 
