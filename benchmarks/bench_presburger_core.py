@@ -98,6 +98,38 @@ class TestExplicitKernels:
         assert result.ndim == 2
 
 
+class TestJoinShapes:
+    """``PointRelation._after`` (the kernel under the memo) in its two
+    shapes: the right side a function on the matched keys — an inverted
+    injective write, a plain gather — and duplicate keys on both sides,
+    where every left row expands to a run of right rows."""
+
+    @pytest.mark.parametrize("rows", [8_000, 20_000])
+    def test_gather(self, benchmark, rows):
+        rng = np.random.default_rng(rows)
+        cells = rng.permutation(2 * rows)[:rows].reshape(-1, 1)
+        writes = PointRelation.from_arrays(  # cell -> the one writer
+            cells, np.arange(rows).reshape(-1, 1)
+        )
+        reads = PointRelation.from_arrays(  # reader -> cell, half written
+            np.arange(rows).reshape(-1, 1),
+            rng.integers(0, 2 * rows, size=(rows, 1)),
+        )
+
+        result = benchmark(writes._after, reads)
+        assert 0 < len(result) < rows and result.is_single_valued()
+
+    @pytest.mark.parametrize("rows", [8_000, 20_000])
+    def test_many_to_many(self, benchmark, rows):
+        rng = np.random.default_rng(rows + 1)
+        draw = lambda hi: rng.integers(0, hi, size=(rows, 1))
+        left = PointRelation.from_arrays(draw(rows), draw(rows // 4))
+        right = PointRelation.from_arrays(draw(rows // 4), draw(rows))
+
+        result = benchmark(right._after, left)
+        assert len(result) > 2 * rows
+
+
 class TestOpCache:
     """The same composite workload with the op cache on and off.
 

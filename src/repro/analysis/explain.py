@@ -29,7 +29,7 @@ from ..pipeline.pipeline_map import compute_pipeline_map
 from ..presburger import PointSet, rowwise_lex_lt
 from ..scop import DepKind, Scop, ScopStatement, dependence_relation
 from ..scop.access import Access
-from ..scop.deps import _filter_execution_order
+from ..scop.deps import _filter_execution_order, paired_accesses
 from . import diagnostics as D
 from .diagnostics import Collector, DiagnosticReport, Span
 
@@ -299,12 +299,7 @@ def _blame_accesses(
     reason: str,
 ) -> list[DependenceBlame]:
     """The (source access, target access) pairs inducing one dependence."""
-    if kind is DepKind.FLOW:
-        src_accs, tgt_accs = src.writes, tgt.reads
-    elif kind is DepKind.ANTI:
-        src_accs, tgt_accs = src.reads, tgt.writes
-    else:
-        src_accs, tgt_accs = src.writes, tgt.writes
+    src_accs, tgt_accs = paired_accesses(src, tgt, kind)
 
     out: list[DependenceBlame] = []
     for sa in src_accs:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from ...presburger import PointRelation
 from ...scop import DepKind, Scop, ScopStatement, dependence_relation
+from ...scop.deps import paired_accesses
 from ..explain import access_pair_relation
 from .reduction import ReductionSpec
 
@@ -90,12 +91,7 @@ def induced_relations(
     relation of the pair (both sides enumerate the same access pairs the
     statement-level relations union over).
     """
-    if kind is DepKind.FLOW:
-        src_accs, tgt_accs = src.writes, tgt.reads
-    elif kind is DepKind.ANTI:
-        src_accs, tgt_accs = src.reads, tgt.writes
-    else:
-        src_accs, tgt_accs = src.writes, tgt.writes
+    src_accs, tgt_accs = paired_accesses(src, tgt, kind)
 
     via = PointRelation.empty(tgt.depth, src.depth)
     others = PointRelation.empty(tgt.depth, src.depth)

@@ -31,8 +31,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..pipeline import PipelineInfo
-from ..schedule.legality import iter_dependences, tasks_by_block
-from ..scop import DepKind, Scop
+from ..schedule.legality import tasks_by_block
+from ..scop import DepKind, Scop, iter_dependences
 from . import diagnostics as D
 from .diagnostics import Collector, DiagnosticReport
 

@@ -203,11 +203,23 @@ def combine_blockings(
     pointwise ``lexmin`` of the individual maps (each maps ``x`` to its
     smallest own end ``>= x``).
     """
-    if not blockings:
-        return blocking_from_ends(statement, domain, PointSet.empty(domain.ndim))
-    ends = blockings[0].ends
-    for b in blockings[1:]:
-        ends = ends.union(b.ends)
+    return blocking_from_end_sets(
+        statement, domain, [b.ends for b in blockings]
+    )
+
+
+def blocking_from_end_sets(
+    statement: str, domain: PointSet, end_sets: list[PointSet]
+) -> Blocking:
+    """Equation 3 from the end sets alone, no blocking map per set.
+
+    A blocking map of one end set adds the left-over end ``lexmax(domain)``
+    when the set stops short of it; the union stops short exactly when
+    every set does, and :func:`blocking_from_ends` adds the same end then.
+    """
+    ends = end_sets[0] if end_sets else PointSet.empty(domain.ndim)
+    for more in end_sets[1:]:
+        ends = ends.union(more)
     return blocking_from_ends(statement, domain, ends)
 
 

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..scop import DepKind, Scop, ScopStatement, validate_scop
-from ..presburger import PointRelation
-from .blocking import (
-    Blocking,
-    combine_blockings,
-    source_blocking,
-    target_blocking,
+from ..scop import (
+    DepKind,
+    Scop,
+    ScopStatement,
+    dependence_relation,
+    validate_scop,
 )
+from ..presburger import PointRelation, PointSet
+from .blocking import Blocking, blocking_from_end_sets
 from .dependencies import BlockDependency, block_dependency, out_dependency
-from .pipeline_map import PipelineMap, compute_pipeline_map
+from .pipeline_map import PipelineMap, compute_pipeline_map, prefix_lexmax
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,13 @@ def detect_pipeline(
                 _check_dependence_coverage(scop, kinds)
 
         pipeline_maps: dict[tuple[str, str], PipelineMap] = {}
-        per_stmt_blockings: dict[str, list[Blocking]] = {
+        # Block end sets per statement: the domains of the maps it is
+        # the source of, the ranges of those it is the target of.
+        end_sets: dict[str, list[PointSet]] = {
             s.name: [] for s in scop.statements
         }
 
-        # Lines 1-7 of Algorithm 1: pipeline + blocking maps per pair.
+        # Lines 1-7 of Algorithm 1: pipeline maps and their end sets.
         with span("pipeline.maps") as sp:
             for source in scop.statements:
                 for target in scop.statements:
@@ -171,20 +174,16 @@ def detect_pipeline(
                     if pmap is None:
                         continue
                     pipeline_maps[(source.name, target.name)] = pmap
-                    per_stmt_blockings[source.name].append(
-                        source_blocking(source.name, source.points, pmap)
-                    )
-                    per_stmt_blockings[target.name].append(
-                        target_blocking(target.name, target.points, pmap)
-                    )
+                    end_sets[source.name].append(pmap.relation.domain())
+                    end_sets[target.name].append(pmap.relation.range())
             sp.set(pipeline_maps=len(pipeline_maps))
 
         # Lines 8-10: E_S = lexmin over blocking maps; Q_S^O = identity.
         with span("pipeline.blocking"):
             blockings: dict[str, Blocking] = {}
             for stmt in scop.statements:
-                combined = combine_blockings(
-                    stmt.name, stmt.points, per_stmt_blockings[stmt.name]
+                combined = blocking_from_end_sets(
+                    stmt.name, stmt.points, end_sets[stmt.name]
                 )
                 if coarsen > 1:
                     combined = combined.coarsened(coarsen)
@@ -260,8 +259,6 @@ def _check_dependence_coverage(
     cross-nest anti or output dependence outside ``kinds`` would be free to
     execute backwards.
     """
-    from ..scop import dependence_relation
-
     missing = tuple(k for k in DepKind if k not in kinds)
     if not missing:
         return
@@ -291,19 +288,18 @@ def _best_pipeline_map(
     Each class yields its own requirement relation; they are merged by
     taking, per target iteration, the lexicographically largest requirement
     (the safe intersection of the individual pipeline conditions), then
-    re-deriving the anchor map.
+    re-deriving the anchor map.  A single contributing class needs no
+    merge: its map is returned as computed.
     """
-    from .pipeline_map import prefix_lexmax
-
-    requirement: PointRelation | None = None
-    for kind in kinds:
-        pmap = compute_pipeline_map(scop, source, target, kind)
-        if pmap is None:
-            continue
-        req = pmap.requirement
-        requirement = req if requirement is None else requirement.union(req)
-    if requirement is None:
-        return None
+    pmaps = [
+        compute_pipeline_map(scop, source, target, kind) for kind in kinds
+    ]
+    pmaps = [pmap for pmap in pmaps if pmap is not None]
+    if len(pmaps) <= 1:
+        return pmaps[0] if pmaps else None
+    requirement = pmaps[0].requirement
+    for pmap in pmaps[1:]:
+        requirement = requirement.union(pmap.requirement)
     merged = prefix_lexmax(requirement.lexmax_per_domain())
     anchors = merged.inverse().lexmax_per_domain()
     return PipelineMap(source.name, target.name, anchors, merged)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..presburger import PointRelation, lex_ranks
 from ..presburger import cache as pcache
-from ..scop import DepKind, Scop, ScopStatement
+from ..scop import DepKind, Scop, ScopStatement, dependence_relation
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,13 @@ def raw_dependence_map(
     ``kind`` selects which access pairing defines the dependence; the paper
     uses flow (source writes, target reads), the anti/output variants back
     the future-work extension exercised in the tests.
+
+    This is the SCoP's dependence-table entry: Algorithm 1 asks only about
+    a source nest before the target nest, where every pair of instances
+    touching one cell is a dependence; for any other pair of statements
+    the relation keeps the pairs in execution order only.
     """
-    if kind is DepKind.FLOW:
-        src_rel, tgt_rel = scop.write_relation(source), scop.read_relation(target)
-    elif kind is DepKind.ANTI:
-        src_rel, tgt_rel = scop.read_relation(source), scop.write_relation(target)
-    else:
-        src_rel, tgt_rel = scop.write_relation(source), scop.write_relation(target)
-    return src_rel.inverse().after(tgt_rel)
+    return dependence_relation(scop, source, target, kind)
 
 
 def compute_pipeline_map(

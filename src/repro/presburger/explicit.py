@@ -3,15 +3,18 @@
 For instantiated SCoPs the pipeline algebra of the paper is computed on
 *explicit* point sets: every set is an ``(n, d)`` ``int64`` array of points,
 every relation an ``(n, d_in + d_out)`` array of pairs.  All operations are
-vectorized (sort / unique / searchsorted); nothing loops over points in
-Python, per the HPC guides.
+vectorized; nothing loops over points in Python, per the HPC guides.  Only
+the constructors sort (and only unsorted input): membership is ``isin`` on
+row keys, and a join (:meth:`PointRelation.after`) looks the left rows up in
+the right side's sorted keys with one ``searchsorted`` pair — a gather when
+the right side is a function on the matched keys, else a range expansion.
 
 Lexicographic machinery is built on *row keys*: :func:`joint_ranks` maps the
 rows of the participating arrays to scalar ``int64`` keys whose order is
 exactly lexicographic row order and whose equality is row equality across
 all of them.  Keys are the paper's §5.4 mixed-radix code, ``(a - lo) @
 weights`` over the arrays' joint bounding box, so every canonicalisation
-and join sorts machine integers.  The box volume (the product of the
+and join compares machine integers.  The box volume (the product of the
 per-column ranges) is computed in Python integers; rows are packed only when
 it is below ``2**62``.  Otherwise — and for zero-column or non-``int64``
 arrays — the same functions rank the rows with ``np.unique(axis=0)``, so wide
@@ -470,8 +473,10 @@ class PointRelation:
     def after(self, other: "PointRelation") -> "PointRelation":
         """Composition ``self ∘ other`` (apply ``other`` first).
 
-        Sort-merge join of ``other``'s outputs against ``self``'s inputs;
-        duplicate keys on both sides produce the full per-key cross product.
+        ``self``'s canonical pairs are already sorted by input, so every
+        row of ``other`` finds its matches with one ``searchsorted`` pair
+        (:meth:`_after`); duplicate keys on both sides produce the full
+        per-key cross product.
         """
         if other.n_out != self.n_in:
             raise ValueError("composition arity mismatch")
@@ -485,26 +490,23 @@ class PointRelation:
     def _after(self, other: "PointRelation") -> "PointRelation":
         left = other  # A -> B
         right = self  # B -> C
-        # kr needs no sort: canonical pairs are ordered by (in, out)
+        # kr needs no sort: canonical pairs are ordered by (in, out), so
+        # the right rows matching left row k are the cnt[k] rows from lo[k]
         kl, kr = joint_ranks(left.out_part, right.in_part)
-        ol = np.argsort(kl, kind="stable")
-        kl_s = kl[ol]
-        common = np.intersect1d(kl_s, kr)
-        if common.size == 0:
+        lo = np.searchsorted(kr, kl, side="left")
+        cnt = np.searchsorted(kr, kl, side="right") - lo
+        most = int(cnt.max())
+        if most == 0:
             return PointRelation.empty(left.n_in, right.n_out)
-        l_lo = np.searchsorted(kl_s, common, side="left")
-        l_hi = np.searchsorted(kl_s, common, side="right")
-        r_lo = np.searchsorted(kr, common, side="left")
-        r_hi = np.searchsorted(kr, common, side="right")
-        l_cnt = l_hi - l_lo
-        r_cnt = r_hi - r_lo
-        pair_cnt = l_cnt * r_cnt
-        total = int(pair_cnt.sum())
-        within = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(pair_cnt)[:-1])), pair_cnt
-        )
-        li = ol[np.repeat(l_lo, pair_cnt) + within // np.repeat(r_cnt, pair_cnt)]
-        ri = np.repeat(r_lo, pair_cnt) + within % np.repeat(r_cnt, pair_cnt)
+        if most == 1:
+            # right is single-valued on the matched keys (every injective
+            # write, inverted): a plain gather
+            li = np.flatnonzero(cnt)
+            ri = lo[li]
+        else:
+            li = np.repeat(np.arange(cnt.size), cnt)
+            first = np.cumsum(cnt) - cnt  # offset of each row's run
+            ri = np.arange(li.size) - np.repeat(first - lo, cnt)
         pairs = np.concatenate(
             [left.in_part[li], right.out_part[ri]], axis=1
         )

@@ -22,11 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from ..pipeline import PipelineInfo
 from ..presburger import PointRelation
-from ..scop import DepKind, Scop, ScopStatement, dependence_relation
+from ..scop import (
+    DepKind,
+    Scop,
+    ScopStatement,
+    dependence_relation,
+    iter_dependences,
+)
 
 if TYPE_CHECKING:  # avoid the schedule <-> tasking package cycle
     from ..analysis.portfolio.privatize import PrivatizationProof
@@ -103,26 +109,6 @@ def check_legality(
         return _check_legality(
             scop, info, graph, kinds, max_violations, relaxed
         )
-
-
-def iter_dependences(
-    scop: Scop,
-    kinds: Sequence[DepKind] = tuple(DepKind),
-    relaxed: RelaxedMap | None = None,
-):
-    """Every non-empty instance-level dependence relation of ``scop`` as
-    ``(source, target, kind, relation)``, minus the pairs ``relaxed``
-    allows the schedule to reorder."""
-    for source in scop.statements:
-        for target in scop.statements:
-            for kind in kinds:
-                rel = dependence_relation(scop, source, target, kind)
-                if relaxed:
-                    cut = relaxed.get((source.name, target.name, kind))
-                    if cut is not None and not cut.is_empty():
-                        rel = rel.difference(cut)
-                if not rel.is_empty():
-                    yield source, target, kind, rel
 
 
 def _check_legality(
@@ -349,14 +335,9 @@ def _induced_through_others(
     Recomputed here from the access functions — deliberately not the
     detector's partition — so the checker stands on its own.
     """
-    from ..scop.deps import _filter_execution_order
+    from ..scop.deps import _filter_execution_order, paired_accesses
 
-    if kind is DepKind.FLOW:
-        src_accs, tgt_accs = src.writes, tgt.reads
-    elif kind is DepKind.ANTI:
-        src_accs, tgt_accs = src.reads, tgt.writes
-    else:
-        src_accs, tgt_accs = src.writes, tgt.writes
+    src_accs, tgt_accs = paired_accesses(src, tgt, kind)
 
     out = PointRelation.empty(tgt.depth, src.depth)
     for sa in src_accs:

@@ -4,12 +4,11 @@ from .access import Access, AccessKind
 from .dataflow import DataflowResult, analyze_dataflow
 from .ddg import DepEdge, DependenceGraph, build_dependence_graph
 from .deps import (
-    DependenceInfo,
     DepKind,
-    analyze_dependences,
     carried_levels,
     dependence_relation,
     depends_on,
+    iter_dependences,
     parallel_levels,
 )
 from .extract import extract_scop, to_affine
@@ -23,18 +22,17 @@ __all__ = [
     "DepEdge",
     "DepKind",
     "DependenceGraph",
-    "DependenceInfo",
     "InvalidScopError",
     "Scop",
     "ScopStatement",
     "ValidationReport",
     "analyze_dataflow",
-    "analyze_dependences",
     "build_dependence_graph",
     "carried_levels",
     "dependence_relation",
     "depends_on",
     "extract_scop",
+    "iter_dependences",
     "parallel_levels",
     "to_affine",
     "validate_scop",

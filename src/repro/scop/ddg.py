@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deps import DepKind, dependence_relation
+from .deps import DepKind, iter_dependences
 from .scop import Scop
 
 
@@ -74,22 +74,10 @@ def build_dependence_graph(
     scop: Scop, kinds: tuple[DepKind, ...] = tuple(DepKind)
 ) -> DependenceGraph:
     """Compute all non-empty statement-level dependence edges."""
-    edges: list[DepEdge] = []
-    for source in scop.statements:
-        for target in scop.statements:
-            if target.position < source.position:
-                continue
-            for kind in kinds:
-                rel = dependence_relation(scop, source, target, kind)
-                if rel.is_empty():
-                    continue
-                edges.append(
-                    DepEdge(
-                        source.name,
-                        target.name,
-                        kind,
-                        len(rel),
-                        source.name == target.name,
-                    )
-                )
-    return DependenceGraph(scop, tuple(edges))
+    edges = tuple(
+        DepEdge(
+            source.name, target.name, kind, len(rel), source.name == target.name
+        )
+        for source, target, kind, rel in iter_dependences(scop, kinds)
+    )
+    return DependenceGraph(scop, edges)

@@ -6,19 +6,27 @@ sequential execution of the program: nests run one after another, and within
 a nest instances follow lexicographic order of the shared loops with textual
 order breaking ties.
 
-These relations feed (a) the "T depends on S" test of Algorithm 1, (b) the
-correctness oracle used throughout the test-suite, and (c) the Polly-like
-baseline's parallel-dimension detection.
+Every question is :func:`dependence_relation`, answered from one table per
+:class:`Scop` (:meth:`Scop.dependence_table`): an entry is joined at most
+once for the life of that SCoP object and dies with it;
+:func:`iter_dependences` walks the non-empty entries.  Consumers: Algorithm
+1's "T depends on S" test, its ``P`` relation and the coverage check
+(``pipeline``); the legality, proof and static task-graph checks
+(``schedule.legality``, ``analysis.taskcheck``); the reduction portfolio's
+partitions; fusion legality and the recurrence test of the block kernels
+(``interp``); ``tasking.hybrid``, ``analysis.explain``, ``scop.ddg``; and
+the Polly-like baseline's parallel-dimension detection below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..presburger import PointRelation, rowwise_lex_lt
+from .access import Access, AccessKind
 from .scop import Scop, ScopStatement
 
 
@@ -26,6 +34,14 @@ class DepKind(Enum):
     FLOW = "flow"  # src writes, tgt reads
     ANTI = "anti"  # src reads, tgt writes
     OUTPUT = "output"  # src writes, tgt writes
+
+
+#: the access roles (of the source, of the target) each kind pairs
+_ROLES = {
+    DepKind.FLOW: (AccessKind.WRITE, AccessKind.READ),
+    DepKind.ANTI: (AccessKind.READ, AccessKind.WRITE),
+    DepKind.OUTPUT: (AccessKind.WRITE, AccessKind.WRITE),
+}
 
 
 def dependence_relation(
@@ -39,15 +55,42 @@ def dependence_relation(
     The result only contains pairs where the source instance executes
     strictly before the target instance in the original sequential program.
     """
-    if kind is DepKind.FLOW:
-        src_rel, tgt_rel = scop.write_relation(src), scop.read_relation(tgt)
-    elif kind is DepKind.ANTI:
-        src_rel, tgt_rel = scop.read_relation(src), scop.write_relation(tgt)
-    else:
-        src_rel, tgt_rel = scop.write_relation(src), scop.write_relation(tgt)
+    table = scop.dependence_table()
+    key = (src.name, tgt.name, kind)
+    rel = table.get(key)
+    if rel is None:
+        rel = table[key] = _join_dependence(scop, src, tgt, kind)
+    return rel
 
+
+def paired_accesses(
+    src: ScopStatement, tgt: ScopStatement, kind: DepKind
+) -> tuple[tuple[Access, ...], tuple[Access, ...]]:
+    """The accesses ``kind`` pairs: the source's in its role, the target's."""
+    src_role, tgt_role = _ROLES[kind]
+    return (
+        tuple(a for a in src.accesses if a.kind is src_role),
+        tuple(a for a in tgt.accesses if a.kind is tgt_role),
+    )
+
+
+def _join_dependence(
+    scop: Scop, src: ScopStatement, tgt: ScopStatement, kind: DepKind
+) -> PointRelation:
+    src_accs, tgt_accs = paired_accesses(src, tgt, kind)
+    shared = {a.array for a in src_accs} & {a.array for a in tgt_accs}
+    # Two exact exits before any join: a source nest after the target nest
+    # executes wholly after it, and cells carry their array's id, so
+    # accesses of disjoint array sets cannot touch a common cell.
+    if src.nest_index > tgt.nest_index or not shared:
+        return PointRelation.empty(tgt.depth, src.depth)
+    src_role, tgt_role = _ROLES[kind]
     # tgt iteration -> src iteration touching the same cell
-    candidates = src_rel.inverse().after(tgt_rel)
+    candidates = (
+        scop.access_relation(src, src_role)
+        .inverse()
+        .after(scop.access_relation(tgt, tgt_role))
+    )
     return _filter_execution_order(candidates, src, tgt)
 
 
@@ -93,52 +136,25 @@ def depends_on(
     )
 
 
-@dataclass(frozen=True)
-class DependenceInfo:
-    """All pairwise dependence relations of a SCoP."""
-
-    scop: Scop
-    relations: dict[tuple[str, str, DepKind], PointRelation]
-
-    def get(
-        self, src: str, tgt: str, kind: DepKind = DepKind.FLOW
-    ) -> PointRelation:
-        key = (src, tgt, kind)
-        if key in self.relations:
-            return self.relations[key]
-        s, t = self.scop.statement(src), self.scop.statement(tgt)
-        return PointRelation.empty(t.depth, s.depth)
-
-    def sources_of(self, tgt: str, kind: DepKind = DepKind.FLOW) -> list[str]:
-        """Names of statements some instance of ``tgt`` depends on."""
-        return [
-            s
-            for (s, t, k), rel in self.relations.items()
-            if t == tgt and k is kind and len(rel) > 0 and s != tgt
-        ]
-
-    def targets_of(self, src: str, kind: DepKind = DepKind.FLOW) -> list[str]:
-        return [
-            t
-            for (s, t, k), rel in self.relations.items()
-            if s == src and k is kind and len(rel) > 0 and s != t
-        ]
-
-
-def analyze_dependences(
-    scop: Scop, kinds: tuple[DepKind, ...] = (DepKind.FLOW,)
-) -> DependenceInfo:
-    """Compute all non-empty pairwise dependence relations."""
-    relations: dict[tuple[str, str, DepKind], PointRelation] = {}
-    for src in scop.statements:
-        for tgt in scop.statements:
-            if tgt.position < src.position:
-                continue
+def iter_dependences(
+    scop: Scop,
+    kinds: Sequence[DepKind] = tuple(DepKind),
+    relaxed: Mapping[tuple[str, str, DepKind], PointRelation] | None = None,
+) -> Iterator[tuple[ScopStatement, ScopStatement, DepKind, PointRelation]]:
+    """Every non-empty instance-level dependence relation of ``scop`` as
+    ``(source, target, kind, relation)``, sources then targets in
+    execution order, minus the pairs ``relaxed`` allows a schedule to
+    reorder (``PrivatizationProof.relaxed_map()``)."""
+    for source in scop.statements:
+        for target in scop.statements:
             for kind in kinds:
-                rel = dependence_relation(scop, src, tgt, kind)
+                rel = dependence_relation(scop, source, target, kind)
+                if relaxed:
+                    cut = relaxed.get((source.name, target.name, kind))
+                    if cut is not None and not cut.is_empty():
+                        rel = rel.difference(cut)
                 if not rel.is_empty():
-                    relations[(src.name, tgt.name, kind)] = rel
-    return DependenceInfo(scop, relations)
+                    yield source, target, kind, rel
 
 
 # ----------------------------------------------------------------------
@@ -152,23 +168,19 @@ def carried_levels(scop: Scop, nest_index: int) -> set[int]:
     no dependence can run in parallel, which is the decision the Polly/Pluto
     baseline takes per loop nest.
     """
-    stmts = [s for s in scop.statements if s.nest_index == nest_index]
     carried: set[int] = set()
-    for src in stmts:
-        for tgt in stmts:
-            for kind in DepKind:
-                rel = dependence_relation(scop, src, tgt, kind)
-                if rel.is_empty():
-                    continue
-                common = min(src.depth, tgt.depth)
-                a = rel.out_part[:, :common]  # src iterations
-                b = rel.in_part[:, :common]  # tgt iterations
-                decided = np.zeros(a.shape[0], dtype=bool)
-                for level in range(common):
-                    differs = ~decided & (a[:, level] != b[:, level])
-                    if np.any(differs):
-                        carried.add(level)
-                    decided |= differs
+    for src, tgt, _kind, rel in iter_dependences(scop):
+        if src.nest_index != nest_index or tgt.nest_index != nest_index:
+            continue
+        common = min(src.depth, tgt.depth)
+        a = rel.out_part[:, :common]  # src iterations
+        b = rel.in_part[:, :common]  # tgt iterations
+        decided = np.zeros(a.shape[0], dtype=bool)
+        for level in range(common):
+            differs = ~decided & (a[:, level] != b[:, level])
+            if np.any(differs):
+                carried.add(level)
+            decided |= differs
     return carried
 
 

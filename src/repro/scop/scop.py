@@ -99,15 +99,16 @@ class Scop:
     # ------------------------------------------------------------------
     def write_relation(self, stmt: ScopStatement) -> PointRelation:
         """Explicit ``Wr`` relation (iterations → encoded cells), cached."""
-        return self._cached_relation(stmt, AccessKind.WRITE)
+        return self.access_relation(stmt, AccessKind.WRITE)
 
     def read_relation(self, stmt: ScopStatement) -> PointRelation:
         """Explicit ``Rd`` relation (iterations → encoded cells), cached."""
-        return self._cached_relation(stmt, AccessKind.READ)
+        return self.access_relation(stmt, AccessKind.READ)
 
-    def _cached_relation(
+    def access_relation(
         self, stmt: ScopStatement, kind: AccessKind
     ) -> PointRelation:
+        """All of ``stmt``'s accesses of one kind as one relation, cached."""
         # The dependence and pipeline passes request these repeatedly;
         # tabulating an access relation is the analysis' hottest kernel.
         cache: dict = self.__dict__.setdefault("_relation_cache", {})
@@ -135,11 +136,20 @@ class Scop:
         return out
 
     # ------------------------------------------------------------------
+    def dependence_table(self) -> dict:
+        """``(source name, target name, DepKind)`` → dependence relation,
+        filled by :func:`repro.scop.deps.dependence_relation`.  On the SCoP
+        object, not in the process: compiling a fresh ``Scop`` costs a first
+        sight of the kernel.  An owner keeping the SCoP beyond its compile
+        (a resident server entry) ``clear()``s it; questions refill it."""
+        return self.__dict__.setdefault("_dependence_table", {})
+
+    # ------------------------------------------------------------------
     def array_extent(self, name: str) -> tuple[tuple[int, int], ...]:
         """Conservative per-dimension (min, max) touched by any access.
 
         Used by the interpreter and runtime to size backing NumPy arrays.
-        Memoized per SCoP like :meth:`_cached_relation` — statement
+        Memoized per SCoP like :meth:`access_relation` — statement
         compilation, closure lowering and every ``new_store()`` ask again.
         """
         cache: dict = self.__dict__.setdefault("_extent_cache", {})

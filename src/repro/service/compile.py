@@ -207,7 +207,9 @@ def cached_analysis(
     options: TransformOptions,
     store: ArtifactStore,
 ) -> tuple[Analysis, str]:
-    """One compile through the store: ``(analysis, "warm" | "cold")``."""
+    """One compile through the store: ``(analysis, "warm" | "cold")``.
+    The SCoP's dependence table is cleared on the way out: a resident
+    server entry keeps ``interp``, and must not keep the relations."""
     from ..obs.spans import span
 
     key = artifact_key(source, params, options)
@@ -223,6 +225,7 @@ def cached_analysis(
                 sp.set(replay_failed=type(exc).__name__)
             else:
                 sp.set(status="warm")
+                interp.scop.dependence_table().clear()
                 return analysis, "warm"
 
         t0 = time.perf_counter()
@@ -237,4 +240,5 @@ def cached_analysis(
         )
         analysis.cache_status = "cold"
         sp.set(status="cold", analyze_s=round(elapsed, 6))
+        interp.scop.dependence_table().clear()
         return analysis, "cold"

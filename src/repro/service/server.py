@@ -196,6 +196,7 @@ class ReproServer:
             else:
                 with obs_spans.span("service.compile", status="direct"):
                     analysis = analyze(interp, options)
+                interp.scop.dependence_table().clear()
                 status = "direct"
         timings = {
             "queue_wait_ms": round((t_start - t_submit) * 1e3, 3),
@@ -398,6 +399,9 @@ class ReproServer:
                     oracle=interp.oracle("serve.oracle"),
                 )
         run_ms = (time.perf_counter() - t0) * 1e3
+        # a direct compile plans its fusion at the first lowering, which
+        # asks the SCoP dependence questions again
+        interp.scop.dependence_table().clear()
         if rtel is not None:
             rtel.set(
                 run_ms=round(run_ms, 3),

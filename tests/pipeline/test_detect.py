@@ -128,3 +128,64 @@ class TestMergedKinds:
             for r in pm.requirement.pairs.tolist()
         }
         assert all(table[(k,)] == (k,) for k in range(6))
+
+
+class TestAgainstTheLiteralAlgorithm:
+    """``detect_pipeline`` keeps end sets and returns a lone class's map
+    as computed; both must equal Algorithm 1 spelled out: one blocking map
+    per pipeline map and side refined by Equation 3, and a map re-derived
+    from the (union of the) per-class requirements."""
+
+    @staticmethod
+    def corpus():
+        from pathlib import Path
+
+        from repro.workloads import TABLE9
+
+        for name in sorted(TABLE9):
+            for n in (8, 13):
+                yield f"{name}@{n}", TABLE9[name].source(n), None
+        kernels = Path(__file__).resolve().parents[2] / "examples" / "kernels"
+        for path in sorted(kernels.glob("*.c")):
+            yield path.name, path.read_text(), {"N": 12}
+
+    @pytest.mark.parametrize(
+        "kinds", [(DepKind.FLOW,), tuple(DepKind)], ids=["flow", "all"]
+    )
+    def test_maps_and_blockings(self, kinds):
+        from repro.pipeline import (
+            PipelineMap,
+            combine_blockings,
+            compute_pipeline_map,
+            source_blocking,
+            target_blocking,
+        )
+        from repro.pipeline.pipeline_map import prefix_lexmax
+
+        maps = 0
+        for label, source, params in self.corpus():
+            scop = extract_scop(parse(source), params)
+            info = detect_pipeline(scop, kinds=kinds, validate=False)
+            per_stmt = {s.name: [] for s in scop.statements}
+            for (src, tgt), pmap in info.pipeline_maps.items():
+                S, T = scop.statement(src), scop.statement(tgt)
+                requirement = None
+                for kind in kinds:
+                    one = compute_pipeline_map(scop, S, T, kind)
+                    if one is not None:
+                        requirement = (
+                            one.requirement
+                            if requirement is None
+                            else requirement.union(one.requirement)
+                        )
+                merged = prefix_lexmax(requirement.lexmax_per_domain())
+                anchors = merged.inverse().lexmax_per_domain()
+                assert pmap == PipelineMap(src, tgt, anchors, merged), label
+                per_stmt[src].append(source_blocking(src, S.points, pmap))
+                per_stmt[tgt].append(target_blocking(tgt, T.points, pmap))
+                maps += 1
+            for stmt in scop.statements:
+                assert info.blockings[stmt.name] == combine_blockings(
+                    stmt.name, stmt.points, per_stmt[stmt.name]
+                ), (label, stmt.name)
+        assert maps > 40

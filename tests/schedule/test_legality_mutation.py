@@ -146,3 +146,120 @@ class TestReversedEdge:
         except CyclicTaskGraphError:
             return  # reachability refuses cyclic graphs
         assert not report.ok
+
+
+# ----------------------------------------------------------------------
+# the checker against dependences spelled out instance by instance
+# ----------------------------------------------------------------------
+def executes_before(src, a, tgt, b) -> bool:
+    """Sequential order of instance ``a`` of ``src`` and ``b`` of ``tgt``."""
+    if src.nest_index != tgt.nest_index:
+        return src.nest_index < tgt.nest_index
+    common = min(src.depth, tgt.depth)
+    if a[:common] != b[:common]:
+        return a[:common] < b[:common]
+    if src is tgt:
+        return a < b
+    return src.position < tgt.position
+
+
+def bruteforce_dependences(scop):
+    """``(kind, source, source instance, target, target instance)`` of
+    every instance-level dependence, by the definition: two instances
+    touching one cell of one array in the roles of the kind, the source
+    executing first.  Python loops and a cell dictionary, no relation."""
+    touched = {}  # (statement, role) -> {(array, cell): [instances]}
+    for stmt in scop.statements:
+        for acc in stmt.accesses:
+            matrix, const = acc.index_map(stmt.space)
+            cells = touched.setdefault((stmt.name, acc.kind.value), {})
+            for point in stmt.points.points:
+                cell = (acc.array, tuple((matrix @ point + const).tolist()))
+                cells.setdefault(cell, []).append(tuple(point.tolist()))
+    roles = {
+        DepKind.FLOW: ("write", "read"),
+        DepKind.ANTI: ("read", "write"),
+        DepKind.OUTPUT: ("write", "write"),
+    }
+    found = set()
+    for kind, (src_role, tgt_role) in roles.items():
+        for src in scop.statements:
+            for tgt in scop.statements:
+                theirs = touched.get((tgt.name, tgt_role), {})
+                for cell, mine in touched.get((src.name, src_role), {}).items():
+                    for a in mine:
+                        for b in theirs.get(cell, ()):
+                            if executes_before(src, a, tgt, b):
+                                found.add((kind, src.name, a, tgt.name, b))
+    return found
+
+
+class TestAgainstBruteForceDependences:
+    """Dropping an edge must report exactly the dependences the mutated
+    graph no longer orders — every one, of every kind, and no other."""
+
+    @staticmethod
+    def expected_violations(scop, info, graph, deps):
+        from repro.schedule.legality import tasks_by_block
+
+        reach = graph.reachability()
+        tasks = tasks_by_block(info, graph)
+
+        def task_of(name, instance):
+            (block,) = info.blockings[name].block_of_rows([list(instance)])
+            return tasks[name][block]
+
+        bad = set()
+        for kind, src, a, tgt, b in deps:
+            s, t = task_of(src, a), task_of(tgt, b)
+            if not (reach[s, t] or (src == tgt and s == t)):
+                bad.add((kind, src, a, tgt, b))
+        return bad
+
+    def test_legal_graph_checks_every_dependence(self, good):
+        scop, info, _, graph = good
+        deps = bruteforce_dependences(scop)
+        # (writes are injective: Listing 1 has no output dependence)
+        assert {kind for kind, *_ in deps} == {DepKind.FLOW, DepKind.ANTI}
+        report = check_legality(scop, info, graph)
+        assert report.ok and report.checked_pairs == len(deps)
+
+    def test_each_dropped_edge_reports_exactly_the_lost_pairs(self, good):
+        scop, info, _, graph = good
+        deps = bruteforce_dependences(scop)
+        cross, chain = cross_edges(graph), self_edges(graph, "S")
+        dropped = [cross[0], cross[len(cross) // 2], cross[-1]]
+        dropped += [chain[1], chain[len(chain) // 2]]
+        dropped += self_edges(graph, "R")[-1:]
+        kinds_seen = set()
+        for edge in dropped:
+            mutated = rebuild(graph, drop={edge})
+            report = check_legality(
+                scop, info, mutated, max_violations=len(deps)
+            )
+            got = {
+                (v.kind, v.source, v.source_instance, v.target,
+                 v.target_instance)
+                for v in report.violations
+            }
+            assert len(got) == len(report.violations)
+            assert got == self.expected_violations(
+                scop, info, mutated, deps
+            ), edge
+            assert got, edge
+            assert report.checked_pairs == len(deps)
+            kinds_seen |= {kind for kind, *_ in got}
+        assert kinds_seen == {DepKind.FLOW, DepKind.ANTI}
+
+    def test_checked_pairs_is_every_dependence_on_table9(self):
+        from repro.workloads import TABLE9
+
+        for name in sorted(TABLE9):
+            scop = extract_scop(parse(TABLE9[name].source(8)), None)
+            info = detect_pipeline(scop, coarsen=3)
+            graph = TaskGraph.from_task_ast(generate_task_ast(info))
+            report = check_legality(scop, info, graph)
+            assert report.ok, name
+            assert report.checked_pairs == len(
+                bruteforce_dependences(scop)
+            ), name

@@ -6,11 +6,12 @@ import pytest
 from repro.lang import parse
 from repro.scop import (
     DepKind,
-    analyze_dependences,
+    build_dependence_graph,
     carried_levels,
     dependence_relation,
     depends_on,
     extract_scop,
+    iter_dependences,
     parallel_levels,
 )
 
@@ -108,17 +109,40 @@ class TestSameNestStatements:
 
 class TestAnalyzeAll:
     def test_listing3_flow_edges(self, listing3_scop):
-        info = analyze_dependences(listing3_scop)
-        pairs = {
-            (s, t) for (s, t, k) in info.relations if s != t
-        }
+        found = list(iter_dependences(listing3_scop, (DepKind.FLOW,)))
+        pairs = {(s.name, t.name) for s, t, _, _ in found if s is not t}
         assert pairs == {("S", "R"), ("S", "U"), ("R", "U")}
-        assert set(info.sources_of("U")) == {"S", "R"}
-        assert set(info.targets_of("S")) == {"R", "U"}
+        assert all(kind is DepKind.FLOW for _, _, kind, _ in found)
+        # the iterator is the table's non-empty entries, nothing recomputed
+        table = listing3_scop.dependence_table()
+        for s, t, kind, rel in found:
+            assert len(rel) > 0
+            assert table[(s.name, t.name, kind)] is rel
 
     def test_get_missing_returns_empty(self, listing1_scop_small):
-        info = analyze_dependences(listing1_scop_small)
-        assert info.get("R", "S").is_empty()
+        scop = listing1_scop_small
+        R, S = scop.statement("R"), scop.statement("S")
+        rel = dependence_relation(scop, R, S)
+        assert rel.is_empty()
+        assert (rel.n_in, rel.n_out) == (S.depth, R.depth)
+        assert all(
+            (s.name, t.name) != ("R", "S") for s, t, _, _ in iter_dependences(scop)
+        )
+
+    def test_carried_dependence_against_textual_order(self):
+        # T feeds the *next* iteration's S: a real dependence whose source
+        # is textually after its target
+        scop = scop_of(
+            "for(i=1; i<6; i++) { S: A[i] = f(B[i-1]); T: B[i] = g(A[i]); }"
+        )
+        edges = {
+            (e.source, e.target, e.kind): e.pairs
+            for e in build_dependence_graph(scop).edges
+        }
+        assert edges == {
+            ("S", "T", DepKind.FLOW): 5,
+            ("T", "S", DepKind.FLOW): 4,
+        }
 
 
 class TestParallelLevels:

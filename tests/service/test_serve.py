@@ -179,6 +179,25 @@ def test_no_cache_serves_direct(tmp_path):
     asyncio.run(_with_server(None, body))
 
 
+@pytest.mark.parametrize("stored", [True, False], ids=["store", "direct"])
+def test_a_resident_kernel_keeps_no_dependence_table(tmp_path, stored):
+    """The resident entry holds the interpreter and so its SCoP; the
+    dependence relations of the compile — and of the first lowering, which
+    plans fusion on a direct compile — do not stay with it."""
+
+    async def body(host, port, server):
+        compiled = await _request(host, port, _compile_req(TWO_NEST_COPY))
+        assert compiled["status"] == ("cold" if stored else "direct")
+        interp = _resident_interp(server, compiled["key"])
+        assert not interp.scop.dependence_table()
+        ran = await _request(host, port, _run_req())
+        assert ran["status"] == "warm" and ran["match"] is True
+        assert _resident_interp(server, ran["key"]) is interp
+        assert not interp.scop.dependence_table()
+
+    asyncio.run(_with_server(str(tmp_path) if stored else None, body))
+
+
 def test_malformed_request_reports_error_and_keeps_serving(tmp_path):
     async def body(host, port, server):
         reader, writer = await asyncio.open_connection(host, port)

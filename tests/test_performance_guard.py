@@ -51,9 +51,14 @@ def test_cache_is_effective_on_p5_analysis():
 
 #: memoized Presburger calls of one cold ``analyze`` (detection + the
 #: legality re-derivation) at N=20, coarsen=60, as (calls, hits, misses)
-#: per op (374 / 374 / 343 calls in all), recorded at the commit *before*
-#: row keys were packed — that commit made 277 / 297 / 318 ``np.unique(axis=0)`` calls
-#: for the same work.  The kernel under the algebra changed, not the algebra.
+#: per op.  The counts repeat exactly, so they are pinned — as a ratchet:
+#: ``COLD_ANALYZE_OPS`` is what this commit does (206 / 206 / 185 calls in
+#: all) and may only be re-recorded downwards; ``PARENT_COLD_ANALYZE_OPS``
+#: is what its parent did (374 / 374 / 343), before every dependence
+#: question was asked once per SCoP, pipeline maps were returned as
+#: computed and blockings were built from end sets.  Two earlier commits
+#: pinned the same work at 277 / 297 / 318 ``np.unique(axis=0)`` calls and
+#: then at none: the kernel under the algebra changed, not the algebra.
 _OPS = (
     "PointRelation.after", "PointRelation.domain", "PointRelation.inverse",
     "PointRelation.lexmax_per_domain", "PointRelation.range",
@@ -62,6 +67,23 @@ _OPS = (
     "enumeration.basic_set", "pipeline.prefix_lexmax",
 )
 COLD_ANALYZE_OPS = {
+    "P5": (
+        (18, 0, 18), (48, 42, 6), (34, 25, 9), (24, 22, 2), (26, 24, 2),
+        (6, 5, 1), (14, 0, 14), (4, 3, 1), (14, 12, 2), (8, 7, 1),
+        (4, 0, 4), (6, 5, 1),
+    ),
+    "P6": (
+        (18, 0, 18), (48, 38, 10), (34, 23, 11), (24, 19, 5), (26, 21, 5),
+        (6, 5, 1), (14, 0, 14), (4, 2, 2), (14, 10, 4), (8, 6, 2),
+        (4, 0, 4), (6, 4, 2),
+    ),
+    "P9": (
+        (17, 0, 17), (44, 30, 14), (31, 18, 13), (20, 12, 8), (23, 15, 8),
+        (5, 3, 2), (13, 0, 13), (4, 1, 3), (13, 7, 6), (6, 2, 4),
+        (4, 0, 4), (5, 2, 3),
+    ),
+}
+PARENT_COLD_ANALYZE_OPS = {
     "P5": (
         (66, 18, 48), (72, 66, 6), (88, 79, 9), (36, 34, 2), (38, 36, 2),
         (6, 5, 1), (14, 0, 14), (4, 3, 1), (26, 24, 2), (8, 7, 1),
@@ -83,8 +105,9 @@ COLD_ANALYZE_OPS = {
 @pytest.mark.parametrize("name", sorted(COLD_ANALYZE_OPS))
 def test_cold_analysis_sorts_no_rows_generically(name, unique_axis0_calls):
     """Count-based, no wall clock: the whole cold compile of a Table 9
-    kernel runs on packed row keys (zero ``np.unique(axis=0)`` calls)
-    while doing exactly the Presburger work it did before."""
+    kernel runs on packed row keys (zero ``np.unique(axis=0)`` calls),
+    does exactly the Presburger work recorded for it, and no op is
+    called — or computed — more often than at the parent commit."""
     from repro.driver import TransformOptions, analyze
 
     with cache.overridden(enabled=True):
@@ -94,9 +117,13 @@ def test_cold_analysis_sorts_no_rows_generically(name, unique_axis0_calls):
         st = cache.stats()
     assert analysis.legality is not None and analysis.legality.ok
     assert unique_axis0_calls == []
-    assert {
-        op: (s.calls, s.hits, s.misses) for op, s in st.ops.items()
-    } == dict(zip(_OPS, COLD_ANALYZE_OPS[name]))
+    counts = {op: (s.calls, s.hits, s.misses) for op, s in st.ops.items()}
+    assert counts == dict(zip(_OPS, COLD_ANALYZE_OPS[name]))
+    for op, (calls, _, misses) in zip(_OPS, PARENT_COLD_ANALYZE_OPS[name]):
+        assert counts[op][0] <= calls and counts[op][2] <= misses, op
+    assert sum(c for c, _, _ in counts.values()) < 0.6 * sum(
+        c for c, _, _ in PARENT_COLD_ANALYZE_OPS[name]
+    )
 
 
 def test_fused_dispatch_beats_interpreter_on_p5():
