@@ -6,11 +6,14 @@ changes".  Concretely: a backend is any object with the CreateTask
 signature of Figure 7 —
 
     create_task(func, task_input, out_depend, out_idx,
-                in_depend=(), in_idx=(), cost=1.0, statement=None)
+                in_depend=(), in_idx=(), cost=1.0, statement=None,
+                chain=True)
 
 plus ``run(workers)``.  This example implements a *tracing* backend that
-wraps the bundled thread-pool backend and records the dependency traffic,
-then runs the generated task program of Listing 1 through it unchanged.
+wraps the bundled OpenMP-like layer (``OmpTaskSystem``: full depend
+semantics, run on work-stealing threads) and records the dependency
+traffic, then runs the generated task program of Listing 1 through it
+unchanged.
 
 Run:  python examples/custom_backend.py
 """
@@ -18,7 +21,7 @@ Run:  python examples/custom_backend.py
 from repro.codegen import emit_task_program, load_task_program
 from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
-from repro.tasking import FuturesBackend
+from repro.tasking import OmpTaskSystem
 
 LISTING1 = """
 for(i=0; i<N-1; i++)
@@ -34,23 +37,25 @@ class TracingBackend:
     """Counts depend-clause traffic while delegating to a real backend."""
 
     def __init__(self, write_num: int, workers: int = 4):
-        self.inner = FuturesBackend(write_num, workers)
+        self.inner = OmpTaskSystem(write_num)
+        self.workers = workers
         self.tasks_created = 0
         self.in_dependencies = 0
         self.slots_written: set[int] = set()
 
     def create_task(self, func, task_input, out_depend, out_idx,
-                    in_depend=(), in_idx=(), cost=1.0, statement=None):
+                    in_depend=(), in_idx=(), cost=1.0, statement=None,
+                    chain=True):
         self.tasks_created += 1
         self.in_dependencies += len(in_depend)
         self.slots_written.add(self.inner.slot(out_depend, out_idx))
         return self.inner.create_task(
             func, task_input, out_depend, out_idx, in_depend, in_idx,
-            cost, statement,
+            cost, statement, chain,
         )
 
     def run(self, workers: int = 0):
-        return self.inner.run(workers)
+        return self.inner.run(workers or self.workers)
 
 
 def main() -> None:

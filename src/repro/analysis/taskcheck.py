@@ -13,12 +13,10 @@ questions about the *generated artefacts* (Sections 5.4–5.5):
   self-chain*)?  This is deliberately **not** graph reachability: it
   certifies the depend clauses themselves, the thing the generated code
   actually declares to the runtime.
-* :func:`check_races` — do adversarial interleavings admitted by the
-  declared edges ever reorder a dependence?  Runs an adversarial Kahn
-  scheduler (prefer ready tasks with unfinished dependence sources) plus
-  a sweep of the discrete-event simulator across policies and worker
-  counts, checking ``start[target] >= finish[source]`` for every
-  instance pair.
+* :func:`check_races` — can some interleaving the declared edges admit
+  reorder a dependence?  Exactly when the graph leaves the pair
+  unordered, which is what ``check_legality`` computes: one RPA043 per
+  such instance pair, no schedule is simulated.
 
 :func:`check_task_graph` bundles all three into one
 :class:`~repro.analysis.diagnostics.DiagnosticReport`.
@@ -26,12 +24,12 @@ questions about the *generated artefacts* (Sections 5.4–5.5):
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..pipeline import PipelineInfo
-from ..schedule.legality import tasks_by_block
+from ..schedule.legality import check_legality
 from ..scop import DepKind, Scop, iter_dependences
 from . import diagnostics as D
 from .diagnostics import Collector, DiagnosticReport
@@ -251,117 +249,41 @@ def check_token_coverage(
 
 
 # ----------------------------------------------------------------------
-# adversarial interleaving race check (Section 5.5)
+# race check (Section 5.5)
 # ----------------------------------------------------------------------
 def check_races(
     scop: Scop,
     info: PipelineInfo,
     graph,
     file: str | None = None,
-    workers: Sequence[int] = (2, 4),
-    policies: Sequence[str] = ("fifo", "lifo", "cp"),
     max_reports: int = 5,
     relaxed=None,
 ) -> DiagnosticReport:
-    """Hunt for dependence-reordering interleavings of the task graph."""
-    from ..tasking.simulator import simulate
+    """Report every dependence pair the task graph leaves unordered.
 
+    Two tasks race on a dependence exactly when the graph does not order
+    the source's task before the target's: some schedule the edges admit
+    then runs the target first.  That is the set
+    :func:`~repro.schedule.check_legality` computes — for every kind,
+    minus the ``relaxed`` pairs — so each of its violations is one race.
+    """
     out = Collector(file)
-    pairs = _dependence_task_pairs(scop, info, graph, relaxed)
-    cross = [p for p in pairs if p[1] != p[2]]
-    if not cross:
-        return out.report()
-
-    s_tids = np.asarray([p[1] for p in cross], dtype=np.int64)
-    t_tids = np.asarray([p[2] for p in cross], dtype=np.int64)
-
-    reported = 0
-
-    def report(indices: Iterable[int], how: str) -> None:
-        nonlocal reported
-        for i in indices:
-            if reported >= max_reports:
-                return
-            reported += 1
-            kind, s, t, s_inst, t_inst = cross[i]
-            st, tt = graph.tasks[s], graph.tasks[t]
-            out.add(
-                D.TASK_RACE,
-                f"{how}: task {tt.statement}#{tt.block_id} ran before "
-                f"task {st.statement}#{st.block_id} finished, reordering "
-                f"the {kind.value} dependence "
-                f"{st.statement}{list(s_inst)} -> "
-                f"{tt.statement}{list(t_inst)}",
-                hints=(
-                    "the declared depend edges admit this interleaving; "
-                    "the token chains miss the dependence",
-                ),
-            )
-
-    # adversarial Kahn: serialize tasks, always preferring the ready task
-    # with the most unfinished dependence sources
-    danger: dict[int, list[int]] = {}
-    for i, (_, s, t, _, _) in enumerate(cross):
-        danger.setdefault(t, []).append(i)
-    done = [False] * len(graph.tasks)
-    indeg = [len(p) for p in graph.preds]
-    ready = {t for t in range(len(graph.tasks)) if indeg[t] == 0}
-    raced: list[int] = []
-    while ready:
-        tid = max(
-            ready,
-            key=lambda t: (
-                sum(
-                    1
-                    for i in danger.get(t, ())
-                    if not done[cross[i][1]]
-                ),
-                -t,
+    legality = check_legality(
+        scop, info, graph, max_violations=max_reports, relaxed=relaxed
+    )
+    for v in legality.violations:
+        out.add(
+            D.TASK_RACE,
+            f"{v.kind.value} dependence {v.source}"
+            f"{list(v.source_instance)} -> {v.target}"
+            f"{list(v.target_instance)} is not ordered by the task graph: "
+            "its target's task may run before its source's task finishes",
+            hints=(
+                "the declared depend edges admit this interleaving; "
+                "the token chains miss the dependence",
             ),
         )
-        ready.remove(tid)
-        for i in danger.get(tid, ()):
-            if not done[cross[i][1]]:
-                raced.append(i)
-        done[tid] = True
-        for s in graph.succs[tid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.add(s)
-    report(raced, "adversarial schedule")
-
-    # simulator sweep: no policy/worker combination may start a dependence
-    # target before its source finished
-    for policy in policies:
-        for w in workers:
-            res = simulate(graph, w, policy=policy)
-            bad = res.start[t_tids] < res.finish[s_tids]
-            report(
-                np.nonzero(bad)[0],
-                f"simulated run (policy={policy}, workers={w})",
-            )
     return out.report()
-
-
-def _dependence_task_pairs(scop: Scop, info: PipelineInfo, graph, relaxed):
-    """(kind, source task, target task, source instance, target instance)."""
-    task_of_block = tasks_by_block(info, graph)
-    pairs = []
-    for source, target, kind, rel in iter_dependences(scop, relaxed=relaxed):
-        sb, tb = info.blockings[source.name], info.blockings[target.name]
-        s_tids = task_of_block[source.name][sb.block_of_rows(rel.out_part)]
-        t_tids = task_of_block[target.name][tb.block_of_rows(rel.in_part)]
-        for k in range(len(rel)):
-            pairs.append(
-                (
-                    kind,
-                    int(s_tids[k]),
-                    int(t_tids[k]),
-                    tuple(int(v) for v in rel.out_part[k]),
-                    tuple(int(v) for v in rel.in_part[k]),
-                )
-            )
-    return pairs
 
 
 # ----------------------------------------------------------------------

@@ -321,6 +321,30 @@ def build_task_graph(
     return TaskGraph.from_task_ast(task_ast, cost_of_block=cost_of_block), ()
 
 
+def run_static_checks(
+    scop: Scop, info: PipelineInfo, task_ast: TaskAst, graph: TaskGraph,
+    plan=None,
+) -> "DiagnosticReport":
+    """The static task-graph checks (RPA04x) of one analysis — a cold
+    compile's and a warm load's alike.  A verified privatization plan's
+    removed pairs are no dependence to cover or race on; an
+    error-severity finding raises :class:`IllegalTaskGraphError`."""
+    from .analysis.taskcheck import check_task_graph
+    from .obs.spans import span
+
+    relaxed = plan.relaxed() if plan is not None and plan.groups else None
+    with span("driver.static_checks"):
+        diagnostics = check_task_graph(
+            scop, info, ast=task_ast, graph=graph, relaxed=relaxed
+        )
+    if not diagnostics.ok:
+        raise IllegalTaskGraphError(
+            f"{len(diagnostics.errors)} static-check error(s); first: "
+            f"{diagnostics.errors[0].render()}"
+        )
+    return diagnostics
+
+
 def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     """The compile phase: SCoP analysis through checked task graph.
 
@@ -419,17 +443,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
     diagnostics = None
     if options.static_checks:
-        from .analysis.taskcheck import check_task_graph
-
-        with span("driver.static_checks"):
-            diagnostics = check_task_graph(
-                scop, info, ast=task_ast, graph=graph, relaxed=relaxed
-            )
-        if not diagnostics.ok:
-            raise IllegalTaskGraphError(
-                f"{len(diagnostics.errors)} static-check error(s); first: "
-                f"{diagnostics.errors[0].render()}"
-            )
+        diagnostics = run_static_checks(scop, info, task_ast, graph, plan)
 
     return Analysis(
         info=info,
@@ -440,7 +454,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
         diagnostics=diagnostics,
         reduction=reduction,
         tuning=tuning,
-        portfolio=portfolio_report,
+        portfolio=portfolio_report if options.portfolio else None,
         plan=plan,
         joins=joins,
         privatized=privatized,

@@ -13,7 +13,7 @@ assignment op, reduction identity if any) plus a generated NumPy slicing
 closure that executes an arbitrary block by substituting block bounds.
 The spec is the source of truth: :func:`build_closure` reconstructs the
 closure deterministically from the spec alone, and ``FusedKernel``
-pickles as its spec (via ``__reduce__``), so the ProcessBackend ships
+pickles as its spec (via ``__reduce__``), so the process pool ships
 data, not code objects.
 
 Legality is decided by :func:`repro.interp.compile.emit_closure_spec`;
@@ -338,7 +338,7 @@ def closure_source(spec: ClosureSpec) -> str:
 
     Purely a function of the spec (no live objects consulted), so
     spec → source → closure reconstruction is reproducible anywhere the
-    spec can travel — the ProcessBackend pickling contract.
+    spec can travel — the process pool's pickling contract.
     """
     lines = _prologue(spec, "__fused_")
     for si, stmt in enumerate(spec.statements):
@@ -666,7 +666,7 @@ class FusedProgram:
         """JSON-ready form: specs and refusal records, no code objects.
 
         The declarative :class:`ClosureSpec` is already the pickling
-        contract of the ProcessBackend; the same specs are the durable
+        contract of the process pool; the same specs are the durable
         artifact format of the compile store.  :meth:`from_dict`
         regenerates every closure with :func:`build_closure`.
         """

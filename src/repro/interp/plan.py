@@ -2,20 +2,23 @@
 
 :func:`lower_exec_plan` turns ``(interpreter, pipeline info)`` — plus a
 verified :class:`~repro.schedule.privatize.PrivatizationPlan`, if any —
-into an :class:`ExecPlan`: task AST, fusion-legal chain groups, and one
-flat :class:`TaskRow` per task with its rectangle decomposition and
-packed ``dependArr`` slots already computed (the addressing of
-:mod:`repro.codegen.emit`; payloads keep NumPy iteration arrays instead
-of round-tripping through Python literals), and those slots resolved
-to a compiled :class:`~repro.tasking.dispatch.Schedule`.
-:func:`run_plan` replays it — serial is a loop over the rows, threads
-and processes hand the schedule to the schedulers of
-:mod:`repro.tasking` — without calling ``create_task`` or resolving a
-slot.  Everything that depends on the *run* — store, stream closures,
-private buffers, event collector, the copied join counters — is created
-there; the plan itself is shared between runs and threads and is never
-mutated (``repro serve`` replays one plan from several executor threads
-at once).
+into an :class:`ExecPlan`: task AST, fusion-legal chain groups, one
+flat :class:`TaskRow` per task with its rectangle decomposition already
+computed (payloads keep NumPy iteration arrays), and a compiled
+:class:`~repro.tasking.dispatch.Schedule`.  The schedule is not derived
+on its own: it is the quotient, over the rows, of the very
+:class:`~repro.tasking.task.TaskGraph` the analysis checks
+(``TaskGraph.from_task_ast``, or ``build_privatized_graph`` for a plan
+with reduction groups) — what runs is what was proved.  ``dependArr``
+slots belong to generated programs (:mod:`repro.codegen.emit`) and play
+no part here.  :func:`run_plan` replays the plan — serial is a loop over
+the rows, threads and processes hand the schedule to the schedulers of
+:mod:`repro.tasking` — without calling ``create_task``.  Everything
+that depends on the *run* — store, stream closures, private buffers,
+event collector, the copied join counters — is created there; the plan
+itself is shared between runs and threads and is never mutated
+(``repro serve`` replays one plan from several executor threads at
+once).
 
 Plans are cached on the interpreter (:meth:`Interpreter.exec_plan`), so
 ``ExecutionStats.wall_time`` measures task submission + run, not
@@ -25,11 +28,11 @@ Privatized plans: every member block gets a private buffer shaped like
 the accumulator and filled with the operator-group identity (``sum`` →
 0, ``product`` → 1, ``min`` → +inf, ``max`` → −inf), so it computes "its
 updates applied to the identity" and the join is the plain group
-operator even for ``-=``.  Member rows are ``chain=False`` (their mutual
+operator even for ``-=``.  Member rows are unchained (their mutual
 order is what the verified proof relaxed) and run against a proxy store
 aliasing the accumulator onto the private — compiled loops and fused
 kernels read ``store.arrays[name]`` and run unchanged.  One join row per
-group waits on every member token and folds the privates into the base
+group waits on every member row and folds the privates into the base
 in ascending creation order inside a single task, so all backends
 produce bit-identical accumulators for one part count.  Privates live in
 the caller's store for the run (the process backend shares every entry
@@ -93,16 +96,11 @@ def apply_combine(store, combine: dict) -> None:
 
 
 class TaskRow(NamedTuple):
-    """One ``create_task`` call, fully lowered.  Read-only: backends keep
+    """One task of the plan, fully lowered.  Read-only: backends keep
     references to ``payload`` and its contents but never write to them."""
 
     stream: str  # task-stream label: statement, chain ``S+T`` or join
     payload: dict  # statement, iters [, rects] [, remap] [, combine]
-    out_depend: int
-    out_idx: int
-    in_depend: tuple[int, ...]
-    in_idx: tuple[int, ...]
-    chain: bool  # funcCount self chain (off for an unchained nest)
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,11 @@ class ExecPlan:
     fused: object  # FusedProgram in force at lowering (None: fuse off)
     privatization: object  # PrivatizationPlan with groups, or None
     ast: "TaskAst"
-    write_num: int
     #: task streams -> fused kernel dispatched directly (None: the
     #: combine / remap / run_block ladder, as in the worker processes)
     streams: dict[str, FusedKernel | None]
     rows: tuple[TaskRow, ...]
-    schedule: "Schedule"  # the rows' slots, resolved (row index = task id)
+    schedule: "Schedule"  # the task graph's quotient (row index = task id)
     #: per reduction group: (accumulator, identity, private buffer names)
     privates: tuple[tuple[str, float, tuple[str, ...]], ...]
     #: the run-independent fields of :class:`ExecutionStats`
@@ -140,21 +137,31 @@ class ExecPlan:
         return tuple(wire_task(row.stream, row.payload) for row in self.rows)
 
 
-def _external_tokens(blocks, members) -> list:
-    """In-tokens of one task.  A merged chain task waits on the union of
-    its members' tokens minus in-chain ones (same- or earlier-index
-    member work is ordered by the merged task itself / its self chain)."""
-    if len(blocks) == 1:
-        return list(blocks[0].in_tokens)
-    seen = set()
-    out = []
-    for blk in blocks:
-        for s, end in blk.in_tokens:
-            key = (s, tuple(end))
-            if s not in members and key not in seen:
-                seen.add(key)
-                out.append((s, end))
-    return out
+def quotient_schedule(graph, members, floors) -> "Schedule":
+    """The schedule of rows that each run the graph tasks ``members[row]``.
+
+    A row waits on the rows holding its members' predecessors.  Rows of
+    one chained stream are ordered by the stream itself, so a
+    predecessor at or after ``floors[row]`` (the stream's first row)
+    collapses to the previous row; ``floors[row] == row`` collapses
+    nothing.  Creation order must be topological: a row waiting on a
+    later one is refused.
+    """
+    from ..tasking.dispatch import Schedule
+
+    row_of = {t: row for row, ts in enumerate(members) for t in ts}
+    preds: list[set[int]] = []
+    for row, (ts, floor) in enumerate(zip(members, floors)):
+        ps = set()
+        for t in ts:
+            for p in graph.preds[t]:
+                r = row_of[p]
+                if r > row:
+                    raise RuntimeError("a task waits on one created after it")
+                if r != row:
+                    ps.add(row - 1 if r >= floor else r)
+        preds.append(ps)
+    return Schedule.from_preds(preds)
 
 
 def lower_exec_plan(
@@ -163,17 +170,20 @@ def lower_exec_plan(
     """Lower ``info`` (already privatized when ``privatization`` has
     groups) into an :class:`ExecPlan`; ``task_ast`` skips regenerating
     the AST the caller's analysis already holds."""
-    from ..codegen.emit import statement_columns, statement_packers
     from ..schedule import generate_task_ast
-    from ..schedule.privatize import join_label
-    from ..tasking import SlotResolver
+    from ..schedule.privatize import build_privatized_graph, join_label
+    from ..tasking.task import TaskGraph
 
     pgroups = privatization.groups if privatization is not None else ()
     fprog = interp.fused_program if interp.fuse != "off" else None
     with span("exec.lower") as sp:
         ast = task_ast if task_ast is not None else generate_task_ast(info)
-        columns = statement_columns(ast)
-        packers = statement_packers(ast)
+        # the graph the analysis checks: graph task ids are AST order
+        # (nests x blocks), then one join per reduction group
+        if pgroups:
+            graph, _ = build_privatized_graph(ast, privatization)
+        else:
+            graph = TaskGraph.from_task_ast(ast)
 
         # One task stream per group.  Singletons keep the per-nest task
         # structure; longer groups are fusion-legal block-chains merged
@@ -185,20 +195,28 @@ def lower_exec_plan(
         else:
             groups = [[nest] for nest in ast.nests]
 
+        first: dict[str, int] = {}  # statement -> its first graph task
+        n_tasks = 0
+        for nest in ast.nests:
+            first[nest.statement] = n_tasks
+            n_tasks += len(nest.blocks)
+
         group_of = {s: g for g in pgroups for s in g.statements}
         names: dict[str, list[str]] = {g.array: [] for g in pgroups}
-        member_slots: dict[str, list] = {g.array: [] for g in pgroups}
         streams: dict[str, FusedKernel | None] = {}
         rows: list[TaskRow] = []
+        # per row: the graph tasks it runs, and where its stream's
+        # collapsing starts (see quotient_schedule)
+        members: list[tuple[int, ...]] = []
+        floors: list[int] = []
         # rectangles of directly dispatched kernels, and how many of
         # them are small enough for ``run_rects`` to pick the loop form
         n_rects = n_loop_rects = 0
         for group in groups:
             label = chain_label(tuple(n.statement for n in group))
             last = group[-1]
-            col = columns[last.statement]
-            members = {n.statement for n in group}
             pgroup = group_of.get(label)
+            start = len(rows) if last.chained and pgroup is None else None
             # A fused stream's hot path is one closure call over the
             # precomputed rectangles; member blocks of a reduction go
             # through run_block against their proxy store instead.
@@ -206,15 +224,11 @@ def lower_exec_plan(
             if fprog is not None and pgroup is None:
                 kernel = fprog.get(label)
             streams[label] = kernel
-            for b, block in enumerate(last.blocks):
-                blocks = tuple(n.blocks[b] for n in group)
-                in_tok = _external_tokens(blocks, members)
-                out = packers[last.statement].pack(block.end)
-                payload = {"statement": label, "iters": blocks[0].iterations}
+            for b in range(len(last.blocks)):
+                iters = group[0].blocks[b].iterations
+                payload = {"statement": label, "iters": iters}
                 if kernel is not None:
-                    rects = payload["rects"] = rectangles(
-                        blocks[0].iterations
-                    )
+                    rects = payload["rects"] = rectangles(iters)
                     n_rects += len(rects)
                     n_loop_rects += sum(
                         takes_loop_form(lo, hi) for lo, hi in rects
@@ -225,19 +239,15 @@ def lower_exec_plan(
                     )
                     names[pgroup.array].append(private)
                     payload["remap"] = {pgroup.array: private}
-                    member_slots[pgroup.array].append((out, col))
-                rows.append(TaskRow(
-                    label, payload, out, col,
-                    tuple(packers[s].pack(end) for s, end in in_tok),
-                    tuple(columns[s] for s, _ in in_tok),
-                    chain=last.chained and pgroup is None,
-                ))
-        # one extra out column per reduction group for its join task
+                members.append(tuple(first[n.statement] + b for n in group))
+                floors.append(len(rows) if start is None else start)
+                rows.append(TaskRow(label, payload))
         for k, g in enumerate(pgroups):
             label = join_label(g.array)
-            slots = member_slots[g.array]
             streams[label] = None
-            payload = {
+            members.append((n_tasks + k,))
+            floors.append(len(rows))
+            rows.append(TaskRow(label, {
                 "statement": label,
                 "iters": np.empty((0, 1), dtype=np.int64),
                 "combine": {
@@ -245,19 +255,8 @@ def lower_exec_plan(
                     "group": g.group,
                     "privates": list(names[g.array]),
                 },
-            }
-            rows.append(TaskRow(
-                label, payload, 0, len(columns) + k,
-                tuple(d for d, _ in slots), tuple(ix for _, ix in slots),
-                chain=True,
-            ))
-        write_num = len(columns) + len(pgroups)
-        resolver = SlotResolver(write_num)
-        for row in rows:
-            resolver.add(
-                row.out_depend, row.out_idx, row.in_depend, row.in_idx,
-                row.stream if row.chain else None,
-            )
+            }))
+        schedule = quotient_schedule(graph, members, floors)
 
         # Backend task ids are assigned in creation order (groups ×
         # blocks), the *unfused* graph's ids in AST order (nests ×
@@ -267,23 +266,11 @@ def lower_exec_plan(
         chains = tuple(
             tuple(n.statement for n in g) for g in groups if len(g) > 1
         )
-        task_members: tuple[tuple[int, ...], ...] = ()
-        if chains:
-            first: dict[str, int] = {}
-            acc = 0
-            for nest in ast.nests:
-                first[nest.statement] = acc
-                acc += len(nest.blocks)
-            task_members = tuple(
-                tuple(first[n.statement] + b for n in group)
-                for group in groups
-                for b in range(len(group[-1].blocks))
-            )
         stats = dict(
             tasks=len(rows),
             fuse=interp.fuse,
             fused_chains=chains,
-            task_members=task_members,
+            task_members=tuple(members) if chains else (),
             **plan_coverage(ast, fprog),
         )
         if pgroups:
@@ -307,10 +294,9 @@ def lower_exec_plan(
         fused=fprog,
         privatization=privatization,
         ast=ast,
-        write_num=write_num,
         streams=streams,
         rows=tuple(rows),
-        schedule=resolver.schedule(),
+        schedule=schedule,
         privates=tuple(
             (g.array, g.identity, tuple(names[g.array])) for g in pgroups
         ),

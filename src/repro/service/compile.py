@@ -7,9 +7,10 @@ kernel source text and the options, it either
   rebuilds the :class:`~repro.driver.Analysis` against a freshly
   extracted SCoP, and — mandatorily — re-verifies every privatization
   proof through :func:`repro.schedule.legality.verify_privatization`
-  (via ``plan_from_proofs``); the fused program (closure specs and
-  chain-fusion verdicts) is adopted as stored — what it plans is
-  checked where every execution is, by the oracle compare; or
+  (via ``plan_from_proofs``) and, under ``static_checks``, re-runs the
+  task-graph checks a cold compile runs; the fused program (closure
+  specs and chain-fusion verdicts) is adopted as stored — what it plans
+  is checked where every execution is, by the oracle compare; or
 * **cold** — runs :func:`repro.driver.analyze` and persists its outputs
   as one checksummed artifact.
 
@@ -24,7 +25,13 @@ import dataclasses
 import time
 from typing import Mapping
 
-from ..driver import Analysis, TransformOptions, analyze, build_task_graph
+from ..driver import (
+    Analysis,
+    TransformOptions,
+    analyze,
+    build_task_graph,
+    run_static_checks,
+)
 from ..scop import DepKind
 from ..store import ArtifactStore, CompileArtifact, artifact_key, kernel_sha
 from ..store.disk import bump_session
@@ -184,11 +191,15 @@ def load_analysis(
         )
 
     graph, joins = build_task_graph(task_ast, options, plan)
+    diagnostics = None
+    if options.static_checks:
+        diagnostics = run_static_checks(scop, info, task_ast, graph, plan)
     return Analysis(
         info=info,
         schedule=schedule,
         task_ast=task_ast,
         graph=graph,
+        diagnostics=diagnostics,
         portfolio=portfolio_report,
         plan=plan,
         joins=joins,

@@ -1,8 +1,7 @@
 """Tasking layer: task graphs, OpenMP-style depend semantics, runtime, simulator."""
 
 from .api import OmpTaskSystem
-from .backends import FuturesBackend, ProcessBackend, SerialBackend
-from .dispatch import Schedule, SlotAddressing, SlotResolver
+from .dispatch import Schedule
 from .dot import to_dot, write_dot
 from .hybrid import hybrid_task_graph, intra_block_edges, relax_self_chains
 from .runtime import (
@@ -16,12 +15,7 @@ from .task import CyclicTaskGraphError, Task, TaskGraph
 
 __all__ = [
     "CyclicTaskGraphError",
-    "FuturesBackend",
-    "ProcessBackend",
     "Schedule",
-    "SerialBackend",
-    "SlotAddressing",
-    "SlotResolver",
     "OmpTaskSystem",
     "RunResult",
     "SimResult",

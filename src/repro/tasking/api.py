@@ -14,7 +14,12 @@ slots.  This module reimplements that layer on the task graph:
   the same function pointer, i.e. blocks of the same loop nest.
 
 Generated task programs (see :mod:`repro.codegen.emit`) call this API the
-same way the paper's generated C calls the OpenMP wrapper.
+same way the paper's generated C calls the OpenMP wrapper, and
+:class:`OmpTaskSystem` is the one implementation of it: ``run()``
+executes the resulting graph on :func:`repro.tasking.execute` (the
+work-stealing threads every in-process run shares).  Plan replays
+(:mod:`repro.interp.plan`) take their schedule from the analysis' own
+task graph and call no ``create_task``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .dispatch import SlotAddressing
 from .runtime import RunResult, execute
 from .task import TaskGraph
 
@@ -33,21 +37,27 @@ class _SlotState:
     readers_since: list[int] = field(default_factory=list)
 
 
-class OmpTaskSystem(SlotAddressing):
-    """A task-graph-backed implementation of the CreateTask layer.
-
-    Slot addressing (``dependArr[write_num * depend + idx]``) comes from
-    the shared :class:`~repro.tasking.dispatch.SlotAddressing` mixin, so
-    this reference system and the execution backends can never disagree
-    on Figure 8's packing.
-    """
+class OmpTaskSystem:
+    """A task-graph-backed implementation of the CreateTask layer."""
 
     def __init__(self, write_num: int):
-        self._init_slots(write_num)
+        if write_num < 1:
+            raise ValueError("write_num must be positive")
+        self.write_num = write_num
         self.graph = TaskGraph()
         self._slots: dict[int, _SlotState] = {}
         self._func_last: dict[object, int] = {}
         self._func_counts: dict[object, int] = {}
+
+    def slot(self, depend: int, idx: int) -> int:
+        """The ``dependArr`` address of a dependency token (Figure 8):
+        ``write_num * depend + idx``, ``depend`` the packed block end and
+        ``idx`` the statement column."""
+        if not 0 <= idx < self.write_num:
+            raise ValueError(
+                f"idx {idx} out of range for write_num {self.write_num}"
+            )
+        return self.write_num * depend + idx
 
     def create_task(
         self,
@@ -70,6 +80,9 @@ class OmpTaskSystem(SlotAddressing):
         """
         if len(in_depend) != len(in_idx):
             raise ValueError("in_depend and in_idx must have equal length")
+        # addresses first: a refused call creates no task
+        in_slots = [self.slot(d, ix) for d, ix in zip(in_depend, in_idx)]
+        out_slot = self.slot(out_depend, out_idx)
 
         name = statement or getattr(func, "__name__", "task")
         count = self._func_counts.get(func, 0)
@@ -82,8 +95,8 @@ class OmpTaskSystem(SlotAddressing):
         )
 
         # depend(in: dependArr[write_num*in_depend[k] + in_idx[k]])
-        for d, ix in zip(in_depend, in_idx):
-            state = self._slots.setdefault(self.slot(d, ix), _SlotState())
+        for slot in in_slots:
+            state = self._slots.setdefault(slot, _SlotState())
             if state.last_writer is not None:
                 self.graph.add_edge(state.last_writer, tid)
             state.readers_since.append(tid)
@@ -96,9 +109,7 @@ class OmpTaskSystem(SlotAddressing):
             self._func_last[func] = tid
 
         # depend(out: dependArr[write_num*out_depend + out_idx])
-        out_state = self._slots.setdefault(
-            self.slot(out_depend, out_idx), _SlotState()
-        )
+        out_state = self._slots.setdefault(out_slot, _SlotState())
         if out_state.last_writer is not None:
             self.graph.add_edge(out_state.last_writer, tid)
         for reader in out_state.readers_since:

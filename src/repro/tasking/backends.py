@@ -1,29 +1,15 @@
-"""Alternative tasking backends behind the CreateTask interface.
+"""The process pool: plan replays on worker processes over shared memory.
 
-The paper's Section 7 expects the tasking layer to be swappable "with
-minimal changes" because task detection is independent of OpenMP.  This
-module demonstrates that: three backends implement the same
-``create_task(...)`` signature as :class:`~repro.tasking.api.OmpTaskSystem`
-(the OpenMP-like reference), and the generated task programs of
-:mod:`repro.codegen.emit` run unchanged against any of them.
-
-* :class:`SerialBackend` — executes each task immediately at creation
-  (creation order is a topological order): the "tasking disabled"
-  escape hatch.
-* :class:`FuturesBackend` — records tasks and runs them on the
-  work-stealing threads of :func:`~repro.tasking.dispatch.run_threads`.
-* :class:`ProcessBackend` — records blocks and runs them in a
-  :class:`~concurrent.futures.ProcessPoolExecutor` against a
-  :class:`~repro.interp.store.SharedArrayStore` (:func:`run_processes`),
-  the closest Python analogue of the paper's OpenMP runtime actually
-  running on cores.  Nothing kernel-specific is pickled per task —
-  workers rebuild the interpreter once and receive :func:`wire_task`
-  tuples.
-
-Both recording backends resolve dependencies with the one
-:class:`~repro.tasking.dispatch.SlotResolver`, which the plans of
-:mod:`repro.interp.plan` feed once at lowering — a plan replay and
-``create_task`` + ``run()`` share the resolver and both schedulers.
+:func:`run_processes` runs a compiled
+:class:`~repro.tasking.dispatch.Schedule` in a
+:class:`~concurrent.futures.ProcessPoolExecutor` against a
+:class:`~repro.interp.store.SharedArrayStore` — the closest Python
+analogue of the paper's OpenMP runtime actually running on cores.
+Nothing kernel-specific is pickled per task: workers rebuild the
+interpreter once (adopting the parent's fusion plan) and receive
+:func:`wire_task` tuples, one per plan row, dispatched in ready batches
+(:func:`_ready_batches`).  Generated ``CreateTask`` programs run on
+:class:`~repro.tasking.api.OmpTaskSystem`, not here.
 """
 
 from __future__ import annotations
@@ -39,108 +25,10 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..obs import runtime as obs_runtime
-from .dispatch import (
-    Schedule,
-    SlotAddressing,
-    SlotResolver,
-    run_serial,
-    run_threads,
-)
-
-
-class SerialBackend(SlotAddressing):
-    """Immediate, in-order execution (creation order is topological)."""
-
-    def __init__(self, write_num: int):
-        self._init_slots(write_num)
-        self.executed: list[str] = []
-
-    def create_task(
-        self,
-        func: Callable[[object], None],
-        task_input: object,
-        out_depend: int,
-        out_idx: int,
-        in_depend: Sequence[int] = (),
-        in_idx: Sequence[int] = (),
-        cost: float = 1.0,
-        statement: str | None = None,
-        chain: bool = True,
-    ) -> int:
-        del cost, chain  # execution is already strictly in creation order
-        if len(in_depend) != len(in_idx):
-            raise ValueError("in_depend and in_idx must have equal length")
-        tid = len(self.executed)
-        name = statement or getattr(func, "__name__", "task")
-        run_serial((tid,), lambda _: func(task_input), lambda _: name)
-        self.executed.append(name)
-        return tid
-
-    def run(self, workers: int = 0) -> None:
-        """Everything already ran at creation; nothing to do."""
-
-    def __len__(self) -> int:
-        return len(self.executed)
-
-
-class _RecordingBackend(SlotResolver):
-    """``create_task`` records a task and resolves its slots; ``run()``
-    hands the compiled schedule to a scheduler."""
-
-    def __init__(self, write_num: int, workers: int = 4):
-        super().__init__(write_num)
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        self.workers = workers  # fixed here; ``run(workers=)`` is ignored
-        self._tasks: list[tuple] = []
-
-    def create_task(
-        self,
-        func: Callable[[object], None],
-        task_input: object,
-        out_depend: int,
-        out_idx: int,
-        in_depend: Sequence[int] = (),
-        in_idx: Sequence[int] = (),
-        cost: float = 1.0,
-        statement: str | None = None,
-        chain: bool = True,
-    ) -> int:
-        del cost  # only OmpTaskSystem puts costs on a graph (simulator)
-        task, chain_key = self._record(func, task_input, statement)
-        tid = self.add(
-            out_depend, out_idx, in_depend, in_idx,
-            chain_key if chain else None,
-        )
-        self._tasks.append(task)
-        return tid
-
-
-class FuturesBackend(_RecordingBackend):
-    """Thread backend: records ``(func, payload, name)`` calls, chained
-    on function identity, and runs them with
-    :func:`~repro.tasking.dispatch.run_threads` — a task failure leaves
-    every transitive dependent unexecuted and is re-raised after the
-    workers drained."""
-
-    def _record(self, func, task_input, statement):
-        name = statement or getattr(func, "__name__", "task")
-        return (func, task_input, name), func
-
-    def run(self, workers: int = 0) -> dict:
-        """Execute every recorded task; returns scheduling statistics."""
-        tasks = self._tasks
-
-        def call(tid: int) -> None:
-            func, payload, _ = tasks[tid]
-            func(payload)
-
-        return run_threads(
-            self.schedule(), call, self.workers, lambda tid: tasks[tid][2]
-        )
+from .dispatch import Schedule
 
 
 # ----------------------------------------------------------------------
@@ -206,13 +94,11 @@ def _process_worker_run_batch(items, collect: bool = False):
     }
 
 
-
-
 def wire_task(statement: str, payload: dict) -> tuple:
     """``(statement, iterations, remap, combine, rects)`` — what crosses
     the process boundary for one task, as plain lists/tuples of ints (the
-    arguments of :func:`repro.interp.plan.run_task`).  Built per recorded
-    task or plan row, not per run."""
+    arguments of :func:`repro.interp.plan.run_task`).  Built once per
+    plan row (``ExecPlan.wire``), not per run."""
     iters = payload["iters"]
     rows = iters.tolist() if hasattr(iters, "tolist") else iters
     return (
@@ -222,49 +108,6 @@ def wire_task(statement: str, payload: dict) -> tuple:
         payload.get("combine"),  # join-task payload; no block runs
         payload.get("rects"),  # precomputed rectangles of a fused block
     )
-
-
-class ProcessBackend(_RecordingBackend):
-    """Worker processes over a shared-memory array store.
-
-    Records one :func:`wire_task` tuple per block, chained on the
-    statement name; :meth:`run` hands them to :func:`run_processes`.
-    Task payloads are *not* pickled (generated modules pass unpicklable
-    closures): only the wire tuples cross the process boundary, and each
-    worker executes them with its own compiled statements against the
-    one shared segment.
-
-    ``interpreter`` supplies the program, funcs (which must be picklable,
-    i.e. module-level) and fuse mode; ``store`` is the caller's
-    in-process store — it is copied into shared memory before execution
-    and the results are copied back in place afterwards, so the backend
-    mutates ``store`` exactly like the in-process backends do.
-    """
-
-    def __init__(self, write_num: int, interpreter, store, workers: int = 4):
-        super().__init__(write_num, workers)
-        self.interpreter = interpreter
-        self.store = store
-
-    def _record(self, func, task_input, statement):
-        if statement is None:
-            raise ValueError(
-                "ProcessBackend requires statement= on every task "
-                "(blocks are re-executed by name in worker processes)"
-            )
-        if not (isinstance(task_input, dict) and "iters" in task_input):
-            raise ValueError(
-                "ProcessBackend requires the generated payload shape "
-                "{'iters': [...], ...}"
-            )
-        return wire_task(statement, task_input), statement
-
-    def run(self, workers: int = 0) -> dict:
-        """Execute every recorded block; returns scheduling statistics."""
-        return run_processes(
-            self.interpreter, self.store, self.schedule(), self._tasks,
-            self.workers,
-        )
 
 
 #: Never pack more than this many blocks into one submission — keeps
@@ -286,7 +129,7 @@ def run_processes(
         pickle.dumps(interp.funcs)
     except Exception as exc:
         raise RuntimeError(
-            "ProcessBackend needs picklable kernel functions "
+            "the processes backend needs picklable kernel functions "
             "(module-level, not lambdas/closures)"
         ) from exc
     start = "fork" if "fork" in mp.get_all_start_methods() else "spawn"

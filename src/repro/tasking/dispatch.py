@@ -1,16 +1,16 @@
 """Compiled schedules and the in-process schedulers that run them.
 
-Which task waits on which ``dependArr`` slot is decided when a task
-program is *built* (Algorithm 1, Figures 7/8), not when it runs.  A
-:class:`Schedule` is that decision compiled to what a scheduler needs —
-one join counter per task, successor lists, roots (Pipeflow's fixed
-array of join counters) — and :class:`SlotResolver` is the one place
-slots are resolved to producing tasks.  ``lower_exec_plan`` feeds it a
-plan's rows once, the recording backends one row per ``create_task``;
-:func:`repro.tasking.execute` derives a schedule from a task graph's own
-edges.  A run (:func:`run_serial`, :func:`run_threads`, the process pool
-of :mod:`repro.tasking.backends`) copies the counters and never writes
-to the schedule, so one schedule is shared between runs and threads.
+Which task waits on which is decided when a task program is *built*
+(Algorithm 1, Figures 7/8), not when it runs.  A :class:`Schedule` is
+that decision compiled to what a scheduler needs — one join counter per
+task, successor lists, roots (Pipeflow's fixed array of join counters).
+It is always derived from a :class:`~repro.tasking.task.TaskGraph`:
+``lower_exec_plan`` takes the quotient of the analysis' checked graph
+over the plan rows, :func:`repro.tasking.execute` (under
+``OmpTaskSystem.run``) a graph's own edges.  A run (:func:`run_serial`,
+:func:`run_threads`, the process pool of :mod:`repro.tasking.backends`)
+copies the counters and never writes to the schedule, so one schedule
+is shared between runs and threads.
 """
 
 from __future__ import annotations
@@ -53,85 +53,6 @@ class Schedule:
             for s in ss:
                 preds[s].add(tid)
         return preds
-
-
-class SlotAddressing:
-    """The shared ``dependArr`` slot packing of Figure 8.
-
-    Every backend addresses a dependency token as
-    ``write_num * depend + idx`` where ``depend`` is the packed block end
-    and ``idx`` the statement column — the exact layout
-    :mod:`repro.codegen.emit` bakes into generated programs.  Hoisted
-    here so the backends (and :class:`~repro.tasking.api.OmpTaskSystem`)
-    cannot drift apart; ``tests/tasking`` cross-checks the arithmetic
-    against :mod:`repro.codegen.packing`.
-    """
-
-    write_num: int
-
-    def _init_slots(self, write_num: int) -> None:
-        if write_num < 1:
-            raise ValueError("write_num must be positive")
-        self.write_num = write_num
-
-    def slot(self, depend: int, idx: int) -> int:
-        """The ``dependArr`` address of a dependency token (Figure 8)."""
-        if not 0 <= idx < self.write_num:
-            raise ValueError(
-                f"idx {idx} out of range for write_num {self.write_num}"
-            )
-        return self.write_num * depend + idx
-
-
-class SlotResolver(SlotAddressing):
-    """Resolves ``create_task`` rows, in creation order, to the tasks
-    each one waits on, duplicates collapsed: an *in* slot waits for the
-    slot's last writer, and tasks sharing a chain key run in creation
-    order (the ``funcCount`` trick of Figure 8)."""
-
-    def __init__(self, write_num: int):
-        self._init_slots(write_num)
-        self._slot_writer: dict[int, int] = {}
-        self._chain_last: dict[object, int] = {}
-        self._preds: list[set[int]] = []
-
-    def add(
-        self,
-        out_depend: int,
-        out_idx: int,
-        in_depend: Sequence[int] = (),
-        in_idx: Sequence[int] = (),
-        chain_key: object = None,
-    ) -> int:
-        """Record the next task; returns its id.  ``chain_key`` (``None``:
-        unchained) orders it after the previous task with an equal key."""
-        if len(in_depend) != len(in_idx):
-            raise ValueError("in_depend and in_idx must have equal length")
-        tid = len(self._preds)
-        preds = set()
-        for d, ix in zip(in_depend, in_idx):
-            writer = self._slot_writer.get(self.slot(d, ix))
-            if writer is not None:
-                preds.add(writer)
-        if chain_key is not None:
-            prev_same = self._chain_last.get(chain_key)
-            if prev_same is not None:
-                preds.add(prev_same)
-            self._chain_last[chain_key] = tid
-        self._slot_writer[self.slot(out_depend, out_idx)] = tid
-        self._preds.append(preds)
-        return tid
-
-    def __len__(self) -> int:
-        return len(self._preds)
-
-    def schedule(self) -> Schedule:
-        """The compiled schedule of the rows added so far.  Producers are
-        created before their consumers: creation order is a topological
-        order, which :func:`run_serial` relies on."""
-        if any(ps and max(ps) >= t for t, ps in enumerate(self._preds)):
-            raise RuntimeError("a task waits on one created after it")
-        return Schedule.from_preds(self._preds)
 
 
 def run_serial(

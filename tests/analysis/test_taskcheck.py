@@ -252,6 +252,46 @@ class TestRaces:
         assert races, "dropping depend edges must produce a race"
         assert "flow dependence" in races[0].message
 
+    def test_races_are_exactly_the_unordered_pairs(self, pipeline, monkeypatch):
+        """No schedule is simulated: a race is a pair the graph leaves
+        unordered, so on the dropped-edges mutant the RPA043 findings
+        are ``check_legality``'s violations, one for one."""
+        from repro.schedule import check_legality
+        from repro.tasking import simulator
+
+        scop, info, ast, graph = pipeline
+        runs = []
+        real = simulator.simulate
+        monkeypatch.setattr(
+            simulator, "simulate",
+            lambda *a, **k: (runs.append(1), real(*a, **k))[1],
+        )
+        assert check_task_graph(scop, info, ast=ast, graph=graph).ok
+        broken = TaskGraph()
+        for task in graph.tasks:
+            broken.add_task(
+                task.statement, task.block_id, task.cost, task.block
+            )
+        for a, b in zip(range(len(graph)), range(1, len(graph))):
+            if graph.tasks[a].statement == graph.tasks[b].statement:
+                broken.add_edge(a, b)
+        report = check_task_graph(
+            scop, info, ast=ast, graph=broken, max_reports=10**6
+        )
+        assert runs == []
+        violations = check_legality(
+            scop, info, broken, max_violations=10**6
+        ).violations
+        races = sorted(d.message for d in report if d.code == "RPA043")
+        assert len(races) == len(violations) > 0
+        assert races == sorted(
+            f"{v.kind.value} dependence {v.source}"
+            f"{list(v.source_instance)} -> {v.target}"
+            f"{list(v.target_instance)} is not ordered by the task graph: "
+            "its target's task may run before its source's task finishes"
+            for v in violations
+        )
+
 
 class TestCombined:
     def test_check_task_graph_clean_on_listing1(self, pipeline):

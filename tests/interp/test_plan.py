@@ -9,6 +9,8 @@ threads at once — is bit-identical to the sequential oracle.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
 from pathlib import Path
 
@@ -263,68 +265,33 @@ def test_interpreter_is_freed_without_the_cycle_collector():
 
 
 # ----------------------------------------------------------------------
-# the compiled schedule: resolved once at lowering, equal to what the
-# public create_task of every backend resolves for the same rows
+# the compiled schedule: the quotient of the analysis' task graph over
+# the plan rows, pinned by goldens written while plans still resolved
+# dependArr slots (the 52-plan battery below)
 # ----------------------------------------------------------------------
-def assert_schedule_matches_create_task(interp, plan):
-    from repro.tasking import FuturesBackend, OmpTaskSystem, ProcessBackend
-
-    sched = plan.schedule
-    preds = sched.preds()
-    assert len(sched) == len(plan.rows) > 0
-    assert sched.counts == tuple(len(p) for p in preds)
-    assert sched.roots == tuple(t for t, p in enumerate(preds) if not p)
-    assert all(p < t for t, ps in enumerate(preds) for p in ps)
-
-    # one function object per stream, as a generated program has
-    funcs = {label: (lambda payload: None) for label in plan.streams}
-    backends = (
-        FuturesBackend(plan.write_num, workers=2),
-        ProcessBackend(plan.write_num, interp, interp.new_store(), workers=2),
-        OmpTaskSystem(plan.write_num),
-    )
-    for system in backends:
-        for row in plan.rows:
-            system.create_task(
-                funcs[row.stream], row.payload, row.out_depend, row.out_idx,
-                row.in_depend, row.in_idx, 1.0, row.stream, row.chain,
-            )
-    threads, processes, omp = backends
-    assert threads.schedule() == processes.schedule() == sched
-    assert threads.schedule().preds() == preds
-    # full OpenMP depend semantics add WAR/WAW edges, never drop one
-    assert all(ps <= omp.graph.preds[t] for t, ps in enumerate(preds))
+SCHEDULE_GOLDEN = Path(__file__).parent / "golden" / "schedules.json"
+FUSE_MODES = ("auto", "off")
 
 
-@pytest.mark.parametrize("n", [6, 9])
-@pytest.mark.parametrize("name", PKERNELS)
-def test_schedule_equals_create_task_on_pkernels(name, n):
-    interp, info = compile_for_exec(TABLE9[name].source(n), "auto", coarsen=2)
-    assert_schedule_matches_create_task(interp, interp.exec_plan(info))
+def pkernel_plan(name, n, fuse):
+    interp, info = compile_for_exec(TABLE9[name].source(n), fuse, coarsen=2)
+    return interp.exec_plan(info)
 
 
-@pytest.mark.parametrize("name", ["listing1", "listing3", "reversed"])
-def test_schedule_equals_create_task_on_examples(name):
+def example_plan(name, fuse):
     source = (EXAMPLES / f"{name}.c").read_text()
-    for fuse in ("auto", "off"):
-        interp, info = compile_for_exec(source, fuse, {"N": 12}, coarsen=4)
-        assert_schedule_matches_create_task(interp, interp.exec_plan(info))
+    interp, info = compile_for_exec(source, fuse, {"N": 12}, coarsen=4)
+    return interp.exec_plan(info)
 
 
-@pytest.mark.parametrize("name", ["histogram", "sumstencil"])
-def test_schedule_equals_create_task_on_privatized_plans(name):
+def privatized_plan(name):
     interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 8, parts=3)
-    lowered = interp.exec_plan(pinfo, None, plan)
-    assert any(not row.chain for row in lowered.rows)
-    assert_schedule_matches_create_task(interp, lowered)
+    return interp.exec_plan(pinfo, None, plan)
 
 
-@pytest.mark.parametrize("name", ["2mm", "3gmm", "P1", "P7"])
-def test_schedule_equals_create_task_on_relaxed_plans(name):
-    """Self-tokens go through the same packers and resolver as every
-    other token, and an unchained nest's rows are ``chain=False``."""
+def relaxed_plan(name):
     from repro.schedule import generate_task_ast
-    from repro.tasking import TaskGraph, relax_self_chains
+    from repro.tasking import relax_self_chains
     from repro.workloads import figure11_kernels
 
     kernels = {k.name: k for k in figure11_kernels()} | TABLE9
@@ -332,14 +299,174 @@ def test_schedule_equals_create_task_on_relaxed_plans(name):
         kernels[name].source(6), "auto", coarsen=1
     )
     relaxed = relax_self_chains(interp.scop, info, generate_task_ast(info))
-    lowered = interp.exec_plan(info, relaxed)
-    unchained = {n.statement for n in relaxed.nests if not n.chained}
-    assert {r.stream for r in lowered.rows if not r.chain} == unchained
-    assert_schedule_matches_create_task(interp, lowered)
+    return interp.exec_plan(info, relaxed)
+
+
+#: golden key -> (plan factory, its arguments): P1–P10 × N ∈ {6, 9},
+#: the example kernels, each under both fuse modes; two privatized and
+#: four relaxed (hybrid) plans
+SCHEDULE_BATTERY = {
+    **{
+        f"{name}-N{n}-{fuse}": (pkernel_plan, (name, n, fuse))
+        for name in PKERNELS for n in (6, 9) for fuse in FUSE_MODES
+    },
+    **{
+        f"{name}-{fuse}": (example_plan, (name, fuse))
+        for name in ("listing1", "listing3", "reversed")
+        for fuse in FUSE_MODES
+    },
+    **{
+        f"privatized-{name}": (privatized_plan, (name,))
+        for name in ("histogram", "sumstencil")
+    },
+    **{
+        f"relaxed-{name}": (relaxed_plan, (name,))
+        for name in ("2mm", "3gmm", "P1", "P7")
+    },
+}
+
+
+def schedule_digest(sched) -> dict:
+    blob = json.dumps([sched.counts, sched.succs, sched.roots]).encode()
+    return {"rows": len(sched), "sha256": hashlib.sha256(blob).hexdigest()}
+
+
+def graph_quotient(plan):
+    """Per row, the rows it waits on — from the analysis' own graph of
+    the plan's AST, by definition: the rows holding its members'
+    predecessors, where a chained stream's earlier rows are its
+    previous row."""
+    from repro.schedule import build_privatized_graph
+    from repro.tasking import TaskGraph
+
+    if plan.privatization is not None:
+        graph, _ = build_privatized_graph(plan.ast, plan.privatization)
+    else:
+        graph = TaskGraph.from_task_ast(plan.ast)
+    members = plan.stats["task_members"] or tuple(
+        (t,) for t in range(len(graph))
+    )
+    assert sorted(t for ts in members for t in ts) == list(range(len(graph)))
+    row_of = {t: row for row, ts in enumerate(members) for t in ts}
+    unchained = getattr(plan.privatization, "statements", set())
+    chained = {
+        n.statement for n in plan.ast.nests
+        if n.chained and n.statement not in unchained
+    }
+    preds = []
+    for row, ts in enumerate(members):
+        stream = plan.rows[row].stream
+        own_chain = all(s in chained for s in stream.split("+"))
+        ps = {row_of[p] for t in ts for p in graph.preds[t]} - {row}
+        if own_chain:
+            ps = {
+                row - 1 if plan.rows[r].stream == stream else r for r in ps
+            }
+        preds.append(ps)
+    return preds
+
+
+def assert_schedule_is_the_graph_quotient(plan, key=None):
+    sched = plan.schedule
+    preds = sched.preds()
+    assert len(sched) == len(plan.rows) > 0
+    assert sched.counts == tuple(len(p) for p in preds)
+    assert sched.roots == tuple(t for t, p in enumerate(preds) if not p)
+    assert all(p < t for t, ps in enumerate(preds) for p in ps)
+    assert preds == graph_quotient(plan)
+    if key is not None:
+        golden = json.loads(SCHEDULE_GOLDEN.read_text(encoding="utf-8"))
+        assert schedule_digest(sched) == golden[key], key
+
+
+def test_schedules_match_the_golden(pytestconfig):
+    assert len(SCHEDULE_BATTERY) == 52
+    doc = {
+        key: schedule_digest(factory(*args).schedule)
+        for key, (factory, args) in SCHEDULE_BATTERY.items()
+    }
+    if pytestconfig.getoption("--update-goldens"):
+        SCHEDULE_GOLDEN.write_text(
+            json.dumps(doc, indent=1, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        pytest.skip(f"updated {SCHEDULE_GOLDEN.name}")
+    assert doc == json.loads(SCHEDULE_GOLDEN.read_text(encoding="utf-8")), (
+        "plan schedules differ from schedules.json; if the change is "
+        "intended, rerun with --update-goldens"
+    )
+
+
+@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize("name", PKERNELS)
+def test_schedule_equals_create_task_on_pkernels(name, n):
+    for fuse in FUSE_MODES:
+        key = f"{name}-N{n}-{fuse}"
+        assert_schedule_is_the_graph_quotient(pkernel_plan(name, n, fuse), key)
+
+
+@pytest.mark.parametrize("name", ["listing1", "listing3", "reversed"])
+def test_schedule_equals_create_task_on_examples(name):
+    for fuse in FUSE_MODES:
+        plan = example_plan(name, fuse)
+        assert_schedule_is_the_graph_quotient(plan, f"{name}-{fuse}")
+
+
+@pytest.mark.parametrize("name", ["histogram", "sumstencil"])
+def test_schedule_equals_create_task_on_privatized_plans(name):
+    lowered = privatized_plan(name)
+    joins = [r for r in lowered.rows if "combine" in r.payload]
+    members = [r for r in lowered.rows if "remap" in r.payload]
+    assert joins and members
+    # the join waits on every member row, the members on no other member
+    join = lowered.rows.index(joins[0])
+    member_rows = {t for t, r in enumerate(lowered.rows) if "remap" in r.payload}
+    assert member_rows <= lowered.schedule.preds()[join]
+    assert_schedule_is_the_graph_quotient(lowered, f"privatized-{name}")
+
+
+@pytest.mark.parametrize("name", ["2mm", "3gmm", "P1", "P7"])
+def test_schedule_equals_create_task_on_relaxed_plans(name):
+    """Self-tokens are graph edges like every other token, and an
+    unchained nest's rows are ordered by nothing else."""
+    from repro.tasking import TaskGraph
+
+    lowered = relaxed_plan(name)
+    assert_schedule_is_the_graph_quotient(lowered, f"relaxed-{name}")
     if not lowered.stats["fused_chains"]:
         assert (
-            lowered.schedule.preds() == TaskGraph.from_task_ast(relaxed).preds
+            lowered.schedule.preds()
+            == TaskGraph.from_task_ast(lowered.ast).preds
         )
+
+
+def test_a_merged_stream_waits_on_its_previous_row_only():
+    """U reads S four blocks back: the graph edge from that S block
+    collapses into the merged ``S+T+U`` stream's own chain, so every row
+    waits on the row before it and on nothing else."""
+    source = (
+        "for(i=0; i<12; i++) S: A[i] = f(A[i]);\n"
+        "for(i=0; i<12; i++) T: B[i] = g(A[i], B[i]);\n"
+        "for(i=0; i<12; i++) U: C[i] = h(A[i-4], B[i], C[i]);"
+    )
+    interp, info = compile_for_exec(source, "auto", coarsen=1)
+    plan = interp.exec_plan(info)
+    assert plan.stats["fused_chains"] == (("S", "T", "U"),)
+    s_ends = [blk.end for blk in plan.ast.nest("S").blocks]
+    assert any(  # tokens on S blocks before the previous row
+        s_ends.index(end) < blk.block_id - 1
+        for blk in plan.ast.nest("U").blocks
+        for src, end in blk.in_tokens
+        if src == "S"
+    )
+    assert plan.schedule.preds() == [set()] + [
+        {t - 1} for t in range(1, len(plan.rows))
+    ]
+    assert_schedule_is_the_graph_quotient(plan)
+    seq = interp.run_sequential(interp.new_store())
+    for backend in BACKENDS:
+        out, _ = execute_measured(interp, info, backend=backend, workers=2)
+        assert seq.equal(out), backend
 
 
 def test_schedule_equals_create_task_on_a_fuzz_batch():
@@ -347,31 +474,26 @@ def test_schedule_equals_create_task_on_a_fuzz_batch():
 
     for sample in generate_samples(seed=1807, count=8, n_min=6, n_max=9):
         interp, info = compile_for_exec(sample.source, "auto", coarsen=3)
-        assert_schedule_matches_create_task(interp, interp.exec_plan(info))
+        assert_schedule_is_the_graph_quotient(interp.exec_plan(info))
 
 
 def test_replays_resolve_no_slot_and_create_no_task(monkeypatch):
     from repro import tasking
 
     interp, info = compile_for_exec(TWO_NEST_COPY, "auto", {"N": 8}, 4)
-    resolved = Counter(monkeypatch, tasking.SlotResolver, "add")
-    created = [
-        Counter(monkeypatch, cls, "create_task")
-        for cls in (
-            tasking.SerialBackend, tasking.FuturesBackend,
-            tasking.ProcessBackend, tasking.OmpTaskSystem,
-        )
-    ]
+    graphs = Counter(monkeypatch, tasking.TaskGraph, "from_task_ast")
+    created = Counter(monkeypatch, tasking.OmpTaskSystem, "create_task")
+    slots = Counter(monkeypatch, tasking.OmpTaskSystem, "slot")
     plan = interp.exec_plan(info)
-    assert resolved.calls == len(plan.rows) > 0  # once, at lowering
+    assert graphs.calls == 1 and len(plan.rows) > 0  # once, at lowering
     seq = interp.run_sequential(interp.new_store())
     for backend in 10 * ("threads", "processes") + ("serial",):
         out, stats = execute_measured(interp, info, backend=backend, workers=2)
         assert seq.equal(out)
         if backend != "serial":
             assert stats.scheduler["tasks"] == len(plan.rows)
-    assert resolved.calls == len(plan.rows)
-    assert [c.calls for c in created] == [0, 0, 0, 0]
+    assert graphs.calls == 1
+    assert created.calls == slots.calls == 0
 
 
 def test_width_one_plan_runs_on_the_calling_thread(monkeypatch):

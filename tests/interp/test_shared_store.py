@@ -97,7 +97,7 @@ class TestAttach:
             shared.unlink()
 
     def test_copy_back_round_trip(self, local_store):
-        """The ProcessBackend result path: mutate shared, copy back."""
+        """The process pool result path: mutate shared, copy back."""
         shared = SharedArrayStore.from_store(local_store)
         try:
             shared["B"].data[:] = np.pi

@@ -457,6 +457,36 @@ def test_privatized_cold_then_warm(tmp_path):
     assert len(warm.joins) == len(cold.joins)
 
 
+@pytest.mark.parametrize("option", ["privatize", "static_checks", "portfolio"])
+def test_warm_transform_carries_what_a_cold_one_does(tmp_path, option):
+    """``portfolio`` is filled only when asked for — cold and warm — and
+    a warm load re-runs the static checks a cold compile ran.  (The
+    legality report is the one line a warm report lacks: the store
+    records its verdict, a warm load does not re-derive it.)"""
+    from repro.driver import transform
+    from tests.test_driver import HISTOGRAM
+
+    def report(result):
+        return [
+            line for line in result.report().splitlines()
+            if not line.startswith("LegalityReport")
+        ]
+
+    # the histogram needs its proofs (flow-only detection refuses it)
+    opts = TransformOptions(**{"privatize": True, option: True})
+    cold = transform(HISTOGRAM, {"N": 8}, opts, cache_dir=str(tmp_path))
+    warm = transform(HISTOGRAM, {"N": 8}, opts, cache_dir=str(tmp_path))
+    assert (cold.cache_status, warm.cache_status) == ("cold", "warm")
+    assert report(warm) == report(cold)
+    for field in ("portfolio", "diagnostics", "privatization"):
+        got = getattr(cold, field) is not None
+        assert (getattr(warm, field) is not None) == got, field
+    assert (cold.portfolio is not None) == (option == "portfolio")
+    assert (cold.diagnostics is not None) == (option == "static_checks")
+    if option == "static_checks":
+        assert len(warm.diagnostics) == len(cold.diagnostics)
+
+
 def test_tampered_proof_is_refused_and_recompiled(tmp_path):
     store = ArtifactStore(str(tmp_path))
     opts = _options(privatize=True)

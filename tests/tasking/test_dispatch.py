@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from repro.tasking import FuturesBackend, Schedule, SlotResolver
+from repro.interp.plan import quotient_schedule
+from repro.tasking import OmpTaskSystem, Schedule, TaskGraph
 from repro.tasking.dispatch import run_serial, run_threads
 
 
@@ -32,26 +33,43 @@ class TestSchedule:
         assert len(sched) == 5
 
     def test_resolver_last_writer_chain_key_and_duplicates(self):
-        r = SlotResolver(write_num=2)
-        a = r.add(0, 0, chain_key="S")
-        b = r.add(1, 0, chain_key="S")  # chained behind a
-        c = r.add(0, 1, [0, 0, 1], [0, 0, 0], chain_key="T")  # a twice, b
-        d = r.add(0, 0)  # rewrites a's slot, unchained
-        e = r.add(1, 1, [0], [0], chain_key="T")  # sees the *last* writer
-        assert (a, b, c, d, e) == (0, 1, 2, 3, 4)
-        sched = r.schedule()
-        assert sched.preds() == [set(), {a}, {a, b}, set(), {c, d}]
-        assert sched.counts == (0, 1, 2, 0, 2)
+        """A plan's schedule is its graph's quotient over the rows: a
+        merged chained stream ``S+T`` (rows 0-2) waits on its previous
+        row only, whatever earlier block a token names, and a row's
+        duplicate predecessors collapse."""
+        graph = TaskGraph()
+        for name, k in [("S", 0), ("S", 1), ("S", 2),
+                        ("T", 0), ("T", 1), ("T", 2), ("U", 0)]:
+            graph.add_task(name, k)
+        for a, b in [(0, 1), (1, 2), (3, 4), (4, 5),  # the two chains
+                     (0, 3), (2, 5),  # in-row tokens
+                     (0, 5),  # a token on an earlier S block
+                     (4, 6), (1, 6)]:  # U reads row 1 twice
+            graph.add_edge(a, b)
+        members = [(0, 3), (1, 4), (2, 5), (6,)]
+        sched = quotient_schedule(graph, members, floors=[0, 0, 0, 3])
+        assert sched.preds() == [set(), {0}, {1}, {1}]
+        assert sched.counts == (0, 1, 1, 1)
+        # unchained (floor = own row): the token keeps its own row
+        loose = quotient_schedule(graph, members, floors=[0, 1, 2, 3])
+        assert loose.preds() == [set(), {0}, {0, 1}, {1}]
 
     def test_resolver_argument_checks(self):
-        r = SlotResolver(2)
+        system = OmpTaskSystem(2)
         with pytest.raises(ValueError, match="equal length"):
-            r.add(0, 0, [1], [])
+            system.create_task(lambda p: None, None, 0, 0, [1], [])
         with pytest.raises(ValueError, match="out of range"):
-            r.add(0, 2)
+            system.create_task(lambda p: None, None, 0, 2)
         with pytest.raises(ValueError, match="out of range"):
-            r.add(0, 0, [1], [5])
-        assert len(r) == 0  # a refused row is not recorded
+            system.create_task(lambda p: None, None, 0, 0, [1], [5])
+        assert len(system) == 0  # a refused call creates no task
+        # a row waiting on a later row is no schedule
+        graph = TaskGraph()
+        graph.add_task("S", 0)
+        graph.add_task("T", 0)
+        graph.add_edge(1, 0)
+        with pytest.raises(RuntimeError, match="created after it"):
+            quotient_schedule(graph, [(0,), (1,)], floors=[0, 1])
 
 
 class TestCallerIsWorkerZero:
@@ -226,20 +244,28 @@ class TestFailures:
 
 
 class TestCreateTaskSharesTheScheduler:
-    def test_futures_backend_reports_the_scheduler_stats(self):
-        backend = FuturesBackend(write_num=1, workers=3)
+    def test_futures_backend_reports_the_scheduler_stats(self, monkeypatch):
+        """``OmpTaskSystem.run`` is the same scheduler: one function's
+        tasks form one chain, width 1, so no helper thread starts."""
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start",
+            lambda self: (started.append(self.name), real_start(self))[1],
+        )
+        system = OmpTaskSystem(write_num=1)
         log = []
         for k in range(4):
-            backend.create_task(log.append, k, out_depend=k, out_idx=0)
-        stats = backend.run()
+            system.create_task(log.append, k, out_depend=k, out_idx=0)
+        result = system.run(workers=3)
         assert log == [0, 1, 2, 3]  # same func: one chain, width 1
-        assert stats["helpers"] == 0 and stats["tasks"] == 4
-        assert backend.schedule().preds()[3] == {2}
+        assert result.completion_order == (0, 1, 2, 3) and started == []
+        assert system.graph.preds[3] == {2}
 
     def test_unchained_tasks_of_one_function_are_independent(self):
-        backend = FuturesBackend(write_num=1, workers=2)
+        system = OmpTaskSystem(write_num=1)
         for k in range(3):
-            backend.create_task(
+            system.create_task(
                 lambda p: None, k, out_depend=k, out_idx=0, chain=False
             )
-        assert backend.schedule().roots == (0, 1, 2)
+        assert Schedule.from_preds(system.graph.preds).roots == (0, 1, 2)

@@ -1,39 +1,28 @@
-"""Tests for the process backend and the FuturesBackend hardening.
+"""Tests for the process pool and the hardening of thread runs.
 
-The generated task programs must run unchanged on worker *processes*
-over the shared-memory store, bit-identical to the sequential oracle;
-the thread backend must deduplicate dependency slots and release its
-pool even when a task fails.
+Plan replays must run on worker *processes* over the shared-memory
+store, bit-identical to the sequential oracle, and refuse what cannot
+cross the process boundary; ``OmpTaskSystem.run`` must deduplicate
+dependency slots and release its threads even when a task fails.
 """
 
 import pytest
 
-from repro.codegen import emit_task_program, load_task_program
-from repro.interp import Interpreter
+from repro.interp import Interpreter, execute_measured
 from repro.pipeline import detect_pipeline
-from repro.tasking import FuturesBackend, ProcessBackend
+from repro.tasking import OmpTaskSystem
 from repro.workloads import TABLE9
 from tests.conftest import LISTING1
 
 
 def run_process_backend(source, params, workers=2, coarsen=1):
-    """Drive ProcessBackend through the *emitted* task program source."""
+    """One ``processes`` replay of the lowered plan of ``source``."""
     interp = Interpreter.from_source(source, params)
     info = detect_pipeline(interp.scop, coarsen=coarsen)
-    store = interp.new_store()
-    module = load_task_program(emit_task_program(info))
-    backend = ProcessBackend(
-        write_num=module.WRITE_NUM, interpreter=interp,
-        store=store, workers=workers,
+    store, stats = execute_measured(
+        interp, info, backend="processes", workers=workers
     )
-    # The callback never runs locally — ProcessBackend re-executes blocks
-    # by statement name inside the workers; exploding here proves it.
-    def run_block(statement, iters):
-        raise AssertionError("ProcessBackend must not run blocks in-process")
-
-    module.build_tasks(backend, run_block)
-    result = backend.run()
-    return interp, store, result
+    return interp, store, stats.scheduler
 
 
 class TestProcessBackendAgrees:
@@ -57,39 +46,20 @@ class TestProcessBackendAgrees:
 
 
 class TestProcessBackendChecks:
-    @pytest.fixture
-    def backend(self):
-        interp = Interpreter.from_source(TABLE9["P1"].source(8), {})
-        return ProcessBackend(
-            write_num=1, interpreter=interp,
-            store=interp.new_store(), workers=1,
-        )
-
-    def test_requires_statement(self, backend):
-        with pytest.raises(ValueError, match="statement"):
-            backend.create_task(
-                lambda p: None, {"iters": [(0,)]}, out_depend=0, out_idx=0
-            )
-
-    def test_requires_payload_shape(self, backend):
-        with pytest.raises(ValueError, match="payload shape"):
-            backend.create_task(
-                lambda p: None, "not-a-dict", 0, 0, statement="S1"
-            )
-
-    def test_mismatched_deps_rejected(self, backend):
+    def test_mismatched_deps_rejected(self):
+        system = OmpTaskSystem(write_num=1)
         with pytest.raises(ValueError, match="equal length"):
-            backend.create_task(
+            system.create_task(
                 lambda p: None, {"iters": [(0,)]}, 0, 0,
                 in_depend=[0], in_idx=[], statement="S1",
             )
+        assert len(system) == 0
 
     def test_bad_construction(self):
         interp = Interpreter.from_source(TABLE9["P1"].source(8), {})
-        with pytest.raises(ValueError):
-            ProcessBackend(0, interp, interp.new_store())
-        with pytest.raises(ValueError):
-            ProcessBackend(1, interp, interp.new_store(), workers=0)
+        info = detect_pipeline(interp.scop)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            execute_measured(interp, info, backend="processes", workers=0)
 
     def test_unpicklable_funcs_rejected_with_clear_error(self):
         interp = Interpreter.from_source(
@@ -97,30 +67,30 @@ class TestProcessBackendChecks:
             {},
             funcs={"myfn": lambda x: x + 1},
         )
-        store = interp.new_store()
-        backend = ProcessBackend(1, interp, store, workers=1)
-        backend.create_task(
-            lambda p: None, {"iters": [(0,)]}, 0, 0, statement="S"
-        )
+        info = detect_pipeline(interp.scop)
         with pytest.raises(RuntimeError, match="picklable"):
-            backend.run()
+            execute_measured(interp, info, backend="processes", workers=1)
 
-    def test_same_statement_blocks_chain(self, backend):
-        t0 = backend.create_task(
-            lambda p: None, {"iters": [(0,)]}, 0, 0, statement="S1"
+    def test_same_statement_blocks_chain(self):
+        """Blocks of one chained statement run in order: each row of its
+        stream waits on the previous one (what the workers are sent)."""
+        interp = Interpreter.from_source(
+            TABLE9["P1"].source(8), {}, fuse="off"
         )
-        t1 = backend.create_task(
-            lambda p: None, {"iters": [(1,)]}, 1, 0, statement="S1"
-        )
-        assert t0 in backend.schedule().preds()[t1]
+        plan = interp.exec_plan(detect_pipeline(interp.scop))
+        preds = plan.schedule.preds()
+        rows = [t for t, r in enumerate(plan.rows) if r.stream == "S1"]
+        assert len(rows) > 1
+        for t0, t1 in zip(rows, rows[1:]):
+            assert t0 in preds[t1]
 
 
 class TestFuturesBackendHardening:
     def test_duplicate_deps_deduplicated(self):
-        backend = FuturesBackend(write_num=1, workers=2)
+        system = OmpTaskSystem(write_num=1)
         log = []
-        backend.create_task(lambda p: log.append(p), "up", 0, 0)
-        backend.create_task(
+        system.create_task(lambda p: log.append(p), "up", 0, 0)
+        system.create_task(
             lambda p: log.append(p),
             "down",
             out_depend=1,
@@ -128,31 +98,32 @@ class TestFuturesBackendHardening:
             in_depend=[0, 0, 0],
             in_idx=[0, 0, 0],
         )
-        backend.run()
+        assert system.graph.preds[1] == {0}
+        system.run(workers=2)
         assert log == ["up", "down"]
 
     def test_no_threads_leak_after_success(self):
         import threading
 
-        backend = FuturesBackend(write_num=1, workers=2)
-        backend.create_task(lambda p: None, None, 0, 0)
+        system = OmpTaskSystem(write_num=1)
+        system.create_task(lambda p: None, None, 0, 0)
         before = threading.active_count()
-        stats = backend.run()
+        result = system.run(workers=2)
         assert threading.active_count() <= before
-        assert stats["tasks"] == 1 and stats["policy"] == "work-stealing"
+        assert result.ok and result.completion_order == (0,)
 
     def test_no_threads_leak_after_failure(self):
         import threading
 
-        backend = FuturesBackend(write_num=1, workers=2)
+        system = OmpTaskSystem(write_num=1)
 
         def boom(p):
             raise RuntimeError("task failed")
 
-        backend.create_task(boom, None, 0, 0)
+        system.create_task(boom, None, 0, 0)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="task failed"):
-            backend.run()
+            system.run(workers=2)
         # Work-stealing workers are joined before run() returns, on the
         # failure path too — nothing may outlive the call.
         assert threading.active_count() <= before
