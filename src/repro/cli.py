@@ -19,8 +19,7 @@ Commands
     whether the replayed arrays match, plus the simulated speed-up;
     ``--fuse`` controls the block kernels (fused closures: one NumPy
     call per task, with chain fusion of proven-legal statement
-    sequences; ``off`` runs compiled loops; ``--vectorize`` is its
-    deprecated spelling);
+    sequences; ``off`` runs compiled loops);
     ``--tune`` auto-picks task granularity from a calibrated cost model
     (or a measured search); ``--reduce-deps`` transitively reduces the
     depend-in slot lists; ``--privatize`` executes the pattern
@@ -102,17 +101,10 @@ def _load(path: str, params: dict[str, int]):
 
 def _cache_dir_of(args) -> str | None:
     """Resolve the artifact-store root: --cache-dir, then
-    $REPRO_CACHE_DIR; --no-cache wins over both, and so do --tune and
-    --reduce-deps — their summaries (and the trace's ``overhead``
-    section) are not in an artifact, so they are answered by a direct
-    compile.  None = caching off."""
+    $REPRO_CACHE_DIR; --no-cache wins over both.  None = caching off."""
     import os
 
-    if (
-        getattr(args, "no_cache", False)
-        or getattr(args, "tune", None)
-        or getattr(args, "reduce_deps", False)
-    ):
+    if getattr(args, "no_cache", False):
         return None
     explicit = getattr(args, "cache_dir", None)
     return explicit or os.environ.get("REPRO_CACHE_DIR") or None
@@ -120,8 +112,8 @@ def _cache_dir_of(args) -> str | None:
 
 #: Flags that set the ``TransformOptions`` field of the same name.
 _OPTION_FLAGS = (
-    "coarsen", "workers", "hybrid", "reduce_deps", "tune", "privatize",
-    "privatize_parts",
+    "coarsen", "workers", "hybrid", "fuse", "reduce_deps", "tune",
+    "privatize", "privatize_parts",
 )
 
 
@@ -144,7 +136,6 @@ def _transform(args, source: str, **run_with):
     from .pipeline import flow_then_all_kinds
 
     options = TransformOptions(
-        fuse=getattr(args, "fuse", None) or "auto",
         **{f: getattr(args, f) for f in _OPTION_FLAGS if hasattr(args, f)},
         **run_with,
     )
@@ -614,19 +605,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-class _VectorizeAlias(argparse.Action):
-    """``--vectorize X``: deprecated spelling of ``--fuse X`` (an
-    explicit ``--fuse`` wins)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            "note: --vectorize is deprecated and now means --fuse",
-            file=sys.stderr,
-        )
-        if namespace.fuse is None:
-            namespace.fuse = values
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -648,18 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--fuse",
             choices=("auto", "on", "off"),
-            default=None,
+            default="auto",
             help="block kernels: compile statements (and proven "
             "fusion-legal chains) to single NumPy closures executed as "
             "one call per task; auto (default) falls back per statement "
             "to compiled loops, on fails on fallback, off runs compiled "
             "loops only",
-        )
-        p.add_argument(
-            "--vectorize",
-            choices=("auto", "on", "off"),
-            action=_VectorizeAlias,
-            help=argparse.SUPPRESS,
         )
 
     def cache_args(p: argparse.ArgumentParser) -> None:

@@ -17,11 +17,8 @@ interpreter), and simulates performance — returning everything in one
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
-
-if TYPE_CHECKING:  # analysis imports lazily to keep startup light
-    from .analysis.diagnostics import DiagnosticReport
+from dataclasses import dataclass
+from typing import Mapping
 
 from .interp import ArrayStore, ExecutionStats, Interpreter, execute_measured
 from .lang.ast import Program
@@ -62,18 +59,11 @@ class TransformOptions:
     hybrid: bool = False
     #: run the instance-exact legality checker
     check: bool = True
-    #: run the static-analysis subsystem (packing / token-coverage / race
-    #: checks, rule codes RPA04x) and fail on error diagnostics
-    static_checks: bool = False
     #: replay the lowered task program (on ``exec_backend``; on threads
     #: when none is set) and compare with sequential output
     verify: bool = True
     #: workers for the replay and the simulation
     workers: int = 4
-    #: per-task overhead charged by the simulator
-    overhead: float = 0.0
-    #: cost model for the simulator (uniform unit cost by default)
-    cost_model: CostModel = field(default_factory=CostModel.uniform)
     #: fused block kernels: "auto" (default — fuse what's legal, per-
     #: statement fallback to compiled loops), "on" (fail if any
     #: statement can't fuse), "off" (compiled loops only)
@@ -90,15 +80,10 @@ class TransformOptions:
     #: collect live runtime task events during the measured execution
     #: (requires ``exec_backend``); surfaced as ``execution.events``
     collect_events: bool = False
-    #: run the pattern portfolio (reduction / do-all / geometric
-    #: detection with machine-checked privatization proofs); surfaced as
-    #: ``TransformResult.portfolio``, and downstream consumers may feed
-    #: its verified ``relaxed_map()`` back into ``check_legality``
-    portfolio: bool = False
-    #: execute the portfolio's verified privatization proofs: re-block
-    #: reduction statements into parallel chunks over per-block private
-    #: accumulators joined by a generated combine task.  Implies the
-    #: portfolio run and, with verified proofs, ``kinds`` = every class
+    #: execute the pattern portfolio's verified privatization proofs:
+    #: re-block reduction statements into parallel chunks over per-block
+    #: private accumulators joined by a generated combine task.  Runs
+    #: the portfolio and, with verified proofs, ``kinds`` = every class
     #: (what the relaxed legality check covers); a kernel with no
     #: verified proofs falls through to the standard pipeline unchanged
     #: (a no-op, not an error)
@@ -111,6 +96,19 @@ class TransformOptions:
         """Deprecated read-only alias of :attr:`fuse` (not a field: it
         is neither constructible nor part of the store key)."""
         return self.fuse
+
+    @property
+    def overhead(self) -> float:
+        """Per-task overhead of ``transform``'s simulation: always zero
+        (read-only, not a field; cost-weighted simulation is
+        :func:`repro.bench.harness.run_pipeline`'s)."""
+        return 0.0
+
+    @property
+    def cost_model(self) -> CostModel:
+        """Cost model of ``transform``'s simulation: always uniform
+        (read-only, not a field)."""
+        return CostModel.uniform()
 
 
 @dataclass(frozen=True)
@@ -126,17 +124,12 @@ class TransformResult:
     legality: LegalityReport | None
     verified: bool | None
     simulation: SimResult
-    #: static-analysis findings (None unless options.static_checks)
-    diagnostics: "DiagnosticReport | None" = None
     #: measured execution statistics (None unless options.exec_backend)
     execution: "ExecutionStats | None" = None
     #: dependency transitive-reduction stats (None unless reduce_deps)
     reduction: ReductionStats | None = None
     #: granularity tuning plan (None unless options.tune)
     tuning: object | None = None  # repro.tuning.TunedPlan
-    #: pattern-portfolio report (None unless options.portfolio);
-    #: a repro.analysis.portfolio.PortfolioReport
-    portfolio: object | None = None
     #: privatization plan the transformation executed (None unless
     #: options.privatize); a repro.schedule.PrivatizationPlan — empty
     #: ``groups`` means the run fell through to the standard pipeline
@@ -161,12 +154,6 @@ class TransformResult:
         lines = [self.info.summary()]
         if self.legality is not None:
             lines.append(str(self.legality))
-        if self.diagnostics is not None:
-            lines.append(
-                "static checks: "
-                + ("clean" if self.diagnostics.ok else "FAILED")
-                + f" ({len(self.diagnostics)} finding(s))"
-            )
         if self.verified is not None:
             backend = self.options.exec_backend or VERIFY_BACKEND
             lines.append(
@@ -174,13 +161,6 @@ class TransformResult:
             )
         if self.tuning is not None:
             lines.append(self.tuning.summary())
-        if self.portfolio is not None:
-            reclassified = len(self.portfolio.reclassified_pairs())
-            lines.append(
-                f"pattern portfolio: {len(self.portfolio.specs)} "
-                f"reduction(s), {reclassified} pair(s) reclassified "
-                "after privatization"
-            )
         if self.privatization is not None:
             lines.append(self.privatization.describe())
         if self.reduction is not None:
@@ -196,10 +176,6 @@ class TransformResult:
 
 class VerificationFailedError(RuntimeError):
     """The pipelined execution diverged from the sequential program."""
-
-
-class IllegalTaskGraphError(RuntimeError):
-    """The static task-graph checks found an error-severity diagnostic."""
 
 
 @dataclass
@@ -219,9 +195,10 @@ class Analysis:
     task_ast: TaskAst
     graph: TaskGraph
     legality: LegalityReport | None = None
-    diagnostics: "DiagnosticReport | None" = None
     reduction: ReductionStats | None = None
     tuning: object | None = None  # repro.tuning.TunedPlan
+    #: a PortfolioReport, for callers that build an Analysis themselves
+    #: (the driver does not fill it)
     portfolio: object | None = None
     plan: object | None = None  # repro.schedule.PrivatizationPlan
     joins: tuple = ()
@@ -298,9 +275,7 @@ def validate_options(options: TransformOptions) -> None:
 
 
 def build_task_graph(
-    task_ast: TaskAst,
-    options: TransformOptions,
-    plan=None,
+    task_ast: TaskAst, plan=None
 ) -> tuple[TaskGraph, tuple]:
     """The task graph of this AST: ``(graph, joins)``.
 
@@ -310,39 +285,12 @@ def build_task_graph(
     for a fresh compile and for one rebuilt from a stored artifact
     alike.
     """
-    cost_of_block = options.cost_model.block_cost
     if plan is not None and plan.groups:
         from .schedule import build_privatized_graph
 
-        graph, joins = build_privatized_graph(
-            task_ast, plan, cost_of_block=cost_of_block
-        )
+        graph, joins = build_privatized_graph(task_ast, plan)
         return graph, tuple(joins)
-    return TaskGraph.from_task_ast(task_ast, cost_of_block=cost_of_block), ()
-
-
-def run_static_checks(
-    scop: Scop, info: PipelineInfo, task_ast: TaskAst, graph: TaskGraph,
-    plan=None,
-) -> "DiagnosticReport":
-    """The static task-graph checks (RPA04x) of one analysis — a cold
-    compile's and a warm load's alike.  A verified privatization plan's
-    removed pairs are no dependence to cover or race on; an
-    error-severity finding raises :class:`IllegalTaskGraphError`."""
-    from .analysis.taskcheck import check_task_graph
-    from .obs.spans import span
-
-    relaxed = plan.relaxed() if plan is not None and plan.groups else None
-    with span("driver.static_checks"):
-        diagnostics = check_task_graph(
-            scop, info, ast=task_ast, graph=graph, relaxed=relaxed
-        )
-    if not diagnostics.ok:
-        raise IllegalTaskGraphError(
-            f"{len(diagnostics.errors)} static-check error(s); first: "
-            f"{diagnostics.errors[0].render()}"
-        )
-    return diagnostics
+    return TaskGraph.from_task_ast(task_ast), ()
 
 
 def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
@@ -352,7 +300,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     second pipeline: a plan with verified groups relaxes the same
     dependence and scheduling problem (its statements are re-blocked
     into unordered chunks before scheduling, its proofs' removed pairs
-    are subtracted in the legality and static checks after), and a plan
+    are subtracted in the legality check after), and a plan
     without groups leaves every step the standard one.
 
     Pure with respect to array contents — nothing here executes the
@@ -364,17 +312,13 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
     scop = interp.scop
 
-    portfolio_report = None
-    if options.portfolio or options.privatize:
+    plan = None
+    if options.privatize:
         from .analysis.portfolio import run_portfolio
+        from .schedule import plan_privatization
 
         with span("driver.portfolio"):
             portfolio_report = run_portfolio(scop)
-
-    plan = None
-    if options.privatize:
-        from .schedule import plan_privatization
-
         with span("driver.privatize"):
             plan = plan_privatization(scop, portfolio_report)
     # no verified proofs: the standard pipeline, unchanged (a no-op, not
@@ -428,7 +372,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
         with span("driver.relax_self_chains"):
             task_ast = relax_self_chains(scop, info, task_ast)
     with span("driver.task_graph", privatize=privatized):
-        graph, joins = build_task_graph(task_ast, options, plan)
+        graph, joins = build_task_graph(task_ast, plan)
 
     legality: LegalityReport | None = None
     if options.check:
@@ -441,20 +385,14 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
             verify_privatized_graph(scop, plan, graph).raise_if_invalid()
 
-    diagnostics = None
-    if options.static_checks:
-        diagnostics = run_static_checks(scop, info, task_ast, graph, plan)
-
     return Analysis(
         info=info,
         schedule=schedule,
         task_ast=task_ast,
         graph=graph,
         legality=legality,
-        diagnostics=diagnostics,
         reduction=reduction,
         tuning=tuning,
-        portfolio=portfolio_report if options.portfolio else None,
         plan=plan,
         joins=joins,
         privatized=privatized,
@@ -550,9 +488,7 @@ def _finish(
                     f"execution ({verdict[1]})"
                 )
 
-    sim = simulate(
-        a.graph, workers=options.workers, overhead=options.overhead
-    )
+    sim = simulate(a.graph, workers=options.workers)
     return TransformResult(
         scop=interp.scop,
         info=a.info,
@@ -563,11 +499,9 @@ def _finish(
         legality=a.legality,
         verified=None if seq is None else True,
         simulation=sim,
-        diagnostics=a.diagnostics,
         execution=execution,
         reduction=a.reduction,
         tuning=a.tuning,
-        portfolio=a.portfolio,
         privatization=a.plan,
         joins=a.joins,
         match_detail=verdict[1] if verdict is not None else "",

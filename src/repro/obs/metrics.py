@@ -525,7 +525,7 @@ def absorb_transform(reg: MetricsRegistry, result) -> None:
     from ..pipeline import task_graph_stats
 
     # before the cache snapshot: it asks Presburger questions of its own
-    task_graph = task_graph_stats(result.info)
+    task_graph = task_graph_stats(result.info, result.graph)
     absorb_presburger_cache(reg)
     absorb_simulation(reg, result.simulation, result.graph)
     absorb_task_overhead(

@@ -7,10 +7,9 @@ kernel source text and the options, it either
   rebuilds the :class:`~repro.driver.Analysis` against a freshly
   extracted SCoP, and — mandatorily — re-verifies every privatization
   proof through :func:`repro.schedule.legality.verify_privatization`
-  (via ``plan_from_proofs``) and, under ``static_checks``, re-runs the
-  task-graph checks a cold compile runs; the fused program (closure
-  specs and chain-fusion verdicts) is adopted as stored — what it plans
-  is checked where every execution is, by the oracle compare; or
+  (via ``plan_from_proofs``); the fused program (closure specs and
+  chain-fusion verdicts) is adopted as stored — what it plans is checked
+  where every execution is, by the oracle compare; or
 * **cold** — runs :func:`repro.driver.analyze` and persists its outputs
   as one checksummed artifact.
 
@@ -25,18 +24,11 @@ import dataclasses
 import time
 from typing import Mapping
 
-from ..driver import (
-    Analysis,
-    TransformOptions,
-    analyze,
-    build_task_graph,
-    run_static_checks,
-)
+from ..driver import Analysis, TransformOptions, analyze, build_task_graph
 from ..scop import DepKind
 from ..store import ArtifactStore, CompileArtifact, artifact_key, kernel_sha
 from ..store.disk import bump_session
 from ..store.keys import options_fingerprint
-from ..workloads import CostModel
 
 
 # ----------------------------------------------------------------------
@@ -49,11 +41,6 @@ def options_to_dict(options: TransformOptions) -> dict:
         value = getattr(options, f.name)
         if f.name == "kinds":
             value = [k.name for k in value]
-        elif f.name == "cost_model":
-            value = {
-                "per_iteration": dict(value.per_iteration),
-                "default": value.default,
-            }
         out[f.name] = value
     return out
 
@@ -69,12 +56,6 @@ def options_from_dict(d: Mapping) -> TransformOptions:
     kwargs = dict(d)
     if "kinds" in kwargs:
         kwargs["kinds"] = tuple(DepKind[k] for k in kwargs["kinds"])
-    if "cost_model" in kwargs:
-        cm = kwargs["cost_model"]
-        kwargs["cost_model"] = CostModel(
-            per_iteration=dict(cm.get("per_iteration", {})),
-            default=float(cm.get("default", 1.0)),
-        )
     if kwargs.get("privatize_parts") is not None:
         kwargs["privatize_parts"] = int(kwargs["privatize_parts"])
     return TransformOptions(**kwargs)
@@ -83,6 +64,10 @@ def options_from_dict(d: Mapping) -> TransformOptions:
 # ----------------------------------------------------------------------
 # cold path: Analysis -> artifact
 # ----------------------------------------------------------------------
+def _as_dict(record) -> dict | None:
+    return None if record is None else record.as_dict()
+
+
 def build_artifact(
     interp,
     source: str,
@@ -113,17 +98,6 @@ def build_artifact(
     if plan is not None and getattr(plan, "groups", ()):
         proofs = [g.proof.to_dict() for g in plan.groups]
 
-    diagnostics: list[dict] = []
-    if analysis.diagnostics is not None:
-        diagnostics = [
-            {
-                "code": d.code,
-                "severity": d.severity.value,
-                "text": d.render(),
-            }
-            for d in analysis.diagnostics.diagnostics
-        ]
-
     key = artifact_key(source, params, options)
     return CompileArtifact(
         key=key,
@@ -138,7 +112,8 @@ def build_artifact(
         legality_ok=(
             None if analysis.legality is None else analysis.legality.ok
         ),
-        diagnostics=diagnostics,
+        reduction=_as_dict(analysis.reduction),
+        tuning=_as_dict(analysis.tuning),
         timings=dict(timings or {}),
     )
 
@@ -156,7 +131,10 @@ def load_analysis(
     The SCoP is re-extracted by the caller's interpreter (never stored);
     the artifact supplies the *derived* objects.  Privatization proofs
     go back through ``plan_from_proofs`` → ``verify_privatization`` —
-    a tampered proof raises here and the caller recompiles.
+    a tampered proof raises here and the caller recompiles.  The
+    reduction and tuning records are rebuilt as stored: they describe
+    the compile that produced ``info``, and re-deriving them would
+    repeat it.
     """
     from ..interp.fused import FusedProgram
     from ..pipeline.detect import PipelineInfo
@@ -171,14 +149,6 @@ def load_analysis(
     if artifact.fused is not None and options.fuse != "off":
         interp.adopt_fused(FusedProgram.from_dict(artifact.fused))
 
-    portfolio_report = None
-    if options.portfolio:
-        # The report is an analysis *of the SCoP*, cheap next to the
-        # schedule work and consumed as live objects — re-derive it.
-        from ..analysis.portfolio import run_portfolio
-
-        portfolio_report = run_portfolio(scop)
-
     plan = None
     if options.privatize:
         from ..analysis.portfolio.privatize import PrivatizationProof
@@ -190,17 +160,24 @@ def load_analysis(
             scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )
 
-    graph, joins = build_task_graph(task_ast, options, plan)
-    diagnostics = None
-    if options.static_checks:
-        diagnostics = run_static_checks(scop, info, task_ast, graph, plan)
+    reduction = tuning = None
+    if artifact.reduction is not None:
+        from ..pipeline import ReductionStats
+
+        reduction = ReductionStats.from_dict(artifact.reduction)
+    if artifact.tuning is not None:
+        from ..tuning import TunedPlan
+
+        tuning = TunedPlan.from_dict(artifact.tuning, info)
+
+    graph, joins = build_task_graph(task_ast, plan)
     return Analysis(
         info=info,
         schedule=schedule,
         task_ast=task_ast,
         graph=graph,
-        diagnostics=diagnostics,
-        portfolio=portfolio_report,
+        reduction=reduction,
+        tuning=tuning,
         plan=plan,
         joins=joins,
         privatized=plan is not None and bool(plan.groups),

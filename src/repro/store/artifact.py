@@ -15,7 +15,8 @@ pipeline info, the compressed ``.npz`` task-AST blob of
 :mod:`repro.schedule.serialize`, declarative ``ClosureSpec`` dicts for
 the fused program, and privatization-proof dicts that loaders MUST pass
 back through :func:`repro.schedule.legality.verify_privatization` (the
-store is durable, not trusted).
+store is durable, not trusted), and the ``as_dict()`` records of the
+dependency reduction and the granularity tuning the compile ran.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ class CompileArtifact:
     privatized: bool = False
     #: legality verdict recorded at compile time (None = not checked)
     legality_ok: bool | None = None
-    #: static-analysis findings as rendered rows (informational)
-    diagnostics: list[dict] = field(default_factory=list)
+    #: ``ReductionStats.as_dict()`` (None unless ``reduce_deps``)
+    reduction: dict | None = None
+    #: ``TunedPlan.as_dict()`` (None unless ``tune``)
+    tuning: dict | None = None
     #: wall seconds of the cold compile phases
     timings: dict[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -77,7 +80,8 @@ class CompileArtifact:
             "proofs": list(self.proofs),
             "privatized": self.privatized,
             "legality_ok": self.legality_ok,
-            "diagnostics": list(self.diagnostics),
+            "reduction": self.reduction,
+            "tuning": self.tuning,
             "timings": dict(self.timings),
         }
 
@@ -99,7 +103,8 @@ class CompileArtifact:
             proofs=list(payload.get("proofs", ())),
             privatized=bool(payload.get("privatized", False)),
             legality_ok=payload.get("legality_ok"),
-            diagnostics=list(payload.get("diagnostics", ())),
+            reduction=payload.get("reduction"),
+            tuning=payload.get("tuning"),
             timings=dict(payload.get("timings", ())),
             schema_version=version,
         )

@@ -63,6 +63,14 @@ class OverheadModel:
             "samples": [list(s) for s in self.samples],
         }
 
+    @staticmethod
+    def from_dict(d: dict) -> "OverheadModel":
+        return OverheadModel(
+            d["per_task_s"],
+            d["per_iter_s"],
+            tuple(tuple(s) for s in d["samples"]),
+        )
+
     def __str__(self) -> str:
         return (
             f"OverheadModel(per_task={self.per_task_s * 1e6:.1f}us, "
@@ -128,6 +136,14 @@ class DispatchCostModel:
                 None if crossover == self.NEVER else crossover
             ),
         }
+
+    @staticmethod
+    def from_dict(d: dict) -> "DispatchCostModel":
+        """Inverse of :meth:`as_dict` (``crossover_iters`` is derived)."""
+        return DispatchCostModel(
+            OverheadModel.from_dict(d["interp"]),
+            OverheadModel.from_dict(d["fused"]),
+        )
 
     def __str__(self) -> str:
         crossover = self.crossover_iters()

@@ -75,6 +75,22 @@ class TunedPlan:
             "dispatch": self.dispatch.as_dict() if self.dispatch else None,
         }
 
+    @staticmethod
+    def from_dict(d: dict, info: "PipelineInfo") -> "TunedPlan":
+        """Inverse of :meth:`as_dict`, given the re-blocked ``info`` the
+        factors produced (``tasks`` is derived from it)."""
+        model, dispatch = d["model"], d["dispatch"]
+        return TunedPlan(
+            mode=d["mode"],
+            factors=dict(d["factors"]),
+            info=info,
+            model=OverheadModel.from_dict(model) if model else None,
+            scores={int(k): v for k, v in d["scores_s"].items()},
+            dispatch=(
+                DispatchCostModel.from_dict(dispatch) if dispatch else None
+            ),
+        )
+
     def summary(self) -> str:
         factors = ", ".join(
             f"{name}x{f}" for name, f in sorted(self.factors.items())

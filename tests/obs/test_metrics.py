@@ -284,11 +284,14 @@ class TestAbsorbers:
             reduce_dependencies,
             task_graph_stats,
         )
+        from repro.schedule import generate_task_ast
+        from repro.tasking import TaskGraph
         from tests.conftest import LISTING1
 
         interp = Interpreter.from_source(LISTING1, {"N": 8})
         info = detect_pipeline(interp.scop)
-        tg = task_graph_stats(info)
+        graph = TaskGraph.from_task_ast(generate_task_ast(info))
+        tg = task_graph_stats(info, graph)
         _, reduction = reduce_dependencies(info)
         reg = MetricsRegistry()
         absorb_task_overhead(reg, task_graph=tg, reduction=reduction)
@@ -298,6 +301,40 @@ class TestAbsorbers:
             reduction.slots_before
         )
         assert reg.value("reduction.slots_after") == reduction.slots_after
+
+    @pytest.mark.parametrize("kernel", ["privatized", "hybrid"])
+    def test_transform_series_describe_the_checked_graph(self, kernel):
+        """``task_graph.*`` count the graph the compile checked: join
+        tasks and unchained members included, relaxed chains dropped."""
+        from pathlib import Path
+
+        from repro.driver import TransformOptions, transform
+        from repro.obs.metrics import absorb_transform
+        from repro.workloads import MatmulKernel
+
+        if kernel == "privatized":
+            root = Path(__file__).resolve().parents[2]
+            source = (root / "examples/kernels/histogram.c").read_text()
+        else:
+            source = MatmulKernel(2, "mm").source(6)
+
+        def series(**options):
+            result = transform(
+                source, {"N": 16}, TransformOptions(workers=2, **options)
+            )
+            reg = MetricsRegistry()
+            absorb_transform(reg, result)
+            assert reg.value("task_graph.tasks") == len(result.graph)
+            assert reg.value("task_graph.edges") == result.graph.num_edges
+            return result, reg.value("task_graph.critical_path_tasks")
+
+        if kernel == "privatized":
+            result, _ = series(privatize=True)
+            assert result.joins  # the join task is one of the tasks
+        else:
+            _, relaxed = series(hybrid=True)
+            _, chained = series()
+            assert relaxed < chained
 
     def test_simulation_numbers_unchanged(self):
         from repro.bench import build_scop, pipeline_task_graph

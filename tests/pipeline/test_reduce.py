@@ -153,9 +153,11 @@ def test_reduced_execution_matches_sequential(listing3_interp):
 
 
 def test_task_graph_stats_shape(listing3_info):
-    tg = task_graph_stats(listing3_info)
+    graph = _graph(listing3_info)
+    tg = task_graph_stats(listing3_info, graph)
     _, stats = reduce_dependencies(listing3_info)
-    assert tg["tasks"] == len(_graph(listing3_info))
+    assert tg["tasks"] == len(graph)
+    assert tg["edges"] == graph.num_edges
     assert tg["depend_in_slots"] == stats.slots_before
     assert tg["depend_in_slots_reduced"] == stats.slots_after
     assert tg["reduction_ratio"] == round(stats.ratio, 4)

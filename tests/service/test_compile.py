@@ -15,7 +15,7 @@ from repro.store import ArtifactStore, artifact_key
 from repro.store.artifact import pack_artifact, unpack_artifact
 from repro.store.disk import session_counters
 
-from ..conftest import TWO_NEST_COPY
+from ..conftest import LISTING3, TWO_NEST_COPY
 
 DOTPROD = """
 for(i=0; i<N; i++)
@@ -51,9 +51,12 @@ def test_options_round_trip_through_json():
 def test_options_dict_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown"):
         options_from_dict({"coarsen": 2, "turbo": True})
-    # the retired option is a read-only property now, not a wire field
-    with pytest.raises(ValueError, match="vectorize"):
-        options_from_dict({"vectorize": "off"})
+    # retired options are read-only properties or gone, not wire fields
+    for retired in (
+        "vectorize", "static_checks", "portfolio", "overhead", "cost_model"
+    ):
+        with pytest.raises(ValueError, match=retired):
+            options_from_dict({retired: None})
 
 
 def test_options_round_trip_preserves_the_cache_key():
@@ -457,12 +460,21 @@ def test_privatized_cold_then_warm(tmp_path):
     assert len(warm.joins) == len(cold.joins)
 
 
-@pytest.mark.parametrize("option", ["privatize", "static_checks", "portfolio"])
-def test_warm_transform_carries_what_a_cold_one_does(tmp_path, option):
-    """``portfolio`` is filled only when asked for — cold and warm — and
-    a warm load re-runs the static checks a cold compile ran.  (The
-    legality report is the one line a warm report lacks: the store
-    records its verdict, a warm load does not re-derive it.)"""
+@pytest.mark.parametrize(
+    "option,value,field",
+    [
+        pytest.param("privatize", True, "privatization", id="privatize"),
+        pytest.param("reduce_deps", True, "reduction", id="reduce_deps"),
+        pytest.param("tune", "model", "tuning", id="tune"),
+    ],
+)
+def test_warm_transform_carries_what_a_cold_one_does(
+    tmp_path, option, value, field
+):
+    """A warm result carries the record its option promises, equal to
+    the cold one's.  (The legality report is the one line a warm report
+    lacks: the store records its verdict, a warm load does not re-derive
+    it.)"""
     from repro.driver import transform
     from tests.test_driver import HISTOGRAM
 
@@ -473,18 +485,18 @@ def test_warm_transform_carries_what_a_cold_one_does(tmp_path, option):
         ]
 
     # the histogram needs its proofs (flow-only detection refuses it)
-    opts = TransformOptions(**{"privatize": True, option: True})
-    cold = transform(HISTOGRAM, {"N": 8}, opts, cache_dir=str(tmp_path))
-    warm = transform(HISTOGRAM, {"N": 8}, opts, cache_dir=str(tmp_path))
+    source = HISTOGRAM if option == "privatize" else LISTING3
+    opts = TransformOptions(**{option: value})
+    cold = transform(source, {"N": 12}, opts, cache_dir=str(tmp_path))
+    warm = transform(source, {"N": 12}, opts, cache_dir=str(tmp_path))
     assert (cold.cache_status, warm.cache_status) == ("cold", "warm")
     assert report(warm) == report(cold)
-    for field in ("portfolio", "diagnostics", "privatization"):
-        got = getattr(cold, field) is not None
-        assert (getattr(warm, field) is not None) == got, field
-    assert (cold.portfolio is not None) == (option == "portfolio")
-    assert (cold.diagnostics is not None) == (option == "static_checks")
-    if option == "static_checks":
-        assert len(warm.diagnostics) == len(cold.diagnostics)
+    got, want = getattr(warm, field), getattr(cold, field)
+    assert got is not None and want is not None
+    if field == "privatization":
+        assert got.describe() == want.describe()
+    else:
+        assert got.as_dict() == want.as_dict()
 
 
 def test_tampered_proof_is_refused_and_recompiled(tmp_path):

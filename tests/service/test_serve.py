@@ -265,6 +265,31 @@ def test_incompatible_options_are_refused_before_any_key(tmp_path):
     asyncio.run(_with_server(str(tmp_path), body))
 
 
+def test_retired_options_are_bad_requests(tmp_path):
+    """Options that are no ``TransformOptions`` field are refused, not
+    dropped from the key."""
+    retired = {
+        "static_checks": True,
+        "portfolio": True,
+        "overhead": 0.5,
+        "cost_model": {"per_iteration": {}, "default": 1.0},
+    }
+
+    async def body(host, port, server):
+        for name, value in retired.items():
+            options = dict(OPTIONS, **{name: value})
+            req = dict(_compile_req(TWO_NEST_COPY), options=options)
+            resp = await _request(host, port, req)
+            assert resp["error"] == (
+                "bad request: 'options': unknown TransformOptions "
+                f"fields: [{name!r}]"
+            ), resp
+        stats = await _request(host, port, {"op": "stats"})
+        assert stats["counters"]["compiles"] == 0
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
 def test_request_line_limit(tmp_path):
     """A kernel source beyond asyncio's 64 KiB default is served; a line
     over REQUEST_LIMIT is refused, counted and logged, and only that

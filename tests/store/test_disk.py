@@ -24,7 +24,7 @@ def _artifact(key: str = "ab" * 32, payload_pad: bytes = b"") -> CompileArtifact
         options_fingerprint="ef" * 32,
         info={"statements": ["S"]},
         task_ast_blob=b"npz-blob" + payload_pad,
-        diagnostics=[{"code": "RPA001", "severity": "note", "text": "hi"}],
+        reduction={"method": "index", "per_dependency": []},
         timings={"analyze_s": 0.25},
     )
 

@@ -12,7 +12,6 @@ import pytest
 from repro.driver import TransformOptions
 from repro.scop import DepKind
 from repro.store import artifact_key, kernel_sha, options_fingerprint
-from repro.workloads import CostModel
 
 from ..conftest import TWO_NEST_COPY
 
@@ -56,17 +55,13 @@ _FLIPS = {
     "coarsen": 3,
     "hybrid": True,
     "check": False,
-    "static_checks": True,
     "verify": False,
     "workers": 9,
-    "overhead": 0.5,
-    "cost_model": CostModel(per_iteration={"S": 7.0}, default=2.0),
     "fuse": "off",
     "exec_backend": "serial",
     "reduce_deps": True,
     "tune": "model",
     "collect_events": True,
-    "portfolio": True,
     "privatize": True,
     "privatize_parts": 5,
 }

@@ -132,28 +132,23 @@ class TestRun:
     def test_exec_backend_threads_vectorize_on(self, kernel_file, capsys):
         assert main([
             "run", kernel_file, "--param", "N=12",
-            "--exec-backend", "threads", "--vectorize", "on",
+            "--exec-backend", "threads", "--fuse", "on",
         ]) == 0
-        # the deprecated spelling still selects the (one) block-kernel tier
         captured = capsys.readouterr()
         assert "fuse=on" in captured.out
         assert "100% iterations fused" in captured.out
-        assert "--vectorize is deprecated" in captured.err
 
     def test_vectorize_off(self, kernel_file, capsys):
         assert main([
             "run", kernel_file, "--param", "N=12",
-            "--exec-backend", "serial", "--vectorize", "off",
+            "--exec-backend", "serial", "--fuse", "off",
         ]) == 0
-        captured = capsys.readouterr()
-        assert "0% iterations fused" in captured.out
-        assert captured.err.count("--vectorize is deprecated") == 1
-        # an explicit --fuse wins over the alias
-        main([
-            "run", kernel_file, "--param", "N=12", "--exec-backend",
-            "serial", "--fuse", "auto", "--vectorize", "off",
-        ])
-        assert "fuse=auto" in capsys.readouterr().out
+        assert "0% iterations fused" in capsys.readouterr().out
+        # the retired spelling is an unknown flag: a usage error
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", kernel_file, "--vectorize", "auto"])
+        assert exit_.value.code == 2
+        assert "--vectorize" in capsys.readouterr().err
 
     def test_vectorize_on_still_fails_on_a_non_fusable_statement(
         self, tmp_path, capsys
@@ -161,10 +156,9 @@ class TestRun:
         kernel = tmp_path / "recurrence.c"
         kernel.write_text("for(i=1; i<N; i++)\n  S: A[i] = f(A[i-1]);\n")
         assert main(
-            ["run", str(kernel), "--param", "N=8", "--vectorize", "on"]
+            ["run", str(kernel), "--param", "N=8", "--fuse", "on"]
         ) == 2
         err = capsys.readouterr().err
-        assert "--vectorize is deprecated" in err
         assert "repro: " in err and "RPA066" in err
 
     def test_bad_exec_backend_rejected(self, kernel_file):
@@ -636,6 +630,9 @@ class TestRunStore:
             pytest.param(KERNEL, [], id="plain"),
             pytest.param(KERNEL, ["--privatize"], id="privatize-no-proofs"),
             pytest.param(HISTOGRAM_KERNEL, ["--privatize"], id="privatized"),
+            # their summary lines come from the artifact on the warm run
+            pytest.param(KERNEL, ["--reduce-deps"], id="reduce-deps"),
+            pytest.param(KERNEL, ["--tune", "model"], id="tune"),
         ],
     )
     def test_cold_then_warm_with_identical_output(
@@ -671,18 +668,3 @@ class TestRunStore:
         # ... a command line that differs in a run-only flag does not
         assert main([*argv, "--exec-backend", "serial"]) == 0
         assert "compile cache: cold" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "flags", [["--tune", "model"], ["--reduce-deps"]],
-        ids=["tune", "reduce-deps"],
-    )
-    def test_tune_and_reduce_deps_compile_directly(
-        self, flags, kernel_file, tmp_path, capsys
-    ):
-        from repro.store import session_counters
-
-        before = session_counters()
-        assert main(["run", kernel_file, "--param", "N=8", *flags,
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert _store_delta(before) == {"hits": 0, "puts": 0}
-        assert "compile cache:" not in capsys.readouterr().out

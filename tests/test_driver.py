@@ -62,20 +62,6 @@ class TestOptions:
         )
         assert hybrid.speedup > plain.speedup
 
-    def test_cost_model_applied(self):
-        result = transform(
-            LISTING1,
-            {"N": 10},
-            TransformOptions(
-                verify=False, cost_model=CostModel({"S": 2.0, "R": 3.0})
-            ),
-        )
-        scop = result.scop
-        expected = 2.0 * len(scop.statement("S").points) + 3.0 * len(
-            scop.statement("R").points
-        )
-        assert result.graph.total_cost() == pytest.approx(expected)
-
     def test_extra_kinds(self):
         src = (
             "for(i=0; i<6; i++) S: B[i][0] = f(A[i][0], B[i][0]);\n"
@@ -132,6 +118,24 @@ class TestOptions:
         assert "vectorize" not in {
             f.name for f in dataclasses.fields(TransformOptions)
         }
+
+    def test_fields_are_what_a_product_caller_sets(self):
+        """Thirteen fields; ``overhead`` and ``cost_model`` are read-only
+        properties pinned to what ``transform`` simulates with."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(TransformOptions)] == [
+            "kinds", "coarsen", "hybrid", "check", "verify", "workers",
+            "fuse", "exec_backend", "reduce_deps", "tune",
+            "collect_events", "privatize", "privatize_parts",
+        ]
+        options = TransformOptions()
+        assert options.overhead == 0.0
+        assert options.cost_model == CostModel.uniform()
+        for removed in ("static_checks", "portfolio", "overhead",
+                        "cost_model"):
+            with pytest.raises(TypeError):
+                TransformOptions(**{removed: True})
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_nan_results_verify(self, backend):
@@ -195,12 +199,7 @@ class TestOneVerificationReplay:
                 "threads",
                 id="threads-reduced",
             ),
-            pytest.param(
-                LISTING3,
-                {"fuse": "off", "static_checks": True},
-                "threads",
-                id="loops-static-checks",
-            ),
+            pytest.param(LISTING3, {"fuse": "off"}, "threads", id="loops"),
             pytest.param(
                 HISTOGRAM, {"privatize": True}, "threads", id="privatized"
             ),
@@ -253,22 +252,18 @@ class TestOneVerificationReplay:
 PAIRABLE = {
     "privatize": True,
     "reduce_deps": True,
-    "static_checks": True,
     "hybrid": True,
     "coarsen": 2,
-    "portfolio": True,
 }
 #: the TransformResult field an option promises to fill
 PROMISES = {
     "privatize": "privatization",
     "reduce_deps": "reduction",
-    "static_checks": "diagnostics",
-    "portfolio": "portfolio",
 }
 
 
 def _option_pairs():
-    """All 15 pairs on Listing 1; the 5 with ``privatize`` again on the
+    """All 6 pairs on Listing 1; the 3 with ``privatize`` again on the
     histogram, where the plan has groups (without ``privatize`` that
     kernel is an UncoveredDependenceError under flow-only ``kinds``)."""
     for first, second in itertools.combinations(PAIRABLE, 2):
@@ -399,6 +394,7 @@ class TestOptionPairs:
     def test_privatize_composes_with_hybrid(self, kernel, backend):
         """The relaxation skips privatized members (the proof already
         relaxed them) and relaxes the nests beside them."""
+        from repro.analysis.taskcheck import check_task_graph
         from repro.driver import Analysis, analyze, replay
         from repro.interp import Interpreter
         from repro.schedule import check_legality, verify_privatized_graph
@@ -413,10 +409,13 @@ class TestOptionPairs:
         source = {**KERNELS, "histogram+doall": HISTOGRAM + doall}[kernel]
         interp = Interpreter.from_source(source, {"N": 8})
         a: Analysis = analyze(
-            interp,
-            TransformOptions(privatize=True, hybrid=True, static_checks=True),
+            interp, TransformOptions(privatize=True, hybrid=True)
         )
-        assert a.privatized and a.diagnostics.ok
+        assert a.privatized
+        assert check_task_graph(
+            interp.scop, a.info, ast=a.task_ast, graph=a.graph,
+            relaxed=a.plan.relaxed(),
+        ).ok
         assert not any(n.chained for n in a.task_ast.nests)
         for member in a.plan.statements:  # untouched by the relaxation
             assert not any(
@@ -436,7 +435,6 @@ class TestOptionPairs:
             pytest.param({"exec_backend": "serial"}, id="serial"),
             pytest.param({"exec_backend": "threads"}, id="threads"),
             pytest.param({"exec_backend": "processes"}, id="processes"),
-            pytest.param({"static_checks": True}, id="static_checks"),
             pytest.param({"coarsen": 2}, id="coarsen"),
             pytest.param({"tune": "model"}, id="tune"),
             pytest.param(
