@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ...presburger import PointRelation
 from ...scop import DepKind, Scop, ScopStatement, dependence_relation
-from ...scop.deps import paired_accesses
+from ...scop.deps import iter_dependences, paired_accesses
 from ..explain import access_pair_relation
 from .reduction import ReductionSpec
 
@@ -132,14 +132,9 @@ def partition_pair(
 def partition_dependences(
     scop: Scop, specs: dict[str, ReductionSpec]
 ) -> dict[PairKey, DependencePartition]:
-    """All non-empty pairwise dependence partitions of the SCoP."""
-    out: dict[PairKey, DependencePartition] = {}
-    for src in scop.statements:
-        for tgt in scop.statements:
-            if tgt.position < src.position:
-                continue
-            for kind in DepKind:
-                part = partition_pair(scop, src, tgt, kind, specs)
-                if not part.full.is_empty():
-                    out[part.key] = part
-    return out
+    """All non-empty pairwise dependence partitions of the SCoP, one per
+    relation :func:`~repro.scop.iter_dependences` walks."""
+    return {
+        (src.name, tgt.name, kind): partition_pair(scop, src, tgt, kind, specs)
+        for src, tgt, kind, _full in iter_dependences(scop)
+    }

@@ -83,11 +83,10 @@ class RemovedDependence:
             "pairs": len(self.pairs),
             "dims": [self.pairs.n_in, self.pairs.n_out],
             "instance_pairs": [
-                {
-                    "target": [int(v) for v in self.pairs.in_part[k]],
-                    "source": [int(v) for v in self.pairs.out_part[k]],
-                }
-                for k in range(len(self.pairs))
+                {"target": t, "source": s}
+                for t, s in zip(
+                    self.pairs.in_part.tolist(), self.pairs.out_part.tolist()
+                )
             ],
         }
 

@@ -80,10 +80,10 @@ class TransformOptions:
     #: collect live runtime task events during the measured execution
     #: (requires ``exec_backend``); surfaced as ``execution.events``
     collect_events: bool = False
-    #: execute the pattern portfolio's verified privatization proofs:
-    #: re-block reduction statements into parallel chunks over per-block
-    #: private accumulators joined by a generated combine task.  Runs
-    #: the portfolio and, with verified proofs, ``kinds`` = every class
+    #: execute verified privatization proofs: re-block reduction
+    #: statements into parallel chunks over per-block private
+    #: accumulators joined by a generated combine task.  Derives the
+    #: plan and, with verified proofs, ``kinds`` = every class
     #: (what the relaxed legality check covers); a kernel with no
     #: verified proofs falls through to the standard pipeline unchanged
     #: (a no-op, not an error)
@@ -314,13 +314,10 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
 
     plan = None
     if options.privatize:
-        from .analysis.portfolio import run_portfolio
         from .schedule import plan_privatization
 
-        with span("driver.portfolio"):
-            portfolio_report = run_portfolio(scop)
         with span("driver.privatize"):
-            plan = plan_privatization(scop, portfolio_report)
+            plan = plan_privatization(scop)
     # no verified proofs: the standard pipeline, unchanged (a no-op, not
     # an error — result.privatization records the empty plan)
     privatized = plan is not None and bool(plan.groups)

@@ -1,20 +1,19 @@
-"""Privatization transformation stage: execute what the portfolio proved.
+"""Privatization transformation stage: relax what a proof covers.
 
-The pattern portfolio (PR 6) produces machine-checked
-:class:`~repro.analysis.portfolio.privatize.PrivatizationProof` objects
-showing that reduction-blocked nest pairs become pipelinable once the
-accumulator is privatized.  This module is the transformation that *acts*
-on those proofs, following Doerfert et al. ("Polly's Polyhedral
-Scheduling in the Presence of Reductions") and Yang et al. ("Simplifying
-Dependent Reductions in the Polyhedral Model"):
+A machine-checked
+:class:`~repro.analysis.portfolio.privatize.PrivatizationProof` shows
+that dependences between commuting accumulations of one array may be
+reordered once the accumulator is privatized.  This module *acts* on
+such proofs, following Doerfert et al. ("Polly's Polyhedral Scheduling
+in the Presence of Reductions") and Yang et al. ("Simplifying Dependent
+Reductions in the Polyhedral Model"):
 
-1. :func:`plan_privatization` turns a portfolio report into a
-   :class:`PrivatizationPlan` — one :class:`PrivatizedGroup` per
-   accumulator array whose *every* incident dependence is provably
-   reduction-carried.  The plan's extended proof (self pairs included,
-   unlike the portfolio's cross-nest pair proofs) is re-verified by
-   :func:`~repro.schedule.legality.verify_privatization`; detector
-   output is never consumed directly.
+1. :func:`plan_privatization` derives a :class:`PrivatizationPlan` from
+   the SCoP — one :class:`PrivatizedGroup` per accumulator array whose
+   *every* incident dependence is provably reduction-carried, its proof
+   checked once by :func:`~repro.schedule.legality.verify_privatization`;
+   :func:`plan_from_proofs` replays stored proofs against the same
+   derivation.  Detector output is never consumed unchecked.
 2. :func:`privatize_info` rewrites the pipeline info: privatized
    statements are re-blocked into ``parts`` contiguous chunks (their
    original blocking is a full barrier — one block — exactly because of
@@ -50,7 +49,6 @@ from ..presburger import PointRelation, PointSet
 from ..scop import DepKind, Scop
 
 if TYPE_CHECKING:  # avoid the schedule <-> tasking / analysis cycles
-    from ..analysis.portfolio.analyze import PortfolioReport
     from ..analysis.portfolio.privatize import PrivatizationProof
     from ..tasking.task import TaskGraph
     from .astgen import TaskAst
@@ -207,40 +205,38 @@ class PrivatizationPlan:
 # ----------------------------------------------------------------------
 def plan_privatization(
     scop: Scop,
-    report: "PortfolioReport | None" = None,
+    report: object = None,
     arrays: tuple[str, ...] | None = None,
 ) -> PrivatizationPlan:
-    """Build the privatization plan for one SCoP.
+    """Derive the privatization plan of one SCoP.
 
-    A group forms around accumulator array ``T`` only when
+    A group forms around accumulator array ``T`` only when every
+    statement updating ``T`` is an associative accumulation
+    (:func:`~repro.analysis.portfolio.reduction.find_reduction_specs`)
+    of one operator group, no other statement reads or writes ``T``, and
+    the candidate proof — the members' claims plus every incident
+    relation of :func:`~repro.scop.iter_dependences`, self and
+    target-before-source pairs included, each removed in full — passes
+    :func:`~repro.schedule.legality.verify_privatization`, run once.  A
+    relation's true pairs are exactly those induced through other
+    memory, so the check passes exactly when every incident relation is
+    fully reduction-carried; a refused array lands in ``rejected``.
 
-    * every statement updating ``T`` is a verified associative
-      accumulation of one common operator group;
-    * no other statement reads or writes ``T``;
-    * every dependence relation incident to a member statement — self
-      pairs included — is *fully* reduction-carried (empty residual).
-
-    The resulting extended proof is handed to
-    :func:`~repro.schedule.legality.verify_privatization`; a group whose
-    proof fails re-verification is refused, not silently kept.
-
-    ``report`` defaults to running the portfolio detectors here;
     ``arrays`` restricts planning to the named accumulators (used when
-    replaying external proofs).
+    replaying stored proofs); ``report`` is accepted and ignored.
     """
-    from ..analysis.portfolio.analyze import run_portfolio
     from ..analysis.portfolio.privatize import (
         PrivatizationProof,
         ReductionClaim,
         RemovedDependence,
     )
+    from ..analysis.portfolio.reduction import find_reduction_specs
     from ..obs.spans import span
+    from ..scop import iter_dependences
     from .legality import verify_privatization
 
     with span("schedule.privatize.plan") as sp:
-        if report is None:
-            report = run_portfolio(scop)
-        specs, partitions = report.specs, report.partitions
+        specs = find_reduction_specs(s.assign for s in scop.statements)
 
         groups: list[PrivatizedGroup] = []
         rejected: list[tuple[str, str]] = []
@@ -274,45 +270,22 @@ def plan_privatization(
                 )
                 continue
 
-            removed: list[RemovedDependence] = []
-            residual_reason = None
-            for part in partitions.values():
-                touches = part.source in members or part.target in members
-                if not touches:
-                    continue
-                if not part.residual.is_empty():
-                    residual_reason = (
-                        f"{part.kind.value} {part.source} -> {part.target} "
-                        f"keeps {len(part.residual)} true dependence pair(s)"
-                    )
-                    break
-                removed.append(
-                    RemovedDependence(
-                        part.source,
-                        part.target,
-                        part.kind,
-                        part.reduction_carried,
-                    )
-                )
-            if residual_reason is not None:
-                rejected.append((array, residual_reason))
-                continue
-
             group_value = next(iter(ops)).value
             proof = PrivatizationProof(
                 claims=tuple(
                     ReductionClaim.of(specs[m]) for m in members
                 ),
-                removed=tuple(removed),
+                removed=tuple(
+                    RemovedDependence(src.name, tgt.name, kind, rel)
+                    for src, tgt, kind, rel in iter_dependences(scop)
+                    if src.name in members or tgt.name in members
+                ),
             )
             # Trust boundary: the plan only carries proofs the legality
             # layer re-derived from the SCoP itself.
             check = verify_privatization(scop, proof)
             if not check.ok:
-                rejected.append(
-                    (array, f"proof re-verification failed: "
-                     f"{check.failures[0]}")
-                )
+                rejected.append((array, _refusal(proof, check)))
                 continue
             groups.append(
                 PrivatizedGroup(
@@ -328,35 +301,53 @@ def plan_privatization(
         return PrivatizationPlan(tuple(groups), tuple(rejected))
 
 
+def _refusal(proof, check: "PrivatizationCheck") -> str:
+    """Why a derived proof failed: its first relation leaving the group
+    keeps true pairs — all of them, as members write only the
+    accumulator — else the verifier's first failure."""
+    members = {c.statement for c in proof.claims}
+    for rem in proof.removed:
+        if not {rem.source, rem.target} <= members:
+            return (
+                f"{rem.kind.value} {rem.source} -> {rem.target} "
+                f"keeps {len(rem.pairs)} true dependence pair(s)"
+            )
+    return f"proof re-verification failed: {check.failures[0]}"
+
+
 def plan_from_proofs(
     scop: Scop, proofs: "tuple[PrivatizationProof, ...] | list"
 ) -> PrivatizationPlan:
     """Plan privatization from externally supplied (replayed) proofs.
 
-    Every proof is independently re-verified first — a forged proof (a
-    non-commuting operator claimed associative, an inflated removed set,
-    pairs smuggled onto non-accumulator memory) raises
-    :class:`PrivatizationError` here, before any schedule or codegen
-    consumes it.  The surviving arrays then go through the full
-    :func:`plan_privatization` gate, which recomputes the dependence
-    partitions from the SCoP: an externally replayed proof may cover
-    only the cross-nest pairs, while re-blocking also reorders self
-    pairs, so the plan must re-derive the complete relaxed set itself.
+    The plan is derived from the SCoP for the claimed arrays by
+    :func:`plan_privatization` (one check per group), and every replayed
+    proof must be contained in it: claims a subset of the derived ones,
+    each removed relation a subset of the derived relation under the
+    same key, endpoints among its own claims.  Only a proof that is not
+    contained is verified on its own, to name the failure: a forged one
+    (an operator claimed associative, an inflated removed set) raises
+    :class:`PrivatizationError` before any schedule consumes it.  A
+    partial proof (the portfolio's cross-nest pairs) is contained; the
+    plan still relaxes the complete set, self pairs included.
     """
     from .legality import verify_privatization
 
-    if not proofs:  # nothing claimed: the empty plan, no portfolio run
+    if not proofs:  # nothing claimed: the empty plan, nothing derived
         return PrivatizationPlan(())
-    claimed: list[str] = []
+    claimed = sorted({a for proof in proofs for a in proof.arrays})
+    plan = plan_privatization(scop, arrays=tuple(claimed))
+    claims = {c for g in plan.groups for c in g.proof.claims}
+    relaxed = plan.relaxed()
     for proof in proofs:
+        if _contained(proof, claims, relaxed):
+            continue
         check = verify_privatization(scop, proof)
         if not check.ok:
             raise PrivatizationError(
                 "replayed privatization proof rejected: "
                 + "; ".join(str(f) for f in check.failures[:3])
             )
-        claimed.extend(proof.arrays)
-    plan = plan_privatization(scop, arrays=tuple(sorted(set(claimed))))
     missing = sorted(set(claimed) - set(plan.arrays))
     if missing:
         reasons = {a: r for a, r in plan.rejected}
@@ -368,6 +359,19 @@ def plan_from_proofs(
             )
         )
     return plan
+
+
+def _contained(proof, claims: set, relaxed: Mapping) -> bool:
+    """``proof`` asks for no more than the derived claims and relations."""
+    own = {c.statement for c in proof.claims}
+    return claims.issuperset(proof.claims) and all(
+        {r.source, r.target} <= own
+        and r.key in relaxed
+        and r.pairs.n_in == relaxed[r.key].n_in
+        and r.pairs.n_out == relaxed[r.key].n_out
+        and r.pairs.difference(relaxed[r.key]).is_empty()
+        for r in proof.removed
+    )
 
 
 # ----------------------------------------------------------------------

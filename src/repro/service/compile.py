@@ -5,11 +5,12 @@ kernel source text and the options, it either
 
 * **warm** — loads the stored :class:`~repro.store.CompileArtifact`,
   rebuilds the :class:`~repro.driver.Analysis` against a freshly
-  extracted SCoP, and — mandatorily — re-verifies every privatization
-  proof through :func:`repro.schedule.legality.verify_privatization`
-  (via ``plan_from_proofs``); the fused program (closure specs and
-  chain-fusion verdicts) is adopted as stored — what it plans is checked
-  where every execution is, by the oracle compare; or
+  extracted SCoP, and — mandatorily — re-derives the privatization
+  plan (``plan_from_proofs``: one ``verify_privatization`` per group)
+  and requires every stored proof to be contained in it; the fused
+  program (closure specs and chain-fusion verdicts) is adopted as
+  stored — what it plans is checked where every execution is, by the
+  oracle compare; or
 * **cold** — runs :func:`repro.driver.analyze` and persists its outputs
   as one checksummed artifact.
 
@@ -130,8 +131,9 @@ def load_analysis(
 
     The SCoP is re-extracted by the caller's interpreter (never stored);
     the artifact supplies the *derived* objects.  Privatization proofs
-    go back through ``plan_from_proofs`` → ``verify_privatization`` —
-    a tampered proof raises here and the caller recompiles.  The
+    go back through ``plan_from_proofs``: the plan is re-derived and
+    verified once per group, and a stored proof it does not contain
+    (tampered, or stale) raises here and the caller recompiles.  The
     reduction and tuning records are rebuilt as stored: they describe
     the compile that produced ``info``, and re-deriving them would
     repeat it.
@@ -154,8 +156,8 @@ def load_analysis(
         from ..analysis.portfolio.privatize import PrivatizationProof
         from ..schedule.privatize import plan_from_proofs
 
-        # mandatory re-verification; no stored proofs is the empty plan
-        # a cold compile records when it falls through
+        # mandatory re-derivation and check; no stored proofs is the
+        # empty plan a cold compile records when it falls through
         plan = plan_from_proofs(
             scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )

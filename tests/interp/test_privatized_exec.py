@@ -18,7 +18,13 @@ from repro.interp import (
     privatized_matches,
 )
 from repro.pipeline.detect import detect_pipeline
-from repro.schedule import plan_privatization, privatize_info
+from repro.schedule import (
+    build_privatized_graph,
+    check_legality,
+    generate_task_ast,
+    plan_privatization,
+    privatize_info,
+)
 from repro.scop import DepKind
 
 BACKENDS = ("serial", "threads", "processes")
@@ -58,11 +64,21 @@ for(i=0; i<N; i++)
   R: T[N-1-i] = B[i] - T[N-1-i];
 """
 
+#: two accumulations into one cell in one loop body: T[i] -> S[i+1]
+#: runs against textual order, and the plan must relax it too
+TWO_IN_ONE_BODY = """
+for(i=0; i<N; i++) {
+  S: H[0] += f(A[i]);
+  T: H[0] += g(B[i]);
+}
+"""
+
 KERNELS = {
     "dotprod": DOTPROD,
     "histogram": HISTOGRAM,
     "sumstencil": SUMSTENCIL,
     "minmax": MINMAX,
+    "two-in-one-body": TWO_IN_ONE_BODY,
 }
 
 
@@ -73,7 +89,13 @@ def privatized_setup(source, n, parts):
     info = detect_pipeline(
         interp.scop, kinds=tuple(DepKind), validate=False
     )
-    return interp, plan, privatize_info(info, plan, parts=parts)
+    pinfo = privatize_info(info, plan, parts=parts)
+    # what every backend replays must order each pair the plan keeps
+    graph, _ = build_privatized_graph(generate_task_ast(pinfo), plan)
+    check_legality(
+        interp.scop, pinfo, graph, relaxed=plan.relaxed()
+    ).raise_if_illegal()
+    return interp, plan, pinfo
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))

@@ -435,15 +435,36 @@ def test_forged_verdict_ends_in_verification_failure(tmp_path):
 # ----------------------------------------------------------------------
 # privatization proofs: durable, never trusted
 # ----------------------------------------------------------------------
-def _tampered(artifact):
+def _wrong_operator(proof):
     """Flip the proved operator — claims an unproven reduction."""
-    proofs = [dict(p) for p in artifact.proofs]
-    assert proofs, "expected a privatized artifact with proofs"
-    claims = [dict(c) for c in proofs[0]["claims"]]
+    claims = [dict(c) for c in proof["claims"]]
     claims[0] = dict(claims[0], operator="-")
-    proofs[0]["claims"] = claims
+    return dict(proof, claims=claims)
+
+
+def _extra_pair(proof):
+    """Smuggle in S(0,0) -> R(0,0): distinct cells, no dependence."""
+    removed = [dict(r) for r in proof["removed"]]
+    extra = {"target": [0, 0], "source": [0, 0]}
+    pairs = [*removed[0]["instance_pairs"], extra]
+    removed[0] = dict(removed[0], instance_pairs=pairs)
+    return dict(proof, removed=removed)
+
+
+def _foreign_key(proof):
+    """File the S -> R pairs under R -> S, which has no dependence."""
+    removed = [dict(r) for r in proof["removed"]]
+    first = removed[0]
+    removed[0] = dict(first, source=first["target"], target=first["source"])
+    return dict(proof, removed=removed)
+
+
+def _tampered(artifact, tamper=_wrong_operator):
     import dataclasses
 
+    proofs = list(artifact.proofs)
+    assert proofs, "expected a privatized artifact with proofs"
+    proofs[0] = tamper(proofs[0])
     return dataclasses.replace(artifact, proofs=proofs)
 
 
@@ -499,34 +520,48 @@ def test_warm_transform_carries_what_a_cold_one_does(
         assert got.as_dict() == want.as_dict()
 
 
-def test_tampered_proof_is_refused_and_recompiled(tmp_path):
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(_extra_pair, id="extra-pair"),
+        pytest.param(_wrong_operator, id="wrong-operator"),
+        pytest.param(_foreign_key, id="foreign-key"),
+    ],
+)
+def test_tampered_proof_is_refused_and_recompiled(tmp_path, tamper):
+    """Each forgery asks for more than the derived proof holds, so the
+    warm load verifies it on its own, names the failure and recompiles."""
+    from tests.test_driver import HISTOGRAM
+
     store = ArtifactStore(str(tmp_path))
     opts = _options(privatize=True)
-    params = {"N": 32}
-    interp, _, status = _compile(DOTPROD, params, opts, store)
+    params = {"N": 8}
+    interp, _, status = _compile(HISTOGRAM, params, opts, store)
     assert status == "cold"
-    key = artifact_key(DOTPROD, params, opts)
+    key = artifact_key(HISTOGRAM, params, opts)
     artifact = store.get(key)
-    bad = _tampered(artifact)
+    assert artifact.proofs[0]["removed"][0]["source"] == "S"
+    bad = _tampered(artifact, tamper)
 
-    # 1. the verifier itself must reject the forged proof outright
+    # 1. the replay itself must reject the forged proof outright
     from repro.analysis.portfolio.privatize import PrivatizationProof
 
     forged = [PrivatizationProof.from_dict(p) for p in bad.proofs]
-    with pytest.raises(PrivatizationError):
+    with pytest.raises(PrivatizationError, match="proof rejected"):
         plan_from_proofs(interp.scop, forged)
 
     # 2. the compile tier must demote the poisoned artifact to a
     #    recompile (replay failure), never serve or crash on it
     store.put(key, bad)
     before = session_counters().get("replay_failures", 0)
-    _, analysis, status = _compile(DOTPROD, params, opts, store)
+    _, analysis, status = _compile(HISTOGRAM, params, opts, store)
     assert status == "cold"
     assert analysis.privatized
     assert session_counters().get("replay_failures", 0) == before + 1
     # the recompile overwrote the forgery with a verifiable artifact
-    _, _, status = _compile(DOTPROD, params, opts, store)
+    _, warm, status = _compile(HISTOGRAM, params, opts, store)
     assert status == "warm"
+    assert all(g.verification.ok for g in warm.plan.groups)
 
 
 def test_tampered_bytes_fail_checksum_before_proof_level(tmp_path):
