@@ -16,9 +16,14 @@ interpreter), and simulates performance — returning everything in one
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+import time
+from concurrent.futures import Future
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .interp import ArrayStore, ExecutionStats, Interpreter, execute_measured
 from .lang.ast import Program
@@ -186,8 +191,10 @@ class Analysis:
     hands out: :func:`analyze` builds one from scratch, the warm path in
     :mod:`repro.service.compile` rebuilds an equivalent one from a
     stored artifact, and :func:`_finish` turns either into a
-    :class:`TransformResult` by running the oracle, the one (verified,
-    measured) plan replay and the simulation on top.
+    :class:`TransformResult` by running the one (verified, measured)
+    plan replay, its compare against the oracle and the simulation on
+    top.  The oracle never reads an ``Analysis``: in :func:`transform`
+    it is already running beside the compile that builds this one.
     """
 
     info: PipelineInfo
@@ -218,7 +225,12 @@ def transform(
 
     With ``verify`` the program executes exactly twice — the sequential
     oracle and one replay of the lowered plan, whose arrays must be
-    bit-identical (see :func:`_finish`).
+    bit-identical (see :func:`_finish`).  The oracle depends on the
+    interpreter alone, so it starts on a helper thread
+    (:func:`start_oracle`) as soon as the interpreter exists; the
+    compile and the replay run on the calling thread beside it, and the
+    compare waits for it only after the replay.  An exception on the
+    calling thread propagates at once: nothing waits for the helper.
 
     ``cache_dir`` points at a content-addressed artifact store
     (:mod:`repro.store`): identical ``(source, params, options)``
@@ -233,6 +245,7 @@ def transform(
     interp = Interpreter.from_source(
         source_or_program, params, funcs, fuse=options.fuse
     )
+    pending = start_oracle(interp) if options.verify else None
     if cache_dir is not None and isinstance(source_or_program, str):
         from .service.compile import cached_analysis
         from .store import ArtifactStore
@@ -243,7 +256,7 @@ def transform(
         )
     else:
         analysis = analyze(interp, options)
-    return _finish(interp, options, analysis)
+    return _finish(interp, options, analysis, pending)
 
 
 #: Option pairs that do not compose, as ``(option, option, reason)`` —
@@ -396,6 +409,100 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     )
 
 
+class PendingOracle(Future):
+    """The sequential oracle computing on a helper thread
+    (:func:`start_oracle`); :func:`replay` resolves it after its run."""
+
+    #: ms the resolving thread blocked in :meth:`wait` (the part of the
+    #: oracle the compile and the replay did not hide)
+    wait_ms: float = 0.0
+
+    def wait(self) -> ArrayStore:
+        """The oracle's arrays, or the exception it raised, re-raised."""
+        t0 = time.perf_counter()
+        try:
+            return self.result()
+        finally:
+            self.wait_ms = (time.perf_counter() - t0) * 1e3
+
+
+class _Helpers:
+    """Daemon threads that run :func:`start_oracle`'s jobs, kept between
+    calls.  A job goes to an idle helper, else to a new one: a sequence
+    of one-shots starts one thread, not one per call (a thread start
+    shows on a small kernel's warm one-shot), and a transform never
+    queues behind another's oracle, concurrent or nested."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []
+
+    def submit(self, job: Callable[[], object], future: Future) -> None:
+        """Run ``job()`` on a helper; its result or exception resolves
+        ``future``."""
+        future.set_running_or_notify_cancel()  # no longer cancellable
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(
+                target=self._serve, args=(inbox,), name="driver-oracle",
+                daemon=True,
+            ).start()
+        inbox.put((job, future))
+
+    def _serve(self, inbox: queue.SimpleQueue) -> None:
+        while True:
+            job, future = inbox.get()
+            result = error = None
+            try:
+                result = job()
+            except BaseException as exc:  # re-raised by the future's reader
+                error = exc
+            with self._lock:
+                # idle before the caller can wake: its next job reuses us
+                self._idle.append(inbox)
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+            del job, future, result, error  # an idle helper holds nothing
+
+
+_HELPERS = _Helpers()
+
+
+def _forget_helpers() -> None:
+    # a forked child has none of its parent's threads
+    global _HELPERS
+    _HELPERS = _Helpers()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def start_oracle(interp: Interpreter) -> PendingOracle:
+    """Start ``interp.oracle("driver.oracle")`` on a daemon helper thread.
+
+    Its ``driver.oracle`` span is parented to the span current here.
+    The helper writes only into its own store (and the interpreter's
+    retained oracle), so no error path joins it: a caller that raises
+    leaves it to finish alone, and a process that exits discards it.
+    """
+    from .obs.spans import current_span_id, parented
+
+    pending = PendingOracle()
+    parent = current_span_id()
+
+    def compute() -> ArrayStore:
+        with parented(parent):
+            return interp.oracle("driver.oracle")
+
+    _HELPERS.submit(compute, pending)
+    return pending
+
+
 def _identical(oracle: ArrayStore, out: ArrayStore) -> tuple[bool, str]:
     ok = oracle.equal(out)
     return ok, "" if ok else f"max abs diff {oracle.max_abs_diff(out):g}"
@@ -407,76 +514,90 @@ def replay(
     backend: str,
     workers: int,
     collect_events: bool = False,
-    oracle: ArrayStore | None = None,
+    oracle: ArrayStore | PendingOracle | None = None,
 ) -> tuple[ArrayStore, ExecutionStats, tuple[bool, str] | None]:
     """One replay of the lowered plan of ``a``: ``(arrays, stats, verdict)``.
 
     The one place that knows a privatized analysis replays and compares
     differently — ``transform`` and ``repro serve`` both come here.
     ``verdict`` is ``None`` without an ``oracle`` (the arrays of a
-    sequential run), else ``(ok, detail)``: bit identity, with the
-    reassociation tolerance confined to
+    sequential run, or a :class:`PendingOracle` still computing them,
+    resolved after the run), else ``(ok, detail)``: bit identity, with
+    the reassociation tolerance confined to
     :func:`~repro.interp.privatized_matches`.
+
+    The ``processes`` backend resolves a pending oracle *before* its run:
+    the pool forks its workers, and a fork while the helper holds the
+    span buffer's or the Presburger cache's lock (a recording span
+    opening or closing takes both) would hand a worker a lock nobody
+    releases — a worker that records spans needs both.
     """
+    if backend == "processes" and isinstance(oracle, PendingOracle):
+        oracle = oracle.wait()
     run = dict(
         backend=backend,
         workers=workers,
         collect_events=collect_events,
         task_ast=a.task_ast,
     )
-    verdict = None
     if a.privatized:
-        from .interp import execute_privatized, privatized_matches
+        from .interp import execute_privatized
 
         out, stats = execute_privatized(interp, a.info, a.plan, **run)
-        if oracle is not None:
-            verdict = privatized_matches(a.plan, oracle, out)
     else:
         out, stats = execute_measured(interp, a.info, **run)
-        if oracle is not None:
-            verdict = _identical(oracle, out)
-    return out, stats, verdict
+    if isinstance(oracle, PendingOracle):
+        oracle = oracle.wait()
+    if oracle is None:
+        return out, stats, None
+    if a.privatized:
+        from .interp import privatized_matches
+
+        return out, stats, privatized_matches(a.plan, oracle, out)
+    return out, stats, _identical(oracle, out)
 
 
 def _finish(
     interp: Interpreter,
     options: TransformOptions,
     a: Analysis,
+    oracle: PendingOracle | None,
 ) -> TransformResult:
-    """One oracle, one plan replay, one compare; then simulation.
+    """One plan replay, one compare against ``oracle``; then simulation.
 
     "Verified" means what ``repro serve`` means by it for ``run``: the
     arrays of the plan replay that is returned match the interpreter's
-    sequential oracle (:meth:`Interpreter.oracle` — computed here for a
-    fresh interpreter, compared in :func:`replay`).  The replay is the
+    sequential oracle (:meth:`Interpreter.oracle` — started by
+    :func:`transform` beside the compile, resolved and compared in
+    :func:`replay`; ``None`` when ``verify`` is off).  The replay is the
     lowered :class:`~repro.interp.plan.ExecPlan` on ``options.exec_backend`` —
     or, when only ``verify`` asks for one, on :data:`VERIFY_BACKEND` at
     ``options.workers``; ``execution`` is filled only for a requested
-    backend.
+    backend.  The ``driver.verify`` span carries ``oracle_wait_ms``: how
+    long the compare waited for the oracle after the replay.
     """
     from .obs.spans import span
 
     backend = options.exec_backend
-    if backend is None and options.verify:
+    if backend is None and oracle is not None:
         backend = VERIFY_BACKEND
-    seq: ArrayStore | None = None
     execution: ExecutionStats | None = None
     verdict = None
     verifying = (
         span("driver.verify", backend=backend)
-        if options.verify
+        if oracle is not None
         else nullcontext()
     )
-    with verifying:
-        if options.verify:
-            seq = interp.oracle("driver.oracle")
+    with verifying as verify_span:
         if backend is not None:
             measured = options.exec_backend is not None
             _, stats, verdict = replay(
                 interp, a, backend, options.workers,
                 collect_events=measured and options.collect_events,
-                oracle=seq,
+                oracle=oracle,
             )
+            if oracle is not None:
+                verify_span.set(oracle_wait_ms=round(oracle.wait_ms, 3))
             if measured:
                 execution = stats
             if verdict is not None and not verdict[0]:
@@ -494,7 +615,7 @@ def _finish(
         graph=a.graph,
         options=options,
         legality=a.legality,
-        verified=None if seq is None else True,
+        verified=None if oracle is None else True,
         simulation=sim,
         execution=execution,
         reduction=a.reduction,

@@ -94,10 +94,13 @@ class Interpreter:
         self._sequential: Callable | None = None
         self._oracle: ArrayStore | None = None
         #: guards the lazily built, shared structures: the fusion plan,
-        #: the execution-plan cache, the sequential oracle function and
-        #: its retained arrays (re-entrant: lowering reads
-        #: ``fused_program``)
+        #: the execution-plan cache and the sequential oracle function
+        #: (re-entrant: lowering reads ``fused_program``)
         self._lock = threading.RLock()
+        #: guards the retained oracle arrays for the whole computation;
+        #: its own lock, so lowering never waits behind an in-flight
+        #: oracle (taken before ``_lock``, never after)
+        self._oracle_lock = threading.Lock()
         #: Per-path execution counters, filled by :meth:`run_block`.
         self.block_counters = {
             "fused_blocks": 0,
@@ -213,7 +216,9 @@ class Interpreter:
 
         They are a pure function of the interpreter (program, params,
         ``funcs`` and the deterministic ``init``), so they are computed
-        once, under the lock — concurrent first callers pay once — and
+        once, under a lock of their own — concurrent first callers pay
+        once, and :meth:`exec_plan` / :attr:`fused_program` on another
+        thread do not wait for them — and
         retained while they fit :data:`ORACLE_KEEP_BYTES`; a larger
         kernel retains nothing and recomputes on every call.  Every
         array is frozen: a replay that aliased one fails loudly instead
@@ -233,7 +238,7 @@ class Interpreter:
 
         if self._oracle is not None:
             return self._oracle
-        with self._lock:
+        with self._oracle_lock:
             if self._oracle is not None:
                 return self._oracle
             store = self.new_store()

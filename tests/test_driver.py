@@ -1,6 +1,7 @@
 """Tests for the high-level transform driver."""
 
 import itertools
+import threading
 
 import pytest
 
@@ -231,6 +232,9 @@ class TestOneVerificationReplay:
         assert executions == {"oracle": 0, "graph": 0, "replay": ["serial"]}
 
     def test_verify_span_names_the_backend(self):
+        """``driver.verify`` holds the replay and says how long the
+        compare waited for the oracle; the oracle runs on its helper
+        thread under the span current when ``transform`` started."""
         from repro.obs import spans as obs_spans
 
         for source, options in (
@@ -238,14 +242,236 @@ class TestOneVerificationReplay:
             (TWO_MM, TransformOptions(hybrid=True)),
         ):
             with obs_spans.recording() as rec:
-                transform(source, {"N": 8}, options)
+                with obs_spans.span("caller") as caller:
+                    transform(source, {"N": 8}, options)
             verify = [s for s in rec.spans if s.name == "driver.verify"]
             measured = [s for s in rec.spans if s.name == "exec.measured"]
             oracle = [s for s in rec.spans if s.name == "driver.oracle"]
             assert len(verify) == len(measured) == len(oracle) == 1
             assert verify[0].attrs["backend"] == "threads"
+            assert verify[0].attrs["oracle_wait_ms"] >= 0.0
             assert measured[0].parent_id == verify[0].span_id
-            assert oracle[0].parent_id == verify[0].span_id
+            assert oracle[0].parent_id == caller.span_id
+            assert oracle[0].thread != verify[0].thread
+
+
+OPAQUE = (
+    "for(i=0; i<N; i++) S: A[i] = compute(A[i], B[i]);\n"
+    "for(i=0; i<N; i++) T: C[i] = compute(A[i], C[i]);"
+)
+#: a cross-nest anti dependence: flow-only detection refuses the kernel
+ANTI = (
+    "for(i=0; i<8; i++) S: B[i] = compute(A[i], B[i]);\n"
+    "for(i=0; i<8; i++) T: A[i] = compute(C[i], A[i]);"
+)
+
+
+def _staged(on_caller=None, on_oracle=None):
+    """The default ``compute`` behind hooks: ``on_caller()`` runs on its
+    first call from the thread that built it, ``on_oracle()`` on its
+    first call from any other (on ``serial``, the oracle's helper).
+    ``compute.threads`` is the set of threads that called it."""
+    from repro.interp import DEFAULT_FUNCS
+
+    mix = DEFAULT_FUNCS["compute"]
+    caller = threading.get_ident()
+    seen = set()
+
+    def compute(*args):
+        me = threading.get_ident()
+        if me not in seen:
+            seen.add(me)
+            hook = on_caller if me == caller else on_oracle
+            if hook is not None:
+                hook()
+        return mix(*args)
+
+    compute.threads = seen
+    return compute
+
+
+def _thread_starts(monkeypatch):
+    """The names of the threads started from now on in this test."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _bounded(fn, timeout=30.0):
+    """``fn()`` on a daemon thread, joined with a timeout: a hang fails
+    the test instead of stalling the suite.  Returns ``{"value"}`` or
+    ``{"error"}``."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed back to the test
+            box["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"no result within {timeout:g} s"
+    return box
+
+
+class TestOracleBesideTheReplay:
+    """A verified ``transform`` starts the oracle on a helper thread as
+    soon as the interpreter exists; the compile and the replay run on
+    the calling thread beside it, every check kept."""
+
+    SERIAL = TransformOptions(exec_backend="serial")
+
+    def test_oracle_and_replay_are_in_flight_together(
+        self, executions, monkeypatch
+    ):
+        """Each execution's first ``compute`` meets the other's at a
+        barrier: it completes only when both are in flight at once.
+        Without ``verify`` nothing starts or runs off the caller."""
+        barrier = threading.Barrier(2, timeout=10)
+        compute = _staged(barrier.wait, barrier.wait)
+        result = transform(
+            OPAQUE, {"N": 4}, self.SERIAL, funcs={"compute": compute}
+        )
+        assert result.verified is True
+        assert executions == {"oracle": 1, "graph": 0, "replay": ["serial"]}
+        assert len(compute.threads) == 2
+
+        started = _thread_starts(monkeypatch)
+        compute = _staged()
+        result = transform(
+            OPAQUE, {"N": 4},
+            TransformOptions(verify=False, exec_backend="serial"),
+            funcs={"compute": compute},
+        )
+        assert result.verified is None
+        assert started == [] and compute.threads == {threading.get_ident()}
+
+    def test_helpers_are_reused_not_started_per_call(self, monkeypatch):
+        transform(OPAQUE, {"N": 4}, self.SERIAL)  # at least one helper
+        started = _thread_starts(monkeypatch)
+        for _ in range(3):
+            assert transform(OPAQUE, {"N": 4}, self.SERIAL).verified
+        assert started == []
+
+    @pytest.mark.parametrize("case", ["refusal", "interrupt", "deadline"])
+    def test_a_calling_thread_error_does_not_wait_for_the_oracle(
+        self, case
+    ):
+        """An analysis refusal, an interrupt in the replay and a signal
+        deadline while the compare waits all raise while the oracle is
+        still held on its helper thread."""
+        import signal
+
+        from repro.pipeline.detect import UncoveredDependenceError
+
+        class Deadline(Exception):
+            pass
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        def on_alarm(signum, frame):
+            raise Deadline
+
+        release, finished = threading.Event(), threading.Event()
+
+        def held():
+            release.wait(timeout=10)
+            finished.set()
+
+        source, on_caller, error = {
+            "refusal": (ANTI, None, UncoveredDependenceError),
+            "interrupt": (OPAQUE, interrupt, KeyboardInterrupt),
+            "deadline": (OPAQUE, None, Deadline),
+        }[case]
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        try:
+            if case == "deadline":
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(error):
+                transform(
+                    source, {"N": 4}, self.SERIAL,
+                    funcs={"compute": _staged(on_caller, held)},
+                )
+            assert not finished.is_set()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+            release.set()
+            finished.wait(timeout=10)
+
+    def test_an_oracle_error_keeps_its_type(self):
+        class StageFailed(Exception):
+            pass
+
+        def broken():
+            raise StageFailed("oracle")
+
+        box = _bounded(
+            lambda: transform(
+                OPAQUE, {"N": 4}, self.SERIAL,
+                funcs={"compute": _staged(on_oracle=broken)},
+            )
+        )
+        assert isinstance(box.get("error"), StageFailed)
+
+    def test_lowering_does_not_wait_for_an_in_flight_oracle(self):
+        from repro.driver import analyze
+        from repro.interp import Interpreter
+
+        entered, release = threading.Event(), threading.Event()
+
+        def held():
+            entered.set()
+            release.wait(timeout=10)
+
+        interp = Interpreter.from_source(
+            OPAQUE, {"N": 4}, {"compute": _staged(on_oracle=held)}
+        )
+        a = analyze(interp, TransformOptions())
+        oracle = threading.Thread(target=interp.oracle, daemon=True)
+        oracle.start()
+        try:
+            assert entered.wait(timeout=10)
+            box = _bounded(
+                lambda: interp.exec_plan(a.info, a.task_ast), timeout=5
+            )
+            assert "value" in box and not release.is_set()
+        finally:
+            release.set()
+            oracle.join(timeout=10)
+        assert not oracle.is_alive()
+        assert interp.oracle().equal(interp.run_sequential(interp.new_store()))
+
+    def test_processes_replay_under_an_in_flight_oracle(self):
+        """The pool forks, with spans recording: a forked worker takes
+        the locks a running oracle's spans take, so the replay waits
+        for the oracle first on this backend."""
+        from repro.bench.execution import blocking_compute
+        from repro.obs import spans as obs_spans
+        from repro.workloads import TABLE9
+
+        def run():
+            with obs_spans.recording():
+                return transform(
+                    TABLE9["P5"].source(4), {},
+                    TransformOptions(exec_backend="processes", workers=2),
+                    funcs={"compute": blocking_compute},
+                )
+
+        box = _bounded(run, timeout=120)
+        assert "error" not in box, box.get("error")
+        result = box["value"]
+        assert result.verified is True
+        assert result.execution.backend == "processes"
 
 
 #: a non-default value per option whose pairs compose (or are refused)
