@@ -539,6 +539,7 @@ def replay(
         workers=workers,
         collect_events=collect_events,
         task_ast=a.task_ast,
+        graph=a.graph,
     )
     if a.privatized:
         from .interp import execute_privatized

@@ -4,10 +4,14 @@ Everything upstream of this module *analyzes* or *simulates*; here the
 task program actually runs against real arrays, timed.
 :func:`execute_measured` replays the program's lowered
 :class:`~repro.interp.plan.ExecPlan` (cached on the interpreter) on one
-of three backends, each of which runs the identical rows:
+of three backends, each of which runs the identical program:
 
-* ``serial`` — a loop over the rows in creation order, a topological
-  order of the schedule (:func:`~repro.tasking.dispatch.run_serial`);
+* ``serial`` — the plan's serial elision: its task streams in creation
+  order, a topological order of the schedule, each fused stream as one
+  kernel call over the rectangles of its rows' union
+  (:func:`~repro.interp.plan.run_stream_runs`); a replay that collects
+  runtime events loops over the rows instead
+  (:func:`~repro.tasking.dispatch.run_serial`);
 * ``threads`` — work stealing over the compiled schedule, the caller as
   worker 0 (:func:`~repro.tasking.dispatch.run_threads`; GIL-limited
   for scalar bodies, overlaps NumPy kernels and blocking calls);
@@ -167,22 +171,24 @@ def execute_measured(
     cost_of_block: Callable | None = None,
     collect_events: bool = False,
     task_ast=None,
+    graph=None,
 ) -> tuple[ArrayStore, ExecutionStats]:
     """Run the pipelined task program for ``info`` and time it.
 
     The program is lowered once per ``(interp, task_ast)`` — or per
     ``(interp, info)`` when the lowering generates the AST itself — and
-    cached on the interpreter (:meth:`Interpreter.exec_plan`); every call
-    replays it (:func:`repro.interp.plan.run_plan`).  The store (a fresh
-    deterministic one unless given) is mutated in place and returned
-    with timing/coverage statistics.  Every backend executes the
-    identical task program, so results are bit-comparable across
-    backends and against :meth:`Interpreter.run_sequential`.
+    cached on the interpreter (:meth:`Interpreter.exec_plan`; ``graph``,
+    the checked task graph of ``task_ast``, spares the lowering a
+    rebuild); every call replays it (:func:`repro.interp.plan.run_plan`).
+    The store (a fresh deterministic one unless given) is mutated in
+    place and returned with timing/coverage statistics.  Every backend
+    executes the identical task program, so results are bit-comparable
+    across backends and against :meth:`Interpreter.run_sequential`.
     ``cost_of_block`` is accepted and unused: no execution backend reads
     task costs (only the simulator's graph carries them).
     """
     from .plan import run_plan
 
     del cost_of_block
-    plan = interp.exec_plan(info, task_ast)
+    plan = interp.exec_plan(info, task_ast, graph=graph)
     return run_plan(interp, plan, backend, workers, store, collect_events)

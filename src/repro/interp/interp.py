@@ -167,7 +167,7 @@ class Interpreter:
             return None
         return self.fused_program.get(statement)
 
-    def exec_plan(self, info, task_ast=None, privatization=None):
+    def exec_plan(self, info, task_ast=None, privatization=None, graph=None):
         """The lowered task program for ``info`` (see
         :mod:`repro.interp.plan`): lowered on first use, then replayed.
 
@@ -175,8 +175,10 @@ class Interpreter:
         ``info`` has a raw and a relaxed one — else ``info``), of the
         fused program in force (none when ``fuse == "off"``) and of the
         privatization plan — each cached plan holds its referents, so
-        an id cannot be recycled while its entry lives.  Lowering is
-        under the lock: concurrent first runs of one analysis pay once.
+        an id cannot be recycled while its entry lives.  ``graph``, the
+        analysis' checked task graph of ``task_ast``, is only read by a
+        lowering (none is built then).  Lowering is under the lock:
+        concurrent first runs of one analysis pay once.
         """
         from .plan import lower_exec_plan
 
@@ -188,7 +190,7 @@ class Interpreter:
             if plan is not None:
                 self._exec_plans.move_to_end(key)
                 return plan
-            plan = lower_exec_plan(self, info, task_ast, privatization)
+            plan = lower_exec_plan(self, info, task_ast, privatization, graph)
             self._exec_plans[key] = plan
             if len(self._exec_plans) > EXEC_PLAN_CACHE_SIZE:
                 self._exec_plans.popitem(last=False)

@@ -11,9 +11,10 @@ on its own: it is the quotient, over the rows, of the very
 (``TaskGraph.from_task_ast``, or ``build_privatized_graph`` for a plan
 with reduction groups) — what runs is what was proved.  ``dependArr``
 slots belong to generated programs (:mod:`repro.codegen.emit`) and play
-no part here.  :func:`run_plan` replays the plan — serial is a loop over
-the rows, threads and processes hand the schedule to the schedulers of
-:mod:`repro.tasking` — without calling ``create_task``.  Everything
+no part here.  :func:`run_plan` replays the plan — threads and
+processes hand the schedule to the schedulers of :mod:`repro.tasking`,
+serial runs the plan's serial elision (:func:`run_stream_runs`) —
+without calling ``create_task``.  Everything
 that depends on the *run* — store, stream closures, private buffers,
 event collector, the copied join counters — is created there; the plan
 itself is shared between runs and threads and is never mutated
@@ -23,6 +24,21 @@ once).
 Plans are cached on the interpreter (:meth:`Interpreter.exec_plan`), so
 ``ExecutionStats.wall_time`` measures task submission + run, not
 lowering.
+
+Serial elision: rows are created stream by stream, so the rows of one
+task stream are consecutive, and a serial replay — one worker, creation
+order — has no reason to pay one dispatch per row.  Per stream with a
+fused kernel, lowering also decomposes the *union* of the stream's
+rows into rectangles (:attr:`StreamRun.rects`), and an untraced serial
+replay is one ``run_rects`` call per such stream.  It is the same
+program: each union rectangle is a contiguous lex range of the
+statement domain, on which the fuser's gate makes the slice form
+legal, and a chain's members are pairwise fusion-legal at the instance
+level, so any lex-contiguous chunking of ``S+T`` is legal — one
+rectangle over the whole domain is plain program order.  Streams
+without a kernel (fuse off, opaque calls, privatized members, joins)
+keep one ``call(tid)`` per row, and so does any replay that collects
+runtime events, which are per task by contract.
 
 Privatized plans: every member block gets a private buffer shaped like
 the accumulator and filled with the operator-group identity (``sum`` →
@@ -103,6 +119,14 @@ class TaskRow(NamedTuple):
     payload: dict  # statement, iters [, rects] [, remap] [, combine]
 
 
+class StreamRun(NamedTuple):
+    """One task stream of the plan as a serial replay runs it."""
+
+    rows: range  # the stream's rows, consecutive in creation order
+    kernel: FusedKernel | None  # None: one ``call(tid)`` per row
+    rects: tuple  # rectangles of the union of the rows' iterations
+
+
 @dataclass(frozen=True)
 class ExecPlan:
     """The lowered task program of one ``(interpreter, info)`` pair.
@@ -123,6 +147,8 @@ class ExecPlan:
     streams: dict[str, FusedKernel | None]
     rows: tuple[TaskRow, ...]
     schedule: "Schedule"  # the task graph's quotient (row index = task id)
+    #: the serial elision: every stream, in creation order
+    runs: tuple[StreamRun, ...]
     #: per reduction group: (accumulator, identity, private buffer names)
     privates: tuple[tuple[str, float, tuple[str, ...]], ...]
     #: the run-independent fields of :class:`ExecutionStats`
@@ -165,11 +191,13 @@ def quotient_schedule(graph, members, floors) -> "Schedule":
 
 
 def lower_exec_plan(
-    interp: "Interpreter", info, task_ast=None, privatization=None
+    interp: "Interpreter", info, task_ast=None, privatization=None,
+    graph=None,
 ) -> ExecPlan:
     """Lower ``info`` (already privatized when ``privatization`` has
     groups) into an :class:`ExecPlan`; ``task_ast`` skips regenerating
-    the AST the caller's analysis already holds."""
+    the AST the caller's analysis already holds, and ``graph`` — the
+    checked task graph of that AST — skips rebuilding it."""
     from ..schedule import generate_task_ast
     from ..schedule.privatize import build_privatized_graph, join_label
     from ..tasking.task import TaskGraph
@@ -180,9 +208,9 @@ def lower_exec_plan(
         ast = task_ast if task_ast is not None else generate_task_ast(info)
         # the graph the analysis checks: graph task ids are AST order
         # (nests x blocks), then one join per reduction group
-        if pgroups:
+        if graph is None and pgroups:
             graph, _ = build_privatized_graph(ast, privatization)
-        else:
+        elif graph is None:
             graph = TaskGraph.from_task_ast(ast)
 
         # One task stream per group.  Singletons keep the per-nest task
@@ -209,6 +237,7 @@ def lower_exec_plan(
         # collapsing starts (see quotient_schedule)
         members: list[tuple[int, ...]] = []
         floors: list[int] = []
+        runs: list[StreamRun] = []
         # rectangles of directly dispatched kernels, and how many of
         # them are small enough for ``run_rects`` to pick the loop form
         n_rects = n_loop_rects = 0
@@ -216,7 +245,8 @@ def lower_exec_plan(
             label = chain_label(tuple(n.statement for n in group))
             last = group[-1]
             pgroup = group_of.get(label)
-            start = len(rows) if last.chained and pgroup is None else None
+            first_row = len(rows)
+            start = first_row if last.chained and pgroup is None else None
             # A fused stream's hot path is one closure call over the
             # precomputed rectangles; member blocks of a reduction go
             # through run_block against their proxy store instead.
@@ -242,11 +272,19 @@ def lower_exec_plan(
                 members.append(tuple(first[n.statement] + b for n in group))
                 floors.append(len(rows) if start is None else start)
                 rows.append(TaskRow(label, payload))
+            stream = range(first_row, len(rows))
+            union = ()
+            if kernel is not None and stream:
+                union = tuple(rectangles(np.concatenate(
+                    [rows[r].payload["iters"] for r in stream]
+                )))
+            runs.append(StreamRun(stream, kernel, union))
         for k, g in enumerate(pgroups):
             label = join_label(g.array)
             streams[label] = None
             members.append((n_tasks + k,))
             floors.append(len(rows))
+            runs.append(StreamRun(range(len(rows), len(rows) + 1), None, ()))
             rows.append(TaskRow(label, {
                 "statement": label,
                 "iters": np.empty((0, 1), dtype=np.int64),
@@ -297,6 +335,7 @@ def lower_exec_plan(
         streams=streams,
         rows=tuple(rows),
         schedule=schedule,
+        runs=tuple(runs),
         privates=tuple(
             (g.array, g.identity, tuple(names[g.array])) for g in pgroups
         ),
@@ -359,6 +398,23 @@ def bind_rows(interp, plan: ExecPlan, store) -> Callable[[int], None]:
     return call
 
 
+def run_stream_runs(
+    interp, plan: ExecPlan, store, call: Callable[[int], None]
+) -> dict:
+    """The serial elision (module docstring): the plan's streams in
+    creation order, a fused one as one ``run_rects`` call over its union
+    rectangles, any other as ``call(tid)`` per row.  Returns scheduling
+    statistics."""
+    funcs = interp.funcs
+    for run in plan.runs:
+        if run.kernel is not None:
+            run.kernel.run_rects(store, funcs, run.rects)
+        else:
+            for tid in run.rows:
+                call(tid)
+    return {"policy": "stream-runs", "runs": len(plan.runs)}
+
+
 def run_plan(
     interp: "Interpreter",
     plan: ExecPlan,
@@ -410,7 +466,9 @@ def run_plan(
             with collecting as collector:
                 start = time.perf_counter()
                 label = lambda tid: rows[tid].stream  # noqa: E731
-                if backend == "serial":  # no statistics: returns None
+                if backend == "serial" and obs_runtime.current() is None:
+                    result = run_stream_runs(interp, plan, store, call)
+                elif backend == "serial":  # events are per task: per row
                     result = run_serial(range(len(rows)), call, label)
                 elif backend == "threads":
                     result = run_threads(plan.schedule, call, workers, label)
@@ -430,7 +488,8 @@ def run_plan(
         workers=workers if backend != "serial" else 1,
         wall_time=wall,
         # Both parallel schedulers report dispatch statistics
-        # (work-stealing steals / ready-batch counts); serial has none.
+        # (work-stealing steals / ready-batch counts), the serial
+        # elision its stream runs; a collecting serial replay has none.
         scheduler=result,
         events=events,
         **plan.stats,

@@ -60,7 +60,9 @@ def run_serial(
 ) -> None:
     """Run ``tids`` in the given order on the calling thread — for
     ``range(n)``, the tasking-disabled schedule of a program whose
-    creation order is topological."""
+    creation order is topological.  A plan replay comes here only when
+    it collects runtime events (one per task); an untraced one runs the
+    plan's serial elision (:func:`repro.interp.plan.run_stream_runs`)."""
     collector = obs_runtime.current()
     if collector is None:
         for tid in tids:

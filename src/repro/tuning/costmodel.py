@@ -3,7 +3,7 @@
 The discrete-event simulator (:func:`repro.tasking.simulate`) charges an
 *abstract* overhead per task; ``benchmarks/bench_calibration.py`` sweeps
 it to show how robust the figures are to the choice.  Here the overhead
-stops being free: two measured serial runs of the same kernel at
+stops being free: two measured one-worker runs of the same kernel at
 different granularities pin both parameters of
 
     ``wall ≈ per_task_s · tasks + per_iter_s · iterations``
@@ -183,15 +183,19 @@ def calibrate_dispatch(
     )
 
 
-def _measure_serial(
+def _measure_one_worker(
     interp: "Interpreter", info: "PipelineInfo", repeats: int
 ) -> tuple[int, int, float]:
-    """Best-of-``repeats`` serial wall time of one blocking of the kernel."""
+    """Best-of-``repeats`` one-worker wall time of one blocking of the
+    kernel, on ``threads``: it dispatches every task, where a ``serial``
+    replay runs a fused stream as one call whatever its blocking."""
     from ..interp import execute_measured
 
     best = None
     for _ in range(max(1, repeats)):
-        _, stats = execute_measured(interp, info, backend="serial")
+        _, stats = execute_measured(
+            interp, info, backend="threads", workers=1
+        )
         if best is None or stats.wall_time < best.wall_time:
             best = stats
     return best.blocks_total, best.iterations_total, best.wall_time
@@ -202,7 +206,8 @@ def calibrate_overhead(
     info: "PipelineInfo",
     repeats: int = 2,
 ) -> OverheadModel:
-    """Fit the model from two measured serial runs of ``info``'s kernel.
+    """Fit the model from two measured one-worker runs of ``info``'s
+    kernel.
 
     The *fine* sample is ``info`` as given; the *coarse* sample collapses
     every statement into a single block (the fewest tasks any coarsening
@@ -215,13 +220,13 @@ def calibrate_overhead(
     max_blocks = max(
         (b.num_blocks for b in info.blockings.values()), default=1
     )
-    fine = _measure_serial(interp, info, repeats)
+    fine = _measure_one_worker(interp, info, repeats)
     samples = [fine]
     if max_blocks > 1:
         coarse_info = apply_coarsening(
             info, {name: max_blocks for name in info.blockings}
         )
-        coarse = _measure_serial(interp, coarse_info, repeats)
+        coarse = _measure_one_worker(interp, coarse_info, repeats)
         samples.append(coarse)
         dt = fine[0] - coarse[0]
         per_task = (fine[2] - coarse[2]) / dt if dt else 0.0

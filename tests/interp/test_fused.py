@@ -162,9 +162,10 @@ class TestKernelForms:
 
     @pytest.mark.parametrize("coarsen", [1, 60])
     def test_form_follows_rectangle_size(self, coarsen):
-        """Count-based: replaying P5@14, one-point blocks never call the
-        slice form and 60-point blocks never call the loop form on a
-        rectangle above the constant (small edge rectangles may)."""
+        """Count-based: replaying P5@14 per row (threads, one worker —
+        serial would run the stream's union), one-point blocks never
+        call the slice form and 60-point blocks never call the loop form
+        on a rectangle above the constant (small edge rectangles may)."""
         from repro.obs import spans as obs_spans
 
         interp, info = compile_for_exec(
@@ -186,7 +187,7 @@ class TestKernelForms:
             kernel.fn = counting("slice", kernel.fn)
             kernel.loop_fn = counting("loop", kernel.loop_fn)
         oracle = interp.run_sequential(interp.new_store())
-        store, _ = execute_measured(interp, info)
+        store, _ = execute_measured(interp, info, backend="threads", workers=1)
         assert oracle.equal(store)
 
         limit = fused_mod.LOOP_FORM_POINTS

@@ -80,8 +80,10 @@ def test_ten_measured_runs_lower_once(lowering_calls):
     after_one = snapshot(lowering_calls)
     assert after_one["astgen"] == after_one["chains"] == 1
     assert after_one["lower"] == 1
-    # one decomposition per fused task of the merged S+T stream
-    assert after_one["rectangles"] == len(first.task_members) > 0
+    # one decomposition per fused task of the merged S+T stream, plus
+    # one of the stream's union for the serial elision
+    assert first.fused_chains == (("S", "T"),)
+    assert after_one["rectangles"] == len(first.task_members) + 1 > 1
     for backend in 3 * BACKENDS:
         _, stats = execute_measured(interp, info, backend=backend, workers=2)
         assert stats.task_members == first.task_members
@@ -552,6 +554,126 @@ def test_failed_replay_leaves_the_shared_plan_reusable(backend):
     assert interp.exec_plan(info) is plan
     out, _ = execute_measured(interp, info, backend=backend, workers=2)
     assert interp.run_sequential(interp.new_store()).equal(out)
+
+
+# ----------------------------------------------------------------------
+# the serial elision: one kernel call per fused stream
+# ----------------------------------------------------------------------
+#: S and T fuse into one chain over a triangular domain: the union of
+#: the stream's rows decomposes into one rectangle per ``i``
+TRIANGULAR_CHAIN = """
+for(i=0; i<N; i++)
+  for(j=0; j<=i; j++)
+    S: A[i][j] = f(A[i][j], A[i][j+1]);
+for(i=0; i<N; i++)
+  for(j=0; j<=i; j++)
+    T: B[i][j] = g(A[i][j], B[i][j]);
+"""
+
+
+@pytest.mark.parametrize(
+    "name,rows,streams", [("P5", 196, 1), ("P10", 308, 2)]
+)
+def test_serial_replay_calls_each_fused_stream_once(
+    monkeypatch, name, rows, streams
+):
+    """The ledger's ``fine_p`` shapes: one-point blocks, one
+    ``run_rects`` call per fused stream instead of one per row."""
+    from repro.interp.fused import FusedKernel
+
+    interp, info = compile_for_exec(TABLE9[name].source(14), "auto", coarsen=1)
+    plan = interp.exec_plan(info)
+    assert len(plan.rows) == rows
+    assert sum(run.kernel is not None for run in plan.runs) == streams
+    calls = Counter(monkeypatch, FusedKernel, "run_rects")
+    out, stats = execute_measured(interp, info, backend="serial")
+    assert calls.calls == streams
+    assert stats.scheduler == {"policy": "stream-runs", "runs": streams}
+    assert interp.oracle().equal(out)
+
+
+def assert_serial_is_the_oracle(interp, info):
+    plan = interp.exec_plan(info)
+    # every row belongs to exactly one stream run, in creation order
+    assert [t for run in plan.runs for t in run.rows] == list(
+        range(len(plan.rows))
+    )
+    out, stats = execute_measured(interp, info, backend="serial")
+    assert stats.scheduler == {"policy": "stream-runs", "runs": len(plan.runs)}
+    assert interp.oracle().equal(out)
+
+
+@pytest.mark.parametrize("coarsen", [1, 3])
+@pytest.mark.parametrize("name", PKERNELS)
+def test_serial_elision_is_the_oracle_on_pkernels(name, coarsen):
+    for fuse in FUSE_MODES:
+        assert_serial_is_the_oracle(
+            *compile_for_exec(TABLE9[name].source(9), fuse, coarsen=coarsen)
+        )
+
+
+@pytest.mark.parametrize("name", ["listing1", "listing3", "reversed"])
+def test_serial_elision_is_the_oracle_on_examples(name):
+    source = (EXAMPLES / f"{name}.c").read_text()
+    for fuse in FUSE_MODES:
+        for coarsen in (1, 4):
+            assert_serial_is_the_oracle(
+                *compile_for_exec(source, fuse, {"N": 12}, coarsen)
+            )
+
+
+@pytest.mark.parametrize("name", ["histogram", "sumstencil", "dotprod"])
+def test_serial_elision_keeps_privatized_rows(name):
+    """Members and joins have no kernel: they run row by row inside the
+    elided replay, and the result is the per-row replay's bit for bit."""
+    source = (EXAMPLES / f"{name}.c").read_text()
+    interp, plan, pinfo = privatized_setup(source, 12, parts=3)
+    lowered = interp.exec_plan(pinfo, None, plan)
+    per_row = {
+        t for run in lowered.runs if run.kernel is None for t in run.rows
+    }
+    assert {
+        t for t, r in enumerate(lowered.rows)
+        if "remap" in r.payload or "combine" in r.payload
+    } <= per_row
+    out, stats = execute_privatized(interp, pinfo, plan, backend="serial")
+    assert stats.scheduler["policy"] == "stream-runs"
+    ref, _ = execute_privatized(
+        interp, pinfo, plan, backend="threads", workers=1
+    )
+    assert ref.equal(out)
+    assert privatized_matches(plan, interp.oracle(), out)[0]
+
+
+@pytest.mark.parametrize("coarsen", [1, 3, 8])
+def test_serial_elision_runs_a_non_dense_chain_union(coarsen):
+    interp, info = compile_for_exec(
+        TRIANGULAR_CHAIN, "auto", {"N": 9}, coarsen
+    )
+    plan = interp.exec_plan(info)
+    assert plan.stats["fused_chains"] == (("S", "T"),)
+    (run,) = plan.runs
+    assert len(run.rects) == 9 and len(run.rows) == len(plan.rows) > 1
+    assert_serial_is_the_oracle(interp, info)
+
+
+def test_a_collecting_serial_replay_records_one_event_per_row():
+    from repro.obs import runtime as obs_runtime
+
+    interp, info = compile_for_exec(TABLE9["P5"].source(9), "auto", coarsen=1)
+    plan = interp.exec_plan(info)
+    out, stats = execute_measured(
+        interp, info, backend="serial", collect_events=True
+    )
+    assert sorted(e.tid for e in stats.events.events) == list(
+        range(len(plan.rows))
+    )
+    assert stats.scheduler is None
+    assert interp.oracle().equal(out)
+    # a collector active around the replay keeps it per row as well
+    with obs_runtime.collecting("serial", 1) as outer:
+        execute_measured(interp, info, backend="serial")
+    assert len(outer.trace().events) == len(plan.rows)
 
 
 # ----------------------------------------------------------------------

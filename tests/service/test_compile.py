@@ -212,6 +212,35 @@ def test_transform_generates_and_lowers_the_task_ast_once(
     assert span_counts() == (0, 1)  # warm
 
 
+@pytest.mark.parametrize(
+    "source,privatize",
+    [
+        pytest.param(TWO_NEST_COPY, False, id="standard"),
+        pytest.param(DOTPROD, True, id="privatized"),
+    ],
+)
+def test_a_verified_transform_builds_its_task_graph_once(
+    tmp_path, monkeypatch, source, privatize
+):
+    """The replay lowers from the graph ``check_legality`` proved (cold)
+    or the store's load rebuilt (warm): one build per transform."""
+    from repro.driver import transform
+    from repro.tasking import TaskGraph
+
+    builds = []
+    real = TaskGraph.from_task_ast
+    monkeypatch.setattr(
+        TaskGraph, "from_task_ast",
+        staticmethod(lambda *a, **k: builds.append(1) or real(*a, **k)),
+    )
+    opts = TransformOptions(workers=2, privatize=privatize)
+    for status in ("cold", "warm"):
+        del builds[:]
+        result = transform(source, {"N": 8}, opts, cache_dir=str(tmp_path))
+        assert result.verified is True and result.cache_status == status
+        assert len(builds) == 1, status
+
+
 # ----------------------------------------------------------------------
 # chain-fusion verdicts: decided at compile, carried in the fusion plan
 # ----------------------------------------------------------------------
@@ -412,10 +441,13 @@ def test_verdict_table_round_trips_and_is_optional(
 def test_forged_verdict_ends_in_verification_failure(tmp_path):
     """The stored table has the standing of the stored ClosureSpecs: it
     is trusted to plan, and what it planned is caught by the oracle
-    compare — a forged "legal" never reaches a returned result."""
+    compare — a forged "legal" never reaches a returned result.  A
+    per-row replay (threads) runs the forged chain block by block; the
+    serial elision runs the chain over its whole domain, which is
+    program order, so the forgery cannot mislead it."""
     from repro.driver import VerificationFailedError, transform
 
-    opts = TransformOptions(exec_backend="serial", workers=2)
+    opts = TransformOptions(exec_backend="threads", workers=2)
     params = {"N": 4}
     honest = transform(
         BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path)
@@ -428,8 +460,16 @@ def test_forged_verdict_ends_in_verification_failure(tmp_path):
     artifact = store.get(key)
     assert artifact.fused["legal_pairs"] == [["S", "T", False]]
     store.put(key, _forged_verdicts(artifact))
-    with pytest.raises(VerificationFailedError, match="serial plan replay"):
+    with pytest.raises(VerificationFailedError, match="threads plan replay"):
         transform(BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path))
+
+    interp, forged, status = _compile(BACKWARD_IN_BLOCK, params, opts, store)
+    assert status == "warm"
+    out, stats = execute_measured(
+        interp, forged.info, backend="serial", task_ast=forged.task_ast
+    )
+    assert stats.fused_chains == (("S", "T"),)
+    assert interp.oracle().equal(out)
 
 
 # ----------------------------------------------------------------------

@@ -609,7 +609,9 @@ def test_disk_is_the_trust_boundary_not_the_resident_object(tmp_path):
 
 def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
     """A forged "legal" verdict in a stored fusion plan merges a chain
-    that reorders a dependence; the run's oracle compare reports it."""
+    that reorders a dependence; the run's oracle compare reports it on a
+    per-row replay (threads).  The serial elision runs the chain over
+    its whole domain — program order — and still matches."""
     from repro.driver import transform
     from repro.service import options_from_dict
     from repro.store import ArtifactStore, artifact_key
@@ -621,7 +623,7 @@ def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
     key = artifact_key(BACKWARD_IN_BLOCK, params, opts)
     req = {
         "op": "run", "source": BACKWARD_IN_BLOCK, "params": params,
-        "options": options, "backend": "serial",
+        "options": options, "backend": "threads",
     }
 
     async def honest(host, port, server):
@@ -632,6 +634,9 @@ def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
         resp = await _request(host, port, req)
         assert resp["ok"] and resp["key"] == key
         assert resp["status"] == "warm" and resp["match"] is False
+        serial = await _request(host, port, dict(req, backend="serial"))
+        assert serial["ok"] and serial["key"] == key
+        assert serial["match"] is True
 
     asyncio.run(_with_server(str(tmp_path), honest))
     store.put(key, _forged_verdicts(store.get(key)))
@@ -642,7 +647,7 @@ def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
 # the resident oracle: computed once, compared on every request
 # ----------------------------------------------------------------------
 def _run_req(source: str = TWO_NEST_COPY, **extra) -> dict:
-    return dict(_compile_req(source), op="run", backend="serial", **extra)
+    return {**_compile_req(source), "op": "run", "backend": "serial", **extra}
 
 
 def _resident_interp(server, key: str):
@@ -656,10 +661,12 @@ async def _oracle_gauge(host, port) -> int:
 
 def test_match_and_checksums_come_from_each_requests_replay(tmp_path):
     """Only the reference is kept: a resident plan that starts writing
-    wrong cells is reported by the very next run."""
+    wrong cells is reported by the very next run (a per-row replay:
+    threads on one worker runs the broken row itself)."""
+    per_row = dict(backend="threads", workers=1)
 
     async def body(host, port, server):
-        good = await _request(host, port, _run_req())
+        good = await _request(host, port, _run_req(**per_row))
         assert good["match"] is True
         interp = _resident_interp(server, good["key"])
         (plan,) = interp._exec_plans.values()
@@ -667,7 +674,7 @@ def test_match_and_checksums_come_from_each_requests_replay(tmp_path):
         payload["iters"] = payload["iters"][:0]
         if "rects" in payload:
             payload["rects"] = ()
-        bad = await _request(host, port, _run_req())
+        bad = await _request(host, port, _run_req(**per_row))
         assert bad["ok"] and bad["status"] == "warm"
         assert bad["match"] is False
         assert bad["checksums"] != good["checksums"]

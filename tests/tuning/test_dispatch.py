@@ -81,6 +81,22 @@ def test_calibrate_dispatch_measures_both_ladders(fused_setup):
     assert model.crossover_iters() >= 1
 
 
+def test_fused_per_task_cost_is_measured_where_it_is_paid():
+    """P5's four nests fuse into one stream, which a serial replay runs
+    as one kernel call at any blocking; the one-worker threads replay
+    the ladders are measured on dispatches every block, so the fine and
+    the fully coarse sample differ by real per-task cost."""
+    from repro.tuning.costmodel import _FLOOR_S
+    from repro.workloads import TABLE9
+
+    interp = Interpreter.from_source(TABLE9["P5"].source(14), {})
+    info = detect_pipeline(interp.scop, coarsen=1)
+    model = calibrate_dispatch(interp, info, repeats=2)
+    fine, coarse = model.fused.samples
+    assert fine[0] > coarse[0]  # the task-count lever
+    assert model.fused.per_task_s > 100 * _FLOOR_S
+
+
 def test_auto_tune_uses_fused_ladder_when_fusing(fused_setup):
     interp, info = fused_setup
     plan = auto_tune(interp, info, workers=2, mode="model", repeats=1)

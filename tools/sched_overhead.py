@@ -6,16 +6,21 @@ Per kernel, three ways of executing one lowered ``ExecPlan``, alternated
 repeat by repeat, each on a fresh store (``new_store()`` is inside every
 timing, as in the ledger's ``run_*_ms``):
 
-* **bare** — the stream-function loop and nothing else
-  (``bind_rows`` + ``for tid in range(n): call(tid)``): no scheduler, no
-  span, no statistics; the floor a scheduler cannot go below;
-* **serial** / **threads** — ``execute_measured`` on that backend.
+* **rows** — the stream-function loop and nothing else
+  (``bind_rows`` + ``for tid in range(n): call(tid)``): one call per
+  task, no scheduler, no span, no statistics; the floor of any replay
+  that dispatches per task;
+* **serial** — ``execute_measured`` on ``serial``: the plan's serial
+  elision, one kernel call per fused task stream, so it reads below
+  ``rows`` wherever streams fuse;
+* **threads** — ``execute_measured`` on ``threads``.
 
-Printed: median ms of each, the scheduler's share as µs per task
-(``serial − bare``, ``threads − bare``) and the thread hand-off per run
-(``threads − serial``).  The cases are the ledger's ``fine_p`` kernels
-(one-point blocks) and ``coarse_p`` kernels (~8 tasks per statement).
-Asserts nothing and exits 0; CI uploads the table.
+Printed: median ms of each, per task what serial saves or pays against
+the row loop (``serial − rows``, negative when the elision wins), the
+thread scheduler's share (``threads − rows``) and the thread hand-off
+per run (``threads − serial``).  The cases are the ledger's ``fine_p``
+kernels (one-point blocks) and ``coarse_p`` kernels (~8 tasks per
+statement).  Asserts nothing and exits 0; CI uploads the table.
 
 Usage::
 
@@ -53,7 +58,7 @@ def measure(name: str, n: int, coarsen: int, repeats: int) -> dict:
     plan = interp.exec_plan(info)
     tasks = range(len(plan.rows))
 
-    def bare():
+    def row_loop():
         store = interp.new_store()
         call = bind_rows(interp, plan, store)
         for tid in tasks:
@@ -66,7 +71,7 @@ def measure(name: str, n: int, coarsen: int, repeats: int) -> dict:
         )[0]
 
     ways = {
-        "bare": bare,
+        "rows": row_loop,
         "serial": replay("serial"),
         "threads": replay("threads"),
     }
@@ -92,17 +97,17 @@ def render(rows: dict) -> str:
         f"host: {host['cpu']}, {host['nproc']} cpu, "
         f"python {host['python']}, numpy {host['numpy']}",
         f"median raw ms per run incl. new_store(); threads: {WORKERS} workers",
-        f"{'kernel':14}{'tasks':>6}{'edges':>6}{'bare':>8}{'serial':>8}"
-        f"{'threads':>8}{'ser us/task':>12}{'thr us/task':>12}"
+        f"{'kernel':14}{'tasks':>6}{'edges':>6}{'rows':>8}{'serial':>8}"
+        f"{'threads':>8}{'ser-rows us/t':>14}{'thr-rows us/t':>14}"
         f"{'thr-ser ms':>11}",
     ]
     for label, r in rows.items():
         per = 1e3 / r["tasks"]
         lines.append(
-            f"{label:14}{r['tasks']:>6}{r['edges']:>6}{r['bare']:>8.2f}"
+            f"{label:14}{r['tasks']:>6}{r['edges']:>6}{r['rows']:>8.2f}"
             f"{r['serial']:>8.2f}{r['threads']:>8.2f}"
-            f"{(r['serial'] - r['bare']) * per:>12.2f}"
-            f"{(r['threads'] - r['bare']) * per:>12.2f}"
+            f"{(r['serial'] - r['rows']) * per:>14.2f}"
+            f"{(r['threads'] - r['rows']) * per:>14.2f}"
             f"{r['threads'] - r['serial']:>11.2f}"
         )
     return "\n".join(lines)
