@@ -5,7 +5,7 @@ from .calibration import (
     format_sensitivity,
     overhead_sensitivity,
 )
-from .execution import measured_speedup, run_workload
+from .execution import measured_speedup
 from .figure2 import Figure2Result, format_figure2, run_figure2
 from .figure5 import Figure5Result, format_figure5, run_figure5
 from .figure10 import (
@@ -62,7 +62,6 @@ __all__ = [
     "format_figure11",
     "format_sensitivity",
     "measured_speedup",
-    "run_workload",
     "format_table9",
     "kernel_structure",
     "overhead_sensitivity",

@@ -7,9 +7,6 @@ It holds what the evaluation needs and nothing more:
 * :func:`measured_speedup` — the ``--measured`` column of Figures 10/11:
   pipelined threads replay over the best *serial* replay of the same
   lowered plan;
-* :func:`run_workload` — one kernel on every execution configuration
-  (compiled loops, fused closures on all three backends), each compared
-  bit for bit against the sequential oracle;
 * :func:`blocking_compute` / :func:`histogram_latency_source` — the
   *latency-bound* stage: an opaque statement body that blocks per call
   (the paper's expensive prime-search kernel, or any I/O /
@@ -46,14 +43,6 @@ def blocking_compute(*args: float) -> float:
     return _mix(*args)
 
 
-def dispatch_mode_of(stats) -> str:
-    """Collapse per-statement dispatch modes into one row label."""
-    modes = set(getattr(stats, "dispatch_modes", {}).values())
-    if not modes:
-        return "interp"
-    return modes.pop() if len(modes) == 1 else "mixed"
-
-
 def _best_replay(interp, info, backend: str, workers: int, repeats: int):
     """``repeats`` replays of one lowered plan: ``(stats of the fastest,
     store of the last)``."""
@@ -65,77 +54,6 @@ def _best_replay(interp, info, backend: str, workers: int, repeats: int):
         if best is None or stats.wall_time < best.wall_time:
             best = stats
     return best, store
-
-
-def _measure(
-    source: str,
-    params: Mapping[str, int],
-    backend: str,
-    fuse: str,
-    workers: int,
-    coarsen: int,
-    funcs: Mapping[str, Callable] | None = None,
-    repeats: int = 3,
-) -> tuple[dict, object]:
-    """Best-of-``repeats`` measured execution: ``(record, store)``."""
-    interp = Interpreter.from_source(source, params, funcs, fuse=fuse)
-    info = detect_pipeline(interp.scop, coarsen=coarsen)
-    best, store = _best_replay(interp, info, backend, workers, repeats)
-    record = best.as_dict()
-    record["dispatch_mode"] = dispatch_mode_of(best)
-    return record, store
-
-
-def run_workload(
-    name: str,
-    source: str,
-    params: Mapping[str, int],
-    workers: int,
-    coarsen: int,
-    funcs: Mapping[str, Callable] | None = None,
-    repeats: int = 3,
-) -> dict:
-    """Run one kernel on every execution configuration.
-
-    ``scalar-serial`` is the compiled-loop baseline; the fused rows run
-    the closure dispatch path — chain merging included — on all three
-    backends.
-    """
-    configs = (
-        ("scalar-serial", "serial", "off"),
-        ("fused-serial", "serial", "auto"),
-        ("fused-threads", "threads", "auto"),
-        ("fused-processes", "processes", "auto"),
-    )
-    oracle = Interpreter.from_source(source, params, funcs)
-    reference = oracle.run_sequential(oracle.new_store())
-
-    runs: dict[str, dict] = {}
-    identical = True
-    for label, backend, fuse in configs:
-        record, store = _measure(
-            source, params, backend, fuse, workers, coarsen, funcs, repeats
-        )
-        same = reference.equal(store)
-        record["identical_to_sequential"] = same
-        identical = identical and same
-        runs[label] = record
-
-    t = {label: runs[label]["wall_time_s"] for label in runs}
-    return {
-        "name": name,
-        "params": dict(params),
-        "coarsen": coarsen,
-        "repeats": repeats,
-        "runs": runs,
-        "identical": identical,
-        "speedup_fused": t["scalar-serial"] / t["fused-serial"],
-        "speedup_threads": t["scalar-serial"] / t["fused-threads"],
-        "speedup_processes": t["scalar-serial"] / t["fused-processes"],
-        "processes_vs_fused_serial": (
-            t["fused-serial"] / t["fused-processes"]
-        ),
-    }
 
 
 def histogram_latency_source(_n: int) -> str:

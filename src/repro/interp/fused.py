@@ -154,10 +154,6 @@ class ClosureSpec:
 
     statements: tuple[StatementSpec, ...]
 
-    @property
-    def label(self) -> str:
-        return chain_label(tuple(s.name for s in self.statements))
-
     def to_dict(self) -> dict:
         return {"statements": [s.to_dict() for s in self.statements]}
 
@@ -535,10 +531,6 @@ class FusedKernel:
     source: str
     fn: Callable  # slice form
 
-    @property
-    def label(self) -> str:
-        return self.spec.label
-
     @cached_property
     def loop_fn(self) -> Callable:
         """Loop form of the same spec, compiled on first use.  Racing
@@ -642,17 +634,6 @@ class FusedProgram:
 
     def add_chain(self, label: str, kernel: FusedKernel) -> None:
         self.chains[label] = kernel
-
-    @property
-    def statements_fused(self) -> int:
-        return sum(1 for e in self.entries.values() if e.ok)
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of statements with a fused closure (0..1)."""
-        if not self.entries:
-            return 0.0
-        return self.statements_fused / len(self.entries)
 
     def fallbacks(self) -> dict[str, dict[str, str]]:
         """``{statement: {"reason": ..., "code": RPA06x}}`` for refusals."""

@@ -101,13 +101,6 @@ class Interpreter:
         #: its own lock, so lowering never waits behind an in-flight
         #: oracle (taken before ``_lock``, never after)
         self._oracle_lock = threading.Lock()
-        #: Per-path execution counters, filled by :meth:`run_block`.
-        self.block_counters = {
-            "fused_blocks": 0,
-            "scalar_blocks": 0,
-            "fused_iterations": 0,
-            "scalar_iterations": 0,
-        }
         missing = {
             f
             for c in self.compiled.values()
@@ -270,12 +263,8 @@ class Interpreter:
             fused = self.fused_program.get(statement)
             if fused is not None:
                 fused(store, self.funcs, iters)
-                self.block_counters["fused_blocks"] += 1
-                self.block_counters["fused_iterations"] += len(iters)
                 return
         self.compiled[statement](store, self.funcs, iters.tolist())
-        self.block_counters["scalar_blocks"] += 1
-        self.block_counters["scalar_iterations"] += len(iters)
 
     def execute_blocks_in_order(
         self, store: ArrayStore, blocks: list

@@ -148,7 +148,7 @@ class SharedArrayStore(ArrayStore):
     """An :class:`ArrayStore` whose buffers live in one shared segment.
 
     The creating process calls :meth:`from_store` (copying an existing
-    store's contents in) or :meth:`for_scop`, hands :attr:`spec` to worker
+    store's contents in), hands :attr:`spec` to worker
     processes, and finally :meth:`close` + :meth:`unlink`.  Workers call
     :meth:`attach` and :meth:`close` — never :meth:`unlink`.
     """
@@ -205,10 +205,6 @@ class SharedArrayStore(ArrayStore):
         return cls(arrays, shm, spec, owner=True)
 
     @classmethod
-    def for_scop(cls, scop: Scop, init: str = "index") -> "SharedArrayStore":
-        return cls.from_store(ArrayStore.for_scop(scop, init))
-
-    @classmethod
     def attach(cls, spec: SharedStoreSpec) -> "SharedArrayStore":
         """Map an existing segment in a worker process."""
         shm = shared_memory.SharedMemory(name=spec.segment)
@@ -238,15 +234,6 @@ class SharedArrayStore(ArrayStore):
         return cls(arrays, shm, spec, owner=False)
 
     # -- lifecycle ------------------------------------------------------
-    def to_local(self) -> ArrayStore:
-        """Copy the shared contents out into a plain in-process store."""
-        return ArrayStore(
-            {
-                name: ArrayView(view.name, np.array(view.data), view.offsets)
-                for name, view in self.arrays.items()
-            }
-        )
-
     def close(self) -> None:
         """Drop this process's mapping (shared pages survive elsewhere)."""
         if self._closed:

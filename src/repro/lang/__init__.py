@@ -27,7 +27,6 @@ from .errors import (
 )
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse
-from .printer import print_program
 
 __all__ = [
     "ArrayAccess",
@@ -49,7 +48,6 @@ __all__ = [
     "expr_reads",
     "expr_vars",
     "parse",
-    "print_program",
     "tokenize",
     "walk_expr",
 ]

@@ -31,7 +31,6 @@ from .metrics import (
     absorb_simulation,
     absorb_task_overhead,
     absorb_transform,
-    default_registry,
     parse_series_key,
 )
 from .service import RequestLog, RequestTelemetry, request_trace_document
@@ -68,7 +67,6 @@ __all__ = [
     "absorb_task_overhead",
     "absorb_transform",
     "collecting",
-    "default_registry",
     "parse_series_key",
     "phase_breakdown",
     "poll_snapshot",

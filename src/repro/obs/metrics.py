@@ -17,9 +17,7 @@ labeled series like ``presburger.cache.hits`` or
 ``name{k=v,k2=v2}`` — so artifacts diff cleanly across runs and CI can
 upload them verbatim.
 
-A registry is an ordinary object (create as many as you like); the
-module also keeps one process-global default for instrumentation sites
-that have nowhere to thread a registry through.
+A registry is an ordinary object: each caller creates its own.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "absorb_simulation",
     "absorb_task_overhead",
     "absorb_transform",
-    "default_registry",
     "parse_series_key",
     "series_key",
 ]
@@ -355,14 +352,6 @@ class MetricsRegistry:
                     f"{fmt(hist.quantile(q))}"
                 )
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-_DEFAULT = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-global registry (instrumentation fallback)."""
-    return _DEFAULT
 
 
 # ----------------------------------------------------------------------

@@ -4,21 +4,15 @@ The pipeline analysis is a compile-time pass; for large instantiations it
 is worth caching.  A :class:`~repro.schedule.astgen.TaskAst` is fully
 self-contained (blocks, iterations, dependency tokens), so saving it is
 enough to rebuild task graphs and run/simulate later without re-running
-Algorithm 1.  Two containers share one packed layout:
-
-* ``save_task_ast`` / ``load_task_ast`` — a single ``.npz`` file
-  (NumPy arrays for the bulk, a JSON header for the structure);
-* ``dumps_task_ast`` / ``loads_task_ast`` — an in-memory blob for the
-  artifact store: zlib-compressed pickle of the same packed arrays,
-  *without* the zip container (``np.load`` drags in ``zipfile`` +
-  ``pathlib``, ~10ms of import cost in a fresh warm-serving process).
+Algorithm 1.  ``dumps_task_ast`` / ``loads_task_ast`` write and read the
+artifact store's blob: a zlib-compressed pickle of the packed arrays
+below, without a zip container (``np.load`` drags in ``zipfile`` +
+``pathlib``, ~10ms of import cost in a fresh warm-serving process).
 
 The packed layout (format version 2) is built for thousands of blocks:
 
 * every block's iteration array lives in ONE flat ``int64`` array plus
-  a ``(n_blocks, 2)`` shape table — one npz member per block would make
-  per-member zip open/decompress overhead dominate warm artifact-store
-  loads;
+  a ``(n_blocks, 2)`` shape table;
 * ``in_tokens`` are stored as integer indices into the global block
   list (a consumed token is some producer block's ``out_token``), not
   as literal ``[statement, end]`` pairs — smaller header, shared tuple
@@ -27,15 +21,13 @@ The packed layout (format version 2) is built for thousands of blocks:
 * a nest record carries ``"chained": false`` for a relaxed or privatized
   nest; the key is absent otherwise.
 
-Loaded iteration arrays view into the flat array (no copy).  A file of
-any other version, or a blob without :data:`BLOB_MAGIC` (which names
-the version), raises ``ValueError`` — the artifact store demotes that
-to a recompile.
+Loaded iteration arrays view into the flat array (no copy).  A blob
+without :data:`BLOB_MAGIC` (which names the version) raises
+``ValueError`` — the artifact store demotes that to a recompile.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 import zlib
 
@@ -148,33 +140,7 @@ def _unpack(header: dict, flat: np.ndarray, shapes: np.ndarray) -> TaskAst:
 
 
 # ----------------------------------------------------------------------
-# file container (.npz)
-# ----------------------------------------------------------------------
-def save_task_ast(path: str, ast: TaskAst) -> None:
-    """Write a task AST to ``path`` (``.npz``, format version 2)."""
-    header, flat, shapes = _pack(ast)
-    np.savez_compressed(
-        path,
-        __header__=np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        ),
-        flat=flat,
-        shapes=shapes,
-    )
-
-
-def load_task_ast(path: str) -> TaskAst:
-    """Read a task AST written by :func:`save_task_ast`."""
-    with np.load(path) as data:
-        header = json.loads(bytes(data["__header__"]).decode("utf-8"))
-        version = header.get("version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported task-AST format version {version}")
-        return _unpack(header, data["flat"], data["shapes"])
-
-
-# ----------------------------------------------------------------------
-# in-memory container (artifact-store blobs)
+# the container (artifact-store blobs)
 # ----------------------------------------------------------------------
 def dumps_task_ast(ast: TaskAst) -> bytes:
     """Task AST -> bytes, the artifact-store blob (zip-free)."""

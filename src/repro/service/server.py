@@ -76,7 +76,6 @@ from typing import Any
 from ..driver import analyze, replay, validate_options
 from ..interp.executor import BACKEND_ALIASES
 from ..obs import spans as obs_spans
-from ..obs.metrics import absorb_artifact_store
 from ..obs.service import RequestTelemetry
 from ..store import ArtifactStore
 from ..store.disk import save_metrics_snapshot
@@ -575,7 +574,9 @@ class ReproServer:
 
     # ------------------------------------------------------------------
     def final_snapshot(self) -> dict[str, Any]:
-        """The metrics document persisted as ``metrics-last.json``."""
+        """The metrics document persisted as ``metrics-last.json``: the
+        registry the live ``metrics`` verb answers with, store series
+        written once, as gauges of this server's store."""
         doc: dict[str, Any] = {
             "saved_at": time.strftime(
                 "%Y-%m-%dT%H:%M:%S%z", time.localtime()
@@ -584,7 +585,6 @@ class ReproServer:
         }
         if self.telemetry is not None:
             reg = self._registry_snapshot()
-            absorb_artifact_store(reg)
             doc["uptime_s"] = round(self.telemetry.uptime_s(), 3)
             doc["metrics"] = reg.as_dict()
         if self.store is not None:

@@ -11,7 +11,7 @@ The checksum makes truncation and bit-rot *detectable before unpickling*
 turns into a miss (recompile), never a crash or a poisoned unpickle.
 
 The payload itself is plain data: explicit-relation dicts for the
-pipeline info, the compressed ``.npz`` task-AST blob of
+pipeline info, the compressed task-AST blob of
 :mod:`repro.schedule.serialize`, declarative ``ClosureSpec`` dicts for
 the fused program, and privatization-proof dicts that loaders MUST pass
 back through :func:`repro.schedule.legality.verify_privatization` (the
@@ -46,7 +46,7 @@ class CompileArtifact:
     options_fingerprint: str
     #: explicit-relation dict of :class:`repro.pipeline.PipelineInfo`
     info: dict
-    #: compressed npz blob of the task AST (schedule tree already lowered)
+    #: compressed blob of the task AST (schedule tree already lowered)
     task_ast_blob: bytes
     #: ``FusedProgram.to_dict()`` — ClosureSpec corpus + chains (None
     #: when the compile ran with fusion off)

@@ -2,7 +2,6 @@
 
 from .api import OmpTaskSystem
 from .dispatch import Schedule
-from .dot import to_dot, write_dot
 from .hybrid import hybrid_task_graph, intra_block_edges, relax_self_chains
 from .runtime import (
     RunResult,
@@ -30,6 +29,4 @@ __all__ = [
     "scaling_curve",
     "sequential_time",
     "simulate",
-    "to_dot",
-    "write_dot",
 ]

@@ -1,66 +1,10 @@
 """Tests for ``repro.bench.execution``: the evaluation's measured runs."""
 
-import json
-
-import pytest
-
-from repro.bench import measured_speedup, run_workload
+from repro.bench import measured_speedup
 from repro.bench.execution import LATENCY_S, blocking_compute
 from repro.bench.figure10 import run_cell
 from repro.bench.figure11 import run_kernel
 from repro.workloads import TABLE9, figure11_kernels
-
-
-@pytest.fixture(scope="module")
-def small_workload():
-    return run_workload(
-        "P1", TABLE9["P1"].source(10), {}, workers=2, coarsen=20, repeats=1
-    )
-
-
-class TestRunWorkload:
-    def test_all_configs_present(self, small_workload):
-        assert set(small_workload["runs"]) == {
-            "scalar-serial",
-            "fused-serial",
-            "fused-threads",
-            "fused-processes",
-        }
-
-    def test_dispatch_mode_recorded_per_row(self, small_workload):
-        modes = {
-            name: run["dispatch_mode"]
-            for name, run in small_workload["runs"].items()
-        }
-        assert modes["scalar-serial"] == "interp"
-        # P1 fuses fully, so every fused row dispatches fused closures
-        assert modes["fused-serial"] == "fused"
-        assert modes["fused-processes"] == "fused"
-
-    def test_every_config_bit_identical(self, small_workload):
-        assert small_workload["identical"] is True
-        for run in small_workload["runs"].values():
-            assert run["identical_to_sequential"] is True
-
-    def test_speedups_computed(self, small_workload):
-        for key in (
-            "speedup_fused",
-            "speedup_threads",
-            "speedup_processes",
-            "processes_vs_fused_serial",
-        ):
-            assert small_workload[key] > 0.0
-
-    def test_records_are_json_ready(self, small_workload):
-        json.dumps(small_workload)
-
-    def test_fused_serial_covers_p1(self, small_workload):
-        assert small_workload["runs"]["fused-serial"][
-            "fused_iteration_coverage"
-        ] == 1.0
-        assert small_workload["runs"]["scalar-serial"][
-            "fused_iteration_coverage"
-        ] == 0.0
 
 
 class TestMeasuredSpeedup:

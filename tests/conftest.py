@@ -147,6 +147,15 @@ def run_whole_blocks(interp):
     return store
 
 
+def fused_statements(interp):
+    """Statements whose blocks ``run_block`` hands to a fused closure."""
+    return {
+        s.name
+        for s in interp.scop.statements
+        if interp.fused_kernel(s.name) is not None
+    }
+
+
 def assert_all_configs_match_sequential(
     source, params=None, coarsen=16, replays=1, funcs=None
 ):

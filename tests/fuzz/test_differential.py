@@ -26,7 +26,7 @@ from repro.pipeline import detect_pipeline
 from repro.presburger import cache
 from repro.schedule import generate_task_ast
 from repro.tasking import TaskGraph
-from tests.conftest import KERNEL_FORMS, run_whole_blocks
+from tests.conftest import KERNEL_FORMS, fused_statements, run_whole_blocks
 
 from .generator import generate_samples, random_topological_order
 
@@ -159,7 +159,7 @@ def _assert_both_forms_match_compiled_loop(sample, monkeypatch):
             f"{sample.describe()}: fused execution ({form}) diverged "
             f"(max abs diff {scalar.max_abs_diff(out):g})\n{sample.source}"
         )
-    return interp.block_counters["fused_blocks"] > 0
+    return bool(fused_statements(interp))
 
 
 def test_fused_execution_matches_interpreter(samples, monkeypatch):

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.interp import ArrayStore, Interpreter, SharedArrayStore
+from repro.interp import Interpreter, SharedArrayStore
 from repro.interp.store import SharedStoreSpec
 from tests.conftest import LISTING1
 
@@ -52,15 +52,6 @@ class TestLifecycle:
         shared.unlink()
         shared.unlink()
 
-    def test_to_local_detaches(self, local_store):
-        shared = SharedArrayStore.from_store(local_store)
-        local = shared.to_local()
-        shared.close()
-        shared.unlink()
-        assert isinstance(local, ArrayStore)
-        assert local.equal(local_store)
-        local["A"].data[0, 0] = 123.0  # backing memory already released
-
 
 class TestAttach:
     def test_attached_view_sees_writes(self, local_store):
@@ -85,16 +76,6 @@ class TestAttach:
         finally:
             owner.close()
             owner.unlink()
-
-    def test_for_scop_constructor(self):
-        interp = Interpreter.from_source(LISTING1, {"N": 8})
-        shared = SharedArrayStore.for_scop(interp.scop)
-        try:
-            plain = ArrayStore.for_scop(interp.scop)
-            assert shared.equal(plain)
-        finally:
-            shared.close()
-            shared.unlink()
 
     def test_copy_back_round_trip(self, local_store):
         """The process pool result path: mutate shared, copy back."""

@@ -25,11 +25,15 @@ from repro.interp import (
 from repro.lang import parse
 from repro.lang.errors import SemanticError
 from repro.scop import extract_scop
-from tests.conftest import run_whole_blocks
+from tests.conftest import fused_statements, run_whole_blocks
 
 
 def scop_of(src, **params):
     return extract_scop(parse(src), params or None)
+
+
+def all_statements(interp):
+    return {s.name for s in interp.scop.statements}
 
 
 def run_both(src, funcs=None, params=None):
@@ -239,9 +243,8 @@ class TestBitIdentity:
         src = self.SOURCES[name]
         s, v, interp = run_both(src, params={"N": 12})
         assert s.equal(v), f"{name}: max diff {s.max_abs_diff(v):g}"
-        # each of these kernels must actually take the block-kernel path
-        assert interp.block_counters["fused_blocks"] > 0, name
-        assert interp.block_counters["scalar_blocks"] == 0, name
+        # each of these kernels must take the block-kernel path throughout
+        assert fused_statements(interp) == all_statements(interp), name
 
     @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_both_kernel_forms_equal_scalar(self, name, kernel_form):
@@ -249,7 +252,7 @@ class TestBitIdentity:
         # form, then into the loop form
         s, v, interp = run_both(self.SOURCES[name], params={"N": 12})
         assert s.equal(v), f"{name} ({kernel_form})"
-        assert interp.block_counters["scalar_blocks"] == 0, name
+        assert fused_statements(interp) == all_statements(interp), name
 
     def test_fallback_statement_runs_scalar_and_matches(self):
         src = (
@@ -258,8 +261,7 @@ class TestBitIdentity:
         )
         s, v, interp = run_both(src)
         assert s.equal(v)
-        assert interp.block_counters["fused_blocks"] > 0
-        assert interp.block_counters["scalar_blocks"] > 0
+        assert fused_statements(interp) == {"S"}  # R runs compiled loops
 
     def test_custom_elementwise_funcs_match(self):
         src = "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = f(A[i][j]);"
@@ -269,7 +271,7 @@ class TestBitIdentity:
 
 
 class TestVectorProgram:
-    """The fusion plan's coverage record, and ``Interpreter(...,
+    """The fusion plan's refusal record, and ``Interpreter(...,
     vectorize=X)`` meaning ``fuse=X`` unless ``fuse`` is given."""
 
     MIXED = (
@@ -281,7 +283,6 @@ class TestVectorProgram:
         program = fuse_scop(scop_of(self.MIXED))
         assert program.get("S") is not None
         assert program.get("R") is None
-        assert program.coverage == pytest.approx(0.5)
         refusal = program.fallbacks()["R"]
         assert refusal["code"] == "RPA066"
         assert "recurrence" in refusal["reason"]

@@ -11,6 +11,7 @@ from repro.pipeline import (
     reduce_dependencies,
     task_graph_stats,
 )
+from repro.pipeline.reduce import _reduce_exact
 from repro.schedule import generate_task_ast
 from repro.tasking import TaskGraph
 from repro.workloads import TABLE9
@@ -63,8 +64,8 @@ def test_reduction_preserves_reachability_on_listing3(listing3_info):
 
 
 def test_exact_and_index_paths_bit_identical(listing3_info):
-    by_index, s_index = reduce_dependencies(listing3_info, method="index")
-    by_exact, s_exact = reduce_dependencies(listing3_info, method="exact")
+    by_index, s_index = reduce_dependencies(listing3_info)
+    by_exact, s_exact = _reduce_exact(listing3_info)
     assert s_index.method == "index"
     assert s_exact.method == "exact"
     assert s_index.slots_after == s_exact.slots_after
@@ -75,8 +76,8 @@ def test_exact_and_index_paths_bit_identical(listing3_info):
 def test_exact_and_index_agree_on_table9(name):
     interp = Interpreter.from_source(TABLE9[name].source(10), {})
     info = detect_pipeline(interp.scop)
-    by_index, _ = reduce_dependencies(info, method="index")
-    by_exact, _ = reduce_dependencies(info, method="exact")
+    by_index, _ = reduce_dependencies(info)
+    by_exact, _ = _reduce_exact(info)
     assert _relations(by_index) == _relations(by_exact)
     assert np.array_equal(_reachability(info), _reachability(by_index))
 
@@ -106,38 +107,59 @@ def test_reduction_survives_coarsening():
 
 @pytest.mark.parametrize("name", ["P1", "P2"])
 def test_noop_kernels_skip_the_pass(name):
-    """P1/P2 have nothing to cut — ``auto`` must detect that early and
-    return the *same* info object with untouched graphs."""
+    """P1/P2 have nothing to cut: every relation comes back whole."""
     interp = Interpreter.from_source(TABLE9[name].source(10), {})
     info = detect_pipeline(interp.scop)
     reduced, stats = reduce_dependencies(info)
-    assert stats.method == "skip"
-    assert reduced is info  # the skip hands back the input unchanged
     assert stats.removed == 0
     assert stats.ratio == 0.0
     assert all(
         r.slots_after == r.slots_before for r in stats.per_dependency
     )
-    # the skip's claim is exactly what the full pass would conclude
-    by_index, s_index = reduce_dependencies(info, method="index")
-    assert s_index.removed == 0
-    assert _relations(by_index) == _relations(info)
+    assert _relations(reduced) == _relations(info)
     assert np.array_equal(_reachability(info), _reachability(reduced))
 
 
 def test_cut_kernels_still_run_the_pass():
-    """A kernel with removable slots must not take the no-op skip."""
+    """A kernel with removable slots loses some of them."""
     interp = Interpreter.from_source(TABLE9["P4"].source(10), {})
     info = detect_pipeline(interp.scop)
     reduced, stats = reduce_dependencies(info)
     assert stats.method == "index"
     assert stats.removed > 0
-    assert reduced is not info
+    assert _relations(reduced) != _relations(info)
 
 
-def test_unknown_method_rejected(listing3_info):
-    with pytest.raises(ValueError, match="unknown reduction method"):
-        reduce_dependencies(listing3_info, method="bogus")
+@pytest.mark.parametrize("side", ["target", "source"])
+def test_off_chain_endpoint_is_named(listing3_interp, side):
+    """An endpoint inside its statement's domain but no block end of it
+    is refused by name, not reduced as the block it falls in."""
+    import dataclasses
+
+    from repro.presburger import PointRelation
+
+    coarse = detect_pipeline(listing3_interp.scop, coarsen=3)
+    name, deps = next((n, d) for n, d in coarse.in_deps.items() if d)
+    dep = deps[0]
+    stmt = name if side == "target" else dep.source
+    ends = coarse.blockings[stmt].ends.points
+    inner = coarse.blockings[stmt].mapping.in_part
+    off = inner[~(inner[:, None, :] == ends[None, :, :]).all(-1).any(1)][0]
+    pairs = dep.relation.pairs.copy()
+    if side == "target":
+        pairs[0, : dep.relation.n_in] = off
+    else:
+        pairs[0, dep.relation.n_in :] = off
+    forged = dataclasses.replace(
+        dep, relation=PointRelation(pairs, dep.relation.n_in)
+    )
+    info = dataclasses.replace(
+        coarse, in_deps={**coarse.in_deps, name: (forged,) + deps[1:]}
+    )
+    with pytest.raises(ValueError) as err:
+        reduce_dependencies(info)
+    assert f"{stmt}{off.tolist()}" in str(err.value)
+    assert "block end" in str(err.value)
 
 
 def test_reduced_execution_matches_sequential(listing3_interp):

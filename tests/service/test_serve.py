@@ -1016,6 +1016,30 @@ def test_request_log_and_final_metrics_snapshot(tmp_path):
     )
 
 
+def test_final_snapshot_writes_each_series_once(tmp_path):
+    """``metrics-last.json`` is the live ``metrics`` verb's registry: no
+    series key under two kinds, the store series as gauges of this
+    server's store."""
+
+    async def body(host, port, server, log_path, trace_dir):
+        await _request(host, port, _compile_req(TWO_NEST_COPY))
+        live = await _request(host, port, {"op": "metrics"})
+        return live["metrics"], server.store.stats().counters
+
+    live, store_counters = asyncio.run(_with_telemetry_server(tmp_path, body))
+    from repro.store import load_metrics_snapshot
+
+    metrics = load_metrics_snapshot(str(tmp_path / "cache"))["metrics"]
+    kinds: dict[str, list[str]] = {}
+    for kind, series in metrics.items():
+        for key in series:
+            kinds.setdefault(key, []).append(kind)
+    assert {k: v for k, v in kinds.items() if len(v) > 1} == {}
+    for name, value in store_counters.items():
+        assert metrics["gauges"][f"store.{name}"] == value
+        assert f"store.{name}" in live["gauges"]
+
+
 def test_no_telemetry_keeps_legacy_behaviour(tmp_path):
     async def body(host, port, server):
         pong = await _request(host, port, {"op": "ping", "rid": "x"})

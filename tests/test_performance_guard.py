@@ -186,13 +186,14 @@ def test_reduction_never_adds_slots_on_any_kernel():
     reduced depend-in slot count is <= the original, the exact and index
     paths agree, and at least three kernels cut >= 25%."""
     from repro.pipeline import reduce_dependencies
+    from repro.pipeline.reduce import _reduce_exact
 
     ratios = {}
     for name, kern in TABLE9.items():
         interp = Interpreter.from_source(kern.source(10), {})
         info = detect_pipeline(interp.scop)
-        _, by_index = reduce_dependencies(info, method="index")
-        _, by_exact = reduce_dependencies(info, method="exact")
+        _, by_index = reduce_dependencies(info)
+        _, by_exact = _reduce_exact(info)
         assert by_index.slots_after <= by_index.slots_before, name
         assert by_index.slots_after == by_exact.slots_after, name
         ratios[name] = by_index.ratio
