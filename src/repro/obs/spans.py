@@ -11,8 +11,10 @@ wall time, nesting and thread.  Instrumentation sites call::
 unconditionally; when recording is *disabled* (the default) ``span()``
 returns a shared no-op context manager and the cost is one module-level
 flag test plus an attribute lookup — cheap enough to leave in every hot
-call site (the performance guard in ``tests/test_performance_guard.py``
-bounds it below 3% of a serial P5 run).
+call site.  An untraced plan replay enters one span at any row count
+(counted by
+``tests/interp/test_plan.py::test_untraced_replay_enters_one_span_and_one_collector_lookup``;
+the ledger's ``obs.trace_overhead_pct`` row holds the wall).
 
 When recording is enabled (``enable()`` or the :func:`recording` context
 manager), each span captures:

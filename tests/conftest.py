@@ -205,6 +205,25 @@ def copy_scop():
     return extract_scop(parse(TWO_NEST_COPY), {"N": 8})
 
 
+class Counter:
+    """Wrap ``owner.name`` so calls are counted (and still happen) — the
+    one spy of the count guards; worker threads may call it at once."""
+
+    def __init__(self, monkeypatch, owner, name):
+        import threading
+
+        self.calls = 0
+        lock = threading.Lock()
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            with lock:
+                self.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.fixture
 def unique_axis0_calls(monkeypatch):
     """The ``numpy.unique(..., axis=0)`` calls made while the test runs —

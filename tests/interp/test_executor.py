@@ -1,8 +1,6 @@
-"""Measured execution: every backend must be bit-identical to sequential.
-
-The acceptance property of the execution layer — P1–P10 run through the
-compiled-loop serial path, the fused path, the thread backend and the
-process backend, and every store matches ``run_sequential`` exactly.
+"""Measured execution: backend selection and the statistics a replay
+reports.  Bit-identity of every backend to the sequential oracle is the
+replay battery's (``tests/interp/test_plan.py::TestReplayBitIdentity``).
 """
 
 import pytest
@@ -15,22 +13,7 @@ from repro.interp import (
 )
 from repro.pipeline import detect_pipeline
 from repro.workloads import TABLE9
-from tests.conftest import (
-    LISTING1,
-    assert_all_configs_match_sequential,
-    run_measured,
-)
-
-PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
-
-
-class TestThreePathBitIdentity:
-    @pytest.mark.parametrize("name", PKERNELS)
-    def test_pkernel_all_paths(self, name):
-        assert_all_configs_match_sequential(TABLE9[name].source(8))
-
-    def test_listing1_all_paths(self):
-        assert_all_configs_match_sequential(LISTING1, {"N": 12}, coarsen=8)
+from tests.conftest import run_measured
 
 
 class TestExecutionStats:

@@ -2,7 +2,9 @@
 
 Count-based (no wall-clock) checks that lowering work happens for
 exactly one run per ``(interpreter, info)``, that the cache invalidates
-on the events that change the lowered program and stays bounded, and a
+on the events that change the lowered program and stays bounded, that a
+replay makes a known number of kernel calls and instrumentation hits
+(the Tier-1 guards of dispatch cost: the walls are the ledger's), and a
 replay battery: every run of one plan — on every backend, and from two
 threads at once — is bit-identical to the sequential oracle.
 """
@@ -32,6 +34,7 @@ from repro.workloads import TABLE9
 from tests.conftest import (
     LISTING1,
     TWO_NEST_COPY,
+    Counter,
     assert_all_configs_match_sequential,
     compile_for_exec,
 )
@@ -46,20 +49,6 @@ BACKENDS = ("serial", "threads", "processes")
 # ----------------------------------------------------------------------
 # counting: lowering happens for exactly one run
 # ----------------------------------------------------------------------
-class Counter:
-    """Wrap ``owner.name`` so calls are counted (and still happen)."""
-
-    def __init__(self, monkeypatch, owner, name):
-        self.calls = 0
-        real = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-
 @pytest.fixture
 def lowering_calls(monkeypatch):
     return {
@@ -590,6 +579,87 @@ def test_serial_replay_calls_each_fused_stream_once(
     assert calls.calls == streams
     assert stats.scheduler == {"policy": "stream-runs", "runs": streams}
     assert interp.oracle().equal(out)
+
+
+#: ``(coarsen, fuse)`` -> rows of P5@24's plan: fused, one ``S1+S2+S3+S4``
+#: chain row per S1 block; with compiled loops, one row per block
+P5_24_ROWS = {
+    (1, "auto"): 576, (48, "auto"): 12, (1, "off"): 2304, (48, "off"): 48,
+}
+
+
+def p5_24_plans():
+    """``(coarsen, fuse, rows, interp, info)`` per blocking of P5@24,
+    lowered (so a counted replay does no lowering)."""
+    for (coarsen, fuse), rows in P5_24_ROWS.items():
+        interp, info = compile_for_exec(
+            TABLE9["P5"].source(24), fuse, coarsen=coarsen
+        )
+        assert len(interp.exec_plan(info).rows) == rows
+        yield coarsen, fuse, rows, interp, info
+
+
+def counted_replay(counters, interp, info, backend):
+    """The calls one untraced replay makes, per counter."""
+    for counter in counters.values():
+        counter.calls = 0
+    out, _ = execute_measured(interp, info, backend=backend, workers=2)
+    counts = snapshot(counters)
+    assert interp.oracle().equal(out)
+    return counts
+
+
+def test_p5_dispatch_counts_at_fine_and_coarse_blocking(monkeypatch):
+    """Dispatch counted, not timed: a threaded replay of fused P5 is a
+    kernel call per row, compiled loops a ``run_block`` per row on either
+    backend, and a coarse serial replay one kernel call (the fine one is
+    ``test_serial_replay_calls_each_fused_stream_once[P5]``).  The fine
+    and coarse blockings elide to the same rectangles, so serially they
+    are one program."""
+    from repro.interp.fused import FusedKernel
+
+    counters = {
+        "run_rects": Counter(monkeypatch, FusedKernel, "run_rects"),
+        "run_block": Counter(monkeypatch, Interpreter, "run_block"),
+    }
+    union = {}
+    for coarsen, fuse, rows, interp, info in p5_24_plans():
+        fused = fuse == "auto"
+        if fused:
+            union[coarsen] = interp.exec_plan(info).runs[0].rects
+        dispatch, unused = (
+            ("run_rects", "run_block") if fused else ("run_block", "run_rects")
+        )
+        for backend, calls in (
+            ("serial", 1 if fused else rows), ("threads", rows)
+        ):
+            if (backend, fused, coarsen) == ("serial", True, 1):
+                continue  # the serial-elision test's P5 case
+            got = counted_replay(counters, interp, info, backend)
+            assert got == {dispatch: calls, unused: 0}, (coarsen, fuse, backend)
+    assert union[1] == union[48]
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_untraced_replay_enters_one_span_and_one_collector_lookup(
+    monkeypatch, backend
+):
+    """Disabled instrumentation counted, not timed: whatever the row
+    count, an untraced replay enters one (no-op) span and looks up the
+    runtime collector once — nothing per row."""
+    from repro.obs import runtime as obs_runtime
+    from repro.obs import spans as obs_spans
+
+    counters = {
+        # every disabled span() returns this one shared no-op manager,
+        # whichever module bound the name
+        "span": Counter(monkeypatch, obs_spans._NullSpan, "__enter__"),
+        "current": Counter(monkeypatch, obs_runtime, "current"),
+    }
+    for coarsen, fuse, _, interp, info in p5_24_plans():
+        assert counted_replay(counters, interp, info, backend) == {
+            "span": 1, "current": 1,
+        }, (coarsen, fuse)
 
 
 def assert_serial_is_the_oracle(interp, info):

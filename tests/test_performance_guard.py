@@ -1,8 +1,29 @@
-"""Performance regression guards.
+"""Performance regression guards: counts first, three loose walls.
 
-Loose wall-clock bounds on the analysis hot paths; they only trip on
-algorithmic regressions (e.g. the quadratic block-grouping this suite
-once caught), not on machine noise.
+Most guards here count the work they protect (Presburger ops,
+``np.unique(axis=0)`` calls, depend-in slots, privatized member rows
+in flight at once) and repeat exactly.  The walls left are the three
+whose measured time is well over 10 ms and at least 3x inside its
+bound, so a loaded shared host does not trip them: the N=64 analysis
+budget (about 0.5 s against 15 s), quadratic-not-cubic growth (t64/t16
+about 13 against 64) and the no-op ``--privatize`` budget (well under
+a second against 5 s).  They only trip on algorithmic regressions (e.g.
+the quadratic block-grouping this suite once caught).
+
+Dispatch, instrumentation and request telemetry are guarded by counts
+elsewhere; their walls are the ledger's (``docs/performance.md``,
+"Counts, not walls"):
+
+* fused dispatch and coarse vs fine blocking —
+  ``tests/interp/test_plan.py::test_p5_dispatch_counts_at_fine_and_coarse_blocking``
+  (one ``run_rects`` call per untraced serial replay, one ``run_block``
+  per row with fuse off, equal elided rectangles);
+* disabled instrumentation —
+  ``tests/interp/test_plan.py::test_untraced_replay_enters_one_span_and_one_collector_lookup``
+  (one ``span()`` and one ``obs_runtime.current()`` per replay);
+* request telemetry —
+  ``tests/service/test_serve.py::test_run_row_without_trace_dir_counts_tasks_instead_of_spanning_them``
+  (three spans per request at any task count).
 """
 
 import time
@@ -10,7 +31,7 @@ import time
 import pytest
 
 from repro.bench import build_scop, pipeline_task_graph
-from repro.interp import Interpreter, execute_measured
+from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
 from repro.presburger import cache
 from repro.workloads import TABLE9
@@ -126,44 +147,6 @@ def test_cold_analysis_sorts_no_rows_generically(name, unique_axis0_calls):
     )
 
 
-def test_fused_dispatch_beats_interpreter_on_p5():
-    """Megakernel fusion must collapse the per-task interpreter floor.
-
-    Dispatch-bound P5 (N=24, 48-iteration blocks -> 48 tasks over four
-    statements): the interpreter pays a Python-level loop per iteration
-    while the fused path runs each task as one closure call on a
-    pre-sliced rectangle — and the chain planner merges the whole
-    S1..S4 pipeline into single tasks.  The sweep shows ~3.4x on the
-    reference machine; guard loosely at 1.5x so only a real regression
-    (silent fallback to the scalar path, chains no longer forming,
-    rectangles re-derived per call) trips it."""
-    src = TABLE9["P5"].source(24)
-    probe = Interpreter.from_source(src, {})
-    info = detect_pipeline(probe.scop, coarsen=48)
-
-    def best_wall(fuse, repeats=3):
-        interp = Interpreter.from_source(src, {}, fuse=fuse)
-        best = None
-        for _ in range(repeats):
-            _, stats = execute_measured(interp, info, backend="serial")
-            best = stats if best is None or (
-                stats.wall_time < best.wall_time
-            ) else best
-        return best
-
-    scalar = best_wall("off")
-    fused = best_wall("auto")
-    assert fused.fused_block_coverage == 1.0, fused.fused_fallback
-    assert ("S1", "S2", "S3", "S4") in fused.fused_chains
-    speedup = scalar.wall_time / fused.wall_time
-    assert speedup > 1.5, (
-        f"fused dispatch only {speedup:.2f}x over the interpreter "
-        f"({scalar.wall_time * 1e3:.1f}ms vs {fused.wall_time * 1e3:.1f}ms)"
-    )
-    # absolute budget: ~1.4ms on the reference machine
-    assert fused.wall_time < 1.0
-
-
 def test_analysis_roughly_quadratic_not_cubic():
     """Doubling N (4x points) must not blow cost up ~8x repeatedly."""
     kern = TABLE9["P1"]
@@ -201,39 +184,16 @@ def test_reduction_never_adds_slots_on_any_kernel():
     assert len(big_cuts) >= 3, ratios
 
 
-def test_coarsened_p5_not_slower_than_fine_serially():
-    """Granularity guard: collapsing P5 into a handful of coarse blocks
-    must not lose to the finest blocking on the serial backend (it
-    strictly reduces per-task dispatch work).  Tolerance absorbs timer
-    noise; only a real regression in the coarse path (e.g. ragged-block
-    decomposition re-entering per-iteration execution) trips this."""
-    src = TABLE9["P5"].source(24)
-    interp = Interpreter.from_source(src, {})
-    fine = detect_pipeline(interp.scop)
-    coarse = detect_pipeline(interp.scop, coarsen=48)
-
-    def best_wall(info, repeats=3):
-        best = None
-        for _ in range(repeats):
-            _, stats = execute_measured(interp, info, backend="serial")
-            best = min(best, stats.wall_time) if best else stats.wall_time
-        return best
-
-    wall_fine = best_wall(fine)
-    wall_coarse = best_wall(coarse)
-    assert wall_coarse <= wall_fine * 1.10, (
-        f"coarse P5 {wall_coarse:.4f}s vs fine {wall_fine:.4f}s"
-    )
-
-
 def test_privatized_histogram_beats_sequential_on_latency():
-    """Privatization must buy real wall-clock time when per-iteration
-    work dominates.  ``blocking_compute`` sleeps 2ms per call, making
-    the kernel latency-bound and the comparison machine-independent:
-    sequential pays 2*N*2ms serially while the privatized thread pool
-    overlaps member blocks (~2x with 2 workers); guard very loosely at
-    1.3x so only a scheduling regression (members re-chained, join
-    serializing the whole graph) trips it."""
+    """Privatization wins on a latency-bound kernel by overlapping the
+    member rows of one group — counted, not timed.  Once armed, the
+    first two ``compute`` calls wait for each other: on the privatized
+    threads replay they meet only if two member rows are in flight at
+    once.  A scheduling regression (members re-chained, a join
+    serializing the whole graph) leaves the first call waiting alone
+    until its timeout, and the test fails whatever the host's load."""
+    import threading
+
     from repro.bench.execution import (
         blocking_compute,
         histogram_latency_source,
@@ -242,12 +202,26 @@ def test_privatized_histogram_beats_sequential_on_latency():
     from repro.schedule import plan_privatization, privatize_info
     from repro.scop import DepKind
 
+    armed, met, lock = threading.Event(), threading.Event(), threading.Lock()
+    arrivals, waits = [], []
+
+    def compute(*args):
+        if armed.is_set():
+            with lock:
+                arrivals.append(threading.get_ident())
+                first_two = len(arrivals) <= 2
+                if len(arrivals) == 2:
+                    met.set()
+            if first_two:
+                waits.append(met.wait(timeout=10.0))
+        return blocking_compute(*args)
+
     workers, parts = 4, 4
-    n = 2 * workers * 2  # 2 passes x 16 iterations x 2ms ≈ 64ms serial
+    n = 2 * workers * 2
     interp = Interpreter.from_source(
         histogram_latency_source(n),
         {"N": n},
-        funcs={"compute": blocking_compute},
+        funcs={"compute": compute},
         fuse="off",
     )
     plan = plan_privatization(interp.scop)
@@ -257,18 +231,15 @@ def test_privatized_histogram_beats_sequential_on_latency():
     )
     pinfo = privatize_info(info, plan, parts=parts)
 
-    seq, wall_seq = timed(interp.run_sequential, interp.new_store())
-    t0 = time.monotonic()
+    seq = interp.run_sequential(interp.new_store())
+    armed.set()
     out, _ = execute_privatized(
         interp, pinfo, plan, backend="threads", workers=workers
     )
-    wall_priv = time.monotonic() - t0
     assert seq.equal(out)
-    speedup = wall_seq / wall_priv
-    assert speedup > 1.3, (
-        f"privatized threads only {speedup:.2f}x over sequential "
-        f"({wall_seq * 1e3:.0f}ms vs {wall_priv * 1e3:.0f}ms)"
-    )
+    assert len(arrivals) == 2 * n
+    assert waits == [True, True], "no two member rows ran at once"
+    assert len(set(arrivals[:2])) == 2
 
 
 def test_privatize_flag_is_a_noop_without_proofs():
@@ -292,113 +263,3 @@ def test_privatize_flag_is_a_noop_without_proofs():
     # planning over an empty candidate set must not dominate: the whole
     # transform (analysis included) stays well under a second
     assert wall < 5.0, f"no-op --privatize transform took {wall:.2f}s"
-
-
-def test_disabled_instrumentation_overhead_under_3_percent():
-    """The observability layer must be near-free when off.
-
-    Measured deterministically rather than by differencing two noisy
-    wall-clock runs: count how many span() calls and collector lookups a
-    P5 serial run actually issues, measure the disabled per-call cost of
-    each primitive, and bound their product against the run's wall time.
-    """
-    import timeit
-
-    from repro.obs import runtime as obs_runtime
-    from repro.obs import spans as obs_spans
-
-    src = TABLE9["P5"].source(24)
-    interp = Interpreter.from_source(src, {})
-    info = detect_pipeline(interp.scop, coarsen=48)
-
-    # How many instrumentation hits does this run perform?  Spans are
-    # counted by recording one run; per-task hits equal the task count.
-    with obs_spans.recording() as rec:
-        _, stats = execute_measured(interp, info, backend="serial")
-    n_spans = len(rec.spans)
-    n_tasks = stats.blocks_total
-    assert n_spans > 0 and n_tasks > 0
-
-    loops = 100_000
-    span_cost_s = (
-        timeit.timeit(lambda: obs_spans.span("x"), number=loops) / loops
-    )
-    lookup_cost_s = (
-        timeit.timeit(obs_runtime.current, number=loops) / loops
-    )
-
-    # Wall time of the uninstrumented-path run (collection off).
-    _, base = execute_measured(interp, info, backend="serial")
-    overhead_s = n_spans * span_cost_s + n_tasks * lookup_cost_s
-    ratio = overhead_s / base.wall_time
-    assert ratio < 0.03, (
-        f"disabled instrumentation would cost {100 * ratio:.2f}% of the "
-        f"serial P5 run ({n_spans} spans x {span_cost_s * 1e9:.0f}ns + "
-        f"{n_tasks} tasks x {lookup_cost_s * 1e9:.0f}ns over "
-        f"{base.wall_time * 1e3:.1f}ms)"
-    )
-
-
-def test_enabled_request_telemetry_overhead_under_5_percent(tmp_path):
-    """Service telemetry must cost <=5% of a warm request, measured
-    deterministically: time one complete begin -> adopt -> span -> finish
-    telemetry cycle (root span emit, subtree drain, histogram updates,
-    JSONL append — everything a request pays) and bound it against the
-    measured wall of a warm cached compile, the steady-state request.
-    """
-    import timeit
-
-    from repro.driver import TransformOptions
-    from repro.interp import Interpreter as _Interp
-    from repro.obs import spans as obs_spans
-    from repro.obs.service import RequestTelemetry
-    from repro.service.compile import cached_analysis
-    from repro.store import ArtifactStore
-    from tests.conftest import TWO_NEST_COPY
-
-    params = {"N": 8}
-    options = TransformOptions(verify=False, check=False)
-    store = ArtifactStore(str(tmp_path / "cache"))
-
-    def warm_request():
-        interp = _Interp.from_source(
-            TWO_NEST_COPY, params, fuse=options.fuse
-        )
-        return cached_analysis(
-            interp, TWO_NEST_COPY, params, options, store
-        )
-
-    _, status = warm_request()  # populate the store
-    assert status == "cold"
-    t0 = time.monotonic()
-    _, status = warm_request()
-    request_wall_s = time.monotonic() - t0
-    assert status == "warm"
-
-    obs_spans.enable()
-    try:
-        tel = RequestTelemetry(log_path=str(tmp_path / "req.jsonl"))
-
-        def telemetry_cycle():
-            req = tel.begin("compile")
-            with obs_spans.parented(req.root_id):
-                with obs_spans.span("service.compile"):
-                    with obs_spans.span("store.get"):
-                        pass
-            req.set(status="warm", key="k" * 64, bytes_in=512)
-            req.finish(ok=True)
-
-        loops = 2_000
-        cycle_cost_s = (
-            timeit.timeit(telemetry_cycle, number=loops) / loops
-        )
-    finally:
-        obs_spans.disable()
-        tel.close()
-
-    ratio = cycle_cost_s / request_wall_s
-    assert ratio < 0.05, (
-        f"enabled request telemetry would cost {100 * ratio:.2f}% of a "
-        f"warm compile request ({cycle_cost_s * 1e6:.1f}us per cycle over "
-        f"{request_wall_s * 1e3:.2f}ms)"
-    )

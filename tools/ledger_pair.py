@@ -7,9 +7,12 @@ drawing a fresh seed per pair (both sides of a pair share it).  Prints,
 per end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles, the share of pairs the change won (ties count for neither)
 and whether the medians differ by more than the parent's interquartile
-distance — the two conditions a claimed gain has to meet.  Exits
-non-zero when the change's median is worse than the parent's by more
-than the metric's ``bound``, or when any of its runs was incorrect.
+distance — the two conditions a claimed gain has to meet.  A metric
+whose parent runs spread wider than its ``bound`` ((q3 - q1) / |median|)
+reads ``unresolved``, not unchanged, unless every change run beats
+every parent run.  Exits non-zero when the change's median is worse
+than the parent's by more than the metric's ``bound``, or when any of
+its runs was incorrect; an unresolved metric alone does not.
 
 Reads ``BENCHMARK.json`` (metric names, direction, bounds, run length)
 from the change checkout; writes nothing under ``ledger/``.
@@ -65,6 +68,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     c_q1, c_med, c_q3 = quartiles(change)
     gain = sign * (p_med - c_med)  # positive: change is better
     worse_by = -gain / abs(p_med) if p_med else 0.0
+    spread = (p_q3 - p_q1) / abs(p_med) if p_med else 0.0
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
     return {
         "name": metric["name"],
         "unit": metric["unit"],
@@ -75,7 +80,20 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "pairs": len(parent),
         "beyond_parent_iqr": gain > (p_q3 - p_q1),
         "regressed": worse_by > metric["bound"],
+        # the parent's own runs spread wider than the bound: no verdict
+        # of "unchanged" can be read, unless the sides do not overlap
+        "unresolved": spread > metric["bound"] and not separated,
     }
+
+
+def verdict(row: dict) -> str:
+    if row["regressed"]:
+        return "REGRESSED beyond bound"
+    if row["unresolved"]:
+        return "unresolved"
+    if row["won"] >= 0.9 * row["pairs"] and row["beyond_parent_iqr"]:
+        return "gain"
+    return "-"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,15 +146,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{'won':>7}  verdict"
     )
     for row in rows:
-        verdict = "REGRESSED beyond bound" if row["regressed"] else (
-            "gain" if row["won"] >= 0.9 * row["pairs"]
-            and row["beyond_parent_iqr"] else "-"
-        )
         fmt = lambda q: "/".join(f"{v:.3g}" for v in q)  # noqa: E731
         print(
             f"{row['name'] + ' [' + row['unit'] + ']':24}"
             f"{fmt(row['parent']):>30}{fmt(row['change']):>30}"
-            f"{row['won']:>4}/{row['pairs']:<2}  {verdict}"
+            f"{row['won']:>4}/{row['pairs']:<2}  {verdict(row)}"
         )
     incorrect = sum(
         1 for r in runs["change"] if not r["correct"] or r["failed"]
