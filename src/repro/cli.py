@@ -11,7 +11,7 @@ Commands
 ``lint <kernel.c> [--deep] [--format text|json|sarif]``
     Run the AST-level lint rules (``--deep`` adds SCoP validation and the
     pipelinability/task-graph checks); exit 1 on error diagnostics.
-``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--tune model|search] [--reduce-deps] [--trace PATH] [--metrics PATH]``
+``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--tune] [--reduce-deps] [--trace PATH] [--metrics PATH]``
     ``repro.driver.transform`` from the command line: compile, then
     execute the kernel sequentially and replay the lowered task program
     once — on ``--exec-backend`` (a *measured* wall-clock run, reported
@@ -20,8 +20,9 @@ Commands
     ``--fuse`` controls the block kernels (fused closures: one NumPy
     call per task, with chain fusion of proven-legal statement
     sequences; ``off`` runs compiled loops);
-    ``--tune`` auto-picks task granularity from a calibrated cost model
-    (or a measured search); ``--reduce-deps`` transitively reduces the
+    ``--tune`` auto-picks task granularity by replaying each coarsening
+    of a ladder on the replay's backend and workers and keeping the
+    fastest; ``--reduce-deps`` transitively reduces the
     depend-in slot lists; ``--privatize`` executes the pattern
     portfolio's verified privatization proofs (parallel reduction chunks
     over private accumulators, joined by a generated combine task;
@@ -723,10 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuse_args(p_run)
     p_run.add_argument(
         "--tune",
-        choices=("model", "search"),
-        default=None,
-        help="auto-tune task granularity: model (calibrated cost model + "
-        "simulated scan) or search (measured scan over factors)",
+        action="store_true",
+        help="auto-tune task granularity: replay each coarsening of a "
+        "ladder on the replay's backend and workers, keep the fastest",
     )
     p_run.add_argument(
         "--reduce-deps",

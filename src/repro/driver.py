@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .interp import ArrayStore, ExecutionStats, Interpreter, execute_measured
+from .interp.executor import BACKEND_ALIASES
 from .lang.ast import Program
 from .pipeline import (
     PipelineInfo,
@@ -79,9 +80,10 @@ class TransformOptions:
     #: transitively reduce the block dependency relations before
     #: scheduling (fewer depend-in slots, same enforced partial order)
     reduce_deps: bool = False
-    #: granularity auto-tuning: "model" (calibrated cost model + simulated
-    #: scan), "search" (measured scan), None (keep ``coarsen`` as given)
-    tune: str | None = None
+    #: granularity auto-tuning: replay each coarsening of the ladder on
+    #: the replay's own backend and workers and keep the fastest (False:
+    #: keep ``coarsen`` as given)
+    tune: bool = False
     #: collect live runtime task events during the measured execution
     #: (requires ``exec_backend``); surfaced as ``execution.events``
     collect_events: bool = False
@@ -160,9 +162,9 @@ class TransformResult:
         if self.legality is not None:
             lines.append(str(self.legality))
         if self.verified is not None:
-            backend = self.options.exec_backend or VERIFY_BACKEND
             lines.append(
-                f"{backend} replay matches sequential: {self.verified}"
+                f"{replay_backend(self.options)} replay matches "
+                f"sequential: {self.verified}"
             )
         if self.tuning is not None:
             lines.append(self.tuning.summary())
@@ -229,8 +231,10 @@ def transform(
     interpreter alone, so it starts on a helper thread
     (:func:`start_oracle`) as soon as the interpreter exists; the
     compile and the replay run on the calling thread beside it, and the
-    compare waits for it only after the replay.  An exception on the
-    calling thread propagates at once: nothing waits for the helper.
+    compare waits for it only after the replay.  A ``tune`` compile
+    times its own replays, so the oracle starts after it instead.  An
+    exception on the calling thread propagates at once: nothing waits
+    for the helper.
 
     ``cache_dir`` points at a content-addressed artifact store
     (:mod:`repro.store`): identical ``(source, params, options)``
@@ -245,7 +249,9 @@ def transform(
     interp = Interpreter.from_source(
         source_or_program, params, funcs, fuse=options.fuse
     )
-    pending = start_oracle(interp) if options.verify else None
+    pending = (
+        start_oracle(interp) if options.verify and not options.tune else None
+    )
     if cache_dir is not None and isinstance(source_or_program, str):
         from .service.compile import cached_analysis
         from .store import ArtifactStore
@@ -256,7 +262,14 @@ def transform(
         )
     else:
         analysis = analyze(interp, options)
+    if options.verify and pending is None:
+        pending = start_oracle(interp)
     return _finish(interp, options, analysis, pending)
+
+
+def replay_backend(options: TransformOptions) -> str:
+    """The backend of the transform's replay — and of the tuner's."""
+    return options.exec_backend or VERIFY_BACKEND
 
 
 #: Option pairs that do not compose, as ``(option, option, reason)`` —
@@ -279,12 +292,37 @@ INCOMPATIBLE_OPTIONS = (
 
 
 def validate_options(options: TransformOptions) -> None:
-    """Refuse a row of :data:`INCOMPATIBLE_OPTIONS` (``ValueError``)."""
+    """Refuse a value no option takes, or a row of
+    :data:`INCOMPATIBLE_OPTIONS` (``ValueError``), before any work."""
+    parts = options.privatize_parts
+    expected = {
+        "fuse": (options.fuse in ("auto", "on", "off"), "auto, on or off"),
+        "exec_backend": (
+            options.exec_backend is None
+            or options.exec_backend in BACKEND_ALIASES,
+            "None or one of " + ", ".join(BACKEND_ALIASES),
+        ),
+        "tune": (isinstance(options.tune, bool), "a bool"),
+        "coarsen": (_positive(options.coarsen), "an int >= 1"),
+        "workers": (_positive(options.workers), "an int >= 1"),
+        "privatize_parts": (
+            parts is None or _positive(parts), "None or an int >= 1"
+        ),
+    }
+    for name, (ok, what) in expected.items():
+        if not ok:
+            raise ValueError(
+                f"{name}={getattr(options, name)!r}: expected {what}"
+            )
     for first, second, reason in INCOMPATIBLE_OPTIONS:
         if getattr(options, first) and getattr(options, second):
             raise ValueError(
                 f"{first} is incompatible with {second}: {reason}"
             )
+
+
+def _positive(value) -> bool:
+    return isinstance(value, int) and value >= 1
 
 
 def build_task_graph(
@@ -317,8 +355,8 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     without groups leaves every step the standard one.
 
     Pure with respect to array contents — nothing here executes the
-    kernel (granularity *tuning* may run calibration executions, but
-    those are measurements, not outputs).  The returned
+    kernel (granularity *tuning* replays its ladder's rungs, but those
+    are measurements, not outputs).  The returned
     :class:`Analysis` is exactly what the artifact store persists.
     """
     from .obs.spans import span
@@ -361,13 +399,12 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
         )
 
     tuning = None
-    if options.tune is not None:
+    if options.tune:
         from .tuning import auto_tune
 
-        with span("driver.tune", mode=options.tune):
-            tuning = auto_tune(
-                interp, info, workers=options.workers, mode=options.tune
-            )
+        backend = replay_backend(options)
+        with span("driver.tune", backend=backend):
+            tuning = auto_tune(interp, info, backend, options.workers)
         info = tuning.info
 
     reduction: ReductionStats | None = None
@@ -579,9 +616,10 @@ def _finish(
     """
     from .obs.spans import span
 
-    backend = options.exec_backend
-    if backend is None and oracle is not None:
-        backend = VERIFY_BACKEND
+    measured = options.exec_backend is not None
+    backend = (
+        replay_backend(options) if measured or oracle is not None else None
+    )
     execution: ExecutionStats | None = None
     verdict = None
     verifying = (
@@ -591,7 +629,6 @@ def _finish(
     )
     with verifying as verify_span:
         if backend is not None:
-            measured = options.exec_backend is not None
             _, stats, verdict = replay(
                 interp, a, backend, options.workers,
                 collect_events=measured and options.collect_events,

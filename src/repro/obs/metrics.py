@@ -6,7 +6,8 @@ records, each with its own shape and lifecycle:
 * :func:`repro.presburger.cache.stats` — op-cache hit/miss counters,
 * :class:`repro.interp.executor.ExecutionStats` — measured runs,
 * the task-overhead records (:class:`repro.pipeline.reduce.ReductionStats`,
-  :class:`repro.tuning.tuner.TunedPlan`, ``task_graph_stats``), and
+  the measured ``--tune`` record :class:`repro.tuning.tuner.TunedPlan`,
+  ``task_graph_stats``), and
 * :class:`repro.tasking.simulator.SimResult`.
 
 The registry absorbs all four behind one interface (the ``absorb_*``
@@ -467,7 +468,9 @@ def absorb_task_overhead(
     ``task_graph`` is the dict of
     :func:`repro.pipeline.reduce.task_graph_stats`; ``reduction`` a
     :class:`~repro.pipeline.reduce.ReductionStats`; ``tuning`` a
-    :class:`~repro.tuning.tuner.TunedPlan`.  All optional.
+    :class:`~repro.tuning.tuner.TunedPlan` (the backend and workers its
+    rungs were replayed on, the kept factors, ms per rung).  All
+    optional.
     """
     if task_graph is not None:
         for key, value in task_graph.items():
@@ -479,12 +482,13 @@ def absorb_task_overhead(
                 reg.gauge(f"reduction.{key}", value)
     if tuning is not None:
         plan = tuning.as_dict()
-        reg.gauge("tuning.mode", plan["mode"])
+        reg.gauge("tuning.backend", plan["backend"])
+        reg.gauge("tuning.workers", plan["workers"])
         reg.gauge("tuning.tasks", plan["tasks"])
         for stmt, factor in sorted(plan["factors"].items()):
             reg.gauge("tuning.factor", factor, statement=stmt)
-        for factor, score in plan["scores_s"].items():
-            reg.gauge("tuning.score_s", score, factor=factor)
+        for factor, score in plan["scores_ms"].items():
+            reg.gauge("tuning.score_ms", score, factor=factor)
 
 
 def absorb_simulation(reg: MetricsRegistry, sim, graph=None) -> None:

@@ -2,25 +2,14 @@
 
 The paper's Figure 10 shows pipeline speed-up collapsing once blocks get
 small relative to per-task overhead; its granularity knob (coarsening)
-is left manual.  This package closes the loop with the measured
-execution layer of :mod:`repro.interp.executor`:
-
-* :mod:`~repro.tuning.costmodel` — a two-parameter linear cost model
-  (``wall ≈ per_task_s · tasks + per_iter_s · iterations``) calibrated
-  from real serial runs at two granularities;
-* :mod:`~repro.tuning.tuner` — candidate coarsening factors evaluated
-  either on the model via the discrete-event simulator (``mode="model"``)
-  or by actually running them (``mode="search"``), per-statement factors
-  applied through :meth:`repro.pipeline.blocking.Blocking.coarsened`
-  with a legality re-check.
+is left manual.  :func:`~repro.tuning.tuner.auto_tune` closes the loop
+by measurement: it replays each rung of a log-spaced ladder of global
+coarsening factors on the backend and worker count the transform's own
+replay uses, and keeps the fastest.  Factors are applied through
+:meth:`repro.pipeline.blocking.Blocking.coarsened` with a legality
+re-check.
 """
 
-from .costmodel import (
-    DispatchCostModel,
-    OverheadModel,
-    calibrate_dispatch,
-    calibrate_overhead,
-)
 from .tuner import (
     CoarseningLegalityError,
     TunedPlan,
@@ -31,12 +20,8 @@ from .tuner import (
 
 __all__ = [
     "CoarseningLegalityError",
-    "DispatchCostModel",
-    "OverheadModel",
     "TunedPlan",
     "apply_coarsening",
     "auto_tune",
-    "calibrate_dispatch",
-    "calibrate_overhead",
     "candidate_factors",
 ]

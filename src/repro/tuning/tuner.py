@@ -1,18 +1,12 @@
 """The granularity auto-tuner.
 
-Given a detected pipeline at the paper's finest safe blocking, pick a
-coarsening factor per statement that minimizes (predicted or measured)
-wall time, and apply it through the existing
+Given a detected pipeline at the paper's finest safe blocking, replay
+each rung of a log-spaced ladder of global coarsening factors on the
+backend and worker count that the transform's own replay will use, and
+keep the fastest.  A rung is applied through the existing
 :meth:`~repro.pipeline.blocking.Blocking.coarsened` machinery with the
 dependency relations re-derived by
 :func:`repro.pipeline.detect.derive_dependencies`.
-
-``mode="model"`` ranks candidate factors on the calibrated
-:class:`~repro.tuning.costmodel.OverheadModel` via the discrete-event
-simulator — cheap enough to scan a log-spaced ladder of global factors
-and then refine per statement.  ``mode="search"`` measures a real
-execution per global candidate on the requested backend instead; slower
-but assumption-free.
 
 Every application re-checks legality structurally: coarse ends must be a
 subset of the fine ends with the final end preserved (so every block
@@ -26,18 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .costmodel import (
-    DispatchCostModel,
-    OverheadModel,
-    calibrate_dispatch,
-    calibrate_overhead,
-)
-
 if TYPE_CHECKING:
     from ..interp import Interpreter
     from ..pipeline import PipelineInfo
-
-MODES = ("model", "search")
 
 
 class CoarseningLegalityError(RuntimeError):
@@ -46,20 +31,17 @@ class CoarseningLegalityError(RuntimeError):
 
 @dataclass(frozen=True)
 class TunedPlan:
-    """What the tuner decided and why."""
+    """What the tuner measured and what it kept."""
 
-    mode: str
     #: statement name -> applied coarsening factor (1 = untouched)
     factors: dict[str, int]
     #: the re-blocked pipeline info the factors produce
     info: "PipelineInfo"
-    model: OverheadModel | None
-    #: global candidate factor -> predicted (model) or measured (search)
-    #: seconds, for the bench reports
+    #: global candidate factor -> best measured replay wall (ms)
     scores: dict[int, float]
-    #: both dispatch ladders' calibrations, when fused dispatch was on
-    #: (``model`` is then ``dispatch.active(interp.fuse)``)
-    dispatch: DispatchCostModel | None = None
+    #: where the rungs were replayed: the transform's replay backend
+    backend: str
+    workers: int
 
     @property
     def tasks(self) -> int:
@@ -67,28 +49,23 @@ class TunedPlan:
 
     def as_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "factors": dict(self.factors),
             "tasks": self.tasks,
-            "scores_s": {str(k): v for k, v in sorted(self.scores.items())},
-            "model": self.model.as_dict() if self.model else None,
-            "dispatch": self.dispatch.as_dict() if self.dispatch else None,
+            "scores_ms": {str(k): v for k, v in sorted(self.scores.items())},
+            "backend": self.backend,
+            "workers": self.workers,
         }
 
     @staticmethod
     def from_dict(d: dict, info: "PipelineInfo") -> "TunedPlan":
         """Inverse of :meth:`as_dict`, given the re-blocked ``info`` the
         factors produced (``tasks`` is derived from it)."""
-        model, dispatch = d["model"], d["dispatch"]
         return TunedPlan(
-            mode=d["mode"],
             factors=dict(d["factors"]),
             info=info,
-            model=OverheadModel.from_dict(model) if model else None,
-            scores={int(k): v for k, v in d["scores_s"].items()},
-            dispatch=(
-                DispatchCostModel.from_dict(dispatch) if dispatch else None
-            ),
+            scores={int(k): v for k, v in d["scores_ms"].items()},
+            backend=d["backend"],
+            workers=d["workers"],
         )
 
     def summary(self) -> str:
@@ -96,8 +73,8 @@ class TunedPlan:
             f"{name}x{f}" for name, f in sorted(self.factors.items())
         )
         return (
-            f"tuned coarsening ({self.mode}): {factors or 'none'} "
-            f"-> {self.tasks} tasks"
+            f"tuned coarsening ({self.backend}, {self.workers} workers): "
+            f"{factors or 'none'} -> {self.tasks} tasks"
         )
 
 
@@ -177,118 +154,32 @@ def candidate_factors(info: "PipelineInfo", workers: int) -> list[int]:
     return sorted(factors)
 
 
-def _measured_wall(
+def auto_tune(
     interp: "Interpreter",
     info: "PipelineInfo",
     backend: str,
     workers: int,
-    repeats: int,
-) -> float:
+    repeats: int = 2,
+) -> TunedPlan:
+    """Replay every :func:`candidate_factors` rung of ``info`` on
+    ``backend`` at ``workers`` (best of ``repeats`` runs each) and keep
+    the fastest."""
     from ..interp import execute_measured
 
-    best = None
-    for _ in range(max(1, repeats)):
-        _, stats = execute_measured(
-            interp, info, backend=backend, workers=workers
+    rungs, scores = {}, {}
+    for f in candidate_factors(info, workers):
+        rungs[f] = apply_coarsening(info, {n: f for n in info.blockings})
+        scores[f] = 1e3 * min(
+            execute_measured(
+                interp, rungs[f], backend=backend, workers=workers
+            )[1].wall_time
+            for _ in range(max(1, repeats))
         )
-        if best is None or stats.wall_time < best:
-            best = stats.wall_time
-    return best
-
-
-def auto_tune(
-    interp: "Interpreter",
-    info: "PipelineInfo",
-    workers: int = 4,
-    mode: str = "model",
-    model: OverheadModel | None = None,
-    backend: str = "threads",
-    repeats: int = 2,
-    dispatch: DispatchCostModel | None = None,
-) -> TunedPlan:
-    """Pick coarsening factors for ``info`` and return the tuned plan.
-
-    ``mode="model"`` calibrates an :class:`OverheadModel` (unless one is
-    passed in), scores every global candidate factor on the simulator,
-    then greedily refines each statement's factor by trying its
-    neighbours on the ladder.  ``mode="search"`` measures each global
-    candidate for real on ``backend`` and keeps the fastest — no
-    per-statement refinement, the measurement budget is the ladder.
-
-    When the caller's interpreter has fused dispatch enabled, the model
-    mode calibrates *both* ladders (:func:`calibrate_dispatch`) and
-    scores with the fused overhead pair — fused closures pay more per
-    task and less per iteration, so tuning with the interpreter's pair
-    would claim 1-iteration blocks are cheap exactly where they are not.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown tuning mode {mode!r}; choose from {MODES}")
-    candidates = candidate_factors(info, workers)
-
-    if mode == "search":
-        scores = {
-            f: _measured_wall(
-                interp,
-                apply_coarsening(info, {n: f for n in info.blockings}),
-                backend,
-                workers,
-                repeats,
-            )
-            for f in candidates
-        }
-        best = min(scores, key=scores.get)
-        factors = {name: best for name in info.blockings}
-        return TunedPlan(
-            mode=mode,
-            factors=factors,
-            info=apply_coarsening(info, factors),
-            model=model,
-            scores=scores,
-            dispatch=dispatch,
-        )
-
-    if model is None:
-        if (interp.fuse or "off") != "off":
-            if dispatch is None:
-                dispatch = calibrate_dispatch(interp, info, repeats=repeats)
-            model = dispatch.active(interp.fuse)
-        else:
-            model = calibrate_overhead(interp, info, repeats=repeats)
-    scores = {
-        f: model.predict_makespan(
-            apply_coarsening(info, {n: f for n in info.blockings}), workers
-        )
-        for f in candidates
-    }
     best = min(scores, key=scores.get)
-    factors = {name: best for name in info.blockings}
-    best_score = scores[best]
-
-    # One greedy refinement pass: each statement tries the neighbouring
-    # ladder rungs while the others keep their factor.
-    for name in info.blockings:
-        current = factors[name]
-        for trial in (max(1, current // 2), current * 2):
-            if trial == current:
-                continue
-            if trial > max(1, info.blockings[name].num_blocks):
-                continue
-            attempt = dict(factors)
-            attempt[name] = trial
-            try:
-                predicted = model.predict_makespan(
-                    apply_coarsening(info, attempt), workers
-                )
-            except CoarseningLegalityError:
-                continue
-            if predicted < best_score:
-                best_score = predicted
-                factors = attempt
     return TunedPlan(
-        mode=mode,
-        factors=factors,
-        info=apply_coarsening(info, factors),
-        model=model,
+        factors={name: best for name in info.blockings},
+        info=rungs[best],
         scores=scores,
-        dispatch=dispatch,
+        backend=backend,
+        workers=workers,
     )

@@ -207,18 +207,21 @@ def copy_scop():
 
 class Counter:
     """Wrap ``owner.name`` so calls are counted (and still happen) — the
-    one spy of the count guards; worker threads may call it at once."""
+    one spy of the count guards; worker threads may call it at once.
+    ``kwargs`` holds each call's keyword arguments, in call order."""
 
     def __init__(self, monkeypatch, owner, name):
         import threading
 
         self.calls = 0
+        self.kwargs: list[dict] = []
         lock = threading.Lock()
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             with lock:
                 self.calls += 1
+                self.kwargs.append(kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)

@@ -212,9 +212,7 @@ def test_plan_cache_stays_bounded_across_a_search_scan(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(plan_mod, "lower_exec_plan", recording)
-    tuned = auto_tune(
-        interp, info, workers=2, mode="search", backend="serial", repeats=2
-    )
+    tuned = auto_tune(interp, info, "serial", 2, repeats=2)
     assert len(tuned.scores) > EXEC_PLAN_CACHE_SIZE  # the scan overflows it
     assert len(sizes) == len(tuned.scores)  # one lowering per candidate
     assert max(sizes) <= EXEC_PLAN_CACHE_SIZE

@@ -246,9 +246,7 @@ def test_incompatible_options_are_refused_before_any_key(tmp_path):
 
     async def body(host, port, server):
         for first, second, reason in INCOMPATIBLE_OPTIONS:
-            options = dict(OPTIONS)
-            options[first] = True
-            options[second] = "model" if second == "tune" else True
+            options = dict(OPTIONS, **{first: True, second: True})
             for op in ("compile", "run"):
                 req = dict(_compile_req(TWO_NEST_COPY), op=op, options=options)
                 resp = await _request(host, port, req)

@@ -60,7 +60,7 @@ _FLIPS = {
     "fuse": "off",
     "exec_backend": "serial",
     "reduce_deps": True,
-    "tune": "model",
+    "tune": True,
     "collect_events": True,
     "privatize": True,
     "privatize_parts": 5,

@@ -477,7 +477,7 @@ class TestRunPrivatize:
         with pytest.raises(SystemExit):
             main([
                 "run", histogram_file, "--param", "N=8",
-                "--privatize", "--tune", "model",
+                "--privatize", "--tune",
             ])
 
     def test_privatized_trace_contains_join_span(
@@ -601,7 +601,7 @@ class TestRunExecutes:
             "hybrid": ["--hybrid"],
             "privatize": ["--privatize"],
             "reduce_deps": ["--reduce-deps"],
-            "tune": ["--tune", "model"],
+            "tune": ["--tune"],
         }
         with pytest.raises(SystemExit) as exit_:
             main(["run", kernel_file, "--param", "N=8",
@@ -632,7 +632,7 @@ class TestRunStore:
             pytest.param(HISTOGRAM_KERNEL, ["--privatize"], id="privatized"),
             # their summary lines come from the artifact on the warm run
             pytest.param(KERNEL, ["--reduce-deps"], id="reduce-deps"),
-            pytest.param(KERNEL, ["--tune", "model"], id="tune"),
+            pytest.param(KERNEL, ["--tune"], id="tune"),
         ],
     )
     def test_cold_then_warm_with_identical_output(

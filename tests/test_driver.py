@@ -500,6 +500,48 @@ def _option_pairs():
             )
 
 
+#: one value per option that no option takes; ``tune="model"`` is what
+#: a client of the removed tuning modes still sends
+BAD_VALUES = [
+    ("fuse", "fast"),
+    ("exec_backend", "bogus"),
+    ("tune", "bogus"),
+    ("tune", "model"),
+    ("coarsen", 0),
+    ("workers", 0),
+    ("privatize_parts", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,value", BAD_VALUES, ids=[f"{n}={v}" for n, v in BAD_VALUES]
+)
+def test_bad_value_is_refused_before_any_work(name, value, tmp_path):
+    """``transform`` raises before a span or a store file exists, and
+    ``repro serve`` answers a compile of it as a bad request."""
+    import asyncio
+
+    from repro.obs.spans import recording
+    from repro.workloads import TABLE9
+    from tests.service.test_serve import _compile_req, _request, _with_server
+
+    options = TransformOptions(**{name: value})
+    with recording() as rec, pytest.raises(ValueError, match=f"^{name}="):
+        transform(
+            TABLE9["P5"].source(8), {}, options, cache_dir=str(tmp_path)
+        )
+    assert len(rec.spans) == 0
+    assert sum(p.is_file() for p in tmp_path.rglob("*")) == 0
+
+    async def compile_it(host, port, server):
+        req = _compile_req(TABLE9["P5"].source(8))
+        req["options"][name] = value
+        return await _request(host, port, req)
+
+    reply = asyncio.run(_with_server(str(tmp_path), compile_it))
+    assert reply["error"].startswith(f"bad request: 'options': {name}=")
+
+
 class TestOptionPairs:
     """Every option pair is refused up front, by the table, or runs on
     the one spine with nothing it promised dropped."""
@@ -512,7 +554,7 @@ class TestOptionPairs:
     def test_table_row_is_refused_before_any_analysis(
         self, first, second, reason
     ):
-        values = {**PAIRABLE, "tune": "model"}
+        values = {**PAIRABLE, "tune": True}
         options = TransformOptions(
             **{first: values[first], second: values[second]}
         )
@@ -592,25 +634,43 @@ class TestOptionPairs:
             ("R", "T")
         }
 
-    def test_tune_merges_privatized_chunks_back_into_one_block(self):
-        """Why ``privatize``×``tune`` stays a row: the tuner scores a
-        blocking as per-statement chains, so the chunks
-        ``privatize_parts`` made are, to it, tasks with no parallelism
-        to pay for them — whatever the overhead, it undoes them."""
+    def test_tune_merges_privatized_chunks_back_into_one_block(
+        self, monkeypatch
+    ):
+        """Why ``privatize``×``tune`` stays a row: the tuner's ladder
+        holds the factor that merges the ``privatize_parts`` chunks back
+        into one block, and every rung it replays is lowered as a plain
+        pipeline — no private buffers, no join row — so it would time a
+        program that is not the one that runs."""
         from repro.driver import analyze
         from repro.interp import Interpreter
-        from repro.tuning import OverheadModel, auto_tune
+        from repro.interp import plan as plan_mod
+        from repro.tuning import auto_tune, candidate_factors
 
         interp = Interpreter.from_source(HISTOGRAM, {"N": 8})
-        chunked = analyze(
+        a = analyze(
             interp, TransformOptions(privatize=True, privatize_parts=4)
-        ).info
-        assert {b.num_blocks for b in chunked.blockings.values()} == {4}
-        tuned = auto_tune(
-            interp, chunked, workers=4,
-            model=OverheadModel(per_task_s=1e-9, per_iter_s=1e-6),
         )
-        assert {b.num_blocks for b in tuned.info.blockings.values()} == {1}
+        assert {b.num_blocks for b in a.info.blockings.values()} == {4}
+        ladder = candidate_factors(a.info, workers=4)
+        assert 4 in ladder  # four chunks by four: one block again
+
+        def joins(plan):
+            return sum("combine" in row.payload for row in plan.rows)
+
+        ran = interp.exec_plan(a.info, a.task_ast, a.plan, a.graph)
+        assert (len(ran.privates), joins(ran)) == (1, 1)
+        lowered, real = [], plan_mod.lower_exec_plan
+
+        def recording(*args, **kwargs):
+            lowered.append(real(*args, **kwargs))
+            return lowered[-1]
+
+        monkeypatch.setattr(plan_mod, "lower_exec_plan", recording)
+        auto_tune(interp, a.info, "threads", 4, repeats=1)
+        assert len(lowered) == len(ladder)  # one lowering per rung
+        assert sum(len(p.privates) for p in lowered) == 0
+        assert sum(joins(p) for p in lowered) == 0
 
     # -- what the table no longer refuses -------------------------------
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
@@ -662,7 +722,7 @@ class TestOptionPairs:
             pytest.param({"exec_backend": "threads"}, id="threads"),
             pytest.param({"exec_backend": "processes"}, id="processes"),
             pytest.param({"coarsen": 2}, id="coarsen"),
-            pytest.param({"tune": "model"}, id="tune"),
+            pytest.param({"tune": True}, id="tune"),
             pytest.param(
                 {"exec_backend": "threads", "collect_events": True},
                 id="collect_events",

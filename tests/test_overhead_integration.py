@@ -45,7 +45,7 @@ def test_driver_reduce_and_tune_roundtrip():
     result = transform(
         TABLE9["P5"].source(10),
         options=TransformOptions(
-            reduce_deps=True, tune="model", workers=2, verify=True
+            reduce_deps=True, tune=True, workers=2, verify=True
         ),
     )
     assert result.verified

@@ -1,4 +1,4 @@
-"""Granularity auto-tuner: cost model, legality, and tuning decisions."""
+"""Granularity auto-tuner: the ladder, legality, and measured rungs."""
 
 from __future__ import annotations
 
@@ -8,50 +8,20 @@ from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
 from repro.tuning import (
     CoarseningLegalityError,
-    OverheadModel,
+    TunedPlan,
     apply_coarsening,
     auto_tune,
-    calibrate_overhead,
     candidate_factors,
 )
 from repro.workloads import TABLE9
 
-from ..conftest import TWO_NEST_COPY
+from ..conftest import TWO_NEST_COPY, Counter
 
 
 @pytest.fixture(scope="module")
 def p5_setup():
     interp = Interpreter.from_source(TABLE9["P5"].source(12), {})
     return interp, detect_pipeline(interp.scop)
-
-
-def test_model_predict_wall_is_linear():
-    model = OverheadModel(per_task_s=1e-4, per_iter_s=1e-6)
-    assert model.predict_wall(0, 0) == 0.0
-    assert model.predict_wall(10, 0) == pytest.approx(1e-3)
-    assert model.predict_wall(10, 1000) == pytest.approx(2e-3)
-
-
-def test_model_predict_makespan_monotone_in_overhead(p5_setup):
-    """More per-task overhead can only slow the simulated pipeline."""
-    _, info = p5_setup
-    cheap = OverheadModel(per_task_s=1e-7, per_iter_s=1e-6)
-    dear = OverheadModel(per_task_s=1e-3, per_iter_s=1e-6)
-    assert cheap.predict_makespan(info, 4) < dear.predict_makespan(info, 4)
-
-
-def test_calibration_fits_positive_parameters(p5_setup):
-    interp, info = p5_setup
-    model = calibrate_overhead(interp, info, repeats=1)
-    assert model.per_task_s > 0
-    assert model.per_iter_s > 0
-    # two samples: the fine blocking and the fully-coarse one
-    assert len(model.samples) == 2
-    (fine_tasks, fine_iters, _), (coarse_tasks, coarse_iters, _) = (
-        model.samples
-    )
-    assert fine_tasks > coarse_tasks
-    assert fine_iters == coarse_iters  # same kernel, same work
 
 
 def test_apply_coarsening_reblocks_and_rederives(p5_setup):
@@ -86,53 +56,60 @@ def test_candidate_factors_ladder(p5_setup):
     assert max(1, max_blocks // 8) in factors
 
 
-def test_auto_tune_model_prefers_coarse_under_heavy_overhead(p5_setup):
-    """A model dominated by per-task cost must coarsen aggressively."""
-    interp, info = p5_setup
-    heavy = OverheadModel(per_task_s=1e-2, per_iter_s=1e-9)
-    plan = auto_tune(interp, info, workers=4, mode="model", model=heavy)
-    assert all(f > 1 for f in plan.factors.values())
-    assert plan.tasks < info.num_tasks()
-    assert plan.scores[1] > min(plan.scores.values())
-
-
-def test_auto_tune_model_keeps_fine_blocking_when_work_dominates(p5_setup):
-    """Negligible task overhead: the finest blocking maximizes overlap."""
-    interp, info = p5_setup
-    light = OverheadModel(per_task_s=1e-9, per_iter_s=1e-3)
-    plan = auto_tune(interp, info, workers=4, mode="model", model=light)
-    assert plan.factors == {name: 1 for name in info.blockings}
-    assert plan.tasks == info.num_tasks()
-
-
 def test_auto_tune_search_measures_candidates():
     interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 6})
     info = detect_pipeline(interp.scop)
-    plan = auto_tune(
-        interp, info, workers=2, mode="search", backend="serial", repeats=1
-    )
-    assert plan.mode == "search"
+    plan = auto_tune(interp, info, "serial", 2, repeats=1)
+    assert (plan.backend, plan.workers) == ("serial", 2)
     assert set(plan.scores) == set(candidate_factors(info, 2))
     assert all(wall > 0 for wall in plan.scores.values())
     best = min(plan.scores, key=plan.scores.get)
     assert all(f == best for f in plan.factors.values())
 
 
-def test_auto_tune_rejects_unknown_mode(p5_setup):
-    interp, info = p5_setup
-    with pytest.raises(ValueError, match="unknown tuning mode"):
-        auto_tune(interp, info, mode="guess")
+@pytest.mark.parametrize(
+    "exec_backend,backend", [("serial", "serial"), (None, "threads")]
+)
+def test_tune_replays_each_rung_on_the_transforms_backend(
+    monkeypatch, exec_backend, backend
+):
+    """The tuner measures where the transform's replay runs: one
+    best-of-``repeats`` per ladder rung, every call on that backend at
+    ``options.workers``, and the plan keeps the fastest rung."""
+    import repro.interp
+    from repro.driver import TransformOptions, transform
+
+    source, workers = TABLE9["P5"].source(12), 3
+    ladder = candidate_factors(
+        detect_pipeline(Interpreter.from_source(source, {}).scop), workers
+    )
+    calls = Counter(monkeypatch, repro.interp, "execute_measured")
+    result = transform(
+        source, {},
+        TransformOptions(tune=True, exec_backend=exec_backend,
+                         workers=workers),
+    )
+    plan = result.tuning
+    assert calls.calls == len(ladder) * 2  # auto_tune's default repeats
+    assert {(kw["backend"], kw["workers"]) for kw in calls.kwargs} == {
+        (backend, workers)
+    }
+    assert (plan.backend, plan.workers) == (backend, workers)
+    assert sorted(plan.scores) == ladder
+    best = min(plan.scores, key=plan.scores.get)
+    assert plan.factors == {name: best for name in result.info.blockings}
+    assert result.info is plan.info and result.verified is True
 
 
 def test_tuned_plan_reporting(p5_setup):
     interp, info = p5_setup
-    heavy = OverheadModel(per_task_s=1e-2, per_iter_s=1e-9)
-    plan = auto_tune(interp, info, workers=2, mode="model", model=heavy)
+    plan = auto_tune(interp, info, "threads", 2, repeats=1)
     d = plan.as_dict()
-    assert d["mode"] == "model"
+    assert (d["backend"], d["workers"]) == ("threads", 2)
     assert d["tasks"] == plan.tasks
-    assert d["model"]["per_task_s"] == pytest.approx(1e-2)
-    assert "tuned coarsening" in plan.summary()
+    assert d["scores_ms"] == {str(f): ms for f, ms in plan.scores.items()}
+    assert TunedPlan.from_dict(d, plan.info) == plan
+    assert plan.summary().startswith("tuned coarsening (threads, 2 workers)")
 
 
 def test_tuned_execution_is_bit_identical(p5_setup):
@@ -140,11 +117,14 @@ def test_tuned_execution_is_bit_identical(p5_setup):
     from repro.interp import execute_measured
 
     interp, info = p5_setup
-    heavy = OverheadModel(per_task_s=1e-2, per_iter_s=1e-9)
-    plan = auto_tune(interp, info, workers=2, mode="model", model=heavy)
+    plan = auto_tune(interp, info, "threads", 2, repeats=1)
     seq = interp.run_sequential(interp.new_store())
-    for backend in ("serial", "threads"):
-        store, _ = execute_measured(
-            interp, plan.info, backend=backend, workers=2
-        )
-        assert seq.equal(store), backend
+    coarsest = apply_coarsening(
+        info, {n: max(plan.scores) for n in info.blockings}
+    )
+    for tuned in (plan.info, coarsest):
+        for backend in ("serial", "threads"):
+            store, _ = execute_measured(
+                interp, tuned, backend=backend, workers=2
+            )
+            assert seq.equal(store), backend
