@@ -11,10 +11,10 @@ on its own: it is the quotient, over the rows, of the very
 (``TaskGraph.from_task_ast``, or ``build_privatized_graph`` for a plan
 with reduction groups) — what runs is what was proved.  ``dependArr``
 slots belong to generated programs (:mod:`repro.codegen.emit`) and play
-no part here.  :func:`run_plan` replays the plan — threads and
-processes hand the schedule to the schedulers of :mod:`repro.tasking`,
-serial runs the plan's serial elision (:func:`run_stream_runs`) —
-without calling ``create_task``.  Everything
+no part here.  :func:`run_plan` replays the plan — processes hand the
+schedule to the process pool of :mod:`repro.tasking`, threads hand it
+its claims (below), serial runs the plan's serial elision
+(:func:`run_stream_runs`) — without calling ``create_task``.  Everything
 that depends on the *run* — store, stream closures, private buffers,
 event collector, the copied join counters — is created there; the plan
 itself is shared between runs and threads and is never mutated
@@ -39,6 +39,20 @@ rectangle over the whole domain is plain program order.  Streams
 without a kernel (fuse off, opaque calls, privatized members, joins)
 keep one ``call(tid)`` per row, and so does any replay that collects
 runtime events, which are per task by contract.
+
+Claims: the threaded walk contracts the schedule exactly.  A claim
+(:func:`contract_claims`) is a maximal run of consecutive rows of one
+stream in which every internal edge is its source row's only successor
+and its target row's only predecessor — a chain nothing else waits on
+or feeds.  Per-row dispatch would release no row at another point
+relative to its producer, so running the claim as one unit loses no
+overlap.  An untraced ``threads`` replay runs the claims' quotient
+schedule, one ``run_rects`` call per fused claim over the rectangles
+of its rows' union (legal by the argument above: consecutive rows of a
+stream are a lex-contiguous range) and ``call(tid)`` per row of any
+other.  :attr:`ExecPlan.claims` is built on the first such replay;
+collecting replays keep the per-row schedule.  Fused P5 is one chain:
+its 196 rows at N=14 are one claim.
 
 Privatized plans: every member block gets a private buffer shaped like
 the accumulator and filled with the operator-group identity (``sum`` →
@@ -120,11 +134,19 @@ class TaskRow(NamedTuple):
 
 
 class StreamRun(NamedTuple):
-    """One task stream of the plan as a serial replay runs it."""
+    """Consecutive rows of one task stream run as one unit: a whole
+    stream (serial elision) or a claim (threaded walk)."""
 
-    rows: range  # the stream's rows, consecutive in creation order
+    rows: range  # consecutive rows of one stream, in creation order
     kernel: FusedKernel | None  # None: one ``call(tid)`` per row
     rects: tuple  # rectangles of the union of the rows' iterations
+
+
+class Claims(NamedTuple):
+    """The schedule with its chains contracted (module docstring)."""
+
+    runs: tuple[StreamRun, ...]  # one per claim, in row order
+    schedule: "Schedule"  # their quotient: claim index = task id
 
 
 @dataclass(frozen=True)
@@ -161,6 +183,52 @@ class ExecPlan:
         from ..tasking.backends import wire_task
 
         return tuple(wire_task(row.stream, row.payload) for row in self.rows)
+
+    @cached_property
+    def claims(self) -> Claims:
+        """What an untraced ``threads`` replay dispatches, built on the
+        first one (never by serial/processes or collecting replays)."""
+        return contract_claims(self)
+
+
+def contract_claims(plan: ExecPlan) -> Claims:
+    """Contract every chain of ``plan.schedule`` into one claim.
+
+    A claim is a maximal run of rows ``r..r+k`` of one stream whose
+    internal edges are each the source row's only successor and the
+    target row's only predecessor.  A fused claim runs over the
+    rectangles of its rows' union: the stream's own when the claim is
+    the whole stream, the row's when it is one row, decomposed here
+    otherwise.
+    """
+    from ..tasking.dispatch import Schedule
+
+    counts, succs = plan.schedule.counts, plan.schedule.succs
+    runs: list[StreamRun] = []
+    for run in plan.runs:
+        start = run.rows.start
+        for row in run.rows:
+            nxt = row + 1
+            if nxt in run.rows and succs[row] == (nxt,) and counts[nxt] == 1:
+                continue
+            rows = range(start, nxt)
+            if run.kernel is None or rows == run.rows:
+                rects = run.rects  # () without a kernel
+            elif len(rows) == 1:
+                rects = plan.rows[start].payload["rects"]
+            else:
+                rects = tuple(rectangles(np.concatenate(
+                    [plan.rows[r].payload["iters"] for r in rows]
+                )))
+            runs.append(StreamRun(rows, run.kernel, rects))
+            start = nxt
+    claim_of = [c for c, run in enumerate(runs) for _ in run.rows]
+    preds: list[set[int]] = [set() for _ in runs]
+    for row, ss in enumerate(succs):
+        for s in ss:
+            if claim_of[s] != claim_of[row]:
+                preds[claim_of[s]].add(claim_of[row])
+    return Claims(tuple(runs), Schedule.from_preds(preds))
 
 
 def quotient_schedule(graph, members, floors) -> "Schedule":
@@ -398,20 +466,33 @@ def bind_rows(interp, plan: ExecPlan, store) -> Callable[[int], None]:
     return call
 
 
+def bind_runs(
+    interp, runs: tuple[StreamRun, ...], store, call: Callable[[int], None]
+) -> Callable[[int], None]:
+    """``run(k)``: ``runs[k]`` bound to this run's store — a fused run as
+    one ``run_rects`` call over its union rectangles, any other as
+    ``call(tid)`` per row."""
+    funcs = interp.funcs
+
+    def run(k: int) -> None:
+        unit = runs[k]
+        if unit.kernel is not None:
+            unit.kernel.run_rects(store, funcs, unit.rects)
+        else:
+            for tid in unit.rows:
+                call(tid)
+
+    return run
+
+
 def run_stream_runs(
     interp, plan: ExecPlan, store, call: Callable[[int], None]
 ) -> dict:
     """The serial elision (module docstring): the plan's streams in
-    creation order, a fused one as one ``run_rects`` call over its union
-    rectangles, any other as ``call(tid)`` per row.  Returns scheduling
-    statistics."""
-    funcs = interp.funcs
-    for run in plan.runs:
-        if run.kernel is not None:
-            run.kernel.run_rects(store, funcs, run.rects)
-        else:
-            for tid in run.rows:
-                call(tid)
+    creation order.  Returns scheduling statistics."""
+    run = bind_runs(interp, plan.runs, store, call)
+    for k in range(len(plan.runs)):
+        run(k)
     return {"policy": "stream-runs", "runs": len(plan.runs)}
 
 
@@ -465,13 +546,27 @@ def run_plan(
         with span(name, backend=backend, workers=workers, **attrs):
             with collecting as collector:
                 start = time.perf_counter()
+                active = obs_runtime.current()
                 label = lambda tid: rows[tid].stream  # noqa: E731
-                if backend == "serial" and obs_runtime.current() is None:
+                if backend == "serial" and active is None:
                     result = run_stream_runs(interp, plan, store, call)
                 elif backend == "serial":  # events are per task: per row
                     result = run_serial(range(len(rows)), call, label)
                 elif backend == "threads":
-                    result = run_threads(plan.schedule, call, workers, label)
+                    if active is None:  # one dispatch per claim
+                        claims = plan.claims
+                        result = run_threads(
+                            claims.schedule,
+                            bind_runs(interp, claims.runs, store, call),
+                            workers,
+                            lambda k: rows[claims.runs[k].rows[0]].stream,
+                        )
+                    else:  # events are per task: per row
+                        result = run_threads(
+                            plan.schedule, call, workers, label, active
+                        )
+                    result["claims"] = result["tasks"]
+                    result["tasks"] = len(rows)
                 else:  # processes
                     result = run_processes(
                         interp, store, plan.schedule, plan.wire, workers

@@ -7,7 +7,10 @@ task, successor lists, roots (Pipeflow's fixed array of join counters).
 It is always derived from a :class:`~repro.tasking.task.TaskGraph`:
 ``lower_exec_plan`` takes the quotient of the analysis' checked graph
 over the plan rows, :func:`repro.tasking.execute` (under
-``OmpTaskSystem.run``) a graph's own edges.  A run (:func:`run_serial`,
+``OmpTaskSystem.run``) a graph's own edges.  An untraced plan replay on
+threads hands :func:`run_threads` a further quotient, one task per
+claim (``ExecPlan.claims``: a chain of rows that wait on nothing but
+each other), so a task here may be many plan rows.  A run (:func:`run_serial`,
 :func:`run_threads`, the process pool of :mod:`repro.tasking.backends`)
 copies the counters and never writes to the schedule, so one schedule
 is shared between runs and threads.
@@ -79,11 +82,16 @@ def run_serial(
 
 
 def run_threads(
-    sched: Schedule, call: Callable[[int], None], workers: int, name_of
+    sched: Schedule,
+    call: Callable[[int], None],
+    workers: int,
+    name_of,
+    collector: obs_runtime.RuntimeCollector | None = None,
 ) -> dict:
     """Work-stealing run of ``sched`` on up to ``workers`` threads;
-    ``call(tid)`` is a task's body, ``name_of(tid)`` its event label.
-    Returns scheduling statistics.
+    ``call(tid)`` is a task's body, ``name_of(tid)`` its event label in
+    ``collector`` — the caller looks it up (``obs_runtime.current()``),
+    once per run.  Returns scheduling statistics.
 
     Each worker owns a deque, pushes newly ready successors locally
     (LIFO — the freshest task's data is hot) and steals oldest-first
@@ -114,7 +122,6 @@ def run_threads(
     steals = 0
     failure: BaseException | None = None
     helpers: list[threading.Thread] = []
-    collector = obs_runtime.current()
 
     def steal(me: int) -> int | None:
         nonlocal steals

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs import runtime as obs_runtime
 from .dispatch import Schedule, run_threads
 from .task import TaskGraph
 
@@ -59,7 +60,7 @@ def execute(graph: TaskGraph, workers: int = 4) -> RunResult:
 
     run_threads(
         Schedule.from_preds(graph.preds), call, workers,
-        lambda tid: tasks[tid].statement,
+        lambda tid: tasks[tid].statement, obs_runtime.current(),
     )
     return RunResult(tuple(completion), ())
 

@@ -26,7 +26,13 @@ from repro.pipeline import detect_pipeline
 from repro.presburger import cache
 from repro.schedule import generate_task_ast
 from repro.tasking import TaskGraph
-from tests.conftest import KERNEL_FORMS, fused_statements, run_whole_blocks
+from tests.conftest import (
+    KERNEL_FORMS,
+    compile_for_exec,
+    fused_statements,
+    run_whole_blocks,
+)
+from tests.interp.test_plan import assert_claims_are_exact
 
 from .generator import generate_samples, random_topological_order
 
@@ -137,6 +143,16 @@ def test_process_backend_matches_serial(samples):
         assert stats.scheduler["tasks"] > 0
 
 
+def test_threads_replay_runs_exact_claims(samples):
+    """One threaded replay per sample: its claims are the exact
+    contraction of the plan's schedule, and it is the oracle."""
+    for sample in samples:
+        interp, info = compile_for_exec(sample.source, "auto", coarsen=3)
+        assert_claims_are_exact(
+            interp, interp.exec_plan(info), interp.oracle()
+        )
+
+
 def _run_fused_blocks(sample, fuse):
     """Whole-statement block execution with the given fuse mode."""
     interp = Interpreter.from_source(sample.source, {}, fuse=fuse)
@@ -180,8 +196,8 @@ def test_fuse_fuzz_campaign(pytestconfig, monkeypatch):
 
     Enable with ``pytest tests/fuzz --fuzz-fuse``; every 25th sample
     additionally runs the full fused task program (chain merging
-    included) on the serial executor and, every 50th, on the process
-    backend.  Two seed offsets: ``+4`` is this campaign's own, ``+2`` the
+    included), rotating through the serial, threads and process
+    backends.  Two seed offsets: ``+4`` is this campaign's own, ``+2`` the
     retired vectorized campaign's, so the sampled kernel set did not
     shrink when the tiers collapsed.
     """
@@ -194,7 +210,9 @@ def test_fuse_fuzz_campaign(pytestconfig, monkeypatch):
         for sample in generate_samples(seed + offset, 200):
             _assert_both_forms_match_compiled_loop(sample, monkeypatch)
             if sample.index % 25 == 0:
-                backend = "processes" if sample.index % 50 == 0 else "serial"
+                backend = ("serial", "threads", "processes")[
+                    sample.index // 25 % 3
+                ]
                 interp = Interpreter.from_source(sample.source, {})
                 store, _stats = execute_measured(
                     interp, detect_pipeline(interp.scop, coarsen=8),

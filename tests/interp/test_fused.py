@@ -158,8 +158,9 @@ class TestKernelForms:
 
     @pytest.mark.parametrize("coarsen", [1, 60])
     def test_form_follows_rectangle_size(self, coarsen):
-        """Count-based: replaying P5@14 per row (threads, one worker —
-        serial would run the stream's union), one-point blocks never
+        """Count-based: replaying P5@14 per row (a collecting threads
+        replay, one worker — an untraced one runs the chain as one claim
+        over the stream's union, as serial does), one-point blocks never
         call the slice form and 60-point blocks never call the loop form
         on a rectangle above the constant (small edge rectangles may)."""
         from repro.obs import spans as obs_spans
@@ -183,7 +184,9 @@ class TestKernelForms:
             kernel.fn = counting("slice", kernel.fn)
             kernel.loop_fn = counting("loop", kernel.loop_fn)
         oracle = interp.run_sequential(interp.new_store())
-        store, _ = execute_measured(interp, info, backend="threads", workers=1)
+        store, _ = execute_measured(
+            interp, info, backend="threads", workers=1, collect_events=True
+        )
         assert oracle.equal(store)
 
         limit = fused_mod.LOOP_FORM_POINTS

@@ -278,7 +278,8 @@ def privatized_plan(name):
     return interp.exec_plan(pinfo, None, plan)
 
 
-def relaxed_plan(name):
+def relaxed_setup(name):
+    """``(interp, plan)`` of the hybrid-relaxed task AST of ``name``."""
     from repro.schedule import generate_task_ast
     from repro.tasking import relax_self_chains
     from repro.workloads import figure11_kernels
@@ -288,7 +289,11 @@ def relaxed_plan(name):
         kernels[name].source(6), "auto", coarsen=1
     )
     relaxed = relax_self_chains(interp.scop, info, generate_task_ast(info))
-    return interp.exec_plan(info, relaxed)
+    return interp, interp.exec_plan(info, relaxed)
+
+
+def relaxed_plan(name):
+    return relaxed_setup(name)[1]
 
 
 #: golden key -> (plan factory, its arguments): P1–P10 × N ∈ {6, 9},
@@ -608,12 +613,13 @@ def counted_replay(counters, interp, info, backend):
 
 
 def test_p5_dispatch_counts_at_fine_and_coarse_blocking(monkeypatch):
-    """Dispatch counted, not timed: a threaded replay of fused P5 is a
-    kernel call per row, compiled loops a ``run_block`` per row on either
-    backend, and a coarse serial replay one kernel call (the fine one is
-    ``test_serial_replay_calls_each_fused_stream_once[P5]``).  The fine
-    and coarse blockings elide to the same rectangles, so serially they
-    are one program."""
+    """Dispatch counted, not timed: fused P5 is one ``S1+S2+S3+S4``
+    chain, so a threaded replay runs it as one claim — one kernel call,
+    like the serial elision (whose fine case is
+    ``test_serial_replay_calls_each_fused_stream_once[P5]``).  Compiled
+    loops are a ``run_block`` per row on either backend: every S1 row
+    also releases an S2 row, so nothing contracts.  The fine and coarse
+    blockings elide to the same rectangles, so they are one program."""
     from repro.interp.fused import FusedKernel
 
     counters = {
@@ -628,13 +634,13 @@ def test_p5_dispatch_counts_at_fine_and_coarse_blocking(monkeypatch):
         dispatch, unused = (
             ("run_rects", "run_block") if fused else ("run_block", "run_rects")
         )
-        for backend, calls in (
-            ("serial", 1 if fused else rows), ("threads", rows)
-        ):
+        calls = 1 if fused else rows
+        for backend in ("serial", "threads"):
             if (backend, fused, coarsen) == ("serial", True, 1):
                 continue  # the serial-elision test's P5 case
             got = counted_replay(counters, interp, info, backend)
             assert got == {dispatch: calls, unused: 0}, (coarsen, fuse, backend)
+        assert len(interp.exec_plan(info).claims.runs) == calls
     assert union[1] == union[48]
 
 
@@ -742,6 +748,102 @@ def test_a_collecting_serial_replay_records_one_event_per_row():
     with obs_runtime.collecting("serial", 1) as outer:
         execute_measured(interp, info, backend="serial")
     assert len(outer.trace().events) == len(plan.rows)
+
+
+# ----------------------------------------------------------------------
+# claims: a threaded replay runs each schedule chain as one unit
+# ----------------------------------------------------------------------
+def assert_claims_are_exact(interp, plan, reference):
+    """``plan.claims`` is the exact contraction of ``plan.schedule``, and
+    its threaded replay at two workers is ``reference`` bit for bit."""
+    from repro.interp.fused import rectangles
+
+    sched, claims = plan.schedule, plan.claims
+    stream_of = {t: k for k, run in enumerate(plan.runs) for t in run.rows}
+    # a partition of the rows into consecutive runs of one stream each
+    assert [t for run in claims.runs for t in run.rows] == list(
+        range(len(plan.rows))
+    )
+    claim_of = {t: c for c, run in enumerate(claims.runs) for t in run.rows}
+    for run in claims.runs:
+        assert len({stream_of[t] for t in run.rows}) == 1
+        assert run.kernel is plan.runs[stream_of[run.rows[0]]].kernel
+        if run.kernel is None:
+            assert run.rects == ()
+        else:
+            union = np.concatenate(
+                [plan.rows[t].payload["iters"] for t in run.rows]
+            )
+            assert list(run.rects) == rectangles(union)
+    # every internal edge is its source's only successor and its
+    # target's only predecessor; at every boundary inside a stream, not
+    for t in range(len(plan.rows) - 1):
+        chained = sched.succs[t] == (t + 1,) and sched.counts[t + 1] == 1
+        same_stream = stream_of[t] == stream_of[t + 1]
+        assert (claim_of[t] == claim_of[t + 1]) == (chained and same_stream)
+    # the quotient's edges are the images of the row edges across claims
+    images = {
+        (claim_of[t], claim_of[s])
+        for t, ss in enumerate(sched.succs)
+        for s in ss
+        if claim_of[t] != claim_of[s]
+    }
+    assert images == {
+        (c, s) for c, ss in enumerate(claims.schedule.succs) for s in ss
+    }
+    out, stats = plan_mod.run_plan(interp, plan, "threads", workers=2)
+    assert stats.scheduler["tasks"] == len(plan.rows)
+    assert stats.scheduler["claims"] == len(claims.runs)
+    assert reference.equal(out)
+
+
+@pytest.mark.parametrize("coarsen", [1, 8])
+@pytest.mark.parametrize("name", PKERNELS)
+def test_claims_are_exact_on_pkernels(name, coarsen):
+    for fuse in FUSE_MODES:
+        interp, info = compile_for_exec(
+            TABLE9[name].source(9), fuse, coarsen=coarsen
+        )
+        plan = interp.exec_plan(info)
+        assert_claims_are_exact(interp, plan, interp.oracle())
+
+
+@pytest.mark.parametrize("name", ["2mm", "P7"])
+def test_claims_are_exact_on_a_relaxed_plan(name):
+    interp, lowered = relaxed_setup(name)
+    assert_claims_are_exact(interp, lowered, interp.oracle())
+
+
+@pytest.mark.parametrize("name", ["histogram", "sumstencil"])
+def test_claims_are_exact_on_a_privatized_plan(name):
+    """Members are unchained and have no kernel: each is a claim of its
+    own."""
+    interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 8, parts=3)
+    lowered = interp.exec_plan(pinfo, None, plan)
+    per_row, _ = plan_mod.run_plan(
+        interp, lowered, "threads", workers=1, collect_events=True
+    )
+    assert_claims_are_exact(interp, lowered, per_row)
+    members = [
+        run for run in lowered.claims.runs
+        if "remap" in lowered.rows[run.rows[0]].payload
+    ]
+    assert members and all(len(run.rows) == 1 for run in members)
+
+
+def test_claims_are_built_on_the_first_untraced_threads_replay():
+    """Serial, processes and collecting replays never contract."""
+    interp, info = compile_for_exec(TABLE9["P5"].source(9), "auto", coarsen=1)
+    plan = interp.exec_plan(info)
+    for backend in ("serial", "processes"):
+        execute_measured(interp, info, backend=backend, workers=2)
+    execute_measured(
+        interp, info, backend="threads", workers=2, collect_events=True
+    )
+    assert "claims" not in vars(plan)
+    _, stats = execute_measured(interp, info, backend="threads", workers=2)
+    assert "claims" in vars(plan) and len(plan.claims.runs) == 1
+    assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
 
 
 # ----------------------------------------------------------------------

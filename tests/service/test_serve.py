@@ -608,8 +608,9 @@ def test_disk_is_the_trust_boundary_not_the_resident_object(tmp_path):
 def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
     """A forged "legal" verdict in a stored fusion plan merges a chain
     that reorders a dependence; the run's oracle compare reports it on a
-    per-row replay (threads).  The serial elision runs the chain over
-    its whole domain — program order — and still matches."""
+    per-row replay (processes).  The serial elision, and a threaded
+    replay that runs the chain as one claim, run it over its whole
+    domain — program order — and still match."""
     from repro.driver import transform
     from repro.service import options_from_dict
     from repro.store import ArtifactStore, artifact_key
@@ -621,7 +622,7 @@ def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
     key = artifact_key(BACKWARD_IN_BLOCK, params, opts)
     req = {
         "op": "run", "source": BACKWARD_IN_BLOCK, "params": params,
-        "options": options, "backend": "threads",
+        "options": options, "backend": "processes",
     }
 
     async def honest(host, port, server):
@@ -632,9 +633,10 @@ def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
         resp = await _request(host, port, req)
         assert resp["ok"] and resp["key"] == key
         assert resp["status"] == "warm" and resp["match"] is False
-        serial = await _request(host, port, dict(req, backend="serial"))
-        assert serial["ok"] and serial["key"] == key
-        assert serial["match"] is True
+        for backend in ("serial", "threads"):
+            whole = await _request(host, port, dict(req, backend=backend))
+            assert whole["ok"] and whole["key"] == key
+            assert whole["match"] is True, backend
 
     asyncio.run(_with_server(str(tmp_path), honest))
     store.put(key, _forged_verdicts(store.get(key)))
@@ -659,12 +661,14 @@ async def _oracle_gauge(host, port) -> int:
 
 def test_match_and_checksums_come_from_each_requests_replay(tmp_path):
     """Only the reference is kept: a resident plan that starts writing
-    wrong cells is reported by the very next run (a per-row replay:
-    threads on one worker runs the broken row itself)."""
-    per_row = dict(backend="threads", workers=1)
+    wrong cells is reported by the very next run.  That run is a per-row
+    replay — processes, whose wire rows are built on its first replay,
+    after the break — and runs the broken row itself.  A threaded replay
+    runs the ``S+T`` chain as one claim over the union rectangles taken
+    at lowering, which is program order, and still matches."""
 
     async def body(host, port, server):
-        good = await _request(host, port, _run_req(**per_row))
+        good = await _request(host, port, _run_req())
         assert good["match"] is True
         interp = _resident_interp(server, good["key"])
         (plan,) = interp._exec_plans.values()
@@ -672,10 +676,13 @@ def test_match_and_checksums_come_from_each_requests_replay(tmp_path):
         payload["iters"] = payload["iters"][:0]
         if "rects" in payload:
             payload["rects"] = ()
-        bad = await _request(host, port, _run_req(**per_row))
+        bad = await _request(host, port, _run_req(backend="processes"))
         assert bad["ok"] and bad["status"] == "warm"
         assert bad["match"] is False
         assert bad["checksums"] != good["checksums"]
+        whole = await _request(host, port, _run_req(backend="threads"))
+        assert whole["match"] is True
+        assert whole["checksums"] == good["checksums"]
 
     asyncio.run(_with_server(str(tmp_path), body))
 

@@ -13,12 +13,16 @@ timing, as in the ledger's ``run_*_ms``):
 * **serial** — ``execute_measured`` on ``serial``: the plan's serial
   elision, one kernel call per fused task stream, so it reads below
   ``rows`` wherever streams fuse;
-* **threads** — ``execute_measured`` on ``threads``.
+* **threads** — ``execute_measured`` on ``threads``: one dispatch per
+  claim (``ExecPlan.claims``), a chain of rows that wait on nothing
+  but each other run as one kernel call over their union.
 
-Printed: median ms of each, per task what serial saves or pays against
-the row loop (``serial − rows``, negative when the elision wins), the
-thread scheduler's share (``threads − rows``) and the thread hand-off
-per run (``threads − serial``).  The cases are the ledger's ``fine_p``
+Printed: rows and claims of the plan, median ms of each way, per task
+what serial saves or pays against the row loop (``serial − rows``,
+negative when the elision wins), the thread scheduler's share
+(``threads − rows``, negative too where chains contract, e.g. P5's one
+claim for 196 rows) and the thread hand-off per run
+(``threads − serial``).  The cases are the ledger's ``fine_p``
 kernels (one-point blocks) and ``coarse_p`` kernels (~8 tasks per
 statement).  Asserts nothing and exits 0; CI uploads the table.
 
@@ -88,7 +92,8 @@ def measure(name: str, n: int, coarsen: int, repeats: int) -> dict:
                 ms[way].append(took)
     med = {way: statistics.median(v) for way, v in ms.items()}
     edges = sum(plan.schedule.counts)
-    return {"tasks": len(tasks), "edges": edges, **med}
+    claims = len(plan.claims.runs)
+    return {"tasks": len(tasks), "claims": claims, "edges": edges, **med}
 
 
 def render(rows: dict) -> str:
@@ -97,14 +102,16 @@ def render(rows: dict) -> str:
         f"host: {host['cpu']}, {host['nproc']} cpu, "
         f"python {host['python']}, numpy {host['numpy']}",
         f"median raw ms per run incl. new_store(); threads: {WORKERS} workers",
-        f"{'kernel':14}{'tasks':>6}{'edges':>6}{'rows':>8}{'serial':>8}"
+        f"{'kernel':14}{'tasks':>6}{'claims':>7}{'edges':>6}{'rows':>8}"
+        f"{'serial':>8}"
         f"{'threads':>8}{'ser-rows us/t':>14}{'thr-rows us/t':>14}"
         f"{'thr-ser ms':>11}",
     ]
     for label, r in rows.items():
         per = 1e3 / r["tasks"]
         lines.append(
-            f"{label:14}{r['tasks']:>6}{r['edges']:>6}{r['rows']:>8.2f}"
+            f"{label:14}{r['tasks']:>6}{r['claims']:>7}{r['edges']:>6}"
+            f"{r['rows']:>8.2f}"
             f"{r['serial']:>8.2f}{r['threads']:>8.2f}"
             f"{(r['serial'] - r['rows']) * per:>14.2f}"
             f"{(r['threads'] - r['rows']) * per:>14.2f}"
