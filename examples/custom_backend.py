@@ -67,7 +67,7 @@ def main() -> None:
     store = interp.new_store()
 
     def run_block(statement, iters):
-        interp.compiled[statement](store, interp.funcs, iters)
+        interp.run_block(store, statement, iters)
 
     backend = TracingBackend(write_num=module.WRITE_NUM, workers=4)
     module.build_tasks(backend, run_block)

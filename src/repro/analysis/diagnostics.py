@@ -17,7 +17,7 @@ Rule-code blocks::
     RPA04x  task graph / codegen (Sections 5.4-5.5)
     RPA05x  pattern portfolio (reductions, do-all, geometric
             decomposition, privatization proofs)
-    RPA06x  megakernel fusion (fused-closure legality gate)
+    RPA06x  block kernels: the slice-form gate (a refusal keeps the loop form)
 """
 
 from __future__ import annotations
@@ -223,8 +223,8 @@ REDUCTION_ACCUMULATOR_WRITE = register_rule(
 
 FUSE_NO_LOOP_DIMS = register_rule(
     "RPA060", "fuse-no-loop-dimensions", I,
-    "a zero-dimensional statement has no block to slice; it runs once "
-    "through the interpreter")
+    "a zero-dimensional statement has no block to slice; its kernel "
+    "runs the loop form")
 FUSE_UNSUPPORTED_OP = register_rule(
     "RPA061", "fuse-unsupported-operator", W,
     "only plain and compound assignments lower to slice form")
@@ -235,7 +235,7 @@ FUSE_NO_SLICE_FORM = register_rule(
 FUSE_NON_POSITIVE_STRIDE = register_rule(
     "RPA063", "fuse-non-positive-stride", W,
     "NumPy basic slices require positive strides; reversed accesses run "
-    "through the compiled interpreter loop")
+    "the kernel's loop form")
 FUSE_DIAGONAL_ACCESS = register_rule(
     "RPA064", "fuse-diagonal-access", W,
     "one loop variable driving two dimensions of an access selects a "

@@ -17,9 +17,10 @@ Commands
     once — on ``--exec-backend`` (a *measured* wall-clock run, reported
     with its statistics), else on the threaded runtime — and report
     whether the replayed arrays match, plus the simulated speed-up;
-    ``--fuse`` controls the block kernels (fused closures: one NumPy
-    call per task, with chain fusion of proven-legal statement
-    sequences; ``off`` runs compiled loops);
+    ``--fuse`` controls the block kernels (one kernel per statement,
+    one call per task: NumPy slices where the gate admits them, with
+    chain fusion of proven-legal statement sequences; ``off`` runs
+    every kernel's loop form);
     ``--tune`` auto-picks task granularity by replaying each coarsening
     of a ladder on the replay's backend and workers and keeping the
     fastest; ``--reduce-deps`` transitively reduces the
@@ -270,7 +271,7 @@ def _print_stats(args, source: str) -> None:
     print()
     print(
         f"fusion coverage: {sum(m == 'fused' for m in modes)}/{len(modes)} "
-        f"statements compiled to fused closures"
+        f"statements with a slice form"
     )
     for chain in sorted(stats.fused_chains):
         print(f"  chain: {chain_label(chain)}")
@@ -628,11 +629,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--fuse",
             choices=("auto", "on", "off"),
             default="auto",
-            help="block kernels: compile statements (and proven "
-            "fusion-legal chains) to single NumPy closures executed as "
-            "one call per task; auto (default) falls back per statement "
-            "to compiled loops, on fails on fallback, off runs compiled "
-            "loops only",
+            help="block kernels: one kernel per statement (and per "
+            "proven fusion-legal chain), one call per task; auto "
+            "(default) runs NumPy slices where legal and the kernel's "
+            "loop form elsewhere, on fails unless every statement has "
+            "slices, off runs loop forms only",
         )
 
     def cache_args(p: argparse.ArgumentParser) -> None:

@@ -149,7 +149,7 @@ def run_generated(
     system = OmpTaskSystem(write_num=module.WRITE_NUM)
 
     def run_block(statement: str, iters: list[tuple[int, ...]]) -> None:
-        interpreter.compiled[statement](store, interpreter.funcs, iters)
+        interpreter.run_block(store, statement, iters)
 
     module.build_tasks(system, run_block)
     result = system.run(workers=workers)

@@ -70,9 +70,9 @@ class TransformOptions:
     verify: bool = True
     #: workers for the replay and the simulation
     workers: int = 4
-    #: fused block kernels: "auto" (default — fuse what's legal, per-
-    #: statement fallback to compiled loops), "on" (fail if any
-    #: statement can't fuse), "off" (compiled loops only)
+    #: block kernels: "auto" (default — slice forms where legal, the
+    #: loop form per statement elsewhere), "on" (fail if any statement
+    #: has no slice form), "off" (loop forms only)
     fuse: str = "auto"
     #: run a real measured execution on this backend ("serial", "threads"
     #: or "processes"); None skips the measured run

@@ -1,11 +1,7 @@
-"""Kernel execution: array store, statement compilation, reference interpreter."""
+"""Kernel execution: array store, one kernel per statement, reference interpreter."""
 
 from .compile import (
     COMPOUND_OPS,
-    CompiledStatement,
-    StatementFn,
-    compile_scop,
-    compile_statement,
     elementwise,
     emit_closure_spec,
     is_elementwise,
@@ -35,7 +31,6 @@ __all__ = [
     "ArrayView",
     "BACKENDS",
     "COMPOUND_OPS",
-    "CompiledStatement",
     "DEFAULT_FUNCS",
     "ExecutionStats",
     "execute_measured",
@@ -57,9 +52,6 @@ __all__ = [
     "fusion_legal_pair",
     "loop_source",
     "SharedArrayStore",
-    "StatementFn",
-    "compile_scop",
-    "compile_statement",
     "elementwise",
     "is_elementwise",
     "rectangles",

@@ -1,20 +1,17 @@
-"""Compilation of kernel statements to Python callables.
+"""The sequential oracle, and the one lowering of statements to kernels.
 
-Each labelled assignment is translated once into a Python function that
-executes a *batch* of iterations against an :class:`ArrayStore` — the same
-compiled body is used by the task runtime and the emitted task programs,
-and the sequential interpreter runs the same assignment text inside one
-generated function per program (:func:`compile_program`), so all scalar
-execution paths share identical semantics.  The second half of the
-module is the legality gate that decides which statements may instead
-run a whole block as one fused kernel (:mod:`repro.interp.fused`), and
-lowers those to closure specs.
+:func:`compile_program` translates the whole program into one Python
+function, loop for loop: the sequential oracle every replay is compared
+against, and the only code generated from the AST.  The second half of
+the module lowers each statement to a declarative spec
+(:func:`emit_closure_spec`) — the one body every block of that
+statement runs, through :mod:`repro.interp.fused` — and holds the gate
+that decides whether the spec also has a slice form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -31,11 +28,8 @@ from ..lang.ast import (
 from ..lang.errors import SemanticError
 from ..scop import Scop, ScopStatement
 from ..scop.deps import DepKind, dependence_relation
+from ..scop.extract import to_affine
 from .fused import REDUCTION_IDENTITY, NotFusable, StatementSpec
-from .store import ArrayStore
-
-#: A compiled statement body: (store, funcs, iterations) -> None
-StatementFn = Callable[[ArrayStore, Mapping[str, Callable], Iterable], None]
 
 #: Compound-assignment operators and the binary operator each expands to.
 #: ``/=`` floors like every division in the DSL (``_expr_to_py`` maps ``/``
@@ -47,19 +41,6 @@ COMPOUND_OPS: dict[str, str] = {
     "/=": "//",
     "%=": "%",
 }
-
-
-@dataclass(frozen=True)
-class CompiledStatement:
-    """A statement body compiled to a Python batch executor."""
-
-    name: str
-    source: str
-    fn: StatementFn
-    func_names: tuple[str, ...]
-
-    def __call__(self, store, funcs, iterations) -> None:
-        self.fn(store, funcs, iterations)
 
 
 def _expr_to_py(
@@ -108,15 +89,20 @@ def array_offsets(scop: Scop) -> dict[str, tuple[int, ...]]:
     }
 
 
-def _bindings(arrays, func_names) -> list[str]:
-    """Array and function locals a generated body starts with."""
-    return [
-        f"    __arr_{arr} = __store.arrays[{arr!r}].data"
-        for arr in sorted(arrays)
-    ] + [
-        f"    __fn_{fname} = __funcs[{fname!r}]"
-        for fname in sorted(func_names)
-    ]
+def _binop(stmt: ScopStatement) -> str:
+    """``"="``, or the binary operator a compound assignment expands to."""
+    op = stmt.assign.op
+    if op == "=":
+        return op
+    try:
+        return COMPOUND_OPS[op]
+    except KeyError:
+        raise SemanticError(
+            f"unsupported assignment operator {op!r} "
+            f"in statement {stmt.name}; supported: "
+            f"=, {', '.join(sorted(COMPOUND_OPS))}",
+            stmt.assign.location,
+        ) from None
 
 
 def _assignment_text(
@@ -134,55 +120,10 @@ def _assignment_text(
     rhs = _expr_to_py(
         stmt.assign.value, loop_vars, scop.params, offsets, func_names
     )
-    if stmt.assign.op != "=":
-        try:
-            binop = COMPOUND_OPS[stmt.assign.op]
-        except KeyError:
-            raise SemanticError(
-                f"unsupported assignment operator {stmt.assign.op!r} "
-                f"in statement {stmt.name}; supported: "
-                f"=, {', '.join(sorted(COMPOUND_OPS))}",
-                stmt.assign.location,
-            ) from None
+    binop = _binop(stmt)
+    if binop != "=":
         rhs = f"{lhs} {binop} ({rhs})"
     return f"{lhs} = {rhs}"
-
-
-def compile_statement(
-    scop: Scop,
-    stmt: ScopStatement,
-    offsets: Mapping[str, tuple[int, ...]] | None = None,
-) -> CompiledStatement:
-    """Compile one statement into a batch executor over iteration rows."""
-    if offsets is None:
-        offsets = array_offsets(scop)
-    func_names: set[str] = set()
-    assignment = _assignment_text(scop, stmt, offsets, func_names)
-
-    ivs = ", ".join(stmt.space.dims)
-    unpack = f"for {ivs} in __iters:" if stmt.depth > 1 else (
-        f"for ({ivs},) in __iters:"
-    )
-    lines = [
-        f"def __stmt_{stmt.name}(__store, __funcs, __iters):",
-    ]
-    lines += _bindings({a.array for a in stmt.accesses}, func_names)
-    lines.append(f"    {unpack}")
-    lines.append(f"        {assignment}")
-    source = "\n".join(lines)
-
-    namespace: dict[str, object] = {}
-    exec(source, namespace)  # noqa: S102 - compiling our own AST
-    fn = namespace[f"__stmt_{stmt.name}"]
-    return CompiledStatement(stmt.name, source, fn, tuple(sorted(func_names)))
-
-
-def compile_scop(scop: Scop) -> dict[str, CompiledStatement]:
-    """Compile every statement of a SCoP."""
-    offsets = array_offsets(scop)
-    return {
-        s.name: compile_statement(scop, s, offsets) for s in scop.statements
-    }
 
 
 def compile_program(program: Program, scop: Scop) -> Callable:
@@ -192,9 +133,9 @@ def compile_program(program: Program, scop: Scop) -> Callable:
     Mirrors ``program.nests`` loop for loop — imperfect nests keep their
     interleaving, inner bounds may use outer loop variables, ``<=``
     bounds run one further — with bounds and bodies through
-    :func:`_expr_to_py`, the AST translator of the compiled-loop rung.
-    Deliberately not built from closure specs: the oracle shares no code
-    generator with the fused kernels it is compared against.
+    :func:`_expr_to_py`, the module's AST translator.  Deliberately not
+    built from closure specs: the oracle shares no code generator with
+    the kernels it is compared against.
     """
     offsets = array_offsets(scop)
     func_names: set[str] = set()
@@ -223,7 +164,13 @@ def compile_program(program: Program, scop: Scop) -> Callable:
     for nest in program.nests:
         emit(nest, set(), "    ")
     lines = ["def __program(__store, __funcs):"]
-    lines += _bindings(scop.arrays, func_names)
+    lines += [
+        f"    __arr_{arr} = __store.arrays[{arr!r}].data"
+        for arr in sorted(scop.arrays)
+    ] + [
+        f"    __fn_{fname} = __funcs[{fname!r}]"
+        for fname in sorted(func_names)
+    ]
     lines += body
     lines.append("    return __store")
     namespace: dict[str, object] = {"__range": range}
@@ -232,7 +179,7 @@ def compile_program(program: Program, scop: Scop) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# block-kernel legality gate and closure-spec lowering
+# statement specs and the slice-form gate
 # ----------------------------------------------------------------------
 def elementwise(fn: Callable) -> Callable:
     """Mark ``fn`` as safe to call with (broadcastable) array arguments."""
@@ -253,59 +200,22 @@ def has_flow_self_dependence(scop: Scop, stmt: ScopStatement) -> bool:
     return not dependence_relation(scop, stmt, stmt, DepKind.FLOW).is_empty()
 
 
-def linear_form(
-    expr: Expr, loop_vars: tuple[str, ...], params: Mapping[str, int]
-) -> tuple[dict[str, int], int]:
-    """``expr`` as ``sum(coeffs[v] * v) + const`` or raise NotFusable."""
-    if isinstance(expr, IntLit):
-        return {}, expr.value
-    if isinstance(expr, VarRef):
-        if expr.name in loop_vars:
-            return {expr.name: 1}, 0
-        if expr.name in params:
-            return {}, params[expr.name]
-        raise NotFusable(
-            f"unknown variable {expr.name!r} in subscript", "RPA062"
-        )
-    if isinstance(expr, BinOp):
-        lc, lk = linear_form(expr.lhs, loop_vars, params)
-        rc, rk = linear_form(expr.rhs, loop_vars, params)
-        if expr.op in ("+", "-"):
-            sign = 1 if expr.op == "+" else -1
-            out = dict(lc)
-            for v, c in rc.items():
-                out[v] = out.get(v, 0) + sign * c
-            return {v: c for v, c in out.items() if c}, lk + sign * rk
-        if expr.op == "*":
-            if not lc:
-                return {v: lk * c for v, c in rc.items() if lk * c}, lk * rk
-            if not rc:
-                return {v: rk * c for v, c in lc.items() if rk * c}, lk * rk
-            raise NotFusable(
-                "product of two loop variables in subscript", "RPA062"
-            )
-        if expr.op in ("/", "%"):
-            if lc or rc:
-                raise NotFusable(
-                    f"loop variable under {expr.op!r} in subscript", "RPA062"
-                )
-            if rk == 0:
-                raise NotFusable("division by zero in subscript", "RPA062")
-            return {}, lk // rk if expr.op == "/" else lk % rk
-        raise NotFusable(f"operator {expr.op!r} in subscript", "RPA062")
-    raise NotFusable(f"non-affine subscript {expr!r}", "RPA062")
+def emit_closure_spec(
+    scop: Scop, stmt: ScopStatement, funcs=None, gate: bool = True
+) -> tuple[StatementSpec, NotFusable | None]:
+    """Lower one statement into its declarative spec, and decide whether
+    the spec also has a slice form.
 
+    Every statement has a spec, so every statement has a loop form (the
+    spec's scalar loop nest, :func:`~repro.interp.fused.loop_source`).
+    Returns ``(spec, refusal)``: ``refusal`` is None when the spec also
+    has a slice form, else the first check of the slice-form gate that
+    fails, a :class:`~repro.interp.fused.NotFusable` with a stable RPA06x
+    code so coverage reports aggregate by cause:
 
-def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
-    """Lower one statement into a declarative fused-closure spec.
-
-    The one legality gate of whole-block execution (conservative, per
-    statement), each refusal a :class:`~repro.interp.fused.NotFusable`
-    with a stable RPA06x code so coverage reports aggregate by cause:
-
-    * every subscript is affine with **at most one loop variable per
-      array dimension** (RPA062 — ``A[2*i+1][j]`` has a slice form,
-      ``A[2*i+j][j]`` does not) and a **positive stride** (RPA063);
+    * every subscript has **at most one loop variable per array
+      dimension** (RPA062 — ``A[2*i+1][j]`` has a slice form,
+      ``A[i+j][j]`` does not) and a **positive stride** (RPA063);
     * no loop variable appears in two dimensions of one access (RPA064 —
       ``A[i][i]`` diagonals have no slice form);
     * the **write** uses every loop variable, so distinct iterations
@@ -316,65 +226,70 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
       (RPA067 — ``fn.elementwise = True`` or a ``numpy.ufunc``; an
       arbitrary Python function cannot be assumed to map over arrays).
 
-    Returns a :class:`~repro.interp.fused.StatementSpec` (pure data:
-    building the closure from it is
-    :func:`~repro.interp.fused.build_closure`'s job).
+    ``gate=False`` (``fuse="off"``) runs no check — no Presburger
+    question either — and returns no refusal; the caller then keeps the
+    loop form everywhere.  The spec is pure data: building the kernel
+    from it is :func:`~repro.interp.fused.build_closure`'s job.
     """
     loop_vars = tuple(stmt.space.dims)
-    if not loop_vars:
-        raise NotFusable("statement has no loop dimensions", "RPA060")
+    var_set = set(loop_vars)
     params = scop.params
     offsets = array_offsets(scop)
+    refusals: list[NotFusable] = []
 
-    if stmt.assign.op != "=" and stmt.assign.op not in COMPOUND_OPS:
-        raise NotFusable(
-            f"unsupported assignment operator {stmt.assign.op!r}", "RPA061"
-        )
+    def refuse(reason: str, code: str) -> None:
+        if gate and not refusals:
+            refusals.append(NotFusable(reason, code))
+
+    if not loop_vars:
+        refuse("statement has no loop dimensions", "RPA060")
+    assign_op = _binop(stmt)
 
     def access_dims(acc: ArrayAccess) -> tuple:
         dims: list[tuple] = []
         seen: set[str] = set()
         for k, idx in enumerate(acc.indices):
-            coeffs, const = linear_form(idx, loop_vars, params)
-            if len(coeffs) > 1:
-                raise NotFusable(
+            form = to_affine(idx, var_set, params)
+            const = form.const - offsets[acc.array][k]
+            terms = sorted(form.coeffs, key=lambda t: loop_vars.index(t[0]))
+            if not terms:
+                dims.append((None, 0, const))
+                continue
+            # a coupled subscript's further terms follow the constant
+            (var, coeff), *coupled = terms
+            if coupled:
+                refuse(
                     f"coupled subscript {idx} of {acc.array!r} "
                     "(two loop variables in one dimension)",
                     "RPA062",
                 )
-            const -= offsets[acc.array][k]
-            if not coeffs:
-                dims.append((None, 0, const))
-                continue
-            (var, coeff), = coeffs.items()
             if coeff <= 0:
-                raise NotFusable(
+                refuse(
                     f"non-positive stride {coeff} in subscript {idx} "
                     f"of {acc.array!r}",
                     "RPA063",
                 )
             if var in seen:
-                raise NotFusable(
+                refuse(
                     f"loop variable {var!r} repeated across dimensions "
                     f"of {acc.array!r} (diagonal access)",
                     "RPA064",
                 )
             seen.add(var)
-            dims.append((var, coeff, const))
+            dims.append((var, coeff, const, *coupled))
         return tuple(dims)
 
     write_dims = access_dims(stmt.assign.target)
-    write_vars = {var for var, _, _ in write_dims if var is not None}
-    missing = set(loop_vars) - write_vars
+    missing = var_set - {d[0] for d in write_dims}
     if missing:
-        raise NotFusable(
+        refuse(
             f"write to {stmt.assign.target.array!r} does not use loop "
             f"variable(s) {sorted(missing)} (non-injective scatter)",
             "RPA065",
         )
 
-    if has_flow_self_dependence(scop, stmt):
-        raise NotFusable(
+    if gate and not refusals and has_flow_self_dependence(scop, stmt):
+        refuse(
             "flow self-dependence (recurrence) — block must run scalar",
             "RPA066",
         )
@@ -385,7 +300,7 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
         if isinstance(expr, IntLit):
             return ("int", expr.value)
         if isinstance(expr, VarRef):
-            if expr.name in loop_vars:
+            if expr.name in var_set:
                 return ("iv", expr.name)
             if expr.name in params:
                 return ("int", params[expr.name])
@@ -400,7 +315,7 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
         if isinstance(expr, Call):
             func_names.add(expr.func)
             return ("call", expr.func, tuple(node(a) for a in expr.args))
-        raise NotFusable(f"cannot fuse expression {expr!r}", "RPA062")
+        raise SemanticError(f"cannot compile expression {expr!r}")
 
     rhs = node(stmt.assign.value)
 
@@ -408,17 +323,17 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
         for fname in sorted(func_names):
             fn = funcs.get(fname)
             if fn is None or not is_elementwise(fn):
-                raise NotFusable(
+                refuse(
                     f"opaque call to non-elementwise function {fname!r}",
                     "RPA067",
                 )
 
-    op = stmt.assign.op
-    return StatementSpec(
+    spec = StatementSpec(
         name=stmt.name,
         loop_vars=loop_vars,
-        op="=" if op == "=" else COMPOUND_OPS[op],
+        op=assign_op,
         write=("access", stmt.assign.target.array, write_dims),
         rhs=rhs,
-        reduction_identity=REDUCTION_IDENTITY.get(op),
+        reduction_identity=REDUCTION_IDENTITY.get(stmt.assign.op),
     )
+    return spec, refusals[0] if refusals else None

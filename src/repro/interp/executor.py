@@ -7,8 +7,8 @@ task program actually runs against real arrays, timed.
 of three backends, each of which runs the identical program:
 
 * ``serial`` — the plan's serial elision: its task streams in creation
-  order, a topological order of the schedule, each fused stream as one
-  kernel call over the rectangles of its rows' union
+  order, a topological order of the schedule, each stream of kernel
+  rows as one kernel call over the rectangles of its rows' union
   (:func:`~repro.interp.plan.run_stream_runs`); a replay that collects
   runtime events loops over the rows instead
   (:func:`~repro.tasking.dispatch.run_serial`);
@@ -21,7 +21,7 @@ of three backends, each of which runs the identical program:
 
 It returns the mutated store plus an :class:`ExecutionStats` record
 carrying wall time and the fused coverage of the plan — blocks whose
-statement has no fused kernel ran on the compiled-loop path, and the
+statement's kernel has no slice form ran its loop form, and the
 per-statement ``fused_fallback`` records say why.  Bench traces embed
 this record (see ``repro.bench.trace``).
 """
@@ -72,14 +72,15 @@ class ExecutionStats:
     privatization: dict | None = None
     #: resolved fuse mode of the interpreter that ran
     fuse: str = "off"
-    #: blocks / statement instances dispatched as fused closures (chain
+    #: blocks / statement instances whose kernel has a slice form (chain
     #: members count individually so coverage stays comparable)
     blocks_fused: int = 0
     iterations_fused: int = 0
-    #: per-statement dispatch path actually planned for this run:
-    #: "fused" / "interp"
+    #: per-statement kernel forms planned for this run: "fused" (a
+    #: slice form, loop form on small rectangles) / "interp" (loop form)
     dispatch_modes: dict[str, str] = field(default_factory=dict)
-    #: per-statement fusion refusals: {stmt: {"reason": ..., "code": RPA06x}}
+    #: per-statement slice-form refusals:
+    #: {stmt: {"reason": ..., "code": RPA06x}}
     fused_fallback: dict[str, dict] = field(default_factory=dict)
     #: merged block-chains executed as single tasks, e.g. (("S", "T"),)
     fused_chains: tuple[tuple[str, ...], ...] = ()
@@ -90,14 +91,14 @@ class ExecutionStats:
 
     @property
     def fused_block_coverage(self) -> float:
-        """Fraction of blocks that ran as fused closures."""
+        """Fraction of blocks whose kernel has a slice form."""
         return self.blocks_fused / self.blocks_total if (
             self.blocks_total
         ) else 0.0
 
     @property
     def fused_iteration_coverage(self) -> float:
-        """Fraction of statement instances that ran as fused closures."""
+        """Fraction of statement instances whose kernel has a slice form."""
         return self.iterations_fused / self.iterations_total if (
             self.iterations_total
         ) else 0.0
@@ -139,11 +140,12 @@ class ExecutionStats:
 
 def plan_coverage(ast, fprog) -> dict:
     """The coverage fields of :class:`ExecutionStats` for running ``ast``
-    under fusion plan ``fprog`` (None: fusion off)."""
+    with the kernel program ``fprog``: a block counts as fused when its
+    statement's kernel has a slice form."""
     blocks_total = iters_total = blocks_fused = iters_fused = 0
     dispatch_modes: dict[str, str] = {}
     for nest in ast.nests:
-        fused = fprog is not None and fprog.get(nest.statement) is not None
+        fused = fprog.get(nest.statement).spec.slice_form
         dispatch_modes[nest.statement] = "fused" if fused else "interp"
         for block in nest.blocks:
             size = len(block.iterations)
@@ -158,7 +160,7 @@ def plan_coverage(ast, fprog) -> dict:
         "blocks_fused": blocks_fused,
         "iterations_fused": iters_fused,
         "dispatch_modes": dispatch_modes,
-        "fused_fallback": fprog.fallbacks() if fprog is not None else {},
+        "fused_fallback": fprog.fallbacks(),
     }
 
 

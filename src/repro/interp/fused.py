@@ -1,49 +1,41 @@
-"""Fused NumPy closures: one function call per task, zero interpretation.
+"""Block kernels: one per statement, one function call per task.
 
-The compiled-loop path of :mod:`repro.interp.compile` executes one Python
-iteration per statement instance — correct, but the per-iteration
-interpreter overhead dwarfs the arithmetic, and on fine-grained
-pipelines per-task dispatch is the wall-clock floor
-(``tools/sched_overhead.py``).
+At compile time every statement is lowered to a :class:`FusedKernel`:
+a *declarative* :class:`ClosureSpec` (array refs, affine index maps per
+dimension, assignment op, reduction identity if any) plus the code
+generated from it.  The spec is the source of truth:
+:func:`build_closure` reconstructs the kernel deterministically from the
+spec alone, and ``FusedKernel`` pickles as its spec (via
+``__reduce__``), so the process pool ships data, not code objects.
 
-This module is the block-kernel tier: at compile time each fusable
-statement is lowered to a :class:`FusedKernel`, a *declarative*
-:class:`ClosureSpec` (array refs, affine index maps per dimension,
-assignment op, reduction identity if any) plus a generated NumPy slicing
-closure that executes an arbitrary block by substituting block bounds.
-The spec is the source of truth: :func:`build_closure` reconstructs the
-closure deterministically from the spec alone, and ``FusedKernel``
-pickles as its spec (via ``__reduce__``), so the process pool ships
-data, not code objects.
-
-Legality is decided by :func:`repro.interp.compile.emit_closure_spec`;
-every refusal carries a stable ``RPA06x`` diagnostic code so
-``repro analyze --stats`` can explain coverage.  A block's iteration set
-is usually *not* a rectangle (pipeline blocks are lexicographic
-intervals), so :func:`rectangles` decomposes it into axis-aligned
-rectangles executed in lexicographic order — each rectangle is a
-contiguous range of the lex-sorted iterations, which preserves
-anti-dependence ordering across rectangles, while gather-before-scatter
-NumPy evaluation preserves it within one rectangle.  On top of single
-statements, consecutive nests that the PR1 explainer proves
-fusion-legal (:func:`fusion_legal_pair`, built on
-``analysis.explain._fusion_violations``) and that share one blocking are
-merged into a single chain closure: one task executes a block of *both*
-statements back to back.
-
-Fallback ladder (per statement): fused closure → compiled interpreter
-loop.  Both are bit-identical by construction; the battery in
-``tests/interp/test_fused.py`` enforces it across
+A kernel has up to two forms generated from the one spec.  The loop
+form (:func:`loop_source`, a scalar loop nest over a rectangle) exists
+for every statement.  The slice form (:func:`closure_source`, NumPy
+slicing over the rectangle's bounds) exists when the gate of
+:func:`repro.interp.compile.emit_closure_spec` admits it; the verdict
+travels with the spec (:attr:`ClosureSpec.slice_form`), and every
+refusal carries a stable ``RPA06x`` code so ``repro analyze --stats``
+can explain coverage — a statement "runs fused" when its kernel has a
+slice form.  ``fuse="off"`` asks the gate nothing and keeps the loop
+form everywhere.  NumPy's per-call machinery only pays off beyond a
+handful of points, so :meth:`FusedKernel.run_rects` runs each rectangle
+of at most :data:`LOOP_FORM_POINTS` points in loop form even when a
+slice form exists.  Both forms are bit-identical to the sequential
+oracle; the batteries in ``tests/interp`` enforce it across
 serial/threads/processes.
 
-The fused rung itself has two forms generated from the one spec: the
-slice form (:func:`closure_source`) and a loop form
-(:func:`loop_source`, a scalar loop nest over the rectangle).  NumPy's
-per-call machinery only pays off beyond a handful of points, so
-:meth:`FusedKernel.run_rects` runs each rectangle of at most
-:data:`LOOP_FORM_POINTS` points in loop form.  Which statements fuse —
-coverage, ``fuse=auto|on|off`` — is a statement of legality and does
-not depend on the form a rectangle takes.
+A block's iteration set is usually *not* a rectangle (pipeline blocks
+are lexicographic intervals), so :func:`rectangles` decomposes it into
+axis-aligned rectangles executed in lexicographic order — each
+rectangle is a contiguous range of the lex-sorted iterations, which
+preserves every dependence between rectangles, while within one
+rectangle the loop form runs lexicographically and the gate makes
+gather-before-scatter NumPy evaluation equal to it.  On top of single
+statements, consecutive nests that the PR1 explainer proves
+fusion-legal (:func:`fusion_legal_pair`, built on
+``analysis.explain._fusion_violations``), that share one blocking and
+whose kernels have slice forms are merged into a single chain kernel:
+one task executes a block of *both* statements back to back.
 """
 
 from __future__ import annotations
@@ -106,7 +98,9 @@ class NotFusable(Exception):
 #   ("iv", var)                        loop variable as a value
 #   ("bin", op, lhs, rhs)              op already normalized ("/" -> "//")
 #   ("access", array, dims)            dims: ((var|None, coeff, const), ...)
-#                                      const pre-shifted by the array offset
+#                                      const pre-shifted by the array offset;
+#                                      a coupled subscript (A[i+j]) appends
+#                                      its further (var, coeff) terms
 #   ("call", fname, (args...))         call to an elementwise function
 #
 # Everything is data — no AST nodes, no callables — so a spec serializes
@@ -150,17 +144,24 @@ class StatementSpec:
 
 @dataclass(frozen=True)
 class ClosureSpec:
-    """Spec of a fused closure: one statement, or a fusion-legal chain."""
+    """Spec of a kernel: one statement, or a fusion-legal chain."""
 
     statements: tuple[StatementSpec, ...]
+    #: the slice-form gate's verdict: False runs every rectangle in
+    #: loop form (a gate refusal, or ``fuse="off"``)
+    slice_form: bool = True
 
     def to_dict(self) -> dict:
-        return {"statements": [s.to_dict() for s in self.statements]}
+        d: dict = {"statements": [s.to_dict() for s in self.statements]}
+        if not self.slice_form:
+            d["slice_form"] = False
+        return d
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ClosureSpec":
         return cls(
-            tuple(StatementSpec.from_dict(s) for s in d["statements"])
+            tuple(StatementSpec.from_dict(s) for s in d["statements"]),
+            bool(d.get("slice_form", True)),
         )
 
 
@@ -173,7 +174,10 @@ def _node_to_json(node: Node):
     if kind == "bin":
         return ["bin", node[1], _node_to_json(node[2]), _node_to_json(node[3])]
     if kind == "access":
-        return ["access", node[1], [list(d) for d in node[2]]]
+        return [
+            "access", node[1],
+            [[*d[:3], *(list(t) for t in d[3:])] for d in node[2]],
+        ]
     if kind == "call":
         return ["call", node[1], [_node_to_json(a) for a in node[2]]]
     raise ValueError(f"unknown spec node {node!r}")
@@ -194,7 +198,10 @@ def _node_from_json(data) -> Node:
             "access",
             data[1],
             tuple(
-                (d[0], int(d[1]), int(d[2])) for d in data[2]
+                (d[0], int(d[1]), int(d[2]), *(
+                    (var, int(coeff)) for var, coeff in d[3:]
+                ))
+                for d in data[2]
             ),
         )
     if kind == "call":
@@ -377,11 +384,13 @@ def closure_source(spec: ClosureSpec) -> str:
 def _scalar_access(node: Node) -> str:
     """``__arr_A[2*i+1, 3]``: one cell, subscripts from the spec's dims."""
     parts: list[str] = []
-    for var, coeff, const in node[2]:
+    for var, coeff, const, *coupled in node[2]:
         if var is None:
             parts.append(str(const))
             continue
         term = var if coeff == 1 else f"{coeff}*{var}"
+        for v, c in coupled:
+            term += f"+{v}" if c == 1 else f"{c:+d}*{v}"
         parts.append(f"{term}{const:+d}" if const else term)
     return f"__arr_{node[1]}[{', '.join(parts)}]"
 
@@ -405,16 +414,17 @@ def _scalar_text(node: Node) -> str:
 def loop_source(spec: ClosureSpec) -> str:
     """Deterministic Python source of the *loop form* of ``spec``.
 
-    Same signature and the same effect on the store as
+    The form every spec has, with the signature of
     :func:`closure_source`, computed one point at a time: per statement
     — statement-major, the order the slice form runs a chain in — one
     ``for`` per loop variable over the rectangle's inclusive bounds
-    around a single scalar assignment.  The legality gate that admits a
-    statement to the slice form (injective write, no flow
-    self-dependence, elementwise calls) is what makes
-    gather-before-scatter equal to this lexicographic scalar execution,
-    so the two forms are interchangeable per rectangle.  Like the slice
-    form it is a function of the spec alone.
+    around a single scalar assignment, i.e. the rectangle in program
+    order.  The gate that admits a statement to the slice form
+    (injective write, no flow self-dependence, elementwise calls) is
+    what makes gather-before-scatter equal to this lexicographic scalar
+    execution, so where both exist the two forms are interchangeable
+    per rectangle.  Like the slice form it is a function of the spec
+    alone.
     """
     lines = _prologue(spec, "__loop_")
     for stmt in spec.statements:
@@ -519,17 +529,17 @@ def takes_loop_form(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
 
 @dataclass(eq=False)
 class FusedKernel:
-    """A compiled fused closure plus the spec it was built from.
+    """The kernel of a statement (or chain) plus the spec it was built from.
 
     Picklable by spec: ``pickle.dumps(kernel)`` ships the declarative
     :class:`ClosureSpec` and the receiving process re-generates the
-    closure with :func:`build_closure` — code objects never cross the
+    code with :func:`build_closure` — code objects never cross the
     wire.
     """
 
     spec: ClosureSpec
-    source: str
-    fn: Callable  # slice form
+    source: str | None  # slice-form source (None: no slice form)
+    fn: Callable | None  # slice form (None: no slice form)
 
     @cached_property
     def loop_fn(self) -> Callable:
@@ -549,15 +559,16 @@ class FusedKernel:
         """Execute precomputed ``(lo, hi)`` rectangles — the one-call-per-
         task hot path (rectangle decomposition already paid at compile).
 
-        The one place a kernel form is chosen: a rectangle of at most
-        :data:`LOOP_FORM_POINTS` points runs the loop form, a larger one
-        the slice form.
+        The one place a kernel form is chosen: a rectangle runs the
+        slice form when the kernel has one and the rectangle holds more
+        than :data:`LOOP_FORM_POINTS` points, else the loop form.
         """
+        fn = self.fn
         for lo, hi in rects:
-            if takes_loop_form(lo, hi):
+            if fn is None or takes_loop_form(lo, hi):
                 self.loop_fn(store, funcs, lo, hi)
             else:
-                self.fn(store, funcs, lo, hi)
+                fn(store, funcs, lo, hi)
 
     def __call__(self, store, funcs, iterations) -> None:
         iters = np.asarray(iterations, dtype=np.int64)
@@ -576,7 +587,10 @@ def _compile(source: str, fn_name: str) -> Callable:
 
 
 def build_closure(spec: ClosureSpec) -> FusedKernel:
-    """Reconstruct the executable closure from a declarative spec."""
+    """Reconstruct the kernel from a declarative spec (its slice form
+    now, when the spec has one; its loop form on first use)."""
+    if not spec.slice_form:
+        return FusedKernel(spec, None, None)
     source = closure_source(spec)
     return FusedKernel(
         spec, source, _compile(source, _kernel_name(spec, "__fused_"))
@@ -588,21 +602,17 @@ def build_closure(spec: ClosureSpec) -> FusedKernel:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FuseEntry:
-    """Fusion outcome for one statement."""
+    """Kernel of one statement, and why it has no slice form."""
 
     statement: str
-    kernel: FusedKernel | None
-    reason: str | None  # fallback reason when not fused
+    kernel: FusedKernel
+    reason: str | None  # slice-form refusal (None: admitted, or fuse off)
     code: str | None  # RPA06x code of the refusal
-
-    @property
-    def ok(self) -> bool:
-        return self.kernel is not None
 
 
 @dataclass
 class FusedProgram:
-    """Per-statement fusion plan of one SCoP, plus registered chains."""
+    """The kernel of every statement of one SCoP, plus registered chains."""
 
     entries: dict[str, FuseEntry]
     chains: dict[str, FusedKernel] = field(default_factory=dict)
@@ -623,6 +633,7 @@ class FusedProgram:
         return verdict
 
     def get(self, statement: str) -> FusedKernel | None:
+        """The kernel of a statement or a registered chain label."""
         entry = self.entries.get(statement)
         if entry is not None:
             return entry.kernel
@@ -640,7 +651,7 @@ class FusedProgram:
         return {
             name: {"reason": e.reason, "code": e.code}
             for name, e in self.entries.items()
-            if not e.ok
+            if e.code is not None
         }
 
     def to_dict(self) -> dict:
@@ -654,10 +665,7 @@ class FusedProgram:
         return {
             "entries": {
                 name: {
-                    "spec": (
-                        e.kernel.spec.to_dict() if e.kernel is not None
-                        else None
-                    ),
+                    "spec": e.kernel.spec.to_dict(),
                     "reason": e.reason,
                     "code": e.code,
                 }
@@ -675,26 +683,22 @@ class FusedProgram:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FusedProgram":
-        entries = {}
-        for name, rec in d["entries"].items():
-            spec = rec.get("spec")
-            kernel = (
-                build_closure(ClosureSpec.from_dict(spec))
-                if spec is not None
-                else None
+        entries = {
+            name: FuseEntry(
+                name,
+                build_closure(ClosureSpec.from_dict(rec["spec"])),
+                rec["reason"],
+                rec["code"],
             )
-            entries[name] = FuseEntry(
-                name, kernel, rec.get("reason"), rec.get("code")
-            )
+            for name, rec in d["entries"].items()
+        }
         chains = {
             label: build_closure(ClosureSpec.from_dict(spec))
-            for label, spec in d.get("chains", {}).items()
+            for label, spec in d["chains"].items()
         }
-        # absent in artifacts written before the table existed: the
-        # verdicts are then recomputed on first use
         legal_pairs = {
             (src, tgt): bool(verdict)
-            for src, tgt, verdict in d.get("legal_pairs", ())
+            for src, tgt, verdict in d["legal_pairs"]
         }
         return cls(entries, chains, legal_pairs)
 
@@ -713,23 +717,27 @@ class FusedProgram:
 
 
 def fuse_scop(
-    scop, funcs: Mapping[str, Callable] | None = None
+    scop, funcs: Mapping[str, Callable] | None = None, gate: bool = True
 ) -> FusedProgram:
-    """Build the fusion plan for every statement of a SCoP."""
+    """Build the kernel of every statement of a SCoP; ``gate=False``
+    (``fuse="off"``) gives every kernel the loop form only and asks the
+    slice-form gate nothing."""
     from ..obs.spans import span
     from .compile import emit_closure_spec
 
     entries: dict[str, FuseEntry] = {}
     with span("compile.fuse"):
         for stmt in scop.statements:
-            try:
-                spec = emit_closure_spec(scop, stmt, funcs)
-                kernel = build_closure(ClosureSpec((spec,)))
-                entries[stmt.name] = FuseEntry(stmt.name, kernel, None, None)
-            except NotFusable as exc:
-                entries[stmt.name] = FuseEntry(
-                    stmt.name, None, exc.reason, exc.code
-                )
+            spec, refusal = emit_closure_spec(scop, stmt, funcs, gate)
+            kernel = build_closure(
+                ClosureSpec((spec,), gate and refusal is None)
+            )
+            entries[stmt.name] = FuseEntry(
+                stmt.name,
+                kernel,
+                refusal.reason if refusal is not None else None,
+                refusal.code if refusal is not None else None,
+            )
     return FusedProgram(entries)
 
 
@@ -769,7 +777,7 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
     answers it from its table:
 
     * all members are ``chained`` (the merged stream is one self chain)
-      and have fused single-statement kernels;
+      and their kernels have slice forms;
     * identical blocking — same block count and bit-identical iteration
       arrays per block index, so one rectangle decomposition serves all
       members and chain tasks stay lex-contiguous;
@@ -785,9 +793,9 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
     nests = list(ast.nests)
     member_specs: dict[str, StatementSpec] = {}
     for nest in nests:
-        kernel = program.entries.get(nest.statement)
-        if kernel is not None and kernel.ok:
-            member_specs[nest.statement] = kernel.kernel.spec.statements[0]
+        entry = program.entries.get(nest.statement)
+        if entry is not None and entry.kernel.spec.slice_form:
+            member_specs[nest.statement] = entry.kernel.spec.statements[0]
 
     consumers: dict[str, set[str]] = {}
     for nest in nests:

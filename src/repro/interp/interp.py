@@ -1,9 +1,14 @@
-"""Reference sequential interpreter.
+"""Reference sequential interpreter, and the kernels blocks run.
 
-Executes a kernel program in its original sequential order against an
-:class:`~repro.interp.store.ArrayStore`.  This is the correctness oracle:
-every transformed execution (task runtime, generated code, any topological
-order of the task graph) must produce bit-identical arrays.
+:class:`Interpreter` executes a kernel program in its original
+sequential order against an :class:`~repro.interp.store.ArrayStore`
+(:meth:`~Interpreter.run_sequential`, the one function
+:func:`~repro.interp.compile.compile_program` generates).  This is the
+correctness oracle: every transformed execution (task runtime,
+generated code, any topological order of the task graph) must produce
+bit-identical arrays.  Everything else runs blocks through the one
+kernel per statement of :attr:`~Interpreter.fused_program`, built on
+first use — constructing an interpreter generates no code.
 """
 
 from __future__ import annotations
@@ -14,14 +19,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..lang.ast import Program
+from ..lang.ast import Call, Program, walk_expr
 from ..scop import Scop, extract_scop
-from .compile import (
-    CompiledStatement,
-    compile_program,
-    compile_scop,
-    elementwise,
-)
+from .compile import compile_program, elementwise
 from .fused import FusedProgram, fuse_scop
 from .store import ArrayStore
 
@@ -87,13 +87,12 @@ class Interpreter:
         self.funcs = dict(DEFAULT_FUNCS)
         if funcs:
             self.funcs.update(funcs)
-        self.compiled: dict[str, CompiledStatement] = compile_scop(scop)
         self.fuse = fuse
         self._fused_program: FusedProgram | None = None
         self._exec_plans: OrderedDict = OrderedDict()
         self._sequential: Callable | None = None
         self._oracle: ArrayStore | None = None
-        #: guards the lazily built, shared structures: the fusion plan,
+        #: guards the lazily built, shared structures: the kernel program,
         #: the execution-plan cache and the sequential oracle function
         #: (re-entrant: lowering reads ``fused_program``)
         self._lock = threading.RLock()
@@ -102,10 +101,10 @@ class Interpreter:
         #: oracle (taken before ``_lock``, never after)
         self._oracle_lock = threading.Lock()
         missing = {
-            f
-            for c in self.compiled.values()
-            for f in c.func_names
-            if f not in self.funcs
+            e.func
+            for stmt in scop.statements
+            for e in walk_expr(stmt.assign.value)
+            if isinstance(e, Call) and e.func not in self.funcs
         }
         if missing:
             raise KeyError(f"no implementation for functions: {sorted(missing)}")
@@ -137,28 +136,25 @@ class Interpreter:
 
     @property
     def fused_program(self) -> FusedProgram:
-        """Lazily built fusion plan (``--fuse on`` asserts full coverage)."""
+        """The kernel of every statement, built on first use: slice forms
+        where the gate admits them (``--fuse on`` asserts it admits every
+        statement), the loop form only under ``fuse="off"``."""
         if self._fused_program is None:
             with self._lock:  # racing first readers must agree on one plan
                 if self._fused_program is None:
-                    plan = fuse_scop(self.scop, self.funcs)
+                    plan = fuse_scop(
+                        self.scop, self.funcs, gate=self.fuse != "off"
+                    )
                     if self.fuse == "on":
                         plan.require_full()
                     self._fused_program = plan
         return self._fused_program
 
     def adopt_fused(self, program: FusedProgram) -> None:
-        """Install a fusion plan built elsewhere (worker processes receive
-        the parent's plan as specs instead of re-running the Presburger
-        legality analysis per worker)."""
+        """Install a kernel program built elsewhere (worker processes
+        receive the parent's as specs instead of re-running the
+        Presburger legality analysis per worker)."""
         self._fused_program = program
-
-    def fused_kernel(self, statement: str):
-        """The fused closure for ``statement`` (or a chain label), or None
-        when fusion is off / refused for it."""
-        if self.fuse == "off":
-            return None
-        return self.fused_program.get(statement)
 
     def exec_plan(self, info, task_ast=None, privatization=None, graph=None):
         """The lowered task program for ``info`` (see
@@ -166,18 +162,17 @@ class Interpreter:
 
         Keyed by identity of what is lowered (``task_ast`` — one
         ``info`` has a raw and a relaxed one — else ``info``), of the
-        fused program in force (none when ``fuse == "off"``) and of the
-        privatization plan — each cached plan holds its referents, so
-        an id cannot be recycled while its entry lives.  ``graph``, the
-        analysis' checked task graph of ``task_ast``, is only read by a
-        lowering (none is built then).  Lowering is under the lock:
+        kernel program in force and of the privatization plan — each
+        cached plan holds its referents, so an id cannot be recycled
+        while its entry lives.  ``graph``, the analysis' checked task
+        graph of ``task_ast``, is only read by a lowering (none is built
+        then).  Lowering is under the lock:
         concurrent first runs of one analysis pay once.
         """
         from .plan import lower_exec_plan
 
-        fused = self.fused_program if self.fuse != "off" else None
         lowered = task_ast if task_ast is not None else info
-        key = (id(lowered), id(fused), id(privatization))
+        key = (id(lowered), id(self.fused_program), id(privatization))
         with self._lock:
             plan = self._exec_plans.get(key)
             if plan is not None:
@@ -253,18 +248,10 @@ class Interpreter:
     def run_block(
         self, store: ArrayStore, statement: str, iterations: np.ndarray
     ) -> None:
-        """Execute one pipeline block (a batch of iterations of a statement).
-
-        Fallback ladder: fused closure (when ``fuse`` is not ``'off'``) →
-        compiled-loop body.  Both paths are bit-identical by construction.
-        """
-        iters = np.asarray(iterations, dtype=np.int64)
-        if self.fuse != "off":
-            fused = self.fused_program.get(statement)
-            if fused is not None:
-                fused(store, self.funcs, iters)
-                return
-        self.compiled[statement](store, self.funcs, iters.tolist())
+        """Execute one pipeline block (a batch of iterations of a
+        statement): the statement's kernel over the block's rectangles,
+        in lexicographic order."""
+        self.fused_program.get(statement)(store, self.funcs, iterations)
 
     def execute_blocks_in_order(
         self, store: ArrayStore, blocks: list

@@ -5,11 +5,15 @@ verified :class:`~repro.schedule.privatize.PrivatizationPlan`, if any —
 into an :class:`ExecPlan`: task AST, fusion-legal chain groups, one
 flat :class:`TaskRow` per task with its rectangle decomposition already
 computed (payloads keep NumPy iteration arrays), and a compiled
-:class:`~repro.tasking.dispatch.Schedule`.  The schedule is not derived
-on its own: it is the quotient, over the rows, of the very
-:class:`~repro.tasking.task.TaskGraph` the analysis checks
-(``TaskGraph.from_task_ast``, or ``build_privatized_graph`` for a plan
-with reduction groups) — what runs is what was proved.  ``dependArr``
+:class:`~repro.tasking.dispatch.Schedule`.  A row is one of two kinds:
+a kernel row runs its stream's kernel
+(:class:`~repro.interp.fused.FusedKernel`, one per statement or chain)
+over its rectangles, a join row folds a reduction group's private
+buffers.  The schedule is not derived on its own: it is the quotient,
+over the rows, of the very :class:`~repro.tasking.task.TaskGraph` the
+analysis checks (``TaskGraph.from_task_ast``, or
+``build_privatized_graph`` for a plan with reduction groups) — what
+runs is what was proved.  ``dependArr``
 slots belong to generated programs (:mod:`repro.codegen.emit`) and play
 no part here.  :func:`run_plan` replays the plan — processes hand the
 schedule to the process pool of :mod:`repro.tasking`, threads hand it
@@ -27,18 +31,20 @@ lowering.
 
 Serial elision: rows are created stream by stream, so the rows of one
 task stream are consecutive, and a serial replay — one worker, creation
-order — has no reason to pay one dispatch per row.  Per stream with a
-fused kernel, lowering also decomposes the *union* of the stream's
-rows into rectangles (:attr:`StreamRun.rects`), and an untraced serial
-replay is one ``run_rects`` call per such stream.  It is the same
-program: each union rectangle is a contiguous lex range of the
-statement domain, on which the fuser's gate makes the slice form
-legal, and a chain's members are pairwise fusion-legal at the instance
-level, so any lex-contiguous chunking of ``S+T`` is legal — one
-rectangle over the whole domain is plain program order.  Streams
-without a kernel (fuse off, opaque calls, privatized members, joins)
-keep one ``call(tid)`` per row, and so does any replay that collects
-runtime events, which are per task by contract.
+order — has no reason to pay one dispatch per row.  Per stream of
+kernel rows against the program's own arrays, lowering also decomposes
+the *union* of the stream's rows into rectangles
+(:attr:`StreamRun.rects`), and an untraced serial replay is one
+``run_rects`` call per such stream.  It is the same program: each union
+rectangle is a contiguous lex range of the statement domain — the loop
+form runs it in program order, and where the kernel has a slice form
+the gate makes that form legal on it — and a chain's members are
+pairwise fusion-legal at the instance level, so any lex-contiguous
+chunking of ``S+T`` is legal — one rectangle over the whole domain is
+plain program order.  Privatized members (each row against its own
+private buffer) and joins keep one ``call(tid)`` per row, and so does
+any replay that collects runtime events, which are per task by
+contract.
 
 Claims: the threaded walk contracts the schedule exactly.  A claim
 (:func:`contract_claims`) is a maximal run of consecutive rows of one
@@ -47,11 +53,12 @@ and its target row's only predecessor — a chain nothing else waits on
 or feeds.  Per-row dispatch would release no row at another point
 relative to its producer, so running the claim as one unit loses no
 overlap.  An untraced ``threads`` replay runs the claims' quotient
-schedule, one ``run_rects`` call per fused claim over the rectangles
-of its rows' union (legal by the argument above: consecutive rows of a
-stream are a lex-contiguous range) and ``call(tid)`` per row of any
-other.  :attr:`ExecPlan.claims` is built on the first such replay;
-collecting replays keep the per-row schedule.  Fused P5 is one chain:
+schedule, one ``run_rects`` call per claim of an elided stream over
+the rectangles of its rows' union (legal by the argument above:
+consecutive rows of a stream are a lex-contiguous range) and
+``call(tid)`` per row of any other.  :attr:`ExecPlan.claims` is built
+on the first such replay; collecting replays keep the per-row
+schedule.  Fused P5 is one chain:
 its 196 rows at N=14 are one claim.
 
 Privatized plans: every member block gets a private buffer shaped like
@@ -60,8 +67,8 @@ the accumulator and filled with the operator-group identity (``sum`` →
 updates applied to the identity" and the join is the plain group
 operator even for ``-=``.  Member rows are unchained (their mutual
 order is what the verified proof relaxed) and run against a proxy store
-aliasing the accumulator onto the private — compiled loops and fused
-kernels read ``store.arrays[name]`` and run unchanged.  One join row per
+aliasing the accumulator onto the private — kernels read
+``store.arrays[name]`` and run unchanged.  One join row per
 group waits on every member row and folds the privates into the base
 in ascending creation order inside a single task, so all backends
 produce bit-identical accumulators for one part count.  Privates live in
@@ -130,7 +137,9 @@ class TaskRow(NamedTuple):
     references to ``payload`` and its contents but never write to them."""
 
     stream: str  # task-stream label: statement, chain ``S+T`` or join
-    payload: dict  # statement, iters [, rects] [, remap] [, combine]
+    #: a kernel row's statement, iters, rects [, remap]; a join row's
+    #: statement, combine
+    payload: dict
 
 
 class StreamRun(NamedTuple):
@@ -138,7 +147,8 @@ class StreamRun(NamedTuple):
     stream (serial elision) or a claim (threaded walk)."""
 
     rows: range  # consecutive rows of one stream, in creation order
-    kernel: FusedKernel | None  # None: one ``call(tid)`` per row
+    #: None: one ``call(tid)`` per row (privatized members, joins)
+    kernel: FusedKernel | None
     rects: tuple  # rectangles of the union of the rows' iterations
 
 
@@ -161,11 +171,10 @@ class ExecPlan:
     """
 
     info: object
-    fused: object  # FusedProgram in force at lowering (None: fuse off)
+    fused: object  # FusedProgram in force at lowering
     privatization: object  # PrivatizationPlan with groups, or None
     ast: "TaskAst"
-    #: task streams -> fused kernel dispatched directly (None: the
-    #: combine / remap / run_block ladder, as in the worker processes)
+    #: task streams -> their kernel (None: a join)
     streams: dict[str, FusedKernel | None]
     rows: tuple[TaskRow, ...]
     schedule: "Schedule"  # the task graph's quotient (row index = task id)
@@ -196,10 +205,10 @@ def contract_claims(plan: ExecPlan) -> Claims:
 
     A claim is a maximal run of rows ``r..r+k`` of one stream whose
     internal edges are each the source row's only successor and the
-    target row's only predecessor.  A fused claim runs over the
-    rectangles of its rows' union: the stream's own when the claim is
-    the whole stream, the row's when it is one row, decomposed here
-    otherwise.
+    target row's only predecessor.  A claim of an elided stream runs
+    over the rectangles of its rows' union: the stream's own when the
+    claim is the whole stream, the row's when it is one row, decomposed
+    here otherwise.
     """
     from ..tasking.dispatch import Schedule
 
@@ -271,7 +280,7 @@ def lower_exec_plan(
     from ..tasking.task import TaskGraph
 
     pgroups = privatization.groups if privatization is not None else ()
-    fprog = interp.fused_program if interp.fuse != "off" else None
+    fprog = interp.fused_program
     with span("exec.lower") as sp:
         ast = task_ast if task_ast is not None else generate_task_ast(info)
         # the graph the analysis checks: graph task ids are AST order
@@ -285,11 +294,11 @@ def lower_exec_plan(
         # structure; longer groups are fusion-legal block-chains merged
         # into a single task per block index (their kernels are
         # registered on ``fprog`` by plan_chain_groups, so they reach
-        # worker processes with the rest of the fusion plan).
-        if fprog is not None and not pgroups:
-            groups, _ = plan_chain_groups(interp.scop, ast, fprog)
-        else:
+        # worker processes with the rest of the kernel program).
+        if pgroups:
             groups = [[nest] for nest in ast.nests]
+        else:
+            groups, _ = plan_chain_groups(interp.scop, ast, fprog)
 
         first: dict[str, int] = {}  # statement -> its first graph task
         n_tasks = 0
@@ -306,8 +315,8 @@ def lower_exec_plan(
         members: list[tuple[int, ...]] = []
         floors: list[int] = []
         runs: list[StreamRun] = []
-        # rectangles of directly dispatched kernels, and how many of
-        # them are small enough for ``run_rects`` to pick the loop form
+        # rectangles of all kernel rows, and how many of them
+        # ``run_rects`` runs in loop form
         n_rects = n_loop_rects = 0
         for group in groups:
             label = chain_label(tuple(n.statement for n in group))
@@ -315,22 +324,16 @@ def lower_exec_plan(
             pgroup = group_of.get(label)
             first_row = len(rows)
             start = first_row if last.chained and pgroup is None else None
-            # A fused stream's hot path is one closure call over the
-            # precomputed rectangles; member blocks of a reduction go
-            # through run_block against their proxy store instead.
-            kernel = None
-            if fprog is not None and pgroup is None:
-                kernel = fprog.get(label)
-            streams[label] = kernel
+            kernel = streams[label] = fprog.get(label)
+            sliced = kernel.fn is not None
             for b in range(len(last.blocks)):
                 iters = group[0].blocks[b].iterations
-                payload = {"statement": label, "iters": iters}
-                if kernel is not None:
-                    rects = payload["rects"] = rectangles(iters)
-                    n_rects += len(rects)
-                    n_loop_rects += sum(
-                        takes_loop_form(lo, hi) for lo, hi in rects
-                    )
+                rects = rectangles(iters)
+                n_rects += len(rects)
+                n_loop_rects += sum(
+                    takes_loop_form(lo, hi) for lo, hi in rects
+                ) if sliced else len(rects)
+                payload = {"statement": label, "iters": iters, "rects": rects}
                 if pgroup is not None:
                     private = private_name(
                         pgroup.array, len(names[pgroup.array])
@@ -341,8 +344,11 @@ def lower_exec_plan(
                 floors.append(len(rows) if start is None else start)
                 rows.append(TaskRow(label, payload))
             stream = range(first_row, len(rows))
+            if pgroup is not None:  # each row against its own private
+                runs.append(StreamRun(stream, None, ()))
+                continue
             union = ()
-            if kernel is not None and stream:
+            if stream:
                 union = tuple(rectangles(np.concatenate(
                     [rows[r].payload["iters"] for r in stream]
                 )))
@@ -355,7 +361,6 @@ def lower_exec_plan(
             runs.append(StreamRun(range(len(rows), len(rows) + 1), None, ()))
             rows.append(TaskRow(label, {
                 "statement": label,
-                "iters": np.empty((0, 1), dtype=np.int64),
                 "combine": {
                     "array": g.array,
                     "group": g.group,
@@ -411,57 +416,47 @@ def lower_exec_plan(
     )
 
 
-def run_task(
-    interp, store, statement, iters, remap=None, combine=None, rects=None
-) -> None:
-    """Execute one task off the fused fast path — in-process and in the
-    worker processes alike (the arguments are a ``wire_task`` tuple).
-    ``combine`` marks a join task (no statement instance runs), ``remap``
-    a privatized block (run against the proxy store of the module
-    docstring), ``rects`` the precomputed decomposition of a fused block
-    (``statement`` may then be a chain label such as ``"S+T"``)."""
+def remapped(store, remap) -> ArrayStore:
+    """``store``, or for a privatized member row (``remap``: accumulator
+    -> private buffer name) the proxy store aliasing each accumulator
+    onto its private."""
+    if not remap:
+        return store
+    return ArrayStore({**store.arrays, **{
+        acc: store.arrays[priv] for acc, priv in remap.items()
+    }})
+
+
+def run_task(interp, store, statement, rects, remap=None, combine=None):
+    """Execute one row in a worker process (the arguments are a
+    ``wire_task`` tuple): a join row (``combine``) folds its privates,
+    a kernel row runs the kernel of ``statement`` — a statement or a
+    chain label such as ``"S+T"`` — over ``rects``."""
     if combine is not None:
         return apply_combine(store, combine)
-    if remap:
-        store = ArrayStore(
-            {**store.arrays, **{
-                acc: store.arrays[priv] for acc, priv in remap.items()
-            }}
-        )
-    if rects is not None:
-        kernel = interp.fused_kernel(statement)
-        if kernel is not None:
-            return kernel.run_rects(store, interp.funcs, rects)
-        if "+" in statement:
-            raise RuntimeError(
-                f"no fused kernel for chain {statement!r} "
-                "(fusion plan not shipped to the pool?)"
-            )
-    interp.run_block(store, statement, np.asarray(iters, dtype=np.int64))
+    interp.fused_program.get(statement).run_rects(
+        remapped(store, remap), interp.funcs, rects
+    )
 
 
 def bind_rows(interp, plan: ExecPlan, store) -> Callable[[int], None]:
     """``call(tid)``: the body of row ``tid``, bound to this run's store
     — what every scheduler (and a bare loop over ``range(len(rows))``)
-    executes."""
+    executes: a join row folds its privates, a kernel row runs its
+    stream's kernel over its rectangles."""
     funcs = interp.funcs
-
-    def body(kernel) -> Callable:  # of one task stream
-        if kernel is not None:
-            return lambda payload: kernel.run_rects(
-                store, funcs, payload["rects"]
-            )
-        return lambda payload: run_task(
-            interp, store, payload["statement"], payload["iters"],
-            payload.get("remap"), payload.get("combine"),
-        )
-
-    bodies = {label: body(kernel) for label, kernel in plan.streams.items()}
-    rows = plan.rows
+    rows, kernels = plan.rows, plan.streams
 
     def call(tid: int) -> None:
-        row = rows[tid]
-        bodies[row.stream](row.payload)
+        stream, payload = rows[tid]
+        kernel = kernels[stream]
+        if kernel is None:
+            apply_combine(store, payload["combine"])
+        else:
+            kernel.run_rects(
+                remapped(store, payload.get("remap")), funcs,
+                payload["rects"],
+            )
 
     return call
 
@@ -469,9 +464,9 @@ def bind_rows(interp, plan: ExecPlan, store) -> Callable[[int], None]:
 def bind_runs(
     interp, runs: tuple[StreamRun, ...], store, call: Callable[[int], None]
 ) -> Callable[[int], None]:
-    """``run(k)``: ``runs[k]`` bound to this run's store — a fused run as
-    one ``run_rects`` call over its union rectangles, any other as
-    ``call(tid)`` per row."""
+    """``run(k)``: ``runs[k]`` bound to this run's store — a run with a
+    kernel as one ``run_rects`` call over its union rectangles, any
+    other as ``call(tid)`` per row."""
     funcs = interp.funcs
 
     def run(k: int) -> None:

@@ -10,7 +10,7 @@ simulated-vs-measured comparison possible at all.
 
 Collection is opt-in and near-zero cost when off: backends fetch the
 active collector once per :meth:`run` (``current()`` returns ``None``
-when disabled) and skip every timestamp when there is none.
+when disabled; the active collector is the calling thread's own) and skip every timestamp when there is none.
 
 Clock domains
 -------------
@@ -417,12 +417,15 @@ class RuntimeCollector:
             )
 
 
-_CURRENT: list[RuntimeCollector | None] = [None]
+#: The active collector is per thread, like span stacks
+#: (:mod:`repro.obs.spans`): concurrent runs on an executor pool each
+#: see only their own, and interleaved exits restore each thread's own.
+_TLS = threading.local()
 
 
 def current() -> RuntimeCollector | None:
-    """The active collector, or ``None`` when collection is off."""
-    return _CURRENT[0]
+    """This thread's active collector, or ``None`` when collection is off."""
+    return getattr(_TLS, "collector", None)
 
 
 class _Collecting:
@@ -431,13 +434,13 @@ class _Collecting:
         self._workers = workers
 
     def __enter__(self) -> RuntimeCollector:
-        self._prev = _CURRENT[0]
+        self._prev = current()
         collector = RuntimeCollector(self._backend, self._workers)
-        _CURRENT[0] = collector
+        _TLS.collector = collector
         return collector
 
     def __exit__(self, *exc) -> bool:
-        _CURRENT[0] = self._prev
+        _TLS.collector = self._prev
         return False
 
 

@@ -82,7 +82,7 @@ def build_artifact(
 
     fused = None
     if options.fuse != "off":
-        # Force the (lazy) fusion plan now: serving means a warm process
+        # Force the (lazy) kernel program now: serving means a warm process
         # must never pay a Presburger legality analysis — neither the
         # per-statement one nor, for the standard spine (the privatized
         # one merges no chains), the per-pair chain-fusion verdicts that

@@ -48,8 +48,9 @@ class CompileArtifact:
     info: dict
     #: compressed blob of the task AST (schedule tree already lowered)
     task_ast_blob: bytes
-    #: ``FusedProgram.to_dict()`` — ClosureSpec corpus + chains (None
-    #: when the compile ran with fusion off)
+    #: ``FusedProgram.to_dict()`` — every statement's ClosureSpec with
+    #: its slice-form verdict, the chains and the fusion-legal pair
+    #: table (None when the compile ran with fusion off)
     fused: dict | None = None
     #: privatization proofs (``PrivatizationProof.to_dict()`` rows);
     #: loaders re-verify each via ``verify_privatization`` — mandatory

@@ -29,7 +29,7 @@ from typing import Any, Mapping
 
 #: Bump when the artifact payload layout changes (old entries become
 #: misses — the store never tries to parse a foreign schema).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def kernel_sha(source: str) -> str:

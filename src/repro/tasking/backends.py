@@ -6,7 +6,7 @@
 :class:`~repro.interp.store.SharedArrayStore` — the closest Python
 analogue of the paper's OpenMP runtime actually running on cores.
 Nothing kernel-specific is pickled per task: workers rebuild the
-interpreter once (adopting the parent's fusion plan) and receive
+interpreter once (adopting the parent's kernel program) and receive
 :func:`wire_task` tuples, one per plan row, dispatched in ready batches
 (:func:`_ready_batches`).  Generated ``CreateTask`` programs run on
 :class:`~repro.tasking.api.OmpTaskSystem`, not here.
@@ -42,12 +42,11 @@ _WORKER_STORE = None
 def _process_worker_init(program, params, funcs, store_spec, fuse, fused):
     """Build this worker's interpreter and attach the shared store.
 
-    ``fused`` carries the parent's fusion plan (None when ``fuse`` is
-    ``"off"``); its kernels pickle as
-    declarative specs (``FusedKernel.__reduce__``) and the closures were
-    regenerated during unpickling, so adopting the plan skips the
-    per-worker Presburger legality analysis — and ships chain kernels,
-    which are only planned against the parent's task AST.
+    ``fused`` carries the parent's kernel program; its kernels pickle as
+    declarative specs (``FusedKernel.__reduce__``) and were regenerated
+    during unpickling, so adopting the program skips the per-worker
+    Presburger legality analysis — and ships chain kernels, which are
+    only planned against the parent's task AST.
     """
     global _WORKER_INTERP, _WORKER_STORE
     from ..interp import Interpreter
@@ -56,8 +55,7 @@ def _process_worker_init(program, params, funcs, store_spec, fuse, fused):
 
     scop = extract_scop(program, dict(params))
     _WORKER_INTERP = Interpreter(program, scop, funcs, fuse=fuse)
-    if fused is not None:
-        _WORKER_INTERP.adopt_fused(fused)
+    _WORKER_INTERP.adopt_fused(fused)
     _WORKER_STORE = SharedArrayStore.attach(store_spec)
 
 
@@ -95,18 +93,15 @@ def _process_worker_run_batch(items, collect: bool = False):
 
 
 def wire_task(statement: str, payload: dict) -> tuple:
-    """``(statement, iterations, remap, combine, rects)`` — what crosses
-    the process boundary for one task, as plain lists/tuples of ints (the
+    """``(statement, rects, remap, combine)`` — what crosses the process
+    boundary for one task, as plain tuples of ints and names (the
     arguments of :func:`repro.interp.plan.run_task`).  Built once per
     plan row (``ExecPlan.wire``), not per run."""
-    iters = payload["iters"]
-    rows = iters.tolist() if hasattr(iters, "tolist") else iters
     return (
         statement,
-        [tuple(int(v) for v in row) for row in rows],
+        payload.get("rects"),  # a kernel row's rectangles
         payload.get("remap"),  # accumulator -> private buffer name
         payload.get("combine"),  # join-task payload; no block runs
-        payload.get("rects"),  # precomputed rectangles of a fused block
     )
 
 
@@ -146,7 +141,7 @@ def run_processes(
                 interp.funcs,
                 shared.spec,
                 interp.fuse,
-                interp.fused_program if interp.fuse != "off" else None,
+                interp.fused_program,
             ),
         )
         stats = _ready_batches(executor, sched, wire, workers)

@@ -10,8 +10,8 @@ scheduler every thread execution shares
 the paper's wall-clock speed-ups (GIL), so this runtime exists for
 *correctness*: it really runs the computation concurrently and the
 tests compare its arrays against the sequential interpreter
-bit-for-bit.  Performance numbers come from
-:mod:`repro.tasking.simulator`.
+bit-for-bit.  Wall-clock numbers are the ledger's (``ledger/run.py``),
+measured on replays of the lowered plan (:mod:`repro.interp.plan`).
 """
 
 from __future__ import annotations

@@ -110,9 +110,7 @@ class TestGeneratedExecution:
         store = interp.new_store()
         module.build_tasks(
             system,
-            lambda stmt, iters: interp.compiled[stmt](
-                store, interp.funcs, iters
-            ),
+            lambda stmt, iters: interp.run_block(store, stmt, iters),
         )
         # full OpenMP depend semantics add WAR/WAW edges, never drop one
         wanted = TaskGraph.from_task_ast(relaxed).preds

@@ -88,8 +88,9 @@ for(i=0; i<N; i++)
 """
 
 
-#: (label, backend, fuse) — fused closures on all three backends plus
-#: the compiled-loop baseline; the one execution battery of the suite.
+#: (label, backend, fuse) — fused kernels on all three backends plus
+#: the loop forms only (``fuse="off"``); the one execution battery of
+#: the suite.
 EXEC_CONFIGS = (
     ("interp-serial", "serial", "off"),
     ("fused-serial", "serial", "auto"),
@@ -139,8 +140,8 @@ def run_measured(source, backend, fuse, params=None, workers=2, coarsen=16):
 
 def run_whole_blocks(interp):
     """Execute every statement as one whole block (program order) through
-    ``run_block`` — the dispatch the pipeline executor uses, unlike
-    ``run_sequential``, which never touches the block kernels."""
+    ``run_block`` — the statement's kernel over the block's rectangles,
+    unlike ``run_sequential``, which never touches the block kernels."""
     store = interp.new_store()
     for stmt in interp.scop.statements:
         interp.run_block(store, stmt.name, stmt.points.points)
@@ -148,11 +149,11 @@ def run_whole_blocks(interp):
 
 
 def fused_statements(interp):
-    """Statements whose blocks ``run_block`` hands to a fused closure."""
+    """Statements whose kernels have a slice form."""
     return {
         s.name
         for s in interp.scop.statements
-        if interp.fused_kernel(s.name) is not None
+        if interp.fused_program.get(s.name).fn is not None
     }
 
 

@@ -159,14 +159,18 @@ def _run_fused_blocks(sample, fuse):
     return run_whole_blocks(interp), interp
 
 
-def _assert_both_forms_match_compiled_loop(sample, monkeypatch):
-    """Compiled loop vs all-slices vs all-loops on one sample (the
-    hand-written shape family — permuted writes, ``iv`` values, compound
-    ops, ``.copy()`` bodies — is ``tests/interp/test_vectorize.py``).
-    Returns whether any block ran fused."""
+def _assert_both_forms_match_oracle(sample, monkeypatch):
+    """The sequential oracle vs the loop forms alone (``fuse="off"``) vs
+    all-slices vs all-loops on one sample (the hand-written shape family
+    — permuted writes, ``iv`` values, compound ops, ``.copy()`` bodies —
+    is ``tests/interp/test_vectorize.py``).  Returns whether any block
+    ran in slice form."""
     from repro.interp import fused
 
-    scalar, _ = _run_fused_blocks(sample, "off")
+    scalar, interp = _run_fused_blocks(sample, "off")
+    assert interp.run_sequential(interp.new_store()).equal(scalar), (
+        f"{sample.describe()}: loop forms diverged\n{sample.source}"
+    )
     for form, points in KERNEL_FORMS.items():
         with monkeypatch.context() as patch:
             patch.setattr(fused, "LOOP_FORM_POINTS", points)
@@ -179,11 +183,11 @@ def _assert_both_forms_match_compiled_loop(sample, monkeypatch):
 
 
 def test_fused_execution_matches_interpreter(samples, monkeypatch):
-    """Both forms of the fused closures are bit-identical to the compiled
-    loop per sample."""
+    """Both forms of the kernels, and the loop forms alone, are
+    bit-identical to the sequential oracle per sample."""
     fused_any = False
     for sample in samples:
-        fused_any |= _assert_both_forms_match_compiled_loop(
+        fused_any |= _assert_both_forms_match_oracle(
             sample, monkeypatch
         )
     # the sample family must actually exercise the fused path
@@ -191,8 +195,8 @@ def test_fused_execution_matches_interpreter(samples, monkeypatch):
 
 
 def test_fuse_fuzz_campaign(pytestconfig, monkeypatch):
-    """Opt-in: a 2x200-sample fused-vs-interpreter bit-equality sweep
-    (compiled loop vs all-slices vs all-loops).
+    """Opt-in: a 2x200-sample fused-vs-oracle bit-equality sweep
+    (oracle vs loop forms alone vs all-slices vs all-loops).
 
     Enable with ``pytest tests/fuzz --fuzz-fuse``; every 25th sample
     additionally runs the full fused task program (chain merging
@@ -208,7 +212,7 @@ def test_fuse_fuzz_campaign(pytestconfig, monkeypatch):
     seed = pytestconfig.getoption("--fuzz-seed")
     for offset in (2, 4):
         for sample in generate_samples(seed + offset, 200):
-            _assert_both_forms_match_compiled_loop(sample, monkeypatch)
+            _assert_both_forms_match_oracle(sample, monkeypatch)
             if sample.index % 25 == 0:
                 backend = ("serial", "threads", "processes")[
                     sample.index // 25 % 3

@@ -140,14 +140,18 @@ def _relaxed_execution(interp, report, rng):
                 continue
             points = stmt.points.points
             if nest in reduction_nests:
-                points = points[rng.permutation(len(points))]
+                # a block runs lexicographically: one-point blocks keep
+                # the permuted order
+                for k in rng.permutation(len(points)):
+                    interp.run_block(store, stmt.name, points[k:k + 1])
                 reordered = True
+                continue
             interp.run_block(store, stmt.name, points)
     return store, reordered
 
 
 def _check_sample(sample, rng):
-    # fuse off: run_block must honor the permuted iteration order
+    # fuse off: the loop forms, no slice-form gate
     interp = Interpreter.from_source(sample.source, {}, fuse="off")
     report = run_portfolio(interp.scop)
 

@@ -40,7 +40,7 @@ class TestExecutionStats:
         assert stats.fused_fallback == {}
 
     def test_coverage_zero_when_vectorization_off(self):
-        # the deprecated spelling alone selects compiled loops
+        # the deprecated spelling alone selects the loop forms
         interp = Interpreter.from_source(
             TABLE9["P1"].source(8), {}, vectorize="off"
         )

@@ -51,7 +51,7 @@ PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
 GOLDEN_DIR = Path(__file__).parent / "golden" / "fused"
 
 #: Reduction kernel: S fuses, R's reversed write refuses (RPA063) — the
-#: canonical *mixed* program (fused + interpreter fallback in one run).
+#: canonical *mixed* program (slice and loop-only kernels in one run).
 HISTOGRAM = """
 for(i=0; i<N; i++)
   for(j=0; j<N; j++)
@@ -89,7 +89,7 @@ def assert_chains_match_interpreter_on_all_backends():
 
 
 # ----------------------------------------------------------------------
-# the fused / compiled-loop battery
+# the fused / loop-form battery
 # ----------------------------------------------------------------------
 class TestFusedBitIdentity:
     """The shapes only this battery runs: the replay battery
@@ -203,10 +203,10 @@ class TestKernelForms:
         assert lower.attrs["loop_rects"] == len(calls["loop"])
 
     def test_run_block_selects_per_rectangle(self):
-        """``run_block`` (hybrid graphs, privatized members) goes through
-        the same selection site."""
+        """``run_block`` (generated programs, the ledger's kernel pass)
+        goes through the same selection site."""
         interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 6})
-        kernel = interp.fused_kernel("S")
+        kernel = interp.fused_program.get("S")
         seen = []
         kernel.fn = lambda *a, fn=kernel.fn: seen.append("slice") or fn(*a)
         kernel.loop_fn = (
@@ -290,7 +290,7 @@ class TestSpecRoundTrip:
     def _specs(self, source, params):
         interp = Interpreter.from_source(source, params)
         return [
-            emit_closure_spec(interp.scop, s, interp.funcs)
+            emit_closure_spec(interp.scop, s, interp.funcs)[0]
             for s in interp.scop.statements
         ], interp
 
@@ -312,6 +312,21 @@ class TestSpecRoundTrip:
             assert routed == spec
             # spec -> closure -> spec is the identity
             assert build_closure(routed).spec == spec
+
+    def test_loop_only_spec_round_trips_with_its_verdict(self):
+        """A refused statement still has a spec — a coupled subscript's
+        further terms included — and it travels with its verdict."""
+        interp = Interpreter.from_source(
+            "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+            " S: B[i+j][j] = f(A[i][j], B[i+j][j]);",
+            {"N": 6},
+        )
+        spec = interp.fused_program.spec("S")
+        assert not spec.slice_form
+        routed = ClosureSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert routed == spec
+        assert build_closure(routed).fn is None
+        assert "__arr_B[i+j, j] = " in loop_source(routed)
 
     def test_closure_source_is_deterministic(self):
         stmts, _ = self._specs(LISTING1, {"N": 10})
@@ -385,12 +400,17 @@ class TestLegalityGate:
 
     @pytest.mark.parametrize("code", sorted(REFUSALS))
     def test_refusal_code(self, code):
+        """A refusal denies the slice form only: the spec is there, and
+        its kernel runs the loop form."""
         interp = Interpreter.from_source(self.REFUSALS[code], {"N": 8})
-        with pytest.raises(NotFusable) as err:
-            emit_closure_spec(
-                interp.scop, interp.scop.statements[0], interp.funcs
-            )
-        assert err.value.code == code
+        spec, refusal = emit_closure_spec(
+            interp.scop, interp.scop.statements[0], interp.funcs
+        )
+        assert isinstance(refusal, NotFusable)
+        assert refusal.code == code
+        kernel = interp.fused_program.get(spec.name)
+        assert kernel.spec.statements == (spec,)
+        assert kernel.fn is None and not kernel.spec.slice_form
 
     def test_fuse_on_requires_full_coverage(self):
         with pytest.raises(Exception, match="RPA063"):
@@ -402,7 +422,7 @@ class TestLegalityGate:
         interp = Interpreter.from_source(
             self.REFUSALS["RPA066"], {"N": 8}, fuse="auto"
         )
-        assert interp.fused_kernel("S") is None
+        assert interp.fused_program.get("S").fn is None
         assert interp.fused_program.fallbacks()["S"]["code"] == "RPA066"
 
     def test_invalid_mode_rejected(self):
@@ -428,7 +448,6 @@ def _spec_corpus(case: str) -> str:
         "specs": {
             name: program.spec(name).to_dict()
             for name in sorted(program.entries)
-            if program.spec(name) is not None
         },
         "fallbacks": program.fallbacks(),
     }
@@ -453,14 +472,14 @@ def test_closure_spec_matches_golden(case, pytestconfig):
 
 
 def _source_corpus(case: str, generate) -> str:
-    """Generated source of every fused statement of ``case`` and — when
-    several fuse — of their chain, in one text."""
+    """Generated source of every statement of ``case`` with a slice form
+    and — when several have one — of their chain, in one text."""
     source, params = GOLDEN_CASES[case]()
     interp = Interpreter.from_source(source, params)
     program = fuse_scop(interp.scop, interp.funcs)
     specs = [
         program.spec(s.name) for s in interp.scop.statements
-        if program.spec(s.name) is not None
+        if program.spec(s.name).slice_form
     ]
     if len(specs) > 1:
         specs.append(

@@ -187,11 +187,14 @@ def test_second_info_adopt_fused_and_fuse_off_each_lower_once(lowering_calls):
     interp.adopt_fused(fuse_scop(interp.scop, interp.funcs))
     assert runs_lowering_once() == 1
 
-    interp.fuse = "off"
-    assert runs_lowering_once() == 1
-    _, stats = execute_measured(interp, info)
+    # fuse is fixed at construction: a fuse="off" interpreter (loop
+    # forms only, no chains) lowers once per info as well
+    off, off_info = compile_for_exec(TWO_NEST_COPY, "off", {"N": 8}, 4)
+    before = lower.calls
+    for _ in range(3):
+        _, stats = execute_measured(off, off_info)
+    assert lower.calls - before == 1
     assert stats.fuse == "off" and stats.fused_chains == ()
-    interp.fuse = "auto"
     assert runs_lowering_once() == 0  # the fused plan was kept
 
 
@@ -508,14 +511,17 @@ def test_width_one_plan_runs_on_the_calling_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["serial", "threads"])
-def test_failed_replay_leaves_the_shared_plan_reusable(backend):
+def test_failed_replay_leaves_the_shared_plan_reusable(monkeypatch, backend):
     """A block that raises mid-plan is re-raised, its dependents never
     run, no thread outlives the call — and the next replay of the same
     plan is bit-identical to the oracle: per-run counters never leak
-    into the plan."""
+    into the plan.  The failing replay collects events, so it runs row
+    by row (an untraced one runs each stream, or claim, as one call)."""
+    from repro.interp.fused import FusedKernel
+
     interp, info = compile_for_exec(TABLE9["P10"].source(8), "off", coarsen=2)
     plan = interp.exec_plan(info)
-    tid_of = {id(row.payload["iters"]): t for t, row in enumerate(plan.rows)}
+    tid_of = {id(row.payload["rects"]): t for t, row in enumerate(plan.rows)}
     victim = len(plan.rows) // 3
     descendants, frontier = set(), [victim]
     while frontier:
@@ -525,21 +531,23 @@ def test_failed_replay_leaves_the_shared_plan_reusable(backend):
                 frontier.append(s)
     assert descendants
     ran = []
+    run_rects = FusedKernel.run_rects
 
-    def failing_run_block(store, statement, iterations):
-        tid = tid_of[id(iterations)]
+    def failing_run_rects(kernel, store, funcs, rects):
+        tid = tid_of[id(rects)]
         if tid == victim:
             raise RuntimeError("stage failed")
-        type(interp).run_block(interp, store, statement, iterations)
+        run_rects(kernel, store, funcs, rects)
         ran.append(tid)
 
-    interp.run_block = failing_run_block
     before = threading.active_count()
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(FusedKernel, "run_rects", failing_run_rects)
         with pytest.raises(RuntimeError, match="stage failed"):
-            execute_measured(interp, info, backend=backend, workers=2)
-    finally:
-        del interp.run_block
+            execute_measured(
+                interp, info, backend=backend, workers=2,
+                collect_events=True,
+            )
     assert threading.active_count() == before
     assert ran and victim not in ran and not descendants & set(ran)
 
@@ -585,7 +593,7 @@ def test_serial_replay_calls_each_fused_stream_once(
 
 
 #: ``(coarsen, fuse)`` -> rows of P5@24's plan: fused, one ``S1+S2+S3+S4``
-#: chain row per S1 block; with compiled loops, one row per block
+#: chain row per S1 block; with the loop forms alone, one row per block
 P5_24_ROWS = {
     (1, "auto"): 576, (48, "auto"): 12, (1, "off"): 2304, (48, "off"): 48,
 }
@@ -616,10 +624,14 @@ def test_p5_dispatch_counts_at_fine_and_coarse_blocking(monkeypatch):
     """Dispatch counted, not timed: fused P5 is one ``S1+S2+S3+S4``
     chain, so a threaded replay runs it as one claim — one kernel call,
     like the serial elision (whose fine case is
-    ``test_serial_replay_calls_each_fused_stream_once[P5]``).  Compiled
-    loops are a ``run_block`` per row on either backend: every S1 row
-    also releases an S2 row, so nothing contracts.  The fine and coarse
-    blockings elide to the same rectangles, so they are one program."""
+    ``test_serial_replay_calls_each_fused_stream_once[P5]``).  With the
+    loop forms alone (``fuse="off"``) the serial elision is one
+    ``run_rects`` per statement stream — 4, where it was 2304 / 48
+    ``run_block`` calls (coarsen 1 / 48) while fuse off ran compiled
+    loops — and a threaded replay one per row: every S1 row also
+    releases an S2 row, so nothing contracts.  No replay calls
+    ``run_block``.  The fine and coarse blockings elide to the same
+    rectangles, so they are one program."""
     from repro.interp.fused import FusedKernel
 
     counters = {
@@ -631,16 +643,17 @@ def test_p5_dispatch_counts_at_fine_and_coarse_blocking(monkeypatch):
         fused = fuse == "auto"
         if fused:
             union[coarsen] = interp.exec_plan(info).runs[0].rects
-        dispatch, unused = (
-            ("run_rects", "run_block") if fused else ("run_block", "run_rects")
-        )
-        calls = 1 if fused else rows
+        calls = {"serial": 1, "threads": 1} if fused else {
+            "serial": 4, "threads": rows,
+        }
         for backend in ("serial", "threads"):
             if (backend, fused, coarsen) == ("serial", True, 1):
                 continue  # the serial-elision test's P5 case
             got = counted_replay(counters, interp, info, backend)
-            assert got == {dispatch: calls, unused: 0}, (coarsen, fuse, backend)
-        assert len(interp.exec_plan(info).claims.runs) == calls
+            assert got == {"run_rects": calls[backend], "run_block": 0}, (
+                coarsen, fuse, backend,
+            )
+        assert len(interp.exec_plan(info).claims.runs) == calls["threads"]
     assert union[1] == union[48]
 
 
@@ -849,6 +862,47 @@ def test_claims_are_built_on_the_first_untraced_threads_replay():
 # ----------------------------------------------------------------------
 # replay battery
 # ----------------------------------------------------------------------
+def opaque_g(a: float, b: float) -> float:
+    """A scalar function not marked elementwise (module level, so the
+    process pool can pickle it): its callers keep the loop form."""
+    return (a * 31.0 + 2.0 * b) % 65521.0
+
+
+#: One input per shape the slice-form gate refuses: a nest ``S`` before
+#: a consumer ``T`` whose kernel has the loop form only.
+REFUSED_SHAPES = {
+    "RPA062": (  # coupled subscript
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " T: B[i+j][j] = g(A[i][j], B[i+j][j]);"
+    ),
+    "RPA063": (  # reversed access
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " T: B[N-1-i][j] = g(A[i][j], B[N-1-i][j]);"
+    ),
+    "RPA064": (  # diagonal access
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " T: B[i][j] = g(A[i][i], B[i][j]);"
+    ),
+    "RPA065": (  # non-injective write: a sum reduction with S
+        "for(i=0; i<N; i++) S: B[i] += f(C[i]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) T: B[i] += g(A[i][j], j);"
+    ),
+    "RPA066": (  # recurrence
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=1; j<N; j++)"
+        " T: B[i][j] = g(A[i][j], B[i][j-1]);"
+    ),
+    "RPA067": (  # non-elementwise call (``g`` is opaque_g)
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " T: B[i][j] = g(A[i][j], B[i][j]);"
+    ),
+}
+
+
 class TestReplayBitIdentity:
     @pytest.mark.parametrize("name", PKERNELS)
     def test_pkernel_three_runs_all_configs(self, name):
@@ -862,6 +916,48 @@ class TestReplayBitIdentity:
         assert_all_configs_match_sequential(
             source, {"N": 12}, coarsen=8, replays=3
         )
+
+    @pytest.mark.parametrize("code", sorted(REFUSED_SHAPES))
+    def test_refused_shape_all_backends_both_modes(self, code):
+        """Loop-only kernels replay like any other: bit-identical to the
+        oracle on every backend, with the gate (``auto``, ``T`` refused
+        with ``code``) and without it (``off``).  A non-injective write
+        is no pipeline (RPA013) but a reduction: it replays privatized,
+        on integer-valued sums, exact in any order."""
+        from repro.interp import execute_privatized
+        from repro.schedule import plan_privatization, privatize_info
+        from repro.scop import DepKind
+
+        source = REFUSED_SHAPES[code]
+        funcs = {"g": opaque_g} if code == "RPA067" else None
+        oracle = Interpreter.from_source(source, {"N": 8}, funcs).oracle()
+        for fuse in ("auto", "off"):
+            interp = Interpreter.from_source(source, {"N": 8}, funcs, fuse)
+            fallbacks = interp.fused_program.fallbacks()
+            assert {s: f["code"] for s, f in fallbacks.items()} == (
+                {"T": code} if fuse == "auto" else {}
+            )
+            if code == "RPA065":
+                plan = plan_privatization(interp.scop)
+                assert plan.groups
+                info = privatize_info(detect_pipeline(
+                    interp.scop, kinds=tuple(DepKind), validate=False,
+                    coarsen=3,
+                ), plan, parts=3)
+            else:
+                plan = None
+                info = detect_pipeline(interp.scop, coarsen=3)
+            for backend in BACKENDS:
+                if plan is not None:
+                    out, stats = execute_privatized(
+                        interp, info, plan, backend=backend, workers=2
+                    )
+                else:
+                    out, stats = execute_measured(
+                        interp, info, backend=backend, workers=2
+                    )
+                assert stats.dispatch_modes["T"] == "interp"
+                assert oracle.equal(out), (fuse, backend)
 
     @pytest.mark.parametrize("name", ["histogram", "sumstencil", "dotprod"])
     def test_reduction_example_three_runs_all_backends(self, name):

@@ -1,11 +1,12 @@
 """Tests for whole-block NumPy execution of single statements.
 
-Legality (which statements may become slice kernels and why the others
-fall back), rectangle decomposition of lexicographic blocks, and — the
-property everything rests on — bit-identity of the block-kernel path
-against the compiled-loop interpreter.  (The file keeps the name of the
-retired ``vectorize`` tier so test ids stay stable; it drives the one
-remaining tier, fused closures, and the ``vectorize=`` alias.)
+Legality (which statements' kernels have a slice form and why the
+others keep the loop form), rectangle decomposition of lexicographic
+blocks, and — the property everything rests on — bit-identity of the
+slice forms against the loop forms and the sequential oracle.  (The
+file keeps the name of the retired ``vectorize`` tier so test ids stay
+stable; it drives the one kernel per statement and the ``vectorize=``
+alias.)
 """
 
 import numpy as np
@@ -125,12 +126,17 @@ class TestRectangles:
 class TestLegality:
     def spec(self, src, stmt="S", funcs=None, **params):
         scop = scop_of(src, **params)
-        return emit_closure_spec(scop, scop.statement(stmt), funcs)
+        spec, refusal = emit_closure_spec(scop, scop.statement(stmt), funcs)
+        assert refusal is None, refusal
+        return spec
 
     def refused(self, code, match, src, funcs=None):
-        with pytest.raises(NotFusable, match=match) as err:
-            self.spec(src, funcs=funcs)
-        assert err.value.code == code
+        scop = scop_of(src)
+        spec, refusal = emit_closure_spec(scop, scop.statement("S"), funcs)
+        assert isinstance(refusal, NotFusable)
+        assert refusal.code == code and match in refusal.reason
+        # refused or not, the statement has a spec: its loop form
+        assert spec.name == "S"
 
     def test_simple_copy_vectorizes(self):
         spec = self.spec("for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);")
@@ -261,7 +267,7 @@ class TestBitIdentity:
         )
         s, v, interp = run_both(src)
         assert s.equal(v)
-        assert fused_statements(interp) == {"S"}  # R runs compiled loops
+        assert fused_statements(interp) == {"S"}  # R runs its loop form
 
     def test_custom_elementwise_funcs_match(self):
         src = "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = f(A[i][j]);"
@@ -281,8 +287,8 @@ class TestVectorProgram:
 
     def test_coverage_and_reasons(self):
         program = fuse_scop(scop_of(self.MIXED))
-        assert program.get("S") is not None
-        assert program.get("R") is None
+        assert program.get("S").spec.slice_form
+        assert not program.get("R").spec.slice_form  # loop form only
         refusal = program.fallbacks()["R"]
         assert refusal["code"] == "RPA066"
         assert "recurrence" in refusal["reason"]

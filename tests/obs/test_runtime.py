@@ -121,6 +121,35 @@ class TestCollector:
             assert current() is col
         assert current() is None
 
+    def test_interleaved_threads_keep_their_own_collector(self):
+        """A enters, B enters, A exits, B exits — each thread sees only
+        its own collector and none is left installed on either."""
+        import threading
+
+        steps = [threading.Event() for _ in range(4)]
+        seen: dict[str, list] = {"A": [], "B": []}
+
+        def thread(name, enter_after, exit_after, entered, exited):
+            steps[enter_after].wait(5) if enter_after is not None else None
+            with collecting("threads", 1) as col:
+                col.record(0, name, worker=0, start_ns=0, end_ns=1)
+                seen[name].append(current() is col)
+                steps[entered].set()
+                steps[exit_after].wait(5)
+                seen[name].append(current() is col)
+            seen[name].append(current())
+            steps[exited].set()
+
+        a = threading.Thread(target=thread, args=("A", None, 1, 0, 2))
+        b = threading.Thread(target=thread, args=("B", 0, 2, 1, 3))
+        a.start()
+        b.start()
+        a.join(10)
+        b.join(10)
+        assert all(s.is_set() for s in steps)
+        assert seen == {"A": [True, True, None], "B": [True, True, None]}
+        assert current() is None
+
     def test_record_and_trace(self):
         col = RuntimeCollector("threads", 2)
         col.record(0, "S0", worker=0, start_ns=10, end_ns=30)

@@ -428,15 +428,19 @@ def test_verdict_table_round_trips_and_is_optional(
     assert program.legal_pairs == {("S", "T"): True}
     assert program.to_dict() == artifact.fused
 
-    # an artifact written before the table existed still loads warm;
-    # its verdicts are recomputed when the chains are planned
+    # the table is required: an artifact without it is a replay
+    # failure, recompiled cold (asking the one question again), never a
+    # crash
     legacy = {k: v for k, v in artifact.fused.items() if k != "legal_pairs"}
     store.put(key, dataclasses.replace(artifact, fused=legacy))
     del fusion_verdict_calls[:]
-    interp, warm, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
-    assert status == "warm" and fusion_verdict_calls == []
-    _, stats = execute_measured(interp, warm.info, task_ast=warm.task_ast)
+    before = session_counters().get("replay_failures", 0)
+    interp, cold, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    assert status == "cold"
+    assert session_counters().get("replay_failures", 0) == before + 1
     assert fusion_verdict_calls == [("S", "T")]
+    assert store.get(key).fused["legal_pairs"] == [["S", "T", True]]
+    _, stats = execute_measured(interp, cold.info, task_ast=cold.task_ast)
     assert stats.fused_chains == (("S", "T"),)
 
 

@@ -23,7 +23,7 @@ def run_with_backend(interp, info, backend, workers=4):
     store = interp.new_store()
 
     def run_block(statement, iters):
-        interp.compiled[statement](store, interp.funcs, iters)
+        interp.run_block(store, statement, iters)
 
     module = load_task_program(emit_task_program(info))
     module.build_tasks(backend, run_block)

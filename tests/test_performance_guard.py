@@ -16,8 +16,8 @@ elsewhere; their walls are the ledger's (``docs/performance.md``,
 
 * fused dispatch and coarse vs fine blocking —
   ``tests/interp/test_plan.py::test_p5_dispatch_counts_at_fine_and_coarse_blocking``
-  (one ``run_rects`` call per untraced serial replay, one ``run_block``
-  per row with fuse off, equal elided rectangles);
+  (one ``run_rects`` call per untraced serial replay, one per stream
+  with fuse off, equal elided rectangles);
 * disabled instrumentation —
   ``tests/interp/test_plan.py::test_untraced_replay_enters_one_span_and_one_collector_lookup``
   (one ``span()`` and one ``obs_runtime.current()`` per replay);

@@ -11,7 +11,7 @@ timing, as in the ledger's ``run_*_ms``):
   task, no scheduler, no span, no statistics; the floor of any replay
   that dispatches per task;
 * **serial** — ``execute_measured`` on ``serial``: the plan's serial
-  elision, one kernel call per fused task stream, so it reads below
+  elision, one kernel call per task stream, so it reads below
   ``rows`` wherever streams fuse;
 * **threads** — ``execute_measured`` on ``threads``: one dispatch per
   claim (``ExecPlan.claims``), a chain of rows that wait on nothing
