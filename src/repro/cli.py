@@ -608,6 +608,8 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .interp.executor import BACKEND_ALIASES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Cross-loop pipeline pattern detection (IMPACT 2022 reproduction)",
@@ -703,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--exec-backend",
-        choices=("serial", "thread", "threads", "process", "processes"),
+        choices=tuple(BACKEND_ALIASES),
         default=None,
         help="also run a measured wall-clock execution on this backend",
     )
@@ -755,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--workers", type=int, default=4)
     p_profile.add_argument(
         "--backend",
-        choices=("serial", "thread", "threads", "process", "processes"),
+        choices=tuple(BACKEND_ALIASES),
         default="threads",
         help="backend for the measured run",
     )

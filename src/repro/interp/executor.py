@@ -9,14 +9,13 @@ of three backends, each of which runs the identical program:
 * ``serial`` — the plan's serial elision: its task streams in creation
   order, a topological order of the schedule, each stream of kernel
   rows as one kernel call over the rectangles of its rows' union
-  (:func:`~repro.interp.plan.run_stream_runs`); a replay that collects
-  runtime events loops over the rows instead
-  (:func:`~repro.tasking.dispatch.run_serial`);
+  (:func:`~repro.tasking.dispatch.run_serial` over ``ExecPlan.runs``;
+  a replay that collects runtime events loops over the rows instead);
 * ``threads`` — work stealing over the compiled schedule, the caller as
   worker 0 (:func:`~repro.tasking.dispatch.run_threads`; GIL-limited
   for scalar bodies, overlaps NumPy kernels and blocking calls);
-* ``processes`` — ready batches on a worker-process pool over a
-  :class:`~repro.interp.store.SharedArrayStore`
+* ``processes`` — ready batches of the same claims on a worker-process
+  pool over a :class:`~repro.interp.store.SharedArrayStore`
   (:func:`~repro.tasking.backends.run_processes`; true multi-core).
 
 It returns the mutated store plus an :class:`ExecutionStats` record

@@ -151,9 +151,9 @@ class Interpreter:
         return self._fused_program
 
     def adopt_fused(self, program: FusedProgram) -> None:
-        """Install a kernel program built elsewhere (worker processes
-        receive the parent's as specs instead of re-running the
-        Presburger legality analysis per worker)."""
+        """Install a kernel program built elsewhere (a warm load reads
+        the stored one instead of re-running the Presburger legality
+        analysis)."""
         self._fused_program = program
 
     def exec_plan(self, info, task_ast=None, privatization=None, graph=None):

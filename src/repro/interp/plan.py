@@ -15,10 +15,13 @@ analysis checks (``TaskGraph.from_task_ast``, or
 ``build_privatized_graph`` for a plan with reduction groups) — what
 runs is what was proved.  ``dependArr``
 slots belong to generated programs (:mod:`repro.codegen.emit`) and play
-no part here.  :func:`run_plan` replays the plan — processes hand the
-schedule to the process pool of :mod:`repro.tasking`, threads hand it
-its claims (below), serial runs the plan's serial elision
-(:func:`run_stream_runs`) — without calling ``create_task``.  Everything
+no part here.  :func:`run_plan` replays the plan without calling
+``create_task``, and picks the dispatch unit once for every backend:
+serial walks the plan's serial elision (below), threads and the
+process pool of :mod:`repro.tasking` walk its claims (below), and a
+replay that collects events walks the rows.  Every unit runs
+:func:`bind_rows`' row body, or :func:`bind_runs`' over it — pool
+workers bind both to the plan they receive at start.  Everything
 that depends on the *run* — store, stream closures, private buffers,
 event collector, the copied join counters — is created there; the plan
 itself is shared between runs and threads and is never mutated
@@ -46,20 +49,20 @@ private buffer) and joins keep one ``call(tid)`` per row, and so does
 any replay that collects runtime events, which are per task by
 contract.
 
-Claims: the threaded walk contracts the schedule exactly.  A claim
+Claims: the parallel walk contracts the schedule exactly.  A claim
 (:func:`contract_claims`) is a maximal run of consecutive rows of one
 stream in which every internal edge is its source row's only successor
 and its target row's only predecessor — a chain nothing else waits on
 or feeds.  Per-row dispatch would release no row at another point
 relative to its producer, so running the claim as one unit loses no
-overlap.  An untraced ``threads`` replay runs the claims' quotient
-schedule, one ``run_rects`` call per claim of an elided stream over
-the rectangles of its rows' union (legal by the argument above:
-consecutive rows of a stream are a lex-contiguous range) and
-``call(tid)`` per row of any other.  :attr:`ExecPlan.claims` is built
-on the first such replay; collecting replays keep the per-row
-schedule.  Fused P5 is one chain:
-its 196 rows at N=14 are one claim.
+overlap.  An untraced ``threads`` or ``processes`` replay runs the
+claims' quotient schedule, one ``run_rects`` call per claim of an
+elided stream over the rectangles of its rows' union (legal by the
+argument above: consecutive rows of a stream are a lex-contiguous
+range) and ``call(tid)`` per row of any other.  :attr:`ExecPlan.claims`
+is built on the first such replay; collecting replays keep the
+per-row schedule.  Fused P5 is one chain: its 196 rows at N=14 are
+one claim.
 
 Privatized plans: every member block gets a private buffer shaped like
 the accumulator and filled with the operator-group identity (``sum`` →
@@ -137,8 +140,7 @@ class TaskRow(NamedTuple):
     references to ``payload`` and its contents but never write to them."""
 
     stream: str  # task-stream label: statement, chain ``S+T`` or join
-    #: a kernel row's statement, iters, rects [, remap]; a join row's
-    #: statement, combine
+    #: a kernel row's iters, rects [, remap]; a join row's combine
     payload: dict
 
 
@@ -186,17 +188,10 @@ class ExecPlan:
     stats: dict
 
     @cached_property
-    def wire(self) -> tuple[tuple, ...]:
-        """What the process backend ships per row, built on the first
-        ``processes`` replay (never by serial/threads ones)."""
-        from ..tasking.backends import wire_task
-
-        return tuple(wire_task(row.stream, row.payload) for row in self.rows)
-
-    @cached_property
     def claims(self) -> Claims:
-        """What an untraced ``threads`` replay dispatches, built on the
-        first one (never by serial/processes or collecting replays)."""
+        """What an untraced ``threads`` or ``processes`` replay
+        dispatches, built on the first one (never by serial or
+        collecting replays)."""
         return contract_claims(self)
 
 
@@ -333,7 +328,7 @@ def lower_exec_plan(
                 n_loop_rects += sum(
                     takes_loop_form(lo, hi) for lo, hi in rects
                 ) if sliced else len(rects)
-                payload = {"statement": label, "iters": iters, "rects": rects}
+                payload = {"iters": iters, "rects": rects}
                 if pgroup is not None:
                     private = private_name(
                         pgroup.array, len(names[pgroup.array])
@@ -360,7 +355,6 @@ def lower_exec_plan(
             floors.append(len(rows))
             runs.append(StreamRun(range(len(rows), len(rows) + 1), None, ()))
             rows.append(TaskRow(label, {
-                "statement": label,
                 "combine": {
                     "array": g.array,
                     "group": g.group,
@@ -427,25 +421,14 @@ def remapped(store, remap) -> ArrayStore:
     }})
 
 
-def run_task(interp, store, statement, rects, remap=None, combine=None):
-    """Execute one row in a worker process (the arguments are a
-    ``wire_task`` tuple): a join row (``combine``) folds its privates,
-    a kernel row runs the kernel of ``statement`` — a statement or a
-    chain label such as ``"S+T"`` — over ``rects``."""
-    if combine is not None:
-        return apply_combine(store, combine)
-    interp.fused_program.get(statement).run_rects(
-        remapped(store, remap), interp.funcs, rects
-    )
-
-
-def bind_rows(interp, plan: ExecPlan, store) -> Callable[[int], None]:
-    """``call(tid)``: the body of row ``tid``, bound to this run's store
-    — what every scheduler (and a bare loop over ``range(len(rows))``)
-    executes: a join row folds its privates, a kernel row runs its
-    stream's kernel over its rectangles."""
-    funcs = interp.funcs
-    rows, kernels = plan.rows, plan.streams
+def bind_rows(
+    funcs, rows: tuple[TaskRow, ...], kernels: dict, store
+) -> Callable[[int], None]:
+    """``call(tid)``: the body of row ``tid`` of a plan's ``rows``, its
+    ``streams`` as ``kernels``, bound to this run's store — what every
+    scheduler, in this process or a worker (and a bare loop over
+    ``range(len(rows))``), executes: a join row folds its privates, a
+    kernel row runs its stream's kernel over its rectangles."""
 
     def call(tid: int) -> None:
         stream, payload = rows[tid]
@@ -462,12 +445,11 @@ def bind_rows(interp, plan: ExecPlan, store) -> Callable[[int], None]:
 
 
 def bind_runs(
-    interp, runs: tuple[StreamRun, ...], store, call: Callable[[int], None]
+    funcs, runs: tuple[StreamRun, ...], store, call: Callable[[int], None]
 ) -> Callable[[int], None]:
     """``run(k)``: ``runs[k]`` bound to this run's store — a run with a
     kernel as one ``run_rects`` call over its union rectangles, any
     other as ``call(tid)`` per row."""
-    funcs = interp.funcs
 
     def run(k: int) -> None:
         unit = runs[k]
@@ -478,17 +460,6 @@ def bind_runs(
                 call(tid)
 
     return run
-
-
-def run_stream_runs(
-    interp, plan: ExecPlan, store, call: Callable[[int], None]
-) -> dict:
-    """The serial elision (module docstring): the plan's streams in
-    creation order.  Returns scheduling statistics."""
-    run = bind_runs(interp, plan.runs, store, call)
-    for k in range(len(plan.runs)):
-        run(k)
-    return {"policy": "stream-runs", "runs": len(plan.runs)}
 
 
 def run_plan(
@@ -528,7 +499,7 @@ def run_plan(
                 scratch.append(name)
 
         rows = plan.rows
-        call = bind_rows(interp, plan, store)
+        call = bind_rows(interp.funcs, rows, plan.streams, store)
         name, attrs = "exec.measured", {}
         if plan.privates:
             name = "exec.privatized"
@@ -542,30 +513,37 @@ def run_plan(
             with collecting as collector:
                 start = time.perf_counter()
                 active = obs_runtime.current()
+                # The dispatch unit, chosen here for every backend:
+                # events are per task, so a collecting replay walks the
+                # rows; an untraced serial one the stream runs (the
+                # elision), threads and processes the claims.
+                if active is not None:
+                    runs, schedule = None, plan.schedule
+                elif backend == "serial":
+                    runs, schedule = plan.runs, None
+                else:
+                    runs, schedule = plan.claims
+                body = call if runs is None else bind_runs(
+                    interp.funcs, runs, store, call
+                )
                 label = lambda tid: rows[tid].stream  # noqa: E731
-                if backend == "serial" and active is None:
-                    result = run_stream_runs(interp, plan, store, call)
-                elif backend == "serial":  # events are per task: per row
-                    result = run_serial(range(len(rows)), call, label)
+                if backend == "serial":
+                    units = rows if runs is None else runs
+                    run_serial(range(len(units)), body, label, active)
+                    result = None if runs is None else {
+                        "policy": "stream-runs", "runs": len(runs)
+                    }
                 elif backend == "threads":
-                    if active is None:  # one dispatch per claim
-                        claims = plan.claims
-                        result = run_threads(
-                            claims.schedule,
-                            bind_runs(interp, claims.runs, store, call),
-                            workers,
-                            lambda k: rows[claims.runs[k].rows[0]].stream,
-                        )
-                    else:  # events are per task: per row
-                        result = run_threads(
-                            plan.schedule, call, workers, label, active
-                        )
+                    result = run_threads(
+                        schedule, body, workers, label, active
+                    )
+                else:
+                    result = run_processes(
+                        interp.funcs, store, plan, runs, schedule, workers
+                    )
+                if backend != "serial":  # units dispatched, rows run
                     result["claims"] = result["tasks"]
                     result["tasks"] = len(rows)
-                else:  # processes
-                    result = run_processes(
-                        interp, store, plan.schedule, plan.wire, workers
-                    )
                 wall = time.perf_counter() - start
             events = collector.trace() if collector is not None else None
     finally:

@@ -5,10 +5,11 @@
 :class:`~concurrent.futures.ProcessPoolExecutor` against a
 :class:`~repro.interp.store.SharedArrayStore` — the closest Python
 analogue of the paper's OpenMP runtime actually running on cores.
-Nothing kernel-specific is pickled per task: workers rebuild the
-interpreter once (adopting the parent's kernel program) and receive
-:func:`wire_task` tuples, one per plan row, dispatched in ready batches
-(:func:`_ready_batches`).  Generated ``CreateTask`` programs run on
+Workers receive the plan itself once, at pool start — its rows, its
+stream kernels and (untraced) its claims — and bind the very bodies the
+in-process backends run (``bind_rows`` / ``bind_runs``); a batch of
+simultaneously ready units (:func:`_ready_batches`) then carries unit
+indices only.  Generated ``CreateTask`` programs run on
 :class:`~repro.tasking.api.OmpTaskSystem`, not here.
 """
 
@@ -25,7 +26,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import Sequence
 
 from ..obs import runtime as obs_runtime
 from .dispatch import Schedule
@@ -34,56 +34,54 @@ from .dispatch import Schedule
 # ----------------------------------------------------------------------
 # process pool over shared memory
 # ----------------------------------------------------------------------
-#: Worker-process globals, set once by :func:`_process_worker_init`.
-_WORKER_INTERP = None
-_WORKER_STORE = None
+#: Worker-process globals, set once by :func:`_process_worker_init`:
+#: the plan's rows (event labels) and one dispatch unit's body.
+_WORKER_ROWS = ()
+_WORKER_BODY = None
 
 
-def _process_worker_init(program, params, funcs, store_spec, fuse, fused):
-    """Build this worker's interpreter and attach the shared store.
-
-    ``fused`` carries the parent's kernel program; its kernels pickle as
-    declarative specs (``FusedKernel.__reduce__``) and were regenerated
-    during unpickling, so adopting the program skips the per-worker
-    Presburger legality analysis — and ships chain kernels, which are
-    only planned against the parent's task AST.
-    """
-    global _WORKER_INTERP, _WORKER_STORE
-    from ..interp import Interpreter
+def _process_worker_init(funcs, rows, kernels, runs, store_spec):
+    """Attach the shared store and bind the plan's bodies to it: a row's
+    (``bind_rows``), or with ``runs`` — an untraced replay's claims — a
+    claim's over it (``bind_runs``).  Under ``spawn`` the kernels
+    arrive as declarative specs (``FusedKernel.__reduce__``) and were
+    regenerated during unpickling; under ``fork`` nothing is pickled."""
+    global _WORKER_ROWS, _WORKER_BODY
+    from ..interp.plan import bind_rows, bind_runs
     from ..interp.store import SharedArrayStore
-    from ..scop import extract_scop
 
-    scop = extract_scop(program, dict(params))
-    _WORKER_INTERP = Interpreter(program, scop, funcs, fuse=fuse)
-    _WORKER_INTERP.adopt_fused(fused)
-    _WORKER_STORE = SharedArrayStore.attach(store_spec)
+    store = SharedArrayStore.attach(store_spec)
+    call = bind_rows(funcs, rows, kernels, store)
+    _WORKER_ROWS = rows
+    _WORKER_BODY = call if runs is None else bind_runs(
+        funcs, runs, store, call
+    )
 
 
-def _process_worker_run_batch(items, collect: bool = False):
-    """Execute a batch of simultaneously ready blocks, in order.
+def _process_worker_run_batch(units: list[int], collect: bool = False):
+    """Execute a batch of simultaneously ready units, in order.
 
-    Batches contain only blocks whose predecessors all completed before
+    Batches contain only units whose predecessors all completed before
     submission, so any serial order inside the batch is legal.
 
-    With ``collect`` the batch also times every block on this worker's
-    ``time.monotonic_ns`` clock — **not** ``perf_counter``, whose values
-    from different processes share no epoch — and returns the raw
-    readings plus batch receive/complete brackets.  The parent rebases
-    them onto its own clock with the calibrated per-worker offset (see
-    :mod:`repro.obs.runtime`).
+    With ``collect`` the units are rows, and the batch also times every
+    one on this worker's ``time.monotonic_ns`` clock — **not**
+    ``perf_counter``, whose values from different processes share no
+    epoch — and returns the raw readings plus batch receive/complete
+    brackets.  The parent rebases them onto its own clock with the
+    calibrated per-worker offset (see :mod:`repro.obs.runtime`).
     """
-    from ..interp.plan import run_task
-
+    body = _WORKER_BODY
     if not collect:
-        for wire in items:
-            run_task(_WORKER_INTERP, _WORKER_STORE, *wire)
+        for unit in units:
+            body(unit)
         return None
     first_ns = time.monotonic_ns()
     timings: list[tuple[str, int, int]] = []
-    for wire in items:
+    for tid in units:
         t0 = time.monotonic_ns()
-        run_task(_WORKER_INTERP, _WORKER_STORE, *wire)
-        timings.append((wire[0], t0, time.monotonic_ns()))
+        body(tid)
+        timings.append((_WORKER_ROWS[tid].stream, t0, time.monotonic_ns()))
     return {
         "pid": os.getpid(),
         "first_ns": first_ns,
@@ -92,36 +90,24 @@ def _process_worker_run_batch(items, collect: bool = False):
     }
 
 
-def wire_task(statement: str, payload: dict) -> tuple:
-    """``(statement, rects, remap, combine)`` — what crosses the process
-    boundary for one task, as plain tuples of ints and names (the
-    arguments of :func:`repro.interp.plan.run_task`).  Built once per
-    plan row (``ExecPlan.wire``), not per run."""
-    return (
-        statement,
-        payload.get("rects"),  # a kernel row's rectangles
-        payload.get("remap"),  # accumulator -> private buffer name
-        payload.get("combine"),  # join-task payload; no block runs
-    )
-
-
-#: Never pack more than this many blocks into one submission — keeps
+#: Never pack more than this many units into one submission — keeps
 #: latency low when a wide front drains into a narrow one.
 MAX_BATCH = 8
 
 
 def run_processes(
-    interp, store, sched: Schedule, wire: Sequence[tuple], workers: int
+    funcs, store, plan, runs, sched: Schedule, workers: int
 ) -> dict:
-    """Run ``sched`` over the :func:`wire_task` tuples ``wire`` in a pool
-    of ``workers`` processes against a shared-memory copy of ``store``
-    (results are copied back in place); returns scheduling statistics."""
+    """Run ``sched`` in a pool of ``workers`` processes against a
+    shared-memory copy of ``store`` (results are copied back in place);
+    its units are ``runs`` (claims) or, when ``runs`` is None, the rows
+    of ``plan``.  Returns scheduling statistics."""
     from ..interp.store import SharedArrayStore
 
     if workers < 1:
         raise ValueError("workers must be positive")
     try:
-        pickle.dumps(interp.funcs)
+        pickle.dumps(funcs)
     except Exception as exc:
         raise RuntimeError(
             "the processes backend needs picklable kernel functions "
@@ -135,16 +121,9 @@ def run_processes(
             max_workers=workers,
             mp_context=mp.get_context(start),
             initializer=_process_worker_init,
-            initargs=(
-                interp.program,
-                interp.scop.params,
-                interp.funcs,
-                shared.spec,
-                interp.fuse,
-                interp.fused_program,
-            ),
+            initargs=(funcs, plan.rows, plan.streams, runs, shared.spec),
         )
-        stats = _ready_batches(executor, sched, wire, workers)
+        stats = _ready_batches(executor, sched, workers)
         # Copy results back into the caller's store in place.
         for name, view in store.arrays.items():
             view.data[...] = shared.arrays[name].data
@@ -157,15 +136,15 @@ def run_processes(
 
 
 def _ready_batches(
-    executor: ProcessPoolExecutor, sched: Schedule, wire, workers: int
+    executor: ProcessPoolExecutor, sched: Schedule, workers: int
 ) -> dict:
     """Counter-based ready-batch dispatch.
 
     A finished batch decrements its successors' join counters and newly
-    ready blocks join a FIFO.  The FIFO is drained into batches sized
+    ready units join a FIFO.  The FIFO is drained into batches sized
     ``ceil(ready / workers)`` (capped at :data:`MAX_BATCH`) so a wide
     front splits evenly across the pool while narrow fronts keep
-    single-block latency.
+    single-unit latency.
     """
     n = len(sched)
     counts = list(sched.counts)
@@ -184,9 +163,7 @@ def _ready_batches(
             batch = [ready.popleft() for _ in range(min(size, len(ready)))]
             submit_ns = collector.now_ns() if collector is not None else 0
             fut = executor.submit(
-                _process_worker_run_batch,
-                [wire[tid] for tid in batch],
-                collector is not None,
+                _process_worker_run_batch, batch, collector is not None
             )
             in_flight[fut] = (batch, submit_ns)
             batches += 1
@@ -223,7 +200,7 @@ def _ready_batches(
         submit_batches()
     if completed != n:
         raise RuntimeError(
-            f"scheduler stalled: {completed}/{n} blocks ran "
+            f"scheduler stalled: {completed}/{n} units ran "
             "(dependency cycle in the schedule?)"
         )
     if collector is not None:

@@ -8,8 +8,8 @@ It is always derived from a :class:`~repro.tasking.task.TaskGraph`:
 ``lower_exec_plan`` takes the quotient of the analysis' checked graph
 over the plan rows, :func:`repro.tasking.execute` (under
 ``OmpTaskSystem.run``) a graph's own edges.  An untraced plan replay on
-threads hands :func:`run_threads` a further quotient, one task per
-claim (``ExecPlan.claims``: a chain of rows that wait on nothing but
+threads or processes hands its scheduler a further quotient, one task
+per claim (``ExecPlan.claims``: a chain of rows that wait on nothing but
 each other), so a task here may be many plan rows.  A run (:func:`run_serial`,
 :func:`run_threads`, the process pool of :mod:`repro.tasking.backends`)
 copies the counters and never writes to the schedule, so one schedule
@@ -59,14 +59,16 @@ class Schedule:
 
 
 def run_serial(
-    tids: Sequence[int], call: Callable[[int], None], name_of
+    tids: Sequence[int],
+    call: Callable[[int], None],
+    name_of,
+    collector: obs_runtime.RuntimeCollector | None = None,
 ) -> None:
     """Run ``tids`` in the given order on the calling thread — for
     ``range(n)``, the tasking-disabled schedule of a program whose
-    creation order is topological.  A plan replay comes here only when
-    it collects runtime events (one per task); an untraced one runs the
-    plan's serial elision (:func:`repro.interp.plan.run_stream_runs`)."""
-    collector = obs_runtime.current()
+    creation order is topological; ``name_of`` and ``collector`` as for
+    :func:`run_threads`.  A plan replay runs its stream runs here (the
+    serial elision), or its rows when it collects runtime events."""
     if collector is None:
         for tid in tids:
             call(tid)

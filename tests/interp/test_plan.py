@@ -487,8 +487,9 @@ def test_replays_resolve_no_slot_and_create_no_task(monkeypatch):
     for backend in 10 * ("threads", "processes") + ("serial",):
         out, stats = execute_measured(interp, info, backend=backend, workers=2)
         assert seq.equal(out)
-        if backend != "serial":
+        if backend != "serial":  # both count rows, and dispatch claims
             assert stats.scheduler["tasks"] == len(plan.rows)
+            assert stats.scheduler["claims"] == len(plan.claims.runs)
     assert graphs.calls == 1
     assert created.calls == slots.calls == 0
 
@@ -845,18 +846,24 @@ def test_claims_are_exact_on_a_privatized_plan(name):
 
 
 def test_claims_are_built_on_the_first_untraced_threads_replay():
-    """Serial, processes and collecting replays never contract."""
-    interp, info = compile_for_exec(TABLE9["P5"].source(9), "auto", coarsen=1)
-    plan = interp.exec_plan(info)
-    for backend in ("serial", "processes"):
-        execute_measured(interp, info, backend=backend, workers=2)
-    execute_measured(
-        interp, info, backend="threads", workers=2, collect_events=True
-    )
-    assert "claims" not in vars(plan)
-    _, stats = execute_measured(interp, info, backend="threads", workers=2)
-    assert "claims" in vars(plan) and len(plan.claims.runs) == 1
-    assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
+    """Serial and collecting replays never contract; the first untraced
+    replay on threads — or on processes, which walks the same claims —
+    builds them."""
+    for parallel in ("threads", "processes"):
+        interp, info = compile_for_exec(
+            TABLE9["P5"].source(9), "auto", coarsen=1
+        )
+        plan = interp.exec_plan(info)
+        execute_measured(interp, info, backend="serial", workers=2)
+        for backend in ("threads", "processes"):
+            execute_measured(
+                interp, info, backend=backend, workers=2,
+                collect_events=True,
+            )
+        assert "claims" not in vars(plan)
+        _, stats = execute_measured(interp, info, backend=parallel, workers=2)
+        assert "claims" in vars(plan) and len(plan.claims.runs) == 1
+        assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
 
 
 # ----------------------------------------------------------------------

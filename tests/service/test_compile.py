@@ -448,13 +448,16 @@ def test_forged_verdict_ends_in_verification_failure(tmp_path):
     """The stored table has the standing of the stored ClosureSpecs: it
     is trusted to plan, and what it planned is caught by the oracle
     compare — a forged "legal" never reaches a returned result.  A
-    per-row replay (processes) runs the forged chain block by block; the
-    serial elision, and a threaded replay that runs the chain as one
-    claim, run it over its whole domain, which is program order, so the
-    forgery cannot mislead them."""
+    per-row replay (one that collects events) runs the forged chain
+    block by block; the serial elision, and a threads or processes
+    replay that runs the chain as one claim, run it over its whole
+    domain, which is program order, so the forgery cannot mislead
+    them."""
     from repro.driver import VerificationFailedError, transform
 
-    opts = TransformOptions(exec_backend="processes", workers=2)
+    opts = TransformOptions(
+        exec_backend="threads", workers=2, collect_events=True
+    )
     params = {"N": 4}
     honest = transform(
         BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path)
@@ -467,19 +470,20 @@ def test_forged_verdict_ends_in_verification_failure(tmp_path):
     artifact = store.get(key)
     assert artifact.fused["legal_pairs"] == [["S", "T", False]]
     store.put(key, _forged_verdicts(artifact))
-    with pytest.raises(VerificationFailedError, match="processes plan replay"):
+    with pytest.raises(VerificationFailedError, match="threads plan replay"):
         transform(BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path))
 
     interp, forged, status = _compile(BACKWARD_IN_BLOCK, params, opts, store)
     assert status == "warm"
-    for backend in ("serial", "threads"):
+    for backend in ("serial", "threads", "processes"):
         out, stats = execute_measured(
             interp, forged.info, backend=backend, workers=2,
             task_ast=forged.task_ast,
         )
         assert stats.fused_chains == (("S", "T"),)
         assert interp.oracle().equal(out), backend
-    assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
+        if backend != "serial":
+            assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
 
 
 # ----------------------------------------------------------------------

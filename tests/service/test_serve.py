@@ -608,39 +608,44 @@ def test_disk_is_the_trust_boundary_not_the_resident_object(tmp_path):
 def test_forged_fusion_verdict_is_served_as_a_mismatch(tmp_path):
     """A forged "legal" verdict in a stored fusion plan merges a chain
     that reorders a dependence; the run's oracle compare reports it on a
-    per-row replay (processes).  The serial elision, and a threaded
-    replay that runs the chain as one claim, run it over its whole
-    domain — program order — and still match."""
+    per-row replay — a traced request's, which collects events.  An
+    untraced replay runs the chain as one stream run (serial) or one
+    claim (threads, processes) over its whole domain — program order —
+    and still matches."""
     from repro.driver import transform
     from repro.service import options_from_dict
     from repro.store import ArtifactStore, artifact_key
 
     options = {"workers": 2}
     opts, params = options_from_dict(options), {"N": 4}
-    transform(BACKWARD_IN_BLOCK, params, opts, cache_dir=str(tmp_path))
-    store = ArtifactStore(str(tmp_path))
+    cache_dir = str(tmp_path / "cache")  # the telemetry server's
+    transform(BACKWARD_IN_BLOCK, params, opts, cache_dir=cache_dir)
+    store = ArtifactStore(cache_dir)
     key = artifact_key(BACKWARD_IN_BLOCK, params, opts)
     req = {
         "op": "run", "source": BACKWARD_IN_BLOCK, "params": params,
-        "options": options, "backend": "processes",
+        "options": options, "backend": "threads",
     }
 
-    async def honest(host, port, server):
+    async def honest(host, port, server, *_):
         resp = await _request(host, port, req)
         assert resp["status"] == "warm" and resp["match"] is True
 
-    async def forged(host, port, server):
+    async def per_row(host, port, server, *_):
         resp = await _request(host, port, req)
         assert resp["ok"] and resp["key"] == key
         assert resp["status"] == "warm" and resp["match"] is False
-        for backend in ("serial", "threads"):
-            whole = await _request(host, port, dict(req, backend=backend))
-            assert whole["ok"] and whole["key"] == key
-            assert whole["match"] is True, backend
 
-    asyncio.run(_with_server(str(tmp_path), honest))
+    async def whole(host, port, server):
+        for backend in ("serial", "threads", "processes"):
+            resp = await _request(host, port, dict(req, backend=backend))
+            assert resp["ok"] and resp["key"] == key
+            assert resp["match"] is True, backend
+
+    asyncio.run(_with_telemetry_server(tmp_path, honest))
     store.put(key, _forged_verdicts(store.get(key)))
-    asyncio.run(_with_server(str(tmp_path), forged))
+    asyncio.run(_with_telemetry_server(tmp_path, per_row))
+    asyncio.run(_with_server(cache_dir, whole))
 
 
 # ----------------------------------------------------------------------
@@ -662,29 +667,30 @@ async def _oracle_gauge(host, port) -> int:
 def test_match_and_checksums_come_from_each_requests_replay(tmp_path):
     """Only the reference is kept: a resident plan that starts writing
     wrong cells is reported by the very next run.  That run is a per-row
-    replay — processes, whose wire rows are built on its first replay,
-    after the break — and runs the broken row itself.  A threaded replay
-    runs the ``S+T`` chain as one claim over the union rectangles taken
-    at lowering, which is program order, and still matches."""
+    replay — a traced request's, which collects events — and runs the
+    broken row itself.  An untraced threads or processes replay runs the
+    ``S+T`` chain as one claim over the union rectangles taken at
+    lowering, which is program order, and still matches."""
 
-    async def body(host, port, server):
+    async def body(host, port, server, *_):
         good = await _request(host, port, _run_req())
         assert good["match"] is True
         interp = _resident_interp(server, good["key"])
         (plan,) = interp._exec_plans.values()
         payload = plan.rows[-1].payload  # its block no longer executes
         payload["iters"] = payload["iters"][:0]
-        if "rects" in payload:
-            payload["rects"] = ()
+        payload["rects"] = ()
         bad = await _request(host, port, _run_req(backend="processes"))
         assert bad["ok"] and bad["status"] == "warm"
         assert bad["match"] is False
         assert bad["checksums"] != good["checksums"]
-        whole = await _request(host, port, _run_req(backend="threads"))
-        assert whole["match"] is True
-        assert whole["checksums"] == good["checksums"]
+        server.telemetry.trace_dir = None  # untraced from here on
+        for backend in ("threads", "processes"):
+            whole = await _request(host, port, _run_req(backend=backend))
+            assert whole["match"] is True, backend
+            assert whole["checksums"] == good["checksums"], backend
 
-    asyncio.run(_with_server(str(tmp_path), body))
+    asyncio.run(_with_telemetry_server(tmp_path, body))
 
 
 @pytest.mark.parametrize("keep", [True, False])

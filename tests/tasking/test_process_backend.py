@@ -6,13 +6,22 @@ cross the process boundary; ``OmpTaskSystem.run`` must deduplicate
 dependency slots and release its threads even when a task fails.
 """
 
+import multiprocessing
+from pathlib import Path
+
 import pytest
 
-from repro.interp import Interpreter, execute_measured
+from repro.interp import Interpreter, execute_measured, execute_privatized
 from repro.pipeline import detect_pipeline
 from repro.tasking import OmpTaskSystem
 from repro.workloads import TABLE9
-from tests.conftest import LISTING1
+from tests.conftest import LISTING1, compile_for_exec
+from tests.interp.test_privatized_exec import privatized_setup
+
+HISTOGRAM = (
+    Path(__file__).resolve().parents[2] / "examples" / "kernels"
+    / "histogram.c"
+).read_text()
 
 
 def run_process_backend(source, params, workers=2, coarsen=1):
@@ -43,6 +52,85 @@ class TestProcessBackendAgrees:
         assert seq.equal(store)
         assert result["workers"] == 2
         assert 1 <= result["max_in_flight"] <= result["tasks"]
+
+
+class TestProcessBackendDispatch:
+    """Workers run the plan's own bodies: an untraced replay dispatches
+    claims, a collecting one rows — the units ``threads`` walks."""
+
+    def test_fused_p5_is_one_claim_in_one_batch(self):
+        interp, info = compile_for_exec(
+            TABLE9["P5"].source(14), "auto", coarsen=1
+        )
+        oracle = interp.run_sequential(interp.new_store())
+        out, stats = execute_measured(
+            interp, info, backend="processes", workers=2
+        )
+        assert oracle.equal(out)
+        assert stats.scheduler["claims"] == stats.scheduler["batches"] == 1
+        assert stats.scheduler["tasks"] == 196
+        out, stats = execute_measured(
+            interp, info, backend="processes", workers=2, collect_events=True
+        )
+        assert oracle.equal(out)
+        assert stats.scheduler["claims"] == stats.scheduler["tasks"] == 196
+        assert sorted(e.tid for e in stats.events.events) == list(range(196))
+
+
+@pytest.fixture
+def spawn_only(monkeypatch):
+    """Hide ``fork`` from ``run_processes``: the pool starts its workers
+    with ``spawn``, which pickles the plan's rows, kernels and claims."""
+    methods = [
+        m for m in multiprocessing.get_all_start_methods() if m != "fork"
+    ]
+    if "spawn" not in methods:
+        pytest.skip("no spawn start method")
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: methods
+    )
+    started = []
+    get_context = multiprocessing.get_context
+
+    def recording(method=None):
+        started.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    yield
+    assert started and set(started) == {"spawn"}
+
+
+@pytest.mark.usefixtures("spawn_only")
+class TestSpawnedWorkers:
+    def test_fused_p5_claim(self):
+        interp, info = compile_for_exec(
+            TABLE9["P5"].source(9), "auto", coarsen=1
+        )
+        out, stats = execute_measured(
+            interp, info, backend="processes", workers=2
+        )
+        assert interp.run_sequential(interp.new_store()).equal(out)
+        assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
+
+    def test_privatized_histogram_remap_rows_and_join(self):
+        interp, plan, pinfo = privatized_setup(HISTOGRAM, 8, parts=3)
+        out, stats = execute_privatized(
+            interp, pinfo, plan, backend="processes", workers=2
+        )
+        lowered = interp.exec_plan(pinfo, None, plan)
+        assert any("remap" in row.payload for row in lowered.rows)
+        assert any("combine" in row.payload for row in lowered.rows)
+        assert interp.run_sequential(interp.new_store()).equal(out)
+        assert stats.privatization["privates"] >= 2
+
+    def test_collecting_replay(self):
+        interp, info = compile_for_exec(LISTING1, "auto", {"N": 10}, 4)
+        out, stats = execute_measured(
+            interp, info, backend="processes", workers=2, collect_events=True
+        )
+        assert interp.run_sequential(interp.new_store()).equal(out)
+        assert len(stats.events.events) == stats.tasks > 1
 
 
 class TestProcessBackendChecks:

@@ -547,6 +547,11 @@ class TestRunExecutes:
                 {"oracle": 1, "graph": 0, "replay": ["serial"]},
                 id="serial",
             ),
+            pytest.param(  # every spelling the driver and serve accept
+                KERNEL, ["--exec-backend", "threading"],
+                {"oracle": 1, "graph": 0, "replay": ["threading"]},
+                id="threading",
+            ),
             pytest.param(
                 HISTOGRAM_KERNEL,
                 ["--privatize", "--exec-backend", "threads"],

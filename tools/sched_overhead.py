@@ -2,7 +2,7 @@
 """What a replay costs beyond its block kernels: the sizing table behind
 ROADMAP item 1 (docs/performance.md, "Compiled schedule").
 
-Per kernel, three ways of executing one lowered ``ExecPlan``, alternated
+Per kernel, four ways of executing one lowered ``ExecPlan``, alternated
 repeat by repeat, each on a fresh store (``new_store()`` is inside every
 timing, as in the ledger's ``run_*_ms``):
 
@@ -15,14 +15,18 @@ timing, as in the ledger's ``run_*_ms``):
   ``rows`` wherever streams fuse;
 * **threads** — ``execute_measured`` on ``threads``: one dispatch per
   claim (``ExecPlan.claims``), a chain of rows that wait on nothing
-  but each other run as one kernel call over their union.
+  but each other run as one kernel call over their union;
+* **processes** — ``execute_measured`` on ``processes``: the same
+  claims in ready batches on a fresh worker pool over shared memory,
+  pool start and shared-store copies included.
 
 Printed: rows and claims of the plan, median ms of each way, per task
 what serial saves or pays against the row loop (``serial − rows``,
 negative when the elision wins), the thread scheduler's share
 (``threads − rows``, negative too where chains contract, e.g. P5's one
 claim for 196 rows) and the thread hand-off per run
-(``threads − serial``).  The cases are the ledger's ``fine_p``
+(``threads − serial``); the ``processes`` column is its own median ms
+per run.  The cases are the ledger's ``fine_p``
 kernels (one-point blocks) and ``coarse_p`` kernels (~8 tasks per
 statement).  Asserts nothing and exits 0; CI uploads the table.
 
@@ -64,7 +68,7 @@ def measure(name: str, n: int, coarsen: int, repeats: int) -> dict:
 
     def row_loop():
         store = interp.new_store()
-        call = bind_rows(interp, plan, store)
+        call = bind_rows(interp.funcs, plan.rows, plan.streams, store)
         for tid in tasks:
             call(tid)
         return store
@@ -78,6 +82,7 @@ def measure(name: str, n: int, coarsen: int, repeats: int) -> dict:
         "rows": row_loop,
         "serial": replay("serial"),
         "threads": replay("threads"),
+        "processes": replay("processes"),
     }
     oracle = interp.run_sequential(interp.new_store())
     ms = {way: [] for way in ways}
@@ -101,11 +106,12 @@ def render(rows: dict) -> str:
     lines = [
         f"host: {host['cpu']}, {host['nproc']} cpu, "
         f"python {host['python']}, numpy {host['numpy']}",
-        f"median raw ms per run incl. new_store(); threads: {WORKERS} workers",
+        f"median raw ms per run incl. new_store(); threads, processes: "
+        f"{WORKERS} workers",
         f"{'kernel':14}{'tasks':>6}{'claims':>7}{'edges':>6}{'rows':>8}"
         f"{'serial':>8}"
         f"{'threads':>8}{'ser-rows us/t':>14}{'thr-rows us/t':>14}"
-        f"{'thr-ser ms':>11}",
+        f"{'thr-ser ms':>11}{'processes':>10}",
     ]
     for label, r in rows.items():
         per = 1e3 / r["tasks"]
@@ -116,6 +122,7 @@ def render(rows: dict) -> str:
             f"{(r['serial'] - r['rows']) * per:>14.2f}"
             f"{(r['threads'] - r['rows']) * per:>14.2f}"
             f"{r['threads'] - r['serial']:>11.2f}"
+            f"{r['processes']:>10.2f}"
         )
     return "\n".join(lines)
 
@@ -123,7 +130,7 @@ def render(rows: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=200,
-                    help="timed rounds per kernel (each runs all three ways)")
+                    help="timed rounds per kernel (each runs all four ways)")
     ap.add_argument("--out", help="also write the table here")
     args = ap.parse_args(argv)
     rows = {
