@@ -563,13 +563,15 @@ def replay(
     the reassociation tolerance confined to
     :func:`~repro.interp.privatized_matches`.
 
-    The ``processes`` backend resolves a pending oracle *before* its run:
+    The ``processes`` backend (any spelling in ``BACKEND_ALIASES``)
+    resolves a pending oracle *before* its run:
     the pool forks its workers, and a fork while the helper holds the
     span buffer's or the Presburger cache's lock (a recording span
     opening or closing takes both) would hand a worker a lock nobody
     releases — a worker that records spans needs both.
     """
-    if backend == "processes" and isinstance(oracle, PendingOracle):
+    forks = BACKEND_ALIASES.get(backend) == "processes"
+    if forks and isinstance(oracle, PendingOracle):
         oracle = oracle.wait()
     run = dict(
         backend=backend,

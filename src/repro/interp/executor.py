@@ -11,9 +11,11 @@ of three backends, each of which runs the identical program:
   rows as one kernel call over the rectangles of its rows' union
   (:func:`~repro.tasking.dispatch.run_serial` over ``ExecPlan.runs``;
   a replay that collects runtime events loops over the rows instead);
-* ``threads`` — work stealing over the compiled schedule, the caller as
-  worker 0 (:func:`~repro.tasking.dispatch.run_threads`; GIL-limited
-  for scalar bodies, overlaps NumPy kernels and blocking calls);
+* ``threads`` — work stealing over the plan's claims (its schedule's
+  chains contracted, and streams too cheap per row to pipeline claimed
+  whole), the caller as worker 0
+  (:func:`~repro.tasking.dispatch.run_threads`; GIL-limited for scalar
+  bodies, overlaps NumPy kernels and blocking calls);
 * ``processes`` — ready batches of the same claims on a worker-process
   pool over a :class:`~repro.interp.store.SharedArrayStore`
   (:func:`~repro.tasking.backends.run_processes`; true multi-core).

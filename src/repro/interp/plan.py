@@ -26,7 +26,7 @@ that depends on the *run* — store, stream closures, private buffers,
 event collector, the copied join counters — is created there; the plan
 itself is shared between runs and threads and is never mutated
 (``repro serve`` replays one plan from several executor threads at
-once).
+once) — apart from its claims caches, each entry set once.
 
 Plans are cached on the interpreter (:meth:`Interpreter.exec_plan`), so
 ``ExecutionStats.wall_time`` measures task submission + run, not
@@ -49,20 +49,34 @@ private buffer) and joins keep one ``call(tid)`` per row, and so does
 any replay that collects runtime events, which are per task by
 contract.
 
-Claims: the parallel walk contracts the schedule exactly.  A claim
+Claims: the parallel walk contracts the schedule.  An exact claim
 (:func:`contract_claims`) is a maximal run of consecutive rows of one
 stream in which every internal edge is its source row's only successor
 and its target row's only predecessor — a chain nothing else waits on
 or feeds.  Per-row dispatch would release no row at another point
 relative to its producer, so running the claim as one unit loses no
-overlap.  An untraced ``threads`` or ``processes`` replay runs the
-claims' quotient schedule, one ``run_rects`` call per claim of an
-elided stream over the rectangles of its rows' union (legal by the
-argument above: consecutive rows of a stream are a lex-contiguous
-range) and ``call(tid)`` per row of any other.  :attr:`ExecPlan.claims`
-is built on the first such replay; collecting replays keep the
-per-row schedule.  Fused P5 is one chain: its 196 rows at N=14 are
-one claim.
+overlap.  A stream whose rows cannot pay for their own dispatch is
+claimed *whole*: its claim is its serial-elision :class:`StreamRun`,
+legal by the argument above, at the price of delaying its consumers
+until the union call ends.  Which streams go whole is measured, not
+modelled (:func:`whole_streams`): on a scratch copy of the replay's
+store, a kernel stream of more than one exact claim goes whole when its
+claims cost more than ``workers`` times its union call — even perfectly
+overlapped on every worker they would take longer than that one call.
+A whole stream is a consecutive row range and creation order is
+topological, so the claims' quotient stays acyclic.  The measurement
+costs about four plan runs, which one replay can never win back, so the
+first untraced ``threads`` or ``processes`` replay at a worker count
+dispatches the exact claims (:attr:`ExecPlan.exact`) and the second
+measures the verdict (:attr:`ExecPlan.claims`, per worker count, set
+once): a one-shot never pays for it.  The verdict is taken once, so it
+reflects that replay's host load as well as the plan.  Such a replay
+runs the claims' quotient schedule, one ``run_rects`` call per claim of
+an elided stream over the rectangles of its rows' union (a claim's
+consecutive rows are a lex-contiguous range) and ``call(tid)`` per row
+of any other; collecting replays keep the per-row schedule.  Fused P5
+is one chain: its 196 rows at N=14 are one claim; P10@14's producer
+chains go whole.
 
 Privatized plans: every member block gets a private buffer shaped like
 the accumulator and filled with the operator-group identity (``sum`` →
@@ -82,8 +96,9 @@ through one SharedArrayStore segment) and are removed before returning.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -159,6 +174,7 @@ class Claims(NamedTuple):
 
     runs: tuple[StreamRun, ...]  # one per claim, in row order
     schedule: "Schedule"  # their quotient: claim index = task id
+    whole: frozenset[int]  # indices into ``ExecPlan.runs`` claimed whole
 
 
 @dataclass(frozen=True)
@@ -186,21 +202,49 @@ class ExecPlan:
     privates: tuple[tuple[str, float, tuple[str, ...]], ...]
     #: the run-independent fields of :class:`ExecutionStats`
     stats: dict
+    #: worker count -> the claims untraced ``threads`` or ``processes``
+    #: replays at that count dispatch from their second on, with the
+    #: measured whole streams; set once (:func:`plan_claims`)
+    claims: dict[int, Claims] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    #: worker counts an untraced parallel replay has run at
+    replayed: set[int] = field(
+        default_factory=set, compare=False, repr=False
+    )
 
     @cached_property
-    def claims(self) -> Claims:
-        """What an untraced ``threads`` or ``processes`` replay
-        dispatches, built on the first one (never by serial or
-        collecting replays)."""
+    def exact(self) -> Claims:
+        """The exact claims: what the first untraced ``threads`` or
+        ``processes`` replay at a worker count dispatches, built by it
+        (never by serial or collecting replays)."""
         return contract_claims(self)
 
 
-def contract_claims(plan: ExecPlan) -> Claims:
-    """Contract every chain of ``plan.schedule`` into one claim.
+def plan_claims(plan: ExecPlan, funcs, store, workers: int) -> Claims:
+    """What an untraced parallel replay at ``workers`` dispatches: on the
+    first at that count ``plan.exact``; on the second the claims of the
+    verdict measured against ``store`` (left untouched), stored in
+    ``plan.claims[workers]`` for every later one.  Concurrent replays
+    may both measure; the first to store wins."""
+    claims = plan.claims.get(workers)
+    if claims is not None:
+        return claims
+    if workers not in plan.replayed:
+        plan.replayed.add(workers)
+        return plan.exact
+    whole = whole_streams(plan, funcs, store, workers)
+    return plan.claims.setdefault(workers, contract_claims(plan, whole))
 
-    A claim is a maximal run of rows ``r..r+k`` of one stream whose
-    internal edges are each the source row's only successor and the
-    target row's only predecessor.  A claim of an elided stream runs
+
+def contract_claims(plan: ExecPlan, whole=frozenset()) -> Claims:
+    """Contract every chain of ``plan.schedule`` into one claim, and
+    every stream in ``whole`` (indices into ``plan.runs``) into its own
+    serial-elision run.
+
+    An exact claim is a maximal run of rows ``r..r+k`` of one stream
+    whose internal edges are each the source row's only successor and
+    the target row's only predecessor.  A claim of an elided stream runs
     over the rectangles of its rows' union: the stream's own when the
     claim is the whole stream, the row's when it is one row, decomposed
     here otherwise.
@@ -209,7 +253,10 @@ def contract_claims(plan: ExecPlan) -> Claims:
 
     counts, succs = plan.schedule.counts, plan.schedule.succs
     runs: list[StreamRun] = []
-    for run in plan.runs:
+    for k, run in enumerate(plan.runs):
+        if k in whole:
+            runs.append(run)
+            continue
         start = run.rows.start
         for row in run.rows:
             nxt = row + 1
@@ -232,7 +279,69 @@ def contract_claims(plan: ExecPlan) -> Claims:
         for s in ss:
             if claim_of[s] != claim_of[row]:
                 preds[claim_of[s]].add(claim_of[row])
-    return Claims(tuple(runs), Schedule.from_preds(preds))
+    return Claims(tuple(runs), Schedule.from_preds(preds), frozenset(whole))
+
+
+#: Rounds of :func:`whole_streams`' measurement.  On fresh plans of
+#: coarse_p's P6@20 (2-core Xeon, Python 3.11) one round left its first
+#: stream (claims 2.1-2.7x its union) per claim in 22 of 30 verdicts,
+#: because its cold union call ran first; two rounds in 1 of 30.
+VERDICT_ROUNDS = 2
+
+
+def whole_streams(plan: ExecPlan, funcs, store, workers: int) -> frozenset:
+    """The streams (indices into ``plan.runs``) whose exact claims cost
+    more than ``workers`` times their union call, measured here.
+
+    Candidates are kernel streams of more than one exact claim —
+    privatized members and joins have no union.  On a scratch copy of
+    ``store`` (privates included; discarded) the plan runs in creation
+    order as the serial elision, timing each stream's union call, then
+    as the exact claims, summing each stream's claim calls — for
+    :data:`VERDICT_ROUNDS` rounds, keeping each stream's least cost of
+    each kind: a first call's one-time costs, or a preemption, inflate
+    one round only.
+    """
+    exact = plan.exact
+    stream_of = [k for k, run in enumerate(plan.runs) for _ in run.rows]
+    owner = [stream_of[run.rows.start] for run in exact.runs]
+    split = Counter(owner)
+    candidates = [
+        k for k, run in enumerate(plan.runs)
+        if run.kernel is not None and split[k] > 1
+    ]
+    if not candidates:
+        return frozenset()
+    scratch = store.copy()
+    call = bind_rows(funcs, plan.rows, plan.streams, scratch)
+
+    def costs(units, streams) -> list[float]:
+        """Run ``units`` in order; seconds spent per stream."""
+        body = bind_runs(funcs, units, scratch, call)
+        spent = [0.0] * len(plan.runs)
+        for k, stream in enumerate(streams):
+            t0 = time.perf_counter()
+            body(k)
+            spent[stream] += time.perf_counter() - t0
+        return spent
+
+    union = claims = [float("inf")] * len(plan.runs)
+    for _ in range(VERDICT_ROUNDS):
+        union = list(map(min, union, costs(plan.runs, range(len(union)))))
+        claims = list(map(min, claims, costs(exact.runs, owner)))
+    return claimed_whole(
+        {k: (claims[k], union[k]) for k in candidates}, workers
+    )
+
+
+def claimed_whole(costs: dict, workers: int) -> frozenset:
+    """The verdict rule: of ``costs`` (stream -> (its claims' summed
+    cost, its union call's cost)), the streams whose claims cost more
+    than ``workers`` union calls — even perfectly overlapped on every
+    worker they would take longer than the one call."""
+    return frozenset(
+        k for k, (claims, union) in costs.items() if claims > workers * union
+    )
 
 
 def quotient_schedule(graph, members, floors) -> "Schedule":
@@ -509,20 +618,25 @@ def run_plan(
             if collect_events
             else nullcontext()
         )
-        with span(name, backend=backend, workers=workers, **attrs):
+        with span(name, backend=backend, workers=workers, **attrs) as sp:
             with collecting as collector:
-                start = time.perf_counter()
                 active = obs_runtime.current()
                 # The dispatch unit, chosen here for every backend:
                 # events are per task, so a collecting replay walks the
                 # rows; an untraced serial one the stream runs (the
-                # elision), threads and processes the claims.
+                # elision), threads and processes the claims — their
+                # verdict measured before the clock starts, like
+                # lowering.
+                whole = frozenset()
                 if active is not None:
                     runs, schedule = None, plan.schedule
                 elif backend == "serial":
                     runs, schedule = plan.runs, None
                 else:
-                    runs, schedule = plan.claims
+                    runs, schedule, whole = plan_claims(
+                        plan, interp.funcs, store, workers
+                    )
+                start = time.perf_counter()
                 body = call if runs is None else bind_runs(
                     interp.funcs, runs, store, call
                 )
@@ -541,9 +655,12 @@ def run_plan(
                     result = run_processes(
                         interp.funcs, store, plan, runs, schedule, workers
                     )
-                if backend != "serial":  # units dispatched, rows run
+                if backend != "serial":  # units dispatched, rows run,
+                    # streams dispatched as one claim
                     result["claims"] = result["tasks"]
                     result["tasks"] = len(rows)
+                    result["whole"] = len(whole)
+                    sp.set(claims=result["claims"], whole=len(whole))
                 wall = time.perf_counter() - start
             events = collector.trace() if collector is not None else None
     finally:

@@ -6,7 +6,8 @@
 :class:`~repro.interp.store.SharedArrayStore` — the closest Python
 analogue of the paper's OpenMP runtime actually running on cores.
 Workers receive the plan itself once, at pool start — its rows, its
-stream kernels and (untraced) its claims — and bind the very bodies the
+stream kernels and (untraced) its claims, whole streams included, as
+``threads`` walks them — and bind the very bodies the
 in-process backends run (``bind_rows`` / ``bind_runs``); a batch of
 simultaneously ready units (:func:`_ready_batches`) then carries unit
 indices only.  Generated ``CreateTask`` programs run on

@@ -10,10 +10,11 @@ over the plan rows, :func:`repro.tasking.execute` (under
 ``OmpTaskSystem.run``) a graph's own edges.  An untraced plan replay on
 threads or processes hands its scheduler a further quotient, one task
 per claim (``ExecPlan.claims``: a chain of rows that wait on nothing but
-each other), so a task here may be many plan rows.  A run (:func:`run_serial`,
-:func:`run_threads`, the process pool of :mod:`repro.tasking.backends`)
-copies the counters and never writes to the schedule, so one schedule
-is shared between runs and threads.
+each other, or a whole stream whose rows were measured unable to pay
+for their own dispatch), so a task here may be many plan rows.  A run
+(:func:`run_serial`, :func:`run_threads`, the process pool of
+:mod:`repro.tasking.backends`) copies the counters and never writes to
+the schedule, so one schedule is shared between runs and threads.
 """
 
 from __future__ import annotations

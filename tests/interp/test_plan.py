@@ -489,7 +489,8 @@ def test_replays_resolve_no_slot_and_create_no_task(monkeypatch):
         assert seq.equal(out)
         if backend != "serial":  # both count rows, and dispatch claims
             assert stats.scheduler["tasks"] == len(plan.rows)
-            assert stats.scheduler["claims"] == len(plan.claims.runs)
+            dispatched = plan.claims.get(2, plan.exact)  # first: exact
+            assert stats.scheduler["claims"] == len(dispatched.runs)
     assert graphs.calls == 1
     assert created.calls == slots.calls == 0
 
@@ -629,12 +630,15 @@ def test_p5_dispatch_counts_at_fine_and_coarse_blocking(monkeypatch):
     loop forms alone (``fuse="off"``) the serial elision is one
     ``run_rects`` per statement stream — 4, where it was 2304 / 48
     ``run_block`` calls (coarsen 1 / 48) while fuse off ran compiled
-    loops — and a threaded replay one per row: every S1 row also
-    releases an S2 row, so nothing contracts.  No replay calls
-    ``run_block``.  The fine and coarse blockings elide to the same
-    rectangles, so they are one program."""
+    loops — and a threaded replay with no stream claimed whole one per
+    row: every S1 row also releases an S2 row, so nothing contracts.
+    No replay calls ``run_block``.  The fine and coarse blockings elide
+    to the same rectangles, so they are one program.  The verdict is
+    pinned to "no stream whole" (the whole-stream leg is
+    ``test_p5_whole_streams_dispatch_like_the_serial_elision``)."""
     from repro.interp.fused import FusedKernel
 
+    pin_verdict(monkeypatch, "none")
     counters = {
         "run_rects": Counter(monkeypatch, FusedKernel, "run_rects"),
         "run_block": Counter(monkeypatch, Interpreter, "run_block"),
@@ -654,8 +658,31 @@ def test_p5_dispatch_counts_at_fine_and_coarse_blocking(monkeypatch):
             assert got == {"run_rects": calls[backend], "run_block": 0}, (
                 coarsen, fuse, backend,
             )
-        assert len(interp.exec_plan(info).claims.runs) == calls["threads"]
+        assert len(interp.exec_plan(info).exact.runs) == calls["threads"]
     assert union[1] == union[48]
+
+
+def test_p5_whole_streams_dispatch_like_the_serial_elision(monkeypatch):
+    """The whole-stream leg: with every candidate claimed whole,
+    fuse-off P5@24 on threads makes the serial elision's 4 ``run_rects``
+    calls — one per statement stream — at either blocking, from the
+    second replay on (the first dispatches the exact claims, one per
+    row)."""
+    from repro.interp.fused import FusedKernel
+
+    pin_verdict(monkeypatch, "all")
+    counters = {"run_rects": Counter(monkeypatch, FusedKernel, "run_rects")}
+    for coarsen, fuse, rows, interp, info in p5_24_plans():
+        if fuse != "off":
+            continue
+        plan = interp.exec_plan(info)
+        assert candidate_streams(plan) == set(range(4))
+        calls = [
+            counted_replay(counters, interp, info, "threads")["run_rects"]
+            for _ in range(3)
+        ]
+        assert calls == [rows, 4, 4], coarsen
+        assert plan.claims[2].runs == plan.runs
 
 
 @pytest.mark.parametrize("backend", ["serial", "threads"])
@@ -767,21 +794,66 @@ def test_a_collecting_serial_replay_records_one_event_per_row():
 # ----------------------------------------------------------------------
 # claims: a threaded replay runs each schedule chain as one unit
 # ----------------------------------------------------------------------
+def candidate_streams(plan):
+    """Kernel streams of more than one exact claim: what a verdict may
+    claim whole (indices into ``plan.runs``)."""
+    stream_of = {t: k for k, run in enumerate(plan.runs) for t in run.rows}
+    split = [0] * len(plan.runs)
+    for run in plan_mod.contract_claims(plan).runs:
+        split[stream_of[run.rows.start]] += 1
+    return {
+        k for k, run in enumerate(plan.runs)
+        if run.kernel is not None and split[k] > 1
+    }
+
+
+def pin_verdict(monkeypatch, verdict):
+    """Pin ``whole_streams``: ``"none"`` claims no stream whole,
+    ``"all"`` every candidate."""
+    pick = {"none": lambda plan: frozenset(), "all": candidate_streams}
+    monkeypatch.setattr(
+        plan_mod, "whole_streams",
+        lambda plan, funcs, store, workers: frozenset(pick[verdict](plan)),
+    )
+
+
 def assert_claims_are_exact(interp, plan, reference):
-    """``plan.claims`` is the exact contraction of ``plan.schedule``, and
-    its threaded replay at two workers is ``reference`` bit for bit."""
+    """The first two untraced threaded replays at two workers are
+    ``reference`` bit for bit, and the claims each dispatches — the
+    exact ones, then those of the measured verdict — contract
+    ``plan.schedule``."""
+    for replay in range(2):
+        out, stats = plan_mod.run_plan(interp, plan, "threads", workers=2)
+        assert reference.equal(out)
+        claims = plan.claims[2] if replay else plan.exact
+        assert stats.scheduler["tasks"] == len(plan.rows)
+        assert stats.scheduler["claims"] == len(claims.runs)
+        assert stats.scheduler["whole"] == len(claims.whole)
+        assert_claims_contract(plan, claims)
+    assert not plan.exact.whole
+
+
+def assert_claims_contract(plan, claims):
+    """A partition of the rows into consecutive runs of one stream, each
+    an exact chain or a candidate stream claimed whole (its own
+    serial-elision run), with an acyclic quotient."""
     from repro.interp.fused import rectangles
 
-    sched, claims = plan.schedule, plan.claims
+    sched = plan.schedule
+    assert claims.whole <= candidate_streams(plan)
     stream_of = {t: k for k, run in enumerate(plan.runs) for t in run.rows}
-    # a partition of the rows into consecutive runs of one stream each
+    # every row covered once, in order
     assert [t for run in claims.runs for t in run.rows] == list(
         range(len(plan.rows))
     )
     claim_of = {t: c for c, run in enumerate(claims.runs) for t in run.rows}
     for run in claims.runs:
-        assert len({stream_of[t] for t in run.rows}) == 1
-        assert run.kernel is plan.runs[stream_of[run.rows[0]]].kernel
+        k = stream_of[run.rows[0]]
+        assert {stream_of[t] for t in run.rows} == {k}
+        if k in claims.whole:
+            assert run is plan.runs[k]
+            continue
+        assert run.kernel is plan.runs[k].kernel
         if run.kernel is None:
             assert run.rects == ()
         else:
@@ -789,13 +861,18 @@ def assert_claims_are_exact(interp, plan, reference):
                 [plan.rows[t].payload["iters"] for t in run.rows]
             )
             assert list(run.rects) == rectangles(union)
-    # every internal edge is its source's only successor and its
-    # target's only predecessor; at every boundary inside a stream, not
+    # outside whole streams, every internal edge is its source's only
+    # successor and its target's only predecessor; at every boundary
+    # inside a stream, not
     for t in range(len(plan.rows) - 1):
-        chained = sched.succs[t] == (t + 1,) and sched.counts[t + 1] == 1
         same_stream = stream_of[t] == stream_of[t + 1]
+        if stream_of[t] in claims.whole:
+            chained = True
+        else:
+            chained = sched.succs[t] == (t + 1,) and sched.counts[t + 1] == 1
         assert (claim_of[t] == claim_of[t + 1]) == (chained and same_stream)
-    # the quotient's edges are the images of the row edges across claims
+    # the quotient's edges are the images of the row edges across
+    # claims, and all run forward: it is acyclic
     images = {
         (claim_of[t], claim_of[s])
         for t, ss in enumerate(sched.succs)
@@ -805,10 +882,7 @@ def assert_claims_are_exact(interp, plan, reference):
     assert images == {
         (c, s) for c, ss in enumerate(claims.schedule.succs) for s in ss
     }
-    out, stats = plan_mod.run_plan(interp, plan, "threads", workers=2)
-    assert stats.scheduler["tasks"] == len(plan.rows)
-    assert stats.scheduler["claims"] == len(claims.runs)
-    assert reference.equal(out)
+    assert all(c < s for c, s in images)
 
 
 @pytest.mark.parametrize("coarsen", [1, 8])
@@ -839,17 +913,21 @@ def test_claims_are_exact_on_a_privatized_plan(name):
     )
     assert_claims_are_exact(interp, lowered, per_row)
     members = [
-        run for run in lowered.claims.runs
+        run for run in lowered.claims[2].runs
         if "remap" in lowered.rows[run.rows[0]].payload
     ]
     assert members and all(len(run.rows) == 1 for run in members)
 
 
-def test_claims_are_built_on_the_first_untraced_threads_replay():
+def test_claims_are_built_on_the_first_untraced_threads_replay(monkeypatch):
     """Serial and collecting replays never contract; the first untraced
     replay on threads — or on processes, which walks the same claims —
-    builds them."""
+    builds the exact claims, and the second at a worker count measures
+    the verdict, once: a one-shot never pays for it."""
+    pin_verdict(monkeypatch, "none")
+    verdicts = Counter(monkeypatch, plan_mod, "whole_streams")
     for parallel in ("threads", "processes"):
+        verdicts.calls = 0
         interp, info = compile_for_exec(
             TABLE9["P5"].source(9), "auto", coarsen=1
         )
@@ -860,10 +938,138 @@ def test_claims_are_built_on_the_first_untraced_threads_replay():
                 interp, info, backend=backend, workers=2,
                 collect_events=True,
             )
-        assert "claims" not in vars(plan)
+        assert "exact" not in vars(plan) and plan.claims == {}
         _, stats = execute_measured(interp, info, backend=parallel, workers=2)
-        assert "claims" in vars(plan) and len(plan.claims.runs) == 1
+        assert "exact" in vars(plan) and len(plan.exact.runs) == 1
+        assert plan.claims == {} and verdicts.calls == 0
         assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
+        for _ in range(2):
+            _, stats = execute_measured(
+                interp, info, backend=parallel, workers=2
+            )
+        assert list(plan.claims) == [2] and len(plan.claims[2].runs) == 1
+        assert stats.scheduler["claims"] == 1 < stats.scheduler["tasks"]
+        assert stats.scheduler["whole"] == 0 and verdicts.calls == 1
+        for _ in range(2):
+            execute_measured(interp, info, backend=parallel, workers=1)
+        assert sorted(plan.claims) == [1, 2] and verdicts.calls == 2
+
+
+# ----------------------------------------------------------------------
+# the whole-stream verdict
+# ----------------------------------------------------------------------
+def test_the_verdict_rule_on_injected_costs():
+    """Whole exactly where the claims cost more than ``workers`` union
+    calls; at or below that, per claim."""
+    costs = {0: (2.1, 1.0), 1: (2.0, 1.0), 2: (1.0, 1.0), 3: (5.0, 0.0)}
+    assert plan_mod.claimed_whole(costs, 2) == {0, 3}
+    assert plan_mod.claimed_whole(costs, 1) == {0, 1, 3}
+    assert plan_mod.claimed_whole(costs, 4) == {3}
+    assert plan_mod.claimed_whole({}, 2) == frozenset()
+
+
+def test_the_measurement_leaves_the_callers_store_untouched():
+    """``whole_streams`` runs the plan on a scratch copy: the store it
+    is handed keeps its arrays, bit for bit, and its verdict only names
+    candidates."""
+    interp, info = compile_for_exec(TABLE9["P10"].source(8), "off", coarsen=1)
+    plan = interp.exec_plan(info)
+    store = interp.new_store()
+    before = {name: view.data for name, view in store.arrays.items()}
+    fresh = interp.new_store()
+    whole = plan_mod.whole_streams(plan, interp.funcs, store, 2)
+    assert whole <= candidate_streams(plan) != set()
+    assert {n: v.data for n, v in store.arrays.items()} == before
+    assert fresh.equal(store)
+
+
+def test_a_blocking_stage_keeps_its_per_row_claims():
+    """A stage that sleeps 1 ms per call costs as much per claim as in
+    one union call, so its stream is never claimed whole: the replay
+    keeps its pipelining."""
+    import time
+
+    def stage(a: float, b: float) -> float:
+        time.sleep(1e-3)
+        return a + b
+
+    source = (
+        "for(i=0; i<8; i++) S: A[i] = f(A[i]);\n"
+        "for(i=0; i<8; i++) T: B[i] = g(A[i], B[i]);"
+    )
+    interp, info = compile_for_exec(
+        source, "off", coarsen=1, funcs={"g": stage}
+    )
+    plan = interp.exec_plan(info)
+    blocking = next(
+        k for k, run in enumerate(plan.runs)
+        if plan.rows[run.rows.start].stream == "T"
+    )
+    assert blocking in candidate_streams(plan)
+    for _ in range(2):  # the second measures the verdict
+        out, stats = execute_measured(
+            interp, info, backend="threads", workers=2
+        )
+        assert interp.oracle().equal(out)
+    assert blocking not in plan.claims[2].whole
+    assert stats.scheduler["claims"] > len(plan.runs)
+
+
+def test_the_verdict_measures_a_plan_ending_in_an_empty_stream():
+    """An empty nest lowers to a stream of no rows: the measurement
+    charges it nothing and the replays stay the oracle."""
+    source = (
+        "for(i=0; i<8; i++) S: A[i] = f(A[i]);\n"
+        "for(i=0; i<8; i++) T: B[i] = g(A[i], B[i]);\n"
+        "for(i=0; i<0; i++) U: C[i] = h(B[i], C[i]);"
+    )
+    interp, info = compile_for_exec(source, "off", coarsen=1)
+    plan = interp.exec_plan(info)
+    assert not plan.runs[-1].rows and candidate_streams(plan)
+    for _ in range(3):
+        out, _ = execute_measured(interp, info, backend="threads", workers=2)
+        assert interp.oracle().equal(out)
+    assert plan.claims[2].whole <= candidate_streams(plan)
+
+
+def test_the_measured_span_reports_claims_and_whole(monkeypatch):
+    """``exec.measured`` carries what ``stats.scheduler`` reports: the
+    units dispatched and the streams claimed whole."""
+    from repro.obs import spans as obs_spans
+
+    pin_verdict(monkeypatch, "all")
+    interp, info = compile_for_exec(TABLE9["P10"].source(8), "off", coarsen=1)
+    execute_measured(interp, info, backend="threads", workers=2)
+    with obs_spans.recording() as rec:  # the second: the measured claims
+        _, stats = execute_measured(interp, info, backend="threads", workers=2)
+    (measured,) = [s for s in rec.spans if s.name == "exec.measured"]
+    whole = len(candidate_streams(interp.exec_plan(info)))
+    assert stats.scheduler["whole"] == measured.attrs["whole"] == whole > 0
+    assert stats.scheduler["claims"] == measured.attrs["claims"]
+
+
+@pytest.mark.parametrize("verdict", ["none", "all"])
+@pytest.mark.parametrize("coarsen", [1, 3])
+@pytest.mark.parametrize("name", PKERNELS)
+def test_forced_verdicts_are_the_oracle_on_pkernels(
+    monkeypatch, name, coarsen, verdict
+):
+    """Both verdict extremes replay bit-identically on threads and
+    processes, with or without the slice forms."""
+    pin_verdict(monkeypatch, verdict)
+    for fuse in FUSE_MODES:
+        interp, info = compile_for_exec(
+            TABLE9[name].source(8), fuse, coarsen=coarsen
+        )
+        plan = interp.exec_plan(info)
+        assert_claims_are_exact(interp, plan, interp.oracle())
+        out, stats = execute_measured(
+            interp, info, backend="processes", workers=2
+        )
+        assert interp.oracle().equal(out), fuse
+        forced = candidate_streams(plan) if verdict == "all" else set()
+        assert plan.claims[2].whole == forced
+        assert stats.scheduler["whole"] == len(forced)
 
 
 # ----------------------------------------------------------------------
@@ -910,6 +1116,42 @@ REFUSED_SHAPES = {
 }
 
 
+def refused_shape_oracle(code):
+    funcs = {"g": opaque_g} if code == "RPA067" else None
+    source = REFUSED_SHAPES[code]
+    return Interpreter.from_source(source, {"N": 8}, funcs).oracle()
+
+
+def refused_shape_setup(code, fuse):
+    """``(interp, info, privatization plan or None)`` of a refused shape
+    at N=8, coarsen 3.  A non-injective write is no pipeline (RPA013)
+    but a reduction: it replays privatized, on integer-valued sums,
+    exact in any order."""
+    from repro.schedule import plan_privatization, privatize_info
+    from repro.scop import DepKind
+
+    funcs = {"g": opaque_g} if code == "RPA067" else None
+    interp = Interpreter.from_source(
+        REFUSED_SHAPES[code], {"N": 8}, funcs, fuse
+    )
+    if code != "RPA065":
+        return interp, detect_pipeline(interp.scop, coarsen=3), None
+    plan = plan_privatization(interp.scop)
+    assert plan.groups
+    info = privatize_info(detect_pipeline(
+        interp.scop, kinds=tuple(DepKind), validate=False, coarsen=3,
+    ), plan, parts=3)
+    return interp, info, plan
+
+
+def refused_shape_replay(interp, info, plan, backend):
+    if plan is not None:
+        return execute_privatized(
+            interp, info, plan, backend=backend, workers=2
+        )
+    return execute_measured(interp, info, backend=backend, workers=2)
+
+
 class TestReplayBitIdentity:
     @pytest.mark.parametrize("name", PKERNELS)
     def test_pkernel_three_runs_all_configs(self, name):
@@ -928,43 +1170,37 @@ class TestReplayBitIdentity:
     def test_refused_shape_all_backends_both_modes(self, code):
         """Loop-only kernels replay like any other: bit-identical to the
         oracle on every backend, with the gate (``auto``, ``T`` refused
-        with ``code``) and without it (``off``).  A non-injective write
-        is no pipeline (RPA013) but a reduction: it replays privatized,
-        on integer-valued sums, exact in any order."""
-        from repro.interp import execute_privatized
-        from repro.schedule import plan_privatization, privatize_info
-        from repro.scop import DepKind
-
-        source = REFUSED_SHAPES[code]
-        funcs = {"g": opaque_g} if code == "RPA067" else None
-        oracle = Interpreter.from_source(source, {"N": 8}, funcs).oracle()
+        with ``code``) and without it (``off``)."""
+        oracle = refused_shape_oracle(code)
         for fuse in ("auto", "off"):
-            interp = Interpreter.from_source(source, {"N": 8}, funcs, fuse)
+            interp, info, plan = refused_shape_setup(code, fuse)
             fallbacks = interp.fused_program.fallbacks()
             assert {s: f["code"] for s, f in fallbacks.items()} == (
                 {"T": code} if fuse == "auto" else {}
             )
-            if code == "RPA065":
-                plan = plan_privatization(interp.scop)
-                assert plan.groups
-                info = privatize_info(detect_pipeline(
-                    interp.scop, kinds=tuple(DepKind), validate=False,
-                    coarsen=3,
-                ), plan, parts=3)
-            else:
-                plan = None
-                info = detect_pipeline(interp.scop, coarsen=3)
             for backend in BACKENDS:
-                if plan is not None:
-                    out, stats = execute_privatized(
-                        interp, info, plan, backend=backend, workers=2
-                    )
-                else:
-                    out, stats = execute_measured(
-                        interp, info, backend=backend, workers=2
-                    )
+                out, stats = refused_shape_replay(interp, info, plan, backend)
                 assert stats.dispatch_modes["T"] == "interp"
                 assert oracle.equal(out), (fuse, backend)
+
+    @pytest.mark.parametrize("verdict", ["none", "all"])
+    @pytest.mark.parametrize("code", sorted(REFUSED_SHAPES))
+    def test_refused_shape_under_forced_verdicts(
+        self, monkeypatch, code, verdict
+    ):
+        """Both verdict extremes replay loop-only kernels bit-identically
+        on threads and processes, in both fuse modes."""
+        pin_verdict(monkeypatch, verdict)
+        oracle = refused_shape_oracle(code)
+        for fuse in ("auto", "off"):
+            interp, info, plan = refused_shape_setup(code, fuse)
+            for backend in ("threads", "processes"):
+                out, stats = refused_shape_replay(interp, info, plan, backend)
+                assert oracle.equal(out), (fuse, backend)
+            lowered = interp.exec_plan(info, None, plan)
+            forced = candidate_streams(lowered) if verdict == "all" else set()
+            assert lowered.claims[2].whole == forced
+            assert stats.scheduler["whole"] == len(forced)
 
     @pytest.mark.parametrize("name", ["histogram", "sumstencil", "dotprod"])
     def test_reduction_example_three_runs_all_backends(self, name):
@@ -1035,6 +1271,7 @@ class TestReplayBitIdentity:
         assert not errors, errors
         assert len(outs) == 20 and all(seq.equal(out) for out in outs)
         assert lowered.calls == 1
+        assert list(interp.exec_plan(info).claims) == [2]  # set once
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.pipeline import detect_pipeline
 from repro.tasking import OmpTaskSystem
 from repro.workloads import TABLE9
 from tests.conftest import LISTING1, compile_for_exec
+from tests.interp.test_plan import pin_verdict
 from tests.interp.test_privatized_exec import privatized_setup
 
 HISTOGRAM = (
@@ -56,9 +57,11 @@ class TestProcessBackendAgrees:
 
 class TestProcessBackendDispatch:
     """Workers run the plan's own bodies: an untraced replay dispatches
-    claims, a collecting one rows — the units ``threads`` walks."""
+    claims, a collecting one rows — the units ``threads`` walks.  The
+    whole-stream verdict is pinned to "no stream whole"."""
 
-    def test_fused_p5_is_one_claim_in_one_batch(self):
+    def test_fused_p5_is_one_claim_in_one_batch(self, monkeypatch):
+        pin_verdict(monkeypatch, "none")
         interp, info = compile_for_exec(
             TABLE9["P5"].source(14), "auto", coarsen=1
         )
@@ -69,12 +72,30 @@ class TestProcessBackendDispatch:
         assert oracle.equal(out)
         assert stats.scheduler["claims"] == stats.scheduler["batches"] == 1
         assert stats.scheduler["tasks"] == 196
+        assert stats.scheduler["whole"] == 0
         out, stats = execute_measured(
             interp, info, backend="processes", workers=2, collect_events=True
         )
         assert oracle.equal(out)
         assert stats.scheduler["claims"] == stats.scheduler["tasks"] == 196
         assert sorted(e.tid for e in stats.events.events) == list(range(196))
+
+    def test_whole_streams_are_one_claim_each(self, monkeypatch):
+        """Fuse-off P5 with every stream claimed whole: from the second
+        replay on, the workers run the serial elision's four stream
+        runs."""
+        pin_verdict(monkeypatch, "all")
+        interp, info = compile_for_exec(
+            TABLE9["P5"].source(14), "off", coarsen=1
+        )
+        for claims, whole in ((4 * 196, 0), (4, 4)):
+            out, stats = execute_measured(
+                interp, info, backend="processes", workers=2
+            )
+            assert interp.oracle().equal(out)
+            assert stats.scheduler["claims"] == claims
+            assert stats.scheduler["whole"] == whole
+            assert stats.scheduler["tasks"] == 4 * 196
 
 
 @pytest.fixture

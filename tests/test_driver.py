@@ -473,6 +473,42 @@ class TestOracleBesideTheReplay:
         assert result.verified is True
         assert result.execution.backend == "processes"
 
+    @pytest.mark.parametrize("backend,first", [
+        ("processes", "wait"), ("process", "wait"), ("threads", "run"),
+    ])
+    def test_the_oracle_resolves_before_a_forking_replay(
+        self, monkeypatch, backend, first
+    ):
+        """Every spelling of ``processes`` waits for the oracle before
+        the pool forks; other backends compare after their run."""
+        from repro import driver
+        from repro.interp import Interpreter
+
+        interp = Interpreter.from_source(LISTING1, {"N": 6})
+        a = driver.analyze(interp, TransformOptions())
+        order = []
+        wait, measured = driver.PendingOracle.wait, driver.execute_measured
+
+        def spied_wait(pending):
+            order.append("wait")
+            return wait(pending)
+
+        def spied_run(*args, **kwargs):
+            order.append("run")
+            return measured(*args, **kwargs)
+
+        monkeypatch.setattr(driver.PendingOracle, "wait", spied_wait)
+        monkeypatch.setattr(driver, "execute_measured", spied_run)
+        pending = driver.PendingOracle()
+        pending.set_running_or_notify_cancel()
+        pending.set_result(interp.oracle())
+        _, stats, verdict = driver.replay(
+            interp, a, backend, workers=2, oracle=pending
+        )
+        assert order[0] == first and sorted(order) == ["run", "wait"]
+        assert verdict == (True, "")
+        assert stats.backend == driver.BACKEND_ALIASES[backend]
+
 
 #: a non-default value per option whose pairs compose (or are refused)
 PAIRABLE = {

@@ -14,17 +14,21 @@ timing, as in the ledger's ``run_*_ms``):
   elision, one kernel call per task stream, so it reads below
   ``rows`` wherever streams fuse;
 * **threads** — ``execute_measured`` on ``threads``: one dispatch per
-  claim (``ExecPlan.claims``), a chain of rows that wait on nothing
-  but each other run as one kernel call over their union;
+  claim (``ExecPlan.claims``, measured by the second replay at this
+  worker count, one of the warm-up rounds): a chain of rows that wait
+  on nothing but each other runs as one kernel call over their union,
+  and a stream whose per-row claims cost more than ``workers`` times
+  its union call is claimed whole, as its serial-elision run;
 * **processes** — ``execute_measured`` on ``processes``: the same
   claims in ready batches on a fresh worker pool over shared memory,
   pool start and shared-store copies included.
 
-Printed: rows and claims of the plan, median ms of each way, per task
+Printed: rows of the plan, its claims and the streams claimed whole
+(``whole``) after the verdict, median ms of each way, per task
 what serial saves or pays against the row loop (``serial − rows``,
 negative when the elision wins), the thread scheduler's share
 (``threads − rows``, negative too where chains contract, e.g. P5's one
-claim for 196 rows) and the thread hand-off per run
+claim for 196 rows, or streams go whole) and the thread hand-off per run
 (``threads − serial``); the ``processes`` column is its own median ms
 per run.  The cases are the ledger's ``fine_p``
 kernels (one-point blocks) and ``coarse_p`` kernels (~8 tasks per
@@ -97,8 +101,11 @@ def measure(name: str, n: int, coarsen: int, repeats: int) -> dict:
                 ms[way].append(took)
     med = {way: statistics.median(v) for way, v in ms.items()}
     edges = sum(plan.schedule.counts)
-    claims = len(plan.claims.runs)
-    return {"tasks": len(tasks), "claims": claims, "edges": edges, **med}
+    claims = plan.claims[WORKERS]
+    return {
+        "tasks": len(tasks), "claims": len(claims.runs),
+        "whole": len(claims.whole), "edges": edges, **med,
+    }
 
 
 def render(rows: dict) -> str:
@@ -108,7 +115,8 @@ def render(rows: dict) -> str:
         f"python {host['python']}, numpy {host['numpy']}",
         f"median raw ms per run incl. new_store(); threads, processes: "
         f"{WORKERS} workers",
-        f"{'kernel':14}{'tasks':>6}{'claims':>7}{'edges':>6}{'rows':>8}"
+        f"{'kernel':14}{'tasks':>6}{'claims':>7}{'whole':>6}{'edges':>6}"
+        f"{'rows':>8}"
         f"{'serial':>8}"
         f"{'threads':>8}{'ser-rows us/t':>14}{'thr-rows us/t':>14}"
         f"{'thr-ser ms':>11}{'processes':>10}",
@@ -116,7 +124,8 @@ def render(rows: dict) -> str:
     for label, r in rows.items():
         per = 1e3 / r["tasks"]
         lines.append(
-            f"{label:14}{r['tasks']:>6}{r['claims']:>7}{r['edges']:>6}"
+            f"{label:14}{r['tasks']:>6}{r['claims']:>7}{r['whole']:>6}"
+            f"{r['edges']:>6}"
             f"{r['rows']:>8.2f}"
             f"{r['serial']:>8.2f}{r['threads']:>8.2f}"
             f"{(r['serial'] - r['rows']) * per:>14.2f}"
