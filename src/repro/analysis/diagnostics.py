@@ -232,10 +232,8 @@ FUSE_NO_SLICE_FORM = register_rule(
     "RPA062", "fuse-no-slice-form", W,
     "a coupled, non-affine, or otherwise unsupported subscript has no "
     "strided-slice equivalent")
-FUSE_NON_POSITIVE_STRIDE = register_rule(
-    "RPA063", "fuse-non-positive-stride", W,
-    "NumPy basic slices require positive strides; reversed accesses run "
-    "the kernel's loop form")
+# RPA063 (fuse-non-positive-stride) is retired and not reused: a
+# negative stride has a slice form, a reversed view.
 FUSE_DIAGONAL_ACCESS = register_rule(
     "RPA064", "fuse-diagonal-access", W,
     "one loop variable driving two dimensions of an access selects a "

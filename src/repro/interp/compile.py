@@ -214,8 +214,8 @@ def emit_closure_spec(
     code so coverage reports aggregate by cause:
 
     * every subscript has **at most one loop variable per array
-      dimension** (RPA062 — ``A[2*i+1][j]`` has a slice form,
-      ``A[i+j][j]`` does not) and a **positive stride** (RPA063);
+      dimension** (RPA062 — ``A[2*i+1][j]`` and ``A[N-1-i][j]`` have a
+      slice form, ``A[i+j][j]`` does not);
     * no loop variable appears in two dimensions of one access (RPA064 —
       ``A[i][i]`` diagonals have no slice form);
     * the **write** uses every loop variable, so distinct iterations
@@ -262,12 +262,6 @@ def emit_closure_spec(
                     f"coupled subscript {idx} of {acc.array!r} "
                     "(two loop variables in one dimension)",
                     "RPA062",
-                )
-            if coeff <= 0:
-                refuse(
-                    f"non-positive stride {coeff} in subscript {idx} "
-                    f"of {acc.array!r}",
-                    "RPA063",
                 )
             if var in seen:
                 refuse(

@@ -221,8 +221,11 @@ def _slice_text(
     dims: tuple, loop_vars: tuple[str, ...], array: str
 ) -> tuple[str, list[str]]:
     """``__arr_A[...]`` strided over the block bounds, plus the loop
-    variable driving each sliced axis (in array-axis order)."""
+    variable driving each sliced axis (in array-axis order).  A negative
+    stride is the forward slice over the same cells with that axis
+    reversed, a view: a negative step would stop at ``-1`` at cell 0."""
     parts: list[str] = []
+    flips: list[str] = []
     axis_vars: list[str] = []
     for var, coeff, const in dims:
         if var is None:
@@ -230,13 +233,18 @@ def _slice_text(
             continue
         axis_vars.append(var)
         p = loop_vars.index(var)
-        lo = f"{coeff}*__lo[{p}]{const:+d}" if const else (
-            f"{coeff}*__lo[{p}]" if coeff != 1 else f"__lo[{p}]"
+        first, last = ("__lo", "__hi") if coeff > 0 else ("__hi", "__lo")
+        lo = f"{coeff}*{first}[{p}]{const:+d}" if const else (
+            f"{coeff}*{first}[{p}]" if coeff != 1 else f"{first}[{p}]"
         )
-        hi = f"{coeff}*__hi[{p}]{const + 1:+d}"
-        step = f":{coeff}" if coeff != 1 else ""
+        hi = f"{coeff}*{last}[{p}]{const + 1:+d}"
+        step = f":{abs(coeff)}" if abs(coeff) != 1 else ""
         parts.append(f"{lo}:{hi}{step}")
-    return f"__arr_{array}[{', '.join(parts)}]", axis_vars
+        flips.append("::-1" if coeff < 0 else ":")
+    code = f"__arr_{array}[{', '.join(parts)}]"
+    if "::-1" in flips:
+        code += f"[{', '.join(flips)}]"
+    return code, axis_vars
 
 
 def _access_slice(

@@ -10,8 +10,8 @@ did.  Three independent components are hashed together:
   field of :class:`repro.driver.TransformOptions` (walked generically
   through ``dataclasses.fields``, so a newly added option can never be
   silently left out of the key);
-* :data:`SCHEMA_VERSION` — bumped whenever the artifact payload layout
-  changes, so stale formats read as misses instead of mis-parses.
+* :data:`SCHEMA_VERSION` — bumped whenever the artifact payload or the
+  compile output in it changes, so stale artifacts read as misses.
 
 Only plain data may enter a fingerprint: enums render as
 ``ClassName.MEMBER``, nested (frozen) dataclasses recurse, mappings are
@@ -27,9 +27,9 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-#: Bump when the artifact payload layout changes (old entries become
-#: misses — the store never tries to parse a foreign schema).
-SCHEMA_VERSION = 4
+#: Bump when the artifact payload or the compile output in it changes
+#: (old entries become misses — the store never parses a foreign schema).
+SCHEMA_VERSION = 5
 
 
 def kernel_sha(source: str) -> str:

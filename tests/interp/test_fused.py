@@ -30,9 +30,11 @@ from repro.interp import (
     closure_source,
     emit_closure_spec,
     execute_measured,
+    execute_privatized,
     fuse_scop,
     fusion_legal_pair,
     loop_source,
+    privatized_matches,
 )
 from repro.interp import fused as fused_mod
 from repro.pipeline import detect_pipeline
@@ -45,13 +47,16 @@ from tests.conftest import (
     compile_for_exec,
     run_measured,
 )
+from tests.interp.test_plan import candidate_streams, pin_verdict
+from tests.interp.test_privatized_exec import privatized_setup
 
 PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "fused"
+EXAMPLES_DIR = Path(__file__).parents[2] / "examples" / "kernels"
 
-#: Reduction kernel: S fuses, R's reversed write refuses (RPA063) — the
-#: canonical *mixed* program (slice and loop-only kernels in one run).
+#: Reduction kernel: S and R's reversed write (a reversed view) both
+#: have slice forms.
 HISTOGRAM = """
 for(i=0; i<N; i++)
   for(j=0; j<N; j++)
@@ -59,6 +64,17 @@ for(i=0; i<N; i++)
 for(i=0; i<N; i++)
   for(j=0; j<N; j++)
     R: H[N-1-i][N-1-j] += B[i][j];
+"""
+
+#: S fuses, T's recurrence refuses (RPA066) — the canonical *mixed*
+#: program (slice and loop-only kernels in one run).
+MIXED = """
+for(i=0; i<N; i++)
+  for(j=0; j<N; j++)
+    S: A[i][j] = f(A[i][j]);
+for(i=0; i<N; i++)
+  for(j=1; j<N; j++)
+    T: B[i][j] = g(A[i][j], B[i][j-1]);
 """
 
 #: ``(source, params, funcs)``.  ``opaque-stage`` is the latency-bound
@@ -69,6 +85,13 @@ EXAMPLES = [
     pytest.param(LISTING3, {"N": 12}, None, id="listing3"),
     pytest.param(TWO_NEST_COPY, {"N": 8}, None, id="copy"),
     pytest.param(HISTOGRAM, {"N": 8}, None, id="histogram"),
+    pytest.param(MIXED, {"N": 8}, None, id="mixed"),
+    *(  # shipped kernels with a reversed pass (histogram is HISTOGRAM)
+        pytest.param(
+            (EXAMPLES_DIR / f"{name}.c").read_text(), {"N": 12}, None, id=name
+        )
+        for name in ("sumstencil", "subswap", "reversed")
+    ),
     pytest.param(
         TABLE9["P5"].source(4),
         {},
@@ -98,7 +121,10 @@ class TestFusedBitIdentity:
 
     @pytest.mark.parametrize(
         "source,params,funcs",
-        [p for p in EXAMPLES if p.id not in ("listing1", "listing3")],
+        [
+            p for p in EXAMPLES
+            if p.id not in ("listing1", "listing3", "reversed")
+        ],
     )
     def test_example_all_configs(self, source, params, funcs):
         assert_all_configs_match_sequential(
@@ -119,11 +145,11 @@ class TestFusedBitIdentity:
         assert d["fused_block_coverage"] == 1.0
 
     def test_mixed_program_reports_fallback(self):
-        _, stats = run_measured(HISTOGRAM, "serial", "auto",
+        _, stats = run_measured(MIXED, "serial", "auto",
                                 params={"N": 8}, coarsen=8)
         assert stats.dispatch_modes["S"] == "fused"
-        assert stats.dispatch_modes["R"] == "interp"
-        assert stats.fused_fallback["R"]["code"] == "RPA063"
+        assert stats.dispatch_modes["T"] == "interp"
+        assert stats.fused_fallback["T"]["code"] == "RPA066"
         assert 0.0 < stats.fused_block_coverage < 1.0
 
 
@@ -389,7 +415,6 @@ class TestSpecRoundTrip:
 # ----------------------------------------------------------------------
 class TestLegalityGate:
     REFUSALS = {
-        "RPA063": "for(i=0; i<N; i++)\n  S: T[N-1-i] = f(B[i]);",
         "RPA064": (
             "for(i=0; i<N; i++)\n  for(j=0; j<N; j++)\n"
             "    S: A[i][j] = f(B[i][i]);"
@@ -412,10 +437,24 @@ class TestLegalityGate:
         assert kernel.spec.statements == (spec,)
         assert kernel.fn is None and not kernel.spec.slice_form
 
+    def test_reversed_write_has_a_slice_form(self):
+        """A negative stride is no refusal: the slice form reverses a
+        forward slice over the same cells, never a negative step."""
+        interp = Interpreter.from_source(
+            "for(i=0; i<N; i++)\n  S: T[N-1-i] = f(B[i]);", {"N": 8}
+        )
+        spec, refusal = emit_closure_spec(
+            interp.scop, interp.scop.statements[0], interp.funcs
+        )
+        assert refusal is None
+        kernel = interp.fused_program.get("S")
+        assert kernel.spec.slice_form and kernel.spec.statements == (spec,)
+        assert "__arr_T[-1*__hi[0]+7:-1*__lo[0]+8][::-1] = " in kernel.source
+
     def test_fuse_on_requires_full_coverage(self):
-        with pytest.raises(Exception, match="RPA063"):
+        with pytest.raises(Exception, match="RPA064"):
             Interpreter.from_source(
-                self.REFUSALS["RPA063"], {"N": 8}, fuse="on"
+                self.REFUSALS["RPA064"], {"N": 8}, fuse="on"
             )
 
     def test_fuse_auto_degrades_gracefully(self):
@@ -428,6 +467,123 @@ class TestLegalityGate:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="fuse must be"):
             Interpreter.from_source(LISTING1, {"N": 8}, fuse="always")
+
+
+# ----------------------------------------------------------------------
+# negative strides: reversed views
+# ----------------------------------------------------------------------
+#: ``name: (source, {statement: refusal code})``: the consumer ``T`` of
+#: each shape walks an array backwards.  Only a recurrence keeps the
+#: loop form alone.
+NEGATIVE_STRIDES = {
+    "reversed": (
+        "for(i=0; i<N; i++) S: B[i] = f(B[i]);\n"
+        "for(i=0; i<N; i++) T: C[N-1-i] = g(B[i], C[N-1-i]);",
+        {},
+    ),
+    "stride-2": (
+        "for(i=0; i<N; i++) S: B[i] = f(B[i]);\n"
+        "for(i=0; i<N; i++) T: C[2*N-2-2*i] = g(B[i], C[2*N-2-2*i]);",
+        {},
+    ),
+    "reversed-row": (
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " T: B[N-1-i][j] = g(A[i][j], B[N-1-i][j]);",
+        {},
+    ),
+    "reversed-sum": (HISTOGRAM, {}),
+    "permuted": (
+        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
+        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
+        " T: H[N-1-j][i] = g(A[i][j], H[N-1-j][i]);",
+        {},
+    ),
+    "anti": (  # T reads the cell the next iteration writes
+        "for(i=0; i<N; i++) S: B[i] = f(B[i]);\n"
+        "for(i=0; i<N-1; i++) T: A[N-1-i] = g(A[N-2-i], B[i]);",
+        {},
+    ),
+    "recurrence": (  # T reads, from N/2 on, the cells it wrote
+        "for(i=0; i<N; i++) S: A[i] = f(A[i]);\n"
+        "for(i=0; i<N; i++) T: A[N-1-i] = A[i];",
+        {"T": "RPA066"},
+    ),
+}
+
+
+class TestNegativeStride:
+    """Every negative-stride shape, in both kernel forms, at one-point
+    and three-point blocks, on every backend, against the oracle."""
+
+    @pytest.mark.parametrize("shape", sorted(NEGATIVE_STRIDES))
+    def test_gate_verdict(self, shape):
+        source, refused = NEGATIVE_STRIDES[shape]
+        interp = Interpreter.from_source(source, {"N": 8})
+        fallbacks = interp.fused_program.fallbacks()
+        assert {s: f["code"] for s, f in fallbacks.items()} == refused
+        for s in interp.scop.statements:
+            kernel = interp.fused_program.get(s.name)
+            assert (kernel.fn is None) == (s.name in refused)
+
+    @pytest.mark.parametrize("coarsen", [1, 3])
+    @pytest.mark.parametrize("shape", sorted(NEGATIVE_STRIDES))
+    def test_all_configs(self, shape, coarsen, kernel_form):
+        source, _ = NEGATIVE_STRIDES[shape]
+        assert_all_configs_match_sequential(source, {"N": 8}, coarsen)
+
+    @pytest.mark.parametrize("verdict", ["none", "all"])
+    @pytest.mark.parametrize("shape", sorted(NEGATIVE_STRIDES))
+    def test_under_forced_verdicts(self, monkeypatch, shape, verdict):
+        """Exact and whole-stream claims run reversed views over their
+        rows' union rectangles on threads and processes, in both fuse
+        modes."""
+        pin_verdict(monkeypatch, verdict)
+        source, _ = NEGATIVE_STRIDES[shape]
+        oracle = Interpreter.from_source(source, {"N": 8}).oracle()
+        for fuse in ("auto", "off"):
+            interp, info = compile_for_exec(source, fuse, {"N": 8}, 3)
+            for backend in ("threads", "processes"):
+                for _ in range(2):  # the second replay takes the verdict
+                    out, stats = execute_measured(
+                        interp, info, backend=backend, workers=2
+                    )
+                    assert oracle.equal(out), (fuse, backend)
+            plan = interp.exec_plan(info)
+            forced = candidate_streams(plan) if verdict == "all" else set()
+            assert plan.claims[2].whole == forced
+            assert stats.scheduler["whole"] == len(forced)
+
+    @pytest.mark.parametrize("shape", ["reversed", "stride-2"])
+    def test_every_rectangle_in_both_forms(self, shape):
+        """Each rectangle of ``T``'s domain, those ending at cell 0
+        (``hi = N-1``) included, writes the same bytes in both forms."""
+        interp = Interpreter.from_source(NEGATIVE_STRIDES[shape][0], {"N": 8})
+        kernel = interp.fused_program.get("T")
+        for lo in range(8):
+            for hi in range(lo, 8):
+                stores = []
+                for form in (kernel.fn, kernel.loop_fn):
+                    store = interp.new_store()
+                    form(store, interp.funcs, (lo,), (hi,))
+                    stores.append(store)
+                assert stores[0].equal(stores[1]), (lo, hi)
+
+    @pytest.mark.parametrize("name", ["histogram", "sumstencil"])
+    def test_privatized_reductions_run_fully_fused(self, name, kernel_form):
+        """Count: the reversed second pass of both shipped reductions
+        has a slice form, so every statement instance runs fused — and
+        the privatized replay is exact in either form."""
+        source = (EXAMPLES_DIR / f"{name}.c").read_text()
+        interp, plan, pinfo = privatized_setup(source, 12, parts=3)
+        seq = interp.run_sequential(interp.new_store())
+        for backend in ("serial", "threads", "processes"):
+            out, stats = execute_privatized(
+                interp, pinfo, plan, backend=backend, workers=2
+            )
+            assert privatized_matches(plan, seq, out)[0], backend
+            assert stats.fused_iteration_coverage == 1.0
+            assert stats.fused_fallback == {}
 
 
 # ----------------------------------------------------------------------

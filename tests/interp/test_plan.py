@@ -1089,11 +1089,6 @@ REFUSED_SHAPES = {
         "for(i=0; i<N; i++) for(j=0; j<N; j++)"
         " T: B[i+j][j] = g(A[i][j], B[i+j][j]);"
     ),
-    "RPA063": (  # reversed access
-        "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
-        "for(i=0; i<N; i++) for(j=0; j<N; j++)"
-        " T: B[N-1-i][j] = g(A[i][j], B[N-1-i][j]);"
-    ),
     "RPA064": (  # diagonal access
         "for(i=0; i<N; i++) for(j=0; j<N; j++) S: A[i][j] = f(A[i][j]);\n"
         "for(i=0; i<N; i++) for(j=0; j<N; j++)"

@@ -410,6 +410,43 @@ def test_parent_schema_hybrid_artifact_is_a_miss(tmp_path, monkeypatch):
     assert not any(n.chained for n in again.task_ast.nests)
 
 
+def test_schema_4_loop_only_reversed_artifact_is_a_miss(
+    tmp_path, monkeypatch
+):
+    """Schema 4 stored a reversed statement as loop-only (``slice_form:
+    false``, RPA063): its key is another key, its payload is refused
+    even at this one, and the recompile gives the slice form."""
+    import copy
+    import dataclasses
+    from pathlib import Path
+
+    from repro.store import keys
+
+    source = (
+        Path(__file__).parents[2] / "examples" / "kernels" / "histogram.c"
+    ).read_text()
+    store = ArtifactStore(str(tmp_path))
+    opts = _options(privatize=True)
+    key = artifact_key(source, {"N": 8}, opts)
+    _compile(source, {"N": 8}, opts, store)
+    with monkeypatch.context() as m:
+        m.setattr(keys, "SCHEMA_VERSION", 4)
+        assert artifact_key(source, {"N": 8}, opts) != key
+    artifact = store.get(key)
+    fused = copy.deepcopy(artifact.fused)
+    assert "slice_form" not in fused["entries"]["R"]["spec"]
+    fused["entries"]["R"]["spec"]["slice_form"] = False
+    fused["entries"]["R"].update(code="RPA063", reason="reversed access")
+    store.put(key, dataclasses.replace(
+        artifact, schema_version=4, fused=fused
+    ))
+    assert store.get(key) is None
+    interp, _, status = _compile(source, {"N": 8}, opts, store)
+    assert status == "cold"
+    assert interp.fused_program.spec("R").slice_form
+    assert interp.fused_program.fallbacks() == {}
+
+
 def test_verdict_table_round_trips_and_is_optional(
     tmp_path, fusion_verdict_calls
 ):

@@ -394,10 +394,12 @@ class TestObservability:
         assert "fusion coverage: 2/2 statements" in out
 
     def test_analyze_stats_reports_fusion_fallbacks(self, tmp_path, capsys):
-        src = tmp_path / "reversed.c"
+        src = tmp_path / "diagonal.c"
         src.write_text(
-            "for(i=0; i<N; i++)\n  S: T[i] = f(A[i]);\n"
-            "for(i=0; i<N; i++)\n  R: T[N-1-i] = g(B[i], T[N-1-i]);\n"
+            "for(i=0; i<N; i++)\n  for(j=0; j<N; j++)\n"
+            "    S: A[i][j] = f(A[i][j]);\n"
+            "for(i=0; i<N; i++)\n  for(j=0; j<N; j++)\n"
+            "    R: B[i][j] = g(A[i][i], B[i][j]);\n"
         )
         assert main([
             "analyze", str(src), "--param", "N=10", "--stats",
@@ -406,7 +408,7 @@ class TestObservability:
         assert "fusion coverage: 1/2 statements" in out
         assert "fallbacks:" in out
         # the refused statement surfaces with its RPA-style gate code
-        assert "R: [RPA063]" in out
+        assert "R: [RPA064]" in out
 
 
 HISTOGRAM_KERNEL = """

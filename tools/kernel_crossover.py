@@ -6,10 +6,10 @@ Every :class:`~repro.interp.fused.FusedKernel` has a slice form (NumPy
 slicing closure) and a loop form (scalar loop nest), generated from one
 ``ClosureSpec``; ``run_rects`` runs the loop form on rectangles of at
 most ``LOOP_FORM_POINTS`` points.  This tool times both callables of
-five representative bodies on one-row rectangles of 1..16 points and
-prints µs per call, plus the largest point count at which the loop form
-wins on **every** body — the value the constant should have on this
-host.  It asserts nothing and exits 0; CI uploads the table.
+six representative bodies (one of them reversed) on one-row rectangles
+of 1..16 points and prints µs per call, plus the largest point count at
+which the loop form wins on **every** body — the value the constant
+should have on this host.  It asserts nothing and exits 0; CI uploads the table.
 
 Usage::
 
@@ -56,6 +56,10 @@ BODIES = {
         "for(i=0; i<N; i++)\n  for(j=0; j<N; j++)\n"
         "    S: H[i][j] += A[i][j];",
         {"N": N}, ("S",),
+    ),
+    # a negative stride: the slice form adds one reversal view
+    "H[N-1-i] += A[i]": (
+        "for(i=0; i<N; i++)\n  S: H[N-1-i] += A[i];", {"N": N}, ("S",),
     ),
 }
 
