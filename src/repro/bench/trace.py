@@ -113,8 +113,8 @@ def trace_json(
     backend, workers, wall time, fused coverage and per-statement
     ``fused_fallback`` refusals — alongside the simulated schedule they
     contextualize.
-    ``overhead`` attaches the task-overhead optimizer record (reduction
-    stats, tuning plan, or a dict combining both — anything exposing
+    ``overhead`` attaches the task-overhead optimizer record (the
+    reduction stats, or a dict of them — anything exposing
     ``as_dict``).
 
     ``spans`` (a list of :class:`~repro.obs.spans.SpanRecord`) adds the

@@ -11,7 +11,7 @@ Commands
 ``lint <kernel.c> [--deep] [--format text|json|sarif]``
     Run the AST-level lint rules (``--deep`` adds SCoP validation and the
     pipelinability/task-graph checks); exit 1 on error diagnostics.
-``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--tune] [--reduce-deps] [--trace PATH] [--metrics PATH]``
+``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--reduce-deps] [--trace PATH] [--metrics PATH]``
     ``repro.driver.transform`` from the command line: compile, then
     execute the kernel sequentially and replay the lowered task program
     once — on ``--exec-backend`` (a *measured* wall-clock run, reported
@@ -20,11 +20,8 @@ Commands
     ``--fuse`` controls the block kernels (one kernel per statement,
     one call per task: NumPy slices where the gate admits them, with
     chain fusion of proven-legal statement sequences; ``off`` runs
-    every kernel's loop form);
-    ``--tune`` auto-picks task granularity by replaying each coarsening
-    of a ladder on the replay's backend and workers and keeping the
-    fastest; ``--reduce-deps`` transitively reduces the
-    depend-in slot lists; ``--privatize`` executes the pattern
+    every kernel's loop form); ``--reduce-deps`` transitively reduces
+    the depend-in slot lists; ``--privatize`` executes the pattern
     portfolio's verified privatization proofs (parallel reduction chunks
     over private accumulators, joined by a generated combine task;
     ``--privatize-parts`` picks the chunk count); ``--trace`` writes one
@@ -114,8 +111,8 @@ def _cache_dir_of(args) -> str | None:
 
 #: Flags that set the ``TransformOptions`` field of the same name.
 _OPTION_FLAGS = (
-    "coarsen", "workers", "hybrid", "fuse", "reduce_deps", "tune",
-    "privatize", "privatize_parts",
+    "coarsen", "workers", "hybrid", "fuse", "reduce_deps", "privatize",
+    "privatize_parts",
 )
 
 
@@ -338,9 +335,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "no verified privatization proofs; "
                 "running the standard pipeline"
             )
-    for summary in (result.tuning, result.reduction):
-        if summary is not None:
-            print(summary.summary())
+    if result.reduction is not None:
+        print(result.reduction.summary())
     shape = f"tasks: {len(graph)}, edges: {graph.num_edges}"
     if result.joins:
         parts = max(
@@ -375,20 +371,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         from .bench import write_trace
 
-        overhead = {
-            name: part.as_dict()
-            for name, part in (
-                ("reduction", result.reduction),
-                ("tuning", result.tuning),
-            )
-            if part is not None
-        }
+        overhead = (
+            None if result.reduction is None
+            else {"reduction": result.reduction.as_dict()}
+        )
         write_trace(
             args.trace,
             graph,
             result.simulation,
             execution=result.execution,
-            overhead=overhead or None,
+            overhead=overhead,
             spans=rec.spans,
         )
         print(f"wrote {args.trace}")
@@ -725,12 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         "task-overhead and measured-execution series)",
     )
     fuse_args(p_run)
-    p_run.add_argument(
-        "--tune",
-        action="store_true",
-        help="auto-tune task granularity: replay each coarsening of a "
-        "ladder on the replay's backend and workers, keep the fastest",
-    )
     p_run.add_argument(
         "--reduce-deps",
         action="store_true",

@@ -22,7 +22,7 @@ import threading
 import time
 from concurrent.futures import Future
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from .interp import ArrayStore, ExecutionStats, Interpreter, execute_measured
@@ -80,10 +80,6 @@ class TransformOptions:
     #: transitively reduce the block dependency relations before
     #: scheduling (fewer depend-in slots, same enforced partial order)
     reduce_deps: bool = False
-    #: granularity auto-tuning: replay each coarsening of the ladder on
-    #: the replay's own backend and workers and keep the fastest (False:
-    #: keep ``coarsen`` as given)
-    tune: bool = False
     #: collect live runtime task events during the measured execution
     #: (requires ``exec_backend``); surfaced as ``execution.events``
     collect_events: bool = False
@@ -135,8 +131,6 @@ class TransformResult:
     execution: "ExecutionStats | None" = None
     #: dependency transitive-reduction stats (None unless reduce_deps)
     reduction: ReductionStats | None = None
-    #: granularity tuning plan (None unless options.tune)
-    tuning: object | None = None  # repro.tuning.TunedPlan
     #: privatization plan the transformation executed (None unless
     #: options.privatize); a repro.schedule.PrivatizationPlan — empty
     #: ``groups`` means the run fell through to the standard pipeline
@@ -166,8 +160,6 @@ class TransformResult:
                 f"{replay_backend(self.options)} replay matches "
                 f"sequential: {self.verified}"
             )
-        if self.tuning is not None:
-            lines.append(self.tuning.summary())
         if self.privatization is not None:
             lines.append(self.privatization.describe())
         if self.reduction is not None:
@@ -205,7 +197,6 @@ class Analysis:
     graph: TaskGraph
     legality: LegalityReport | None = None
     reduction: ReductionStats | None = None
-    tuning: object | None = None  # repro.tuning.TunedPlan
     #: a PortfolioReport, for callers that build an Analysis themselves
     #: (the driver does not fill it)
     portfolio: object | None = None
@@ -231,10 +222,8 @@ def transform(
     interpreter alone, so it starts on a helper thread
     (:func:`start_oracle`) as soon as the interpreter exists; the
     compile and the replay run on the calling thread beside it, and the
-    compare waits for it only after the replay.  A ``tune`` compile
-    times its own replays, so the oracle starts after it instead.  An
-    exception on the calling thread propagates at once: nothing waits
-    for the helper.
+    compare waits for it only after the replay.  An exception on the
+    calling thread propagates at once: nothing waits for the helper.
 
     ``cache_dir`` points at a content-addressed artifact store
     (:mod:`repro.store`): identical ``(source, params, options)``
@@ -249,9 +238,7 @@ def transform(
     interp = Interpreter.from_source(
         source_or_program, params, funcs, fuse=options.fuse
     )
-    pending = (
-        start_oracle(interp) if options.verify and not options.tune else None
-    )
+    pending = start_oracle(interp) if options.verify else None
     if cache_dir is not None and isinstance(source_or_program, str):
         from .service.compile import cached_analysis
         from .store import ArtifactStore
@@ -262,13 +249,11 @@ def transform(
         )
     else:
         analysis = analyze(interp, options)
-    if options.verify and pending is None:
-        pending = start_oracle(interp)
     return _finish(interp, options, analysis, pending)
 
 
 def replay_backend(options: TransformOptions) -> str:
-    """The backend of the transform's replay — and of the tuner's."""
+    """The backend of the transform's replay."""
     return options.exec_backend or VERIFY_BACKEND
 
 
@@ -282,11 +267,6 @@ INCOMPATIBLE_OPTIONS = (
         "reduce_deps",
         "hybrid",
         "hybrid relaxes the per-statement chains the reduction relies on",
-    ),
-    (
-        "privatize",
-        "tune",
-        "chunking of privatized statements is set by privatize_parts",
     ),
 )
 
@@ -302,13 +282,19 @@ def validate_options(options: TransformOptions) -> None:
             or options.exec_backend in BACKEND_ALIASES,
             "None or one of " + ", ".join(BACKEND_ALIASES),
         ),
-        "tune": (isinstance(options.tune, bool), "a bool"),
         "coarsen": (_positive(options.coarsen), "an int >= 1"),
         "workers": (_positive(options.workers), "an int >= 1"),
         "privatize_parts": (
             parts is None or _positive(parts), "None or an int >= 1"
         ),
     }
+    # INCOMPATIBLE_OPTIONS tests truthiness: a served "false" must not
+    # switch an option on
+    for field in fields(options):
+        if isinstance(field.default, bool):
+            expected[field.name] = (
+                isinstance(getattr(options, field.name), bool), "a bool"
+            )
     for name, (ok, what) in expected.items():
         if not ok:
             raise ValueError(
@@ -355,8 +341,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     without groups leaves every step the standard one.
 
     Pure with respect to array contents — nothing here executes the
-    kernel (granularity *tuning* replays its ladder's rungs, but those
-    are measurements, not outputs).  The returned
+    kernel.  The returned
     :class:`Analysis` is exactly what the artifact store persists.
     """
     from .obs.spans import span
@@ -398,15 +383,6 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
             scop, kinds=options.kinds, coarsen=options.coarsen
         )
 
-    tuning = None
-    if options.tune:
-        from .tuning import auto_tune
-
-        backend = replay_backend(options)
-        with span("driver.tune", backend=backend):
-            tuning = auto_tune(interp, info, backend, options.workers)
-        info = tuning.info
-
     reduction: ReductionStats | None = None
     if options.reduce_deps:
         info, reduction = reduce_dependencies(info)
@@ -439,7 +415,6 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
         graph=graph,
         legality=legality,
         reduction=reduction,
-        tuning=tuning,
         plan=plan,
         joins=joins,
         privatized=privatized,
@@ -659,7 +634,6 @@ def _finish(
         simulation=sim,
         execution=execution,
         reduction=a.reduction,
-        tuning=a.tuning,
         privatization=a.plan,
         joins=a.joins,
         match_detail=verdict[1] if verdict is not None else "",

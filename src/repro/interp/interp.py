@@ -30,9 +30,10 @@ from .store import ArrayStore
 #: argument) so reordering bugs change the result.
 DEFAULT_FUNCS: dict[str, Callable] = {}
 
-#: Lowered task programs kept per interpreter (LRU).  A ``tune``
-#: compile's rung scan pushes one pipeline info per ladder rung through
-#: one interpreter; a served or benchmarked kernel replays one or two.
+#: Lowered task programs kept per interpreter (LRU).  A caller that
+#: scans blockings (one ``detect_pipeline`` per coarsening) pushes one
+#: pipeline info per candidate through one interpreter; a served or
+#: benchmarked kernel replays one or two.
 EXEC_PLAN_CACHE_SIZE = 8
 
 #: Most bytes of sequential-oracle arrays an interpreter retains

@@ -6,7 +6,6 @@ records, each with its own shape and lifecycle:
 * :func:`repro.presburger.cache.stats` — op-cache hit/miss counters,
 * :class:`repro.interp.executor.ExecutionStats` — measured runs,
 * the task-overhead records (:class:`repro.pipeline.reduce.ReductionStats`,
-  the measured ``--tune`` record :class:`repro.tuning.tuner.TunedPlan`,
   ``task_graph_stats``), and
 * :class:`repro.tasking.simulator.SimResult`.
 
@@ -461,16 +460,12 @@ def absorb_task_overhead(
     reg: MetricsRegistry,
     task_graph: Mapping[str, Any] | None = None,
     reduction=None,
-    tuning=None,
 ) -> None:
-    """Absorb the task-overhead family: graph shape, reduction, tuning.
+    """Absorb the task-overhead family: graph shape and reduction.
 
     ``task_graph`` is the dict of
     :func:`repro.pipeline.reduce.task_graph_stats`; ``reduction`` a
-    :class:`~repro.pipeline.reduce.ReductionStats`; ``tuning`` a
-    :class:`~repro.tuning.tuner.TunedPlan` (the backend and workers its
-    rungs were replayed on, the kept factors, ms per rung).  All
-    optional.
+    :class:`~repro.pipeline.reduce.ReductionStats`.  Both optional.
     """
     if task_graph is not None:
         for key, value in task_graph.items():
@@ -480,15 +475,6 @@ def absorb_task_overhead(
         for key, value in reduction.as_dict().items():
             if isinstance(value, (int, float)):
                 reg.gauge(f"reduction.{key}", value)
-    if tuning is not None:
-        plan = tuning.as_dict()
-        reg.gauge("tuning.backend", plan["backend"])
-        reg.gauge("tuning.workers", plan["workers"])
-        reg.gauge("tuning.tasks", plan["tasks"])
-        for stmt, factor in sorted(plan["factors"].items()):
-            reg.gauge("tuning.factor", factor, statement=stmt)
-        for factor, score in plan["scores_ms"].items():
-            reg.gauge("tuning.score_ms", score, factor=factor)
 
 
 def absorb_simulation(reg: MetricsRegistry, sim, graph=None) -> None:
@@ -522,10 +508,7 @@ def absorb_transform(reg: MetricsRegistry, result) -> None:
     absorb_presburger_cache(reg)
     absorb_simulation(reg, result.simulation, result.graph)
     absorb_task_overhead(
-        reg,
-        task_graph=task_graph,
-        reduction=result.reduction,
-        tuning=result.tuning,
+        reg, task_graph=task_graph, reduction=result.reduction
     )
     if result.execution is not None:
         absorb_execution(reg, result.execution)

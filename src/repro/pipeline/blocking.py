@@ -119,8 +119,8 @@ class Blocking:
         coarse = blocking_from_ends(self.statement, domain, ends)
         # The coarse map must repartition exactly the original domain with
         # a subset of the original ends (so block requirements derived for
-        # parameterized sizes stay dominated); cheap invariants guard the
-        # granularity tuner, which calls this on every candidate factor.
+        # parameterized sizes stay dominated); cheap invariants guard
+        # every ``coarsen`` a detection is asked for.
         if coarse.mapping.domain() != domain:
             raise AssertionError(
                 f"coarsened({factor}) changed the domain of "

@@ -200,10 +200,10 @@ def derive_dependencies(
 ) -> tuple[dict[str, tuple[BlockDependency, ...]], dict[str, PointRelation]]:
     """Lines 11-12 of Algorithm 1: ``Q_S`` / ``Q_S^O`` for given blockings.
 
-    Factored out of :func:`detect_pipeline` so callers that *re-block* a
-    detected pipeline (the granularity auto-tuner coarsening statements
-    individually) can recompute the dependency relations without
-    re-running pipeline-map detection.
+    Factored out of :func:`detect_pipeline` so a caller that *re-blocks*
+    a detected pipeline (:func:`repro.schedule.privatize_info` chunking
+    privatized statements) can recompute the dependency relations
+    without re-running pipeline-map detection.
     """
     from ..obs.spans import span
 

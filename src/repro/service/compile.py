@@ -65,10 +65,6 @@ def options_from_dict(d: Mapping) -> TransformOptions:
 # ----------------------------------------------------------------------
 # cold path: Analysis -> artifact
 # ----------------------------------------------------------------------
-def _as_dict(record) -> dict | None:
-    return None if record is None else record.as_dict()
-
-
 def build_artifact(
     interp,
     source: str,
@@ -113,8 +109,10 @@ def build_artifact(
         legality_ok=(
             None if analysis.legality is None else analysis.legality.ok
         ),
-        reduction=_as_dict(analysis.reduction),
-        tuning=_as_dict(analysis.tuning),
+        reduction=(
+            None if analysis.reduction is None
+            else analysis.reduction.as_dict()
+        ),
         timings=dict(timings or {}),
     )
 
@@ -134,9 +132,8 @@ def load_analysis(
     go back through ``plan_from_proofs``: the plan is re-derived and
     verified once per group, and a stored proof it does not contain
     (tampered, or stale) raises here and the caller recompiles.  The
-    reduction and tuning records are rebuilt as stored: they describe
-    the compile that produced ``info``, and re-deriving them would
-    repeat it.
+    reduction record is rebuilt as stored: it describes the compile
+    that produced ``info``, and re-deriving it would repeat it.
     """
     from ..interp.fused import FusedProgram
     from ..pipeline.detect import PipelineInfo
@@ -162,15 +159,11 @@ def load_analysis(
             scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )
 
-    reduction = tuning = None
+    reduction = None
     if artifact.reduction is not None:
         from ..pipeline import ReductionStats
 
         reduction = ReductionStats.from_dict(artifact.reduction)
-    if artifact.tuning is not None:
-        from ..tuning import TunedPlan
-
-        tuning = TunedPlan.from_dict(artifact.tuning, info)
 
     graph, joins = build_task_graph(task_ast, plan)
     return Analysis(
@@ -179,7 +172,6 @@ def load_analysis(
         task_ast=task_ast,
         graph=graph,
         reduction=reduction,
-        tuning=tuning,
         plan=plan,
         joins=joins,
         privatized=plan is not None and bool(plan.groups),

@@ -15,8 +15,8 @@ pipeline info, the compressed task-AST blob of
 :mod:`repro.schedule.serialize`, declarative ``ClosureSpec`` dicts for
 the fused program, and privatization-proof dicts that loaders MUST pass
 back through :func:`repro.schedule.legality.verify_privatization` (the
-store is durable, not trusted), and the ``as_dict()`` records of the
-dependency reduction and the granularity tuning the compile ran.
+store is durable, not trusted), and the ``as_dict()`` record of the
+dependency reduction the compile ran.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ class CompileArtifact:
     legality_ok: bool | None = None
     #: ``ReductionStats.as_dict()`` (None unless ``reduce_deps``)
     reduction: dict | None = None
-    #: ``TunedPlan.as_dict()`` (None unless ``tune``)
-    tuning: dict | None = None
     #: wall seconds of the cold compile phases
     timings: dict[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -82,7 +80,6 @@ class CompileArtifact:
             "privatized": self.privatized,
             "legality_ok": self.legality_ok,
             "reduction": self.reduction,
-            "tuning": self.tuning,
             "timings": dict(self.timings),
         }
 
@@ -105,7 +102,6 @@ class CompileArtifact:
             privatized=bool(payload.get("privatized", False)),
             legality_ok=payload.get("legality_ok"),
             reduction=payload.get("reduction"),
-            tuning=payload.get("tuning"),
             timings=dict(payload.get("timings", ())),
             schema_version=version,
         )

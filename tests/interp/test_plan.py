@@ -199,14 +199,11 @@ def test_second_info_adopt_fused_and_fuse_off_each_lower_once(lowering_calls):
 
 
 def test_plan_cache_stays_bounded_across_a_search_scan(monkeypatch):
-    from repro.tuning import auto_tune
-
     src = (
         "for(i=0; i<600; i++) S: A[i] = f(A[i]);\n"
         "for(i=0; i<600; i++) R: B[i] = g(A[i], B[i]);"
     )
     interp = Interpreter.from_source(src, {})
-    info = detect_pipeline(interp.scop)
     sizes = []
     real = plan_mod.lower_exec_plan
 
@@ -215,9 +212,13 @@ def test_plan_cache_stays_bounded_across_a_search_scan(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(plan_mod, "lower_exec_plan", recording)
-    tuned = auto_tune(interp, info, "serial", 2, repeats=2)
-    assert len(tuned.scores) > EXEC_PLAN_CACHE_SIZE  # the scan overflows it
-    assert len(sizes) == len(tuned.scores)  # one lowering per candidate
+    factors = [2 ** k for k in range(EXEC_PLAN_CACHE_SIZE + 2)]
+    for coarsen in factors:
+        info = detect_pipeline(interp.scop, coarsen=coarsen)
+        for _ in range(2):
+            execute_measured(interp, info, backend="serial", workers=2)
+    assert len(factors) > EXEC_PLAN_CACHE_SIZE  # the scan overflows it
+    assert len(sizes) == len(factors)  # one lowering per candidate
     assert max(sizes) <= EXEC_PLAN_CACHE_SIZE
     assert len(interp._exec_plans) == EXEC_PLAN_CACHE_SIZE
 

@@ -577,7 +577,6 @@ def test_privatized_cold_then_warm(tmp_path):
     [
         pytest.param("privatize", True, "privatization", id="privatize"),
         pytest.param("reduce_deps", True, "reduction", id="reduce_deps"),
-        pytest.param("tune", True, "tuning", id="tune"),
     ],
 )
 def test_warm_transform_carries_what_a_cold_one_does(

@@ -271,6 +271,7 @@ def test_retired_options_are_bad_requests(tmp_path):
         "portfolio": True,
         "overhead": 0.5,
         "cost_model": {"per_iteration": {}, "default": 1.0},
+        "tune": True,
     }
 
     async def body(host, port, server):

@@ -60,7 +60,6 @@ _FLIPS = {
     "fuse": "off",
     "exec_backend": "serial",
     "reduce_deps": True,
-    "tune": True,
     "collect_events": True,
     "privatize": True,
     "privatize_parts": 5,
@@ -108,6 +107,6 @@ def test_fingerprint_rejects_unknown_values():
     class Weird:
         pass
 
-    opts = dataclasses.replace(TransformOptions(), tune=Weird())
+    opts = dataclasses.replace(TransformOptions(), reduce_deps=Weird())
     with pytest.raises(TypeError):
         options_fingerprint(opts)

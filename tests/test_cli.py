@@ -144,11 +144,6 @@ class TestRun:
             "--exec-backend", "serial", "--fuse", "off",
         ]) == 0
         assert "0% iterations fused" in capsys.readouterr().out
-        # the retired spelling is an unknown flag: a usage error
-        with pytest.raises(SystemExit) as exit_:
-            main(["run", kernel_file, "--vectorize", "auto"])
-        assert exit_.value.code == 2
-        assert "--vectorize" in capsys.readouterr().err
 
     def test_vectorize_on_still_fails_on_a_non_fusable_statement(
         self, tmp_path, capsys
@@ -160,6 +155,15 @@ class TestRun:
         ) == 2
         err = capsys.readouterr().err
         assert "repro: " in err and "RPA066" in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--vectorize", "auto"], ["--tune"]], ids=lambda f: f[0]
+    )
+    def test_retired_flag_is_a_usage_error(self, flag, kernel_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", kernel_file, "--param", "N=8", *flag])
+        assert exit_.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_bad_exec_backend_rejected(self, kernel_file):
         with pytest.raises(SystemExit):
@@ -466,21 +470,15 @@ class TestRunPrivatize:
         assert "no verified privatization proofs" in out
         assert "pipelined result matches sequential: True" in out
 
-    def test_privatize_rejects_hybrid_and_tune(self, histogram_file, capsys):
-        """Of the two flags this once refused, ``--hybrid`` now composes
-        (the relaxation skips privatized members); ``--tune`` is still a
-        row of the driver's table."""
+    def test_privatize_composes_with_hybrid(self, histogram_file, capsys):
+        """A flag this once refused: ``--hybrid`` composes (the
+        relaxation skips privatized members)."""
         assert main([
             "run", histogram_file, "--param", "N=8",
             "--privatize", "--hybrid",
         ]) == 0
         out = capsys.readouterr().out
         assert "privatized result matches sequential: True" in out
-        with pytest.raises(SystemExit):
-            main([
-                "run", histogram_file, "--param", "N=8",
-                "--privatize", "--tune",
-            ])
 
     def test_privatized_trace_contains_join_span(
         self, histogram_file, tmp_path, capsys
@@ -608,7 +606,6 @@ class TestRunExecutes:
             "hybrid": ["--hybrid"],
             "privatize": ["--privatize"],
             "reduce_deps": ["--reduce-deps"],
-            "tune": ["--tune"],
         }
         with pytest.raises(SystemExit) as exit_:
             main(["run", kernel_file, "--param", "N=8",
@@ -639,7 +636,6 @@ class TestRunStore:
             pytest.param(HISTOGRAM_KERNEL, ["--privatize"], id="privatized"),
             # their summary lines come from the artifact on the warm run
             pytest.param(KERNEL, ["--reduce-deps"], id="reduce-deps"),
-            pytest.param(KERNEL, ["--tune"], id="tune"),
         ],
     )
     def test_cold_then_warm_with_identical_output(

@@ -121,14 +121,14 @@ class TestOptions:
         }
 
     def test_fields_are_what_a_product_caller_sets(self):
-        """Thirteen fields; ``overhead`` and ``cost_model`` are read-only
+        """Twelve fields; ``overhead`` and ``cost_model`` are read-only
         properties pinned to what ``transform`` simulates with."""
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(TransformOptions)] == [
             "kinds", "coarsen", "hybrid", "check", "verify", "workers",
-            "fuse", "exec_backend", "reduce_deps", "tune",
-            "collect_events", "privatize", "privatize_parts",
+            "fuse", "exec_backend", "reduce_deps", "collect_events",
+            "privatize", "privatize_parts",
         ]
         options = TransformOptions()
         assert options.overhead == 0.0
@@ -536,13 +536,15 @@ def _option_pairs():
             )
 
 
-#: one value per option that no option takes; ``tune="model"`` is what
-#: a client of the removed tuning modes still sends
+#: one value per option that no option takes; a bool field takes only a
+#: bool (a served client's "false" is truthy, and the option table tests
+#: truthiness)
 BAD_VALUES = [
     ("fuse", "fast"),
     ("exec_backend", "bogus"),
-    ("tune", "bogus"),
-    ("tune", "model"),
+    ("hybrid", "false"),
+    ("verify", "no"),
+    ("privatize", 1),
     ("coarsen", 0),
     ("workers", 0),
     ("privatize_parts", 0),
@@ -590,9 +592,8 @@ class TestOptionPairs:
     def test_table_row_is_refused_before_any_analysis(
         self, first, second, reason
     ):
-        values = {**PAIRABLE, "tune": True}
         options = TransformOptions(
-            **{first: values[first], second: values[second]}
+            **{first: PAIRABLE[first], second: PAIRABLE[second]}
         )
         # not even parsed: the source is no kernel at all
         with pytest.raises(ValueError) as refusal:
@@ -670,44 +671,6 @@ class TestOptionPairs:
             ("R", "T")
         }
 
-    def test_tune_merges_privatized_chunks_back_into_one_block(
-        self, monkeypatch
-    ):
-        """Why ``privatize``×``tune`` stays a row: the tuner's ladder
-        holds the factor that merges the ``privatize_parts`` chunks back
-        into one block, and every rung it replays is lowered as a plain
-        pipeline — no private buffers, no join row — so it would time a
-        program that is not the one that runs."""
-        from repro.driver import analyze
-        from repro.interp import Interpreter
-        from repro.interp import plan as plan_mod
-        from repro.tuning import auto_tune, candidate_factors
-
-        interp = Interpreter.from_source(HISTOGRAM, {"N": 8})
-        a = analyze(
-            interp, TransformOptions(privatize=True, privatize_parts=4)
-        )
-        assert {b.num_blocks for b in a.info.blockings.values()} == {4}
-        ladder = candidate_factors(a.info, workers=4)
-        assert 4 in ladder  # four chunks by four: one block again
-
-        def joins(plan):
-            return sum("combine" in row.payload for row in plan.rows)
-
-        ran = interp.exec_plan(a.info, a.task_ast, a.plan, a.graph)
-        assert (len(ran.privates), joins(ran)) == (1, 1)
-        lowered, real = [], plan_mod.lower_exec_plan
-
-        def recording(*args, **kwargs):
-            lowered.append(real(*args, **kwargs))
-            return lowered[-1]
-
-        monkeypatch.setattr(plan_mod, "lower_exec_plan", recording)
-        auto_tune(interp, a.info, "threads", 4, repeats=1)
-        assert len(lowered) == len(ladder)  # one lowering per rung
-        assert sum(len(p.privates) for p in lowered) == 0
-        assert sum(joins(p) for p in lowered) == 0
-
     # -- what the table no longer refuses -------------------------------
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     @pytest.mark.parametrize(
@@ -758,7 +721,6 @@ class TestOptionPairs:
             pytest.param({"exec_backend": "threads"}, id="threads"),
             pytest.param({"exec_backend": "processes"}, id="processes"),
             pytest.param({"coarsen": 2}, id="coarsen"),
-            pytest.param({"tune": True}, id="tune"),
             pytest.param(
                 {"exec_backend": "threads", "collect_events": True},
                 id="collect_events",
@@ -783,8 +745,7 @@ class TestOptionPairs:
             result = transform(TWO_MM, {}, options, cache_dir=str(tmp_path))
             assert result.cache_status == status
             assert result.verified is True
-            if "tune" not in partner:  # the tuner may leave one block
-                assert not any(n.chained for n in result.task_ast.nests)
+            assert not any(n.chained for n in result.task_ast.nests)
             if "exec_backend" in partner:
                 assert result.execution.backend == partner["exec_backend"]
 

@@ -40,21 +40,16 @@ def test_coarsened_reduced_execution_bit_identical(name):
         assert seq.equal(store), f"{name}/{backend} diverged"
 
 
-def test_driver_reduce_and_tune_roundtrip():
-    """``transform`` with reduce_deps+tune verifies and reports both."""
+def test_driver_reduce_roundtrip():
+    """``transform`` with reduce_deps verifies and reports it."""
     result = transform(
         TABLE9["P5"].source(10),
-        options=TransformOptions(
-            reduce_deps=True, tune=True, workers=2, verify=True
-        ),
+        options=TransformOptions(reduce_deps=True, workers=2, verify=True),
     )
     assert result.verified
     assert result.reduction is not None
     assert result.reduction.slots_after <= result.reduction.slots_before
-    assert result.tuning is not None
-    report = result.report()
-    assert "dependency reduction" in report
-    assert "tuned coarsening" in report
+    assert "dependency reduction" in result.report()
 
 
 def test_driver_refuses_reduce_with_hybrid():
