@@ -36,12 +36,7 @@ MEASURED_PID = 2
 
 
 def _as_dict(record: Any) -> Any:
-    """Normalize a stats record: dicts pass through, else ``as_dict()``.
-
-    The single conversion point for every ``otherData`` section —
-    ``trace_json`` accepted "a dict or anything with ``as_dict``" in two
-    separately duck-typed branches before.
-    """
+    """Normalize a stats record: dicts pass through, else ``as_dict()``."""
     if record is None or isinstance(record, dict):
         return record
     as_dict = getattr(record, "as_dict", None)
@@ -102,7 +97,6 @@ def trace_json(
     sim: SimResult,
     indent: int | None = None,
     execution=None,
-    overhead=None,
     spans=None,
     runtime=None,
 ) -> str:
@@ -113,9 +107,6 @@ def trace_json(
     backend, workers, wall time, fused coverage and per-statement
     ``fused_fallback`` refusals — alongside the simulated schedule they
     contextualize.
-    ``overhead`` attaches the task-overhead optimizer record (the
-    reduction stats, or a dict of them — anything exposing
-    ``as_dict``).
 
     ``spans`` (a list of :class:`~repro.obs.spans.SpanRecord`) adds the
     compile-phase lane group; ``runtime`` (a
@@ -134,8 +125,6 @@ def trace_json(
     }
     if execution is not None:
         other["execution"] = _as_dict(execution)
-    if overhead is not None:
-        other["overhead"] = _as_dict(overhead)
     if runtime is not None:
         other["runtime"] = runtime.summary_dict()
     if spans:
@@ -179,7 +168,6 @@ def write_trace(
     graph: TaskGraph,
     sim: SimResult,
     execution=None,
-    overhead=None,
     spans=None,
     runtime=None,
 ) -> None:
@@ -190,7 +178,6 @@ def write_trace(
                 graph,
                 sim,
                 execution=execution,
-                overhead=overhead,
                 spans=spans,
                 runtime=runtime,
             )

@@ -11,7 +11,7 @@ Commands
 ``lint <kernel.c> [--deep] [--format text|json|sarif]``
     Run the AST-level lint rules (``--deep`` adds SCoP validation and the
     pipelinability/task-graph checks); exit 1 on error diagnostics.
-``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--reduce-deps] [--trace PATH] [--metrics PATH]``
+``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--trace PATH] [--metrics PATH]``
     ``repro.driver.transform`` from the command line: compile, then
     execute the kernel sequentially and replay the lowered task program
     once — on ``--exec-backend`` (a *measured* wall-clock run, reported
@@ -20,8 +20,7 @@ Commands
     ``--fuse`` controls the block kernels (one kernel per statement,
     one call per task: NumPy slices where the gate admits them, with
     chain fusion of proven-legal statement sequences; ``off`` runs
-    every kernel's loop form); ``--reduce-deps`` transitively reduces
-    the depend-in slot lists; ``--privatize`` executes the pattern
+    every kernel's loop form); ``--privatize`` executes the pattern
     portfolio's verified privatization proofs (parallel reduction chunks
     over private accumulators, joined by a generated combine task;
     ``--privatize-parts`` picks the chunk count); ``--trace`` writes one
@@ -111,7 +110,7 @@ def _cache_dir_of(args) -> str | None:
 
 #: Flags that set the ``TransformOptions`` field of the same name.
 _OPTION_FLAGS = (
-    "coarsen", "workers", "hybrid", "fuse", "reduce_deps", "privatize",
+    "coarsen", "workers", "hybrid", "fuse", "privatize",
     "privatize_parts",
 )
 
@@ -122,8 +121,8 @@ def _transform(args, source: str, **run_with):
     (``run_with`` adds what is not a flag of the same name).  Detection
     is flow-first with the all-kinds fallback, the compile goes through
     the artifact store when one is configured (its cold/warm verdict is
-    printed), an illegal option pair exits with the driver's reason and
-    a failed verification with its verdict and status 1."""
+    printed), an option value no field takes exits with the driver's
+    reason and a failed verification with its verdict and status 1."""
     import dataclasses
 
     from .driver import (
@@ -335,8 +334,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "no verified privatization proofs; "
                 "running the standard pipeline"
             )
-    if result.reduction is not None:
-        print(result.reduction.summary())
     shape = f"tasks: {len(graph)}, edges: {graph.num_edges}"
     if result.joins:
         parts = max(
@@ -371,16 +368,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         from .bench import write_trace
 
-        overhead = (
-            None if result.reduction is None
-            else {"reduction": result.reduction.as_dict()}
-        )
         write_trace(
             args.trace,
             graph,
             result.simulation,
             execution=result.execution,
-            overhead=overhead,
             spans=rec.spans,
         )
         print(f"wrote {args.trace}")
@@ -717,12 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         "task-overhead and measured-execution series)",
     )
     fuse_args(p_run)
-    p_run.add_argument(
-        "--reduce-deps",
-        action="store_true",
-        help="transitively reduce the depend-in slot lists "
-        "(same enforced partial order, fewer waits per task)",
-    )
     p_run.add_argument(
         "--privatize",
         action="store_true",

@@ -28,12 +28,7 @@ from typing import Callable, Mapping
 from .interp import ArrayStore, ExecutionStats, Interpreter, execute_measured
 from .interp.executor import BACKEND_ALIASES
 from .lang.ast import Program
-from .pipeline import (
-    PipelineInfo,
-    ReductionStats,
-    detect_pipeline,
-    reduce_dependencies,
-)
+from .pipeline import PipelineInfo, detect_pipeline
 from .schedule import (
     LegalityReport,
     ScheduleTree,
@@ -77,9 +72,6 @@ class TransformOptions:
     #: run a real measured execution on this backend ("serial", "threads"
     #: or "processes"); None skips the measured run
     exec_backend: str | None = None
-    #: transitively reduce the block dependency relations before
-    #: scheduling (fewer depend-in slots, same enforced partial order)
-    reduce_deps: bool = False
     #: collect live runtime task events during the measured execution
     #: (requires ``exec_backend``); surfaced as ``execution.events``
     collect_events: bool = False
@@ -129,8 +121,6 @@ class TransformResult:
     simulation: SimResult
     #: measured execution statistics (None unless options.exec_backend)
     execution: "ExecutionStats | None" = None
-    #: dependency transitive-reduction stats (None unless reduce_deps)
-    reduction: ReductionStats | None = None
     #: privatization plan the transformation executed (None unless
     #: options.privatize); a repro.schedule.PrivatizationPlan — empty
     #: ``groups`` means the run fell through to the standard pipeline
@@ -162,8 +152,6 @@ class TransformResult:
             )
         if self.privatization is not None:
             lines.append(self.privatization.describe())
-        if self.reduction is not None:
-            lines.append(self.reduction.summary())
         if self.execution is not None:
             lines.append("measured execution: " + self.execution.summary())
         lines.append(
@@ -196,7 +184,6 @@ class Analysis:
     task_ast: TaskAst
     graph: TaskGraph
     legality: LegalityReport | None = None
-    reduction: ReductionStats | None = None
     #: a PortfolioReport, for callers that build an Analysis themselves
     #: (the driver does not fill it)
     portfolio: object | None = None
@@ -257,23 +244,10 @@ def replay_backend(options: TransformOptions) -> str:
     return options.exec_backend or VERIFY_BACKEND
 
 
-#: Option pairs that do not compose, as ``(option, option, reason)`` —
-#: every option named here is off (``False`` / ``None``) by default, so
-#: "set" is truthiness.  Consulted by :func:`validate_options` and
-#: nowhere else; every other pair either composes on the one spine of
-#: :func:`analyze` or is not a pair at all.
-INCOMPATIBLE_OPTIONS = (
-    (
-        "reduce_deps",
-        "hybrid",
-        "hybrid relaxes the per-statement chains the reduction relies on",
-    ),
-)
-
-
 def validate_options(options: TransformOptions) -> None:
-    """Refuse a value no option takes, or a row of
-    :data:`INCOMPATIBLE_OPTIONS` (``ValueError``), before any work."""
+    """Refuse a value no option takes (``ValueError``), before any
+    work.  Every pair of options composes on the one spine of
+    :func:`analyze`, so no combination is refused."""
     parts = options.privatize_parts
     expected = {
         "fuse": (options.fuse in ("auto", "on", "off"), "auto, on or off"),
@@ -288,8 +262,8 @@ def validate_options(options: TransformOptions) -> None:
             parts is None or _positive(parts), "None or an int >= 1"
         ),
     }
-    # INCOMPATIBLE_OPTIONS tests truthiness: a served "false" must not
-    # switch an option on
+    # a bool field takes a bool only: a served "false" is truthy and
+    # must not switch an option on
     for field in fields(options):
         if isinstance(field.default, bool):
             expected[field.name] = (
@@ -300,15 +274,14 @@ def validate_options(options: TransformOptions) -> None:
             raise ValueError(
                 f"{name}={getattr(options, name)!r}: expected {what}"
             )
-    for first, second, reason in INCOMPATIBLE_OPTIONS:
-        if getattr(options, first) and getattr(options, second):
-            raise ValueError(
-                f"{first} is incompatible with {second}: {reason}"
-            )
 
 
 def _positive(value) -> bool:
-    return isinstance(value, int) and value >= 1
+    # bool is an int subclass: coarsen=True is no coarsening factor
+    return (
+        isinstance(value, int) and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 def build_task_graph(
@@ -383,10 +356,6 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
             scop, kinds=options.kinds, coarsen=options.coarsen
         )
 
-    reduction: ReductionStats | None = None
-    if options.reduce_deps:
-        info, reduction = reduce_dependencies(info)
-
     schedule = build_schedule(info)
     task_ast = generate_task_ast(info, schedule)
     if privatized:
@@ -414,7 +383,6 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
         task_ast=task_ast,
         graph=graph,
         legality=legality,
-        reduction=reduction,
         plan=plan,
         joins=joins,
         privatized=privatized,
@@ -633,7 +601,6 @@ def _finish(
         verified=None if oracle is None else True,
         simulation=sim,
         execution=execution,
-        reduction=a.reduction,
         privatization=a.plan,
         joins=a.joins,
         match_detail=verdict[1] if verdict is not None else "",

@@ -12,8 +12,8 @@ over its rectangles, a join row folds a reduction group's private
 buffers.  The schedule is not derived on its own: it is the quotient,
 over the rows, of the very :class:`~repro.tasking.task.TaskGraph` the
 analysis checks (``TaskGraph.from_task_ast``, or
-``build_privatized_graph`` for a plan with reduction groups) — what
-runs is what was proved.  ``dependArr``
+``build_privatized_graph`` for a plan with reduction groups),
+transitively reduced — what runs orders what was proved.  ``dependArr``
 slots belong to generated programs (:mod:`repro.codegen.emit`) and play
 no part here.  :func:`run_plan` replays the plan without calling
 ``create_task``, and picks the dispatch unit once for every backend:
@@ -195,7 +195,7 @@ class ExecPlan:
     #: task streams -> their kernel (None: a join)
     streams: dict[str, FusedKernel | None]
     rows: tuple[TaskRow, ...]
-    schedule: "Schedule"  # the task graph's quotient (row index = task id)
+    schedule: "Schedule"  # the task graph's reduced quotient (row = task id)
     #: the serial elision: every stream, in creation order
     runs: tuple[StreamRun, ...]
     #: per reduction group: (accumulator, identity, private buffer names)
@@ -353,8 +353,15 @@ def quotient_schedule(graph, members, floors) -> "Schedule":
     collapses to the previous row; ``floors[row] == row`` collapses
     nothing.  Creation order must be topological: a row waiting on a
     later one is refused.
+
+    The schedule is transitively reduced
+    (:func:`~repro.tasking.dispatch.transitive_reduction`): a row waits
+    only on the rows no other of its predecessors already orders, so
+    chains, hybrid relaxations and join tasks are pruned by the one
+    pass, whatever options built the graph.  The graph itself — what
+    ``check_legality`` checked — stays unreduced.
     """
-    from ..tasking.dispatch import Schedule
+    from ..tasking.dispatch import Schedule, transitive_reduction
 
     row_of = {t: row for row, ts in enumerate(members) for t in ts}
     preds: list[set[int]] = []
@@ -368,7 +375,7 @@ def quotient_schedule(graph, members, floors) -> "Schedule":
                 if r != row:
                     ps.add(row - 1 if r >= floor else r)
         preds.append(ps)
-    return Schedule.from_preds(preds)
+    return Schedule.from_preds(transitive_reduction(preds))
 
 
 def lower_exec_plan(

@@ -5,8 +5,7 @@ records, each with its own shape and lifecycle:
 
 * :func:`repro.presburger.cache.stats` — op-cache hit/miss counters,
 * :class:`repro.interp.executor.ExecutionStats` — measured runs,
-* the task-overhead records (:class:`repro.pipeline.reduce.ReductionStats`,
-  ``task_graph_stats``), and
+* the task-overhead record (:func:`task_graph_stats`), and
 * :class:`repro.tasking.simulator.SimResult`.
 
 The registry absorbs all four behind one interface (the ``absorb_*``
@@ -40,6 +39,7 @@ __all__ = [
     "absorb_transform",
     "parse_series_key",
     "series_key",
+    "task_graph_stats",
 ]
 
 
@@ -456,25 +456,49 @@ def absorb_execution(reg: MetricsRegistry, stats) -> None:
         )
 
 
-def absorb_task_overhead(
-    reg: MetricsRegistry,
-    task_graph: Mapping[str, Any] | None = None,
-    reduction=None,
-) -> None:
-    """Absorb the task-overhead family: graph shape and reduction.
-
-    ``task_graph`` is the dict of
-    :func:`repro.pipeline.reduce.task_graph_stats`; ``reduction`` a
-    :class:`~repro.pipeline.reduce.ReductionStats`.  Both optional.
+def task_graph_stats(graph) -> dict:
+    """Shape of a checked task graph (join tasks and relaxed chains as
+    they are): tasks, edges, the critical-path length in tasks, and its
+    depend-in slots — the edges between two statements' tasks — before
+    and after :func:`~repro.tasking.dispatch.transitive_reduction`,
+    the pass every lowered plan's schedule goes through.  Creation
+    order must be topological, as it is for every compiled graph.
     """
+    from ..tasking.dispatch import transitive_reduction
+
+    stmt = [t.statement for t in graph.tasks]
+
+    def slots(preds) -> int:
+        return sum(
+            stmt[p] != stmt[t] for t, ps in enumerate(preds) for p in ps
+        )
+
+    before = slots(graph.preds)
+    after = slots(transitive_reduction(graph.preds))
+    depth: list[int] = []
+    for ps in graph.preds:
+        depth.append(1 + max((depth[p] for p in ps), default=0))
+    return {
+        "tasks": len(graph),
+        "edges": graph.num_edges,
+        "depend_in_slots": before,
+        "depend_in_slots_reduced": after,
+        "reduction_ratio": (
+            round((before - after) / before, 4) if before else 0.0
+        ),
+        "critical_path_tasks": max(depth, default=0),
+    }
+
+
+def absorb_task_overhead(
+    reg: MetricsRegistry, task_graph: Mapping[str, Any] | None = None
+) -> None:
+    """Absorb the task-overhead family: the dict of
+    :func:`task_graph_stats` as ``task_graph.*`` gauges (optional)."""
     if task_graph is not None:
         for key, value in task_graph.items():
             if isinstance(value, (int, float)):
                 reg.gauge(f"task_graph.{key}", value)
-    if reduction is not None:
-        for key, value in reduction.as_dict().items():
-            if isinstance(value, (int, float)):
-                reg.gauge(f"reduction.{key}", value)
 
 
 def absorb_simulation(reg: MetricsRegistry, sim, graph=None) -> None:
@@ -501,14 +525,8 @@ def absorb_transform(reg: MetricsRegistry, result) -> None:
     """Absorb everything one :class:`repro.driver.TransformResult`
     measured: the Presburger cache, simulation and task-overhead
     families, plus measured execution when a backend was asked for."""
-    from ..pipeline import task_graph_stats
-
-    # before the cache snapshot: it asks Presburger questions of its own
-    task_graph = task_graph_stats(result.info, result.graph)
     absorb_presburger_cache(reg)
     absorb_simulation(reg, result.simulation, result.graph)
-    absorb_task_overhead(
-        reg, task_graph=task_graph, reduction=result.reduction
-    )
+    absorb_task_overhead(reg, task_graph=task_graph_stats(result.graph))
     if result.execution is not None:
         absorb_execution(reg, result.execution)

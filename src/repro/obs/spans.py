@@ -2,7 +2,7 @@
 
 A *span* wraps one phase of the compilation pipeline — parse, SCoP
 extraction, dependence analysis, pipeline-map construction, blocking,
-transitive reduction, schedule-tree building, codegen — and records its
+schedule-tree building, lowering, codegen — and records its
 wall time, nesting and thread.  Instrumentation sites call::
 
     with span("pipeline.maps"):

@@ -24,12 +24,6 @@ from .detect import (
     detect_pipeline,
     flow_then_all_kinds,
 )
-from .reduce import (
-    ReductionStats,
-    SourceReduction,
-    reduce_dependencies,
-    task_graph_stats,
-)
 from .patterns import (
     NoPatternError,
     QuasiAffineForm,
@@ -57,8 +51,6 @@ __all__ = [
     "NoPatternError",
     "PipelineMap",
     "QuasiAffineForm",
-    "ReductionStats",
-    "SourceReduction",
     "UncoveredDependenceError",
     "block_dependency",
     "blocking_bruteforce",
@@ -70,7 +62,6 @@ __all__ = [
     "describe_pipeline_map",
     "detect_pipeline",
     "flow_then_all_kinds",
-    "reduce_dependencies",
     "infer_quasi_affine",
     "infer_relation_pattern",
     "out_dependency",
@@ -81,5 +72,4 @@ __all__ = [
     "raw_dependence_map",
     "source_blocking",
     "target_blocking",
-    "task_graph_stats",
 ]

@@ -57,8 +57,6 @@ def options_from_dict(d: Mapping) -> TransformOptions:
     kwargs = dict(d)
     if "kinds" in kwargs:
         kwargs["kinds"] = tuple(DepKind[k] for k in kwargs["kinds"])
-    if kwargs.get("privatize_parts") is not None:
-        kwargs["privatize_parts"] = int(kwargs["privatize_parts"])
     return TransformOptions(**kwargs)
 
 
@@ -109,10 +107,6 @@ def build_artifact(
         legality_ok=(
             None if analysis.legality is None else analysis.legality.ok
         ),
-        reduction=(
-            None if analysis.reduction is None
-            else analysis.reduction.as_dict()
-        ),
         timings=dict(timings or {}),
     )
 
@@ -131,9 +125,7 @@ def load_analysis(
     the artifact supplies the *derived* objects.  Privatization proofs
     go back through ``plan_from_proofs``: the plan is re-derived and
     verified once per group, and a stored proof it does not contain
-    (tampered, or stale) raises here and the caller recompiles.  The
-    reduction record is rebuilt as stored: it describes the compile
-    that produced ``info``, and re-deriving it would repeat it.
+    (tampered, or stale) raises here and the caller recompiles.
     """
     from ..interp.fused import FusedProgram
     from ..pipeline.detect import PipelineInfo
@@ -159,19 +151,12 @@ def load_analysis(
             scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )
 
-    reduction = None
-    if artifact.reduction is not None:
-        from ..pipeline import ReductionStats
-
-        reduction = ReductionStats.from_dict(artifact.reduction)
-
     graph, joins = build_task_graph(task_ast, plan)
     return Analysis(
         info=info,
         schedule=schedule,
         task_ast=task_ast,
         graph=graph,
-        reduction=reduction,
         plan=plan,
         joins=joins,
         privatized=plan is not None and bool(plan.groups),

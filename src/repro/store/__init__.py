@@ -2,7 +2,7 @@
 
 The PR2 Presburger cache makes *one process* fast; this package makes
 the *fleet* fast: every completed compile (pipeline info, task AST,
-fused closure specs, privatization proofs, the reduction record) is
+fused closure specs, privatization proofs) is
 serialized into one checksummed artifact file keyed by
 
     ``sha256(kernel source) × params × TransformOptions fingerprint

@@ -15,8 +15,7 @@ pipeline info, the compressed task-AST blob of
 :mod:`repro.schedule.serialize`, declarative ``ClosureSpec`` dicts for
 the fused program, and privatization-proof dicts that loaders MUST pass
 back through :func:`repro.schedule.legality.verify_privatization` (the
-store is durable, not trusted), and the ``as_dict()`` record of the
-dependency reduction the compile ran.
+store is durable, not trusted).
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ class CompileArtifact:
     privatized: bool = False
     #: legality verdict recorded at compile time (None = not checked)
     legality_ok: bool | None = None
-    #: ``ReductionStats.as_dict()`` (None unless ``reduce_deps``)
-    reduction: dict | None = None
     #: wall seconds of the cold compile phases
     timings: dict[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -79,7 +76,6 @@ class CompileArtifact:
             "proofs": list(self.proofs),
             "privatized": self.privatized,
             "legality_ok": self.legality_ok,
-            "reduction": self.reduction,
             "timings": dict(self.timings),
         }
 
@@ -101,7 +97,6 @@ class CompileArtifact:
             proofs=list(payload.get("proofs", ())),
             privatized=bool(payload.get("privatized", False)),
             legality_ok=payload.get("legality_ok"),
-            reduction=payload.get("reduction"),
             timings=dict(payload.get("timings", ())),
             schema_version=version,
         )

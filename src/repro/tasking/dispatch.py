@@ -6,7 +6,8 @@ that decision compiled to what a scheduler needs — one join counter per
 task, successor lists, roots (Pipeflow's fixed array of join counters).
 It is always derived from a :class:`~repro.tasking.task.TaskGraph`:
 ``lower_exec_plan`` takes the quotient of the analysis' checked graph
-over the plan rows, :func:`repro.tasking.execute` (under
+over the plan rows and transitively reduces it
+(:func:`transitive_reduction`), :func:`repro.tasking.execute` (under
 ``OmpTaskSystem.run``) a graph's own edges.  An untraced plan replay on
 threads or processes hands its scheduler a further quotient, one task
 per claim (``ExecPlan.claims``: a chain of rows that wait on nothing but
@@ -57,6 +58,32 @@ class Schedule:
             for s in ss:
                 preds[s].add(tid)
         return preds
+
+
+def transitive_reduction(preds: Sequence[set[int]]) -> list[set[int]]:
+    """The transitive reduction of a DAG whose creation order is
+    topological: per task, the predecessors no other predecessor
+    already reaches.  Same reachability, and unique, so it does not
+    matter which options built the edges.
+
+    One pass in creation order over Python-int bitsets: a task's
+    predecessors are visited latest first, and one is kept only when
+    no kept later predecessor reaches it.  A predecessor not below its
+    task is refused (``ValueError``).
+    """
+    reach: list[int] = []  # per task: the bitset of its ancestors
+    out: list[set[int]] = []
+    for tid, ps in enumerate(preds):
+        kept, seen = set(), 0
+        for p in sorted(ps, reverse=True):
+            if p >= tid:
+                raise ValueError(f"task {tid} waits on task {p}, not below it")
+            if not seen >> p & 1:
+                kept.add(p)
+                seen |= reach[p] | 1 << p
+        reach.append(seen)
+        out.append(kept)
+    return out
 
 
 def run_serial(

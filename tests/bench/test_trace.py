@@ -90,19 +90,6 @@ class TestTraceDocument:
         assert section["backend"] == "serial"
         assert section["fused_iteration_coverage"] == 1.0
 
-    def test_overhead_section_embedded(self, sim_setup):
-        """Reduction stats (anything with as_dict) land in otherData."""
-        from repro.interp import Interpreter
-        from repro.pipeline import detect_pipeline, reduce_dependencies
-
-        graph, sim = sim_setup
-        interp = Interpreter.from_source(LISTING1, {"N": 8})
-        _, stats = reduce_dependencies(detect_pipeline(interp.scop))
-        doc = json.loads(trace_json(graph, sim, overhead=stats))
-        section = doc["otherData"]["overhead"]
-        assert section == stats.as_dict()
-        assert section["slots_after"] <= section["slots_before"]
-
     def test_no_overhead_section_by_default(self, sim_setup):
         graph, sim = sim_setup
         doc = json.loads(trace_json(graph, sim))

@@ -23,8 +23,9 @@ def pytest_addoption(parser):
         "--fuzz-reduce",
         action="store_true",
         default=False,
-        help="run the 200-sample transitive-reduction closure "
-        "preservation campaign (tests/fuzz)",
+        help="run the 200-sample campaign on the lowered plans' reduced "
+        "schedules, hybrid off and on: reachability of the unreduced "
+        "quotient and a random-order replay (tests/fuzz)",
     )
     parser.addoption(
         "--fuzz-privatize",

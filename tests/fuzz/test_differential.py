@@ -8,6 +8,10 @@ For every seeded random program (see :mod:`tests.fuzz.generator`):
 * **Cache differential** — the entire path (SCoP extraction, Algorithm 1,
   task AST, execution) must produce bit-identical arrays with the
   Presburger op cache enabled and disabled.
+* **Reduction differential** — the lowered plan's transitively reduced
+  schedule, hybrid off and on, must order what the unreduced quotient
+  orders, and a random topological order of it must reproduce the
+  sequential arrays.
 
 Reproduce one run exactly with::
 
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.interp import Interpreter
@@ -32,7 +35,11 @@ from tests.conftest import (
     fused_statements,
     run_whole_blocks,
 )
-from tests.interp.test_plan import assert_claims_are_exact
+from tests.interp.test_plan import (
+    assert_claims_are_exact,
+    assert_reduced_with_the_same_order,
+    graph_quotient,
+)
 
 from .generator import generate_samples, random_topological_order
 
@@ -227,61 +234,82 @@ def test_fuse_fuzz_campaign(pytestconfig, monkeypatch):
                 ), sample.describe()
 
 
-def _closure_preserved(interp, info):
-    """Reduced and unreduced task graphs must have equal reachability."""
-    from repro.pipeline import reduce_dependencies
+def _closure_preserved(interp, info, hybrid):
+    """The lowered plan (of the hybrid-relaxed AST when ``hybrid``): its
+    schedule is reduced and orders exactly what the unreduced quotient
+    of the checked graph orders."""
+    from repro.tasking import relax_self_chains
 
-    reduced, stats = reduce_dependencies(info)
-    full = TaskGraph.from_task_ast(generate_task_ast(info))
-    slim = TaskGraph.from_task_ast(generate_task_ast(reduced))
-    assert np.array_equal(full.reachability(), slim.reachability())
-    assert stats.slots_after <= stats.slots_before
-    return reduced, slim
+    ast = generate_task_ast(info)
+    if hybrid:
+        ast = relax_self_chains(interp.scop, info, ast)
+    plan = interp.exec_plan(info, ast)
+    assert_reduced_with_the_same_order(
+        plan.schedule.preds(), graph_quotient(plan)
+    )
+    return plan
+
+
+def _run_plan_in(interp, plan, rng):
+    """The plan's rows in a random topological order of its schedule."""
+    from types import SimpleNamespace
+
+    from repro.interp.plan import bind_rows
+
+    sched = plan.schedule
+    order = random_topological_order(
+        SimpleNamespace(
+            preds=sched.preds(), succs=sched.succs, tasks=plan.rows
+        ),
+        rng,
+    )
+    store = interp.new_store()
+    call = bind_rows(interp.funcs, plan.rows, plan.streams, store)
+    for row in order:
+        call(row)
+    return store
+
+
+def _assert_reduced_plans_run(sample, rng):
+    for hybrid in (False, True):
+        interp = Interpreter.from_source(sample.source, {})
+        info = detect_pipeline(interp.scop)
+        plan = _closure_preserved(interp, info, hybrid)
+        seq = interp.run_sequential(interp.new_store())
+        par = _run_plan_in(interp, plan, rng)
+        assert seq.equal(par), (
+            f"{sample.describe()} (hybrid={hybrid}): reduced-schedule "
+            f"execution diverged (max abs diff {seq.max_abs_diff(par):g})"
+            f"\n{sample.source}"
+        )
 
 
 def test_reduction_preserves_transitive_closure(samples, pytestconfig):
-    """Transitive reduction never changes the enforced partial order.
+    """The reduction of the lowered schedule never changes the enforced
+    partial order.
 
-    On every fuzzed program the reduced task graph's reachability matrix
-    is bit-identical to the unreduced one, and executing the reduced
-    graph in a random topological order reproduces the sequential
-    arrays.
+    On every fuzzed program, with ``hybrid`` off and on, the plan's
+    schedule has the reachability of the unreduced quotient, and running
+    its rows in a random topological order of it reproduces the
+    sequential arrays.
     """
     seed = pytestconfig.getoption("--fuzz-seed")
     rng = random.Random(seed ^ 0x2ED0CE)
     for sample in samples:
-        interp = Interpreter.from_source(sample.source, {})
-        info = detect_pipeline(interp.scop)
-        _reduced, slim = _closure_preserved(interp, info)
-        seq = interp.run_sequential(interp.new_store())
-        order = random_topological_order(slim, rng)
-        par = _run_pipelined(interp, slim, order)
-        assert seq.equal(par), (
-            f"{sample.describe()}: reduced-graph execution diverged "
-            f"(max abs diff {seq.max_abs_diff(par):g})\n{sample.source}"
-        )
+        _assert_reduced_plans_run(sample, rng)
 
 
 def test_reduce_fuzz_campaign(pytestconfig):
-    """Opt-in: 200-sample closure-preservation sweep for the reduction.
+    """Opt-in: the same check on 200 further samples.
 
-    Enable with ``pytest tests/fuzz --fuzz-reduce``; every 10th sample
-    also re-executes the reduced graph and compares arrays.
+    Enable with ``pytest tests/fuzz --fuzz-reduce``.
     """
     if not pytestconfig.getoption("--fuzz-reduce"):
         pytest.skip("enable with --fuzz-reduce")
     seed = pytestconfig.getoption("--fuzz-seed")
     rng = random.Random(seed ^ 0x2ED1CE)
     for sample in generate_samples(seed + 3, 200):
-        interp = Interpreter.from_source(sample.source, {})
-        info = detect_pipeline(interp.scop)
-        _reduced, slim = _closure_preserved(interp, info)
-        if sample.index % 10 == 0:
-            seq = interp.run_sequential(interp.new_store())
-            par = _run_pipelined(
-                interp, slim, random_topological_order(slim, rng)
-            )
-            assert seq.equal(par), sample.describe()
+        _assert_reduced_plans_run(sample, rng)
 
 
 def test_random_topological_orders_are_legal(samples):

@@ -30,6 +30,7 @@ from repro.interp import (
 from repro.interp.interp import EXEC_PLAN_CACHE_SIZE
 from repro.pipeline import detect_pipeline
 from repro.scop import Scop
+from repro.tasking.dispatch import transitive_reduction
 from repro.workloads import TABLE9
 from tests.conftest import (
     LISTING1,
@@ -258,9 +259,9 @@ def test_interpreter_is_freed_without_the_cycle_collector():
 
 
 # ----------------------------------------------------------------------
-# the compiled schedule: the quotient of the analysis' task graph over
-# the plan rows, pinned by goldens written while plans still resolved
-# dependArr slots (the 52-plan battery below)
+# the compiled schedule: the transitive reduction of the quotient of the
+# analysis' task graph over the plan rows, pinned by goldens (the
+# 52-plan battery below)
 # ----------------------------------------------------------------------
 SCHEDULE_GOLDEN = Path(__file__).parent / "golden" / "schedules.json"
 FUSE_MODES = ("auto", "off")
@@ -364,6 +365,27 @@ def graph_quotient(plan):
     return preds
 
 
+def ancestors(preds) -> list[int]:
+    """Per task, the bitset of every task that precedes it."""
+    reach: list[int] = []
+    for ps in preds:
+        bits = 0
+        for p in ps:
+            bits |= reach[p] | 1 << p
+        reach.append(bits)
+    return reach
+
+
+def assert_reduced_with_the_same_order(preds, full):
+    """``preds`` orders exactly what ``full`` orders, with no edge some
+    other path already implies."""
+    reach = ancestors(preds)
+    assert reach == ancestors(full)
+    for ps in preds:
+        for p in ps:
+            assert not any(reach[q] >> p & 1 for q in ps - {p}), (p, ps)
+
+
 def assert_schedule_is_the_graph_quotient(plan, key=None):
     sched = plan.schedule
     preds = sched.preds()
@@ -371,7 +393,9 @@ def assert_schedule_is_the_graph_quotient(plan, key=None):
     assert sched.counts == tuple(len(p) for p in preds)
     assert sched.roots == tuple(t for t, p in enumerate(preds) if not p)
     assert all(p < t for t, ps in enumerate(preds) for p in ps)
-    assert preds == graph_quotient(plan)
+    quotient = graph_quotient(plan)
+    assert preds == transitive_reduction(quotient)
+    assert_reduced_with_the_same_order(preds, quotient)
     if key is not None:
         golden = json.loads(SCHEDULE_GOLDEN.read_text(encoding="utf-8"))
         assert schedule_digest(sched) == golden[key], key
@@ -432,9 +456,8 @@ def test_schedule_equals_create_task_on_relaxed_plans(name):
     lowered = relaxed_plan(name)
     assert_schedule_is_the_graph_quotient(lowered, f"relaxed-{name}")
     if not lowered.stats["fused_chains"]:
-        assert (
-            lowered.schedule.preds()
-            == TaskGraph.from_task_ast(lowered.ast).preds
+        assert lowered.schedule.preds() == transitive_reduction(
+            TaskGraph.from_task_ast(lowered.ast).preds
         )
 
 
@@ -918,6 +941,38 @@ def test_claims_are_exact_on_a_privatized_plan(name):
         if "remap" in lowered.rows[run.rows[0]].payload
     ]
     assert members and all(len(run.rows) == 1 for run in members)
+
+
+#: (kernel, N, coarsen, fuse) -> (edges, exact claims) of the unreduced
+#: quotient, then of the plan's reduced schedule
+REDUCTION_CUTS = {
+    ("P5", 14, 1, "off"): ((1956, 784), (1368, 784)),
+    ("P7", 20, 1, "auto"): ((747, 401), (622, 326)),
+    ("P9", 20, 3, "auto"): ((328, 182), (279, 168)),
+}
+
+
+def test_the_reduction_cuts_edges_and_claims():
+    """Fewer edges, and rows left with one predecessor and one successor
+    contract into fewer claims: the cuts on the Table 9 shapes the
+    pair-level reduction was measured on."""
+    import dataclasses
+
+    from repro.tasking import Schedule
+
+    def shape(plan):
+        claims = plan_mod.contract_claims(plan)
+        return sum(plan.schedule.counts), len(claims.runs)
+
+    for (name, n, coarsen, fuse), cuts in REDUCTION_CUTS.items():
+        interp, info = compile_for_exec(
+            TABLE9[name].source(n), fuse, coarsen=coarsen
+        )
+        plan = interp.exec_plan(info)
+        full = dataclasses.replace(
+            plan, schedule=Schedule.from_preds(graph_quotient(plan))
+        )
+        assert (shape(full), shape(plan)) == cuts, name
 
 
 def test_claims_are_built_on_the_first_untraced_threads_replay(monkeypatch):

@@ -278,29 +278,33 @@ class TestAbsorbers:
         assert reg.value("execution.vectorize", **labels) is None
 
     def test_task_overhead_numbers_unchanged(self):
+        """The slot counts are cut from the checked graph: P5@10's 600
+        depend-in slots reduce to 300, as the pair-level pass that ran
+        before scheduling counted them."""
         from repro.interp import Interpreter
-        from repro.pipeline import (
-            detect_pipeline,
-            reduce_dependencies,
-            task_graph_stats,
-        )
+        from repro.obs.metrics import task_graph_stats
+        from repro.pipeline import detect_pipeline
         from repro.schedule import generate_task_ast
         from repro.tasking import TaskGraph
-        from tests.conftest import LISTING1
+        from repro.workloads import TABLE9
 
-        interp = Interpreter.from_source(LISTING1, {"N": 8})
+        interp = Interpreter.from_source(TABLE9["P5"].source(10), {})
         info = detect_pipeline(interp.scop)
         graph = TaskGraph.from_task_ast(generate_task_ast(info))
-        tg = task_graph_stats(info, graph)
-        _, reduction = reduce_dependencies(info)
+        tg = task_graph_stats(graph)
+        assert tg == {
+            "tasks": 400,
+            "edges": 996,
+            "depend_in_slots": 600,
+            "depend_in_slots_reduced": 300,
+            "reduction_ratio": 0.5,
+            "critical_path_tasks": 103,
+        }
         reg = MetricsRegistry()
-        absorb_task_overhead(reg, task_graph=tg, reduction=reduction)
-        assert reg.value("task_graph.tasks") == tg["tasks"]
-        assert reg.value("task_graph.edges") == tg["edges"]
-        assert reg.value("reduction.slots_before") == (
-            reduction.slots_before
-        )
-        assert reg.value("reduction.slots_after") == reduction.slots_after
+        absorb_task_overhead(reg, task_graph=tg)
+        assert reg.as_dict()["gauges"] == {
+            f"task_graph.{key}": value for key, value in tg.items()
+        }
 
     @pytest.mark.parametrize("kernel", ["privatized", "hybrid"])
     def test_transform_series_describe_the_checked_graph(self, kernel):

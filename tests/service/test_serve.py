@@ -240,27 +240,35 @@ def test_malformed_request_reports_error_and_keeps_serving(tmp_path):
     asyncio.run(_with_server(str(tmp_path), body))
 
 
-def test_incompatible_options_are_refused_before_any_key(tmp_path):
-    """The server refuses what ``transform`` refuses, with its words."""
-    from repro.driver import INCOMPATIBLE_OPTIONS
+def test_an_old_clients_reduce_deps_is_a_bad_request(tmp_path, capsys):
+    """``reduce_deps`` is no option since every plan's schedule is
+    reduced: a client that still sends it gets a bad request before any
+    key or compile, on ``compile`` and ``run`` alike, and the CLI flag
+    is an argparse usage error."""
+    from repro.cli import main
 
     async def body(host, port, server):
-        for first, second, reason in INCOMPATIBLE_OPTIONS:
-            options = dict(OPTIONS, **{first: True, second: True})
-            for op in ("compile", "run"):
-                req = dict(_compile_req(TWO_NEST_COPY), op=op, options=options)
-                resp = await _request(host, port, req)
-                assert not resp["ok"], (first, second, op)
-                assert resp["error"] == (
-                    f"bad request: 'options': {first} is incompatible "
-                    f"with {second}: {reason}"
-                )
+        options = dict(OPTIONS, reduce_deps=True)
+        for op in ("compile", "run"):
+            req = dict(_compile_req(TWO_NEST_COPY), op=op, options=options)
+            resp = await _request(host, port, req)
+            assert resp["error"] == (
+                "bad request: 'options': unknown TransformOptions "
+                "fields: ['reduce_deps']"
+            ), (op, resp)
         stats = await _request(host, port, {"op": "stats"})
-        assert stats["counters"]["errors"] == 2 * len(INCOMPATIBLE_OPTIONS)
+        assert stats["counters"]["errors"] == 2
         assert stats["counters"]["compiles"] == 0
         assert stats["resident"] == 0
 
     asyncio.run(_with_server(str(tmp_path), body))
+    kernel = tmp_path / "kernel.c"
+    kernel.write_text(TWO_NEST_COPY)
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(kernel), "--param", "N=8", "--reduce-deps"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: " in err and "--reduce-deps" in err
 
 
 def test_retired_options_are_bad_requests(tmp_path):

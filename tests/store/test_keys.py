@@ -59,7 +59,6 @@ _FLIPS = {
     "workers": 9,
     "fuse": "off",
     "exec_backend": "serial",
-    "reduce_deps": True,
     "collect_events": True,
     "privatize": True,
     "privatize_parts": 5,
@@ -107,6 +106,6 @@ def test_fingerprint_rejects_unknown_values():
     class Weird:
         pass
 
-    opts = dataclasses.replace(TransformOptions(), reduce_deps=Weird())
+    opts = dataclasses.replace(TransformOptions(), collect_events=Weird())
     with pytest.raises(TypeError):
         options_fingerprint(opts)

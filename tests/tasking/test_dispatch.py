@@ -12,7 +12,11 @@ import pytest
 
 from repro.interp.plan import quotient_schedule
 from repro.tasking import OmpTaskSystem, Schedule, TaskGraph
-from repro.tasking.dispatch import run_serial, run_threads
+from repro.tasking.dispatch import (
+    run_serial,
+    run_threads,
+    transitive_reduction,
+)
 
 
 def chain(n):
@@ -50,9 +54,10 @@ class TestSchedule:
         sched = quotient_schedule(graph, members, floors=[0, 0, 0, 3])
         assert sched.preds() == [set(), {0}, {1}, {1}]
         assert sched.counts == (0, 1, 1, 1)
-        # unchained (floor = own row): the token keeps its own row
+        # unchained (floor = own row): the token keeps its own row, and
+        # the reduction drops it — 0 -> 2 is implied by 0 -> 1 -> 2
         loose = quotient_schedule(graph, members, floors=[0, 1, 2, 3])
-        assert loose.preds() == [set(), {0}, {0, 1}, {1}]
+        assert loose.preds() == [set(), {0}, {1}, {1}]
 
     def test_resolver_argument_checks(self):
         system = OmpTaskSystem(2)
@@ -70,6 +75,33 @@ class TestSchedule:
         graph.add_edge(1, 0)
         with pytest.raises(RuntimeError, match="created after it"):
             quotient_schedule(graph, [(0,), (1,)], floors=[0, 1])
+
+
+class TestTransitiveReduction:
+    def test_diamond_keeps_both_arms_and_drops_the_shortcut(self):
+        # 0 -> {1, 2} -> 3, plus 0 -> 3
+        preds = [set(), {0}, {0}, {0, 1, 2}]
+        assert transitive_reduction(preds) == [set(), {0}, {0}, {1, 2}]
+
+    def test_chain_with_a_shortcut(self):
+        preds = [set(), {0}, {1}, {2, 0}, {3, 1}]
+        assert transitive_reduction(preds) == [
+            set(), {0}, {1}, {2}, {3}
+        ]
+
+    def test_is_idempotent_and_leaves_its_input_alone(self):
+        preds = [set(), set(), {0, 1}, {0, 2}, {1, 2, 3}, {0, 4}]
+        before = [set(ps) for ps in preds]
+        once = transitive_reduction(preds)
+        assert once == [set(), set(), {0, 1}, {2}, {3}, {4}]
+        assert transitive_reduction(once) == once
+        assert preds == before
+
+    def test_refuses_a_predecessor_not_below_its_task(self):
+        with pytest.raises(ValueError, match="task 1 waits on task 2"):
+            transitive_reduction([set(), {2}, {0}])
+        with pytest.raises(ValueError, match="task 0 waits on task 0"):
+            transitive_reduction([{0}])
 
 
 class TestCallerIsWorkerZero:

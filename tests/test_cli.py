@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.driver import INCOMPATIBLE_OPTIONS
 
 KERNEL = """
 for(i=0; i<N-1; i++)
@@ -594,26 +593,6 @@ class TestRunExecutes:
         assert "threads plan replay diverged" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
-    @pytest.mark.parametrize(
-        "first,second,reason",
-        INCOMPATIBLE_OPTIONS,
-        ids=[f"{a}-{b}" for a, b, _ in INCOMPATIBLE_OPTIONS],
-    )
-    def test_illegal_option_pair_exits_with_the_drivers_reason(
-        self, first, second, reason, kernel_file
-    ):
-        flags = {
-            "hybrid": ["--hybrid"],
-            "privatize": ["--privatize"],
-            "reduce_deps": ["--reduce-deps"],
-        }
-        with pytest.raises(SystemExit) as exit_:
-            main(["run", kernel_file, "--param", "N=8",
-                  *flags[first], *flags[second]])
-        assert str(exit_.value) == (
-            f"{first} is incompatible with {second}: {reason}"
-        )
-
 
 def _store_delta(before):
     from repro.store import session_counters
@@ -634,8 +613,6 @@ class TestRunStore:
             pytest.param(KERNEL, [], id="plain"),
             pytest.param(KERNEL, ["--privatize"], id="privatize-no-proofs"),
             pytest.param(HISTOGRAM_KERNEL, ["--privatize"], id="privatized"),
-            # their summary lines come from the artifact on the warm run
-            pytest.param(KERNEL, ["--reduce-deps"], id="reduce-deps"),
         ],
     )
     def test_cold_then_warm_with_identical_output(

@@ -11,7 +11,6 @@ from repro import (
     VerificationFailedError,
     transform,
 )
-from repro.driver import INCOMPATIBLE_OPTIONS
 from repro.scop import DepKind
 from repro.workloads import CostModel, MatmulKernel
 from tests.conftest import LISTING1, LISTING3
@@ -121,20 +120,20 @@ class TestOptions:
         }
 
     def test_fields_are_what_a_product_caller_sets(self):
-        """Twelve fields; ``overhead`` and ``cost_model`` are read-only
+        """Eleven fields; ``overhead`` and ``cost_model`` are read-only
         properties pinned to what ``transform`` simulates with."""
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(TransformOptions)] == [
             "kinds", "coarsen", "hybrid", "check", "verify", "workers",
-            "fuse", "exec_backend", "reduce_deps", "collect_events",
-            "privatize", "privatize_parts",
+            "fuse", "exec_backend", "collect_events", "privatize",
+            "privatize_parts",
         ]
         options = TransformOptions()
         assert options.overhead == 0.0
         assert options.cost_model == CostModel.uniform()
         for removed in ("static_checks", "portfolio", "overhead",
-                        "cost_model"):
+                        "cost_model", "reduce_deps"):
             with pytest.raises(TypeError):
                 TransformOptions(**{removed: True})
 
@@ -196,7 +195,7 @@ class TestOneVerificationReplay:
             ),
             pytest.param(
                 LISTING1,
-                {"exec_backend": "threads", "reduce_deps": True, "coarsen": 2},
+                {"exec_backend": "threads", "coarsen": 2},
                 "threads",
                 id="threads-reduced",
             ),
@@ -510,22 +509,20 @@ class TestOracleBesideTheReplay:
         assert stats.backend == driver.BACKEND_ALIASES[backend]
 
 
-#: a non-default value per option whose pairs compose (or are refused)
+#: a non-default value per option whose pairs compose
 PAIRABLE = {
     "privatize": True,
-    "reduce_deps": True,
     "hybrid": True,
     "coarsen": 2,
 }
 #: the TransformResult field an option promises to fill
 PROMISES = {
     "privatize": "privatization",
-    "reduce_deps": "reduction",
 }
 
 
 def _option_pairs():
-    """All 6 pairs on Listing 1; the 3 with ``privatize`` again on the
+    """All 3 pairs on Listing 1; the 2 with ``privatize`` again on the
     histogram, where the plan has groups (without ``privatize`` that
     kernel is an UncoveredDependenceError under flow-only ``kinds``)."""
     for first, second in itertools.combinations(PAIRABLE, 2):
@@ -537,8 +534,8 @@ def _option_pairs():
 
 
 #: one value per option that no option takes; a bool field takes only a
-#: bool (a served client's "false" is truthy, and the option table tests
-#: truthiness)
+#: bool (a served client's "false" is truthy), an int field no bool (a
+#: served "coarsen": true is no coarsening factor)
 BAD_VALUES = [
     ("fuse", "fast"),
     ("exec_backend", "bogus"),
@@ -548,6 +545,9 @@ BAD_VALUES = [
     ("coarsen", 0),
     ("workers", 0),
     ("privatize_parts", 0),
+    ("coarsen", True),
+    ("workers", True),
+    ("privatize_parts", True),
 ]
 
 
@@ -581,26 +581,8 @@ def test_bad_value_is_refused_before_any_work(name, value, tmp_path):
 
 
 class TestOptionPairs:
-    """Every option pair is refused up front, by the table, or runs on
-    the one spine with nothing it promised dropped."""
-
-    @pytest.mark.parametrize(
-        "first,second,reason",
-        INCOMPATIBLE_OPTIONS,
-        ids=[f"{a}-{b}" for a, b, _ in INCOMPATIBLE_OPTIONS],
-    )
-    def test_table_row_is_refused_before_any_analysis(
-        self, first, second, reason
-    ):
-        options = TransformOptions(
-            **{first: PAIRABLE[first], second: PAIRABLE[second]}
-        )
-        # not even parsed: the source is no kernel at all
-        with pytest.raises(ValueError) as refusal:
-            transform("this is not a kernel", {}, options)
-        assert str(refusal.value) == (
-            f"{first} is incompatible with {second}: {reason}"
-        )
+    """Every option pair runs on the one spine with nothing it promised
+    dropped: no pair is refused."""
 
     @pytest.mark.parametrize("source,first,second", _option_pairs())
     def test_pair_is_refused_or_keeps_every_promise(
@@ -609,10 +591,6 @@ class TestOptionPairs:
         options = TransformOptions(
             **{first: PAIRABLE[first], second: PAIRABLE[second]}
         )
-        if any({first, second} == {a, b} for a, b, _ in INCOMPATIBLE_OPTIONS):
-            with pytest.raises(ValueError, match="is incompatible with"):
-                transform(source, {"N": 8}, options)
-            return
         result = transform(source, {"N": 8}, options)
         assert result.verified is True
         for option in {first, second} & set(PROMISES):
@@ -635,43 +613,47 @@ class TestOptionPairs:
         assert asked.verified is True and asked.legality.ok
         assert asked.info.to_dict() == default.info.to_dict()
 
-    # -- the table's survivors, each with its failing composition -------
-    def test_reduce_deps_leans_on_the_chain_hybrid_removes(self):
-        """Why ``reduce_deps``×``hybrid`` stays a row: T's block for
-        ``i`` holds its token on R only on the first ``j`` — the second
-        is ordered behind it by T's self chain, which is the chain
-        ``relax_self_chains`` takes away."""
-        from repro.bench import build_scop
-        from repro.pipeline import detect_pipeline, reduce_dependencies
-        from repro.schedule import check_legality, generate_task_ast
-        from repro.tasking import TaskGraph, relax_self_chains
+    # -- the pair that was refused while the reduction ran before ------
+    # -- scheduling ------------------------------------------------------
+    def test_hybrid_keeps_the_token_a_self_chain_implied(self):
+        """T's block ``(i, 1)`` reads ``B[i]`` like ``(i, 0)``, but its
+        token on R is implied only by T's self chain, which the hybrid
+        relaxation removes.  The one reduction runs on the schedule the
+        relaxation built, so every T row still waits on an R row: the
+        order of the unreduced quotient, and the oracle's arrays on every
+        backend."""
+        from repro.driver import analyze, replay
+        from repro.interp import Interpreter
+        from tests.interp.test_plan import (
+            assert_reduced_with_the_same_order,
+            graph_quotient,
+        )
 
-        scop = build_scop(
+        interp = Interpreter.from_source(
             "for(i=0; i<8; i++) S: A[i] = f(A[i]);\n"
             "for(i=0; i<4; i++) R: B[i] = g(B[i]);\n"
             "for(i=0; i<4; i++) for(j=0; j<2; j++)"
-            " T: C[i][j] = h(A[2*i+j], B[i], C[i][j]);"
+            " T: C[i][j] = h(A[2*i+j], B[i], C[i][j]);",
+            {},
         )
+        a = analyze(interp, TransformOptions(hybrid=True))
+        assert not a.task_ast.nest("T").chained
+        plan = interp.exec_plan(a.info, a.task_ast, None, a.graph)
+        preds = plan.schedule.preds()
+        assert_reduced_with_the_same_order(preds, graph_quotient(plan))
+        streams = [row.stream for row in plan.rows]
+        t_rows = [t for t, stream in enumerate(streams) if stream == "T"]
+        assert len(t_rows) == 8
+        for t in t_rows:
+            assert any(streams[p] == "R" for p in preds[t]), t
+        oracle = interp.oracle()
+        for backend in ("serial", "threads", "processes"):
+            _, _, verdict = replay(
+                interp, a, backend, workers=2, oracle=oracle
+            )
+            assert verdict == (True, ""), backend
 
-        def relaxed_legality(info):
-            ast = relax_self_chains(scop, info, generate_task_ast(info))
-            assert not ast.nest("T").chained
-            return check_legality(scop, info, TaskGraph.from_task_ast(ast))
-
-        full = detect_pipeline(scop)
-        reduced, stats = reduce_dependencies(full)
-        assert stats.removed > 0
-        assert check_legality(
-            scop, reduced, TaskGraph.from_task_ast(generate_task_ast(reduced))
-        ).ok
-        assert relaxed_legality(full).ok
-        refused = relaxed_legality(reduced)
-        assert not refused.ok
-        assert {(v.source, v.target) for v in refused.violations} == {
-            ("R", "T")
-        }
-
-    # -- what the table no longer refuses -------------------------------
+    # -- pairs that compose on one spine --------------------------------
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     @pytest.mark.parametrize(
         "kernel", ["histogram", "sumstencil", "histogram+doall"]

@@ -164,24 +164,35 @@ def test_analysis_roughly_quadratic_not_cubic():
     assert t64 / t16 < 64, (t16, t32, t64)
 
 
+#: depend-in slots of every Table 9 kernel at N=10 before and after the
+#: transitive reduction of its checked graph (the counts the pair-level
+#: pass that ran before scheduling reported)
+SLOTS_AT_N10 = {
+    "P1": (100, 100), "P2": (25, 25), "P3": (300, 200), "P4": (102, 86),
+    "P5": (600, 300), "P6": (420, 210), "P7": (93, 59), "P8": (300, 300),
+    "P9": (170, 110), "P10": (210, 210),
+}
+
+
 def test_reduction_never_adds_slots_on_any_kernel():
     """Transitive reduction is a pure win: on every Table 9 kernel the
-    reduced depend-in slot count is <= the original, the exact and index
-    paths agree, and at least three kernels cut >= 25%."""
-    from repro.pipeline import reduce_dependencies
-    from repro.pipeline.reduce import _reduce_exact
+    reduced depend-in slot count is <= the original, pinned per kernel,
+    and at least three kernels cut >= 25%."""
+    from repro.obs.metrics import task_graph_stats
+    from repro.schedule import generate_task_ast
+    from repro.tasking import TaskGraph
 
-    ratios = {}
+    slots = {}
     for name, kern in TABLE9.items():
         interp = Interpreter.from_source(kern.source(10), {})
-        info = detect_pipeline(interp.scop)
-        _, by_index = reduce_dependencies(info)
-        _, by_exact = _reduce_exact(info)
-        assert by_index.slots_after <= by_index.slots_before, name
-        assert by_index.slots_after == by_exact.slots_after, name
-        ratios[name] = by_index.ratio
-    big_cuts = [name for name, r in ratios.items() if r >= 0.25]
-    assert len(big_cuts) >= 3, ratios
+        ast = generate_task_ast(detect_pipeline(interp.scop))
+        stats = task_graph_stats(TaskGraph.from_task_ast(ast))
+        slots[name] = (
+            stats["depend_in_slots"], stats["depend_in_slots_reduced"]
+        )
+    assert slots == SLOTS_AT_N10
+    big_cuts = [n for n, (was, now) in slots.items() if now <= 0.75 * was]
+    assert len(big_cuts) >= 3, slots
 
 
 def test_privatized_histogram_beats_sequential_on_latency():

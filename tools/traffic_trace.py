@@ -122,7 +122,6 @@ def product_commands(tmp: str) -> dict[str, list[list[str]]]:
          "--metrics", os.path.join(tmp, "metrics.json")),
         ("--fuse", "on"),
         ("--fuse", "off"),
-        ("--reduce-deps",),
         ("--cache-dir", store),
         ("--cache-dir", store),  # the warm load
         ("--cache-dir", store, "--no-cache"),
