@@ -69,19 +69,26 @@ class RemovedDependence:
             f"({len(self.pairs)} instance pairs)"
         )
 
-    def to_dict(self) -> dict:
+    def to_dict(self, arrays: bool = False) -> dict:
         """Replayable JSON form including every relaxed instance pair.
 
         ``in_part`` of a dependence relation is the *target* instance,
         ``out_part`` the *source* — serialized under explicit keys so a
-        replayed proof cannot silently flip orientation.
+        replayed proof cannot silently flip orientation.  ``arrays``
+        gives the artifact store's form instead: the relation itself
+        (``PointRelation.to_dict``, its pairs one int64 array).
         """
-        return {
+        head = {
             "source": self.source,
             "target": self.target,
             "kind": self.kind.value,
             "pairs": len(self.pairs),
             "dims": [self.pairs.n_in, self.pairs.n_out],
+        }
+        if arrays:
+            return {**head, "relation": self.pairs.to_dict()}
+        return {
+            **head,
             "instance_pairs": [
                 {"target": t, "source": s}
                 for t, s in zip(
@@ -94,6 +101,11 @@ class RemovedDependence:
     def from_dict(d: dict) -> "RemovedDependence":
         import numpy as np
 
+        if "relation" in d:
+            return RemovedDependence(
+                d["source"], d["target"], DepKind(d["kind"]),
+                PointRelation.from_dict(d["relation"]),
+            )
         n_in, n_out = (int(v) for v in d["dims"])
         rows = d.get("instance_pairs", [])
         targets = np.array(
@@ -137,7 +149,7 @@ class PrivatizationProof:
             f"{len(self.claims)} accumulation statement(s)"
         )
 
-    def to_dict(self) -> dict:
+    def to_dict(self, arrays: bool = False) -> dict:
         """Replayable JSON form: ``from_dict(to_dict())`` round-trips.
 
         The ``removed`` entries carry the full proof → relaxed-dependence
@@ -146,6 +158,8 @@ class PrivatizationProof:
         a complete input to ``repro run --privatize`` replay — after
         mandatory re-verification by
         :func:`repro.schedule.legality.verify_privatization`.
+        ``arrays`` stores each relation as one array instead
+        (:meth:`RemovedDependence.to_dict`), as the artifact store does.
         """
         return {
             "arrays": list(self.arrays),
@@ -158,7 +172,7 @@ class PrivatizationProof:
                 }
                 for c in self.claims
             ],
-            "removed": [r.to_dict() for r in self.removed],
+            "removed": [r.to_dict(arrays) for r in self.removed],
         }
 
     @staticmethod

@@ -3,8 +3,8 @@
 :func:`transform` runs frontend → SCoP → Algorithm 1 → Algorithm 2 →
 task graph, optionally verifies the transformation (legality check and/or
 one replay of the lowered task program compared against the sequential
-interpreter), and simulates performance — returning everything in one
-:class:`TransformResult`.
+interpreter) — returning everything in one :class:`TransformResult`,
+whose task graph and simulated performance are computed when read.
 
     from repro import transform
 
@@ -106,19 +106,37 @@ class TransformOptions:
         return CostModel.uniform()
 
 
+class _OnFirstRead:
+    """A dataclass field (default ``None``) left ``None`` is
+    ``build(obj)``, computed on its first read and kept."""
+
+    def __init__(self, build: Callable) -> None:
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and obj.__dict__.get(self.name) is None:
+            obj.__dict__[self.name] = self.build(obj)
+        return None if obj is None else obj.__dict__[self.name]
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class TransformResult:
-    """Everything the driver produced."""
+    """Everything the driver produced.  ``graph`` and ``simulation`` are
+    computed on first read (a one-shot that verifies builds neither)."""
 
     scop: Scop
     info: PipelineInfo
     schedule: ScheduleTree
     task_ast: TaskAst
-    graph: TaskGraph
     options: TransformOptions
     legality: LegalityReport | None
     verified: bool | None
-    simulation: SimResult
     #: measured execution statistics (None unless options.exec_backend)
     execution: "ExecutionStats | None" = None
     #: privatization plan the transformation executed (None unless
@@ -132,6 +150,12 @@ class TransformResult:
     match_detail: str = ""
     #: None for a direct compile; "cold" / "warm" when ``cache_dir`` was used
     cache_status: str | None = None
+    graph: TaskGraph | None = _OnFirstRead(
+        lambda r: TaskGraph.from_task_ast(r.task_ast, plan=r.privatization)
+    )
+    simulation: SimResult | None = _OnFirstRead(
+        lambda r: simulate(r.graph, workers=r.options.workers)
+    )
 
     @property
     def speedup(self) -> float:
@@ -139,7 +163,7 @@ class TransformResult:
 
     @property
     def num_tasks(self) -> int:
-        return len(self.graph)
+        return self.task_ast.arrays.num_blocks + len(self.joins)
 
     def report(self) -> str:
         lines = [self.info.summary()]
@@ -174,15 +198,19 @@ class Analysis:
     :mod:`repro.service.compile` rebuilds an equivalent one from a
     stored artifact, and :func:`_finish` turns either into a
     :class:`TransformResult` by running the one (verified, measured)
-    plan replay, its compare against the oracle and the simulation on
-    top.  The oracle never reads an ``Analysis``: in :func:`transform`
-    it is already running beside the compile that builds this one.
+    plan replay and its compare against the oracle.  The oracle never
+    reads an ``Analysis``: in :func:`transform` it is already running
+    beside the compile that builds this one.
     """
 
     info: PipelineInfo
     schedule: ScheduleTree
     task_ast: TaskAst
-    graph: TaskGraph
+    #: the checked task graph (a cold compile's); built on first read
+    #: otherwise — a warm load and its replay never read it
+    graph: TaskGraph | None = _OnFirstRead(
+        lambda a: TaskGraph.from_task_ast(a.task_ast, plan=a.plan)
+    )
     legality: LegalityReport | None = None
     #: a PortfolioReport, for callers that build an Analysis themselves
     #: (the driver does not fill it)
@@ -193,6 +221,11 @@ class Analysis:
     #: None for a direct compile; "cold" / "warm" when a store was used
     cache_status: str | None = None
 
+    @property
+    def num_tasks(self) -> int:
+        """Tasks of the graph — blocks plus joins — without building it."""
+        return self.task_ast.arrays.num_blocks + len(self.joins)
+
 
 def transform(
     source_or_program: str | Program,
@@ -201,7 +234,7 @@ def transform(
     funcs: Mapping | None = None,
     cache_dir: str | None = None,
 ) -> TransformResult:
-    """Detect, schedule, verify and simulate the cross-loop pipeline.
+    """Detect, schedule and verify the cross-loop pipeline.
 
     With ``verify`` the program executes exactly twice — the sequential
     oracle and one replay of the lowered plan, whose arrays must be
@@ -284,25 +317,6 @@ def _positive(value) -> bool:
     )
 
 
-def build_task_graph(
-    task_ast: TaskAst, plan=None
-) -> tuple[TaskGraph, tuple]:
-    """The task graph of this AST: ``(graph, joins)``.
-
-    Which nests are chained is the AST's own data; the one choice left
-    here is the join tasks of a privatized compile (``plan`` has
-    verified groups: one join per accumulator, named in ``joins``) —
-    for a fresh compile and for one rebuilt from a stored artifact
-    alike.
-    """
-    if plan is not None and plan.groups:
-        from .schedule import build_privatized_graph
-
-        graph, joins = build_privatized_graph(task_ast, plan)
-        return graph, tuple(joins)
-    return TaskGraph.from_task_ast(task_ast), ()
-
-
 def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     """The compile phase: SCoP analysis through checked task graph.
 
@@ -364,7 +378,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
         with span("driver.relax_self_chains"):
             task_ast = relax_self_chains(scop, info, task_ast)
     with span("driver.task_graph", privatize=privatized):
-        graph, joins = build_task_graph(task_ast, plan)
+        graph = TaskGraph.from_task_ast(task_ast, plan=plan)
 
     legality: LegalityReport | None = None
     if options.check:
@@ -378,14 +392,8 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
             verify_privatized_graph(scop, plan, graph).raise_if_invalid()
 
     return Analysis(
-        info=info,
-        schedule=schedule,
-        task_ast=task_ast,
-        graph=graph,
-        legality=legality,
-        plan=plan,
-        joins=joins,
-        privatized=privatized,
+        info, schedule, task_ast, graph, legality, plan=plan,
+        joins=plan.arrays if privatized else (), privatized=privatized,
     )
 
 
@@ -521,7 +529,6 @@ def replay(
         workers=workers,
         collect_events=collect_events,
         task_ast=a.task_ast,
-        graph=a.graph,
     )
     if a.privatized:
         from .interp import execute_privatized
@@ -546,7 +553,7 @@ def _finish(
     a: Analysis,
     oracle: PendingOracle | None,
 ) -> TransformResult:
-    """One plan replay, one compare against ``oracle``; then simulation.
+    """One plan replay, one compare against ``oracle``.
 
     "Verified" means what ``repro serve`` means by it for ``run``: the
     arrays of the plan replay that is returned match the interpreter's
@@ -567,12 +574,8 @@ def _finish(
     )
     execution: ExecutionStats | None = None
     verdict = None
-    verifying = (
-        span("driver.verify", backend=backend)
-        if oracle is not None
-        else nullcontext()
-    )
-    with verifying as verify_span:
+    verifying = span("driver.verify", backend=backend) if oracle else None
+    with verifying or nullcontext() as verify_span:
         if backend is not None:
             _, stats, verdict = replay(
                 interp, a, backend, options.workers,
@@ -589,20 +592,13 @@ def _finish(
                     f"execution ({verdict[1]})"
                 )
 
-    sim = simulate(a.graph, workers=options.workers)
     return TransformResult(
-        scop=interp.scop,
-        info=a.info,
-        schedule=a.schedule,
-        task_ast=a.task_ast,
-        graph=a.graph,
-        options=options,
-        legality=a.legality,
+        interp.scop, a.info, a.schedule, a.task_ast, options, a.legality,
         verified=None if oracle is None else True,
-        simulation=sim,
         execution=execution,
         privatization=a.plan,
         joins=a.joins,
         match_detail=verdict[1] if verdict is not None else "",
         cache_status=a.cache_status,
+        graph=a.__dict__.get("graph"),  # a cold compile's, else none yet
     )

@@ -145,16 +145,17 @@ def plan_coverage(ast, fprog) -> dict:
     statement's kernel has a slice form."""
     blocks_total = iters_total = blocks_fused = iters_fused = 0
     dispatch_modes: dict[str, str] = {}
-    for nest in ast.nests:
-        fused = fprog.get(nest.statement).spec.slice_form
-        dispatch_modes[nest.statement] = "fused" if fused else "interp"
-        for block in nest.blocks:
-            size = len(block.iterations)
-            blocks_total += 1
-            iters_total += size
-            if fused:
-                blocks_fused += 1
-                iters_fused += size
+    arrays = ast.arrays
+    for k, name in enumerate(arrays.statements):
+        fused = fprog.get(name).spec.slice_form
+        dispatch_modes[name] = "fused" if fused else "interp"
+        blocks = arrays.blocks(k)
+        size = int(arrays.shapes[blocks.start : blocks.stop, 0].sum())
+        blocks_total += len(blocks)
+        iters_total += size
+        if fused:
+            blocks_fused += len(blocks)
+            iters_fused += size
     return {
         "blocks_total": blocks_total,
         "iterations_total": iters_total,
@@ -174,15 +175,13 @@ def execute_measured(
     cost_of_block: Callable | None = None,
     collect_events: bool = False,
     task_ast=None,
-    graph=None,
 ) -> tuple[ArrayStore, ExecutionStats]:
     """Run the pipelined task program for ``info`` and time it.
 
     The program is lowered once per ``(interp, task_ast)`` — or per
     ``(interp, info)`` when the lowering generates the AST itself — and
-    cached on the interpreter (:meth:`Interpreter.exec_plan`; ``graph``,
-    the checked task graph of ``task_ast``, spares the lowering a
-    rebuild); every call replays it (:func:`repro.interp.plan.run_plan`).
+    cached on the interpreter (:meth:`Interpreter.exec_plan`); every
+    call replays it (:func:`repro.interp.plan.run_plan`).
     The store (a fresh deterministic one unless given) is mutated in
     place and returned with timing/coverage statistics.  Every backend
     executes the identical task program, so results are bit-comparable
@@ -193,5 +192,5 @@ def execute_measured(
     from .plan import run_plan
 
     del cost_of_block
-    plan = interp.exec_plan(info, task_ast, graph=graph)
+    plan = interp.exec_plan(info, task_ast)
     return run_plan(interp, plan, backend, workers, store, collect_events)

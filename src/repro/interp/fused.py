@@ -772,23 +772,24 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
     """Group consecutive task nests into fusion-legal chains.
 
     Returns ``(groups, chain_kernels)`` where ``groups`` is a list of
-    lists of ``TaskLoopNest`` (singletons execute as before; longer
-    groups merge into one task stream) and ``chain_kernels`` maps chain
-    labels to their merged :class:`FusedKernel` (also registered on
-    ``program`` so worker processes can look them up by label).
+    lists of nest indices into ``ast.arrays`` (singletons execute as
+    before; longer groups merge into one task stream) and
+    ``chain_kernels`` maps chain labels to their merged
+    :class:`FusedKernel` (also registered on ``program`` so worker
+    processes can look them up by label).
 
     A nest joins the current group only when every condition that makes
     the merge observationally equivalent holds.  The structural ones are
-    evaluated against ``ast`` on every call; the ``fusion_legal_pair``
-    verdict depends on the SCoP only and is memoized on ``program``
-    (:meth:`FusedProgram.fusion_legal`), so a plan loaded from the store
-    answers it from its table:
+    evaluated against the AST's arrays on every call; the
+    ``fusion_legal_pair`` verdict depends on the SCoP only and is
+    memoized on ``program`` (:meth:`FusedProgram.fusion_legal`), so a
+    plan loaded from the store answers it from its table:
 
     * all members are ``chained`` (the merged stream is one self chain)
       and their kernels have slice forms;
-    * identical blocking — same block count and bit-identical iteration
-      arrays per block index, so one rectangle decomposition serves all
-      members and chain tasks stay lex-contiguous;
+    * identical blocking — the same shape table and bit-identical flat
+      iterations over the two nests, so one rectangle decomposition
+      serves all members and chain tasks stay lex-contiguous;
     * ``fusion_legal_pair`` with every existing member — no dependence
       forces a later member's instance before an earlier member's;
     * every token a joining nest consumes from a member resolves at the
@@ -798,50 +799,50 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
       (the merged task publishes only the last member's token, so an
       outside consumer would lose its ordering edge).
     """
-    nests = list(ast.nests)
-    member_specs: dict[str, StatementSpec] = {}
-    for nest in nests:
-        entry = program.entries.get(nest.statement)
+    a = ast.arrays
+    names = a.statements
+    member_specs: dict[int, StatementSpec] = {}
+    for k, name in enumerate(names):
+        entry = program.entries.get(name)
         if entry is not None and entry.kernel.spec.slice_form:
-            member_specs[nest.statement] = entry.kernel.spec.statements[0]
+            member_specs[k] = entry.kernel.spec.statements[0]
 
-    consumers: dict[str, set[str]] = {}
-    for nest in nests:
-        for blk in nest.blocks:
-            for s, _ in blk.in_tokens:
-                if s != nest.statement:
-                    consumers.setdefault(s, set()).add(nest.statement)
+    # per token: the producer's nest and block index, the consumer's
+    nest_of = np.repeat(np.arange(len(names)), np.diff(a.starts))
+    consumer = np.repeat(np.arange(a.num_blocks), np.diff(a.indptr))
+    prod_nest, cons_nest = nest_of[a.indices], nest_of[consumer]
+    prod_index = a.indices - a.starts[prod_nest]
+    cons_index = consumer - a.starts[cons_nest]
+    consumers: dict[int, set[int]] = {}
+    for p, c in set(zip(prod_nest.tolist(), cons_nest.tolist())):
+        if p != c:
+            consumers.setdefault(p, set()).add(c)
 
     stmt_of = {s.name: s for s in scop.statements}
 
+    def blocking(k: int):
+        """Nest ``k``'s shape rows and flat iterations."""
+        lo, hi = a.starts[k], a.starts[k + 1]
+        return a.shapes[lo:hi], a.flat[a.offsets[lo] : a.offsets[hi]]
+
     def mergeable(group, nxt) -> bool:
-        if not (group[0].chained and nxt.chained):
+        if not (a.chained[group[0]] and a.chained[nxt]):
             return False
-        if nxt.statement not in member_specs:
+        if any(k not in member_specs for k in (*group, nxt)):
             return False
-        if any(n.statement not in member_specs for n in group):
+        if not all(map(np.array_equal, blocking(group[0]), blocking(nxt))):
             return False
-        base = group[0]
-        if len(nxt.blocks) != len(base.blocks):
+        # tokens of nxt from a member: producer index <= consumer index
+        from_member = (cons_nest == nxt) & np.isin(prod_nest, group)
+        if np.any(prod_index[from_member] > cons_index[from_member]):
             return False
-        for a, b in zip(base.blocks, nxt.blocks):
-            if not np.array_equal(
-                np.asarray(a.iterations), np.asarray(b.iterations)
-            ):
-                return False
-        members = {n.statement for n in group}
-        ends = {n.statement: [blk.end for blk in n.blocks] for n in group}
-        for b, blk in enumerate(nxt.blocks):
-            for s, end in blk.in_tokens:
-                if s in members and tuple(end) > tuple(ends[s][b]):
-                    return False
         # the one Presburger question, asked last and answered from the
         # plan's verdict table when it has been decided before
         return all(
             program.fusion_legal(
-                scop, stmt_of[n.statement], stmt_of[nxt.statement]
+                scop, stmt_of[names[k]], stmt_of[names[nxt]]
             )
-            for n in group
+            for k in group
         )
 
     def build(run: list) -> list[list]:
@@ -858,10 +859,8 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
             # member's token); split trailing members off and regroup them
             rest: list = []
             while len(group) > 1:
-                members = {n.statement for n in group}
                 leaky = any(
-                    consumers.get(n.statement, set()) - members
-                    for n in group[:-1]
+                    consumers.get(k, set()) - set(group) for k in group[:-1]
                 )
                 if not leaky:
                     break
@@ -872,16 +871,14 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
             i = j
         return groups
 
-    groups = build(nests)
+    groups = build(list(range(len(names))))
 
     chain_kernels: dict[str, FusedKernel] = {}
     for group in groups:
         if len(group) < 2:
             continue
-        label = chain_label(tuple(n.statement for n in group))
-        spec = ClosureSpec(
-            tuple(member_specs[n.statement] for n in group)
-        )
+        label = chain_label(tuple(names[k] for k in group))
+        spec = ClosureSpec(tuple(member_specs[k] for k in group))
         kernel = program.chains.get(label)
         if kernel is None or kernel.spec != spec:
             kernel = build_closure(spec)

@@ -157,7 +157,7 @@ class Interpreter:
         analysis)."""
         self._fused_program = program
 
-    def exec_plan(self, info, task_ast=None, privatization=None, graph=None):
+    def exec_plan(self, info, task_ast=None, privatization=None):
         """The lowered task program for ``info`` (see
         :mod:`repro.interp.plan`): lowered on first use, then replayed.
 
@@ -165,10 +165,8 @@ class Interpreter:
         ``info`` has a raw and a relaxed one — else ``info``), of the
         kernel program in force and of the privatization plan — each
         cached plan holds its referents, so an id cannot be recycled
-        while its entry lives.  ``graph``, the analysis' checked task
-        graph of ``task_ast``, is only read by a lowering (none is built
-        then).  Lowering is under the lock:
-        concurrent first runs of one analysis pay once.
+        while its entry lives.  Lowering is under the lock: concurrent
+        first runs of one analysis pay once.
         """
         from .plan import lower_exec_plan
 
@@ -179,7 +177,7 @@ class Interpreter:
             if plan is not None:
                 self._exec_plans.move_to_end(key)
                 return plan
-            plan = lower_exec_plan(self, info, task_ast, privatization, graph)
+            plan = lower_exec_plan(self, info, task_ast, privatization)
             self._exec_plans[key] = plan
             if len(self._exec_plans) > EXEC_PLAN_CACHE_SIZE:
                 self._exec_plans.popitem(last=False)

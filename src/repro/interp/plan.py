@@ -4,16 +4,18 @@
 verified :class:`~repro.schedule.privatize.PrivatizationPlan`, if any —
 into an :class:`ExecPlan`: task AST, fusion-legal chain groups, one
 flat :class:`TaskRow` per task with its rectangle decomposition already
-computed (payloads keep NumPy iteration arrays), and a compiled
+computed (payloads keep NumPy iteration arrays, views into the AST's
+:class:`~repro.schedule.astgen.TaskArrays`), and a compiled
 :class:`~repro.tasking.dispatch.Schedule`.  A row is one of two kinds:
 a kernel row runs its stream's kernel
 (:class:`~repro.interp.fused.FusedKernel`, one per statement or chain)
 over its rectangles, a join row folds a reduction group's private
 buffers.  The schedule is not derived on its own: it is the quotient,
-over the rows, of the very :class:`~repro.tasking.task.TaskGraph` the
-analysis checks (``TaskGraph.from_task_ast``, or
-``build_privatized_graph`` for a plan with reduction groups),
-transitively reduced — what runs orders what was proved.  ``dependArr``
+over the rows, of the edges of the very task graph the analysis checks
+(:func:`~repro.schedule.astgen.task_edges`, which
+``TaskGraph.from_task_ast`` and ``build_privatized_graph`` build their
+objects from), transitively reduced — what runs orders what was
+proved.  No graph object is built to lower.  ``dependArr``
 slots belong to generated programs (:mod:`repro.codegen.emit`) and play
 no part here.  :func:`run_plan` replays the plan without calling
 ``create_task``, and picks the dispatch unit once for every backend:
@@ -344,15 +346,16 @@ def claimed_whole(costs: dict, workers: int) -> frozenset:
     )
 
 
-def quotient_schedule(graph, members, floors) -> "Schedule":
+def quotient_schedule(edges, members, floors) -> "Schedule":
     """The schedule of rows that each run the graph tasks ``members[row]``.
 
-    A row waits on the rows holding its members' predecessors.  Rows of
-    one chained stream are ordered by the stream itself, so a
-    predecessor at or after ``floors[row]`` (the stream's first row)
-    collapses to the previous row; ``floors[row] == row`` collapses
-    nothing.  Creation order must be topological: a row waiting on a
-    later one is refused.
+    ``edges`` is the task graph's ``(src, dst)`` pair of id arrays
+    (:func:`~repro.schedule.astgen.task_edges`): a row waits on the rows
+    holding its members' predecessors.  Rows of one chained stream are
+    ordered by the stream itself, so a predecessor at or after
+    ``floors[row]`` (the stream's first row) collapses to the previous
+    row; ``floors[row] == row`` collapses nothing.  Creation order must
+    be topological: a row waiting on a later one is refused.
 
     The schedule is transitively reduced
     (:func:`~repro.tasking.dispatch.transitive_reduction`): a row waits
@@ -363,66 +366,59 @@ def quotient_schedule(graph, members, floors) -> "Schedule":
     """
     from ..tasking.dispatch import Schedule, transitive_reduction
 
-    row_of = {t: row for row, ts in enumerate(members) for t in ts}
-    preds: list[set[int]] = []
-    for row, (ts, floor) in enumerate(zip(members, floors)):
-        ps = set()
-        for t in ts:
-            for p in graph.preds[t]:
-                r = row_of[p]
-                if r > row:
-                    raise RuntimeError("a task waits on one created after it")
-                if r != row:
-                    ps.add(row - 1 if r >= floor else r)
-        preds.append(ps)
+    sizes = [len(ts) for ts in members]
+    row_of = np.zeros(sum(sizes), dtype=np.int64)
+    row_of[np.fromiter(
+        (t for ts in members for t in ts), np.int64, len(row_of)
+    )] = np.repeat(np.arange(len(members)), sizes)
+    src, dst = (row_of[np.asarray(e, dtype=np.int64)] for e in edges)
+    if np.any(src > dst):
+        raise RuntimeError("a task waits on one created after it")
+    src, dst = src[src != dst], dst[src != dst]
+    src = np.where(src >= np.asarray(floors)[dst], dst - 1, src)
+    preds: list[set[int]] = [set() for _ in members]
+    for s, d in zip(src.tolist(), dst.tolist()):
+        preds[d].add(s)
     return Schedule.from_preds(transitive_reduction(preds))
 
 
 def lower_exec_plan(
     interp: "Interpreter", info, task_ast=None, privatization=None,
-    graph=None,
 ) -> ExecPlan:
     """Lower ``info`` (already privatized when ``privatization`` has
     groups) into an :class:`ExecPlan`; ``task_ast`` skips regenerating
-    the AST the caller's analysis already holds, and ``graph`` — the
-    checked task graph of that AST — skips rebuilding it."""
+    the AST the caller's analysis already holds.  Lowering reads the
+    AST's :class:`~repro.schedule.astgen.TaskArrays` only — no task
+    loop nest, no task graph object."""
     from ..schedule import generate_task_ast
-    from ..schedule.privatize import build_privatized_graph, join_label
-    from ..tasking.task import TaskGraph
+    from ..schedule.astgen import task_edges
+    from ..schedule.privatize import join_label
 
     pgroups = privatization.groups if privatization is not None else ()
     fprog = interp.fused_program
     with span("exec.lower") as sp:
         ast = task_ast if task_ast is not None else generate_task_ast(info)
-        # the graph the analysis checks: graph task ids are AST order
-        # (nests x blocks), then one join per reduction group
-        if graph is None and pgroups:
-            graph, _ = build_privatized_graph(ast, privatization)
-        elif graph is None:
-            graph = TaskGraph.from_task_ast(ast)
+        arrays = ast.arrays
+        starts = arrays.starts.tolist()
 
-        # One task stream per group.  Singletons keep the per-nest task
-        # structure; longer groups are fusion-legal block-chains merged
-        # into a single task per block index (their kernels are
-        # registered on ``fprog`` by plan_chain_groups, so they reach
-        # worker processes with the rest of the kernel program).
+        # One task stream per group of nest indices.  Singletons keep
+        # the per-nest task structure; longer groups are fusion-legal
+        # block-chains merged into a single task per block index (their
+        # kernels are registered on ``fprog`` by plan_chain_groups, so
+        # they reach worker processes with the rest of the kernel
+        # program).
         if pgroups:
-            groups = [[nest] for nest in ast.nests]
+            groups = [[k] for k in range(len(arrays.statements))]
         else:
             groups, _ = plan_chain_groups(interp.scop, ast, fprog)
-
-        first: dict[str, int] = {}  # statement -> its first graph task
-        n_tasks = 0
-        for nest in ast.nests:
-            first[nest.statement] = n_tasks
-            n_tasks += len(nest.blocks)
 
         group_of = {s: g for g in pgroups for s in g.statements}
         names: dict[str, list[str]] = {g.array: [] for g in pgroups}
         streams: dict[str, FusedKernel | None] = {}
         rows: list[TaskRow] = []
-        # per row: the graph tasks it runs, and where its stream's
-        # collapsing starts (see quotient_schedule)
+        # per row: the graph tasks it runs (graph task ids are AST order,
+        # nests x blocks, then one join per reduction group), and where
+        # its stream's collapsing starts (see quotient_schedule)
         members: list[tuple[int, ...]] = []
         floors: list[int] = []
         runs: list[StreamRun] = []
@@ -430,15 +426,15 @@ def lower_exec_plan(
         # ``run_rects`` runs in loop form
         n_rects = n_loop_rects = 0
         for group in groups:
-            label = chain_label(tuple(n.statement for n in group))
-            last = group[-1]
+            label = chain_label(tuple(arrays.statements[k] for k in group))
+            head, last = group[0], group[-1]
             pgroup = group_of.get(label)
             first_row = len(rows)
-            start = first_row if last.chained and pgroup is None else None
+            chained = arrays.chained[last] and pgroup is None
             kernel = streams[label] = fprog.get(label)
             sliced = kernel.fn is not None
-            for b in range(len(last.blocks)):
-                iters = group[0].blocks[b].iterations
+            for b in range(starts[last + 1] - starts[last]):
+                iters = arrays.iterations(starts[head] + b)
                 rects = rectangles(iters)
                 n_rects += len(rects)
                 n_loop_rects += sum(
@@ -451,8 +447,8 @@ def lower_exec_plan(
                     )
                     names[pgroup.array].append(private)
                     payload["remap"] = {pgroup.array: private}
-                members.append(tuple(first[n.statement] + b for n in group))
-                floors.append(len(rows) if start is None else start)
+                members.append(tuple(starts[k] + b for k in group))
+                floors.append(first_row if chained else len(rows))
                 rows.append(TaskRow(label, payload))
             stream = range(first_row, len(rows))
             if pgroup is not None:  # each row against its own private
@@ -460,14 +456,12 @@ def lower_exec_plan(
                 continue
             union = ()
             if stream:
-                union = tuple(rectangles(np.concatenate(
-                    [rows[r].payload["iters"] for r in stream]
-                )))
+                union = tuple(rectangles(arrays.nest_iterations(head)))
             runs.append(StreamRun(stream, kernel, union))
         for k, g in enumerate(pgroups):
             label = join_label(g.array)
             streams[label] = None
-            members.append((n_tasks + k,))
+            members.append((arrays.num_blocks + k,))
             floors.append(len(rows))
             runs.append(StreamRun(range(len(rows), len(rows) + 1), None, ()))
             rows.append(TaskRow(label, {
@@ -477,7 +471,9 @@ def lower_exec_plan(
                     "privates": list(names[g.array]),
                 },
             }))
-        schedule = quotient_schedule(graph, members, floors)
+        schedule = quotient_schedule(
+            task_edges(ast, privatization), members, floors
+        )
 
         # Backend task ids are assigned in creation order (groups ×
         # blocks), the *unfused* graph's ids in AST order (nests ×
@@ -485,7 +481,8 @@ def lower_exec_plan(
         # task ``t`` executed, so collected events can be expanded back
         # onto the graph the profiler joins against.
         chains = tuple(
-            tuple(n.statement for n in g) for g in groups if len(g) > 1
+            tuple(arrays.statements[k] for k in g)
+            for g in groups if len(g) > 1
         )
         stats = dict(
             tasks=len(rows),

@@ -41,7 +41,6 @@ def execute_privatized(
     cost_of_block: Callable | None = None,
     collect_events: bool = False,
     task_ast=None,
-    graph=None,
 ) -> tuple[ArrayStore, ExecutionStats]:
     """Run the privatized task program for ``info`` under ``plan``.
 
@@ -50,14 +49,11 @@ def execute_privatized(
     statements re-blocked into chunks.  The plan is re-validated on every
     call — a tampered group (wrong identity, unverified proof) stops
     execution — and a plan without groups runs the standard program.
-    ``cost_of_block`` is accepted and unused, and ``graph`` spares the
-    lowering a rebuild (see :func:`~repro.interp.executor.execute_measured`).
+    ``cost_of_block`` is accepted and unused.
     """
     del cost_of_block
     plan.validate()  # tamper guard on the execution path
-    lowered = interp.exec_plan(
-        info, task_ast, plan if plan.groups else None, graph
-    )
+    lowered = interp.exec_plan(info, task_ast, plan if plan.groups else None)
     return run_plan(interp, lowered, backend, workers, store, collect_events)
 
 

@@ -385,12 +385,11 @@ class PointRelation:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready form (arities kept so empty relations round-trip)."""
-        return {
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "pairs": self.pairs.tolist(),
-        }
+        """Plain-data form: the arities (so empty relations round-trip)
+        and the canonical pairs as one int64 array — a section of the
+        artifact store's container, which :meth:`from_dict` takes back
+        with one sortedness test (``unique_rows``)."""
+        return {"n_in": self.n_in, "n_out": self.n_out, "pairs": self.pairs}
 
     @staticmethod
     def from_dict(d: dict) -> "PointRelation":

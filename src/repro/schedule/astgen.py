@@ -12,6 +12,7 @@ the ``Q_S`` / ``Q_S^O`` relations evaluated at one block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,11 +67,164 @@ class TaskLoopNest:
         return sum(b.size for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class TaskAst:
-    """Task-annotated AST of the whole pipelined SCoP."""
+@dataclass(frozen=True, eq=False)
+class TaskArrays:
+    """The task AST as flat arrays — what lowering, ``mergeable``, the
+    task-graph edges and the artifact store read.
 
-    nests: tuple[TaskLoopNest, ...]
+    Blocks have global ids in AST order (nests × blocks).  Per nest, the
+    table ``statements`` / ``depths`` / ``chained`` and ``starts`` (its
+    first global block id; one entry more than nests).  Per block, its
+    iteration array's ``shapes`` row (rows, cols; cols ``-1`` marks a
+    1-D array) and ``offsets`` into ``flat``, every block's iterations
+    concatenated.  ``ends`` concatenates each nest's ``(blocks, depth)``
+    block ends.  A block's in-tokens are its producers' global ids,
+    ``indices[indptr[g]:indptr[g + 1]]`` (CSR), in token order.
+    """
+
+    statements: tuple[str, ...]
+    depths: tuple[int, ...]
+    chained: tuple[bool, ...]
+    starts: np.ndarray
+    shapes: np.ndarray
+    offsets: np.ndarray
+    flat: np.ndarray
+    ends: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def num_blocks(self) -> int:
+        return int(self.starts[-1])
+
+    def blocks(self, k: int) -> range:
+        """Global ids of nest ``k``'s blocks."""
+        return range(int(self.starts[k]), int(self.starts[k + 1]))
+
+    def iterations(self, g: int) -> np.ndarray:
+        """Block ``g``'s iteration array: a view into ``flat``."""
+        rows, cols = self.shapes[g].tolist()
+        iters = self.flat[self.offsets[g] : self.offsets[g + 1]]
+        return iters if cols == -1 else iters.reshape(rows, cols)
+
+    def nest_iterations(self, k: int) -> np.ndarray:
+        """Nest ``k``'s blocks' iterations, concatenated (a view)."""
+        lo, hi = self.starts[k], self.starts[k + 1]
+        iters = self.flat[self.offsets[lo] : self.offsets[hi]]
+        cols = int(self.shapes[lo, 1]) if hi > lo else -1
+        return iters if cols == -1 else iters.reshape(-1, cols)
+
+    def nest_ends(self, k: int) -> np.ndarray:
+        """Nest ``k``'s ``(blocks, depth)`` block ends (a view)."""
+        lo = int(np.dot(np.diff(self.starts[: k + 1]), self.depths[:k]))
+        n = int(self.starts[k + 1] - self.starts[k])
+        depth = self.depths[k]
+        return self.ends[lo : lo + n * depth].reshape(n, depth)
+
+    @staticmethod
+    def from_nests(nests) -> "TaskArrays":
+        """The arrays of task loop nests; a token no block produces
+        raises ``KeyError``."""
+        producer: dict = {}
+        starts = [0]
+        for nest in nests:
+            for block in nest.blocks:
+                producer[block.out_token] = len(producer)
+            starts.append(len(producer))
+        iters: list[np.ndarray] = []
+        shapes: list[tuple[int, int]] = []
+        ends: list = []
+        indptr = [0]
+        indices: list[int] = []
+        for nest in nests:
+            for block in nest.blocks:
+                it = np.asarray(block.iterations, dtype=np.int64)
+                iters.append(it.ravel())
+                shapes.append(
+                    (it.shape[0], it.shape[1] if it.ndim == 2 else -1)
+                )
+                ends.extend(block.end)
+                for token in block.in_tokens:
+                    src = producer.get(token)
+                    if src is None:
+                        raise KeyError(
+                            f"in-dependency {token} of {block} has no "
+                            "producer"
+                        )
+                    indices.append(src)
+                indptr.append(len(indices))
+        shapes_arr = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+        return TaskArrays(
+            statements=tuple(n.statement for n in nests),
+            depths=tuple(n.depth for n in nests),
+            chained=tuple(n.chained for n in nests),
+            starts=np.asarray(starts, dtype=np.int64),
+            shapes=shapes_arr,
+            offsets=block_offsets(shapes_arr),
+            flat=(
+                np.concatenate(iters) if iters
+                else np.empty(0, dtype=np.int64)
+            ),
+            ends=np.asarray(ends, dtype=np.int64),
+            indptr=np.asarray(indptr, dtype=np.int64),
+            indices=np.asarray(indices, dtype=np.int64),
+        )
+
+    def nests(self) -> tuple[TaskLoopNest, ...]:
+        """The task loop nests these arrays describe (built here)."""
+        out_tokens = []
+        for k, name in enumerate(self.statements):
+            out_tokens += [
+                (name, tuple(end)) for end in self.nest_ends(k).tolist()
+            ]
+        indptr, indices = self.indptr.tolist(), self.indices.tolist()
+        nests = []
+        for k, name in enumerate(self.statements):
+            blocks = self.blocks(k)
+            nests.append(TaskLoopNest(name, self.depths[k], tuple(
+                TaskBlock(
+                    statement=name,
+                    block_id=g - blocks.start,
+                    end=out_tokens[g][1],
+                    iterations=self.iterations(g),
+                    in_tokens=tuple(
+                        out_tokens[p] for p in indices[indptr[g]:indptr[g + 1]]
+                    ),
+                    out_token=out_tokens[g],
+                )
+                for g in blocks
+            ), self.chained[k]))
+        return tuple(nests)
+
+
+def block_offsets(shapes: np.ndarray) -> np.ndarray:
+    """Offsets into the flat iterations of blocks of these ``shapes``."""
+    sizes = shapes[:, 0] * np.where(shapes[:, 1] == -1, 1, shapes[:, 1])
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+
+
+class TaskAst:
+    """Task-annotated AST of the whole pipelined SCoP.
+
+    Held as its task loop nests (objects), as :class:`TaskArrays`, or
+    both: either form is built from the other on first use.  A fresh
+    compile generates the nests; the artifact store loads the arrays,
+    and a replay reads nothing else.
+    """
+
+    def __init__(self, nests=None, *, arrays: TaskArrays | None = None):
+        if nests is not None:
+            self.__dict__["nests"] = tuple(nests)
+        if arrays is not None:
+            self.__dict__["arrays"] = arrays
+
+    @cached_property
+    def nests(self) -> tuple[TaskLoopNest, ...]:
+        return self.arrays.nests()
+
+    @cached_property
+    def arrays(self) -> TaskArrays:
+        return TaskArrays.from_nests(self.nests)
 
     def nest(self, statement: str) -> TaskLoopNest:
         for n in self.nests:
@@ -114,6 +268,36 @@ class TaskAst:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def task_edges(ast: TaskAst, plan=None) -> tuple:
+    """``(src, dst)``: every edge of the task graph of ``ast`` — the one
+    derivation the graph objects and lowering read, over the AST's
+    :class:`TaskArrays`.  A token orders its producer first, and the
+    blocks of a chained nest run in order.  A
+    :class:`~repro.schedule.privatize.PrivatizationPlan` with groups
+    unchains its statements and adds one join task per group (ids after
+    the blocks, in group order) waiting on every block of its
+    statements."""
+    a = ast.arrays
+    groups = plan.groups if plan is not None else ()
+    unchained = {s for g in groups for s in g.statements}
+    src = [a.indices]
+    dst = [np.repeat(np.arange(a.num_blocks), np.diff(a.indptr))]
+    for k, name in enumerate(a.statements):
+        blocks = a.blocks(k)
+        if a.chained[k] and name not in unchained and len(blocks) > 1:
+            src.append(np.arange(blocks.start, blocks.stop - 1))
+            dst.append(src[-1] + 1)
+    for j, group in enumerate(groups):
+        for k, name in enumerate(a.statements):
+            if name in group.statements:
+                src.append(np.arange(a.blocks(k).start, a.blocks(k).stop))
+                dst.append(np.full_like(src[-1], a.num_blocks + j))
+    return (
+        np.concatenate(src).astype(np.int64),
+        np.concatenate(dst).astype(np.int64),
+    )
 
 
 def generate_task_ast(

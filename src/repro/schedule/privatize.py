@@ -454,18 +454,9 @@ def build_privatized_graph(
     """
     from ..tasking.task import TaskGraph
 
-    graph = TaskGraph.from_task_ast(
-        ast.unchained(plan.statements), cost_of_block=cost_of_block
-    )
-    joins: dict[str, int] = {}
-    for group in plan.groups:
-        members = set(group.statements)
-        preds = [t.task_id for t in graph.tasks if t.statement in members]
-        jid = graph.add_task(join_label(group.array), 0, cost=join_cost)
-        for p in preds:
-            graph.add_edge(p, jid)
-        joins[group.array] = jid
-    graph.validate()
+    graph = TaskGraph.from_task_ast(ast, cost_of_block, plan, join_cost)
+    first = len(graph) - len(plan.groups)
+    joins = {g.array: first + k for k, g in enumerate(plan.groups)}
     return graph, joins
 
 

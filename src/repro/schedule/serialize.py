@@ -1,159 +1,170 @@
-"""Serialization of task ASTs (analysis-result caching).
+"""Task-AST serialization, and the section container it and the
+artifact store write.  The pipeline analysis is a compile-time pass;
+a task AST's :class:`~repro.schedule.astgen.TaskArrays` are enough to
+lower and run it later without re-running Algorithm 1.
 
-The pipeline analysis is a compile-time pass; for large instantiations it
-is worth caching.  A :class:`~repro.schedule.astgen.TaskAst` is fully
-self-contained (blocks, iterations, dependency tokens), so saving it is
-enough to rebuild task graphs and run/simulate later without re-running
-Algorithm 1.  ``dumps_task_ast`` / ``loads_task_ast`` write and read the
-artifact store's blob: a zlib-compressed pickle of the packed arrays
-below, without a zip container (``np.load`` drags in ``zipfile`` +
-``pathlib``, ~10ms of import cost in a fresh warm-serving process).
+The container (:func:`pack_sections`): a little-endian uint64 header
+length; a header of two JSON lines, the section table ``[[offset,
+dtype, shape], ...]`` and the document, padded to 8 bytes; then the
+raw sections at 8-aligned offsets.  Each ``ndarray`` of the document
+is an ``"<i8"`` section, each ``bytes`` value a ``"|u1"`` one, named
+``{"$s": index}`` in the JSON.  :func:`unpack_sections` takes each section as a read-only
+``np.frombuffer`` view — no copy, no pickle — and raises
+``ValueError`` on anything malformed.
 
-The packed layout (format version 2) is built for thousands of blocks:
-
-* every block's iteration array lives in ONE flat ``int64`` array plus
-  a ``(n_blocks, 2)`` shape table;
-* ``in_tokens`` are stored as integer indices into the global block
-  list (a consumed token is some producer block's ``out_token``), not
-  as literal ``[statement, end]`` pairs — smaller header, shared tuple
-  objects on load.  Tokens produced by no block (defensive case) are
-  kept literally in ``"in_extra"``;
-* a nest record carries ``"chained": false`` for a relaxed or privatized
-  nest; the key is absent otherwise.
-
-Loaded iteration arrays view into the flat array (no copy).  A blob
-without :data:`BLOB_MAGIC` (which names the version) raises
-``ValueError`` — the artifact store demotes that to a recompile.
+A task-AST blob is :data:`BLOB_MAGIC` plus a container: the nest table
+(statement, depth, chained, block count) and the sections ``flat``
+(every block's iterations), ``shapes`` (blocks × 2), ``ends`` (each
+nest's blocks × depth) and the producer CSR ``indptr`` / ``indices``
+over global block ids; a block's id is its position in its nest.  A
+load checks the sizes and that every producer precedes its consumer
+(the graph is acyclic), and builds no per-block object.
 """
 
 from __future__ import annotations
 
-import pickle
-import zlib
+import json
 
 import numpy as np
 
-from .astgen import TaskAst, TaskBlock, TaskLoopNest
+from .astgen import TaskArrays, TaskAst, block_offsets
 
-FORMAT_VERSION = 2
+#: magic prefix of the task-AST blob (names the layout version)
+BLOB_MAGIC = b"RPTAST3\x00"
 
-#: magic prefix of the in-memory blob container (zip-free pickle)
-BLOB_MAGIC = b"RPTAST2\x00"
+_DTYPES = {"<i8": np.dtype("<i8"), "|u1": np.dtype("u1")}
 
 
 # ----------------------------------------------------------------------
-# packed layout: AST <-> (header, flat, shapes)
+# the section container
 # ----------------------------------------------------------------------
-def _pack(ast: TaskAst) -> tuple[dict, np.ndarray, np.ndarray]:
-    token_index: dict = {}
-    idx = 0
-    for nest in ast.nests:
-        for block in nest.blocks:
-            token_index[(nest.statement, tuple(block.end))] = idx
-            idx += 1
+def pack_sections(doc) -> bytes:
+    """``doc`` (plain data, ndarrays, bytes) -> container bytes."""
+    sections: list[bytes] = []
+    table: list = []
 
-    header: dict = {"version": FORMAT_VERSION, "nests": []}
-    chunks: list[np.ndarray] = []
-    shapes: list[tuple[int, int]] = []
-    for nest in ast.nests:
-        nest_rec = {
-            "statement": nest.statement,
-            "depth": nest.depth,
-            "blocks": [],
-        }
-        if not nest.chained:  # absent means chained: most nests are
-            nest_rec["chained"] = False
-        for block in nest.blocks:
-            iters = np.ascontiguousarray(block.iterations, dtype=np.int64)
-            chunks.append(iters.ravel())
-            # cols == -1 marks a 1-D iteration array (shape preserved)
-            shapes.append(
-                (iters.shape[0], iters.shape[1])
-                if iters.ndim == 2
-                else (iters.shape[0], -1)
+    def encode(value):
+        if isinstance(value, np.ndarray):
+            raw = np.ascontiguousarray(value, dtype="<i8")
+            data, entry = raw.tobytes(), ["<i8", list(raw.shape)]
+        elif isinstance(value, (bytes, bytearray, memoryview)):
+            data, entry = bytes(value), ["|u1", [len(value)]]
+        elif isinstance(value, dict):
+            return {k: encode(v) for k, v in value.items()}
+        elif isinstance(value, (list, tuple)):
+            return [encode(v) for v in value]
+        else:
+            return value
+        table.append([sum(map(len, sections)), *entry])
+        sections.append(data + b"\0" * (-len(data) % 8))
+        return {"$s": len(table) - 1}
+
+    body = json.dumps(encode(doc), separators=(",", ":"))
+    header = (json.dumps(table) + "\n" + body).encode()
+    header += b" " * (-len(header) % 8)
+    return len(header).to_bytes(8, "little") + header + b"".join(sections)
+
+
+def unpack_sections(data):
+    """Container bytes (or a memoryview) -> the document, sections as
+    read-only ``np.frombuffer`` views (``bytes`` values as memoryviews)."""
+    view = memoryview(data)
+    if len(view) < 8:
+        raise ValueError("section container truncated before its header")
+    length = int.from_bytes(view[:8], "little")
+    base = 8 + length
+    if length % 8 or base > len(view):
+        raise ValueError("section container header overruns the data")
+    table, _, doc = bytes(view[8:base]).partition(b"\n")
+    try:
+        table = list(json.loads(table))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"section table unreadable: {exc}")
+    arrays = []
+    for entry in table:
+        try:
+            offset, dtype, shape = entry
+            dtype = _DTYPES[dtype]
+            count = int(np.prod(shape, dtype=np.int64))
+            start = base + offset
+            stop = start + count * dtype.itemsize
+            if offset % 8 or min((offset, *shape), default=0) < 0 or (
+                stop > len(view)
+            ):
+                raise ValueError("outside the data")
+            arrays.append(
+                view[start:stop] if dtype.itemsize == 1
+                else np.frombuffer(view, dtype, count, start).reshape(shape)
             )
-            rec: dict = {
-                "block_id": block.block_id,
-                "end": list(block.end),
-                "in": [],
-            }
-            for stmt, end in block.in_tokens:
-                ref = token_index.get((stmt, tuple(end)))
-                if ref is None:
-                    rec.setdefault("in_extra", []).append([stmt, list(end)])
-                else:
-                    rec["in"].append(ref)
-            nest_rec["blocks"].append(rec)
-        header["nests"].append(nest_rec)
-    flat = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    )
-    return header, flat, np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"bad section entry {entry!r}: {exc}")
 
+    def section(obj: dict):
+        return arrays[obj["$s"]] if len(obj) == 1 and "$s" in obj else obj
 
-def _unpack(header: dict, flat: np.ndarray, shapes: np.ndarray) -> TaskAst:
-    flat = np.asarray(flat, dtype=np.int64)
-    shapes = np.asarray(shapes, dtype=np.int64)
-
-    # Pass 1: every block's out_token, in global block order — in_token
-    # indices resolve against this (and the tuples are shared, not
-    # re-materialized per consumer).
-    out_tokens: list = []
-    for nest_rec in header["nests"]:
-        statement = nest_rec["statement"]
-        for rec in nest_rec["blocks"]:
-            out_tokens.append((statement, tuple(rec["end"])))
-
-    nests: list[TaskLoopNest] = []
-    offset = 0
-    b_idx = 0
-    for nest_rec in header["nests"]:
-        statement = nest_rec["statement"]
-        blocks: list[TaskBlock] = []
-        for rec in nest_rec["blocks"]:
-            rows = int(shapes[b_idx, 0])
-            cols = int(shapes[b_idx, 1])
-            count = rows * (1 if cols == -1 else cols)
-            iters = flat[offset : offset + count]
-            if cols != -1:
-                iters = iters.reshape(rows, cols)
-            offset += count
-            in_tokens = [out_tokens[i] for i in rec["in"]]
-            for stmt, end in rec.get("in_extra", ()):
-                in_tokens.append((stmt, tuple(end)))
-            blocks.append(
-                TaskBlock(
-                    statement=statement,
-                    block_id=int(rec["block_id"]),
-                    end=out_tokens[b_idx][1],
-                    iterations=iters,
-                    in_tokens=tuple(in_tokens),
-                    out_token=out_tokens[b_idx],
-                )
-            )
-            b_idx += 1
-        nests.append(TaskLoopNest(
-            statement, int(nest_rec["depth"]), tuple(blocks),
-            chained=nest_rec.get("chained", True),
-        ))
-    return TaskAst(tuple(nests))
+    try:
+        return json.loads(doc, object_hook=section)
+    except (ValueError, IndexError, TypeError) as exc:
+        raise ValueError(f"section container document unreadable: {exc}")
 
 
 # ----------------------------------------------------------------------
-# the container (artifact-store blobs)
+# the task AST
 # ----------------------------------------------------------------------
 def dumps_task_ast(ast: TaskAst) -> bytes:
-    """Task AST -> bytes, the artifact-store blob (zip-free)."""
-    header, flat, shapes = _pack(ast)
-    doc = {"header": header, "flat": flat, "shapes": shapes}
-    return BLOB_MAGIC + zlib.compress(
-        pickle.dumps(doc, protocol=4), level=1
-    )
+    """Task AST -> bytes, the artifact-store blob."""
+    a = ast.arrays
+    nests = [
+        [name, depth, chained, len(a.blocks(k))]
+        for k, (name, depth, chained) in enumerate(
+            zip(a.statements, a.depths, a.chained)
+        )
+    ]
+    return BLOB_MAGIC + pack_sections({
+        "nests": nests, "flat": a.flat, "shapes": a.shapes,
+        "ends": a.ends, "indptr": a.indptr, "indices": a.indices,
+    })
 
 
-def loads_task_ast(blob: bytes) -> TaskAst:
-    """Inverse of :func:`dumps_task_ast`."""
-    if not blob.startswith(BLOB_MAGIC):
+def loads_task_ast(blob) -> TaskAst:
+    """Inverse of :func:`dumps_task_ast`; ``ValueError`` on a blob that
+    is not one."""
+    if bytes(blob[: len(BLOB_MAGIC)]) != BLOB_MAGIC:
         raise ValueError("not a task-AST blob (bad magic)")
-    doc = pickle.loads(zlib.decompress(blob[len(BLOB_MAGIC) :]))
-    return _unpack(doc["header"], doc["flat"], doc["shapes"])
+    doc = unpack_sections(memoryview(blob)[len(BLOB_MAGIC):])
+    try:
+        rows = doc["nests"]
+        names, depths, chained, counts = zip(*rows) if rows else [()] * 4
+        arrays = TaskArrays(
+            statements=tuple(map(str, names)),
+            depths=tuple(map(int, depths)),
+            chained=tuple(map(bool, chained)),
+            starts=np.cumsum((0, *counts), dtype=np.int64),
+            shapes=doc["shapes"],
+            offsets=block_offsets(doc["shapes"]),
+            flat=doc["flat"],
+            ends=doc["ends"],
+            indptr=doc["indptr"],
+            indices=doc["indices"],
+        )
+        n = arrays.num_blocks
+        consumer = np.repeat(np.arange(n), np.diff(arrays.indptr))
+        ok = (
+            np.all(np.diff(arrays.starts) >= 0)
+            and arrays.shapes.shape == (n, 2)
+            and np.all(arrays.shapes[:, 0] >= 0)
+            and np.all(np.diff(arrays.offsets) >= 0)
+            and arrays.offsets[-1] == arrays.flat.size
+            and arrays.ends.size == np.dot(counts, depths)
+            and arrays.indptr.shape == (n + 1,)
+            and arrays.indptr[0] == 0
+            and arrays.indptr[-1] == arrays.indices.size
+            and consumer.size == arrays.indices.size
+            and np.all(arrays.indices >= 0)
+            and np.all(arrays.indices < consumer)
+        )
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"task-AST blob unreadable: {exc}")
+    if not ok:
+        raise ValueError("task-AST blob arrays are inconsistent")
+    return TaskAst(arrays=arrays)

@@ -25,7 +25,7 @@ import dataclasses
 import time
 from typing import Mapping
 
-from ..driver import Analysis, TransformOptions, analyze, build_task_graph
+from ..driver import Analysis, TransformOptions, analyze
 from ..scop import DepKind
 from ..store import ArtifactStore, CompileArtifact, artifact_key, kernel_sha
 from ..store.disk import bump_session
@@ -91,7 +91,7 @@ def build_artifact(
     proofs: list[dict] = []
     plan = analysis.plan
     if plan is not None and getattr(plan, "groups", ()):
-        proofs = [g.proof.to_dict() for g in plan.groups]
+        proofs = [g.proof.to_dict(arrays=True) for g in plan.groups]
 
     key = artifact_key(source, params, options)
     return CompileArtifact(
@@ -122,9 +122,11 @@ def load_analysis(
     """Rebuild an :class:`Analysis` from a stored artifact.
 
     The SCoP is re-extracted by the caller's interpreter (never stored);
-    the artifact supplies the *derived* objects.  Privatization proofs
-    go back through ``plan_from_proofs``: the plan is re-derived and
-    verified once per group, and a stored proof it does not contain
+    the artifact supplies the *derived* objects: the info's relations
+    and the task AST's arrays are the file's sections, and no task
+    graph is built (lowering reads the AST's arrays).  Privatization
+    proofs go back through ``plan_from_proofs``: the plan is re-derived
+    and verified once per group, and a stored proof it does not contain
     (tampered, or stale) raises here and the caller recompiles.
     """
     from ..interp.fused import FusedProgram
@@ -151,14 +153,12 @@ def load_analysis(
             scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )
 
-    graph, joins = build_task_graph(task_ast, plan)
     return Analysis(
         info=info,
         schedule=schedule,
         task_ast=task_ast,
-        graph=graph,
         plan=plan,
-        joins=joins,
+        joins=plan.arrays if plan is not None else (),
         privatized=plan is not None and bool(plan.groups),
         cache_status="warm",
     )

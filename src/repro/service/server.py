@@ -330,7 +330,7 @@ class ReproServer:
                 "key": key,
                 "status": status,
                 "cache_status": status,
-                "tasks": len(analysis.graph),
+                "tasks": analysis.num_tasks,
                 "privatized": analysis.privatized,
                 "summary": analysis.info.summary(),
             }

@@ -1,33 +1,32 @@
 """The artifact payload: one compile's outputs, checksummed on disk.
 
-File layout (everything after the header is one pickle)::
-
-    bytes 0..7    MAGIC  b"RPASTOR\\x01"
-    bytes 8..39   SHA-256 of the payload bytes
-    bytes 40..    payload: pickle of ``CompileArtifact.to_payload()``
-
-The checksum makes truncation and bit-rot *detectable before unpickling*
-— a corrupted file raises :class:`ArtifactCorruptError`, which the store
-turns into a miss (recompile), never a crash or a poisoned unpickle.
-
-The payload itself is plain data: explicit-relation dicts for the
-pipeline info, the compressed task-AST blob of
-:mod:`repro.schedule.serialize`, declarative ``ClosureSpec`` dicts for
-the fused program, and privatization-proof dicts that loaders MUST pass
-back through :func:`repro.schedule.legality.verify_privatization` (the
-store is durable, not trusted).
+File layout: bytes 0..7 are :data:`MAGIC`, 8..39 the SHA-256 of the
+rest, which is a section container (:mod:`repro.schedule.serialize`):
+a JSON header naming each section's offset, dtype and shape, then the
+raw little-endian sections.  Its document is
+``CompileArtifact.to_payload()``: plain data in the header, the
+relation pairs of the pipeline info and of the privatization proofs
+as ``int64`` sections (rows in canonical order), the task-AST blob as
+a byte section.  A load checks magic and checksum, then takes each
+section as an ``np.frombuffer`` view: nothing on the read path
+unpickles, so the worst a hostile file can do is describe a wrong plan
+(its proofs are re-derived and the oracle compare decides).  Every
+failure — truncation, bit-rot, a foreign schema, a well-checksummed
+payload missing a field or holding one of the wrong type — raises
+:class:`ArtifactCorruptError`: a counted ``corrupt`` miss, never a
+crash.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
+from ..schedule.serialize import pack_sections, unpack_sections
 from .keys import SCHEMA_VERSION
 
-MAGIC = b"RPASTOR\x01"
+MAGIC = b"RPASTOR\x02"
 _SHA_LEN = 32
 
 
@@ -35,7 +34,7 @@ class ArtifactCorruptError(ValueError):
     """The on-disk artifact bytes fail the integrity checks."""
 
 
-@dataclass
+@dataclass(eq=False)
 class CompileArtifact:
     """Serialized outputs of one compile, addressed by ``key``."""
 
@@ -43,16 +42,16 @@ class CompileArtifact:
     kernel_sha: str
     params: dict[str, int]
     options_fingerprint: str
-    #: explicit-relation dict of :class:`repro.pipeline.PipelineInfo`
+    #: ``PipelineInfo.to_dict()``: relation pairs as int64 arrays
     info: dict
-    #: compressed blob of the task AST (schedule tree already lowered)
+    #: ``dumps_task_ast`` of the task AST (schedule tree already lowered)
     task_ast_blob: bytes
     #: ``FusedProgram.to_dict()`` — every statement's ClosureSpec with
     #: its slice-form verdict, the chains and the fusion-legal pair
     #: table (None when the compile ran with fusion off)
     fused: dict | None = None
-    #: privatization proofs (``PrivatizationProof.to_dict()`` rows);
-    #: loaders re-verify each via ``verify_privatization`` — mandatory
+    #: privatization proofs (``PrivatizationProof.to_dict(arrays=True)``
+    #: rows); loaders re-verify each via ``plan_from_proofs`` — mandatory
     proofs: list[dict] = field(default_factory=list)
     #: True when the artifact came from the privatized arm (proofs drive
     #: the schedule, not just annotate it)
@@ -64,56 +63,56 @@ class CompileArtifact:
     schema_version: int = SCHEMA_VERSION
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "key": self.key,
-            "kernel_sha": self.kernel_sha,
-            "params": dict(self.params),
-            "options_fingerprint": self.options_fingerprint,
-            "info": self.info,
-            "task_ast_blob": self.task_ast_blob,
-            "fused": self.fused,
-            "proofs": list(self.proofs),
-            "privatized": self.privatized,
-            "legality_ok": self.legality_ok,
-            "timings": dict(self.timings),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __eq__(self, other) -> bool:  # arrays inside: compare the bytes
+        return isinstance(other, CompileArtifact) and (
+            pack_artifact(self) == pack_artifact(other)
+        )
 
     @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "CompileArtifact":
+    def from_payload(cls, payload) -> "CompileArtifact":
+        """The artifact of a decoded payload; every field must be there
+        with its type, else :class:`ArtifactCorruptError`."""
+        if not isinstance(payload, dict):
+            raise ArtifactCorruptError("artifact payload is not a mapping")
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ArtifactCorruptError(
                 f"artifact schema version {version!r} != {SCHEMA_VERSION}"
             )
-        return cls(
-            key=payload["key"],
-            kernel_sha=payload["kernel_sha"],
-            params=dict(payload["params"]),
-            options_fingerprint=payload["options_fingerprint"],
-            info=payload["info"],
-            task_ast_blob=payload["task_ast_blob"],
-            fused=payload.get("fused"),
-            proofs=list(payload.get("proofs", ())),
-            privatized=bool(payload.get("privatized", False)),
-            legality_ok=payload.get("legality_ok"),
-            timings=dict(payload.get("timings", ())),
-            schema_version=version,
-        )
+        for name, types in _TYPES.items():
+            if not isinstance(payload.get(name, _MISSING), types):
+                raise ArtifactCorruptError(f"artifact field {name!r} is bad")
+        return cls(**{name: payload[name] for name in _TYPES})
+
+
+_MISSING = object()
+_TYPES: dict[str, tuple[type, ...]] = {
+    "key": (str,), "kernel_sha": (str,), "params": (dict,),
+    "options_fingerprint": (str,), "info": (dict,),
+    "task_ast_blob": (bytes, memoryview), "fused": (dict, type(None)),
+    "proofs": (list,), "privatized": (bool,),
+    "legality_ok": (bool, type(None)), "timings": (dict,),
+    "schema_version": (int,),
+}
+
+
+def pack_payload(payload: dict) -> bytes:
+    """A payload mapping -> checksummed bytes (the on-disk file content)."""
+    body = pack_sections(payload)
+    return MAGIC + hashlib.sha256(body).digest() + body
 
 
 def pack_artifact(artifact: CompileArtifact) -> bytes:
-    """Artifact -> checksummed bytes (the on-disk file content)."""
-    payload = pickle.dumps(artifact.to_payload(), protocol=4)
-    digest = hashlib.sha256(payload).digest()
-    return MAGIC + digest + payload
+    """Artifact -> checksummed bytes."""
+    return pack_payload(artifact.to_payload())
 
 
 def unpack_artifact(data: bytes) -> CompileArtifact:
     """Checksummed bytes -> artifact; raises :class:`ArtifactCorruptError`.
 
-    Order matters: magic, length, checksum are all verified *before*
-    ``pickle.loads`` ever sees the payload.
+    Magic and checksum are verified before the header is parsed.
     """
     if len(data) < len(MAGIC) + _SHA_LEN:
         raise ArtifactCorruptError(
@@ -122,14 +121,11 @@ def unpack_artifact(data: bytes) -> CompileArtifact:
         )
     if data[: len(MAGIC)] != MAGIC:
         raise ArtifactCorruptError("bad artifact magic")
-    digest = data[len(MAGIC) : len(MAGIC) + _SHA_LEN]
-    payload = data[len(MAGIC) + _SHA_LEN :]
-    if hashlib.sha256(payload).digest() != digest:
+    body = memoryview(data)[len(MAGIC) + _SHA_LEN :]
+    if hashlib.sha256(body).digest() != data[len(MAGIC) : -len(body)]:
         raise ArtifactCorruptError("artifact payload checksum mismatch")
     try:
-        doc = pickle.loads(payload)
-    except Exception as exc:  # checksum passed but pickle still broken
+        payload = unpack_sections(body)
+    except ValueError as exc:  # checksum passed but the container is bad
         raise ArtifactCorruptError(f"artifact payload unreadable: {exc}")
-    if not isinstance(doc, dict):
-        raise ArtifactCorruptError("artifact payload is not a mapping")
-    return CompileArtifact.from_payload(doc)
+    return CompileArtifact.from_payload(payload)

@@ -15,10 +15,12 @@ metrics registry surface.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 
 from .artifact import (
     ArtifactCorruptError,
@@ -67,12 +69,9 @@ METRICS_SNAPSHOT = "metrics-last.json"
 
 def save_metrics_snapshot(root: str, doc: dict) -> str:
     """Atomically persist a serving session's final metrics document."""
-    import json
-    import tempfile as _tempfile
-
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, METRICS_SNAPSHOT)
-    fd, tmp = _tempfile.mkstemp(dir=root, prefix=".tmp-metrics-")
+    fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp-metrics-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -89,8 +88,6 @@ def save_metrics_snapshot(root: str, doc: dict) -> str:
 
 def load_metrics_snapshot(root: str) -> dict | None:
     """The last serving session's metrics, or ``None`` if never served."""
-    import json
-
     path = os.path.join(root, METRICS_SNAPSHOT)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -121,14 +118,7 @@ class StoreStats:
     counters: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "max_bytes": self.max_bytes,
-            "max_entries": self.max_entries,
-            "counters": dict(self.counters),
-        }
+        return asdict(self)
 
     def format(self) -> str:
         c = self.counters
@@ -265,8 +255,6 @@ class ArtifactStore:
                     # leftover from a crashed writer — but only reap old
                     # ones, a fresh tmp may be another process mid-write
                     try:
-                        import time
-
                         if time.time() - os.stat(path).st_mtime > 300:
                             os.remove(path)
                     except OSError:

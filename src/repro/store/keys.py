@@ -29,7 +29,7 @@ from typing import Any, Mapping
 
 #: Bump when the artifact payload or the compile output in it changes
 #: (old entries become misses — the store never parses a foreign schema).
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def kernel_sha(source: str) -> str:
@@ -39,12 +39,8 @@ def kernel_sha(source: str) -> str:
 
 def _canon(value: Any) -> Any:
     """Reduce a value to canonical plain data (deterministic JSON)."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        # repr round-trips exactly; json.dumps uses it already, but keep
-        # floats explicit so the contract is visible here.
-        return value
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value  # a float's repr (json.dumps') round-trips exactly
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

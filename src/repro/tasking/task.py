@@ -143,40 +143,33 @@ class TaskGraph:
     def from_task_ast(
         ast: TaskAst,
         cost_of_block: Callable[[TaskBlock], float] | None = None,
+        plan=None,
+        join_cost: float = 1.0,
     ) -> "TaskGraph":
         """Build the pipeline task graph from a task-annotated AST.
 
         Blocks of a ``chained`` nest run in order; an unchained one (a
         relaxed self chain, or a reduction privatized under a verified
         proof) is ordered by nothing but the tokens its blocks carry.
+        A ``plan`` with reduction groups adds one join task per group
+        (``block=None``, named by ``join_label``) after the blocks.  The
+        edges are :func:`~repro.schedule.astgen.task_edges`' — the ones
+        lowering orders the plan's rows by.
         """
-        graph = TaskGraph()
-        token_to_task: dict[tuple[str, tuple[int, ...]], int] = {}
+        from ..schedule.astgen import task_edges
+        from ..schedule.privatize import join_label
 
+        graph = TaskGraph()
         for nest in ast.nests:
-            prev: int | None = None
             for block in nest.blocks:
                 cost = (
                     cost_of_block(block) if cost_of_block else float(block.size)
                 )
-                tid = graph.add_task(
-                    nest.statement, block.block_id, cost, block
-                )
-                token_to_task[block.out_token] = tid
-                if nest.chained and prev is not None:
-                    graph.add_edge(prev, tid)
-                prev = tid
-
-        for nest in ast.nests:
-            for block in nest.blocks:
-                tid = token_to_task[block.out_token]
-                for token in block.in_tokens:
-                    src = token_to_task.get(token)
-                    if src is None:
-                        raise KeyError(
-                            f"in-dependency {token} of {block} has no producer"
-                        )
-                    graph.add_edge(src, tid)
+                graph.add_task(nest.statement, block.block_id, cost, block)
+        for group in plan.groups if plan is not None else ():
+            graph.add_task(join_label(group.array), 0, cost=join_cost)
+        for src, dst in zip(*(e.tolist() for e in task_edges(ast, plan))):
+            graph.add_edge(src, dst)
         graph.validate()
         return graph
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.driver import TransformOptions
@@ -224,8 +225,9 @@ def test_transform_generates_and_lowers_the_task_ast_once(
 def test_a_verified_transform_builds_its_task_graph_once(
     tmp_path, monkeypatch, source, privatize
 ):
-    """The replay lowers from the graph ``check_legality`` proved (cold)
-    or the store's load rebuilt (warm): one build per transform."""
+    """A cold transform builds the one graph ``check_legality`` proves;
+    a warm one builds none — lowering reads the edges of the AST's
+    arrays, and the result's graph is built only when read."""
     from repro.driver import transform
     from repro.tasking import TaskGraph
 
@@ -240,7 +242,7 @@ def test_a_verified_transform_builds_its_task_graph_once(
         del builds[:]
         result = transform(source, {"N": 8}, opts, cache_dir=str(tmp_path))
         assert result.verified is True and result.cache_status == status
-        assert len(builds) == 1, status
+        assert len(builds) == (status == "cold"), status
 
 
 # ----------------------------------------------------------------------
@@ -535,10 +537,12 @@ def _wrong_operator(proof):
 
 def _extra_pair(proof):
     """Smuggle in S(0,0) -> R(0,0): distinct cells, no dependence."""
+    import numpy as np
+
     removed = [dict(r) for r in proof["removed"]]
-    extra = {"target": [0, 0], "source": [0, 0]}
-    pairs = [*removed[0]["instance_pairs"], extra]
-    removed[0] = dict(removed[0], instance_pairs=pairs)
+    relation = removed[0]["relation"]
+    pairs = np.concatenate([relation["pairs"], [[0, 0, 0, 0]]])
+    removed[0] = dict(removed[0], relation=dict(relation, pairs=pairs))
     return dict(proof, removed=removed)
 
 
@@ -673,3 +677,127 @@ def test_pack_round_trip_preserves_proofs(tmp_path):
     art = store.get(key)
     assert art.privatized and art.proofs
     assert unpack_artifact(pack_artifact(art)) == art
+
+
+# ----------------------------------------------------------------------
+# a warm one-shot builds only what it replays
+# ----------------------------------------------------------------------
+def test_a_warm_transform_builds_no_graph_simulates_nothing_unpickles_nothing(
+    tmp_path, monkeypatch
+):
+    """Warm, verified, serial: no ``TaskGraph`` is constructed, no
+    simulation runs and nothing is unpickled — until the result's graph
+    or simulation is read."""
+    import pickle
+
+    from repro import driver
+    from repro.driver import transform
+    from repro.tasking.task import TaskGraph
+
+    counts = {"graphs": 0, "simulate": 0, "pickle.loads": 0}
+
+    def counting(name, real):
+        def wrapper(*a, **k):
+            counts[name] += 1
+            return real(*a, **k)
+        return wrapper
+
+    real_init = TaskGraph.__init__
+    monkeypatch.setattr(
+        TaskGraph, "__init__", counting("graphs", real_init)
+    )
+    monkeypatch.setattr(
+        driver, "simulate", counting("simulate", driver.simulate)
+    )
+    monkeypatch.setattr(
+        pickle, "loads", counting("pickle.loads", pickle.loads)
+    )
+    opts = TransformOptions(exec_backend="serial", workers=2)
+    for status in ("cold", "warm"):
+        counts.update(dict.fromkeys(counts, 0))
+        result = transform(
+            TWO_NEST_COPY, {"N": 8}, opts, cache_dir=str(tmp_path)
+        )
+        assert (result.cache_status, result.verified) == (status, True)
+    assert counts == {"graphs": 0, "simulate": 0, "pickle.loads": 0}
+    assert result.num_tasks == len(result.graph) and result.speedup > 0
+    assert counts == {"graphs": 1, "simulate": 1, "pickle.loads": 0}
+
+
+def _warm_cases():
+    from repro.workloads import MatmulKernel, TABLE9
+    from tests.test_driver import HISTOGRAM
+
+    cases = [
+        pytest.param(TABLE9[p].source(6), {}, {}, id=p)
+        for p in sorted(TABLE9, key=lambda p: int(p[1:]))
+    ]
+    cases.append(pytest.param(
+        HISTOGRAM, {"N": 6}, {"privatize": True}, id="privatized-histogram"
+    ))
+    cases.append(pytest.param(
+        MatmulKernel(2, "mm").source(6), {}, {"hybrid": True},
+        id="hybrid-2mm",
+    ))
+    return cases
+
+
+@pytest.mark.parametrize("source,params,extra", _warm_cases())
+def test_warm_results_and_plans_equal_cold_ones(
+    tmp_path, source, params, extra
+):
+    """A warm result's lazily built graph, simulation, speed-up and
+    report equal the cold result's (the legality line aside: a warm
+    load does not re-derive it), and its lowered plan has the cold
+    plan's rows, schedule and runs."""
+    from repro.driver import analyze, transform
+
+    opts = TransformOptions(workers=2, **extra)
+    cold = transform(source, params, opts, cache_dir=str(tmp_path))
+    warm = transform(source, params, opts, cache_dir=str(tmp_path))
+    assert (cold.cache_status, warm.cache_status) == ("cold", "warm")
+    assert warm.verified is True
+    assert warm.num_tasks == cold.num_tasks == len(cold.graph)
+    assert warm.graph.preds == cold.graph.preds
+    assert [
+        (t.statement, t.block_id, t.cost) for t in warm.graph.tasks
+    ] == [(t.statement, t.block_id, t.cost) for t in cold.graph.tasks]
+    assert warm.simulation.makespan == cold.simulation.makespan
+    assert np.array_equal(warm.simulation.finish, cold.simulation.finish)
+    assert warm.speedup == cold.speedup
+
+    def report(result):
+        return [
+            line for line in result.report().splitlines()
+            if not line.startswith("LegalityReport")
+        ]
+
+    assert report(warm) == report(cold)
+
+    def lowered(analysis, interp):
+        plan = analysis.plan if analysis.privatized else None
+        return interp.exec_plan(analysis.info, analysis.task_ast, plan)
+
+    interp = Interpreter.from_source(source, params, fuse=opts.fuse)
+    want = lowered(analyze(interp, opts), interp)
+    interp, warm_a, status = _compile(
+        source, params, opts, ArtifactStore(str(tmp_path))
+    )
+    assert status == "warm"
+    got = lowered(warm_a, interp)
+    assert [r.stream for r in got.rows] == [r.stream for r in want.rows]
+    for a, b in zip(got.rows, want.rows):
+        assert a.payload.keys() == b.payload.keys()
+        if "iters" in a.payload:
+            assert np.array_equal(a.payload["iters"], b.payload["iters"])
+            assert a.payload["rects"] == b.payload["rects"]
+        assert a.payload.get("remap") == b.payload.get("remap")
+        assert a.payload.get("combine") == b.payload.get("combine")
+    assert got.schedule == want.schedule
+    assert [(r.rows, r.rects) for r in got.runs] == [
+        (r.rows, r.rects) for r in want.runs
+    ]
+    assert [r.kernel and r.kernel.spec for r in got.runs] == [
+        r.kernel and r.kernel.spec for r in want.runs
+    ]
+    assert got.stats == want.stats

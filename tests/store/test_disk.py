@@ -5,15 +5,22 @@ from __future__ import annotations
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.store import (
+    SCHEMA_VERSION,
     ArtifactCorruptError,
     ArtifactStore,
     CompileArtifact,
     default_cache_dir,
 )
-from repro.store.artifact import MAGIC, pack_artifact, unpack_artifact
+from repro.store.artifact import (
+    MAGIC,
+    pack_artifact,
+    pack_payload,
+    unpack_artifact,
+)
 
 
 def _artifact(key: str = "ab" * 32, payload_pad: bytes = b"") -> CompileArtifact:
@@ -184,12 +191,135 @@ def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
 
 
 def test_schema_version_bump_reads_as_corrupt(tmp_path):
-    art = _artifact()
-    payload = art.to_payload()
+    payload = _artifact().to_payload()
     payload["schema_version"] = 999
+    with pytest.raises(ArtifactCorruptError, match="schema"):
+        unpack_artifact(pack_payload(payload))
+
+
+# ----------------------------------------------------------------------
+# the section format: decode failures are corrupt misses, never crashes
+# ----------------------------------------------------------------------
+def _run(source, params, options, cache_dir):
+    from repro.driver import transform
+
+    return transform(source, params, options, cache_dir=str(cache_dir))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"schema_version": SCHEMA_VERSION}, id="only-a-version"),
+        pytest.param("mistyped-params", id="params-not-a-mapping"),
+        pytest.param("not-a-mapping", id="payload-not-a-mapping"),
+    ],
+)
+def test_a_checksummed_payload_with_a_bad_field_is_a_corrupt_miss(
+    tmp_path, payload
+):
+    """Well-checksummed, well-framed, yet missing a field or holding one
+    of the wrong type: one counted ``corrupt`` miss, and ``transform``
+    recompiles instead of crashing."""
+    from repro.driver import TransformOptions
+    from repro.store import artifact_key
+
+    from ..conftest import TWO_NEST_COPY
+
+    opts = TransformOptions(workers=2)
+    key = artifact_key(TWO_NEST_COPY, {"N": 6}, opts)
+    if payload == "mistyped-params":
+        payload = dict(_artifact(key=key).to_payload(), params=5)
+    elif payload == "not-a-mapping":
+        payload = [SCHEMA_VERSION, key]
+    store = ArtifactStore(str(tmp_path))
+    os.makedirs(os.path.dirname(store.path_for(key)), exist_ok=True)
+    with open(store.path_for(key), "wb") as fh:
+        fh.write(pack_payload(payload))
+    assert store.get(key) is None
+    assert store.counters["corrupt"] == 1
+    with open(store.path_for(key), "wb") as fh:
+        fh.write(pack_payload(payload))
+    result = _run(TWO_NEST_COPY, {"N": 6}, opts, tmp_path)
+    assert (result.cache_status, result.verified) == ("cold", True)
+
+
+def _damaged_copies(data: bytes):
+    """``(label, bytes)``: the artifact truncated at every section
+    boundary, and with one byte flipped in the header and in each
+    section."""
+    import json
+
+    body = len(MAGIC) + 32
+    length = int.from_bytes(data[body : body + 8], "little")
+    table = json.loads(data[body + 8 : body + 8 + length].split(b"\n")[0])
+    base = body + 8 + length
+    cuts = {body + 8 + length // 2, base}
+    flips = {"header": body + 8 + length // 2}
+    for k, (offset, dtype, shape) in enumerate(table):
+        size = int(np.prod(shape)) * (8 if dtype == "<i8" else 1)
+        cuts |= {base + offset, base + offset + size}
+        if size:
+            flips[f"section {k}"] = base + offset + size // 2
+    for cut in sorted(cuts - {len(data)}):
+        yield f"truncated at {cut}", data[:cut]
+    for label, at in flips.items():
+        yield f"flip in {label}", data[:at] + bytes([data[at] ^ 0x5A]) + (
+            data[at + 1 :]
+        )
+
+
+@pytest.mark.parametrize(
+    "privatize",
+    [pytest.param(False, id="p5"), pytest.param(True, id="histogram")],
+)
+def test_corruption_battery(tmp_path, privatize):
+    """Every truncation at a section boundary and every flipped byte is
+    exactly one counted ``corrupt`` miss, then a cold recompile whose
+    result verifies — never an exception, never a wrong answer."""
+    from repro.driver import TransformOptions
+    from repro.store import artifact_key
+    from repro.workloads import TABLE9
+
+    from ..test_driver import HISTOGRAM
+
+    source = HISTOGRAM if privatize else TABLE9["P5"].source(6)
+    params = {"N": 6} if privatize else {}
+    opts = TransformOptions(workers=2, privatize=privatize)
+    assert _run(source, params, opts, tmp_path).cache_status == "cold"
+    store = ArtifactStore(str(tmp_path))
+    path = store.path_for(artifact_key(source, params, opts))
+    with open(path, "rb") as fh:
+        pristine = fh.read()
+    cases = list(_damaged_copies(pristine))
+    assert len(cases) >= 10
+    for label, data in cases:
+        with open(path, "wb") as fh:
+            fh.write(data)
+        store = ArtifactStore(str(tmp_path))
+        assert store.get(artifact_key(source, params, opts)) is None, label
+        assert store.counters["corrupt"] == 1, label
+        with open(path, "wb") as fh:
+            fh.write(data)
+        result = _run(source, params, opts, tmp_path)
+        assert (result.cache_status, result.verified) == ("cold", True), label
+    assert _run(source, params, opts, tmp_path).cache_status == "warm"
+
+
+def test_a_schema_7_pickle_artifact_is_a_miss_and_never_unpickled(tmp_path):
+    """The previous format — one pickle behind the checksum — is a
+    counted ``corrupt`` miss, even with a matching checksum and key, and
+    its pickle never runs."""
     import hashlib
 
+    _PICKLE_PROBE.clear()
+    art = _artifact()
+    payload = dict(art.to_payload(), schema_version=7, probe=_Probe())
     raw = pickle.dumps(payload, protocol=4)
-    data = MAGIC + hashlib.sha256(raw).digest() + raw
-    with pytest.raises(ArtifactCorruptError, match="schema"):
-        unpack_artifact(data)
+    store = ArtifactStore(str(tmp_path))
+    os.makedirs(os.path.dirname(store.path_for(art.key)), exist_ok=True)
+    for magic in (b"RPASTOR\x01", MAGIC):
+        with open(store.path_for(art.key), "wb") as fh:
+            fh.write(magic + hashlib.sha256(raw).digest() + raw)
+        assert store.get(art.key) is None
+    assert store.counters["corrupt"] == 2
+    assert not _PICKLE_PROBE

@@ -27,6 +27,12 @@ def name_of(tid):
     return f"t{tid}"
 
 
+def _edges(graph):
+    """The graph's ``(src, dst)`` edge lists, as lowering reads them."""
+    pairs = [(p, t) for t, ps in enumerate(graph.preds) for p in ps]
+    return [p for p, _ in pairs], [t for _, t in pairs]
+
+
 class TestSchedule:
     def test_from_preds_counts_successors_and_roots(self):
         sched = Schedule.from_preds([set(), set(), {0, 1}, {2}, {0}])
@@ -51,12 +57,12 @@ class TestSchedule:
                      (4, 6), (1, 6)]:  # U reads row 1 twice
             graph.add_edge(a, b)
         members = [(0, 3), (1, 4), (2, 5), (6,)]
-        sched = quotient_schedule(graph, members, floors=[0, 0, 0, 3])
+        sched = quotient_schedule(_edges(graph), members, floors=[0, 0, 0, 3])
         assert sched.preds() == [set(), {0}, {1}, {1}]
         assert sched.counts == (0, 1, 1, 1)
         # unchained (floor = own row): the token keeps its own row, and
         # the reduction drops it — 0 -> 2 is implied by 0 -> 1 -> 2
-        loose = quotient_schedule(graph, members, floors=[0, 1, 2, 3])
+        loose = quotient_schedule(_edges(graph), members, floors=[0, 1, 2, 3])
         assert loose.preds() == [set(), {0}, {1}, {1}]
 
     def test_resolver_argument_checks(self):
@@ -74,7 +80,7 @@ class TestSchedule:
         graph.add_task("T", 0)
         graph.add_edge(1, 0)
         with pytest.raises(RuntimeError, match="created after it"):
-            quotient_schedule(graph, [(0,), (1,)], floors=[0, 1])
+            quotient_schedule(_edges(graph), [(0,), (1,)], floors=[0, 1])
 
 
 class TestTransitiveReduction:
