@@ -159,7 +159,7 @@ class TransformResult:
 
     @property
     def speedup(self) -> float:
-        return self.graph.total_cost() / self.simulation.makespan
+        return self.simulation.speedup_vs(self.graph.total_cost())
 
     @property
     def num_tasks(self) -> int:

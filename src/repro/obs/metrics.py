@@ -461,8 +461,7 @@ def task_graph_stats(graph) -> dict:
     they are): tasks, edges, the critical-path length in tasks, and its
     depend-in slots — the edges between two statements' tasks — before
     and after :func:`~repro.tasking.dispatch.transitive_reduction`,
-    the pass every lowered plan's schedule goes through.  Creation
-    order must be topological, as it is for every compiled graph.
+    the pass every lowered plan's schedule goes through.
     """
     from ..tasking.dispatch import transitive_reduction
 
@@ -475,9 +474,7 @@ def task_graph_stats(graph) -> dict:
 
     before = slots(graph.preds)
     after = slots(transitive_reduction(graph.preds))
-    depth: list[int] = []
-    for ps in graph.preds:
-        depth.append(1 + max((depth[p] for p in ps), default=0))
+    depth, _, _ = graph.longest_paths([1] * len(graph))
     return {
         "tasks": len(graph),
         "edges": graph.num_edges,

@@ -169,6 +169,8 @@ def profile_run(graph, sim, stats, top: int = 10) -> ProfileReport:
     worker count, ``stats`` an :class:`~repro.interp.executor.ExecutionStats`
     with a collected :attr:`events` trace.
     """
+    from ..tasking.task import witness_path
+
     trace = stats.events
     if trace is None:
         raise ValueError(
@@ -190,28 +192,8 @@ def profile_run(graph, sim, stats, top: int = 10) -> ProfileReport:
         if 0 <= e.tid < n:
             dur_ns[e.tid] = max(e.duration_ns, 0)
 
-    order = graph.topological_order()
-    # Longest duration-weighted path down to each task (inclusive)...
-    down = [0] * n
-    parent = [-1] * n
-    for tid in order:
-        down[tid] += dur_ns[tid]
-        for s in graph.succs[tid]:
-            if down[tid] > down[s]:
-                down[s] = down[tid]
-                parent[s] = tid
-    # ...and up from each task to an exit (inclusive).
-    up = [0] * n
-    for tid in reversed(order):
-        best = max((up[s] for s in graph.succs[tid]), default=0)
-        up[tid] = dur_ns[tid] + best
-
-    end = max(range(n), key=lambda t: down[t], default=0)
-    cp_ns = down[end] if n else 0
-    path = [end] if n else []
-    while path and parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    path.reverse()
+    down, up, parent = graph.longest_paths(dur_ns)
+    cp_ns, path = witness_path(down, parent)
     critical = [
         (
             tid,

@@ -12,8 +12,8 @@ the test-suite, and what a cautious user should run after transforming a
 kernel with custom options (coarsening, relaxed chains, extra dependence
 classes).
 
-The check is exact but quadratic in the number of tasks; it is meant for
-validation, not for the hot path.
+The check is exact; its reachability is tasks × chains
+(:meth:`~repro.tasking.task.TaskGraph.chain_reach`).
 """
 
 from __future__ import annotations
@@ -106,65 +106,53 @@ def check_legality(
     from ..obs.spans import span
 
     with span("schedule.legality"):
-        return _check_legality(
-            scop, info, graph, kinds, max_violations, relaxed
-        )
-
-
-def _check_legality(
-    scop: Scop,
-    info: PipelineInfo,
-    graph: "TaskGraph",
-    kinds: tuple[DepKind, ...],
-    max_violations: int,
-    relaxed: RelaxedMap | None = None,
-) -> LegalityReport:
-    reach = graph.reachability()
-    task_of_block = tasks_by_block(info, graph)
-
-    checked = 0
-    violations: list[Violation] = []
-    for source, target, kind, rel in iter_dependences(scop, kinds, relaxed):
-        checked += len(rel)
-        sb, tb = info.blockings[source.name], info.blockings[target.name]
-        s_tids = task_of_block[source.name][sb.block_of_rows(rel.out_part)]
-        t_tids = task_of_block[target.name][tb.block_of_rows(rel.in_part)]
-        ok = reach[s_tids, t_tids]
-        if source.name == target.name:
-            # same task: intra-task execution is lexicographic, so the
-            # dependence holds iff src precedes tgt there — guaranteed
-            # because dependence pairs satisfy src <lex tgt within one
-            # statement.  (Different statements never share a task.)
-            ok = ok | (s_tids == t_tids)
-        for idx in np.nonzero(~ok)[0]:
-            if len(violations) >= max_violations:
-                break
-            violations.append(
-                Violation(
-                    kind,
-                    source.name,
-                    tuple(int(v) for v in rel.out_part[idx]),
-                    target.name,
-                    tuple(int(v) for v in rel.in_part[idx]),
+        chain, pos, reach = graph.chain_reach()
+        task_of_block = tasks_by_block(info, graph)
+        checked = 0
+        violations: list[Violation] = []
+        for source, target, kind, rel in iter_dependences(
+            scop, kinds, relaxed
+        ):
+            checked += len(rel)
+            sb, tb = info.blockings[source.name], info.blockings[target.name]
+            s_tids = task_of_block[source.name][
+                sb.block_of_rows(rel.out_part)
+            ]
+            t_tids = task_of_block[target.name][tb.block_of_rows(rel.in_part)]
+            # reach is inclusive: a pair inside one task holds, since a
+            # task runs its instances in lexicographic order
+            ok = reach[t_tids, chain[s_tids]] >= pos[s_tids]
+            for idx in np.nonzero(~ok)[0]:
+                if len(violations) >= max_violations:
+                    break
+                violations.append(
+                    Violation(
+                        kind,
+                        source.name,
+                        tuple(int(v) for v in rel.out_part[idx]),
+                        target.name,
+                        tuple(int(v) for v in rel.in_part[idx]),
+                    )
                 )
-            )
     return LegalityReport(checked, tuple(violations))
 
 
 def tasks_by_block(info: PipelineInfo, graph: "TaskGraph") -> dict:
-    """Per statement: the task id of each of its blocks, by block id."""
-    token_to_task = {
-        task.block.out_token: task.task_id
-        for task in graph.tasks
-        if task.block is not None
+    """Per statement: the task id of each of its blocks, by block id
+    (a block with no task is an :class:`IllegalScheduleError`)."""
+    out = {
+        name: np.full(blocking.num_blocks, -1, dtype=np.int64)
+        for name, blocking in info.blockings.items()
     }
-    out = {}
-    for name, blocking in info.blockings.items():
-        ids = np.empty(blocking.num_blocks, dtype=np.int64)
-        for block_id in range(blocking.num_blocks):
-            end = tuple(int(v) for v in blocking.ends.points[block_id])
-            ids[block_id] = token_to_task[(name, end)]
-        out[name] = ids
+    for task in graph.tasks:
+        if task.block is not None:
+            out[task.statement][task.block_id] = task.task_id
+    for name, ids in out.items():
+        missing = np.flatnonzero(ids < 0)
+        if len(missing):
+            raise IllegalScheduleError(
+                f"block {int(missing[0])} of statement {name!r} has no task"
+            )
     return out
 
 

@@ -496,7 +496,7 @@ def verify_privatized_graph(
     member block must (transitively) precede it, and every non-member
     task whose statement touches the accumulator must follow it.
     """
-    reach = graph.reachability()
+    chain, pos, reach = graph.chain_reach()
     issues: list[str] = []
     for group in plan.groups:
         label = join_label(group.array)
@@ -513,7 +513,7 @@ def verify_privatized_graph(
             if task.task_id == jid:
                 continue
             if task.statement in members:
-                if not reach[task.task_id, jid]:
+                if reach[jid, chain[task.task_id]] < pos[task.task_id]:
                     issues.append(
                         f"group {group.array!r}: member block {task} does "
                         "not precede the join"
@@ -521,7 +521,7 @@ def verify_privatized_graph(
             elif task.block is not None and _touches(
                 scop, task.statement, group.array
             ):
-                if not reach[jid, task.task_id]:
+                if reach[task.task_id, chain[jid]] < pos[jid]:
                     issues.append(
                         f"group {group.array!r}: task {task} accesses the "
                         "accumulator but is not ordered after the join"

@@ -9,7 +9,7 @@ from .runtime import (
     bind_interpreter_actions,
     execute,
 )
-from .simulator import SimResult, scaling_curve, sequential_time, simulate
+from .simulator import SimResult, scaling_curve, simulate
 from .task import CyclicTaskGraphError, Task, TaskGraph
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "execute",
     "relax_self_chains",
     "scaling_curve",
-    "sequential_time",
     "simulate",
 ]

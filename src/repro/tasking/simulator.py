@@ -15,7 +15,7 @@ mentions when discussing granularity.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,12 +106,7 @@ def _simulate(
 
     if policy == "cp":
         # Upward rank: longest cost-weighted path from each task to an exit.
-        rank = np.zeros(n)
-        for tid in reversed(graph.topological_order()):
-            succ_best = max(
-                (rank[s] for s in graph.succs[tid]), default=0.0
-            )
-            rank[tid] = graph.tasks[tid].cost + succ_best
+        _, rank, _ = graph.longest_paths([t.cost for t in graph.tasks])
 
     def push(tid: int) -> None:
         nonlocal counter
@@ -143,19 +138,13 @@ def _simulate(
             heapq.heappush(running, (finish[tid], tid, w))
         if not running:
             raise RuntimeError("deadlock: no ready tasks and none running")
-        now, tid, w = heapq.heappop(running)
-        free_workers.append(w)
-        completed += 1
-        for s in graph.succs[tid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                push(s)
-        # Drain all completions at the same instant before assigning.
+        # Drain all completions at the next instant before assigning.
+        now = running[0][0]
         while running and running[0][0] == now:
-            _, tid2, w2 = heapq.heappop(running)
-            free_workers.append(w2)
+            _, tid, w = heapq.heappop(running)
+            free_workers.append(w)
             completed += 1
-            for s in graph.succs[tid2]:
+            for s in graph.succs[tid]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     push(s)
@@ -168,12 +157,6 @@ def _simulate(
         workers=workers,
         policy=policy,
     )
-
-
-def sequential_time(graph: TaskGraph, overhead: float = 0.0) -> float:
-    """Time of the original sequential program (no tasks, no overhead)."""
-    del overhead  # the sequential program creates no tasks
-    return graph.total_cost()
 
 
 def scaling_curve(
@@ -190,6 +173,6 @@ def scaling_curve(
     """
     base = graph.total_cost()
     return {
-        w: base / simulate(graph, w, overhead=overhead, policy=policy).makespan
+        w: simulate(graph, w, overhead, policy).speedup_vs(base)
         for w in workers
     }

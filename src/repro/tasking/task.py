@@ -15,7 +15,7 @@ paper's runtime (Section 5.5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -107,36 +107,74 @@ class TaskGraph:
     def validate(self) -> None:
         self.topological_order()
 
+    def longest_paths(self, weights) -> tuple[list, list, list[int]]:
+        """``(down, up, parent)`` in one topological walk: the heaviest
+        weight-inclusive path into and out of each task, and the
+        predecessor ``down`` came through (-1 at an entry; a tie goes to
+        the first in topological order)."""
+        order = self.topological_order()
+        n = len(self.tasks)
+        down = [0] * n
+        parent = [-1] * n
+        for tid in order:
+            here = down[tid] = down[tid] + weights[tid]
+            for s in self.succs[tid]:
+                if here > down[s]:
+                    down[s] = here
+                    parent[s] = tid
+        up = [0] * n
+        for tid in reversed(order):
+            up[tid] = weights[tid] + max(
+                (up[s] for s in self.succs[tid]), default=0
+            )
+        return down, up, parent
+
     def critical_path(self) -> tuple[float, list[int]]:
         """Length and one witness path of the longest (cost-weighted) chain."""
-        order = self.topological_order()
-        dist = np.zeros(len(self.tasks))
-        parent = np.full(len(self.tasks), -1, dtype=np.int64)
-        for tid in order:
-            dist[tid] += self.tasks[tid].cost
-            for s in self.succs[tid]:
-                cand = dist[tid]
-                if cand > dist[s]:
-                    dist[s] = cand
-                    parent[s] = tid
-        end = int(np.argmax(dist))
-        path = [end]
-        while parent[path[-1]] != -1:
-            path.append(int(parent[path[-1]]))
-        return float(dist[end]), path[::-1]
+        down, _, parent = self.longest_paths([t.cost for t in self.tasks])
+        length, path = witness_path(down, parent)
+        return float(length), path
 
-    def reachability(self) -> np.ndarray:
-        """Boolean matrix ``R[a, b]`` = a precedes b (transitively).
+    def chain_reach(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reachability in tasks × chains memory (Jagadish's chain
+        compression of the transitive closure).
 
-        Quadratic memory — intended for test-sized graphs.
+        One topological pass covers the graph with chains: a task
+        extends the chain of a predecessor that is still its tail (one
+        of the task's own statement first), else starts one.  Task ``t``
+        is member ``pos[t]`` of chain ``chain[t]``; ``reach[t, c]`` is
+        the last member of chain ``c`` at or before ``t`` (-1: none), so
+        ``s`` precedes or is ``t`` iff ``reach[t, chain[s]] >= pos[s]``.
+        A chained nest is one chain; an antichain needs one per task.
         """
+        order = self.topological_order()
         n = len(self.tasks)
-        reach = np.zeros((n, n), dtype=bool)
-        for tid in reversed(self.topological_order()):
-            for s in self.succs[tid]:
-                reach[tid, s] = True
-                reach[tid] |= reach[s]
-        return reach
+        chain = [0] * n
+        pos = [0] * n
+        tails: list[int] = []
+        for tid in order:
+            statement = self.tasks[tid].statement
+            pick = -1
+            for p in self.preds[tid]:
+                if tails[chain[p]] == p:
+                    pick = p
+                    if self.tasks[p].statement == statement:
+                        break
+            if pick < 0:
+                chain[tid] = len(tails)
+                tails.append(tid)
+            else:
+                chain[tid], pos[tid] = chain[pick], pos[pick] + 1
+                tails[chain[tid]] = tid
+        reach = np.full((n, len(tails)), -1, dtype=np.int32)
+        for tid in order:
+            preds = self.preds[tid]
+            if len(preds) == 1:
+                reach[tid] = reach[next(iter(preds))]
+            elif preds:
+                reach[tid] = reach[list(preds)].max(axis=0)
+            reach[tid, chain[tid]] = pos[tid]
+        return np.array(chain), np.array(pos), reach
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -175,3 +213,15 @@ class TaskGraph:
 
     def __str__(self) -> str:
         return f"TaskGraph({len(self)} tasks, {self.num_edges} edges)"
+
+
+def witness_path(down: list, parent: list[int]) -> tuple:
+    """``(length, path)`` of the heaviest path ``longest_paths`` found,
+    ending at the first greatest ``down``; ``(0, [])`` on no task."""
+    if not down:
+        return 0, []
+    end = max(range(len(down)), key=down.__getitem__)
+    path = [end]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    return down[end], path[::-1]

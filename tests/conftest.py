@@ -207,6 +207,20 @@ def copy_scop():
     return extract_scop(parse(TWO_NEST_COPY), {"N": 8})
 
 
+def dense_reach(graph):
+    """The reference reachability: ``R[a, b]`` is True iff task ``a``
+    precedes task ``b`` along the graph's edges (strictly, so the
+    diagonal is False).  A tasks × tasks matrix, for test-sized graphs."""
+    import numpy as np
+
+    reach = np.zeros((len(graph), len(graph)), dtype=bool)
+    for tid in reversed(graph.topological_order()):
+        for s in graph.succs[tid]:
+            reach[tid, s] = True
+            reach[tid] |= reach[s]
+    return reach
+
+
 class Counter:
     """Wrap ``owner.name`` so calls are counted (and still happen) — the
     one spy of the count guards; worker threads may call it at once.

@@ -29,6 +29,8 @@ from repro.schedule import generate_task_ast
 from repro.scop import dependence_relation, extract_scop, validate_scop
 from repro.tasking import TaskGraph
 
+from tests.conftest import dense_reach
+
 
 @st.composite
 def kernels(draw) -> str:
@@ -125,7 +127,7 @@ def test_random_kernel_pipelining_preserves_semantics(src, seed):
         assert seq.equal(store), f"kernel diverged:\n{src}"
 
     # (3) instance-level flow deps ordered by the graph
-    reach = graph.reachability()
+    reach = dense_reach(graph)
     token_to_task = {
         b.out_token: tid
         for tid, b in (

@@ -148,6 +148,27 @@ class TestReversedEdge:
         assert not report.ok
 
 
+class TestMissingTask:
+    def test_block_without_a_task_is_named(self, good):
+        """A blocking block the graph has no task for is refused by
+        name, never looked up at a wrapped ``-1`` index."""
+        scop, info, _, graph = good
+        last = max(t.task_id for t in graph.tasks if t.statement == "R")
+        assert last == len(graph) - 1
+        out = TaskGraph()
+        for task in graph.tasks[:last]:
+            out.add_task(task.statement, task.block_id, task.cost, task.block)
+        for succ, preds in enumerate(graph.preds[:last]):
+            for pred in preds:
+                out.add_edge(pred, succ)
+        block = graph.tasks[last].block_id
+        with pytest.raises(
+            IllegalScheduleError,
+            match=f"block {block} of statement 'R' has no task",
+        ):
+            check_legality(scop, info, out)
+
+
 # ----------------------------------------------------------------------
 # the checker against dependences spelled out instance by instance
 # ----------------------------------------------------------------------
@@ -200,14 +221,14 @@ class TestAgainstBruteForceDependences:
 
     @staticmethod
     def expected_violations(scop, info, graph, deps):
-        from repro.schedule.legality import tasks_by_block
+        from tests.conftest import dense_reach
 
-        reach = graph.reachability()
-        tasks = tasks_by_block(info, graph)
+        reach = dense_reach(graph)
+        tasks = {(t.statement, t.block_id): t.task_id for t in graph.tasks}
 
         def task_of(name, instance):
             (block,) = info.blockings[name].block_of_rows([list(instance)])
-            return tasks[name][block]
+            return tasks[name, int(block)]
 
         bad = set()
         for kind, src, a, tgt, b in deps:

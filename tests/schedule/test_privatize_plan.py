@@ -26,6 +26,8 @@ from repro.schedule import (
 from repro.schedule.privatize import chunked_blocking
 from repro.scop import DepKind
 
+from tests.conftest import dense_reach
+
 HISTOGRAM = """
 for(i=0; i<N; i++)
   for(j=0; j<N; j++)
@@ -163,7 +165,7 @@ def test_privatized_graph_has_one_join_after_all_members():
     assert len(members) == 8
     for t in members:
         assert joins["H"] in graph.succs[t.task_id]
-    reach = graph.reachability()
+    reach = dense_reach(graph)
     for a in members:
         for b in members:
             if a.task_id != b.task_id:

@@ -1,0 +1,103 @@
+"""Chain-frontier reachability against the dense transitive closure.
+
+``TaskGraph.chain_reach`` is what ``check_legality`` and
+``verify_privatized_graph`` order dependences by; here it must agree
+with ``tests.conftest.dense_reach`` pair for pair on every Table 9
+kernel (plain and hybrid, several sizes and coarsenings), on graphs
+with random edges dropped, and on privatized graphs with join tasks.
+"""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.interp import Interpreter
+from repro.pipeline import detect_pipeline
+from repro.schedule import (
+    build_privatized_graph,
+    generate_task_ast,
+    plan_privatization,
+    privatize_info,
+)
+from repro.scop import DepKind
+from repro.tasking import TaskGraph, hybrid_task_graph
+from repro.workloads import TABLE9
+
+from tests.conftest import dense_reach
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "kernels"
+
+
+def assert_frontier_is_closure(graph: TaskGraph) -> int:
+    """``chain_reach`` equals the reflexive dense closure; returns the
+    number of chains."""
+    chain, pos, reach = graph.chain_reach()
+    # frontier[t, s]: s precedes t, or is t
+    frontier = reach[:, chain] >= pos[None, :]
+    closure = dense_reach(graph) | np.eye(len(graph), dtype=bool)
+    assert np.array_equal(frontier, closure.T)
+    for c in range(reach.shape[1]):  # each chain is a path, in order
+        members = np.flatnonzero(chain == c)
+        assert sorted(pos[members].tolist()) == list(range(len(members)))
+    return reach.shape[1]
+
+
+def without_edges(graph: TaskGraph, keep) -> TaskGraph:
+    out = TaskGraph()
+    for task in graph.tasks:
+        out.add_task(task.statement, task.block_id, task.cost, task.block)
+    for succ, preds in enumerate(graph.preds):
+        for pred in preds:
+            if keep(pred, succ):
+                out.add_edge(pred, succ)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TABLE9))
+def test_frontier_equals_closure_on_table9(name):
+    for n in (6, 10, 14):
+        scop = Interpreter.from_source(TABLE9[name].source(n), {}).scop
+        for coarsen in (1, 3):
+            info = detect_pipeline(scop, coarsen=coarsen)
+            plain = TaskGraph.from_task_ast(generate_task_ast(info))
+            # a chained pipeline needs no chain beyond its statements'
+            assert assert_frontier_is_closure(plain) <= len(scop.statements)
+            assert_frontier_is_closure(hybrid_task_graph(scop, info))
+
+
+@pytest.mark.parametrize("name", ["P1", "P5", "P7", "P10"])
+def test_frontier_equals_closure_with_random_edges_dropped(name):
+    rng = random.Random(20221018)
+    scop = Interpreter.from_source(TABLE9[name].source(10), {}).scop
+    info = detect_pipeline(scop)
+    for graph in (
+        TaskGraph.from_task_ast(generate_task_ast(info)),
+        hybrid_task_graph(scop, info),
+    ):
+        for share in (0.1, 0.3, 0.6):
+            assert_frontier_is_closure(
+                without_edges(graph, lambda p, s: rng.random() >= share)
+            )
+
+
+@pytest.mark.parametrize("kernel", ["histogram.c", "sumstencil.c"])
+def test_frontier_equals_closure_on_privatized_graphs(kernel):
+    source = (EXAMPLES / kernel).read_text()
+    scop = Interpreter.from_source(source, {"N": 8}).scop
+    plan = plan_privatization(scop)
+    assert plan.groups
+    info = detect_pipeline(scop, kinds=tuple(DepKind), validate=False)
+    for parts in (2, 4):
+        pinfo = privatize_info(info, plan, parts=parts)
+        graph, joins = build_privatized_graph(generate_task_ast(pinfo), plan)
+        assert joins
+        assert_frontier_is_closure(graph)
+
+
+def test_empty_graph():
+    chain, pos, reach = TaskGraph().chain_reach()
+    assert len(chain) == len(pos) == 0 and reach.shape == (0, 0)

@@ -215,3 +215,8 @@ class TestScalingCurve:
         g = chain([1.0] * 5)
         curve = scaling_curve(g, workers=(1, 4))
         assert curve[4] == 1.0
+
+    def test_empty_graph_is_unit_speedup(self):
+        from repro.tasking import scaling_curve
+
+        assert scaling_curve(TaskGraph(), workers=(1, 4)) == {1: 1.0, 4: 1.0}

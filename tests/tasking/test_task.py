@@ -66,10 +66,36 @@ class TestTopology:
 
     def test_reachability(self):
         g = diamond()
-        reach = g.reachability()
-        assert reach[0, 3] and reach[1, 3] and reach[2, 3]
-        assert not reach[1, 2] and not reach[3, 0]
-        assert not reach.diagonal().any()
+        chain, pos, reach = g.chain_reach()
+
+        def precedes(a, b):
+            return reach[b, chain[a]] >= pos[a]
+
+        assert precedes(0, 3) and precedes(1, 3) and precedes(2, 3)
+        assert not precedes(1, 2) and not precedes(2, 1)
+        assert not precedes(3, 0)
+        assert all(precedes(t, t) for t in range(4))  # inclusive
+        # B and C are an antichain: two chains cover the diamond
+        assert reach.shape == (4, 2)
+
+    def test_longest_paths(self):
+        g = diamond()
+        down, up, parent = g.longest_paths([t.cost for t in g.tasks])
+        assert down == [1, 3, 4, 5]
+        assert up == [5, 3, 4, 1]
+        assert parent == [-1, 0, 0, 2]
+
+    def test_longest_paths_break_ties_by_first_predecessor(self):
+        g = diamond()
+        down, _, parent = g.longest_paths([1, 1, 1, 1])
+        assert down == [1, 2, 2, 3]
+        order = g.topological_order()
+        first = min((1, 2), key=order.index)
+        assert parent[3] == first
+
+    def test_empty_graph_critical_path(self):
+        assert TaskGraph().longest_paths([]) == ([], [], [])
+        assert TaskGraph().critical_path() == (0.0, [])
 
 
 class TestFromTaskAst:

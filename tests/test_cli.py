@@ -109,6 +109,15 @@ class TestRun:
         assert "matches sequential: True" in out
         assert "speed-up" in out
 
+    def test_empty_kernel_reports_unit_speedup(self, kernel_file, capsys):
+        """N=0 leaves both nests without an instance: no task, a zero
+        makespan, and a report rather than a traceback."""
+        assert main(["run", kernel_file, "--param", "N=0"]) == 0
+        out = capsys.readouterr().out
+        assert "tasks: 0, edges: 0" in out
+        assert "matches sequential: True" in out
+        assert "speed-up on 4 workers: 1.00x" in out
+
     def test_hybrid_flag(self, kernel_file, capsys):
         assert main(["run", kernel_file, "--param", "N=12", "--hybrid"]) == 0
         out = capsys.readouterr().out

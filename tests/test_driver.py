@@ -26,6 +26,13 @@ class TestDefaults:
         assert result.speedup > 1.0
         assert result.num_tasks == result.info.num_tasks()
 
+    def test_empty_kernel_has_unit_speedup(self):
+        result = transform(LISTING1, {"N": 0})
+        assert result.num_tasks == len(result.graph) == 0
+        assert result.simulation.makespan == 0
+        assert result.speedup == 1.0
+        assert "speed-up on 4 workers: 1.00x (0 tasks)" in result.report()
+
     def test_report_contents(self):
         result = transform(LISTING1, {"N": 10})
         text = result.report()

@@ -87,6 +87,7 @@ DELETED = [
     ("repro.pipeline", "ReductionStats"),
     ("repro.pipeline", "task_graph_stats"),
     ("repro.driver", "INCOMPATIBLE_OPTIONS"),
+    ("repro.tasking", "sequential_time"),
 ]
 
 
@@ -99,12 +100,14 @@ def test_deleted_names_stay_gone(module, symbol):
 
 def test_deleted_members_stay_gone():
     from repro.interp import FusedProgram, Interpreter, SharedArrayStore
+    from repro.tasking import TaskGraph
 
     for module in (
         "repro.lang.printer", "repro.tasking.dot", "repro.pipeline.reduce"
     ):
         with pytest.raises(ImportError):
             importlib.import_module(module)
+    assert not hasattr(TaskGraph, "reachability")
     assert not hasattr(FusedProgram, "coverage")
     assert not hasattr(FusedProgram, "statements_fused")
     # ArrayStore.for_scop stays: a shared store is made by from_store

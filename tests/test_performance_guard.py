@@ -10,6 +10,10 @@ about 13 against 64) and the no-op ``--privatize`` budget (well under
 a second against 5 s).  They only trip on algorithmic regressions (e.g.
 the quadratic block-grouping this suite once caught).
 
+Memory is guarded the same way: the N=64 analysis pins the 4-chain
+cover the legality check's reachability is sized by, and a tier-2 guard
+holds a fresh process's cold verified P5@96 to 256 MB peak RSS.
+
 Dispatch, instrumentation and request telemetry are guarded by counts
 elsewhere; their walls are the ledger's (``docs/performance.md``,
 "Counts, not walls"):
@@ -51,9 +55,36 @@ def test_analysis_scales_to_n64_within_budget():
         stmt.points  # warm enumeration
     graph, elapsed = timed(pipeline_task_graph, scop, kern.cost_model(1))
     assert len(graph) > 10_000
+    # the legality check's reachability is tasks x chains: one chain
+    # per statement here, where a dense closure was 16k x 16k
+    chain, _, reach = graph.chain_reach()
+    assert reach.shape == (len(graph), 4)
+    for name in ("S1", "S2", "S3", "S4"):
+        tids = [t.task_id for t in graph if t.statement == name]
+        assert len(set(chain[tids])) == 1
     # budget tightened from 30s once the op cache landed (~2.4s cached,
     # ~4.8s uncached on the reference machine)
     assert elapsed < 15.0, f"analysis took {elapsed:.1f}s (was ~2.4s)"
+
+
+@pytest.mark.tier2
+def test_cold_verified_p5_at_n96_peaks_within_256_mb(tmp_path):
+    """A fresh process's cold verified ``transform`` of P5@96 (36,864
+    tasks) stays within 256 MB peak RSS, as ``tools/compile_scaling.py``
+    measures it; a dense reachability matrix alone took 1.36 GB."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tool = Path(__file__).resolve().parents[1] / "tools" / "compile_scaling.py"
+    out = tmp_path / "scaling.txt"
+    subprocess.run(
+        [sys.executable, str(tool), "--sizes", "96", "--out", str(out)],
+        check=True, capture_output=True,
+    )
+    n, tasks, chains, _, _, peak_mb = out.read_text().splitlines()[-1].split()
+    assert (int(n), int(tasks), int(chains)) == (96, 36_864, 4)
+    assert float(peak_mb) <= 256, out.read_text()
 
 
 def test_cache_is_effective_on_p5_analysis():
