@@ -15,7 +15,7 @@ from repro.baselines import polly_task_graph, sequential_time
 from repro.bench import build_scop
 from repro.pipeline import detect_pipeline
 from repro.schedule import generate_task_ast
-from repro.tasking import TaskGraph, hybrid_task_graph, simulate
+from repro.tasking import TaskGraph, relax_self_chains, simulate
 from repro.workloads import MatmulKernel, figure11_kernels
 
 SIZE = 20
@@ -30,7 +30,9 @@ def strategies(kernel: MatmulKernel) -> dict[str, float]:
     seq = sequential_time(scop, cost.iter_costs)
 
     pipe = TaskGraph.from_task_ast(ast, cost_of_block=cost.block_cost)
-    hyb = hybrid_task_graph(scop, info, ast, cost_of_block=cost.block_cost)
+    hyb = TaskGraph.from_task_ast(
+        relax_self_chains(scop, info, ast), cost_of_block=cost.block_cost
+    )
     polly = polly_task_graph(scop, WORKERS, cost.iter_costs)
 
     return {

@@ -799,6 +799,8 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
       (the merged task publishes only the last member's token, so an
       outside consumer would lose its ordering edge).
     """
+    from ..schedule.astgen import csr_rows
+
     a = ast.arrays
     names = a.statements
     member_specs: dict[int, StatementSpec] = {}
@@ -808,8 +810,7 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
             member_specs[k] = entry.kernel.spec.statements[0]
 
     # per token: the producer's nest and block index, the consumer's
-    nest_of = np.repeat(np.arange(len(names)), np.diff(a.starts))
-    consumer = np.repeat(np.arange(a.num_blocks), np.diff(a.indptr))
+    nest_of, consumer = csr_rows(a.starts), csr_rows(a.indptr)
     prod_nest, cons_nest = nest_of[a.indices], nest_of[consumer]
     prod_index = a.indices - a.starts[prod_nest]
     cons_index = consumer - a.starts[cons_nest]

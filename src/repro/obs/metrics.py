@@ -465,7 +465,7 @@ def task_graph_stats(graph) -> dict:
     """
     from ..tasking.dispatch import transitive_reduction
 
-    stmt = [t.statement for t in graph.tasks]
+    stmt = graph.statement_ids.tolist()
 
     def slots(preds) -> int:
         return sum(

@@ -77,20 +77,23 @@ class Blocking:
         mask = np.all(self.mapping.out_part == end, axis=1)
         return self.mapping.in_part[mask]
 
-    def iterations_by_block(self) -> list[np.ndarray]:
-        """Iterations of every block at once (one vectorized grouping).
-
-        Equivalent to ``[iterations_of_block(k) for k in range(num_blocks)]``
-        but linear instead of quadratic — the task-AST generator's hot path.
-        """
-        if self.num_blocks == 0:
-            return []
+    def grouped_iterations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, bounds)``: every iteration grouped by block (one
+        vectorized grouping, lexicographic order inside each block), block
+        ``k``'s being ``rows[bounds[k]:bounds[k + 1]]`` — the task-AST
+        generator's hot path."""
         ids = self.block_of_rows(self.mapping.in_part)
         order = np.argsort(ids, kind="stable")  # keeps lex order per block
-        grouped = self.mapping.in_part[order]
         bounds = np.searchsorted(ids[order], np.arange(self.num_blocks + 1))
+        return self.mapping.in_part[order], bounds
+
+    def iterations_by_block(self) -> list[np.ndarray]:
+        """Iterations of every block at once: ``grouped_iterations``
+        split per block, equal to ``[iterations_of_block(k) for k in
+        range(num_blocks)]`` but linear instead of quadratic."""
+        rows, bounds = self.grouped_iterations()
         return [
-            grouped[bounds[k] : bounds[k + 1]] for k in range(self.num_blocks)
+            rows[bounds[k] : bounds[k + 1]] for k in range(self.num_blocks)
         ]
 
     def block_sizes(self) -> np.ndarray:

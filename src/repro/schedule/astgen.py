@@ -6,7 +6,10 @@ in lexicographic order, each block annotated with the dependency tokens the
 code generator turns into OpenMP-style ``depend`` clauses.
 
 A *token* is ``(statement name, block end tuple)`` — the printable form of
-the ``Q_S`` / ``Q_S^O`` relations evaluated at one block.
+the ``Q_S`` / ``Q_S^O`` relations evaluated at one block.  The AST is
+generated as :class:`TaskArrays` (a token is its producer block's global
+id); :class:`TaskLoopNest` / :class:`TaskBlock` are a view of them, built
+for whoever renders or inspects the AST block by block.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ..pipeline import PipelineInfo
+from ..presburger import joint_ranks
 from .build import PIPELINE_MARK, PipelineMarkPayload, build_schedule
 from .tree import DomainNode, ExpansionNode, MarkNode, ScheduleTree
 
@@ -25,7 +29,8 @@ Token = tuple[str, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class TaskBlock:
-    """One pipeline block — the unit that becomes an OpenMP task."""
+    """One pipeline block — the unit that becomes an OpenMP task (a view
+    of one block of :class:`TaskArrays`)."""
 
     statement: str
     block_id: int
@@ -69,17 +74,16 @@ class TaskLoopNest:
 
 @dataclass(frozen=True, eq=False)
 class TaskArrays:
-    """The task AST as flat arrays — what lowering, ``mergeable``, the
-    task-graph edges and the artifact store read.
-
-    Blocks have global ids in AST order (nests × blocks).  Per nest, the
-    table ``statements`` / ``depths`` / ``chained`` and ``starts`` (its
-    first global block id; one entry more than nests).  Per block, its
-    iteration array's ``shapes`` row (rows, cols; cols ``-1`` marks a
-    1-D array) and ``offsets`` into ``flat``, every block's iterations
-    concatenated.  ``ends`` concatenates each nest's ``(blocks, depth)``
-    block ends.  A block's in-tokens are its producers' global ids,
-    ``indices[indptr[g]:indptr[g + 1]]`` (CSR), in token order.
+    """The task AST as flat arrays: what generation writes and lowering,
+    ``mergeable``, the task graph and the artifact store read.  Blocks
+    have global ids in AST order (nests × blocks).  Per nest:
+    ``statements`` / ``depths`` / ``chained`` and ``starts`` (its first
+    global block id; one entry more than nests).  Per block: its
+    iterations' ``shapes`` row (rows, cols; cols ``-1`` marks a 1-D
+    array) and ``offsets`` into ``flat``, all iterations concatenated;
+    ``ends`` concatenates each nest's ``(blocks, depth)`` block ends; its
+    in-tokens are its producers' global ids, ``indices[indptr[g]:
+    indptr[g + 1]]`` (CSR), in token order.
     """
 
     statements: tuple[str, ...]
@@ -121,80 +125,36 @@ class TaskArrays:
         depth = self.depths[k]
         return self.ends[lo : lo + n * depth].reshape(n, depth)
 
-    @staticmethod
-    def from_nests(nests) -> "TaskArrays":
-        """The arrays of task loop nests; a token no block produces
-        raises ``KeyError``."""
-        producer: dict = {}
-        starts = [0]
-        for nest in nests:
-            for block in nest.blocks:
-                producer[block.out_token] = len(producer)
-            starts.append(len(producer))
-        iters: list[np.ndarray] = []
-        shapes: list[tuple[int, int]] = []
-        ends: list = []
-        indptr = [0]
-        indices: list[int] = []
-        for nest in nests:
-            for block in nest.blocks:
-                it = np.asarray(block.iterations, dtype=np.int64)
-                iters.append(it.ravel())
-                shapes.append(
-                    (it.shape[0], it.shape[1] if it.ndim == 2 else -1)
-                )
-                ends.extend(block.end)
-                for token in block.in_tokens:
-                    src = producer.get(token)
-                    if src is None:
-                        raise KeyError(
-                            f"in-dependency {token} of {block} has no "
-                            "producer"
-                        )
-                    indices.append(src)
-                indptr.append(len(indices))
-        shapes_arr = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
-        return TaskArrays(
-            statements=tuple(n.statement for n in nests),
-            depths=tuple(n.depth for n in nests),
-            chained=tuple(n.chained for n in nests),
-            starts=np.asarray(starts, dtype=np.int64),
-            shapes=shapes_arr,
-            offsets=block_offsets(shapes_arr),
-            flat=(
-                np.concatenate(iters) if iters
-                else np.empty(0, dtype=np.int64)
-            ),
-            ends=np.asarray(ends, dtype=np.int64),
-            indptr=np.asarray(indptr, dtype=np.int64),
-            indices=np.asarray(indices, dtype=np.int64),
-        )
-
     def nests(self) -> tuple[TaskLoopNest, ...]:
         """The task loop nests these arrays describe (built here)."""
-        out_tokens = []
-        for k, name in enumerate(self.statements):
-            out_tokens += [
-                (name, tuple(end)) for end in self.nest_ends(k).tolist()
-            ]
-        indptr, indices = self.indptr.tolist(), self.indices.tolist()
-        nests = []
-        for k, name in enumerate(self.statements):
-            blocks = self.blocks(k)
-            nests.append(TaskLoopNest(name, self.depths[k], tuple(
+        tokens = [
+            (name, tuple(end))
+            for k, name in enumerate(self.statements)
+            for end in self.nest_ends(k).tolist()
+        ]
+        ptr, ids = self.indptr.tolist(), self.indices.tolist()
+        return tuple(
+            TaskLoopNest(name, self.depths[k], tuple(
                 TaskBlock(
-                    statement=name,
-                    block_id=g - blocks.start,
-                    end=out_tokens[g][1],
-                    iterations=self.iterations(g),
-                    in_tokens=tuple(
-                        out_tokens[p] for p in indices[indptr[g]:indptr[g + 1]]
-                    ),
-                    out_token=out_tokens[g],
+                    name, b, tokens[g][1], self.iterations(g),
+                    tuple(tokens[p] for p in ids[ptr[g] : ptr[g + 1]]),
+                    tokens[g],
                 )
-                for g in blocks
-            ), self.chained[k]))
-        return tuple(nests)
+                for b, g in enumerate(self.blocks(k))
+            ), self.chained[k])
+            for k, name in enumerate(self.statements)
+        )
+
+
+def csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """Per entry of a CSR with this ``indptr``, its row."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def csr_indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """The ``indptr`` of ``n`` rows whose entries' sorted rows are these."""
+    counts = np.bincount(rows, minlength=n)
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
 def block_offsets(shapes: np.ndarray) -> np.ndarray:
@@ -204,96 +164,80 @@ def block_offsets(shapes: np.ndarray) -> np.ndarray:
 
 
 class TaskAst:
-    """Task-annotated AST of the whole pipelined SCoP.
-
-    Held as its task loop nests (objects), as :class:`TaskArrays`, or
-    both: either form is built from the other on first use.  A fresh
-    compile generates the nests; the artifact store loads the arrays,
-    and a replay reads nothing else.
+    """Task-annotated AST of the whole pipelined SCoP, held as its
+    :class:`TaskArrays`.  Its task loop nests are a view, built on first
+    read: compiling, checking, storing and replaying read the arrays only.
     """
 
-    def __init__(self, nests=None, *, arrays: TaskArrays | None = None):
-        if nests is not None:
-            self.__dict__["nests"] = tuple(nests)
-        if arrays is not None:
-            self.__dict__["arrays"] = arrays
+    def __init__(self, arrays: TaskArrays):
+        self.arrays = arrays
 
     @cached_property
     def nests(self) -> tuple[TaskLoopNest, ...]:
         return self.arrays.nests()
 
-    @cached_property
-    def arrays(self) -> TaskArrays:
-        return TaskArrays.from_nests(self.nests)
-
     def nest(self, statement: str) -> TaskLoopNest:
-        for n in self.nests:
-            if n.statement == statement:
-                return n
-        raise KeyError(statement)
+        return {n.statement: n for n in self.nests}[statement]
 
     def all_blocks(self) -> list[TaskBlock]:
         return [b for n in self.nests for b in n.blocks]
 
     def unchained(self, statements) -> "TaskAst":
         """This AST with the nests of ``statements`` marked unchained."""
-        return TaskAst(tuple(
-            replace(n, chained=False) if n.statement in statements else n
-            for n in self.nests
-        ))
+        a = self.arrays
+        return TaskAst(replace(a, chained=tuple(
+            chained and name not in statements
+            for name, chained in zip(a.statements, a.chained)
+        )))
 
     def pretty(self) -> str:
         """Figure-6 style rendering of the task AST."""
         lines: list[str] = []
         for nest in self.nests:
-            lines.append(
-                f"// statement {nest.statement}: {nest.num_blocks} tasks, "
-                f"pipeline loop over {nest.depth}-d blocks"
-                + ("" if nest.chained else ", unchained")
-            )
-            lines.append(f"for (b = 0; b < {nest.num_blocks}; b += 1) {{")
-            example = nest.blocks[0] if nest.blocks else None
-            if example is not None:
+            name, n = nest.statement, nest.num_blocks
+            lines += [
+                f"// statement {name}: {n} tasks, pipeline loop over "
+                f"{nest.depth}-d blocks"
+                + ("" if nest.chained else ", unchained"),
+                f"for (b = 0; b < {n}; b += 1) {{",
+            ]
+            if nest.blocks:
                 deps = ", ".join(
-                    f"{s}@{list(e)}" for s, e in example.in_tokens
-                ) or "none"
-                lines.append(
-                    f"  // task: out {nest.statement}@end(b); "
-                    f"in (b=0 shown): {deps}"
+                    f"{s}@{list(e)}" for s, e in nest.blocks[0].in_tokens
                 )
-            lines.append(f"  for (iter in block b of {nest.statement})")
-            lines.append(f"    {nest.statement}(iter);")
-            lines.append("}")
+                lines.append(
+                    f"  // task: out {name}@end(b); in (b=0 shown): "
+                    f"{deps or 'none'}"
+                )
+            lines += [
+                f"  for (iter in block b of {name})", f"    {name}(iter);", "}"
+            ]
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        return self.pretty()
+    __str__ = pretty
 
 
 def task_edges(ast: TaskAst, plan=None) -> tuple:
-    """``(src, dst)``: every edge of the task graph of ``ast`` — the one
-    derivation the graph objects and lowering read, over the AST's
-    :class:`TaskArrays`.  A token orders its producer first, and the
-    blocks of a chained nest run in order.  A
+    """``(src, dst)``: every edge of the task graph of ``ast``, the one
+    derivation the graph and lowering read.  A token orders its producer
+    first, and the blocks of a chained nest run in order.  A
     :class:`~repro.schedule.privatize.PrivatizationPlan` with groups
     unchains its statements and adds one join task per group (ids after
-    the blocks, in group order) waiting on every block of its
-    statements."""
+    the blocks, in group order) waiting on every block of them."""
     a = ast.arrays
     groups = plan.groups if plan is not None else ()
     unchained = {s for g in groups for s in g.statements}
-    src = [a.indices]
-    dst = [np.repeat(np.arange(a.num_blocks), np.diff(a.indptr))]
-    for k, name in enumerate(a.statements):
-        blocks = a.blocks(k)
-        if a.chained[k] and name not in unchained and len(blocks) > 1:
-            src.append(np.arange(blocks.start, blocks.stop - 1))
-            dst.append(src[-1] + 1)
+    chained = np.array([
+        c and s not in unchained for s, c in zip(a.statements, a.chained)
+    ], dtype=bool)
+    nest = csr_rows(a.starts)  # per block, its nest
+    follow = np.flatnonzero((nest[:-1] == nest[1:]) & chained[nest[:-1]])
+    src, dst = [a.indices, follow], [csr_rows(a.indptr), follow + 1]
     for j, group in enumerate(groups):
-        for k, name in enumerate(a.statements):
-            if name in group.statements:
-                src.append(np.arange(a.blocks(k).start, a.blocks(k).stop))
-                dst.append(np.full_like(src[-1], a.num_blocks + j))
+        src.append(np.flatnonzero(np.isin(nest, [
+            k for k, s in enumerate(a.statements) if s in group.statements
+        ])))
+        dst.append(np.full_like(src[-1], a.num_blocks + j))
     return (
         np.concatenate(src).astype(np.int64),
         np.concatenate(dst).astype(np.int64),
@@ -303,63 +247,77 @@ def task_edges(ast: TaskAst, plan=None) -> tuple:
 def generate_task_ast(
     info: PipelineInfo, schedule: ScheduleTree | None = None
 ) -> TaskAst:
-    """Lower a (pipelined) schedule tree to the task-annotated AST.
-
-    The tree defaults to :func:`~repro.schedule.build.build_schedule` of the
-    given pipeline info.  Statement order follows the tree's sequence.
+    """Lower a (pipelined) schedule tree — by default
+    :func:`~repro.schedule.build.build_schedule` of ``info`` — to the
+    task-annotated AST, statements in the tree's sequence.  A statement's
+    arrays come from its blocking (ends, iterations grouped by block) and
+    its in-dependency relations, whose target and source ends are matched
+    to block ids; a block's producers follow the in-dependency order.  A
+    required end that no source block produces raises ``KeyError``.
     """
     from ..obs.spans import span
 
     schedule = schedule if schedule is not None else build_schedule(info)
     with span("schedule.astgen"):
-        nests: list[TaskLoopNest] = []
-        for node in schedule.walk():
-            if isinstance(node, DomainNode) and _is_block_domain(node):
-                nests.append(_lower_statement(info, node))
-        return TaskAst(tuple(nests))
+        nodes = [
+            node for node in schedule.walk()
+            if isinstance(node, DomainNode) and _is_block_domain(node)
+        ]
+        names = [node.statement for node in nodes]
+        blockings = [info.blockings[name] for name in names]
+        starts = np.cumsum([0] + [b.num_blocks for b in blockings])
+        first = dict(zip(names, starts.tolist()))
+        none = np.zeros(0, dtype=np.int64)
+        flat, ends, consumer, producer = [none], [none], [none], [none]
+        shapes = [np.zeros((0, 2), dtype=np.int64)]
+        for k, node in enumerate(nodes):
+            rows, bounds = blockings[k].grouped_iterations()
+            flat.append(rows.ravel())
+            shapes.append(np.column_stack(
+                (np.diff(bounds), np.full(len(bounds) - 1, rows.shape[1]))
+            ))
+            ends.append(blockings[k].ends.points.ravel())
+            for dep in _find_payload(node).in_deps:
+                rel, source = dep.relation, info.blockings[dep.source]
+                tgt = _row_ids(blockings[k].ends.points, rel.in_part)
+                src = _row_ids(source.ends.points, rel.out_part[tgt >= 0])
+                if np.any(src < 0):
+                    raise KeyError(
+                        f"an end of {dep.source} that {names[k]} requires "
+                        "has no producer"
+                    )
+                consumer.append(starts[k] + tgt[tgt >= 0])
+                producer.append(first[dep.source] + src)
+        consumer, producer = np.concatenate(consumer), np.concatenate(producer)
+        shapes = np.concatenate(shapes).astype(np.int64)
+        return TaskAst(TaskArrays(
+            statements=tuple(names),
+            depths=tuple(b.ends.ndim for b in blockings),
+            chained=(True,) * len(names),
+            starts=starts.astype(np.int64),
+            shapes=shapes,
+            offsets=block_offsets(shapes),
+            flat=np.concatenate(flat).astype(np.int64),
+            ends=np.concatenate(ends).astype(np.int64),
+            indptr=csr_indptr(consumer, int(starts[-1])),
+            # stable: a block's producers stay in in-dependency order
+            indices=producer[np.argsort(consumer, kind="stable")],
+        ))
+
+
+def _row_ids(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``: its index in ``table`` (lexicographically
+    sorted, unique rows), ``-1`` where it is not one of them."""
+    keys, queries = joint_ranks(table, rows)
+    idx = np.searchsorted(keys, queries)
+    found = idx < len(keys)
+    found[found] = keys[idx[found]] == queries[found]
+    return np.where(found, idx, -1)
 
 
 def _is_block_domain(node: DomainNode) -> bool:
     """Block-level domain nodes have an expansion somewhere below them."""
     return any(isinstance(n, ExpansionNode) for n in node.walk())
-
-
-def _lower_statement(info: PipelineInfo, node: DomainNode) -> TaskLoopNest:
-    name = node.statement
-    blocking = info.blockings[name]
-    payload = _find_payload(node)
-
-    # Pre-compute per-dependency lookup tables: block end -> required end.
-    dep_tables: list[tuple[str, dict[tuple[int, ...], tuple[int, ...]]]] = []
-    for dep in payload.in_deps:
-        table = {
-            tuple(int(v) for v in row[: dep.relation.n_in]): tuple(
-                int(v) for v in row[dep.relation.n_in :]
-            )
-            for row in dep.relation.pairs
-        }
-        dep_tables.append((dep.source, table))
-
-    blocks: list[TaskBlock] = []
-    per_block_iters = blocking.iterations_by_block()
-    for block_id in range(blocking.num_blocks):
-        end = tuple(int(v) for v in blocking.ends.points[block_id])
-        iters = per_block_iters[block_id]
-        in_tokens = tuple(
-            (src, table[end]) for src, table in dep_tables if end in table
-        )
-        blocks.append(
-            TaskBlock(
-                statement=name,
-                block_id=block_id,
-                end=end,
-                iterations=iters,
-                in_tokens=in_tokens,
-                out_token=(name, end),
-            )
-        )
-    depth = blocking.ends.ndim
-    return TaskLoopNest(name, depth, tuple(blocks))
 
 
 def _find_payload(node: DomainNode) -> PipelineMarkPayload:

@@ -144,9 +144,10 @@ def tasks_by_block(info: PipelineInfo, graph: "TaskGraph") -> dict:
         name: np.full(blocking.num_blocks, -1, dtype=np.int64)
         for name, blocking in info.blockings.items()
     }
-    for task in graph.tasks:
-        if task.block is not None:
-            out[task.statement][task.block_id] = task.task_id
+    for code, name in enumerate(graph.labels):
+        if name in out:
+            mine = np.flatnonzero(graph.statement_ids == code)
+            out[name][graph.block_ids[mine]] = mine
     for name, ids in out.items():
         missing = np.flatnonzero(ids < 0)
         if len(missing):

@@ -497,35 +497,33 @@ def verify_privatized_graph(
     task whose statement touches the accumulator must follow it.
     """
     chain, pos, reach = graph.chain_reach()
+    names = np.array(graph.labels, dtype=object)[graph.statement_ids]
     issues: list[str] = []
     for group in plan.groups:
-        label = join_label(group.array)
-        joins = [t.task_id for t in graph.tasks if t.statement == label]
+        joins = np.flatnonzero(names == join_label(group.array))
         if len(joins) != 1:
             issues.append(
                 f"group {group.array!r}: expected exactly one join task, "
                 f"found {len(joins)}"
             )
             continue
-        jid = joins[0]
-        members = set(group.statements)
-        for task in graph.tasks:
-            if task.task_id == jid:
-                continue
-            if task.statement in members:
-                if reach[jid, chain[task.task_id]] < pos[task.task_id]:
-                    issues.append(
-                        f"group {group.array!r}: member block {task} does "
-                        "not precede the join"
-                    )
-            elif task.block is not None and _touches(
-                scop, task.statement, group.array
-            ):
-                if reach[task.task_id, chain[jid]] < pos[jid]:
-                    issues.append(
-                        f"group {group.array!r}: task {task} accesses the "
-                        "accumulator but is not ordered after the join"
-                    )
+        jid = int(joins[0])
+        members = np.isin(names, list(group.statements))
+        touching = np.isin(names, [
+            name for name in graph.labels if name not in group.statements
+            and _touches(scop, name, group.array)
+        ])
+        # members must precede the join, other accessors follow it
+        before = members & (reach[jid, chain] < pos)
+        after = touching & (reach[:, chain[jid]] < pos[jid])
+        for tid in np.flatnonzero(before | after):
+            task = graph.tasks[tid]
+            issues.append(
+                f"group {group.array!r}: member block {task} does not "
+                "precede the join" if before[tid] else
+                f"group {group.array!r}: task {task} accesses the "
+                "accumulator but is not ordered after the join"
+            )
     return PrivatizedGraphCheck(len(plan.groups), tuple(issues))
 
 

@@ -27,7 +27,7 @@ import json
 
 import numpy as np
 
-from .astgen import TaskArrays, TaskAst, block_offsets
+from .astgen import TaskArrays, TaskAst, block_offsets, csr_rows
 
 #: magic prefix of the task-AST blob (names the layout version)
 BLOB_MAGIC = b"RPTAST3\x00"
@@ -148,7 +148,7 @@ def loads_task_ast(blob) -> TaskAst:
             indices=doc["indices"],
         )
         n = arrays.num_blocks
-        consumer = np.repeat(np.arange(n), np.diff(arrays.indptr))
+        consumer = csr_rows(arrays.indptr)
         ok = (
             np.all(np.diff(arrays.starts) >= 0)
             and arrays.shapes.shape == (n, 2)

@@ -71,7 +71,9 @@ def build_artifact(
     analysis: Analysis,
     timings: Mapping[str, float] | None = None,
 ) -> CompileArtifact:
-    """Serialize one compile's outputs into a store artifact."""
+    """Serialize one compile's outputs into a store artifact.  Its bytes
+    depend on the compile's outputs only: ``timings`` is accepted and
+    not stored (a wall time would make two compiles' files differ)."""
     from ..schedule.serialize import dumps_task_ast
 
     fused = None
@@ -107,7 +109,6 @@ def build_artifact(
         legality_ok=(
             None if analysis.legality is None else analysis.legality.ok
         ),
-        timings=dict(timings or {}),
     )
 
 
@@ -200,10 +201,7 @@ def cached_analysis(
         elapsed = time.perf_counter() - t0
         store.put(
             key,
-            build_artifact(
-                interp, source, params, options, analysis,
-                timings={"analyze_s": elapsed},
-            ),
+            build_artifact(interp, source, params, options, analysis),
         )
         analysis.cache_status = "cold"
         sp.set(status="cold", analyze_s=round(elapsed, 6))

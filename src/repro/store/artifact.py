@@ -58,8 +58,6 @@ class CompileArtifact:
     privatized: bool = False
     #: legality verdict recorded at compile time (None = not checked)
     legality_ok: bool | None = None
-    #: wall seconds of the cold compile phases
-    timings: dict[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     def to_payload(self) -> dict[str, Any]:
@@ -93,7 +91,7 @@ _TYPES: dict[str, tuple[type, ...]] = {
     "options_fingerprint": (str,), "info": (dict,),
     "task_ast_blob": (bytes, memoryview), "fused": (dict, type(None)),
     "proofs": (list,), "privatized": (bool,),
-    "legality_ok": (bool, type(None)), "timings": (dict,),
+    "legality_ok": (bool, type(None)),
     "schema_version": (int,),
 }
 

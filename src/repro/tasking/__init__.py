@@ -2,7 +2,7 @@
 
 from .api import OmpTaskSystem
 from .dispatch import Schedule
-from .hybrid import hybrid_task_graph, intra_block_edges, relax_self_chains
+from .hybrid import intra_block_edges, relax_self_chains
 from .runtime import (
     RunResult,
     TaskRuntimeError,
@@ -22,7 +22,6 @@ __all__ = [
     "TaskGraph",
     "TaskRuntimeError",
     "bind_interpreter_actions",
-    "hybrid_task_graph",
     "intra_block_edges",
     "execute",
     "relax_self_chains",

@@ -95,18 +95,19 @@ def simulate(
 def _simulate(
     graph: TaskGraph, workers: int, overhead: float, policy: str
 ) -> SimResult:
-    n = len(graph.tasks)
+    n = len(graph)
+    cost = graph.costs.tolist()
     start = np.zeros(n)
     finish = np.zeros(n)
     assigned = np.full(n, -1, dtype=np.int64)
 
-    indeg = [len(p) for p in graph.preds]
+    indeg = np.diff(graph.indptr).tolist()
     counter = 0
     ready: list[tuple[float, int]] = []  # (priority, task id)
 
     if policy == "cp":
         # Upward rank: longest cost-weighted path from each task to an exit.
-        _, rank, _ = graph.longest_paths([t.cost for t in graph.tasks])
+        _, rank, _ = graph.longest_paths(cost)
 
     def push(tid: int) -> None:
         nonlocal counter
@@ -133,7 +134,7 @@ def _simulate(
             _, tid = heapq.heappop(ready)
             w = free_workers.pop()
             start[tid] = now
-            finish[tid] = now + graph.tasks[tid].cost + overhead
+            finish[tid] = now + cost[tid] + overhead
             assigned[tid] = w
             heapq.heappush(running, (finish[tid], tid, w))
         if not running:

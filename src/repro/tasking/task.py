@@ -2,30 +2,27 @@
 
 A :class:`Task` is one pipeline block (or one chunk of a parallel loop in
 the baseline); a :class:`TaskGraph` is the DAG of tasks with precedence
-edges.  Graphs are built from the task-annotated AST
-(:func:`TaskGraph.from_task_ast`) with two edge families, mirroring the
-paper's runtime (Section 5.5):
-
-* *cross-statement* edges from the ``Q_S`` in-dependencies (the
-  ``depend(in:…)`` clauses), and
-* *self* edges chaining the blocks of each ``chained`` statement in
-  lexicographic order (the ``funcCount`` trick of Figure 8 — blocks of
-  one loop nest run sequentially).
+edges.  Built from the task-annotated AST, a graph has the two edge
+families of the paper's runtime (Section 5.5): *cross-statement* edges
+from the ``Q_S`` in-dependencies (the ``depend(in:…)`` clauses), and
+*self* edges chaining the blocks of each ``chained`` statement in
+lexicographic order (the ``funcCount`` trick of Figure 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..schedule.astgen import TaskAst, TaskBlock
+from ..schedule.astgen import TaskAst, TaskBlock, csr_indptr, csr_rows
 
 
 @dataclass
 class Task:
-    """A schedulable unit of work."""
+    """A schedulable unit of work (a view of one task of a graph)."""
 
     task_id: int
     statement: str
@@ -43,14 +40,28 @@ class CyclicTaskGraphError(ValueError):
 
 
 class TaskGraph:
-    """A DAG of tasks with precedence edges (pred must finish before succ)."""
+    """A DAG of tasks with precedence edges (pred must finish before succ).
+
+    Columns, one entry per task: ``statement_ids`` (into ``labels``),
+    ``block_ids`` and ``costs``; the predecessors as CSR, ascending
+    ``indices[indptr[t]:indptr[t + 1]]``.  :class:`Task` objects and
+    ``preds`` / ``succs`` sets are views, built on first read for
+    renderers, the simulator and tests.  :meth:`add_task` /
+    :meth:`add_edge` build a graph by hand (an edge joins the CSR when
+    it is next read).
+    """
 
     def __init__(self) -> None:
-        self.tasks: list[Task] = []
-        self.preds: list[set[int]] = []
-        self.succs: list[set[int]] = []
+        self.labels: list[str] = []
+        self.statement_ids = self.block_ids = np.zeros(0, np.int64)
+        self.costs = np.zeros(0)
+        self._indptr, self._indices = np.zeros(1, np.int64), self.block_ids
+        self._new_edges: list[tuple[int, int]] = []
+        self._given: dict[int, tuple] = {}  # tid -> add_task's (block, action)
+        self._ast: TaskAst | None = None  # whose blocks tasks 0.. run
+        self._tasks: list[Task] = []
+        self._adjacency: tuple | None = None
 
-    # ------------------------------------------------------------------
     def add_task(
         self,
         statement: str,
@@ -59,106 +70,161 @@ class TaskGraph:
         block: TaskBlock | None = None,
         action: Callable[[], None] | None = None,
     ) -> int:
-        tid = len(self.tasks)
-        self.tasks.append(Task(tid, statement, block_id, cost, block, action))
-        self.preds.append(set())
-        self.succs.append(set())
+        tid = len(self)
+        if statement not in self.labels:
+            self.labels.append(statement)
+        code = self.labels.index(statement)
+        self.statement_ids = np.append(self.statement_ids, code)
+        self.block_ids = np.append(self.block_ids, block_id)
+        self.costs = np.append(self.costs, cost)
+        self._indptr = np.append(self._indptr, self._indptr[-1])
+        self._adjacency = None
+        if block is not None or action is not None:
+            self._given[tid] = (block, action)
         return tid
 
     def add_edge(self, pred: int, succ: int) -> None:
         if pred == succ:
             raise CyclicTaskGraphError(f"self-edge on task {pred}")
-        self.preds[succ].add(pred)
-        self.succs[pred].add(succ)
+        self._new_edges.append((pred, succ))
+
+    @property
+    def indptr(self) -> np.ndarray:
+        if self._new_edges:
+            src, dst = np.array(self._new_edges, dtype=np.int64).T
+            self._new_edges = []
+            self._set_preds(
+                np.append(self._indices, src),
+                np.append(csr_rows(self._indptr), dst),
+            )
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        self.indptr  # merges the added edges
+        return self._indices
+
+    def _set_preds(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """The CSR of the edges ``src[i] -> dst[i]`` (duplicates collapse)."""
+        n = max(len(self), 1)
+        key = np.sort(dst * n + src)
+        dst, self._indices = np.divmod(key[np.diff(key, prepend=-1) > 0], n)
+        self._indptr = csr_indptr(dst, len(self))
+        self._adjacency = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.statement_ids)
 
     def __iter__(self) -> Iterator[Task]:
         return iter(self.tasks)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(p) for p in self.preds)
+        return len(self.indices)
 
     def total_cost(self) -> float:
-        return float(sum(t.cost for t in self.tasks))
+        return float(sum(self.costs.tolist()))
+
+    @property
+    def tasks(self) -> list[Task]:
+        """One :class:`Task` per task: a view built on first read (again
+        once tasks are added), so an ``action`` set on one stays."""
+        if len(self._tasks) != len(self):
+            blocks = self._ast.all_blocks() if self._ast is not None else []
+            blocks += [None] * (len(self) - len(blocks))
+            self._tasks = [
+                Task(tid, self.labels[code], block_id, cost,
+                     *self._given.get(tid, (blocks[tid], None)))
+                for tid, (code, block_id, cost) in enumerate(zip(
+                    self.statement_ids.tolist(), self.block_ids.tolist(),
+                    self.costs.tolist(),
+                ))
+            ]
+        return self._tasks
+
+    @property
+    def preds(self) -> list[set[int]]:
+        """Per task, the set of tasks it waits on (a view)."""
+        if self._adjacency is None:
+            ptr, ids = self.indptr.tolist(), self._indices.tolist()
+            preds = [set(ids[ptr[t] : ptr[t + 1]]) for t in range(len(self))]
+            succs: list[set[int]] = [set() for _ in preds]
+            for tid, ps in enumerate(preds):
+                for p in ps:
+                    succs[p].add(tid)
+            self._adjacency = preds, succs
+        return self._adjacency[0]
+
+    @property
+    def succs(self) -> list[set[int]]:
+        """Per task, the set of tasks waiting on it (a view)."""
+        self.preds  # builds both views
+        return self._adjacency[1]
 
     # ------------------------------------------------------------------
     def topological_order(self) -> list[int]:
-        """Kahn topological order; raises on cycles."""
-        indeg = [len(p) for p in self.preds]
-        ready = [t for t in range(len(self.tasks)) if indeg[t] == 0]
-        order: list[int] = []
-        while ready:
-            tid = ready.pop()
-            order.append(tid)
-            for s in self.succs[tid]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        if len(order) != len(self.tasks):
-            raise CyclicTaskGraphError(
-                f"{len(self.tasks) - len(order)} tasks are on a cycle"
-            )
-        return order
+        """A topological order; raises on cycles.  Creation order when
+        every edge points forward (a graph of a task AST)."""
+        if np.all(self.indices < csr_rows(self.indptr)):
+            return list(range(len(self)))
+        try:
+            preds = dict(enumerate(self.preds))
+            return list(TopologicalSorter(preds).static_order())
+        except CycleError as exc:
+            raise CyclicTaskGraphError(f"cycle: {exc.args[1]}") from None
 
     def validate(self) -> None:
         self.topological_order()
 
     def longest_paths(self, weights) -> tuple[list, list, list[int]]:
-        """``(down, up, parent)`` in one topological walk: the heaviest
-        weight-inclusive path into and out of each task, and the
+        """``(down, up, parent)`` in one topological walk each way: the
+        heaviest weight-inclusive path into and out of each task, and the
         predecessor ``down`` came through (-1 at an entry; a tie goes to
-        the first in topological order)."""
+        the lowest task id)."""
         order = self.topological_order()
-        n = len(self.tasks)
-        down = [0] * n
-        parent = [-1] * n
+        ptr, ids = self.indptr.tolist(), self._indices.tolist()
+        down, up = [0] * len(order), [0] * len(order)
+        parent = [-1] * len(order)
         for tid in order:
-            here = down[tid] = down[tid] + weights[tid]
-            for s in self.succs[tid]:
-                if here > down[s]:
-                    down[s] = here
-                    parent[s] = tid
-        up = [0] * n
-        for tid in reversed(order):
-            up[tid] = weights[tid] + max(
-                (up[s] for s in self.succs[tid]), default=0
-            )
+            for p in ids[ptr[tid] : ptr[tid + 1]]:
+                if down[p] > down[tid]:
+                    down[tid], parent[tid] = down[p], p
+            down[tid] += weights[tid]
+        for tid in reversed(order):  # up starts as the successors' max
+            up[tid] += weights[tid]
+            for p in ids[ptr[tid] : ptr[tid + 1]]:
+                up[p] = max(up[p], up[tid])
         return down, up, parent
 
     def critical_path(self) -> tuple[float, list[int]]:
         """Length and one witness path of the longest (cost-weighted) chain."""
-        down, _, parent = self.longest_paths([t.cost for t in self.tasks])
+        down, _, parent = self.longest_paths(self.costs.tolist())
         length, path = witness_path(down, parent)
         return float(length), path
 
     def chain_reach(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reachability in tasks × chains memory (Jagadish's chain
-        compression of the transitive closure).
-
-        One topological pass covers the graph with chains: a task
-        extends the chain of a predecessor that is still its tail (one
-        of the task's own statement first), else starts one.  Task ``t``
-        is member ``pos[t]`` of chain ``chain[t]``; ``reach[t, c]`` is
-        the last member of chain ``c`` at or before ``t`` (-1: none), so
-        ``s`` precedes or is ``t`` iff ``reach[t, chain[s]] >= pos[s]``.
-        A chained nest is one chain; an antichain needs one per task.
+        compression of the transitive closure).  One topological pass
+        covers the graph with chains: a task extends the chain of a
+        predecessor still at its tail (one of its own statement first),
+        else starts one.  Task ``t`` is member ``pos[t]`` of chain
+        ``chain[t]``; ``reach[t, c]`` is the last member of chain ``c`` at
+        or before ``t`` (-1: none; the smallest signed dtype the longest
+        chain fits), so ``s`` precedes or is ``t`` iff
+        ``reach[t, chain[s]] >= pos[s]``.  A chained nest is one chain.
         """
         order = self.topological_order()
-        n = len(self.tasks)
-        chain = [0] * n
-        pos = [0] * n
+        ptr, ids = self.indptr.tolist(), self._indices.tolist()
+        stmt = self.statement_ids.tolist()
+        chain, pos = [0] * len(order), [0] * len(order)
         tails: list[int] = []
         for tid in order:
-            statement = self.tasks[tid].statement
             pick = -1
-            for p in self.preds[tid]:
+            for p in ids[ptr[tid] : ptr[tid + 1]]:
                 if tails[chain[p]] == p:
                     pick = p
-                    if self.tasks[p].statement == statement:
+                    if stmt[p] == stmt[tid]:
                         break
             if pick < 0:
                 chain[tid] = len(tails)
@@ -166,13 +232,14 @@ class TaskGraph:
             else:
                 chain[tid], pos[tid] = chain[pick], pos[pick] + 1
                 tails[chain[tid]] = tid
-        reach = np.full((n, len(tails)), -1, dtype=np.int32)
+        dtype = np.min_scalar_type(-max(pos, default=0) - 1)
+        reach = np.full((len(order), len(tails)), -1, dtype=dtype)
         for tid in order:
-            preds = self.preds[tid]
-            if len(preds) == 1:
-                reach[tid] = reach[next(iter(preds))]
-            elif preds:
-                reach[tid] = reach[list(preds)].max(axis=0)
+            lo, hi = ptr[tid], ptr[tid + 1]
+            if hi - lo == 1:
+                reach[tid] = reach[ids[lo]]
+            elif hi > lo:
+                reach[tid] = reach[self._indices[lo:hi]].max(axis=0)
             reach[tid, chain[tid]] = pos[tid]
         return np.array(chain), np.array(pos), reach
 
@@ -184,30 +251,30 @@ class TaskGraph:
         plan=None,
         join_cost: float = 1.0,
     ) -> "TaskGraph":
-        """Build the pipeline task graph from a task-annotated AST.
-
-        Blocks of a ``chained`` nest run in order; an unchained one (a
-        relaxed self chain, or a reduction privatized under a verified
-        proof) is ordered by nothing but the tokens its blocks carry.
-        A ``plan`` with reduction groups adds one join task per group
-        (``block=None``, named by ``join_label``) after the blocks.  The
-        edges are :func:`~repro.schedule.astgen.task_edges`' — the ones
-        lowering orders the plan's rows by.
+        """The pipeline task graph of a task-annotated AST: one task per
+        block, then, for a ``plan`` with reduction groups, one join task
+        per group (no block, named by ``join_label``).  The edges are
+        :func:`~repro.schedule.astgen.task_edges`' — the ones lowering
+        orders the plan's rows by.  Costs are block sizes; a
+        ``cost_of_block`` reads the AST's task loop nests instead.
         """
         from ..schedule.astgen import task_edges
         from ..schedule.privatize import join_label
 
-        graph = TaskGraph()
-        for nest in ast.nests:
-            for block in nest.blocks:
-                cost = (
-                    cost_of_block(block) if cost_of_block else float(block.size)
-                )
-                graph.add_task(nest.statement, block.block_id, cost, block)
-        for group in plan.groups if plan is not None else ():
-            graph.add_task(join_label(group.array), 0, cost=join_cost)
-        for src, dst in zip(*(e.tolist() for e in task_edges(ast, plan))):
-            graph.add_edge(src, dst)
+        a, graph = ast.arrays, TaskGraph()
+        groups = plan.groups if plan is not None else ()
+        graph.labels = [*a.statements, *(join_label(g.array) for g in groups)]
+        nest = csr_rows(a.starts)  # per block, its nest: its label
+        joins = np.arange(len(a.statements), len(graph.labels))
+        graph.statement_ids = np.append(nest, joins)
+        blocks = np.arange(len(nest)) - a.starts[nest]
+        graph.block_ids = np.append(blocks, np.zeros_like(joins))
+        costs = a.shapes[:, 0] if cost_of_block is None else [
+            cost_of_block(b) for b in ast.all_blocks()
+        ]
+        graph.costs = np.append(costs, [join_cost] * len(joins)).astype(float)
+        graph._set_preds(*task_edges(ast, plan))
+        graph._ast = ast
         graph.validate()
         return graph
 

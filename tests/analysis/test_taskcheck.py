@@ -16,10 +16,10 @@ from repro.codegen.emit import statement_columns, statement_packers
 from repro.lang import parse
 from repro.pipeline import detect_pipeline
 from repro.schedule import generate_task_ast
-from repro.schedule.astgen import TaskAst
 from repro.scop import extract_scop
 from repro.tasking import TaskGraph, relax_self_chains
 from repro.workloads import TABLE9
+from tests.conftest import ast_of_nests
 
 LISTING1 = """
 for(i=0; i<N-1; i++)
@@ -116,7 +116,7 @@ class TestTokenCoverage:
     def test_stripped_in_tokens_are_caught(self, pipeline):
         from dataclasses import replace
 
-        from repro.schedule.astgen import TaskAst, TaskLoopNest
+        from repro.schedule.astgen import TaskLoopNest
 
         scop, info, ast, _ = pipeline
         nests = []
@@ -127,7 +127,7 @@ class TestTokenCoverage:
             nests.append(
                 TaskLoopNest(nest.statement, nest.depth, blocks)
             )
-        stripped = TaskAst(tuple(nests))
+        stripped = ast_of_nests(nests)
         report = check_token_coverage(scop, info, stripped)
         uncovered = [d for d in report if d.code == "RPA042"]
         assert uncovered
@@ -155,7 +155,7 @@ class TestUnchainedTokenCoverage:
             kept = tuple(t for t in block.in_tokens if t != token)
             return replace(block, in_tokens=kept)
 
-        return TaskAst(tuple(
+        return ast_of_nests((
             replace(n, blocks=tuple(map(drop, n.blocks)))
             if n.statement == statement else n
             for n in ast.nests
@@ -193,7 +193,7 @@ class TestUnchainedTokenCoverage:
         )
         token = next(t for t in block.in_tokens if t[0] == "S2")
         mutant = self.without_token(ast, "S2", block.block_id, token)
-        rechained = TaskAst(tuple(
+        rechained = ast_of_nests((
             replace(n, chained=True) for n in mutant.nests
         ))
         assert check_token_coverage(scop, info, rechained).ok
@@ -212,7 +212,7 @@ class TestUnchainedTokenCoverage:
         info = detect_pipeline(scop)
         ast = relax_self_chains(scop, info, generate_task_ast(info))
         if target_chained:  # a chain on the consumer does not help either
-            ast = TaskAst(tuple(
+            ast = ast_of_nests((
                 replace(n, chained=n.statement == "M2") for n in ast.nests
             ))
         last = ast.nest("M2").blocks[-1]

@@ -221,6 +221,163 @@ def dense_reach(graph):
     return reach
 
 
+def from_nests(nests):
+    """The reference ``TaskArrays`` of task loop nests (the object path
+    generation no longer takes): a token no block produces raises
+    ``KeyError``.  Tests that hand-edit an AST edit its nests and come
+    back through here."""
+    import numpy as np
+
+    from repro.schedule.astgen import TaskArrays, block_offsets
+
+    producer: dict = {}
+    starts = [0]
+    for nest in nests:
+        for block in nest.blocks:
+            producer[block.out_token] = len(producer)
+        starts.append(len(producer))
+    iters, shapes, ends, indptr, indices = [], [], [], [0], []
+    for nest in nests:
+        for block in nest.blocks:
+            it = np.asarray(block.iterations, dtype=np.int64)
+            iters.append(it.ravel())
+            shapes.append((it.shape[0], it.shape[1] if it.ndim == 2 else -1))
+            ends.extend(block.end)
+            for token in block.in_tokens:
+                if token not in producer:
+                    raise KeyError(f"in-dependency {token} has no producer")
+                indices.append(producer[token])
+            indptr.append(len(indices))
+    shapes_arr = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+    return TaskArrays(
+        statements=tuple(n.statement for n in nests),
+        depths=tuple(n.depth for n in nests),
+        chained=tuple(n.chained for n in nests),
+        starts=np.asarray(starts, dtype=np.int64),
+        shapes=shapes_arr,
+        offsets=block_offsets(shapes_arr),
+        flat=np.concatenate(iters) if iters else np.empty(0, np.int64),
+        ends=np.asarray(ends, dtype=np.int64),
+        indptr=np.asarray(indptr, dtype=np.int64),
+        indices=np.asarray(indices, dtype=np.int64),
+    )
+
+
+def ast_of_nests(nests):
+    """A ``TaskAst`` of hand-built or hand-edited task loop nests."""
+    from repro.schedule import TaskAst
+
+    return TaskAst(from_nests(tuple(nests)))
+
+
+def reference_nests(info, schedule=None):
+    """The task loop nests of ``info``, generated block by block with
+    per-row token tables (the object path the array generator
+    replaced): the reference it must equal byte for byte."""
+    from repro.schedule import TaskBlock, TaskLoopNest, build_schedule
+    from repro.schedule.astgen import _find_payload, _is_block_domain
+    from repro.schedule.tree import DomainNode
+
+    schedule = schedule if schedule is not None else build_schedule(info)
+    nests = []
+    for node in schedule.walk():
+        if not (isinstance(node, DomainNode) and _is_block_domain(node)):
+            continue
+        name = node.statement
+        blocking = info.blockings[name]
+        tables = []
+        for dep in _find_payload(node).in_deps:
+            n_in = dep.relation.n_in
+            tables.append((dep.source, {
+                tuple(int(v) for v in row[:n_in]):
+                    tuple(int(v) for v in row[n_in:])
+                for row in dep.relation.pairs
+            }))
+        blocks = []
+        for block_id, iters in enumerate(blocking.iterations_by_block()):
+            end = tuple(int(v) for v in blocking.ends.points[block_id])
+            blocks.append(TaskBlock(
+                name, block_id, end, iters,
+                tuple((src, t[end]) for src, t in tables if end in t),
+                (name, end),
+            ))
+        nests.append(TaskLoopNest(name, blocking.ends.ndim, tuple(blocks)))
+    return tuple(nests)
+
+
+def reference_relax(scop, info, nests):
+    """``relax_self_chains`` on task loop nests, token tuple by token
+    tuple (the object path the CSR rewrite replaced)."""
+    from dataclasses import replace
+
+    from repro.tasking import intra_block_edges
+
+    ends, self_tokens = {}, {}
+    for nest in nests:
+        if not nest.chained:
+            continue
+        edges = intra_block_edges(scop, info, nest.statement)
+        if all((k, k + 1) in edges for k in range(nest.num_blocks - 1)):
+            continue
+        ends[nest.statement] = [b.end for b in nest.blocks]
+        for a, b in sorted(edges):
+            self_tokens.setdefault(nest.blocks[b].out_token, []).append(
+                nest.blocks[a].out_token
+            )
+
+    def tokens_of(block):
+        tokens = []
+        for src, end in block.in_tokens:
+            prefix = ends.get(src, [end])
+            tokens += [(src, e) for e in prefix[: prefix.index(end) + 1]]
+        tokens += self_tokens.get(block.out_token, ())
+        return tuple(dict.fromkeys(tokens))
+
+    return tuple(
+        replace(
+            nest,
+            chained=nest.chained and nest.statement not in ends,
+            blocks=tuple(
+                replace(b, in_tokens=tokens_of(b)) for b in nest.blocks
+            ),
+        )
+        for nest in nests
+    )
+
+
+def reference_graph(nests, plan=None):
+    """The task graph of task loop nests, task by task and edge by edge
+    through the builders (the object path ``from_task_ast`` replaced)."""
+    from repro.schedule.privatize import join_label
+    from repro.tasking import TaskGraph
+
+    groups = plan.groups if plan is not None else ()
+    unchained = {s for g in groups for s in g.statements}
+    graph, tid_of, tids = TaskGraph(), {}, {}
+    for nest in nests:
+        for block in nest.blocks:
+            tid = graph.add_task(
+                nest.statement, block.block_id, float(block.size), block
+            )
+            tid_of[block.out_token] = tid
+            tids.setdefault(nest.statement, []).append(tid)
+    for group in groups:
+        join = graph.add_task(join_label(group.array), 0)
+        for name in group.statements:
+            for tid in tids.get(name, ()):
+                graph.add_edge(tid, join)
+    for nest in nests:
+        mine = tids.get(nest.statement, [])
+        if nest.chained and nest.statement not in unchained:
+            for prev, nxt in zip(mine, mine[1:]):
+                graph.add_edge(prev, nxt)
+        for block in nest.blocks:
+            for token in block.in_tokens:
+                graph.add_edge(tid_of[token], tid_of[block.out_token])
+    graph.validate()
+    return graph
+
+
 class Counter:
     """Wrap ``owner.name`` so calls are counted (and still happen) — the
     one spy of the count guards; worker threads may call it at once.

@@ -245,6 +245,26 @@ def test_a_verified_transform_builds_its_task_graph_once(
         assert len(builds) == (status == "cold"), status
 
 
+def test_artifact_bytes_do_not_depend_on_wall_time():
+    """Two artifacts of one analysis pack to identical bytes whatever
+    the compile took: a wall time in the header would change a file's
+    size with the float's repr."""
+    from repro.driver import analyze
+    from repro.service import build_artifact
+
+    opts = TransformOptions(workers=2)
+    interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
+    analysis = analyze(interp, opts)
+    packed = {
+        pack_artifact(build_artifact(
+            interp, TWO_NEST_COPY, {"N": 8}, opts, analysis,
+            timings={"analyze_s": wall},
+        ))
+        for wall in (0.1, 0.123456789, 12.5, 1e-7)
+    }
+    assert len(packed) == 1
+
+
 # ----------------------------------------------------------------------
 # chain-fusion verdicts: decided at compile, carried in the fusion plan
 # ----------------------------------------------------------------------

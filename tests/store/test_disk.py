@@ -31,7 +31,6 @@ def _artifact(key: str = "ab" * 32, payload_pad: bytes = b"") -> CompileArtifact
         options_fingerprint="ef" * 32,
         info={"statements": ["S"]},
         task_ast_blob=b"npz-blob" + payload_pad,
-        timings={"analyze_s": 0.25},
     )
 
 

@@ -24,7 +24,7 @@ from repro.schedule import (
     privatize_info,
 )
 from repro.scop import DepKind
-from repro.tasking import TaskGraph, hybrid_task_graph
+from repro.tasking import TaskGraph, relax_self_chains
 from repro.workloads import TABLE9
 
 from tests.conftest import dense_reach
@@ -44,6 +44,12 @@ def assert_frontier_is_closure(graph: TaskGraph) -> int:
         members = np.flatnonzero(chain == c)
         assert sorted(pos[members].tolist()) == list(range(len(members)))
     return reach.shape[1]
+
+
+def hybrid(scop, info) -> TaskGraph:
+    return TaskGraph.from_task_ast(
+        relax_self_chains(scop, info, generate_task_ast(info))
+    )
 
 
 def without_edges(graph: TaskGraph, keep) -> TaskGraph:
@@ -66,7 +72,7 @@ def test_frontier_equals_closure_on_table9(name):
             plain = TaskGraph.from_task_ast(generate_task_ast(info))
             # a chained pipeline needs no chain beyond its statements'
             assert assert_frontier_is_closure(plain) <= len(scop.statements)
-            assert_frontier_is_closure(hybrid_task_graph(scop, info))
+            assert_frontier_is_closure(hybrid(scop, info))
 
 
 @pytest.mark.parametrize("name", ["P1", "P5", "P7", "P10"])
@@ -76,7 +82,7 @@ def test_frontier_equals_closure_with_random_edges_dropped(name):
     info = detect_pipeline(scop)
     for graph in (
         TaskGraph.from_task_ast(generate_task_ast(info)),
-        hybrid_task_graph(scop, info),
+        hybrid(scop, info),
     ):
         for share in (0.1, 0.3, 0.6):
             assert_frontier_is_closure(
@@ -101,3 +107,22 @@ def test_frontier_equals_closure_on_privatized_graphs(kernel):
 def test_empty_graph():
     chain, pos, reach = TaskGraph().chain_reach()
     assert len(chain) == len(pos) == 0 and reach.shape == (0, 0)
+
+
+def test_reach_dtype_is_sized_by_the_longest_chain():
+    """An antichain-heavy graph pays one byte per task and chain: 200
+    independent 3-task chains fit ``int8`` positions."""
+    graph = TaskGraph()
+    for c in range(200):
+        tids = [graph.add_task(f"S{c}", k) for k in range(3)]
+        graph.add_edge(tids[0], tids[1])
+        graph.add_edge(tids[1], tids[2])
+    chain, pos, reach = graph.chain_reach()
+    assert reach.dtype == np.int8 and reach.shape == (600, 200)
+    assert assert_frontier_is_closure(graph) == 200
+    long = TaskGraph()
+    for k in range(300):
+        long.add_task("S", k)
+        if k:
+            long.add_edge(k - 1, k)
+    assert long.chain_reach()[2].dtype == np.int16

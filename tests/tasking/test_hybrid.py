@@ -8,7 +8,6 @@ from repro.pipeline import detect_pipeline
 from repro.schedule import generate_task_ast
 from repro.tasking import (
     TaskGraph,
-    hybrid_task_graph,
     intra_block_edges,
     relax_self_chains,
     simulate,
@@ -67,8 +66,7 @@ def assert_relaxed_plan_correct(source: str, params=None) -> None:
     info = detect_pipeline(interp.scop)
     raw = generate_task_ast(info)
     relaxed = relax_self_chains(interp.scop, info, raw)
-    graph = hybrid_task_graph(interp.scop, info, raw)
-    assert graph.preds == TaskGraph.from_task_ast(relaxed).preds
+    graph = TaskGraph.from_task_ast(relaxed)
     assert graph.preds == reference_hybrid_graph(interp.scop, info, raw).preds
     plan = interp.exec_plan(info, relaxed)
     if not plan.stats["fused_chains"]:  # a merged stream renumbers tasks
@@ -135,7 +133,8 @@ class TestCorrectness:
 
     def test_acyclic(self, listing3_scop):
         info = detect_pipeline(listing3_scop)
-        hybrid_task_graph(listing3_scop, info).validate()
+        ast = relax_self_chains(listing3_scop, info, generate_task_ast(info))
+        TaskGraph.from_task_ast(ast).validate()
 
 
 class TestPerformance:
@@ -146,7 +145,9 @@ class TestPerformance:
         info = detect_pipeline(scop)
         ast = generate_task_ast(info)
         pipe = TaskGraph.from_task_ast(ast, cost_of_block=cost.block_cost)
-        hyb = hybrid_task_graph(scop, info, ast, cost_of_block=cost.block_cost)
+        hyb = TaskGraph.from_task_ast(
+            relax_self_chains(scop, info, ast), cost_of_block=cost.block_cost
+        )
         sp = pipe.total_cost() / simulate(pipe, workers=8).makespan
         sh = hyb.total_cost() / simulate(hyb, workers=8).makespan
         assert sh > sp
@@ -159,7 +160,9 @@ class TestPerformance:
         info = detect_pipeline(scop)
         ast = generate_task_ast(info)
         pipe = TaskGraph.from_task_ast(ast, cost_of_block=cost.block_cost)
-        hyb = hybrid_task_graph(scop, info, ast, cost_of_block=cost.block_cost)
+        hyb = TaskGraph.from_task_ast(
+            relax_self_chains(scop, info, ast), cost_of_block=cost.block_cost
+        )
         assert simulate(hyb, workers=8).makespan == pytest.approx(
             simulate(pipe, workers=8).makespan
         )
@@ -168,7 +171,9 @@ class TestPerformance:
         info = detect_pipeline(listing3_scop)
         ast = generate_task_ast(info)
         pipe = TaskGraph.from_task_ast(ast)
-        hyb = hybrid_task_graph(listing3_scop, info, ast)
+        hyb = TaskGraph.from_task_ast(
+            relax_self_chains(listing3_scop, info, ast)
+        )
         assert (
             simulate(hyb, workers=8).makespan
             <= simulate(pipe, workers=8).makespan + 1e-9

@@ -6,8 +6,9 @@ Per N, one fresh Python process runs one cold, verified ``transform`` of
 a Table 9 kernel (P5 by default; fuse ``auto``, 2 workers, no store)
 and prints one row: the graph's tasks, the chains of its chain cover
 (``TaskGraph.chain_reach``, the legality check's reachability), the
-cold wall of the ``transform`` call, the ``schedule.legality`` span
-inside it, and the process's peak RSS (``ru_maxrss``).  A fresh process
+cold wall of the ``transform`` call, the ``schedule.astgen`` and
+``schedule.legality`` spans inside it, and the process's peak RSS
+(``ru_maxrss``).  A fresh process
 per row keeps one size's peak out of the next.  ``--hybrid`` relaxes
 the self chains the do-all evidence allows, the wide case for chains.
 Asserts nothing but that every compile verifies; CI uploads the table.
@@ -50,11 +51,13 @@ wall = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if not (result.verified and result.legality.ok):
     raise SystemExit(f"{name}@{n}: the compile did not verify")
+(astgen,) = [s for s in rec.spans if s.name == "schedule.astgen"]
 (legality,) = [s for s in rec.spans if s.name == "schedule.legality"]
 print(json.dumps({
     "tasks": len(result.graph),
     "chains": result.graph.chain_reach()[2].shape[1],
     "cold_s": wall,
+    "astgen_s": astgen.duration_ns / 1e9,
     "legality_s": legality.duration_ns / 1e9,
     "peak_mb": peak_kb / 1024,
 }))
@@ -79,13 +82,14 @@ def render(kernel: str, hybrid: bool, rows: dict[int, dict]) -> str:
         f"cold verified transform of {kernel}"
         f"{' --hybrid' if hybrid else ''}, fuse auto, {WORKERS} workers, "
         "one fresh process per row",
-        f"{'N':>5}{'tasks':>9}{'chains':>8}{'cold s':>9}{'legality s':>12}"
-        f"{'peak MB':>9}",
+        f"{'N':>5}{'tasks':>9}{'chains':>8}{'cold s':>9}{'astgen s':>10}"
+        f"{'legality s':>12}{'peak MB':>9}",
     ]
     for n, r in rows.items():
         lines.append(
             f"{n:>5}{r['tasks']:>9}{r['chains']:>8}{r['cold_s']:>9.2f}"
-            f"{r['legality_s']:>12.3f}{r['peak_mb']:>9.0f}"
+            f"{r['astgen_s']:>10.3f}{r['legality_s']:>12.3f}"
+            f"{r['peak_mb']:>9.0f}"
         )
     return "\n".join(lines)
 
