@@ -136,17 +136,6 @@ class Blocking:
             )
         return coarse
 
-    def to_dict(self) -> dict:
-        """JSON-ready form for the durable artifact store."""
-        return {
-            "statement": self.statement,
-            "mapping": self.mapping.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Blocking":
-        return Blocking(d["statement"], PointRelation.from_dict(d["mapping"]))
-
     def __str__(self) -> str:
         return (
             f"Blocking({self.statement}: {self.num_blocks} blocks over "

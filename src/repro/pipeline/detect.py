@@ -3,14 +3,16 @@
 Walks every ordered statement pair of the SCoP, computes pipeline maps
 where a dependence exists, derives per-statement source/target blocking
 maps, refines them into the combined blocking ``E_S`` (Equation 3), and
-attaches the pipeline dependency relations ``Q_S`` / ``Q_S^O``
-(Equation 4).  The result, :class:`PipelineInfo`, is the "SCoP with
-pipeline information" the paper's transformation phase consumes.
+attaches the in-dependency relations ``Q_S`` (Equation 4); the
+out-dependency ``Q_S^O`` is the identity on ``Range(E_S)``, derived from
+the blocking where it is read (:func:`~repro.pipeline.out_dependency`).
+The result, :class:`PipelineInfo`, is the "SCoP with pipeline
+information" the paper's transformation phase consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..scop import (
     DepKind,
@@ -19,9 +21,9 @@ from ..scop import (
     dependence_relation,
     validate_scop,
 )
-from ..presburger import PointRelation, PointSet
+from ..presburger import PointSet
 from .blocking import Blocking, blocking_from_end_sets
-from .dependencies import BlockDependency, block_dependency, out_dependency
+from .dependencies import BlockDependency, block_dependency
 from .pipeline_map import PipelineMap, compute_pipeline_map, prefix_lexmax
 
 
@@ -37,8 +39,6 @@ class PipelineInfo:
     #: statement name -> in-dependency relations Q_S (one per pipeline map
     #: targeting the statement)
     in_deps: dict[str, tuple[BlockDependency, ...]]
-    #: statement name -> out-dependency Q_S^O (identity on block ends)
-    out_deps: dict[str, PointRelation]
 
     # ------------------------------------------------------------------
     def blocking(self, name: str) -> Blocking:
@@ -57,52 +57,40 @@ class PipelineInfo:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Explicit-relation form of everything but the SCoP itself.
+        """Explicit-relation form of the maps and of ``Q_S``.
 
-        The SCoP is *not* serialized: a stored artifact is only replayed
-        against a SCoP freshly extracted from the same kernel source (the
-        store key covers the source hash), so :meth:`from_dict` takes the
-        live SCoP and rebuilds the info against it.
+        Neither the SCoP nor the blockings are in it: a stored artifact
+        is only replayed against a SCoP freshly extracted from the same
+        kernel source (the store key covers the source hash), and its
+        task AST lists each block's iterations and end, so
+        :meth:`from_dict` takes the live SCoP and the blockings rebuilt
+        from the AST (:meth:`repro.schedule.astgen.TaskArrays.blocking`).
         """
         return {
             "pipeline_maps": [
                 pm.to_dict() for _, pm in sorted(self.pipeline_maps.items())
             ],
-            "blockings": [
-                self.blockings[s.name].to_dict()
-                for s in self.scop.statements
-                if s.name in self.blockings
-            ],
             "in_deps": {
                 name: [d.to_dict() for d in deps]
                 for name, deps in sorted(self.in_deps.items())
             },
-            "out_deps": {
-                name: rel.to_dict()
-                for name, rel in sorted(self.out_deps.items())
-            },
         }
 
     @staticmethod
-    def from_dict(scop: Scop, d: dict) -> "PipelineInfo":
-        """Rebuild a serialized info against a freshly extracted SCoP."""
+    def from_dict(
+        scop: Scop, d: dict, blockings: dict[str, Blocking]
+    ) -> "PipelineInfo":
+        """Rebuild a serialized info against a freshly extracted SCoP
+        and its blockings."""
         pipeline_maps = {}
         for rec in d["pipeline_maps"]:
             pm = PipelineMap.from_dict(rec)
             pipeline_maps[(pm.source, pm.target)] = pm
-        blockings = {}
-        for rec in d["blockings"]:
-            b = Blocking.from_dict(rec)
-            blockings[b.statement] = b
         in_deps = {
             name: tuple(BlockDependency.from_dict(r) for r in deps)
             for name, deps in d["in_deps"].items()
         }
-        out_deps = {
-            name: PointRelation.from_dict(rec)
-            for name, rec in d["out_deps"].items()
-        }
-        return PipelineInfo(scop, pipeline_maps, blockings, in_deps, out_deps)
+        return PipelineInfo(scop, pipeline_maps, blockings, in_deps)
 
     def summary(self) -> str:
         lines = [f"PipelineInfo: {len(self.pipeline_maps)} pipeline maps, "
@@ -178,7 +166,7 @@ def detect_pipeline(
                     end_sets[target.name].append(pmap.relation.range())
             sp.set(pipeline_maps=len(pipeline_maps))
 
-        # Lines 8-10: E_S = lexmin over blocking maps; Q_S^O = identity.
+        # Lines 8-10: E_S = lexmin over blocking maps.
         with span("pipeline.blocking"):
             blockings: dict[str, Blocking] = {}
             for stmt in scop.statements:
@@ -189,16 +177,18 @@ def detect_pipeline(
                     combined = combined.coarsened(coarsen)
                 blockings[stmt.name] = combined
 
-        in_deps, out_deps = derive_dependencies(scop, pipeline_maps, blockings)
-        return PipelineInfo(scop, pipeline_maps, blockings, in_deps, out_deps)
+        in_deps = derive_dependencies(scop, pipeline_maps, blockings)
+        return PipelineInfo(scop, pipeline_maps, blockings, in_deps)
 
 
 def derive_dependencies(
     scop: Scop,
     pipeline_maps: dict[tuple[str, str], PipelineMap],
     blockings: dict[str, Blocking],
-) -> tuple[dict[str, tuple[BlockDependency, ...]], dict[str, PointRelation]]:
-    """Lines 11-12 of Algorithm 1: ``Q_S`` / ``Q_S^O`` for given blockings.
+) -> dict[str, tuple[BlockDependency, ...]]:
+    """Lines 11-12 of Algorithm 1: ``Q_S`` for given blockings
+    (``Q_S^O`` is :func:`~repro.pipeline.out_dependency` of a blocking,
+    derived where it is read).
 
     Factored out of :func:`detect_pipeline` so a caller that *re-blocks*
     a detected pipeline (:func:`repro.schedule.privatize_info` chunking
@@ -208,10 +198,6 @@ def derive_dependencies(
     from ..obs.spans import span
 
     with span("pipeline.dependencies"):
-        out_deps = {
-            name: out_dependency(blocking)
-            for name, blocking in blockings.items()
-        }
         in_deps: dict[str, tuple[BlockDependency, ...]] = {
             s.name: () for s in scop.statements
         }
@@ -224,7 +210,7 @@ def derive_dependencies(
                 target.points,
             )
             in_deps[tgt_name] = in_deps[tgt_name] + (dep,)
-        return in_deps, out_deps
+        return in_deps
 
 
 class UncoveredDependenceError(ValueError):

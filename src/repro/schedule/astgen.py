@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..pipeline import PipelineInfo
-from ..presburger import joint_ranks
+from ..pipeline import Blocking, PipelineInfo
+from ..presburger import PointRelation, joint_ranks
 from .build import PIPELINE_MARK, PipelineMarkPayload, build_schedule
 from .tree import DomainNode, ExpansionNode, MarkNode, ScheduleTree
 
@@ -75,7 +75,8 @@ class TaskLoopNest:
 @dataclass(frozen=True, eq=False)
 class TaskArrays:
     """The task AST as flat arrays: what generation writes and lowering,
-    ``mergeable``, the task graph and the artifact store read.  Blocks
+    ``mergeable``, the task graph, the artifact store and a warm load's
+    blockings (:meth:`blocking`) read.  Blocks
     have global ids in AST order (nests × blocks).  Per nest:
     ``statements`` / ``depths`` / ``chained`` and ``starts`` (its first
     global block id; one entry more than nests).  Per block: its
@@ -124,6 +125,25 @@ class TaskArrays:
         n = int(self.starts[k + 1] - self.starts[k])
         depth = self.depths[k]
         return self.ends[lo : lo + n * depth].reshape(n, depth)
+
+    def blocking(self, k: int) -> Blocking:
+        """Nest ``k``'s blocking map ``E_S``: every iteration it lists
+        to its block's end, in one :meth:`PointRelation.from_arrays`.
+        ``ValueError`` when the nest lists an iteration twice (the
+        relation would merge the copies)."""
+        lo, hi = self.starts[k], self.starts[k + 1]
+        sizes = self.shapes[lo:hi, 0]
+        iters = self.flat[self.offsets[lo] : self.offsets[hi]].reshape(
+            int(sizes.sum()), self.depths[k]
+        )
+        ends = np.repeat(self.nest_ends(k), sizes, axis=0)
+        mapping = PointRelation.from_arrays(iters, ends)
+        if len(mapping) != len(iters):
+            raise ValueError(
+                f"the task AST lists an iteration of {self.statements[k]} "
+                "twice"
+            )
+        return Blocking(self.statements[k], mapping)
 
     def nests(self) -> tuple[TaskLoopNest, ...]:
         """The task loop nests these arrays describe (built here)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..pipeline import BlockDependency, PipelineInfo
+from ..pipeline import BlockDependency, Blocking, PipelineInfo, out_dependency
 from ..presburger import PointRelation
 from .tree import (
     BandNode,
@@ -38,12 +38,18 @@ class PipelineMarkPayload:
     """Payload of the pipeline mark node.
 
     Mirrors the paper's ``pw_multi_aff_list`` (in-dependencies) and
-    ``pw_multi_aff`` (out-dependency) attached per statement.
+    ``pw_multi_aff`` (out-dependency) attached per statement; the
+    out-dependency is derived from the blocking when read.
     """
 
     statement: str
     in_deps: tuple[BlockDependency, ...]
-    out_dep: PointRelation
+    blocking: Blocking
+
+    @property
+    def out_dep(self) -> PointRelation:
+        """``Q_S^O``: the identity on the statement's block ends."""
+        return out_dependency(self.blocking)
 
 
 def build_statement_tree(info: PipelineInfo, name: str) -> ScheduleNode:
@@ -55,7 +61,7 @@ def build_statement_tree(info: PipelineInfo, name: str) -> ScheduleNode:
     payload = PipelineMarkPayload(
         statement=name,
         in_deps=info.in_deps.get(name, ()),
-        out_dep=info.out_deps[name],
+        blocking=blocking,
     )
 
     # Intra-block schedule: domain over iterations, mark, inner band.

@@ -184,12 +184,6 @@ class PrivatizationCheck:
     def ok(self) -> bool:
         return not self.failures
 
-    def raise_if_rejected(self) -> None:
-        if self.failures:
-            raise IllegalScheduleError(
-                f"privatization proof rejected: {self.failures[0]}"
-            )
-
     def __str__(self) -> str:
         status = "verified" if self.ok else f"{len(self.failures)} failures"
         return (

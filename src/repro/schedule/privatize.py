@@ -64,16 +64,10 @@ IDENTITIES: dict[str, float] = {
     "max": -math.inf,
 }
 
-_JOIN_PREFIX = "join("
-
 
 def join_label(array: str) -> str:
     """Statement label of the generated join/combine task of one group."""
-    return f"{_JOIN_PREFIX}{array})"
-
-
-def is_join_label(statement: str) -> bool:
-    return statement.startswith(_JOIN_PREFIX) and statement.endswith(")")
+    return f"join({array})"
 
 
 class PrivatizationError(ValueError):
@@ -406,9 +400,9 @@ def privatize_info(
 
     Pipeline maps between privatized statements are dropped (their
     dependences are exactly the proof's removed set) and each privatized
-    statement is re-blocked into ``parts`` chunks; the ``Q_S`` /
-    ``Q_S^O`` relations of the surviving maps are re-derived through the
-    standard Algorithm-1 path.
+    statement is re-blocked into ``parts`` chunks; the ``Q_S``
+    relations of the surviving maps are re-derived through the standard
+    Algorithm-1 path.
     """
     members = plan.statements
     if not members:
@@ -431,8 +425,8 @@ def privatize_info(
     for name in sorted(members):
         stmt = info.scop.statement(name)
         blockings[name] = chunked_blocking(name, stmt.points, parts)
-    in_deps, out_deps = derive_dependencies(info.scop, kept, blockings)
-    return PipelineInfo(info.scop, kept, blockings, in_deps, out_deps)
+    in_deps = derive_dependencies(info.scop, kept, blockings)
+    return PipelineInfo(info.scop, kept, blockings, in_deps)
 
 
 # ----------------------------------------------------------------------

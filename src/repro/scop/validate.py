@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis import diagnostics as D
-from ..analysis.diagnostics import Collector, Diagnostic, DiagnosticReport
+from ..analysis.diagnostics import Collector, DiagnosticReport
 from .scop import Scop, ScopStatement
 
 
@@ -40,12 +40,6 @@ class ValidationReport:
     @property
     def warnings(self) -> tuple[str, ...]:
         return tuple(d.render() for d in self.diagnostics.warnings)
-
-    def error_diagnostics(self) -> tuple[Diagnostic, ...]:
-        return self.diagnostics.errors
-
-    def warning_diagnostics(self) -> tuple[Diagnostic, ...]:
-        return self.diagnostics.warnings
 
     def raise_if_invalid(self) -> None:
         if not self.ok:

@@ -123,12 +123,14 @@ def load_analysis(
     """Rebuild an :class:`Analysis` from a stored artifact.
 
     The SCoP is re-extracted by the caller's interpreter (never stored);
-    the artifact supplies the *derived* objects: the info's relations
-    and the task AST's arrays are the file's sections, and no task
-    graph is built (lowering reads the AST's arrays).  Privatization
-    proofs go back through ``plan_from_proofs``: the plan is re-derived
-    and verified once per group, and a stored proof it does not contain
-    (tampered, or stale) raises here and the caller recompiles.
+    the artifact supplies the *derived* objects, each stored once: the
+    task AST's arrays, the pipeline maps and ``Q_S``.  Each blocking
+    ``E_S`` is rebuilt from its statement's task-AST nest, which must
+    list the statement's points exactly once.  No task graph is built
+    (lowering reads the AST's arrays).  Privatization proofs go back
+    through ``plan_from_proofs``: the plan is re-derived and verified
+    once per group, and a stored proof it does not contain (tampered,
+    or stale) raises here and the caller recompiles.
     """
     from ..interp.fused import FusedProgram
     from ..pipeline.detect import PipelineInfo
@@ -136,8 +138,19 @@ def load_analysis(
     from ..schedule.serialize import loads_task_ast
 
     scop = interp.scop
-    info = PipelineInfo.from_dict(scop, artifact.info)
     task_ast = loads_task_ast(artifact.task_ast_blob)
+    arrays = task_ast.arrays
+    if arrays.statements != tuple(s.name for s in scop.statements):
+        raise ValueError("the task AST's nests are not the SCoP's statements")
+    blockings = {}
+    for k, stmt in enumerate(scop.statements):
+        blocking = arrays.blocking(k)
+        if blocking.mapping.domain() != stmt.points:
+            raise ValueError(
+                f"the task AST does not cover the iterations of {stmt.name}"
+            )
+        blockings[stmt.name] = blocking
+    info = PipelineInfo.from_dict(scop, artifact.info, blockings)
     schedule = build_schedule(info)
 
     if artifact.fused is not None and options.fuse != "off":

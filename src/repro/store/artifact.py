@@ -5,16 +5,19 @@ rest, which is a section container (:mod:`repro.schedule.serialize`):
 a JSON header naming each section's offset, dtype and shape, then the
 raw little-endian sections.  Its document is
 ``CompileArtifact.to_payload()``: plain data in the header, the
-relation pairs of the pipeline info and of the privatization proofs
-as ``int64`` sections (rows in canonical order), the task-AST blob as
-a byte section.  A load checks magic and checksum, then takes each
-section as an ``np.frombuffer`` view: nothing on the read path
-unpickles, so the worst a hostile file can do is describe a wrong plan
-(its proofs are re-derived and the oracle compare decides).  Every
-failure — truncation, bit-rot, a foreign schema, a well-checksummed
-payload missing a field or holding one of the wrong type — raises
-:class:`ArtifactCorruptError`: a counted ``corrupt`` miss, never a
-crash.
+relation pairs of the pipeline maps, of ``Q_S`` and of the
+privatization proofs as ``int64`` sections (rows in canonical order),
+the task-AST blob as a byte section.  Each fact is stored once: the
+blockings ``E_S`` are the task AST's iterations and block ends, and
+``Q_S^O`` is the identity on those ends.  A load checks magic and
+checksum, then takes each section as an ``np.frombuffer`` view:
+nothing on the read path unpickles, so the worst a hostile file can do
+is describe a wrong plan (its proofs are re-derived, its task AST must
+cover each statement's points once, and the oracle compare decides).
+Every failure — truncation, bit-rot, a foreign schema, a
+well-checksummed payload missing a field or holding one of the wrong
+type — raises :class:`ArtifactCorruptError`: a counted ``corrupt``
+miss, never a crash.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class CompileArtifact:
     kernel_sha: str
     params: dict[str, int]
     options_fingerprint: str
-    #: ``PipelineInfo.to_dict()``: relation pairs as int64 arrays
+    #: ``PipelineInfo.to_dict()``: the pipeline maps and ``Q_S``,
+    #: relation pairs as int64 arrays
     info: dict
     #: ``dumps_task_ast`` of the task AST (schedule tree already lowered)
     task_ast_blob: bytes

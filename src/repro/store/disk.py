@@ -56,11 +56,6 @@ def bump_session(name: str, value: int = 1) -> None:
     _count(name, value)
 
 
-def reset_session_counters() -> None:
-    with _SESSION_LOCK:
-        _SESSION.clear()
-
-
 #: Final metrics snapshot a shutting-down ``repro serve`` leaves behind,
 #: at the store root (``_entries`` only scans subdirectories, so a
 #: root-level file never collides with artifact bookkeeping).

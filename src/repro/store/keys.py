@@ -29,7 +29,7 @@ from typing import Any, Mapping
 
 #: Bump when the artifact payload or the compile output in it changes
 #: (old entries become misses — the store never parses a foreign schema).
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def kernel_sha(source: str) -> str:

@@ -1,6 +1,7 @@
 """Tests for Algorithm 2: schedule-tree construction."""
 
 from repro.pipeline import detect_pipeline
+from repro.presburger import PointRelation
 from repro.schedule import (
     PIPELINE_MARK,
     BandNode,
@@ -47,7 +48,9 @@ class TestStatementTree:
         assert payload.statement == "R"
         assert len(payload.in_deps) == 1
         assert payload.in_deps[0].source == "S"
-        assert payload.out_dep == info.out_deps["R"]
+        assert payload.blocking is info.blockings["R"]
+        ends = info.blockings["R"].ends
+        assert payload.out_dep == PointRelation.identity(ends)
 
 
 class TestFullSchedule:

@@ -115,9 +115,7 @@ def test_a_missing_producer_is_an_error():
     blockings[source] = blockings[source].coarsened(2)  # ends vanish
     from repro.pipeline import PipelineInfo
 
-    broken = PipelineInfo(
-        scop, info.pipeline_maps, blockings, info.in_deps, info.out_deps
-    )
+    broken = PipelineInfo(scop, info.pipeline_maps, blockings, info.in_deps)
     with pytest.raises(KeyError, match="no producer"):
         generate_task_ast(broken)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import numpy as np
@@ -151,6 +152,82 @@ def test_task_ast_blob_without_magic_is_a_replay_failure(tmp_path):
     _, _, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
     assert status == "cold"
     assert session_counters().get("replay_failures", 0) == before + 1
+
+
+def _block_0_edited(artifact, edit):
+    """``artifact`` with block 0's iterations replaced by
+    ``edit(iterations)``, shapes and offsets kept consistent with the
+    new rows, so the blob itself loads."""
+    import dataclasses
+
+    from repro.schedule.astgen import TaskAst, block_offsets
+    from repro.schedule.serialize import dumps_task_ast, loads_task_ast
+
+    a = loads_task_ast(artifact.task_ast_blob).arrays
+    rows = edit(a.iterations(0))
+    shapes = a.shapes.copy()
+    shapes[0, 0] = len(rows)
+    flat = np.concatenate((rows.ravel(), a.flat[a.offsets[1] :]))
+    arrays = dataclasses.replace(
+        a, shapes=shapes, offsets=block_offsets(shapes), flat=flat
+    )
+    blob = dumps_task_ast(TaskAst(arrays))
+    loads_task_ast(blob)  # the blob alone is well formed
+    return dataclasses.replace(artifact, task_ast_blob=blob)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda rows: rows[1:], id="drops-an-iteration"),
+        pytest.param(
+            lambda rows: np.concatenate((rows[:1], rows)),
+            id="repeats-an-iteration",
+        ),
+    ],
+)
+def test_an_ast_not_covering_each_point_once_is_a_replay_failure(
+    tmp_path, edit
+):
+    """A checksummed artifact whose task AST drops or repeats an
+    iteration of block 0 fails the warm load's coverage check (each
+    statement's points, once each): one counted replay failure, then a
+    cold recompile that verifies — not a plan that runs the wrong
+    instances."""
+    from repro.driver import transform
+    from repro.workloads import TABLE9
+
+    source = TABLE9["P5"].source(6)
+    opts = TransformOptions(workers=2)
+    assert transform(source, {}, opts, cache_dir=str(tmp_path)).verified
+    store = ArtifactStore(str(tmp_path))
+    key = artifact_key(source, {}, opts)
+    store.put(key, _block_0_edited(store.get(key), edit))
+    before = session_counters().get("replay_failures", 0)
+    result = transform(source, {}, opts, cache_dir=str(tmp_path))
+    assert (result.cache_status, result.verified) == ("cold", True)
+    assert session_counters().get("replay_failures", 0) == before + 1
+    again = transform(source, {}, opts, cache_dir=str(tmp_path))
+    assert (again.cache_status, again.verified) == ("warm", True)
+
+
+def test_the_default_p5_artifact_stores_each_fact_once(tmp_path):
+    """The stored info is the pipeline maps and ``Q_S``: the blockings
+    are the task AST's iterations and ends, ``Q_S^O`` the identity on
+    those ends.  The bytes are deterministic, so the bound is exact
+    (222,544 B while both were stored)."""
+    import os
+
+    from repro.driver import transform
+    from repro.workloads import TABLE9
+
+    source = TABLE9["P5"].source(14)
+    opts = TransformOptions()
+    transform(source, {}, opts, cache_dir=str(tmp_path))
+    store = ArtifactStore(str(tmp_path))
+    key = artifact_key(source, {}, opts)
+    assert os.path.getsize(store.path_for(key)) <= 175_000
+    assert sorted(store.get(key).info) == ["in_deps", "pipeline_maps"]
 
 
 def test_self_dependence_analysis_runs_once_cold_never_warm(
@@ -745,15 +822,30 @@ def test_a_warm_transform_builds_no_graph_simulates_nothing_unpickles_nothing(
 
 
 def _warm_cases():
+    from pathlib import Path
+
     from repro.workloads import MatmulKernel, TABLE9
     from tests.test_driver import HISTOGRAM
 
+    kernels = Path(__file__).parents[2] / "examples" / "kernels"
+
     cases = [
-        pytest.param(TABLE9[p].source(6), {}, {}, id=p)
+        pytest.param(
+            TABLE9[p].source(n), {}, {"coarsen": coarsen, "hybrid": hybrid},
+            id=p + (n != 6) * f"@{n}" + (coarsen != 1) * f"-c{coarsen}"
+            + hybrid * "-hybrid",
+        )
         for p in sorted(TABLE9, key=lambda p: int(p[1:]))
+        for n in (6, 10)
+        for coarsen in (1, 3)
+        for hybrid in (False, True)
     ]
     cases.append(pytest.param(
         HISTOGRAM, {"N": 6}, {"privatize": True}, id="privatized-histogram"
+    ))
+    cases.append(pytest.param(
+        (kernels / "sumstencil.c").read_text(), {"N": 8}, {"privatize": True},
+        id="privatized-sumstencil",
     ))
     cases.append(pytest.param(
         MatmulKernel(2, "mm").source(6), {}, {"hybrid": True},
@@ -766,17 +858,41 @@ def _warm_cases():
 def test_warm_results_and_plans_equal_cold_ones(
     tmp_path, source, params, extra
 ):
-    """A warm result's lazily built graph, simulation, speed-up and
-    report equal the cold result's (the legality line aside: a warm
-    load does not re-derive it), and its lowered plan has the cold
-    plan's rows, schedule and runs."""
+    """A warm result's info, lazily built graph, simulation, speed-up
+    and report equal the cold result's (the legality line aside: a warm
+    load does not re-derive it), a served compile of the stored
+    artifact reports the same info, and the warm lowered plan has the
+    cold plan's rows, schedule and runs."""
     from repro.driver import analyze, transform
+    from repro.pipeline import out_dependency
+    from repro.schedule.tree import MarkNode
+
+    from .test_serve import _request, _with_server
 
     opts = TransformOptions(workers=2, **extra)
     cold = transform(source, params, opts, cache_dir=str(tmp_path))
     warm = transform(source, params, opts, cache_dir=str(tmp_path))
     assert (cold.cache_status, warm.cache_status) == ("cold", "warm")
     assert warm.verified is True
+    # the blockings come back from the task AST, Q_S^O from a blocking
+    assert warm.info.blockings == cold.info.blockings
+    assert warm.info.in_deps == cold.info.in_deps
+    assert warm.info.summary() == cold.info.summary()
+    marks = [
+        n.payload for n in warm.schedule.walk() if isinstance(n, MarkNode)
+    ]
+    assert [m.statement for m in marks] == list(cold.info.blockings)
+    for m in marks:
+        assert m.out_dep == out_dependency(cold.info.blockings[m.statement])
+
+    async def served(host, port, server):
+        return await _request(host, port, {
+            "op": "compile", "source": source, "params": params,
+            "options": options_to_dict(opts),
+        })
+
+    reply = asyncio.run(_with_server(str(tmp_path), served))
+    assert (reply["status"], reply["summary"]) == ("warm", cold.info.summary())
     assert warm.num_tasks == cold.num_tasks == len(cold.graph)
     assert warm.graph.preds == cold.graph.preds
     assert [

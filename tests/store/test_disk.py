@@ -304,6 +304,21 @@ def test_corruption_battery(tmp_path, privatize):
     assert _run(source, params, opts, tmp_path).cache_status == "warm"
 
 
+def test_a_schema_9_artifact_is_a_corrupt_miss(tmp_path):
+    """Schema 9 stored the blockings and ``Q_S^O`` beside the task AST:
+    a file written then, checksum intact, is one counted ``corrupt``
+    miss."""
+    art = _artifact()
+    info = dict.fromkeys(("pipeline_maps", "blockings", "in_deps", "out_deps"))
+    payload = dict(art.to_payload(), schema_version=9, info=info)
+    store = ArtifactStore(str(tmp_path))
+    os.makedirs(os.path.dirname(store.path_for(art.key)), exist_ok=True)
+    with open(store.path_for(art.key), "wb") as fh:
+        fh.write(pack_payload(payload))
+    assert store.get(art.key) is None
+    assert store.counters["corrupt"] == 1
+
+
 def test_a_schema_7_pickle_artifact_is_a_miss_and_never_unpickled(tmp_path):
     """The previous format — one pickle behind the checksum — is a
     counted ``corrupt`` miss, even with a matching checksum and key, and

@@ -621,6 +621,7 @@ class TestOptionPairs:
         assert asked.verified is True and asked.legality.ok
         # relation pairs are arrays: compare element-wise
         np.testing.assert_equal(asked.info.to_dict(), default.info.to_dict())
+        assert asked.info.blockings == default.info.blockings
 
     # -- the pair that was refused while the reduction ran before ------
     # -- scheduling ------------------------------------------------------
