@@ -3,10 +3,11 @@
 At compile time every statement is lowered to a :class:`FusedKernel`:
 a *declarative* :class:`ClosureSpec` (array refs, affine index maps per
 dimension, assignment op, reduction identity if any) plus the code
-generated from it.  The spec is the source of truth:
-:func:`build_closure` reconstructs the kernel deterministically from the
-spec alone, and ``FusedKernel`` pickles as its spec (via
-``__reduce__``), so the process pool ships data, not code objects.
+generated from it, compiled on the kernel's first call.  The spec is the
+source of truth: :func:`build_closure` reconstructs the kernel
+deterministically from the spec alone, and ``FusedKernel`` pickles as
+its spec (via ``__reduce__``), so the process pool ships data, not code
+objects.
 
 A kernel has up to two forms generated from the one spec.  The loop
 form (:func:`loop_source`, a scalar loop nest over a rectangle) exists
@@ -537,23 +538,27 @@ def takes_loop_form(lo: tuple[int, ...], hi: tuple[int, ...]) -> bool:
 
 @dataclass(eq=False)
 class FusedKernel:
-    """The kernel of a statement (or chain) plus the spec it was built from.
-
-    Picklable by spec: ``pickle.dumps(kernel)`` ships the declarative
-    :class:`ClosureSpec` and the receiving process re-generates the
-    code with :func:`build_closure` — code objects never cross the
-    wire.
-    """
+    """The kernel of a statement (or chain): its spec, and each form
+    compiled from it on first use (racing first users may each compile
+    it; the last one stored wins).  Pickled as the spec, so a receiving
+    process rebuilds it and code objects never cross the wire."""
 
     spec: ClosureSpec
-    source: str | None  # slice-form source (None: no slice form)
-    fn: Callable | None  # slice form (None: no slice form)
+
+    @cached_property
+    def source(self) -> str | None:
+        """Slice-form source (None: no slice form)."""
+        return closure_source(self.spec) if self.spec.slice_form else None
+
+    @cached_property
+    def fn(self) -> Callable | None:
+        """Slice form (None: no slice form)."""
+        if self.source is not None:
+            return _compile(self.source, _kernel_name(self.spec, "__fused_"))
 
     @cached_property
     def loop_fn(self) -> Callable:
-        """Loop form of the same spec, compiled on first use.  Racing
-        first users may each compile it; the callables are equivalent
-        and the last one stored wins."""
+        """Loop form of the same spec."""
         return _compile(
             loop_source(self.spec), _kernel_name(self.spec, "__loop_")
         )
@@ -564,19 +569,14 @@ class FusedKernel:
         funcs: Mapping[str, Callable],
         rects,
     ) -> None:
-        """Execute precomputed ``(lo, hi)`` rectangles — the one-call-per-
-        task hot path (rectangle decomposition already paid at compile).
-
-        The one place a kernel form is chosen: a rectangle runs the
-        slice form when the kernel has one and the rectangle holds more
-        than :data:`LOOP_FORM_POINTS` points, else the loop form.
-        """
-        fn = self.fn
+        """Execute ``(lo, hi)`` rectangles, the one place a kernel form is
+        chosen: the slice form when there is one and the rectangle holds
+        more than :data:`LOOP_FORM_POINTS` points, else the loop form."""
         for lo, hi in rects:
-            if fn is None or takes_loop_form(lo, hi):
-                self.loop_fn(store, funcs, lo, hi)
+            if self.spec.slice_form and not takes_loop_form(lo, hi):
+                self.fn(store, funcs, lo, hi)
             else:
-                fn(store, funcs, lo, hi)
+                self.loop_fn(store, funcs, lo, hi)
 
     def __call__(self, store, funcs, iterations) -> None:
         iters = np.asarray(iterations, dtype=np.int64)
@@ -595,14 +595,9 @@ def _compile(source: str, fn_name: str) -> Callable:
 
 
 def build_closure(spec: ClosureSpec) -> FusedKernel:
-    """Reconstruct the kernel from a declarative spec (its slice form
-    now, when the spec has one; its loop form on first use)."""
-    if not spec.slice_form:
-        return FusedKernel(spec, None, None)
-    source = closure_source(spec)
-    return FusedKernel(
-        spec, source, _compile(source, _kernel_name(spec, "__fused_"))
-    )
+    """The kernel of a declarative spec (both forms compiled on first
+    use)."""
+    return FusedKernel(spec)
 
 
 # ----------------------------------------------------------------------
@@ -668,7 +663,8 @@ class FusedProgram:
         The declarative :class:`ClosureSpec` is already the pickling
         contract of the process pool; the same specs are the durable
         artifact format of the compile store.  :meth:`from_dict`
-        regenerates every closure with :func:`build_closure`.
+        rebuilds every kernel from its spec with :func:`build_closure`
+        (its code is compiled when a replay first calls it).
         """
         return {
             "entries": {

@@ -3,10 +3,14 @@
 :func:`lower_exec_plan` turns ``(interpreter, pipeline info)`` — plus a
 verified :class:`~repro.schedule.privatize.PrivatizationPlan`, if any —
 into an :class:`ExecPlan`: task AST, fusion-legal chain groups, one
-flat :class:`TaskRow` per task with its rectangle decomposition already
-computed (payloads keep NumPy iteration arrays, views into the AST's
+flat :class:`TaskRow` per task with its rectangle decomposition
+(payloads keep NumPy iteration arrays, views into the AST's
 :class:`~repro.schedule.astgen.TaskArrays`), and a compiled
-:class:`~repro.tasking.dispatch.Schedule`.  A row is one of two kinds:
+:class:`~repro.tasking.dispatch.Schedule` — the rows and the schedule
+built by the first replay that reads them, which the serial elision
+never does (a one-shot pays for what it runs; the refusal of a task
+that waits on one created after it is checked on every lowering).  A
+row is one of two kinds:
 a kernel row runs its stream's kernel
 (:class:`~repro.interp.fused.FusedKernel`, one per statement or chain)
 over its rectangles, a join row folds a reduction group's private
@@ -28,11 +32,13 @@ that depends on the *run* — store, stream closures, private buffers,
 event collector, the copied join counters — is created there; the plan
 itself is shared between runs and threads and is never mutated
 (``repro serve`` replays one plan from several executor threads at
-once) — apart from its claims caches, each entry set once.
+once) — apart from its claims caches, each entry set once, and the
+structures its first readers build.
 
 Plans are cached on the interpreter (:meth:`Interpreter.exec_plan`), so
 ``ExecutionStats.wall_time`` measures task submission + run, not
-lowering.
+lowering; a replay builds the rows or schedule it reads before its
+clock starts.
 
 Serial elision: rows are created stream by stream, so the rows of one
 task stream are consecutive, and a serial replay — one worker, creation
@@ -188,22 +194,30 @@ class ExecPlan:
     interpreter is *not* held: it owns the plan cache, and a back
     reference would leave every interpreter (AST, rows and all) to the
     cycle collector instead of freeing it with its last reference.
+
+    Lowering builds what every replay reads; ``rows``, ``schedule`` and
+    ``exact`` are built by the first replay that reads them — the serial
+    elision reads none of them — and ``members`` (cheap, from
+    ``row_of``) by the first that reports it.  Racing first readers may
+    each build one; the results are equal and the last stored wins.
     """
 
     info: object
     fused: object  # FusedProgram in force at lowering
     privatization: object  # PrivatizationPlan with groups, or None
     ast: "TaskAst"
-    #: task streams -> their kernel (None: a join)
+    #: task streams -> their kernel (None: a join), in creation order
     streams: dict[str, FusedKernel | None]
-    rows: tuple[TaskRow, ...]
-    schedule: "Schedule"  # the task graph's reduced quotient (row = task id)
     #: the serial elision: every stream, in creation order
     runs: tuple[StreamRun, ...]
     #: per reduction group: (accumulator, identity, private buffer names)
     privates: tuple[tuple[str, float, tuple[str, ...]], ...]
     #: the run-independent fields of :class:`ExecutionStats`
     stats: dict
+    #: per graph task, the row that runs it
+    row_of: np.ndarray = field(compare=False, repr=False)
+    #: per row, where its stream's collapsing starts (quotient_schedule)
+    floors: np.ndarray = field(compare=False, repr=False)
     #: worker count -> the claims untraced ``threads`` or ``processes``
     #: replays at that count dispatch from their second on, with the
     #: measured whole streams; set once (:func:`plan_claims`)
@@ -214,6 +228,70 @@ class ExecPlan:
     replayed: set[int] = field(
         default_factory=set, compare=False, repr=False
     )
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the graph tasks it runs, ascending: backend task ids
+        are creation order, the unfused graph's AST order, so collected
+        events expand back onto the graph the profiler joins against."""
+        order = np.argsort(self.row_of, kind="stable")
+        bounds = np.searchsorted(
+            self.row_of[order], np.arange(len(self.floors) + 1)
+        ).tolist()
+        ids = order.tolist()
+        return tuple(
+            tuple(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        )
+
+    @cached_property
+    def rows(self) -> tuple[TaskRow, ...]:
+        """One :class:`TaskRow` per task, in creation order, with its
+        rectangle decomposition.  Its ``exec.rows`` span counts the
+        rectangles of the kernel rows and how many of them ``run_rects``
+        runs in loop form."""
+        arrays = self.ast.arrays
+        pgroups = getattr(self.privatization, "groups", ())
+        accumulator = {s: g.array for g in pgroups for s in g.statements}
+        names = {array: iter(ns) for array, _, ns in self.privates}
+        joins = iter(zip(pgroups, self.privates))
+        rows: list[TaskRow] = []
+        n_rects = n_loop_rects = 0
+        with span("exec.rows") as sp:
+            for (label, kernel), run in zip(self.streams.items(), self.runs):
+                if kernel is None:  # a join folds its group's privates
+                    g, (_, _, privates) = next(joins)
+                    rows.append(TaskRow(label, {"combine": {
+                        "array": g.array,
+                        "group": g.group,
+                        "privates": list(privates),
+                    }}))
+                    continue
+                sliced = kernel.spec.slice_form
+                array = accumulator.get(label)
+                for row in run.rows:
+                    iters = arrays.iterations(self.members[row][0])
+                    rects = rectangles(iters)
+                    n_rects += len(rects)
+                    n_loop_rects += sum(
+                        takes_loop_form(lo, hi) for lo, hi in rects
+                    ) if sliced else len(rects)
+                    payload = {"iters": iters, "rects": rects}
+                    if array is not None:
+                        payload["remap"] = {array: next(names[array])}
+                    rows.append(TaskRow(label, payload))
+            sp.set(tasks=len(rows), rects=n_rects, loop_rects=n_loop_rects)
+        return tuple(rows)
+
+    @cached_property
+    def schedule(self) -> "Schedule":
+        """The task graph's reduced quotient over the rows (row = task
+        id), taken again from the AST's edges (:func:`quotient_schedule`)."""
+        from ..schedule.astgen import task_edges
+
+        return quotient_schedule(
+            task_edges(self.ast, self.privatization), self.row_of,
+            self.floors,
+        )
 
     @cached_property
     def exact(self) -> Claims:
@@ -346,16 +424,27 @@ def claimed_whole(costs: dict, workers: int) -> frozenset:
     )
 
 
-def quotient_schedule(edges, members, floors) -> "Schedule":
-    """The schedule of rows that each run the graph tasks ``members[row]``.
+def row_edges(edges, row_of) -> tuple[np.ndarray, np.ndarray]:
+    """``edges``, the task graph's ``(src, dst)`` pair of id arrays
+    (:func:`~repro.schedule.astgen.task_edges`), between the rows that
+    run their tasks (``row_of[task]``).  Creation order must be
+    topological: a row waiting on a later one is refused."""
+    src, dst = (row_of[np.asarray(e, dtype=np.int64)] for e in edges)
+    if np.any(src > dst):
+        raise RuntimeError("a task waits on one created after it")
+    return src, dst
 
-    ``edges`` is the task graph's ``(src, dst)`` pair of id arrays
-    (:func:`~repro.schedule.astgen.task_edges`): a row waits on the rows
-    holding its members' predecessors.  Rows of one chained stream are
-    ordered by the stream itself, so a predecessor at or after
-    ``floors[row]`` (the stream's first row) collapses to the previous
-    row; ``floors[row] == row`` collapses nothing.  Creation order must
-    be topological: a row waiting on a later one is refused.
+
+def quotient_schedule(edges, row_of, floors) -> "Schedule":
+    """The schedule of rows where row ``row_of[t]`` runs graph task ``t``.
+
+    A row waits on the rows holding its tasks' predecessors
+    (:func:`row_edges`).  Rows of one chained stream are ordered by the
+    stream itself, so a predecessor at or after ``floors[row]`` (the
+    stream's first row) collapses to the previous row; ``floors[row] ==
+    row`` collapses nothing.  The row edges collapse in bulk: one sort
+    of packed ``(dst, src)`` keys leaves each row's distinct
+    predecessors latest first.
 
     The schedule is transitively reduced
     (:func:`~repro.tasking.dispatch.transitive_reduction`): a row waits
@@ -366,20 +455,20 @@ def quotient_schedule(edges, members, floors) -> "Schedule":
     """
     from ..tasking.dispatch import Schedule, transitive_reduction
 
-    sizes = [len(ts) for ts in members]
-    row_of = np.zeros(sum(sizes), dtype=np.int64)
-    row_of[np.fromiter(
-        (t for ts in members for t in ts), np.int64, len(row_of)
-    )] = np.repeat(np.arange(len(members)), sizes)
-    src, dst = (row_of[np.asarray(e, dtype=np.int64)] for e in edges)
-    if np.any(src > dst):
-        raise RuntimeError("a task waits on one created after it")
+    src, dst = row_edges(edges, row_of)
     src, dst = src[src != dst], dst[src != dst]
-    src = np.where(src >= np.asarray(floors)[dst], dst - 1, src)
-    preds: list[set[int]] = [set() for _ in members]
-    for s, d in zip(src.tolist(), dst.tolist()):
-        preds[d].add(s)
-    return Schedule.from_preds(transitive_reduction(preds))
+    floors = np.asarray(floors, dtype=np.int64)
+    src = np.where(src >= floors[dst], dst - 1, src)
+    n = len(floors)
+    # dst ascending, src descending (keys are >= 0); a sort and a mask
+    # of repeats, as np.unique's hash path on NumPy 2.4 costs ~10x that
+    keys = np.sort(dst * n + (n - 1 - src))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    srcs = (n - 1 - keys % n).tolist()
+    bounds = np.searchsorted(keys // n, np.arange(n + 1)).tolist()
+    return Schedule.from_preds(transitive_reduction(
+        [srcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    ))
 
 
 def lower_exec_plan(
@@ -389,7 +478,11 @@ def lower_exec_plan(
     groups) into an :class:`ExecPlan`; ``task_ast`` skips regenerating
     the AST the caller's analysis already holds.  Lowering reads the
     AST's :class:`~repro.schedule.astgen.TaskArrays` only — no task
-    loop nest, no task graph object."""
+    loop nest, no task graph object — and builds what every replay
+    reads: the streams with their union rectangles, the privates, and
+    which row runs which graph task, refusing a task that waits on one
+    created after it.  The rows and the schedule are built by the
+    first replay that dispatches rows."""
     from ..schedule import generate_task_ast
     from ..schedule.astgen import task_edges
     from ..schedule.privatize import join_label
@@ -414,44 +507,36 @@ def lower_exec_plan(
 
         group_of = {s: g for g in pgroups for s in g.statements}
         names: dict[str, list[str]] = {g.array: [] for g in pgroups}
+        parts: dict[str, int] = {}  # privatized statement -> its rows
         streams: dict[str, FusedKernel | None] = {}
-        rows: list[TaskRow] = []
-        # per row: the graph tasks it runs (graph task ids are AST order,
-        # nests x blocks, then one join per reduction group), and where
-        # its stream's collapsing starts (see quotient_schedule)
-        members: list[tuple[int, ...]] = []
-        floors: list[int] = []
         runs: list[StreamRun] = []
-        # rectangles of all kernel rows, and how many of them
-        # ``run_rects`` runs in loop form
-        n_rects = n_loop_rects = 0
+        # graph task ids are AST order (nests x blocks, then one join
+        # per reduction group), rows creation order (groups x blocks,
+        # then the joins); per row, where its stream's collapsing starts
+        # (see quotient_schedule)
+        row_of = np.empty(arrays.num_blocks + len(pgroups), dtype=np.int64)
+        floors = np.empty(len(row_of), dtype=np.int64)
+        tasks = 0  # rows so far
         for group in groups:
             label = chain_label(tuple(arrays.statements[k] for k in group))
             head, last = group[0], group[-1]
             pgroup = group_of.get(label)
-            first_row = len(rows)
+            stream = range(tasks, tasks + starts[last + 1] - starts[last])
+            tasks = stream.stop
+            for k in group:
+                row_of[starts[k] : starts[k] + len(stream)] = stream
             chained = arrays.chained[last] and pgroup is None
+            floors[stream.start : stream.stop] = (
+                stream.start if chained else stream
+            )
             kernel = streams[label] = fprog.get(label)
-            sliced = kernel.fn is not None
-            for b in range(starts[last + 1] - starts[last]):
-                iters = arrays.iterations(starts[head] + b)
-                rects = rectangles(iters)
-                n_rects += len(rects)
-                n_loop_rects += sum(
-                    takes_loop_form(lo, hi) for lo, hi in rects
-                ) if sliced else len(rects)
-                payload = {"iters": iters, "rects": rects}
-                if pgroup is not None:
-                    private = private_name(
-                        pgroup.array, len(names[pgroup.array])
-                    )
-                    names[pgroup.array].append(private)
-                    payload["remap"] = {pgroup.array: private}
-                members.append(tuple(starts[k] + b for k in group))
-                floors.append(first_row if chained else len(rows))
-                rows.append(TaskRow(label, payload))
-            stream = range(first_row, len(rows))
             if pgroup is not None:  # each row against its own private
+                privates = names[pgroup.array]
+                privates += [
+                    private_name(pgroup.array, len(privates) + b)
+                    for b in range(len(stream))
+                ]
+                parts[label] = len(stream)
                 runs.append(StreamRun(stream, None, ()))
                 continue
             union = ()
@@ -459,67 +544,48 @@ def lower_exec_plan(
                 union = tuple(rectangles(arrays.nest_iterations(head)))
             runs.append(StreamRun(stream, kernel, union))
         for k, g in enumerate(pgroups):
-            label = join_label(g.array)
-            streams[label] = None
-            members.append((arrays.num_blocks + k,))
-            floors.append(len(rows))
-            runs.append(StreamRun(range(len(rows), len(rows) + 1), None, ()))
-            rows.append(TaskRow(label, {
-                "combine": {
-                    "array": g.array,
-                    "group": g.group,
-                    "privates": list(names[g.array]),
-                },
-            }))
-        schedule = quotient_schedule(
-            task_edges(ast, privatization), members, floors
-        )
+            streams[join_label(g.array)] = None
+            row_of[arrays.num_blocks + k] = floors[tasks] = tasks
+            runs.append(StreamRun(range(tasks, tasks + 1), None, ()))
+            tasks += 1
+        floors = floors[:tasks]
+        row_edges(task_edges(ast, privatization), row_of)
 
-        # Backend task ids are assigned in creation order (groups ×
-        # blocks), the *unfused* graph's ids in AST order (nests ×
-        # blocks).  ``task_members[t]`` lists the unfused ids backend
-        # task ``t`` executed, so collected events can be expanded back
-        # onto the graph the profiler joins against.
         chains = tuple(
             tuple(arrays.statements[k] for k in g)
             for g in groups if len(g) > 1
         )
         stats = dict(
-            tasks=len(rows),
+            tasks=tasks,
             fuse=interp.fuse,
             fused_chains=chains,
-            task_members=tuple(members) if chains else (),
             **plan_coverage(ast, fprog),
         )
         if pgroups:
-            parts = {s: 0 for s in sorted(privatization.statements)}
-            for row in rows:
-                if "remap" in row.payload:
-                    parts[row.stream] += 1
             stats["privatization"] = {
                 "arrays": [g.array for g in pgroups],
                 "groups": {g.array: g.group for g in pgroups},
-                "parts": parts,
+                "parts": {
+                    s: parts.get(s, 0)
+                    for s in sorted(privatization.statements)
+                },
                 "privates": sum(len(v) for v in names.values()),
                 "joins": [join_label(g.array) for g in pgroups],
             }
-        sp.set(
-            tasks=len(rows), chains=len(chains),
-            rects=n_rects, loop_rects=n_loop_rects,
-        )
+        sp.set(tasks=tasks, chains=len(chains))
     return ExecPlan(
         info=info,
         fused=fprog,
         privatization=privatization,
         ast=ast,
         streams=streams,
-        rows=tuple(rows),
-        schedule=schedule,
         runs=tuple(runs),
         privates=tuple(
             (g.array, g.identity, tuple(names[g.array])) for g in pgroups
         ),
         stats=stats,
+        row_of=row_of,
+        floors=floors,
     )
 
 
@@ -611,8 +677,6 @@ def run_plan(
                 store.arrays[name] = ArrayView(name, data, base.offsets)
                 scratch.append(name)
 
-        rows = plan.rows
-        call = bind_rows(interp.funcs, rows, plan.streams, store)
         name, attrs = "exec.measured", {}
         if plan.privates:
             name = "exec.privatized"
@@ -640,14 +704,21 @@ def run_plan(
                     runs, schedule, whole = plan_claims(
                         plan, interp.funcs, store, workers
                     )
+                # rows are built, once per plan, only for units that
+                # run them: not for an elided stream with a kernel
+                call = None
+                if runs is None or any(u.kernel is None for u in runs):
+                    call = bind_rows(
+                        interp.funcs, plan.rows, plan.streams, store
+                    )
                 start = time.perf_counter()
                 body = call if runs is None else bind_runs(
                     interp.funcs, runs, store, call
                 )
-                label = lambda tid: rows[tid].stream  # noqa: E731
+                label = lambda tid: plan.rows[tid].stream  # noqa: E731
                 if backend == "serial":
-                    units = rows if runs is None else runs
-                    run_serial(range(len(units)), body, label, active)
+                    units = plan.stats["tasks"] if runs is None else len(runs)
+                    run_serial(range(units), body, label, active)
                     result = None if runs is None else {
                         "policy": "stream-runs", "runs": len(runs)
                     }
@@ -662,7 +733,7 @@ def run_plan(
                 if backend != "serial":  # units dispatched, rows run,
                     # streams dispatched as one claim
                     result["claims"] = result["tasks"]
-                    result["tasks"] = len(rows)
+                    result["tasks"] = plan.stats["tasks"]
                     result["whole"] = len(whole)
                     sp.set(claims=result["claims"], whole=len(whole))
                 wall = time.perf_counter() - start
@@ -681,6 +752,7 @@ def run_plan(
         # elision its stream runs; a collecting serial replay has none.
         scheduler=result,
         events=events,
+        task_members=plan.members if plan.stats["fused_chains"] else (),
         **plan.stats,
     )
     return store, stats

@@ -463,7 +463,7 @@ def task_graph_stats(graph) -> dict:
     and after :func:`~repro.tasking.dispatch.transitive_reduction`,
     the pass every lowered plan's schedule goes through.
     """
-    from ..tasking.dispatch import transitive_reduction
+    from ..tasking.dispatch import latest_first, transitive_reduction
 
     stmt = graph.statement_ids.tolist()
 
@@ -473,7 +473,7 @@ def task_graph_stats(graph) -> dict:
         )
 
     before = slots(graph.preds)
-    after = slots(transitive_reduction(graph.preds))
+    after = slots(transitive_reduction(latest_first(graph.preds)))
     depth, _, _ = graph.longest_paths([1] * len(graph))
     return {
         "tasks": len(graph),

@@ -60,30 +60,41 @@ class Schedule:
         return preds
 
 
-def transitive_reduction(preds: Sequence[set[int]]) -> list[set[int]]:
+def transitive_reduction(preds: Sequence[Sequence[int]]) -> list[set[int]]:
     """The transitive reduction of a DAG whose creation order is
     topological: per task, the predecessors no other predecessor
     already reaches.  Same reachability, and unique, so it does not
     matter which options built the edges.
 
-    One pass in creation order over Python-int bitsets: a task's
-    predecessors are visited latest first, and one is kept only when
-    no kept later predecessor reaches it.  A predecessor not below its
-    task is refused (``ValueError``).
+    One pass in creation order over Python-int bitsets.  Each task's
+    predecessors come latest first, without repeats, and one is kept
+    only when no kept later predecessor reaches it.  A predecessor not
+    below its task, or out of that order, is refused (``ValueError``).
     """
     reach: list[int] = []  # per task: the bitset of its ancestors
     out: list[set[int]] = []
     for tid, ps in enumerate(preds):
-        kept, seen = set(), 0
-        for p in sorted(ps, reverse=True):
-            if p >= tid:
-                raise ValueError(f"task {tid} waits on task {p}, not below it")
+        kept, seen, bound = set(), 0, tid
+        for p in ps:
+            if p >= bound:
+                raise ValueError(
+                    f"task {tid} waits on task {p}, not below it"
+                    if p >= tid else
+                    f"task {tid}'s predecessors are not latest first"
+                )
+            bound = p
             if not seen >> p & 1:
                 kept.add(p)
                 seen |= reach[p] | 1 << p
         reach.append(seen)
         out.append(kept)
     return out
+
+
+def latest_first(preds: Sequence[set[int]]) -> list[list[int]]:
+    """Each task's predecessor set as :func:`transitive_reduction`
+    reads it: sorted latest first."""
+    return [sorted(ps, reverse=True) for ps in preds]
 
 
 def run_serial(
@@ -232,6 +243,11 @@ def run_threads(
                 failure = exc
             cv.notify_all()
         raise
+    finally:
+        # ``work`` names itself (to start helpers), a reference cycle that
+        # would keep the run's store and state for the cycle collector;
+        # helpers never read the name once started
+        del work
     if failure is not None:
         raise failure
     if collector is not None:

@@ -378,6 +378,35 @@ def reference_graph(nests, plan=None):
     return graph
 
 
+def reference_schedule(edges, members, floors):
+    """The reduced quotient schedule, edge by edge: one ``set`` entry per
+    row edge, then each task's predecessors sorted latest first inside
+    the reduction (the bulk ``quotient_schedule`` replaced)."""
+    import numpy as np
+
+    from repro.tasking import Schedule
+
+    row_of = {t: row for row, ts in enumerate(members) for t in ts}
+    preds: list[set[int]] = [set() for _ in members]
+    for s, d in zip(*(np.asarray(e).tolist() for e in edges)):
+        s, d = row_of[s], row_of[d]
+        if s > d:
+            raise RuntimeError("a task waits on one created after it")
+        if s != d:
+            preds[d].add(d - 1 if s >= floors[d] else s)
+    reach: list[int] = []
+    reduced: list[set[int]] = []
+    for tid, ps in enumerate(preds):
+        kept, seen = set(), 0
+        for p in sorted(ps, reverse=True):
+            if not seen >> p & 1:
+                kept.add(p)
+                seen |= reach[p] | 1 << p
+        reach.append(seen)
+        reduced.append(kept)
+    return Schedule.from_preds(reduced)
+
+
 class Counter:
     """Wrap ``owner.name`` so calls are counted (and still happen) — the
     one spy of the count guards; worker threads may call it at once.

@@ -194,8 +194,7 @@ class TestKernelForms:
         interp, info = compile_for_exec(
             TABLE9["P5"].source(14), "auto", coarsen=coarsen
         )
-        with obs_spans.recording() as rec:
-            plan = interp.exec_plan(info)
+        plan = interp.exec_plan(info)
         calls = {"slice": [], "loop": []}
 
         def counting(form, fn):
@@ -210,9 +209,11 @@ class TestKernelForms:
             kernel.fn = counting("slice", kernel.fn)
             kernel.loop_fn = counting("loop", kernel.loop_fn)
         oracle = interp.run_sequential(interp.new_store())
-        store, _ = execute_measured(
-            interp, info, backend="threads", workers=1, collect_events=True
-        )
+        with obs_spans.recording() as rec:
+            store, _ = execute_measured(
+                interp, info, backend="threads", workers=1,
+                collect_events=True,
+            )
         assert oracle.equal(store)
 
         limit = fused_mod.LOOP_FORM_POINTS
@@ -223,10 +224,10 @@ class TestKernelForms:
             assert calls["slice"] == [] and total == len(plan.rows)
         else:
             assert calls["slice"] and max(calls["slice"]) > 3 * limit
-        # the lowering span counted the same rectangles the run executed
-        (lower,) = [s for s in rec.spans if s.name == "exec.lower"]
-        assert lower.attrs["rects"] == total
-        assert lower.attrs["loop_rects"] == len(calls["loop"])
+        # the rows' span counted the same rectangles the run executed
+        (rows,) = [s for s in rec.spans if s.name == "exec.rows"]
+        assert rows.attrs["rects"] == total
+        assert rows.attrs["loop_rects"] == len(calls["loop"])
 
     def test_run_block_selects_per_rectangle(self):
         """``run_block`` (generated programs, the ledger's kernel pass)

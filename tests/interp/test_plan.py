@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from repro.interp import (
 from repro.interp.interp import EXEC_PLAN_CACHE_SIZE
 from repro.pipeline import detect_pipeline
 from repro.scop import Scop
-from repro.tasking.dispatch import transitive_reduction
+from repro.tasking.dispatch import latest_first, transitive_reduction
 from repro.workloads import TABLE9
 from tests.conftest import (
     LISTING1,
@@ -38,6 +39,7 @@ from tests.conftest import (
     Counter,
     assert_all_configs_match_sequential,
     compile_for_exec,
+    reference_schedule,
 )
 from tests.interp.test_privatized_exec import KERNELS as REDUCTIONS
 from tests.interp.test_privatized_exec import privatized_setup
@@ -70,14 +72,17 @@ def test_ten_measured_runs_lower_once(lowering_calls):
     after_one = snapshot(lowering_calls)
     assert after_one["astgen"] == after_one["chains"] == 1
     assert after_one["lower"] == 1
-    # one decomposition per fused task of the merged S+T stream, plus
-    # one of the stream's union for the serial elision
+    # the serial elision decomposes the merged S+T stream's union only;
+    # the first replay that dispatches rows adds one decomposition per
+    # fused task, once per plan
     assert first.fused_chains == (("S", "T"),)
-    assert after_one["rectangles"] == len(first.task_members) + 1 > 1
+    assert after_one["rectangles"] == 1
     for backend in 3 * BACKENDS:
         _, stats = execute_measured(interp, info, backend=backend, workers=2)
         assert stats.task_members == first.task_members
-    assert snapshot(lowering_calls) == after_one
+    assert snapshot(lowering_calls) == {
+        **after_one, "rectangles": len(first.task_members) + 1,
+    }
 
 
 def test_task_ast_from_the_analysis_is_not_regenerated(lowering_calls):
@@ -230,16 +235,109 @@ def test_lower_span_is_emitted_only_on_a_miss():
     interp, info = compile_for_exec(TWO_NEST_COPY, "auto", {"N": 8}, 4)
     with obs_spans.recording() as rec:
         for _ in range(3):
-            _, stats = execute_measured(interp, info)
+            _, stats = execute_measured(
+                interp, info, backend="threads", collect_events=True
+            )
     lowers = [s for s in rec.spans if s.name == "exec.lower"]
     assert len(lowers) == 1
-    # 16 four-point row segments: one rectangle per task, all above
+    assert lowers[0].attrs == {"tasks": len(stats.task_members), "chains": 1}
+    # the rows are built once, by the first replay that dispatches them
+    # (one collecting events walks the rows):
+    # 16 four-point row segments, one rectangle per task, all above
     # LOOP_FORM_POINTS — counts that repeat exactly
-    assert lowers[0].attrs == {
-        "tasks": len(stats.task_members), "chains": 1,
-        "rects": 16, "loop_rects": 0,
+    (rows,) = [s for s in rec.spans if s.name == "exec.rows"]
+    assert rows.attrs == {
+        "tasks": len(stats.task_members), "rects": 16, "loop_rects": 0,
     }
     assert sum(s.name == "exec.measured" for s in rec.spans) == 3
+
+
+def unbuilt(plan):
+    """A copy of a lowered plan with nothing built on it: no rows,
+    schedule or claims, and no parallel replay recorded."""
+    import dataclasses
+
+    return dataclasses.replace(plan, claims={}, replayed=set())
+
+
+@pytest.mark.parametrize("name, sliced", [("P5", 1), ("P10", 2)])
+def test_a_warm_serial_one_shot_builds_only_what_it_runs(
+    name, sliced, monkeypatch, tmp_path
+):
+    """A warm verified serial ``transform`` compiles the slice form of
+    the kernels its stream runs call and no other, and builds no row and
+    no schedule.  A later row-dispatching ``threads`` replay of the plan
+    builds each once; a ``processes`` replay of a copy whose rows were
+    never built verifies too."""
+    from repro.driver import TransformOptions, transform
+    from repro.interp import fused as fused_mod
+    from repro.tasking import Schedule
+
+    source, options = TABLE9[name].source(14), TransformOptions(
+        exec_backend="serial"
+    )
+    cold = transform(source, {}, options, cache_dir=str(tmp_path))
+    assert cold.cache_status == "cold" and cold.verified
+    lowered = []
+    real_lower = plan_mod.lower_exec_plan
+
+    def lower(interp, *args):
+        lowered.append((interp, real_lower(interp, *args)))
+        return lowered[-1][1]
+
+    monkeypatch.setattr(plan_mod, "lower_exec_plan", lower)
+    slices = Counter(monkeypatch, fused_mod, "closure_source")
+    rows = Counter(monkeypatch, plan_mod, "TaskRow")
+    schedules = Counter(monkeypatch, Schedule, "from_preds")
+    warm = transform(source, {}, options, cache_dir=str(tmp_path))
+    assert warm.cache_status == "warm" and warm.verified
+    assert (slices.calls, rows.calls, schedules.calls) == (sliced, 0, 0)
+
+    (interp, plan), = lowered
+    oracle = interp.run_sequential(interp.new_store())
+    fresh = unbuilt(plan)
+    for _ in range(2):
+        store, _ = plan_mod.run_plan(
+            interp, plan, "threads", workers=2, collect_events=True
+        )
+        assert oracle.equal(store)
+        assert rows.calls == plan.stats["tasks"] and schedules.calls == 1
+    store, _ = plan_mod.run_plan(interp, fresh, "processes", workers=2)
+    assert oracle.equal(store)
+
+
+def test_two_first_replays_of_a_fresh_plan_at_once():
+    """Two threads make the first ``threads`` replay of one plan at the
+    same time, each building its rows, schedule and claims if it gets
+    there first: both are the oracle."""
+    interp, info = compile_for_exec(
+        TABLE9["P10"].source(9), "auto", coarsen=1
+    )
+    lowered = interp.exec_plan(info)
+    oracle = interp.run_sequential(interp.new_store())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the first builds
+    try:
+        for _ in range(5):
+            plan = unbuilt(lowered)
+            start = threading.Barrier(2)
+            stores = []
+
+            def replay():
+                start.wait()
+                stores.append(
+                    plan_mod.run_plan(interp, plan, "threads", workers=2)[0]
+                )
+
+            threads = [threading.Thread(target=replay) for _ in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert len(stores) == 2 and all(map(oracle.equal, stores))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_interpreter_is_freed_without_the_cycle_collector():
@@ -342,9 +440,7 @@ def graph_quotient(plan):
         graph, _ = build_privatized_graph(plan.ast, plan.privatization)
     else:
         graph = TaskGraph.from_task_ast(plan.ast)
-    members = plan.stats["task_members"] or tuple(
-        (t,) for t in range(len(graph))
-    )
+    members = plan.members
     assert sorted(t for ts in members for t in ts) == list(range(len(graph)))
     row_of = {t: row for row, ts in enumerate(members) for t in ts}
     unchained = getattr(plan.privatization, "statements", set())
@@ -394,7 +490,7 @@ def assert_schedule_is_the_graph_quotient(plan, key=None):
     assert sched.roots == tuple(t for t, p in enumerate(preds) if not p)
     assert all(p < t for t, ps in enumerate(preds) for p in ps)
     quotient = graph_quotient(plan)
-    assert preds == transitive_reduction(quotient)
+    assert preds == transitive_reduction(latest_first(quotient))
     assert_reduced_with_the_same_order(preds, quotient)
     if key is not None:
         golden = json.loads(SCHEDULE_GOLDEN.read_text(encoding="utf-8"))
@@ -457,7 +553,7 @@ def test_schedule_equals_create_task_on_relaxed_plans(name):
     assert_schedule_is_the_graph_quotient(lowered, f"relaxed-{name}")
     if not lowered.stats["fused_chains"]:
         assert lowered.schedule.preds() == transitive_reduction(
-            TaskGraph.from_task_ast(lowered.ast).preds
+            latest_first(TaskGraph.from_task_ast(lowered.ast).preds)
         )
 
 
@@ -496,6 +592,38 @@ def test_schedule_equals_create_task_on_a_fuzz_batch():
     for sample in generate_samples(seed=1807, count=8, n_min=6, n_max=9):
         interp, info = compile_for_exec(sample.source, "auto", coarsen=3)
         assert_schedule_is_the_graph_quotient(interp.exec_plan(info))
+
+
+@pytest.mark.parametrize("name", PKERNELS)
+def test_bulk_quotient_is_the_edge_by_edge_one_on_pkernels(name):
+    """One sort of packed row-edge keys gives the schedule one ``set``
+    entry per edge gave, plain and hybrid, at two blockings."""
+    from repro.schedule import generate_task_ast
+    from repro.schedule.astgen import task_edges
+    from repro.tasking import relax_self_chains
+
+    for coarsen in (1, 3):
+        interp, info = compile_for_exec(
+            TABLE9[name].source(8), "auto", coarsen=coarsen
+        )
+        raw = generate_task_ast(info)
+        for ast in (raw, relax_self_chains(interp.scop, info, raw)):
+            plan = interp.exec_plan(info, ast)
+            assert plan.schedule == reference_schedule(
+                task_edges(ast), plan.members, plan.floors
+            ), (coarsen, ast is raw)
+
+
+@pytest.mark.parametrize("name", ["histogram", "sumstencil"])
+def test_bulk_quotient_is_the_edge_by_edge_one_privatized(name):
+    from repro.schedule.astgen import task_edges
+
+    source = (EXAMPLES / f"{name}.c").read_text()
+    interp, priv, pinfo = privatized_setup(source, 8, parts=3)
+    plan = interp.exec_plan(pinfo, None, priv)
+    assert plan.schedule == reference_schedule(
+        task_edges(plan.ast, priv), plan.members, plan.floors
+    )
 
 
 def test_replays_resolve_no_slot_and_create_no_task(monkeypatch):
@@ -970,9 +1098,8 @@ def test_the_reduction_cuts_edges_and_claims():
             TABLE9[name].source(n), fuse, coarsen=coarsen
         )
         plan = interp.exec_plan(info)
-        full = dataclasses.replace(
-            plan, schedule=Schedule.from_preds(graph_quotient(plan))
-        )
+        full = dataclasses.replace(plan)  # its schedule: the unreduced one
+        full.__dict__["schedule"] = Schedule.from_preds(graph_quotient(plan))
         assert (shape(full), shape(plan)) == cuts, name
 
 

@@ -8,11 +8,13 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.interp.plan import quotient_schedule
 from repro.tasking import OmpTaskSystem, Schedule, TaskGraph
 from repro.tasking.dispatch import (
+    latest_first,
     run_serial,
     run_threads,
     transitive_reduction,
@@ -56,13 +58,14 @@ class TestSchedule:
                      (0, 5),  # a token on an earlier S block
                      (4, 6), (1, 6)]:  # U reads row 1 twice
             graph.add_edge(a, b)
-        members = [(0, 3), (1, 4), (2, 5), (6,)]
-        sched = quotient_schedule(_edges(graph), members, floors=[0, 0, 0, 3])
+        # rows: tasks (0, 3), (1, 4), (2, 5), (6,)
+        row_of = np.array([0, 1, 2, 0, 1, 2, 3])
+        sched = quotient_schedule(_edges(graph), row_of, floors=[0, 0, 0, 3])
         assert sched.preds() == [set(), {0}, {1}, {1}]
         assert sched.counts == (0, 1, 1, 1)
         # unchained (floor = own row): the token keeps its own row, and
         # the reduction drops it — 0 -> 2 is implied by 0 -> 1 -> 2
-        loose = quotient_schedule(_edges(graph), members, floors=[0, 1, 2, 3])
+        loose = quotient_schedule(_edges(graph), row_of, floors=[0, 1, 2, 3])
         assert loose.preds() == [set(), {0}, {1}, {1}]
 
     def test_resolver_argument_checks(self):
@@ -80,34 +83,44 @@ class TestSchedule:
         graph.add_task("T", 0)
         graph.add_edge(1, 0)
         with pytest.raises(RuntimeError, match="created after it"):
-            quotient_schedule(_edges(graph), [(0,), (1,)], floors=[0, 1])
+            quotient_schedule(_edges(graph), np.arange(2), floors=[0, 1])
 
 
 class TestTransitiveReduction:
     def test_diamond_keeps_both_arms_and_drops_the_shortcut(self):
         # 0 -> {1, 2} -> 3, plus 0 -> 3
         preds = [set(), {0}, {0}, {0, 1, 2}]
-        assert transitive_reduction(preds) == [set(), {0}, {0}, {1, 2}]
+        assert transitive_reduction(latest_first(preds)) == [
+            set(), {0}, {0}, {1, 2}
+        ]
 
     def test_chain_with_a_shortcut(self):
         preds = [set(), {0}, {1}, {2, 0}, {3, 1}]
-        assert transitive_reduction(preds) == [
+        assert transitive_reduction(latest_first(preds)) == [
             set(), {0}, {1}, {2}, {3}
         ]
 
     def test_is_idempotent_and_leaves_its_input_alone(self):
         preds = [set(), set(), {0, 1}, {0, 2}, {1, 2, 3}, {0, 4}]
         before = [set(ps) for ps in preds]
-        once = transitive_reduction(preds)
+        once = transitive_reduction(latest_first(preds))
         assert once == [set(), set(), {0, 1}, {2}, {3}, {4}]
-        assert transitive_reduction(once) == once
+        assert transitive_reduction(latest_first(once)) == once
         assert preds == before
 
     def test_refuses_a_predecessor_not_below_its_task(self):
         with pytest.raises(ValueError, match="task 1 waits on task 2"):
-            transitive_reduction([set(), {2}, {0}])
+            transitive_reduction([[], [2], [0]])
         with pytest.raises(ValueError, match="task 0 waits on task 0"):
-            transitive_reduction([{0}])
+            transitive_reduction([[0]])
+
+    def test_refuses_predecessors_out_of_order(self):
+        """Each task's predecessors come latest first, without repeats:
+        visited in another order, an earlier one would be kept before a
+        later one that reaches it."""
+        for ps in ([0, 1], [1, 1]):
+            with pytest.raises(ValueError, match="not latest first"):
+                transitive_reduction([[], [0], ps])
 
 
 class TestCallerIsWorkerZero:
@@ -131,6 +144,23 @@ class TestCallerIsWorkerZero:
             "policy": "work-stealing", "tasks": 50, "workers": 4,
             "helpers": 0, "steals": 0,
         }
+
+    def test_a_run_leaves_no_cyclic_garbage(self):
+        """A run's closures, queues and the store its bodies hold are
+        freed when it returns, not left for the cycle collector — with
+        and without helper threads."""
+        import gc
+
+        wide = Schedule.from_preds([set()] * 8 + [set(range(8))])
+        gc.collect()
+        gc.disable()
+        try:
+            for sched in (chain(8), wide):
+                stats = run_threads(sched, lambda tid: None, 4, name_of)
+            assert stats["helpers"] == 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_two_sleeping_roots_overlap_on_two_workers(self):
         span = {}

@@ -12,7 +12,7 @@ from repro.tasking import (
     relax_self_chains,
     simulate,
 )
-from repro.tasking.dispatch import transitive_reduction
+from repro.tasking.dispatch import latest_first, transitive_reduction
 from repro.workloads import TABLE9, MatmulKernel, figure11_kernels
 
 
@@ -70,7 +70,9 @@ def assert_relaxed_plan_correct(source: str, params=None) -> None:
     assert graph.preds == reference_hybrid_graph(interp.scop, info, raw).preds
     plan = interp.exec_plan(info, relaxed)
     if not plan.stats["fused_chains"]:  # a merged stream renumbers tasks
-        assert plan.schedule.preds() == transitive_reduction(graph.preds)
+        assert plan.schedule.preds() == transitive_reduction(
+            latest_first(graph.preds)
+        )
     seq = interp.run_sequential(interp.new_store())
     for backend in ("serial", "threads"):
         out, _ = execute_measured(
