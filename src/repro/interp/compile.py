@@ -161,8 +161,11 @@ def compile_program(program: Program, scop: Scop) -> Callable:
         if not loop.body:
             body.append(f"{indent}pass")
 
-    for nest in program.nests:
-        emit(nest, set(), "    ")
+    try:
+        for nest in program.nests:
+            emit(nest, set(), "    ")
+    finally:
+        del emit  # it names itself: a cycle holding the SCoP
     lines = ["def __program(__store, __funcs):"]
     lines += [
         f"    __arr_{arr} = __store.arrays[{arr!r}].data"
@@ -175,7 +178,8 @@ def compile_program(program: Program, scop: Scop) -> Callable:
     lines.append("    return __store")
     namespace: dict[str, object] = {"__range": range}
     exec("\n".join(lines), namespace)  # noqa: S102 - compiling our own AST
-    return namespace["__program"]
+    # popped: left in its own globals, the function is a reference cycle
+    return namespace.pop("__program")
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +315,10 @@ def emit_closure_spec(
             return ("call", expr.func, tuple(node(a) for a in expr.args))
         raise SemanticError(f"cannot compile expression {expr!r}")
 
-    rhs = node(stmt.assign.value)
+    try:
+        rhs = node(stmt.assign.value)
+    finally:
+        del node  # it names itself: a cycle holding the spec's closures
 
     if funcs is not None:
         for fname in sorted(func_names):

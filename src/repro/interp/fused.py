@@ -591,7 +591,8 @@ class FusedKernel:
 def _compile(source: str, fn_name: str) -> Callable:
     namespace: dict[str, object] = {"__np": np, "__range": range}
     exec(source, namespace)  # noqa: S102 - compiling our own spec
-    return namespace[fn_name]
+    # popped: left in its own globals, the function is a reference cycle
+    return namespace.pop(fn_name)
 
 
 def build_closure(spec: ClosureSpec) -> FusedKernel:
@@ -868,7 +869,10 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
             i = j
         return groups
 
-    groups = build(list(range(len(names))))
+    try:
+        groups = build(list(range(len(names))))
+    finally:
+        del build  # it names itself: a cycle holding the plan's tables
 
     chain_kernels: dict[str, FusedKernel] = {}
     for group in groups:

@@ -18,6 +18,14 @@ class SourceLocation:
     column: int
     end_column: int | None = field(default=None, compare=False)
 
+    def __init__(self, line: int, column: int, end_column: int | None = None):
+        # one per token: writing the instance dict skips the frozen
+        # ``__setattr__`` guard, which later assignments still meet
+        fields = self.__dict__
+        fields["line"] = line
+        fields["column"] = column
+        fields["end_column"] = end_column
+
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 

@@ -47,6 +47,13 @@ class Token:
     text: str
     location: SourceLocation
 
+    def __init__(self, kind: TokenKind, text: str, location: SourceLocation):
+        # one per token, like ``SourceLocation``: see its ``__init__``
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["text"] = text
+        fields["location"] = location
+
     @property
     def value(self) -> int:
         if self.kind is not TokenKind.NUMBER:

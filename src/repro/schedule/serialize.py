@@ -59,7 +59,10 @@ def pack_sections(doc) -> bytes:
         sections.append(data + b"\0" * (-len(data) % 8))
         return {"$s": len(table) - 1}
 
-    body = json.dumps(encode(doc), separators=(",", ":"))
+    try:
+        body = json.dumps(encode(doc), separators=(",", ":"))
+    finally:
+        del encode  # it names itself: a cycle holding the sections
     header = (json.dumps(table) + "\n" + body).encode()
     header += b" " * (-len(header) % 8)
     return len(header).to_bytes(8, "little") + header + b"".join(sections)

@@ -54,6 +54,19 @@ class Access:
             matrix[k], const[k] = expr.vector(space)
         return matrix, const
 
+    def encoded_map(
+        self, space: Space, array_id: int, mem_rank: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`index_map` into the encoded memory space: iteration
+        ``x`` touches cell ``(array_id, matrix @ x + const, 0, …)``, padded
+        to ``mem_rank`` indices."""
+        matrix = np.zeros((mem_rank + 1, space.ndim), dtype=np.int64)
+        const = np.zeros(mem_rank + 1, dtype=np.int64)
+        const[0] = array_id
+        rows = slice(1, 1 + self.rank)
+        matrix[rows], const[rows] = self.index_map(space)
+        return matrix, const
+
     def explicit_relation(
         self, points: PointSet, space: Space, array_id: int, mem_rank: int
     ) -> PointRelation:
@@ -62,13 +75,9 @@ class Access:
         ``space`` names the iteration dimensions so index expressions can be
         aligned into a coefficient matrix.
         """
-        n_in = space.ndim
-        matrix = np.zeros((mem_rank + 1, n_in), dtype=np.int64)
-        const = np.zeros(mem_rank + 1, dtype=np.int64)
-        const[0] = array_id
-        rows = slice(1, 1 + self.rank)
-        matrix[rows], const[rows] = self.index_map(space)
-        return PointRelation.from_affine(points, matrix, const)
+        return PointRelation.from_affine(
+            points, *self.encoded_map(space, array_id, mem_rank)
+        )
 
     def __str__(self) -> str:
         subs = "".join(f"[{i}]" for i in self.indices)

@@ -120,7 +120,7 @@ def _filter_execution_order(
         keep = before | equal
     else:
         keep = before
-    return PointRelation(candidates.pairs[keep], candidates.n_in)
+    return candidates.subset(keep)
 
 
 def depends_on(

@@ -121,19 +121,18 @@ class Scop:
         self, stmt: ScopStatement, kind: AccessKind
     ) -> PointRelation:
         rank = self.mem_rank
-        rels = [
-            acc.explicit_relation(
-                stmt.points, stmt.space, self.array_ids[acc.array], rank
-            )
+        maps = [
+            acc.encoded_map(stmt.space, self.array_ids[acc.array], rank)
             for acc in stmt.accesses
             if acc.kind is kind
         ]
-        if not rels:
+        if not maps:
             return PointRelation.empty(stmt.depth, rank + 1)
-        out = rels[0]
-        for r in rels[1:]:
-            out = out.union(r)
-        return out
+        # one (point, access) row per cell, canonicalised once
+        points = stmt.points.points
+        cells = _image(points, maps).reshape(-1, rank + 1)
+        rows = np.repeat(points, len(maps), axis=0)
+        return PointRelation(np.concatenate([rows, cells], axis=1), stmt.depth)
 
     # ------------------------------------------------------------------
     def dependence_table(self) -> dict:
@@ -149,36 +148,49 @@ class Scop:
         """Conservative per-dimension (min, max) touched by any access.
 
         Used by the interpreter and runtime to size backing NumPy arrays.
-        Memoized per SCoP like :meth:`access_relation` — statement
-        compilation, closure lowering and every ``new_store()`` ask again.
+        One pass per SCoP gives every array's (:meth:`_array_extents`) —
+        statement compilation, closure lowering and every ``new_store()``
+        ask again.
         """
-        cache: dict = self.__dict__.setdefault("_extent_cache", {})
-        if name not in cache:
-            cache[name] = self._access_extent(name)
-        return cache[name]
+        extents = self.__dict__.get("_extents")
+        if extents is None:
+            extents = self.__dict__["_extents"] = self._array_extents()
+        return extents[name]
 
-    def _access_extent(self, name: str) -> tuple[tuple[int, int], ...]:
-        # min/max of the affine image of the domain points; no relation
-        # is tabulated (and none deduplicated) just to take its bounds
-        rank = self.arrays[name]
-        lo = np.full(rank, np.iinfo(np.int64).max, dtype=np.int64)
-        hi = np.full(rank, np.iinfo(np.int64).min, dtype=np.int64)
+    def _array_extents(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        # min/max of the affine image of the domain points, one min and
+        # one max per statement over all of its accesses; no relation is
+        # tabulated (and none deduplicated) to take bounds
+        lows: dict[str, list[int]] = {}
+        highs: dict[str, list[int]] = {}
         for stmt in self.statements:
             points = stmt.points.points
             if points.shape[0] == 0:
                 continue
+            cells = _image(
+                points, [acc.index_map(stmt.space) for acc in stmt.accesses]
+            )
+            mins, maxs = cells.min(axis=0).tolist(), cells.max(axis=0).tolist()
+            end = 0
             for acc in stmt.accesses:
-                if acc.array != name:
-                    continue
-                matrix, const = acc.index_map(stmt.space)
-                cells = points @ matrix.T + const
-                np.minimum(lo, cells.min(axis=0), out=lo)
-                np.maximum(hi, cells.max(axis=0), out=hi)
-        if (lo > hi).any():
-            return tuple((0, 0) for _ in range(rank))
-        return tuple((int(a), int(b)) for a, b in zip(lo, hi))
+                start, end = end, end + acc.rank
+                lo, hi = mins[start:end], maxs[start:end]
+                lows[acc.array] = list(map(min, lows.get(acc.array, lo), lo))
+                highs[acc.array] = list(map(max, highs.get(acc.array, hi), hi))
+        return {
+            name: tuple(zip(lows[name], highs[name])) if name in lows
+            else ((0, 0),) * rank for name, rank in self.arrays.items()
+        }
 
     def __str__(self) -> str:
         lines = [f"Scop with {len(self.statements)} statements:"]
         lines += [f"  {s}" for s in self.statements]
         return "\n".join(lines)
+
+
+def _image(points: np.ndarray, maps: list) -> np.ndarray:
+    """``points`` under every ``(matrix, const)`` of ``maps`` in one
+    product: each map's cells in its own columns, in order."""
+    cells = points @ np.concatenate([m for m, _ in maps]).T
+    cells += np.concatenate([c for _, c in maps])
+    return cells

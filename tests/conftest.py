@@ -407,6 +407,119 @@ def reference_schedule(edges, members, floors):
     return Schedule.from_preds(reduced)
 
 
+def reference_tokenize(source):
+    """The character-at-a-time lexer the one-pattern scan replaced,
+    yielding ``(kind, text, line, column, end_column)`` up to EOF or its
+    ``LexerError``: the reference the token stream must equal, error for
+    error, except that it lexes a non-decimal digit (``²``) as a number
+    ``int`` cannot read."""
+    from repro.lang import LexerError, SourceLocation
+    from repro.lang.tokens import KEYWORDS, TokenKind
+
+    pos, line, column = 0, 1, 1
+
+    def advance(n):
+        nonlocal pos, line, column
+        for _ in range(n):
+            if source[pos] == "\n":
+                line, column = line + 1, 1
+            else:
+                column += 1
+            pos += 1
+
+    def take_while(predicate):
+        start = pos
+        while pos < len(source) and predicate(source[pos]):
+            advance(1)
+        return source[start:pos]
+
+    while True:
+        while pos < len(source):  # trivia
+            if source[pos] in " \t\r\n":
+                advance(1)
+            elif source.startswith("//", pos):
+                while pos < len(source) and source[pos] != "\n":
+                    advance(1)
+            elif source.startswith("/*", pos):
+                start = SourceLocation(line, column)
+                advance(2)
+                while not source.startswith("*/", pos):
+                    if pos >= len(source):
+                        raise LexerError("unterminated block comment", start)
+                    advance(1)
+                advance(2)
+            else:
+                break
+        at = (line, column)
+        if pos >= len(source):
+            yield TokenKind.EOF, "", *at, None
+            return
+        ch = source[pos]
+        if ch.isalpha() or ch == "_":
+            text = take_while(lambda c: c.isalnum() or c == "_")
+            kind = KEYWORDS.get(text, TokenKind.IDENT)
+        elif ch.isdigit():
+            text, kind = take_while(str.isdigit), TokenKind.NUMBER
+        elif source[pos : pos + 2] in ("+=", "-=", "*=", "++", "<=", ">="):
+            text = source[pos : pos + 2]
+            kind = TokenKind(text)
+            advance(2)
+        elif ch in "()[]{};:,=+-*/%<>":
+            text, kind = ch, TokenKind(ch)
+            advance(1)
+        else:
+            raise LexerError(
+                f"unexpected character {ch!r}", SourceLocation(*at)
+            )
+        yield kind, text, *at, column
+
+
+def reference_extent(scop, name):
+    """``Scop.array_extent`` one array at a time: a min and max per
+    access of ``name`` in every statement (the per-array loop the
+    one-pass-per-statement extents replaced)."""
+    import numpy as np
+
+    rank = scop.arrays[name]
+    lo = np.full(rank, np.iinfo(np.int64).max, dtype=np.int64)
+    hi = np.full(rank, np.iinfo(np.int64).min, dtype=np.int64)
+    for stmt in scop.statements:
+        points = stmt.points.points
+        if points.shape[0] == 0:
+            continue
+        for acc in stmt.accesses:
+            if acc.array != name:
+                continue
+            matrix, const = acc.index_map(stmt.space)
+            cells = points @ matrix.T + const
+            np.minimum(lo, cells.min(axis=0), out=lo)
+            np.maximum(hi, cells.max(axis=0), out=hi)
+    if (lo > hi).any():
+        return tuple((0, 0) for _ in range(rank))
+    return tuple((int(a), int(b)) for a, b in zip(lo, hi))
+
+
+def reference_access_relation(scop, stmt, kind):
+    """``Scop.access_relation`` as a pairwise ``union`` chain of one
+    tabulated relation per access (the path the one canonicalisation
+    replaced)."""
+    from repro.presburger import PointRelation
+
+    rels = [
+        acc.explicit_relation(
+            stmt.points, stmt.space, scop.array_ids[acc.array], scop.mem_rank
+        )
+        for acc in stmt.accesses
+        if acc.kind is kind
+    ]
+    if not rels:
+        return PointRelation.empty(stmt.depth, scop.mem_rank + 1)
+    out = rels[0]
+    for r in rels[1:]:
+        out = out.union(r)
+    return out
+
+
 class Counter:
     """Wrap ``owner.name`` so calls are counted (and still happen) — the
     one spy of the count guards; worker threads may call it at once.

@@ -160,12 +160,13 @@ def test_private_name_collision_is_refused_per_run():
 
 
 def test_array_extents_are_computed_once_per_scop(monkeypatch):
-    extents = Counter(monkeypatch, Scop, "_access_extent")
+    """One pass over the SCoP gives every array's extent."""
+    extents = Counter(monkeypatch, Scop, "_array_extents")
     interp = Interpreter.from_source(LISTING1, {"N": 12})
     for _ in range(3):
         interp.new_store()
     interp.fused_program  # closure lowering asks for every offset again
-    assert extents.calls == len(interp.scop.arrays)
+    assert extents.calls == 1
 
 
 def test_second_info_adopt_fused_and_fuse_off_each_lower_once(lowering_calls):

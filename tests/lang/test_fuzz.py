@@ -7,7 +7,7 @@ the error paths near real syntax.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lang import FrontendError, parse
@@ -21,6 +21,7 @@ VALID = (
 
 @settings(max_examples=120, deadline=None)
 @given(st.text(max_size=80))
+@example("for(i=0; i<\u00b2; i++) S: A[i] = f(A[i]);")  # int() refuses it
 def test_arbitrary_text_never_crashes(text):
     try:
         parse(text)

@@ -759,3 +759,29 @@ class TestOptionPairs:
         assert reply["checksums"] == _checksums(
             interp.run_sequential(interp.new_store())
         )
+
+
+def test_a_transform_leaves_no_cyclic_garbage(tmp_path):
+    """A cold and a warm verified one-shot free what they built on
+    return, not through the cycle collector: the closures that name
+    themselves (chain grouping, the oracle's emitter, the spec builder,
+    the section encoder) and the compiled functions are not left in a
+    reference cycle."""
+    import gc
+
+    from repro.presburger import cache as presburger_cache
+    from repro.workloads import TABLE9
+
+    source, opts = TABLE9["P5"].source(14), TransformOptions(workers=2)
+    transform(source, {}, opts)  # first imports and lazy set-up
+    presburger_cache.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for status in ("cold", "warm"):
+            result = transform(source, {}, opts, cache_dir=str(tmp_path))
+            assert (result.cache_status, result.verified) == (status, True)
+            del result
+            assert gc.collect() == 0, status
+    finally:
+        gc.enable()
