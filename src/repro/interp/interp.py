@@ -37,9 +37,11 @@ DEFAULT_FUNCS: dict[str, Callable] = {}
 EXEC_PLAN_CACHE_SIZE = 8
 
 #: Most bytes of sequential-oracle arrays an interpreter retains
-#: (:meth:`Interpreter.oracle`).  A kernel whose arrays are larger keeps
-#: none of them and recomputes on every call; the Table 9 and reduction
-#: kernels the ledger serves are under 100 KiB each.
+#: (:meth:`Interpreter.oracle`), and separately of initial arrays
+#: (:meth:`Interpreter.new_store`), so a kernel keeps at most twice this.
+#: A kernel whose arrays are larger keeps none of them and recomputes on
+#: every call; the Table 9 and reduction kernels the ledger serves are
+#: under 100 KiB each.
 ORACLE_KEEP_BYTES = 1 << 20
 
 
@@ -93,6 +95,7 @@ class Interpreter:
         self._exec_plans: OrderedDict = OrderedDict()
         self._sequential: Callable | None = None
         self._oracle: ArrayStore | None = None
+        self._inputs: ArrayStore | None = None
         #: guards the lazily built, shared structures: the kernel program,
         #: the execution-plan cache and the sequential oracle function
         #: (re-entrant: lowering reads ``fused_program``)
@@ -184,8 +187,27 @@ class Interpreter:
             return plan
 
     # ------------------------------------------------------------------
-    def new_store(self, init: str = "index") -> ArrayStore:
-        return ArrayStore.for_scop(self.scop, init)
+    def new_store(self) -> ArrayStore:
+        """A fresh, writable copy of the kernel's initial arrays.
+
+        They are :meth:`ArrayStore.for_scop`'s ``index`` fill, a pure
+        function of the SCoP, so the first call builds them, freezes
+        them and retains them while they fit :data:`ORACLE_KEEP_BYTES`;
+        every call returns a C-contiguous copy of its own, which a
+        replay mutates.  Racing first callers each build equal arrays
+        and take no lock, so neither lowering nor an in-flight oracle
+        makes a replay wait.  A larger kernel retains nothing and
+        builds the arrays on every call.
+        """
+        kept = self._inputs
+        if kept is None:
+            store = ArrayStore.for_scop(self.scop)
+            if store.nbytes > ORACLE_KEEP_BYTES:
+                return store
+            for view in store.arrays.values():
+                view.data.setflags(write=False)
+            self._inputs = kept = store
+        return kept.copy()
 
     def run_sequential(self, store: ArrayStore) -> ArrayStore:
         """Execute the program in original order (handles imperfect nests):
@@ -204,7 +226,8 @@ class Interpreter:
         """The arrays of ``run_sequential(new_store())``, read-only.
 
         They are a pure function of the interpreter (program, params,
-        ``funcs`` and the deterministic ``init``), so they are computed
+        ``funcs`` and the deterministic initial arrays, whose retained
+        copy :meth:`new_store` hands over), so they are computed
         once, under a lock of their own — concurrent first callers pay
         once, and :meth:`exec_plan` / :attr:`fused_program` on another
         thread do not wait for them — and
@@ -241,6 +264,12 @@ class Interpreter:
     def oracle_bytes(self) -> int:
         """Bytes of oracle arrays this interpreter retains (0: none)."""
         kept = self._oracle
+        return kept.nbytes if kept is not None else 0
+
+    @property
+    def input_bytes(self) -> int:
+        """Bytes of initial arrays this interpreter retains (0: none)."""
+        kept = self._inputs
         return kept.nbytes if kept is not None else 0
 
     # ------------------------------------------------------------------

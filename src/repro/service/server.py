@@ -32,7 +32,9 @@ a repeat of a key this process has answered is served from that object
 on the event loop — no parse, no store read, no deserialization, and a
 ``run`` replays the ``ExecPlan`` already lowered on the resident
 interpreter.  The map is only touched on the loop, so it needs no lock.
-``run`` replays the compiled kernel, compares that replay's arrays with
+``run`` replays the compiled kernel on a copy of its initial arrays
+(built once per resident kernel and kept frozen with it, see
+:meth:`~repro.interp.Interpreter.new_store`), compares that replay's arrays with
 the interpreter's sequential oracle (computed on the first ``run`` of a
 resident kernel and kept read-only with it, see
 :meth:`~repro.interp.Interpreter.oracle`) and returns a SHA-256 checksum
@@ -365,13 +367,14 @@ class ReproServer:
             reg.gauge(f"serve.counter.{name}", value)
         reg.gauge("serve.queue_depth", self._pending())
         reg.gauge("serve.resident_kernels", len(self.resident))
+        interps = [f.result()[0] for f in self.resident.values() if f.done()]
         reg.gauge(
             "serve.resident_oracle_bytes",
-            sum(
-                f.result()[0].oracle_bytes
-                for f in self.resident.values()
-                if f.done()
-            ),
+            sum(interp.oracle_bytes for interp in interps),
+        )
+        reg.gauge(
+            "serve.resident_input_bytes",
+            sum(interp.input_bytes for interp in interps),
         )
         return reg
 

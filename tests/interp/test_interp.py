@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.interp import DEFAULT_FUNCS, Interpreter
+from repro.interp import DEFAULT_FUNCS, ArrayStore, Interpreter
 
 
 class TestSequentialSemantics:
@@ -13,7 +13,7 @@ class TestSequentialSemantics:
             {},
             funcs={"f": lambda x: x + 10},
         )
-        store = interp.new_store(init="zeros")
+        store = ArrayStore.for_scop(interp.scop, init="zeros")
         interp.run_sequential(store)
         assert store["A"].data[:3, 0].tolist() == [10.0, 10.0, 10.0]
 
@@ -24,7 +24,7 @@ class TestSequentialSemantics:
             {},
             funcs={"f": lambda x: x + 1},
         )
-        store = interp.new_store(init="zeros")
+        store = ArrayStore.for_scop(interp.scop, init="zeros")
         interp.run_sequential(store)
         assert store["A"].data[:6, 0].tolist() == [0, 1, 2, 3, 4, 5]
 
@@ -51,7 +51,7 @@ class TestSequentialSemantics:
             {"N": 4},
             funcs={"f": lambda x: 1.0},
         )
-        store = interp.new_store(init="zeros")
+        store = ArrayStore.for_scop(interp.scop, init="zeros")
         interp.run_sequential(store)
         assert store["A"].data[:, 0].sum() == 4.0
 
@@ -205,6 +205,108 @@ class TestRetainedOracle:
             interp.oracle("driver.oracle")
         (span,) = [s for s in rec.spans if s.name == "driver.oracle"]
         assert span.attrs == {"bytes": 128, "kept": True}
+
+
+class TestRetainedInputs:
+    """``Interpreter.new_store()``: a writable copy of initial arrays
+    built once, frozen and retained up to the oracle's byte bound."""
+
+    SOURCE = (
+        "for(i=0; i<N; i++) S: A[i] = f(A[i], B[i]);\n"
+        "for(i=0; i<N; i++) T: C[i] = g(A[i], C[i]);"
+    )
+
+    @staticmethod
+    def _counting_fill(monkeypatch):
+        builds = []
+        real = ArrayStore.for_scop
+
+        def counting(scop, init="index"):
+            builds.append(init)
+            return real(scop, init)
+
+        monkeypatch.setattr(ArrayStore, "for_scop", staticmethod(counting))
+        return builds
+
+    def test_replays_build_the_inputs_once(self, monkeypatch):
+        from repro.interp import execute_measured
+        from repro.pipeline import detect_pipeline
+
+        builds = self._counting_fill(monkeypatch)
+        interp = Interpreter.from_source(self.SOURCE, {"N": 16})
+        info = detect_pipeline(interp.scop)
+        oracle = interp.oracle()
+        for backend in ("serial", "threads") * 3:
+            out, _ = execute_measured(interp, info, backend=backend, workers=2)
+            assert oracle.equal(out), backend
+        assert builds == ["index"]
+
+    def test_a_copy_is_the_fill_writable_and_private(self):
+        interp = Interpreter.from_source(self.SOURCE, {"N": 16})
+        first = interp.new_store()
+        assert first.equal(ArrayStore.for_scop(interp.scop))
+        for view in first.arrays.values():
+            assert view.data.flags.writeable and view.data.flags.c_contiguous
+        first["A"].data[...] = -1.0
+        again = interp.new_store()
+        assert again.equal(ArrayStore.for_scop(interp.scop))
+        assert not np.shares_memory(first["A"].data, again["A"].data)
+        assert interp.input_bytes == again.nbytes == 3 * 16 * 8
+
+    def test_kept_arrays_are_read_only(self):
+        interp = Interpreter.from_source(self.SOURCE, {"N": 16})
+        interp.new_store()
+        kept = interp._inputs
+        assert all(
+            not view.data.flags.writeable for view in kept.arrays.values()
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            kept["A"][(0,)] = 1.0
+
+    def test_over_the_bound_nothing_is_kept(self, monkeypatch):
+        from repro.interp import interp as interp_mod
+
+        monkeypatch.setattr(interp_mod, "ORACLE_KEEP_BYTES", 0)
+        builds = self._counting_fill(monkeypatch)
+        interp = Interpreter.from_source(self.SOURCE, {"N": 16})
+        stores = [interp.new_store() for _ in range(3)]
+        assert builds == ["index"] * 3
+        assert interp._inputs is None and interp.input_bytes == 0
+        assert all(s["A"].data.flags.writeable for s in stores)
+        assert stores[0].equal(stores[2])
+
+    def test_racing_first_callers_get_equal_stores(self):
+        import sys
+        import threading
+
+        interp = Interpreter.from_source(self.SOURCE, {"N": 64})
+        callers = 8
+        start = threading.Barrier(callers)
+        got = []
+
+        def first_call():
+            start.wait(timeout=10)
+            got.append(interp.new_store())
+
+        threads = [threading.Thread(target=first_call) for _ in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == callers
+        fill = ArrayStore.for_scop(interp.scop)
+        assert all(store.equal(fill) for store in got)
+        cells = [store["A"].data for store in got]
+        assert not any(
+            np.shares_memory(a, b)
+            for k, a in enumerate(cells)
+            for b in cells[k + 1:]
+        )
 
 
 class TestDefaultFuncs:

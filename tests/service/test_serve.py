@@ -744,6 +744,48 @@ def test_oracle_is_computed_once_per_resident_kernel_within_the_bound(
     asyncio.run(_with_server(str(tmp_path), body))
 
 
+@pytest.mark.parametrize("keep", [True, False])
+def test_inputs_are_built_once_per_resident_kernel_within_the_bound(
+    tmp_path, monkeypatch, keep
+):
+    """K runs of a resident key replay copies of one frozen input store
+    while it fits ``ORACLE_KEEP_BYTES`` (K builds, nothing kept above
+    it); the gauge weighs what is kept, apart from the oracle."""
+    from repro.interp import ArrayStore
+    from repro.interp import interp as interp_mod
+
+    if not keep:
+        monkeypatch.setattr(interp_mod, "ORACLE_KEEP_BYTES", 0)
+    runs, builds = 5, []
+    real = ArrayStore.for_scop
+
+    def counting(scop, init="index"):
+        builds.append(init)
+        return real(scop, init)
+
+    async def body(host, port, server):
+        compiled = await _request(host, port, _compile_req(TWO_NEST_COPY))
+        interp = _resident_interp(server, compiled["key"])
+        monkeypatch.setattr(ArrayStore, "for_scop", staticmethod(counting))
+        replies = [
+            await _request(host, port, _run_req(rid=f"k-{n}"))
+            for n in range(runs)
+        ]
+        assert all(r["match"] is True for r in replies)
+        assert len({json.dumps(r["checksums"]) for r in replies}) == 1
+        # within the bound the oracle's store and every replay's are
+        # copies; above it each run builds for its oracle and its replay
+        assert len(builds) == (1 if keep else 2 * runs)
+        nbytes = real(interp.scop).nbytes
+        assert interp.input_bytes == (nbytes if keep else 0)
+        m = await _request(host, port, {"op": "metrics"})
+        gauges = m["metrics"]["gauges"]
+        assert gauges["serve.resident_input_bytes"] == (nbytes if keep else 0)
+        assert gauges["serve.resident_oracle_bytes"] == (nbytes if keep else 0)
+
+    asyncio.run(_with_server(str(tmp_path), body))
+
+
 def test_evicting_a_kernel_drops_its_oracle(tmp_path, monkeypatch):
     monkeypatch.setattr(server_mod, "RESIDENT_KERNELS", 1)
 

@@ -3,8 +3,9 @@
 ROADMAP item 1 (docs/performance.md, "Compiled schedule").
 
 Per kernel, four ways of executing one lowered ``ExecPlan``, alternated
-repeat by repeat, each on a fresh store (``new_store()`` is inside every
-timing, as in the ledger's ``run_*_ms``):
+repeat by repeat, each on a fresh copy of the kernel's initial arrays
+(``new_store()``, built once per interpreter and copied per call, is
+inside every timing, as in the ledger's ``run_*_ms``):
 
 * **rows** — the stream-function loop and nothing else
   (``bind_rows`` + ``for tid in range(n): call(tid)``): one call per
@@ -24,7 +25,9 @@ timing, as in the ledger's ``run_*_ms``):
   pool start and shared-store copies included.
 
 Printed: rows of the plan, its claims and the streams claimed whole
-(``whole``) after the verdict, median ms of each way, per task
+(``whole``) after the verdict, median ms of ``new_store()`` alone
+(``store``, the input cost each way pays apart from dispatch), median
+ms of each way, per task
 what serial saves or pays against the row loop (``serial − rows``,
 negative when the elision wins), the thread scheduler's share
 (``threads − rows``, negative too where chains contract, e.g. P5's one
@@ -89,8 +92,12 @@ def measure(name: str, n: int, coarsen: int, repeats: int) -> dict:
         "processes": replay("processes"),
     }
     oracle = interp.run_sequential(interp.new_store())
-    ms = {way: [] for way in ways}
+    ms = {way: [] for way in ("store", *ways)}
     for k in range(repeats + 5):  # 5 warm-up rounds, dropped
+        start = time.perf_counter()
+        interp.new_store()
+        if k >= 5:
+            ms["store"].append((time.perf_counter() - start) * 1e3)
         for way, run in ways.items():
             start = time.perf_counter()
             out = run()
@@ -113,10 +120,10 @@ def render(rows: dict) -> str:
     lines = [
         f"host: {host['cpu']}, {host['nproc']} cpu, "
         f"python {host['python']}, numpy {host['numpy']}",
-        f"median raw ms per run incl. new_store(); threads, processes: "
-        f"{WORKERS} workers",
+        f"median raw ms per run incl. a new_store() copy (store: the "
+        f"copy alone); threads, processes: {WORKERS} workers",
         f"{'kernel':14}{'tasks':>6}{'claims':>7}{'whole':>6}{'edges':>6}"
-        f"{'rows':>8}"
+        f"{'store':>8}{'rows':>8}"
         f"{'serial':>8}"
         f"{'threads':>8}{'ser-rows us/t':>14}{'thr-rows us/t':>14}"
         f"{'thr-ser ms':>11}{'processes':>10}",
@@ -126,7 +133,7 @@ def render(rows: dict) -> str:
         lines.append(
             f"{label:14}{r['tasks']:>6}{r['claims']:>7}{r['whole']:>6}"
             f"{r['edges']:>6}"
-            f"{r['rows']:>8.2f}"
+            f"{r['store']:>8.3f}{r['rows']:>8.2f}"
             f"{r['serial']:>8.2f}{r['threads']:>8.2f}"
             f"{(r['serial'] - r['rows']) * per:>14.2f}"
             f"{(r['threads'] - r['rows']) * per:>14.2f}"
