@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from .interp import ArrayStore, ExecutionStats, Interpreter, execute_measured
-from .interp.executor import BACKEND_ALIASES
+from .interp.executor import BACKEND_ALIASES, MAX_WORKERS
 from .lang.ast import Program
 from .pipeline import PipelineInfo, detect_pipeline
 from .schedule import (
@@ -290,7 +290,10 @@ def validate_options(options: TransformOptions) -> None:
             "None or one of " + ", ".join(BACKEND_ALIASES),
         ),
         "coarsen": (_positive(options.coarsen), "an int >= 1"),
-        "workers": (_positive(options.workers), "an int >= 1"),
+        "workers": (
+            _positive(options.workers) and options.workers <= MAX_WORKERS,
+            f"an int from 1 to {MAX_WORKERS}",
+        ),
         "privatize_parts": (
             parts is None or _positive(parts), "None or an int >= 1"
         ),

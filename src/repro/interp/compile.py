@@ -49,36 +49,87 @@ def _expr_to_py(
     params: Mapping[str, int],
     offsets: Mapping[str, tuple[int, ...]],
     funcs: set[str],
-) -> str:
+) -> tuple[str, bool]:
+    """``(source, valued)``: ``expr`` as Python source over list-bound
+    arrays (``__arr_A[i][j]``), and whether it is array- or call-valued.
+    Index-only arithmetic stays plain Python ``int``; a ``/`` or ``%``
+    with a valued operand goes through :func:`_floordiv` /
+    :func:`_remainder`, which give a zero divisor NumPy's result."""
     if isinstance(expr, IntLit):
-        return str(expr.value)
+        return str(expr.value), False
     if isinstance(expr, VarRef):
         if expr.name in loop_vars:
-            return expr.name
+            return expr.name, False
         if expr.name in params:
-            return str(params[expr.name])
+            return str(params[expr.name]), False
         raise SemanticError(f"unknown variable {expr.name!r}", expr.location)
     if isinstance(expr, BinOp):
-        lhs = _expr_to_py(expr.lhs, loop_vars, params, offsets, funcs)
-        rhs = _expr_to_py(expr.rhs, loop_vars, params, offsets, funcs)
+        lhs, lval = _expr_to_py(expr.lhs, loop_vars, params, offsets, funcs)
+        rhs, rval = _expr_to_py(expr.rhs, loop_vars, params, offsets, funcs)
+        valued = lval or rval
         op = "//" if expr.op == "/" else expr.op
-        return f"({lhs} {op} {rhs})"
+        if valued and op in _ZERO_DIVISOR_HELPERS:
+            return f"{_ZERO_DIVISOR_HELPERS[op]}({lhs}, {rhs})", True
+        return f"({lhs} {op} {rhs})", valued
     if isinstance(expr, ArrayAccess):
         idx = []
         offs = offsets[expr.array]
         for k, e in enumerate(expr.indices):
-            sub = _expr_to_py(e, loop_vars, params, offsets, funcs)
+            sub, _ = _expr_to_py(e, loop_vars, params, offsets, funcs)
             off = offs[k]
-            idx.append(f"({sub}) - ({off})" if off else sub)
-        return f"__arr_{expr.array}[{', '.join(idx)}]"
+            idx.append(f"[({sub}) - ({off})]" if off else f"[{sub}]")
+        return f"__arr_{expr.array}{''.join(idx)}", True
     if isinstance(expr, Call):
         funcs.add(expr.func)
         args = ", ".join(
-            _expr_to_py(a, loop_vars, params, offsets, funcs)
+            _expr_to_py(a, loop_vars, params, offsets, funcs)[0]
             for a in expr.args
         )
-        return f"__fn_{expr.func}({args})"
+        return f"__fn_{expr.func}({args})", True
     raise SemanticError(f"cannot compile expression {expr!r}")
+
+
+def _floordiv(a, b):
+    """``a // b`` as ``float64`` computes it: Python's float ``//`` is
+    bit-identical except that a zero divisor raises, where NumPy returns
+    ``±inf``/``nan`` (and warns).  Two ints still raise, as they do in
+    a ``float64`` program."""
+    try:
+        return a // b
+    except ZeroDivisionError:
+        if isinstance(a, int) and isinstance(b, int):
+            raise
+        return np.float64(a) // np.float64(b)
+
+
+def _remainder(a, b):
+    """``a % b`` as ``float64`` computes it (see :func:`_floordiv`)."""
+    try:
+        return a % b
+    except ZeroDivisionError:
+        if isinstance(a, int) and isinstance(b, int):
+            raise
+        return np.float64(a) % np.float64(b)
+
+
+#: The Python operators whose valued form needs a zero-divisor helper.
+_ZERO_DIVISOR_HELPERS = {"//": "__floordiv", "%": "__remainder"}
+
+
+def _float64_args(fn: Callable, exact: Callable) -> Callable:
+    """``fn`` as the oracle calls it: itself when it computes the same
+    bits on a Python float as on a ``float64`` (``exact`` — the default
+    ``_mix`` — and NumPy ufuncs), else a wrapper that passes each
+    Python float argument as ``np.float64``, what ``fn`` sees in every
+    kernel."""
+    if fn is exact or isinstance(fn, np.ufunc):
+        return fn
+    f64 = np.float64
+
+    def call(*args):
+        return fn(*[f64(a) if type(a) is float else a for a in args])
+
+    return call
 
 
 def array_offsets(scop: Scop) -> dict[str, tuple[int, ...]]:
@@ -111,19 +162,22 @@ def _assignment_text(
     offsets: Mapping[str, tuple[int, ...]],
     func_names: set[str],
 ) -> str:
-    """``lhs = rhs`` of one statement instance as Python source over its
-    loop variables (functions called are added to ``func_names``)."""
+    """``lhs = float(rhs)`` of one statement instance as Python source
+    over its loop variables (functions called are added to
+    ``func_names``)."""
     loop_vars = set(stmt.space.dims)
-    lhs = _expr_to_py(
+    lhs, _ = _expr_to_py(
         stmt.assign.target, loop_vars, scop.params, offsets, func_names
     )
-    rhs = _expr_to_py(
+    rhs, _ = _expr_to_py(
         stmt.assign.value, loop_vars, scop.params, offsets, func_names
     )
     binop = _binop(stmt)
-    if binop != "=":
+    if binop in _ZERO_DIVISOR_HELPERS:  # the target is array-valued
+        rhs = f"{_ZERO_DIVISOR_HELPERS[binop]}({lhs}, {rhs})"
+    elif binop != "=":
         rhs = f"{lhs} {binop} ({rhs})"
-    return f"{lhs} = {rhs}"
+    return f"{lhs} = __float({rhs})"
 
 
 def compile_program(program: Program, scop: Scop) -> Callable:
@@ -136,13 +190,29 @@ def compile_program(program: Program, scop: Scop) -> Callable:
     :func:`_expr_to_py`, the module's AST translator.  Deliberately not
     built from closure specs: the oracle shares no code generator with
     the kernels it is compared against.
+
+    It computes on Python floats, not NumPy scalars: each array is bound
+    as ``data.tolist()`` (a subscript is one list index per dimension),
+    every stored value is wrapped in ``float()``, and each written array
+    is copied back with one ``data[...] = rows`` when the program
+    returns — a program that raises leaves ``store`` untouched.  Python's
+    float ``+ - * // %`` are the IEEE ``float64`` operations, so the
+    arrays are bit-identical to a NumPy-scalar run; the zero divisor,
+    where Python raises, goes through :func:`_floordiv` /
+    :func:`_remainder`.  Functions see what they see in the kernels
+    (:func:`_float64_args`, decided once per call).
     """
+    from .interp import _mix  # interp imports this module
+
     offsets = array_offsets(scop)
     func_names: set[str] = set()
+    written: set[str] = set()
     body: list[str] = []
 
     def bound(expr: Expr, enclosing: set[str]) -> str:
-        return _expr_to_py(expr, enclosing, scop.params, offsets, func_names)
+        return _expr_to_py(
+            expr, enclosing, scop.params, offsets, func_names
+        )[0]
 
     def emit(loop: Loop, enclosing: set[str], indent: str) -> None:
         lower = bound(loop.lower, enclosing)
@@ -155,8 +225,10 @@ def compile_program(program: Program, scop: Scop) -> Callable:
             if isinstance(item, Loop):
                 emit(item, enclosing | {loop.var}, indent)
             else:
+                stmt = scop.statement(item.label)
+                written.add(stmt.assign.target.array)
                 body.append(indent + _assignment_text(
-                    scop, scop.statement(item.label), offsets, func_names
+                    scop, stmt, offsets, func_names
                 ))
         if not loop.body:
             body.append(f"{indent}pass")
@@ -168,15 +240,26 @@ def compile_program(program: Program, scop: Scop) -> Callable:
         del emit  # it names itself: a cycle holding the SCoP
     lines = ["def __program(__store, __funcs):"]
     lines += [
-        f"    __arr_{arr} = __store.arrays[{arr!r}].data"
+        f"    __arr_{arr} = __store.arrays[{arr!r}].data.tolist()"
         for arr in sorted(scop.arrays)
     ] + [
-        f"    __fn_{fname} = __funcs[{fname!r}]"
+        f"    __fn_{fname} = __float64_args(__funcs[{fname!r}], __mix)"
         for fname in sorted(func_names)
     ]
     lines += body
+    lines += [
+        f"    __store.arrays[{arr!r}].data[...] = __arr_{arr}"
+        for arr in sorted(written)
+    ]
     lines.append("    return __store")
-    namespace: dict[str, object] = {"__range": range}
+    namespace: dict[str, object] = {
+        "__range": range,
+        "__float": float,
+        "__floordiv": _floordiv,
+        "__remainder": _remainder,
+        "__float64_args": _float64_args,
+        "__mix": _mix,
+    }
     exec("\n".join(lines), namespace)  # noqa: S102 - compiling our own AST
     # popped: left in its own globals, the function is a reference cycle
     return namespace.pop("__program")

@@ -49,6 +49,13 @@ BACKEND_ALIASES = {
     "processes": "processes",
 }
 
+#: Most workers an option or a served request may ask a replay for
+#: (``TransformOptions.workers``, a ``run`` request's ``"workers"``): a
+#: ``processes`` pool starts all of its processes on its first
+#: submission.  Simulated worker counts are not execution and are not
+#: bounded.
+MAX_WORKERS = 64
+
 
 @dataclass(frozen=True)
 class ExecutionStats:

@@ -211,9 +211,10 @@ class Interpreter:
 
     def run_sequential(self, store: ArrayStore) -> ArrayStore:
         """Execute the program in original order (handles imperfect nests):
-        a full sequential scalar execution, as one generated function
-        (:func:`~repro.interp.compile.compile_program`) built on first
-        use."""
+        a full sequential scalar execution on Python floats, as one
+        generated function (:func:`~repro.interp.compile.compile_program`)
+        built on first use.  ``store``'s written arrays are replaced when
+        the program returns; one that raises leaves them untouched."""
         if self._sequential is None:
             with self._lock:
                 if self._sequential is None:

@@ -76,7 +76,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..driver import analyze, replay, validate_options
-from ..interp.executor import BACKEND_ALIASES
+from ..interp.executor import BACKEND_ALIASES, MAX_WORKERS
 from ..obs import spans as obs_spans
 from ..obs.service import RequestTelemetry
 from ..store import ArtifactStore
@@ -126,8 +126,10 @@ def _validate(req) -> None:
     if options is not None and not isinstance(options, dict):
         refuse("'options' must be an object")
     workers = req.get("workers")
-    if workers is not None and not (is_int(workers) and workers >= 1):
-        refuse("'workers' must be a positive integer")
+    if workers is not None and not (
+        is_int(workers) and 1 <= workers <= MAX_WORKERS
+    ):
+        refuse(f"'workers' must be an integer from 1 to {MAX_WORKERS}")
     backend = req.get("backend")
     if backend is not None and not (
         isinstance(backend, str) and backend in BACKEND_ALIASES

@@ -102,11 +102,14 @@ def run_processes(
     """Run ``sched`` in a pool of ``workers`` processes against a
     shared-memory copy of ``store`` (results are copied back in place);
     its units are ``runs`` (claims) or, when ``runs`` is None, the rows
-    of ``plan``.  Returns scheduling statistics."""
+    of ``plan``.  Returns scheduling statistics.  The pool has one
+    process per unit at most: under ``fork`` it starts every process on
+    its first submission."""
     from ..interp.store import SharedArrayStore
 
     if workers < 1:
         raise ValueError("workers must be positive")
+    workers = max(1, min(workers, len(sched)))
     try:
         pickle.dumps(funcs)
     except Exception as exc:

@@ -591,3 +591,87 @@ def executions(monkeypatch):
             ),
         )
     return seen
+
+
+def reference_program(program, scop):
+    """The sequential oracle on NumPy scalars, loop for loop, as
+    ``compile_program`` generated it before it computed on Python
+    floats: every read boxes an ``np.float64`` out of the store's own
+    arrays and every write stores into them in place.  The reference
+    ``run_sequential`` must equal byte for byte — ``(store, funcs) ->
+    store`` like it."""
+    from repro.interp.compile import _binop, array_offsets
+    from repro.lang.ast import ArrayAccess, BinOp, Call, IntLit, Loop, VarRef
+
+    offsets = array_offsets(scop)
+    func_names: set[str] = set()
+    body: list[str] = []
+
+    def py(expr, loop_vars):
+        if isinstance(expr, IntLit):
+            return str(expr.value)
+        if isinstance(expr, VarRef):
+            if expr.name in loop_vars:
+                return expr.name
+            return str(scop.params[expr.name])
+        if isinstance(expr, BinOp):
+            op = "//" if expr.op == "/" else expr.op
+            lhs, rhs = py(expr.lhs, loop_vars), py(expr.rhs, loop_vars)
+            return f"({lhs} {op} {rhs})"
+        if isinstance(expr, ArrayAccess):
+            idx = [
+                f"({py(e, loop_vars)}) - ({off})" if off else py(e, loop_vars)
+                for e, off in zip(expr.indices, offsets[expr.array])
+            ]
+            return f"__arr_{expr.array}[{', '.join(idx)}]"
+        if isinstance(expr, Call):
+            func_names.add(expr.func)
+            args = ", ".join(py(a, loop_vars) for a in expr.args)
+            return f"__fn_{expr.func}({args})"
+        raise TypeError(f"cannot compile expression {expr!r}")
+
+    def emit(loop, enclosing, indent):
+        upper = py(loop.upper, enclosing)
+        if not loop.upper_strict:
+            upper = f"{upper} + 1"
+        body.append(
+            f"{indent}for {loop.var} in __range("
+            f"{py(loop.lower, enclosing)}, {upper}):"
+        )
+        indent += "    "
+        for item in loop.body:
+            if isinstance(item, Loop):
+                emit(item, enclosing | {loop.var}, indent)
+                continue
+            stmt = scop.statement(item.label)
+            loop_vars = set(stmt.space.dims)
+            lhs = py(stmt.assign.target, loop_vars)
+            rhs = py(stmt.assign.value, loop_vars)
+            binop = _binop(stmt)
+            if binop != "=":
+                rhs = f"{lhs} {binop} ({rhs})"
+            body.append(f"{indent}{lhs} = {rhs}")
+        if not loop.body:
+            body.append(f"{indent}pass")
+
+    for nest in program.nests:
+        emit(nest, set(), "    ")
+    lines = ["def __program(__store, __funcs):"]
+    lines += [
+        f"    __arr_{arr} = __store.arrays[{arr!r}].data"
+        for arr in sorted(scop.arrays)
+    ] + [
+        f"    __fn_{fname} = __funcs[{fname!r}]"
+        for fname in sorted(func_names)
+    ]
+    lines += body
+    lines.append("    return __store")
+    namespace = {"__range": range}
+    exec("\n".join(lines), namespace)  # noqa: S102 - a test's own AST
+    return namespace.pop("__program")
+
+
+def reference_run(interp):
+    """``reference_program`` of ``interp`` on a fresh store."""
+    fn = reference_program(interp.program, interp.scop)
+    return fn(interp.new_store(), interp.funcs)

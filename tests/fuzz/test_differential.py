@@ -12,10 +12,19 @@ For every seeded random program (see :mod:`tests.fuzz.generator`):
   schedule, hybrid off and on, must order what the unreduced quotient
   orders, and a random topological order of it must reproduce the
   sequential arrays.
+* **Oracle differential** — ``run_sequential``, which computes on Python
+  floats, must equal ``reference_program`` (tests/conftest.py), the
+  NumPy-scalar oracle, byte for byte on every sample, in the tier-1
+  sweep and in the nightly tier-2 campaign.
 
 Reproduce one run exactly with::
 
     pytest tests/fuzz -q --fuzz-seed 12345 --fuzz-samples 200
+
+and the oracle differential of one seed alone with::
+
+    pytest tests/fuzz/test_differential.py -q --fuzz-seed 12345 \
+        --fuzz-samples 200 -k pipelined_execution_matches_sequential
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from tests.conftest import (
     KERNEL_FORMS,
     compile_for_exec,
     fused_statements,
+    reference_run,
     run_whole_blocks,
 )
 from tests.interp.test_plan import (
@@ -51,6 +61,17 @@ def _analysis_blocks(sample):
     ast = generate_task_ast(info)
     graph = TaskGraph.from_task_ast(ast)
     return interp, ast, graph
+
+
+def _checked_sequential(interp, sample):
+    """``run_sequential`` of a fresh store, asserted byte for byte equal
+    to the NumPy-scalar ``reference_program``."""
+    seq = interp.run_sequential(interp.new_store())
+    assert seq.equal(reference_run(interp)), (
+        f"{sample.describe()}: the oracle diverged from the NumPy-scalar "
+        f"reference\n{sample.source}"
+    )
+    return seq
 
 
 def _run_pipelined(interp, graph, order):
@@ -75,12 +96,13 @@ def samples(pytestconfig):
 
 
 def test_pipelined_execution_matches_sequential(samples, pytestconfig):
-    """Random topological orders are semantics-preserving on every sample."""
+    """Random topological orders are semantics-preserving on every
+    sample, and the oracle equals its NumPy-scalar reference."""
     seed = pytestconfig.getoption("--fuzz-seed")
     rng = random.Random(seed ^ 0x5EED)
     for sample in samples:
         interp, _ast, graph = _analysis_blocks(sample)
-        seq = interp.run_sequential(interp.new_store())
+        seq = _checked_sequential(interp, sample)
         order = random_topological_order(graph, rng)
         par = _run_pipelined(interp, graph, order)
         assert seq.equal(par), (
@@ -123,12 +145,12 @@ def test_generator_is_reproducible():
 
 @pytest.mark.tier2
 def test_long_fuzz_campaign(pytestconfig):
-    """Nightly: a 200-sample schedule+cache differential sweep."""
+    """Nightly: a 200-sample schedule + oracle differential sweep."""
     seed = pytestconfig.getoption("--fuzz-seed")
     rng = random.Random(seed ^ 0xCA3)
     for sample in generate_samples(seed + 1, 200):
         interp, _ast, graph = _analysis_blocks(sample)
-        seq = interp.run_sequential(interp.new_store())
+        seq = _checked_sequential(interp, sample)
         par = _run_pipelined(
             interp, graph, random_topological_order(graph, rng)
         )

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.interp.executor import MAX_WORKERS
 from repro.service import server as server_mod
 from repro.service.server import serve
 
@@ -223,6 +224,8 @@ def test_malformed_request_reports_error_and_keeps_serving(tmp_path):
             (dict(run, workers=0), "'workers'"),
             (dict(run, workers=0, backend="threads"), "'workers'"),
             (dict(run, workers="4"), "'workers'"),
+            (dict(run, workers=MAX_WORKERS + 1, backend="processes"),
+             "'workers'"),
             (dict(run, backend="bogus"), "'backend'"),
             (dict(run, backend=7), "'backend'"),
         ):
@@ -231,7 +234,7 @@ def test_malformed_request_reports_error_and_keeps_serving(tmp_path):
             assert resp["error"].startswith("bad request: "), resp
             assert what in resp["error"], resp
         stats = await _request(host, port, {"op": "stats"})
-        assert stats["counters"]["errors"] == 16
+        assert stats["counters"]["errors"] == 17
         assert stats["counters"]["compiles"] == 0  # refused before any work
         assert stats["resident"] == 0
         pong = await _request(host, port, {"op": "ping"})

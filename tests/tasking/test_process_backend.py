@@ -154,6 +154,51 @@ class TestSpawnedWorkers:
         assert len(stats.events.events) == stats.tasks > 1
 
 
+class TestPoolSize:
+    """The pool has ``min(workers, units)`` processes: under ``fork`` it
+    starts every one on its first submission.  A fake executor records
+    the size and starts nothing (its futures complete at once)."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        from concurrent.futures import Future
+
+        from repro.tasking import backends
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, **_kwargs):
+                sizes.append(max_workers)
+
+            def submit(self, *_args):
+                done = Future()
+                done.set_result(None)
+                return done
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize("fuse,workers", [("auto", 10**6), ("off", 3)])
+    def test_sized_by_units(self, pool_sizes, monkeypatch, fuse, workers):
+        pin_verdict(monkeypatch, "none")
+        interp, info = compile_for_exec(
+            TABLE9["P5"].source(14), fuse, coarsen=1
+        )
+        _out, stats = execute_measured(
+            interp, info, backend="processes", workers=workers
+        )
+        units = stats.scheduler["claims"]
+        assert pool_sizes == [min(workers, units)]
+        assert stats.scheduler["workers"] == pool_sizes[0]
+        assert (units, pool_sizes[0]) == (
+            (1, 1) if fuse == "auto" else (4 * 196, 3)
+        )
+
+
 class TestProcessBackendChecks:
     def test_mismatched_deps_rejected(self):
         system = OmpTaskSystem(write_num=1)

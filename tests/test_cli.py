@@ -180,6 +180,17 @@ class TestRun:
                 "--exec-backend", "gpu",
             ])
 
+    def test_workers_above_the_bound_are_refused(self, kernel_file):
+        """Refused before anything is compiled or any pool starts."""
+        from repro.interp.executor import MAX_WORKERS
+
+        too_many = str(MAX_WORKERS + 1)
+        with pytest.raises(SystemExit, match=f"^workers={too_many}: "):
+            main([
+                "run", kernel_file, "--param", "N=12",
+                "--exec-backend", "processes", "--workers", too_many,
+            ])
+
 
 class TestCodegen:
     def test_emits_program(self, kernel_file, capsys):

@@ -12,6 +12,7 @@ from repro import (
     VerificationFailedError,
     transform,
 )
+from repro.interp.executor import MAX_WORKERS
 from repro.scop import DepKind
 from repro.workloads import CostModel, MatmulKernel
 from tests.conftest import LISTING1, LISTING3
@@ -552,6 +553,7 @@ BAD_VALUES = [
     ("privatize", 1),
     ("coarsen", 0),
     ("workers", 0),
+    ("workers", MAX_WORKERS + 1),
     ("privatize_parts", 0),
     ("coarsen", True),
     ("workers", True),

@@ -10,8 +10,14 @@ cold wall of the ``transform`` call, the ``schedule.astgen`` and
 ``schedule.legality`` spans inside it, the front end (parse, SCoP
 extraction with its domain points, every access relation and every
 array extent of a fresh SCoP of the same source, timed after the
-``transform`` on a cleared presburger cache) and the process's peak RSS (``ru_maxrss``).  A fresh
-process per row keeps one size's peak out of the next.  ``--hybrid`` relaxes
+``transform`` on a cleared presburger cache), the sequential oracle
+(``run_sequential(new_store())`` of a fresh interpreter on that SCoP,
+generating its function included), the kernel's array bytes and the
+oracle's transient memory (``tracemalloc`` peak of a second oracle run:
+the Python-float lists it computes on, about 4x the arrays) and the
+process's peak RSS (``ru_maxrss``, read before the front end and the
+oracle run).  A fresh process per row keeps one size's peak out of the
+next.  ``--hybrid`` relaxes
 the self chains the do-all evidence allows, the wide case for chains.
 Asserts nothing but that every compile verifies; CI uploads the table.
 
@@ -38,8 +44,9 @@ WORKERS = 2
 
 #: what one fresh process runs: argv is kernel, N, hybrid (0/1)
 CHILD = """
-import json, resource, sys, time
+import json, resource, sys, time, tracemalloc
 from repro.driver import TransformOptions, transform
+from repro.interp import Interpreter
 from repro.lang import parse
 from repro.obs.spans import recording
 from repro.presburger import cache
@@ -58,13 +65,24 @@ if not (result.verified and result.legality.ok):
     raise SystemExit(f"{name}@{n}: the compile did not verify")
 cache.cache_clear()  # the transform's memo would serve the domain points
 start = time.perf_counter()
-scop = extract_scop(parse(source), {})
+program = parse(source)
+scop = extract_scop(program, {})
 for stmt in scop.statements:
     for kind in AccessKind:
         scop.access_relation(stmt, kind)
 for array in scop.arrays:
     scop.array_extent(array)
 frontend = time.perf_counter() - start
+interp = Interpreter(program, scop)
+store = interp.new_store()
+start = time.perf_counter()
+interp.run_sequential(store)
+oracle = time.perf_counter() - start
+store = interp.new_store()
+tracemalloc.start()
+interp.run_sequential(store)
+lists = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
 (astgen,) = [s for s in rec.spans if s.name == "schedule.astgen"]
 (legality,) = [s for s in rec.spans if s.name == "schedule.legality"]
 print(json.dumps({
@@ -74,6 +92,9 @@ print(json.dumps({
     "astgen_s": astgen.duration_ns / 1e9,
     "legality_s": legality.duration_ns / 1e9,
     "frontend_s": frontend,
+    "oracle_s": oracle,
+    "arrays_mb": store.nbytes / 2**20,
+    "lists_mb": lists / 2**20,
     "peak_mb": peak_kb / 1024,
 }))
 """ % WORKERS
@@ -98,13 +119,15 @@ def render(kernel: str, hybrid: bool, rows: dict[int, dict]) -> str:
         f"{' --hybrid' if hybrid else ''}, fuse auto, {WORKERS} workers, "
         "one fresh process per row",
         f"{'N':>5}{'tasks':>9}{'chains':>8}{'cold s':>9}{'astgen s':>10}"
-        f"{'legality s':>12}{'frontend s':>12}{'peak MB':>9}",
+        f"{'legality s':>12}{'frontend s':>12}{'oracle s':>10}"
+        f"{'arrays MB':>11}{'lists MB':>10}{'peak MB':>9}",
     ]
     for n, r in rows.items():
         lines.append(
             f"{n:>5}{r['tasks']:>9}{r['chains']:>8}{r['cold_s']:>9.2f}"
             f"{r['astgen_s']:>10.3f}{r['legality_s']:>12.3f}"
-            f"{r['frontend_s']:>12.4f}"
+            f"{r['frontend_s']:>12.4f}{r['oracle_s']:>10.4f}"
+            f"{r['arrays_mb']:>11.2f}{r['lists_mb']:>10.2f}"
             f"{r['peak_mb']:>9.0f}"
         )
     return "\n".join(lines)
