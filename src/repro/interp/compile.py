@@ -26,20 +26,20 @@ from ..lang.ast import (
     VarRef,
 )
 from ..lang.errors import SemanticError
+from ..lang.tokens import ASSIGN_OPS
 from ..scop import Scop, ScopStatement
 from ..scop.deps import DepKind, dependence_relation
 from ..scop.extract import to_affine
 from .fused import REDUCTION_IDENTITY, NotFusable, StatementSpec
 
-#: Compound-assignment operators and the binary operator each expands to.
-#: ``/=`` floors like every division in the DSL (``_expr_to_py`` maps ``/``
-#: to ``//`` as well), keeping value semantics uniform.
+#: Compound-assignment operators and the Python operator each expands
+#: to, from the language's one table (``ASSIGN_OPS``).  ``/=`` floors
+#: like every division in the DSL (``_expr_to_py`` maps ``/`` to ``//``
+#: as well), keeping value semantics uniform.
 COMPOUND_OPS: dict[str, str] = {
-    "+=": "+",
-    "-=": "-",
-    "*=": "*",
-    "/=": "//",
-    "%=": "%",
+    op: "//" if binop == "/" else binop
+    for op, binop in ASSIGN_OPS.items()
+    if binop is not None
 }
 
 

@@ -63,28 +63,46 @@ stream in which every internal edge is its source row's only successor
 and its target row's only predecessor — a chain nothing else waits on
 or feeds.  Per-row dispatch would release no row at another point
 relative to its producer, so running the claim as one unit loses no
-overlap.  A stream whose rows cannot pay for their own dispatch is
-claimed *whole*: its claim is its serial-elision :class:`StreamRun`,
-legal by the argument above, at the price of delaying its consumers
-until the union call ends.  Which streams go whole is measured, not
-modelled (:func:`whole_streams`): on a scratch copy of the replay's
-store, a kernel stream of more than one exact claim goes whole when its
-claims cost more than ``workers`` times its union call — even perfectly
-overlapped on every worker they would take longer than that one call.
-A whole stream is a consecutive row range and creation order is
-topological, so the claims' quotient stays acyclic.  The measurement
-costs about four plan runs, which one replay can never win back, so the
-first untraced ``threads`` or ``processes`` replay at a worker count
-dispatches the exact claims (:attr:`ExecPlan.exact`) and the second
-measures the verdict (:attr:`ExecPlan.claims`, per worker count, set
-once): a one-shot never pays for it.  The verdict is taken once, so it
-reflects that replay's host load as well as the plan.  Such a replay
-runs the claims' quotient schedule, one ``run_rects`` call per claim of
-an elided stream over the rectangles of its rows' union (a claim's
-consecutive rows are a lex-contiguous range) and ``call(tid)`` per row
-of any other; collecting replays keep the per-row schedule.  Fused P5
-is one chain: its 196 rows at N=14 are one claim; P10@14's producer
-chains go whole.
+overlap.  A stream can also be claimed *whole*: its claim is its
+serial-elision :class:`StreamRun`, legal by the argument above, at the
+price of delaying its consumers until the union call ends.  A whole
+stream is a consecutive row range and creation order is topological, so
+the claims' quotient stays acyclic.
+
+The verdict (:func:`whole_streams`) answers one measured question:
+could this work overlap on the CPUs this replay may use?  On a scratch
+copy of the replay's store it times every unit of the serial elision
+and of the exact claims — wall and thread CPU time — and the scheduler
+alone over both.  However claims overlap on ``workers`` threads, they
+take no less than their critical path, than their CPU share spread over
+the usable CPUs (the process' affinity set, at most ``workers``), or
+than their wall spread over the workers (:func:`overlap_bound`): a
+blocked share — a stage that sleeps or waits — overlaps on every
+worker, a CPU share only on a CPU.  Per plan (:func:`serial_wins`):
+when that bound over the exact claims cannot beat the serial elision's
+summed union calls, the verdict is every stream whole, chained in
+creation order — the serial elision on the parallel backend, width 1,
+so ``threads`` starts no helper.  Otherwise per stream
+(:func:`claimed_whole`): a stream of more than one exact claim —
+privatized members included — goes whole when even perfect overlap of
+its claims could not beat its union call.  Dispatch is charged on both
+sides: each claim its share of the scheduler's measured cost over the
+exact claims, the serial elision the scheduler's cost over its chain.
+So CPU-bound rows on one CPU go whole (the ledger's pinned host),
+while a stage that blocks keeps its per-row claims there too.  The
+measurement costs about four plan runs, which one replay can never win
+back, so the first untraced ``threads`` or ``processes`` replay at a
+worker count dispatches the exact claims (:attr:`ExecPlan.exact`) and
+the second measures the verdict (:attr:`ExecPlan.claims`, per worker
+count, set once): a one-shot never pays for it.  The verdict is taken
+once, so it reflects that replay's host load as well as the plan.  Such
+a replay runs the claims' quotient schedule, one ``run_rects`` call per
+claim of an elided stream over the rectangles of its rows' union (a
+claim's consecutive rows are a lex-contiguous range) and ``call(tid)``
+per row of any other — a whole member stream still runs each row
+against its own private, and its join is its one successor; collecting
+replays keep the per-row schedule.  Fused P5 is one chain: its 196 rows
+at N=14 are one claim; P10@14's producer chains go whole.
 
 Privatized plans: every member block gets a private buffer shaped like
 the accumulator and filled with the operator-group identity (``sum`` →
@@ -103,6 +121,7 @@ through one SharedArrayStore segment) and are removed before returning.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from contextlib import nullcontext
@@ -320,7 +339,9 @@ def plan_claims(plan: ExecPlan, funcs, store, workers: int) -> Claims:
 def contract_claims(plan: ExecPlan, whole=frozenset()) -> Claims:
     """Contract every chain of ``plan.schedule`` into one claim, and
     every stream in ``whole`` (indices into ``plan.runs``) into its own
-    serial-elision run.
+    serial-elision run.  When ``whole`` is every stream the claims are
+    the serial elision itself, chained in creation order (which is
+    topological): one unit at a time, so no helper starts.
 
     An exact claim is a maximal run of rows ``r..r+k`` of one stream
     whose internal edges are each the source row's only successor and
@@ -331,6 +352,10 @@ def contract_claims(plan: ExecPlan, whole=frozenset()) -> Claims:
     """
     from ..tasking.dispatch import Schedule
 
+    if len(whole) == len(plan.runs):
+        return Claims(
+            plan.runs, chain_schedule(len(plan.runs)), frozenset(whole)
+        )
     counts, succs = plan.schedule.counts, plan.schedule.succs
     runs: list[StreamRun] = []
     for k, run in enumerate(plan.runs):
@@ -369,59 +394,153 @@ def contract_claims(plan: ExecPlan, whole=frozenset()) -> Claims:
 VERDICT_ROUNDS = 2
 
 
-def whole_streams(plan: ExecPlan, funcs, store, workers: int) -> frozenset:
-    """The streams (indices into ``plan.runs``) whose exact claims cost
-    more than ``workers`` times their union call, measured here.
+class Cost(NamedTuple):
+    """What one unit took when the verdict ran it, in seconds."""
 
-    Candidates are kernel streams of more than one exact claim —
-    privatized members and joins have no union.  On a scratch copy of
-    ``store`` (privates included; discarded) the plan runs in creation
-    order as the serial elision, timing each stream's union call, then
-    as the exact claims, summing each stream's claim calls — for
-    :data:`VERDICT_ROUNDS` rounds, keeping each stream's least cost of
-    each kind: a first call's one-time costs, or a preemption, inflate
-    one round only.
-    """
-    exact = plan.exact
-    stream_of = [k for k, run in enumerate(plan.runs) for _ in run.rows]
-    owner = [stream_of[run.rows.start] for run in exact.runs]
-    split = Counter(owner)
-    candidates = [
-        k for k, run in enumerate(plan.runs)
-        if run.kernel is not None and split[k] > 1
-    ]
-    if not candidates:
-        return frozenset()
-    scratch = store.copy()
-    call = bind_rows(funcs, plan.rows, plan.streams, scratch)
+    wall: float
+    cpu: float  # of which its thread ran on a CPU (``time.thread_time``)
 
-    def costs(units, streams) -> list[float]:
-        """Run ``units`` in order; seconds spent per stream."""
-        body = bind_runs(funcs, units, scratch, call)
-        spent = [0.0] * len(plan.runs)
-        for k, stream in enumerate(streams):
-            t0 = time.perf_counter()
-            body(k)
-            spent[stream] += time.perf_counter() - t0
-        return spent
 
-    union = claims = [float("inf")] * len(plan.runs)
-    for _ in range(VERDICT_ROUNDS):
-        union = list(map(min, union, costs(plan.runs, range(len(union)))))
-        claims = list(map(min, claims, costs(exact.runs, owner)))
-    return claimed_whole(
-        {k: (claims[k], union[k]) for k in candidates}, workers
+def usable_cpus(workers: int) -> int:
+    """The CPUs ``workers`` threads of this process can overlap on: the
+    process' affinity set (``os.cpu_count()`` where the platform has
+    none), at most ``workers``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus))
+
+
+def overlap_bound(costs, workers: int, critical: float = 0.0) -> float:
+    """The least wall ``costs`` can take on ``workers`` threads however
+    they overlap: no less than ``critical`` (a path through them) or the
+    longest one, than their CPU share spread over the usable CPUs, or
+    than their wall spread over the workers — a blocked share overlaps
+    on every worker, a CPU share only on a CPU."""
+    return max(
+        critical,
+        max((c.wall for c in costs), default=0.0),
+        sum(c.cpu for c in costs) / usable_cpus(workers),
+        sum(c.wall for c in costs) / workers,
     )
 
 
 def claimed_whole(costs: dict, workers: int) -> frozenset:
-    """The verdict rule: of ``costs`` (stream -> (its claims' summed
-    cost, its union call's cost)), the streams whose claims cost more
-    than ``workers`` union calls — even perfectly overlapped on every
-    worker they would take longer than the one call."""
+    """The per-stream rule: of ``costs`` (stream -> (the :class:`Cost`
+    of each of its exact claims, its union call's wall)), the streams
+    whose claims could not beat the union call even perfectly
+    overlapped."""
     return frozenset(
-        k for k, (claims, union) in costs.items() if claims > workers * union
+        k for k, (claims, union) in costs.items()
+        if overlap_bound(claims, workers) >= union
     )
+
+
+def serial_wins(
+    costs, schedule: "Schedule", serial: float, workers: int
+) -> bool:
+    """The per-plan rule: whether ``costs`` (one :class:`Cost` per task
+    of ``schedule``), however they overlap, could not beat ``serial`` —
+    the bound counts the schedule's critical path."""
+    start = [0.0] * len(costs)
+    critical = 0.0
+    for c, cost in enumerate(costs):  # task order is topological
+        finish = start[c] + cost.wall
+        critical = max(critical, finish)
+        for s in schedule.succs[c]:
+            start[s] = max(start[s], finish)
+    return overlap_bound(costs, workers, critical) >= serial
+
+
+def chain_schedule(n: int) -> "Schedule":
+    """``n`` tasks, each waiting on the one before it: width 1, so
+    ``run_threads`` starts no helper."""
+    from ..tasking.dispatch import Schedule
+
+    return Schedule.from_preds([{k - 1} if k else set() for k in range(n)])
+
+
+def whole_streams(plan: ExecPlan, funcs, store, workers: int) -> frozenset:
+    """The streams (indices into ``plan.runs``) to claim whole, measured
+    here: every stream when no overlap of the exact claims could beat
+    the serial elision, else those whose own claims could not beat their
+    union call (module docstring).
+
+    Candidates are streams of more than one exact claim, privatized
+    members included; a plan whose exact claims are one chain and have
+    no candidate is not measured.  On a scratch copy of ``store``
+    (privates included; discarded) the plan runs in creation order as
+    the serial elision and as the exact claims, timing each unit's wall
+    and thread CPU, for :data:`VERDICT_ROUNDS` rounds, keeping each
+    unit's least of each: a first call's one-time costs, or a
+    preemption, inflate one round only.  Each round also times the
+    scheduler alone: ``run_threads`` at ``workers`` over the exact
+    claims' schedule and over the serial elision's chain, with bodies
+    that do nothing.  A claim is charged its share of the first, as CPU
+    work, and the serial elision the second: dispatch is paid whether
+    or not the work overlaps.
+    """
+    from ..tasking.dispatch import run_threads
+
+    exact = plan.exact
+    stream_of = [k for k, run in enumerate(plan.runs) for _ in run.rows]
+    owner = [stream_of[run.rows.start] for run in exact.runs]
+    split = Counter(owner)
+    candidates = [k for k in range(len(plan.runs)) if split[k] > 1]
+    sched = exact.schedule
+    if not candidates and len(sched.roots) <= 1 and all(
+        len(ss) <= 1 for ss in sched.succs
+    ):
+        return frozenset()
+    scratch = store.copy()
+    call = bind_rows(funcs, plan.rows, plan.streams, scratch)
+    chain = chain_schedule(len(plan.runs))
+
+    def costs(units) -> list[Cost]:
+        """Run ``units`` in order; each one's cost."""
+        body = bind_runs(funcs, units, scratch, call)
+        spent = []
+        for k in range(len(units)):
+            t0, c0 = time.perf_counter(), time.thread_time()
+            body(k)
+            spent.append(Cost(
+                time.perf_counter() - t0, time.thread_time() - c0
+            ))
+        return spent
+
+    def dispatch(schedule) -> float:
+        t0 = time.perf_counter()
+        run_threads(schedule, _skip, workers, None)
+        return time.perf_counter() - t0
+
+    def least(a: list[Cost], b: list[Cost]) -> list[Cost]:
+        return [Cost(*map(min, x, y)) for x, y in zip(a, b)]
+
+    never = Cost(float("inf"), float("inf"))
+    union, claims = [never] * len(plan.runs), [never] * len(exact.runs)
+    scheduled = chained = float("inf")
+    for _ in range(VERDICT_ROUNDS):
+        union = least(union, costs(plan.runs))
+        claims = least(claims, costs(exact.runs))
+        scheduled = min(scheduled, dispatch(sched))
+        chained = min(chained, dispatch(chain))
+    share = scheduled / len(claims)
+    claims = [Cost(c.wall + share, c.cpu + share) for c in claims]
+    serial = sum(u.wall for u in union) + chained
+    if serial_wins(claims, sched, serial, workers):
+        return frozenset(range(len(plan.runs)))
+    return claimed_whole({
+        k: (
+            [c for c, o in zip(claims, owner) if o == k],
+            union[k].wall + share,
+        )
+        for k in candidates
+    }, workers)
+
+
+def _skip(tid: int) -> None:
+    """A task body that does nothing: the scheduler timed alone."""
 
 
 def row_edges(edges, row_of) -> tuple[np.ndarray, np.ndarray]:
@@ -641,6 +760,26 @@ def bind_runs(
     return run
 
 
+def add_privates(store, plan: ExecPlan) -> list[str]:
+    """Add ``plan``'s private buffers to ``store``, each shaped like its
+    accumulator and filled with its group's identity; their names, for
+    the caller to remove.  A name that is already a program array is
+    refused before any is added."""
+    added = [name for _, _, names in plan.privates for name in names]
+    for name in added:
+        if name in store.arrays:
+            raise ValueError(
+                f"private buffer name {name!r} collides with a "
+                "program array"
+            )
+    for array, identity, names in plan.privates:
+        base = store.arrays[array]
+        for name in names:
+            data = np.full_like(base.data, identity)
+            store.arrays[name] = ArrayView(name, data, base.offsets)
+    return added
+
+
 def run_plan(
     interp: "Interpreter",
     plan: ExecPlan,
@@ -663,20 +802,8 @@ def run_plan(
     if store is None:
         store = interp.new_store()
 
-    scratch: list[str] = []  # private buffers injected for this run
+    scratch = add_privates(store, plan)  # private buffers for this run
     try:
-        for array, identity, names in plan.privates:
-            base = store.arrays[array]
-            for name in names:
-                if name in store.arrays:
-                    raise ValueError(
-                        f"private buffer name {name!r} collides with a "
-                        "program array"
-                    )
-                data = np.full_like(base.data, identity)
-                store.arrays[name] = ArrayView(name, data, base.offsets)
-                scratch.append(name)
-
         name, attrs = "exec.measured", {}
         if plan.privates:
             name = "exec.privatized"

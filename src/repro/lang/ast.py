@@ -73,7 +73,7 @@ class Assign:
 
     label: str
     target: ArrayAccess
-    op: str  # '=', '+=', '-=' or '*='
+    op: str  # a key of repro.lang.tokens.ASSIGN_OPS
     value: Expr
     location: SourceLocation | None = field(default=None, compare=False)
 

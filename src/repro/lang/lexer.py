@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .errors import LexerError, SourceLocation
-from .tokens import KEYWORDS, Token, TokenKind
+from .tokens import ASSIGN_OPS, KEYWORDS, Token, TokenKind
 
 #: operator text -> kind (no other kind's text matches an operator)
 _OPERATORS = {kind.value: kind for kind in TokenKind}
@@ -30,7 +30,10 @@ _OPERATORS = {kind.value: kind for kind in TokenKind}
 #: numerals, refused below.
 _TOKEN = re.compile(
     r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)"
-    r"(?:([^\W\d]\w*)|(\d+)|([-+*]=|\+\+|[<>]=?|/(?!\*)|[-+*%=()\[\]{};:,]))?",
+    r"(?:([^\W\d]\w*)|(\d+)|("
+    # every compound assignment: one binary operator, then ``=``
+    + "[" + re.escape("".join(op for op in ASSIGN_OPS.values() if op)) + "]="
+    + r"|\+\+|[<>]=?|/(?!\*)|[-+*%=()\[\]{};:,]))?",
     re.DOTALL,
 )
 

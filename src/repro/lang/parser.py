@@ -9,7 +9,7 @@ synthetic labels ``S0, S1, ...``)::
     incr       := IDENT '++' | IDENT '+=' NUMBER
     body       := loop | '{' item* '}' | stmt
     item       := loop | stmt
-    stmt       := [IDENT ':'] access ('='|'+='|'-='|'*=') expr ';'
+    stmt       := [IDENT ':'] access ('='|'+='|'-='|'*='|'/='|'%=') expr ';'
     access     := IDENT ('[' expr ']')+
     expr       := term (('+'|'-') term)*
     term       := unary (('*'|'/'|'%') unary)*
@@ -33,7 +33,14 @@ from .ast import (
 )
 from .errors import ParseError
 from .lexer import tokenize
-from .tokens import Token, TokenKind
+from .tokens import ASSIGN_OPS, Token, TokenKind
+
+#: an assignment operator's token kind -> its text (``ASSIGN_OPS``)
+_ASSIGN_KINDS = {TokenKind(op): op for op in ASSIGN_OPS}
+_EXPECTED_ASSIGN = (
+    ", ".join(repr(op) for op in list(ASSIGN_OPS)[:-1])
+    + f" or {list(ASSIGN_OPS)[-1]!r}"
+)
 
 
 class Parser:
@@ -172,20 +179,13 @@ class Parser:
             self._auto_label += 1
 
         target = self.parse_access()
-        if self.accept(TokenKind.ASSIGN):
-            op = "="
-        elif self.accept(TokenKind.PLUS_ASSIGN):
-            op = "+="
-        elif self.accept(TokenKind.MINUS_ASSIGN):
-            op = "-="
-        elif self.accept(TokenKind.STAR_ASSIGN):
-            op = "*="
-        else:
+        op = _ASSIGN_KINDS.get(self.current.kind)
+        if op is None:
             raise ParseError(
-                f"expected '=', '+=', '-=' or '*=', "
-                f"found {self.current.text!r}",
+                f"expected {_EXPECTED_ASSIGN}, found {self.current.text!r}",
                 self.current.location,
             )
+        self.advance()
         value = self.parse_expr()
         self.expect(TokenKind.SEMI)
         return Assign(label, target, op, value, loc)

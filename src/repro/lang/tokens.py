@@ -25,6 +25,8 @@ class TokenKind(Enum):
     PLUS_ASSIGN = "+="
     MINUS_ASSIGN = "-="
     STAR_ASSIGN = "*="
+    SLASH_ASSIGN = "/="
+    PERCENT_ASSIGN = "%="
     PLUS_PLUS = "++"
     PLUS = "+"
     MINUS = "-"
@@ -39,6 +41,19 @@ class TokenKind(Enum):
 
 
 KEYWORDS = {"for": TokenKind.KW_FOR}
+
+#: The assignment operators a statement may use, each with the binary
+#: operator it applies (``A[i] op= e`` is ``A[i] = A[i] op (e)``), None
+#: for ``=``.  The lexer, the parser and the kernel lowering all read
+#: this table.
+ASSIGN_OPS: dict[str, str | None] = {
+    "=": None,
+    "+=": "+",
+    "-=": "-",
+    "*=": "*",
+    "/=": "/",
+    "%=": "%",
+}
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ over the plan rows and transitively reduces it
 threads or processes hands its scheduler a further quotient, one task
 per claim (``ExecPlan.claims``: a chain of rows that wait on nothing but
 each other, or a whole stream whose rows were measured unable to pay
-for their own dispatch), so a task here may be many plan rows.  A run
+for their own dispatch — every stream, chained, when no overlap could
+pay for it), so a task here may be many plan rows.  A run
 (:func:`run_serial`, :func:`run_threads`, the process pool of
 :mod:`repro.tasking.backends`) copies the counters and never writes to
 the schedule, so one schedule is shared between runs and threads.
@@ -139,7 +140,8 @@ def run_threads(
     from siblings when drained.  The calling thread is worker 0 and
     starts with the roots; helpers start at the first *surplus* — a
     worker holding more ready tasks than the one it takes next — so a
-    width-1 program never starts a thread.
+    width-1 program never starts a thread and, untraced, never builds
+    the lock it would share with one.
 
     A task failure stops dispatch, leaves every transitive dependent
     unexecuted and is re-raised once every helper is joined.  Any other
@@ -154,11 +156,25 @@ def run_threads(
     nworkers = max(1, min(workers, n))
     counts = list(sched.counts)
     succs = sched.succs
-    queues = [deque() for _ in range(nworkers)]
-    queues[0].extend(sched.roots)
+    ready = deque(sched.roots)  # worker 0's
+    pending = n  # tasks not yet finished
+    if collector is None:
+        # Alone until the first surplus: nothing else reads the state,
+        # so the calling thread walks a width-1 prefix (a chain: all of
+        # it) without the lock, and a failure raises with nothing to join.
+        while len(ready) == 1:
+            tid = ready.pop()
+            call(tid)
+            pending -= 1
+            for s in succs[tid]:
+                counts[s] -= 1
+                if not counts[s]:
+                    ready.append(s)
+        if not pending:
+            return _thread_stats(n, nworkers, 0, 0)
+    queues = [ready, *(deque() for _ in range(1, nworkers))]
     lock = threading.Lock()
     cv = threading.Condition(lock)
-    pending = n  # tasks not yet finished
     idle = 0  # workers parked in cv.wait()
     steals = 0
     failure: BaseException | None = None
@@ -253,10 +269,14 @@ def run_threads(
     if collector is not None:
         collector.count("tasks", n)
         collector.count("steals", steals)
+    return _thread_stats(n, nworkers, len(helpers), steals)
+
+
+def _thread_stats(tasks: int, workers: int, helpers: int, steals: int) -> dict:
     return {
         "policy": "work-stealing",
-        "tasks": n,
-        "workers": nworkers,
-        "helpers": len(helpers),
+        "tasks": tasks,
+        "workers": workers,
+        "helpers": helpers,
         "steals": steals,
     }

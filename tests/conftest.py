@@ -460,7 +460,9 @@ def reference_tokenize(source):
             kind = KEYWORDS.get(text, TokenKind.IDENT)
         elif ch.isdigit():
             text, kind = take_while(str.isdigit), TokenKind.NUMBER
-        elif source[pos : pos + 2] in ("+=", "-=", "*=", "++", "<=", ">="):
+        elif source[pos : pos + 2] in (
+            "+=", "-=", "*=", "/=", "%=", "++", "<=", ">=",
+        ):
             text = source[pos : pos + 2]
             kind = TokenKind(text)
             advance(2)

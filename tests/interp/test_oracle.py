@@ -18,7 +18,7 @@ from repro.lang import parse
 from repro.lang.ast import Loop
 from repro.scop import extract_scop
 from repro.workloads import TABLE9
-from tests.conftest import reference_program, reference_run
+from tests.conftest import compile_for_exec, reference_program, reference_run
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "kernels"
 
@@ -77,7 +77,7 @@ def edge_store(scop):
 
 def with_ops(program, ops):
     """``program`` with the assignment operator of each label in
-    ``ops`` replaced (the parser reads no ``/=`` or ``%=``)."""
+    ``ops`` replaced, on the AST."""
 
     def item(node):
         if isinstance(node, Loop):
@@ -152,6 +152,34 @@ def test_compound_division_by_zero_and_negatives(op):
     got, want = run_both(source, ops=ops)
     assert_same_arrays(got, want)
     assert np.isnan(got["B"].data).any()  # x / 0 and x % 0 happened
+
+
+@pytest.mark.parametrize("op", ["/=", "%="])
+def test_a_parsed_compound_division_is_the_one_the_lowering_reads(op):
+    """``B[i] %= x`` parses to the AST the oracle tests build by hand,
+    lowers to its entry of the one operator table, and the oracle and
+    both kernel forms compute the same bits from it."""
+    from repro.interp import COMPOUND_OPS, execute_measured
+    from repro.lang.tokens import ASSIGN_OPS
+
+    body = "for(i=0; i<N; i++) S: B[i] {} A[i] * C[i];"
+    parsed = parse(body.format(op))
+    assert parsed.nests == with_ops(parse(body.format("=")), {"S": op}).nests
+    assert COMPOUND_OPS[op] == {"/": "//", "%": "%"}[ASSIGN_OPS[op]]
+    for fuse in ("auto", "off"):
+        interp, info = compile_for_exec(body.format(op), fuse, {"N": 13})
+        (spec,) = interp.fused_program.get("S").spec.statements
+        assert spec.op == COMPOUND_OPS[op]
+        inputs = edge_store(interp.scop)
+        with np.errstate(all="ignore"):
+            want = interp.run_sequential(inputs.copy())
+            for backend in ("serial", "threads"):
+                got, _ = execute_measured(
+                    interp, info, backend=backend, workers=2,
+                    store=inputs.copy(),
+                )
+                assert_same_arrays(got, want)
+        assert np.isnan(want["B"].data).any()  # x / 0 and x % 0 happened
 
 
 def test_a_zero_divisor_warns_like_numpy():

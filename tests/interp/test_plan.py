@@ -949,25 +949,45 @@ def test_a_collecting_serial_replay_records_one_event_per_row():
 # claims: a threaded replay runs each schedule chain as one unit
 # ----------------------------------------------------------------------
 def candidate_streams(plan):
-    """Kernel streams of more than one exact claim: what a verdict may
-    claim whole (indices into ``plan.runs``)."""
+    """Streams of more than one exact claim, privatized members
+    included: what the per-stream rule may claim whole (indices into
+    ``plan.runs``)."""
     stream_of = {t: k for k, run in enumerate(plan.runs) for t in run.rows}
     split = [0] * len(plan.runs)
     for run in plan_mod.contract_claims(plan).runs:
         split[stream_of[run.rows.start]] += 1
-    return {
-        k for k, run in enumerate(plan.runs)
-        if run.kernel is not None and split[k] > 1
-    }
+    return {k for k in range(len(plan.runs)) if split[k] > 1}
+
+
+def every_stream(plan):
+    """The per-plan verdict: every stream whole, chained."""
+    return set(range(len(plan.runs)))
+
+
+#: ``pin_verdict``'s picks: no stream whole, every candidate, the chain
+VERDICTS = {
+    "none": lambda plan: set(),
+    "all": candidate_streams,
+    "chain": every_stream,
+}
 
 
 def pin_verdict(monkeypatch, verdict):
-    """Pin ``whole_streams``: ``"none"`` claims no stream whole,
-    ``"all"`` every candidate."""
-    pick = {"none": lambda plan: frozenset(), "all": candidate_streams}
+    """Pin ``whole_streams`` to one of :data:`VERDICTS`."""
     monkeypatch.setattr(
         plan_mod, "whole_streams",
-        lambda plan, funcs, store, workers: frozenset(pick[verdict](plan)),
+        lambda plan, funcs, store, workers: frozenset(
+            VERDICTS[verdict](plan)
+        ),
+    )
+
+
+def set_usable_cpus(monkeypatch, cpus=1):
+    """The verdict sees ``cpus`` CPUs in this process' affinity set."""
+    import os
+
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
 
 
@@ -993,6 +1013,13 @@ def assert_claims_contract(plan, claims):
     serial-elision run), with an acyclic quotient."""
     from repro.interp.fused import rectangles
 
+    if claims.whole == every_stream(plan):
+        # the per-plan verdict: the serial elision, one claim per stream,
+        # each waiting on the one before it (creation order is
+        # topological, so the chain orders every row edge)
+        assert claims.runs == plan.runs
+        assert claims.schedule == plan_mod.chain_schedule(len(plan.runs))
+        return
     sched = plan.schedule
     assert claims.whole <= candidate_streams(plan)
     stream_of = {t: k for k, run in enumerate(plan.runs) for t in run.rows}
@@ -1058,19 +1085,33 @@ def test_claims_are_exact_on_a_relaxed_plan(name):
 
 @pytest.mark.parametrize("name", ["histogram", "sumstencil"])
 def test_claims_are_exact_on_a_privatized_plan(name):
-    """Members are unchained and have no kernel: each is a claim of its
-    own."""
+    """Members are unchained and have no kernel: each exact claim is
+    one member row, and each member stream is a candidate.  The verdict
+    claims a member stream row by row or whole — its serial-elision
+    run, one ``call(tid)`` per row against the row's own private."""
     interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 8, parts=3)
     lowered = interp.exec_plan(pinfo, None, plan)
     per_row, _ = plan_mod.run_plan(
         interp, lowered, "threads", workers=1, collect_events=True
     )
     assert_claims_are_exact(interp, lowered, per_row)
-    members = [
-        run for run in lowered.claims[2].runs
-        if "remap" in lowered.rows[run.rows[0]].payload
-    ]
-    assert members and all(len(run.rows) == 1 for run in members)
+
+    def members(claims):
+        return [
+            run for run in claims.runs
+            if "remap" in lowered.rows[run.rows[0]].payload
+        ]
+
+    assert members(lowered.exact)
+    assert all(len(run.rows) == 1 for run in members(lowered.exact))
+    streams = members(lowered)  # the member streams' own runs
+    assert {lowered.runs.index(s) for s in streams} <= candidate_streams(
+        lowered
+    )
+    assert all(
+        len(run.rows) == 1 or run in streams
+        for run in members(lowered.claims[2])
+    )
 
 
 #: (kernel, N, coarsen, fuse) -> (edges, exact claims) of the unreduced
@@ -1143,14 +1184,71 @@ def test_claims_are_built_on_the_first_untraced_threads_replay(monkeypatch):
 # ----------------------------------------------------------------------
 # the whole-stream verdict
 # ----------------------------------------------------------------------
-def test_the_verdict_rule_on_injected_costs():
-    """Whole exactly where the claims cost more than ``workers`` union
-    calls; at or below that, per claim."""
-    costs = {0: (2.1, 1.0), 1: (2.0, 1.0), 2: (1.0, 1.0), 3: (5.0, 0.0)}
-    assert plan_mod.claimed_whole(costs, 2) == {0, 3}
-    assert plan_mod.claimed_whole(costs, 1) == {0, 1, 3}
-    assert plan_mod.claimed_whole(costs, 4) == {3}
+def is_a_verdict(plan, whole):
+    """``whole`` is what one of the two rules can answer: candidates
+    only, or every stream (the chain)."""
+    return whole <= candidate_streams(plan) or whole == every_stream(plan)
+
+
+def cpu_bound(*walls):
+    """Claims that run on a CPU all the time they take."""
+    return [plan_mod.Cost(w, w) for w in walls]
+
+
+def test_the_verdict_rule_on_injected_costs(monkeypatch):
+    """With as many usable CPUs as workers the per-stream rule is the
+    wall one — whole exactly where even ``workers``-way overlap of the
+    claims could not beat the union call, ties included — and the
+    longest claim bounds it too."""
+    set_usable_cpus(monkeypatch, cpus=4)
+    costs = {
+        0: (cpu_bound(0.7, 0.7, 0.7), 1.0),  # 2.1 over 2 workers: 1.05
+        1: (cpu_bound(0.5, 0.5, 0.5, 0.5), 1.0),  # 1.0: a tie is whole
+        2: (cpu_bound(0.6, 0.5), 1.0),
+        3: (cpu_bound(5.0), 0.0),
+        4: (cpu_bound(1.5, 0.1), 1.4),  # the longest claim alone: 1.5
+    }
+    assert plan_mod.claimed_whole(costs, 2) == {0, 1, 3, 4}
+    assert plan_mod.claimed_whole(costs, 1) == {0, 1, 2, 3, 4}
+    assert plan_mod.claimed_whole(costs, 4) == {3, 4}
     assert plan_mod.claimed_whole({}, 2) == frozenset()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_verdict_counts_usable_cpus_and_sees_blocking(monkeypatch, cpus):
+    """A claim's CPU share overlaps on the usable CPUs only, its blocked
+    share on every worker: at 2 workers, CPU-bound claims go whole on
+    one CPU and overlap on two, while blocked claims overlap on either.
+    The per-plan rule bounds the same costs by the critical path of
+    their schedule and compares them with the serial elision."""
+    from repro.tasking import Schedule
+
+    set_usable_cpus(monkeypatch, cpus)
+    assert plan_mod.usable_cpus(2) == cpus
+    assert plan_mod.usable_cpus(1) == 1
+    busy = cpu_bound(1.0, 1.0)
+    blocked = [plan_mod.Cost(1.0, 0.1), plan_mod.Cost(1.0, 0.1)]
+    costs = {0: (busy, 1.5), 1: (blocked, 1.5)}
+    assert plan_mod.claimed_whole(costs, 2) == ({0} if cpus == 1 else set())
+
+    # two independent claims, or the same two chained
+    wide = Schedule.from_preds([set(), set()])
+    chain = plan_mod.chain_schedule(2)
+    assert plan_mod.serial_wins(busy, wide, 1.5, 2) == (cpus == 1)
+    assert not plan_mod.serial_wins(blocked, wide, 1.5, 2)
+    assert plan_mod.serial_wins(blocked, chain, 1.5, 2)  # path: 2.0
+    assert plan_mod.serial_wins(busy, wide, 1.0, 2)
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    import os
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert plan_mod.usable_cpus(2) == 2
+    assert plan_mod.usable_cpus(8) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert plan_mod.usable_cpus(8) == 1
 
 
 def test_the_measurement_leaves_the_callers_store_untouched():
@@ -1163,41 +1261,77 @@ def test_the_measurement_leaves_the_callers_store_untouched():
     before = {name: view.data for name, view in store.arrays.items()}
     fresh = interp.new_store()
     whole = plan_mod.whole_streams(plan, interp.funcs, store, 2)
-    assert whole <= candidate_streams(plan) != set()
+    assert candidate_streams(plan) and is_a_verdict(plan, whole)
     assert {n: v.data for n, v in store.arrays.items()} == before
     assert fresh.equal(store)
 
 
-def test_a_blocking_stage_keeps_its_per_row_claims():
-    """A stage that sleeps 1 ms per call costs as much per claim as in
-    one union call, so its stream is never claimed whole: the replay
-    keeps its pipelining."""
+def test_a_blocking_stage_keeps_its_per_row_claims(monkeypatch):
+    """Stages that sleep 1 ms per call cost as much per claim as in one
+    union call, and a sleep overlaps on every worker: ``T``'s block
+    ``i`` with ``S``'s block ``i+1``.  So ``T`` is never claimed whole,
+    and no more is the plan — on one usable CPU as on two: the replay
+    keeps its pipelining, and starts its helper.  (With ``S`` free the
+    chained ``T`` blocks would be the critical path, as long as the
+    serial elision, and the plan would rightly go whole.)"""
     import time
 
-    def stage(a: float, b: float) -> float:
+    def stage(*args: float) -> float:
         time.sleep(1e-3)
-        return a + b
+        return sum(args)
 
     source = (
         "for(i=0; i<8; i++) S: A[i] = f(A[i]);\n"
         "for(i=0; i<8; i++) T: B[i] = g(A[i], B[i]);"
     )
-    interp, info = compile_for_exec(
-        source, "off", coarsen=1, funcs={"g": stage}
-    )
-    plan = interp.exec_plan(info)
-    blocking = next(
-        k for k, run in enumerate(plan.runs)
-        if plan.rows[run.rows.start].stream == "T"
-    )
-    assert blocking in candidate_streams(plan)
-    for _ in range(2):  # the second measures the verdict
-        out, stats = execute_measured(
-            interp, info, backend="threads", workers=2
+    for cpus in (1, 2):
+        set_usable_cpus(monkeypatch, cpus)
+        interp, info = compile_for_exec(
+            source, "off", coarsen=1, funcs={"f": stage, "g": stage}
         )
-        assert interp.oracle().equal(out)
-    assert blocking not in plan.claims[2].whole
-    assert stats.scheduler["claims"] > len(plan.runs)
+        plan = interp.exec_plan(info)
+        blocking = next(
+            k for k, run in enumerate(plan.runs)
+            if plan.rows[run.rows.start].stream == "T"
+        )
+        assert blocking in candidate_streams(plan)
+        for _ in range(3):  # the second measures the verdict
+            out, stats = execute_measured(
+                interp, info, backend="threads", workers=2
+            )
+            assert interp.oracle().equal(out)
+        assert blocking not in plan.claims[2].whole, cpus
+        assert stats.scheduler["claims"] > len(plan.runs)
+        assert stats.scheduler["helpers"] == 1
+
+
+@pytest.mark.parametrize("name", ["histogram", "sumstencil"])
+def test_a_cpu_bound_privatized_replay_on_one_cpu_starts_no_helper(
+    monkeypatch, name
+):
+    """Privatized members that compute on one usable CPU cannot overlap:
+    the verdict chains the whole plan, so every replay after it runs on
+    the calling thread, and the accumulators stay the per-row replay's
+    bit for bit."""
+    set_usable_cpus(monkeypatch)
+    interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 24, parts=2)
+    lowered = interp.exec_plan(pinfo, None, plan)
+    reference, _ = plan_mod.run_plan(
+        interp, lowered, "threads", workers=1, collect_events=True
+    )
+    for _ in range(2):  # the exact claims, then the measured verdict
+        execute_privatized(interp, pinfo, plan, backend="threads", workers=2)
+    assert candidate_streams(lowered)
+    assert lowered.claims[2].whole == every_stream(lowered)
+    started = Counter(monkeypatch, threading.Thread, "start")
+    for _ in range(3):
+        out, stats = execute_privatized(
+            interp, pinfo, plan, backend="threads", workers=2
+        )
+        assert reference.equal(out)
+        assert stats.scheduler["helpers"] == 0
+        assert stats.scheduler["claims"] == len(lowered.runs)
+    assert started.calls == 0
 
 
 def test_the_verdict_measures_a_plan_ending_in_an_empty_stream():
@@ -1214,7 +1348,7 @@ def test_the_verdict_measures_a_plan_ending_in_an_empty_stream():
     for _ in range(3):
         out, _ = execute_measured(interp, info, backend="threads", workers=2)
         assert interp.oracle().equal(out)
-    assert plan.claims[2].whole <= candidate_streams(plan)
+    assert is_a_verdict(plan, plan.claims[2].whole)
 
 
 def test_the_measured_span_reports_claims_and_whole(monkeypatch):
@@ -1233,14 +1367,15 @@ def test_the_measured_span_reports_claims_and_whole(monkeypatch):
     assert stats.scheduler["claims"] == measured.attrs["claims"]
 
 
-@pytest.mark.parametrize("verdict", ["none", "all"])
+@pytest.mark.parametrize("verdict", ["none", "all", "chain"])
 @pytest.mark.parametrize("coarsen", [1, 3])
 @pytest.mark.parametrize("name", PKERNELS)
 def test_forced_verdicts_are_the_oracle_on_pkernels(
     monkeypatch, name, coarsen, verdict
 ):
-    """Both verdict extremes replay bit-identically on threads and
-    processes, with or without the slice forms."""
+    """Both per-stream extremes and the per-plan chain replay
+    bit-identically on threads and processes, with or without the slice
+    forms."""
     pin_verdict(monkeypatch, verdict)
     for fuse in FUSE_MODES:
         interp, info = compile_for_exec(
@@ -1252,9 +1387,48 @@ def test_forced_verdicts_are_the_oracle_on_pkernels(
             interp, info, backend="processes", workers=2
         )
         assert interp.oracle().equal(out), fuse
-        forced = candidate_streams(plan) if verdict == "all" else set()
+        forced = VERDICTS[verdict](plan)
         assert plan.claims[2].whole == forced
         assert stats.scheduler["whole"] == len(forced)
+        if verdict == "chain":  # one claim per stream, one at a time
+            assert stats.scheduler["claims"] == len(plan.runs)
+            _, stats = execute_measured(
+                interp, info, backend="threads", workers=2
+            )
+            assert stats.scheduler["helpers"] == 0
+
+
+@pytest.mark.parametrize("verdict", ["none", "all", "chain"])
+@pytest.mark.parametrize("name", ["histogram", "sumstencil", "dotprod"])
+def test_forced_verdicts_are_the_oracle_on_privatized_plans(
+    monkeypatch, name, verdict
+):
+    """Member streams claimed row by row, whole, or the whole plan
+    chained: the accumulators are the per-row replay's bit for bit on
+    threads and processes, and a whole member stream waits for nothing
+    and is its join's predecessor."""
+    pin_verdict(monkeypatch, verdict)
+    source = (EXAMPLES / f"{name}.c").read_text()
+    interp, plan, pinfo = privatized_setup(source, 12, parts=3)
+    lowered = interp.exec_plan(pinfo, None, plan)
+    reference, _ = plan_mod.run_plan(
+        interp, lowered, "threads", workers=1, collect_events=True
+    )
+    assert privatized_matches(plan, interp.oracle(), reference)[0]
+    assert_claims_are_exact(interp, lowered, reference)
+    out, stats = execute_privatized(
+        interp, pinfo, plan, backend="processes", workers=2
+    )
+    assert reference.equal(out)
+    claims = lowered.claims[2]
+    assert claims.whole == VERDICTS[verdict](lowered)
+    assert stats.scheduler["whole"] == len(claims.whole)
+    if verdict == "all":
+        join = len(claims.runs) - 1
+        for c, run in enumerate(claims.runs[:-1]):
+            assert run in lowered.runs and run.kernel is None
+            assert claims.schedule.succs[c] == (join,)
+            assert claims.schedule.counts[c] == 0
 
 
 # ----------------------------------------------------------------------
@@ -1363,13 +1537,14 @@ class TestReplayBitIdentity:
                 assert stats.dispatch_modes["T"] == "interp"
                 assert oracle.equal(out), (fuse, backend)
 
-    @pytest.mark.parametrize("verdict", ["none", "all"])
+    @pytest.mark.parametrize("verdict", ["none", "all", "chain"])
     @pytest.mark.parametrize("code", sorted(REFUSED_SHAPES))
     def test_refused_shape_under_forced_verdicts(
         self, monkeypatch, code, verdict
     ):
-        """Both verdict extremes replay loop-only kernels bit-identically
-        on threads and processes, in both fuse modes."""
+        """Both per-stream extremes and the per-plan chain replay
+        loop-only kernels bit-identically on threads and processes, in
+        both fuse modes."""
         pin_verdict(monkeypatch, verdict)
         oracle = refused_shape_oracle(code)
         for fuse in ("auto", "off"):
@@ -1378,7 +1553,7 @@ class TestReplayBitIdentity:
                 out, stats = refused_shape_replay(interp, info, plan, backend)
                 assert oracle.equal(out), (fuse, backend)
             lowered = interp.exec_plan(info, None, plan)
-            forced = candidate_streams(lowered) if verdict == "all" else set()
+            forced = VERDICTS[verdict](lowered)
             assert lowered.claims[2].whole == forced
             assert stats.scheduler["whole"] == len(forced)
 

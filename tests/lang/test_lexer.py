@@ -45,6 +45,14 @@ class TestTokens:
             TokenKind.GE,
         ]
 
+    def test_every_assignment_operator_is_one_token(self):
+        from repro.lang.tokens import ASSIGN_OPS
+
+        for op in ASSIGN_OPS:
+            assert kinds(f"x{op}y") == [
+                TokenKind.IDENT, TokenKind(op), TokenKind.IDENT,
+            ], op
+
     def test_one_char_operators(self):
         assert kinds("( ) [ ] { } ; : , = + - * / % < >") == [
             TokenKind.LPAREN, TokenKind.RPAREN, TokenKind.LBRACKET,

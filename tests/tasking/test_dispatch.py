@@ -251,6 +251,22 @@ class TestFailures:
         assert threading.active_count() == before
         assert not {3, 4} & set(ran)  # transitive dependents never ran
 
+    def test_a_failure_in_a_chain_stops_it_on_the_caller(self):
+        """An untraced width-1 run takes no lock: a failing task raises
+        straight out of the caller's walk, and nothing after it runs."""
+        ran = []
+
+        def body(tid):
+            if tid == 3:
+                raise RuntimeError("stage failed")
+            ran.append(tid)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="stage failed"):
+            run_threads(chain(8), body, 2, name_of)
+        assert ran == [0, 1, 2]
+        assert threading.active_count() == before
+
     def test_cycle_is_reported_as_a_stall_not_a_hang(self):
         # 1 and 2 wait on each other; only the root can ever run
         sched = Schedule(
