@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench ledger ledger-pair crossover sched-overhead traffic report examples lint analyze-examples analyze-portfolio profile-examples clean
+.PHONY: install test bench ledger ledger-pair crossover sched-overhead traffic regen report examples lint analyze-examples analyze-portfolio profile-examples clean
 
 # Kernel sources checked by `make lint` / `make analyze-examples`; every
 # parameter any of them references must appear in LINT_PARAMS.
@@ -56,10 +56,10 @@ sched-overhead:
 	$(PYTHON) tools/sched_overhead.py
 
 # Which functions of src/repro the product actually enters: every
-# subcommand and `run` flag, the serve smoke, the examples, the tools and
-# the four ledger workloads under a profile hook installed in every child
-# process; prints lines-in-uncalled-functions per module (~3 min; sizes
-# the next deletion).  Asserts nothing.
+# subcommand and `run` flag, the serve smoke, the examples, the tools, the
+# benchmarks/ regenerators and the four ledger workloads under a profile
+# hook installed in every child process; prints lines-in-uncalled-functions
+# per module (~3 min; sizes the next deletion).  Asserts nothing.
 traffic:
 	$(PYTHON) tools/traffic_trace.py --out traffic.txt
 

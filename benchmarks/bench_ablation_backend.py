@@ -2,8 +2,9 @@
 
 DESIGN.md §5 calls out the choice of running the pipeline algebra on
 explicit NumPy relations.  This benchmark prices that decision against the
-brute-force per-point oracle of :mod:`repro.pipeline.reference` on growing
-problem sizes, and asserts the two agree.
+brute-force per-point oracle the tests cross-check against
+(``tests/conftest.py``) on growing problem sizes, and asserts the two
+agree.
 """
 
 from __future__ import annotations
@@ -11,11 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import build_scop
-from repro.pipeline import (
-    compute_pipeline_map,
-    pipeline_pairs_bruteforce,
-    pipeline_relation_as_dict,
-)
+from repro.pipeline import compute_pipeline_map
+from tests.conftest import pipeline_pairs_bruteforce, pipeline_relation_as_dict
 
 KERNEL = """
 for(i=0; i<{n}; i++)

@@ -48,7 +48,6 @@ from .privatize import (
 from .reduction import (
     ReductionGroup,
     ReductionSpec,
-    accumulator_like,
     find_reduction_specs,
     reduction_update_spec,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ReductionGroup",
     "ReductionSpec",
     "RemovedDependence",
-    "accumulator_like",
     "build_pair_proof",
     "compatible_specs",
     "detect_nest_patterns",

@@ -87,22 +87,6 @@ class PortfolioReport:
     def proofs(self) -> tuple[PrivatizationProof, ...]:
         return tuple(p.proof for p in self.pairs if p.proof is not None)
 
-    def relaxed_map(self) -> dict[PairKey, Any]:
-        """Verified relaxable dependences, ready for ``check_legality``.
-
-        Only proofs that passed re-verification contribute — an
-        unverified proof must never reach a scheduler.
-        """
-        out: dict[PairKey, Any] = {}
-        for pair in self.pairs:
-            if (
-                pair.proof is not None
-                and pair.verification is not None
-                and pair.verification.ok
-            ):
-                out.update(pair.proof.relaxed_map())
-        return out
-
     def reclassified_pairs(self) -> tuple[PairPortfolio, ...]:
         return tuple(p for p in self.pairs if p.reclassified)
 

@@ -160,20 +160,6 @@ def find_reduction_specs(program_or_statements) -> dict[str, ReductionSpec]:
     return out
 
 
-def accumulator_like(assign: Assign) -> bool:
-    """True when the statement *touches* its target like an accumulator.
-
-    Matches both genuine reductions and the near-misses (``T = e - T``,
-    ``/=``): any statement whose update reads its own written cell.
-    Used to explain *why* a rejected update is not relaxable.
-    """
-    if assign.op != "=":
-        return True
-    return any(
-        _is_same_access(e, assign.target) for e in expr_reads(assign.value)
-    )
-
-
 # ----------------------------------------------------------------------
 def _is_same_access(expr: Expr, target: ArrayAccess) -> bool:
     """Structural equality against the write access (same array, same

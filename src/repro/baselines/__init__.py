@@ -1,22 +1,13 @@
 """Comparator implementations: sequential and Polly/Pluto-like baselines."""
 
-from .polly import PollyDecision, polly_decisions, polly_speedup, polly_task_graph
-from .sequential import (
-    IterCost,
-    nest_costs,
-    sequential_task_graph,
-    sequential_time,
-    uniform_cost,
-)
+from .polly import PollyDecision, polly_decisions, polly_task_graph
+from .sequential import IterCost, nest_costs, sequential_time
 
 __all__ = [
     "IterCost",
     "PollyDecision",
     "nest_costs",
     "polly_decisions",
-    "polly_speedup",
     "polly_task_graph",
-    "sequential_task_graph",
     "sequential_time",
-    "uniform_cost",
 ]

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..scop import Scop, parallel_levels
 from ..tasking import TaskGraph
-from .sequential import IterCost, uniform_cost
+from .sequential import IterCost
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class PollyDecision:
 
 
 def polly_decisions(
-    scop: Scop, cost_of_iters: IterCost = uniform_cost
+    scop: Scop, cost_of_iters: IterCost
 ) -> list[PollyDecision]:
     """Per-nest parallelization decisions (outermost parallel level wins)."""
     nests = sorted({s.nest_index for s in scop.statements})
@@ -57,7 +55,7 @@ def polly_decisions(
 def polly_task_graph(
     scop: Scop,
     threads: int,
-    cost_of_iters: IterCost = uniform_cost,
+    cost_of_iters: IterCost,
 ) -> TaskGraph:
     """Task graph of the Polly-parallelized program.
 
@@ -92,18 +90,3 @@ def polly_task_graph(
                 graph.add_edge(p, c)
         prev_tasks = current
     return graph
-
-
-def polly_speedup(
-    scop: Scop,
-    threads: int,
-    cost_of_iters: IterCost = uniform_cost,
-    overhead: float = 0.0,
-) -> float:
-    """Simulated speed-up of the Polly baseline over sequential execution."""
-    from ..tasking import simulate
-    from .sequential import sequential_time
-
-    graph = polly_task_graph(scop, threads, cost_of_iters)
-    sim = simulate(graph, workers=threads, overhead=overhead)
-    return sequential_time(scop, cost_of_iters) / sim.makespan

@@ -1,4 +1,4 @@
-"""Sequential baseline: the untransformed program as one task chain."""
+"""Sequential baseline: the untransformed program's running time."""
 
 from __future__ import annotations
 
@@ -7,18 +7,11 @@ from typing import Callable
 import numpy as np
 
 from ..scop import Scop
-from ..tasking import TaskGraph
 
 IterCost = Callable[[str, np.ndarray], np.ndarray]
 
 
-def uniform_cost(statement: str, iters: np.ndarray) -> np.ndarray:
-    """One abstract time unit per iteration."""
-    del statement
-    return np.ones(iters.shape[0])
-
-
-def nest_costs(scop: Scop, cost_of_iters: IterCost = uniform_cost) -> dict[int, float]:
+def nest_costs(scop: Scop, cost_of_iters: IterCost) -> dict[int, float]:
     """Total cost per loop nest under a per-iteration cost model."""
     totals: dict[int, float] = {}
     for stmt in scop.statements:
@@ -27,22 +20,6 @@ def nest_costs(scop: Scop, cost_of_iters: IterCost = uniform_cost) -> dict[int, 
     return totals
 
 
-def sequential_task_graph(
-    scop: Scop, cost_of_iters: IterCost = uniform_cost
-) -> TaskGraph:
-    """One task per nest, chained — models the original serial execution."""
-    graph = TaskGraph()
-    prev: int | None = None
-    for nest, cost in sorted(nest_costs(scop, cost_of_iters).items()):
-        tid = graph.add_task(statement=f"nest{nest}", block_id=0, cost=cost)
-        if prev is not None:
-            graph.add_edge(prev, tid)
-        prev = tid
-    return graph
-
-
-def sequential_time(
-    scop: Scop, cost_of_iters: IterCost = uniform_cost
-) -> float:
+def sequential_time(scop: Scop, cost_of_iters: IterCost) -> float:
     """Total serial running time of the program."""
     return float(sum(nest_costs(scop, cost_of_iters).values()))

@@ -33,7 +33,7 @@ from .harness import (
     run_polly,
     run_sequential,
 )
-from .report import ascii_timeline, strategy_table, worker_timeline
+from .report import ascii_timeline
 from .table9 import format_table9, kernel_structure
 from .trace import (
     trace_events,
@@ -75,10 +75,8 @@ __all__ = [
     "run_pipeline",
     "run_polly",
     "run_sequential",
-    "strategy_table",
     "trace_events",
     "trace_json",
     "validate_trace_document",
-    "worker_timeline",
     "write_trace",
 ]

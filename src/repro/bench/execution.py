@@ -4,15 +4,9 @@ Everything else in :mod:`repro.bench` *simulates* schedules on abstract
 cost units; this module runs the lowered task programs and times them.
 It holds what the evaluation needs and nothing more:
 
-* :func:`measured_speedup` — the ``--measured`` column of Figures 10/11:
-  pipelined threads replay over the best *serial* replay of the same
-  lowered plan;
-* :func:`blocking_compute` / :func:`histogram_latency_source` — the
-  *latency-bound* stage: an opaque statement body that blocks per call
-  (the paper's expensive prime-search kernel, or any I/O /
-  external-library call).  Such a call is not elementwise, so the fuser
-  refuses it and a sequential run pays the full latency serially, while
-  the pipeline backends overlap blocked tasks even on one core.
+:func:`measured_speedup` is the ``--measured`` column of Figures 10/11:
+pipelined threads replay over the best *serial* replay of the same
+lowered plan.
 
 Wall-clock *performance* is not measured here: the ledger
 (``ledger/run.py``, paired by ``tools/ledger_pair.py``) owns it.
@@ -20,27 +14,10 @@ Wall-clock *performance* is not measured here: the ledger
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Mapping
 
 from ..interp import Interpreter, execute_measured
-from ..interp.interp import _mix
 from ..pipeline import detect_pipeline
-
-#: Seconds each opaque call blocks in the latency-bound workload.
-LATENCY_S = 0.002
-
-
-def blocking_compute(*args: float) -> float:
-    """Opaque statement body that *blocks* per call.
-
-    Deliberately not marked elementwise: the fuser must refuse it
-    (calling it once per block would change semantics from once per
-    iteration), so every sequential path pays the latency serially.
-    Module-level, hence picklable for the process backend.
-    """
-    time.sleep(LATENCY_S)
-    return _mix(*args)
 
 
 def _best_replay(interp, info, backend: str, workers: int, repeats: int):
@@ -54,15 +31,6 @@ def _best_replay(interp, info, backend: str, workers: int, repeats: int):
         if best is None or stats.wall_time < best.wall_time:
             best = stats
     return best, store
-
-
-def histogram_latency_source(_n: int) -> str:
-    return (
-        "for(i=0; i<N; i++)\n"
-        "  S: H[i] += compute(A[i]);\n"
-        "for(i=0; i<N; i++)\n"
-        "  R: H[N-1-i] += compute(B[i]);\n"
-    )
 
 
 #: The line ``figure10/11 --measured`` print under their table: what is

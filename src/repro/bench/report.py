@@ -1,15 +1,13 @@
-"""Human-readable reports: ASCII timelines and comparison tables.
+"""Human-readable reports: ASCII timelines.
 
 The paper visualizes pipelined execution as per-statement timelines
 (Figures 2 and 5).  :func:`ascii_timeline` renders a simulated schedule the
-same way; :func:`strategy_table` formats multi-strategy speed-up
-comparisons like the evaluation section's discussions.
+same way.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Mapping
 
 from ..tasking import SimResult, TaskGraph
 
@@ -46,51 +44,3 @@ def ascii_timeline(graph: TaskGraph, sim: SimResult, width: int = 72) -> str:
     scale = f"{' ' * label_w}  0{' ' * (width - len(f'{span:g}') - 1)}{span:g}"
     return "\n".join(lines + [scale])
 
-
-def worker_timeline(graph: TaskGraph, sim: SimResult, width: int = 72) -> str:
-    """One row per worker, showing occupancy."""
-    span = sim.makespan
-    if span <= 0:
-        return "(empty schedule)"
-    rows = []
-    for w in range(sim.workers):
-        cells = [" "] * width
-        for task in graph.tasks:
-            if sim.worker[task.task_id] != w:
-                continue
-            s = float(sim.start[task.task_id])
-            f = float(sim.finish[task.task_id])
-            lo = int(s / span * (width - 1))
-            hi = max(lo, int(f / span * (width - 1)))
-            for k in range(lo, hi + 1):
-                cells[k] = "#"
-        rows.append(f"w{w:<3} |{''.join(cells)}|")
-    return "\n".join(rows)
-
-
-def strategy_table(
-    speedups: Mapping[str, Mapping[str, float]],
-    strategies: list[str] | None = None,
-) -> str:
-    """Kernels × strategies speed-up table.
-
-    ``speedups[kernel][strategy] -> value``; kernels appear in insertion
-    order, strategies in the given order (default: union, first-seen).
-    """
-    if not speedups:
-        return "(no results)"
-    if strategies is None:
-        strategies = []
-        for per_kernel in speedups.values():
-            for s in per_kernel:
-                if s not in strategies:
-                    strategies.append(s)
-    kernel_w = max(len(k) for k in speedups) + 2
-    header = " " * kernel_w + "".join(f"{s:>12}" for s in strategies)
-    lines = [header]
-    for kernel, per_kernel in speedups.items():
-        cells = "".join(
-            f"{per_kernel.get(s, float('nan')):>12.2f}" for s in strategies
-        )
-        lines.append(f"{kernel:<{kernel_w}}{cells}")
-    return "\n".join(lines)

@@ -43,8 +43,7 @@ Commands
     store, identical in-flight compiles deduplicated through per-key
     futures (see ``docs/serving.md``).  Telemetry is on by default:
     ``--request-log PATH`` (rotating JSONL), ``--trace-dir DIR``
-    (one Perfetto trace per request), ``--http-port P`` (Prometheus
-    ``GET /metrics``), ``--no-telemetry`` to disable.
+    (one Perfetto trace per request), ``--no-telemetry`` to disable.
 ``top --port P [--host H] [--interval S] [--once]``
     Terminal live monitor for a running serve instance: request/error
     rates, latency p50/p95/p99 per verb and cache status, cache mix,
@@ -537,7 +536,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 telemetry=not args.no_telemetry,
                 log_path=args.request_log,
                 trace_dir=args.trace_dir,
-                http_port=args.http_port,
             )
         )
     except KeyboardInterrupt:
@@ -823,11 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-dir", default=None, metavar="DIR",
         help="write one Perfetto trace per request into DIR",
-    )
-    p.add_argument(
-        "--http-port", type=int, default=None, metavar="PORT",
-        help="also answer GET /metrics (Prometheus text), /health and "
-        "/requests over plain HTTP on this port (0 = ephemeral)",
     )
     p.set_defaults(fn=cmd_serve)
 

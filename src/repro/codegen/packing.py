@@ -90,24 +90,3 @@ class VectorPacker:
                 raise ValueError(f"coordinate {v} outside packer range")
             code = code * r + digit
         return code
-
-    def unpack(self, code: int) -> tuple[int, ...]:
-        """Integer → vector (inverse of :meth:`pack`)."""
-        if not 0 <= code < self.capacity:
-            raise ValueError(f"code {code} outside packer capacity")
-        digits: list[int] = []
-        for r in reversed(self.ranges):
-            digits.append(code % r)
-            code //= r
-        return tuple(d + lo for d, lo in zip(reversed(digits), self.mins))
-
-    def pack_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`pack` over an ``(n, ndim)`` array."""
-        rows = np.asarray(rows, dtype=np.int64)
-        codes = np.zeros(rows.shape[0], dtype=np.int64)
-        for k in range(self.ndim):
-            digit = rows[:, k] - self.mins[k]
-            if np.any((digit < 0) | (digit >= self.ranges[k])):
-                raise ValueError("row coordinate outside packer range")
-            codes = codes * self.ranges[k] + digit
-        return codes

@@ -281,12 +281,3 @@ class Interpreter:
         statement): the statement's kernel over the block's rectangles,
         in lexicographic order."""
         self.fused_program.get(statement)(store, self.funcs, iterations)
-
-    def execute_blocks_in_order(
-        self, store: ArrayStore, blocks: list
-    ) -> ArrayStore:
-        """Execute :class:`~repro.schedule.astgen.TaskBlock` items in the
-        given order — used to validate topological orders of the task graph."""
-        for block in blocks:
-            self.run_block(store, block.statement, block.iterations)
-        return store

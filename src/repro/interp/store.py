@@ -42,17 +42,6 @@ class ArrayView:
     data: np.ndarray
     offsets: tuple[int, ...]
 
-    def __getitem__(self, idx: tuple[int, ...]) -> float:
-        return self.data[self._shift(idx)]
-
-    def __setitem__(self, idx: tuple[int, ...], value: float) -> None:
-        self.data[self._shift(idx)] = value
-
-    def _shift(self, idx: tuple[int, ...]) -> tuple[int, ...]:
-        if not isinstance(idx, tuple):
-            idx = (idx,)
-        return tuple(i - o for i, o in zip(idx, self.offsets))
-
 
 class ArrayStore:
     """All arrays of one kernel execution."""
@@ -85,9 +74,6 @@ class ArrayStore:
                 raise ValueError(f"unknown init {init!r}")
             arrays[name] = ArrayView(name, data, offsets)
         return ArrayStore(arrays)
-
-    def __getitem__(self, name: str) -> ArrayView:
-        return self.arrays[name]
 
     @property
     def nbytes(self) -> int:

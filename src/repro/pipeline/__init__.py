@@ -11,9 +11,6 @@
 from .blocking import (
     Blocking,
     blocking_from_ends,
-    combine_blockings,
-    pointwise_lexmin,
-    source_blocking,
     target_blocking,
 )
 from .dependencies import BlockDependency, block_dependency, out_dependency
@@ -27,15 +24,9 @@ from .detect import (
 from .patterns import (
     NoPatternError,
     QuasiAffineForm,
-    consistent_across_sizes,
     describe_pipeline_map,
     infer_quasi_affine,
     infer_relation_pattern,
-)
-from .reference import (
-    blocking_bruteforce,
-    pipeline_pairs_bruteforce,
-    pipeline_relation_as_dict,
 )
 from .pipeline_map import (
     PipelineMap,
@@ -53,11 +44,8 @@ __all__ = [
     "QuasiAffineForm",
     "UncoveredDependenceError",
     "block_dependency",
-    "blocking_bruteforce",
     "blocking_from_ends",
-    "combine_blockings",
     "compute_pipeline_map",
-    "consistent_across_sizes",
     "derive_dependencies",
     "describe_pipeline_map",
     "detect_pipeline",
@@ -65,11 +53,7 @@ __all__ = [
     "infer_quasi_affine",
     "infer_relation_pattern",
     "out_dependency",
-    "pipeline_pairs_bruteforce",
-    "pipeline_relation_as_dict",
-    "pointwise_lexmin",
     "prefix_lexmax",
     "raw_dependence_map",
-    "source_blocking",
     "target_blocking",
 ]

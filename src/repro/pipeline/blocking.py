@@ -10,8 +10,9 @@ lexicographic maximum (the paper's left-over rule).
 Equation 3 combines all blocking maps of one statement by a pointwise
 ``lexmin``; because each blocking map sends ``x`` to the smallest end
 ``>= x`` of its own end set, the pointwise minimum equals blocking by the
-*union* of all end sets — which is how :func:`combine_blockings` computes
-it (and what the property tests verify against the literal definition).
+*union* of all end sets — which is how :func:`blocking_from_end_sets`
+computes it (and what the property tests verify against the literal
+definition).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..presburger import PointRelation, PointSet, joint_ranks, lex_ranks
+from ..presburger import PointRelation, PointSet, joint_ranks
 from .pipeline_map import PipelineMap
 
 
@@ -46,14 +47,6 @@ class Blocking:
     def num_blocks(self) -> int:
         return len(self.ends)
 
-    @cached_property
-    def block_index(self) -> dict[tuple[int, ...], int]:
-        """Block end tuple -> dense block id in execution order."""
-        return {
-            tuple(int(v) for v in row): k
-            for k, row in enumerate(self.ends.points)
-        }
-
     def block_of_rows(self, iters: np.ndarray) -> np.ndarray:
         """Dense block ids for an array of iterations of this statement.
 
@@ -71,12 +64,6 @@ class Blocking:
         end_keys, end_queries = joint_ranks(self.ends.points, ends)
         return np.searchsorted(end_keys, end_queries)
 
-    def iterations_of_block(self, block_id: int) -> np.ndarray:
-        """All iterations belonging to one block, in lexicographic order."""
-        end = self.ends.points[block_id]
-        mask = np.all(self.mapping.out_part == end, axis=1)
-        return self.mapping.in_part[mask]
-
     def grouped_iterations(self) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, bounds)``: every iteration grouped by block (one
         vectorized grouping, lexicographic order inside each block), block
@@ -86,22 +73,6 @@ class Blocking:
         order = np.argsort(ids, kind="stable")  # keeps lex order per block
         bounds = np.searchsorted(ids[order], np.arange(self.num_blocks + 1))
         return self.mapping.in_part[order], bounds
-
-    def iterations_by_block(self) -> list[np.ndarray]:
-        """Iterations of every block at once: ``grouped_iterations``
-        split per block, equal to ``[iterations_of_block(k) for k in
-        range(num_blocks)]`` but linear instead of quadratic."""
-        rows, bounds = self.grouped_iterations()
-        return [
-            rows[bounds[k] : bounds[k + 1]] for k in range(self.num_blocks)
-        ]
-
-    def block_sizes(self) -> np.ndarray:
-        """Number of iterations in each block, in execution order."""
-        _, ranks = np.unique(
-            lex_ranks(self.mapping.out_part), return_inverse=True
-        )
-        return np.bincount(ranks, minlength=self.num_blocks)
 
     def coarsened(self, factor: int) -> "Blocking":
         """Merge every ``factor`` consecutive blocks into one.
@@ -172,32 +143,11 @@ def blocking_from_ends(
     return Blocking(statement, mapping)
 
 
-def source_blocking(
-    statement: str, domain: PointSet, pmap: PipelineMap
-) -> Blocking:
-    """Blocking of the *source* statement of a pipeline map (ends = Dom T)."""
-    return blocking_from_ends(statement, domain, pmap.relation.domain())
-
-
 def target_blocking(
     statement: str, domain: PointSet, pmap: PipelineMap
 ) -> Blocking:
     """Blocking of the *target* statement of a pipeline map (ends = Range T)."""
     return blocking_from_ends(statement, domain, pmap.relation.range())
-
-
-def combine_blockings(
-    statement: str, domain: PointSet, blockings: list[Blocking]
-) -> Blocking:
-    """Equation 3: the pointwise-lexmin refinement of several blockings.
-
-    Implemented as blocking by the union of all end sets, which equals the
-    pointwise ``lexmin`` of the individual maps (each maps ``x`` to its
-    smallest own end ``>= x``).
-    """
-    return blocking_from_end_sets(
-        statement, domain, [b.ends for b in blockings]
-    )
 
 
 def blocking_from_end_sets(
@@ -213,19 +163,3 @@ def blocking_from_end_sets(
     for more in end_sets[1:]:
         ends = ends.union(more)
     return blocking_from_ends(statement, domain, ends)
-
-
-def pointwise_lexmin(
-    statement: str, blockings: list[Blocking]
-) -> Blocking:
-    """Literal Equation 3: per-iteration lexmin across blocking maps.
-
-    Quadratic-free reference implementation used to cross-check
-    :func:`combine_blockings` in the test-suite.
-    """
-    if not blockings:
-        raise ValueError("need at least one blocking map")
-    union = blockings[0].mapping
-    for b in blockings[1:]:
-        union = union.union(b.mapping)
-    return Blocking(statement, union.lexmin_per_domain())

@@ -152,24 +152,3 @@ def describe_pipeline_map(
         + " }"
     )
 
-
-def consistent_across_sizes(
-    make_relation, sizes: list[int], max_denom: int = 8
-) -> bool:
-    """True when ``make_relation(size)`` fits one pattern for all sizes.
-
-    A practical check that the instantiated analysis has a size-independent
-    (parametric) shape: infer the pattern at the smallest size, then verify
-    it reproduces every larger instance exactly.
-    """
-    if not sizes:
-        raise ValueError("need at least one size")
-    rels = [make_relation(size) for size in sorted(sizes)]
-    forms = infer_relation_pattern(rels[0], max_denom)
-    for rel in rels[1:]:
-        for k, form in enumerate(forms):
-            if not np.array_equal(
-                form.evaluate_rows(rel.in_part), rel.out_part[:, k]
-            ):
-                return False
-    return True

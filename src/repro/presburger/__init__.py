@@ -39,11 +39,10 @@ from .explicit import (
     joint_ranks,
     lex_ranks,
     lexsorted_rows,
-    rowwise_lex_le,
     rowwise_lex_lt,
     unique_rows,
 )
-from .space import Space, anonymous
+from .space import Space
 
 __all__ = [
     "AffineExpr",
@@ -62,12 +61,10 @@ __all__ = [
     "PointSet",
     "Space",
     "UnboundedSetError",
-    "anonymous",
     "enumerate_basic_set",
     "joint_ranks",
     "lex_ranks",
     "lexsorted_rows",
-    "rowwise_lex_le",
     "rowwise_lex_lt",
     "to_point_set",
     "unique_rows",

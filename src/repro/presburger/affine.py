@@ -110,27 +110,6 @@ class AffineExpr:
     # ------------------------------------------------------------------
     # evaluation / lowering
     # ------------------------------------------------------------------
-    def substitute(self, bindings: Mapping[str, "AffineExpr | int"]) -> "AffineExpr":
-        """Replace variables by integers or other affine expressions."""
-        out = AffineExpr.constant(self.const)
-        for k, v in self.coeffs:
-            if k in bindings:
-                repl = bindings[k]
-                if isinstance(repl, int):
-                    out = out + v * repl
-                else:
-                    out = out + repl * v
-            else:
-                out = out + AffineExpr(((k, v),), 0)
-        return out
-
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        """Exact value of the expression under a full variable binding."""
-        total = self.const
-        for k, v in self.coeffs:
-            total += v * env[k]
-        return total
-
     def vector(self, space: Space) -> tuple[list[int], int]:
         """Coefficient vector aligned with ``space.dims`` plus constant.
 

@@ -14,7 +14,6 @@ algebra runs on the tabulation (:mod:`repro.presburger.explicit`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from . import cache
 from .constraint import Constraint
@@ -60,31 +59,6 @@ class BasicSet:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def universe(space: Space) -> "BasicSet":
-        return BasicSet(space)
-
-    @staticmethod
-    def empty(space: Space) -> "BasicSet":
-        false = Constraint.ge((0,) * space.ndim, -1)
-        return BasicSet(space, (false,))
-
-    @staticmethod
-    def from_box(space: Space, bounds: Sequence[tuple[int, int]]) -> "BasicSet":
-        """The box ``lo_k <= x_k <= hi_k`` (inclusive)."""
-        if len(bounds) != space.ndim:
-            raise ValueError("one (lo, hi) pair per dimension required")
-        cons: list[Constraint] = []
-        n = space.ndim
-        for k, (lo, hi) in enumerate(bounds):
-            unit = [0] * n
-            unit[k] = 1
-            cons.append(Constraint.ge(tuple(unit), -lo))
-            unit2 = [0] * n
-            unit2[k] = -1
-            cons.append(Constraint.ge(tuple(unit2), hi))
-        return BasicSet(space, tuple(cons))
-
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -95,25 +69,6 @@ class BasicSet:
     @property
     def ncols(self) -> int:
         return self.space.ndim + self.n_div
-
-    def with_constraints(self, extra: Iterable[Constraint]) -> "BasicSet":
-        extra = tuple(c.padded(self.ncols) for c in extra)
-        return BasicSet(self.space, self.constraints + extra, self.n_div)
-
-    def contains(self, point: Sequence[int]) -> bool:
-        """Membership test by evaluating the constraints; with divs, by
-        scanning the (bounded) div columns under ``dims == point``."""
-        if len(point) != self.ndim:
-            raise ValueError("point arity mismatch")
-        if self.n_div == 0:
-            return all(c.satisfied(point) for c in self.constraints)
-        from .enumeration import enumerate_basic_set
-
-        pinned = [
-            Constraint.eq([int(k == col) for k in range(self.ndim)], -int(val))
-            for col, val in enumerate(point)
-        ]
-        return len(enumerate_basic_set(self.with_constraints(pinned))) > 0
 
     def __str__(self) -> str:
         body = " and ".join(str(c) for c in self.constraints) or "true"

@@ -60,10 +60,6 @@ class Constraint:
     def ge(coeffs: Sequence[int], const: int) -> "Constraint":
         return Constraint(tuple(int(c) for c in coeffs), int(const), Kind.GE)
 
-    @staticmethod
-    def eq(coeffs: Sequence[int], const: int) -> "Constraint":
-        return Constraint(tuple(int(c) for c in coeffs), int(const), Kind.EQ)
-
     # ------------------------------------------------------------------
     @property
     def ncols(self) -> int:
@@ -80,10 +76,6 @@ class Constraint:
         if any(self.coeffs):
             return False
         return self.const != 0 if self.kind is Kind.EQ else self.const < 0
-
-    def satisfied(self, point: Sequence[int]) -> bool:
-        value = self.const + sum(c * x for c, x in zip(self.coeffs, point))
-        return value == 0 if self.kind is Kind.EQ else value >= 0
 
     # ------------------------------------------------------------------
     def padded(self, ncols: int) -> "Constraint":
@@ -131,14 +123,6 @@ class Constraint:
             )
         return Constraint(
             tuple(c // g for c in self.coeffs), self.const // g, Kind.GE
-        )
-
-    def negated_ge(self) -> "Constraint":
-        """Integer negation of an inequality: ``not (e >= 0)`` is ``-e-1 >= 0``."""
-        if self.kind is Kind.EQ:
-            raise ValueError("cannot negate an equality into a single constraint")
-        return Constraint(
-            tuple(-c for c in self.coeffs), -self.const - 1, Kind.GE
         )
 
     def __str__(self) -> str:

@@ -146,12 +146,6 @@ def rowwise_lex_lt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return result
 
 
-def rowwise_lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise ``a[k] <=lex b[k]`` over two equal-shaped row arrays."""
-    equal = np.all(a == b, axis=1)
-    return rowwise_lex_lt(a, b) | equal
-
-
 # ----------------------------------------------------------------------
 @cache.register_internable
 @dataclass(frozen=True)
@@ -258,16 +252,6 @@ class PointSet:
             return False
         row = np.asarray(point, dtype=np.int64)
         return bool(np.any(np.all(self.points == row, axis=1)))
-
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready form (``ndim`` kept so empty sets round-trip)."""
-        return {"ndim": self.ndim, "points": self.points.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "PointSet":
-        points = np.asarray(d["points"], dtype=np.int64)
-        return PointSet(points.reshape(-1, int(d["ndim"])))
 
     # -- lexicographic queries -------------------------------------------
     def lexmin(self) -> tuple[int, ...]:
@@ -521,24 +505,6 @@ class PointRelation:
         )
         return PointRelation(pairs, left.n_in)
 
-    def apply(self, s: PointSet) -> PointSet:
-        """Image of ``s`` under the relation."""
-        if s.ndim != self.n_in:
-            raise ValueError("set arity does not match relation input")
-        if self.is_empty() or s.is_empty():
-            cache.count_trivial("PointRelation.apply")
-            return PointSet.empty(self.n_out)
-        return cache.memoized(
-            "PointRelation.apply",
-            lambda: self._apply(s),
-            self,
-            s,
-        )
-
-    def _apply(self, s: PointSet) -> PointSet:
-        mine, theirs = joint_ranks(self.in_part, s.points)
-        return PointSet(self.out_part[np.isin(mine, theirs)])
-
     def restrict_domain(self, s: PointSet) -> "PointRelation":
         if self.is_empty() or s.is_empty():
             cache.count_trivial("PointRelation.restrict_domain")
@@ -546,17 +512,6 @@ class PointRelation:
         return cache.memoized(
             "PointRelation.restrict_domain",
             lambda: self._restricted(self.in_part, s),
-            self,
-            s,
-        )
-
-    def restrict_range(self, s: PointSet) -> "PointRelation":
-        if self.is_empty() or s.is_empty():
-            cache.count_trivial("PointRelation.restrict_range")
-            return PointRelation.empty(self.n_in, self.n_out)
-        return cache.memoized(
-            "PointRelation.restrict_range",
-            lambda: self._restricted(self.out_part, s),
             self,
             s,
         )
@@ -569,36 +524,17 @@ class PointRelation:
     def lexmax_per_domain(self) -> "PointRelation":
         """Keep, for each input tuple, the lexicographically largest output."""
         return cache.memoized(
-            "PointRelation.lexmax_per_domain",
-            lambda: self._lexopt_per_domain(keep_last=True),
-            self,
+            "PointRelation.lexmax_per_domain", self._lexmax_per_domain, self
         )
 
-    def lexmin_per_domain(self) -> "PointRelation":
-        return cache.memoized(
-            "PointRelation.lexmin_per_domain",
-            lambda: self._lexopt_per_domain(keep_last=False),
-            self,
-        )
-
-    def _lexopt_per_domain(self, keep_last: bool) -> "PointRelation":
+    def _lexmax_per_domain(self) -> "PointRelation":
         if self.is_empty():
             return self
-        # pairs are already sorted by (in, out); group boundaries on the
-        # input columns give the min as first row, the max as last row.
+        # pairs are already sorted by (in, out): the last row of each
+        # input group is its max.
         inp = self.in_part
         change = np.any(inp[1:] != inp[:-1], axis=1)
-        if keep_last:
-            mask = np.concatenate([change, [True]])
-        else:
-            mask = np.concatenate([[True], change])
-        return self.subset(mask)
-
-    def deltas(self) -> PointSet:
-        """The distance set ``{ out - in }`` (equal-arity relations only)."""
-        if self.n_in != self.n_out:
-            raise ValueError("deltas require equal input/output arity")
-        return PointSet(self.out_part - self.in_part)
+        return self.subset(np.concatenate([change, [True]]))
 
     def is_single_valued(self) -> bool:
         # Pairs are deduplicated, so the relation is a function exactly when
@@ -607,9 +543,6 @@ class PointRelation:
 
     def is_injective(self) -> bool:
         return self.inverse().is_single_valued()
-
-    def is_bijective(self) -> bool:
-        return self.is_single_valued() and self.is_injective()
 
     def lookup(self, point: tuple[int, ...]) -> np.ndarray:
         """All outputs related to one input tuple (rows of an array)."""

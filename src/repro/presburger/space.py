@@ -11,7 +11,6 @@ names and dimension names match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import cache
 
@@ -59,21 +58,7 @@ class Space:
         """Position of dimension ``dim`` in this space."""
         return self.dims.index(dim)
 
-    def renamed(self, name: str | None) -> "Space":
-        return Space(self.dims, name)
-
-    def with_dims(self, dims: Iterable[str]) -> "Space":
-        return Space(tuple(dims), self.name)
-
-    def compatible(self, other: "Space") -> bool:
-        """True when ``other`` has the same dimensionality."""
-        return self.ndim == other.ndim
-
     def __str__(self) -> str:
         label = self.name or ""
         return f"{label}[{', '.join(self.dims)}]"
 
-
-def anonymous(ndim: int, prefix: str = "d", name: str | None = None) -> Space:
-    """A set space with auto-generated dimension names ``d0, d1, ...``."""
-    return Space(tuple(f"{prefix}{k}" for k in range(ndim)), name)

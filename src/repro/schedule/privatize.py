@@ -147,12 +147,6 @@ class PrivatizationPlan:
     def arrays(self) -> tuple[str, ...]:
         return tuple(g.array for g in self.groups)
 
-    def group_of(self, array: str) -> PrivatizedGroup:
-        for g in self.groups:
-            if g.array == array:
-                return g
-        raise KeyError(array)
-
     def relaxed(self) -> dict[tuple[str, str, DepKind], PointRelation]:
         """The merged relaxed-dependence map for ``check_legality``."""
         out: dict[tuple[str, str, DepKind], PointRelation] = {}
@@ -174,24 +168,6 @@ class PrivatizationPlan:
         for array, reason in self.rejected:
             lines.append(f"  refused {array!r}: {reason}")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "groups": [
-                {
-                    "array": g.array,
-                    "group": g.group,
-                    "identity": g.identity,
-                    "statements": list(g.statements),
-                    "removed_pairs": g.proof.removed_pairs,
-                    "verified": bool(g.verification.ok),
-                }
-                for g in self.groups
-            ],
-            "rejected": [
-                {"array": a, "reason": r} for a, r in self.rejected
-            ],
-        }
 
 
 # ----------------------------------------------------------------------

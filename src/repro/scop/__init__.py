@@ -7,7 +7,6 @@ from .deps import (
     DepKind,
     carried_levels,
     dependence_relation,
-    depends_on,
     iter_dependences,
     parallel_levels,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "build_dependence_graph",
     "carried_levels",
     "dependence_relation",
-    "depends_on",
     "extract_scop",
     "iter_dependences",
     "parallel_levels",

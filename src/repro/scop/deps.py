@@ -123,19 +123,6 @@ def _filter_execution_order(
     return candidates.subset(keep)
 
 
-def depends_on(
-    scop: Scop,
-    tgt: ScopStatement,
-    src: ScopStatement,
-    kinds: tuple[DepKind, ...] = (DepKind.FLOW,),
-) -> bool:
-    """True when some instance of ``tgt`` depends on an instance of ``src``."""
-    return any(
-        not dependence_relation(scop, src, tgt, kind).is_empty()
-        for kind in kinds
-    )
-
-
 def iter_dependences(
     scop: Scop,
     kinds: Sequence[DepKind] = tuple(DepKind),

@@ -57,10 +57,8 @@ which is also what makes a ``run`` collect its per-task ``task.<stmt>``
 spans) and as one structured JSONL line (``log_path``).  The
 ``metrics``/``health``/``requests`` verbs expose
 the live registry (latency p50/p95/p99 per verb and cache status,
-in-flight gauge, error counters, store hit rate) over the same
-protocol; an optional plain-HTTP listener (``http_port``) additionally
-answers ``GET /metrics`` in Prometheus text format for scrapers, plus
-``/health`` and ``/requests`` as JSON.  On shutdown a final metrics
+in-flight gauge, error counters, store hit rate, and the registry in
+Prometheus text format) over the same protocol.  On shutdown a final metrics
 snapshot is persisted next to the cache dir (``metrics-last.json``) and
 surfaced by ``repro store stats``.
 """
@@ -503,81 +501,6 @@ class ReproServer:
                 pass
 
     # ------------------------------------------------------------------
-    async def handle_http(self, reader, writer):
-        """Minimal HTTP/1.0 endpoint: GET /metrics | /health | /requests.
-
-        ``/metrics`` answers in Prometheus text exposition format —
-        enough for a scraper; everything else is JSON.  One response per
-        connection, then close (no keep-alive).
-        """
-        try:
-            request_line = await reader.readline()
-            # drain headers until the blank line (ignore content)
-            while True:
-                header = await reader.readline()
-                if not header or header in (b"\r\n", b"\n"):
-                    break
-            try:
-                _method, path, *_ = request_line.decode().split()
-            except ValueError:
-                path = "/"
-            path = path.split("?", 1)[0]
-            status, ctype, body = self._http_answer(path)
-            writer.write(
-                (
-                    f"HTTP/1.0 {status}\r\n"
-                    f"Content-Type: {ctype}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode()
-                + body
-            )
-            await writer.drain()
-        except Exception:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    def _http_answer(self, path: str) -> tuple[str, str, bytes]:
-        if self.telemetry is None:
-            return (
-                "503 Service Unavailable",
-                "text/plain; charset=utf-8",
-                b"telemetry disabled\n",
-            )
-        if path == "/metrics":
-            text = self._registry_snapshot().export_prometheus()
-            return (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                text.encode(),
-            )
-        if path == "/health":
-            doc = self.telemetry.health()
-            doc["counters"] = dict(self.counters)
-            return (
-                "200 OK",
-                "application/json",
-                json.dumps(doc).encode() + b"\n",
-            )
-        if path == "/requests":
-            doc = {"requests": self.telemetry.requests()}
-            return (
-                "200 OK",
-                "application/json",
-                json.dumps(doc).encode() + b"\n",
-            )
-        return (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            b"try /metrics, /health or /requests\n",
-        )
-
-    # ------------------------------------------------------------------
     def final_snapshot(self) -> dict[str, Any]:
         """The metrics document persisted as ``metrics-last.json``: the
         registry the live ``metrics`` verb answers with, store series
@@ -607,7 +530,6 @@ async def serve(
     telemetry: bool = True,
     log_path: str | None = None,
     trace_dir: str | None = None,
-    http_port: int | None = None,
 ) -> None:
     """Run the server until a ``shutdown`` request arrives.
 
@@ -616,8 +538,7 @@ async def serve(
     the in-process test harness does).  With ``telemetry`` (default),
     span recording is enabled for the process, every request is traced
     and logged (``log_path``/``trace_dir``), and the final metrics
-    snapshot lands in ``<cache_dir>/metrics-last.json``.  ``http_port``
-    opens the plain-HTTP ``/metrics`` listener next to the JSON socket.
+    snapshot lands in ``<cache_dir>/metrics-last.json``.
     """
     store = ArtifactStore(cache_dir) if cache_dir is not None else None
     rtel = None
@@ -630,18 +551,6 @@ async def serve(
         server.handle_connection, host=host, port=port, limit=REQUEST_LIMIT
     )
     bound = tcp.sockets[0].getsockname()
-    http = None
-    server._http_bound = None
-    if http_port is not None and rtel is not None:
-        http = await asyncio.start_server(
-            server.handle_http, host=host, port=http_port,
-            limit=REQUEST_LIMIT,
-        )
-        hbound = http.sockets[0].getsockname()
-        server._http_bound = (hbound[0], hbound[1])
-        announce(
-            f"repro serve metrics on http://{hbound[0]}:{hbound[1]}/metrics"
-        )
     announce(f"repro serve listening on {bound[0]}:{bound[1]}")
     if ready is not None and not ready.done():
         ready.set_result((bound[0], bound[1], server))
@@ -649,8 +558,6 @@ async def serve(
         async with tcp:
             await server._shutdown.wait()
     finally:
-        if http is not None:
-            http.close()
         server.executor.shutdown(wait=True)
         if store is not None and rtel is not None:
             save_metrics_snapshot(store.root, server.final_snapshot())

@@ -44,21 +44,6 @@ class SimResult:
             return 1.0
         return busy / (self.makespan * self.workers)
 
-    def timeline(self, graph: TaskGraph) -> list[tuple[str, int, float, float, int]]:
-        """(statement, block, start, finish, worker) rows, by start time."""
-        rows = [
-            (
-                graph.tasks[tid].statement,
-                graph.tasks[tid].block_id,
-                float(self.start[tid]),
-                float(self.finish[tid]),
-                int(self.worker[tid]),
-            )
-            for tid in range(len(graph.tasks))
-        ]
-        rows.sort(key=lambda r: (r[2], r[0], r[1]))
-        return rows
-
 
 def simulate(
     graph: TaskGraph,

@@ -352,14 +352,14 @@ class TestRelaxedLegality:
         and must pass once the verified proof's pairs are subtracted.
         """
         from repro.pipeline import detect_pipeline
-        from repro.schedule import generate_task_ast
+        from repro.schedule import generate_task_ast, plan_privatization
         from repro.tasking import TaskGraph
 
         scop_a = scop_of(HISTOGRAM)
         report = run_portfolio(scop_a)
         (pair,) = report.pairs
         assert pair.verification.ok
-        relaxed = report.relaxed_map()
+        relaxed = plan_privatization(scop_a).relaxed()
         assert relaxed
 
         independent = HISTOGRAM.replace(
@@ -379,8 +379,9 @@ class TestRelaxedLegality:
         assert relaxed_report.checked_pairs < strict.checked_pairs
 
     def test_unverified_proofs_contribute_nothing(self):
-        report = run_portfolio(scop_of(SUBSWAP))
-        assert report.relaxed_map() == {}
+        from repro.schedule import plan_privatization
+
+        assert plan_privatization(scop_of(SUBSWAP)).relaxed() == {}
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,12 @@
 
 import numpy as np
 
-from repro.baselines import (
-    nest_costs,
-    sequential_task_graph,
-    sequential_time,
-    uniform_cost,
-)
+from repro.baselines import nest_costs, polly_task_graph, sequential_time
 from repro.tasking import simulate
+from repro.workloads import CostModel
+
+#: one abstract time unit per iteration
+uniform_cost = CostModel.uniform().iter_costs
 
 
 class TestCosts:
@@ -17,12 +16,12 @@ class TestCosts:
         assert uniform_cost("S", iters).sum() == 5
 
     def test_nest_costs_listing1(self, listing1_scop_small):
-        costs = nest_costs(listing1_scop_small)
+        costs = nest_costs(listing1_scop_small, uniform_cost)
         assert costs[0] == 81  # 9x9
         assert costs[1] == 16  # 4x4
 
     def test_sequential_time_is_sum(self, listing1_scop_small):
-        assert sequential_time(listing1_scop_small) == 97
+        assert sequential_time(listing1_scop_small, uniform_cost) == 97
 
     def test_custom_cost_model(self, listing1_scop_small):
         def double(statement, iters):
@@ -32,12 +31,15 @@ class TestCosts:
 
 
 class TestGraph:
+    """One thread of the Polly baseline is the serial program: one task
+    per nest, chained."""
+
     def test_chain_structure(self, listing3_scop):
-        g = sequential_task_graph(listing3_scop)
+        g = polly_task_graph(listing3_scop, 1, uniform_cost)
         assert len(g) == 3
         assert g.preds[1] == {0} and g.preds[2] == {1}
 
     def test_simulated_makespan_equals_total(self, listing3_scop):
-        g = sequential_task_graph(listing3_scop)
+        g = polly_task_graph(listing3_scop, 1, uniform_cost)
         sim = simulate(g, workers=8)
-        assert sim.makespan == sequential_time(listing3_scop)
+        assert sim.makespan == sequential_time(listing3_scop, uniform_cost)

@@ -1,10 +1,10 @@
 """Tests for ``repro.bench.execution``: the evaluation's measured runs."""
 
 from repro.bench import measured_speedup
-from repro.bench.execution import LATENCY_S, blocking_compute
 from repro.bench.figure10 import run_cell
 from repro.bench.figure11 import run_kernel
 from repro.workloads import TABLE9, figure11_kernels
+from tests.conftest import LATENCY_S, blocking_compute
 
 
 class TestMeasuredSpeedup:

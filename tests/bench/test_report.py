@@ -6,8 +6,6 @@ from repro.bench import (
     ascii_timeline,
     build_scop,
     pipeline_task_graph,
-    strategy_table,
-    worker_timeline,
 )
 from repro.tasking import TaskGraph, simulate
 from repro.workloads import CostModel
@@ -58,46 +56,3 @@ class TestAsciiTimeline:
         sim = simulate(g, workers=1)
         assert "empty" in ascii_timeline(g, sim)
 
-
-class TestWorkerTimeline:
-    def test_rows_match_worker_count(self, sim_setup):
-        graph, sim = sim_setup
-        lines = worker_timeline(graph, sim).splitlines()
-        assert len(lines) == sim.workers
-        assert lines[0].startswith("w0")
-
-    def test_active_workers_busy(self, sim_setup):
-        graph, sim = sim_setup
-        lines = worker_timeline(graph, sim).splitlines()
-        assert "#" in lines[0]
-        assert "#" in lines[1]
-
-
-class TestStrategyTable:
-    def test_layout(self):
-        text = strategy_table(
-            {
-                "2mm": {"pipeline": 1.9, "polly": 2.0},
-                "2gmm": {"pipeline": 1.8, "polly": 1.0},
-            }
-        )
-        lines = text.splitlines()
-        assert "pipeline" in lines[0] and "polly" in lines[0]
-        assert lines[1].startswith("2mm")
-        assert "1.90" in lines[1]
-
-    def test_explicit_strategy_order(self):
-        text = strategy_table(
-            {"k": {"a": 1.0, "b": 2.0}}, strategies=["b", "a"]
-        )
-        header = text.splitlines()[0]
-        assert header.index("b") < header.index("a")
-
-    def test_missing_cell_nan(self):
-        text = strategy_table(
-            {"k1": {"a": 1.0}, "k2": {"b": 2.0}}
-        )
-        assert "nan" in text
-
-    def test_empty(self):
-        assert "no results" in strategy_table({})

@@ -60,7 +60,7 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 from repro.interp import Interpreter
-from repro.scop import extract_scop
+from repro.scop import DepKind, extract_scop
 from repro.lang import parse
 
 LISTING1 = """
@@ -294,7 +294,7 @@ def reference_nests(info, schedule=None):
                 for row in dep.relation.pairs
             }))
         blocks = []
-        for block_id, iters in enumerate(blocking.iterations_by_block()):
+        for block_id, iters in enumerate(iterations_by_block(blocking)):
             end = tuple(int(v) for v in blocking.ends.points[block_id])
             blocks.append(TaskBlock(
                 name, block_id, end, iters,
@@ -677,3 +677,286 @@ def reference_run(interp):
     """``reference_program`` of ``interp`` on a fresh store."""
     fn = reference_program(interp.program, interp.scop)
     return fn(interp.new_store(), interp.funcs)
+
+
+# ----------------------------------------------------------------------
+# Definition-level references: Section 4's objects recomputed with plain
+# Python loops over points, independent of the vectorized algorithm in
+# ``repro.pipeline``, so the tests can cross-check the fast path (and
+# ``benchmarks/bench_ablation_backend.py`` can price the naive one).
+# ----------------------------------------------------------------------
+def pipeline_pairs_bruteforce(scop, source, target, kind=DepKind.FLOW):
+    """The pipeline map straight from the paper's definition.
+
+    ``(i, j)`` belongs to the map iff (1) running T up to ``j`` is safe
+    once S finished up to ``i``; (2) ``i`` is the smallest vector and ``j``
+    the largest vector with property (1).
+    """
+    from repro.pipeline import raw_dependence_map
+
+    P = raw_dependence_map(scop, source, target, kind)
+    if P.is_empty():
+        return []
+    deps = [
+        (tuple(int(v) for v in row[: P.n_in]), tuple(int(v) for v in row[P.n_in :]))
+        for row in P.pairs
+    ]  # (target j', source i') pairs
+    tgt_points = [tuple(int(v) for v in r) for r in target.points.points]
+
+    def safe(i, j):
+        return all(ip <= i for jp, ip in deps if jp <= j)
+
+    # For each target point j: the minimal source prefix enabling it.
+    def min_source_for(j):
+        needed = [ip for jp, ip in deps if jp <= j]
+        return max(needed) if needed else None
+
+    # Pair each source anchor with the largest safe target point.
+    anchors = {}
+    for j in tgt_points:
+        i_min = min_source_for(j)
+        if i_min is None:
+            continue
+        if i_min not in anchors or j > anchors[i_min]:
+            anchors[i_min] = j
+    out = sorted(anchors.items())
+    for i, j in out:
+        assert safe(i, j), "oracle inconsistency"
+    return out
+
+
+def blocking_bruteforce(domain, ends):
+    """Blocking map from its definition: smallest end >= each iteration."""
+    pts = sorted(tuple(int(v) for v in r) for r in domain)
+    sorted_ends = sorted(ends)
+    top = pts[-1]
+    return {
+        x: next((e for e in sorted_ends if e >= x), top) for x in pts
+    }
+
+
+def pipeline_relation_as_dict(rel):
+    """Single-valued relation -> Python dict (for oracle comparisons)."""
+    return {
+        tuple(int(v) for v in row[: rel.n_in]): tuple(
+            int(v) for v in row[rel.n_in :]
+        )
+        for row in rel.pairs
+    }
+
+
+def lexmin_per_domain(rel):
+    """Keep, for each input tuple, the lexicographically smallest output
+    (the canonical pairs are sorted by (in, out): the first of a group)."""
+    import numpy as np
+
+    if rel.is_empty():
+        return rel
+    inp = rel.in_part
+    return rel.subset(
+        np.concatenate([[True], np.any(inp[1:] != inp[:-1], axis=1)])
+    )
+
+
+def source_blocking(statement, domain, pmap):
+    """Blocking of the *source* statement of a pipeline map (ends = Dom T)."""
+    from repro.pipeline import blocking_from_ends
+
+    return blocking_from_ends(statement, domain, pmap.relation.domain())
+
+
+def combine_blockings(statement, domain, blockings):
+    """Equation 3 as the product computes it: blocking by the union of
+    all end sets, which equals the pointwise ``lexmin`` of the maps."""
+    from repro.pipeline.blocking import blocking_from_end_sets
+
+    return blocking_from_end_sets(
+        statement, domain, [b.ends for b in blockings]
+    )
+
+
+def pointwise_lexmin(statement, blockings):
+    """Literal Equation 3: per-iteration lexmin across blocking maps."""
+    from repro.pipeline import Blocking
+
+    if not blockings:
+        raise ValueError("need at least one blocking map")
+    union = blockings[0].mapping
+    for b in blockings[1:]:
+        union = union.union(b.mapping)
+    return Blocking(statement, lexmin_per_domain(union))
+
+
+def block_index(blocking):
+    """Block end tuple -> dense block id in execution order."""
+    return {
+        tuple(int(v) for v in row): k
+        for k, row in enumerate(blocking.ends.points)
+    }
+
+
+def iterations_of_block(blocking, block_id):
+    """All iterations belonging to one block, in lexicographic order."""
+    import numpy as np
+
+    end = blocking.ends.points[block_id]
+    mask = np.all(blocking.mapping.out_part == end, axis=1)
+    return blocking.mapping.in_part[mask]
+
+
+def iterations_by_block(blocking):
+    """Iterations of every block at once: ``grouped_iterations`` split
+    per block."""
+    rows, bounds = blocking.grouped_iterations()
+    return [
+        rows[bounds[k] : bounds[k + 1]] for k in range(blocking.num_blocks)
+    ]
+
+
+def block_sizes(blocking):
+    """Number of iterations in each block, in execution order."""
+    import numpy as np
+
+    from repro.presburger import lex_ranks
+
+    _, ranks = np.unique(
+        lex_ranks(blocking.mapping.out_part), return_inverse=True
+    )
+    return np.bincount(ranks, minlength=blocking.num_blocks)
+
+
+def execute_blocks_in_order(interp, store, blocks):
+    """Execute ``TaskBlock`` items in the given order — validates
+    topological orders of the task graph."""
+    for block in blocks:
+        interp.run_block(store, block.statement, block.iterations)
+    return store
+
+
+def element(view, idx):
+    """The ``view.data`` index of a kernel index: each dimension's
+    offset taken off (a bare int is a 1-D index)."""
+    if not isinstance(idx, tuple):
+        idx = (idx,)
+    return tuple(i - o for i, o in zip(idx, view.offsets))
+
+
+# ----------------------------------------------------------------------
+# The latency-bound stage: an opaque statement body that blocks per call
+# (the paper's expensive prime-search kernel, or any I/O / external
+# library call).  It is not elementwise, so the fuser refuses it and a
+# sequential run pays the full latency serially, while the pipeline
+# backends overlap blocked tasks even on one core.
+# ----------------------------------------------------------------------
+#: Seconds each opaque call blocks in the latency-bound workload.
+LATENCY_S = 0.002
+
+#: Two passes over one histogram, the second reversed.
+HISTOGRAM_LATENCY = (
+    "for(i=0; i<N; i++)\n"
+    "  S: H[i] += compute(A[i]);\n"
+    "for(i=0; i<N; i++)\n"
+    "  R: H[N-1-i] += compute(B[i]);\n"
+)
+
+
+def blocking_compute(*args):
+    """Opaque statement body that *blocks* per call.
+
+    Deliberately not marked elementwise: the fuser must refuse it
+    (calling it once per block would change semantics from once per
+    iteration), so every sequential path pays the latency serially.
+    Module-level, hence picklable for the process backend.
+    """
+    import time
+
+    from repro.interp.interp import _mix
+
+    time.sleep(LATENCY_S)
+    return _mix(*args)
+
+
+def unpack(packer, code):
+    """Integer -> vector: the inverse of ``VectorPacker.pack``, the
+    oracle its bijectivity is checked against."""
+    if not 0 <= code < packer.capacity:
+        raise ValueError(f"code {code} outside packer capacity")
+    digits = []
+    for r in reversed(packer.ranges):
+        digits.append(code % r)
+        code //= r
+    return tuple(d + lo for d, lo in zip(reversed(digits), packer.mins))
+
+
+# ----------------------------------------------------------------------
+# Constraint-system helpers the presburger tests build and check their
+# sets with; the product tabulates sets (``enumerate_basic_set``) and
+# never asks these questions.
+# ----------------------------------------------------------------------
+def equality(coeffs, const):
+    """The constraint ``coeffs . x + const == 0``."""
+    from repro.presburger import Constraint, Kind
+
+    return Constraint(tuple(int(c) for c in coeffs), int(const), Kind.EQ)
+
+
+def satisfied(constraint, point):
+    """Does ``point`` satisfy ``constraint``?"""
+    from repro.presburger import Kind
+
+    value = constraint.const + sum(
+        c * x for c, x in zip(constraint.coeffs, point)
+    )
+    return value == 0 if constraint.kind is Kind.EQ else value >= 0
+
+
+def box(space, bounds):
+    """The box ``lo_k <= x_k <= hi_k`` (inclusive) as a ``BasicSet``."""
+    from repro.presburger import BasicSet, Constraint
+
+    if len(bounds) != space.ndim:
+        raise ValueError("one (lo, hi) pair per dimension required")
+    cons = []
+    for k, (lo, hi) in enumerate(bounds):
+        unit = [int(j == k) for j in range(space.ndim)]
+        cons.append(Constraint.ge(tuple(unit), -lo))
+        cons.append(Constraint.ge(tuple(-u for u in unit), hi))
+    return BasicSet(space, tuple(cons))
+
+
+def with_constraints(bset, extra):
+    """``bset`` with more constraints, each padded to its columns."""
+    from repro.presburger import BasicSet
+
+    extra = tuple(c.padded(bset.ncols) for c in extra)
+    return BasicSet(bset.space, bset.constraints + extra, bset.n_div)
+
+
+def contains(bset, point):
+    """Membership by evaluating the constraints; with divs, by
+    enumerating the (bounded) div columns under ``dims == point``."""
+    from repro.presburger import enumerate_basic_set
+
+    if len(point) != bset.ndim:
+        raise ValueError("point arity mismatch")
+    if bset.n_div == 0:
+        return all(satisfied(c, point) for c in bset.constraints)
+    pinned = [
+        equality([int(k == col) for k in range(bset.ndim)], -int(val))
+        for col, val in enumerate(point)
+    ]
+    return len(enumerate_basic_set(with_constraints(bset, pinned))) > 0
+
+
+def evaluate(expr, env):
+    """Exact value of an ``AffineExpr`` under a full variable binding."""
+    return expr.const + sum(v * env[k] for k, v in expr.coeffs)
+
+
+def rowwise_lex_le(a, b):
+    """Element-wise ``a[k] <=lex b[k]`` over two equal-shaped row arrays."""
+    import numpy as np
+
+    from repro.presburger import rowwise_lex_lt
+
+    return rowwise_lex_lt(a, b) | np.all(a == b, axis=1)

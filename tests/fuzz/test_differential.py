@@ -41,6 +41,7 @@ from repro.tasking import TaskGraph
 from tests.conftest import (
     KERNEL_FORMS,
     compile_for_exec,
+    execute_blocks_in_order,
     fused_statements,
     reference_run,
     run_whole_blocks,
@@ -77,7 +78,7 @@ def _checked_sequential(interp, sample):
 def _run_pipelined(interp, graph, order):
     store = interp.new_store()
     blocks = [graph.tasks[tid].block for tid in order]
-    return interp.execute_blocks_in_order(store, blocks)
+    return execute_blocks_in_order(interp, store, blocks)
 
 
 def _store_bytes(store):

@@ -18,6 +18,7 @@ from repro.interp import (
     rectangles,
 )
 from repro.interp.fused import spec_funcs
+from tests.conftest import element
 
 
 def setup(src, funcs=None, **params):
@@ -79,23 +80,23 @@ class TestSemantics:
         )
 
         def prepare(store):
-            store["B"].data[:] = 3.0
+            store.arrays["B"].data[:] = 3.0
 
         for store in each_form(interp, prepare, [(0,), (2,)]).values():
-            assert store["A"].data[0, 0] == 6.0
-            assert store["A"].data[2, 0] == 6.0
-            assert store["A"].data[1, 0] == 0.0
+            assert store.arrays["A"].data[0, 0] == 6.0
+            assert store.arrays["A"].data[2, 0] == 6.0
+            assert store.arrays["A"].data[1, 0] == 0.0
         assert_forms_match_sequential(interp, BOTH)
 
     def test_plus_assign(self):
         interp, _ = setup("for(i=0; i<4; i++) S: A[i][0] += B[i][0];")
 
         def prepare(store):
-            store["A"].data[:] = 1.0
-            store["B"].data[:] = 2.0
+            store.arrays["A"].data[:] = 1.0
+            store.arrays["B"].data[:] = 2.0
 
         for store in each_form(interp, prepare, [(1,)]).values():
-            assert store["A"].data[1, 0] == 3.0
+            assert store.arrays["A"].data[1, 0] == 3.0
         assert_forms_match_sequential(interp, BOTH)
 
     def test_arithmetic_rhs(self):
@@ -104,10 +105,10 @@ class TestSemantics:
         )
 
         def prepare(store):
-            store["B"].data[:] = 10.0
+            store.arrays["B"].data[:] = 10.0
 
         for store in each_form(interp, prepare, [(3,)]).values():
-            assert store["A"].data[3, 0] == 22.0
+            assert store.arrays["A"].data[3, 0] == 22.0
         assert_forms_match_sequential(interp, BOTH)
 
     def test_param_in_rhs(self):
@@ -117,7 +118,7 @@ class TestSemantics:
             N=7,
         )
         for store in each_form(interp, lambda s: None, [(0,)]).values():
-            assert store["A"].data[0, 0] == 7.0
+            assert store.arrays["A"].data[0, 0] == 7.0
         assert_forms_match_sequential(interp, BOTH)
 
     def test_offsets_applied(self):
@@ -128,10 +129,12 @@ class TestSemantics:
         )
 
         def prepare(store):
-            store["A"][(-2, 0)] = 9.0
+            a = store.arrays["A"]
+            a.data[element(a, (-2, 0))] = 9.0
 
         for store in each_form(interp, prepare, [(0,)]).values():
-            assert store["A"][(0, 0)] == 10.0
+            a = store.arrays["A"]
+            assert a.data[element(a, (0, 0))] == 10.0
         assert_forms_match_sequential(interp, LOOP)
 
     def test_depth_one_unpack(self):
@@ -141,7 +144,7 @@ class TestSemantics:
         )
         stores = each_form(interp, lambda s: None, [(0,), (1,), (2,)])
         for store in stores.values():
-            assert store["A"].data[:3, 0].tolist() == [1.0, 1.0, 1.0]
+            assert store.arrays["A"].data[:3, 0].tolist() == [1.0, 1.0, 1.0]
         assert_forms_match_sequential(interp, BOTH)
 
     def test_nested_calls(self):
@@ -155,7 +158,7 @@ class TestSemantics:
         kernel = interp.fused_program.get("S")
         assert spec_funcs(kernel.spec) == ("f", "g")
         for store in each_form(interp, lambda s: None, [(0,)]).values():
-            assert store["A"].data[0, 0] == 2.0
+            assert store.arrays["A"].data[0, 0] == 2.0
         assert_forms_match_sequential(interp, BOTH)
 
     def test_source_readable(self):
@@ -171,23 +174,23 @@ class TestCompoundAssign:
         interp, _ = setup("for(i=0; i<4; i++) S: A[i][0] -= B[i][0];")
 
         def prepare(store):
-            store["A"].data[:] = 10.0
-            store["B"].data[:] = 3.0
+            store.arrays["A"].data[:] = 10.0
+            store.arrays["B"].data[:] = 3.0
 
         for store in each_form(interp, prepare, [(2,)]).values():
-            assert store["A"].data[2, 0] == 7.0
-            assert store["A"].data[0, 0] == 10.0
+            assert store.arrays["A"].data[2, 0] == 7.0
+            assert store.arrays["A"].data[0, 0] == 10.0
         assert_forms_match_sequential(interp, BOTH)
 
     def test_star_assign(self):
         interp, _ = setup("for(i=0; i<4; i++) S: A[i][0] *= B[i][0];")
 
         def prepare(store):
-            store["A"].data[:] = 5.0
-            store["B"].data[:] = 4.0
+            store.arrays["A"].data[:] = 5.0
+            store.arrays["B"].data[:] = 4.0
 
         for store in each_form(interp, prepare, [(1,)]).values():
-            assert store["A"].data[1, 0] == 20.0
+            assert store.arrays["A"].data[1, 0] == 20.0
         assert_forms_match_sequential(interp, BOTH)
 
     def test_compound_reads_target(self):
@@ -213,7 +216,7 @@ class TestCompoundAssign:
             {},
         )
         store = interp.run_sequential(interp.new_store())
-        assert store["A"].data[:4, 0].tolist() == [6.0, 6.0, 6.0, 6.0]
+        assert store.arrays["A"].data[:4, 0].tolist() == [6.0, 6.0, 6.0, 6.0]
         assert_forms_match_sequential(interp, BOTH)
 
 
@@ -231,7 +234,7 @@ class TestInterpreterChecks:
             funcs={"myfunc": lambda x: 1.0},
         )
         store = interp.run_sequential(interp.new_store())
-        assert store["A"].data[:3, 0].tolist() == [1.0, 1.0, 1.0]
+        assert store.arrays["A"].data[:3, 0].tolist() == [1.0, 1.0, 1.0]
         # a plain Python function is not elementwise: loop form only
         assert_forms_match_sequential(interp, LOOP)
 

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench.execution import blocking_compute
 from repro.interp import (
     ClosureSpec,
     Interpreter,
@@ -44,6 +43,7 @@ from tests.conftest import (
     LISTING3,
     TWO_NEST_COPY,
     assert_all_configs_match_sequential,
+    blocking_compute,
     compile_for_exec,
     run_measured,
 )

@@ -15,7 +15,7 @@ class TestSequentialSemantics:
         )
         store = ArrayStore.for_scop(interp.scop, init="zeros")
         interp.run_sequential(store)
-        assert store["A"].data[:3, 0].tolist() == [10.0, 10.0, 10.0]
+        assert store.arrays["A"].data[:3, 0].tolist() == [10.0, 10.0, 10.0]
 
     def test_loop_carried_order(self):
         """A[i] = A[i-1] + 1 — a prefix chain proves execution order."""
@@ -26,7 +26,7 @@ class TestSequentialSemantics:
         )
         store = ArrayStore.for_scop(interp.scop, init="zeros")
         interp.run_sequential(store)
-        assert store["A"].data[:6, 0].tolist() == [0, 1, 2, 3, 4, 5]
+        assert store.arrays["A"].data[:6, 0].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_imperfect_nest_interleaving(self):
         """Two statements in one loop body interleave per iteration."""
@@ -53,7 +53,7 @@ class TestSequentialSemantics:
         )
         store = ArrayStore.for_scop(interp.scop, init="zeros")
         interp.run_sequential(store)
-        assert store["A"].data[:, 0].sum() == 4.0
+        assert store.arrays["A"].data[:, 0].sum() == 4.0
 
     def test_triangular_bounds(self):
         count = []
@@ -101,7 +101,7 @@ class TestCompiledOracle:
             funcs={"f": lambda x: 7.0},
         )
         store = interp.run_sequential(interp.new_store())
-        assert store["A"].data.tolist() == [7.0, 7.0, 7.0]
+        assert store.arrays["A"].data.tolist() == [7.0, 7.0, 7.0]
 
     def test_built_once_and_from_the_ast_alone(self, monkeypatch):
         """The oracle shares no generator with the fused kernels it is
@@ -136,7 +136,7 @@ class TestCompiledOracle:
         with np.errstate(invalid="ignore"):
             first = interp.run_sequential(interp.new_store())
             again = interp.run_sequential(interp.new_store())
-        assert np.isnan(first["A"].data).all()
+        assert np.isnan(first.arrays["A"].data).all()
         assert first.equal(again)
 
 
@@ -166,10 +166,10 @@ class TestRetainedOracle:
         interp, _ = self._counting()
         kept = interp.oracle()
         with pytest.raises(ValueError, match="read-only"):
-            kept["A"][(0,)] = 1.0
+            kept.arrays["A"].data[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             interp.run_sequential(kept)  # an aliasing replay fails loudly
-        assert kept.copy()["A"].data.flags.writeable  # copies are private
+        assert kept.copy().arrays["A"].data.flags.writeable  # copies are private
 
     def test_over_the_bound_nothing_is_retained(self, monkeypatch):
         from repro.interp import interp as interp_mod
@@ -179,7 +179,7 @@ class TestRetainedOracle:
         first, again = interp.oracle(), interp.oracle()
         assert len(calls) == 16 and first is not again
         assert first.equal(again) and interp.oracle_bytes == 0
-        assert not first["A"].data.flags.writeable
+        assert not first.arrays["A"].data.flags.writeable
 
     def test_concurrent_first_callers_pay_once(self):
         import threading
@@ -247,10 +247,10 @@ class TestRetainedInputs:
         assert first.equal(ArrayStore.for_scop(interp.scop))
         for view in first.arrays.values():
             assert view.data.flags.writeable and view.data.flags.c_contiguous
-        first["A"].data[...] = -1.0
+        first.arrays["A"].data[...] = -1.0
         again = interp.new_store()
         assert again.equal(ArrayStore.for_scop(interp.scop))
-        assert not np.shares_memory(first["A"].data, again["A"].data)
+        assert not np.shares_memory(first.arrays["A"].data, again.arrays["A"].data)
         assert interp.input_bytes == again.nbytes == 3 * 16 * 8
 
     def test_kept_arrays_are_read_only(self):
@@ -261,7 +261,7 @@ class TestRetainedInputs:
             not view.data.flags.writeable for view in kept.arrays.values()
         )
         with pytest.raises(ValueError, match="read-only"):
-            kept["A"][(0,)] = 1.0
+            kept.arrays["A"].data[0] = 1.0
 
     def test_over_the_bound_nothing_is_kept(self, monkeypatch):
         from repro.interp import interp as interp_mod
@@ -272,7 +272,7 @@ class TestRetainedInputs:
         stores = [interp.new_store() for _ in range(3)]
         assert builds == ["index"] * 3
         assert interp._inputs is None and interp.input_bytes == 0
-        assert all(s["A"].data.flags.writeable for s in stores)
+        assert all(s.arrays["A"].data.flags.writeable for s in stores)
         assert stores[0].equal(stores[2])
 
     def test_racing_first_callers_get_equal_stores(self):
@@ -301,7 +301,7 @@ class TestRetainedInputs:
         assert not any(t.is_alive() for t in threads) and len(got) == callers
         fill = ArrayStore.for_scop(interp.scop)
         assert all(store.equal(fill) for store in got)
-        cells = [store["A"].data for store in got]
+        cells = [store.arrays["A"].data for store in got]
         assert not any(
             np.shares_memory(a, b)
             for k, a in enumerate(cells)
@@ -327,13 +327,14 @@ class TestBlockExecution:
     def test_execute_blocks_in_order(self, listing1_interp):
         from repro.pipeline import detect_pipeline
         from repro.schedule import generate_task_ast
+        from tests.conftest import execute_blocks_in_order
 
         interp = listing1_interp
         info = detect_pipeline(interp.scop)
         ast = generate_task_ast(info)
         seq = interp.run_sequential(interp.new_store())
         # program order of blocks is one valid topological order
-        store = interp.execute_blocks_in_order(
-            interp.new_store(), ast.all_blocks()
+        store = execute_blocks_in_order(
+            interp, interp.new_store(), ast.all_blocks()
         )
         assert seq.equal(store)

@@ -46,7 +46,7 @@ def _cases():
 def assert_same_arrays(got, want):
     assert set(got.arrays) == set(want.arrays)
     for name in got.arrays:
-        a, b = got[name].data, want[name].data
+        a, b = got.arrays[name].data, want.arrays[name].data
         assert (a.shape, a.dtype) == (b.shape, b.dtype), name
         differ = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
         assert a.tobytes() == b.tobytes(), f"{name}: cells {differ}"
@@ -151,7 +151,7 @@ def test_compound_division_by_zero_and_negatives(op):
     ops = {"S": op, "T": op, "U": op}
     got, want = run_both(source, ops=ops)
     assert_same_arrays(got, want)
-    assert np.isnan(got["B"].data).any()  # x / 0 and x % 0 happened
+    assert np.isnan(got.arrays["B"].data).any()  # x / 0 and x % 0 happened
 
 
 @pytest.mark.parametrize("op", ["/=", "%="])
@@ -179,7 +179,7 @@ def test_a_parsed_compound_division_is_the_one_the_lowering_reads(op):
                     store=inputs.copy(),
                 )
                 assert_same_arrays(got, want)
-        assert np.isnan(want["B"].data).any()  # x / 0 and x % 0 happened
+        assert np.isnan(want.arrays["B"].data).any()  # x / 0 and x % 0 happened
 
 
 def test_a_zero_divisor_warns_like_numpy():
@@ -188,7 +188,7 @@ def test_a_zero_divisor_warns_like_numpy():
     )
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         got = interp.run_sequential(interp.new_store())
-    assert np.isinf(got["A"].data).all()
+    assert np.isinf(got.arrays["A"].data).all()
 
 
 @pytest.mark.parametrize("value", ["i", "g(i)"])
@@ -254,8 +254,8 @@ def test_a_program_that_raises_leaves_the_store_untouched():
         "for(i=0; i<8; i++) S: A[i] = f(A[i]);", {}, funcs={"f": fail_late}
     )
     store = interp.new_store()
-    before = store["A"].data.copy()
+    before = store.arrays["A"].data.copy()
     with pytest.raises(RuntimeError, match="stage failed"):
         interp.run_sequential(store)
-    assert store["A"].data.tobytes() == before.tobytes()
+    assert store.arrays["A"].data.tobytes() == before.tobytes()
     assert calls == [1] * 5

@@ -183,12 +183,12 @@ def test_privatized_matches_compares_bits():
     plan = plan_privatization(interp.scop)
     assert [g.array for g in plan.groups] == ["H"]  # sum: tolerance branch
     seq = interp.run_sequential(interp.new_store())
-    seq["H"].data[0, 0] = np.nan
-    seq["A"].data[0, 0] = np.nan
+    seq.arrays["H"].data[0, 0] = np.nan
+    seq.arrays["A"].data[0, 0] = np.nan
     assert privatized_matches(plan, seq, seq.copy()) == (True, "bit-exact")
     flipped = seq.copy()
-    flipped["A"].data[1, 1] = 0.0
-    seq["A"].data[1, 1] = -0.0
+    flipped.arrays["A"].data[1, 1] = 0.0
+    seq.arrays["A"].data[1, 1] = -0.0
     ok, detail = privatized_matches(plan, seq, flipped)
     assert not ok and detail == "A: exact comparison failed"
 

@@ -58,9 +58,9 @@ class TestAttach:
         owner = SharedArrayStore.from_store(local_store)
         try:
             worker = SharedArrayStore.attach(owner.spec)
-            worker["A"].data[1, 1] = 42.0
+            worker.arrays["A"].data[1, 1] = 42.0
             worker.close()
-            assert owner["A"].data[1, 1] == 42.0
+            assert owner.arrays["A"].data[1, 1] == 42.0
         finally:
             owner.close()
             owner.unlink()
@@ -70,8 +70,8 @@ class TestAttach:
         try:
             worker = SharedArrayStore.attach(owner.spec)
             for name, view in local_store.arrays.items():
-                assert worker[name].offsets == view.offsets
-                assert worker[name].data.shape == view.data.shape
+                assert worker.arrays[name].offsets == view.offsets
+                assert worker.arrays[name].data.shape == view.data.shape
             worker.close()
         finally:
             owner.close()
@@ -81,13 +81,13 @@ class TestAttach:
         """The process pool result path: mutate shared, copy back."""
         shared = SharedArrayStore.from_store(local_store)
         try:
-            shared["B"].data[:] = np.pi
+            shared.arrays["B"].data[:] = np.pi
             for name, view in local_store.arrays.items():
                 view.data[...] = shared.arrays[name].data
         finally:
             shared.close()
             shared.unlink()
-        assert (local_store["B"].data == np.pi).all()
+        assert (local_store.arrays["B"].data == np.pi).all()
 
 
 class TestResourceTracker:

@@ -5,13 +5,20 @@ import pytest
 
 from repro.presburger import PointSet
 from repro.pipeline import (
-    blocking_bruteforce,
     blocking_from_ends,
-    combine_blockings,
     compute_pipeline_map,
+    target_blocking,
+)
+from tests.conftest import (
+    block_index,
+    block_sizes,
+    blocking_bruteforce,
+    combine_blockings,
+    execute_blocks_in_order,
+    iterations_by_block,
+    iterations_of_block,
     pointwise_lexmin,
     source_blocking,
-    target_blocking,
 )
 
 
@@ -146,11 +153,11 @@ class TestBlockAccessors:
         return blocking_from_ends("S", line(10), pset([[2], [5]]))
 
     def test_block_sizes(self):
-        assert self.make().block_sizes().tolist() == [3, 3, 4]
+        assert block_sizes(self.make()).tolist() == [3, 3, 4]
 
     def test_iterations_of_block(self):
         b = self.make()
-        assert b.iterations_of_block(1).ravel().tolist() == [3, 4, 5]
+        assert iterations_of_block(b, 1).ravel().tolist() == [3, 4, 5]
 
     def test_block_of_rows(self):
         b = self.make()
@@ -159,7 +166,7 @@ class TestBlockAccessors:
 
     def test_block_index(self):
         b = self.make()
-        assert b.block_index == {(2,): 0, (5,): 1, (9,): 2}
+        assert block_index(b) == {(2,): 0, (5,): 1, (9,): 2}
 
 
 class TestIterationsByBlock:
@@ -169,18 +176,18 @@ class TestIterationsByBlock:
         info = detect_pipeline(listing1_scop)
         for name in ("S", "R"):
             blocking = info.blockings[name]
-            grouped = blocking.iterations_by_block()
+            grouped = iterations_by_block(blocking)
             assert len(grouped) == blocking.num_blocks
             for block_id, iters in enumerate(grouped):
                 import numpy as np
 
                 assert np.array_equal(
-                    iters, blocking.iterations_of_block(block_id)
+                    iters, iterations_of_block(blocking, block_id)
                 )
 
     def test_empty_blocking(self):
         b = blocking_from_ends("S", PointSet.empty(1), pset([[1]]))
-        assert b.iterations_by_block() == []
+        assert iterations_by_block(b) == []
 
 
 class TestCoarsen:
@@ -265,5 +272,5 @@ for(i=0; i<N/2; i++)
         blocks = [
             graph.tasks[tid].block for tid in graph.topological_order()
         ]
-        par = interp.execute_blocks_in_order(store, blocks)
+        par = execute_blocks_in_order(interp, store, blocks)
         assert seq.equal(par)

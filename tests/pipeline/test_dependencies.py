@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.presburger import rowwise_lex_le
 from repro.pipeline import detect_pipeline, out_dependency
 from repro.scop import dependence_relation
+from tests.conftest import rowwise_lex_le
 
 
 class TestListing1:

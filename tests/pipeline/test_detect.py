@@ -155,12 +155,11 @@ class TestAgainstTheLiteralAlgorithm:
     def test_maps_and_blockings(self, kinds):
         from repro.pipeline import (
             PipelineMap,
-            combine_blockings,
             compute_pipeline_map,
-            source_blocking,
             target_blocking,
         )
         from repro.pipeline.pipeline_map import prefix_lexmax
+        from tests.conftest import combine_blockings, source_blocking
 
         maps = 0
         for label, source, params in self.corpus():

@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.lang import parse
 from repro.pipeline import (
     NoPatternError,
     QuasiAffineForm,
     compute_pipeline_map,
-    consistent_across_sizes,
     describe_pipeline_map,
     infer_quasi_affine,
     infer_relation_pattern,
 )
 from repro.presburger import PointRelation
-from repro.scop import extract_scop
-from tests.conftest import LISTING1
 
 
 class TestQuasiAffineForm:
@@ -89,26 +85,3 @@ class TestPaperMap:
         assert "0 <= i0 <= 8" in text
         assert "0 <= i1 <= 16" in text
         assert text.startswith("{ S[")
-
-    def test_size_independence(self):
-        def rel_at(n):
-            scop = extract_scop(parse(LISTING1), {"N": n})
-            return compute_pipeline_map(
-                scop, scop.statement("S"), scop.statement("R")
-            ).relation
-
-        assert consistent_across_sizes(rel_at, [12, 16, 24])
-
-    def test_inconsistent_detected(self):
-        calls = {"n": 0}
-
-        def fake(n):
-            calls["n"] += 1
-            rows = np.arange(6).reshape(-1, 1)
-            # different formula at the second size
-            outs = rows.ravel() if calls["n"] == 1 else rows.ravel() + 1
-            return PointRelation(
-                np.concatenate([rows, outs.reshape(-1, 1)], axis=1), 1
-            )
-
-        assert not consistent_across_sizes(fake, [4, 8])

@@ -24,12 +24,11 @@ from hypothesis import strategies as st
 from repro.interp import Interpreter
 from repro.lang import parse
 from repro.pipeline import detect_pipeline
-from repro.presburger import rowwise_lex_le
 from repro.schedule import generate_task_ast
 from repro.scop import dependence_relation, extract_scop, validate_scop
 from repro.tasking import TaskGraph
 
-from tests.conftest import dense_reach
+from tests.conftest import dense_reach, rowwise_lex_le
 
 
 @st.composite

@@ -8,6 +8,7 @@ from repro.presburger import (
     Space,
     enumerate_basic_set,
 )
+from tests.conftest import box, contains, equality, with_constraints
 
 SP = Space(("i", "j"))
 
@@ -27,44 +28,47 @@ def tri(n: int) -> BasicSet:
 
 class TestConstruction:
     def test_universe(self):
-        assert not BasicSet.universe(SP).constraints
+        universe = BasicSet(SP)
+        assert not universe.constraints
+        assert contains(universe, (7, -3))
 
     def test_empty(self):
-        assert enumerate_basic_set(BasicSet.empty(SP)).shape == (0, 2)
-        assert not BasicSet.empty(SP).contains((0, 0))
+        empty = BasicSet(SP, (Constraint.ge((0, 0), -1),))
+        assert enumerate_basic_set(empty).shape == (0, 2)
+        assert not contains(empty, (0, 0))
 
     def test_from_box(self):
-        bs = BasicSet.from_box(SP, [(0, 3), (1, 2)])
-        assert bs.contains((0, 1))
-        assert bs.contains((3, 2))
-        assert not bs.contains((4, 1))
-        assert not bs.contains((0, 0))
+        bs = box(SP, [(0, 3), (1, 2)])
+        assert contains(bs, (0, 1))
+        assert contains(bs, (3, 2))
+        assert not contains(bs, (4, 1))
+        assert not contains(bs, (0, 0))
 
     def test_from_box_arity(self):
         with pytest.raises(ValueError):
-            BasicSet.from_box(SP, [(0, 1)])
+            box(SP, [(0, 1)])
 
     def test_with_constraints_pads(self):
-        bs = BasicSet.from_box(SP, [(0, 5), (0, 5)])
-        bs2 = bs.with_constraints([Constraint.ge((1, -1), 0)])  # i >= j
-        assert bs2.contains((3, 2))
-        assert not bs2.contains((2, 3))
+        bs = box(SP, [(0, 5), (0, 5)])
+        bs2 = with_constraints(bs, [Constraint.ge((1, -1), 0)])  # i >= j
+        assert contains(bs2, (3, 2))
+        assert not contains(bs2, (2, 3))
 
 
 class TestMembershipWithDivs:
     def test_contains_scans_divs(self):
         even = BasicSet(
             Space(("i",)),
-            (Constraint.eq((1, -2), 0),),
+            (equality((1, -2), 0),),
             n_div=1,
         )
-        assert even.contains((4,))
-        assert not even.contains((5,))
+        assert contains(even, (4,))
+        assert not contains(even, (5,))
 
     def test_contains_arity(self):
         with pytest.raises(ValueError):
-            tri(3).contains((1,))
+            contains(tri(3), (1,))
 
     def test_str_mentions_divs(self):
-        even = BasicSet(Space(("i",)), (Constraint.eq((1, -2), 0),), n_div=1)
+        even = BasicSet(Space(("i",)), (equality((1, -2), 0),), n_div=1)
         assert "divs" in str(even)

@@ -180,13 +180,15 @@ def assert_same_plan(scop):
     plan = plan_privatization(scop)
     ref_groups, ref_rejected = reference_plan(scop)
     assert list(plan.rejected) == ref_rejected
-    rows = plan.to_dict()["groups"]
-    assert len(rows) == len(ref_groups)
-    for row, group, (ref_row, ref_proof) in zip(
-        rows, plan.groups, ref_groups
-    ):
-        assert row["verified"] is True
-        assert {k: row[k] for k in ref_row} == ref_row
+    assert len(plan.groups) == len(ref_groups)
+    for group, (ref_row, ref_proof) in zip(plan.groups, ref_groups):
+        assert group.verification.ok is True
+        assert {
+            "array": group.array,
+            "group": group.group,
+            "statements": list(group.statements),
+            "removed_pairs": group.proof.removed_pairs,
+        } == ref_row
         assert group.proof.to_dict() == ref_proof.to_dict()
     return plan
 

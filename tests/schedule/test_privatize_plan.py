@@ -26,7 +26,7 @@ from repro.schedule import (
 from repro.schedule.privatize import chunked_blocking
 from repro.scop import DepKind
 
-from tests.conftest import dense_reach
+from tests.conftest import dense_reach, iterations_by_block
 
 HISTOGRAM = """
 for(i=0; i<N; i++)
@@ -132,7 +132,7 @@ def test_chunked_blocking_partitions_the_domain():
     for parts in (1, 3, 4, 7, 200):
         blocking = chunked_blocking("S", domain, parts)
         assert blocking.num_blocks == min(parts, len(domain))
-        covered = np.concatenate(blocking.iterations_by_block())
+        covered = np.concatenate(iterations_by_block(blocking))
         assert np.array_equal(covered, domain.points)
 
 

@@ -9,7 +9,6 @@ from repro.scop import (
     build_dependence_graph,
     carried_levels,
     dependence_relation,
-    depends_on,
     extract_scop,
     iter_dependences,
     parallel_levels,
@@ -38,12 +37,6 @@ class TestCrossNestFlow:
         R = listing1_scop_small.statement("R")
         rel = dependence_relation(listing1_scop_small, S, R, DepKind.FLOW)
         assert rel.lookup((1, 2)).tolist() == [[1, 4]]  # R[1,2] needs A[1,4]
-
-    def test_depends_on(self, listing1_scop_small):
-        S = listing1_scop_small.statement("S")
-        R = listing1_scop_small.statement("R")
-        assert depends_on(listing1_scop_small, R, S)
-        assert not depends_on(listing1_scop_small, S, R)
 
 
 class TestSelfDeps:

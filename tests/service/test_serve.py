@@ -953,7 +953,7 @@ def test_error_requests_land_in_log_and_metrics(tmp_path):
     asyncio.run(_with_server(str(tmp_path), body))
 
 
-async def _with_telemetry_server(tmp_path, body, **kw):
+async def _with_telemetry_server(tmp_path, body):
     """Like ``_with_server`` but with request log + trace dir wired."""
     log_path = str(tmp_path / "requests.jsonl")
     trace_dir = str(tmp_path / "traces")
@@ -968,7 +968,6 @@ async def _with_telemetry_server(tmp_path, body, **kw):
             announce=lambda *_: None,
             log_path=log_path,
             trace_dir=trace_dir,
-            **kw,
         )
     )
     host, port, server = await asyncio.wait_for(ready, 30)
@@ -1133,24 +1132,3 @@ def test_no_telemetry_keeps_legacy_behaviour(tmp_path):
             await asyncio.wait_for(task, 30)
 
     asyncio.run(harness())
-
-
-def test_http_metrics_listener(tmp_path):
-    async def body(host, port, server, log_path, trace_dir):
-        await _request(host, port, _compile_req(TWO_NEST_COPY))
-        http_host, http_port = server._http_bound
-        reader, writer = await asyncio.open_connection(http_host, http_port)
-        writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        text = raw.decode()
-        assert text.startswith("HTTP/1.0 200 OK")
-        assert "repro_serve_latency_ms_bucket" in text
-        reader, writer = await asyncio.open_connection(http_host, http_port)
-        writer.write(b"GET /nope HTTP/1.0\r\n\r\n")
-        await writer.drain()
-        assert (await reader.read()).decode().startswith("HTTP/1.0 404")
-        writer.close()
-
-    asyncio.run(_with_telemetry_server(tmp_path, body, http_port=0))

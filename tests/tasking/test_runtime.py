@@ -116,10 +116,10 @@ class TestInterpreterBinding:
         info = detect_pipeline(interp.scop)
         graph = TaskGraph.from_task_ast(generate_task_ast(info))
         store = interp.new_store()
-        before = store["A"].data.copy()
+        before = store.arrays["A"].data.copy()
         bind_interpreter_actions(graph, interp, store)
         execute(graph, workers=2)
-        assert not (store["A"].data == before).all()
+        assert not (store.arrays["A"].data == before).all()
 
     def test_repeated_runs_deterministic(self, listing1_interp):
         from repro.pipeline import detect_pipeline

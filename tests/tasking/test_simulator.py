@@ -134,12 +134,6 @@ class TestResults:
         assert sim.speedup_vs(4.0) == pytest.approx(2.0)
         assert sim.utilization() == pytest.approx(1.0)
 
-    def test_timeline_sorted(self):
-        g = chain([1, 1])
-        sim = simulate(g, workers=1)
-        rows = sim.timeline(g)
-        assert rows[0][2] <= rows[1][2]
-
     def test_determinism(self):
         g = independent([3, 1, 2, 5, 4])
         a = simulate(g, workers=2)

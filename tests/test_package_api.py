@@ -89,6 +89,22 @@ DELETED = [
     ("repro.driver", "INCOMPATIBLE_OPTIONS"),
     ("repro.tasking", "sequential_time"),
     ("repro.tasking", "hybrid_task_graph"),
+    # test references now in tests/conftest.py, and names nothing called
+    ("repro.pipeline", "pipeline_pairs_bruteforce"),
+    ("repro.pipeline", "pointwise_lexmin"),
+    ("repro.pipeline", "combine_blockings"),
+    ("repro.pipeline", "consistent_across_sizes"),
+    ("repro.presburger", "anonymous"),
+    ("repro.presburger", "rowwise_lex_le"),
+    ("repro.baselines", "polly_speedup"),
+    ("repro.baselines", "sequential_task_graph"),
+    ("repro.baselines", "uniform_cost"),
+    ("repro.bench", "strategy_table"),
+    ("repro.bench", "worker_timeline"),
+    ("repro.bench.execution", "blocking_compute"),
+    ("repro.scop", "depends_on"),
+    ("repro.analysis.portfolio", "accumulator_like"),
+    ("repro.service.server", "_http_answer"),
 ]
 
 
@@ -105,7 +121,8 @@ def test_deleted_members_stay_gone():
     from repro.tasking import TaskGraph
 
     for module in (
-        "repro.lang.printer", "repro.tasking.dot", "repro.pipeline.reduce"
+        "repro.lang.printer", "repro.tasking.dot", "repro.pipeline.reduce",
+        "repro.pipeline.reference",
     ):
         with pytest.raises(ImportError):
             importlib.import_module(module)
@@ -120,6 +137,18 @@ def test_deleted_members_stay_gone():
         "for(i=0; i<4; i++) S: A[i] = f(A[i]);", {}
     )
     assert not hasattr(interp, "block_counters")
+    assert not hasattr(interp, "execute_blocks_in_order")
+    from repro.interp import ArrayStore, ArrayView
+    from repro.pipeline import Blocking
+    from repro.presburger import BasicSet, PointRelation
+    from repro.service.server import ReproServer
+
+    assert not hasattr(ArrayStore, "__getitem__")
+    assert not hasattr(ArrayView, "__getitem__")
+    assert not hasattr(Blocking, "iterations_by_block")
+    assert not hasattr(BasicSet, "from_box")
+    assert not hasattr(PointRelation, "apply")
+    assert not hasattr(ReproServer, "handle_http")
 
 
 def test_version_string():

@@ -242,10 +242,7 @@ def test_privatized_histogram_beats_sequential_on_latency():
     until its timeout, and the test fails whatever the host's load."""
     import threading
 
-    from repro.bench.execution import (
-        blocking_compute,
-        histogram_latency_source,
-    )
+    from tests.conftest import HISTOGRAM_LATENCY, blocking_compute
     from repro.interp import execute_privatized
     from repro.schedule import plan_privatization, privatize_info
     from repro.scop import DepKind
@@ -267,7 +264,7 @@ def test_privatized_histogram_beats_sequential_on_latency():
     workers, parts = 4, 4
     n = 2 * workers * 2
     interp = Interpreter.from_source(
-        histogram_latency_source(n),
+        HISTOGRAM_LATENCY,
         {"N": n},
         funcs={"compute": compute},
         fuse="off",

@@ -8,13 +8,10 @@ declaring the full row of reads.
 import pytest
 
 from repro.bench import build_scop
-from repro.pipeline import (
-    compute_pipeline_map,
-    detect_pipeline,
-    pipeline_relation_as_dict,
-)
+from repro.pipeline import compute_pipeline_map, detect_pipeline
 from repro.scop import parallel_levels, validate_scop
 from repro.workloads import MatmulKernel, figure11_kernels
+from tests.conftest import pipeline_relation_as_dict
 
 
 class TestGenerators:

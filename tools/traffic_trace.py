@@ -9,8 +9,10 @@ the ledger, pool workers — forked ones inherit the hook, spawned ones
 re-import it), and each process appends the ``(file, first line)`` of
 every ``src/repro`` function the first time it is entered.  The tool then
 runs the product — all 13 subcommands with every ``run`` flag and
-backend, ``tools/serve_smoke.py`` plus one ``serve`` + ``top --once``
-pair, the examples, the measuring tools and the four ledger workloads
+backend (``profile`` also on a chain-merged Table 9 kernel),
+``tools/serve_smoke.py`` plus one ``serve`` + ``top --once`` pair, the
+examples, the measuring tools, the figure regenerators under
+``benchmarks/`` (the nightly smoke step) and the four ledger workloads
 (both passes) — and prints, per module, the
 lines that sit inside functions nothing called.  It asserts nothing and
 exits 0; the nightly CI job uploads the table.
@@ -20,8 +22,9 @@ purpose: tests keep code correct, they do not make it needed.
 
 Usage::
 
-    python tools/traffic_trace.py [--groups cli,serve,examples,tools,ledger]
-                                  [--names PREFIX] [--out traffic.txt]
+    python tools/traffic_trace.py
+        [--groups cli,serve,examples,tools,benchmarks,ledger]
+        [--names PREFIX] [--out traffic.txt]
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from collections import defaultdict
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
+sys.path.insert(0, os.path.join(REPO, "src"))
 KERNELS = os.path.join("examples", "kernels")
 
 #: body of the temporary ``sitecustomize.py``; the output directory and
@@ -98,6 +102,8 @@ finally:
 
 def product_commands(tmp: str) -> dict[str, list[list[str]]]:
     """The traffic, by group; every path it writes is under ``tmp``."""
+    from repro.workloads import TABLE9
+
     py = sys.executable
 
     def repro(*args: str) -> list[str]:
@@ -108,6 +114,11 @@ def product_commands(tmp: str) -> dict[str, list[list[str]]]:
 
     n12 = ("--param", "N=12")
     store = os.path.join(tmp, "store")
+    # P5's four nests fuse into S1+S2+S3+S4 chains: its profile expands
+    # merged events back onto the unfused graph
+    p5 = os.path.join(tmp, "p5.c")
+    with open(p5, "w", encoding="utf-8") as fh:
+        fh.write(TABLE9["P5"].source(12))
     run = [
         (),
         ("--hybrid",),
@@ -158,6 +169,7 @@ def product_commands(tmp: str) -> dict[str, list[list[str]]]:
         repro("profile", k("listing1"), *n12, "--workers", "2",
               "--backend", "processes", "--policy", "lifo",
               "--cache-dir", store),
+        repro("profile", p5, "--backend", "serial", "--format", "json"),
         repro("codegen", k("listing1"), *n12),
         repro("codegen", k("subswap"), "--param", "N=8"),
         repro("deps", k("listing3"), *n12, "--dot"),
@@ -193,6 +205,10 @@ def product_commands(tmp: str) -> dict[str, list[list[str]]]:
             tool("sched_overhead.py", "--repeats", "5"),
             tool("portfolio_report.py", "--out",
                  os.path.join(tmp, "portfolio.json")),
+        ],
+        "benchmarks": [
+            [py, "-m", "pytest", "benchmarks/", "-q", "--benchmark-disable",
+             "-p", "no:cacheprovider"],
         ],
         "ledger": [
             [py, os.path.join("ledger", "run.py"), "--workload", name]
@@ -287,7 +303,7 @@ def tabulate(called: set[tuple[str, int]], names: str | None) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument(
-        "--groups", default="cli,serve,examples,tools,ledger",
+        "--groups", default="cli,serve,examples,tools,benchmarks,ledger",
         help="comma-separated traffic groups to run (default: all; the "
         "ledger group is ~2 min)",
     )
