@@ -22,7 +22,7 @@ import threading
 import time
 from concurrent.futures import Future
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 from .interp import ArrayStore, ExecutionStats, Interpreter, execute_measured
@@ -125,14 +125,14 @@ class _OnFirstRead:
         obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TransformResult:
-    """Everything the driver produced.  ``graph`` and ``simulation`` are
-    computed on first read (a one-shot that verifies builds neither)."""
+    """Everything the driver produced.  ``info``, ``schedule``, ``graph``
+    (through ``analysis``) and ``simulation`` are built on first read."""
 
     scop: Scop
-    info: PipelineInfo
-    schedule: ScheduleTree
+    info: PipelineInfo = _OnFirstRead(lambda r: r.analysis.info)
+    schedule: ScheduleTree = _OnFirstRead(lambda r: r.analysis.schedule)
     task_ast: TaskAst
     options: TransformOptions
     legality: LegalityReport | None
@@ -150,12 +150,12 @@ class TransformResult:
     match_detail: str = ""
     #: None for a direct compile; "cold" / "warm" when ``cache_dir`` was used
     cache_status: str | None = None
-    graph: TaskGraph | None = _OnFirstRead(
-        lambda r: TaskGraph.from_task_ast(r.task_ast, plan=r.privatization)
-    )
+    graph: TaskGraph | None = _OnFirstRead(lambda r: r.analysis.graph)
     simulation: SimResult | None = _OnFirstRead(
         lambda r: simulate(r.graph, workers=r.options.workers)
     )
+    #: the compile this result replayed
+    analysis: "Analysis" = field(default=None, repr=False, compare=False)
 
     @property
     def speedup(self) -> float:
@@ -189,7 +189,7 @@ class VerificationFailedError(RuntimeError):
     """The pipelined execution diverged from the sequential program."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Analysis:
     """Everything the *compile* phase produced — no execution yet.
 
@@ -200,26 +200,28 @@ class Analysis:
     :class:`TransformResult` by running the one (verified, measured)
     plan replay and its compare against the oracle.  The oracle never
     reads an ``Analysis``: in :func:`transform` it is already running
-    beside the compile that builds this one.
+    beside the compile that builds this one.  The replay reads the task
+    AST alone, so a warm load leaves ``info`` (``load_info()``) and
+    ``schedule`` to be built on first read.
     """
 
-    info: PipelineInfo
-    schedule: ScheduleTree
+    info: PipelineInfo = _OnFirstRead(lambda a: a.load_info())
+    schedule: ScheduleTree = _OnFirstRead(lambda a: build_schedule(a.info))
     task_ast: TaskAst
-    #: the checked task graph (a cold compile's); built on first read
-    #: otherwise — a warm load and its replay never read it
+    #: the checked task graph (a cold compile's), else built on first read
     graph: TaskGraph | None = _OnFirstRead(
         lambda a: TaskGraph.from_task_ast(a.task_ast, plan=a.plan)
     )
     legality: LegalityReport | None = None
-    #: a PortfolioReport, for callers that build an Analysis themselves
-    #: (the driver does not fill it)
+    #: a PortfolioReport, for callers that build one (the driver does not)
     portfolio: object | None = None
     plan: object | None = None  # repro.schedule.PrivatizationPlan
     joins: tuple = ()
     privatized: bool = False
     #: None for a direct compile; "cold" / "warm" when a store was used
     cache_status: str | None = None
+    #: a warm load's builder of ``info`` (repro.service.compile)
+    load_info: Callable[[], PipelineInfo] | None = None
 
     @property
     def num_tasks(self) -> int:
@@ -300,10 +302,10 @@ def validate_options(options: TransformOptions) -> None:
     }
     # a bool field takes a bool only: a served "false" is truthy and
     # must not switch an option on
-    for field in fields(options):
-        if isinstance(field.default, bool):
-            expected[field.name] = (
-                isinstance(getattr(options, field.name), bool), "a bool"
+    for f in fields(options):
+        if isinstance(f.default, bool):
+            expected[f.name] = (
+                isinstance(getattr(options, f.name), bool), "a bool"
             )
     for name, (ok, what) in expected.items():
         if not ok:
@@ -331,8 +333,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     without groups leaves every step the standard one.
 
     Pure with respect to array contents — nothing here executes the
-    kernel.  The returned
-    :class:`Analysis` is exactly what the artifact store persists.
+    kernel.  The returned :class:`Analysis` is what the store persists.
     """
     from .obs.spans import span
 
@@ -349,30 +350,7 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     privatized = plan is not None and bool(plan.groups)
     relaxed = plan.relaxed() if privatized else None
 
-    if privatized:
-        from .schedule import privatize_info
-        from .scop.validate import validate_scop
-
-        # The plan's statements write their accumulator non-injectively
-        # by design (hence the waivers), and the relaxed legality check
-        # needs every dependence class pipelined: ``kinds`` is widened
-        # to all of them here.
-        validate_scop(
-            scop, reduction_waivers=plan.statements
-        ).raise_if_invalid()
-        info = detect_pipeline(
-            scop, kinds=tuple(DepKind), validate=False,
-            coarsen=options.coarsen,
-        )
-        info = privatize_info(
-            info, plan,
-            parts=options.privatize_parts or max(2, options.workers),
-        )
-    else:
-        info = detect_pipeline(
-            scop, kinds=options.kinds, coarsen=options.coarsen
-        )
-
+    info = pipeline_info(scop, options, plan)
     schedule = build_schedule(info)
     task_ast = generate_task_ast(info, schedule)
     if privatized:
@@ -395,8 +373,32 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
             verify_privatized_graph(scop, plan, graph).raise_if_invalid()
 
     return Analysis(
-        info, schedule, task_ast, graph, legality, plan=plan,
+        info=info, schedule=schedule, task_ast=task_ast, graph=graph,
+        legality=legality, plan=plan,
         joins=plan.arrays if privatized else (), privatized=privatized,
+    )
+
+
+def pipeline_info(scop: Scop, options: TransformOptions, plan=None):
+    """Algorithm 1 as :func:`analyze` runs it: on ``options.kinds`` or,
+    under a privatization ``plan`` with verified groups, on every class
+    with the plan's statements re-blocked into chunks."""
+    if plan is None or not plan.groups:
+        return detect_pipeline(
+            scop, kinds=options.kinds, coarsen=options.coarsen
+        )
+    from .schedule import privatize_info
+    from .scop.validate import validate_scop
+
+    # The plan's statements write their accumulator non-injectively by
+    # design (hence the waivers), and the relaxed legality check needs
+    # every dependence class pipelined.
+    validate_scop(scop, reduction_waivers=plan.statements).raise_if_invalid()
+    info = detect_pipeline(
+        scop, kinds=tuple(DepKind), validate=False, coarsen=options.coarsen
+    )
+    return privatize_info(
+        info, plan, parts=options.privatize_parts or max(2, options.workers)
     )
 
 
@@ -533,12 +535,13 @@ def replay(
         collect_events=collect_events,
         task_ast=a.task_ast,
     )
+    # lowering reads the task AST alone: the replay builds no ``info``
     if a.privatized:
         from .interp import execute_privatized
 
-        out, stats = execute_privatized(interp, a.info, a.plan, **run)
+        out, stats = execute_privatized(interp, None, a.plan, **run)
     else:
-        out, stats = execute_measured(interp, a.info, **run)
+        out, stats = execute_measured(interp, None, **run)
     if isinstance(oracle, PendingOracle):
         oracle = oracle.wait()
     if oracle is None:
@@ -596,12 +599,9 @@ def _finish(
                 )
 
     return TransformResult(
-        interp.scop, a.info, a.schedule, a.task_ast, options, a.legality,
-        verified=None if oracle is None else True,
-        execution=execution,
-        privatization=a.plan,
-        joins=a.joins,
+        scop=interp.scop, task_ast=a.task_ast, options=options,
+        legality=a.legality, verified=None if oracle is None else True,
+        execution=execution, privatization=a.plan, joins=a.joins,
         match_detail=verdict[1] if verdict is not None else "",
-        cache_status=a.cache_status,
-        graph=a.__dict__.get("graph"),  # a cold compile's, else none yet
+        cache_status=a.cache_status, analysis=a,
     )

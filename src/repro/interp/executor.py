@@ -186,9 +186,11 @@ def execute_measured(
     """Run the pipelined task program for ``info`` and time it.
 
     The program is lowered once per ``(interp, task_ast)`` — or per
-    ``(interp, info)`` when the lowering generates the AST itself — and
-    cached on the interpreter (:meth:`Interpreter.exec_plan`); every
-    call replays it (:func:`repro.interp.plan.run_plan`).
+    ``(interp, info)`` when the lowering generates the AST itself, the
+    one case that reads ``info`` (``None`` will do beside a
+    ``task_ast``) — and cached on the interpreter
+    (:meth:`Interpreter.exec_plan`); every call replays it
+    (:func:`repro.interp.plan.run_plan`).
     The store (a fresh deterministic one unless given) is mutated in
     place and returned with timing/coverage statistics.  Every backend
     executes the identical task program, so results are bit-comparable

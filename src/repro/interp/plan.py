@@ -221,7 +221,7 @@ class ExecPlan:
     each build one; the results are equal and the last stored wins.
     """
 
-    info: object
+    info: object  # may be None beside a given task AST
     fused: object  # FusedProgram in force at lowering
     privatization: object  # PrivatizationPlan with groups, or None
     ast: "TaskAst"

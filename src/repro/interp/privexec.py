@@ -46,9 +46,11 @@ def execute_privatized(
 
     ``info`` must already be the *privatized* pipeline info
     (:func:`repro.schedule.privatize.privatize_info`), i.e. member
-    statements re-blocked into chunks.  The plan is re-validated on every
-    call — a tampered group (wrong identity, unverified proof) stops
-    execution — and a plan without groups runs the standard program.
+    statements re-blocked into chunks; beside a ``task_ast`` (lowered
+    as it is) it is not read and may be ``None``.  The plan is
+    re-validated on every call — a tampered group (wrong identity,
+    unverified proof) stops execution — and a plan without groups runs
+    the standard program.
     ``cost_of_block`` is accepted and unused.
     """
     del cost_of_block

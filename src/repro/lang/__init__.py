@@ -26,7 +26,7 @@ from .errors import (
     SourceLocation,
 )
 from .lexer import Lexer, tokenize
-from .parser import Parser, parse
+from .parser import parse
 
 __all__ = [
     "ArrayAccess",
@@ -40,7 +40,6 @@ __all__ = [
     "LexerError",
     "Loop",
     "ParseError",
-    "Parser",
     "Program",
     "SemanticError",
     "SourceLocation",

@@ -1,8 +1,9 @@
-"""Recursive-descent parser for the kernel language.
+"""One-pass parser for the kernel language.
 
 Grammar (statements must carry labels so they can be named in analyses,
 matching the paper's ``S:`` / ``R:`` convention; unlabelled statements get
-synthetic labels ``S0, S1, ...``)::
+synthetic labels ``S0, S1, ...``, skipping every label the program
+spells out)::
 
     program    := loop+
     loop       := 'for' '(' IDENT '=' expr ';' IDENT ('<'|'<=') expr ';' incr ')' body
@@ -16,253 +17,253 @@ synthetic labels ``S0, S1, ...``)::
     unary      := '-' unary | atom
     atom       := NUMBER | call | access | IDENT | '(' expr ')'
     call       := IDENT '(' [expr (',' expr)*] ')'
+
+One pass over the lexer's matches (``_TOKEN.findall``'s tuples) by
+index: no ``Token`` is built, a ``SourceLocation`` only for an AST node
+or an error.  ``expr``/``term`` is one precedence-climbing loop, a run
+of unary minuses one loop.  A source the pattern does not scan cleanly
+goes through ``tokenize`` first, so its ``LexerError`` wins.  **Nesting
+bound:** a loop, a parenthesis, a call's or subscript's brackets and a
+unary minus each nest one level; past :data:`MAX_NESTING` levels a
+``ParseError`` names the token that went too deep, so no input exhausts
+the recursion limit here or in the AST's recursive walks downstream.
+Two equal explicit labels are a ``SemanticError`` at the second.
 """
 
 from __future__ import annotations
 
-from .ast import (
-    ArrayAccess,
-    Assign,
-    BinOp,
-    Call,
-    Expr,
-    IntLit,
-    Loop,
-    Program,
-    VarRef,
-)
-from .errors import ParseError
-from .lexer import tokenize
-from .tokens import ASSIGN_OPS, Token, TokenKind
+from bisect import bisect_left
+from itertools import accumulate
 
-#: an assignment operator's token kind -> its text (``ASSIGN_OPS``)
-_ASSIGN_KINDS = {TokenKind(op): op for op in ASSIGN_OPS}
+from .ast import ArrayAccess, Assign, BinOp, Call, IntLit, Loop, Program, VarRef
+from .errors import ParseError, SemanticError, SourceLocation
+from .lexer import _TOKEN, tokenize
+from .tokens import ASSIGN_OPS
+
+MAX_NESTING = 100  # the deepest nesting accepted (module docstring)
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}  # binary operators
 _EXPECTED_ASSIGN = (
     ", ".join(repr(op) for op in list(ASSIGN_OPS)[:-1])
     + f" or {list(ASSIGN_OPS)[-1]!r}"
 )
 
 
-class Parser:
+class _Parser:
+    __slots__ = ("source", "toks", "ends", "newlines", "i", "labels",
+                 "repeated", "taken", "auto")
+
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
         self.source = source
-        self._auto_label = 0
+        self.toks = toks = _TOKEN.findall(source)
+        self.ends = list(accumulate(map(len, map("".join, toks))))
+        if self.ends[-1] != len(source) or not source.isascii():
+            # a skipped character or a non-ASCII name start: the lexer's
+            # error, if any (a clean scan is exactly these matches)
+            tokenize(source)
+        #: -1, the offset of each newline, then the source's length
+        self.newlines = list(accumulate(
+            map(len, source.split("\n")), lambda nl, n: nl + n + 1, initial=-1
+        ))
+        self.i = self.auto = 0
+        self.labels: dict[str, int] = {}  # explicit label -> first match
+        self.repeated: list[int] = []  # matches of repeated labels
+        self.taken: set[str] | None = None  # what auto labels skip
 
-    # ------------------------------------------------------------------
-    # token plumbing
-    # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def text(self, i: int) -> str:
+        t = self.toks[i]
+        return t[1] or t[2] or t[3]  # "" at the end of input
 
-    def peek(self, offset: int = 1) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def loc(self, i: int) -> SourceLocation:
+        t = self.toks[i]
+        width = len(t[1] or t[2] or t[3])
+        start = self.ends[i] - width
+        k = bisect_left(self.newlines, start) - 1  # newlines before it
+        column = start - self.newlines[k]
+        return SourceLocation(k + 1, column, column + width if width else None)
 
-    def advance(self) -> Token:
-        tok = self.current
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-        return tok
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.loc(i))
 
-    def expect(self, kind: TokenKind) -> Token:
-        tok = self.current
-        if tok.kind is not kind:
-            raise ParseError(
-                f"expected {kind.value!r}, found {tok.text!r}", tok.location
-            )
-        return self.advance()
+    def expected(self, what: str, i: int) -> ParseError:
+        return self.error(f"expected {what}, found {self.text(i)!r}", i)
 
-    def accept(self, kind: TokenKind) -> Token | None:
-        if self.current.kind is kind:
-            return self.advance()
-        return None
+    def deeper(self, nest: int, i: int) -> int:
+        if nest >= MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", i)
+        return nest + 1
 
-    # ------------------------------------------------------------------
-    # grammar
-    # ------------------------------------------------------------------
-    def parse_program(self) -> Program:
+    def expect(self, op: str) -> None:
+        if self.toks[self.i][3] != op:
+            raise self.expected(repr(op), self.i)
+        self.i += 1
+
+    def name(self) -> str:
+        name = self.toks[self.i][1]
+        if not name or name == "for":
+            raise self.expected("'identifier'", self.i)
+        self.i += 1
+        return name
+
+    def program(self) -> Program:
         nests: list[Loop] = []
-        while self.current.kind is not TokenKind.EOF:
-            if self.current.kind is not TokenKind.KW_FOR:
-                raise ParseError(
-                    f"expected a top-level 'for' loop, found {self.current.text!r}",
-                    self.current.location,
-                )
-            nests.append(self.parse_loop())
+        while self.text(self.i):
+            if self.toks[self.i][1] != "for":
+                raise self.expected("a top-level 'for' loop", self.i)
+            nests.append(self.loop(0))
         if not nests:
             raise ParseError("empty program")
+        if self.repeated:
+            i = self.repeated[0]
+            raise SemanticError(f"duplicate statement label "
+                                f"{self.text(i)!r}", self.loc(i))
         return Program(tuple(nests), self.source)
 
-    def parse_loop(self) -> Loop:
-        loc = self.expect(TokenKind.KW_FOR).location
-        self.expect(TokenKind.LPAREN)
-        var_tok = self.expect(TokenKind.IDENT)
-        self.expect(TokenKind.ASSIGN)
-        lower = self.parse_expr()
-        self.expect(TokenKind.SEMI)
-
-        cond_var = self.expect(TokenKind.IDENT)
-        if cond_var.text != var_tok.text:
-            raise ParseError(
-                f"loop condition tests {cond_var.text!r}, "
-                f"but the loop variable is {var_tok.text!r}",
-                cond_var.location,
-            )
-        if self.accept(TokenKind.LT):
-            strict = True
-        elif self.accept(TokenKind.LE):
-            strict = False
+    def loop(self, nest: int) -> Loop:
+        toks, at = self.toks, self.i
+        nest = self.deeper(nest, at)
+        self.i += 1
+        self.expect("(")
+        var = self.name()
+        self.expect("=")
+        lower = self.expr(nest)
+        self.expect(";")
+        self.loop_var(var, "condition tests")
+        cond = toks[self.i][3]
+        if cond not in ("<", "<="):
+            raise self.expected("'<' or '<=' in loop condition", self.i)
+        self.i += 1
+        upper = self.expr(nest)
+        self.expect(";")
+        self.loop_var(var, "increment updates")
+        i = self.i
+        if toks[i][3] == "+=":
+            i += 1
+            if not toks[i][2]:
+                raise self.expected("'number'", i)
+            if int(toks[i][2]) != 1:
+                raise self.error("only unit-step loops are supported "
+                                 f"(got step {int(toks[i][2])})", i)
+        elif toks[i][3] != "++":
+            raise self.expected("'++' or '+= 1'", i)
+        self.i = i + 1
+        self.expect(")")
+        if toks[self.i][3] != "{":
+            body = [self.item(nest)]
         else:
-            raise ParseError(
-                f"expected '<' or '<=' in loop condition, found {self.current.text!r}",
-                self.current.location,
-            )
-        upper = self.parse_expr()
-        self.expect(TokenKind.SEMI)
+            self.i += 1
+            body = []
+            while toks[self.i][3] != "}":
+                if not self.text(self.i):
+                    raise self.error("unterminated '{' block", self.i)
+                body.append(self.item(nest))
+            self.i += 1
+        return Loop(var, lower, upper, cond == "<", tuple(body), self.loc(at))
 
-        incr_var = self.expect(TokenKind.IDENT)
-        if incr_var.text != var_tok.text:
-            raise ParseError(
-                f"loop increment updates {incr_var.text!r}, "
-                f"but the loop variable is {var_tok.text!r}",
-                incr_var.location,
-            )
-        if self.accept(TokenKind.PLUS_PLUS):
-            pass
-        elif self.accept(TokenKind.PLUS_ASSIGN):
-            step_tok = self.expect(TokenKind.NUMBER)
-            if step_tok.value != 1:
-                raise ParseError(
-                    "only unit-step loops are supported "
-                    f"(got step {step_tok.value})",
-                    step_tok.location,
-                )
+    def loop_var(self, var: str, what: str) -> None:
+        if self.name() != var:
+            raise self.error(f"loop {what} {self.text(self.i - 1)!r}, but "
+                             f"the loop variable is {var!r}", self.i - 1)
+
+    def item(self, nest: int) -> Loop | Assign:
+        toks, i = self.toks, self.i
+        label = toks[i][1]
+        if label == "for":
+            return self.loop(nest)
+        if label and toks[i + 1][3] == ":":
+            if self.labels.setdefault(label, i) != i:
+                self.repeated.append(i)
+            self.i = i + 2
         else:
-            raise ParseError(
-                f"expected '++' or '+= 1', found {self.current.text!r}",
-                self.current.location,
-            )
-        self.expect(TokenKind.RPAREN)
+            label = self.auto_label()
+        at = self.i
+        target = self.subscripts(self.name(), at, nest)
+        op = toks[self.i][3]
+        if op not in ASSIGN_OPS:
+            raise self.expected(_EXPECTED_ASSIGN, self.i)
+        self.i += 1
+        value = self.expr(nest)
+        self.expect(";")
+        return Assign(label, target, op, value, self.loc(i))
 
-        body = self.parse_body()
-        return Loop(var_tok.text, lower, upper, strict, tuple(body), loc)
+    def auto_label(self) -> str:
+        if self.taken is None:  # a label is the name before a ':'
+            toks = self.toks
+            self.taken = {a[1] for a, b in zip(toks, toks[1:]) if b[3] == ":"}
+        while f"S{self.auto}" in self.taken:
+            self.auto += 1
+        self.auto += 1
+        return f"S{self.auto - 1}"
 
-    def parse_body(self) -> list[Loop | Assign]:
-        if self.accept(TokenKind.LBRACE):
-            items: list[Loop | Assign] = []
-            while not self.accept(TokenKind.RBRACE):
-                if self.current.kind is TokenKind.EOF:
-                    raise ParseError("unterminated '{' block", self.current.location)
-                items.append(self.parse_item())
-            return items
-        return [self.parse_item()]
+    def subscripts(self, name: str, at: int, nest: int) -> ArrayAccess:
+        """The access to ``name`` (match ``at``) from its first ``[``."""
+        toks, i = self.toks, self.i
+        if toks[i][3] != "[":
+            raise self.error("expected a subscripted array access "
+                             f"after {name!r}", i)
+        nest = self.deeper(nest, i)
+        indices = []
+        while toks[self.i][3] == "[":
+            self.i += 1
+            indices.append(self.expr(nest))
+            self.expect("]")
+        return ArrayAccess(name, tuple(indices), self.loc(at))
 
-    def parse_item(self) -> Loop | Assign:
-        if self.current.kind is TokenKind.KW_FOR:
-            return self.parse_loop()
-        return self.parse_statement()
+    def expr(self, nest: int, min_prec: int = 1):
+        """Operands joined by operators binding at least ``min_prec``."""
+        toks = self.toks
+        lhs = self.operand(nest)
+        while True:
+            i = self.i
+            op = toks[i][3]
+            prec = _PREC.get(op, 0)
+            if prec < min_prec:
+                return lhs
+            self.i = i + 1
+            rhs = self.operand(nest) if prec == 2 else self.expr(nest, 2)
+            lhs = BinOp(op, lhs, rhs, self.loc(i))
 
-    def parse_statement(self) -> Assign:
-        loc = self.current.location
-        label: str | None = None
-        if (
-            self.current.kind is TokenKind.IDENT
-            and self.peek().kind is TokenKind.COLON
-        ):
-            label = self.advance().text
-            self.expect(TokenKind.COLON)
-        if label is None:
-            label = f"S{self._auto_label}"
-            self._auto_label += 1
-
-        target = self.parse_access()
-        op = _ASSIGN_KINDS.get(self.current.kind)
-        if op is None:
-            raise ParseError(
-                f"expected {_EXPECTED_ASSIGN}, found {self.current.text!r}",
-                self.current.location,
-            )
-        self.advance()
-        value = self.parse_expr()
-        self.expect(TokenKind.SEMI)
-        return Assign(label, target, op, value, loc)
-
-    def parse_access(self) -> ArrayAccess:
-        name = self.expect(TokenKind.IDENT)
-        if self.current.kind is not TokenKind.LBRACKET:
-            raise ParseError(
-                f"expected a subscripted array access after {name.text!r}",
-                self.current.location,
-            )
-        indices: list[Expr] = []
-        while self.accept(TokenKind.LBRACKET):
-            indices.append(self.parse_expr())
-            self.expect(TokenKind.RBRACKET)
-        return ArrayAccess(name.text, tuple(indices), name.location)
-
-    # -- expressions -----------------------------------------------------
-    def parse_expr(self) -> Expr:
-        lhs = self.parse_term()
-        while self.current.kind in (TokenKind.PLUS, TokenKind.MINUS):
-            op = self.advance()
-            rhs = self.parse_term()
-            lhs = BinOp(op.text, lhs, rhs, op.location)
-        return lhs
-
-    def parse_term(self) -> Expr:
-        lhs = self.parse_unary()
-        while self.current.kind in (
-            TokenKind.STAR,
-            TokenKind.SLASH,
-            TokenKind.PERCENT,
-        ):
-            op = self.advance()
-            rhs = self.parse_unary()
-            lhs = BinOp(op.text, lhs, rhs, op.location)
-        return lhs
-
-    def parse_unary(self) -> Expr:
-        if self.current.kind is TokenKind.MINUS:
-            op = self.advance()
-            inner = self.parse_unary()
-            return BinOp("-", IntLit(0, op.location), inner, op.location)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        tok = self.current
-        if tok.kind is TokenKind.NUMBER:
-            self.advance()
-            return IntLit(tok.value, tok.location)
-        if tok.kind is TokenKind.LPAREN:
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(TokenKind.RPAREN)
+    def operand(self, nest: int):
+        """A unary: its run of minuses (in a loop), then an atom."""
+        toks, i = self.toks, self.i
+        _, name, number, op = toks[i]
+        if op == "-":
+            first = i
+            while toks[i][3] == "-":
+                nest = self.deeper(nest, i)
+                i += 1
+            self.i = i
+            node = self.operand(nest)
+            for k in range(i - 1, first - 1, -1):
+                loc = self.loc(k)
+                node = BinOp("-", IntLit(0, loc), node, loc)
+            return node
+        if number:
+            self.i = i + 1
+            return IntLit(int(number), self.loc(i))
+        if op == "(":
+            self.i = i + 1
+            inner = self.expr(self.deeper(nest, i))
+            self.expect(")")
             return inner
-        if tok.kind is TokenKind.IDENT:
-            nxt = self.peek()
-            if nxt.kind is TokenKind.LPAREN:
-                return self.parse_call()
-            if nxt.kind is TokenKind.LBRACKET:
-                return self.parse_access()
-            self.advance()
-            return VarRef(tok.text, tok.location)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.location)
-
-    def parse_call(self) -> Call:
-        name = self.expect(TokenKind.IDENT)
-        self.expect(TokenKind.LPAREN)
-        args: list[Expr] = []
-        if self.current.kind is not TokenKind.RPAREN:
-            args.append(self.parse_expr())
-            while self.accept(TokenKind.COMMA):
-                args.append(self.parse_expr())
-        self.expect(TokenKind.RPAREN)
-        return Call(name.text, tuple(args), name.location)
+        if not name or name == "for":
+            raise self.error(f"unexpected token {self.text(i)!r}", i)
+        self.i = i + 1
+        after = toks[i + 1][3]
+        if after == "[":
+            return self.subscripts(name, i, nest)
+        if after != "(":
+            return VarRef(name, self.loc(i))
+        nest = self.deeper(nest, i + 1)
+        self.i = i + 2
+        args = [] if toks[self.i][3] == ")" else [self.expr(nest)]
+        while toks[self.i][3] == ",":
+            self.i += 1
+            args.append(self.expr(nest))
+        self.expect(")")
+        return Call(name, tuple(args), self.loc(i))
 
 
 def parse(source: str) -> Program:
     """Parse kernel source text into a :class:`~repro.lang.ast.Program`."""
-    return Parser(source).parse_program()
+    return _Parser(source).program()

@@ -15,17 +15,23 @@ kernel source text and the options, it either
   as one checksummed artifact.
 
 A warm replay that fails for *any* reason (schema drift, a tampered
-proof, an info dict that no longer matches the SCoP) is demoted to a
-miss and recompiled — the store accelerates, it never decides.
+proof, a task AST that does not cover the SCoP) is demoted to a miss and
+recompiled — the store accelerates, it never decides.  The pipeline
+info, which the replay does not read, is loaded on first read; a stored
+info section that does not load is derived again then.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from functools import partial
 from typing import Mapping
 
-from ..driver import Analysis, TransformOptions, analyze
+import numpy as np
+
+from ..driver import Analysis, TransformOptions, analyze, pipeline_info
+from ..presburger.explicit import lexsorted_rows
 from ..scop import DepKind
 from ..store import ArtifactStore, CompileArtifact, artifact_key, kernel_sha
 from ..store.disk import bump_session
@@ -124,17 +130,17 @@ def load_analysis(
 
     The SCoP is re-extracted by the caller's interpreter (never stored);
     the artifact supplies the *derived* objects, each stored once: the
-    task AST's arrays, the pipeline maps and ``Q_S``.  Each blocking
-    ``E_S`` is rebuilt from its statement's task-AST nest, which must
-    list the statement's points exactly once.  No task graph is built
-    (lowering reads the AST's arrays).  Privatization proofs go back
-    through ``plan_from_proofs``: the plan is re-derived and verified
-    once per group, and a stored proof it does not contain (tampered,
-    or stale) raises here and the caller recompiles.
+    task AST's arrays, the pipeline maps and ``Q_S``.  What the replay
+    reads is checked here: each statement's task-AST nest must list its
+    points exactly once (one array comparison per statement), and
+    privatization proofs go back through ``plan_from_proofs`` — the plan
+    is re-derived and verified once per group, and a stored proof it
+    does not contain (tampered, or stale) raises here and the caller
+    recompiles.  What the replay does not read is built on first read:
+    the blockings, ``info`` and the schedule (:func:`_stored_info`), and
+    the task graph.
     """
     from ..interp.fused import FusedProgram
-    from ..pipeline.detect import PipelineInfo
-    from ..schedule import build_schedule
     from ..schedule.serialize import loads_task_ast
 
     scop = interp.scop
@@ -142,16 +148,19 @@ def load_analysis(
     arrays = task_ast.arrays
     if arrays.statements != tuple(s.name for s in scop.statements):
         raise ValueError("the task AST's nests are not the SCoP's statements")
-    blockings = {}
     for k, stmt in enumerate(scop.statements):
-        blocking = arrays.blocking(k)
-        if blocking.mapping.domain() != stmt.points:
+        # the points are sorted and distinct: equal once sorted (a nest
+        # usually lists them in order already) is each of them once
+        iters = arrays.nest_iterations(k).reshape(-1, arrays.depths[k])
+        points = stmt.points.points
+        if iters.shape != points.shape or not (
+            np.array_equal(iters, points)
+            or np.array_equal(lexsorted_rows(iters), points)
+        ):
             raise ValueError(
-                f"the task AST does not cover the iterations of {stmt.name}"
+                f"the task AST does not list the iterations of {stmt.name} "
+                "once each"
             )
-        blockings[stmt.name] = blocking
-    info = PipelineInfo.from_dict(scop, artifact.info, blockings)
-    schedule = build_schedule(info)
 
     if artifact.fused is not None and options.fuse != "off":
         interp.adopt_fused(FusedProgram.from_dict(artifact.fused))
@@ -168,14 +177,33 @@ def load_analysis(
         )
 
     return Analysis(
-        info=info,
-        schedule=schedule,
         task_ast=task_ast,
+        load_info=partial(
+            _stored_info, scop, options, artifact.info, arrays, plan
+        ),
         plan=plan,
         joins=plan.arrays if plan is not None else (),
         privatized=plan is not None and bool(plan.groups),
         cache_status="warm",
     )
+
+
+def _stored_info(scop, options, stored: dict, arrays, plan):
+    """The stored pipeline info against the live SCoP, each blocking
+    ``E_S`` rebuilt from its task-AST nest.  An info section that does
+    not load is derived again, as a cold compile would (a counted
+    replay failure): the replay already ran from the checked task AST,
+    and the store accelerates, it never decides."""
+    from ..pipeline.detect import PipelineInfo
+
+    blockings = {
+        name: arrays.blocking(k) for k, name in enumerate(arrays.statements)
+    }
+    try:
+        return PipelineInfo.from_dict(scop, stored, blockings)
+    except Exception:  # whatever a malformed section raises
+        bump_session("replay_failures")
+        return pipeline_info(scop, options, plan)
 
 
 # ----------------------------------------------------------------------

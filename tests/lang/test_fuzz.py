@@ -22,6 +22,7 @@ VALID = (
 @settings(max_examples=120, deadline=None)
 @given(st.text(max_size=80))
 @example("for(i=0; i<\u00b2; i++) S: A[i] = f(A[i]);")  # int() refuses it
+@example("for(i=0; i<4; i++) S: A[i] = " + "(" * 1200 + "-" * 3000 + "i;")
 def test_arbitrary_text_never_crashes(text):
     try:
         parse(text)

@@ -132,7 +132,11 @@ class TestStructuralErrors:
             extract_scop(prog, {"N": 4})
 
     def test_duplicate_labels(self):
-        prog = parse(
+        # ``parse`` refuses equal labels (tests/lang/test_parser.py); an
+        # AST built without it still meets the SCoP's own check
+        from tests.conftest import reference_parse
+
+        prog = reference_parse(
             "for(i=0; i<2; i++) S: A[i][0]=f(A[i][0]);\n"
             "for(i=0; i<2; i++) S: B[i][0]=f(B[i][0]);"
         )

@@ -211,6 +211,26 @@ def test_an_ast_not_covering_each_point_once_is_a_replay_failure(
     assert (again.cache_status, again.verified) == ("warm", True)
 
 
+def test_an_ast_listing_a_nest_out_of_order_still_covers_it(tmp_path):
+    """Coverage is each point once, in any order: a nest whose block 0
+    lists its iterations backwards passes the warm load's check (the
+    sorted comparison), and its blockings equal the cold ones."""
+    from repro.service import load_analysis
+
+    store = ArtifactStore(str(tmp_path))
+    opts = _options(coarsen=4)
+    _, cold, _ = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+    key = artifact_key(TWO_NEST_COPY, {"N": 8}, opts)
+    backwards = _block_0_edited(store.get(key), lambda rows: rows[::-1])
+    interp = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
+    warm = load_analysis(interp, opts, backwards)
+    block = warm.task_ast.arrays.iterations(0)
+    assert len(block) > 1 and not np.array_equal(
+        block, cold.task_ast.arrays.iterations(0)
+    )
+    assert warm.info.blockings == cold.info.blockings
+
+
 def test_the_default_p5_artifact_stores_each_fact_once(tmp_path):
     """The stored info is the pipeline maps and ``Q_S``: the blockings
     are the task AST's iterations and ends, ``Q_S^O`` the identity on
@@ -320,6 +340,99 @@ def test_a_verified_transform_builds_its_task_graph_once(
         result = transform(source, {"N": 8}, opts, cache_dir=str(tmp_path))
         assert result.verified is True and result.cache_status == status
         assert len(builds) == (status == "cold"), status
+
+
+def _report_lines(result):
+    """``result.report()`` without the measured line (wall times) and
+    the legality line (a warm load carries no legality report)."""
+    return [
+        line for line in result.report().splitlines()
+        if not line.startswith("measured execution")
+        and line != str(result.legality)
+    ]
+
+
+def _facts(info):
+    return info.pipeline_maps, info.blockings, info.in_deps
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+@pytest.mark.parametrize(
+    "source,privatize",
+    [
+        pytest.param(TWO_NEST_COPY, False, id="standard"),
+        pytest.param(DOTPROD, True, id="privatized"),
+    ],
+)
+def test_a_warm_one_shot_builds_no_info_and_no_schedule(
+    tmp_path, monkeypatch, source, privatize, backend
+):
+    """Count-based: the replay reads the task AST alone, so a warm
+    verified one-shot loads no ``PipelineInfo`` and builds no schedule
+    tree.  Read afterwards, ``info``, ``schedule`` and ``report()`` are
+    the cold result's."""
+    import repro.driver as driver
+    from repro.pipeline.detect import PipelineInfo
+    from tests.conftest import Counter
+
+    opts = TransformOptions(
+        workers=2, exec_backend=backend, privatize=privatize
+    )
+    cold = driver.transform(source, {"N": 8}, opts, cache_dir=str(tmp_path))
+    loads = Counter(monkeypatch, PipelineInfo, "from_dict")
+    schedules = Counter(monkeypatch, driver, "build_schedule")
+    warm = driver.transform(source, {"N": 8}, opts, cache_dir=str(tmp_path))
+    assert (warm.cache_status, warm.verified) == ("warm", True)
+    assert warm.execution is not None
+    assert (loads.calls, schedules.calls) == (0, 0)
+    assert _facts(warm.info) == _facts(cold.info)
+    assert warm.info.summary() == cold.info.summary()
+    assert str(warm.schedule) == str(cold.schedule)
+    assert _report_lines(warm) == _report_lines(cold)
+    assert (loads.calls, schedules.calls) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "info",
+    [
+        {},
+        {"pipeline_maps": 7, "in_deps": {}},
+        {"pipeline_maps": [{"source": "S"}], "in_deps": {}},
+        {"pipeline_maps": [], "in_deps": {"T": [{"relation": None}]}},
+    ],
+    ids=["empty", "not-a-list", "map-without-relation", "bad-in-dep"],
+)
+@pytest.mark.parametrize(
+    "source,privatize",
+    [
+        pytest.param(TWO_NEST_COPY, False, id="standard"),
+        pytest.param(DOTPROD, True, id="privatized"),
+    ],
+)
+def test_a_malformed_info_section_never_surfaces(
+    tmp_path, source, privatize, info
+):
+    """A well-checksummed artifact whose ``info`` section does not load
+    still replays warm and verifies; reading ``info``, ``schedule`` or
+    ``report()`` derives the info again, as a cold compile would (one
+    counted replay failure), instead of raising."""
+    import dataclasses
+
+    from repro.driver import transform
+
+    opts = TransformOptions(workers=2, privatize=privatize)
+    cold = transform(source, {"N": 8}, opts, cache_dir=str(tmp_path))
+    store = ArtifactStore(str(tmp_path))
+    key = artifact_key(source, {"N": 8}, opts)
+    store.put(key, dataclasses.replace(store.get(key), info=info))
+    before = session_counters().get("replay_failures", 0)
+    warm = transform(source, {"N": 8}, opts, cache_dir=str(tmp_path))
+    assert (warm.cache_status, warm.verified) == ("warm", True)
+    assert session_counters().get("replay_failures", 0) == before
+    assert _report_lines(warm) == _report_lines(cold)
+    assert str(warm.schedule) == str(cold.schedule)
+    assert _facts(warm.info) == _facts(cold.info)
+    assert session_counters().get("replay_failures", 0) == before + 1
 
 
 def test_artifact_bytes_do_not_depend_on_wall_time():

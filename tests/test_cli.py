@@ -285,18 +285,39 @@ class TestErrors:
             (["run", "{tmp}/missing.c"], "No such file"),
             (["run", "examples/kernels/listing1.c", "--param", "N=x"],
              "expected NAME=INT"),
+            (["run", "{tmp}/parens.c"], "1:127: nesting deeper than 100"),
+            (["run", "{tmp}/minus.c"], "1:127: nesting deeper than 100"),
+            (["run", "{tmp}/twice.c"], "2:18: duplicate statement label"),
         ],
-        ids=["invalid-scop", "parse-error", "missing-file", "bad-param"],
+        ids=["invalid-scop", "parse-error", "missing-file", "bad-param",
+             "deep-parens", "deep-minus", "duplicate-label"],
     )
     def test_input_errors_are_diagnostics_not_tracebacks(
         self, argv, says, tmp_path, capsys
     ):
         (tmp_path / "syntax.c").write_text("for(i=0;i<8;i++ S: A[i] = f(A[i]);\n")
+        head = "for(i=0;i<4;i++) S: A[i] = "
+        (tmp_path / "parens.c").write_text(
+            head + "(" * 1200 + "i" + ")" * 1200 + ";\n"
+        )
+        (tmp_path / "minus.c").write_text(head + "-" * 3000 + "i;\n")
+        (tmp_path / "twice.c").write_text(
+            head + "1;\nfor(i=0;i<4;i++) S: B[i] = A[i];\n"
+        )
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("repro: ") and says in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+    def test_auto_label_beside_an_explicit_one_runs(self, tmp_path, capsys):
+        # the unlabelled statement is S1, not a second S0
+        (tmp_path / "k.c").write_text(
+            "for(i=0;i<8;i++) S0: A[i] = 1;\n"
+            "for(i=0;i<8;i++) B[i] = A[i];\n"
+        )
+        assert main(["run", str(tmp_path / "k.c")]) == 0
+        assert "result matches sequential: True" in capsys.readouterr().out
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

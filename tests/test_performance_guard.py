@@ -308,3 +308,21 @@ def test_privatize_flag_is_a_noop_without_proofs():
     # planning over an empty candidate set must not dominate: the whole
     # transform (analysis included) stays well under a second
     assert wall < 5.0, f"no-op --privatize transform took {wall:.2f}s"
+
+
+def test_parsing_p5_builds_no_tokens(monkeypatch):
+    """Count-based: the one-pass parser reads the lexer's matches by
+    index, so parsing P5@14 builds no ``Token`` and one
+    ``SourceLocation`` per AST node (``tokenize`` builds one of each
+    per token, 325 here)."""
+    from repro.lang import parse
+    from repro.lang.errors import SourceLocation
+    from repro.lang.tokens import Token
+    from tests.conftest import Counter
+    from tests.lang.test_parser import located
+
+    tokens = Counter(monkeypatch, Token, "__init__")
+    locations = Counter(monkeypatch, SourceLocation, "__init__")
+    program = parse(TABLE9["P5"].source(14))
+    assert tokens.calls == 0
+    assert locations.calls == len(located(program)) - 1  # not Program

@@ -3,16 +3,20 @@
 ROADMAP item 12 (docs/performance.md, "Reachability in linear memory").
 
 Per N, one fresh Python process runs one cold, verified ``transform`` of
-a Table 9 kernel (P5 by default; fuse ``auto``, 2 workers, no store)
-and prints one row: the graph's tasks, the chains of its chain cover
-(``TaskGraph.chain_reach``, the legality check's reachability), the
-cold wall of the ``transform`` call, the ``schedule.astgen`` and
-``schedule.legality`` spans inside it, the front end (parse, SCoP
-extraction with its domain points, every access relation and every
-array extent of a fresh SCoP of the same source, timed after the
-``transform`` on a cleared presburger cache), the sequential oracle
-(``run_sequential(new_store())`` of a fresh interpreter on that SCoP,
-generating its function included), the kernel's array bytes and the
+a Table 9 kernel (P5 by default; fuse ``auto``, 2 workers) through an
+empty scratch store and prints one row: the graph's tasks, the chains
+of its chain cover (``TaskGraph.chain_reach``, the legality check's
+reachability), the cold wall of the ``transform`` call (its artifact
+put included), the wall of one warm verified ``transform`` through the
+store it filled (run last, on a cleared presburger cache, as the
+ledger's ``oneshot_warm_ms``), the ``schedule.astgen`` and
+``schedule.legality`` spans inside the cold one, ``parse`` alone, the
+front end (parse, SCoP extraction with its domain points, every access
+relation and every array extent of a fresh SCoP of the same source,
+timed after the ``transform`` on a cleared presburger cache), the
+sequential oracle (``run_sequential(new_store())`` of a fresh
+interpreter on that SCoP, generating its function included), the
+kernel's array bytes and the
 oracle's transient memory (``tracemalloc`` peak of a second oracle run:
 the Python-float lists it computes on, about 4x the arrays) and the
 process's peak RSS (``ru_maxrss``, read before the front end and the
@@ -44,7 +48,7 @@ WORKERS = 2
 
 #: what one fresh process runs: argv is kernel, N, hybrid (0/1)
 CHILD = """
-import json, resource, sys, time, tracemalloc
+import json, resource, sys, tempfile, time, tracemalloc
 from repro.driver import TransformOptions, transform
 from repro.interp import Interpreter
 from repro.lang import parse
@@ -56,13 +60,17 @@ from repro.workloads import TABLE9
 name, n, hybrid = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
 source = TABLE9[name].source(n)
 options = TransformOptions(workers=%d, hybrid=hybrid)
+scratch = tempfile.TemporaryDirectory()
 start = time.perf_counter()
 with recording() as rec:
-    result = transform(source, {}, options)
+    result = transform(source, {}, options, cache_dir=scratch.name)
 wall = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if not (result.verified and result.legality.ok):
     raise SystemExit(f"{name}@{n}: the compile did not verify")
+start = time.perf_counter()
+parse(source)
+parse_s = time.perf_counter() - start
 cache.cache_clear()  # the transform's memo would serve the domain points
 start = time.perf_counter()
 program = parse(source)
@@ -83,14 +91,23 @@ tracemalloc.start()
 interp.run_sequential(store)
 lists = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
+cache.cache_clear()
+start = time.perf_counter()
+warm = transform(source, {}, options, cache_dir=scratch.name)
+warm_s = time.perf_counter() - start
+if not (warm.verified and warm.cache_status == "warm"):
+    raise SystemExit(f"{name}@{n}: the warm one-shot did not verify warm")
+scratch.cleanup()
 (astgen,) = [s for s in rec.spans if s.name == "schedule.astgen"]
 (legality,) = [s for s in rec.spans if s.name == "schedule.legality"]
 print(json.dumps({
     "tasks": len(result.graph),
     "chains": result.graph.chain_reach()[2].shape[1],
     "cold_s": wall,
+    "warm_s": warm_s,
     "astgen_s": astgen.duration_ns / 1e9,
     "legality_s": legality.duration_ns / 1e9,
+    "parse_s": parse_s,
     "frontend_s": frontend,
     "oracle_s": oracle,
     "arrays_mb": store.nbytes / 2**20,
@@ -118,14 +135,16 @@ def render(kernel: str, hybrid: bool, rows: dict[int, dict]) -> str:
         f"cold verified transform of {kernel}"
         f"{' --hybrid' if hybrid else ''}, fuse auto, {WORKERS} workers, "
         "one fresh process per row",
-        f"{'N':>5}{'tasks':>9}{'chains':>8}{'cold s':>9}{'astgen s':>10}"
-        f"{'legality s':>12}{'frontend s':>12}{'oracle s':>10}"
+        f"{'N':>5}{'tasks':>9}{'chains':>8}{'cold s':>9}{'warm s':>9}"
+        f"{'astgen s':>10}{'legality s':>12}{'parse s':>9}"
+        f"{'frontend s':>12}{'oracle s':>10}"
         f"{'arrays MB':>11}{'lists MB':>10}{'peak MB':>9}",
     ]
     for n, r in rows.items():
         lines.append(
             f"{n:>5}{r['tasks']:>9}{r['chains']:>8}{r['cold_s']:>9.2f}"
-            f"{r['astgen_s']:>10.3f}{r['legality_s']:>12.3f}"
+            f"{r['warm_s']:>9.4f}{r['astgen_s']:>10.3f}"
+            f"{r['legality_s']:>12.3f}{r['parse_s']:>9.4f}"
             f"{r['frontend_s']:>12.4f}{r['oracle_s']:>10.4f}"
             f"{r['arrays_mb']:>11.2f}{r['lists_mb']:>10.2f}"
             f"{r['peak_mb']:>9.0f}"
