@@ -14,8 +14,8 @@ import pytest
 from repro.baselines import polly_task_graph, sequential_time
 from repro.bench import build_scop
 from repro.pipeline import detect_pipeline
-from repro.schedule import generate_task_ast
-from repro.tasking import TaskGraph, relax_self_chains, simulate
+from repro.schedule import generate_task_ast, relax
+from repro.tasking import TaskGraph, simulate
 from repro.workloads import MatmulKernel, figure11_kernels
 
 SIZE = 20
@@ -31,7 +31,7 @@ def strategies(kernel: MatmulKernel) -> dict[str, float]:
 
     pipe = TaskGraph.from_task_ast(ast, cost_of_block=cost.block_cost)
     hyb = TaskGraph.from_task_ast(
-        relax_self_chains(scop, info, ast), cost_of_block=cost.block_cost
+        relax(scop, info, ast, hybrid=True), cost_of_block=cost.block_cost
     )
     polly = polly_task_graph(scop, WORKERS, cost.iter_costs)
 

@@ -13,8 +13,8 @@ import pytest
 
 from repro.bench import build_scop
 from repro.pipeline import detect_pipeline
-from repro.schedule import generate_task_ast
-from repro.tasking import TaskGraph, relax_self_chains, scaling_curve
+from repro.schedule import generate_task_ast, relax
+from repro.tasking import TaskGraph, scaling_curve
 from repro.workloads import TABLE9, MatmulKernel
 
 WORKERS = (1, 2, 4, 8, 16)
@@ -26,7 +26,8 @@ def graphs_for(kernel_source: str, cost_model):
     ast = generate_task_ast(info)
     pipe = TaskGraph.from_task_ast(ast, cost_of_block=cost_model.block_cost)
     hyb = TaskGraph.from_task_ast(
-        relax_self_chains(scop, info, ast), cost_of_block=cost_model.block_cost
+        relax(scop, info, ast, hybrid=True),
+        cost_of_block=cost_model.block_cost,
     )
     return pipe, hyb
 

@@ -36,9 +36,10 @@ from .schedule import (
     build_schedule,
     check_legality,
     generate_task_ast,
+    relax,
 )
 from .scop import DepKind, Scop
-from .tasking import SimResult, TaskGraph, relax_self_chains, simulate
+from .tasking import SimResult, TaskGraph, simulate
 from .workloads import CostModel
 
 
@@ -210,7 +211,7 @@ class Analysis:
     task_ast: TaskAst
     #: the checked task graph (a cold compile's), else built on first read
     graph: TaskGraph | None = _OnFirstRead(
-        lambda a: TaskGraph.from_task_ast(a.task_ast, plan=a.plan)
+        lambda a: TaskGraph.from_task_ast(a.task_ast)
     )
     legality: LegalityReport | None = None
     #: a PortfolioReport, for callers that build one (the driver does not)
@@ -328,9 +329,11 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     One spine for every option.  Privatization is a step on it, not a
     second pipeline: a plan with verified groups relaxes the same
     dependence and scheduling problem (its statements are re-blocked
-    into unordered chunks before scheduling, its proofs' removed pairs
-    are subtracted in the legality check after), and a plan
-    without groups leaves every step the standard one.
+    into chunks before scheduling, its proofs' removed pairs are
+    subtracted in the legality check after), and a plan without groups
+    leaves every step the standard one.  The one relaxation of the task
+    AST, privatization's and ``hybrid``'s alike, is
+    :func:`~repro.schedule.relax.relax`.
 
     Pure with respect to array contents — nothing here executes the
     kernel.  The returned :class:`Analysis` is what the store persists.
@@ -353,13 +356,13 @@ def analyze(interp: Interpreter, options: TransformOptions) -> Analysis:
     info = pipeline_info(scop, options, plan)
     schedule = build_schedule(info)
     task_ast = generate_task_ast(info, schedule)
-    if privatized:
-        task_ast = task_ast.unchained(plan.statements)
-    if options.hybrid:
-        with span("driver.relax_self_chains"):
-            task_ast = relax_self_chains(scop, info, task_ast)
+    if privatized or options.hybrid:
+        with span("driver.relax", hybrid=options.hybrid, privatize=privatized):
+            task_ast = relax(
+                scop, info, task_ast, hybrid=options.hybrid, plan=plan
+            )
     with span("driver.task_graph", privatize=privatized):
-        graph = TaskGraph.from_task_ast(task_ast, plan=plan)
+        graph = TaskGraph.from_task_ast(task_ast)
 
     legality: LegalityReport | None = None
     if options.check:

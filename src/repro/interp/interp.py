@@ -30,7 +30,9 @@ from .store import ArrayStore
 #: argument) so reordering bugs change the result.
 DEFAULT_FUNCS: dict[str, Callable] = {}
 
-#: Lowered task programs kept per interpreter (LRU).  A caller that
+#: Lowered task programs (and the relaxed task ASTs
+#: ``execute_privatized`` builds from an info) kept per interpreter
+#: (LRU, :meth:`Interpreter.cached`).  A caller that
 #: scans blockings (one ``detect_pipeline`` per coarsening) pushes one
 #: pipeline info per candidate through one interpreter; a served or
 #: benchmarked kernel replays one or two.
@@ -160,31 +162,37 @@ class Interpreter:
         analysis)."""
         self._fused_program = program
 
-    def exec_plan(self, info, task_ast=None, privatization=None):
+    def exec_plan(self, info, task_ast=None):
         """The lowered task program for ``info`` (see
         :mod:`repro.interp.plan`): lowered on first use, then replayed.
 
         Keyed by identity of what is lowered (``task_ast`` — one
-        ``info`` has a raw and a relaxed one — else ``info``), of the
-        kernel program in force and of the privatization plan — each
-        cached plan holds its referents, so an id cannot be recycled
-        while its entry lives.  Lowering is under the lock: concurrent
-        first runs of one analysis pay once.
+        ``info`` has a raw and a relaxed one — else ``info``) and of the
+        kernel program in force (:meth:`cached`).
         """
         from .plan import lower_exec_plan
 
         lowered = task_ast if task_ast is not None else info
-        key = (id(lowered), id(self.fused_program), id(privatization))
+        return self.cached(
+            ("plan", id(lowered), id(self.fused_program)),
+            lambda: lower_exec_plan(self, info, task_ast),
+        )
+
+    def cached(self, key: tuple, build: Callable):
+        """``build()``, kept under ``key`` among this interpreter's last
+        :data:`EXEC_PLAN_CACHE_SIZE` results.  A key names its referents
+        by id, so what is built must hold them: an id cannot be recycled
+        while its entry lives.  Building is under the lock: concurrent
+        first calls pay once."""
         with self._lock:
-            plan = self._exec_plans.get(key)
-            if plan is not None:
+            value = self._exec_plans.get(key)
+            if value is not None:
                 self._exec_plans.move_to_end(key)
-                return plan
-            plan = lower_exec_plan(self, info, task_ast, privatization)
-            self._exec_plans[key] = plan
+                return value
+            value = self._exec_plans[key] = build()
             if len(self._exec_plans) > EXEC_PLAN_CACHE_SIZE:
                 self._exec_plans.popitem(last=False)
-            return plan
+            return value
 
     # ------------------------------------------------------------------
     def new_store(self) -> ArrayStore:

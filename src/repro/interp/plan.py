@@ -1,8 +1,8 @@
 """Lower once, replay many: the immutable task program behind the executors.
 
-:func:`lower_exec_plan` turns ``(interpreter, pipeline info)`` — plus a
-verified :class:`~repro.schedule.privatize.PrivatizationPlan`, if any —
-into an :class:`ExecPlan`: task AST, fusion-legal chain groups, one
+:func:`lower_exec_plan` turns ``(interpreter, pipeline info)`` — or a
+task AST, relaxed by :func:`~repro.schedule.relax.relax` — into an
+:class:`ExecPlan`: task AST, fusion-legal chain groups, one
 flat :class:`TaskRow` per task with its rectangle decomposition
 (payloads keep NumPy iteration arrays, views into the AST's
 :class:`~repro.schedule.astgen.TaskArrays`), and a compiled
@@ -16,10 +16,10 @@ a kernel row runs its stream's kernel
 over its rectangles, a join row folds a reduction group's private
 buffers.  The schedule is not derived on its own: it is the quotient,
 over the rows, of the edges of the very task graph the analysis checks
-(:func:`~repro.schedule.astgen.task_edges`, which
-``TaskGraph.from_task_ast`` and ``build_privatized_graph`` build their
-objects from), transitively reduced — what runs orders what was
-proved.  No graph object is built to lower.  ``dependArr``
+(:attr:`~repro.schedule.astgen.TaskAst.edges`, which
+``TaskGraph.from_task_ast`` builds its object from), transitively
+reduced — what runs orders what was proved.  No graph object is built
+to lower.  ``dependArr``
 slots belong to generated programs (:mod:`repro.codegen.emit`) and play
 no part here.  :func:`run_plan` replays the plan without calling
 ``create_task``, and picks the dispatch unit once for every backend:
@@ -208,9 +208,9 @@ class Claims(NamedTuple):
 class ExecPlan:
     """The lowered task program of one ``(interpreter, info)`` pair.
 
-    ``info``, ``ast``, ``fused`` and ``privatization`` are the cache
-    key's referents — holding them keeps their ids from being recycled.  The
-    interpreter is *not* held: it owns the plan cache, and a back
+    ``info``, ``ast`` and ``fused`` are the cache key's referents —
+    holding them keeps their ids from being recycled.  The interpreter
+    is *not* held: it owns the plan cache, and a back
     reference would leave every interpreter (AST, rows and all) to the
     cycle collector instead of freeing it with its last reference.
 
@@ -223,8 +223,7 @@ class ExecPlan:
 
     info: object  # may be None beside a given task AST
     fused: object  # FusedProgram in force at lowering
-    privatization: object  # PrivatizationPlan with groups, or None
-    ast: "TaskAst"
+    ast: "TaskAst"  # relaxed: its join rows are the plan's joins
     #: task streams -> their kernel (None: a join), in creation order
     streams: dict[str, FusedKernel | None]
     #: the serial elision: every stream, in creation order
@@ -269,21 +268,18 @@ class ExecPlan:
         rectangles of the kernel rows and how many of them ``run_rects``
         runs in loop form."""
         arrays = self.ast.arrays
-        pgroups = getattr(self.privatization, "groups", ())
-        accumulator = {s: g.array for g in pgroups for s in g.statements}
+        accumulator = {s: j.array for j in arrays.joins for s in j.statements}
         names = {array: iter(ns) for array, _, ns in self.privates}
-        joins = iter(zip(pgroups, self.privates))
+        joins = iter(zip(arrays.joins, self.privates))
         rows: list[TaskRow] = []
         n_rects = n_loop_rects = 0
         with span("exec.rows") as sp:
             for (label, kernel), run in zip(self.streams.items(), self.runs):
                 if kernel is None:  # a join folds its group's privates
-                    g, (_, _, privates) = next(joins)
-                    rows.append(TaskRow(label, {"combine": {
-                        "array": g.array,
-                        "group": g.group,
-                        "privates": list(privates),
-                    }}))
+                    j, (_, _, privates) = next(joins)
+                    rows.append(TaskRow(label, {"combine": dict(
+                        array=j.array, group=j.group, privates=list(privates)
+                    )}))
                     continue
                 sliced = kernel.spec.slice_form
                 array = accumulator.get(label)
@@ -304,13 +300,8 @@ class ExecPlan:
     @cached_property
     def schedule(self) -> "Schedule":
         """The task graph's reduced quotient over the rows (row = task
-        id), taken again from the AST's edges (:func:`quotient_schedule`)."""
-        from ..schedule.astgen import task_edges
-
-        return quotient_schedule(
-            task_edges(self.ast, self.privatization), self.row_of,
-            self.floors,
-        )
+        id), taken from the AST's edges (:func:`quotient_schedule`)."""
+        return quotient_schedule(self.ast.edges, self.row_of, self.floors)
 
     @cached_property
     def exact(self) -> Claims:
@@ -590,27 +581,25 @@ def quotient_schedule(edges, row_of, floors) -> "Schedule":
     ))
 
 
-def lower_exec_plan(
-    interp: "Interpreter", info, task_ast=None, privatization=None,
-) -> ExecPlan:
-    """Lower ``info`` (already privatized when ``privatization`` has
-    groups) into an :class:`ExecPlan`; ``task_ast`` skips regenerating
-    the AST the caller's analysis already holds.  Lowering reads the
-    AST's :class:`~repro.schedule.astgen.TaskArrays` only — no task
-    loop nest, no task graph object — and builds what every replay
-    reads: the streams with their union rectangles, the privates, and
-    which row runs which graph task, refusing a task that waits on one
-    created after it.  The rows and the schedule are built by the
-    first replay that dispatches rows."""
+def lower_exec_plan(interp: "Interpreter", info, task_ast=None) -> ExecPlan:
+    """Lower ``info`` into an :class:`ExecPlan`; ``task_ast`` skips
+    regenerating the AST the caller's analysis already holds, and is
+    lowered as it is — a privatized one with the join rows its
+    relaxation wrote.  Lowering reads the AST's
+    :class:`~repro.schedule.astgen.TaskArrays` only — no task loop nest,
+    no task graph object — and builds what every replay reads: the
+    streams with their union rectangles, the privates, and which row
+    runs which graph task, refusing a task that waits on one created
+    after it.  The rows and the schedule are built by the first replay
+    that dispatches rows."""
     from ..schedule import generate_task_ast
-    from ..schedule.astgen import task_edges
-    from ..schedule.privatize import join_label
+    from ..schedule.privatize import IDENTITIES, join_label
 
-    pgroups = privatization.groups if privatization is not None else ()
     fprog = interp.fused_program
     with span("exec.lower") as sp:
         ast = task_ast if task_ast is not None else generate_task_ast(info)
         arrays = ast.arrays
+        joins = arrays.joins
         starts = arrays.starts.tolist()
 
         # One task stream per group of nest indices.  Singletons keep
@@ -619,56 +608,53 @@ def lower_exec_plan(
         # kernels are registered on ``fprog`` by plan_chain_groups, so
         # they reach worker processes with the rest of the kernel
         # program).
-        if pgroups:
+        if joins:
             groups = [[k] for k in range(len(arrays.statements))]
         else:
             groups, _ = plan_chain_groups(interp.scop, ast, fprog)
 
-        group_of = {s: g for g in pgroups for s in g.statements}
-        names: dict[str, list[str]] = {g.array: [] for g in pgroups}
-        parts: dict[str, int] = {}  # privatized statement -> its rows
+        group_of = {s: g for g in joins for s in g.statements}
+        names: dict[str, list[str]] = {g.array: [] for g in joins}
         streams: dict[str, FusedKernel | None] = {}
         runs: list[StreamRun] = []
         # graph task ids are AST order (nests x blocks, then one join
         # per reduction group), rows creation order (groups x blocks,
         # then the joins); per row, where its stream's collapsing starts
         # (see quotient_schedule)
-        row_of = np.empty(arrays.num_blocks + len(pgroups), dtype=np.int64)
+        row_of = np.empty(arrays.num_blocks + len(joins), dtype=np.int64)
         floors = np.empty(len(row_of), dtype=np.int64)
         tasks = 0  # rows so far
         for group in groups:
             label = chain_label(tuple(arrays.statements[k] for k in group))
             head, last = group[0], group[-1]
-            pgroup = group_of.get(label)
+            join = group_of.get(label)
             stream = range(tasks, tasks + starts[last + 1] - starts[last])
             tasks = stream.stop
             for k in group:
                 row_of[starts[k] : starts[k] + len(stream)] = stream
-            chained = arrays.chained[last] and pgroup is None
             floors[stream.start : stream.stop] = (
-                stream.start if chained else stream
+                stream.start if arrays.chained[last] else stream
             )
             kernel = streams[label] = fprog.get(label)
-            if pgroup is not None:  # each row against its own private
-                privates = names[pgroup.array]
+            if join is not None:  # each row against its own private
+                privates = names[join.array]
                 privates += [
-                    private_name(pgroup.array, len(privates) + b)
+                    private_name(join.array, len(privates) + b)
                     for b in range(len(stream))
                 ]
-                parts[label] = len(stream)
                 runs.append(StreamRun(stream, None, ()))
                 continue
             union = ()
             if stream:
                 union = tuple(rectangles(arrays.nest_iterations(head)))
             runs.append(StreamRun(stream, kernel, union))
-        for k, g in enumerate(pgroups):
+        for k, g in enumerate(joins):
             streams[join_label(g.array)] = None
             row_of[arrays.num_blocks + k] = floors[tasks] = tasks
             runs.append(StreamRun(range(tasks, tasks + 1), None, ()))
             tasks += 1
         floors = floors[:tasks]
-        row_edges(task_edges(ast, privatization), row_of)
+        row_edges(ast.edges, row_of)
 
         chains = tuple(
             tuple(arrays.statements[k] for k in g)
@@ -680,27 +666,27 @@ def lower_exec_plan(
             fused_chains=chains,
             **plan_coverage(ast, fprog),
         )
-        if pgroups:
+        if joins:
             stats["privatization"] = {
-                "arrays": [g.array for g in pgroups],
-                "groups": {g.array: g.group for g in pgroups},
+                "arrays": [g.array for g in joins],
+                "groups": {g.array: g.group for g in joins},
                 "parts": {
-                    s: parts.get(s, 0)
-                    for s in sorted(privatization.statements)
+                    s: len(arrays.blocks(arrays.statements.index(s)))
+                    for s in sorted(group_of)
                 },
                 "privates": sum(len(v) for v in names.values()),
-                "joins": [join_label(g.array) for g in pgroups],
+                "joins": [join_label(g.array) for g in joins],
             }
         sp.set(tasks=tasks, chains=len(chains))
     return ExecPlan(
         info=info,
         fused=fprog,
-        privatization=privatization,
         ast=ast,
         streams=streams,
         runs=tuple(runs),
         privates=tuple(
-            (g.array, g.identity, tuple(names[g.array])) for g in pgroups
+            (g.array, IDENTITIES[g.group], tuple(names[g.array]))
+            for g in joins
         ),
         stats=stats,
         row_of=row_of,

@@ -46,17 +46,33 @@ def execute_privatized(
 
     ``info`` must already be the *privatized* pipeline info
     (:func:`repro.schedule.privatize.privatize_info`), i.e. member
-    statements re-blocked into chunks; beside a ``task_ast`` (lowered
-    as it is) it is not read and may be ``None``.  The plan is
-    re-validated on every call — a tampered group (wrong identity,
-    unverified proof) stops execution — and a plan without groups runs
-    the standard program.
-    ``cost_of_block`` is accepted and unused.
+    statements re-blocked into chunks, whose AST :func:`privatized_ast`
+    relaxes; beside a ``task_ast`` (lowered as it is, already relaxed)
+    it is not read and may be ``None``.  The plan is re-validated
+    on every call — a tampered group (wrong identity, unverified proof)
+    stops execution — and a plan without groups runs the standard
+    program.  ``cost_of_block`` is accepted and unused.
     """
     del cost_of_block
     plan.validate()  # tamper guard on the execution path
-    lowered = interp.exec_plan(info, task_ast, plan if plan.groups else None)
+    if task_ast is None:
+        task_ast = privatized_ast(interp, info, plan)
+    lowered = interp.exec_plan(info, task_ast)
     return run_plan(interp, lowered, backend, workers, store, collect_events)
+
+
+def privatized_ast(interp: Interpreter, info, plan):
+    """The task AST of ``info`` relaxed under ``plan`` (its members
+    unchained, one join row per group), built once per ``(info, plan)``
+    and kept with ``interp``'s lowered plans."""
+
+    def build():
+        from ..schedule import generate_task_ast, relax
+
+        ast = generate_task_ast(info)
+        return info, plan, relax(None, None, ast, plan=plan)
+
+    return interp.cached(("relaxed", id(info), id(plan)), build)[2]
 
 
 def privatized_matches(

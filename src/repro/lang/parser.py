@@ -23,10 +23,12 @@ index: no ``Token`` is built, a ``SourceLocation`` only for an AST node
 or an error.  ``expr``/``term`` is one precedence-climbing loop, a run
 of unary minuses one loop.  A source the pattern does not scan cleanly
 goes through ``tokenize`` first, so its ``LexerError`` wins.  **Nesting
-bound:** a loop, a parenthesis, a call's or subscript's brackets and a
-unary minus each nest one level; past :data:`MAX_NESTING` levels a
+bound:** a loop, a parenthesis, a call's or subscript's brackets, a
+unary minus and each binary operator of a chain (``i+i+i`` is a tree two
+levels deep) nest one level; past :data:`MAX_NESTING` levels a
 ``ParseError`` names the token that went too deep, so no input exhausts
-the recursion limit here or in the AST's recursive walks downstream.
+the recursion limit here, in the AST's recursive walks downstream or in
+the code generated from it.
 Two equal explicit labels are a ``SemanticError`` at the second.
 """
 
@@ -220,6 +222,7 @@ class _Parser:
             if prec < min_prec:
                 return lhs
             self.i = i + 1
+            nest = self.deeper(nest, i)  # the chain's node is one deeper
             rhs = self.operand(nest) if prec == 2 else self.expr(nest, 2)
             lhs = BinOp(op, lhs, rhs, self.loc(i))
 

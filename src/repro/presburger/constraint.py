@@ -86,22 +86,6 @@ class Constraint:
             self.coeffs + (0,) * (ncols - self.ncols), self.const, self.kind
         )
 
-    def shifted(self, offset: int, ncols: int) -> "Constraint":
-        """Re-embed into ``ncols`` columns with variables moved by ``offset``."""
-        coeffs = [0] * ncols
-        for k, c in enumerate(self.coeffs):
-            coeffs[k + offset] = c
-        return Constraint(tuple(coeffs), self.const, self.kind)
-
-    def permuted(self, perm: Sequence[int], ncols: int | None = None) -> "Constraint":
-        """Place old column ``k`` at new column ``perm[k]``."""
-        n = ncols if ncols is not None else self.ncols
-        coeffs = [0] * n
-        for k, c in enumerate(self.coeffs):
-            if c:
-                coeffs[perm[k]] = c
-        return Constraint(tuple(coeffs), self.const, self.kind)
-
     def normalized(self) -> "Constraint":
         """Divide by the gcd of all coefficients (tightening inequalities).
 

@@ -23,6 +23,7 @@ from .privatize import (
     privatize_info,
     verify_privatized_graph,
 )
+from .relax import relax
 from .serialize import dumps_task_ast, loads_task_ast
 from .build import (
     PIPELINE_MARK,
@@ -74,6 +75,7 @@ __all__ = [
     "plan_privatization",
     "privatize_info",
     "verify_privatized_graph",
+    "relax",
     "dumps_task_ast",
     "loads_task_ast",
     "build_schedule",

@@ -14,8 +14,9 @@ for whoever renders or inspects the AST block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,17 +60,25 @@ class TaskLoopNest:
     depth: int
     blocks: tuple[TaskBlock, ...]
     #: blocks run in order (the ``funcCount`` self chain of Figure 8);
-    #: ``False`` leaves their order to the blocks' own self-tokens
-    #: (:func:`repro.tasking.relax_self_chains`) or to a privatization
-    #: proof (:meth:`TaskAst.unchained`)
+    #: ``False`` leaves their order to the blocks' own self-tokens or to
+    #: a privatization proof (:func:`repro.schedule.relax.relax`)
     chained: bool = True
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def total_iterations(self) -> int:
-        return sum(b.size for b in self.blocks)
+
+class JoinRow(NamedTuple):
+    """One reduction group's join task: it waits on every block of the
+    group's ``statements`` and folds their private accumulators of
+    ``array`` with the ``group`` operator ("sum", "product", "min",
+    "max").  Written only by :func:`repro.schedule.relax.relax` from a
+    verified privatization plan, never stored."""
+
+    array: str
+    group: str
+    statements: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +106,7 @@ class TaskArrays:
     ends: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
+    joins: tuple[JoinRow, ...] = ()
 
     @property
     def num_blocks(self) -> int:
@@ -202,13 +212,11 @@ class TaskAst:
     def all_blocks(self) -> list[TaskBlock]:
         return [b for n in self.nests for b in n.blocks]
 
-    def unchained(self, statements) -> "TaskAst":
-        """This AST with the nests of ``statements`` marked unchained."""
-        a = self.arrays
-        return TaskAst(replace(a, chained=tuple(
-            chained and name not in statements
-            for name, chained in zip(a.statements, a.chained)
-        )))
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`task_edges` of this AST, derived on first read: the
+        graph, lowering's refusal and the replay schedule share it."""
+        return task_edges(self)
 
     def pretty(self) -> str:
         """Figure-6 style rendering of the task AST."""
@@ -237,26 +245,19 @@ class TaskAst:
     __str__ = pretty
 
 
-def task_edges(ast: TaskAst, plan=None) -> tuple:
-    """``(src, dst)``: every edge of the task graph of ``ast``, the one
-    derivation the graph and lowering read.  A token orders its producer
-    first, and the blocks of a chained nest run in order.  A
-    :class:`~repro.schedule.privatize.PrivatizationPlan` with groups
-    unchains its statements and adds one join task per group (ids after
-    the blocks, in group order) waiting on every block of them."""
+def task_edges(ast: TaskAst) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)``: every edge of the task graph of ``ast`` (read it
+    as :attr:`TaskAst.edges`).  A token orders its producer first, the
+    blocks of a chained nest run in order, and a join row waits on every
+    block of its group's statements."""
     a = ast.arrays
-    groups = plan.groups if plan is not None else ()
-    unchained = {s for g in groups for s in g.statements}
-    chained = np.array([
-        c and s not in unchained for s, c in zip(a.statements, a.chained)
-    ], dtype=bool)
     nest = csr_rows(a.starts)  # per block, its nest
+    chained = np.array(a.chained, dtype=bool)
     follow = np.flatnonzero((nest[:-1] == nest[1:]) & chained[nest[:-1]])
     src, dst = [a.indices, follow], [csr_rows(a.indptr), follow + 1]
-    for j, group in enumerate(groups):
-        src.append(np.flatnonzero(np.isin(nest, [
-            k for k, s in enumerate(a.statements) if s in group.statements
-        ])))
+    for j, join in enumerate(a.joins):
+        members = np.isin(a.statements, join.statements)
+        src.append(np.flatnonzero(members[nest]))
         dst.append(np.full_like(src[-1], a.num_blocks + j))
     return (
         np.concatenate(src).astype(np.int64),

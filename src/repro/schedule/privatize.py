@@ -19,9 +19,9 @@ Reductions in the Polyhedral Model"):
    original blocking is a full barrier — one block — exactly because of
    the dependences the proof removes) and the pipeline maps between
    privatized statements are dropped.
-3. :func:`build_privatized_graph` builds the task graph with the
-   per-statement self chain *disabled* for privatized statements and one
-   generated *join task* per group combining the private accumulators.
+3. :func:`~repro.schedule.relax.relax` disables the self chain of the
+   privatized statements in the task AST and adds one generated *join
+   row* per group combining the private accumulators.
 4. :func:`verify_privatized_graph` re-checks the join structure: the
    instance-level :func:`~repro.schedule.legality.check_legality` cannot
    see join tasks (they execute no statement instances), so a schedule
@@ -412,19 +412,18 @@ def build_privatized_graph(
     ast: "TaskAst",
     plan: PrivatizationPlan,
     cost_of_block: Callable | None = None,
-    join_cost: float = 1.0,
 ) -> "tuple[TaskGraph, dict[str, int]]":
-    """Task graph of a privatized schedule: unchained members + joins.
-
-    Privatized statements run their blocks unordered (their self chain
-    is exactly what privatization removes); one join task per group
-    waits on every member block.  Join tasks carry ``block=None`` — they
-    execute no statement instances, only the combine — which is why
+    """Task graph of ``ast`` relaxed under ``plan``, and the join task of
+    each accumulator.  Join tasks carry ``block=None`` — they execute no
+    statement instances, only the combine — which is why
     :func:`verify_privatized_graph` exists alongside ``check_legality``.
     """
     from ..tasking.task import TaskGraph
+    from .relax import relax
 
-    graph = TaskGraph.from_task_ast(ast, cost_of_block, plan, join_cost)
+    graph = TaskGraph.from_task_ast(
+        relax(None, None, ast, plan=plan), cost_of_block
+    )
     first = len(graph) - len(plan.groups)
     joins = {g.array: first + k for k, g in enumerate(plan.groups)}
     return graph, joins
@@ -480,8 +479,8 @@ def verify_privatized_graph(
         jid = int(joins[0])
         members = np.isin(names, list(group.statements))
         touching = np.isin(names, [
-            name for name in graph.labels if name not in group.statements
-            and _touches(scop, name, group.array)
+            s.name for s in scop.statements if s.name not in group.statements
+            and any(a.array == group.array for a in (*s.reads, *s.writes))
         ])
         # members must precede the join, other accessors follow it
         before = members & (reach[jid, chain] < pos)
@@ -495,11 +494,3 @@ def verify_privatized_graph(
                 "accumulator but is not ordered after the join"
             )
     return PrivatizedGraphCheck(len(plan.groups), tuple(issues))
-
-
-def _touches(scop: Scop, statement: str, array: str) -> bool:
-    try:
-        stmt = scop.statement(statement)
-    except KeyError:
-        return False
-    return any(a.array == array for a in (*stmt.reads, *stmt.writes))

@@ -18,7 +18,9 @@ A task-AST blob is :data:`BLOB_MAGIC` plus a container: the nest table
 nest's blocks × depth) and the producer CSR ``indptr`` / ``indices``
 over global block ids; a block's id is its position in its nest.  A
 load checks the sizes and that every producer precedes its consumer
-(the graph is acyclic), and builds no per-block object.
+(the graph is acyclic), and builds no per-block object.  Join rows are
+not stored: a load relaxes the AST again with the privatization plan it
+re-verified (:func:`~repro.schedule.relax.relax`).
 """
 
 from __future__ import annotations

@@ -137,13 +137,6 @@ class ScheduleTree:
     def walk(self) -> Iterator[ScheduleNode]:
         return self.root.walk()
 
-    def marks(self, name: str | None = None) -> list[MarkNode]:
-        return [
-            n
-            for n in self.walk()
-            if isinstance(n, MarkNode) and (name is None or n.name == name)
-        ]
-
     def pretty(self) -> str:
         return self.root.pretty()
 

@@ -136,9 +136,12 @@ def load_analysis(
     privatization proofs go back through ``plan_from_proofs`` — the plan
     is re-derived and verified once per group, and a stored proof it
     does not contain (tampered, or stale) raises here and the caller
-    recompiles.  What the replay does not read is built on first read:
-    the blockings, ``info`` and the schedule (:func:`_stored_info`), and
-    the task graph.
+    recompiles, and so does a privatized artifact whose plan comes back
+    without groups.  The plan's join rows are relaxed into the loaded
+    AST (:func:`~repro.schedule.relax.relax`, as a cold compile does):
+    none is read from disk.  What the replay does not read
+    is built on first read: the blockings, ``info`` and the schedule
+    (:func:`_stored_info`), and the task graph.
     """
     from ..interp.fused import FusedProgram
     from ..schedule.serialize import loads_task_ast
@@ -168,6 +171,7 @@ def load_analysis(
     plan = None
     if options.privatize:
         from ..analysis.portfolio.privatize import PrivatizationProof
+        from ..schedule import relax
         from ..schedule.privatize import plan_from_proofs
 
         # mandatory re-derivation and check; no stored proofs is the
@@ -175,6 +179,10 @@ def load_analysis(
         plan = plan_from_proofs(
             scop, [PrivatizationProof.from_dict(p) for p in artifact.proofs]
         )
+        if artifact.privatized and not plan.groups:
+            raise ValueError("the re-verified plan lacks the stored groups")
+        # the join rows come from the checked plan only
+        task_ast = relax(scop, None, task_ast, plan=plan)
 
     return Analysis(
         task_ast=task_ast,

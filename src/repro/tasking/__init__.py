@@ -2,7 +2,6 @@
 
 from .api import OmpTaskSystem
 from .dispatch import Schedule
-from .hybrid import intra_block_edges, relax_self_chains
 from .runtime import (
     RunResult,
     TaskRuntimeError,
@@ -22,9 +21,7 @@ __all__ = [
     "TaskGraph",
     "TaskRuntimeError",
     "bind_interpreter_actions",
-    "intra_block_edges",
     "execute",
-    "relax_self_chains",
     "scaling_curve",
     "simulate",
 ]

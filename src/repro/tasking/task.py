@@ -248,22 +248,18 @@ class TaskGraph:
     def from_task_ast(
         ast: TaskAst,
         cost_of_block: Callable[[TaskBlock], float] | None = None,
-        plan=None,
-        join_cost: float = 1.0,
     ) -> "TaskGraph":
         """The pipeline task graph of a task-annotated AST: one task per
-        block, then, for a ``plan`` with reduction groups, one join task
-        per group (no block, named by ``join_label``).  The edges are
-        :func:`~repro.schedule.astgen.task_edges`' — the ones lowering
-        orders the plan's rows by.  Costs are block sizes; a
+        block, then one join task per join row (no block, named by
+        ``join_label``, cost 1).  The edges are the AST's own
+        (:attr:`~repro.schedule.astgen.TaskAst.edges`) — the ones
+        lowering orders the plan's rows by.  Costs are block sizes; a
         ``cost_of_block`` reads the AST's task loop nests instead.
         """
-        from ..schedule.astgen import task_edges
         from ..schedule.privatize import join_label
 
         a, graph = ast.arrays, TaskGraph()
-        groups = plan.groups if plan is not None else ()
-        graph.labels = [*a.statements, *(join_label(g.array) for g in groups)]
+        graph.labels = [*a.statements, *(join_label(j.array) for j in a.joins)]
         nest = csr_rows(a.starts)  # per block, its nest: its label
         joins = np.arange(len(a.statements), len(graph.labels))
         graph.statement_ids = np.append(nest, joins)
@@ -272,8 +268,8 @@ class TaskGraph:
         costs = a.shapes[:, 0] if cost_of_block is None else [
             cost_of_block(b) for b in ast.all_blocks()
         ]
-        graph.costs = np.append(costs, [join_cost] * len(joins)).astype(float)
-        graph._set_preds(*task_edges(ast, plan))
+        graph.costs = np.append(costs, np.ones(len(joins))).astype(float)
+        graph._set_preds(*ast.edges)
         graph._ast = ast
         graph.validate()
         return graph

@@ -15,9 +15,9 @@ from repro.bench import build_scop
 from repro.codegen.emit import statement_columns, statement_packers
 from repro.lang import parse
 from repro.pipeline import detect_pipeline
-from repro.schedule import generate_task_ast
+from repro.schedule import generate_task_ast, relax
 from repro.scop import extract_scop
-from repro.tasking import TaskGraph, relax_self_chains
+from repro.tasking import TaskGraph
 from repro.workloads import TABLE9
 from tests.conftest import ast_of_nests
 
@@ -142,7 +142,7 @@ class TestUnchainedTokenCoverage:
     def relaxed(self):
         scop = build_scop(TABLE9["P2"].source(8))
         info = detect_pipeline(scop)
-        ast = relax_self_chains(scop, info, generate_task_ast(info))
+        ast = relax(scop, info, generate_task_ast(info), hybrid=True)
         assert [n.chained for n in ast.nests] == [True, False]
         return scop, info, ast
 
@@ -210,7 +210,7 @@ class TestUnchainedTokenCoverage:
 
         scop = build_scop(MatmulKernel(2, "mm").source(6))
         info = detect_pipeline(scop)
-        ast = relax_self_chains(scop, info, generate_task_ast(info))
+        ast = relax(scop, info, generate_task_ast(info), hybrid=True)
         if target_chained:  # a chain on the consumer does not help either
             ast = ast_of_nests((
                 replace(n, chained=n.statement == "M2") for n in ast.nests

@@ -93,13 +93,14 @@ class TestGeneratedExecution:
     def test_relaxed_ast_emits_unchained_tasks_that_still_verify(self):
         """An unchained nest's ``create_task`` calls opt out of the
         ``funcCount`` chain; its self-tokens are ordinary depend slots."""
-        from repro.tasking import TaskGraph, relax_self_chains
+        from repro.schedule import relax
+        from repro.tasking import TaskGraph
         from repro.workloads import TABLE9
 
         interp = Interpreter.from_source(TABLE9["P2"].source(6), {})
         info = detect_pipeline(interp.scop)
         raw = generate_task_ast(info)
-        relaxed = relax_self_chains(interp.scop, info, raw)
+        relaxed = relax(interp.scop, info, raw, hybrid=True)
         assert "chain=False" not in emit_task_program(info, raw)
         source = emit_task_program(info, relaxed)
         # S1 keeps its chain, every S2 task drops it

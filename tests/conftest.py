@@ -221,6 +221,16 @@ def copy_scop():
     return extract_scop(parse(TWO_NEST_COPY), {"N": 8})
 
 
+def marks(tree, name=None):
+    """The mark nodes of a schedule tree (named ``name``, if given)."""
+    from repro.schedule import MarkNode
+
+    return [
+        n for n in tree.walk()
+        if isinstance(n, MarkNode) and (name is None or n.name == name)
+    ]
+
+
 def dense_reach(graph):
     """The reference reachability: ``R[a, b]`` is True iff task ``a``
     precedes task ``b`` along the graph's edges (strictly, so the
@@ -320,20 +330,29 @@ def reference_nests(info, schedule=None):
 
 
 def reference_relax(scop, info, nests):
-    """``relax_self_chains`` on task loop nests, token tuple by token
-    tuple (the object path the CSR rewrite replaced)."""
+    """The hybrid relaxation on task loop nests, token tuple by token
+    tuple (the object path the CSR rewrite replaced): a token on an
+    unchained source's block ``p`` becomes tokens on the blocks ``b <=
+    p`` with no self successor ``<= p``."""
     from dataclasses import replace
 
-    from repro.tasking import intra_block_edges
+    from repro.schedule.relax import intra_block_edges
 
-    ends, self_tokens = {}, {}
+    frontier, self_tokens = {}, {}
     for nest in nests:
         if not nest.chained:
             continue
         edges = intra_block_edges(scop, info, nest.statement)
         if all((k, k + 1) in edges for k in range(nest.num_blocks - 1)):
             continue
-        ends[nest.statement] = [b.end for b in nest.blocks]
+        ends = [b.end for b in nest.blocks]
+        frontier[nest.statement] = {
+            end: [
+                ends[b] for b in range(p + 1)
+                if not any((b, c) in edges for c in range(b + 1, p + 1))
+            ]
+            for p, end in enumerate(ends)
+        }
         for a, b in sorted(edges):
             self_tokens.setdefault(nest.blocks[b].out_token, []).append(
                 nest.blocks[a].out_token
@@ -342,21 +361,65 @@ def reference_relax(scop, info, nests):
     def tokens_of(block):
         tokens = []
         for src, end in block.in_tokens:
-            prefix = ends.get(src, [end])
-            tokens += [(src, e) for e in prefix[: prefix.index(end) + 1]]
+            kept = frontier.get(src, {}).get(end, [end])
+            tokens += [(src, e) for e in kept]
         tokens += self_tokens.get(block.out_token, ())
         return tuple(dict.fromkeys(tokens))
 
     return tuple(
         replace(
             nest,
-            chained=nest.chained and nest.statement not in ends,
+            chained=nest.chained and nest.statement not in frontier,
             blocks=tuple(
                 replace(b, in_tokens=tokens_of(b)) for b in nest.blocks
             ),
         )
         for nest in nests
     )
+
+
+def reference_relax_self_chains(scop, info, ast):
+    """The hybrid relaxation with *prefix* tokens, the CSR rewrite
+    ``relax`` replaced: a token on an unchained source's block ``p``
+    becomes tokens on every block of it up to ``p``.  Its graph has the
+    reachability the frontier graph must have."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from repro.schedule import TaskAst
+    from repro.schedule.astgen import csr_indptr, csr_rows
+    from repro.schedule.relax import intra_block_edges
+
+    a = ast.arrays
+    relaxed = np.zeros(len(a.statements), dtype=bool)
+    selfs = [np.zeros((0, 2), dtype=np.int64)]  # (source, waiting) blocks
+    for k, name in enumerate(a.statements):
+        edges = intra_block_edges(scop, info, name) if a.chained[k] else {}
+        if a.chained[k] and not all(
+            (j, j + 1) in edges for j in range(len(a.blocks(k)) - 1)
+        ):
+            relaxed[k] = True
+            pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+            selfs.append(a.starts[k] + pairs)
+    if not relaxed.any():
+        return ast
+    nest = csr_rows(a.starts)[a.indices]
+    low = np.where(relaxed[nest], a.starts[nest], a.indices)
+    counts = a.indices - low + 1
+    skip = np.repeat(np.cumsum(counts) - counts - low, counts)
+    selfs = np.concatenate(selfs)
+    src = np.concatenate([np.arange(counts.sum()) - skip, selfs[:, 0]])
+    dst = np.concatenate([np.repeat(csr_rows(a.indptr), counts), selfs[:, 1]])
+    by_block = np.argsort(dst, kind="stable")
+    key = (dst * a.num_blocks + src)[by_block]
+    keep = by_block[np.sort(np.unique(key, return_index=True)[1])]
+    return TaskAst(replace(
+        a,
+        chained=tuple(c and not r for c, r in zip(a.chained, relaxed)),
+        indptr=csr_indptr(dst[keep], a.num_blocks),
+        indices=src[keep].astype(np.int64),
+    ))
 
 
 def reference_graph(nests, plan=None):

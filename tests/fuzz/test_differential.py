@@ -261,11 +261,9 @@ def _closure_preserved(interp, info, hybrid):
     """The lowered plan (of the hybrid-relaxed AST when ``hybrid``): its
     schedule is reduced and orders exactly what the unreduced quotient
     of the checked graph orders."""
-    from repro.tasking import relax_self_chains
+    from repro.schedule import relax
 
-    ast = generate_task_ast(info)
-    if hybrid:
-        ast = relax_self_chains(interp.scop, info, ast)
+    ast = relax(interp.scop, info, generate_task_ast(info), hybrid=hybrid)
     plan = interp.exec_plan(info, ast)
     assert_reduced_with_the_same_order(
         plan.schedule.preds(), graph_quotient(plan)

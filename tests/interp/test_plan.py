@@ -29,6 +29,7 @@ from repro.interp import (
     privatized_matches,
 )
 from repro.interp.interp import EXEC_PLAN_CACHE_SIZE
+from repro.interp.privexec import privatized_ast
 from repro.pipeline import detect_pipeline
 from repro.scop import Scop
 from repro.tasking.dispatch import latest_first, transitive_reduction
@@ -83,6 +84,19 @@ def test_ten_measured_runs_lower_once(lowering_calls):
     assert snapshot(lowering_calls) == {
         **after_one, "rectangles": len(first.task_members) + 1,
     }
+    # without a task AST, execute_privatized relaxes info's once per
+    # (info, plan) and replays one plan: what the ledger's runs time
+    interp, plan, pinfo = privatized_setup(REDUCTIONS["histogram"], 8, 3)
+    before = snapshot(lowering_calls)
+    for backend in ("serial",) + 3 * BACKENDS:
+        out, stats = execute_privatized(
+            interp, pinfo, plan, backend=backend, workers=2
+        )
+        assert stats.privatization["privates"] == 6
+        assert not any(a.startswith("__priv_") for a in out.arrays)
+    after = snapshot(lowering_calls)
+    assert after["astgen"] - before["astgen"] == 1
+    assert after["lower"] - before["lower"] == 1
 
 
 def test_task_ast_from_the_analysis_is_not_regenerated(lowering_calls):
@@ -101,14 +115,14 @@ def test_raw_and_relaxed_ast_of_one_info_get_their_own_plans(lowering_calls):
     handed a raw and then a relaxed AST must not replay the first one's
     schedule under the second one's name."""
     from repro.schedule import generate_task_ast
-    from repro.tasking import relax_self_chains
+    from repro.schedule import relax
     from repro.workloads import MatmulKernel
 
     interp, info = compile_for_exec(
         MatmulKernel(2, "mm").source(6), "auto", coarsen=1
     )
     raw = generate_task_ast(info)
-    relaxed = relax_self_chains(interp.scop, info, raw)
+    relaxed = relax(interp.scop, info, raw, hybrid=True)
     seq = interp.run_sequential(interp.new_store())
     counts = {}
     for name, ast in (("raw", raw), ("relaxed", relaxed), ("raw again", raw)):
@@ -118,20 +132,6 @@ def test_raw_and_relaxed_ast_of_one_info_get_their_own_plans(lowering_calls):
     assert counts["raw"] != counts["relaxed"]
     assert counts["raw again"] == counts["raw"]
     assert lowering_calls["lower"].calls == 2
-
-
-def test_ten_privatized_runs_lower_once(lowering_calls):
-    interp, plan, pinfo = privatized_setup(REDUCTIONS["histogram"], 8, 3)
-    execute_privatized(interp, pinfo, plan)
-    after_one = snapshot(lowering_calls)
-    assert after_one["astgen"] == after_one["lower"] == 1
-    for backend in 3 * BACKENDS:
-        out, stats = execute_privatized(
-            interp, pinfo, plan, backend=backend, workers=2
-        )
-        assert stats.privatization["privates"] == 6
-        assert not any(a.startswith("__priv_") for a in out.arrays)
-    assert snapshot(lowering_calls) == after_one
 
 
 def test_privatized_run_validates_the_plan_every_time(monkeypatch):
@@ -377,22 +377,30 @@ def example_plan(name, fuse):
     return interp.exec_plan(info)
 
 
+def replayed_plan(interp, info, plan):
+    """The lowered plan ``execute_privatized(interp, info, plan)``
+    replays (``execute_measured``'s without a ``plan``)."""
+    if plan is None:
+        return interp.exec_plan(info)
+    return interp.exec_plan(info, privatized_ast(interp, info, plan))
+
+
 def privatized_plan(name):
     interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 8, parts=3)
-    return interp.exec_plan(pinfo, None, plan)
+    return replayed_plan(interp, pinfo, plan)
 
 
 def relaxed_setup(name):
     """``(interp, plan)`` of the hybrid-relaxed task AST of ``name``."""
     from repro.schedule import generate_task_ast
-    from repro.tasking import relax_self_chains
+    from repro.schedule import relax
     from repro.workloads import figure11_kernels
 
     kernels = {k.name: k for k in figure11_kernels()} | TABLE9
     interp, info = compile_for_exec(
         kernels[name].source(6), "auto", coarsen=1
     )
-    relaxed = relax_self_chains(interp.scop, info, generate_task_ast(info))
+    relaxed = relax(interp.scop, info, generate_task_ast(info), hybrid=True)
     return interp, interp.exec_plan(info, relaxed)
 
 
@@ -434,21 +442,13 @@ def graph_quotient(plan):
     the plan's AST, by definition: the rows holding its members'
     predecessors, where a chained stream's earlier rows are its
     previous row."""
-    from repro.schedule import build_privatized_graph
     from repro.tasking import TaskGraph
 
-    if plan.privatization is not None:
-        graph, _ = build_privatized_graph(plan.ast, plan.privatization)
-    else:
-        graph = TaskGraph.from_task_ast(plan.ast)
+    graph = TaskGraph.from_task_ast(plan.ast)
     members = plan.members
     assert sorted(t for ts in members for t in ts) == list(range(len(graph)))
     row_of = {t: row for row, ts in enumerate(members) for t in ts}
-    unchained = getattr(plan.privatization, "statements", set())
-    chained = {
-        n.statement for n in plan.ast.nests
-        if n.chained and n.statement not in unchained
-    }
+    chained = {n.statement for n in plan.ast.nests if n.chained}
     preds = []
     for row, ts in enumerate(members):
         stream = plan.rows[row].stream
@@ -600,15 +600,15 @@ def test_bulk_quotient_is_the_edge_by_edge_one_on_pkernels(name):
     """One sort of packed row-edge keys gives the schedule one ``set``
     entry per edge gave, plain and hybrid, at two blockings."""
     from repro.schedule import generate_task_ast
+    from repro.schedule import relax
     from repro.schedule.astgen import task_edges
-    from repro.tasking import relax_self_chains
 
     for coarsen in (1, 3):
         interp, info = compile_for_exec(
             TABLE9[name].source(8), "auto", coarsen=coarsen
         )
         raw = generate_task_ast(info)
-        for ast in (raw, relax_self_chains(interp.scop, info, raw)):
+        for ast in (raw, relax(interp.scop, info, raw, hybrid=True)):
             plan = interp.exec_plan(info, ast)
             assert plan.schedule == reference_schedule(
                 task_edges(ast), plan.members, plan.floors
@@ -621,9 +621,9 @@ def test_bulk_quotient_is_the_edge_by_edge_one_privatized(name):
 
     source = (EXAMPLES / f"{name}.c").read_text()
     interp, priv, pinfo = privatized_setup(source, 8, parts=3)
-    plan = interp.exec_plan(pinfo, None, priv)
+    plan = replayed_plan(interp, pinfo, priv)
     assert plan.schedule == reference_schedule(
-        task_edges(plan.ast, priv), plan.members, plan.floors
+        task_edges(plan.ast), plan.members, plan.floors
     )
 
 
@@ -897,7 +897,7 @@ def test_serial_elision_keeps_privatized_rows(name):
     elided replay, and the result is the per-row replay's bit for bit."""
     source = (EXAMPLES / f"{name}.c").read_text()
     interp, plan, pinfo = privatized_setup(source, 12, parts=3)
-    lowered = interp.exec_plan(pinfo, None, plan)
+    lowered = replayed_plan(interp, pinfo, plan)
     per_row = {
         t for run in lowered.runs if run.kernel is None for t in run.rows
     }
@@ -1090,7 +1090,7 @@ def test_claims_are_exact_on_a_privatized_plan(name):
     claims a member stream row by row or whole — its serial-elision
     run, one ``call(tid)`` per row against the row's own private."""
     interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 8, parts=3)
-    lowered = interp.exec_plan(pinfo, None, plan)
+    lowered = replayed_plan(interp, pinfo, plan)
     per_row, _ = plan_mod.run_plan(
         interp, lowered, "threads", workers=1, collect_events=True
     )
@@ -1315,7 +1315,7 @@ def test_a_cpu_bound_privatized_replay_on_one_cpu_starts_no_helper(
     bit for bit."""
     set_usable_cpus(monkeypatch)
     interp, plan, pinfo = privatized_setup(REDUCTIONS[name], 24, parts=2)
-    lowered = interp.exec_plan(pinfo, None, plan)
+    lowered = replayed_plan(interp, pinfo, plan)
     reference, _ = plan_mod.run_plan(
         interp, lowered, "threads", workers=1, collect_events=True
     )
@@ -1410,7 +1410,7 @@ def test_forced_verdicts_are_the_oracle_on_privatized_plans(
     pin_verdict(monkeypatch, verdict)
     source = (EXAMPLES / f"{name}.c").read_text()
     interp, plan, pinfo = privatized_setup(source, 12, parts=3)
-    lowered = interp.exec_plan(pinfo, None, plan)
+    lowered = replayed_plan(interp, pinfo, plan)
     reference, _ = plan_mod.run_plan(
         interp, lowered, "threads", workers=1, collect_events=True
     )
@@ -1552,7 +1552,7 @@ class TestReplayBitIdentity:
             for backend in ("threads", "processes"):
                 out, stats = refused_shape_replay(interp, info, plan, backend)
                 assert oracle.equal(out), (fuse, backend)
-            lowered = interp.exec_plan(info, None, plan)
+            lowered = replayed_plan(interp, info, plan)
             forced = VERDICTS[verdict](lowered)
             assert lowered.claims[2].whole == forced
             assert stats.scheduler["whole"] == len(forced)

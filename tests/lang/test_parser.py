@@ -188,6 +188,11 @@ class TestNesting:
         src = PREFIX + "-" * 3000 + "i;"
         assert too_deep_at(src) == (1, len(PREFIX) + MAX_NESTING)
 
+    def test_a_3000_term_operator_chain(self):
+        # each operator of a left-leaning chain is one level deeper
+        src = PREFIX + "+".join(["i"] * 3000) + ";"
+        assert too_deep_at(src) == (1, len(PREFIX) + 2 * MAX_NESTING)
+
     def test_calls_and_subscripts_count(self):
         src = PREFIX + "f(" * MAX_NESTING + "i" + ")" * MAX_NESTING + ";"
         assert too_deep_at(src) == (1, len(PREFIX) + 2 * MAX_NESTING)
@@ -200,7 +205,7 @@ class TestNesting:
 
     @pytest.mark.parametrize("opener, closer, levels", [
         ("(", ")", 1), ("-", "", 1), ("f(", ")", 1), ("B[", "]", 1),
-        ("- (", ")", 2), ("0+0*(", ")", 1),
+        ("- (", ")", 2), ("0+0*(", ")", 3), ("0+", "", 1), ("0*", "", 1),
     ])
     def test_the_bound_itself_parses_like_the_reference(
         self, opener, closer, levels

@@ -43,19 +43,6 @@ class TestColumnJuggling:
         with pytest.raises(ValueError):
             Constraint.ge((1, 2), 0).padded(1)
 
-    def test_shifted(self):
-        c = Constraint.ge((1, 2), 5).shifted(1, 4)
-        assert c.coeffs == (0, 1, 2, 0)
-        assert c.const == 5
-
-    def test_permuted(self):
-        c = equality((1, 2, 3), 0).permuted([2, 0, 1])
-        assert c.coeffs == (2, 3, 1)
-
-    def test_permuted_grow(self):
-        c = Constraint.ge((1, 2), 0).permuted([3, 0], ncols=4)
-        assert c.coeffs == (2, 0, 0, 1)
-
 
 class TestNormalization:
     def test_ineq_gcd_tightens(self):

@@ -78,5 +78,5 @@ class TestPretty:
     def test_totals(self, listing1_scop):
         info = detect_pipeline(listing1_scop)
         ast = generate_task_ast(info)
-        assert ast.nest("S").total_iterations() == 19 * 19
+        assert sum(b.size for b in ast.nest("S").blocks) == 19 * 19
         assert len(ast.all_blocks()) == info.num_tasks()

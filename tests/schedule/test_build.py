@@ -12,6 +12,7 @@ from repro.schedule import (
     build_schedule,
     build_statement_tree,
 )
+from tests.conftest import marks
 
 
 class TestStatementTree:
@@ -78,4 +79,4 @@ class TestFullSchedule:
     def test_one_mark_per_statement(self, listing3_scop):
         info = detect_pipeline(listing3_scop)
         tree = build_schedule(info)
-        assert len(tree.marks(PIPELINE_MARK)) == 3
+        assert len(marks(tree, PIPELINE_MARK)) == 3

@@ -1,16 +1,20 @@
 """Tests for the schedule legality checker."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import build_scop
 from repro.pipeline import detect_pipeline
 from repro.schedule import (
     IllegalScheduleError,
+    TaskAst,
     check_legality,
     generate_task_ast,
+    relax,
 )
 from repro.scop import DepKind
-from repro.tasking import TaskGraph, relax_self_chains
+from repro.tasking import TaskGraph
 from repro.workloads import TABLE9, MatmulKernel
 from tests.conftest import LISTING1, LISTING3
 
@@ -47,13 +51,15 @@ class TestLegalGraphs:
     def test_hybrid_graphs_legal(self):
         kern = MatmulKernel(3, "mm")
         scop, info, ast = setup(kern.source(8))
-        graph = TaskGraph.from_task_ast(relax_self_chains(scop, info, ast))
+        graph = TaskGraph.from_task_ast(relax(scop, info, ast, hybrid=True))
         assert check_legality(scop, info, graph).ok
 
 
 def unchained_graph(ast):
     """Every self chain dropped, no self-token in its place."""
-    return TaskGraph.from_task_ast(ast.unchained({"S", "R"}))
+    a = ast.arrays
+    unchained = replace(a, chained=(False,) * len(a.statements))
+    return TaskGraph.from_task_ast(TaskAst(unchained))
 
 
 class TestIllegalGraphs:

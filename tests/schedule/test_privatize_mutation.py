@@ -25,11 +25,13 @@ from repro.pipeline.detect import detect_pipeline
 from repro.presburger import PointRelation
 from repro.schedule import (
     PrivatizationError,
+    TaskAst,
     check_legality,
     generate_task_ast,
     plan_from_proofs,
     plan_privatization,
     privatize_info,
+    relax,
     verify_privatized_graph,
 )
 from repro.scop import DepKind
@@ -143,7 +145,10 @@ def test_join_omitted_schedule_fails_the_structural_recheck(hist_interp):
     pinfo = privatize_info(info, plan, parts=4)
     ast = generate_task_ast(pinfo)
     # build the member tasks but "forget" the join
-    joinless = TaskGraph.from_task_ast(ast.unchained(plan.statements))
+    relaxed = relax(None, None, ast, plan=plan).arrays
+    joinless = TaskGraph.from_task_ast(
+        TaskAst(dataclasses.replace(relaxed, joins=()))
+    )
     report = check_legality(scop, pinfo, joinless, relaxed=plan.relaxed())
     assert report.ok, "instance-level legality is blind to the missing join"
     check = verify_privatized_graph(scop, plan, joinless)

@@ -7,14 +7,19 @@ import pytest
 
 from repro.interp import Interpreter, execute_measured
 from repro.pipeline import detect_pipeline
-from repro.schedule import dumps_task_ast, generate_task_ast, loads_task_ast
+from repro.schedule import (
+    dumps_task_ast,
+    generate_task_ast,
+    loads_task_ast,
+    relax,
+)
 from repro.schedule.astgen import task_edges
 from repro.schedule.serialize import (
     BLOB_MAGIC,
     pack_sections,
     unpack_sections,
 )
-from repro.tasking import TaskGraph, relax_self_chains
+from repro.tasking import TaskGraph
 from repro.workloads import TABLE9
 from tests.conftest import LISTING1, LISTING3
 
@@ -47,8 +52,8 @@ class TestRoundTrip:
         """``chained`` and the self-tokens are the relaxation: a loaded
         AST that lost either would replay as a plain chain."""
         interp, raw = make_ast(TABLE9["P2"].source(6), {})
-        ast = relax_self_chains(
-            interp.scop, detect_pipeline(interp.scop), raw
+        ast = relax(
+            interp.scop, detect_pipeline(interp.scop), raw, hybrid=True
         )
         assert [n.chained for n in ast.nests] == [True, False]
         assert any(

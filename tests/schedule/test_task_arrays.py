@@ -26,11 +26,12 @@ from repro.schedule import (
     generate_task_ast,
     plan_privatization,
     privatize_info,
+    relax,
     verify_privatized_graph,
 )
 from repro.schedule.serialize import dumps_task_ast
 from repro.scop import DepKind
-from repro.tasking import Task, TaskGraph, relax_self_chains
+from repro.tasking import Task, TaskGraph
 from repro.workloads import TABLE9, figure11_kernels
 from tests.conftest import (
     Counter,
@@ -49,19 +50,18 @@ def assert_equivalent(scop, info, hybrid=False, plan=None):
     schedule = build_schedule(info)
     ast = generate_task_ast(info, schedule)
     nests = reference_nests(info, schedule)
+    ast = relax(scop, info, ast, hybrid=hybrid, plan=plan)
     if plan is not None:
         from dataclasses import replace
 
-        ast = ast.unchained(plan.statements)
         nests = tuple(
             replace(n, chained=n.statement not in plan.statements)
             for n in nests
         )
     if hybrid:
-        ast = relax_self_chains(scop, info, ast)
         nests = reference_relax(scop, info, nests)
     assert dumps_task_ast(ast) == dumps_task_ast(ast_of_nests(nests))
-    graph = TaskGraph.from_task_ast(ast, plan=plan)
+    graph = TaskGraph.from_task_ast(ast)
     ref = reference_graph(nests, plan)
     assert graph.preds == ref.preds
     relaxed = plan.relaxed() if plan is not None else None
@@ -123,7 +123,7 @@ def test_a_missing_producer_is_an_error():
 HISTOGRAM = (EXAMPLES / "histogram.c").read_text()
 
 
-@pytest.mark.parametrize(
+COLD_TRANSFORMS = pytest.mark.parametrize(
     "source,params,options",
     [
         pytest.param(TABLE9["P5"].source(14), {}, {}, id="P5@14"),
@@ -135,6 +135,9 @@ HISTOGRAM = (EXAMPLES / "histogram.c").read_text()
         ),
     ],
 )
+
+
+@COLD_TRANSFORMS
 def test_a_cold_verified_transform_builds_no_object_per_block(
     monkeypatch, source, params, options
 ):
@@ -151,3 +154,19 @@ def test_a_cold_verified_transform_builds_no_object_per_block(
     assert {k: c.calls for k, c in counts.items()} == dict.fromkeys(counts, 0)
     if options.get("privatize"):
         assert result.joins
+
+
+@COLD_TRANSFORMS
+def test_a_cold_verified_threads_transform_derives_the_edges_once(
+    monkeypatch, source, params, options
+):
+    """The checked graph, lowering's refusal and the replay's schedule
+    read one derivation of the relaxed AST's edges."""
+    import repro.schedule.astgen as astgen
+
+    derived = Counter(monkeypatch, astgen, "task_edges")
+    result = transform(source, params, TransformOptions(
+        workers=2, exec_backend="threads", collect_events=True, **options
+    ))
+    assert result.verified is True and result.legality.ok
+    assert derived.calls == 1

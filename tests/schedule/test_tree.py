@@ -12,6 +12,7 @@ from repro.schedule import (
     ScheduleTree,
     SequenceNode,
 )
+from tests.conftest import marks
 
 
 def ps(rows):
@@ -54,9 +55,9 @@ class TestWalk:
 
     def test_marks_by_name(self):
         tree = small_tree()
-        assert len(tree.marks("pipeline_deps")) == 1
-        assert len(tree.marks("other")) == 0
-        assert len(tree.marks()) == 1
+        assert len(marks(tree, "pipeline_deps")) == 1
+        assert len(marks(tree, "other")) == 0
+        assert len(marks(tree)) == 1
 
     def test_leaf_has_no_children(self):
         assert Leaf().children() == ()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import importlib
 import json
 
 import numpy as np
@@ -551,15 +552,16 @@ def test_warm_hybrid_load_asks_no_presburger_question(tmp_path, monkeypatch):
     runs without ``hybrid`` (rebuilding the schedule tree)."""
     from repro.presburger import cache as presburger_cache
     from repro.service import load_analysis
-    from repro.tasking import hybrid
     from repro.workloads import MatmulKernel
 
+    # the module, not the function ``repro.schedule.relax`` it exports
+    relax = importlib.import_module("repro.schedule.relax")
     source = MatmulKernel(2, "mm").source(6)
     store = ArtifactStore(str(tmp_path))
     calls = []
-    real = hybrid.dependence_relation
+    real = relax.dependence_relation
     monkeypatch.setattr(
-        hybrid,
+        relax,
         "dependence_relation",
         lambda *a, **k: calls.append(a) or real(*a, **k),
     )
@@ -1024,8 +1026,7 @@ def test_warm_results_and_plans_equal_cold_ones(
     assert report(warm) == report(cold)
 
     def lowered(analysis, interp):
-        plan = analysis.plan if analysis.privatized else None
-        return interp.exec_plan(analysis.info, analysis.task_ast, plan)
+        return interp.exec_plan(analysis.info, analysis.task_ast)
 
     interp = Interpreter.from_source(source, params, fuse=opts.fuse)
     want = lowered(analyze(interp, opts), interp)

@@ -22,9 +22,10 @@ from repro.schedule import (
     generate_task_ast,
     plan_privatization,
     privatize_info,
+    relax,
 )
 from repro.scop import DepKind
-from repro.tasking import TaskGraph, relax_self_chains
+from repro.tasking import TaskGraph
 from repro.workloads import TABLE9
 
 from tests.conftest import dense_reach
@@ -48,7 +49,7 @@ def assert_frontier_is_closure(graph: TaskGraph) -> int:
 
 def hybrid(scop, info) -> TaskGraph:
     return TaskGraph.from_task_ast(
-        relax_self_chains(scop, info, generate_task_ast(info))
+        relax(scop, info, generate_task_ast(info), hybrid=True)
     )
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.interp import Interpreter, execute_measured, execute_privatized
+from repro.interp.privexec import privatized_ast
 from repro.pipeline import detect_pipeline
 from repro.tasking import OmpTaskSystem
 from repro.workloads import TABLE9
@@ -139,7 +140,9 @@ class TestSpawnedWorkers:
         out, stats = execute_privatized(
             interp, pinfo, plan, backend="processes", workers=2
         )
-        lowered = interp.exec_plan(pinfo, None, plan)
+        lowered = interp.exec_plan(
+            pinfo, privatized_ast(interp, pinfo, plan)
+        )
         assert any("remap" in row.payload for row in lowered.rows)
         assert any("combine" in row.payload for row in lowered.rows)
         assert interp.run_sequential(interp.new_store()).equal(out)

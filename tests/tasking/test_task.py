@@ -1,10 +1,12 @@
 """Tests for task graphs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.pipeline import detect_pipeline
-from repro.schedule import generate_task_ast
+from repro.schedule import TaskAst, generate_task_ast
 from repro.tasking import CyclicTaskGraphError, TaskGraph
 
 
@@ -118,7 +120,8 @@ class TestFromTaskAst:
         info = detect_pipeline(listing1_scop)
         ast = generate_task_ast(info)
         with_chain = TaskGraph.from_task_ast(ast)
-        without = TaskGraph.from_task_ast(ast.unchained({"S", "R"}))
+        unchained = replace(ast.arrays, chained=(False, False))
+        without = TaskGraph.from_task_ast(TaskAst(unchained))
         assert without.num_edges < with_chain.num_edges
 
     def test_default_cost_is_block_size(self, listing1_scop):

@@ -288,9 +288,13 @@ class TestErrors:
             (["run", "{tmp}/parens.c"], "1:127: nesting deeper than 100"),
             (["run", "{tmp}/minus.c"], "1:127: nesting deeper than 100"),
             (["run", "{tmp}/twice.c"], "2:18: duplicate statement label"),
+            # the 100th '+' of the statement's chain is one level too deep
+            (["run", "{tmp}/chain300.c"], "1:227: nesting deeper than 100"),
+            (["run", "{tmp}/chain3000.c"], "1:227: nesting deeper than 100"),
         ],
         ids=["invalid-scop", "parse-error", "missing-file", "bad-param",
-             "deep-parens", "deep-minus", "duplicate-label"],
+             "deep-parens", "deep-minus", "duplicate-label", "long-chain",
+             "longer-chain"],
     )
     def test_input_errors_are_diagnostics_not_tracebacks(
         self, argv, says, tmp_path, capsys
@@ -304,11 +308,23 @@ class TestErrors:
         (tmp_path / "twice.c").write_text(
             head + "1;\nfor(i=0;i<4;i++) S: B[i] = A[i];\n"
         )
+        for terms in (300, 3000):
+            (tmp_path / f"chain{terms}.c").write_text(
+                head + "+".join(["i"] * terms) + ";\n"
+            )
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("repro: ") and says in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+    def test_a_100_term_operator_chain_runs(self, tmp_path, capsys):
+        # 99 operators below the loop's level: the deepest chain accepted
+        (tmp_path / "k.c").write_text(
+            "for(i=0;i<4;i++) S: A[i] = " + "+".join(["i"] * 100) + ";\n"
+        )
+        assert main(["run", str(tmp_path / "k.c")]) == 0
+        assert "result matches sequential: True" in capsys.readouterr().out
 
     def test_auto_label_beside_an_explicit_one_runs(self, tmp_path, capsys):
         # the unlabelled statement is S1, not a second S0

@@ -55,7 +55,7 @@ DOCUMENTED_ENTRY_POINTS = [
     ("repro.schedule", "check_legality"),
     ("repro.codegen", "emit_task_program"),
     ("repro.tasking", "simulate"),
-    ("repro.tasking", "relax_self_chains"),
+    ("repro.schedule", "relax"),
     ("repro.tasking", "scaling_curve"),
     ("repro.bench", "run_figure10"),
     ("repro.bench", "write_trace"),
@@ -105,6 +105,9 @@ DELETED = [
     ("repro.scop", "depends_on"),
     ("repro.analysis.portfolio", "accumulator_like"),
     ("repro.service.server", "_http_answer"),
+    # one relaxation consumer: repro.schedule.relax
+    ("repro.tasking", "relax_self_chains"),
+    ("repro.tasking", "intra_block_edges"),
 ]
 
 
@@ -122,12 +125,18 @@ def test_deleted_members_stay_gone():
 
     for module in (
         "repro.lang.printer", "repro.tasking.dot", "repro.pipeline.reduce",
-        "repro.pipeline.reference",
+        "repro.pipeline.reference", "repro.tasking.hybrid",
     ):
         with pytest.raises(ImportError):
             importlib.import_module(module)
     assert not hasattr(TaskGraph, "reachability")
     assert not hasattr(TaskArrays, "from_nests")  # arrays -> nests only
+    from repro.presburger import Constraint
+    from repro.schedule import TaskAst
+
+    assert not hasattr(TaskAst, "unchained")  # repro.schedule.relax
+    assert not hasattr(Constraint, "shifted")
+    assert not hasattr(Constraint, "permuted")
     assert not hasattr(FusedProgram, "coverage")
     assert not hasattr(FusedProgram, "statements_fused")
     # ArrayStore.for_scop stays: a shared store is made by from_store

@@ -87,6 +87,28 @@ def test_cold_verified_p5_at_n96_peaks_within_256_mb(tmp_path):
     assert float(peak_mb) <= 256, out.read_text()
 
 
+@pytest.mark.tier2
+def test_cold_verified_hybrid_p5_at_n48_peaks_within_500_mb(tmp_path):
+    """A fresh process's cold verified hybrid ``transform`` of P5@48
+    (9,216 tasks) stays within 500 MB peak RSS: a relaxed source's
+    tokens sit on its frontier, where prefix tokens took 362 MB at
+    P5@32 already."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tool = Path(__file__).resolve().parents[1] / "tools" / "compile_scaling.py"
+    out = tmp_path / "scaling.txt"
+    subprocess.run(
+        [sys.executable, str(tool), "--hybrid", "--sizes", "48",
+         "--out", str(out)],
+        check=True, capture_output=True,
+    )
+    n, tasks, *_, peak_mb = out.read_text().splitlines()[-1].split()
+    assert (int(n), int(tasks)) == (48, 9_216)
+    assert float(peak_mb) <= 500, out.read_text()
+
+
 def test_cache_is_effective_on_p5_analysis():
     """The memoized op cache must actually hit on the Table 9 hot path."""
     kern = TABLE9["P5"]

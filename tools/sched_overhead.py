@@ -106,8 +106,9 @@ def compile_case(name: str, n: int, coarsen: int):
     ))
     oracle = interp.run_sequential(interp.new_store())
     return interp, lambda backend: execute_privatized(
-        interp, a.info, a.plan, backend=backend, workers=WORKERS
-    ), interp.exec_plan(a.info, None, a.plan), lambda out: (
+        interp, None, a.plan, backend=backend, workers=WORKERS,
+        task_ast=a.task_ast,
+    ), interp.exec_plan(None, a.task_ast), lambda out: (
         privatized_matches(a.plan, oracle, out)[0]
     )
 
