@@ -29,7 +29,7 @@ from ..pipeline.pipeline_map import compute_pipeline_map
 from ..presburger import PointSet, rowwise_lex_lt
 from ..scop import DepKind, Scop, ScopStatement, dependence_relation
 from ..scop.access import Access
-from ..scop.deps import _filter_execution_order, paired_accesses
+from ..scop.deps import in_execution_order, paired_accesses
 from . import diagnostics as D
 from .diagnostics import Collector, DiagnosticReport, Span
 
@@ -345,7 +345,7 @@ def access_pair_relation(
         tgt.points, tgt.space, array_id, scop.mem_rank
     )
     candidates = sr.inverse().after(tr)
-    return _filter_execution_order(candidates, src, tgt)
+    return in_execution_order(candidates, src, tgt)
 
 
 def _fusion_violations(

@@ -329,15 +329,22 @@ class PointRelation:
     def identity(points: PointSet) -> "PointRelation":
         return PointRelation.from_arrays(points.points, points.points)
 
+    @staticmethod
+    def from_canonical(pairs: np.ndarray, n_in: int) -> "PointRelation":
+        """A relation over ``pairs`` that are already canonical (sorted,
+        deduplicated, owned, C-contiguous ``int64``): nothing is sorted
+        or tested again."""
+        out = object.__new__(PointRelation)
+        object.__setattr__(out, "pairs", pairs)
+        object.__setattr__(out, "n_in", n_in)
+        return out
+
     def subset(self, mask: np.ndarray) -> "PointRelation":
         """The pairs where the boolean ``mask`` (one entry per pair) holds:
-        rows picked in order from canonical rows are canonical, so nothing
-        is sorted or tested again.  Boolean indexing copies, so the array
-        is owned and C-contiguous like :func:`unique_rows`' output."""
-        out = object.__new__(PointRelation)
-        object.__setattr__(out, "pairs", self.pairs[mask])
-        object.__setattr__(out, "n_in", self.n_in)
-        return out
+        rows picked in order from canonical rows are canonical.  Boolean
+        indexing copies, so the array is owned and C-contiguous like
+        :func:`unique_rows`' output."""
+        return PointRelation.from_canonical(self.pairs[mask], self.n_in)
 
     # -- structure ------------------------------------------------------
     @property

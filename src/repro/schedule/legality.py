@@ -12,8 +12,14 @@ the test-suite, and what a cautious user should run after transforming a
 kernel with custom options (coarsening, relaxed chains, extra dependence
 classes).
 
-The check is exact; its reachability is tasks × chains
-(:meth:`~repro.tasking.task.TaskGraph.chain_reach`).
+The check is exact and runs over arrays: every dependence pair is a row
+of the SCoP's dependence table (:func:`~repro.scop.deps.dependences`,
+derived once per SCoP), each instance's task comes from one
+``block_of_rows`` per statement, a verified proof's relaxed pairs go
+with one ``isin``, and one gather of the graph's tasks × chains
+reachability (:meth:`~repro.tasking.task.TaskGraph.chain_reach`) orders
+every pair.  Its report equals the per-statement-pair check the tests
+keep as ``tests/conftest.py::reference_check_legality``.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ import numpy as np
 from typing import TYPE_CHECKING, Mapping
 
 from ..pipeline import PipelineInfo
-from ..presburger import PointRelation
+from ..presburger import PointRelation, joint_ranks
 from ..scop import (
     DepKind,
     Scop,
     ScopStatement,
     dependence_relation,
-    iter_dependences,
+    dependences,
 )
 
 if TYPE_CHECKING:  # avoid the schedule <-> tasking package cycle
@@ -101,40 +107,80 @@ def check_legality(
     schedule is allowed to reorder — the removed set of a *verified*
     privatization proof (:func:`verify_privatization`).  Those pairs are
     subtracted from each dependence relation before checking; everything
-    else must still be preserved.
+    else must still be preserved.  Violations come in
+    :func:`~repro.scop.iter_dependences`' order, each relation's pairs in
+    canonical order.
     """
     from ..obs.spans import span
 
     with span("schedule.legality"):
         chain, pos, reach = graph.chain_reach()
-        task_of_block = tasks_by_block(info, graph)
-        checked = 0
-        violations: list[Violation] = []
-        for source, target, kind, rel in iter_dependences(
-            scop, kinds, relaxed
+        table = dependences(scop)
+        rows = table.rows_in_order(kinds)
+        if relaxed:
+            rows = rows[~_relaxed_rows(table, rows, kinds, relaxed)]
+        src, tgt = table.source[rows], table.target[rows]
+        task = _task_of_instance(table, info, graph, np.append(src, tgt))
+        s_tids, t_tids = task[src], task[tgt]
+        # reach is inclusive: a pair inside one task holds, since a
+        # task runs its instances in lexicographic order
+        ok = reach[t_tids, chain[s_tids]] >= pos[s_tids]
+        violations = []
+        for k in np.flatnonzero(~ok)[:max_violations].tolist():
+            source, target, kind = table.key_of(int(rows[k]))
+            violations.append(Violation(
+                kind, source, table.instance(int(src[k])),
+                target, table.instance(int(tgt[k])),
+            ))
+    return LegalityReport(len(rows), tuple(violations))
+
+
+def _relaxed_rows(
+    table, rows: np.ndarray, kinds, relaxed: RelaxedMap
+) -> np.ndarray:
+    """Per pair of ``rows``: is it one ``relaxed`` allows to reorder?
+    Pairs are ``(entry, target instance, source instance)`` triples on
+    both sides, so one ``isin`` answers every entry."""
+    groups = np.searchsorted(table.bounds, rows, side="right") - 1
+    cuts = [np.zeros((0, 3), dtype=np.int64)]
+    for key, cut in relaxed.items():
+        source, target, kind = key
+        if kind not in kinds or cut.is_empty() or not (
+            {source, target} <= table.ids.keys()
         ):
-            checked += len(rel)
-            sb, tb = info.blockings[source.name], info.blockings[target.name]
-            s_tids = task_of_block[source.name][
-                sb.block_of_rows(rel.out_part)
-            ]
-            t_tids = task_of_block[target.name][tb.block_of_rows(rel.in_part)]
-            # reach is inclusive: a pair inside one task holds, since a
-            # task runs its instances in lexicographic order
-            ok = reach[t_tids, chain[s_tids]] >= pos[s_tids]
-            for idx in np.nonzero(~ok)[0]:
-                if len(violations) >= max_violations:
-                    break
-                violations.append(
-                    Violation(
-                        kind,
-                        source.name,
-                        tuple(int(v) for v in rel.out_part[idx]),
-                        target.name,
-                        tuple(int(v) for v in rel.in_part[idx]),
-                    )
-                )
-    return LegalityReport(checked, tuple(violations))
+            continue
+        triples = np.stack([
+            np.full(len(cut), table.group(key)),
+            table.instances(target, cut.in_part),
+            table.instances(source, cut.out_part),
+        ], axis=1)
+        cuts.append(triples[np.all(triples >= 0, axis=1)])
+    cut = np.concatenate(cuts)
+    if not len(cut):
+        return np.zeros(len(rows), dtype=bool)
+    mine = np.stack([groups, table.target[rows], table.source[rows]], axis=1)
+    mine, theirs = joint_ranks(mine, cut)
+    return np.isin(mine, theirs)
+
+
+def _task_of_instance(
+    table, info: PipelineInfo, graph: "TaskGraph", instances: np.ndarray
+) -> np.ndarray:
+    """The task of every instance of each statement ``instances`` touch
+    (-1 elsewhere): one ``block_of_rows`` per statement."""
+    task_of_block = tasks_by_block(info, graph)
+    out = np.full(len(table.owner), -1, dtype=np.int64)
+    touched = np.bincount(
+        table.owner[instances], minlength=len(table.statements)
+    )
+    for k in np.flatnonzero(touched).tolist():
+        stmt = table.statements[k]
+        lo, hi = table.offsets[k], table.offsets[k + 1]
+        blocks = info.blockings[stmt.name].block_of_rows(
+            table.points[lo:hi, : stmt.depth]
+        )
+        out[lo:hi] = task_of_block[stmt.name][blocks]
+    return out
 
 
 def tasks_by_block(info: PipelineInfo, graph: "TaskGraph") -> dict:
@@ -318,7 +364,7 @@ def _induced_through_others(
     Recomputed here from the access functions — deliberately not the
     detector's partition — so the checker stands on its own.
     """
-    from ..scop.deps import _filter_execution_order, paired_accesses
+    from ..scop.deps import in_execution_order, paired_accesses
 
     src_accs, tgt_accs = paired_accesses(src, tgt, kind)
 
@@ -335,6 +381,6 @@ def _induced_through_others(
                 tgt.points, tgt.space, array_id, scop.mem_rank
             )
             out = out.union(
-                _filter_execution_order(sr.inverse().after(tr), src, tgt)
+                in_execution_order(sr.inverse().after(tr), src, tgt)
             )
     return out

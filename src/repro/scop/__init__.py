@@ -4,9 +4,11 @@ from .access import Access, AccessKind
 from .dataflow import DataflowResult, analyze_dataflow
 from .ddg import DepEdge, DependenceGraph, build_dependence_graph
 from .deps import (
+    DependenceTable,
     DepKind,
     carried_levels,
     dependence_relation,
+    dependences,
     iter_dependences,
     parallel_levels,
 )
@@ -21,6 +23,7 @@ __all__ = [
     "DepEdge",
     "DepKind",
     "DependenceGraph",
+    "DependenceTable",
     "InvalidScopError",
     "Scop",
     "ScopStatement",
@@ -29,6 +32,7 @@ __all__ = [
     "build_dependence_graph",
     "carried_levels",
     "dependence_relation",
+    "dependences",
     "extract_scop",
     "iter_dependences",
     "parallel_levels",

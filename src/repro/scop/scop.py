@@ -135,13 +135,22 @@ class Scop:
         return PointRelation(np.concatenate([rows, cells], axis=1), stmt.depth)
 
     # ------------------------------------------------------------------
-    def dependence_table(self) -> dict:
-        """``(source name, target name, DepKind)`` → dependence relation,
-        filled by :func:`repro.scop.deps.dependence_relation`.  On the SCoP
-        object, not in the process: compiling a fresh ``Scop`` costs a first
-        sight of the kernel.  An owner keeping the SCoP beyond its compile
-        (a resident server entry) ``clear()``s it; questions refill it."""
-        return self.__dict__.setdefault("_dependence_table", {})
+    def dependence_table(self):
+        """The slot of the SCoP's :class:`~repro.scop.deps.DependenceTable`
+        (a :class:`~repro.scop.deps.DependenceSlot`): every dependence,
+        derived by the first question (:func:`repro.scop.deps.dependences`).
+        On the SCoP object, not in the process: compiling a fresh ``Scop``
+        costs a first sight of the kernel.  An owner keeping the SCoP
+        beyond its compile (a resident server entry) ``clear()``s it; a
+        question derives it again."""
+        slot = self.__dict__.get("_dependence_table")
+        if slot is None:
+            from .deps import DependenceSlot
+
+            slot = self.__dict__.setdefault(
+                "_dependence_table", DependenceSlot()
+            )
+        return slot
 
     # ------------------------------------------------------------------
     def array_extent(self, name: str) -> tuple[tuple[int, int], ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class TaskGraph:
         self._ast: TaskAst | None = None  # whose blocks tasks 0.. run
         self._tasks: list[Task] = []
         self._adjacency: tuple | None = None
+        self._chain_reach: tuple | None = None
 
     def add_task(
         self,
@@ -78,7 +79,7 @@ class TaskGraph:
         self.block_ids = np.append(self.block_ids, block_id)
         self.costs = np.append(self.costs, cost)
         self._indptr = np.append(self._indptr, self._indptr[-1])
-        self._adjacency = None
+        self._adjacency = self._chain_reach = None
         if block is not None or action is not None:
             self._given[tid] = (block, action)
         return tid
@@ -87,6 +88,7 @@ class TaskGraph:
         if pred == succ:
             raise CyclicTaskGraphError(f"self-edge on task {pred}")
         self._new_edges.append((pred, succ))
+        self._chain_reach = None
 
     @property
     def indptr(self) -> np.ndarray:
@@ -110,7 +112,7 @@ class TaskGraph:
         key = np.sort(dst * n + src)
         dst, self._indices = np.divmod(key[np.diff(key, prepend=-1) > 0], n)
         self._indptr = csr_indptr(dst, len(self))
-        self._adjacency = None
+        self._adjacency = self._chain_reach = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -212,36 +214,108 @@ class TaskGraph:
         ``chain[t]``; ``reach[t, c]`` is the last member of chain ``c`` at
         or before ``t`` (-1: none; the smallest signed dtype the longest
         chain fits), so ``s`` precedes or is ``t`` iff
-        ``reach[t, chain[s]] >= pos[s]``.  A chained nest is one chain.
+        ``reach[t, chain[s]] >= pos[s]``.  A chained nest is one chain,
+        filled as one (:meth:`_chain_runs`); only other tasks take a
+        step each (:meth:`_walk`).  Computed once per graph
+        (``add_task`` / ``add_edge`` forget it); the arrays are
+        read-only.
         """
-        order = self.topological_order()
+        if self._chain_reach is None:
+            self._chain_reach = self._chain_cover()
+            for array in self._chain_reach:
+                array.flags.writeable = False
+        return self._chain_reach
+
+    def _chain_runs(self) -> list[tuple[Sequence[int], bool]]:
+        """The tasks in topological order, cut into runs: ``(tids,
+        whole)``, where a *whole* run is a statement's tasks ``a..b-1``
+        in creation order that form one chain (task ``t > a`` waits on
+        ``t - 1``) and wait on no other task of theirs or later."""
+        n = len(self)
+        rows = csr_rows(self.indptr)
+        if n == 0:
+            return []
+        if not np.all(self._indices < rows):  # not in creation order
+            return [(self.topological_order(), False)]
+        stmt = self.statement_ids
+        cuts = [0, *(np.flatnonzero(np.diff(stmt)) + 1).tolist(), n]
+        runs = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            lo, hi = self.indptr[a], self.indptr[b]
+            preds, waiting = self._indices[lo:hi], rows[lo:hi]
+            inside = preds >= a
+            whole = (
+                np.array_equal(waiting[inside], np.arange(a + 1, b))
+                and np.array_equal(preds[inside], np.arange(a, b - 1))
+                and not np.any(stmt[preds[~inside]] == stmt[a])
+            )
+            runs.append((range(a, b), whole))
+        return runs
+
+    def _chain_cover(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        runs = self._chain_runs()
         ptr, ids = self.indptr.tolist(), self._indices.tolist()
         stmt = self.statement_ids.tolist()
-        chain, pos = [0] * len(order), [0] * len(order)
+        chain, pos = [0] * len(self), [0] * len(self)
         tails: list[int] = []
-        for tid in order:
-            pick = -1
-            for p in ids[ptr[tid] : ptr[tid + 1]]:
-                if tails[chain[p]] == p:
-                    pick = p
-                    if stmt[p] == stmt[tid]:
-                        break
-            if pick < 0:
-                chain[tid] = len(tails)
-                tails.append(tid)
-            else:
-                chain[tid], pos[tid] = chain[pick], pos[pick] + 1
-                tails[chain[tid]] = tid
+        for tids, whole in runs:
+            # a whole run's later tasks each extend their predecessor
+            for tid in tids[:1] if whole else tids:
+                pick = -1
+                for p in ids[ptr[tid] : ptr[tid + 1]]:
+                    if tails[chain[p]] == p:
+                        pick = p
+                        if stmt[p] == stmt[tid]:
+                            break
+                if pick < 0:
+                    chain[tid] = len(tails)
+                    tails.append(tid)
+                else:
+                    chain[tid], pos[tid] = chain[pick], pos[pick] + 1
+                    tails[chain[tid]] = tid
+            if whole:
+                a, b = tids[0], tids[-1] + 1
+                chain[a:b] = [chain[a]] * (b - a)
+                pos[a:b] = range(pos[a], pos[a] + b - a)
+                tails[chain[a]] = b - 1
         dtype = np.min_scalar_type(-max(pos, default=0) - 1)
-        reach = np.full((len(order), len(tails)), -1, dtype=dtype)
-        for tid in order:
+        reach = np.full((len(self), len(tails)), -1, dtype=dtype)
+        for tids, whole in runs:
+            if whole:
+                self._fill_chain(reach, tids[0], tids[-1] + 1, chain, pos)
+            else:
+                self._walk(reach, tids, chain, pos, ptr, ids)
+        chain_ids = np.array(chain, dtype=np.int64)
+        return chain_ids, np.array(pos, dtype=np.int64), reach
+
+    def _fill_chain(self, reach, a: int, b: int, chain, pos) -> None:
+        """``reach`` of a whole run ``a..b-1``: per task the maximum over
+        its predecessors outside the run (one ``reduceat``), then the
+        running maximum down the chain (one ``accumulate``)."""
+        lo, hi = self.indptr[a], self.indptr[b]
+        preds = self._indices[lo:hi]
+        cross = preds < a
+        preds, waiting = preds[cross], csr_rows(self.indptr[a : b + 1])[cross]
+        block = np.full((b - a, reach.shape[1]), -1, dtype=reach.dtype)
+        if len(preds):
+            starts = np.flatnonzero(np.diff(waiting, prepend=-1))
+            block[waiting[starts]] = np.maximum.reduceat(
+                reach[preds], starts, axis=0
+            )
+        np.maximum.accumulate(block, axis=0, out=block)
+        block[np.arange(b - a), chain[a]] = pos[a:b]
+        reach[a:b] = block
+
+    def _walk(self, reach, tids: Sequence[int], chain, pos, ptr, ids) -> None:
+        """``reach`` of the tasks ``tids``, one step each (``ptr`` /
+        ``ids``: the CSR as lists)."""
+        for tid in tids:
             lo, hi = ptr[tid], ptr[tid + 1]
             if hi - lo == 1:
                 reach[tid] = reach[ids[lo]]
             elif hi > lo:
                 reach[tid] = reach[self._indices[lo:hi]].max(axis=0)
             reach[tid, chain[tid]] = pos[tid]
-        return np.array(chain), np.array(pos), reach
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -245,6 +245,105 @@ def dense_reach(graph):
     return reach
 
 
+def reference_filter_execution_order(candidates, src, tgt):
+    """The pairs of ``candidates`` (``tgt`` instance → ``src`` instance)
+    in sequential execution order, by the rule written out: a source
+    nest before the target nest, or one nest ordered on the shared loop
+    dimensions with textual order as tie break; one statement needs
+    strict lexicographic precedence."""
+    import numpy as np
+
+    from repro.presburger import PointRelation, rowwise_lex_lt
+
+    if candidates.is_empty():
+        return candidates
+    tgt_iters = candidates.in_part
+    src_iters = candidates.out_part
+    if src.nest_index < tgt.nest_index:
+        return candidates
+    if src.nest_index > tgt.nest_index:
+        return PointRelation.empty(candidates.n_in, candidates.n_out)
+    common = min(src.depth, tgt.depth)
+    src_prefix = src_iters[:, :common]
+    tgt_prefix = tgt_iters[:, :common]
+    before = rowwise_lex_lt(src_prefix, tgt_prefix)
+    equal = np.all(src_prefix == tgt_prefix, axis=1)
+    if src.name == tgt.name:
+        keep = before | (equal & rowwise_lex_lt(src_iters, tgt_iters))
+    elif src.position < tgt.position:
+        keep = before | equal
+    else:
+        keep = before
+    return candidates.subset(keep)
+
+
+def reference_join_dependence(scop, src, tgt, kind):
+    """One dependence relation joined on its own, as
+    ``dependence_relation`` answered before the batched table: the two
+    statements' access relations in ``kind``'s roles, composed, then
+    filtered by :func:`reference_filter_execution_order`."""
+    from repro.presburger import PointRelation
+    from repro.scop.deps import paired_accesses
+
+    src_accs, tgt_accs = paired_accesses(src, tgt, kind)
+    shared = {a.array for a in src_accs} & {a.array for a in tgt_accs}
+    if src.nest_index > tgt.nest_index or not shared:
+        return PointRelation.empty(tgt.depth, src.depth)
+    src_role, tgt_role = src_accs[0].kind, tgt_accs[0].kind
+    candidates = (
+        scop.access_relation(src, src_role)
+        .inverse()
+        .after(scop.access_relation(tgt, tgt_role))
+    )
+    return reference_filter_execution_order(candidates, src, tgt)
+
+
+def reference_check_legality(
+    scop, info, graph, kinds=tuple(DepKind), max_violations=20, relaxed=None
+):
+    """``check_legality`` per statement pair, as it was before it read
+    the dependence table: one :func:`reference_join_dependence` per
+    ``(source, target, kind)``, minus its ``relaxed`` cut, one
+    ``block_of_rows`` per relation side, ordered by :func:`dense_reach`
+    (a pair inside one task holds)."""
+    import numpy as np
+
+    from repro.schedule.legality import (
+        LegalityReport,
+        Violation,
+        tasks_by_block,
+    )
+
+    precedes = dense_reach(graph) | np.eye(len(graph), dtype=bool)
+    task_of_block = tasks_by_block(info, graph)
+    checked, violations = 0, []
+    for source in scop.statements:
+        for target in scop.statements:
+            for kind in kinds:
+                rel = reference_join_dependence(scop, source, target, kind)
+                cut = (relaxed or {}).get((source.name, target.name, kind))
+                if cut is not None and not cut.is_empty():
+                    rel = rel.difference(cut)
+                checked += len(rel)
+                s_tids = task_of_block[source.name][
+                    info.blockings[source.name].block_of_rows(rel.out_part)
+                ]
+                t_tids = task_of_block[target.name][
+                    info.blockings[target.name].block_of_rows(rel.in_part)
+                ]
+                for idx in np.flatnonzero(~precedes[s_tids, t_tids]):
+                    if len(violations) >= max_violations:
+                        break
+                    violations.append(Violation(
+                        kind,
+                        source.name,
+                        tuple(int(v) for v in rel.out_part[idx]),
+                        target.name,
+                        tuple(int(v) for v in rel.in_part[idx]),
+                    ))
+    return LegalityReport(checked, tuple(violations))
+
+
 def from_nests(nests):
     """The reference ``TaskArrays`` of task loop nests (the object path
     generation no longer takes): a token no block produces raises

@@ -16,6 +16,12 @@ For every seeded random program (see :mod:`tests.fuzz.generator`):
   floats, must equal ``reference_program`` (tests/conftest.py), the
   NumPy-scalar oracle, byte for byte on every sample, in the tier-1
   sweep and in the nightly tier-2 campaign.
+* **Legality differential** — ``check_legality``, which reads the SCoP's
+  batched dependence table as arrays, must report what
+  ``reference_check_legality`` (tests/conftest.py: one join per
+  statement pair and kind, dense reachability) reports, on the task
+  graph as compiled and again with a random third of its edges dropped,
+  in the tier-1 sweep and in the nightly tier-2 campaign.
 
 Reproduce one run exactly with::
 
@@ -36,13 +42,14 @@ import pytest
 from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
 from repro.presburger import cache
-from repro.schedule import generate_task_ast
+from repro.schedule import check_legality, generate_task_ast
 from repro.tasking import TaskGraph
 from tests.conftest import (
     KERNEL_FORMS,
     compile_for_exec,
     execute_blocks_in_order,
     fused_statements,
+    reference_check_legality,
     reference_run,
     run_whole_blocks,
 )
@@ -51,6 +58,8 @@ from tests.interp.test_plan import (
     assert_reduced_with_the_same_order,
     graph_quotient,
 )
+
+from tests.tasking.test_chain_reach import without_edges
 
 from .generator import generate_samples, random_topological_order
 
@@ -73,6 +82,22 @@ def _checked_sequential(interp, sample):
         f"reference\n{sample.source}"
     )
     return seq
+
+
+def _assert_legality_equals_reference(interp, graph, sample, rng):
+    """``check_legality`` reports what ``reference_check_legality`` does
+    on ``graph`` and on a copy with a random third of its edges dropped
+    (which violates dependences on most samples)."""
+    info = detect_pipeline(interp.scop)
+    dropped = without_edges(graph, lambda pred, succ: rng.random() >= 1 / 3)
+    for g in (graph, dropped):
+        got = check_legality(interp.scop, info, g)
+        want = reference_check_legality(interp.scop, info, g)
+        assert got == want, (
+            f"{sample.describe()}: legality diverged from the reference "
+            f"({got} vs {want})\n{sample.source}"
+        )
+    return not got.ok  # of the dropped edges
 
 
 def _run_pipelined(interp, graph, order):
@@ -112,6 +137,19 @@ def test_pipelined_execution_matches_sequential(samples, pytestconfig):
         )
 
 
+def test_legality_equals_reference(samples, pytestconfig):
+    """The array legality check equals the per-pair reference on every
+    sample, as compiled and with edges dropped."""
+    seed = pytestconfig.getoption("--fuzz-seed")
+    rng = random.Random(seed ^ 0x1E6A1)
+    broken = 0
+    for sample in samples:
+        interp, _ast, graph = _analysis_blocks(sample)
+        broken += _assert_legality_equals_reference(interp, graph, sample, rng)
+    # the dropped edges must reach the violation path, too
+    assert broken > len(samples) // 2
+
+
 def test_cache_on_off_results_bit_identical(samples):
     """The op cache is semantically invisible end to end, per sample."""
     for sample in samples:
@@ -146,11 +184,13 @@ def test_generator_is_reproducible():
 
 @pytest.mark.tier2
 def test_long_fuzz_campaign(pytestconfig):
-    """Nightly: a 200-sample schedule + oracle differential sweep."""
+    """Nightly: a 200-sample schedule + oracle + legality differential
+    sweep."""
     seed = pytestconfig.getoption("--fuzz-seed")
     rng = random.Random(seed ^ 0xCA3)
     for sample in generate_samples(seed + 1, 200):
         interp, _ast, graph = _analysis_blocks(sample)
+        _assert_legality_equals_reference(interp, graph, sample, rng)
         seq = _checked_sequential(interp, sample)
         par = _run_pipelined(
             interp, graph, random_topological_order(graph, rng)

@@ -1,6 +1,9 @@
 """The per-SCoP dependence table: equal to the literal definition on every
-entry, filled once per ``Scop`` object, and gone with it."""
+entry, derived once per ``Scop`` object (again after ``clear()``), and
+gone with it."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,11 +12,16 @@ from repro.driver import TransformOptions, transform
 from repro.interp import Interpreter
 from repro.lang import parse
 from repro.presburger import PointRelation, cache
-from repro.scop import DepKind, dependence_relation, extract_scop
-from repro.scop.deps import _filter_execution_order
+from repro.scop import (
+    DepKind,
+    dependence_relation,
+    deps,
+    extract_scop,
+    iter_dependences,
+)
 from repro.workloads import TABLE9
 
-from ..conftest import LISTING1
+from ..conftest import Counter, LISTING1, reference_filter_execution_order
 from ..fuzz.generator import generate_samples
 
 KERNEL_DIR = Path(__file__).resolve().parents[2] / "examples" / "kernels"
@@ -37,7 +45,7 @@ def literal(scop, src, tgt, kind) -> PointRelation:
         src_rel, tgt_rel = scop.read_relation(src), scop.write_relation(tgt)
     else:
         src_rel, tgt_rel = scop.write_relation(src), scop.write_relation(tgt)
-    return _filter_execution_order(
+    return reference_filter_execution_order(
         src_rel.inverse().after(tgt_rel), src, tgt
     )
 
@@ -52,6 +60,12 @@ def join_calls(monkeypatch):
         lambda self, other: calls.append(1) or real(self, other),
     )
     return calls
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts the batched derivations of a dependence table."""
+    return Counter(monkeypatch, deps, "_derive")
 
 
 def test_every_entry_equals_the_literal_definition():
@@ -73,37 +87,45 @@ def test_every_entry_equals_the_literal_definition():
     assert entries > 1000 and exits > 300
 
 
-def test_an_entry_is_joined_once_per_scop(join_calls):
-    joins = join_calls
+def test_the_table_is_derived_once_per_scop_and_refilled_after_clear(
+    derivations, join_calls
+):
     with cache.overridden(enabled=False):  # every after() reaches _after
         scop = extract_scop(parse(LISTING1), {"N": 10})
         S, R = scop.statement("S"), scop.statement("R")
+        table = scop.dependence_table()
+        assert not table and derivations.calls == 0  # no question yet
         first = dependence_relation(scop, S, R)
-        assert len(joins) == 1
+        assert derivations.calls == 1 and len(table) == 3 * 2**2
         assert dependence_relation(scop, S, R) is first
         assert dependence_relation(scop, R, S).is_empty()  # nest order
-        assert dependence_relation(scop, R, S, DepKind.ANTI).is_empty()
-        assert len(joins) == 1
-        scop.dependence_table().clear()
-        assert dependence_relation(scop, S, R) == first
-        assert len(joins) == 2
+        assert len(list(iter_dependences(scop))) > 1
+        assert derivations.calls == 1
+        assert join_calls == []  # the table composes no relation
+        table.clear()
+        assert not table
+        again = dependence_relation(scop, S, R)
+        assert again == first and again is not first
+        assert derivations.calls == 2 and scop.dependence_table() is table
 
 
-def test_nothing_dependence_shaped_outlives_a_scop(join_calls):
-    """Two ``transform``s of one source in one process join equally often:
-    the table is the SCoP's, and each ``transform`` extracts its own."""
-    joins = join_calls
+def test_each_scop_derives_its_own_table_and_it_dies_with_it(derivations):
+    """Two ``transform``s of one source in one process derive the table
+    once each: it is the SCoP's, and each ``transform`` extracts its
+    own.  Nothing else holds it once the SCoP is gone."""
     source = TABLE9["P9"].source(10)
     counts = []
-    # the Presburger memo is keyed on operand *content* and would answer
-    # the second compile's joins; switched off, only a cache of dependence
-    # relations could make the second count smaller
-    with cache.overridden(enabled=False):
-        for _ in range(2):
-            joins.clear()
-            assert transform(source, {}, TransformOptions(coarsen=4)).verified
-            counts.append(len(joins))
-    assert counts[0] == counts[1] > 0
+    for _ in range(2):
+        before = derivations.calls
+        assert transform(source, {}, TransformOptions(coarsen=4)).verified
+        counts.append(derivations.calls - before)
+    assert counts == [1, 1]
+    scop = extract_scop(parse(source), {})
+    assert len(list(iter_dependences(scop))) > 0
+    table = weakref.ref(deps.dependences(scop))
+    del scop
+    gc.collect()
+    assert table() is None
 
 
 @pytest.mark.parametrize("privatize", [False, True])

@@ -108,6 +108,7 @@ def test_frontier_equals_closure_on_privatized_graphs(kernel):
 def test_empty_graph():
     chain, pos, reach = TaskGraph().chain_reach()
     assert len(chain) == len(pos) == 0 and reach.shape == (0, 0)
+    assert chain.dtype == pos.dtype == np.int64  # usable as indices
 
 
 def test_reach_dtype_is_sized_by_the_longest_chain():
@@ -127,3 +128,51 @@ def test_reach_dtype_is_sized_by_the_longest_chain():
         if k:
             long.add_edge(k - 1, k)
     assert long.chain_reach()[2].dtype == np.int16
+
+
+def test_chain_reach_is_computed_once_per_graph(monkeypatch):
+    """``check_legality`` and ``verify_privatized_graph`` share one
+    cover: the second read is the first one's arrays, read-only."""
+    from tests.conftest import Counter
+
+    scop = Interpreter.from_source(TABLE9["P5"].source(8), {}).scop
+    graph = TaskGraph.from_task_ast(generate_task_ast(detect_pipeline(scop)))
+    covers = Counter(monkeypatch, TaskGraph, "_chain_cover")
+    first = graph.chain_reach()
+    assert graph.chain_reach() is first and covers.calls == 1
+    for array in first:
+        with pytest.raises(ValueError):
+            array[:1] = 0
+
+
+def test_add_task_and_add_edge_forget_the_chain_reach():
+    graph = TaskGraph()
+    a, b = graph.add_task("S", 0), graph.add_task("S", 1)
+    assert graph.chain_reach()[2].shape == (2, 2)  # no edge: two chains
+    graph.add_edge(a, b)
+    chain, pos, reach = graph.chain_reach()
+    assert reach.shape == (2, 1) and pos.tolist() == [0, 1]
+    c = graph.add_task("T", 0)
+    assert graph.chain_reach()[2].shape == (3, 2)
+    graph.add_edge(b, c)
+    assert graph.chain_reach()[0].tolist() == [0, 0, 0]
+    assert_frontier_is_closure(graph)
+
+
+def test_whole_chains_are_filled_at_once_and_the_rest_walks(monkeypatch):
+    """A chained nest takes no per-task step; an unchained one (hybrid,
+    a graph with its self edges dropped) walks, and both equal the
+    closure."""
+    from tests.conftest import Counter
+
+    walks = Counter(monkeypatch, TaskGraph, "_walk")
+    scop = Interpreter.from_source(TABLE9["P5"].source(8), {}).scop
+    info = detect_pipeline(scop)
+    plain = TaskGraph.from_task_ast(generate_task_ast(info))
+    assert_frontier_is_closure(plain)
+    assert walks.calls == 0
+    broken = without_edges(
+        plain, lambda p, s: plain.statement_ids[p] != plain.statement_ids[s]
+    )
+    assert_frontier_is_closure(broken)
+    assert walks.calls == len(scop.statements)

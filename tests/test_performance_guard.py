@@ -126,9 +126,11 @@ def test_cache_is_effective_on_p5_analysis():
 #: memoized Presburger calls of one cold ``analyze`` (detection + the
 #: legality re-derivation) at N=20, coarsen=60, as (calls, hits, misses)
 #: per op.  The counts repeat exactly, so they are pinned — as a ratchet:
-#: ``COLD_ANALYZE_OPS`` is what this commit does (192 / 192 / 172 calls in
+#: ``COLD_ANALYZE_OPS`` is what this commit does (156 / 156 / 138 calls in
 #: all; no ``PointRelation.union`` since each access relation is one
-#: canonicalisation) and may only be re-recorded downwards;
+#: canonicalisation, no ``PointRelation.after`` since the batched
+#: dependence table composes no relation) and may only be re-recorded
+#: downwards;
 #: ``PARENT_COLD_ANALYZE_OPS`` is what an earlier commit did (374 / 374 /
 #: 343), before every dependence
 #: question was asked once per SCoP, pipeline maps were returned as
@@ -144,17 +146,17 @@ _OPS = (
 )
 COLD_ANALYZE_OPS = {
     "P5": (
-        (18, 0, 18), (48, 42, 6), (34, 25, 9), (24, 22, 2), (26, 24, 2),
+        (0, 0, 0), (48, 42, 6), (16, 11, 5), (24, 22, 2), (26, 24, 2),
         (6, 5, 1), (0, 0, 0), (4, 3, 1), (14, 12, 2), (8, 7, 1),
         (4, 0, 4), (6, 5, 1),
     ),
     "P6": (
-        (18, 0, 18), (48, 38, 10), (34, 23, 11), (24, 19, 5), (26, 21, 5),
+        (0, 0, 0), (48, 38, 10), (16, 9, 7), (24, 19, 5), (26, 21, 5),
         (6, 5, 1), (0, 0, 0), (4, 2, 2), (14, 10, 4), (8, 6, 2),
         (4, 0, 4), (6, 4, 2),
     ),
     "P9": (
-        (17, 0, 17), (44, 30, 14), (31, 18, 13), (20, 12, 8), (23, 15, 8),
+        (0, 0, 0), (44, 30, 14), (14, 5, 9), (20, 12, 8), (23, 15, 8),
         (5, 3, 2), (0, 0, 0), (4, 1, 3), (13, 7, 6), (6, 2, 4),
         (4, 0, 4), (5, 2, 3),
     ),
@@ -204,6 +206,74 @@ def test_cold_analysis_sorts_no_rows_generically(name, unique_axis0_calls):
     assert sum(c for c, _, _ in counts.values()) < 0.6 * sum(
         c for c, _, _ in PARENT_COLD_ANALYZE_OPS[name]
     )
+
+
+def test_cold_p5_derives_dependences_once_and_blocks_each_statement_once(
+    monkeypatch,
+):
+    """Count-based: a cold verified P5@14 derives the SCoP's dependence
+    table once (detection and legality read it), and the legality check
+    calls ``block_of_rows`` once per statement, not once per relation
+    side."""
+    import repro.driver as driver
+    from repro.driver import TransformOptions, transform
+    from repro.pipeline.blocking import Blocking
+    from repro.scop import deps
+    from tests.conftest import Counter
+
+    derivations = Counter(monkeypatch, deps, "_derive")
+    inside, blocked = [False], []
+    real_check, real_block = driver.check_legality, Blocking.block_of_rows
+
+    def checking(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def block_of_rows(self, iters):
+        if inside[0]:
+            blocked.append(self.statement)
+        return real_block(self, iters)
+
+    monkeypatch.setattr(driver, "check_legality", checking)
+    monkeypatch.setattr(Blocking, "block_of_rows", block_of_rows)
+    result = transform(TABLE9["P5"].source(14), {}, TransformOptions())
+    assert result.verified and result.legality.ok
+    assert derivations.calls == 1
+    assert sorted(blocked) == ["S1", "S2", "S3", "S4"]
+
+
+def test_chain_reach_fills_plain_pipelines_without_a_per_task_step(
+    monkeypatch,
+):
+    """Count-based: on every plain Table 9 pipeline each statement's
+    blocks are one chain, filled at once; no task takes a step of its
+    own (``TaskGraph._walk``), and a privatized cold compile covers its
+    graph with chains once for both of its checks."""
+    from pathlib import Path
+
+    from repro.driver import TransformOptions, transform
+    from repro.schedule import generate_task_ast
+    from repro.tasking import TaskGraph
+    from tests.conftest import Counter
+
+    walks = Counter(monkeypatch, TaskGraph, "_walk")
+    for name, kern in sorted(TABLE9.items()):
+        scop = build_scop(kern.source(10))
+        ast = generate_task_ast(detect_pipeline(scop))
+        graph = TaskGraph.from_task_ast(ast)
+        assert graph.chain_reach()[2].shape[1] <= len(scop.statements), name
+    assert walks.calls == 0
+    covers = Counter(monkeypatch, TaskGraph, "_chain_cover")
+    kernels = Path(__file__).resolve().parents[1] / "examples" / "kernels"
+    result = transform(
+        (kernels / "histogram.c").read_text(), {"N": 16},
+        TransformOptions(privatize=True),
+    )
+    assert result.verified and result.privatization.groups
+    assert covers.calls == 1
 
 
 def test_analysis_roughly_quadratic_not_cubic():

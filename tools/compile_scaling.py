@@ -9,8 +9,12 @@ of its chain cover (``TaskGraph.chain_reach``, the legality check's
 reachability), the cold wall of the ``transform`` call (its artifact
 put included), the wall of one warm verified ``transform`` through the
 store it filled (run last, on a cleared presburger cache, as the
-ledger's ``oneshot_warm_ms``), the ``schedule.astgen`` and
-``schedule.legality`` spans inside the cold one, ``parse`` alone, the
+ledger's ``oneshot_warm_ms``), the ``schedule.astgen``,
+``scop.dependences`` (the one batched derivation of the SCoP's
+dependence table, wherever its first question falls: detection on a
+plain compile) and ``schedule.legality`` spans inside the cold one, so a
+legality gain cannot hide a dependence build moved elsewhere,
+``parse`` alone, the
 front end (parse, SCoP extraction with its domain points, every access
 relation and every array extent of a fresh SCoP of the same source,
 timed after the ``transform`` on a cleared presburger cache), the
@@ -100,12 +104,14 @@ if not (warm.verified and warm.cache_status == "warm"):
 scratch.cleanup()
 (astgen,) = [s for s in rec.spans if s.name == "schedule.astgen"]
 (legality,) = [s for s in rec.spans if s.name == "schedule.legality"]
+(deps,) = [s for s in rec.spans if s.name == "scop.dependences"]
 print(json.dumps({
     "tasks": len(result.graph),
     "chains": result.graph.chain_reach()[2].shape[1],
     "cold_s": wall,
     "warm_s": warm_s,
     "astgen_s": astgen.duration_ns / 1e9,
+    "deps_s": deps.duration_ns / 1e9,
     "legality_s": legality.duration_ns / 1e9,
     "parse_s": parse_s,
     "frontend_s": frontend,
@@ -136,14 +142,14 @@ def render(kernel: str, hybrid: bool, rows: dict[int, dict]) -> str:
         f"{' --hybrid' if hybrid else ''}, fuse auto, {WORKERS} workers, "
         "one fresh process per row",
         f"{'N':>5}{'tasks':>9}{'chains':>8}{'cold s':>9}{'warm s':>9}"
-        f"{'astgen s':>10}{'legality s':>12}{'parse s':>9}"
+        f"{'astgen s':>10}{'deps s':>8}{'legality s':>12}{'parse s':>9}"
         f"{'frontend s':>12}{'oracle s':>10}"
         f"{'arrays MB':>11}{'lists MB':>10}{'peak MB':>9}",
     ]
     for n, r in rows.items():
         lines.append(
             f"{n:>5}{r['tasks']:>9}{r['chains']:>8}{r['cold_s']:>9.2f}"
-            f"{r['warm_s']:>9.4f}{r['astgen_s']:>10.3f}"
+            f"{r['warm_s']:>9.4f}{r['astgen_s']:>10.3f}{r['deps_s']:>8.3f}"
             f"{r['legality_s']:>12.3f}{r['parse_s']:>9.4f}"
             f"{r['frontend_s']:>12.4f}{r['oracle_s']:>10.4f}"
             f"{r['arrays_mb']:>11.2f}{r['lists_mb']:>10.2f}"
