@@ -15,7 +15,6 @@ from repro.presburger import (
     Constraint,
     PointRelation,
     Space,
-    cache,
     enumerate_basic_set,
     joint_ranks,
     unique_rows,
@@ -130,14 +129,10 @@ class TestJoinShapes:
         assert len(result) > 2 * rows
 
 
-class TestOpCache:
-    """The same composite workload with the op cache on and off.
-
-    The workload mixes the hot operations the pipeline algebra leans on —
-    enumeration, relation composition, per-domain lexmax, set difference —
-    over repeated operands, which is exactly the access pattern
-    ``detect_pipeline`` produces.
-    """
+class TestComposite:
+    """The hot operations the pipeline algebra leans on — enumeration,
+    relation composition, per-domain lexmax, set difference — over
+    repeated operands, the access pattern ``detect_pipeline`` produces."""
 
     @staticmethod
     def _enumeration_workload():
@@ -145,15 +140,8 @@ class TestOpCache:
         pts = enumerate_basic_set(inter)
         return tuple(pts[-1]), pts.shape[0]
 
-    def test_enumeration_workload_cache_on(self, benchmark):
-        with cache.overridden(enabled=True):
-            cache.cache_clear()
-            result = benchmark(self._enumeration_workload)
-        assert result == ((39, 39), 40 * 41 // 2)
-
-    def test_enumeration_workload_cache_off(self, benchmark):
-        with cache.overridden(enabled=False):
-            result = benchmark(self._enumeration_workload)
+    def test_enumeration_workload(self, benchmark):
+        result = benchmark(self._enumeration_workload)
         assert result == ((39, 39), 40 * 41 // 2)
 
     @staticmethod
@@ -161,13 +149,6 @@ class TestOpCache:
         flow = rel.inverse().after(rel)
         return flow.lexmax_per_domain().domain().difference(rel.domain())
 
-    def test_explicit_workload_cache_on(self, benchmark, medium_relation):
-        with cache.overridden(enabled=True):
-            cache.cache_clear()
-            result = benchmark(self._explicit_workload, medium_relation)
-        assert result.ndim == 2
-
-    def test_explicit_workload_cache_off(self, benchmark, medium_relation):
-        with cache.overridden(enabled=False):
-            result = benchmark(self._explicit_workload, medium_relation)
+    def test_explicit_workload(self, benchmark, medium_relation):
+        result = benchmark(self._explicit_workload, medium_relation)
         assert result.ndim == 2

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..presburger import cache as presburger_cache
 from ..tasking import SimResult, TaskGraph
 
 #: pid per lane group (Chrome trace "processes" are display groups).
@@ -121,7 +120,6 @@ def trace_json(
         "workers": sim.workers,
         "policy": sim.policy,
         "tasks": len(graph),
-        "presburger_cache": presburger_cache.stats().as_dict(),
     }
     if execution is not None:
         other["execution"] = _as_dict(execution)

@@ -161,11 +161,6 @@ def _transform(args, source: str, **run_with):
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_kernel, render_json, render_sarif, render_text
 
-    if args.stats:
-        from .presburger import cache as presburger_cache
-
-        presburger_cache.reset_stats()
-
     source = _read_source(args.kernel)
     result = analyze_kernel(
         source,
@@ -232,7 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _print_stats(args, source: str) -> None:
-    """``analyze --stats``: one verified serial ``transform``, its four
+    """``analyze --stats``: one verified serial ``transform``, its
     stat families folded through the metrics registry."""
     from .interp.fused import chain_label
     from .obs.metrics import (
@@ -240,7 +235,6 @@ def _print_stats(args, source: str) -> None:
         absorb_artifact_store,
         absorb_transform,
     )
-    from .presburger import cache as presburger_cache
     from .store import session_counters
 
     result = _transform(args, source, exec_backend="serial")
@@ -258,8 +252,6 @@ def _print_stats(args, source: str) -> None:
         f"{100.0 * tg('reduction_ratio'):.0f}% cut), "
         f"critical path {tg('critical_path_tasks')} tasks"
     )
-    print()
-    print(presburger_cache.format_stats())
 
     stats = result.execution
     modes = stats.dispatch_modes.values()
@@ -646,7 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--stats",
         action="store_true",
-        help="print Presburger op-cache hit/miss statistics after analysis",
+        help="print task-graph, fusion, artifact-store and registry "
+        "statistics of one verified serial transform after analysis",
     )
     p_analyze.add_argument(
         "--portfolio",

@@ -525,9 +525,9 @@ def replay(
     The ``processes`` backend (any spelling in ``BACKEND_ALIASES``)
     resolves a pending oracle *before* its run:
     the pool forks its workers, and a fork while the helper holds the
-    span buffer's or the Presburger cache's lock (a recording span
-    opening or closing takes both) would hand a worker a lock nobody
-    releases — a worker that records spans needs both.
+    span buffer's lock (a recording span takes it as it opens and
+    closes) would hand a worker a lock nobody releases — a worker that
+    records spans needs it.
     """
     forks = BACKEND_ALIASES.get(backend) == "processes"
     if forks and isinstance(oracle, PendingOracle):

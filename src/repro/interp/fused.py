@@ -779,7 +779,7 @@ def plan_chain_groups(scop, ast, program: FusedProgram):
     the merge observationally equivalent holds.  The structural ones are
     evaluated against the AST's arrays on every call; the
     ``fusion_legal_pair`` verdict depends on the SCoP only and is
-    memoized on ``program`` (:meth:`FusedProgram.fusion_legal`), so a
+    kept on ``program`` (:meth:`FusedProgram.fusion_legal`), so a
     plan loaded from the store answers it from its table:
 
     * all members are ``chained`` (the merged stream is one self chain)

@@ -27,7 +27,6 @@ from .metrics import (
     MetricsRegistry,
     absorb_artifact_store,
     absorb_execution,
-    absorb_presburger_cache,
     absorb_simulation,
     absorb_task_overhead,
     absorb_transform,
@@ -62,7 +61,6 @@ __all__ = [
     "WorkerClock",
     "absorb_artifact_store",
     "absorb_execution",
-    "absorb_presburger_cache",
     "absorb_simulation",
     "absorb_task_overhead",
     "absorb_transform",

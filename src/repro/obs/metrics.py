@@ -1,16 +1,15 @@
 """Metrics registry: counters, gauges and histograms with labeled series.
 
-Before this module the repository's statistics lived in four unrelated
+Before this module the repository's statistics lived in unrelated
 records, each with its own shape and lifecycle:
 
-* :func:`repro.presburger.cache.stats` — op-cache hit/miss counters,
 * :class:`repro.interp.executor.ExecutionStats` — measured runs,
 * the task-overhead record (:func:`task_graph_stats`), and
 * :class:`repro.tasking.simulator.SimResult`.
 
-The registry absorbs all four behind one interface (the ``absorb_*``
+The registry absorbs them behind one interface (the ``absorb_*``
 functions) without changing a single number: each legacy value becomes a
-labeled series like ``presburger.cache.hits`` or
+labeled series like ``task_graph.tasks`` or
 ``execution.wall_time_s{backend=processes}``.  The JSON export is
 *stable* — series sorted by name then labels, labels serialized
 ``name{k=v,k2=v2}`` — so artifacts diff cleanly across runs and CI can
@@ -33,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
     "absorb_artifact_store",
     "absorb_execution",
-    "absorb_presburger_cache",
     "absorb_simulation",
     "absorb_task_overhead",
     "absorb_transform",
@@ -355,35 +353,8 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# absorbers for the four legacy stat families
+# absorbers for the legacy stat families
 # ----------------------------------------------------------------------
-def absorb_presburger_cache(reg: MetricsRegistry, stats=None) -> None:
-    """Absorb a :class:`repro.presburger.cache.CacheStats` snapshot.
-
-    ``stats=None`` snapshots the process cache.  Numbers are copied
-    verbatim: ``presburger.cache.hits`` equals ``stats.hits`` etc., and
-    each per-op record becomes ``presburger.op.calls{op=...}`` series.
-    """
-    if stats is None:
-        from ..presburger import cache
-
-        stats = cache.stats()
-    reg.gauge("presburger.cache.enabled", bool(stats.enabled))
-    reg.gauge("presburger.cache.maxsize", stats.maxsize)
-    reg.gauge("presburger.cache.entries", stats.entries)
-    reg.gauge("presburger.cache.interned", stats.interned)
-    reg.counter("presburger.cache.hits", stats.hits)
-    reg.counter("presburger.cache.misses", stats.misses)
-    reg.counter("presburger.cache.evictions", stats.evictions)
-    reg.counter("presburger.cache.trivial", stats.trivial)
-    reg.gauge("presburger.cache.hit_rate", round(stats.hit_rate, 4))
-    for op, st in stats.ops.items():
-        reg.counter("presburger.op.calls", st.calls, op=op)
-        reg.counter("presburger.op.hits", st.hits, op=op)
-        reg.counter("presburger.op.misses", st.misses, op=op)
-        reg.counter("presburger.op.trivial", st.trivial, op=op)
-
-
 def absorb_artifact_store(
     reg: MetricsRegistry, counters=None, store=None
 ) -> None:
@@ -520,9 +491,8 @@ def absorb_simulation(reg: MetricsRegistry, sim, graph=None) -> None:
 
 def absorb_transform(reg: MetricsRegistry, result) -> None:
     """Absorb everything one :class:`repro.driver.TransformResult`
-    measured: the Presburger cache, simulation and task-overhead
-    families, plus measured execution when a backend was asked for."""
-    absorb_presburger_cache(reg)
+    measured: the simulation and task-overhead families, plus measured
+    execution when a backend was asked for."""
     absorb_simulation(reg, result.simulation, result.graph)
     absorb_task_overhead(reg, task_graph=task_graph_stats(result.graph))
     if result.execution is not None:

@@ -25,8 +25,8 @@ manager), each span captures:
   trace lane), and
 * **Presburger-op attribution**: the delta of
   :func:`repro.presburger.cache.op_call_counts` across the span, i.e.
-  how many ``intersect`` / ``lexmax`` / ``apply`` / … calls ran inside
-  this phase.  This is what turns a phase-time breakdown into an
+  how many ``intersect`` / ``lexmax`` / ``after`` / … computations ran
+  inside this phase.  This is what turns a phase-time breakdown into an
   explanation — the dependence phase is slow *because* of 12k
   ``intersect`` calls, not by fiat.
 

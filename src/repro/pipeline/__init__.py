@@ -8,11 +8,7 @@
 * :mod:`~repro.pipeline.detect` — Algorithm 1 tying it all together.
 """
 
-from .blocking import (
-    Blocking,
-    blocking_from_ends,
-    target_blocking,
-)
+from .blocking import Blocking, blocking_from_ends
 from .dependencies import BlockDependency, block_dependency, out_dependency
 from .detect import (
     PipelineInfo,
@@ -55,5 +51,4 @@ __all__ = [
     "out_dependency",
     "prefix_lexmax",
     "raw_dependence_map",
-    "target_blocking",
 ]

@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from ..presburger import PointRelation, PointSet, joint_ranks
-from .pipeline_map import PipelineMap
 
 
 @dataclass(frozen=True)
@@ -141,13 +140,6 @@ def blocking_from_ends(
             idx = np.minimum(idx, len(ends) - 1)
     mapping = PointRelation.from_arrays(domain.points, table[idx])
     return Blocking(statement, mapping)
-
-
-def target_blocking(
-    statement: str, domain: PointSet, pmap: PipelineMap
-) -> Blocking:
-    """Blocking of the *target* statement of a pipeline map (ends = Range T)."""
-    return blocking_from_ends(statement, domain, pmap.relation.range())
 
 
 def blocking_from_end_sets(

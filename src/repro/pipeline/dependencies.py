@@ -6,7 +6,8 @@ before it may run.  For a pipeline map ``T_i`` with S as target and source
 statement R:
 
 * ``Y_i`` is S's target blocking for ``T_i`` — it sends an S block end
-  ``e`` to the end ``b`` of the coarser ``T_i`` block containing it;
+  ``e`` to the end ``b`` of the coarser ``T_i`` block containing it, the
+  smallest anchor ``>= e`` (one ``first_geq`` over the ends);
 * if ``b`` is an anchor (``b ∈ Range(T_i)``) the required source iteration
   is ``T_i⁻¹(b)``, folded through ``E_R`` to the source block end it is;
 * otherwise ``e`` lies in the left-over block, which may only run after
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..presburger import PointRelation, PointSet
-from .blocking import Blocking, target_blocking
+from ..presburger import PointRelation, joint_ranks
+from .blocking import Blocking
 from .pipeline_map import PipelineMap
 
 
@@ -61,7 +62,6 @@ def block_dependency(
     pmap: PipelineMap,
     source_blocking_map: Blocking,
     target_blocking_map: Blocking,
-    target_domain: PointSet,
 ) -> BlockDependency:
     """Equation 4 for one pipeline map.
 
@@ -74,8 +74,6 @@ def block_dependency(
     target_blocking_map:
         ``E_S`` — the combined blocking of the target statement (whose
         block ends form the domain of the result).
-    target_domain:
-        Iteration domain of the target statement, used to rebuild ``Y_i``.
     """
     ends = target_blocking_map.ends  # Range(E_S)
     if ends.is_empty():
@@ -83,30 +81,24 @@ def block_dependency(
             pmap.source, pmap.target, PointRelation.empty(ends.ndim, ends.ndim)
         )
 
-    # Y_i: blocking of the target by this pipeline map's own anchors.
-    y_i = target_blocking(pmap.target, target_domain, pmap)
-    coarse = y_i.mapping.restrict_domain(ends)  # e -> b (total on ends)
+    # Y_i, read end by end: the T_i block holding end e ends at the
+    # smallest anchor b >= e; past the last anchor, e lies in the
+    # left-over block (ending at the domain's lexmax, not an anchor).
     anchors = pmap.relation.range()
+    idx = ends.first_geq(anchors)
+    is_anchor = idx < len(anchors)
 
-    e_rows = coarse.in_part
-    b_rows = coarse.out_part
-    is_anchor = _rows_in(b_rows, anchors)
-
-    req = np.empty((e_rows.shape[0], pmap.relation.n_in), dtype=np.int64)
-
-    if np.any(is_anchor):
-        inv = pmap.relation.inverse()  # b -> required source iteration
-        req[is_anchor] = _apply_function(inv, b_rows[is_anchor])
-    if np.any(~is_anchor):
+    req = np.empty((len(ends), pmap.relation.n_in), dtype=np.int64)
+    # b -> required source iteration T_i⁻¹(b): T_i is monotone, so row k
+    # of its pairs is the k-th anchor's
+    req[is_anchor] = pmap.relation.in_part[idx[is_anchor]]
+    if not np.all(is_anchor):
         # Left-over block: needs all of the source statement.
-        last = np.asarray(
-            source_blocking_map.ends.lexmax(), dtype=np.int64
-        )
-        req[~is_anchor] = last
+        req[~is_anchor] = source_blocking_map.ends.lexmax()
 
     # Fold the required iterations through E_R so the tokens are block ends.
     req = _apply_function(source_blocking_map.mapping, req)
-    relation = PointRelation.from_arrays(e_rows, req)
+    relation = PointRelation.from_arrays(ends.points, req)
     return BlockDependency(pmap.source, pmap.target, relation)
 
 
@@ -116,24 +108,10 @@ def out_dependency(blocking: Blocking) -> PointRelation:
 
 
 # ----------------------------------------------------------------------
-def _rows_in(rows: np.ndarray, pset: PointSet) -> np.ndarray:
-    """Mask over ``rows``: membership in ``pset`` (order preserved)."""
-    if rows.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    if pset.is_empty():
-        return np.zeros(rows.shape[0], dtype=bool)
-    from ..presburger import joint_ranks
-
-    mine, theirs = joint_ranks(rows, pset.points)
-    return np.isin(mine, theirs)
-
-
 def _apply_function(rel: PointRelation, rows: np.ndarray) -> np.ndarray:
     """Apply a single-valued relation to each row (rows must be in its domain)."""
     if rows.shape[0] == 0:
         return rows.reshape(0, rel.n_out)
-    from ..presburger import joint_ranks
-
     fn = rel.lexmax_per_domain()  # canonical single-valued form
     keys, queries = joint_ranks(fn.in_part, rows)
     idx = np.searchsorted(keys, queries)

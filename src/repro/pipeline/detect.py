@@ -24,7 +24,12 @@ from ..scop import (
 from ..presburger import PointSet
 from .blocking import Blocking, blocking_from_end_sets
 from .dependencies import BlockDependency, block_dependency
-from .pipeline_map import PipelineMap, compute_pipeline_map, prefix_lexmax
+from .pipeline_map import (
+    PipelineMap,
+    anchored,
+    prefix_lexmax,
+    requirement_map,
+)
 
 
 @dataclass(frozen=True)
@@ -202,12 +207,8 @@ def derive_dependencies(
             s.name: () for s in scop.statements
         }
         for (src_name, tgt_name), pmap in pipeline_maps.items():
-            target = scop.statement(tgt_name)
             dep = block_dependency(
-                pmap,
-                blockings[src_name],
-                blockings[tgt_name],
-                target.points,
+                pmap, blockings[src_name], blockings[tgt_name]
             )
             in_deps[tgt_name] = in_deps[tgt_name] + (dep,)
         return in_deps
@@ -273,19 +274,17 @@ def _best_pipeline_map(
 
     Each class yields its own requirement relation; they are merged by
     taking, per target iteration, the lexicographically largest requirement
-    (the safe intersection of the individual pipeline conditions), then
-    re-deriving the anchor map.  A single contributing class needs no
-    merge: its map is returned as computed.
+    (the safe intersection of the individual pipeline conditions), and the
+    anchor map is derived once, from the merged requirement.  A single
+    contributing class needs no merge.
     """
-    pmaps = [
-        compute_pipeline_map(scop, source, target, kind) for kind in kinds
-    ]
-    pmaps = [pmap for pmap in pmaps if pmap is not None]
-    if len(pmaps) <= 1:
-        return pmaps[0] if pmaps else None
-    requirement = pmaps[0].requirement
-    for pmap in pmaps[1:]:
-        requirement = requirement.union(pmap.requirement)
-    merged = prefix_lexmax(requirement.lexmax_per_domain())
-    anchors = merged.inverse().lexmax_per_domain()
-    return PipelineMap(source.name, target.name, anchors, merged)
+    found = [requirement_map(scop, source, target, kind) for kind in kinds]
+    found = [H for H in found if H is not None]
+    if not found:
+        return None
+    requirement = found[0]
+    if len(found) > 1:
+        for H in found[1:]:
+            requirement = requirement.union(H)
+        requirement = prefix_lexmax(requirement.lexmax_per_domain())
+    return anchored(source.name, target.name, requirement)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..presburger import PointRelation, lex_ranks
-from ..presburger import cache as pcache
+from ..presburger.cache import count
 from ..scop import DepKind, Scop, ScopStatement, dependence_relation
 
 
@@ -40,8 +40,12 @@ class PipelineMap:
     requirement: PointRelation
 
     def __post_init__(self) -> None:
-        if not self.relation.is_single_valued():
+        rel = self.relation
+        if not rel.is_single_valued():
             raise AssertionError("pipeline map must be single-valued")
+        # H is monotone, so T is too: its rows list the anchors in order
+        if not np.array_equal(rel.range().points, rel.out_part):
+            raise AssertionError("pipeline map must be monotone")
 
     def anchors(self) -> PointRelation:
         return self.relation
@@ -80,16 +84,10 @@ def prefix_lexmax(rel: PointRelation) -> PointRelation:
     materializing the quadratic prefix-closure relation ``D′``.
     """
     if rel.is_empty():
-        pcache.count_trivial("pipeline.prefix_lexmax")
         return rel
     if not rel.is_single_valued():
         raise ValueError("prefix_lexmax expects a single-valued relation")
-    return pcache.memoized(
-        "pipeline.prefix_lexmax", lambda: _prefix_lexmax(rel), rel
-    )
-
-
-def _prefix_lexmax(rel: PointRelation) -> PointRelation:
+    count("pipeline.prefix_lexmax")
     out = rel.out_part
     ranks = lex_ranks(out)
     running = np.maximum.accumulate(ranks)
@@ -127,16 +125,29 @@ def compute_pipeline_map(
     kind: DepKind = DepKind.FLOW,
 ) -> PipelineMap | None:
     """Compute ``T_{source,target}``, or ``None`` when T does not depend on S."""
+    H = requirement_map(scop, source, target, kind)
+    if H is None:
+        return None
+    return anchored(source.name, target.name, H)
+
+
+def requirement_map(
+    scop: Scop,
+    source: ScopStatement,
+    target: ScopStatement,
+    kind: DepKind = DepKind.FLOW,
+) -> PointRelation | None:
+    """``H = lexmax(P ∘ D′)``, or ``None`` when T does not depend on S:
+    for each j in Dom(P) (lexicographic order), the running lexmax of the
+    largest source iteration needed by j or any earlier j'."""
     P = raw_dependence_map(scop, source, target, kind)
     if P.is_empty():
         return None
+    return prefix_lexmax(P.lexmax_per_domain())
 
-    # H: for each j in Dom(P) (lexicographic order), the running lexmax of
-    # the largest source iteration needed by j or any earlier j'.
-    per_point_max = P.lexmax_per_domain()
-    H = prefix_lexmax(per_point_max)
 
-    # T = lexmax(H^{-1}): each source anchor i maps to the largest j with
-    # H(j) = i.  H is monotone, so this is a partial bijection.
-    T = H.inverse().lexmax_per_domain()
-    return PipelineMap(source.name, target.name, T, H)
+def anchored(source: str, target: str, H: PointRelation) -> PipelineMap:
+    """The pipeline map of a requirement ``H``: ``T = lexmax(H⁻¹)`` maps
+    each source anchor i to the largest j with H(j) = i.  H is monotone,
+    so this is a partial bijection."""
+    return PipelineMap(source, target, H.inverse().lexmax_per_domain(), H)

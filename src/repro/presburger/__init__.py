@@ -11,25 +11,17 @@ sets and relations; this package is that substrate and nothing else:
   (Fourier–Motzkin scan, :class:`UnboundedSetError` on an unbounded one).
 * **Explicit layer** — :class:`PointSet` and :class:`PointRelation`,
   vectorized NumPy tabulations of bounded sets and relations, where the
-  per-point lexmin/lexmax algebra of the paper runs.
-* **Performance layer** — :mod:`~repro.presburger.cache` hash-conses the
-  value classes and memoizes the hot operations in a bounded LRU
-  (``REPRO_PRESBURGER_CACHE`` env var, :func:`cache_configure`,
-  :func:`cache_stats`).
+  per-point lexmin/lexmax algebra of the paper runs.  Relations are
+  immutable, so the facts asked again of one relation (its domain,
+  range and per-input lexmax) are computed on first read and kept on it;
+  every other operation computes.  :mod:`~repro.presburger.cache` only
+  counts those computations per operation (the spans'
+  ``presburger_ops``).
 """
 
 from . import cache
 from .affine import AffineExpr
 from .basic_set import BasicSet
-from .cache import (
-    CacheStats,
-    cache_clear,
-    configure as cache_configure,
-    format_stats as cache_format_stats,
-    overridden as cache_overridden,
-    reset_stats as cache_reset_stats,
-    stats as cache_stats,
-)
 from .constraint import Constraint, Kind
 from .convert import to_point_set
 from .enumeration import UnboundedSetError, enumerate_basic_set
@@ -47,14 +39,7 @@ from .space import Space
 __all__ = [
     "AffineExpr",
     "BasicSet",
-    "CacheStats",
     "cache",
-    "cache_clear",
-    "cache_configure",
-    "cache_format_stats",
-    "cache_overridden",
-    "cache_reset_stats",
-    "cache_stats",
     "Constraint",
     "Kind",
     "PointRelation",

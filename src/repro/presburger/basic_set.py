@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cache
 from .constraint import Constraint
 from .space import Space
 
 
-@cache.register_internable
 @dataclass(frozen=True)
 class BasicSet:
     """Integer points satisfying a conjunction of affine constraints."""

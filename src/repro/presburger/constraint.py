@@ -19,15 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from . import cache
-
 
 class Kind(Enum):
     GE = ">="
     EQ = "="
 
 
-@cache.register_internable
 @dataclass(frozen=True)
 class Constraint:
     """``coeffs · x + const (>=|==) 0`` over positional columns."""

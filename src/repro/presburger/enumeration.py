@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cache
 from .basic_set import BasicSet
+from .cache import count
 from .constraint import Constraint, Kind
 from .explicit import lexsorted_rows, unique_rows
 
@@ -76,21 +76,8 @@ def enumerate_basic_set(bs: BasicSet) -> np.ndarray:
     deduplication, so sets whose divs encode floor divisions enumerate
     correctly.  Raises :class:`UnboundedSetError` when a scanned column has
     no finite rational bound.
-
-    Results are memoized; the returned array is marked read-only because
-    cache hits share one array across callers.
     """
-    return cache.memoized(
-        "enumeration.basic_set", lambda: _frozen(_enumerate_basic_set(bs)), bs
-    )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _enumerate_basic_set(bs: BasicSet) -> np.ndarray:
+    count("enumeration.basic_set")
     ncols = bs.ncols
     if ncols == 0:
         return np.zeros((1, 0), dtype=np.int64)

@@ -29,10 +29,11 @@ never aliases (or pins) the buffer it was built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import cache
+from .cache import count
 
 __all__ = [
     "PointSet",
@@ -147,7 +148,6 @@ def rowwise_lex_lt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-@cache.register_internable
 @dataclass(frozen=True)
 class PointSet:
     """A finite set of integer points, canonically sorted and deduplicated."""
@@ -198,47 +198,25 @@ class PointSet:
     def union(self, other: "PointSet") -> "PointSet":
         self._check(other)
         if other.is_empty():
-            cache.count_trivial("PointSet.union")
             return self
         if self.is_empty():
-            cache.count_trivial("PointSet.union")
             return other
-        return cache.memoized(
-            "PointSet.union",
-            lambda: PointSet(
-                np.concatenate([self.points, other.points], axis=0)
-            ),
-            self,
-            other,
-        )
+        count("PointSet.union")
+        return PointSet(np.concatenate([self.points, other.points], axis=0))
 
     def intersect(self, other: "PointSet") -> "PointSet":
         self._check(other)
         if self.is_empty() or other.is_empty():
-            cache.count_trivial("PointSet.intersect")
             return PointSet.empty(self.ndim)
-        return cache.memoized(
-            "PointSet.intersect",
-            lambda: PointSet(
-                self.points[self.contains_rows(other=other.points)]
-            ),
-            self,
-            other,
-        )
+        count("PointSet.intersect")
+        return PointSet(self.points[self.contains_rows(other=other.points)])
 
     def difference(self, other: "PointSet") -> "PointSet":
         self._check(other)
         if self.is_empty() or other.is_empty():
-            cache.count_trivial("PointSet.difference")
             return self
-        return cache.memoized(
-            "PointSet.difference",
-            lambda: PointSet(
-                self.points[~self.contains_rows(other=other.points)]
-            ),
-            self,
-            other,
-        )
+        count("PointSet.difference")
+        return PointSet(self.points[~self.contains_rows(other=other.points)])
 
     def contains_rows(self, other: np.ndarray) -> np.ndarray:
         """Boolean mask over *self's* rows: which appear in ``other``."""
@@ -284,7 +262,6 @@ class PointSet:
 
 
 # ----------------------------------------------------------------------
-@cache.register_internable
 @dataclass(frozen=True)
 class PointRelation:
     """A finite binary relation between integer tuples.
@@ -401,67 +378,57 @@ class PointRelation:
     # -- relational algebra ----------------------------------------------
     def inverse(self) -> "PointRelation":
         if self.is_empty():
-            cache.count_trivial("PointRelation.inverse")
             return PointRelation.empty(self.n_out, self.n_in)
-        return cache.memoized(
-            "PointRelation.inverse",
-            lambda: PointRelation(
-                np.concatenate([self.out_part, self.in_part], axis=1),
-                self.n_out,
-            ),
-            self,
+        count("PointRelation.inverse")
+        return PointRelation(
+            np.concatenate([self.out_part, self.in_part], axis=1), self.n_out
         )
 
+    # Facts of one immutable relation, computed on first read and kept on
+    # it (the idiom of ``Blocking.ends``): the only operations asked
+    # again of the same object.
     def domain(self) -> PointSet:
-        return cache.memoized(
-            "PointRelation.domain", lambda: PointSet(self.in_part), self
-        )
+        return self._domain
+
+    @cached_property
+    def _domain(self) -> PointSet:
+        count("PointRelation.domain")
+        return PointSet(self.in_part)
 
     def range(self) -> PointSet:
-        return cache.memoized(
-            "PointRelation.range", lambda: PointSet(self.out_part), self
-        )
+        return self._range
+
+    @cached_property
+    def _range(self) -> PointSet:
+        count("PointRelation.range")
+        return PointSet(self.out_part)
 
     def union(self, other: "PointRelation") -> "PointRelation":
         self._check(other)
         if other.is_empty():
-            cache.count_trivial("PointRelation.union")
             return self
         if self.is_empty():
-            cache.count_trivial("PointRelation.union")
             return other
-        return cache.memoized(
-            "PointRelation.union",
-            lambda: PointRelation(
-                np.concatenate([self.pairs, other.pairs], axis=0), self.n_in
-            ),
-            self,
-            other,
+        count("PointRelation.union")
+        return PointRelation(
+            np.concatenate([self.pairs, other.pairs], axis=0), self.n_in
         )
 
     def intersect(self, other: "PointRelation") -> "PointRelation":
         self._check(other)
         if self.is_empty() or other.is_empty():
-            cache.count_trivial("PointRelation.intersect")
             return PointRelation.empty(self.n_in, self.n_out)
-        return cache.memoized(
-            "PointRelation.intersect",
-            lambda: self._filtered(other, negate=False),
-            self,
-            other,
-        )
+        count("PointRelation.intersect")
+        return self._filtered(other, negate=False)
 
     def difference(self, other: "PointRelation") -> "PointRelation":
         self._check(other)
         if self.is_empty() or other.is_empty():
-            cache.count_trivial("PointRelation.difference")
             return self
-        return cache.memoized(
-            "PointRelation.difference",
-            lambda: self._filtered(other, negate=True),
-            self,
-            other,
-        )
+        if self == other:  # e.g. a proof's removed pairs against their own
+            return PointRelation.empty(self.n_in, self.n_out)
+        count("PointRelation.difference")
+        return self._filtered(other, negate=True)
 
     def _filtered(self, other: "PointRelation", negate: bool) -> "PointRelation":
         mine, theirs = joint_ranks(self.pairs, other.pairs)
@@ -474,20 +441,15 @@ class PointRelation:
         """Composition ``self ∘ other`` (apply ``other`` first).
 
         ``self``'s canonical pairs are already sorted by input, so every
-        row of ``other`` finds its matches with one ``searchsorted`` pair
-        (:meth:`_after`); duplicate keys on both sides produce the full
-        per-key cross product.
+        row of ``other`` finds its matches with one ``searchsorted`` pair;
+        duplicate keys on both sides produce the full per-key cross
+        product.
         """
         if other.n_out != self.n_in:
             raise ValueError("composition arity mismatch")
         if self.is_empty() or other.is_empty():
-            cache.count_trivial("PointRelation.after")
             return PointRelation.empty(other.n_in, self.n_out)
-        return cache.memoized(
-            "PointRelation.after", lambda: self._after(other), self, other
-        )
-
-    def _after(self, other: "PointRelation") -> "PointRelation":
+        count("PointRelation.after")
         left = other  # A -> B
         right = self  # B -> C
         # kr needs no sort: canonical pairs are ordered by (in, out), so
@@ -514,39 +476,34 @@ class PointRelation:
 
     def restrict_domain(self, s: PointSet) -> "PointRelation":
         if self.is_empty() or s.is_empty():
-            cache.count_trivial("PointRelation.restrict_domain")
             return PointRelation.empty(self.n_in, self.n_out)
-        return cache.memoized(
-            "PointRelation.restrict_domain",
-            lambda: self._restricted(self.in_part, s),
-            self,
-            s,
-        )
-
-    def _restricted(self, part: np.ndarray, s: PointSet) -> "PointRelation":
-        mine, theirs = joint_ranks(part, s.points)
+        count("PointRelation.restrict_domain")
+        mine, theirs = joint_ranks(self.in_part, s.points)
         return self.subset(np.isin(mine, theirs))
 
     # -- lexicographic reductions ------------------------------------------
+    def _input_changes(self) -> np.ndarray:
+        """Per adjacent pair of rows: whether the input tuple changes.
+        Rows are sorted by ``(in, out)``, so each input's rows are one run."""
+        inp = self.in_part
+        return np.any(inp[1:] != inp[:-1], axis=1)
+
     def lexmax_per_domain(self) -> "PointRelation":
         """Keep, for each input tuple, the lexicographically largest output."""
-        return cache.memoized(
-            "PointRelation.lexmax_per_domain", self._lexmax_per_domain, self
-        )
+        return self._lexmax_per_domain
 
+    @cached_property
     def _lexmax_per_domain(self) -> "PointRelation":
         if self.is_empty():
             return self
-        # pairs are already sorted by (in, out): the last row of each
-        # input group is its max.
-        inp = self.in_part
-        change = np.any(inp[1:] != inp[:-1], axis=1)
-        return self.subset(np.concatenate([change, [True]]))
+        count("PointRelation.lexmax_per_domain")
+        # the last row of each input's run is its max
+        return self.subset(np.concatenate([self._input_changes(), [True]]))
 
     def is_single_valued(self) -> bool:
         # Pairs are deduplicated, so the relation is a function exactly when
-        # every pair has a distinct input tuple.
-        return len(self) == len(self.domain())
+        # no two (adjacent, canonical) rows share an input tuple.
+        return len(self) < 2 or bool(np.all(self._input_changes()))
 
     def is_injective(self) -> bool:
         return self.inverse().is_single_valued()

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cache
 
-
-@cache.register_internable
 @dataclass(frozen=True)
 class Space:
     """An ordered tuple of dimension names, optionally labelled.

@@ -39,7 +39,7 @@ class ScheduleNode:
             lines.append(c.pretty(indent + 1))
         return "\n".join(lines)
 
-    def _label(self) -> str:  # pragma: no cover - overridden
+    def _label(self) -> str:  # pragma: no cover - each node kind defines it
         return type(self).__name__
 
     def __str__(self) -> str:

@@ -69,6 +69,24 @@ def options_from_dict(d: Mapping) -> TransformOptions:
 # ----------------------------------------------------------------------
 # cold path: Analysis -> artifact
 # ----------------------------------------------------------------------
+def plan_fusion(interp, options: TransformOptions, analysis: Analysis):
+    """Force the (lazy) kernel program of a compile now, or ``None``
+    with ``fuse="off"``: serving means a later replay must never pay a
+    Presburger legality analysis — neither the per-statement one nor,
+    for the standard spine (the privatized one merges no chains), the
+    per-pair chain-fusion verdicts that planning the chain groups here
+    leaves in the program's table.  A stored artifact carries them; a
+    direct (storeless) compile keeps them on its resident interpreter."""
+    if options.fuse == "off":
+        return None
+    program = interp.fused_program
+    if not analysis.privatized:
+        from ..interp.fused import plan_chain_groups
+
+        plan_chain_groups(interp.scop, analysis.task_ast, program)
+    return program
+
+
 def build_artifact(
     interp,
     source: str,
@@ -82,19 +100,8 @@ def build_artifact(
     not stored (a wall time would make two compiles' files differ)."""
     from ..schedule.serialize import dumps_task_ast
 
-    fused = None
-    if options.fuse != "off":
-        # Force the (lazy) kernel program now: serving means a warm process
-        # must never pay a Presburger legality analysis — neither the
-        # per-statement one nor, for the standard spine (the privatized
-        # one merges no chains), the per-pair chain-fusion verdicts that
-        # planning the chain groups here leaves in the plan's table.
-        program = interp.fused_program
-        if not analysis.privatized:
-            from ..interp.fused import plan_chain_groups
-
-            plan_chain_groups(interp.scop, analysis.task_ast, program)
-        fused = program.to_dict()
+    program = plan_fusion(interp, options, analysis)
+    fused = None if program is None else program.to_dict()
 
     proofs: list[dict] = []
     plan = analysis.plan

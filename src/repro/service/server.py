@@ -79,7 +79,7 @@ from ..obs import spans as obs_spans
 from ..obs.service import RequestTelemetry
 from ..store import ArtifactStore
 from ..store.disk import save_metrics_snapshot
-from .compile import cached_analysis, options_from_dict
+from .compile import cached_analysis, options_from_dict, plan_fusion
 
 #: Compiled kernels one serving process keeps (LRU over resolved entries;
 #: a pending compile is never evicted).
@@ -197,6 +197,7 @@ class ReproServer:
             else:
                 with obs_spans.span("service.compile", status="direct"):
                     analysis = analyze(interp, options)
+                    plan_fusion(interp, options, analysis)
                 interp.scop.dependence_table().clear()
                 status = "direct"
         timings = {
@@ -401,9 +402,6 @@ class ReproServer:
                     oracle=interp.oracle("serve.oracle"),
                 )
         run_ms = (time.perf_counter() - t0) * 1e3
-        # a direct compile plans its fusion at the first lowering, which
-        # asks the SCoP dependence questions again
-        interp.scop.dependence_table().clear()
         if rtel is not None:
             rtel.set(
                 run_ms=round(run_ms, 3),

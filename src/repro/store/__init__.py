@@ -1,7 +1,7 @@
 """Content-addressed on-disk artifact store (the durable compile tier).
 
-The PR2 Presburger cache makes *one process* fast; this package makes
-the *fleet* fast: every completed compile (pipeline info, task AST,
+A compile keeps what it derives on its own objects, for one process;
+this package makes the *fleet* fast: every completed compile (pipeline info, task AST,
 fused closure specs, privatization proofs) is
 serialized into one checksummed artifact file keyed by
 

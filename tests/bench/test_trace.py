@@ -68,7 +68,6 @@ class TestTraceDocument:
         graph, sim = sim_setup
         doc = json.loads(trace_json(graph, sim))
         assert "execution" not in doc["otherData"]
-        assert "presburger_cache" in doc["otherData"]
 
     def test_execution_dict_embedded(self, sim_setup):
         graph, sim = sim_setup

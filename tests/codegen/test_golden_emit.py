@@ -9,9 +9,6 @@ checked-in golden file.
 Regenerate intentionally with::
 
     pytest tests/codegen/test_golden_emit.py --update-goldens
-
-The golden corpus doubles as a cache-transparency check: emission must be
-byte-identical with the Presburger op cache enabled and disabled.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import pytest
 from repro.bench import build_scop
 from repro.codegen import emit_task_program
 from repro.pipeline import detect_pipeline
-from repro.presburger import cache
 from repro.workloads import TABLE9
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,13 +59,3 @@ def test_emitted_program_matches_golden(case, pytestconfig):
         f"emitted program for {case} differs from {golden_path.name}; "
         "if the change is intended, rerun with --update-goldens"
     )
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_emission_is_cache_transparent(case):
-    with cache.overridden(enabled=True):
-        cache.cache_clear()
-        with_cache = _emit(case)
-    with cache.overridden(enabled=False):
-        without_cache = _emit(case)
-    assert with_cache == without_cache

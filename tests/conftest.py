@@ -1179,6 +1179,15 @@ def source_blocking(statement, domain, pmap):
     return blocking_from_ends(statement, domain, pmap.relation.domain())
 
 
+def target_blocking(statement, domain, pmap):
+    """Blocking of the *target* statement of a pipeline map (ends =
+    Range T): Equation 4's ``Y_i``, which the product reads end by end
+    (:func:`repro.pipeline.block_dependency`)."""
+    from repro.pipeline import blocking_from_ends
+
+    return blocking_from_ends(statement, domain, pmap.relation.range())
+
+
 def combine_blockings(statement, domain, blockings):
     """Equation 3 as the product computes it: blocking by the union of
     all end sets, which equals the pointwise ``lexmin`` of the maps."""

@@ -5,9 +5,6 @@ For every seeded random program (see :mod:`tests.fuzz.generator`):
 * **Schedule differential** — the sequential interpretation must equal a
   block-pipelined execution (``execute_blocks_in_order``) of a *randomly
   chosen* topological order of the task graph.
-* **Cache differential** — the entire path (SCoP extraction, Algorithm 1,
-  task AST, execution) must produce bit-identical arrays with the
-  Presburger op cache enabled and disabled.
 * **Reduction differential** — the lowered plan's transitively reduced
   schedule, hybrid off and on, must order what the unreduced quotient
   orders, and a random topological order of it must reproduce the
@@ -41,7 +38,6 @@ import pytest
 
 from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
-from repro.presburger import cache
 from repro.schedule import check_legality, generate_task_ast
 from repro.tasking import TaskGraph
 from tests.conftest import (
@@ -148,31 +144,6 @@ def test_legality_equals_reference(samples, pytestconfig):
         broken += _assert_legality_equals_reference(interp, graph, sample, rng)
     # the dropped edges must reach the violation path, too
     assert broken > len(samples) // 2
-
-
-def test_cache_on_off_results_bit_identical(samples):
-    """The op cache is semantically invisible end to end, per sample."""
-    for sample in samples:
-        results = {}
-        for enabled in (True, False):
-            with cache.overridden(enabled=enabled):
-                cache.cache_clear()
-                interp, ast, graph = _analysis_blocks(sample)
-                seq = interp.run_sequential(interp.new_store())
-                order = graph.topological_order()
-                par = _run_pipelined(interp, graph, order)
-                results[enabled] = (
-                    _store_bytes(seq),
-                    _store_bytes(par),
-                    [
-                        (b.statement, b.block_id, b.iterations.tobytes())
-                        for b in ast.all_blocks()
-                    ],
-                )
-        assert results[True] == results[False], (
-            f"{sample.describe()}: cache-enabled run differs from "
-            f"cache-disabled run\n{sample.source}"
-        )
 
 
 def test_generator_is_reproducible():

@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     absorb_execution,
-    absorb_presburger_cache,
     absorb_simulation,
     absorb_task_overhead,
     parse_series_key,
@@ -213,28 +212,6 @@ class TestPrometheusExport:
 
 
 class TestAbsorbers:
-    def test_presburger_numbers_unchanged(self):
-        from repro.presburger import cache
-
-        with cache.overridden(enabled=True):
-            cache.cache_clear()
-            from repro.pipeline import detect_pipeline
-            from repro.scop import extract_scop
-            from repro.lang import parse
-            from tests.conftest import LISTING1
-
-            detect_pipeline(extract_scop(parse(LISTING1), {"N": 8}))
-            st = cache.stats()
-            reg = MetricsRegistry()
-            absorb_presburger_cache(reg, st)
-        assert reg.value("presburger.cache.hits") == st.hits
-        assert reg.value("presburger.cache.misses") == st.misses
-        assert reg.value("presburger.cache.entries") == st.entries
-        total_op_calls = sum(
-            reg.value("presburger.op.calls", op=op) for op in st.ops
-        )
-        assert total_op_calls == sum(o.calls for o in st.ops.values())
-
     def test_execution_numbers_unchanged(self):
         from repro.interp import Interpreter, execute_measured
         from repro.pipeline import detect_pipeline

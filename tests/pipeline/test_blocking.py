@@ -7,7 +7,6 @@ from repro.presburger import PointSet
 from repro.pipeline import (
     blocking_from_ends,
     compute_pipeline_map,
-    target_blocking,
 )
 from tests.conftest import (
     block_index,
@@ -19,6 +18,7 @@ from tests.conftest import (
     iterations_of_block,
     pointwise_lexmin,
     source_blocking,
+    target_blocking,
 )
 
 

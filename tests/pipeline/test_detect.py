@@ -153,13 +153,13 @@ class TestAgainstTheLiteralAlgorithm:
         "kinds", [(DepKind.FLOW,), tuple(DepKind)], ids=["flow", "all"]
     )
     def test_maps_and_blockings(self, kinds):
-        from repro.pipeline import (
-            PipelineMap,
-            compute_pipeline_map,
+        from repro.pipeline import PipelineMap, compute_pipeline_map
+        from repro.pipeline.pipeline_map import prefix_lexmax
+        from tests.conftest import (
+            combine_blockings,
+            source_blocking,
             target_blocking,
         )
-        from repro.pipeline.pipeline_map import prefix_lexmax
-        from tests.conftest import combine_blockings, source_blocking
 
         maps = 0
         for label, source, params in self.corpus():

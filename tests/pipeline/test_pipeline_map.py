@@ -60,6 +60,16 @@ class TestPaperExample:
         assert pm.relation.is_single_valued() and pm.relation.is_injective()
 
 
+    def test_a_non_monotone_map_is_refused(self):
+        """Equation 4 reads ``T⁻¹`` off ``T``'s row order, which the
+        monotone ``H`` guarantees; a map without it is refused."""
+        from repro.pipeline import PipelineMap
+
+        rel = PointRelation(np.array([[0, 1], [1, 0]]), 1)
+        with pytest.raises(AssertionError, match="monotone"):
+            PipelineMap("S", "T", rel, rel.inverse())
+
+
 class TestEdgeCases:
     def test_no_dependence_returns_none(self, listing1_scop_small):
         S = listing1_scop_small.statement("S")

@@ -11,7 +11,7 @@ import pytest
 from repro.driver import TransformOptions, transform
 from repro.interp import Interpreter
 from repro.lang import parse
-from repro.presburger import PointRelation, cache
+from repro.presburger import PointRelation
 from repro.scop import (
     DepKind,
     dependence_relation,
@@ -52,11 +52,11 @@ def literal(scop, src, tgt, kind) -> PointRelation:
 
 @pytest.fixture
 def join_calls(monkeypatch):
-    """One entry per ``PointRelation._after`` call (the join kernel)."""
-    calls, real = [], PointRelation._after
+    """One entry per ``PointRelation.after`` call (the join kernel)."""
+    calls, real = [], PointRelation.after
     monkeypatch.setattr(
         PointRelation,
-        "_after",
+        "after",
         lambda self, other: calls.append(1) or real(self, other),
     )
     return calls
@@ -90,23 +90,22 @@ def test_every_entry_equals_the_literal_definition():
 def test_the_table_is_derived_once_per_scop_and_refilled_after_clear(
     derivations, join_calls
 ):
-    with cache.overridden(enabled=False):  # every after() reaches _after
-        scop = extract_scop(parse(LISTING1), {"N": 10})
-        S, R = scop.statement("S"), scop.statement("R")
-        table = scop.dependence_table()
-        assert not table and derivations.calls == 0  # no question yet
-        first = dependence_relation(scop, S, R)
-        assert derivations.calls == 1 and len(table) == 3 * 2**2
-        assert dependence_relation(scop, S, R) is first
-        assert dependence_relation(scop, R, S).is_empty()  # nest order
-        assert len(list(iter_dependences(scop))) > 1
-        assert derivations.calls == 1
-        assert join_calls == []  # the table composes no relation
-        table.clear()
-        assert not table
-        again = dependence_relation(scop, S, R)
-        assert again == first and again is not first
-        assert derivations.calls == 2 and scop.dependence_table() is table
+    scop = extract_scop(parse(LISTING1), {"N": 10})
+    S, R = scop.statement("S"), scop.statement("R")
+    table = scop.dependence_table()
+    assert not table and derivations.calls == 0  # no question yet
+    first = dependence_relation(scop, S, R)
+    assert derivations.calls == 1 and len(table) == 3 * 2**2
+    assert dependence_relation(scop, S, R) is first
+    assert dependence_relation(scop, R, S).is_empty()  # nest order
+    assert len(list(iter_dependences(scop))) > 1
+    assert derivations.calls == 1
+    assert join_calls == []  # the table composes no relation
+    table.clear()
+    assert not table
+    again = dependence_relation(scop, S, R)
+    assert again == first and again is not first
+    assert derivations.calls == 2 and scop.dependence_table() is table
 
 
 def test_each_scop_derives_its_own_table_and_it_dies_with_it(derivations):

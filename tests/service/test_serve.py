@@ -199,6 +199,34 @@ def test_a_resident_kernel_keeps_no_dependence_table(tmp_path, stored):
     asyncio.run(_with_server(str(tmp_path) if stored else None, body))
 
 
+@pytest.mark.parametrize("stored", [True, False], ids=["store", "direct"])
+def test_a_served_key_derives_its_dependences_once(
+    tmp_path, monkeypatch, stored
+):
+    """One compile and three runs of a key derive the SCoP's dependence
+    table once: the compile plans fusion (the per-statement kernels and
+    the chain-fusion verdicts) while the table is there, so no replay
+    asks a dependence question again."""
+    from repro.scop import deps
+
+    from ..conftest import Counter
+
+    derivations = Counter(monkeypatch, deps, "_derive")
+
+    async def body(host, port, server):
+        compiled = await _request(host, port, _compile_req(TWO_NEST_COPY))
+        assert compiled["status"] == ("cold" if stored else "direct")
+        assert derivations.calls == 1
+        for _ in range(3):
+            ran = await _request(host, port, _run_req())
+            assert ran["ok"] and ran["match"] is True
+        assert derivations.calls == 1
+        interp = _resident_interp(server, compiled["key"])
+        assert interp.fused_program.legal_pairs  # planned at compile
+
+    asyncio.run(_with_server(str(tmp_path) if stored else None, body))
+
+
 def test_malformed_request_reports_error_and_keeps_serving(tmp_path):
     async def body(host, port, server):
         reader, writer = await asyncio.open_connection(host, port)

@@ -771,12 +771,10 @@ def test_a_transform_leaves_no_cyclic_garbage(tmp_path):
     reference cycle."""
     import gc
 
-    from repro.presburger import cache as presburger_cache
     from repro.workloads import TABLE9
 
     source, opts = TABLE9["P5"].source(14), TransformOptions(workers=2)
     transform(source, {}, opts)  # first imports and lazy set-up
-    presburger_cache.cache_clear()
     gc.collect()
     gc.disable()
     try:

@@ -109,34 +109,23 @@ def test_cold_verified_hybrid_p5_at_n48_peaks_within_500_mb(tmp_path):
     assert float(peak_mb) <= 500, out.read_text()
 
 
-def test_cache_is_effective_on_p5_analysis():
-    """The memoized op cache must actually hit on the Table 9 hot path."""
-    kern = TABLE9["P5"]
-    with cache.overridden(enabled=True):
-        cache.cache_clear()
-        scop = build_scop(kern.source(24))
-        pipeline_task_graph(scop, kern.cost_model(1))
-        st = cache.stats()
-    assert st.calls > 0
-    assert st.hits > 0, cache.format_stats()
-    # on this path roughly 3 of 4 memoized calls hit; guard loosely
-    assert st.hit_rate > 0.25, cache.format_stats()
-
-
-#: memoized Presburger calls of one cold ``analyze`` (detection + the
-#: legality re-derivation) at N=20, coarsen=60, as (calls, hits, misses)
-#: per op.  The counts repeat exactly, so they are pinned — as a ratchet:
-#: ``COLD_ANALYZE_OPS`` is what this commit does (156 / 156 / 138 calls in
-#: all; no ``PointRelation.union`` since each access relation is one
-#: canonicalisation, no ``PointRelation.after`` since the batched
-#: dependence table composes no relation) and may only be re-recorded
-#: downwards;
-#: ``PARENT_COLD_ANALYZE_OPS`` is what an earlier commit did (374 / 374 /
-#: 343), before every dependence
-#: question was asked once per SCoP, pipeline maps were returned as
-#: computed and blockings were built from end sets.  Two earlier commits
-#: pinned the same work at 277 / 297 / 318 ``np.unique(axis=0)`` calls and
-#: then at none: the kernel under the algebra changed, not the algebra.
+#: Presburger computations of one cold ``analyze`` (detection + the
+#: legality re-derivation) at N=20, coarsen=60, per op, as the counter
+#: of :mod:`repro.presburger.cache` reads them.  The counts repeat
+#: exactly, so they are pinned — as a ratchet: ``COLD_ANALYZE_OPS`` is
+#: what this commit computes (83 / 83 / 75 in all: a relation's domain,
+#: range and per-input lexmax are computed once per relation and kept on
+#: it; Equation 4 finds each target end's block with one ``first_geq``
+#: and reads ``T⁻¹`` off the monotone ``T``, so it restricts and inverts
+#: no relation; no ``PointRelation.after`` since the batched dependence
+#: table composes no relation) and may only be re-recorded downwards;
+#: ``CACHED_ANALYZE_CALLS`` is what an earlier commit *called* when a
+#: process-wide op cache answered repeats (156 / 156 / 138), an upper
+#: bound of what it computed.  Earlier still the same work was 374 /
+#: 374 / 343 calls, before every dependence question was asked once per
+#: SCoP.  Two earlier commits pinned it at 277 / 297 / 318
+#: ``np.unique(axis=0)`` calls and then at none: the kernel under the
+#: algebra changed, not the algebra.
 _OPS = (
     "PointRelation.after", "PointRelation.domain", "PointRelation.inverse",
     "PointRelation.lexmax_per_domain", "PointRelation.range",
@@ -145,38 +134,14 @@ _OPS = (
     "enumeration.basic_set", "pipeline.prefix_lexmax",
 )
 COLD_ANALYZE_OPS = {
-    "P5": (
-        (0, 0, 0), (48, 42, 6), (16, 11, 5), (24, 22, 2), (26, 24, 2),
-        (6, 5, 1), (0, 0, 0), (4, 3, 1), (14, 12, 2), (8, 7, 1),
-        (4, 0, 4), (6, 5, 1),
-    ),
-    "P6": (
-        (0, 0, 0), (48, 38, 10), (16, 9, 7), (24, 19, 5), (26, 21, 5),
-        (6, 5, 1), (0, 0, 0), (4, 2, 2), (14, 10, 4), (8, 6, 2),
-        (4, 0, 4), (6, 4, 2),
-    ),
-    "P9": (
-        (0, 0, 0), (44, 30, 14), (14, 5, 9), (20, 12, 8), (23, 15, 8),
-        (5, 3, 2), (0, 0, 0), (4, 1, 3), (13, 7, 6), (6, 2, 4),
-        (4, 0, 4), (5, 2, 3),
-    ),
+    "P5": (0, 14, 10, 15, 14, 0, 0, 4, 8, 8, 4, 6),
+    "P6": (0, 14, 10, 15, 14, 0, 0, 4, 8, 8, 4, 6),
+    "P9": (0, 13, 9, 13, 13, 0, 0, 4, 8, 6, 4, 5),
 }
-PARENT_COLD_ANALYZE_OPS = {
-    "P5": (
-        (66, 18, 48), (72, 66, 6), (88, 79, 9), (36, 34, 2), (38, 36, 2),
-        (6, 5, 1), (14, 0, 14), (4, 3, 1), (26, 24, 2), (8, 7, 1),
-        (4, 0, 4), (12, 11, 1),
-    ),
-    "P6": (
-        (66, 18, 48), (72, 62, 10), (88, 77, 11), (36, 31, 5), (38, 33, 5),
-        (6, 5, 1), (14, 0, 14), (4, 2, 2), (26, 22, 4), (8, 6, 2),
-        (4, 0, 4), (12, 10, 2),
-    ),
-    "P9": (
-        (66, 18, 48), (64, 46, 18), (85, 72, 13), (30, 22, 8), (33, 21, 12),
-        (5, 3, 2), (13, 0, 13), (4, 1, 3), (23, 13, 10), (6, 2, 4),
-        (4, 0, 4), (10, 7, 3),
-    ),
+CACHED_ANALYZE_CALLS = {
+    "P5": (0, 48, 16, 24, 26, 6, 0, 4, 14, 8, 4, 6),
+    "P6": (0, 48, 16, 24, 26, 6, 0, 4, 14, 8, 4, 6),
+    "P9": (0, 44, 14, 20, 23, 5, 0, 4, 13, 6, 4, 5),
 }
 
 
@@ -184,28 +149,22 @@ PARENT_COLD_ANALYZE_OPS = {
 def test_cold_analysis_sorts_no_rows_generically(name, unique_axis0_calls):
     """Count-based, no wall clock: the whole cold compile of a Table 9
     kernel runs on packed row keys (zero ``np.unique(axis=0)`` calls),
-    does exactly the Presburger work recorded for it, and no op is
-    called — or computed — more often than at the parent commit."""
+    does exactly the Presburger work recorded for it, and no op computes
+    more often than the op cache was once called."""
     from repro.driver import TransformOptions, analyze
 
-    with cache.overridden(enabled=True):
-        cache.cache_clear()
-        interp = Interpreter.from_source(TABLE9[name].source(20), {})
-        analysis = analyze(interp, TransformOptions(coarsen=60))
-        st = cache.stats()
+    cache.cache_clear()
+    interp = Interpreter.from_source(TABLE9[name].source(20), {})
+    analysis = analyze(interp, TransformOptions(coarsen=60))
+    ops = cache.op_call_counts()
     assert analysis.legality is not None and analysis.legality.ok
     assert unique_axis0_calls == []
-    assert set(st.ops) <= set(_OPS), sorted(st.ops)
-    counts = {}
-    for op in _OPS:  # an op never called has no entry
-        s = st.ops.get(op, cache.OpStats())
-        counts[op] = (s.calls, s.hits, s.misses)
-    assert counts == dict(zip(_OPS, COLD_ANALYZE_OPS[name]))
-    for op, (calls, _, misses) in zip(_OPS, PARENT_COLD_ANALYZE_OPS[name]):
-        assert counts[op][0] <= calls and counts[op][2] <= misses, op
-    assert sum(c for c, _, _ in counts.values()) < 0.6 * sum(
-        c for c, _, _ in PARENT_COLD_ANALYZE_OPS[name]
-    )
+    assert set(ops) <= set(_OPS), sorted(ops)
+    counts = tuple(ops.get(op, 0) for op in _OPS)
+    assert counts == COLD_ANALYZE_OPS[name]
+    for op, n, calls in zip(_OPS, counts, CACHED_ANALYZE_CALLS[name]):
+        assert n <= calls, op
+    assert cache.stats().calls == sum(counts)
 
 
 def test_cold_p5_derives_dependences_once_and_blocks_each_statement_once(

@@ -8,8 +8,7 @@ empty scratch store and prints one row: the graph's tasks, the chains
 of its chain cover (``TaskGraph.chain_reach``, the legality check's
 reachability), the cold wall of the ``transform`` call (its artifact
 put included), the wall of one warm verified ``transform`` through the
-store it filled (run last, on a cleared presburger cache, as the
-ledger's ``oneshot_warm_ms``), the ``schedule.astgen``,
+store it filled (run last, as the ledger's ``oneshot_warm_ms``), the ``schedule.astgen``,
 ``scop.dependences`` (the one batched derivation of the SCoP's
 dependence table, wherever its first question falls: detection on a
 plain compile) and ``schedule.legality`` spans inside the cold one, so a
@@ -17,7 +16,7 @@ legality gain cannot hide a dependence build moved elsewhere,
 ``parse`` alone, the
 front end (parse, SCoP extraction with its domain points, every access
 relation and every array extent of a fresh SCoP of the same source,
-timed after the ``transform`` on a cleared presburger cache), the
+timed after the ``transform``), the
 sequential oracle (``run_sequential(new_store())`` of a fresh
 interpreter on that SCoP, generating its function included), the
 kernel's array bytes and the
@@ -57,7 +56,6 @@ from repro.driver import TransformOptions, transform
 from repro.interp import Interpreter
 from repro.lang import parse
 from repro.obs.spans import recording
-from repro.presburger import cache
 from repro.scop import AccessKind, extract_scop
 from repro.workloads import TABLE9
 
@@ -75,7 +73,6 @@ if not (result.verified and result.legality.ok):
 start = time.perf_counter()
 parse(source)
 parse_s = time.perf_counter() - start
-cache.cache_clear()  # the transform's memo would serve the domain points
 start = time.perf_counter()
 program = parse(source)
 scop = extract_scop(program, {})
@@ -95,7 +92,6 @@ tracemalloc.start()
 interp.run_sequential(store)
 lists = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-cache.cache_clear()
 start = time.perf_counter()
 warm = transform(source, {}, options, cache_dir=scratch.name)
 warm_s = time.perf_counter() - start
