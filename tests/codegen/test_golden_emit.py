@@ -9,6 +9,11 @@ checked-in golden file.
 Regenerate intentionally with::
 
     pytest tests/codegen/test_golden_emit.py --update-goldens
+
+The golden corpus doubles as a transparency check of what a compile
+keeps (the SCoP's dependence table, each relation's domain, range and
+per-input lexmax): emission must be byte-identical whether those are
+derived fresh or read back warm.
 """
 
 from __future__ import annotations
@@ -43,6 +48,15 @@ def _emit(case: str) -> str:
     return emit_task_program(info)
 
 
+def _emit_twice_on_one_scop(case: str) -> tuple[str, str]:
+    """Emission from a fresh SCoP, then again from the same SCoP, whose
+    dependence table and relation facts the first detection filled."""
+    source, params = CASES[case]()
+    scop = build_scop(source, params)
+    cold = emit_task_program(detect_pipeline(scop))
+    return cold, emit_task_program(detect_pipeline(scop))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_emitted_program_matches_golden(case, pytestconfig):
     emitted = _emit(case)
@@ -59,3 +73,10 @@ def test_emitted_program_matches_golden(case, pytestconfig):
         f"emitted program for {case} differs from {golden_path.name}; "
         "if the change is intended, rerun with --update-goldens"
     )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_emission_is_cache_transparent(case):
+    cold, warm = _emit_twice_on_one_scop(case)
+    assert cold == warm
+    assert _emit(case) == cold

@@ -5,6 +5,10 @@ For every seeded random program (see :mod:`tests.fuzz.generator`):
 * **Schedule differential** — the sequential interpretation must equal a
   block-pipelined execution (``execute_blocks_in_order``) of a *randomly
   chosen* topological order of the task graph.
+* **Kept-facts differential** — the entire path (Algorithm 1, task AST,
+  execution) must produce bit-identical arrays when it runs again on
+  the same SCoP, reading back the dependence table and the relation
+  facts (domain, range, per-input lexmax) its first run kept.
 * **Reduction differential** — the lowered plan's transitively reduced
   schedule, hybrid off and on, must order what the unreduced quotient
   orders, and a random topological order of it must reproduce the
@@ -60,9 +64,11 @@ from tests.tasking.test_chain_reach import without_edges
 from .generator import generate_samples, random_topological_order
 
 
-def _analysis_blocks(sample):
-    """Frontend → Algorithm 1 → task AST → graph; returns all of it."""
-    interp = Interpreter.from_source(sample.source, {})
+def _analysis_blocks(sample, interp=None):
+    """Frontend → Algorithm 1 → task AST → graph; returns all of it.
+    Given ``interp``, its SCoP (and what it keeps) is analysed again."""
+    if interp is None:
+        interp = Interpreter.from_source(sample.source, {})
     info = detect_pipeline(interp.scop)
     ast = generate_task_ast(info)
     graph = TaskGraph.from_task_ast(ast)
@@ -144,6 +150,32 @@ def test_legality_equals_reference(samples, pytestconfig):
         broken += _assert_legality_equals_reference(interp, graph, sample, rng)
     # the dropped edges must reach the violation path, too
     assert broken > len(samples) // 2
+
+
+def test_cache_on_off_results_bit_identical(samples):
+    """What a compile keeps on its SCoP and relations is semantically
+    invisible end to end, per sample: a second run of the path on the
+    same (warm) SCoP equals the first (cold) run bit for bit."""
+    for sample in samples:
+        interp = None
+        results = []
+        for _ in ("cold", "warm"):
+            interp, ast, graph = _analysis_blocks(sample, interp)
+            seq = interp.run_sequential(interp.new_store())
+            order = graph.topological_order()
+            par = _run_pipelined(interp, graph, order)
+            results.append((
+                _store_bytes(seq),
+                _store_bytes(par),
+                [
+                    (b.statement, b.block_id, b.iterations.tobytes())
+                    for b in ast.all_blocks()
+                ],
+            ))
+        assert results[0] == results[1], (
+            f"{sample.describe()}: the run on a warm SCoP differs from "
+            f"the cold run\n{sample.source}"
+        )
 
 
 def test_generator_is_reproducible():

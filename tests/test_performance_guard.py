@@ -167,6 +167,55 @@ def test_cold_analysis_sorts_no_rows_generically(name, unique_axis0_calls):
     assert cache.stats().calls == sum(counts)
 
 
+_KEPT_FACTS = ("domain", "range", "lexmax_per_domain")
+
+
+def _kept_fact_reads(monkeypatch, name):
+    """Cold P-kernel analysis at N=24 with every read of a relation's
+    kept facts recorded (the relations stay referenced, so their ids
+    stay distinct); returns the reads and the op counter."""
+    from repro.presburger import PointRelation
+
+    reads = {fact: [] for fact in _KEPT_FACTS}
+    for fact in _KEPT_FACTS:
+        real = getattr(PointRelation, fact)
+
+        def reading(self, _real=real, _seen=reads[fact]):
+            _seen.append(self)
+            return _real(self)
+
+        monkeypatch.setattr(PointRelation, fact, reading)
+    kern = TABLE9[name]
+    cache.cache_clear()
+    scop = build_scop(kern.source(24))
+    pipeline_task_graph(scop, kern.cost_model(1))
+    return reads, cache.op_call_counts()
+
+
+def test_cache_is_effective_on_p5_analysis(monkeypatch):
+    """The facts kept on a relation must actually be read again on the
+    Table 9 hot path: more reads than computations of them."""
+    reads, ops = _kept_fact_reads(monkeypatch, "P5")
+    computed = sum(ops.get(f"PointRelation.{fact}", 0) for fact in _KEPT_FACTS)
+    assert computed > 0
+    assert sum(len(r) for r in reads.values()) > computed, ops
+    # ranges are read about twice per relation; guard loosely
+    assert len(reads["range"]) > 1.5 * ops["PointRelation.range"], ops
+
+
+@pytest.mark.parametrize("name", sorted(TABLE9))
+def test_kept_facts_are_computed_once_per_relation(monkeypatch, name):
+    """Each kept fact is computed exactly once per relation that reads it
+    (a per-input lexmax: once per non-empty one, an empty relation is
+    its own) during a cold analysis of every Table 9 kernel."""
+    reads, ops = _kept_fact_reads(monkeypatch, name)
+    for fact, seen in reads.items():
+        rels = {id(rel): rel for rel in seen}.values()
+        if fact == "lexmax_per_domain":
+            rels = [rel for rel in rels if not rel.is_empty()]
+        assert ops.get(f"PointRelation.{fact}", 0) == len(rels), fact
+
+
 def test_cold_p5_derives_dependences_once_and_blocks_each_statement_once(
     monkeypatch,
 ):
